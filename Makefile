@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test test-fault race bench-smoke explain-smoke stream-smoke server-smoke planner-smoke crash-matrix storage-smoke bench-tables ci clean
+.PHONY: all vet lint build test test-fault race bench-smoke explain-smoke stream-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check bench-tables ci clean
 
 all: ci
 
@@ -85,11 +85,22 @@ storage-smoke:
 	$(GO) test -run 'BothBackends' .
 	$(GO) run ./cmd/benchrunner -exp storage -scale 0.05 -json BENCH_storage.json
 
+# Repository benchmark check: benchmark/ is a module of its own, outside
+# the root ./..., so nothing above builds it and an engine API change
+# could break it unseen. Vet and unit-test it, then run each workload
+# for two seconds; a run exits non-zero when any op disagrees with its
+# oracle. The numbers these short runs print are not measurements.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	for w in wire_oltp embedded_adhoc embedded_analytic durable_ingest; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
+
 # Full experiment sweep, regenerating bench_output_tables.txt.
 bench-tables:
 	$(GO) run ./cmd/benchrunner -exp all -scale 0.25 > bench_output_tables.txt
 
-ci: vet lint build test test-fault race stream-smoke bench-smoke explain-smoke server-smoke planner-smoke crash-matrix storage-smoke
+ci: vet lint build test test-fault race stream-smoke bench-smoke explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check
 
 clean:
 	rm -f BENCH_parallel.json BENCH_explain.json BENCH_server.json BENCH_storage.json BENCH_planner.json

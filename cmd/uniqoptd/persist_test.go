@@ -132,23 +132,28 @@ func TestDaemonDataDirSkipsDemoWhenRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRows := func(c *client.Client) int {
+	// waitRows polls until the suppliers number want or the deadline
+	// passes, and returns the last count: an error-free answer can still
+	// be a partial one while the background demo load is mid-way.
+	waitRows := func(c *client.Client, want int) int {
 		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); ; {
 			res, err := c.Query(`SELECT DISTINCT S.SNO FROM SUPPLIER S`)
-			if err == nil {
+			if err == nil && (len(res.Rows) == want || time.Now().After(deadline)) {
 				return len(res.Rows)
 			}
-			re, ok := err.(*client.RemoteError)
-			if !ok || (re.Code != "recovering" && re.Code != "sql") || time.Now().After(deadline) {
-				t.Fatal(err)
+			if err != nil {
+				re, ok := err.(*client.RemoteError)
+				if !ok || (re.Code != "recovering" && re.Code != "sql") || time.Now().After(deadline) {
+					t.Fatal(err)
+				}
+				// "sql" covers the window after replay but before the
+				// demo load defines SUPPLIER.
 			}
-			// "sql" covers the window after replay but before the demo
-			// load defines SUPPLIER.
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	first := waitRows(c)
+	first := waitRows(c, 25)
 	if first != 25 {
 		t.Fatalf("demo suppliers = %d, want 25", first)
 	}
@@ -166,7 +171,7 @@ func TestDaemonDataDirSkipsDemoWhenRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := waitRows(c2); got != 25 {
+	if got := waitRows(c2, 25); got != 25 {
 		t.Fatalf("after reboot suppliers = %d, want 25 (demo reloaded?)", got)
 	}
 	c2.Close()

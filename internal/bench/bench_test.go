@@ -260,16 +260,9 @@ func TestEPShape(t *testing.T) {
 				i, cell(t, tab, i, 0), stream, mat)
 		}
 	}
-	// Warm analyzer verdicts must be at least 10× faster than cold
-	// (race instrumentation taxes the cache path disproportionately, so
-	// require a looser bound there).
-	min := 10.0
-	if raceEnabled {
-		min = 3.0
-	}
-	if sp := cellFloat(t, tab, 7, 5); sp < min {
-		t.Errorf("warm-cache analyzer speedup = %.2f, want >= %.0f", sp, min)
-	}
+	// Wall-clock ratios are reported, not asserted: tier-1 must be
+	// deterministic, and timing gates belong to the benchmark.
+	t.Logf("warm-cache analyzer speedup = %.2f", cellFloat(t, tab, 7, 5))
 }
 
 func TestEPlannerShape(t *testing.T) {
@@ -299,10 +292,7 @@ func TestEPlannerShape(t *testing.T) {
 				i, cell(t, tab, i, 0), written, ordered)
 		}
 	}
-	// Warm planning through the cache must beat cold re-planning.
-	if sp := cellFloat(t, tab, 4, 4); sp <= 1.0 {
-		t.Errorf("warm plan-cache speedup = %.2f, want > 1", sp)
-	}
+	t.Logf("warm plan-cache speedup = %.2f", cellFloat(t, tab, 4, 4))
 }
 
 func benchRelPair(rows int) (*engine.Relation, *engine.Relation) {

@@ -139,7 +139,7 @@ func (ex *Executor) execSelect(ctx context.Context, st *Stats, s *ast.Select, ou
 	for k, v := range outerCols {
 		envProto.Cols[k] = v
 	}
-	rel, err = ex.filterWithScope(ctx, st, rel, s.Where, envProto)
+	rel, err = Filter(ctx, st, rel, s.Where, envProto)
 	if err != nil {
 		return nil, err
 	}
@@ -163,47 +163,6 @@ func (ex *Executor) execSelect(ctx context.Context, st *Stats, s *ast.Select, ou
 		}
 	}
 	return rel, nil
-}
-
-// filterWithScope is Filter but preserving the prototype's Scope. The
-// row loop stays serial here: the environment's Exists/In callbacks
-// recurse into this executor with the same st.
-func (ex *Executor) filterWithScope(ctx context.Context, st *Stats, rel *Relation, pred ast.Expr, envProto *eval.Env) (*Relation, error) {
-	if pred == nil {
-		return rel, nil
-	}
-	if w, ok := shouldParallel(len(rel.Rows)); ok && !ast.HasExists(pred) {
-		return ParallelFilter(ctx, st, rel, pred, envProto, w)
-	}
-	g := newGuard(ctx, st)
-	env := &eval.Env{
-		Cols:   make(map[string]value.Value, len(rel.Cols)+len(envProto.Cols)),
-		Hosts:  envProto.Hosts,
-		Scope:  envProto.Scope,
-		Exists: envProto.Exists,
-		In:     envProto.In,
-	}
-	for k, v := range envProto.Cols {
-		env.Cols[k] = v
-	}
-	out := &Relation{Cols: rel.Cols}
-	for _, row := range rel.Rows {
-		if err := g.step(); err != nil {
-			return nil, err
-		}
-		bindRow(env, rel.Cols, row)
-		ok, err := eval.Qualifies(pred, env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out.Rows = append(out.Rows, row)
-			if err := g.keep(row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, g.finish()
 }
 
 // existsFunc returns the EXISTS callback: it snapshots the current

@@ -7,6 +7,7 @@ import (
 	"uniqopt/internal/fault"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/storage"
+	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
 )
 
@@ -16,6 +17,16 @@ import (
 // error return instead of an internal panic. Serial and parallel paths
 // enforce the same lifecycle.
 
+// qualifiedCols names tbl's columns as a scan under the correlation
+// name corr emits them ("CORR.COLUMN").
+func qualifiedCols(tbl *storage.Table, corr string) []string {
+	cols := make([]string, len(tbl.Schema.Columns))
+	for i, c := range tbl.Schema.Columns {
+		cols[i] = corr + "." + c.Name
+	}
+	return cols
+}
+
 // Scan materializes a base table as a relation whose columns are
 // qualified with the correlation name corr.
 func Scan(ctx context.Context, st *Stats, tbl *storage.Table, corr string) (*Relation, error) {
@@ -23,10 +34,7 @@ func Scan(ctx context.Context, st *Stats, tbl *storage.Table, corr string) (*Rel
 		return nil, err
 	}
 	g := newGuard(ctx, st)
-	cols := make([]string, len(tbl.Schema.Columns))
-	for i, c := range tbl.Schema.Columns {
-		cols[i] = corr + "." + c.Name
-	}
+	cols := qualifiedCols(tbl, corr)
 	out := &Relation{Cols: cols, Rows: make([]value.Row, tbl.Len())}
 	for i := 0; i < tbl.Len(); i++ {
 		if err := g.step(); err != nil {
@@ -41,6 +49,27 @@ func Scan(ctx context.Context, st *Stats, tbl *storage.Table, corr string) (*Rel
 	return out, g.finish()
 }
 
+// ScanInPlace is Scan for a caller that puts a Filter directly on the
+// result: the relation shares the table's row slice instead of copying
+// its headers, and nothing is charged to the governor — nothing was
+// materialized, and the Filter charges the rows it keeps. The relation
+// is only valid while the statement's view of the table is (no insert
+// or truncate in between); no operator mutates its input, and the
+// capacity is clipped so an append cannot reach the table's storage.
+func ScanInPlace(ctx context.Context, st *Stats, tbl *storage.Table, corr string) (*Relation, error) {
+	if err := fault.Point(FaultScan); err != nil {
+		return nil, err
+	}
+	g := newGuard(ctx, st)
+	if err := g.step(); err != nil {
+		return nil, err
+	}
+	cols := qualifiedCols(tbl, corr)
+	rows := tbl.Rows()
+	st.RowsScanned += int64(len(rows))
+	return &Relation{Cols: cols, Rows: rows[:len(rows):len(rows)]}, nil
+}
+
 // bindRow loads a relation row into an environment's column map.
 func bindRow(env *eval.Env, cols []string, row value.Row) {
 	for i, c := range cols {
@@ -48,10 +77,38 @@ func bindRow(env *eval.Env, cols []string, row value.Row) {
 	}
 }
 
+// qualifying is the engine's one predicate row loop, shared by the
+// materializing, parallel and streaming filters: it appends to out the
+// rows keep accepts under the false-interpreted WHERE semantics
+// (Unknown rejects), polling g for cancellation per row and, when
+// charge is set, charging each kept row to it as materialized.
+func (g *guard) qualifying(out, rows []value.Row, keep eval.Pred, charge bool) ([]value.Row, error) {
+	for _, row := range rows {
+		if err := g.step(); err != nil {
+			return nil, err
+		}
+		t, err := keep(row)
+		if err != nil {
+			return nil, err
+		}
+		if !tvl.FalseInterpreted(t) {
+			continue
+		}
+		out = append(out, row)
+		if charge {
+			if err := g.keep(row); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return out, nil
+}
+
 // Filter returns the rows of rel that satisfy pred under the
 // false-interpreted WHERE semantics. envProto supplies host variables,
-// outer-block column bindings, and the EXISTS evaluator; its Cols map
-// is extended with rel's columns per row.
+// outer-block column bindings, the scope that canonicalizes column
+// references (nil = literal names), and the subquery evaluators; pred
+// is compiled against rel's columns once per call (eval.Compile).
 func Filter(ctx context.Context, st *Stats, rel *Relation, pred ast.Expr, envProto *eval.Env) (*Relation, error) {
 	if pred == nil {
 		return rel, nil
@@ -65,32 +122,11 @@ func Filter(ctx context.Context, st *Stats, rel *Relation, pred ast.Expr, envPro
 		return ParallelFilter(ctx, st, rel, pred, envProto, w)
 	}
 	g := newGuard(ctx, st)
-	env := &eval.Env{
-		Cols:   make(map[string]value.Value, len(rel.Cols)+len(envProto.Cols)),
-		Hosts:  envProto.Hosts,
-		Exists: envProto.Exists,
+	rows, err := g.qualifying(nil, rel.Rows, eval.Compile(pred, rel.Cols, envProto), true)
+	if err != nil {
+		return nil, err
 	}
-	for k, v := range envProto.Cols {
-		env.Cols[k] = v
-	}
-	out := &Relation{Cols: rel.Cols}
-	for _, row := range rel.Rows {
-		if err := g.step(); err != nil {
-			return nil, err
-		}
-		bindRow(env, rel.Cols, row)
-		ok, err := eval.Qualifies(pred, env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out.Rows = append(out.Rows, row)
-			if err := g.keep(row); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, g.finish()
+	return &Relation{Cols: rel.Cols, Rows: rows}, g.finish()
 }
 
 // Product computes the extended Cartesian product l × r.
@@ -741,10 +777,7 @@ func IndexScanRange(ctx context.Context, st *Stats, tbl *storage.Table, corr str
 
 func materialize(ctx context.Context, st *Stats, tbl *storage.Table, corr string, ords []int) (*Relation, error) {
 	g := newGuard(ctx, st)
-	cols := make([]string, len(tbl.Schema.Columns))
-	for i, c := range tbl.Schema.Columns {
-		cols[i] = corr + "." + c.Name
-	}
+	cols := qualifiedCols(tbl, corr)
 	out := &Relation{Cols: cols, Rows: make([]value.Row, len(ords))}
 	for i, ri := range ords {
 		if err := g.step(); err != nil {

@@ -426,7 +426,7 @@ func ParallelProject(ctx context.Context, st *Stats, rel *Relation, cols []strin
 }
 
 // ParallelFilter evaluates pred over contiguous chunks of rel, each
-// worker with a private environment cloned from envProto. The caller
+// worker with its own compilation of pred against envProto. The caller
 // must ensure pred is parallel-safe: no EXISTS / IN-subquery leaves
 // (their evaluation callbacks recurse into shared executor state).
 // Identical output to Filter.
@@ -446,36 +446,10 @@ func ParallelFilter(ctx context.Context, st *Stats, rel *Relation, pred ast.Expr
 			return
 		}
 		g := newGuard(ctx, &locals[c])
-		env := &eval.Env{
-			Cols:   make(map[string]value.Value, len(rel.Cols)+len(envProto.Cols)),
-			Hosts:  envProto.Hosts,
-			Scope:  envProto.Scope,
-			Exists: envProto.Exists,
-			In:     envProto.In,
-		}
-		for k, v := range envProto.Cols {
-			env.Cols[k] = v
-		}
-		var rows []value.Row
-		for i := lo; i < hi; i++ {
-			if err := g.step(); err != nil {
-				errs[c] = err
-				return
-			}
-			row := rel.Rows[i]
-			bindRow(env, rel.Cols, row)
-			ok, err := eval.Qualifies(pred, env)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			if ok {
-				rows = append(rows, row)
-				if err := g.keep(row); err != nil {
-					errs[c] = err
-					return
-				}
-			}
+		rows, err := g.qualifying(nil, rel.Rows[lo:hi], eval.Compile(pred, rel.Cols, envProto), true)
+		if err != nil {
+			errs[c] = err
+			return
 		}
 		errs[c] = g.finish()
 		chunkOut[c] = rows

@@ -37,17 +37,24 @@ type rtEntry struct {
 
 const rtNone = int32(-1)
 
-// newRowTable sizes the slot array for hint distinct hashes (growing
-// later if the hint was low). The floor is generous (a few KB) so
-// streaming operators that cannot know their input size up front do
-// not rehash through a dozen doublings on large streams.
+// rtFloorSlots is the slot count an unsized table starts from: generous
+// (8 KB) so streaming operators that cannot know their input size up
+// front do not rehash through a dozen doublings on large streams.
+const rtFloorSlots = 1024
+
+// newRowTable sizes the slot array and entry log for hint rows, so a
+// build side known to be a handful of rows costs a handful of slots.
+// hint == 0 means unknown: nothing is allocated until the first insert,
+// which starts from rtFloorSlots. A low hint only costs regrowth.
 func newRowTable(hint int) *rowTable {
-	n := 1024
-	for n < hint*4/3 && n < 1<<30 {
-		n <<= 1
-	}
-	t := &rowTable{mask: uint64(n - 1), slots: make([]rtSlot, n)}
+	t := &rowTable{}
 	if hint > 0 {
+		n := 8
+		for n < hint*4/3 && n < 1<<30 {
+			n <<= 1
+		}
+		t.mask = uint64(n - 1)
+		t.slots = make([]rtSlot, n)
 		t.entries = make([]rtEntry, 0, hint)
 	}
 	return t
@@ -56,6 +63,9 @@ func newRowTable(hint int) *rowTable {
 // find returns the index of the first entry whose hash is h, or rtNone.
 // Walk the chain via entries[i].next for the remaining same-hash rows.
 func (t *rowTable) find(h uint64) int32 {
+	if len(t.slots) == 0 {
+		return rtNone
+	}
 	i := h & t.mask
 	for {
 		s := t.slots[i]
@@ -72,7 +82,7 @@ func (t *rowTable) find(h uint64) int32 {
 // insert appends row to hash h's chain (creating the chain if h is
 // new) and returns the new entry's index.
 func (t *rowTable) insert(h uint64, row value.Row) int32 {
-	if len(t.entries)*4 > len(t.slots)*3 {
+	if len(t.slots) == 0 || len(t.entries)*4 > len(t.slots)*3 {
 		t.grow()
 	}
 	idx := int32(len(t.entries))
@@ -80,10 +90,7 @@ func (t *rowTable) insert(h uint64, row value.Row) int32 {
 		// Grow the entry log 4x by hand: entries carry row pointers,
 		// so each relocation pays GC write barriers — fewer, larger
 		// moves beat append's default doubling on unsized tables.
-		nc := cap(t.entries) * 4
-		if nc < 1024 {
-			nc = 1024
-		}
+		nc := max(cap(t.entries)*4, 16)
 		ne := make([]rtEntry, len(t.entries), nc)
 		copy(ne, t.entries)
 		t.entries = ne
@@ -105,12 +112,13 @@ func (t *rowTable) insert(h uint64, row value.Row) int32 {
 	}
 }
 
-// grow quadruples the slot array and relinks every entry. Entries are
-// relinked in index order, which preserves each chain's insertion
-// order; the 4x factor keeps total rehash work near one pass over the
-// final table even when the initial size guess was far too low.
+// grow quadruples the slot array (from nothing: to rtFloorSlots) and
+// relinks every entry. Entries are relinked in index order, which
+// preserves each chain's insertion order; the 4x factor keeps total
+// rehash work near one pass over the final table even when the initial
+// size guess was far too low.
 func (t *rowTable) grow() {
-	n := len(t.slots) * 4
+	n := max(len(t.slots)*4, rtFloorSlots)
 	t.mask = uint64(n - 1)
 	t.slots = make([]rtSlot, n)
 	for idx := range t.entries {

@@ -66,11 +66,16 @@ type statField struct {
 	max      bool // gauge merged by maximum (e.g. WorkersUsed), not sum
 }
 
+// statFieldCount is the number of Stats fields.
+const statFieldCount = 20
+
 // fields returns an entry for every struct field, pairing s with o, so
 // accumulation code cannot silently miss a newly added field (a
-// reflect-based test asserts the enumeration is complete).
-func (s *Stats) fields(o *Stats) []statField {
-	return []statField{
+// reflect-based test asserts the enumeration is complete). It returns
+// an array, not a slice, so Add and Snapshot — called per plan node,
+// per exchange batch and per worker chunk — enumerate on the stack.
+func (s *Stats) fields(o *Stats) [statFieldCount]statField {
+	return [statFieldCount]statField{
 		{dst: &s.RowsScanned, src: &o.RowsScanned},
 		{dst: &s.RowsOutput, src: &o.RowsOutput},
 		{dst: &s.Comparisons, src: &o.Comparisons},

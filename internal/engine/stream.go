@@ -19,42 +19,32 @@ import (
 // (hash-join build, sort distinct, the buffered product inner) charge
 // their state as held and release it at Close.
 
+// arenaFirstRows is the row count of a rowArena's first slab.
+const arenaFirstRows = 4
+
 // rowArena hands out fixed-width output rows carved from shared
-// backing slabs: one allocation per ~batch of rows instead of one per
-// row. Every returned row is a full-capacity subslice, never reused,
-// so emitted rows satisfy the immutability contract.
+// backing slabs, so an operator pays one allocation per slab instead
+// of one per row. Slabs are sized by what the operator has emitted so
+// far, not by what it might emit: the first holds arenaFirstRows rows
+// and each later one twice the one before, up to BatchSize() — a join
+// proven to emit one row allocates room for a few, and a large result
+// still settles at one allocation per batch. Every returned row is a
+// full-capacity subslice, never reused, so emitted rows satisfy the
+// immutability contract.
 type rowArena struct {
 	buf   value.Row
 	width int
+	rows  int // rows in the current slab; 0 before the first
 }
 
 func (a *rowArena) next() value.Row {
 	if len(a.buf) < a.width || a.width == 0 {
-		n := a.width * BatchSize()
-		if n < a.width {
-			n = a.width
-		}
-		a.buf = make(value.Row, n)
+		a.rows = min(max(2*a.rows, arenaFirstRows), BatchSize())
+		a.buf = make(value.Row, a.width*a.rows)
 	}
 	row := a.buf[:a.width:a.width]
 	a.buf = a.buf[a.width:]
 	return row
-}
-
-// cloneEnv copies an evaluation environment prototype, giving the
-// operator a private column map it can rebind per row.
-func cloneEnv(proto *eval.Env, extraCols int) *eval.Env {
-	env := &eval.Env{
-		Cols:   make(map[string]value.Value, len(proto.Cols)+extraCols),
-		Hosts:  proto.Hosts,
-		Scope:  proto.Scope,
-		Exists: proto.Exists,
-		In:     proto.In,
-	}
-	for k, v := range proto.Cols {
-		env.Cols[k] = v
-	}
-	return env
 }
 
 // tableIter streams a base table scan in batches.
@@ -70,10 +60,7 @@ type tableIter struct {
 // NewTableIter returns a streaming scan of tbl, columns qualified by
 // corr.
 func NewTableIter(st *Stats, tbl *storage.Table, corr string) Iterator {
-	cols := make([]string, len(tbl.Schema.Columns))
-	for i, c := range tbl.Schema.Columns {
-		cols[i] = corr + "." + c.Name
-	}
+	cols := qualifiedCols(tbl, corr)
 	return &tableIter{tbl: tbl, cols: cols, st: st}
 }
 
@@ -127,10 +114,7 @@ type indexScanIter struct {
 // columns qualified by corr. The caller performs the index probe; the
 // seek is counted here so the counter stays inside the engine.
 func NewIndexScanIter(st *Stats, tbl *storage.Table, corr string, ords []int) Iterator {
-	cols := make([]string, len(tbl.Schema.Columns))
-	for i, c := range tbl.Schema.Columns {
-		cols[i] = corr + "." + c.Name
-	}
+	cols := qualifiedCols(tbl, corr)
 	st.IndexSeeks++
 	return &indexScanIter{tbl: tbl, cols: cols, ords: ords, st: st}
 }
@@ -163,12 +147,11 @@ func (it *indexScanIter) Close() error {
 	return nil
 }
 
-// filterIter streams the rows of its child that satisfy pred under
-// false-interpreted WHERE semantics.
+// filterIter streams the rows of its child that satisfy its compiled
+// predicate under false-interpreted WHERE semantics.
 type filterIter struct {
 	child   Iterator
-	pred    ast.Expr
-	env     *eval.Env
+	keep    eval.Pred
 	cols    []string
 	st      *Stats
 	sg      streamGuard
@@ -176,10 +159,12 @@ type filterIter struct {
 	closed  bool
 }
 
-// NewFilterIter streams child through pred. Parallel-safe predicates
-// run on a pipelined exchange when the worker pool is wider than one;
-// subquery-bearing predicates stay on the caller's goroutine (their
-// evaluation callbacks recurse into shared executor state).
+// NewFilterIter streams child through pred, compiled against the
+// child's columns (eval.Compile) once per iterator, or once per worker:
+// parallel-safe predicates run on a pipelined exchange when the worker
+// pool is wider than one; subquery-bearing predicates stay on the
+// caller's goroutine (their evaluation callbacks recurse into shared
+// executor state).
 func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env) Iterator {
 	if pred == nil {
 		return child
@@ -187,25 +172,17 @@ func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env)
 	cols := child.Cols()
 	if w := Workers(); w > 1 && !ast.HasExists(pred) {
 		return NewExchangeIter(st, child, cols, w, func() BatchFunc {
-			env := cloneEnv(envProto, len(cols))
+			keep := eval.Compile(pred, cols, envProto)
 			return func(b Batch, my *Stats) (Batch, error) {
-				out := make(Batch, 0, len(b))
-				for _, row := range b {
-					bindRow(env, cols, row)
-					ok, err := eval.Qualifies(pred, env)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out = append(out, row)
-					}
-				}
-				return out, nil
+				// Workers see no context: the exchange polls
+				// cancellation between batches.
+				g := newGuard(nil, my)
+				return g.qualifying(make(Batch, 0, len(b)), b, keep, false)
 			}
 		})
 	}
 	return &filterIter{
-		child: child, pred: pred, env: cloneEnv(envProto, len(cols)),
+		child: child, keep: eval.Compile(pred, cols, envProto),
 		cols: cols, st: st,
 	}
 }
@@ -227,6 +204,7 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 		}
 	}
 	bs := BatchSize()
+	g := newGuard(ctx, it.st)
 	var out Batch
 	for {
 		b, err := it.child.Next(ctx)
@@ -239,21 +217,8 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 			}
 			return nil, nil
 		}
-		for _, row := range b {
-			if err := it.sg.step(); err != nil {
-				return nil, err
-			}
-			bindRow(it.env, it.cols, row)
-			ok, err := eval.Qualifies(it.pred, it.env)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				if out == nil {
-					out = make(Batch, 0, bs)
-				}
-				out = append(out, row)
-			}
+		if out, err = g.qualifying(out, b, it.keep, false); err != nil {
+			return nil, err
 		}
 		if len(out) >= bs {
 			return it.sg.emit(out)
@@ -762,9 +727,6 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 				nr := j.arena.next()
 				copy(nr, prow)
 				copy(nr[len(prow):], brow)
-				if out == nil {
-					out = make(Batch, 0, bs)
-				}
 				out = append(out, nr)
 			}
 			if len(out) >= bs {
@@ -904,9 +866,6 @@ func (j *symmetricHashJoinIter) Next(ctx context.Context) (Batch, error) {
 					copy(nr, orow)
 					copy(nr[j.lw:], row)
 				}
-				if out == nil {
-					out = make(Batch, 0, bs)
-				}
 				out = append(out, nr)
 			}
 			side.table.insert(h, row)
@@ -1026,9 +985,6 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 			nr := j.arena.next()
 			copy(nr, lrow)
 			copy(nr[len(lrow):], rr)
-			if out == nil {
-				out = make(Batch, 0, bs)
-			}
 			out = append(out, nr)
 			if len(out) >= bs {
 				return j.sg.emit(out)

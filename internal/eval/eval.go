@@ -236,6 +236,12 @@ func compare(x *ast.Compare, env *Env) (tvl.Truth, error) {
 	if err != nil {
 		return tvl.Unknown, err
 	}
+	return compareValues(x, l, r)
+}
+
+// compareValues applies x's operator to its evaluated operands under
+// 3VL: a NULL on either side is Unknown, mismatched kinds are an error.
+func compareValues(x *ast.Compare, l, r value.Value) (tvl.Truth, error) {
 	if l.IsNull() || r.IsNull() {
 		return tvl.Unknown, nil
 	}
@@ -243,19 +249,20 @@ func compare(x *ast.Compare, env *Env) (tvl.Truth, error) {
 		return tvl.Unknown, fmt.Errorf("eval: cannot compare %s with %s in %s",
 			l.Kind(), r.Kind(), x.SQL())
 	}
+	c := value.Compare(l, r)
 	switch x.Op {
 	case ast.EqOp:
-		return value.Eq(l, r), nil
+		return tvl.Of(c == 0), nil
 	case ast.NeOp:
-		return value.Ne(l, r), nil
+		return tvl.Of(c != 0), nil
 	case ast.LtOp:
-		return value.Lt(l, r), nil
+		return tvl.Of(c < 0), nil
 	case ast.LeOp:
-		return value.Le(l, r), nil
+		return tvl.Of(c <= 0), nil
 	case ast.GtOp:
-		return value.Gt(l, r), nil
+		return tvl.Of(c > 0), nil
 	case ast.GeOp:
-		return value.Ge(l, r), nil
+		return tvl.Of(c >= 0), nil
 	default:
 		return tvl.Unknown, fmt.Errorf("eval: unknown comparison operator")
 	}

@@ -596,6 +596,11 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 					if p.Opts.ExplainOnly {
 						return engine.NewRelation(qualifiedCols(tbl, corr)...), nil
 					}
+					if pred != nil {
+						// The Filter below reads the table's rows where
+						// they lie and charges only what it keeps.
+						return engine.ScanInPlace(ctx, &res.Stats, tbl, corr)
+					}
 					return engine.Scan(ctx, &res.Stats, tbl, corr)
 				})
 			if err != nil {
@@ -672,7 +677,7 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 		in := cur
 		cur, curNode, err = timedOp(res, analyzed, "Filter", pred.SQL(), int64(in.Len()), []*Node{curNode},
 			func() (*engine.Relation, error) {
-				return p.filterScoped(ctx, in, pred, env, res)
+				return engine.Filter(ctx, &res.Stats, in, pred, env)
 			})
 		if err != nil {
 			return nil, nil, err
@@ -725,43 +730,6 @@ func attachOrderNotes(root *Node, sp *selectPlan) {
 	if sp.startNote != "" {
 		root.Notes = append(root.Notes, sp.startNote)
 	}
-}
-
-// filterScoped filters rows with a scoped environment (for correlated
-// EXISTS evaluation).
-func (p *Planner) filterScoped(ctx context.Context, rel *engine.Relation, pred ast.Expr, envProto *eval.Env, res *Result) (*engine.Relation, error) {
-	env := &eval.Env{
-		Cols:   make(map[string]value.Value, len(rel.Cols)+len(envProto.Cols)),
-		Hosts:  envProto.Hosts,
-		Scope:  envProto.Scope,
-		Exists: envProto.Exists,
-		In:     envProto.In,
-	}
-	for k, v := range envProto.Cols {
-		env.Cols[k] = v
-	}
-	out := &engine.Relation{Cols: rel.Cols}
-	for n, row := range rel.Rows {
-		// Correlated predicates can make each row arbitrarily
-		// expensive, so poll cancellation here too, not just inside
-		// engine operators.
-		if n%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		for i, c := range rel.Cols {
-			env.Cols[c] = row[i]
-		}
-		ok, err := eval.Qualifies(pred, env)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out, nil
 }
 
 // naiveExists evaluates EXISTS subqueries with the reference executor

@@ -280,9 +280,18 @@ func TestServerConcurrencyAdmission(t *testing.T) {
 	slowDone := make(chan error, 1)
 	go func() {
 		// ~2.25M-pair inequality join: long enough for the prober to
-		// land while it holds the only concurrency slot.
-		_, err := slow.Query(`SELECT S.SNO, P.PNO FROM S, P WHERE S.SNO < P.PNO`)
-		slowDone <- err
+		// land while it holds the only concurrency slot. If a probe
+		// holds the slot when this arrives, it is this query that is
+		// turned away: go again.
+		for {
+			_, err := slow.Query(`SELECT S.SNO, P.PNO FROM S, P WHERE S.SNO < P.PNO`)
+			var re *client.RemoteError
+			if errors.As(err, &re) && re.Code == server.CodeAdmission {
+				continue
+			}
+			slowDone <- err
+			return
+		}
 	}()
 
 	// Probe until we observe the admission rejection (or the slow

@@ -20,6 +20,7 @@ import (
 
 	"uniqopt/internal/catalog"
 	"uniqopt/internal/eval"
+	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
 )
 
@@ -36,6 +37,9 @@ type Table struct {
 	// enforcement against sibling tables. Standalone tables created
 	// with NewTable do not enforce foreign keys.
 	db *DB
+	// checks holds Schema.Checks compiled against the column ordinals,
+	// parallel to it; extended when the schema gains a CHECK.
+	checks []eval.Pred
 }
 
 // NewTable creates an empty table for the given schema.
@@ -67,15 +71,23 @@ func keyProjection(row value.Row, k catalog.Key) value.Row {
 	return out
 }
 
-// checkEnv builds the evaluation environment for CHECK constraints:
-// bare column names plus table-qualified names.
-func (t *Table) checkEnv(row value.Row) *eval.Env {
-	cols := make(map[string]value.Value, 2*len(row))
-	for i, c := range t.Schema.Columns {
-		cols[c.Name] = row[i]
-		cols[t.Schema.Name+"."+c.Name] = row[i]
+// compiledChecks returns the table's CHECK constraints compiled once
+// against the schema's column ordinals, compiling any added since the
+// last call (Schema.Checks only grows). The layout names the bare
+// columns; a self-qualified reference (TABLE.COL, which AddCheck admits
+// for this table only) finds its column through eval's fall-back from
+// the qualified to the bare name.
+func (t *Table) compiledChecks() []eval.Pred {
+	if len(t.checks) < len(t.Schema.Checks) {
+		cols := make([]string, len(t.Schema.Columns))
+		for i, c := range t.Schema.Columns {
+			cols[i] = c.Name
+		}
+		for _, chk := range t.Schema.Checks[len(t.checks):] {
+			t.checks = append(t.checks, eval.Compile(chk, cols, &eval.Env{}))
+		}
 	}
-	return &eval.Env{Cols: cols}
+	return t.checks
 }
 
 // Validate checks a row against all constraints without inserting it.
@@ -97,14 +109,14 @@ func (t *Table) Validate(row value.Row) error {
 				s.Name, col.Name, v, v.Kind(), col.Type)
 		}
 	}
-	env := t.checkEnv(row)
-	for _, chk := range s.Checks {
-		ok, err := eval.Satisfied(chk, env)
+	// CHECKs hold under the true interpretation: Unknown passes.
+	for i, chk := range t.compiledChecks() {
+		truth, err := chk(row)
 		if err != nil {
-			return fmt.Errorf("storage: %s: CHECK %s: %w", s.Name, chk.SQL(), err)
+			return fmt.Errorf("storage: %s: CHECK %s: %w", s.Name, s.Checks[i].SQL(), err)
 		}
-		if !ok {
-			return fmt.Errorf("storage: %s: row %s violates CHECK (%s)", s.Name, row, chk.SQL())
+		if !tvl.TrueInterpreted(truth) {
+			return fmt.Errorf("storage: %s: row %s violates CHECK (%s)", s.Name, row, s.Checks[i].SQL())
 		}
 	}
 	for ki, k := range s.Keys {

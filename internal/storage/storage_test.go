@@ -129,6 +129,56 @@ func TestCheckTrueInterpretation(t *testing.T) {
 	}
 }
 
+// TestChecksCompiledOncePerTable: CHECKs are compiled against the
+// column ordinals on first use and extended — not rebuilt, not missed —
+// when the schema gains one; self-qualified references resolve; a
+// violation and an evaluation error keep their texts; and a table
+// without CHECKs builds nothing per row.
+func TestChecksCompiledOncePerTable(t *testing.T) {
+	schema, err := catalog.NewTable("T", []catalog.Column{
+		{Name: "A", Type: value.KindInt}, {Name: "B", Type: value.KindString}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := NewTable(schema)
+	if err := tbl.Insert(value.Row{value.Int(-5), value.String_("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.checks != nil {
+		t.Fatal("a table without CHECKs compiled something")
+	}
+	check := func(src string) ast.Expr {
+		e, err := parser.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	if err := schema.AddCheck(check("T.A > 0")); err != nil {
+		t.Fatal(err)
+	}
+	err = tbl.Insert(value.Row{value.Int(-1), value.String_("x")})
+	if err == nil || err.Error() != "storage: T: row (-1, 'x') violates CHECK (T.A > 0)" {
+		t.Fatalf("violation of a CHECK added after the first insert: %v", err)
+	}
+	if err := tbl.Insert(value.Row{value.Int(1), value.String_("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := schema.AddCheck(check("B <> 'bad' OR A = B")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Insert(value.Row{value.Int(2), value.String_("bad")}); err == nil ||
+		!strings.Contains(err.Error(), "CHECK B <> 'bad' OR A = B: eval: cannot compare INTEGER with VARCHAR") {
+		t.Fatalf("evaluation error of the second CHECK: %v", err)
+	}
+	if err := tbl.Insert(value.Row{value.Int(2), value.Null}); err != nil {
+		t.Fatalf("Unknown CHECK must pass: %v", err)
+	}
+	if len(tbl.checks) != 2 {
+		t.Fatalf("compiled checks = %d, want 2", len(tbl.checks))
+	}
+}
+
 func TestPrimaryKeyUniqueness(t *testing.T) {
 	db := paperDB(t)
 	p := db.MustTable("PARTS")

@@ -1,6 +1,7 @@
 package uniqopt_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"uniqopt"
 	"uniqopt/internal/engine"
+	"uniqopt/internal/plan"
 	"uniqopt/internal/workload"
 )
 
@@ -214,4 +216,75 @@ func canonRows(data [][]any) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// TestInPlaceScanFilterIdentity extends the byte-identity sweep to the
+// in-place scan filter: a pushed-down predicate on a full scan is
+// evaluated over the table's own row slice under materializing
+// execution, and must return what serial, parallel and streaming
+// execution return at every batch size, render the same EXPLAIN ANALYZE
+// tree (Scan out=N, Filter in=N out=k), count the same rows scanned —
+// and charge the governor for less than the table.
+func TestInPlaceScanFilterIdentity(t *testing.T) {
+	// COLOR and PNO are not leading index columns: Scan + Filter.
+	const sql = `SELECT ALL P.SNO, P.PNO, P.PNAME FROM PARTS P WHERE P.COLOR = 'RED' AND P.PNO > :PART-NO`
+	setStreamPool(t, 1, 1<<30)
+	ref, err := goldenDBWith(t, uniqopt.Options{}).QueryWith(sql, goldenHosts, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableRows := ref.Stats.RowsScanned
+	if len(ref.Data) == 0 || int64(len(ref.Data)) >= tableRows {
+		t.Fatalf("filter kept %d of %d rows; the test needs a selective predicate", len(ref.Data), tableRows)
+	}
+	if ref.Stats.RowsMaterialized >= tableRows {
+		t.Errorf("materializing run charged %d rows for a %d-row table: the scan was copied",
+			ref.Stats.RowsMaterialized, tableRows)
+	}
+	var refTree string
+	type pool struct {
+		name               string
+		workers, threshold int
+	}
+	for _, pl := range []pool{{"serial", 1, 1 << 30}, {"parallel", 4, 1}} {
+		for _, streaming := range []bool{false, true} {
+			for _, bs := range []int{1, 3, 0} {
+				label := fmt.Sprintf("%s/streaming=%v/batch=%d", pl.name, streaming, bs)
+				t.Run(label, func(t *testing.T) {
+					setStreamPool(t, pl.workers, pl.threshold)
+					setStreamBatch(t, bs)
+					db := goldenDBWith(t, uniqopt.Options{Streaming: streaming})
+					got, err := db.QueryWith(sql, goldenHosts, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(ref.Columns, got.Columns) || !reflect.DeepEqual(ref.Data, got.Data) {
+						t.Errorf("result diverges from the serial materializing run (%d vs %d rows)",
+							len(got.Data), len(ref.Data))
+					}
+					if got.Stats.RowsScanned != tableRows {
+						t.Errorf("rows scanned = %d, want %d", got.Stats.RowsScanned, tableRows)
+					}
+					e, err := db.ExplainWith(context.Background(), sql, goldenHosts, true, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tree := plan.ScrubVolatile(e.String())
+					if refTree == "" {
+						refTree = tree
+						for _, want := range []string{
+							fmt.Sprintf("Scan(PARTS as P) [in=%d out=%d time=?]", tableRows, tableRows),
+							fmt.Sprintf("[in=%d out=%d time=?]\n    Scan(", tableRows, len(ref.Data)),
+						} {
+							if !strings.Contains(tree, want) {
+								t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, tree)
+							}
+						}
+					} else if tree != refTree {
+						t.Errorf("EXPLAIN ANALYZE diverges:\n--- first leg\n%s\n--- this leg\n%s", refTree, tree)
+					}
+				})
+			}
+		}
+	}
 }
