@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test test-fault race bench-smoke explain-smoke stream-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check bench-tables ci clean
+.PHONY: all vet lint build test test-fault race bench-smoke explain-smoke stream-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check bench-compare bench-tables ci clean
 
 all: ci
 
@@ -95,6 +95,19 @@ benchmark-check:
 	for w in wire_oltp embedded_adhoc embedded_analytic durable_ingest; do \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
 	done
+
+# Paired comparison of the working tree against a base commit on the
+# repository benchmark: PAIRS alternating base/change runs per workload
+# on seeds 1..PAIRS, printing per end-to-end metric the medians, the
+# base's IQR and the pairs won — the table CHANGES.md lines quote. Fails
+# only when a median is worse than the base's by more than its
+# BENCHMARK.json bound (or more operations fail). Ten pairs of the four
+# 10-second workloads take about 20 minutes; not part of ci.
+#   make bench-compare BASE=HEAD~1 [PAIRS=10] [WORKLOADS=embedded_adhoc,wire_oltp]
+PAIRS ?= 10
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref> [PAIRS=10] [WORKLOADS=a,b]"; exit 2; }
+	$(GO) run ./cmd/benchcompare -base $(BASE) -pairs $(PAIRS) -workloads "$(WORKLOADS)"
 
 # Full experiment sweep, regenerating bench_output_tables.txt.
 bench-tables:

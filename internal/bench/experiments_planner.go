@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
+	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/value"
+	"uniqopt/internal/vcache"
 	"uniqopt/internal/workload"
 )
 
@@ -37,19 +40,19 @@ var plannerWorkloads = []struct {
 	},
 }
 
-// EPlanner — uniqueness-bounded join ordering and the normalized plan
-// cache. Part 1 runs each ≥3-way workload twice on the same data:
+// EPlanner — uniqueness-bounded join ordering and the compiled-
+// statement cache. Part 1 runs each ≥3-way workload twice on the same data:
 // written FROM order (the pre-planner baseline) versus the greedy
 // order driven by verdict-derived cardinality bounds plus derived-
 // equality pushdown. Both legs push single-table predicates; only the
 // ordering and derivation differ, so the ratio isolates the planner.
-// Part 2 meters planning alone (plan-only runs, no data touched):
-// cold re-plans every statement each round, warm serves the normalized
-// plan cache after one priming round.
+// Part 2 meters compiling alone (plan-only runs, no data touched):
+// cold re-parses and re-compiles every statement each round, warm
+// serves the compiled-statement cache after one priming round.
 func EPlanner(sc Scale) *Table {
 	t := &Table{
 		ID:    "EPlanner",
-		Title: "Uniqueness-bounded join ordering vs written order, and the normalized plan cache",
+		Title: "Uniqueness-bounded join ordering vs written order, and the compiled-statement cache",
 		Columns: []string{"workload", "|SUPPLIER|", "written µs", "ordered µs", "speedup",
 			"written pairs", "ordered pairs", "identical"},
 	}
@@ -72,18 +75,26 @@ func EPlanner(sc Scale) *Table {
 			yes(written.res.Rel.Len() == ordered.res.Rel.Len()))
 	}
 
-	// Part 2: plan-only runs through the shared cache — the repeated-
-	// prepare workload where the same statement shapes are planned over
-	// and over against an unchanged catalog.
-	cache := plan.NewPlanCache(0)
-	planAll := func(c *plan.PlanCache) {
+	// Part 2: plan-only runs through a compiled-statement cache — the
+	// repeated-prepare workload where the same statement shapes are
+	// planned over and over against an unchanged catalog.
+	cache := vcache.New[*plan.Compiled](0)
+	planAll := func() {
 		for _, w := range plannerWorkloads {
-			q, err := parser.ParseQuery(w.sql)
-			if err != nil {
-				panic(fmt.Sprintf("bench: EPlanner parse: %v", err))
+			p := plan.NewPlanner(db, plan.Options{ExplainOnly: true})
+			key := vcache.Key{Src: w.sql, CatVer: db.Catalog().Version(), Opts: p.Opts.CompileBits()}
+			c, ok := cache.Get(key)
+			if !ok {
+				q, err := parser.ParseQuery(w.sql)
+				if err != nil {
+					panic(fmt.Sprintf("bench: EPlanner parse: %v", err))
+				}
+				if c, err = p.Compile(q, &engine.Stats{}); err != nil {
+					panic(fmt.Sprintf("bench: EPlanner compile: %v", err))
+				}
+				cache.Put(key, c)
 			}
-			p := plan.NewPlanner(db, plan.Options{ExplainOnly: true, Plans: c})
-			if _, err := p.Run(q, w.hosts); err != nil {
+			if _, err := p.Execute(context.Background(), c, w.hosts); err != nil {
 				panic(fmt.Sprintf("bench: EPlanner plan: %v", err))
 			}
 		}
@@ -92,14 +103,14 @@ func EPlanner(sc Scale) *Table {
 	cold := minTime(func() {
 		for i := 0; i < rounds; i++ {
 			cache.Reset() // every round re-plans from scratch
-			planAll(cache)
+			planAll()
 		}
 	})
 	cache.Reset()
-	planAll(cache) // prime
+	planAll() // prime
 	warm := minTime(func() {
 		for i := 0; i < rounds; i++ {
-			planAll(cache)
+			planAll()
 		}
 	})
 	hits, misses := cache.Counters()
@@ -111,7 +122,7 @@ func EPlanner(sc Scale) *Table {
 	t.Notes = append(t.Notes,
 		"written = FROM-list order (WrittenJoinOrder); ordered = greedy uniqueness-bounded order with derived-equality pushdown. Both legs push single-table predicates.",
 		"pairs = row pairs examined by join operators; the ordered legs bound each intermediate by starting at the key-bound table.",
-		fmt.Sprintf("Warm plan-cache counters: %d hits / %d misses over %d statements × %d rounds.",
+		fmt.Sprintf("Warm statement-cache counters: %d hits / %d misses over %d statements × %d rounds.",
 			hits, misses, len(plannerWorkloads), rounds),
 		"identical = both legs return the same multiset (verified row-by-row before timing is reported).")
 	return t

@@ -35,6 +35,7 @@ import (
 	"uniqopt/internal/fd"
 	"uniqopt/internal/norm"
 	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/vcache"
 )
 
 // Options tune the analyzer.
@@ -120,16 +121,11 @@ func NewCachedAnalyzer(cat *catalog.Catalog, cache *VerdictCache) *Analyzer {
 // answers whether the block's result is duplicate-free. outer is the
 // enclosing scope for correlated subquery blocks (nil for top level).
 func (a *Analyzer) AnalyzeSelect(s *ast.Select, outer *catalog.Scope) (*Verdict, error) {
-	var key cacheKey
-	var src string
+	var key vcache.Key
 	cacheable := a.Cache != nil && outer == nil
 	if cacheable {
-		src = s.SQL()
-		key = a.keyFor('S', src)
-		if v, ok := a.Cache.getVerdict(key, src); ok {
-			if v.Trace != nil {
-				v.Trace.CacheHit = true
-			}
+		key = a.keyFor('S', s.SQL())
+		if v, ok := a.Cache.getVerdict(key); ok {
 			return v, nil
 		}
 	}
@@ -147,7 +143,7 @@ func (a *Analyzer) AnalyzeSelect(s *ast.Select, outer *catalog.Scope) (*Verdict,
 	}
 	v, err := a.analyze(s, scope, proj)
 	if err == nil && cacheable {
-		a.Cache.putVerdict(key, src, v)
+		a.Cache.putVerdict(key, v)
 	}
 	return v, err
 }
@@ -158,15 +154,10 @@ func (a *Analyzer) AnalyzeSelect(s *ast.Select, outer *catalog.Scope) (*Verdict,
 // Cartesian product qualify? It is exactly Algorithm 1 with an empty
 // projection list: V starts from the constants alone.
 func (a *Analyzer) AtMostOneMatch(sub *ast.Select, outer *catalog.Scope) (*Verdict, error) {
-	var key cacheKey
-	var src string
+	var key vcache.Key
 	if a.Cache != nil {
-		src = sub.SQL() + "\x00" + scopeSignature(outer)
-		key = a.keyFor('M', src)
-		if v, ok := a.Cache.getVerdict(key, src); ok {
-			if v.Trace != nil {
-				v.Trace.CacheHit = true
-			}
+		key = a.keyFor('M', sub.SQL()+"\x00"+scopeSignature(outer))
+		if v, ok := a.Cache.getVerdict(key); ok {
 			return v, nil
 		}
 	}
@@ -176,7 +167,7 @@ func (a *Analyzer) AtMostOneMatch(sub *ast.Select, outer *catalog.Scope) (*Verdi
 	}
 	v, err := a.analyze(sub, scope, nil)
 	if err == nil && a.Cache != nil {
-		a.Cache.putVerdict(key, src, v)
+		a.Cache.putVerdict(key, v)
 	}
 	return v, err
 }
@@ -363,7 +354,7 @@ func (a *Analyzer) DistinctRedundant(s *ast.Select) (bool, *Verdict, error) {
 
 // extractEqualities runs the CNF conversion and Type 1 / Type 2
 // classification of norm.Extract, memoized in the analysis cache when
-// one is attached. The key covers the predicate's NNF fingerprint, the
+// one is attached. The key covers the predicate's NNF rendering, the
 // scope chain (resolution depends on it), the option set, and the
 // catalog version.
 func (a *Analyzer) extractEqualities(where ast.Expr, scope *catalog.Scope) norm.Equalities {
@@ -378,13 +369,12 @@ func (a *Analyzer) extractEqualities(where ast.Expr, scope *catalog.Scope) norm.
 	if where != nil {
 		wsrc = norm.NNF(where).SQL()
 	}
-	src := wsrc + "\x00" + scopeSignature(scope)
-	key := a.keyFor('N', src)
-	if eq, ok := a.Cache.getNorm(key, src); ok {
+	key := a.keyFor('N', wsrc+"\x00"+scopeSignature(scope))
+	if eq, ok := a.Cache.getNorm(key); ok {
 		return eq
 	}
 	eq := norm.Extract(where, scope, opts)
-	a.Cache.putNorm(key, src, eq)
+	a.Cache.putNorm(key, eq)
 	return eq
 }
 

@@ -2,144 +2,83 @@ package core
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"uniqopt/internal/catalog"
 	"uniqopt/internal/norm"
+	"uniqopt/internal/vcache"
 )
 
 // VerdictCache memoizes the outputs of the Paulley–Larson analysis: the
 // uniqueness verdicts of Algorithm 1 and the CNF-derived equality
 // extraction that feeds it. The whole point of the paper's analysis is
 // that uniqueness is a cheap compile-time property — the cache makes it
-// near-zero-cost for repeated query shapes, which is what production
-// workloads are made of (the same parameterized statements over and
-// over with different host values; verdicts do not depend on host
-// values, only on shapes).
+// near-zero-cost for repeated query shapes (verdicts do not depend on
+// constants' values, only on shapes).
 //
-// Entries are keyed by a fingerprint of the normalized AST, the
-// analyzer option set, and the catalog schema version; any DDL change
-// bumps the version and implicitly invalidates every entry. The cache
-// is safe for concurrent use and hands out deep copies, so callers may
-// mutate results freely.
+// Both halves are vcache instances: entries are keyed by the source
+// rendering itself, the analyzer option set, and the catalog schema
+// version, so any DDL change implicitly invalidates every entry. The
+// cache is safe for concurrent use and hands out deep copies, so
+// callers may mutate results freely.
 type VerdictCache struct {
-	mu       sync.RWMutex
-	verdicts map[cacheKey]verdictEntry
-	norms    map[cacheKey]normEntry
-	max      int
-
-	hits   atomic.Int64
-	misses atomic.Int64
+	verdicts *vcache.Cache[*Verdict]
+	norms    *vcache.Cache[norm.Equalities]
 }
 
-// Entries carry the source rendering behind the fingerprint: a lookup
-// whose fingerprint matches but whose source differs (a 64-bit hash
-// collision) is treated as a miss rather than returning a verdict for
-// a different query — verdicts drive semantic rewrites, so a false hit
-// would corrupt results, not just waste time.
-type verdictEntry struct {
-	src string
-	v   *Verdict
-}
-
-type normEntry struct {
-	src string
-	eq  norm.Equalities
-}
-
-type cacheKey struct {
-	kind   byte   // 'S' select verdict, 'M' at-most-one-match, 'N' norm extraction
-	fp     uint64 // fingerprint of the entry's source string
-	catVer uint64 // catalog schema version
-	opts   uint64 // analyzer option bits + clause cap
-}
-
-// DefaultCacheEntries bounds each cache map. When a map fills up it is
-// cleared wholesale — simple, and correct under any access pattern.
-const DefaultCacheEntries = 4096
+// DefaultCacheEntries bounds each half of the cache.
+const DefaultCacheEntries = vcache.DefaultEntries
 
 // NewVerdictCache returns an empty cache holding at most maxEntries
 // verdicts (0 = DefaultCacheEntries).
 func NewVerdictCache(maxEntries int) *VerdictCache {
-	if maxEntries <= 0 {
-		maxEntries = DefaultCacheEntries
-	}
 	return &VerdictCache{
-		verdicts: make(map[cacheKey]verdictEntry),
-		norms:    make(map[cacheKey]normEntry),
-		max:      maxEntries,
+		verdicts: vcache.New[*Verdict](maxEntries),
+		norms:    vcache.New[norm.Equalities](maxEntries),
 	}
 }
 
 // Counters reports cumulative hit/miss counts (verdict and
 // normalization lookups combined).
 func (c *VerdictCache) Counters() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
+	vh, vm := c.verdicts.Counters()
+	nh, nm := c.norms.Counters()
+	return vh + nh, vm + nm
 }
 
 // Len reports the number of cached verdicts.
-func (c *VerdictCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.verdicts)
-}
+func (c *VerdictCache) Len() int { return c.verdicts.Len() }
 
 // Reset drops every entry and zeroes the hit/miss counters, returning
 // the cache to its cold state (the benchmark harness uses this to
 // compare cold and warm analysis).
 func (c *VerdictCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.verdicts = make(map[cacheKey]verdictEntry)
-	c.norms = make(map[cacheKey]normEntry)
-	c.hits.Store(0)
-	c.misses.Store(0)
+	c.verdicts.Reset()
+	c.norms.Reset()
 }
 
-func (c *VerdictCache) getVerdict(k cacheKey, src string) (*Verdict, bool) {
-	c.mu.RLock()
-	e, ok := c.verdicts[k]
-	c.mu.RUnlock()
-	if !ok || e.src != src {
-		c.misses.Add(1)
+func (c *VerdictCache) getVerdict(k vcache.Key) (*Verdict, bool) {
+	v, ok := c.verdicts.Get(k)
+	if !ok {
 		return nil, false
 	}
-	c.hits.Add(1)
-	return e.v.clone(), true
-}
-
-func (c *VerdictCache) putVerdict(k cacheKey, src string, v *Verdict) {
-	cp := v.clone()
-	c.mu.Lock()
-	if len(c.verdicts) >= c.max {
-		c.verdicts = make(map[cacheKey]verdictEntry)
+	v = v.clone()
+	if v.Trace != nil {
+		v.Trace.CacheHit = true
 	}
-	c.verdicts[k] = verdictEntry{src: src, v: cp}
-	c.mu.Unlock()
+	return v, true
 }
 
-func (c *VerdictCache) getNorm(k cacheKey, src string) (norm.Equalities, bool) {
-	c.mu.RLock()
-	e, ok := c.norms[k]
-	c.mu.RUnlock()
-	if !ok || e.src != src {
-		c.misses.Add(1)
+func (c *VerdictCache) putVerdict(k vcache.Key, v *Verdict) { c.verdicts.Put(k, v.clone()) }
+
+func (c *VerdictCache) getNorm(k vcache.Key) (norm.Equalities, bool) {
+	eq, ok := c.norms.Get(k)
+	if !ok {
 		return norm.Equalities{}, false
 	}
-	c.hits.Add(1)
-	return e.eq.Clone(), true
+	return eq.Clone(), true
 }
 
-func (c *VerdictCache) putNorm(k cacheKey, src string, eq norm.Equalities) {
-	cp := eq.Clone()
-	c.mu.Lock()
-	if len(c.norms) >= c.max {
-		c.norms = make(map[cacheKey]normEntry)
-	}
-	c.norms[k] = normEntry{src: src, eq: cp}
-	c.mu.Unlock()
-}
+func (c *VerdictCache) putNorm(k vcache.Key, eq norm.Equalities) { c.norms.Put(k, eq.Clone()) }
 
 // clone deep-copies a verdict so cache consumers can mutate it.
 func (v *Verdict) clone() *Verdict {
@@ -166,8 +105,9 @@ func (v *Verdict) clone() *Verdict {
 	return out
 }
 
-// optsBits encodes the analyzer options into a cache-key word.
-func (o Options) optsBits() uint64 {
+// Bits encodes the analyzer options into a cache-key word (the low 56
+// bits; keyFor tags the entry kind above them).
+func (o Options) Bits() uint64 {
 	var b uint64
 	if o.BindIsNull {
 		b |= 1
@@ -201,8 +141,10 @@ func scopeSignature(s *catalog.Scope) string {
 }
 
 // keyFor builds the cache key for a source string under the analyzer's
-// current options and catalog version.
-func (a *Analyzer) keyFor(kind byte, src string) cacheKey {
-	return cacheKey{kind: kind, fp: norm.FingerprintStrings(src),
-		catVer: a.Cat.Version(), opts: a.Opts.optsBits()}
+// current options and catalog version. kind separates the entry
+// families that share the verdict map: 'S' select verdict, 'M'
+// at-most-one-match, 'N' norm extraction.
+func (a *Analyzer) keyFor(kind byte, src string) vcache.Key {
+	return vcache.Key{Src: src, CatVer: a.Cat.Version(),
+		Opts: a.Opts.Bits() | uint64(kind)<<56}
 }

@@ -38,8 +38,8 @@ type Stats struct {
 	ParallelRows int64 // rows processed by parallel operator invocations
 	CacheHits    int64 // analyzer verdict/normalization cache hits
 	CacheMisses  int64 // analyzer verdict/normalization cache misses
-	PlanHits     int64 // physical plan cache hits
-	PlanMisses   int64 // physical plan cache misses
+	PlanHits     int64 // compiled-statement (plan) cache hits
+	PlanMisses   int64 // compiled-statement (plan) cache misses
 
 	// Lifecycle-governor accounting (see lifecycle.go). These are
 	// charged at every materialization point whether or not a budget
@@ -143,7 +143,7 @@ func (s *Stats) AddCache(hits, misses int64) {
 	}
 }
 
-// AddPlanCache atomically bumps the plan-cache counters.
+// AddPlanCache atomically bumps the compiled-statement cache counters.
 func (s *Stats) AddPlanCache(hits, misses int64) {
 	if hits != 0 {
 		atomic.AddInt64(&s.PlanHits, hits)

@@ -23,8 +23,8 @@ type Pred func(row value.Row) (tvl.Truth, error)
 // env with the row's values bound over env.Cols under the names cols.
 //
 // A compiled predicate holds the values env had at the call, so it
-// belongs to one execution; it is not a plan-cache artefact. Without
-// subquery leaves it is immutable and may be shared by goroutines.
+// belongs to one execution; it is not part of the cached compiled
+// statement. Without subquery leaves it is immutable and may be shared by goroutines.
 // Predicates with EXISTS or IN-subquery leaves (ast.HasExists) are not
 // compiled: the subquery callbacks need the whole environment, so the
 // returned Pred binds each row into a private copy of env and runs

@@ -376,3 +376,71 @@ func TestInPlaceScanFilterFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestStatementCacheHitFaults pins the statement cache against the
+// lifecycle: a cancellation, a budget failure, an injected error and a
+// contained panic that strike while a cached statement is executing
+// leave the shared entry untouched — each faulted call was a hit, the
+// next call of the shape (with other literals) is still a hit, nothing
+// recompiles, and its rows and rewritten text are its own.
+func TestStatementCacheHitFaults(t *testing.T) {
+	if !fault.Enabled() {
+		t.Fatal("requires -tags fault")
+	}
+	fault.Reset()
+	defer fault.Reset()
+	db := matrixDB(t)
+	shape := func(city int) string {
+		return fmt.Sprintf(`SELECT DISTINCT S.SNO, S.CITY FROM S WHERE S.CITY = 'city-%d' AND S.SNO < 400`, city)
+	}
+	if _, err := db.Query(shape(0)); err != nil { // compile once
+		t.Fatal(err)
+	}
+	h0, m0 := db.PlanCacheCounters()
+	calls := int64(0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	calls++
+	if rows, err := db.QueryContext(ctx, shape(1)); !errors.Is(err, context.Canceled) || rows != nil {
+		t.Errorf("cancelled hit: rows=%v err=%v", rows, err)
+	}
+	calls++
+	rows, err := db.View(uniqopt.Options{MaxRows: 10}).Query(shape(2))
+	var be *uniqopt.BudgetError
+	if !errors.As(err, &be) || rows != nil {
+		t.Errorf("over-budget hit: rows=%v err=%v, want a *BudgetError", rows, err)
+	}
+	for _, spec := range []fault.Spec{{Mode: fault.ModeError}, {Mode: fault.ModePanic}} {
+		if err := fault.Arm(engine.FaultFilter, spec); err != nil {
+			t.Fatal(err)
+		}
+		calls++
+		rows, err := db.Query(shape(3))
+		var ie *engine.InternalError
+		if rows != nil || !(errors.Is(err, fault.ErrInjected) || errors.As(err, &ie)) {
+			t.Errorf("%v at engine.filter during a hit: rows=%v err=%v", spec.Mode, rows, err)
+		}
+		fault.Disarm(engine.FaultFilter)
+	}
+
+	for city := 4; city < 7; city++ {
+		calls++
+		rows, err := db.Query(shape(city))
+		if err != nil {
+			t.Fatalf("after the faults: %v", err)
+		}
+		want := fmt.Sprintf("S.CITY = 'city-%d'", city)
+		if len(rows.Data) == 0 || len(rows.Rewrites) != 1 || !strings.Contains(rows.Rewrites[0].After, want) {
+			t.Errorf("after the faults, city %d: %d rows, rewrites %+v", city, len(rows.Data), rows.Rewrites)
+		}
+		for _, row := range rows.Data {
+			if row[1] != fmt.Sprintf("city-%d", city) {
+				t.Fatalf("city %d returned %v", city, row)
+			}
+		}
+	}
+	if h1, m1 := db.PlanCacheCounters(); h1-h0 != calls || m1 != m0 {
+		t.Errorf("%d calls of a cached shape: %d hits, %d compiles", calls, h1-h0, m1-m0)
+	}
+}

@@ -5,31 +5,38 @@ import (
 	"go/types"
 )
 
-// CatVer guards the version-keyed caches' invalidation contract. Every
-// entry in core.VerdictCache and plan.PlanCache is keyed by the catalog
-// schema version, so a schema mutation that does not bump the version
-// leaves stale entries live — and a stale entry does not just waste
-// time: a stale verdict licenses semantic rewrites (DISTINCT
-// elimination, subquery flattening) that are only valid under the old
-// dependency set, and a stale plan joins in an order whose cardinality
-// bounds no longer hold. The analyzer requires every exported method in
-// internal/catalog that mutates its receiver to bump the version in its
-// body: a call to Bump/bump/bumped, or a direct version.Add.
+// CatVer guards the versioned cache's invalidation contract. Every
+// vcache.Cache entry — the analyzer's verdicts and the database's
+// compiled statements alike — is keyed by the catalog schema version,
+// so a schema mutation that does not bump the version leaves stale
+// entries live — and a stale entry does not just waste time: a stale
+// verdict licenses semantic rewrites (DISTINCT elimination, subquery
+// flattening) that are only valid under the old dependency set, and a
+// stale compiled statement runs them, joining in an order whose
+// cardinality bounds no longer hold. The analyzer requires every
+// exported method in internal/catalog that mutates its receiver to
+// bump the version in its body: a call to Bump/bump/bumped, or a
+// direct version.Add.
 var CatVer = &Analyzer{
 	Name: "catver",
-	Doc:  "flag exported mutating catalog methods that never bump the schema version keying the verdict and plan caches",
+	Doc:  "flag exported mutating catalog methods that never bump the schema version keying the versioned cache (vcache)",
 	Run:  runCatVer,
 }
 
-// VersionKeyedCaches registers every cache whose entries embed the
-// catalog schema version in their key — the consumers the catver
-// contract protects. The lint meta-test asserts each registered file
-// exists and actually keys on the version, so a new version-keyed
+// VersionKeyedCaches registers every cache type whose entries embed
+// the catalog schema version in their key — the consumers the catver
+// contract protects — with a file in each package that instantiates
+// it and therefore must read Catalog.Version(). There is one such
+// type; the lint meta-test asserts its key carries the version and
+// that each instantiating package reads it, so a second hand-rolled
 // cache must be added here (and one that drops the version from its
 // key fails the build until the registry is updated).
-var VersionKeyedCaches = map[string]string{
-	"core.VerdictCache": "internal/core/cache.go",
-	"plan.PlanCache":    "internal/plan/plancache.go",
+var VersionKeyedCaches = map[string][]string{
+	"vcache.Cache": {
+		"internal/vcache/vcache.go",
+		"internal/core/cache.go", // verdicts and norm extractions
+		"uniqopt.go",             // compiled statements
+	},
 }
 
 func runCatVer(pass *Pass) {
@@ -54,7 +61,7 @@ func runCatVer(pass *Pass) {
 				continue
 			}
 			pass.Report(fd.Name.Pos(),
-				"exported method %s mutates the catalog schema (e.g. line %d) without bumping the schema version; stale core.VerdictCache entries would keep licensing rewrites for the old constraint set — call Bump (or the table's bump helper)",
+				"exported method %s mutates the catalog schema (e.g. line %d) without bumping the schema version; stale vcache.Cache entries (verdicts, compiled statements) would keep licensing rewrites for the old constraint set — call Bump (or the table's bump helper)",
 				fd.Name.Name, pass.Fset.Position(mutPos.Pos()).Line)
 		}
 	}

@@ -88,51 +88,50 @@ func TestEveryAnalyzerIsDocumented(t *testing.T) {
 }
 
 // TestCatVerProtectsEveryVersionKeyedCache pins the catver contract to
-// its consumers: every cache registered in VersionKeyedCaches must
-// exist and key its entries on the catalog schema version (a catVer
-// field in the key struct), and the two caches the repo actually has —
-// the verdict cache and the normalized plan cache — must be registered.
-// A new version-keyed cache that skips registration, or a registered
-// cache that drops the version from its key, fails here.
+// its consumers: the one versioned cache type must be registered, its
+// key struct must carry the catalog schema version (a CatVer field),
+// and every package registered as instantiating it — the analyzer's
+// verdict cache and the database's statement cache — must read
+// Catalog.Version() to fill that field. A new version-keyed cache that
+// skips registration, or a key that drops the version, fails here.
 func TestCatVerProtectsEveryVersionKeyedCache(t *testing.T) {
-	for _, want := range []string{"core.VerdictCache", "plan.PlanCache"} {
-		if _, ok := VersionKeyedCaches[want]; !ok {
-			t.Errorf("VersionKeyedCaches does not register %s", want)
-		}
+	files, ok := VersionKeyedCaches["vcache.Cache"]
+	if !ok || len(files) < 3 {
+		t.Fatalf("VersionKeyedCaches must register vcache.Cache with its key file and both instantiating packages, got %v", VersionKeyedCaches)
 	}
 	root, _, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, file := range VersionKeyedCaches {
-		src := repoRootFile(t, filepath.FromSlash(file))
-		if !strings.Contains(src, "catVer") {
-			t.Errorf("%s (%s) does not key on the catalog version (no catVer field); the catver contract no longer protects it", name, file)
+	for name, files := range VersionKeyedCaches {
+		if src := repoRootFile(t, filepath.FromSlash(files[0])); !strings.Contains(src, "CatVer") {
+			t.Errorf("%s (%s) does not key on the catalog version (no CatVer field); the catver contract no longer protects it", name, files[0])
 		}
-		// The key may be populated by a sibling file (the plan cache's
-		// catVer is filled in by the planner), so the Version() read is
-		// required somewhere in the cache's package, not the key file.
-		dir := filepath.Join(root, filepath.FromSlash(filepath.Dir(file)))
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		readsVersion := false
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		// The key is populated by the instantiating packages, so the
+		// Version() read is required somewhere in each of them.
+		for _, file := range files[1:] {
+			dir := filepath.Join(root, filepath.FromSlash(filepath.Dir(file)))
+			entries, err := os.ReadDir(dir)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if strings.Contains(string(data), ".Version()") {
-				readsVersion = true
-				break
+			readsVersion := false
+			for _, e := range entries {
+				if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+					continue
+				}
+				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(string(data), "vcache.Key{") && strings.Contains(string(data), ".Version()") {
+					readsVersion = true
+					break
+				}
 			}
-		}
-		if !readsVersion {
-			t.Errorf("%s: no file in %s reads Catalog.Version(); its cache keys cannot track DDL", name, filepath.Dir(file))
+			if !readsVersion {
+				t.Errorf("%s: no file in %s builds a vcache.Key from Catalog.Version(); its cache keys cannot track DDL", name, filepath.Dir(file))
+			}
 		}
 	}
 }

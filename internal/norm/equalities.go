@@ -243,3 +243,22 @@ func SortedColumns(set map[string]bool) []string {
 	sort.Strings(out)
 	return out
 }
+
+// Clone returns a deep-enough copy of eq for a cache to hand out:
+// mutating the copy's maps or Pairs slice leaves the original intact.
+// The ast.Expr values are shared — extraction never mutates them.
+func (eq Equalities) Clone() Equalities {
+	out := Equalities{
+		ConstCols: make(map[string]ast.Expr, len(eq.ConstCols)),
+		NullCols:  make(map[string]bool, len(eq.NullCols)),
+		Pairs:     append([][2]string(nil), eq.Pairs...),
+		Dropped:   eq.Dropped,
+	}
+	for k, v := range eq.ConstCols {
+		out.ConstCols[k] = v
+	}
+	for k := range eq.NullCols {
+		out.NullCols[k] = true
+	}
+	return out
+}

@@ -1,0 +1,191 @@
+package plan
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"uniqopt/internal/core"
+	"uniqopt/internal/engine"
+	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/sql/lexer"
+	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/sql/token"
+	"uniqopt/internal/value"
+)
+
+// describe renders everything a Compiled decided — rewrites, the query
+// that runs, and per block the join order, access paths, pushed and
+// residual filters, join keys, build sides and bound notes — with every
+// expression spliced for hosts. Two Compiled values that describe
+// identically execute identically.
+func describe(c *Compiled, hosts map[string]value.Value) string {
+	var sb strings.Builder
+	sql := func(e ast.Expr) string {
+		if e == nil {
+			return "-"
+		}
+		return newText(e.SQL()).in(hosts)
+	}
+	for _, r := range c.rewrites {
+		fmt.Fprintf(&sb, "rewrite %s | %s | %s | %s\n", r.ap.Rule, r.desc.in(hosts), r.before.in(hosts), r.after.in(hosts))
+	}
+	fmt.Fprintf(&sb, "run %s\ncost %q\n", newText(c.run.SQL()).in(hosts), c.costNote)
+	for _, sp := range c.blocks {
+		fmt.Fprintf(&sb, "block cols=%v distinct=%v order=%q/%q start=%q residual=%s\n", sp.cols, sp.distinct,
+			sp.orderLine, sp.orderNote, sp.startNote.in(hosts), sql(sp.residual.pred))
+		for _, t := range sp.tables {
+			fmt.Fprintf(&sb, "  table %s(%s) push=%q residual=%q", t.corr, t.tbl.Schema.Name,
+				t.push.text.in(hosts), t.pushResidual.text.in(hosts))
+			if ap := t.ap; ap != nil {
+				fmt.Fprintf(&sb, " path=%s eq=%s lo=%s%v hi=%s%v consumed=%v", ap.column,
+					sql(ap.eq), sql(ap.lo), ap.loStrict, sql(ap.hi), ap.hiStrict, ap.consumed)
+			}
+			sb.WriteByte('\n')
+		}
+		for _, j := range sp.joins {
+			fmt.Fprintf(&sb, "  join %v=%v %q buildLeft=%v bound=%q\n", j.lk, j.rk, j.detail, j.buildLeft, j.bound.in(hosts))
+		}
+	}
+	return sb.String()
+}
+
+// liftedHosts binds sql's literal vector the way the database does.
+func liftedHosts(t *testing.T, sql string) map[string]value.Value {
+	t.Helper()
+	_, lits, err := lexer.Shape(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := map[string]value.Value{}
+	for i, l := range lits {
+		v := value.String_(l.Text)
+		if l.Kind == token.Number {
+			n, err := strconv.ParseInt(l.Text, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v = value.Int(n)
+		}
+		hosts[lexer.LiftedName(i+1)] = v
+	}
+	return hosts
+}
+
+// TestCompileReadsNoLiteralValue pins the property literal lifting
+// rests on: no analysis, rewrite or planning step reads a query
+// constant's value. For each shape, the statement compiled from its
+// lifted form and spliced with a literal vector is, decision for
+// decision, the statement compiled from the text that spells those
+// literals — for two different vectors, with every analyzer extension
+// on (CHECK import among them, over a catalog that has CHECKs), so one
+// verdict, one rewrite list and one selectPlan serve every vector.
+func TestCompileReadsNoLiteralValue(t *testing.T) {
+	db := smallDB(t)
+	if _, err := db.MustTable("PARTS").CreateOrderedIndex("P_SNO", "SNO"); err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct{ format, v1, v2 string }{
+		{`SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
+			WHERE S.SNO = P.SNO AND P.COLOR = %s AND P.OEM-PNO < %s`, "'RED' 3000", "'BLUE' 17"},
+		{`SELECT DISTINCT S.SNO, SNAME, P.PNO, PNAME FROM SUPPLIER S, PARTS P
+			WHERE P.SNO = %s AND S.SNO = P.SNO AND P.OEM-PNO > %s`, "3 1000", "39 0"},
+		{`SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNAME = %s AND S.BUDGET < %s AND
+			EXISTS (SELECT * FROM PARTS P WHERE S.SNO = P.SNO AND P.PNO = %s)`, "'Smith' 500 2", "'it''s' 1 1"},
+		{`SELECT ALL S.SNO FROM SUPPLIER S WHERE S.SCITY = %s AND S.BUDGET > %s
+			INTERSECT SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = %s OR A.ACITY = %s`,
+			"'Toronto' 10 'Ottawa' 'Hull'", "'Hull' 999 'Hull' 'Hull'"},
+		{`SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+			WHERE S.SNO = P.SNO AND (P.COLOR = %s AND P.OEM-PNO < %s OR P.PNO = %s AND P.OEM-PNO > %s)`,
+			"'RED' 100 1 100", "'RED' 100 100 1"},
+		{`SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME FROM AGENTS A, PARTS P, SUPPLIER S
+			WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = %s AND P.OEM-PNO <> %s`, "7 7", "8 9"},
+		{`SELECT S.SNO FROM SUPPLIER S, PARTS P WHERE S.SNO = P.SNO AND P.SNO BETWEEN %s AND %s
+			AND S.SNO IN (%s, %s) AND P.PNO >= %s AND P.PNO <= %s`, "10 20 11 12 1 3", "20 10 0 0 3 1"},
+		{`SELECT DISTINCT P.PNAME FROM PARTS P WHERE P.SNO = %s AND P.PNO = %s AND P.SNO = %s`, "1 1 1", "1 2 3"},
+	}
+	opts := Options{ApplyRewrites: true,
+		Core: core.Options{UseKeyFDs: true, BindIsNull: true, UseCheckConstraints: true}}
+	p := NewPlanner(db, opts)
+	compile := func(st ast.Statement, err error) *Compiled {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := p.Compile(st.(ast.Query), &engine.Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	verdict := func(q ast.Query) string {
+		t.Helper()
+		v, err := p.An.AnalyzeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprint(v.Unique, v.Bound, v.KeysUsed, v.DerivedKeys, v.MissingTable, v.Dropped, v.Trace.Lines())
+	}
+	for i, sh := range shapes {
+		text := func(vector string) string {
+			args := []any{}
+			for _, a := range strings.Fields(vector) {
+				args = append(args, a)
+			}
+			return fmt.Sprintf(sh.format, args...)
+		}
+		sql1, sql2 := text(sh.v1), text(sh.v2)
+		lifted := compile(parser.ParseLifted(sql1))
+		if again := compile(parser.ParseLifted(sql2)); !reflect.DeepEqual(describe(lifted, nil), describe(again, nil)) {
+			t.Errorf("shape %d: the lifted statement depends on the vector it was lifted from", i)
+		}
+		wantVerdict := verdict(lifted.Query)
+		for _, sql := range []string{sql1, sql2} {
+			literal := compile(parser.ParseStatement(sql))
+			if got, want := describe(lifted, liftedHosts(t, sql)), describe(literal, nil); got != want {
+				t.Errorf("shape %d: lifted statement spliced with its literals differs from the literal statement\n%s\n--- lifted, spliced\n%s--- literal\n%s", i, sql, got, want)
+			}
+			if got := verdict(literal.Query); got != wantVerdict {
+				t.Errorf("shape %d: verdict reads a literal\n--- lifted %s\n--- literal %s", i, wantVerdict, got)
+			}
+		}
+	}
+}
+
+// TestTextSplicing: only :$digits is a slot; every slot is filled in
+// one pass, so a literal that itself spells a lifted name is inert.
+func TestTextSplicing(t *testing.T) {
+	hosts := map[string]value.Value{
+		"$1": value.Int(7), "$2": value.String_("it's :$1"), "$12": value.String_("twelve"), "N": value.Int(99),
+	}
+	for in, want := range map[string]string{
+		"":                                "",
+		"S.SNO = P.SNO":                   "S.SNO = P.SNO",
+		"S.SNO = :$1":                     "S.SNO = 7",
+		":$1:$2":                          "7'it''s :$1'",
+		"A = :$12 AND B = :$1 AND C = :N": "A = 'twelve' AND B = 7 AND C = :N",
+		"odd :$ and :$x stay, :$3 too":    "odd :$ and :$x stay, :$3 too",
+	} {
+		if got := newText(in).in(hosts); got != want {
+			t.Errorf("newText(%q).in = %q, want %q", in, got, want)
+		}
+	}
+	if got := (text{}).in(hosts); got != "" {
+		t.Errorf("zero text renders %q", got)
+	}
+	err := unlift(fmt.Errorf("wrapped: %w", engine.ErrBudgetExceeded), hosts)
+	if err.Error() != "wrapped: "+engine.ErrBudgetExceeded.Error() {
+		t.Errorf("an error without lifted names was rewritten: %v", err)
+	}
+	inner := fmt.Errorf("eval: cannot compare in S.SNO = :$2: %w", engine.ErrBudgetExceeded)
+	err = unlift(inner, hosts)
+	if err.Error() != "eval: cannot compare in S.SNO = 'it''s :$1': "+engine.ErrBudgetExceeded.Error() {
+		t.Errorf("unlifted error text = %q", err)
+	}
+	if !errors.Is(err, engine.ErrBudgetExceeded) {
+		t.Errorf("unlifted error lost its cause: %v", err)
+	}
+}

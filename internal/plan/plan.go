@@ -28,7 +28,6 @@ import (
 	"uniqopt/internal/core"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/eval"
-	"uniqopt/internal/norm"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/value"
@@ -55,11 +54,6 @@ type Options struct {
 	// normalizations across Run calls (and across planners sharing the
 	// cache). Hit/miss deltas are reported in Result.Stats.
 	Cache *core.VerdictCache
-	// Plans, when non-nil, memoizes physical plans (join order,
-	// pushdown, symbolic access paths) across Run calls, keyed by query
-	// shape and catalog version so any DDL invalidates them. Hit/miss
-	// deltas are reported in Result.Stats.
-	Plans *PlanCache
 	// WrittenJoinOrder disables the greedy uniqueness-bounded join
 	// ordering and the derived-equality pushdown, executing joins
 	// exactly in FROM-list order (the pre-planner behavior; the
@@ -97,10 +91,6 @@ type Result struct {
 	// Root is the typed plan tree. Per-operator metrics (rows, wall
 	// time, parallel-path usage) are recorded unless ExplainOnly.
 	Root *Node
-
-	// costNote carries the cost-based rewrite decision until the root
-	// node exists to attach it to.
-	costNote string
 }
 
 // Planner plans and executes queries against a stored database.
@@ -124,16 +114,32 @@ func (p *Planner) Run(q ast.Query, hosts map[string]value.Value) (*Result, error
 	return p.RunContext(context.Background(), q, hosts)
 }
 
-// RunContext plans and executes q under ctx. Cancellation and
+// RunContext plans and executes q under ctx: Compile, then Execute.
+func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]value.Value) (*Result, error) {
+	var compileStats engine.Stats
+	c, err := p.Compile(q, &compileStats)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Execute(ctx, c, hosts)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Add(compileStats)
+	return res, nil
+}
+
+// Execute runs a compiled statement under ctx with this execution's
+// host-variable bindings (lifted literals among them). Cancellation and
 // deadlines are honored cooperatively inside every engine operator;
 // Options.MaxRows / Options.MemBudget (or a governor already attached
 // to ctx) bound the query's materializations; and any panic below this
 // boundary is contained into an *engine.InternalError. On error the
-// result is nil — partial rows are never exposed.
-func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]value.Value) (res *Result, err error) {
+// result is nil — partial rows are never exposed. c is only read.
+func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]value.Value) (res *Result, err error) {
 	defer func() {
 		if err != nil {
-			res = nil
+			res, err = nil, unlift(err, hosts)
 		}
 	}()
 	defer engine.Contain("plan.Run", &err)
@@ -145,69 +151,29 @@ func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]
 			ctx = engine.WithGovernor(ctx, g)
 		}
 	}
-	// result is captured by the deferred cache accounting below; the
-	// named res is nil on error paths by the time defers run.
-	result := &Result{}
-	res = result
-	if c := p.An.Cache; c != nil {
-		h0, m0 := c.Counters()
-		defer func() {
-			h1, m1 := c.Counters()
-			result.Stats.AddCache(h1-h0, m1-m0)
-		}()
+	res = &Result{}
+	for _, r := range c.rewrites {
+		ap := r.ap
+		ap.Description, ap.Before, ap.After = r.desc.in(hosts), r.before.in(hosts), r.after.in(hosts)
+		res.Rewrites = append(res.Rewrites, ap)
 	}
-	if c := p.Opts.Plans; c != nil {
-		h0, m0 := c.Counters()
-		defer func() {
-			h1, m1 := c.Counters()
-			result.Stats.AddPlanCache(h1-h0, m1-m0)
-		}()
+	if c.costNote != "" {
+		res.Plan = append(res.Plan, c.costNote)
 	}
-	if p.Opts.ApplyRewrites {
-		original := q
-		rewritten, err := p.rewriteFixpoint(q, res)
-		if err != nil {
-			return nil, err
-		}
-		q = rewritten
-		if p.Opts.CostBased && len(res.Rewrites) > 0 {
-			origCost, err := EstimateCost(p.DB, original)
-			if err != nil {
-				return nil, err
-			}
-			newCost, err := EstimateCost(p.DB, rewritten)
-			if err != nil {
-				return nil, err
-			}
-			if origCost < newCost {
-				// The cost model prefers the query as written: discard
-				// the rewrites and execute the original.
-				res.costNote = fmt.Sprintf(
-					"CostChoice(original %.0f < rewritten %.0f: rewrites discarded)",
-					origCost, newCost)
-				res.Rewrites = nil
-				q = original
-			} else {
-				res.costNote = fmt.Sprintf(
-					"CostChoice(rewritten %.0f <= original %.0f)", newCost, origCost)
-			}
-			res.Plan = append(res.Plan, res.costNote)
-		}
-	}
-	switch x := q.(type) {
+	switch x := c.run.(type) {
 	case *ast.Select:
-		rel, root, err := p.execSelect(ctx, x, hosts, res)
+		rel, root, err := p.execSelect(ctx, c.blocks[0], hosts, res)
 		if err != nil {
 			return nil, err
 		}
 		res.Rel = rel
 		res.Root = root
 	case *ast.SetOp:
-		l, ln, err := p.execSelect(ctx, x.Left, hosts, res)
+		l, ln, err := p.execSelect(ctx, c.blocks[0], hosts, res)
 		if err != nil {
 			return nil, err
 		}
-		r, rn, err := p.execSelect(ctx, x.Right, hosts, res)
+		r, rn, err := p.execSelect(ctx, c.blocks[1], hosts, res)
 		if err != nil {
 			return nil, err
 		}
@@ -235,11 +201,9 @@ func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]
 		}
 		res.Rel = rel
 		res.Root = node
-	default:
-		return nil, fmt.Errorf("plan: unknown query node %T", q)
 	}
-	if res.costNote != "" && res.Root != nil {
-		res.Root.Notes = append(res.Root.Notes, res.costNote)
+	if c.costNote != "" && res.Root != nil {
+		res.Root.Notes = append(res.Root.Notes, c.costNote)
 	}
 	res.Stats.RowsOutput = int64(res.Rel.Len())
 	return res, nil
@@ -248,7 +212,7 @@ func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]
 // rewriteFixpoint applies the core rewrites until none fires or the
 // pass bound is reached. DISTINCT elimination is attempted after every
 // structural rewrite because merges can expose new key bindings.
-func (p *Planner) rewriteFixpoint(q ast.Query, res *Result) (ast.Query, error) {
+func (p *Planner) rewriteFixpoint(q ast.Query) (aps []core.Applied, out ast.Query, err error) {
 	maxPasses := p.Opts.MaxRewritePasses
 	if maxPasses <= 0 {
 		maxPasses = 8
@@ -258,46 +222,46 @@ func (p *Planner) rewriteFixpoint(q ast.Query, res *Result) (ast.Query, error) {
 		case *ast.SetOp:
 			ap, err := p.An.SetOpToExists(x)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if ap == nil {
-				return q, nil
+				return aps, q, nil
 			}
-			res.Rewrites = append(res.Rewrites, *ap)
+			aps = append(aps, *ap)
 			q = ap.Query
 		case *ast.Select:
 			ap, err := p.An.InToExists(x)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if ap == nil {
 				ap, err = p.An.SubqueryToJoin(x)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			if ap == nil {
 				ap, err = p.An.EliminateJoin(x)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			if ap == nil {
 				ap, err = p.An.EliminateDistinct(x)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 			}
 			if ap == nil {
-				return q, nil
+				return aps, q, nil
 			}
-			res.Rewrites = append(res.Rewrites, *ap)
+			aps = append(aps, *ap)
 			q = ap.Query
 		default:
-			return q, nil
+			return aps, q, nil
 		}
 	}
-	return q, nil
+	return aps, q, nil
 }
 
 // selectPlan is the pure planning outcome for one query specification:
@@ -312,17 +276,18 @@ type selectPlan struct {
 	scope    *catalog.Scope
 	tables   []accessStep
 	joins    []joinStep // joins[k] combines tables[k+1] into the tree
-	residual ast.Expr   // nil = none
+	residual filter
 	cols     []string
+	colList  string // cols joined for the Project rendering
 	distinct bool
 	// Join-order provenance, rendered by EXPLAIN on the root node and
 	// as a legacy plan line ("" when ordering did not apply).
 	orderLine string // JoinOrder(...) legacy plan line
 	orderNote string // chosen order vs written order
-	startNote string // why the first table starts the join
+	startNote text   // why the first table starts the join
 }
 
-/// accessStep is one base-table access: the symbolic access path (nil =
+// accessStep is one base-table access: the symbolic access path (nil =
 // full scan) plus the pushed single-table conjuncts — push carries all
 // of them (the fallback filter when the path fails to bind at
 // execution), pushResidual the ones the path does not subsume.
@@ -330,21 +295,22 @@ type accessStep struct {
 	corr         string
 	tbl          *storage.Table
 	ap           *accessPlan
-	push         ast.Expr
-	pushResidual ast.Expr
+	push         filter
+	pushResidual filter
 }
 
 // joinStep holds the equi-join keys binding the next table into the
 // left-deep tree (empty = Cartesian product) and the cardinality-bound
 // note that justified its position in the join order ("" = none).
-/// buildLeft flips the hash join's roles: the accumulated prefix —
+// buildLeft flips the hash join's roles: the accumulated prefix —
 // known to be bounded to at most one row by a constant-bound key —
 // becomes the build side, and the incoming table streams through as
 // the probe, so a large unfiltered table is never materialized into a
 // hash table just because it joins a tiny prefix.
 type joinStep struct {
 	lk, rk    []string
-	bound     string
+	detail    string // the HashJoin rendering ("" for a product)
+	bound     text
 	buildLeft bool
 }
 
@@ -403,7 +369,7 @@ func (p *Planner) planSelect(s *ast.Select) (*selectPlan, error) {
 		deriveConstEqualities(conjuncts, terms)
 	}
 	order, startNote, startTiny := p.chooseJoinOrder(terms, conjuncts, used)
-	sp.startNote = startNote
+	sp.startNote = newText(startNote)
 	if len(order) > 1 && !p.Opts.WrittenJoinOrder {
 		chosen := make([]string, len(order))
 		written := make([]string, len(terms))
@@ -437,14 +403,8 @@ func (p *Planner) planSelect(s *ast.Select) (*selectPlan, error) {
 				residual = append(residual, c)
 			}
 		}
-		step := accessStep{corr: t.corr, tbl: t.tbl, ap: ap}
-		if len(all) > 0 {
-			step.push = ast.AndAll(all...)
-		}
-		if len(residual) > 0 {
-			step.pushResidual = ast.AndAll(residual...)
-		}
-		sp.tables = append(sp.tables, step)
+		sp.tables = append(sp.tables, accessStep{corr: t.corr, tbl: t.tbl, ap: ap,
+			push: newFilter(all), pushResidual: newFilter(residual)})
 	}
 
 	// Left-deep join tree: bind each further table with whatever
@@ -480,8 +440,15 @@ func (p *Planner) planSelect(s *ast.Select) (*selectPlan, error) {
 				used[i] = true
 			}
 		}
-		sp.joins = append(sp.joins, joinStep{lk: lk, rk: rk, bound: order[k+1].bound,
-			buildLeft: prefixTiny && len(lk) > 0})
+		j := joinStep{lk: lk, rk: rk, bound: newText(order[k+1].bound),
+			buildLeft: prefixTiny && len(lk) > 0}
+		switch {
+		case j.buildLeft:
+			j.detail = strings.Join(rk, ",") + " = " + strings.Join(lk, ",")
+		case len(lk) > 0:
+			j.detail = strings.Join(lk, ",") + " = " + strings.Join(rk, ",")
+		}
+		sp.joins = append(sp.joins, j)
 		prefixTiny = prefixTiny && order[k+1].unique
 		bound[t.corr] = true
 	}
@@ -493,9 +460,7 @@ func (p *Planner) planSelect(s *ast.Select) (*selectPlan, error) {
 			residual = append(residual, c)
 		}
 	}
-	if len(residual) > 0 {
-		sp.residual = ast.AndAll(residual...)
-	}
+	sp.residual = newFilter(residual)
 
 	refs, err := scope.ExpandItems(s.Items)
 	if err != nil {
@@ -505,47 +470,17 @@ func (p *Planner) planSelect(s *ast.Select) (*selectPlan, error) {
 	for i, r := range refs {
 		sp.cols[i] = r.Qualifier + "." + r.Column
 	}
+	sp.colList = strings.Join(sp.cols, ", ")
 	return sp, nil
 }
 
-// planSelectCached consults the plan cache around planSelect. The key
-// is computed once, before planning: the catalog version it captures
-// keys both the lookup and the store, so a DDL committing mid-planning
-// can never file a plan derived under the older catalog beneath the
-// newer version — the racing store lands under the old version and is
-// simply never served again.
-func (p *Planner) planSelectCached(s *ast.Select) (*selectPlan, error) {
-	c := p.Opts.Plans
-	if c == nil {
-		return p.planSelect(s)
-	}
-	src := s.SQL()
-	key := planKey{
-		fp:     norm.FingerprintStrings(src),
-		catVer: p.DB.Catalog().Version(),
-		opts:   p.Opts.planBits(),
-	}
-	if sp, ok := c.get(key, src); ok {
-		return sp, nil
-	}
-	sp, err := p.planSelect(s)
-	if err != nil {
-		return nil, err
-	}
-	c.put(key, src, sp)
-	return sp, nil
-}
-
-// execSelect plans one query specification (planSelect) and executes
-// it — with the materializing operators below, or as a streaming
-// iterator pipeline (stream.go) when Options.Streaming is set. It
-// returns the result relation together with the typed plan subtree it
-// executed (the legacy Result.Plan lines are appended as before).
-func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[string]value.Value, res *Result) (*engine.Relation, *Node, error) {
-	sp, err := p.planSelectCached(s)
-	if err != nil {
-		return nil, nil, err
-	}
+// execSelect executes one planned query specification — with the
+// materializing operators below, or as a streaming iterator pipeline
+// (stream.go) when Options.Streaming is set. It returns the result
+// relation together with the typed plan subtree it executed (the
+// legacy Result.Plan lines are appended as before). sp is only read;
+// every rendering that quotes the query is spliced from its text.
+func (p *Planner) execSelect(ctx context.Context, sp *selectPlan, hosts map[string]value.Value, res *Result) (*engine.Relation, *Node, error) {
 	if sp.orderLine != "" {
 		res.Plan = append(res.Plan, sp.orderLine)
 	}
@@ -553,6 +488,7 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 		return p.execSelectStream(ctx, sp, hosts, res)
 	}
 	analyzed := !p.Opts.ExplainOnly
+	var err error
 
 	type pendingTable struct {
 		rel  *engine.Relation
@@ -573,9 +509,9 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 		// Bind the symbolic access path against this execution's host
 		// variables; a nil decision falls back to scan + full filter.
 		dec := t.ap.bind(tbl, corr, hosts)
-		pred := t.pushResidual
+		f := t.pushResidual
 		if dec == nil {
-			pred = t.push
+			f = t.push
 		}
 		if dec != nil {
 			rel, node, err = timedOp(res, analyzed, dec.op, dec.detail, int64(tbl.Len()), nil,
@@ -588,15 +524,15 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 			if err != nil {
 				return nil, nil, err
 			}
-			res.Plan = append(res.Plan, fmt.Sprintf("%s(%s)", dec.op, dec.detail))
+			res.Plan = append(res.Plan, dec.op+"("+dec.detail+")")
 		} else {
-			rel, node, err = timedOp(res, analyzed, "Scan",
-				fmt.Sprintf("%s as %s", tbl.Schema.Name, corr), int64(tbl.Len()), nil,
+			detail := tbl.Schema.Name + " as " + corr
+			rel, node, err = timedOp(res, analyzed, "Scan", detail, int64(tbl.Len()), nil,
 				func() (*engine.Relation, error) {
 					if p.Opts.ExplainOnly {
 						return engine.NewRelation(qualifiedCols(tbl, corr)...), nil
 					}
-					if pred != nil {
+					if f.pred != nil {
 						// The Filter below reads the table's rows where
 						// they lie and charges only what it keeps.
 						return engine.ScanInPlace(ctx, &res.Stats, tbl, corr)
@@ -606,18 +542,18 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 			if err != nil {
 				return nil, nil, err
 			}
-			res.Plan = append(res.Plan, fmt.Sprintf("Scan(%s as %s)", tbl.Schema.Name, corr))
+			res.Plan = append(res.Plan, "Scan("+detail+")")
 		}
-		if pred != nil {
-			in := rel
-			rel, node, err = timedOp(res, analyzed, "Filter", pred.SQL(), int64(in.Len()), []*Node{node},
+		if f.pred != nil {
+			in, detail := rel, f.text.in(hosts)
+			rel, node, err = timedOp(res, analyzed, "Filter", detail, int64(in.Len()), []*Node{node},
 				func() (*engine.Relation, error) {
-					return engine.Filter(ctx, &res.Stats, in, pred, envProto)
+					return engine.Filter(ctx, &res.Stats, in, f.pred, envProto)
 				})
 			if err != nil {
 				return nil, nil, err
 			}
-			res.Plan = append(res.Plan, fmt.Sprintf("  Filter(%s)", pred.SQL()))
+			res.Plan = append(res.Plan, "  Filter("+detail+")")
 		}
 		tables = append(tables, pendingTable{rel: rel, node: node})
 	}
@@ -631,8 +567,7 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 		if len(j.lk) > 0 && j.buildLeft {
 			// The accumulated prefix is bounded (≤1 row): build it as
 			// the hash side and stream the new table through as probe.
-			detail := fmt.Sprintf("%s = %s", strings.Join(j.rk, ","), strings.Join(j.lk, ","))
-			cur, curNode, err = timedOp(res, analyzed, "HashJoin", detail,
+			cur, curNode, err = timedOp(res, analyzed, "HashJoin", j.detail,
 				int64(l.Len()+t.rel.Len()), []*Node{t.node, lnode},
 				func() (*engine.Relation, error) {
 					return engine.HashJoin(ctx, &res.Stats, t.rel, l, j.rk, j.lk)
@@ -641,10 +576,9 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 				return nil, nil, err
 			}
 			curNode.Notes = append(curNode.Notes, buildPrefixNote)
-			res.Plan = append(res.Plan, fmt.Sprintf("HashJoin(%s)", detail))
+			res.Plan = append(res.Plan, "HashJoin("+j.detail+")")
 		} else if len(j.lk) > 0 {
-			detail := fmt.Sprintf("%s = %s", strings.Join(j.lk, ","), strings.Join(j.rk, ","))
-			cur, curNode, err = timedOp(res, analyzed, "HashJoin", detail,
+			cur, curNode, err = timedOp(res, analyzed, "HashJoin", j.detail,
 				int64(l.Len()+t.rel.Len()), []*Node{lnode, t.node},
 				func() (*engine.Relation, error) {
 					return engine.HashJoin(ctx, &res.Stats, l, t.rel, j.lk, j.rk)
@@ -652,7 +586,7 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 			if err != nil {
 				return nil, nil, err
 			}
-			res.Plan = append(res.Plan, fmt.Sprintf("HashJoin(%s)", detail))
+			res.Plan = append(res.Plan, "HashJoin("+j.detail+")")
 		} else {
 			cur, curNode, err = timedOp(res, analyzed, "Product", "",
 				int64(l.Len()+t.rel.Len()), []*Node{lnode, t.node},
@@ -664,38 +598,37 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 			}
 			res.Plan = append(res.Plan, "Product")
 		}
-		if j.bound != "" {
-			curNode.Notes = append(curNode.Notes, j.bound)
+		if note := j.bound.in(hosts); note != "" {
+			curNode.Notes = append(curNode.Notes, note)
 		}
 	}
 
-	if sp.residual != nil {
-		pred := sp.residual
+	if sp.residual.pred != nil {
 		env := &eval.Env{Cols: map[string]value.Value{}, Hosts: hosts,
 			Scope: sp.scope, Exists: p.naiveExists(ctx, hosts, res),
 			In: p.naiveIn(ctx, hosts, res)}
-		in := cur
-		cur, curNode, err = timedOp(res, analyzed, "Filter", pred.SQL(), int64(in.Len()), []*Node{curNode},
+		in, detail := cur, sp.residual.text.in(hosts)
+		cur, curNode, err = timedOp(res, analyzed, "Filter", detail, int64(in.Len()), []*Node{curNode},
 			func() (*engine.Relation, error) {
-				return engine.Filter(ctx, &res.Stats, in, pred, env)
+				return engine.Filter(ctx, &res.Stats, in, sp.residual.pred, env)
 			})
 		if err != nil {
 			return nil, nil, err
 		}
-		res.Plan = append(res.Plan, fmt.Sprintf("Filter(%s)", pred.SQL()))
+		res.Plan = append(res.Plan, "Filter("+detail+")")
 	}
 
 	// Projection and duplicate elimination.
 	{
 		in := cur
-		cur, curNode, err = timedOp(res, analyzed, "Project", strings.Join(sp.cols, ", "), int64(in.Len()), []*Node{curNode},
+		cur, curNode, err = timedOp(res, analyzed, "Project", sp.colList, int64(in.Len()), []*Node{curNode},
 			func() (*engine.Relation, error) {
 				return engine.Project(ctx, &res.Stats, in, sp.cols)
 			})
 		if err != nil {
 			return nil, nil, err
 		}
-		res.Plan = append(res.Plan, fmt.Sprintf("Project(%s)", strings.Join(sp.cols, ", ")))
+		res.Plan = append(res.Plan, "Project("+sp.colList+")")
 	}
 	if sp.distinct {
 		op := "DistinctSort"
@@ -715,20 +648,20 @@ func (p *Planner) execSelect(ctx context.Context, s *ast.Select, hosts map[strin
 		}
 		res.Plan = append(res.Plan, op)
 	}
-	attachOrderNotes(curNode, sp)
+	attachOrderNotes(curNode, sp, hosts)
 	return cur, curNode, nil
 }
 
 // attachOrderNotes records the chosen join order and the start-table
 // justification on the plan root, where EXPLAIN renders them above the
 // per-join bound notes.
-func attachOrderNotes(root *Node, sp *selectPlan) {
+func attachOrderNotes(root *Node, sp *selectPlan, hosts map[string]value.Value) {
 	if root == nil || sp.orderNote == "" {
 		return
 	}
 	root.Notes = append(root.Notes, sp.orderNote)
-	if sp.startNote != "" {
-		root.Notes = append(root.Notes, sp.startNote)
+	if note := sp.startNote.in(hosts); note != "" {
+		root.Notes = append(root.Notes, note)
 	}
 }
 

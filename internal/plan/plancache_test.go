@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,17 +11,50 @@ import (
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/value"
+	"uniqopt/internal/vcache"
 )
 
-// planRun executes src through a planner sharing pc, failing the test
-// on any error.
-func planRun(t *testing.T, db *storage.DB, pc *PlanCache, src string, hosts map[string]value.Value) *Result {
-	t.Helper()
-	q, err := parser.ParseQuery(src)
-	if err != nil {
-		t.Fatal(err)
+// stmtCache is the cache the database keeps compiled statements in,
+// at this package's level: vcache keyed on the statement text, the
+// catalog version read before compiling, and the planner's compile
+// bits.
+type stmtCache = vcache.Cache[*Compiled]
+
+// cachedRun is the lookup-or-compile step uniqopt.DB performs, then
+// Execute: the key is built once, before compiling, so a plan derived
+// under an older catalog can only ever be filed under the older
+// version. The hit or miss lands on the run's Stats.
+func cachedRun(db *storage.DB, sc *stmtCache, opts Options, src string, hosts map[string]value.Value) (*Result, error) {
+	p := NewPlanner(db, opts)
+	key := vcache.Key{Src: src, CatVer: db.Catalog().Version(), Opts: opts.CompileBits()}
+	var st engine.Stats
+	c, hit := sc.Get(key)
+	if hit {
+		st.AddPlanCache(1, 0)
+	} else {
+		st.AddPlanCache(0, 1)
+		q, err := parser.ParseQuery(src)
+		if err != nil {
+			return nil, err
+		}
+		if c, err = p.Compile(q, &st); err != nil {
+			return nil, err
+		}
+		sc.Put(key, c)
 	}
-	res, err := NewPlanner(db, Options{Plans: pc}).Run(q, hosts)
+	res, err := p.Execute(context.Background(), c, hosts)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Add(st)
+	return res, nil
+}
+
+// planRun executes src through a planner sharing sc, failing the test
+// on any error.
+func planRun(t *testing.T, db *storage.DB, sc *stmtCache, src string, hosts map[string]value.Value) *Result {
+	t.Helper()
+	res, err := cachedRun(db, sc, Options{}, src, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +69,7 @@ const cacheProbeSQL = `SELECT S.SNAME, P.PNO FROM SUPPLIER S, PARTS P
 // counters, and the cached run returns the identical plan and rows.
 func TestPlanCacheHitMissCounters(t *testing.T) {
 	db := smallDB(t)
-	pc := NewPlanCache(0)
+	pc := vcache.New[*Compiled](0)
 
 	r1 := planRun(t, db, pc, cacheProbeSQL, nil)
 	if r1.Stats.PlanMisses != 1 || r1.Stats.PlanHits != 0 {
@@ -139,7 +173,7 @@ func TestPlanCacheInvalidationPerDDLKind(t *testing.T) {
 			if k.setup != nil {
 				k.setup(t, db)
 			}
-			pc := NewPlanCache(0)
+			pc := vcache.New[*Compiled](0)
 			planRun(t, db, pc, cacheProbeSQL, nil)
 			warm := planRun(t, db, pc, cacheProbeSQL, nil)
 			if warm.Stats.PlanHits != 1 {
@@ -159,14 +193,14 @@ func TestPlanCacheInvalidationPerDDLKind(t *testing.T) {
 	}
 }
 
-// A fingerprint collision (same 64-bit hash, different source) must be
-// treated as a miss, never execute a plan built for a different query.
+// The key carries the source text itself, so a different source under
+// an otherwise identical key is a miss by construction — there is no
+// fingerprint to collide, and no plan built for another query to run.
 func TestPlanCacheSourceCollisionIsMiss(t *testing.T) {
-	pc := NewPlanCache(0)
-	k := planKey{fp: 42, catVer: 1}
-	pc.put(k, "SELECT A.X FROM A", &selectPlan{})
-	if sp, ok := pc.get(k, "SELECT B.Y FROM B"); ok || sp != nil {
-		t.Fatal("colliding fingerprint with different source must miss")
+	pc := vcache.New[*Compiled](0)
+	pc.Put(vcache.Key{Src: "SELECT A.X FROM A", CatVer: 1}, &Compiled{})
+	if c, ok := pc.Get(vcache.Key{Src: "SELECT B.Y FROM B", CatVer: 1}); ok || c != nil {
+		t.Fatal("a different source under the same version and options must miss")
 	}
 	if hits, misses := pc.Counters(); hits != 0 || misses != 1 {
 		t.Fatalf("counters = %d/%d, want 0/1", hits, misses)
@@ -176,26 +210,26 @@ func TestPlanCacheSourceCollisionIsMiss(t *testing.T) {
 // When the cache fills it is cleared wholesale, so it keeps admitting
 // new shapes instead of pinning the first max entries forever.
 func TestPlanCacheCapacityClearsWholesale(t *testing.T) {
-	pc := NewPlanCache(2)
-	pc.put(planKey{fp: 1}, "q1", &selectPlan{})
-	pc.put(planKey{fp: 2}, "q2", &selectPlan{})
+	pc := vcache.New[*Compiled](2)
+	pc.Put(vcache.Key{Src: "q1"}, &Compiled{})
+	pc.Put(vcache.Key{Src: "q2"}, &Compiled{})
 	if pc.Len() != 2 {
 		t.Fatalf("len = %d, want 2", pc.Len())
 	}
-	pc.put(planKey{fp: 3}, "q3", &selectPlan{})
+	pc.Put(vcache.Key{Src: "q3"}, &Compiled{})
 	if pc.Len() != 1 {
 		t.Fatalf("len after overflow = %d, want 1 (wholesale clear then insert)", pc.Len())
 	}
-	if sp, ok := pc.get(planKey{fp: 3}, "q3"); !ok || sp == nil {
+	if c, ok := pc.Get(vcache.Key{Src: "q3"}); !ok || c == nil {
 		t.Fatal("newest entry must survive the clear")
 	}
 }
 
 // Reset returns the cache to cold: no entries, zero counters.
 func TestPlanCacheReset(t *testing.T) {
-	pc := NewPlanCache(0)
-	pc.put(planKey{fp: 7}, "q", &selectPlan{})
-	pc.get(planKey{fp: 7}, "q")
+	pc := vcache.New[*Compiled](0)
+	pc.Put(vcache.Key{Src: "q"}, &Compiled{})
+	pc.Get(vcache.Key{Src: "q"})
 	pc.Reset()
 	if pc.Len() != 0 {
 		t.Fatalf("len after reset = %d", pc.Len())
@@ -209,15 +243,11 @@ func TestPlanCacheReset(t *testing.T) {
 // written-order and ordered plans of the same SQL never collide.
 func TestPlanCacheOptionBitsPartition(t *testing.T) {
 	db := smallDB(t)
-	pc := NewPlanCache(0)
-	q, err := parser.ParseQuery(cacheProbeSQL)
-	if err != nil {
+	pc := vcache.New[*Compiled](0)
+	if _, err := cachedRun(db, pc, Options{}, cacheProbeSQL, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPlanner(db, Options{Plans: pc}).Run(q, nil); err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewPlanner(db, Options{Plans: pc, WrittenJoinOrder: true}).Run(q, nil)
+	res, err := cachedRun(db, pc, Options{WrittenJoinOrder: true}, cacheProbeSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +264,7 @@ func TestPlanCacheOptionBitsPartition(t *testing.T) {
 // planner-smoke target runs this suite with the race detector).
 func TestPlanCacheConcurrentSharing(t *testing.T) {
 	db := smallDB(t)
-	pc := NewPlanCache(0)
+	pc := vcache.New[*Compiled](0)
 	q, err := parser.ParseQuery(cacheProbeSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +280,7 @@ func TestPlanCacheConcurrentSharing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				res, err := NewPlanner(db, Options{Plans: pc}).Run(q, nil)
+				res, err := cachedRun(db, pc, Options{}, cacheProbeSQL, nil)
 				if err != nil {
 					t.Error(err)
 					return

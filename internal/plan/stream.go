@@ -2,8 +2,6 @@ package plan
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"time"
 
 	"uniqopt/internal/engine"
@@ -117,9 +115,9 @@ func (p *Planner) execSelectStream(ctx context.Context, sp *selectPlan, hosts ma
 		// access plan resolves host variables here, falling back to a
 		// full scan plus the whole pushed filter when it cannot.
 		dec := t.ap.bind(t.tbl, t.corr, hosts)
-		pred := t.pushResidual
+		f := t.pushResidual
 		if dec == nil {
-			pred = t.push
+			f = t.push
 		}
 		if dec != nil {
 			base, err := dec.stream(st)
@@ -127,18 +125,19 @@ func (p *Planner) execSelectStream(ctx context.Context, sp *selectPlan, hosts ma
 				return fail(err)
 			}
 			it, node = wrap(base, dec.op, dec.detail, int64(t.tbl.Len()), nil)
-			res.Plan = append(res.Plan, fmt.Sprintf("%s(%s)", dec.op, dec.detail))
+			res.Plan = append(res.Plan, dec.op+"("+dec.detail+")")
 		} else {
-			it, node = wrap(engine.NewTableIter(st, t.tbl, t.corr), "Scan",
-				fmt.Sprintf("%s as %s", t.tbl.Schema.Name, t.corr), int64(t.tbl.Len()), nil)
-			res.Plan = append(res.Plan, fmt.Sprintf("Scan(%s as %s)", t.tbl.Schema.Name, t.corr))
+			detail := t.tbl.Schema.Name + " as " + t.corr
+			it, node = wrap(engine.NewTableIter(st, t.tbl, t.corr), "Scan", detail, int64(t.tbl.Len()), nil)
+			res.Plan = append(res.Plan, "Scan("+detail+")")
 		}
 		roots = append(roots, it)
-		if pred != nil {
-			it, node = wrap(engine.NewFilterIter(st, it, pred, envProto),
-				"Filter", pred.SQL(), 0, []*Node{node})
+		if f.pred != nil {
+			detail := f.text.in(hosts)
+			it, node = wrap(engine.NewFilterIter(st, it, f.pred, envProto),
+				"Filter", detail, 0, []*Node{node})
 			roots[len(roots)-1] = it
-			res.Plan = append(res.Plan, fmt.Sprintf("  Filter(%s)", pred.SQL()))
+			res.Plan = append(res.Plan, "  Filter("+detail+")")
 		}
 		tables = append(tables, streamTable{it: it, node: node})
 	}
@@ -153,50 +152,49 @@ func (p *Planner) execSelectStream(ctx context.Context, sp *selectPlan, hosts ma
 			// prefix becomes the (tiny) build side, the new table
 			// streams through as probe, so the blocking state stays
 			// within any memory budget.
-			detail := fmt.Sprintf("%s = %s", strings.Join(j.rk, ","), strings.Join(j.lk, ","))
 			jit, err := engine.NewHashJoinIter(st, t.it, cur, j.rk, j.lk)
 			if err != nil {
 				return fail(err)
 			}
-			cur, curNode = wrap(jit, "HashJoin", detail, 0, []*Node{t.node, curNode})
+			cur, curNode = wrap(jit, "HashJoin", j.detail, 0, []*Node{t.node, curNode})
 			curNode.Notes = append(curNode.Notes, buildPrefixNote)
-			res.Plan = append(res.Plan, fmt.Sprintf("HashJoin(%s)", detail))
+			res.Plan = append(res.Plan, "HashJoin("+j.detail+")")
 		} else if len(j.lk) > 0 {
-			detail := fmt.Sprintf("%s = %s", strings.Join(j.lk, ","), strings.Join(j.rk, ","))
 			jit, err := engine.NewHashJoinIter(st, cur, t.it, j.lk, j.rk)
 			if err != nil {
 				return fail(err)
 			}
-			cur, curNode = wrap(jit, "HashJoin", detail, 0, []*Node{curNode, t.node})
-			res.Plan = append(res.Plan, fmt.Sprintf("HashJoin(%s)", detail))
+			cur, curNode = wrap(jit, "HashJoin", j.detail, 0, []*Node{curNode, t.node})
+			res.Plan = append(res.Plan, "HashJoin("+j.detail+")")
 		} else {
 			cur, curNode = wrap(engine.NewProductIter(st, cur, t.it),
 				"Product", "", 0, []*Node{curNode, t.node})
 			res.Plan = append(res.Plan, "Product")
 		}
-		if j.bound != "" {
-			curNode.Notes = append(curNode.Notes, j.bound)
+		if note := j.bound.in(hosts); note != "" {
+			curNode.Notes = append(curNode.Notes, note)
 		}
 		roots[0], roots[k+1] = cur, nil
 	}
 
-	if sp.residual != nil {
+	if sp.residual.pred != nil {
 		env := &eval.Env{Cols: map[string]value.Value{}, Hosts: hosts,
 			Scope: sp.scope, Exists: p.naiveExists(ctx, hosts, res),
 			In: p.naiveIn(ctx, hosts, res)}
-		cur, curNode = wrap(engine.NewFilterIter(st, cur, sp.residual, env),
-			"Filter", sp.residual.SQL(), 0, []*Node{curNode})
+		detail := sp.residual.text.in(hosts)
+		cur, curNode = wrap(engine.NewFilterIter(st, cur, sp.residual.pred, env),
+			"Filter", detail, 0, []*Node{curNode})
 		roots[0] = cur
-		res.Plan = append(res.Plan, fmt.Sprintf("Filter(%s)", sp.residual.SQL()))
+		res.Plan = append(res.Plan, "Filter("+detail+")")
 	}
 
 	pit, err := engine.NewProjectIter(st, cur, sp.cols)
 	if err != nil {
 		return fail(err)
 	}
-	cur, curNode = wrap(pit, "Project", strings.Join(sp.cols, ", "), 0, []*Node{curNode})
+	cur, curNode = wrap(pit, "Project", sp.colList, 0, []*Node{curNode})
 	roots[0] = cur
-	res.Plan = append(res.Plan, fmt.Sprintf("Project(%s)", strings.Join(sp.cols, ", ")))
+	res.Plan = append(res.Plan, "Project("+sp.colList+")")
 
 	if sp.distinct {
 		op := "DistinctSort"
@@ -219,6 +217,6 @@ func (p *Planner) execSelectStream(ctx context.Context, sp *selectPlan, hosts ma
 		return nil, nil, err
 	}
 	finalizeStream(curNode)
-	attachOrderNotes(curNode, sp)
+	attachOrderNotes(curNode, sp, hosts)
 	return rel, curNode, nil
 }

@@ -134,8 +134,9 @@ func TestServerPreparedStatements(t *testing.T) {
 	c := dial(t, addr)
 	defer c.Close()
 
-	// DISTINCT on the key: the analyzer runs per EXEC, so repeated
-	// executions of the shape exercise the verdict cache.
+	// DISTINCT on the key: the first EXEC compiles the shape (analysis,
+	// rewrite, plan); repeated executions are served by the statement
+	// cache.
 	if err := c.Prepare("by_sno", `SELECT DISTINCT S.SNO, S.CITY FROM S WHERE S.SNO = :N`); err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +154,10 @@ func TestServerPreparedStatements(t *testing.T) {
 			t.Fatal("Reprepared set without any DDL")
 		}
 	}
-	// The analyzer verdict for the shape is cached: after the first
+	// The compiled statement for the shape is cached: after the first
 	// EXEC the remaining ones must hit, not re-run Algorithm 1.
-	if hits, _ := db.CacheCounters(); hits == 0 {
-		t.Fatal("repeated EXEC of one shape never hit the verdict cache")
+	if hits, misses := db.PlanCacheCounters(); hits != 2 || misses != 1 {
+		t.Fatalf("three EXECs of one shape: statement cache %d hits / %d misses, want 2/1", hits, misses)
 	}
 
 	// Missing binding: typed SQL error naming the host variable.

@@ -16,14 +16,15 @@ import (
 // preparedStmt is one session-scoped prepared statement: the SQL text
 // (re-parameterized per EXEC through the :NAME host-variable
 // machinery) and the catalog version it was last validated under.
-// Re-planning per EXEC is cheap by design — the expensive assets, the
-// uniqueness verdict and the physical plan, are cached DB-wide keyed
-// by fingerprint × catalog version, so every EXEC of the same shape
-// after the first hits those caches until DDL moves the version. A
-// version-keyed cache is also what makes the Reprepared path safe:
-// after DDL the old version's entries are unreachable by construction,
-// so an EXEC that observes a newer catalog re-plans rather than
-// serving a plan derived under the old schema.
+// The session pins nothing: each EXEC hands the text to the database,
+// whose compiled-statement cache — keyed by the text's lifted shape ×
+// catalog version × option bits — turns it into the shared, immutable
+// compiled statement (verdicts, rewrites, physical plan) at the cost
+// of one lexer pass and one map probe. A version-keyed cache is also
+// what makes the Reprepared path safe: after DDL the old version's
+// entries are unreachable by construction, so an EXEC that observes a
+// newer catalog compiles again rather than running a statement
+// derived under the old schema.
 type preparedStmt struct {
 	sql        string
 	catVersion uint64
@@ -305,13 +306,14 @@ func (sess *session) runQuery(req *Request, sql string) *Response {
 
 	// Snapshot consistency: hold the read side for the whole
 	// execution, so the catalog version observed here is the one the
-	// query ran under, start to finish. This span covers the plan-cache
-	// lookup inside execution, which closes the stale-plan race: DDL
-	// (write side) cannot commit between this version read and the
-	// cache probe keyed on it, so an EXEC can never run a plan cached
-	// under a catalog version older than the one it reports — it either
-	// runs entirely before the DDL (old version, old plan, consistent)
-	// or entirely after (new version forces a re-plan on cache miss).
+	// query ran under, start to finish. This span covers the
+	// statement-cache probe inside execution, which closes the
+	// stale-plan race: DDL (write side) cannot commit between this
+	// version read and the cache probe keyed on it, so an EXEC can
+	// never run a statement compiled under a catalog version older than
+	// the one it reports — it either runs entirely before the DDL (old
+	// version, old plan, consistent) or entirely after (new version
+	// forces a compile on cache miss).
 	srv.ddlMu.RLock()
 	defer srv.ddlMu.RUnlock()
 	catVersion := srv.db.Store().Catalog().Version()

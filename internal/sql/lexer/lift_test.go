@@ -1,0 +1,92 @@
+package lexer
+
+import (
+	"reflect"
+	"testing"
+
+	"uniqopt/internal/sql/token"
+)
+
+func TestShape(t *testing.T) {
+	cases := []struct {
+		src, shape string
+		lits       []string
+	}{
+		{`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = 7 AND S.SNAME <> 'O''Neil'`,
+			`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = ?int AND S.SNAME <> ?str`,
+			[]string{"7", "O'Neil"}},
+		{"select  distinct s . sno\n from supplier s -- comment 12 'x'\n where s.sno=8 and s.sname!='y';",
+			`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = ?int AND S.SNAME <> ?str;`,
+			[]string{"8", "y"}},
+		{`SELECT * FROM T WHERE A IN (1, 'b', :H, NULL) AND B BETWEEN 2 AND 3 OR NOT (C = TRUE)`,
+			`SELECT * FROM T WHERE A IN (?int, ?str, :H, NULL) AND B BETWEEN ?int AND ?int OR NOT (C = TRUE)`,
+			[]string{"1", "b", "2", "3"}},
+		{`INSERT INTO T VALUES (1, 'a', NULL, FALSE, :V), (2, '', NULL, TRUE, :W)`,
+			`INSERT INTO T VALUES (?int, ?str, NULL, FALSE, :V), (?int, ?str, NULL, TRUE, :W)`,
+			[]string{"1", "a", "2", ""}},
+		// A string that looks like a number, a placeholder or a lifted
+		// name is still one ?str.
+		{`SELECT A FROM T WHERE B = '7' AND C = '?int' AND D = ':$1'`,
+			`SELECT A FROM T WHERE B = ?str AND C = ?str AND D = ?str`,
+			[]string{"7", "?int", ":$1"}},
+		// DDL is never lifted.
+		{`CREATE TABLE T (A INTEGER, B VARCHAR(30), CHECK (A > 5))`, ``, nil},
+		{`  create table T (A INT)`, ``, nil},
+	}
+	for _, c := range cases {
+		shape, lits, err := Shape(c.src)
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+			continue
+		}
+		var texts []string
+		for _, l := range lits {
+			texts = append(texts, l.Text)
+		}
+		if shape != c.shape || !reflect.DeepEqual(texts, c.lits) {
+			t.Errorf("Shape(%q)\n got %q %q\nwant %q %q", c.src, shape, texts, c.shape, c.lits)
+		}
+	}
+	if _, _, err := Shape(`SELECT A FROM T WHERE A = :$1`); err == nil {
+		t.Error("a lifted name was accepted in source text")
+	}
+	if _, _, err := Shape(`SELECT 'open`); err == nil {
+		t.Error("unterminated string was accepted")
+	}
+}
+
+// TokenizeLifted numbers literals exactly as Shape orders them, keeps
+// positions, and leaves every other token alone.
+func TestTokenizeLiftedMatchesShape(t *testing.T) {
+	const src = `SELECT A FROM T WHERE A = 10 AND B = 'x' AND C IN (:H, 3) AND D = NULL`
+	plain, err := Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifted, err := TokenizeLifted(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lits, err := Shape(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for i, p := range plain {
+		l := lifted[i]
+		if p.Kind == token.Number || p.Kind == token.String {
+			if l.Kind != token.HostVar || l.Text != LiftedName(n+1) || l.Pos != p.Pos || lits[n] != p {
+				t.Errorf("token %d %v lifted to %v (literal %d is %v)", i, p, l, n, lits[n])
+			}
+			n++
+		} else if l != p {
+			t.Errorf("token %d changed: %v -> %v", i, p, l)
+		}
+	}
+	if n != len(lits) || n != 3 {
+		t.Errorf("lifted %d literals, Shape reported %d, want 3", n, len(lits))
+	}
+	if LiftedName(1) != "$1" || LiftedName(32) != "$32" || LiftedName(33) != "$33" || LiftedName(1000) != "$1000" {
+		t.Error("LiftedName is not $n")
+	}
+}

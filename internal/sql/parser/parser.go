@@ -31,10 +31,36 @@ type parser struct {
 // ParseStatement parses a single SQL statement (query or CREATE TABLE),
 // allowing a trailing semicolon.
 func ParseStatement(src string) (ast.Statement, error) {
-	p, err := newParser(src)
+	toks, err := lexer.Tokenize(src)
 	if err != nil {
 		return nil, err
 	}
+	return parseStatement(toks)
+}
+
+// ParseLifted parses a query or INSERT with every literal operand
+// lifted (lexer.TokenizeLifted): the AST carries the reserved host
+// variable $n where the n-th literal stood, so it describes the
+// statement's shape rather than one text. A syntax error is reported
+// against the statement as written — the unlifted tokens are re-parsed
+// on that cold path, so a message that names a literal token shows the
+// user's literal, not its placeholder.
+func ParseLifted(src string) (ast.Statement, error) {
+	toks, err := lexer.TokenizeLifted(src)
+	if err != nil {
+		return nil, err
+	}
+	st, err := parseStatement(toks)
+	if err != nil {
+		if _, werr := ParseStatement(src); werr != nil {
+			return nil, werr
+		}
+	}
+	return st, err
+}
+
+func parseStatement(toks []token.Token) (ast.Statement, error) {
+	p := &parser{toks: toks}
 	st, err := p.statement()
 	if err != nil {
 		return nil, err

@@ -390,3 +390,44 @@ func TestInSubqueryRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// ParseLifted yields the statement's shape — literals replaced by the
+// reserved host variables $1, $2, … in source order, NULL/TRUE/FALSE
+// kept — and reports syntax errors exactly as ParseStatement does,
+// naming the user's literal rather than its placeholder.
+func TestParseLifted(t *testing.T) {
+	st, err := ParseLifted(`SELECT S.SNO FROM SUPPLIER S
+		WHERE S.SNO = 7 AND S.SNAME IN ('a', :H, 'b') AND S.BUDGET BETWEEN 1 AND 2 AND S.STATUS = NULL AND TRUE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :$1 AND S.SNAME IN (:$2, :H, :$3) ` +
+		`AND S.BUDGET BETWEEN :$4 AND :$5 AND S.STATUS = NULL AND TRUE`
+	if got := st.(ast.Query).SQL(); got != want {
+		t.Errorf("lifted statement renders\n%s\nwant\n%s", got, want)
+	}
+	ins, err := ParseLifted(`INSERT INTO T VALUES (1, 'x', NULL, :V)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := ins.(*ast.Insert).Rows[0]
+	if h, ok := row[1].(*ast.HostVar); !ok || h.Name != "$2" {
+		t.Errorf("second VALUES element = %#v, want host variable $2", row[1])
+	}
+	if _, ok := row[2].(*ast.NullLit); !ok {
+		t.Errorf("NULL was lifted: %#v", row[2])
+	}
+	for _, bad := range []string{
+		`SELECT 5 FROM T`,
+		`SELECT A FROM T WHERE A = 1 2`,
+		`SELECT A FROM T WHERE 'x'`,
+		`INSERT INTO T VALUES (1, 'a' 'b')`,
+		`SELECT A FROM T WHERE A = 'open`,
+	} {
+		_, lerr := ParseLifted(bad)
+		_, werr := ParseStatement(bad)
+		if lerr == nil || werr == nil || lerr.Error() != werr.Error() {
+			t.Errorf("%s:\n lifted:  %v\n written: %v", bad, lerr, werr)
+		}
+	}
+}

@@ -1,0 +1,94 @@
+// Package vcache is the repo's one versioned cache: a bounded,
+// concurrency-safe map from (source text, catalog schema version,
+// option bits) to an immutable value. The analyzer's verdict cache and
+// the database's compiled-statement cache are both instances of it.
+//
+// The catalog version in the key is the whole invalidation story: every
+// DDL — CREATE TABLE, ADD KEY/CHECK/FOREIGN KEY, DROP KEY, CREATE
+// INDEX — bumps the version (the catver analyzer enforces that), so
+// entries derived under the old schema become unreachable rather than
+// being hunted down. The key carries the source text itself, not a
+// hash of it, so two different sources can never share an entry.
+package vcache
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+// Key identifies one entry.
+type Key struct {
+	Src    string // the text the value was derived from
+	CatVer uint64 // catalog schema version it was derived under
+	Opts   uint64 // option bits that change the derivation
+}
+
+// DefaultEntries bounds a cache built with New(0). A full cache is
+// cleared wholesale — simple, and correct under any access pattern.
+const DefaultEntries = 4096
+
+// Cache memoizes values of type V. Values are shared between every
+// caller that hits the same key, so they must be immutable (or the
+// caller must copy on the way in and out, as the verdict cache does).
+type Cache[V any] struct {
+	mu      sync.RWMutex
+	entries map[Key]V
+	max     int
+
+	hits   atomic.Int64
+	misses atomic.Int64
+}
+
+// New returns an empty cache holding at most maxEntries values
+// (0 = DefaultEntries).
+func New[V any](maxEntries int) *Cache[V] {
+	if maxEntries <= 0 {
+		maxEntries = DefaultEntries
+	}
+	return &Cache[V]{entries: make(map[Key]V), max: maxEntries}
+}
+
+// Get looks k up, counting a hit or a miss.
+func (c *Cache[V]) Get(k Key) (V, bool) {
+	c.mu.RLock()
+	v, ok := c.entries[k]
+	c.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return v, ok
+}
+
+// Put files v under k, clearing the cache first when it is full.
+func (c *Cache[V]) Put(k Key, v V) {
+	c.mu.Lock()
+	if len(c.entries) >= c.max {
+		c.entries = make(map[Key]V)
+	}
+	c.entries[k] = v
+	c.mu.Unlock()
+}
+
+// Counters reports cumulative hit/miss counts.
+func (c *Cache[V]) Counters() (hits, misses int64) {
+	return c.hits.Load(), c.misses.Load()
+}
+
+// Len reports the number of cached values.
+func (c *Cache[V]) Len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.entries)
+}
+
+// Reset drops every entry and zeroes the hit/miss counters, returning
+// the cache to its cold state.
+func (c *Cache[V]) Reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries = make(map[Key]V)
+	c.hits.Store(0)
+	c.misses.Store(0)
+}

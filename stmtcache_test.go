@@ -1,0 +1,477 @@
+package uniqopt_test
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+
+	"uniqopt"
+	"uniqopt/internal/plan"
+	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/value"
+	"uniqopt/internal/workload"
+)
+
+// The compiled-statement cache's executed oracle: every statement is
+// also run the way statements ran before the cache existed — the text
+// parsed as written, literals in the AST, compiled and executed by a
+// planner that shares nothing with the database — and the two answers
+// must agree in everything a user can see.
+
+// outcome is the user-visible result of one statement.
+type outcome struct {
+	cols     []string
+	data     [][]any
+	rewrites []uniqopt.RewriteInfo
+	plan     []string
+	err      string
+}
+
+// uncached runs sql through the pre-cache path under db's options.
+func uncached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) outcome {
+	q, err := parser.ParseQuery(sql)
+	if err != nil {
+		return outcome{err: err.Error()}
+	}
+	hv := map[string]value.Value{}
+	for k, v := range hosts {
+		if hv[k], err = uniqopt.Convert(v); err != nil {
+			return outcome{err: err.Error()}
+		}
+	}
+	res, err := plan.NewPlanner(db.Store(), plan.Options{
+		ApplyRewrites: optimize,
+		Streaming:     db.Opts().Streaming,
+	}).RunContext(context.Background(), q, hv)
+	if err != nil {
+		return outcome{err: err.Error()}
+	}
+	out := outcome{cols: res.Rel.Cols, plan: res.Plan, data: make([][]any, len(res.Rel.Rows))}
+	for i, row := range res.Rel.Rows {
+		out.data[i] = make([]any, len(row))
+		for j, v := range row {
+			switch v.Kind() {
+			case value.KindInt:
+				out.data[i][j] = v.AsInt()
+			case value.KindString:
+				out.data[i][j] = v.AsString()
+			case value.KindBool:
+				out.data[i][j] = v.AsBool()
+			}
+		}
+	}
+	for _, ap := range res.Rewrites {
+		out.rewrites = append(out.rewrites, uniqopt.RewriteInfo{Rule: string(ap.Rule),
+			Description: ap.Description, Before: ap.Before, After: ap.After})
+	}
+	return out
+}
+
+// cached runs sql through the database's public entry point.
+func cached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) outcome {
+	rows, err := db.QueryWithContext(context.Background(), sql, hosts, optimize)
+	if err != nil {
+		return outcome{err: err.Error()}
+	}
+	return outcome{cols: rows.Columns, data: rows.Data, rewrites: rows.Rewrites, plan: rows.Plan}
+}
+
+func requireSameOutcome(t *testing.T, label string, got, want outcome) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: cached and uncached disagree\n--- cached\n%+v\n--- uncached\n%+v", label, got, want)
+	}
+}
+
+// adhocShapes are the seven embedded_adhoc statement classes of the
+// repository benchmark, drawing their literals from r, plus the
+// statements whose errors quote a literal.
+var adhocShapes = []func(r *rand.Rand) string{
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
+			WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.OEM-PNO < %d`, r.Intn(6000))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
+			WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.OEM-PNO < %d`, r.Intn(6000))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT DISTINCT S.SNO, SNAME, P.PNO, PNAME FROM SUPPLIER S, PARTS P
+			WHERE P.SNO = %d AND S.SNO = P.SNO AND P.OEM-PNO > %d`, 1+r.Intn(45), r.Intn(6000))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S
+			WHERE S.SNAME = '%s' AND S.BUDGET < %d AND
+			EXISTS (SELECT * FROM PARTS P WHERE S.SNO = P.SNO AND P.PNO = %d)`,
+			[]string{"Smith", "Jones", "O''Neil", "supplier-7"}[r.Intn(4)], r.Intn(1200), 1+r.Intn(5))
+	},
+	func(r *rand.Rand) string {
+		cities := []string{"Chicago", "New York", "Toronto", "Ottawa", "Hull", "Paris", "Waterloo"}
+		return fmt.Sprintf(`SELECT ALL S.SNO FROM SUPPLIER S WHERE S.SCITY = '%s' AND S.BUDGET > %d
+			INTERSECT
+			SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = '%s' OR A.ACITY = '%s'`,
+			cities[r.Intn(7)], r.Intn(1000), cities[r.Intn(7)], cities[r.Intn(7)])
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+			WHERE S.SNO = P.SNO AND (P.COLOR = 'RED' AND P.OEM-PNO < %d OR P.PNO = %d AND P.OEM-PNO > %d)`,
+			r.Intn(6000), 1+r.Intn(5), r.Intn(6000))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME FROM AGENTS A, PARTS P, SUPPLIER S
+			WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = %d AND P.OEM-PNO <> %d`, 1+r.Intn(45), r.Intn(6000))
+	},
+	// A comparison between kinds fails at evaluation, quoting itself.
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 'no-%d' AND S.BUDGET > %d`, r.Intn(9), r.Intn(9))
+	},
+	// Syntax errors that name a literal token, and one past int64.
+	func(r *rand.Rand) string { return fmt.Sprintf(`SELECT %d FROM SUPPLIER`, r.Intn(9)) },
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = %d99999999999999999999`, 1+r.Intn(9))
+	},
+	func(r *rand.Rand) string {
+		return fmt.Sprintf(`SELECT S.SNO FROM SUPPLIER S WHERE S.NOPE = %d`, r.Intn(9))
+	},
+}
+
+// shapeDB is a small supplier database: the sweep below runs 200
+// literal vectors per shape through six configurations.
+func shapeDB(t *testing.T, opts uniqopt.Options) *uniqopt.DB {
+	t.Helper()
+	cfg := workload.DefaultConfig()
+	cfg.Suppliers, cfg.PartsPerSupplier, cfg.AgentsPerSupplier = 45, 5, 2
+	fresh, err := workload.NewDB(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := uniqopt.OpenWith(opts)
+	for _, ddl := range workload.BenchDDL {
+		if err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"SUPPLIER", "PARTS", "AGENTS"} {
+		src := fresh.MustTable(name)
+		for i := 0; i < src.Len(); i++ {
+			if err := db.InsertRow(name, src.Row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.CreateIndex("PARTS", "PARTS_SNO", "SNO"); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestCachedEqualsUncached is the differential suite: rows, column
+// names, rewrites (rule, description, before, after), plan lines and
+// error text of the cached path equal the uncached path's, over the 11
+// paper examples and the benchmark's literal shapes × 200 seeded
+// literal vectors, under serial, parallel and streaming execution.
+func TestCachedEqualsUncached(t *testing.T) {
+	modes := []struct {
+		name               string
+		workers, threshold int
+		opts               uniqopt.Options
+	}{
+		{"serial", 1, 1 << 30, uniqopt.Options{}},
+		{"parallel", 4, 1, uniqopt.Options{}},
+		{"streaming", 1, 1 << 30, uniqopt.Options{Streaming: true}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			setStreamPool(t, m.workers, m.threshold)
+			paper := goldenDBWith(t, m.opts)
+			for _, name := range paperQueryNames() {
+				sql := workload.PaperQueries[name]
+				for _, optimize := range []bool{true, false} {
+					// Twice: the second run is a statement-cache hit.
+					for run := 0; run < 2; run++ {
+						requireSameOutcome(t, fmt.Sprintf("%s optimize=%v run %d", name, optimize, run),
+							cached(paper, sql, goldenHosts, optimize), uncached(paper, sql, goldenHosts, optimize))
+					}
+				}
+			}
+
+			db := shapeDB(t, m.opts)
+			r := rand.New(rand.NewSource(16))
+			for i, shape := range adhocShapes {
+				for v := 0; v < 200; v++ {
+					sql := shape(r)
+					requireSameOutcome(t, fmt.Sprintf("shape %d vector %d: %s", i, v, sql),
+						cached(db, sql, nil, true), uncached(db, sql, nil, true))
+				}
+			}
+			// Each of the 8 shapes that execute compiled once and then
+			// hit; the syntax error and the unknown column fail to compile
+			// every time (a failed compile is not cached), and the
+			// out-of-range literal never reaches the cache.
+			if hits, misses := db.PlanCacheCounters(); hits != 8*199 || misses != 8+2*200 {
+				t.Errorf("statement cache: %d hits / %d misses, want %d / %d", hits, misses, 8*199, 8+2*200)
+			}
+			if n := len(db.Metrics().Shapes); n != 8 {
+				t.Errorf("metrics registry holds %d shapes, want the 8 that execute", n)
+			}
+		})
+	}
+}
+
+// TestStatementCacheConcurrentLiterals runs one shape from many
+// goroutines with different literals: the shared entry is immutable,
+// the literal vector is per call, so each caller sees its own rows and
+// its own literals in the rewritten text. Run under -race.
+func TestStatementCacheConcurrentLiterals(t *testing.T) {
+	db := shapeDB(t, uniqopt.Options{})
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				sno := 1 + (w*50+i)%45
+				sql := fmt.Sprintf(`SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = %d`, sno)
+				rows, err := db.Query(sql)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(rows.Data) != 1 || rows.Data[0][0] != int64(sno) {
+					t.Errorf("SNO = %d returned %v", sno, rows.Data)
+					return
+				}
+				want := fmt.Sprintf("S.SNO = %d", sno)
+				if len(rows.Rewrites) != 1 || !strings.HasSuffix(rows.Rewrites[0].After, want) ||
+					!strings.Contains(strings.Join(rows.Plan, "\n"), want) {
+					t.Errorf("SNO = %d: another call's literal leaked: %+v %v", sno, rows.Rewrites, rows.Plan)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if hits, misses := db.PlanCacheCounters(); hits+misses != workers*50 || hits < workers*50-workers {
+		t.Errorf("statement cache %d hits / %d misses over %d calls of one shape", hits, misses, workers*50)
+	}
+}
+
+// TestStatementShapeKeys pins what does and does not share a compiled
+// statement.
+func TestStatementShapeKeys(t *testing.T) {
+	db := shapeDB(t, uniqopt.Options{})
+	// compiles reports how many statement-cache misses f caused.
+	compiles := func(f func()) int64 {
+		_, m0 := db.PlanCacheCounters()
+		f()
+		_, m1 := db.PlanCacheCounters()
+		return m1 - m0
+	}
+	query := func(d *uniqopt.DB, sql string, hosts map[string]any, optimize bool) *uniqopt.Rows {
+		t.Helper()
+		rows, err := d.QueryWithContext(context.Background(), sql, hosts, optimize)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return rows
+	}
+
+	// Letter case, whitespace, comments and literal values are not shape.
+	if n := compiles(func() {
+		query(db, `SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 7 AND S.SNAME <> 'x'`, nil, true)
+		query(db, "select s.sno\n\tfrom supplier s -- the same\n where s.sno=8 and s.sname!='yy'", nil, true)
+	}); n != 1 {
+		t.Errorf("case/whitespace/literal variants compiled %d times, want 1", n)
+	}
+	// A literal's kind is.
+	if n := compiles(func() {
+		query(db, `SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = 'a'`, nil, true)
+		db.Query(`SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = 1`) // fails at evaluation; still its own shape
+	}); n != 2 {
+		t.Errorf("int and string literal in one position compiled %d times, want 2", n)
+	}
+	// NULL, TRUE and FALSE are not lifted: they stay in the shape.
+	if n := compiles(func() {
+		query(db, `SELECT S.SCITY FROM SUPPLIER S WHERE S.SNAME = NULL`, nil, true)
+		query(db, `SELECT S.SCITY FROM SUPPLIER S WHERE S.SNAME = 'NULL'`, nil, true)
+		query(db, `SELECT S.SCITY FROM SUPPLIER S WHERE TRUE`, nil, true)
+		query(db, `SELECT S.SCITY FROM SUPPLIER S WHERE FALSE`, nil, true)
+	}); n != 4 {
+		t.Errorf("NULL / 'NULL' / TRUE / FALSE compiled %d times, want 4", n)
+	}
+	if rows := query(db, `SELECT S.SCITY FROM SUPPLIER S WHERE S.SNAME = NULL`, nil, true); len(rows.Data) != 0 {
+		t.Errorf("= NULL matched %d rows", len(rows.Data))
+	}
+
+	// A user's binding cannot reach a lifted literal: the lexer has no
+	// '$', and a stray "$1" key in the map loses to the literal.
+	rows := query(db, `SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 7 AND S.BUDGET >= :B`,
+		map[string]any{"$1": 8, "B": 0}, true)
+	if len(rows.Data) != 1 || rows.Data[0][0] != int64(7) {
+		t.Errorf("literal 7 with a user \"$1\" binding returned %v", rows.Data)
+	}
+	if _, err := db.Query(`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :$1`); err == nil ||
+		!strings.Contains(err.Error(), "lex error") {
+		t.Errorf(":$1 in SQL text: err = %v, want a lex error", err)
+	}
+
+	// optimize on/off and views with different analyzer options never
+	// share an entry; views with the same options always do.
+	const distinct = `SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = 3`
+	if n := compiles(func() {
+		if r := query(db, distinct, nil, true); len(r.Rewrites) != 1 {
+			t.Errorf("optimized run: rewrites = %+v", r.Rewrites)
+		}
+		if r := query(db, distinct, nil, false); len(r.Rewrites) != 0 {
+			t.Errorf("baseline run served the optimized statement: %+v", r.Rewrites)
+		}
+		query(db.View(uniqopt.Options{UseKeyFDs: true}), distinct, nil, true)
+		query(db.View(uniqopt.Options{BindIsNull: true}), distinct, nil, true)
+		query(db.View(uniqopt.Options{MaxRows: 1000, Streaming: true}), distinct, nil, true)
+	}); n != 4 {
+		t.Errorf("optimize/baseline/UseKeyFDs/BindIsNull/budget-only views compiled %d times, want 4", n)
+	}
+
+	// CREATE TABLE bypasses the cache, keeps its literals, and moves the
+	// catalog version, which invalidates every statement.
+	if n := compiles(func() {
+		if err := db.Exec(`CREATE TABLE T (A INTEGER, B VARCHAR(30), CHECK (A > 5), PRIMARY KEY (A))`); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CREATE TABLE consulted the statement cache %d times", n)
+	}
+	if err := db.Exec(`INSERT INTO T VALUES (5, 'five')`); err == nil {
+		t.Error("CHECK (A > 5) lost its literal: A = 5 was accepted")
+	}
+	if n := compiles(func() { query(db, distinct, nil, true) }); n != 1 {
+		t.Errorf("statement compiled before the DDL was served after it (%d compiles)", n)
+	}
+	// A CostBased handle compiles per execution and files nothing.
+	if n := compiles(func() {
+		v := db.View(uniqopt.Options{CostBased: true})
+		query(v, distinct, nil, true)
+		query(v, distinct, nil, true)
+	}); n != 0 {
+		t.Errorf("CostBased statements touched the statement cache (%d misses)", n)
+	}
+	// A failed compile is not cached: it fails the same way again.
+	for i := 0; i < 2; i++ {
+		if n := compiles(func() {
+			if _, err := db.Query(`SELECT S.NOPE FROM SUPPLIER S WHERE S.SNO = 1`); err == nil {
+				t.Error("unknown column compiled")
+			}
+		}); n != 1 {
+			t.Errorf("attempt %d at a failing statement: %d compiles, want 1", i, n)
+		}
+	}
+}
+
+// TestStatementCacheInvalidatedByEachDDLKind walks one statement
+// through every kind of schema change: each bumps the catalog version,
+// so the next execution compiles again instead of being served a
+// statement whose verdicts and plan predate the change.
+func TestStatementCacheInvalidatedByEachDDLKind(t *testing.T) {
+	db := shapeDB(t, uniqopt.Options{})
+	const sql = `SELECT DISTINCT S.SNAME, S.SCITY FROM SUPPLIER S WHERE S.SNO < 9`
+	supplier := db.Store().MustTable("SUPPLIER")
+	kinds := []struct {
+		name string
+		ddl  func() error
+	}{
+		{"CreateTable", func() error { return db.Exec(`CREATE TABLE EXTRA (ID INTEGER, PRIMARY KEY (ID))`) }},
+		{"CreateIndex", func() error { return db.CreateIndex("SUPPLIER", "S_CITY", "SCITY") }},
+		{"AddKey", func() error { return supplier.Schema.AddKey(false, "SNAME", "SCITY") }},
+		{"DropKey", func() error { return supplier.Schema.DropKey(len(supplier.Schema.Keys) - 1) }},
+		{"AddCheck", func() error {
+			return supplier.Schema.AddCheck(&ast.Compare{Op: ast.GeOp,
+				L: &ast.ColumnRef{Column: "SNO"}, R: &ast.IntLit{V: 0}})
+		}},
+		{"AddForeignKey", func() error {
+			return db.Store().Catalog().AddForeignKey(db.Store().MustTable("EXTRA").Schema,
+				[]string{"ID"}, "SUPPLIER", []string{"SNO"})
+		}},
+	}
+	run := func() (rewrites int, hit bool) {
+		t.Helper()
+		h0, _ := db.PlanCacheCounters()
+		rows, err := db.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, _ := db.PlanCacheCounters()
+		return len(rows.Rewrites), h1 > h0
+	}
+	run()
+	for _, k := range kinds {
+		if _, hit := run(); !hit {
+			t.Fatalf("before %s: a repeated statement missed", k.name)
+		}
+		if err := k.ddl(); err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		rewrites, hit := run()
+		if hit {
+			t.Errorf("%s: the statement compiled under the old schema was served", k.name)
+		}
+		// (SNAME, SCITY) is a key only between AddKey and DropKey.
+		if want := map[string]int{"AddKey": 1}[k.name]; rewrites != want {
+			t.Errorf("after %s: %d rewrites, want %d", k.name, rewrites, want)
+		}
+	}
+}
+
+// TestInsertThroughStatementCache: single-row INSERTs of one shape
+// share one parsed statement, and the literals — NULL, TRUE/FALSE and
+// host variables beside them — land in the right columns.
+func TestInsertThroughStatementCache(t *testing.T) {
+	db := uniqopt.Open()
+	if err := db.Exec(`CREATE TABLE T (A INTEGER, B VARCHAR(30), C BOOLEAN, D INTEGER, PRIMARY KEY (A))`); err != nil {
+		t.Fatal(err)
+	}
+	_, m0 := db.PlanCacheCounters()
+	for i := 0; i < 20; i++ {
+		n, err := db.ExecWith(fmt.Sprintf(`insert into t values (%d, 'row ''%d''', TRUE, :D)`, i, i),
+			map[string]any{"D": i * 10})
+		if err != nil || n != 1 {
+			t.Fatalf("insert %d: n=%d err=%v", i, n, err)
+		}
+	}
+	if err := db.Exec(`INSERT INTO T VALUES (100, NULL, FALSE, 7), (101, 'two', NULL, 8)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, m1 := db.PlanCacheCounters(); m1-m0 != 2 {
+		t.Errorf("21 INSERTs of 2 shapes parsed %d times", m1-m0)
+	}
+	rows, err := db.Query(`SELECT A, B, C, D FROM T WHERE A = 7 OR A >= 100`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]any{{int64(7), "row '7'", true, int64(70)}, {int64(100), nil, false, int64(7)}, {int64(101), "two", nil, int64(8)}}
+	if !reflect.DeepEqual(rows.Data, want) {
+		t.Errorf("rows = %v, want %v", rows.Data, want)
+	}
+	// Errors keep their text, and a statement is refused by kind whether
+	// or not its shape is already cached.
+	if err := db.Exec(`INSERT INTO T VALUES (7, 'dup', TRUE, 0)`); err == nil || !strings.Contains(err.Error(), "7") {
+		t.Errorf("duplicate key: err = %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := db.Query(`INSERT INTO T VALUES (200, 'q', TRUE, 0)`); err == nil ||
+			err.Error() != "parser: statement is *ast.Insert, not a query" {
+			t.Errorf("Query(INSERT): err = %v", err)
+		}
+		if err := db.Exec(`SELECT A FROM T WHERE A = 1`); err == nil ||
+			err.Error() != "uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries" {
+			t.Errorf("Exec(SELECT): err = %v", err)
+		}
+		db.Query(`SELECT A FROM T WHERE A = 1`)
+		db.Exec(`INSERT INTO T VALUES (200, 'q', TRUE, 0)`)
+	}
+}

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -37,24 +38,29 @@ import (
 	"uniqopt/internal/metrics"
 	"uniqopt/internal/plan"
 	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/sql/lexer"
 	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/sql/token"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/storage/wal"
 	"uniqopt/internal/value"
+	"uniqopt/internal/vcache"
 )
 
 // DB is a database with the uniqueness-aware optimizer attached. The
 // default backend is in-memory; OpenPersistent swaps in the
 // write-ahead-logged disk backend without changing any other API.
-// Analysis verdicts and physical plans are memoized in per-DB caches
-// keyed on query shape and schema version, so repeated statements skip
-// Algorithm 1 and planning entirely; DDL invalidates both caches
+// Every statement is compiled once per shape — its text with the
+// literals lifted out — into a per-DB cache keyed on shape and schema
+// version, so a repeated statement, whatever its literals, skips
+// parsing, Algorithm 1, the rewrites and planning entirely; DDL
+// invalidates the cache (and the analyzer's verdict cache behind it)
 // automatically.
 type DB struct {
 	store storage.Store
 	opts  Options
 	cache *core.VerdictCache
-	plans *plan.PlanCache
+	stmts *vcache.Cache[*statement]
 	// stats accumulates engine work counters across every query this
 	// DB has executed (merged atomically; see EngineCounters). It is a
 	// pointer so View handles share one accumulator with their parent.
@@ -156,7 +162,7 @@ func newDB(st storage.Store, opts Options) *DB {
 		store:   st,
 		opts:    opts,
 		cache:   core.NewVerdictCache(0),
-		plans:   plan.NewPlanCache(0),
+		stmts:   vcache.New[*statement](0),
 		stats:   &engine.Stats{},
 		metrics: metrics.New(),
 	}
@@ -183,8 +189,8 @@ func (d *DB) Checkpoint() error { return d.store.Checkpoint() }
 func (d *DB) Close() error { return d.store.Close() }
 
 // View returns a handle onto the same database with different
-// Options: it shares this DB's storage, verdict cache, metrics
-// registry, and cumulative counters, but queries issued through the
+// Options: it shares this DB's storage, statement and verdict caches,
+// metrics registry, and cumulative counters, but queries issued through the
 // view run under the view's options. This is the per-session budget
 // mechanism of the network server — each session gets a view whose
 // MaxRows/MemBudget cap its queries without constraining anyone
@@ -195,7 +201,7 @@ func (d *DB) View(opts Options) *DB {
 		store:   d.store,
 		opts:    opts,
 		cache:   d.cache,
-		plans:   d.plans,
+		stmts:   d.stmts,
 		stats:   d.stats,
 		metrics: d.metrics,
 	}
@@ -216,32 +222,20 @@ func (d *DB) Exec(sql string) error {
 // statement's remaining tuples too). On the persistent backend DDL is
 // immediately durable; inserted rows become durable at the next Sync.
 func (d *DB) ExecWith(sql string, hosts map[string]any) (int64, error) {
-	st, err := parser.ParseStatement(sql)
+	c, err := d.compile(sql, hosts, false, true)
 	if err != nil {
 		return 0, err
 	}
-	switch st := st.(type) {
-	case *ast.CreateTable:
-		_, err := d.store.ApplyDDL(sql, st)
+	if c.ddl != nil {
+		_, err := d.store.ApplyDDL(sql, c.ddl)
 		return 0, err
-	case *ast.Insert:
-		return d.execInsert(st, hosts)
-	default:
-		return 0, fmt.Errorf("uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries")
 	}
+	return d.execInsert(c.insert, c.hosts)
 }
 
 // execInsert evaluates each VALUES tuple and routes it through the
 // backend's constraint-enforcing insert path.
-func (d *DB) execInsert(ins *ast.Insert, hosts map[string]any) (int64, error) {
-	hv := map[string]value.Value{}
-	for k, v := range hosts {
-		cv, err := Convert(v)
-		if err != nil {
-			return 0, fmt.Errorf("uniqopt: host :%s: %w", k, err)
-		}
-		hv[k] = cv
-	}
+func (d *DB) execInsert(ins *ast.Insert, hv map[string]value.Value) (int64, error) {
 	var n int64
 	for _, tuple := range ins.Rows {
 		row := make(value.Row, len(tuple))
@@ -377,35 +371,21 @@ func (d *DB) QueryWith(sql string, hosts map[string]any, optimize bool) (*Rows, 
 // QueryWithContext is QueryWith under a context; see QueryContext for
 // the lifecycle guarantees.
 func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]any, optimize bool) (*Rows, error) {
-	q, err := parser.ParseQuery(sql)
+	t0 := time.Now()
+	c, err := d.compile(sql, hosts, optimize, false)
 	if err != nil {
 		return nil, err
 	}
-	hv := map[string]value.Value{}
-	for k, v := range hosts {
-		cv, err := Convert(v)
-		if err != nil {
-			return nil, fmt.Errorf("uniqopt: host :%s: %w", k, err)
-		}
-		hv[k] = cv
+	res, err := d.planner(optimize, false).Execute(ctx, c.query, c.hosts)
+	if err == nil {
+		res.Stats.Add(c.stats)
 	}
-	p := d.planner(optimize, false)
-	t0 := time.Now()
-	res, err := p.RunContext(ctx, q, hv)
-	d.observeQuery(sql, time.Since(t0), res, err)
+	d.observeQuery(c.shape, time.Since(t0), res, err)
 	if err != nil {
 		return nil, err
 	}
 	d.stats.Add(res.Stats)
-	out := &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Plan: res.Plan}
-	for _, ap := range res.Rewrites {
-		out.Rewrites = append(out.Rewrites, RewriteInfo{
-			Rule:        string(ap.Rule),
-			Description: ap.Description,
-			Before:      ap.Before,
-			After:       ap.After,
-		})
-	}
+	out := &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Plan: res.Plan, Rewrites: rewriteInfos(res.Rewrites)}
 	out.Data = make([][]any, len(res.Rel.Rows))
 	for i, row := range res.Rel.Rows {
 		out.Data[i] = make([]any, len(row))
@@ -416,10 +396,157 @@ func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]
 	return out, nil
 }
 
+// statement is one compiled statement shape — what the statement cache
+// holds. It is immutable: everything that varies between executions of
+// a shape (host bindings, the literal vector) lives in the call.
+type statement struct {
+	// Exactly one of these is set: a query carries its rewrites and
+	// physical plan, an INSERT its parsed tuple list.
+	query  *plan.Compiled
+	insert *ast.Insert
+}
+
+// call is one execution's view of a statement: the shared compiled
+// entry plus this call's bindings.
+type call struct {
+	*statement
+	// shape is the lifted statement text (lexer.Shape): the cache key's
+	// source, and what the metrics registry keys its histograms on.
+	shape string
+	// ddl is a CREATE TABLE, which bypasses lifting and the cache (the
+	// embedded statement is then empty).
+	ddl *ast.CreateTable
+	// hosts binds the caller's host variables and, under the reserved
+	// names $1, $2, …, the statement's own literals.
+	hosts map[string]value.Value
+	// stats carries what compiling cost this call: one statement-cache
+	// hit or miss and, on a miss, the analyzer-cache lookups made.
+	stats engine.Stats
+}
+
+// compile is the single entry point from SQL text to something
+// executable. One lexer pass splits the text into its shape and its
+// literal vector; the shape, the catalog version and the option bits
+// key the statement cache. A hit goes straight to execution: no parse,
+// no normal forms, no Algorithm 1, no rewriting, no join ordering. A
+// miss parses the lifted token stream, compiles it under this handle's
+// options and files the result — unless compiling failed, or
+// Options.CostBased is on (its choice reads table sizes, so those
+// statements compile per execution). write selects the kind of
+// statement the caller executes: Exec takes CREATE TABLE and INSERT,
+// the query entry points take queries.
+func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*call, error) {
+	shape, lits, err := lexer.Shape(sql)
+	if err != nil {
+		return nil, err
+	}
+	if shape == "" {
+		st, err := parser.ParseStatement(sql)
+		if err != nil {
+			return nil, err
+		}
+		if !write {
+			return nil, fmt.Errorf("parser: statement is %T, not a query", st)
+		}
+		return &call{ddl: st.(*ast.CreateTable)}, nil
+	}
+	c := &call{shape: shape}
+	if n := len(hosts) + len(lits); n > 0 {
+		c.hosts = make(map[string]value.Value, n)
+	}
+	for k, v := range hosts {
+		cv, err := Convert(v)
+		if err != nil {
+			return nil, fmt.Errorf("uniqopt: host :%s: %w", k, err)
+		}
+		c.hosts[k] = cv
+	}
+	for i, t := range lits {
+		v := value.String_(t.Text)
+		if t.Kind == token.Number {
+			n, err := strconv.ParseInt(t.Text, 10, 64)
+			if err != nil {
+				// Out of range: report it (or whatever syntax error
+				// precedes it) exactly as the unlifted parser does.
+				_, err = parser.ParseStatement(sql)
+				return nil, err
+			}
+			v = value.Int(n)
+		}
+		c.hosts[lexer.LiftedName(i+1)] = v
+	}
+
+	opts := d.planOptions(optimize, false)
+	// The version is read once, before compiling, and keys both the
+	// probe and the store: a DDL committing mid-compile can never file
+	// a statement derived under the older catalog beneath the newer
+	// version.
+	key := vcache.Key{Src: shape, CatVer: d.store.Catalog().Version(), Opts: opts.CompileBits()}
+	useCache := !d.opts.CostBased
+	if useCache {
+		if st, ok := d.stmts.Get(key); ok {
+			c.statement = st
+			c.stats.AddPlanCache(1, 0)
+		} else {
+			c.stats.AddPlanCache(0, 1)
+		}
+	}
+	if c.statement == nil {
+		parsed, err := parser.ParseLifted(sql)
+		if err != nil {
+			return nil, err
+		}
+		c.statement = &statement{}
+		switch x := parsed.(type) {
+		case *ast.Insert:
+			c.insert = x
+		case ast.Query:
+			if !write {
+				c.query, err = plan.NewPlanner(d.store.Heap(), opts).Compile(x, &c.stats)
+				if err != nil {
+					return nil, err
+				}
+			}
+		}
+		// A statement of the wrong kind is refused below, not filed.
+		if useCache && (c.insert != nil) == write {
+			d.stmts.Put(key, c.statement)
+		}
+	}
+	switch {
+	case write && c.insert == nil:
+		return nil, fmt.Errorf("uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries")
+	case !write && c.insert != nil:
+		return nil, fmt.Errorf("parser: statement is %T, not a query", c.insert)
+	}
+	return c, nil
+}
+
+// rewriteInfos converts the optimizer's applied rewrites for the API.
+func rewriteInfos(aps []core.Applied) []RewriteInfo {
+	if len(aps) == 0 {
+		return nil
+	}
+	out := make([]RewriteInfo, len(aps))
+	for i, ap := range aps {
+		out[i] = RewriteInfo{
+			Rule:        string(ap.Rule),
+			Description: ap.Description,
+			Before:      ap.Before,
+			After:       ap.After,
+		}
+	}
+	return out
+}
+
 // planner builds a planner over this DB's store with its configured
 // options; explainOnly plans without reading base-table data.
 func (d *DB) planner(optimize, explainOnly bool) *plan.Planner {
-	return plan.NewPlanner(d.store.Heap(), plan.Options{
+	return plan.NewPlanner(d.store.Heap(), d.planOptions(optimize, explainOnly))
+}
+
+func (d *DB) planOptions(optimize, explainOnly bool) plan.Options {
+	return plan.Options{
 		ApplyRewrites: optimize,
 		CostBased:     d.opts.CostBased,
 		HashDistinct:  d.opts.HashDistinct,
@@ -429,12 +556,11 @@ func (d *DB) planner(optimize, explainOnly bool) *plan.Planner {
 			UseCheckConstraints: d.opts.UseCheckConstraints,
 		},
 		Cache:       d.cache,
-		Plans:       d.plans,
 		MaxRows:     d.opts.MaxRows,
 		MemBudget:   d.opts.MemBudget,
 		ExplainOnly: explainOnly,
 		Streaming:   d.opts.Streaming,
-	})
+	}
 }
 
 // observeQuery records one execution into the metrics registry: shape
@@ -512,19 +638,11 @@ func (d *DB) ExplainAnalyze(sql string) (*Explanation, error) {
 // metrics registry, so profiling a workload is not skewed by
 // inspecting it.
 func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, optimize, analyze bool) (*Explanation, error) {
-	q, err := parser.ParseQuery(sql)
+	c, err := d.compile(sql, hosts, optimize, false)
 	if err != nil {
 		return nil, err
 	}
-	hv := map[string]value.Value{}
-	for k, v := range hosts {
-		cv, err := Convert(v)
-		if err != nil {
-			return nil, fmt.Errorf("uniqopt: host :%s: %w", k, err)
-		}
-		hv[k] = cv
-	}
-	res, err := d.planner(optimize, !analyze).RunContext(ctx, q, hv)
+	res, err := d.planner(optimize, !analyze).Execute(ctx, c.query, c.hosts)
 	if err != nil {
 		return nil, err
 	}
@@ -532,21 +650,14 @@ func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, 
 		Root:     res.Root,
 		Analyzed: analyze,
 		Plan:     res.Plan,
+		Rewrites: rewriteInfos(res.Rewrites),
 	}
 	if analyze {
 		out.Stats = res.Stats.Snapshot()
 	}
-	for _, ap := range res.Rewrites {
-		out.Rewrites = append(out.Rewrites, RewriteInfo{
-			Rule:        string(ap.Rule),
-			Description: ap.Description,
-			Before:      ap.Before,
-			After:       ap.After,
-		})
-	}
 	// The provenance trace explains the verdict on the query as
 	// written — the decision that licensed (or blocked) the rewrites.
-	if v, aerr := d.analyzer().AnalyzeQuery(q); aerr == nil && v != nil {
+	if v, aerr := d.analyzer().AnalyzeQuery(c.query.Query); aerr == nil && v != nil {
 		out.Trace = v.Trace.Lines()
 		out.KeysUsed = v.KeysUsedLines()
 	}
@@ -661,16 +772,7 @@ func (d *DB) Suggest(sql string) ([]RewriteInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]RewriteInfo, len(aps))
-	for i, ap := range aps {
-		out[i] = RewriteInfo{
-			Rule:        string(ap.Rule),
-			Description: ap.Description,
-			Before:      ap.Before,
-			After:       ap.After,
-		}
-	}
-	return out, nil
+	return rewriteInfos(aps), nil
 }
 
 func (d *DB) analyzer() *core.Analyzer {
@@ -682,12 +784,15 @@ func (d *DB) analyzer() *core.Analyzer {
 }
 
 // CacheCounters reports the cumulative analyzer-cache hits and misses
-// for this DB.
+// for this DB. Only compiling consults the analyzer cache — a
+// statement-cache hit never does — so these describe the compile
+// misses, not the statement traffic.
 func (d *DB) CacheCounters() (hits, misses int64) { return d.cache.Counters() }
 
-// PlanCacheCounters reports the cumulative plan-cache hits and misses
-// for this DB.
-func (d *DB) PlanCacheCounters() (hits, misses int64) { return d.plans.Counters() }
+// PlanCacheCounters reports the cumulative hits and misses of the
+// compiled-statement cache, which is where physical plans live: a hit
+// is a statement that went from text to execution without compiling.
+func (d *DB) PlanCacheCounters() (hits, misses int64) { return d.stmts.Counters() }
 
 // EngineCounters reports the cumulative engine work counters across
 // every query executed on this DB (a consistent atomic snapshot).
