@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test test-fault race bench-smoke explain-smoke stream-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check bench-compare bench-tables ci clean
+.PHONY: all vet lint build test test-fault race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check bench-compare bench-tables ci clean
 
 all: ci
 
@@ -17,6 +17,10 @@ lint:
 build:
 	$(GO) build ./...
 
+# Tier-1. Includes the executor's identity sweep (TestStreaming*,
+# TestInPlaceScanFilterIdentity, TestExplainGolden: workers {1,4} x
+# threshold {1,2^30} x batch {1,3,default} against the row goldens, the
+# EXPLAIN goldens and the reference executor).
 test:
 	$(GO) test ./...
 
@@ -29,24 +33,12 @@ test-fault:
 race:
 	$(GO) test -race ./...
 
-# Quick benchrunner pass over the parallel/cache experiment; emits the
-# machine-readable artifact BENCH_parallel.json alongside the table.
-bench-smoke:
-	$(GO) run ./cmd/benchrunner -exp ep -scale 0.1 -json BENCH_parallel.json
-
 # Observability smoke: golden EXPLAIN tests plus the explain
 # experiment, emitting the machine-readable artifact
 # BENCH_explain.json alongside the table.
 explain-smoke:
 	$(GO) test -run 'TestExplain' .
 	$(GO) run ./cmd/benchrunner -exp explain -scale 0.3 -json BENCH_explain.json
-
-# Streaming smoke: every golden paper example under streaming vs
-# materializing execution at batch sizes 1, 3, and the default
-# (serial and parallel pools), plus the streaming budget and DISTINCT
-# short-circuit regressions.
-stream-smoke:
-	$(GO) test -run 'TestStreaming' .
 
 # Server smoke: the wire-protocol suite under the race detector —
 # sessions, prepared statements, admission control, DDL vs query
@@ -113,7 +105,7 @@ bench-compare:
 bench-tables:
 	$(GO) run ./cmd/benchrunner -exp all -scale 0.25 > bench_output_tables.txt
 
-ci: vet lint build test test-fault race stream-smoke bench-smoke explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check
+ci: vet lint build test test-fault race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check
 
 clean:
-	rm -f BENCH_parallel.json BENCH_explain.json BENCH_server.json BENCH_storage.json BENCH_planner.json
+	rm -f BENCH_explain.json BENCH_server.json BENCH_storage.json BENCH_planner.json

@@ -223,22 +223,18 @@ func BenchmarkDistinct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("sort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var s engine.Stats
-			if _, err := engine.DistinctSort(ctx, &s, proj); err != nil {
-				b.Fatal(err)
+	for name, distinct := range map[string]func(*engine.Stats, engine.Iterator) engine.Iterator{
+		"sort": engine.NewDistinctSortIter, "hash": engine.NewDistinctHashIter,
+	} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var s engine.Stats
+				if _, err := engine.Drain(ctx, &s, distinct(&s, engine.NewRelationIter(&s, proj))); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("hash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var s engine.Stats
-			if _, err := engine.DistinctHash(ctx, &s, proj); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // E9 — Table: join elimination via inclusion dependencies.

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchrunner [-exp e1|e2|...|e9|ep|planner|explain|server|storage|all] [-scale 1.0]
+//	benchrunner [-exp e1|e2|...|e9|planner|explain|server|storage|all] [-scale 1.0]
 //	            [-hash] [-trials N] [-sessions 1,8,64] [-json FILE]
 //
 // -scale shrinks or grows the workload sizes; -hash runs E1's
@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: e1..e9, ep, planner, explain, server, storage, or all")
+	exp := flag.String("exp", "all", "experiment to run: e1..e9, planner, explain, server, storage, or all")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	hash := flag.Bool("hash", false, "E1 ablation: hash-based DISTINCT instead of sort")
 	trials := flag.Int("trials", 0, "E8 corpus size (0 = default)")
@@ -67,8 +67,6 @@ func main() {
 		tables = []*bench.Table{bench.E8(sc, *trials)}
 	case "e9":
 		tables = []*bench.Table{bench.E9(sc)}
-	case "ep":
-		tables = []*bench.Table{bench.EP(sc)}
 	case "planner":
 		tables = []*bench.Table{bench.EPlanner(sc)}
 	case "explain":

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	uniqoptd [-addr :7483] [-data DIR] [-load demo] [-streaming]
+//	uniqoptd [-addr :7483] [-data DIR] [-load demo]
 //	         [-max-sessions N] [-max-concurrent N]
 //	         [-session-max-rows N] [-session-mem BYTES] [-global-mem BYTES]
 //	         [-query-timeout D] [-drain-timeout D] [-expvar ADDR]
@@ -75,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- daemonHandle) int
 		addr         = fs.String("addr", ":7483", "TCP listen address")
 		data         = fs.String("data", "", "data directory for crash-safe persistence (empty = in-memory)")
 		load         = fs.String("load", "", "preload dataset: 'demo' for the paper workload")
-		streaming    = fs.Bool("streaming", false, "execute queries as batched iterator pipelines")
 		maxSessions  = fs.Int("max-sessions", 256, "max concurrent sessions (0 = unlimited)")
 		maxConc      = fs.Int("max-concurrent", 64, "max concurrently executing queries (0 = unlimited)")
 		maxRows      = fs.Int64("session-max-rows", 5_000_000, "per-query row budget ceiling per session (0 = unlimited)")
@@ -94,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- daemonHandle) int
 		return 2
 	}
 
-	dbOpts := uniqopt.Options{Streaming: *streaming}
+	dbOpts := uniqopt.Options{}
 	var db *uniqopt.DB
 	if *data != "" {
 		// Persistent mode: open without replaying so the listener binds
@@ -173,16 +172,27 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- daemonHandle) int
 				msg += " (" + ws.Stats().String() + ")"
 			}
 			fmt.Fprintln(stdout, msg)
-			if *load == "demo" && len(db.Store().Catalog().TableNames()) == 0 {
-				if err := loadDemo(db); err != nil {
+			if *load == "demo" {
+				// Recover has let sessions in: the load's DDL and inserts
+				// must exclude their queries like any session's would.
+				loaded := false
+				err := srv.Exclusive(func() error {
+					if len(db.Store().Catalog().TableNames()) != 0 {
+						return nil
+					}
+					loaded = true
+					if err := loadDemo(db); err != nil {
+						return err
+					}
+					return db.Sync()
+				})
+				if err != nil {
 					recoverErr <- fmt.Errorf("load demo: %w", err)
 					return
 				}
-				if err := db.Sync(); err != nil {
-					recoverErr <- fmt.Errorf("load demo: %w", err)
-					return
+				if loaded {
+					fmt.Fprintln(stdout, "uniqoptd: demo supplier database loaded")
 				}
-				fmt.Fprintln(stdout, "uniqoptd: demo supplier database loaded")
 			}
 			fmt.Fprintln(stdout, "uniqoptd: ready")
 		}()

@@ -3,8 +3,10 @@ package uniqopt_test
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -12,6 +14,8 @@ import (
 	"uniqopt"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
+	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
 )
 
@@ -32,8 +36,7 @@ func goldenDB(t *testing.T) *uniqopt.DB {
 	return goldenDBWith(t, uniqopt.Options{})
 }
 
-// goldenDBWith is goldenDB under explicit optimizer options (used for
-// the streaming execution legs).
+// goldenDBWith is goldenDB under explicit optimizer options.
 func goldenDBWith(t *testing.T, opts uniqopt.Options) *uniqopt.DB {
 	t.Helper()
 	fresh, err := workload.NewDB(workload.DefaultConfig())
@@ -66,18 +69,38 @@ func paperQueryNames() []string {
 	return names
 }
 
+// execPoint is one configuration of the executor: the worker pool, the
+// parallel threshold and the batch size (0 = the default).
+type execPoint struct{ workers, threshold, batch int }
+
+func (p execPoint) String() string {
+	return fmt.Sprintf("workers=%d/threshold=%d/batch=%d", p.workers, p.threshold, p.batch)
+}
+
+// execSweep is every configuration the identity tests run under:
+// workers {1, 4} × threshold {1, 1<<30} × batch {1, 3, default}.
+func execSweep() []execPoint {
+	var out []execPoint
+	for _, w := range []int{1, 4} {
+		for _, th := range []int{1, 1 << 30} {
+			for _, bs := range []int{1, 3, 0} {
+				out = append(out, execPoint{w, th, bs})
+			}
+		}
+	}
+	return out
+}
+
+// under scopes the executor's configuration to one test.
+func (p execPoint) under(t *testing.T) {
+	t.Helper()
+	setStreamPool(t, p.workers, p.threshold)
+	setStreamBatch(t, p.batch)
+}
+
 // explainUnder runs EXPLAIN ANALYZE for one paper query on a fresh DB
 // under the given pool configuration and returns the explanation.
 func explainUnder(t *testing.T, name string, workers, threshold int) *uniqopt.Explanation {
-	return explainOpts(t, name, workers, threshold, uniqopt.Options{})
-}
-
-// explainStreamUnder is explainUnder with streaming execution.
-func explainStreamUnder(t *testing.T, name string, workers, threshold int) *uniqopt.Explanation {
-	return explainOpts(t, name, workers, threshold, uniqopt.Options{Streaming: true})
-}
-
-func explainOpts(t *testing.T, name string, workers, threshold int, opts uniqopt.Options) *uniqopt.Explanation {
 	t.Helper()
 	prevW := engine.SetWorkers(workers)
 	prevT := engine.SetParallelThreshold(threshold)
@@ -85,8 +108,7 @@ func explainOpts(t *testing.T, name string, workers, threshold int, opts uniqopt
 		engine.SetWorkers(prevW)
 		engine.SetParallelThreshold(prevT)
 	}()
-	db := goldenDBWith(t, opts)
-	e, err := db.ExplainWith(context.Background(), workload.PaperQueries[name], goldenHosts, true, true)
+	e, err := goldenDB(t).ExplainWith(context.Background(), workload.PaperQueries[name], goldenHosts, true, true)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -94,27 +116,16 @@ func explainOpts(t *testing.T, name string, workers, threshold int, opts uniqopt
 }
 
 // TestExplainGolden compares the scrubbed EXPLAIN ANALYZE rendering of
-// every paper example against its golden file, and requires the
-// serial, parallel, and streaming (serial and parallel) renderings to
-// be byte-identical after scrubbing (wall times canonicalized,
-// parallel-width markers and batch counts dropped).
+// every paper example against its golden file, at every point of the
+// workers × threshold × batch-size sweep: whatever the pool and the
+// batch size, the renderings are byte-identical after scrubbing (wall
+// times canonicalized, parallel-width markers and batch counts
+// dropped).
 func TestExplainGolden(t *testing.T) {
 	for _, name := range paperQueryNames() {
 		t.Run(name, func(t *testing.T) {
-			serial := plan.ScrubVolatile(explainUnder(t, name, 1, 1<<30).String())
-			parallel := plan.ScrubVolatile(explainUnder(t, name, 4, 1).String())
-			if serial != parallel {
-				t.Errorf("serial and parallel EXPLAIN ANALYZE diverge after scrubbing:\n--- serial\n%s\n--- parallel\n%s", serial, parallel)
-			}
-			streamSerial := plan.ScrubVolatile(explainStreamUnder(t, name, 1, 1<<30).String())
-			if serial != streamSerial {
-				t.Errorf("materializing and streaming EXPLAIN ANALYZE diverge after scrubbing:\n--- materializing\n%s\n--- streaming\n%s", serial, streamSerial)
-			}
-			streamParallel := plan.ScrubVolatile(explainStreamUnder(t, name, 4, 1).String())
-			if serial != streamParallel {
-				t.Errorf("materializing and streaming-parallel EXPLAIN ANALYZE diverge after scrubbing:\n--- materializing\n%s\n--- streaming-parallel\n%s", serial, streamParallel)
-			}
 			path := filepath.Join("testdata", "explain", name+".golden")
+			serial := plan.ScrubVolatile(explainUnder(t, name, 1, 1<<30).String())
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -128,8 +139,14 @@ func TestExplainGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run `go test -run TestExplainGolden -update ./`): %v", err)
 			}
-			if string(want) != serial {
-				t.Errorf("golden mismatch for %s:\n--- want\n%s\n--- got\n%s", name, want, serial)
+			for _, pt := range execSweep() {
+				t.Run(pt.String(), func(t *testing.T) {
+					setStreamBatch(t, pt.batch)
+					got := plan.ScrubVolatile(explainUnder(t, name, pt.workers, pt.threshold).String())
+					if string(want) != got {
+						t.Errorf("golden mismatch for %s:\n--- want\n%s\n--- got\n%s", name, want, got)
+					}
+				})
 			}
 		})
 	}
@@ -173,17 +190,18 @@ func TestExplainAnalyzeCountsMatchStats(t *testing.T) {
 	}
 }
 
-// TestExplainAnalyzeStreamBatches cross-checks the streaming tree's
-// per-operator batch counters against the engine's Stats.Batches for
-// the same execution: every node that emitted rows must have emitted
-// at least one batch, the per-node counts must not exceed the engine
-// total (internal iterators — buffered replays — may add to the
-// engine total but never to a node), and the root must agree with
-// Stats.RowsOutput. Materializing runs must report no batches at all.
+// TestExplainAnalyzeStreamBatches cross-checks the tree's per-operator
+// batch counters against the engine's Stats.Batches for the same
+// execution: every node that emitted rows must have emitted at least
+// one batch, the per-node counts must not exceed the engine total
+// (internal iterators — buffered replays, the final drain — may add to
+// the engine total but never to a node), and the root must agree with
+// Stats.RowsOutput. A plain query of the same statement reports its
+// batches too.
 func TestExplainAnalyzeStreamBatches(t *testing.T) {
 	for _, name := range paperQueryNames() {
 		t.Run(name, func(t *testing.T) {
-			e := explainStreamUnder(t, name, 1, 1<<30)
+			e := explainUnder(t, name, 1, 1<<30)
 			if e.Root == nil {
 				t.Fatal("no plan tree")
 			}
@@ -191,7 +209,7 @@ func TestExplainAnalyzeStreamBatches(t *testing.T) {
 				t.Errorf("root rows_out=%d but Stats.RowsOutput=%d", e.Root.RowsOut, e.Stats.RowsOutput)
 			}
 			if e.Stats.Batches == 0 {
-				t.Error("streaming execution recorded no batches in Stats")
+				t.Error("execution recorded no batches in Stats")
 			}
 			var total int64
 			for _, n := range e.Root.AllNodes() {
@@ -206,29 +224,33 @@ func TestExplainAnalyzeStreamBatches(t *testing.T) {
 			if total > e.Stats.Batches {
 				t.Errorf("plan nodes account for %d batches but Stats.Batches=%d", total, e.Stats.Batches)
 			}
-			// Materializing execution of the same query must stay
-			// batch-free: the counters belong to streaming alone.
-			m := explainUnder(t, name, 1, 1<<30)
-			if m.Stats.Batches != 0 {
-				t.Errorf("materializing execution recorded Stats.Batches=%d", m.Stats.Batches)
+			setStreamPool(t, 1, 1<<30)
+			rows, err := goldenDB(t).QueryWith(workload.PaperQueries[name], goldenHosts, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, n := range m.Root.AllNodes() {
-				if n.Batches != 0 {
-					t.Errorf("materializing node %s(%s) recorded %d batches", n.Op, n.Detail, n.Batches)
-				}
+			if rows.Stats.Batches != e.Stats.Batches {
+				t.Errorf("plain query recorded %d batches, the analyzed one %d", rows.Stats.Batches, e.Stats.Batches)
 			}
 		})
 	}
 }
 
-// TestExplainPlanOnlyShape checks that plan-only EXPLAIN produces the
-// same tree shape as a real execution without reading any data, and
-// that its trace still names the per-table provenance.
+// TestExplainPlanOnlyShape checks that plan-only EXPLAIN renders the
+// same tree — operators, details and notes — as a real execution
+// without reading any data, and that its trace still names the
+// per-table provenance.
 func TestExplainPlanOnlyShape(t *testing.T) {
 	shape := func(e *uniqopt.Explanation) string {
 		var sb strings.Builder
 		for _, n := range e.Root.AllNodes() {
 			sb.WriteString(n.Op + "(" + n.Detail + ")\n")
+			for _, note := range n.Notes {
+				sb.WriteString("  -- " + note + "\n")
+			}
+			if !e.Analyzed && (n.Analyzed || n.RowsIn != 0 || n.RowsOut != 0 || n.TimeNanos != 0 || n.Batches != 0) {
+				sb.WriteString("  plan-only node carries execution metrics\n")
+			}
 		}
 		return sb.String()
 	}
@@ -258,5 +280,63 @@ func TestExplainPlanOnlyShape(t *testing.T) {
 				t.Error("plan-only explanation carries no provenance trace")
 			}
 		})
+	}
+}
+
+// TestPlainQueryBuildsNoPlanTree pins what a plain execution does not
+// pay for: it renders no plan tree (Result.Root is nil — no Node, no
+// detail string, no clock read per batch), and on the benchmark's
+// chain3 shape and on Example 1, over the golden DB with the
+// benchmark's three indexes, it allocates no more than the parent
+// commit's executors did (159 and 389 allocations per Execute at
+// 8221891, 153 and 108 under its streaming option) — in fact about a
+// third of the better of the two, which the limits below hold it to.
+func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
+	setStreamPool(t, 1, 1<<30)
+	db := goldenIndexedDB(t)
+	hosts := map[string]value.Value{"N": value.Int(7)}
+	for _, c := range []struct {
+		name, sql string
+		limit     float64
+	}{
+		{"chain3", `SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME FROM AGENTS A, PARTS P, SUPPLIER S
+			WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = :N`, 60},
+		{"example1", workload.PaperQueries["example1"], 60},
+	} {
+		q, err := parser.ParseQuery(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: true})
+		compiled, err := p.Compile(q, &engine.Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Execute(context.Background(), compiled, hosts, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Root != nil {
+			t.Errorf("%s: a plain Execute rendered a plan tree", c.name)
+		}
+		if res.Rel.Len() == 0 || res.Stats.Batches == 0 {
+			t.Errorf("%s: %d rows in %d batches", c.name, res.Rel.Len(), res.Stats.Batches)
+		}
+		analyzed, err := p.Execute(context.Background(), compiled, hosts, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if analyzed.Root == nil || !reflect.DeepEqual(analyzed.Rel, res.Rel) {
+			t.Errorf("%s: the analyzed execution has no tree, or other rows", c.name)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := p.Execute(context.Background(), compiled, hosts, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.limit {
+			t.Errorf("%s: %.0f allocations per plain Execute, want at most %.0f", c.name, allocs, c.limit)
+		}
+		t.Logf("%s: %.0f allocations per plain Execute", c.name, allocs)
 	}
 }

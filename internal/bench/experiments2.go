@@ -300,6 +300,5 @@ func All(sc Scale) []*Table {
 		E7(sc),
 		E8(sc, 0),
 		E9(sc),
-		EP(sc),
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // withDegenerateHash routes every hash-based operator through a
 // constant hash function, forcing all rows into a single bucket (and a
-// single partition on the parallel path). Operators must survive on
+// single partition of a partitioned dedup). Operators must survive on
 // their collision fallback alone: the row-by-row ≐ comparison on hash
 // match. Restores the real hash on cleanup.
 func withDegenerateHash(t *testing.T) {
@@ -39,47 +39,40 @@ func craftedRows() *Relation {
 
 func TestCollisionFallbackDistinct(t *testing.T) {
 	withDegenerateHash(t)
+	forceSerial(t)
 	rel := craftedRows()
 	st := &Stats{}
 	want := okRel(DistinctSort(ctx0, st, rel)) // sort-based: no hashing involved
 
-	got := okRel(DistinctHash(ctx0, st, rel))
+	got := hashDistinct(st, rel)
 	if !MultisetEqual(want, got) {
-		t.Fatalf("DistinctHash under full collisions:\n got %s\n want %s", got, want)
+		t.Fatalf("hash distinct under full collisions:\n got %s\n want %s", got, want)
 	}
-	gotPar := okRel(ParallelDistinctHash(ctx0, st, rel, 3))
-	if !MultisetEqual(want, gotPar) {
-		t.Fatalf("ParallelDistinctHash under full collisions:\n got %s\n want %s", gotPar, want)
+	// First-occurrence order must also survive collisions, and the
+	// partitioned dedup must agree with the serial one.
+	identicalRelations(t, firstOccurrences(rel), got, "distinct order under collisions")
+	forceParallel(t, 3)
+	identicalRelations(t, got, hashDistinct(st, rel), "partitioned distinct under collisions")
+	if st.Snapshot().ParallelRuns == 0 {
+		t.Error("partitioned dedup did not run")
 	}
-	// First-occurrence order must also survive collisions.
-	identicalRelations(t, got, gotPar, "parallel distinct order")
 }
 
 func TestCollisionFallbackJoins(t *testing.T) {
 	withDegenerateHash(t)
+	forceSerial(t)
 	r := rand.New(rand.NewSource(23))
 	l := randomRelation(r, "L", 300)
 	rr := randomRelation(r, "R", 120)
 
-	// Reference: merge join (sort-based, hash-free).
+	// Reference: the selection over the product (hash-free).
 	st := &Stats{}
-	want := okRel(MergeJoin(ctx0, st, l, rr, []string{"L.K"}, []string{"R.K"}))
-
-	forceSerial(t)
-	got := okRel(HashJoin(ctx0, st, l, rr, []string{"L.K"}, []string{"R.K"}))
-	if !MultisetEqual(want, got) {
-		t.Fatal("HashJoin under full collisions differs from MergeJoin")
+	want := joinOracle(st, l, rr, "L.K", "R.K")
+	if len(want.Rows) == 0 {
+		t.Fatal("collision workload produced no join rows; weak test")
 	}
-	gotPar := okRel(ParallelHashJoin(ctx0, st, l, rr, []string{"L.K"}, []string{"R.K"}, 4))
-	identicalRelations(t, got, gotPar, "parallel join under collisions")
-
-	semi := okRel(SemiJoinHash(ctx0, st, l, rr, []string{"L.K"}, []string{"R.K"}))
-	semiPar := okRel(ParallelSemiJoinHash(ctx0, st, l, rr, []string{"L.K"}, []string{"R.K"}, 4))
-	identicalRelations(t, semi, semiPar, "parallel semijoin under collisions")
-	// Every semi-join survivor must have a matching key in the join.
-	if len(semi.Rows) == 0 {
-		t.Fatal("collision workload produced no semi-join rows; weak test")
-	}
+	identicalRelations(t, want, hashJoin(st, l, rr, []string{"L.K"}, []string{"R.K"}),
+		"hash join under full collisions")
 }
 
 func TestCollisionFallbackSetOps(t *testing.T) {

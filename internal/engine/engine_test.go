@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"uniqopt/internal/catalog"
-	"uniqopt/internal/eval"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
@@ -259,22 +258,11 @@ func TestJoinOperatorsAgree(t *testing.T) {
 	var st Stats
 	s := okRel(Scan(ctx0, &st, db.MustTable("SUPPLIER"), "S"))
 	p := okRel(Scan(ctx0, &st, db.MustTable("PARTS"), "P"))
-	pred, _ := parser.ParseExpr("S.SNO = P.SNO")
-	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
-	nl, err := NestedLoopJoin(ctx0, &st, s, p, pred, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hj := okRel(HashJoin(ctx0, &st, s, p, []string{"S.SNO"}, []string{"P.SNO"}))
-	mj := okRel(MergeJoin(ctx0, &st, s, p, []string{"S.SNO"}, []string{"P.SNO"}))
-	if !MultisetEqual(nl, hj) {
-		t.Errorf("hash join differs from nested loop:\n%v\nvs\n%v", nl, hj)
-	}
-	if !MultisetEqual(nl, mj) {
-		t.Errorf("merge join differs from nested loop:\n%v\nvs\n%v", nl, mj)
-	}
-	if nl.Len() != 4 {
-		t.Errorf("join produced %d rows, want 4", nl.Len())
+	want := joinOracle(&st, s, p, "S.SNO", "P.SNO")
+	identicalRelations(t, want, hashJoin(&st, s, p, []string{"S.SNO"}, []string{"P.SNO"}),
+		"hash join vs selection over product")
+	if want.Len() != 4 {
+		t.Errorf("join produced %d rows, want 4", want.Len())
 	}
 }
 
@@ -282,13 +270,8 @@ func TestJoinNullKeysNeverMatch(t *testing.T) {
 	var st Stats
 	l := &Relation{Cols: []string{"L.K"}, Rows: []value.Row{{value.Null}, {value.Int(1)}}}
 	r := &Relation{Cols: []string{"R.K"}, Rows: []value.Row{{value.Null}, {value.Int(1)}}}
-	hj := okRel(HashJoin(ctx0, &st, l, r, []string{"L.K"}, []string{"R.K"}))
-	if hj.Len() != 1 {
+	if hj := hashJoin(&st, l, r, []string{"L.K"}, []string{"R.K"}); hj.Len() != 1 {
 		t.Errorf("hash join with NULLs = %d rows, want 1", hj.Len())
-	}
-	mj := okRel(MergeJoin(ctx0, &st, l, r, []string{"L.K"}, []string{"R.K"}))
-	if mj.Len() != 1 {
-		t.Errorf("merge join with NULLs = %d rows, want 1: %v", mj.Len(), mj)
 	}
 }
 
@@ -304,7 +287,7 @@ func TestDistinctOperatorsAgree(t *testing.T) {
 	}
 	rel.Rows = rows
 	ds := okRel(DistinctSort(ctx0, &st, rel))
-	dh := okRel(DistinctHash(ctx0, &st, rel))
+	dh := hashDistinct(&st, rel)
 	if ds.Len() != 3 || dh.Len() != 3 {
 		t.Errorf("distinct sizes: sort=%d hash=%d, want 3", ds.Len(), dh.Len())
 	}
@@ -313,32 +296,6 @@ func TestDistinctOperatorsAgree(t *testing.T) {
 	}
 	if st.SortRuns != 1 {
 		t.Errorf("SortRuns = %d", st.SortRuns)
-	}
-}
-
-func TestSemiJoinsAgree(t *testing.T) {
-	db := testDB(t)
-	var st Stats
-	s := okRel(Scan(ctx0, &st, db.MustTable("SUPPLIER"), "S"))
-	p := okRel(Scan(ctx0, &st, db.MustTable("PARTS"), "P"))
-	pred, _ := parser.ParseExpr("S.SNO = P.SNO AND P.COLOR = 'RED'")
-	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
-	nl, err := SemiJoinExists(ctx0, &st, s, p, pred, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hash semi-join needs the filter applied to the inner first.
-	redPred, _ := parser.ParseExpr("P.COLOR = 'RED'")
-	redParts, err := Filter(ctx0, &st, p, redPred, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := okRel(SemiJoinHash(ctx0, &st, s, redParts, []string{"S.SNO"}, []string{"P.SNO"}))
-	if !MultisetEqual(nl, hs) {
-		t.Errorf("semi-joins disagree:\n%v\nvs\n%v", nl, hs)
-	}
-	if nl.Len() != 3 {
-		t.Errorf("semi-join rows = %d", nl.Len())
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 )
 
 // BatchFunc is the per-batch transform an exchange worker applies:
-// rows in, rows out, work counters into the worker-local st (merged
-// into the pipeline's Stats on the consuming goroutine).
+// rows in, at most as many rows out, work counters into the
+// worker-local st (merged into the pipeline's Stats on the consuming
+// goroutine).
 type BatchFunc func(b Batch, st *Stats) (Batch, error)
 
 // exchangeIter is the pipelined parallelism operator: it fans its
 // child's batches out to a fixed pool of workers and merges the
 // transformed batches back in input order, so the stream stays
-// deterministic. Unlike the partition-whole-input operators in
-// parallel.go, nothing is ever materialized: at most 2×workers batches
-// are in flight.
+// deterministic. Nothing is ever materialized: at most 2×workers
+// batches are in flight.
 //
 // The child is pulled only from the consuming goroutine (Next); worker
 // goroutines see only the batches handed to them, so the child's
@@ -71,6 +71,17 @@ func NewExchangeIter(st *Stats, child Iterator, cols []string, workers int, fact
 }
 
 func (e *exchangeIter) Cols() []string { return e.cols }
+
+// SizeHint passes through the child's bound: a transform emits at most
+// the rows it is handed (a filter shrinks, a projection is row-for-row).
+func (e *exchangeIter) SizeHint() int { return sizeHint(e.child) }
+
+func (e *exchangeIter) parallelWidth() int {
+	if e.started {
+		return e.workers
+	}
+	return 0
+}
 
 func (e *exchangeIter) start() {
 	e.started = true

@@ -209,27 +209,18 @@ func (ex *Executor) inFunc(ctx context.Context, st *Stats) eval.InFunc {
 	}
 }
 
-// ExistsProbe is the exported form of the executor's EXISTS callback,
-// for planners that fall back to nested-loops subquery evaluation.
-// Unlike Query it accumulates into ex.Stats directly and is therefore
-// single-goroutine, like the planner that owns it.
-func (ex *Executor) ExistsProbe(sub *ast.Select, env *eval.Env) (tvl.Truth, error) {
-	return ex.existsFunc(context.Background(), ex.Stats)(sub, env)
-}
-
-// ExistsProbeCtx is ExistsProbe bound to a query context, so a
-// planner-issued subquery observes the outer query's cancellation,
-// deadline, and budget.
+// ExistsProbeCtx is the exported form of the executor's EXISTS callback
+// bound to a query context, for planners that fall back to nested-loops
+// subquery evaluation: the subquery observes the outer query's
+// cancellation, deadline, and budget. Unlike Query it accumulates into
+// ex.Stats directly and is therefore single-goroutine, like the planner
+// that owns it.
 func (ex *Executor) ExistsProbeCtx(ctx context.Context) eval.ExistsFunc {
 	return ex.existsFunc(ctx, ex.Stats)
 }
 
-// InProbe is the exported form of the executor's IN callback.
-func (ex *Executor) InProbe(sub *ast.Select, env *eval.Env) ([]value.Value, error) {
-	return ex.inFunc(context.Background(), ex.Stats)(sub, env)
-}
-
-// InProbeCtx is InProbe bound to a query context.
+// InProbeCtx is the exported form of the executor's IN callback, bound
+// to a query context like ExistsProbeCtx.
 func (ex *Executor) InProbeCtx(ctx context.Context) eval.InFunc {
 	return ex.inFunc(ctx, ex.Stats)
 }

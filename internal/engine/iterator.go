@@ -5,12 +5,13 @@ import (
 	"sync/atomic"
 
 	"uniqopt/internal/fault"
+	"uniqopt/internal/storage"
 	"uniqopt/internal/value"
 )
 
-// This file defines the streaming execution core: pull-based iterators
-// that move batches (vectors of rows) through a pipeline instead of
-// materializing every operator's full output.
+// This file defines the execution core: pull-based iterators that move
+// batches (vectors of rows) through a pipeline instead of materializing
+// every operator's full output.
 //
 // The Iterator contract:
 //
@@ -21,8 +22,9 @@ import (
 //     producer must not reuse the batch slice or the row storage for a
 //     later batch, so consumers may retain rows (hash tables, output
 //     buffers) without copying. Producers therefore allocate fresh
-//     batch slices per Next call (the uniqlint iterlife/rowalias
-//     analyzers enforce this).
+//     batch slices per Next call, or hand out disjoint capacity-clipped
+//     windows of rows they never write again (the uniqlint
+//     iterlife/rowalias analyzers enforce this).
 //   - Close releases held resources (governor charges, children). It
 //     is idempotent, and must be called exactly when the consumer is
 //     done, whether or not the stream was drained.
@@ -34,7 +36,7 @@ import (
 // emitted batch to the governor and releases that charge on the next
 // Next call (the batch has been consumed downstream by then), so a
 // budget bounds the pipeline's live footprint. Blocking state — join
-// build tables, distinct tables, buffered replays — is charged as it
+// build tables, distinct tables, collected inputs — is charged as it
 // accrues and released at Close. Transient in-flight batches are
 // charged to the governor only; Stats.RowsMaterialized/BytesReserved
 // keep their original meaning (rows retained at materialization
@@ -55,10 +57,11 @@ type Iterator interface {
 }
 
 // SizeHinter is an optional Iterator refinement: iterators that can
-// bound how many rows they will emit expose the bound so downstream
-// hash operators can presize their tables and skip incremental
-// rehashing. The hint is advisory — an upper bound, never a promise —
-// and 0 means unknown.
+// bound how many rows they will emit expose the bound, and a filter or
+// projection over them goes by it when deciding whether to run on an
+// exchange. The hint is an upper bound, never a promise — a filter over
+// a scan cannot emit more than the scan, and may emit nothing — and 0
+// means unknown.
 type SizeHinter interface {
 	SizeHint() int
 }
@@ -92,6 +95,28 @@ func SetBatchSize(n int) int {
 	}
 	batchSizeVal.Store(int64(n))
 	return prev
+}
+
+// window returns the batch of rows starting at pos — a capacity-clipped
+// subslice, so a consumer's append cannot reach rows — and the position
+// after it; the batch is nil once pos has reached the end.
+func window(rows []value.Row, pos int) (Batch, int) {
+	if pos >= len(rows) {
+		return nil, pos
+	}
+	end := min(pos+BatchSize(), len(rows))
+	return Batch(rows[pos:end:end]), end
+}
+
+// ParallelWidth reports how many workers it ran on: the width of the
+// exchange a filter or projection put itself on, or of a hash
+// distinct's partitioned dedup, once it has started; 0 for an operator
+// that ran on the caller's goroutine alone.
+func ParallelWidth(it Iterator) int {
+	if p, ok := it.(interface{ parallelWidth() int }); ok {
+		return p.parallelWidth()
+	}
+	return 0
 }
 
 // streamGuard is the streaming counterpart of guard: cooperative
@@ -162,9 +187,11 @@ func (sg *streamGuard) emit(b Batch) (Batch, error) {
 	return b, nil
 }
 
-// emitHeld hands off a batch whose rows are already charged as held
-// state (e.g. streaming distinct emits rows retained by its hash
-// table), so no in-flight charge is added.
+// emitHeld hands off a batch that adds nothing to the live footprint,
+// so no in-flight charge is taken: its rows are already charged as held
+// state (streaming distinct emits rows retained by its hash table), or
+// the batch is a window onto storage the query does not own (a scan's
+// subslice of the table's rows).
 func (sg *streamGuard) emitHeld(b Batch) (Batch, error) {
 	sg.releaseInflight()
 	sg.st.Batches++
@@ -189,6 +216,35 @@ func (sg *streamGuard) holdBatch(b Batch) error {
 	}
 	sg.pendRows += int64(len(b))
 	return sg.flushHeld()
+}
+
+// collect drains child into one row slice charged as held state and
+// closes it: the input phase of a blocking operator.
+func (sg *streamGuard) collect(ctx context.Context, child Iterator) ([]value.Row, error) {
+	var rows []value.Row
+	for {
+		b, err := child.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return rows, child.Close()
+		}
+		if err := sg.holdBatch(b); err != nil {
+			return nil, err
+		}
+		rows = append(rows, b...)
+	}
+}
+
+// adopt takes over charges a relation-at-a-time operator made on this
+// iterator's behalf (a blocking body run under its own guard, which
+// never releases), so that close returns them: rows and bytes are the
+// growth of Stats.RowsMaterialized and Stats.BytesReserved across the
+// call, which mirror every guard charge one for one.
+func (sg *streamGuard) adopt(rows, bytes int64) {
+	sg.heldRows += rows
+	sg.heldBytes += bytes
 }
 
 // flushHeld pushes pending held charges to the Stats counters and the
@@ -225,171 +281,90 @@ func (sg *streamGuard) close() {
 	sg.pendRows, sg.pendBytes = 0, 0
 }
 
-// relationIter streams an already-materialized relation in batches.
-// Emitted batches alias the relation's rows (which are immutable by
-// the engine's copy-on-write convention).
-type relationIter struct {
-	rel *Relation
-	st  *Stats
-	sg  streamGuard
-	pos int
+// rowsIter streams a row slice it does not own — a base table's rows, or
+// an already-materialized relation's — in batches. A batch is a
+// capacity-clipped window onto the slice: nothing is copied, nothing is
+// charged, and an append by a consumer cannot reach the storage. The
+// slice is taken at construction (for a table: the statement's view of
+// it); rows are never updated in place.
+type rowsIter struct {
+	rows    []value.Row
+	cols    []string
+	st      *Stats
+	sg      streamGuard
+	pos     int
+	scan    bool // a base-table scan: counts RowsScanned, fires FaultScan
+	started bool
+}
+
+// NewTableIter returns a streaming scan of tbl; cols names its columns
+// as the scan emits them (QualifiedCols).
+func NewTableIter(st *Stats, tbl *storage.Table, cols []string) Iterator {
+	return &rowsIter{rows: tbl.Rows(), cols: cols, st: st, scan: true}
 }
 
 // NewRelationIter returns an iterator over rel's rows.
 func NewRelationIter(st *Stats, rel *Relation) Iterator {
-	return &relationIter{rel: rel, st: st}
+	return &rowsIter{rows: rel.Rows, cols: rel.Cols, st: st}
 }
 
-func (it *relationIter) Cols() []string { return it.rel.Cols }
-func (it *relationIter) SizeHint() int  { return len(it.rel.Rows) }
+func (it *rowsIter) Cols() []string { return it.cols }
+func (it *rowsIter) SizeHint() int  { return len(it.rows) }
 
-func (it *relationIter) Next(ctx context.Context) (Batch, error) {
+func (it *rowsIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {
 		return nil, err
 	}
-	if it.pos >= len(it.rel.Rows) {
+	if it.scan && !it.started {
+		it.started = true
+		if err := fault.Point(FaultScan); err != nil {
+			return nil, err
+		}
+	}
+	var b Batch
+	if b, it.pos = window(it.rows, it.pos); b == nil {
 		return nil, nil
 	}
-	end := it.pos + BatchSize()
-	if end > len(it.rel.Rows) {
-		end = len(it.rel.Rows)
+	if it.scan {
+		it.st.RowsScanned += int64(len(b))
 	}
-	b := Batch(it.rel.Rows[it.pos:end:end])
-	it.pos = end
-	return it.sg.emit(b)
+	return it.sg.emitHeld(b)
 }
 
-func (it *relationIter) Close() error {
+func (it *rowsIter) Close() error {
 	it.sg.close()
 	return nil
 }
 
-// emptyIter emits nothing; it backs access paths proven empty at plan
-// time (e.g. an index equality probe against a NULL bound).
-type emptyIter struct{ cols []string }
-
-// NewEmptyIter returns an iterator with the given columns and no rows.
-func NewEmptyIter(cols []string) Iterator { return &emptyIter{cols: cols} }
-
-func (it *emptyIter) Cols() []string { return it.cols }
-
-func (it *emptyIter) Next(ctx context.Context) (Batch, error) {
-	// Normalize nil like streamGuard.begin does for every other iterator.
-	if ctx == nil {
-		return nil, nil
-	}
-	return nil, ctx.Err()
-}
-
-func (it *emptyIter) Close() error { return nil }
-
-// Drain materializes an iterator into a Relation, charging the output
-// rows exactly like a materializing operator would, and closes it.
+// Drain materializes an iterator into a Relation and closes it. The
+// result's rows are held state of the drain itself: charged as they
+// arrive, left charged while the result lives (a query's governor dies
+// with the query), and given back if the drain fails.
 func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
 	defer it.Close()
+	var sg streamGuard
+	drained := false
+	defer func() {
+		if !drained { // an error, or a panic on its way to Contain
+			sg.close()
+		}
+	}()
 	out := NewRelation(it.Cols()...)
-	g := newGuard(ctx, st)
 	for {
+		if err := sg.begin(ctx, st); err != nil {
+			return nil, err
+		}
 		b, err := it.Next(ctx)
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			break
+			drained = true
+			return out, nil
 		}
-		if err := g.keepN(b); err != nil {
+		if err := sg.holdBatch(b); err != nil {
 			return nil, err
 		}
 		out.Rows = append(out.Rows, b...)
 	}
-	if err := g.finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DrainDiscard consumes an iterator to end of stream without retaining
-// rows, returning the row count, and closes it. This is the shape of a
-// client that streams results out: the pipeline's live footprint stays
-// bounded no matter how many rows pass through.
-func DrainDiscard(ctx context.Context, it Iterator) (int64, error) {
-	defer it.Close()
-	var n int64
-	for {
-		b, err := it.Next(ctx)
-		if err != nil {
-			return n, err
-		}
-		if b == nil {
-			return n, nil
-		}
-		n += int64(len(b))
-	}
-}
-
-// BufferedIterator wraps a child iterator, caching every batch it
-// pulls so the stream can be re-iterated with Rewind. Cached rows are
-// held state: charged as they accrue, released at Close. Operators
-// that genuinely need re-iteration (e.g. the streaming product's inner
-// input) use this instead of forcing their child to be re-runnable.
-type BufferedIterator struct {
-	child  Iterator
-	st     *Stats
-	sg     streamGuard
-	cache  []Batch
-	pos    int // replay position in cache
-	done   bool
-	closed bool
-}
-
-// NewBufferedIterator wraps child in a replayable buffer.
-func NewBufferedIterator(st *Stats, child Iterator) *BufferedIterator {
-	return &BufferedIterator{child: child, st: st}
-}
-
-func (b *BufferedIterator) Cols() []string { return b.child.Cols() }
-
-// SizeHint passes through the child's bound: buffering is row-for-row.
-func (b *BufferedIterator) SizeHint() int { return sizeHint(b.child) }
-
-func (b *BufferedIterator) Next(ctx context.Context) (Batch, error) {
-	if err := b.sg.begin(ctx, b.st); err != nil {
-		return nil, err
-	}
-	if b.pos < len(b.cache) {
-		out := b.cache[b.pos]
-		b.pos++
-		return b.sg.emitHeld(out)
-	}
-	if b.done {
-		return nil, nil
-	}
-	nb, err := b.child.Next(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if nb == nil {
-		b.done = true
-		return nil, nil
-	}
-	if err := b.sg.holdBatch(nb); err != nil {
-		return nil, err
-	}
-	b.cache = append(b.cache, nb)
-	b.pos = len(b.cache)
-	return b.sg.emitHeld(nb)
-}
-
-// Rewind restarts iteration from the first batch. Batches not yet
-// pulled from the child remain available after the replay catches up.
-func (b *BufferedIterator) Rewind() { b.pos = 0 }
-
-func (b *BufferedIterator) Close() error {
-	if b.closed {
-		return nil
-	}
-	b.closed = true
-	b.sg.close()
-	b.cache = nil
-	return b.child.Close()
 }

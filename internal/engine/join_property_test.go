@@ -26,57 +26,18 @@ func randKeyedRelation(r *rand.Rand, prefix string, n int) *Relation {
 	return rel
 }
 
-// Property: the three equi-join implementations agree on arbitrary
-// NULL-rich multisets, for every trial.
+// Property: the hash-join iterator agrees, row for row and in order,
+// with the selection over the Cartesian product on arbitrary NULL-rich
+// multisets, for every trial.
 func TestJoinImplementationsAgreeProperty(t *testing.T) {
-	pred, err := parser.ParseExpr("L.K = R.K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
 		l := randKeyedRelation(r, "L", r.Intn(25))
 		rr := randKeyedRelation(r, "R", r.Intn(25))
 		var st Stats
-		nl, err := NestedLoopJoin(ctx0, &st, l, rr, pred, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hj := okRel(HashJoin(ctx0, &st, l, rr, []string{"L.K"}, []string{"R.K"}))
-		mj := okRel(MergeJoin(ctx0, &st, l, rr, []string{"L.K"}, []string{"R.K"}))
-		if !MultisetEqual(nl, hj) {
-			t.Fatalf("trial %d: hash join diverges\nNL:\n%v\nHJ:\n%v\nL=%v\nR=%v",
-				trial, nl, hj, l, rr)
-		}
-		if !MultisetEqual(nl, mj) {
-			t.Fatalf("trial %d: merge join diverges\nNL:\n%v\nMJ:\n%v\nL=%v\nR=%v",
-				trial, nl, mj, l, rr)
-		}
-	}
-}
-
-// Property: semi-join implementations agree (nested-loop EXISTS vs
-// hash probing) for equality correlations.
-func TestSemiJoinImplementationsAgreeProperty(t *testing.T) {
-	pred, err := parser.ParseExpr("L.K = R.K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
-	r := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 200; trial++ {
-		l := randKeyedRelation(r, "L", r.Intn(25))
-		rr := randKeyedRelation(r, "R", r.Intn(25))
-		var st Stats
-		nl, err := SemiJoinExists(ctx0, &st, l, rr, pred, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hs := okRel(SemiJoinHash(ctx0, &st, l, rr, []string{"L.K"}, []string{"R.K"}))
-		if !MultisetEqual(nl, hs) {
-			t.Fatalf("trial %d: semi-joins diverge\nNL:\n%v\nHS:\n%v", trial, nl, hs)
-		}
+		want := joinOracle(&st, l, rr, "L.K", "R.K")
+		identicalRelations(t, want, hashJoin(&st, l, rr, []string{"L.K"}, []string{"R.K"}),
+			fmt.Sprintf("trial %d: hash join vs selection over product\nL=%v\nR=%v", trial, l, rr))
 	}
 }
 
@@ -96,14 +57,14 @@ func TestJoinCardinalityOracle(t *testing.T) {
 			}
 		}
 		var st Stats
-		hj := okRel(HashJoin(ctx0, &st, l, rr, []string{"L.K"}, []string{"R.K"}))
+		hj := hashJoin(&st, l, rr, []string{"L.K"}, []string{"R.K"})
 		if hj.Len() != want {
 			t.Fatalf("trial %d: join rows = %d, oracle = %d", trial, hj.Len(), want)
 		}
 	}
 }
 
-// IndexScan operators must agree with scan+filter.
+// The index-scan iterator must agree with scan+filter.
 func TestIndexScanAgainstFilter(t *testing.T) {
 	db := testDB(t)
 	tbl := db.MustTable("PARTS")
@@ -114,6 +75,9 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 	var st Stats
 	full := okRel(Scan(ctx0, &st, tbl, "P"))
 	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
+	indexScan := func(ords []int) *Relation {
+		return okRel(Drain(ctx0, &st, NewIndexScanIter(&st, tbl, full.Cols, ords)))
+	}
 
 	for pno := int64(0); pno <= 10; pno++ {
 		pred, _ := parser.ParseExpr(fmt.Sprintf("P.PNO = %d", pno))
@@ -121,11 +85,11 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := IndexScanEq(ctx0, &st, tbl, "P", ix, value.Row{value.Int(pno)})
+		ords, err := ix.Lookup(value.Row{value.Int(pno)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !MultisetEqual(want, got) {
+		if !MultisetEqual(want, indexScan(ords)) {
 			t.Fatalf("PNO=%d: index scan diverges from filter", pno)
 		}
 	}
@@ -136,8 +100,7 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := okRel(IndexScanRange(ctx0, &st, tbl, "P", ix, &lo, &hi))
-	if !MultisetEqual(want, got) {
+	if !MultisetEqual(want, indexScan(ix.Range(&lo, &hi))) {
 		t.Fatal("index range scan diverges from filter")
 	}
 	if st.IndexSeeks == 0 {

@@ -17,9 +17,9 @@ import (
 // Cancellation is cooperative. Every operator creates a guard over the
 // caller's context and polls it on the first row and every cancelEvery
 // rows thereafter, so a cancelled or timed-out query stops mid-loop and
-// returns ctx.Err(). Parallel workers poll with per-worker guards and
-// report through per-chunk error slots; parallelFor always joins its
-// workers, so no goroutine outlives a failed query.
+// returns ctx.Err(). An exchange polls between batches and joins its
+// workers at Close; parallelFor always joins its workers, so no
+// goroutine outlives a failed query.
 //
 // Budgets are enforced by a Governor carried in the context
 // (WithGovernor / GovernorFrom). Operators charge materialized rows and
@@ -54,7 +54,6 @@ const (
 	FaultFilter     = "engine.filter"
 	FaultHashBuild  = "engine.hashjoin.build"
 	FaultHashProbe  = "engine.hashjoin.probe"
-	FaultSemiBuild  = "engine.semijoin.build"
 	FaultDistinct   = "engine.distinct"
 	FaultSort       = "engine.sort"
 	FaultSetOp      = "engine.setop"
@@ -67,8 +66,7 @@ const (
 
 func init() {
 	fault.Register(FaultScan, FaultFilter, FaultHashBuild, FaultHashProbe,
-		FaultSemiBuild, FaultDistinct, FaultSort, FaultSetOp, FaultPoolWorker,
-		FaultStreamNext)
+		FaultDistinct, FaultSort, FaultSetOp, FaultPoolWorker, FaultStreamNext)
 }
 
 // ErrBudgetExceeded is the sentinel matched (via errors.Is) by every
@@ -114,8 +112,8 @@ func (e *InternalError) Unwrap() error {
 }
 
 // Governor enforces a per-query resource budget. A zero or negative
-// limit disables that dimension. Charging is atomic: the parallel
-// operators' workers share one governor.
+// limit disables that dimension. Charging is atomic: concurrent
+// queries (and a query's own workers) may share one governor.
 type Governor struct {
 	maxRows   int64
 	maxBytes  int64
@@ -141,13 +139,15 @@ func (g *Governor) Charge(rows, bytes int64) error {
 	if g == nil {
 		return nil
 	}
-	r := g.rows.Add(rows)
+	// Both dimensions are charged before either is checked: a refused
+	// charge is still on the books, so the Release that follows it
+	// balances.
+	r, b := g.rows.Add(rows), g.bytes.Add(bytes)
 	raisePeak(&g.peakRows, r)
+	raisePeak(&g.peakBytes, b)
 	if g.maxRows > 0 && r > g.maxRows {
 		return &BudgetError{Resource: "rows", Limit: g.maxRows, Used: r}
 	}
-	b := g.bytes.Add(bytes)
-	raisePeak(&g.peakBytes, b)
 	if g.maxBytes > 0 && b > g.maxBytes {
 		return &BudgetError{Resource: "memory", Limit: g.maxBytes, Used: b}
 	}
@@ -185,9 +185,8 @@ func (g *Governor) Usage() (rows, bytes int64) {
 }
 
 // Peak reports the high-water marks of the charged rows and bytes over
-// the governor's lifetime. Because streaming operators release
-// in-flight charges, Peak is the query's true peak live footprint,
-// directly comparable between materializing and streaming execution.
+// the governor's lifetime. Because iterators release in-flight charges,
+// Peak is the query's true peak live footprint.
 func (g *Governor) Peak() (rows, bytes int64) {
 	if g == nil {
 		return 0, 0

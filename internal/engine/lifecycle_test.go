@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"uniqopt/internal/eval"
+	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/testleak"
 	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
@@ -48,11 +50,15 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 	}
 	cases := []opCase{
 		{"Product", func() (*Relation, error) { return Product(ctx, st, l, r) }},
-		{"HashJoin", func() (*Relation, error) { return HashJoin(ctx, st, l, r, []string{"L.K"}, []string{"R.K"}) }},
-		{"MergeJoin", func() (*Relation, error) { return MergeJoin(ctx, st, l, r, []string{"L.K"}, []string{"R.K"}) }},
+		{"HashJoinIter", func() (*Relation, error) {
+			return Drain(ctx, st, joinIter(st, NewRelationIter(st, l), NewRelationIter(st, r), []string{"L.K"}, []string{"R.K"}))
+		}},
 		{"DistinctSort", func() (*Relation, error) { return DistinctSort(ctx, st, l) }},
-		{"DistinctHash", func() (*Relation, error) { return DistinctHash(ctx, st, l) }},
-		{"SemiJoinHash", func() (*Relation, error) { return SemiJoinHash(ctx, st, l, r, []string{"L.K"}, []string{"R.K"}) }},
+		{"DistinctSortIter", func() (*Relation, error) { return Drain(ctx, st, NewDistinctSortIter(st, NewRelationIter(st, l))) }},
+		{"DistinctHashIter", func() (*Relation, error) { return Drain(ctx, st, NewDistinctHashIter(st, NewRelationIter(st, l))) }},
+		{"SetOpIter", func() (*Relation, error) {
+			return Drain(ctx, st, NewSetOpIter(st, NewRelationIter(st, l), NewRelationIter(st, r), false, false))
+		}},
 		{"Intersect", func() (*Relation, error) { return Intersect(ctx, st, l, r, false) }},
 		{"Except", func() (*Relation, error) { return Except(ctx, st, l, r, false) }},
 		{"IntersectSort", func() (*Relation, error) { return IntersectSort(ctx, st, l, r, false) }},
@@ -93,15 +99,41 @@ func TestDeadlineLargeJoinPrompt(t *testing.T) {
 	}
 }
 
+// parallelPipeline is a filter on an exchange feeding a partitioned
+// hash distinct: every operator that can run wide, under forceParallel.
+func parallelPipeline(st *Stats, rel *Relation) Iterator {
+	pred := &ast.Compare{Op: ast.GeOp,
+		L: &ast.ColumnRef{Qualifier: "L", Column: "K"}, R: &ast.IntLit{V: 0}}
+	return NewDistinctHashIter(st, NewFilterIter(st, NewRelationIter(st, rel), pred, &eval.Env{}))
+}
+
 func TestDeadlineParallelOperators(t *testing.T) {
 	forceParallel(t, 4)
 	l := bigRelation("L", 50_000)
-	r := bigRelation("R", 50_000)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	time.Sleep(10 * time.Millisecond) // ensure the deadline has passed
 	base := runtime.NumGoroutine()
-	rel, err := ParallelHashJoin(ctx, &Stats{}, l, r, []string{"L.K"}, []string{"R.K"}, 4)
+	// Started, then expired: the exchange's workers are running when the
+	// deadline passes and must all be joined at Close.
+	ctx, cancel := context.WithCancel(context.Background())
+	st := &Stats{}
+	it := parallelPipeline(st, l)
+	if _, err := it.Next(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st.Snapshot().ParallelRuns == 0 {
+		t.Fatal("pipeline did not take the parallel path")
+	}
+	cancel()
+	if _, err := it.Next(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Expired before the first pull: Drain reports it and closes.
+	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer dcancel()
+	time.Sleep(10 * time.Millisecond) // ensure the deadline has passed
+	rel, err := Drain(dctx, &Stats{}, parallelPipeline(&Stats{}, l))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -143,7 +175,8 @@ func TestMemBudget(t *testing.T) {
 	forceSerial(t)
 	l := bigRelation("L", 5_000)
 	ctx := WithGovernor(context.Background(), NewGovernor(0, 64*1024))
-	rel, err := DistinctHash(ctx, &Stats{}, l)
+	st := &Stats{}
+	rel, err := Drain(ctx, st, NewDistinctHashIter(st, NewRelationIter(st, l)))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -156,17 +189,33 @@ func TestMemBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetSharedAcrossParallelWorkers: the rows an exchange's workers
+// and a partitioned dedup's workers produce are all charged to the one
+// governor of the query, so a budget binds on the parallel path too —
+// typed error, no partial result, no goroutine left behind — and
+// whatever was charged is released when the pipeline closes.
 func TestBudgetSharedAcrossParallelWorkers(t *testing.T) {
 	forceParallel(t, 4)
-	l := bigRelation("L", 20_000)
-	r := bigRelation("R", 20_000)
-	ctx := WithGovernor(context.Background(), NewGovernor(10_000, 0))
-	rel, err := ParallelHashJoin(ctx, &Stats{}, l, r, []string{"L.K"}, []string{"R.K"}, 4)
+	l := bigRelation("L", 20_000) // all distinct: the dedup must hold every row
+	base := runtime.NumGoroutine()
+	gov := NewGovernor(10_000, 0)
+	ctx := WithGovernor(context.Background(), gov)
+	st := &Stats{}
+	rel, err := Drain(ctx, st, parallelPipeline(st, l))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 	if rel != nil {
 		t.Fatal("partial relation escaped")
+	}
+	if runs := st.Snapshot().ParallelRuns; runs < 2 {
+		t.Fatalf("parallel runs = %d, want the exchange and the partitioned dedup", runs)
+	}
+	if rows, bytes := gov.Usage(); rows != 0 || bytes != 0 {
+		t.Fatalf("usage after the failed pipeline closed: rows=%d bytes=%d, want 0", rows, bytes)
+	}
+	if n := settleGoroutines(base); n > base {
+		t.Fatalf("goroutines leaked: %d before, %d after", base, n)
 	}
 }
 
@@ -174,9 +223,7 @@ func TestStatsCountMaterializationsWithoutGovernor(t *testing.T) {
 	forceSerial(t)
 	l := bigRelation("L", 2_000)
 	st := &Stats{}
-	if _, err := DistinctHash(ctx0, st, l); err != nil {
-		t.Fatal(err)
-	}
+	hashDistinct(st, l)
 	if snap := st.Snapshot(); snap.RowsMaterialized == 0 || snap.BytesReserved == 0 {
 		t.Fatalf("materialization counters idle without a governor: %s", &snap)
 	}
@@ -403,8 +450,18 @@ func TestColIndexesErrorFlow(t *testing.T) {
 		!strings.Contains(err.Error(), "L.NOPE") {
 		t.Fatalf("Project with unknown column: err = %v, want error naming L.NOPE", err)
 	}
-	if _, err := HashJoin(ctx0, &Stats{}, l, l, []string{"L.MISSING"}, []string{"L.K"}); err == nil ||
+	if _, err := ColIndexes(l.Cols, []string{"L.MISSING"}); err == nil ||
 		!strings.Contains(err.Error(), "L.MISSING") {
-		t.Fatalf("HashJoin with unknown key: err = %v, want error naming L.MISSING", err)
+		t.Fatalf("ColIndexes with unknown key: err = %v, want error naming L.MISSING", err)
+	}
+	// An ordinal no input column answers to fails the assembly, not the
+	// first row.
+	st := &Stats{}
+	if _, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, l),
+		concat(l.Cols, l.Cols), []int{2}, []int{0}); err == nil || !strings.Contains(err.Error(), "#2") {
+		t.Fatalf("NewHashJoinIter with a key ordinal out of range: err = %v", err)
+	}
+	if _, err := NewProjectIter(st, NewRelationIter(st, l), []string{"L.X"}, []int{-1}); err == nil {
+		t.Fatal("NewProjectIter with a negative ordinal assembled")
 	}
 }

@@ -77,9 +77,8 @@ func SetParallelThreshold(n int) int {
 
 // parallelFor splits [0, n) into at most workers contiguous chunks and
 // runs body(chunk, lo, hi) on each from its own goroutine, blocking
-// until all complete. It returns the number of chunks used. body must
-// confine its writes to chunk-indexed state; merging happens after the
-// barrier.
+// until all complete. body must confine its writes to chunk-indexed
+// state; merging happens after the barrier.
 //
 // Panic containment: a panic inside a worker goroutine would otherwise
 // kill the whole process (no recover can cross a goroutine boundary).
@@ -88,7 +87,7 @@ func SetParallelThreshold(n int) int {
 // finished, so no goroutine leaks — the first panic (by chunk index,
 // for determinism) is re-panicked on the caller's goroutine, where the
 // executor/planner boundary converts it to an *InternalError.
-func parallelFor(n, workers int, body func(chunk, lo, hi int)) int {
+func parallelFor(n, workers int, body func(chunk, lo, hi int)) {
 	if workers > n {
 		workers = n
 	}
@@ -96,7 +95,7 @@ func parallelFor(n, workers int, body func(chunk, lo, hi int)) int {
 		if n > 0 {
 			body(0, 0, n)
 		}
-		return 1
+		return
 	}
 	panics := make([]*workerPanic, workers)
 	var wg sync.WaitGroup
@@ -120,7 +119,17 @@ func parallelFor(n, workers int, body func(chunk, lo, hi int)) int {
 			panic(p)
 		}
 	}
-	return workers
+}
+
+// firstErr returns the lowest-chunk error, keeping failure
+// deterministic regardless of worker interleaving.
+func firstErr(errs []error) error {
+	for _, e := range errs {
+		if e != nil {
+			return e
+		}
+	}
+	return nil
 }
 
 // shouldParallel reports whether an operator over n input rows should

@@ -131,7 +131,7 @@ func (r *Relation) SortRows() {
 }
 
 // sortRowsBy is a simple merge sort counting nothing; operator-level
-// sorts use the instrumented variant in operators.go.
+// sorts count inside the comparison function they pass.
 func sortRowsBy(rows []value.Row, cmp func(a, b value.Row) int) {
 	if len(rows) < 2 {
 		return
@@ -175,12 +175,12 @@ func sortRowsBy(rows []value.Row, cmp func(a, b value.Row) int) {
 // unresolved column as an error. Operators propagate this through the
 // lifecycle containment path instead of panicking.
 func (r *Relation) colIndexes(names []string) ([]int, error) {
-	return colIndexesIn(r.Cols, names)
+	return ColIndexes(r.Cols, names)
 }
 
-// colIndexesIn resolves names against a column list, for callers that
-// have no Relation (streaming iterators resolve against child Cols()).
-func colIndexesIn(cols []string, names []string) ([]int, error) {
+// ColIndexes resolves names against a column list — what a planner does
+// once per statement shape to hand the iterator constructors ordinals.
+func ColIndexes(cols []string, names []string) ([]int, error) {
 	out := make([]int, len(names))
 	for i, n := range names {
 		ci := columnIndexIn(cols, n)

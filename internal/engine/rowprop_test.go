@@ -110,57 +110,55 @@ func TestSmallHashJoinAllocatesForItsRows(t *testing.T) {
 		r.Rows = append(r.Rows, value.Row{value.Int(int64(i)), value.Int(int64(i * 100))})
 	}
 	const limit = 8 << 10
-	mat := bytesPerRun(200, func() {
-		out := okRel(HashJoin(ctx0, &Stats{}, l, r, []string{"L.K"}, []string{"R.K"}))
+	want := joinOracle(&Stats{}, l, r, "L.K", "R.K")
+	str := bytesPerRun(200, func() {
+		st := &Stats{}
+		out := hashJoin(st, l, r, []string{"L.K"}, []string{"R.K"})
 		if out.Len() != 1 {
 			t.Fatalf("join rows = %d, want 1", out.Len())
 		}
-	})
-	if mat > limit {
-		t.Errorf("materializing 1×10 HashJoin allocates %d B per run, want < %d", mat, limit)
-	}
-	str := bytesPerRun(200, func() {
-		st := &Stats{}
-		it, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, r),
-			[]string{"L.K"}, []string{"R.K"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out := mustDrain(t, st, it); out.Len() != 1 {
-			t.Fatalf("streaming join rows = %d, want 1", out.Len())
-		}
+		identicalRelations(t, want, out, "1×10 hash join")
 	})
 	if str > limit {
-		t.Errorf("streaming 1×10 HashJoin allocates %d B per run, want < %d", str, limit)
+		t.Errorf("1×10 hash join allocates %d B per run, want < %d", str, limit)
 	}
 }
 
-// TestRowTableSizing: a hinted table is sized by its hint, an unhinted
-// one allocates nothing until its first insert and then starts from the
-// floor; lookups and chain order are unaffected either way.
+// TestRowTableSizing: a table is sized by the rows it is told to make
+// room for — exactly, in one step, on top of what it holds — and an
+// empty one allocates nothing until its first insert or reserve, then
+// starts from the floor; lookups and chain order are unaffected either
+// way.
 func TestRowTableSizing(t *testing.T) {
-	if got := len(newRowTable(1).slots); got != 8 {
-		t.Errorf("hint 1: %d slots, want 8", got)
+	for rows, slots := range map[int]int{1: 8, 10: 16, 3000: 4096} {
+		tbl := &rowTable{}
+		tbl.reserve(rows)
+		if len(tbl.slots) != slots || cap(tbl.entries) != rows {
+			t.Errorf("reserve(%d): %d slots and room for %d entries, want %d and %d",
+				rows, len(tbl.slots), cap(tbl.entries), slots, rows)
+		}
+		for i := 0; i < rows; i++ {
+			tbl.insert(uint64(i), value.Row{value.Int(int64(i))})
+		}
+		if len(tbl.slots) != slots || cap(tbl.entries) != rows {
+			t.Errorf("%d reserved rows regrew the table to %d slots, %d entries", rows, len(tbl.slots), cap(tbl.entries))
+		}
+		tbl.reserve(rows) // the next batch: room for both, no more
+		if cap(tbl.entries) < 2*rows || cap(tbl.entries) > 4*rows || len(tbl.slots)*3 < 2*rows*4 {
+			t.Errorf("second reserve(%d): %d slots, room for %d entries", rows, len(tbl.slots), cap(tbl.entries))
+		}
 	}
-	if got := len(newRowTable(10).slots); got != 16 {
-		t.Errorf("hint 10: %d slots, want 16", got)
-	}
-	if got := len(newRowTable(3000).slots); got != 4096 {
-		t.Errorf("hint 3000: %d slots, want 4096", got)
-	}
-	u := newRowTable(0)
-	if u.slots != nil || u.entries != nil {
-		t.Error("unhinted table allocated before its first insert")
-	}
+	u := &rowTable{}
 	if u.find(42) != rtNone {
 		t.Error("find on an empty table found something")
 	}
 	u.insert(42, value.Row{value.Int(1)})
 	if len(u.slots) != rtFloorSlots {
-		t.Errorf("unhinted table starts from %d slots, want %d", len(u.slots), rtFloorSlots)
+		t.Errorf("empty table starts from %d slots, want %d", len(u.slots), rtFloorSlots)
 	}
-	// A hint that was too low only costs regrowth.
-	low := newRowTable(1)
+	// Room that was too little only costs regrowth.
+	low := &rowTable{}
+	low.reserve(1)
 	for i := 0; i < 500; i++ {
 		low.insert(uint64(i%50), value.Row{value.Int(int64(i))})
 	}
@@ -194,16 +192,21 @@ func inPlaceTable(t *testing.T, rows int) *storage.Table {
 	return tbl
 }
 
-// TestScanInPlaceFilterMatchesScanFilter: filtering the table's rows
-// where they lie returns exactly what Scan + Filter returns — serial
-// and parallel — counts the same rows scanned, and charges the
-// governor for the rows kept, not for the table.
+// TestScanInPlaceFilterMatchesScanFilter: the table iterator hands out
+// the table's rows where they lie, and a filter over it returns exactly
+// what the reference Scan + Filter returns — serial and on an exchange
+// — counts the same rows scanned, and charges the governor for the rows
+// kept, not for the table.
 func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 	const n, kept = 5000, 500
 	tbl := inPlaceTable(t, n)
+	cols := QualifiedCols(tbl, "X")
 	pred := &ast.Compare{Op: ast.EqOp,
 		L: &ast.ColumnRef{Qualifier: "X", Column: "B"}, R: &ast.HostVar{Name: "K"}}
 	env := &eval.Env{Hosts: map[string]value.Value{"K": value.Int(7)}}
+	scanFilter := func(st *Stats) Iterator {
+		return NewFilterIter(st, NewTableIter(st, tbl, cols), pred, env)
+	}
 
 	for _, pool := range []struct {
 		name               string
@@ -217,18 +220,11 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 			want := okRel(Filter(ctx0, stC, okRel(Scan(ctx0, stC, tbl, "X")), pred, env))
 
 			stP := &Stats{}
-			gov := NewGovernor(kept, 0) // room for the kept rows only
+			gov := NewGovernor(2*kept, 0) // room for the kept rows, in flight and drained
 			ctx := WithGovernor(context.Background(), gov)
-			view, err := ScanInPlace(ctx, stP, tbl, "X")
+			got, err := Drain(ctx, stP, scanFilter(stP))
 			if err != nil {
-				t.Fatal(err)
-			}
-			if view.Len() != n || cap(view.Rows) != n {
-				t.Fatalf("view len=%d cap=%d, want both %d", view.Len(), cap(view.Rows), n)
-			}
-			got, err := Filter(ctx, stP, view, pred, env)
-			if err != nil {
-				t.Fatalf("in-place filter under a %d-row budget: %v", kept, err)
+				t.Fatalf("in-place filter under a %d-row budget: %v", 2*kept, err)
 			}
 			identicalRelations(t, want, got, "in-place scan filter")
 			c, p := stC.Snapshot(), stP.Snapshot()
@@ -239,36 +235,42 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 				t.Errorf("rows charged: in place %d, copying %d; want %d and %d",
 					p.RowsMaterialized, c.RowsMaterialized, kept, n+kept)
 			}
+			if peak, _ := gov.Peak(); peak >= n {
+				t.Errorf("peak rows charged = %d: the %d-row scan was charged", peak, n)
+			}
 			if (p.ParallelRuns > 0) != (pool.workers > 1) {
 				t.Errorf("parallel runs = %d with %d workers", p.ParallelRuns, pool.workers)
 			}
 
-			// One row less of budget and the filter's own charge trips it.
+			// A budget below what the filter keeps trips on the kept rows.
 			tight := WithGovernor(context.Background(), NewGovernor(kept-1, 0))
-			view, err = ScanInPlace(tight, &Stats{}, tbl, "X")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Filter(tight, &Stats{}, view, pred, env); !errors.Is(err, ErrBudgetExceeded) {
-				t.Errorf("in-place filter one row over budget: err = %v, want ErrBudgetExceeded", err)
+			stT := &Stats{}
+			if _, err := Drain(tight, stT, scanFilter(stT)); !errors.Is(err, ErrBudgetExceeded) {
+				t.Errorf("in-place filter over budget: err = %v, want ErrBudgetExceeded", err)
 			}
 		})
 	}
 
-	// Cancellation reaches both halves.
+	// Cancellation reaches the scan.
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ScanInPlace(cctx, &Stats{}, tbl, "X"); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled ScanInPlace: err = %v", err)
+	st := &Stats{}
+	scan := NewTableIter(st, tbl, cols)
+	if _, err := scan.Next(cctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled table scan: err = %v", err)
 	}
-	view := okRel(ScanInPlace(ctx0, &Stats{}, tbl, "X"))
-	if _, err := Filter(cctx, &Stats{}, view, pred, env); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled in-place Filter: err = %v", err)
+	// A batch is a window of the table's own rows that cannot grow into
+	// the table's storage.
+	b, err := scan.Next(ctx0)
+	if err != nil || len(b) == 0 {
+		t.Fatalf("first batch: %d rows, err = %v", len(b), err)
 	}
-	// The view cannot grow into the table's storage.
-	grown := append(view.Rows, value.Row{value.Int(-1), value.Int(-1)})
-	if tbl.Len() != n || &grown[0] == &tbl.Rows()[0] {
-		t.Error("appending to the view reached the table's row slice")
+	if &b[0] != &tbl.Rows()[0] || cap(b) != len(b) {
+		t.Errorf("batch is not a capacity-clipped window of the table's rows (len %d cap %d)", len(b), cap(b))
+	}
+	grown := append(b, value.Row{value.Int(-1), value.Int(-1)})
+	if tbl.Len() != n || &grown[0] == &tbl.Rows()[0] || tbl.Row(len(b))[0].AsInt() != int64(len(b)) {
+		t.Error("appending to a batch reached the table's row slice")
 	}
 }
 

@@ -12,7 +12,8 @@ import "uniqopt/internal/value"
 // when hashes collide.
 //
 // rowTable never shrinks and has no delete; it is built once per
-// operator invocation and discarded. Callers own all Stats counting
+// operator invocation and discarded. The zero value is an empty table:
+// nothing is allocated until the first insert or reserve. Callers own all Stats counting
 // (HashProbes, HashInserts, Comparisons) and all equality checking:
 // the table only partitions rows by hash.
 type rowTable struct {
@@ -37,27 +38,28 @@ type rtEntry struct {
 
 const rtNone = int32(-1)
 
-// rtFloorSlots is the slot count an unsized table starts from: generous
-// (8 KB) so streaming operators that cannot know their input size up
-// front do not rehash through a dozen doublings on large streams.
-const rtFloorSlots = 1024
+// rtFloorSlots is the smallest slot array: a table that turns out to
+// hold a row or two costs next to nothing. Growth quadruples, so a large
+// stream of unknown size relinks about a third of its rows over its
+// whole life wherever it starts.
+const rtFloorSlots = 8
 
-// newRowTable sizes the slot array and entry log for hint rows, so a
-// build side known to be a handful of rows costs a handful of slots.
-// hint == 0 means unknown: nothing is allocated until the first insert,
-// which starts from rtFloorSlots. A low hint only costs regrowth.
-func newRowTable(hint int) *rowTable {
-	t := &rowTable{}
-	if hint > 0 {
-		n := 8
-		for n < hint*4/3 && n < 1<<30 {
-			n <<= 1
-		}
-		t.mask = uint64(n - 1)
-		t.slots = make([]rtSlot, n)
-		t.entries = make([]rtEntry, 0, hint)
+// reserve makes room for n more rows in one step — the entry log and the
+// slot array each grow to hold them, or fourfold if that is more — so a
+// caller that learns its input a batch at a time pays for the rows it
+// was handed, not for a guess.
+func (t *rowTable) reserve(n int) {
+	need := len(t.entries) + n
+	if need > cap(t.entries) {
+		// Entries carry row pointers, so each relocation pays GC write
+		// barriers: fewer, larger moves beat append's default doubling.
+		ne := make([]rtEntry, len(t.entries), max(need, 4*cap(t.entries)))
+		copy(ne, t.entries)
+		t.entries = ne
 	}
-	return t
+	if need*4 > len(t.slots)*3 {
+		t.grow(need)
+	}
 }
 
 // find returns the index of the first entry whose hash is h, or rtNone.
@@ -82,19 +84,10 @@ func (t *rowTable) find(h uint64) int32 {
 // insert appends row to hash h's chain (creating the chain if h is
 // new) and returns the new entry's index.
 func (t *rowTable) insert(h uint64, row value.Row) int32 {
-	if len(t.slots) == 0 || len(t.entries)*4 > len(t.slots)*3 {
-		t.grow()
+	if len(t.entries) == cap(t.entries) || (len(t.entries)+1)*4 > len(t.slots)*3 {
+		t.reserve(4)
 	}
 	idx := int32(len(t.entries))
-	if len(t.entries) == cap(t.entries) {
-		// Grow the entry log 4x by hand: entries carry row pointers,
-		// so each relocation pays GC write barriers — fewer, larger
-		// moves beat append's default doubling on unsized tables.
-		nc := max(cap(t.entries)*4, 16)
-		ne := make([]rtEntry, len(t.entries), nc)
-		copy(ne, t.entries)
-		t.entries = ne
-	}
 	t.entries = append(t.entries, rtEntry{hash: h, next: rtNone, row: row})
 	i := h & t.mask
 	for {
@@ -112,13 +105,17 @@ func (t *rowTable) insert(h uint64, row value.Row) int32 {
 	}
 }
 
-// grow quadruples the slot array (from nothing: to rtFloorSlots) and
-// relinks every entry. Entries are relinked in index order, which
-// preserves each chain's insertion order; the 4x factor keeps total
-// rehash work near one pass over the final table even when the initial
-// size guess was far too low.
-func (t *rowTable) grow() {
+// grow quadruples the slot array (from nothing: to rtFloorSlots), or
+// takes it to the power of two that holds rows at three-quarters load if
+// that is more, and relinks every entry. Entries are relinked in index
+// order, which preserves each chain's insertion order; the 4x factor
+// keeps total rehash work near one pass over the final table even when
+// the table started from nothing.
+func (t *rowTable) grow(rows int) {
 	n := max(len(t.slots)*4, rtFloorSlots)
+	for n*3 < rows*4 && n < 1<<30 {
+		n <<= 1
+	}
 	t.mask = uint64(n - 1)
 	t.slots = make([]rtSlot, n)
 	for idx := range t.entries {

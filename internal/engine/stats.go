@@ -1,14 +1,16 @@
 // Package engine implements a multiset execution engine for the SQL
 // subset of the paper: scan, selection, projection with ALL/DISTINCT,
-// extended Cartesian product, nested-loop/hash/merge joins, sort- and
-// hash-based duplicate elimination, INTERSECT/EXCEPT [ALL], and
-// existential semi-joins. Every operator is instrumented with
+// extended Cartesian product, hash join, sort- and hash-based duplicate
+// elimination, and INTERSECT/EXCEPT [ALL]. It has two halves: one
+// family of batch iterators (stream.go) that every planned query runs
+// on, and the relation-at-a-time reference Executor (executor.go) those
+// pipelines are validated against. Every operator is instrumented with
 // counters, because the experiments compare strategies by the work
 // they perform (comparisons, sort runs, probes) as well as wall time.
 //
-// Operators over large inputs automatically run on the partitioned
-// parallel path (see parallel.go); serial and parallel execution
-// produce byte-identical relations.
+// A filter or projection over a large input puts itself on a pipelined
+// exchange (exchange.go); serial and parallel execution produce
+// byte-identical results.
 package engine
 
 import (
@@ -19,8 +21,8 @@ import (
 // Stats accumulates operator work counters across an execution.
 //
 // Within one operator invocation the fields are incremented directly
-// by a single goroutine (parallel operators give each worker its own
-// Stats instance and merge them). Cross-goroutine accumulation must go
+// by a single goroutine (an exchange gives each worker batch its own
+// Stats instance and merges them). Cross-goroutine accumulation must go
 // through Add, which is atomic on the destination: concurrent Add
 // calls into a shared Stats are race-free.
 type Stats struct {
@@ -47,8 +49,8 @@ type Stats struct {
 	RowsMaterialized int64 // rows charged at materialization points
 	BytesReserved    int64 // estimated bytes charged at materialization points
 
-	// Batches counts the batches emitted by streaming operators
-	// (iterator.go); 0 for a fully materializing execution.
+	// Batches counts the batches the iterators emitted (iterator.go);
+	// the reference Executor emits none.
 	Batches int64
 
 	// WorkersUsed is the effective worker count of the widest parallel

@@ -81,7 +81,7 @@ func TestStatsStringReportsWorkersUsed(t *testing.T) {
 		rel.Rows = append(rel.Rows, value.Row{value.Int(int64(i)), value.Int(int64(i % 7))})
 	}
 	var st Stats
-	out := okRel(Project(ctx0, &st, rel, []string{"T.A"}))
+	out := okRel(Drain(ctx0, &st, projIter(&st, NewRelationIter(&st, rel), "T.A")))
 	if out.Len() != 64 {
 		t.Fatalf("project returned %d rows", out.Len())
 	}

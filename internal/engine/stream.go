@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"uniqopt/internal/eval"
 	"uniqopt/internal/fault"
@@ -10,14 +12,21 @@ import (
 	"uniqopt/internal/value"
 )
 
-// Streaming operator implementations. Each mirrors its materializing
-// counterpart in operators.go — same matching semantics, same output
-// order, same work counters — but pulls batches through the Iterator
-// interface so only blocking state (hash tables, sort buffers) is ever
-// resident. Pipelined operators (scan, filter, project, hash-join
-// probe, streaming distinct) emit as they consume; blocking operators
-// (hash-join build, sort distinct, the buffered product inner) charge
-// their state as held and release it at Close.
+// The physical operators: every query the planner runs is a pipeline of
+// these iterators, drained at the root. Batches are pulled through the
+// Iterator interface so only blocking state (hash tables, sort buffers)
+// is ever resident. Pipelined operators (scan, filter, project,
+// hash-join probe, hash distinct) emit as they consume; blocking
+// operators (hash-join build, sort distinct, the product's collected
+// inner, the sort-merge set operations) charge their state as held and
+// release it at Close. Constructors take column ordinals and output
+// column names resolved once per statement shape (ColIndexes), not per
+// execution; they check the ordinals against their inputs, so a
+// malformed plan fails at assembly instead of panicking mid-stream.
+//
+// Parallelism is an exchange (exchange.go) a filter or projection puts
+// itself on when its input's size hint clears ParallelThreshold() and
+// the pool is wider than one — the one selection rule, shouldParallel.
 
 // arenaFirstRows is the row count of a rowArena's first slab.
 const arenaFirstRows = 4
@@ -47,58 +56,6 @@ func (a *rowArena) next() value.Row {
 	return row
 }
 
-// tableIter streams a base table scan in batches.
-type tableIter struct {
-	tbl     *storage.Table
-	cols    []string
-	st      *Stats
-	sg      streamGuard
-	pos     int
-	started bool
-}
-
-// NewTableIter returns a streaming scan of tbl, columns qualified by
-// corr.
-func NewTableIter(st *Stats, tbl *storage.Table, corr string) Iterator {
-	cols := qualifiedCols(tbl, corr)
-	return &tableIter{tbl: tbl, cols: cols, st: st}
-}
-
-func (it *tableIter) Cols() []string { return it.cols }
-func (it *tableIter) SizeHint() int  { return it.tbl.Len() }
-
-func (it *tableIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
-		return nil, err
-	}
-	if !it.started {
-		it.started = true
-		if err := fault.Point(FaultScan); err != nil {
-			return nil, err
-		}
-	}
-	n := it.tbl.Len()
-	if it.pos >= n {
-		return nil, nil
-	}
-	end := it.pos + BatchSize()
-	if end > n {
-		end = n
-	}
-	b := make(Batch, 0, end-it.pos)
-	for i := it.pos; i < end; i++ {
-		b = append(b, it.tbl.Row(i))
-	}
-	it.st.RowsScanned += int64(len(b))
-	it.pos = end
-	return it.sg.emit(b)
-}
-
-func (it *tableIter) Close() error {
-	it.sg.close()
-	return nil
-}
-
 // indexScanIter streams the table rows at the given ordinals (the
 // result of an index lookup or range scan, performed by the caller).
 type indexScanIter struct {
@@ -111,10 +68,9 @@ type indexScanIter struct {
 }
 
 // NewIndexScanIter returns a streaming scan over tbl's rows at ords,
-// columns qualified by corr. The caller performs the index probe; the
-// seek is counted here so the counter stays inside the engine.
-func NewIndexScanIter(st *Stats, tbl *storage.Table, corr string, ords []int) Iterator {
-	cols := qualifiedCols(tbl, corr)
+// columns named cols. The caller performs the index probe; the seek is
+// counted here so the counter stays inside the engine.
+func NewIndexScanIter(st *Stats, tbl *storage.Table, cols []string, ords []int) Iterator {
 	st.IndexSeeks++
 	return &indexScanIter{tbl: tbl, cols: cols, ords: ords, st: st}
 }
@@ -161,23 +117,30 @@ type filterIter struct {
 
 // NewFilterIter streams child through pred, compiled against the
 // child's columns (eval.Compile) once per iterator, or once per worker:
-// parallel-safe predicates run on a pipelined exchange when the worker
-// pool is wider than one; subquery-bearing predicates stay on the
-// caller's goroutine (their evaluation callbacks recurse into shared
-// executor state).
+// over an input large enough to clear the parallel threshold a
+// parallel-safe predicate runs on a pipelined exchange; a
+// subquery-bearing predicate always stays on the caller's goroutine
+// (its evaluation callbacks recurse into shared executor state).
 func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env) Iterator {
 	if pred == nil {
 		return child
 	}
 	cols := child.Cols()
-	if w := Workers(); w > 1 && !ast.HasExists(pred) {
+	if w, ok := shouldParallel(sizeHint(child)); ok && !ast.HasExists(pred) {
 		return NewExchangeIter(st, child, cols, w, func() BatchFunc {
 			keep := eval.Compile(pred, cols, envProto)
+			started := false
 			return func(b Batch, my *Stats) (Batch, error) {
+				if !started {
+					started = true
+					if err := fault.Point(FaultFilter); err != nil {
+						return nil, err
+					}
+				}
 				// Workers see no context: the exchange polls
 				// cancellation between batches.
 				g := newGuard(nil, my)
-				return g.qualifying(make(Batch, 0, len(b)), b, keep, false)
+				return g.qualifying(make(Batch, 0, len(b)), b, keep)
 			}
 		})
 	}
@@ -217,7 +180,7 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 			}
 			return nil, nil
 		}
-		if out, err = g.qualifying(out, b, it.keep, false); err != nil {
+		if out, err = g.qualifying(out, b, it.keep); err != nil {
 			return nil, err
 		}
 		if len(out) >= bs {
@@ -235,45 +198,57 @@ func (it *filterIter) Close() error {
 	return it.child.Close()
 }
 
-// projectIter streams its child projected onto the named columns.
+// projectIter streams its child projected onto the columns at idx.
 type projectIter struct {
 	child  Iterator
 	cols   []string
 	idx    []int
 	st     *Stats
 	sg     streamGuard
-	arena  rowArena
 	closed bool
 }
 
-// NewProjectIter streams child projected onto cols, on a pipelined
-// exchange when the worker pool is wider than one.
-func NewProjectIter(st *Stats, child Iterator, cols []string) (Iterator, error) {
-	idx, err := colIndexesIn(child.Cols(), cols)
-	if err != nil {
+// checkOrdinals reports the first ordinal of idx that is not a column
+// of cols.
+func checkOrdinals(cols []string, idx []int) error {
+	for _, c := range idx {
+		if c < 0 || c >= len(cols) {
+			return fmt.Errorf("engine: relation has no column #%d (cols: %v)", c, cols)
+		}
+	}
+	return nil
+}
+
+// project copies the columns at idx of every row of b into fresh rows
+// carved from one slab: the batch's size is known, so it pays one
+// allocation for exactly the rows it emits.
+func project(b Batch, idx []int) Batch {
+	w := len(idx)
+	slab := make(value.Row, len(b)*w)
+	out := make(Batch, len(b))
+	for r, row := range b {
+		nr := slab[r*w : (r+1)*w : (r+1)*w]
+		for i, c := range idx {
+			nr[i] = row[c]
+		}
+		out[r] = nr
+	}
+	return out
+}
+
+// NewProjectIter streams child projected onto its columns at idx, named
+// cols — on a pipelined exchange when the input clears the parallel
+// threshold.
+func NewProjectIter(st *Stats, child Iterator, cols []string, idx []int) (Iterator, error) {
+	if err := checkOrdinals(child.Cols(), idx); err != nil {
 		return nil, err
 	}
-	outCols := append([]string(nil), cols...)
-	if w := Workers(); w > 1 {
-		return NewExchangeIter(st, child, outCols, w, func() BatchFunc {
-			arena := rowArena{width: len(idx)}
-			return func(b Batch, my *Stats) (Batch, error) {
-				out := make(Batch, 0, len(b))
-				for _, row := range b {
-					nr := arena.next()
-					for i, c := range idx {
-						nr[i] = row[c]
-					}
-					out = append(out, nr)
-				}
-				return out, nil
-			}
+	if w, ok := shouldParallel(sizeHint(child)); ok {
+		return NewExchangeIter(st, child, cols, w, func() BatchFunc {
+			return func(b Batch, _ *Stats) (Batch, error) { return project(b, idx), nil }
 		}), nil
 	}
-	return &projectIter{
-		child: child, cols: outCols, idx: idx, st: st,
-		arena: rowArena{width: len(idx)},
-	}, nil
+	return &projectIter{child: child, cols: cols, idx: idx, st: st}, nil
 }
 
 func (it *projectIter) Cols() []string { return it.cols }
@@ -289,18 +264,7 @@ func (it *projectIter) Next(ctx context.Context) (Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	out := make(Batch, 0, len(b))
-	for _, row := range b {
-		if err := it.sg.step(); err != nil {
-			return nil, err
-		}
-		nr := it.arena.next()
-		for i, c := range it.idx {
-			nr[i] = row[c]
-		}
-		out = append(out, nr)
-	}
-	return it.sg.emit(out)
+	return it.sg.emit(project(b, it.idx))
 }
 
 func (it *projectIter) Close() error {
@@ -337,13 +301,9 @@ func NewDistinctHashIter(st *Stats, child Iterator) Iterator {
 	if ws := Workers(); ws > 1 {
 		w = ws
 	}
-	// A child size hint presizes the tables (split across partitions
-	// when the pool is wide), sparing large streams the incremental
-	// rehash-and-relink passes an unsized table pays.
-	hint := sizeHint(child)
 	tables := make([]*rowTable, w)
 	for i := range tables {
-		tables[i] = newRowTable(hint / w)
+		tables[i] = &rowTable{}
 	}
 	return &distinctHashIter{
 		child: child, cols: child.Cols(), st: st, w: w, tables: tables,
@@ -489,6 +449,13 @@ func (it *distinctHashIter) dedupParallel(b Batch) (Batch, error) {
 	return out, it.sg.flushHeld()
 }
 
+func (it *distinctHashIter) parallelWidth() int {
+	if it.noted {
+		return it.w
+	}
+	return 0
+}
+
 func (it *distinctHashIter) Close() error {
 	if it.closed {
 		return nil
@@ -499,11 +466,10 @@ func (it *distinctHashIter) Close() error {
 	return it.child.Close()
 }
 
-// distinctSortIter is the blocking streaming form of DistinctSort: it
-// buffers its whole input (charged as held state), sorts and collapses
-// runs exactly like the materializing operator, then emits the result
-// in batches. It exists so streaming execution preserves DistinctSort's
-// sorted output order byte-for-byte.
+// distinctSortIter is the blocking iterator form of DistinctSort: it
+// buffers its whole input (charged as held state), sorts it and
+// collapses runs exactly like the reference operator, then emits the
+// result — in DistinctSort's sorted order — in batches.
 type distinctSortIter struct {
 	child  Iterator
 	cols   []string
@@ -535,21 +501,8 @@ func (it *distinctSortIter) Next(ctx context.Context) (Batch, error) {
 		if err := fault.Point(FaultDistinct); err != nil {
 			return nil, err
 		}
-		var rows []value.Row
-		for {
-			b, err := it.child.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if err := it.sg.holdBatch(b); err != nil {
-				return nil, err
-			}
-			rows = append(rows, b...)
-		}
-		if err := it.child.Close(); err != nil {
+		rows, err := it.sg.collect(ctx, it.child)
+		if err != nil {
 			return nil, err
 		}
 		it.st.SortRuns++
@@ -558,29 +511,28 @@ func (it *distinctSortIter) Next(ctx context.Context) (Batch, error) {
 			it.st.Comparisons++
 			return value.OrderCompareRows(a, b)
 		})
-		for i, row := range rows {
+		// Collapse each run of ≐-equal rows onto its first row, in
+		// place: the buffer is this iterator's own.
+		kept := rows[:0]
+		for _, row := range rows {
 			if err := it.sg.step(); err != nil {
 				return nil, err
 			}
-			if i > 0 {
+			if len(kept) > 0 {
 				it.st.Comparisons++
-				if value.NullEqRows(rows[i-1], row) {
+				if value.NullEqRows(kept[len(kept)-1], row) {
 					continue
 				}
 			}
-			it.buf = append(it.buf, row)
+			kept = append(kept, row)
 		}
+		it.buf = kept
 		it.built = true
 	}
-	if it.pos >= len(it.buf) {
+	var b Batch
+	if b, it.pos = window(it.buf, it.pos); b == nil {
 		return nil, nil
 	}
-	end := it.pos + BatchSize()
-	if end > len(it.buf) {
-		end = len(it.buf)
-	}
-	b := Batch(it.buf[it.pos:end:end])
-	it.pos = end
 	return it.sg.emitHeld(b)
 }
 
@@ -594,11 +546,84 @@ func (it *distinctSortIter) Close() error {
 	return it.child.Close()
 }
 
+// setOpIter is the blocking sort-merge form of INTERSECT / EXCEPT [ALL]
+// — the way the paper says typical optimizers run them (§5.3), and what
+// the Theorem 3 / Corollary 2 rewrites exist to avoid: it collects both
+// operands, hands them to IntersectSort or ExceptSort, and emits the
+// merged result in batches. The operands, the two sort buffers and the
+// result are all held state.
+type setOpIter struct {
+	l, r   Iterator
+	merge  func(context.Context, *Stats, *Relation, *Relation, bool) (*Relation, error)
+	all    bool
+	st     *Stats
+	sg     streamGuard
+	out    []value.Row
+	pos    int
+	built  bool
+	closed bool
+}
+
+// NewSetOpIter streams l INTERSECT [ALL] r, or with except set
+// l EXCEPT [ALL] r, under ≐ row equivalence. Output columns are l's.
+func NewSetOpIter(st *Stats, l, r Iterator, except, all bool) Iterator {
+	merge := IntersectSort
+	if except {
+		merge = ExceptSort
+	}
+	return &setOpIter{l: l, r: r, merge: merge, all: all, st: st}
+}
+
+func (it *setOpIter) Cols() []string { return it.l.Cols() }
+
+// SizeHint passes through the left operand's bound: neither operation
+// emits a row its left operand did not.
+func (it *setOpIter) SizeHint() int { return sizeHint(it.l) }
+
+func (it *setOpIter) Next(ctx context.Context) (Batch, error) {
+	if err := it.sg.begin(ctx, it.st); err != nil {
+		return nil, err
+	}
+	if !it.built {
+		lrows, err := it.sg.collect(ctx, it.l)
+		if err != nil {
+			return nil, err
+		}
+		rrows, err := it.sg.collect(ctx, it.r)
+		if err != nil {
+			return nil, err
+		}
+		rows0, bytes0 := it.st.RowsMaterialized, it.st.BytesReserved
+		rel, err := it.merge(ctx, it.st,
+			&Relation{Cols: it.l.Cols(), Rows: lrows}, &Relation{Cols: it.r.Cols(), Rows: rrows}, it.all)
+		it.sg.adopt(it.st.RowsMaterialized-rows0, it.st.BytesReserved-bytes0)
+		if err != nil {
+			return nil, err
+		}
+		it.out, it.built = rel.Rows, true
+	}
+	var b Batch
+	if b, it.pos = window(it.out, it.pos); b == nil {
+		return nil, nil
+	}
+	return it.sg.emitHeld(b)
+}
+
+func (it *setOpIter) Close() error {
+	if it.closed {
+		return nil
+	}
+	it.closed = true
+	it.sg.close()
+	it.out = nil
+	return errors.Join(it.l.Close(), it.r.Close())
+}
+
 // hashJoinIter streams an equi-join: the build side (right input) is
 // drained into a hash table on the first Next — the join's only
 // blocking state — and the probe side (left input) streams through it
 // batch by batch. Output order is probe order with build-chain order
-// inside a key, identical to HashJoin and ParallelHashJoin.
+// inside a key.
 type hashJoinIter struct {
 	probe, build Iterator
 	cols         []string
@@ -614,25 +639,25 @@ type hashJoinIter struct {
 	closed       bool
 }
 
-// NewHashJoinIter streams probe ⋈ build on probeKeys = buildKeys.
-// WHERE-clause equality semantics: rows with NULL join keys never
-// match. Output columns are probe's then build's.
-func NewHashJoinIter(st *Stats, probe, build Iterator, probeKeys, buildKeys []string) (Iterator, error) {
-	pc, bc := probe.Cols(), build.Cols()
-	pi, err := colIndexesIn(pc, probeKeys)
-	if err != nil {
+// NewHashJoinIter streams probe ⋈ build on the probe columns at pi
+// equal to the build columns at bi. WHERE-clause equality semantics:
+// rows with NULL join keys never match. cols names the output: probe's
+// columns then build's.
+func NewHashJoinIter(st *Stats, probe, build Iterator, cols []string, pi, bi []int) (Iterator, error) {
+	if len(pi) != len(bi) {
+		return nil, fmt.Errorf("engine: hash join on %d probe and %d build key columns", len(pi), len(bi))
+	}
+	if err := checkOrdinals(probe.Cols(), pi); err != nil {
 		return nil, err
 	}
-	bi, err := colIndexesIn(bc, buildKeys)
-	if err != nil {
+	if err := checkOrdinals(build.Cols(), bi); err != nil {
 		return nil, err
 	}
-	cols := append(append([]string{}, pc...), bc...)
 	return &hashJoinIter{
 		probe: probe, build: build, cols: cols, pi: pi, bi: bi, st: st,
-		table:  newRowTable(sizeHint(build)),
+		table:  &rowTable{},
 		keyBuf: make(value.Row, len(bi)),
-		arena:  rowArena{width: len(pc) + len(bc)},
+		arena:  rowArena{width: len(cols)},
 	}, nil
 }
 
@@ -647,6 +672,10 @@ func (j *hashJoinIter) buildTable(ctx context.Context) error {
 		if b == nil {
 			break
 		}
+		// The table is sized by the batches that arrive, not by a bound
+		// on them — a selective filter keeps a fraction of what it might
+		// — and most build sides arrive in one.
+		j.table.reserve(len(b))
 		for _, row := range b {
 			if err := j.sg.step(); err != nil {
 				return err
@@ -744,188 +773,29 @@ func (j *hashJoinIter) Close() error {
 	j.closed = true
 	j.sg.close()
 	j.table = nil
-	err1 := j.probe.Close()
-	err2 := j.build.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	return errors.Join(j.probe.Close(), j.build.Close())
 }
 
-// symSide is one input of a symmetric hash join: its iterator, its
-// key ordinals, and the hash table of its rows seen so far.
-type symSide struct {
-	it    Iterator
-	ki    []int
-	table *rowTable
-	done  bool
-}
-
-// symmetricHashJoinIter equi-joins two streams without a blocking
-// build phase: it alternates pulls between the inputs, probing each
-// arriving row against the opposite side's table before inserting it
-// into its own. Both tables are held state; every matching pair is
-// emitted exactly once (when its second row arrives), so the result is
-// multiset-equal to HashJoin — though in arrival order, not probe
-// order. Use it when both inputs are unbounded streams and neither can
-// be materialized as a build side.
-type symmetricHashJoinIter struct {
-	l, r   symSide
-	cols   []string
-	lw     int // left row width, for output orientation
-	st     *Stats
-	sg     streamGuard
-	keyBuf value.Row
-	arena  rowArena
-	turn   int
-	closed bool
-}
-
-// NewSymmetricHashJoinIter streams l ⋈ r on lKeys = rKeys with both
-// sides incremental. Output columns are l's then r's.
-func NewSymmetricHashJoinIter(st *Stats, l, r Iterator, lKeys, rKeys []string) (Iterator, error) {
-	lc, rc := l.Cols(), r.Cols()
-	li, err := colIndexesIn(lc, lKeys)
-	if err != nil {
-		return nil, err
-	}
-	ri, err := colIndexesIn(rc, rKeys)
-	if err != nil {
-		return nil, err
-	}
-	cols := append(append([]string{}, lc...), rc...)
-	return &symmetricHashJoinIter{
-		l:      symSide{it: l, ki: li, table: newRowTable(sizeHint(l))},
-		r:      symSide{it: r, ki: ri, table: newRowTable(sizeHint(r))},
-		cols:   cols,
-		lw:     len(lc),
-		st:     st,
-		keyBuf: make(value.Row, len(li)),
-		arena:  rowArena{width: len(lc) + len(rc)},
-	}, nil
-}
-
-func (j *symmetricHashJoinIter) Cols() []string { return j.cols }
-
-func (j *symmetricHashJoinIter) Next(ctx context.Context) (Batch, error) {
-	if err := j.sg.begin(ctx, j.st); err != nil {
-		return nil, err
-	}
-	bs := BatchSize()
-	var out Batch
-	for {
-		side, other := &j.l, &j.r
-		if j.turn == 1 {
-			side, other = &j.r, &j.l
-		}
-		j.turn = 1 - j.turn
-		if side.done {
-			side, other = other, side
-			if side.done {
-				if len(out) > 0 {
-					return j.sg.emit(out)
-				}
-				return nil, nil
-			}
-		}
-		b, err := side.it.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			side.done = true
-			if err := side.it.Close(); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		fromLeft := side == &j.l
-		for _, row := range b {
-			if err := j.sg.step(); err != nil {
-				return nil, err
-			}
-			if hasNullAt(row, side.ki) {
-				continue
-			}
-			for i, c := range side.ki {
-				j.keyBuf[i] = row[c]
-			}
-			h := hashRow(j.keyBuf)
-			j.st.HashProbes++
-			for e := other.table.find(h); e != rtNone; e = other.table.entries[e].next {
-				orow := other.table.entries[e].row
-				j.st.JoinPairs++
-				if !equalAt(row, side.ki, orow, other.ki, j.st) {
-					continue
-				}
-				nr := j.arena.next()
-				if fromLeft {
-					copy(nr, row)
-					copy(nr[j.lw:], orow)
-				} else {
-					copy(nr, orow)
-					copy(nr[j.lw:], row)
-				}
-				out = append(out, nr)
-			}
-			side.table.insert(h, row)
-			j.st.HashInserts++
-			if err := j.sg.holdRow(row); err != nil {
-				return nil, err
-			}
-		}
-		if err := j.sg.flushHeld(); err != nil {
-			return nil, err
-		}
-		if len(out) >= bs {
-			return j.sg.emit(out)
-		}
-	}
-}
-
-func (j *symmetricHashJoinIter) Close() error {
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	j.sg.close()
-	j.l.table, j.r.table = nil, nil
-	err1 := j.l.it.Close()
-	err2 := j.r.it.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// productIter streams the extended Cartesian product: the left input
-// streams once, the right is buffered (held state) and replayed per
-// left row via a BufferedIterator.
+// productIter streams the extended Cartesian product: the right input
+// is collected once (held state), the left streams once, and every left
+// row is paired with the collected rows in their arrival order.
 type productIter struct {
-	left   Iterator
-	right  *BufferedIterator
-	cols   []string
-	st     *Stats
-	sg     streamGuard
-	arena  rowArena
-	lb     Batch
-	li     int
-	rb     Batch
-	ri     int
-	closed bool
+	left, right Iterator
+	inner       []value.Row // the right input, collected on the first Next
+	cols        []string
+	st          *Stats
+	sg          streamGuard
+	arena       rowArena
+	lb          Batch // the left batch being paired
+	li, ri      int   // the next pair: lb[li] with inner[ri]
+	built       bool
+	closed      bool
 }
 
-// NewProductIter streams l × r.
-func NewProductIter(st *Stats, l, r Iterator) Iterator {
-	lc, rc := l.Cols(), r.Cols()
-	cols := append(append([]string{}, lc...), rc...)
-	return &productIter{
-		left:  l,
-		right: NewBufferedIterator(st, r),
-		cols:  cols,
-		st:    st,
-		arena: rowArena{width: len(lc) + len(rc)},
-	}
+// NewProductIter streams l × r; cols names the output: l's columns
+// then r's.
+func NewProductIter(st *Stats, l, r Iterator, cols []string) Iterator {
+	return &productIter{left: l, right: r, cols: cols, st: st, arena: rowArena{width: len(cols)}}
 }
 
 func (j *productIter) Cols() []string { return j.cols }
@@ -934,10 +804,17 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 	if err := j.sg.begin(ctx, j.st); err != nil {
 		return nil, err
 	}
+	if !j.built {
+		var err error
+		if j.inner, err = j.sg.collect(ctx, j.right); err != nil {
+			return nil, err
+		}
+		j.built = true
+	}
 	bs := BatchSize()
 	var out Batch
 	for {
-		if j.lb == nil {
+		if j.li >= len(j.lb) {
 			b, err := j.left.Next(ctx)
 			if err != nil {
 				return nil, err
@@ -948,35 +825,12 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 				}
 				return nil, nil
 			}
-			if len(b) == 0 {
-				continue
-			}
-			j.lb, j.li = b, 0
-			j.right.Rewind()
-			j.rb, j.ri = nil, 0
-		}
-		lrow := j.lb[j.li]
-		if j.ri >= len(j.rb) {
-			rb, err := j.right.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if rb == nil {
-				// This left row is done against the whole right side.
-				j.li++
-				if j.li >= len(j.lb) {
-					j.lb = nil
-				} else {
-					j.right.Rewind()
-				}
-				j.rb, j.ri = nil, 0
-				continue
-			}
-			j.rb, j.ri = rb, 0
+			j.lb, j.li, j.ri = b, 0, 0
 			continue
 		}
-		for j.ri < len(j.rb) {
-			rr := j.rb[j.ri]
+		lrow := j.lb[j.li]
+		for j.ri < len(j.inner) {
+			rr := j.inner[j.ri]
 			j.ri++
 			if err := j.sg.step(); err != nil {
 				return nil, err
@@ -990,6 +844,7 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 				return j.sg.emit(out)
 			}
 		}
+		j.li, j.ri = j.li+1, 0
 	}
 }
 
@@ -999,10 +854,6 @@ func (j *productIter) Close() error {
 	}
 	j.closed = true
 	j.sg.close()
-	err1 := j.left.Close()
-	err2 := j.right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
+	j.inner = nil
+	return errors.Join(j.left.Close(), j.right.Close())
 }

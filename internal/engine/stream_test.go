@@ -57,9 +57,11 @@ func TestStreamScanEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamOperatorEquivalence: streaming filter, project, distinct,
-// hash join, and product are byte-identical to their serial
-// materializing counterparts at every batch size.
+// TestStreamOperatorEquivalence: the filter, project, distinct, hash
+// join, product and set-operation iterators are byte-identical to the
+// reference executor's operators at every batch size (hash distinct,
+// which the reference does not have, to the first occurrences in input
+// order and, as a multiset, to DistinctSort).
 func TestStreamOperatorEquivalence(t *testing.T) {
 	forceSerial(t)
 	r := rand.New(rand.NewSource(72))
@@ -69,28 +71,17 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 	pred, env := gtPred()
 
 	st0 := &Stats{}
-	wantFilter, err := Filter(ctx, st0, l, pred, env)
-	if err != nil {
-		t.Fatal(err)
+	wantFilter := okRel(Filter(ctx, st0, l, pred, env))
+	wantProject := okRel(Project(ctx, st0, l, []string{"T.B", "T.K"}))
+	wantSorted := okRel(DistinctSort(ctx, st0, l))
+	wantDistinct := firstOccurrences(l)
+	if !MultisetEqual(wantSorted, wantDistinct) {
+		t.Fatal("the first-occurrence oracle disagrees with DistinctSort")
 	}
-	wantProject, err := Project(ctx, st0, l, []string{"T.B", "T.K"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDistinct, err := DistinctHash(ctx, st0, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantJoin, err := HashJoin(ctx, st0, l, rr, []string{"T.K"}, []string{"R.K"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantJoin := joinOracle(st0, l, rr, "T.K", "R.K")
 	smallL := &Relation{Cols: l.Cols, Rows: l.Rows[:37]}
 	smallR := &Relation{Cols: rr.Cols, Rows: rr.Rows[:11]}
-	wantProduct, err := Product(ctx, st0, smallL, smallR)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantProduct := okRel(Product(ctx, st0, smallL, smallR))
 
 	for _, bs := range streamBatchSizes {
 		withBatchSize(t, bs)
@@ -100,39 +91,40 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 		identicalRelations(t, wantFilter, gotFilter, "stream filter")
 
 		st = &Stats{}
-		pit, err := NewProjectIter(st, NewRelationIter(st, l), []string{"T.B", "T.K"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotProject := mustDrain(t, st, pit)
+		gotProject := mustDrain(t, st, projIter(st, NewRelationIter(st, l), "T.B", "T.K"))
 		identicalRelations(t, wantProject, gotProject, "stream project")
 
 		st = &Stats{}
-		gotDistinct := mustDrain(t, st, NewDistinctHashIter(st, NewRelationIter(st, l)))
-		identicalRelations(t, wantDistinct, gotDistinct, "stream distinct")
+		identicalRelations(t, wantDistinct, hashDistinct(st, l), "stream distinct")
 
 		st = &Stats{}
-		jit, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, rr),
-			[]string{"T.K"}, []string{"R.K"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJoin := mustDrain(t, st, jit)
-		identicalRelations(t, wantJoin, gotJoin, "stream hash join")
+		identicalRelations(t, wantJoin, hashJoin(st, l, rr, []string{"T.K"}, []string{"R.K"}), "stream hash join")
 
 		st = &Stats{}
-		gotProduct := mustDrain(t, st,
-			NewProductIter(st, NewRelationIter(st, smallL), NewRelationIter(st, smallR)))
+		gotProduct := mustDrain(t, st, prodIter(st, NewRelationIter(st, smallL), NewRelationIter(st, smallR)))
 		identicalRelations(t, wantProduct, gotProduct, "stream product")
 
 		st = &Stats{}
 		gotSorted := mustDrain(t, st, NewDistinctSortIter(st, NewRelationIter(st, l)))
-		st0b := &Stats{}
-		wantSorted, err := DistinctSort(ctx, st0b, l)
-		if err != nil {
-			t.Fatal(err)
-		}
 		identicalRelations(t, wantSorted, gotSorted, "stream distinct sort")
+
+		for _, except := range []bool{false, true} {
+			for _, all := range []bool{false, true} {
+				a := okRel(Project(ctx, st0, l, []string{"T.A", "T.B"}))
+				b := okRel(Project(ctx, st0, rr, []string{"R.A", "R.B"}))
+				merge, hashed := IntersectSort, Intersect
+				if except {
+					merge, hashed = ExceptSort, Except
+				}
+				st = &Stats{}
+				got := mustDrain(t, st, NewSetOpIter(st, NewRelationIter(st, a), NewRelationIter(st, b), except, all))
+				what := fmt.Sprintf("stream set operation except=%v all=%v", except, all)
+				identicalRelations(t, okRel(merge(ctx, st0, a, b, all)), got, what)
+				if !MultisetEqual(okRel(hashed(ctx, st0, a, b, all)), got) {
+					t.Fatalf("%s: differs from the reference executor's operator", what)
+				}
+			}
+		}
 	}
 }
 
@@ -152,18 +144,9 @@ func TestStreamParallelEquivalence(t *testing.T) {
 
 	ctx := context.Background()
 	st0 := &Stats{}
-	wantFilter, err := Filter(ctx, st0, l, pred, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantProject, err := Project(ctx, st0, l, []string{"T.B", "T.K"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDistinct, err := DistinctHash(ctx, st0, l)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantFilter := okRel(Filter(ctx, st0, l, pred, env))
+	wantProject := okRel(Project(ctx, st0, l, []string{"T.B", "T.K"}))
+	wantDistinct := firstOccurrences(l)
 
 	for _, bs := range []int{1, 3, 64, DefaultBatchSize} {
 		withBatchSize(t, bs)
@@ -176,16 +159,19 @@ func TestStreamParallelEquivalence(t *testing.T) {
 		}
 
 		st = &Stats{}
-		pit, err := NewProjectIter(st, NewRelationIter(st, l), []string{"T.B", "T.K"})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pit := projIter(st, NewRelationIter(st, l), "T.B", "T.K")
 		gotProject := mustDrain(t, st, pit)
 		identicalRelations(t, wantProject, gotProject, "exchange project")
+		if ParallelWidth(pit) != 4 {
+			t.Fatalf("bs=%d: exchange project reports width %d, want 4", bs, ParallelWidth(pit))
+		}
 
 		st = &Stats{}
-		gotDistinct := mustDrain(t, st, NewDistinctHashIter(st, NewRelationIter(st, l)))
-		identicalRelations(t, wantDistinct, gotDistinct, "parallel stream distinct")
+		dit := NewDistinctHashIter(st, NewRelationIter(st, l))
+		identicalRelations(t, wantDistinct, mustDrain(t, st, dit), "parallel stream distinct")
+		if ParallelWidth(dit) != 4 {
+			t.Fatalf("bs=%d: partitioned distinct reports width %d, want 4", bs, ParallelWidth(dit))
+		}
 	}
 }
 
@@ -221,12 +207,7 @@ func TestStreamDistinctMixedSerialParallel(t *testing.T) {
 	// thresholds chosen so streams cut over mid-flight both ways.
 	r := rand.New(rand.NewSource(75))
 	big := randomRelation(r, "T", 1201)
-	SetParallelThreshold(1 << 30)
-	st0 := &Stats{}
-	wantBig, err := DistinctHash(context.Background(), st0, big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantBig := firstOccurrences(big)
 	for _, bs := range []int{3, 5, 7, 64} {
 		for _, th := range []int{2, 4, 8} {
 			SetBatchSize(bs)
@@ -239,60 +220,73 @@ func TestStreamDistinctMixedSerialParallel(t *testing.T) {
 	}
 }
 
-// TestSymmetricHashJoin: the stream-to-stream join is multiset-equal
-// to HashJoin (its arrival order differs from probe order by design)
-// at every batch size, with deterministic output for a fixed input.
-func TestSymmetricHashJoin(t *testing.T) {
+// TestAutoDispatch pins the one parallelism selection rule: a filter or
+// projection puts itself on an exchange exactly when the pool is wider
+// than one and its input's size hint clears the threshold — never for a
+// small input, an input of unknown size, or a subquery-bearing
+// predicate — and the results stay identical either way.
+func TestAutoDispatch(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	rel := randomRelation(r, "T", 6000)
+	pred, env := gtPred()
+	sub := &ast.And{L: pred, R: &ast.Exists{Query: &ast.Select{}}}
 	forceSerial(t)
-	r := rand.New(rand.NewSource(74))
-	l := randomRelation(r, "T", 401)
-	rr := randomRelation(r, "R", 389)
-	ctx := context.Background()
-	st0 := &Stats{}
-	want, err := HashJoin(ctx, st0, l, rr, []string{"T.K"}, []string{"R.K"})
-	if err != nil {
-		t.Fatal(err)
+	want := okRel(Project(ctx0, &Stats{}, okRel(Filter(ctx0, &Stats{}, rel, pred, env)), []string{"T.K"}))
+
+	pipeline := func(st *Stats, p ast.Expr, in Iterator) (filter, project Iterator) {
+		filter = NewFilterIter(st, in, p, env)
+		return filter, projIter(st, filter, "T.K")
 	}
-	var first *Relation
-	for _, bs := range streamBatchSizes {
-		withBatchSize(t, bs)
+	// unsized hides its child's size hint.
+	type unsized struct{ Iterator }
+	for _, c := range []struct {
+		name               string
+		workers, threshold int
+		pred               ast.Expr
+		in                 func(*Stats) Iterator
+		wide               bool
+	}{
+		{"above threshold", 4, 4096, pred, func(st *Stats) Iterator { return NewRelationIter(st, rel) }, true},
+		{"below threshold", 4, 6001, pred, func(st *Stats) Iterator { return NewRelationIter(st, rel) }, false},
+		{"one worker", 1, 1, pred, func(st *Stats) Iterator { return NewRelationIter(st, rel) }, false},
+		{"unknown size", 4, 1, pred, func(st *Stats) Iterator { return unsized{NewRelationIter(st, rel)} }, false},
+	} {
+		SetWorkers(c.workers)
+		pt := SetParallelThreshold(c.threshold)
 		st := &Stats{}
-		jit, err := NewSymmetricHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, rr),
-			[]string{"T.K"}, []string{"R.K"})
-		if err != nil {
-			t.Fatal(err)
+		filter, project := pipeline(st, c.pred, c.in(st))
+		got := mustDrain(t, st, project)
+		SetParallelThreshold(pt)
+		identicalRelations(t, want, got, c.name)
+		for what, it := range map[string]Iterator{"filter": filter, "project": project} {
+			if w := ParallelWidth(it); (w > 0) != c.wide || (c.wide && w != c.workers) {
+				t.Errorf("%s: %s ran %d wide, want wide=%v", c.name, what, w, c.wide)
+			}
 		}
-		got := mustDrain(t, st, jit)
-		if !MultisetEqual(want, got) {
-			t.Fatalf("bs=%d: symmetric join not multiset-equal to HashJoin (%d vs %d rows)",
-				bs, got.Len(), want.Len())
-		}
-		if snap := st.Snapshot(); snap.JoinPairs == 0 || snap.HashInserts == 0 {
-			t.Fatalf("bs=%d: symmetric join counters not recorded: %s", bs, &snap)
+		if runs := st.Snapshot().ParallelRuns; (runs > 0) != c.wide {
+			t.Errorf("%s: parallel runs = %d, want wide=%v", c.name, runs, c.wide)
 		}
 	}
-	// Determinism: same input, same batch size, same output order.
-	withBatchSize(t, 7)
-	for i := 0; i < 2; i++ {
-		st := &Stats{}
-		jit, err := NewSymmetricHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, rr),
-			[]string{"T.K"}, []string{"R.K"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := mustDrain(t, st, jit)
-		if first == nil {
-			first = got
-		} else {
-			identicalRelations(t, first, got, "symmetric join determinism")
-		}
+	// A subquery-bearing predicate stays on the caller's goroutine
+	// whatever the input size.
+	SetWorkers(4)
+	pt := SetParallelThreshold(1)
+	defer SetParallelThreshold(pt)
+	st := &Stats{}
+	if w := ParallelWidth(NewFilterIter(st, NewRelationIter(st, rel), sub, env)); w != 0 {
+		t.Errorf("subquery-bearing filter assembled on a %d-wide exchange", w)
+	}
+	if _, ok := NewFilterIter(st, NewRelationIter(st, rel), sub, env).(*filterIter); !ok {
+		t.Error("subquery-bearing filter is not the serial filter iterator")
+	}
+	if _, ok := NewFilterIter(st, NewRelationIter(st, rel), pred, env).(*exchangeIter); !ok {
+		t.Error("parallel-safe filter over a sized input is not an exchange")
 	}
 }
 
-// TestStreamCollisionFallback: with every hash degenerate, streaming
-// distinct and both streaming joins still compare rows and produce
-// correct output — extending the serial/parallel collision coverage to
-// the streaming path.
+// TestStreamCollisionFallback: with every hash degenerate and batches
+// of two, hash distinct and the hash join still compare rows and
+// produce correct output across batch boundaries.
 func TestStreamCollisionFallback(t *testing.T) {
 	forceSerial(t)
 	withDegenerateHash(t)
@@ -318,83 +312,21 @@ func TestStreamCollisionFallback(t *testing.T) {
 		{value.Null, value.String_("z")},
 		{value.Int(1), value.String_("w")},
 	}}
-	st0 = &Stats{}
-	want, err := HashJoin(ctx, st0, l, rr, []string{"T.K"}, []string{"R.K"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := joinOracle(&Stats{}, l, rr, "T.K", "R.K")
 	st = &Stats{}
-	jit, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, rr),
-		[]string{"T.K"}, []string{"R.K"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := mustDrain(t, st, jit)
-	identicalRelations(t, want, got, "collision stream join")
-
-	st = &Stats{}
-	sym, err := NewSymmetricHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, rr),
-		[]string{"T.K"}, []string{"R.K"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSym := mustDrain(t, st, sym)
-	if !MultisetEqual(want, gotSym) {
-		t.Fatalf("collision symmetric join: %d rows, want %d", gotSym.Len(), want.Len())
-	}
+	identicalRelations(t, want, hashJoin(st, l, rr, []string{"T.K"}, []string{"R.K"}), "collision stream join")
 }
 
-// TestBufferedIteratorRewind: replay returns the same batches, and
-// rewinding mid-stream replays the cached prefix before continuing.
-func TestBufferedIteratorRewind(t *testing.T) {
-	withBatchSize(t, 4)
-	r := rand.New(rand.NewSource(75))
-	rel := randomRelation(r, "T", 23)
-	ctx := context.Background()
-
-	st := &Stats{}
-	buf := NewBufferedIterator(st, NewRelationIter(st, rel))
-	// Pull two batches, rewind, then drain fully: the result must be
-	// the whole relation (prefix replayed, remainder pulled fresh).
-	for i := 0; i < 2; i++ {
-		if _, err := buf.Next(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf.Rewind()
-	got := mustDrain(t, st, buf)
-	identicalRelations(t, rel, got, "buffered rewind")
-
-	st = &Stats{}
-	buf = NewBufferedIterator(st, NewRelationIter(st, rel))
-	first := mustDrainNoClose(t, buf, ctx)
-	buf.Rewind()
-	second := mustDrainNoClose(t, buf, ctx)
-	if len(first) != len(second) {
-		t.Fatalf("replay row count %d != %d", len(second), len(first))
-	}
-	for i := range first {
-		if value.OrderCompareRows(first[i], second[i]) != 0 {
-			t.Fatalf("replay row %d differs", i)
-		}
-	}
-	if err := buf.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func mustDrainNoClose(t *testing.T, it Iterator, ctx context.Context) []value.Row {
-	t.Helper()
-	var rows []value.Row
+// consume pulls it to its end the way a client that streams results out
+// does — retaining nothing — then closes it, returning the row count.
+func consume(ctx context.Context, it Iterator) (n int, err error) {
+	defer it.Close()
 	for {
 		b, err := it.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || b == nil {
+			return n, err
 		}
-		if b == nil {
-			return rows
-		}
-		rows = append(rows, b...)
+		n += len(b)
 	}
 }
 
@@ -411,7 +343,7 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	pred, env := gtPred()
 
 	st := &Stats{}
-	n, err := DrainDiscard(ctx, NewFilterIter(st, NewRelationIter(st, rel), pred, env))
+	n, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), pred, env))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +366,7 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outM.Len() != int(n) {
+	if outM.Len() != n {
 		t.Fatalf("materialized filter rows %d != streamed %d", outM.Len(), n)
 	}
 	_, matPeak := govM.Peak()
@@ -458,7 +390,7 @@ func TestStreamBudget(t *testing.T) {
 	gov := NewGovernor(0, budget)
 	ctx := WithGovernor(context.Background(), gov)
 	st := &Stats{}
-	if _, err := DrainDiscard(ctx, NewFilterIter(st, NewRelationIter(st, rel), pred, env)); err != nil {
+	if _, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), pred, env)); err != nil {
 		t.Fatalf("streaming pipeline should fit in budget: %v", err)
 	}
 	if _, peak := gov.Peak(); peak > budget {
@@ -478,7 +410,7 @@ func TestStreamBudget(t *testing.T) {
 	govB := NewGovernor(0, budget)
 	ctxB := WithGovernor(context.Background(), govB)
 	stB := &Stats{}
-	if _, err := DrainDiscard(ctxB, NewDistinctHashIter(stB, NewRelationIter(stB, rel))); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := consume(ctxB, NewDistinctHashIter(stB, NewRelationIter(stB, rel))); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("blocking distinct: err=%v, want budget exceeded", err)
 	}
 }
@@ -528,17 +460,16 @@ func TestStreamEmptyInputs(t *testing.T) {
 		t.Fatal("distinct of empty not empty")
 	}
 	st = &Stats{}
-	jit, err := NewHashJoinIter(st, NewRelationIter(st, empty), NewRelationIter(st, rel),
-		[]string{"T.K"}, []string{"R.K"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustDrain(t, st, jit); got.Len() != 0 {
+	if got := hashJoin(st, empty, rel, []string{"T.K"}, []string{"R.K"}); got.Len() != 0 {
 		t.Fatal("join with empty probe not empty")
 	}
 	st = &Stats{}
-	if got := mustDrain(t, st, NewProductIter(st, NewRelationIter(st, rel), NewRelationIter(st, empty))); got.Len() != 0 {
+	if got := mustDrain(t, st, prodIter(st, NewRelationIter(st, rel), NewRelationIter(st, empty))); got.Len() != 0 {
 		t.Fatal("product with empty right not empty")
+	}
+	st = &Stats{}
+	if got := mustDrain(t, st, NewSetOpIter(st, NewRelationIter(st, empty), NewRelationIter(st, rel), true, true)); got.Len() != 0 {
+		t.Fatal("empty EXCEPT ALL something not empty")
 	}
 	// Close before exhaustion releases cleanly.
 	st = &Stats{}

@@ -3,6 +3,12 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"testing"
+
+	"uniqopt/internal/eval"
+	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/value"
 )
 
 // ctx0 is the background context used by tests that exercise operator
@@ -12,11 +18,150 @@ var ctx0 = context.Background()
 // okRel unwraps an operator's (rel, err) pair, panicking on error
 // (which the testing framework reports as a test failure with a
 // stack). It takes the pair as its only arguments so call sites can
-// wrap an operator call directly: okRel(HashJoin(ctx0, ...)).
+// wrap an operator call directly: okRel(Filter(ctx0, ...)).
 // Lifecycle-focused tests that expect errors call operators directly.
 func okRel(rel *Relation, err error) *Relation {
 	if err != nil {
 		panic(fmt.Sprintf("engine test: operator failed: %v", err))
 	}
 	return rel
+}
+
+// okIter is okRel for the iterator constructors that check their
+// ordinals.
+func okIter(it Iterator, err error) Iterator {
+	if err != nil {
+		panic(fmt.Sprintf("engine test: iterator assembly failed: %v", err))
+	}
+	return it
+}
+
+// colIdx resolves names against cols the way a planner does once per
+// statement shape.
+func colIdx(cols []string, names ...string) []int {
+	idx, err := ColIndexes(cols, names)
+	if err != nil {
+		panic(fmt.Sprintf("engine test: %v", err))
+	}
+	return idx
+}
+
+func concat(a, b []string) []string { return append(append([]string{}, a...), b...) }
+
+// joinIter is the hash-join iterator of probe and build on the named
+// key columns.
+func joinIter(st *Stats, probe, build Iterator, probeKeys, buildKeys []string) Iterator {
+	return okIter(NewHashJoinIter(st, probe, build, concat(probe.Cols(), build.Cols()),
+		colIdx(probe.Cols(), probeKeys...), colIdx(build.Cols(), buildKeys...)))
+}
+
+// hashJoin drains the hash-join iterator over two relations.
+func hashJoin(st *Stats, l, r *Relation, lKeys, rKeys []string) *Relation {
+	return okRel(Drain(ctx0, st, joinIter(st, NewRelationIter(st, l), NewRelationIter(st, r), lKeys, rKeys)))
+}
+
+// projIter is the projection iterator of child onto the named columns.
+func projIter(st *Stats, child Iterator, names ...string) Iterator {
+	return okIter(NewProjectIter(st, child, names, colIdx(child.Cols(), names...)))
+}
+
+// productIter is the product iterator of two iterators.
+func prodIter(st *Stats, l, r Iterator) Iterator {
+	return NewProductIter(st, l, r, concat(l.Cols(), r.Cols()))
+}
+
+// hashDistinct drains the hash-distinct iterator over a relation.
+func hashDistinct(st *Stats, rel *Relation) *Relation {
+	return okRel(Drain(ctx0, st, NewDistinctHashIter(st, NewRelationIter(st, rel))))
+}
+
+// joinOracle is the reference executor's equi-join: the selection
+// lKey = rKey over the Cartesian product, hash-free, in probe order
+// with the right input's order inside a key — the order the hash-join
+// iterator promises.
+func joinOracle(st *Stats, l, r *Relation, lKey, rKey string) *Relation {
+	pred, err := parser.ParseExpr(lKey + " = " + rKey)
+	if err != nil {
+		panic(err)
+	}
+	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
+	return okRel(Filter(ctx0, st, okRel(Product(ctx0, st, l, r)), pred, env))
+}
+
+// firstOccurrences is the plain-Go oracle for hash distinct's order:
+// the rows of rel not ≐-equal to any earlier row, in input order.
+func firstOccurrences(rel *Relation) *Relation {
+	out := &Relation{Cols: rel.Cols}
+next:
+	for _, row := range rel.Rows {
+		for _, seen := range out.Rows {
+			if value.NullEqRows(seen, row) {
+				continue next
+			}
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out
+}
+
+// forceParallel pins the pool to n workers and a threshold of 1 so
+// every operator that can take a parallel path does regardless of input
+// size, and restores the previous configuration on cleanup.
+func forceParallel(t *testing.T, n int) {
+	t.Helper()
+	pw := SetWorkers(n)
+	pt := SetParallelThreshold(1)
+	t.Cleanup(func() {
+		SetWorkers(pw)
+		SetParallelThreshold(pt)
+	})
+}
+
+// forceSerial pins the pool to one worker.
+func forceSerial(t *testing.T) {
+	t.Helper()
+	pw := SetWorkers(1)
+	t.Cleanup(func() { SetWorkers(pw) })
+}
+
+// randomRelation builds a deterministic pseudo-random relation with
+// duplicate-heavy keys and a sprinkling of NULLs in every column.
+func randomRelation(r *rand.Rand, prefix string, n int) *Relation {
+	rel := &Relation{Cols: []string{prefix + ".K", prefix + ".A", prefix + ".B"}}
+	rel.Rows = make([]value.Row, n)
+	for i := range rel.Rows {
+		k := value.Int(int64(r.Intn(n/4 + 1)))
+		if r.Intn(20) == 0 {
+			k = value.Null
+		}
+		a := value.Int(int64(r.Intn(10)))
+		b := value.String_(fmt.Sprintf("s%d", r.Intn(8)))
+		if r.Intn(25) == 0 {
+			b = value.Null
+		}
+		rel.Rows[i] = value.Row{k, a, b}
+	}
+	return rel
+}
+
+// identicalRelations requires byte-identical results: same columns,
+// same rows, same order.
+func identicalRelations(t *testing.T, want, got *Relation, what string) {
+	t.Helper()
+	if len(want.Cols) != len(got.Cols) {
+		t.Fatalf("%s: column count %d != %d", what, len(got.Cols), len(want.Cols))
+	}
+	for i := range want.Cols {
+		if want.Cols[i] != got.Cols[i] {
+			t.Fatalf("%s: column %d: %s != %s", what, i, got.Cols[i], want.Cols[i])
+		}
+	}
+	if len(want.Rows) != len(got.Rows) {
+		t.Fatalf("%s: row count %d != %d", what, len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		if value.OrderCompareRows(want.Rows[i], got.Rows[i]) != 0 {
+			t.Fatalf("%s: row %d: %s != %s", what, i, got.Rows[i], want.Rows[i])
+		}
+	}
 }

@@ -20,7 +20,9 @@ import (
 
 	"uniqopt"
 	"uniqopt/internal/engine"
+	"uniqopt/internal/eval"
 	"uniqopt/internal/fault"
+	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/testleak"
 	"uniqopt/internal/value"
 )
@@ -70,19 +72,22 @@ func synth(prefix string, rows int) *engine.Relation {
 	return rel
 }
 
-// runAll drives every fault point: three planner queries (scan,
-// filter, hash join, distinct, sort) plus direct engine operators for
-// the set-operation, semi-join, and pool-worker points. It returns the
-// first error, after verifying no failing step leaked a partial
-// result.
+// runAll drives every fault point: the planner queries, optimized and
+// as written — Planner.Execute over plan trees with scan, filter, hash
+// join, distinct, and the sort-merge set operation — plus the
+// reference executor's set operation and every iterator operator
+// directly. It returns the first error, after verifying no failing step
+// leaked a partial result.
 func runAll(ctx context.Context, db *uniqopt.DB) error {
-	for _, q := range matrixQueries {
-		rows, err := db.QueryContext(ctx, q)
-		if err != nil {
-			if rows != nil {
-				return fmt.Errorf("query %q: partial result escaped alongside %w", q, err)
+	for _, optimize := range []bool{true, false} {
+		for _, q := range matrixQueries {
+			rows, err := db.QueryWithContext(ctx, q, nil, optimize)
+			if err != nil {
+				if rows != nil {
+					return fmt.Errorf("query %q: partial result escaped alongside %w", q, err)
+				}
+				return err
 			}
-			return err
 		}
 	}
 	l, r := synth("L", 1_000), synth("R", 1_000)
@@ -94,36 +99,68 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 	steps := []step{
 		{"Intersect", func() (*engine.Relation, error) { return engine.Intersect(ctx, st, l, r, false) }},
 		{"IntersectSort", func() (*engine.Relation, error) { return engine.IntersectSort(ctx, st, l, r, false) }},
-		{"SemiJoinHash", func() (*engine.Relation, error) {
-			return engine.SemiJoinHash(ctx, st, l, r, []string{"L.K"}, []string{"R.K"})
+		// Iterator legs: pull-based pipelines hit the per-batch
+		// engine.stream.next point and the operators' own points from
+		// inside a pipeline. Drain closes the pipeline on error, so a
+		// mid-stream fault must not leak charges or goroutines.
+		{"FilterIter", func() (*engine.Relation, error) {
+			pred := &ast.Compare{Op: ast.GeOp, L: &ast.ColumnRef{Qualifier: "L", Column: "K"}, R: &ast.IntLit{V: 10}}
+			return engine.Drain(ctx, st, engine.NewFilterIter(st, engine.NewRelationIter(st, l), pred, &eval.Env{}))
 		}},
-		{"ParallelHashJoin", func() (*engine.Relation, error) {
-			return engine.ParallelHashJoin(ctx, st, l, r, []string{"L.K"}, []string{"R.K"}, 4)
-		}},
-		// Streaming legs: pull-based pipelines hit the per-batch
-		// engine.stream.next point (and the build/probe/distinct points
-		// from inside a pipeline). Drain closes the pipeline on error,
-		// so a mid-stream fault must not leak charges or goroutines.
-		{"StreamDistinct", func() (*engine.Relation, error) {
-			return engine.Drain(ctx, st, engine.NewDistinctHashIter(st, engine.NewRelationIter(st, l)))
-		}},
-		{"StreamHashJoin", func() (*engine.Relation, error) {
-			it, err := engine.NewHashJoinIter(st,
-				engine.NewRelationIter(st, l), engine.NewRelationIter(st, r),
-				[]string{"L.K"}, []string{"R.K"})
+		{"ProjectIter", func() (*engine.Relation, error) {
+			it, err := engine.NewProjectIter(st, engine.NewRelationIter(st, l), []string{"L.V"}, []int{1})
 			if err != nil {
 				return nil, err
 			}
 			return engine.Drain(ctx, st, it)
 		}},
+		{"DistinctHashIter", func() (*engine.Relation, error) {
+			return engine.Drain(ctx, st, engine.NewDistinctHashIter(st, engine.NewRelationIter(st, l)))
+		}},
+		{"DistinctSortIter", func() (*engine.Relation, error) {
+			return engine.Drain(ctx, st, engine.NewDistinctSortIter(st, engine.NewRelationIter(st, l)))
+		}},
+		{"HashJoinIter", func() (*engine.Relation, error) {
+			it, err := engine.NewHashJoinIter(st,
+				engine.NewRelationIter(st, l), engine.NewRelationIter(st, r),
+				[]string{"L.K", "L.V", "R.K", "R.V"}, []int{0}, []int{0})
+			if err != nil {
+				return nil, err
+			}
+			return engine.Drain(ctx, st, it)
+		}},
+		{"ProductIter", func() (*engine.Relation, error) {
+			small := &engine.Relation{Cols: r.Cols, Rows: r.Rows[:20]}
+			return engine.Drain(ctx, st, engine.NewProductIter(st,
+				engine.NewRelationIter(st, l), engine.NewRelationIter(st, small), []string{"L.K", "L.V", "R.K", "R.V"}))
+		}},
+		{"SetOpIter", func() (*engine.Relation, error) {
+			return engine.Drain(ctx, st, engine.NewSetOpIter(st,
+				engine.NewRelationIter(st, l), engine.NewRelationIter(st, r), true, true))
+		}},
 	}
+	// Every direct leg runs under one governor, generous enough never to
+	// bind: whatever a leg charges it must have given back by the time
+	// its pipeline is closed — all of it when the leg failed, all but
+	// its drained result when it did not.
+	gov := engine.NewGovernor(1<<40, 1<<40)
+	ctx = engine.WithGovernor(ctx, gov)
 	for _, s := range steps {
+		rows0, bytes0 := gov.Usage()
 		rel, err := runContained(s.name, s.run)
+		rows1, bytes1 := gov.Usage()
 		if err != nil {
 			if rel != nil {
 				return fmt.Errorf("%s: partial result escaped alongside %w", s.name, err)
 			}
+			if strings.HasSuffix(s.name, "Iter") && (rows1 != rows0 || bytes1 != bytes0) {
+				return fmt.Errorf("%s: %d rows / %d bytes still charged after it failed with %w",
+					s.name, rows1-rows0, bytes1-bytes0, err)
+			}
 			return err
+		}
+		if strings.HasSuffix(s.name, "Iter") && rows1-rows0 != int64(rel.Len()) {
+			return fmt.Errorf("%s: %d rows still charged for a %d-row result", s.name, rows1-rows0, rel.Len())
 		}
 	}
 	return nil
@@ -150,7 +187,8 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	db := matrixDB(t)
 
-	// Force the parallel operator path so pool workers participate.
+	// Force the exchanges and the partitioned dedup so pool workers
+	// participate.
 	prevW := engine.SetWorkers(4)
 	prevT := engine.SetParallelThreshold(1)
 	defer func() {
@@ -297,7 +335,7 @@ func TestFaultMatrix(t *testing.T) {
 // filter — a pushed-down predicate on a full scan, which reads the
 // table's rows where they lie: cancellation, the budget, injected
 // errors and contained panics at engine.scan and engine.filter all
-// still reach it, serial and parallel.
+// still reach it, on the caller's goroutine and on an exchange.
 func TestInPlaceScanFilterFaults(t *testing.T) {
 	if !fault.Enabled() {
 		t.Fatal("requires -tags fault")

@@ -11,21 +11,22 @@ import (
 )
 
 // Compiled is everything the planner decides about a statement before
-// it sees a host value or a table row: the rewrite fixpoint's result,
-// the rewrites that fired, and the selectPlan of each query
-// specification. It is immutable, so one Compiled serves every
-// execution of the statement's shape — concurrently, and (because no
-// analysis or planning step reads a constant's value) under any
-// literal vector bound to the lifted names $1, $2, ….
+// it sees a host value or a table row: the rewrites that fired and the
+// physical plan tree of what they left (tree.go). It is immutable, so
+// one Compiled serves every execution of the statement's shape —
+// concurrently, and (because no analysis or planning step reads a
+// constant's value) under any literal vector bound to the lifted names
+// $1, $2, ….
 type Compiled struct {
 	// Query is the statement as parsed, before any rewrite; EXPLAIN's
 	// provenance trace analyzes it.
 	Query ast.Query
 
-	run      ast.Query      // what executes: the fixpoint (or the cost model's choice)
-	blocks   []*selectPlan  // one per query specification of run, left operand first
+	root     operator       // the plan of the fixpoint (or of the cost model's choice)
 	rewrites []appliedTexts // in firing order
-	costNote string
+	// subqueries reports that some filter of the tree still evaluates a
+	// subquery, so an execution needs the reference executor.
+	subqueries bool
 }
 
 // appliedTexts is one fired rewrite with its user-visible strings
@@ -39,7 +40,8 @@ type appliedTexts struct {
 // (when Options.ApplyRewrites), the cost-based choice (when
 // Options.CostBased — the one step that reads table sizes, so a
 // CostBased result must not outlive the data it was costed on), and
-// planSelect on every block. The analyzer-cache lookups it makes are
+// planSelect on every block, joined under the set operation if q is
+// one. The analyzer-cache lookups it makes are
 // counted into st.
 func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error) {
 	defer engine.Contain("plan.Run", &err)
@@ -50,13 +52,14 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 			st.AddCache(h1-h0, m1-m0)
 		}()
 	}
-	c = &Compiled{Query: q, run: q}
+	c = &Compiled{Query: q}
+	run, costNote := q, ""
 	if p.Opts.ApplyRewrites {
 		aps, rewritten, err := p.rewriteFixpoint(q)
 		if err != nil {
 			return nil, err
 		}
-		c.run = rewritten
+		run = rewritten
 		if p.Opts.CostBased && len(aps) > 0 {
 			origCost, err := EstimateCost(p.DB, q)
 			if err != nil {
@@ -69,12 +72,12 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 			if origCost < newCost {
 				// The cost model prefers the query as written: discard
 				// the rewrites and execute the original.
-				c.costNote = fmt.Sprintf(
+				costNote = fmt.Sprintf(
 					"CostChoice(original %.0f < rewritten %.0f: rewrites discarded)",
 					origCost, newCost)
-				aps, c.run = nil, q
+				aps, run = nil, q
 			} else {
-				c.costNote = fmt.Sprintf(
+				costNote = fmt.Sprintf(
 					"CostChoice(rewritten %.0f <= original %.0f)", newCost, origCost)
 			}
 		}
@@ -83,48 +86,78 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 				desc: newText(ap.Description), before: newText(ap.Before), after: newText(ap.After)})
 		}
 	}
-	var specs []*ast.Select
-	switch x := c.run.(type) {
+	switch x := run.(type) {
 	case *ast.Select:
-		specs = []*ast.Select{x}
+		if c.root, _, err = p.planSelect(x, c); err != nil {
+			return nil, err
+		}
 	case *ast.SetOp:
-		specs = []*ast.Select{x.Left, x.Right}
-	default:
-		return nil, fmt.Errorf("plan: unknown query node %T", c.run)
-	}
-	for _, s := range specs {
-		sp, err := p.planSelect(s)
+		l, lcols, err := p.planSelect(x.Left, c)
 		if err != nil {
 			return nil, err
 		}
-		c.blocks = append(c.blocks, sp)
+		r, rcols, err := p.planSelect(x.Right, c)
+		if err != nil {
+			return nil, err
+		}
+		if len(lcols) != len(rcols) {
+			return nil, fmt.Errorf("plan: set operands are not union-compatible")
+		}
+		c.root = &setOp{l: l, r: r, except: x.Op != ast.Intersect, all: x.All}
+	default:
+		return nil, fmt.Errorf("plan: unknown query node %T", run)
+	}
+	if costNote != "" {
+		c.root.note(newText(costNote))
 	}
 	return c, nil
 }
 
+// Render returns the plan tree as EXPLAIN shows it for one execution's
+// host bindings — which decide nothing but how each access path binds —
+// without executing anything: no iterator is built and no table row is
+// read.
+func (c *Compiled) Render(hosts map[string]value.Value) *Node { return c.root.render(hosts) }
+
+// Rewrites returns the rewrites that fired, in firing order, quoting
+// this execution's literals.
+func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
+	if len(c.rewrites) == 0 {
+		return nil
+	}
+	out := make([]core.Applied, len(c.rewrites))
+	for i, r := range c.rewrites {
+		out[i] = r.ap
+		out[i].Description, out[i].Before, out[i].After = r.desc.in(hosts), r.before.in(hosts), r.after.in(hosts)
+	}
+	return out
+}
+
 // CompileBits folds every option that changes what Compile produces
-// into cache-key bits. Options that only affect execution (Streaming,
-// HashDistinct, budgets, ExplainOnly) are deliberately excluded: the
-// same Compiled serves them all, which is what keeps the serial,
-// parallel, and streaming strategies byte-identical. CostBased has no
-// bit because its results are not cacheable at all.
+// into cache-key bits — HashDistinct among them: it picks the tree's
+// duplicate-elimination operator, so two handles that differ only in it
+// must never run each other's plan. The budgets only bound an
+// execution and are excluded: the same Compiled serves them all.
+// CostBased has no bit because its results are not cacheable at all.
 func (o Options) CompileBits() uint64 {
-	b := o.Core.Bits() << 2
+	b := o.Core.Bits() << 3
 	if o.ApplyRewrites {
 		b |= 1
 	}
 	if o.WrittenJoinOrder {
 		b |= 2
 	}
+	if o.HashDistinct {
+		b |= 4
+	}
 	return b
 }
 
 // text is a user-visible rendering with slots for lifted literals: the
-// string parts[0] + $names[0] + parts[1] + … . Every string EXPLAIN,
-// Result.Plan or Result.Rewrites shows that derives from the AST is
-// rendered once per shape as a text and spliced per execution, so the
-// hot path never calls SQL() and the output still shows the
-// statement's own literals.
+// string parts[0] + $names[0] + parts[1] + … . Every string EXPLAIN or
+// Result.Rewrites shows that derives from the AST is rendered once per
+// shape as a text and spliced per execution, so the hot path never
+// calls SQL() and the output still shows the statement's own literals.
 type text struct {
 	parts []string // len(names)+1
 	names []string

@@ -17,11 +17,12 @@ import (
 	"uniqopt/internal/value"
 )
 
-// describe renders everything a Compiled decided — rewrites, the query
-// that runs, and per block the join order, access paths, pushed and
-// residual filters, join keys, build sides and bound notes — with every
-// expression spliced for hosts. Two Compiled values that describe
-// identically execute identically.
+// describe renders everything a Compiled decided — the rewrites and,
+// operator by operator, the whole plan tree: the join order and build
+// sides (its shape), access paths, pushed and residual filters, key and
+// projection ordinals, output columns and notes — with every expression
+// spliced for hosts. Two Compiled values that describe identically
+// execute identically.
 func describe(c *Compiled, hosts map[string]value.Value) string {
 	var sb strings.Builder
 	sql := func(e ast.Expr) string {
@@ -33,23 +34,48 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 	for _, r := range c.rewrites {
 		fmt.Fprintf(&sb, "rewrite %s | %s | %s | %s\n", r.ap.Rule, r.desc.in(hosts), r.before.in(hosts), r.after.in(hosts))
 	}
-	fmt.Fprintf(&sb, "run %s\ncost %q\n", newText(c.run.SQL()).in(hosts), c.costNote)
-	for _, sp := range c.blocks {
-		fmt.Fprintf(&sb, "block cols=%v distinct=%v order=%q/%q start=%q residual=%s\n", sp.cols, sp.distinct,
-			sp.orderLine, sp.orderNote, sp.startNote.in(hosts), sql(sp.residual.pred))
-		for _, t := range sp.tables {
-			fmt.Fprintf(&sb, "  table %s(%s) push=%q residual=%q", t.corr, t.tbl.Schema.Name,
-				t.push.text.in(hosts), t.pushResidual.text.in(hosts))
-			if ap := t.ap; ap != nil {
-				fmt.Fprintf(&sb, " path=%s eq=%s lo=%s%v hi=%s%v consumed=%v", ap.column,
+	fmt.Fprintf(&sb, "subqueries=%v\n", c.subqueries)
+	var dump func(op operator, depth int)
+	dump = func(op operator, depth int) {
+		sb.WriteString(strings.Repeat("  ", depth))
+		var ns notes
+		var children []operator
+		switch o := op.(type) {
+		case *accessOp:
+			ns = o.notes
+			fmt.Fprintf(&sb, "access %s cols=%v push=%q/%s rest=%q/%s", o.scan, o.cols,
+				o.push.text.in(hosts), sql(o.push.pred), o.rest.text.in(hosts), sql(o.rest.pred))
+			if ap := o.path; ap != nil {
+				fmt.Fprintf(&sb, " path=%s.%s eq=%s lo=%s%v hi=%s%v consumed=%v", ap.corr, ap.ix.Name,
 					sql(ap.eq), sql(ap.lo), ap.loStrict, sql(ap.hi), ap.hiStrict, ap.consumed)
 			}
-			sb.WriteByte('\n')
+		case *joinOp:
+			ns, children = o.notes, []operator{o.probe, o.inner}
+			fmt.Fprintf(&sb, "join %q pi=%v bi=%v cols=%v", o.detail, o.pi, o.bi, o.cols)
+		case *filterOp:
+			ns, children = o.notes, []operator{o.child}
+			fmt.Fprintf(&sb, "filter %q/%s scoped=%v", o.f.text.in(hosts), sql(o.f.pred), o.scope != nil)
+		case *projectOp:
+			ns, children = o.notes, []operator{o.child}
+			fmt.Fprintf(&sb, "project %q cols=%v idx=%v", o.detail, o.cols, o.idx)
+		case *distinctOp:
+			ns, children = o.notes, []operator{o.child}
+			fmt.Fprintf(&sb, "distinct hash=%v", o.hash)
+		case *setOp:
+			ns, children = o.notes, []operator{o.l, o.r}
+			fmt.Fprintf(&sb, "setop except=%v all=%v", o.except, o.all)
+		default:
+			fmt.Fprintf(&sb, "unknown operator %T", op)
 		}
-		for _, j := range sp.joins {
-			fmt.Fprintf(&sb, "  join %v=%v %q buildLeft=%v bound=%q\n", j.lk, j.rk, j.detail, j.buildLeft, j.bound.in(hosts))
+		for _, n := range ns {
+			fmt.Fprintf(&sb, " note=%q", n.in(hosts))
+		}
+		sb.WriteByte('\n')
+		for _, c := range children {
+			dump(c, depth+1)
 		}
 	}
+	dump(c.root, 0)
 	return sb.String()
 }
 
@@ -82,7 +108,7 @@ func liftedHosts(t *testing.T, sql string) map[string]value.Value {
 // decision, the statement compiled from the text that spells those
 // literals — for two different vectors, with every analyzer extension
 // on (CHECK import among them, over a catalog that has CHECKs), so one
-// verdict, one rewrite list and one selectPlan serve every vector.
+// verdict, one rewrite list and one plan tree serve every vector.
 func TestCompileReadsNoLiteralValue(t *testing.T) {
 	db := smallDB(t)
 	if _, err := db.MustTable("PARTS").CreateOrderedIndex("P_SNO", "SNO"); err != nil {

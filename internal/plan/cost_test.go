@@ -109,7 +109,7 @@ func TestCostBasedKeepsCheaperRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewPlanner(db, Options{ApplyRewrites: true, CostBased: true}).Run(q, nil)
+	res, err := NewPlanner(db, Options{ApplyRewrites: true, CostBased: true}).explained(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,13 @@ func TestCostBasedKeepsCheaperRewrite(t *testing.T) {
 		t.Fatal("the model must prefer the join over nested-loop probing")
 	}
 	found := false
-	for _, line := range res.Plan {
+	for _, line := range planLines(res) {
 		if strings.HasPrefix(line, "CostChoice(rewritten") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("decision not recorded:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("decision not recorded:\n%s", planText(res))
 	}
 	ref, err := engine.NewExecutor(db, nil).Query(q)
 	if err != nil {
@@ -147,18 +147,18 @@ func TestCostBasedCanDiscardRewrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewPlanner(db, Options{ApplyRewrites: true, CostBased: true}).Run(q, nil)
+	res, err := NewPlanner(db, Options{ApplyRewrites: true, CostBased: true}).explained(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decided := false
-	for _, line := range res.Plan {
+	for _, line := range planLines(res) {
 		if strings.HasPrefix(line, "CostChoice(") {
 			decided = true
 		}
 	}
 	if !decided {
-		t.Errorf("cost decision missing from plan:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("cost decision missing from plan:\n%s", planText(res))
 	}
 	ref, err := engine.NewExecutor(db, nil).Query(q)
 	if err != nil {

@@ -1,20 +1,16 @@
 package plan
 
 import (
-	"encoding/json"
 	"fmt"
 	"regexp"
 	"strings"
 	"time"
-
-	"uniqopt/internal/engine"
 )
 
-// Node is one operator of a typed physical plan tree — the structured
-// counterpart of the legacy Result.Plan string list. EXPLAIN renders
-// the bare tree; EXPLAIN ANALYZE additionally carries per-operator
-// wall time, rows in/out, and parallel-path usage recorded during a
-// real execution.
+// Node is one operator of a rendered physical plan tree. EXPLAIN
+// renders the bare tree; EXPLAIN ANALYZE additionally carries
+// per-operator wall time, rows in/out, batch counts and parallel-path
+// usage recorded during a real execution.
 type Node struct {
 	// Op is the operator name (Scan, IndexScan, Filter, HashJoin,
 	// Product, Project, DistinctSort, DistinctHash,
@@ -39,14 +35,21 @@ type Node struct {
 	// TimeNanos is the operator's wall time, including the time of any
 	// subquery probes it evaluated (but not its children's time).
 	TimeNanos int64 `json:"time_ns"`
-	// Parallel marks an operator that took the partitioned parallel
-	// path; Workers is the effective dispatch width.
+	// Parallel marks an operator that ran on an exchange or partitioned
+	// its dedup across workers; Workers is the dispatch width.
 	Parallel bool  `json:"parallel,omitempty"`
 	Workers  int64 `json:"workers,omitempty"`
-	// Batches counts the batches the operator emitted under streaming
-	// execution (0 under materializing execution, where operators hand
-	// over their whole output at once).
+	// Batches counts the batches the operator emitted.
 	Batches int64 `json:"batches,omitempty"`
+}
+
+// child returns the i-th input's node; a nil node (an execution that is
+// not being analyzed) has nil children.
+func (n *Node) child(i int) *Node {
+	if n == nil {
+		return nil
+	}
+	return n.Children[i]
 }
 
 // Format renders the tree as indented text, one operator per line,
@@ -89,11 +92,6 @@ func (n *Node) format(sb *strings.Builder, depth int, analyze bool) {
 	}
 }
 
-// MarshalJSONTree renders the tree as indented JSON.
-func (n *Node) MarshalJSONTree() ([]byte, error) {
-	return json.MarshalIndent(n, "", "  ")
-}
-
 // fmtDuration renders nanoseconds compactly and stably (fixed unit
 // choice per magnitude, one decimal).
 func fmtDuration(ns int64) string {
@@ -113,14 +111,13 @@ func fmtDuration(ns int64) string {
 // volatileRe matches the fields of an ANALYZE rendering that vary
 // between otherwise-identical executions: wall times, the parallel
 // dispatch width (which depends on the machine's pool size), and batch
-// counts (which depend on the configured batch size and on whether the
-// run streamed at all).
+// counts (which depend on the configured batch size).
 var volatileRe = regexp.MustCompile(`( time=[0-9.]+(?:ns|µs|ms|s))|( par=[0-9]+)|( batches=[0-9]+)`)
 
 // ScrubVolatile canonicalizes an ANALYZE rendering for comparison and
 // golden files: wall times become time=? and parallel-width / batch
-// markers are dropped. Serial, parallel, and streaming executions of
-// the same query must render byte-identically after scrubbing.
+// markers are dropped. Executions of the same query must render
+// byte-identically after scrubbing whatever the pool and batch size.
 func ScrubVolatile(s string) string {
 	return volatileRe.ReplaceAllStringFunc(s, func(m string) string {
 		if strings.Contains(m, "time=") {
@@ -140,31 +137,4 @@ func (n *Node) AllNodes() []*Node {
 		out = append(out, c.AllNodes()...)
 	}
 	return out
-}
-
-// timedOp runs one operator body, recording its wall time, row counts,
-// and parallel-path usage (as deltas of the result's Stats) into a new
-// Node with the given children. analyzed=false (plan-only mode) skips
-// the recording but still shapes the tree.
-func timedOp(res *Result, analyzed bool, op, detail string, rowsIn int64, children []*Node, body func() (*engine.Relation, error)) (*engine.Relation, *Node, error) {
-	n := &Node{Op: op, Detail: detail, Children: children}
-	if !analyzed {
-		rel, err := body()
-		return rel, n, err
-	}
-	before := res.Stats.Snapshot()
-	t0 := time.Now()
-	rel, err := body()
-	n.TimeNanos = time.Since(t0).Nanoseconds()
-	n.Analyzed = true
-	n.RowsIn = rowsIn
-	if rel != nil {
-		n.RowsOut = int64(rel.Len())
-	}
-	after := res.Stats.Snapshot()
-	if after.ParallelRuns > before.ParallelRuns {
-		n.Parallel = true
-		n.Workers = after.WorkersUsed
-	}
-	return rel, n, err
 }

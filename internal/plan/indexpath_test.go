@@ -40,7 +40,7 @@ func runIndexed(t *testing.T, src string, hosts map[string]value.Value) *Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := NewPlanner(ixDB, Options{}).Run(q, hosts)
+	ix, err := NewPlanner(ixDB, Options{}).explained(q, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func smallishDB(t testing.TB) *storage.DB {
 }
 
 func hasPlanLine(res *Result, substr string) bool {
-	for _, line := range res.Plan {
+	for _, line := range planLines(res) {
 		if strings.Contains(line, substr) {
 			return true
 		}
@@ -76,7 +76,7 @@ func hasPlanLine(res *Result, substr string) bool {
 func TestIndexPointLookup(t *testing.T) {
 	res := runIndexed(t, "SELECT S.SNAME FROM SUPPLIER S WHERE S.SNO = 7", nil)
 	if !hasPlanLine(res, "IndexScan(S via SUPPLIER_SNO = 7)") {
-		t.Errorf("plan missing index scan:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("plan missing index scan:\n%s", planText(res))
 	}
 	if res.Stats.IndexSeeks != 1 {
 		t.Errorf("seeks = %d", res.Stats.IndexSeeks)
@@ -97,7 +97,7 @@ func TestIndexHostVarLookup(t *testing.T) {
 func TestIndexBetweenRange(t *testing.T) {
 	res := runIndexed(t, "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO BETWEEN 10 AND 20", nil)
 	if !hasPlanLine(res, "IndexScan(S via SUPPLIER_SNO BETWEEN 10 AND 20)") {
-		t.Errorf("plan:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("plan:\n%s", planText(res))
 	}
 	if res.Stats.RowsScanned != 11 {
 		t.Errorf("scanned = %d, want 11", res.Stats.RowsScanned)
@@ -119,7 +119,7 @@ func TestIndexHalfOpenRanges(t *testing.T) {
 	}
 	if !hasPlanLine(res, "residual >") {
 		t.Errorf("plan should note the residual boundary filter:\n%s",
-			strings.Join(res.Plan, "\n"))
+			planText(res))
 	}
 	res = runIndexed(t, "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO <= 3", nil)
 	if res.Rel.Len() != 3 {
@@ -138,7 +138,7 @@ func TestIndexHalfOpenRanges(t *testing.T) {
 func TestIndexClosedRangeCombinesBounds(t *testing.T) {
 	res := runIndexed(t, "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO >= 10 AND S.SNO <= 20", nil)
 	if !hasPlanLine(res, "IndexScan(S via SUPPLIER_SNO BETWEEN 10 AND 20)") {
-		t.Errorf("bounds not combined into one closed scan:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("bounds not combined into one closed scan:\n%s", planText(res))
 	}
 	if res.Stats.RowsScanned != 11 {
 		t.Errorf("scanned = %d, want 11 (closed range must not over-scan)", res.Stats.RowsScanned)
@@ -151,10 +151,10 @@ func TestIndexClosedRangeCombinesBounds(t *testing.T) {
 	// its boundary check as a residual filter.
 	res = runIndexed(t, "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO > 10 AND S.SNO < 20", nil)
 	if !hasPlanLine(res, "BETWEEN 10 AND 20") {
-		t.Errorf("strict bounds not combined:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("strict bounds not combined:\n%s", planText(res))
 	}
 	if !hasPlanLine(res, "residual >") || !hasPlanLine(res, "residual <") {
-		t.Errorf("strict boundaries need residual filters:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("strict boundaries need residual filters:\n%s", planText(res))
 	}
 	if res.Stats.RowsScanned != 11 {
 		t.Errorf("scanned = %d, want 11", res.Stats.RowsScanned)
@@ -163,31 +163,15 @@ func TestIndexClosedRangeCombinesBounds(t *testing.T) {
 		t.Errorf("rows = %d, want 9", res.Rel.Len())
 	}
 
-	// The streaming executor runs the identical access plan: same rows
-	// scanned, batches visible in the analyzed counters.
-	q, err := parser.ParseQuery("SELECT S.SNO FROM SUPPLIER S WHERE S.SNO >= 10 AND S.SNO <= 20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := NewPlanner(indexedDB(t), Options{Streaming: true}).Run(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sres.Stats.RowsScanned != 11 {
-		t.Errorf("streaming scanned = %d, want 11", sres.Stats.RowsScanned)
-	}
-	if sres.Stats.Batches == 0 {
-		t.Error("streaming run should report batches")
-	}
-	if sres.Rel.Len() != 11 {
-		t.Errorf("streaming rows = %d, want 11", sres.Rel.Len())
+	if res.Stats.Batches == 0 {
+		t.Error("every execution reports the batches its operators emitted")
 	}
 }
 
 func TestIndexStringEquality(t *testing.T) {
 	res := runIndexed(t, "SELECT P.PNO FROM PARTS P WHERE P.COLOR = 'RED'", nil)
 	if !hasPlanLine(res, "IndexScan(P via PARTS_COLOR = 'RED')") {
-		t.Errorf("plan:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("plan:\n%s", planText(res))
 	}
 	// Every scanned row is RED.
 	if int64(res.Rel.Len()) != res.Stats.RowsScanned {
@@ -201,10 +185,10 @@ func TestIndexCombinedWithJoin(t *testing.T) {
 		WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND S.SCITY = 'Toronto'`, nil)
 	if res.Stats.IndexSeeks != 2 {
 		t.Errorf("both pushdowns should use indexes: %s\nplan:\n%s",
-			res.Stats.String(), strings.Join(res.Plan, "\n"))
+			res.Stats.String(), planText(res))
 	}
 	if !hasPlanLine(res, "HashJoin") {
-		t.Errorf("join should remain hash-based:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("join should remain hash-based:\n%s", planText(res))
 	}
 }
 
@@ -214,7 +198,7 @@ func TestNoIndexFallsBackToScan(t *testing.T) {
 		t.Error("no index on BUDGET: must scan")
 	}
 	if !hasPlanLine(res, "Scan(SUPPLIER as S)") {
-		t.Errorf("plan:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("plan:\n%s", planText(res))
 	}
 }
 
@@ -225,6 +209,6 @@ func TestIndexNullBoundIsEmpty(t *testing.T) {
 		t.Errorf("NULL-bound equality must be empty, got %d rows", res.Rel.Len())
 	}
 	if !hasPlanLine(res, "never-true NULL bound") {
-		t.Errorf("plan:\n%s", strings.Join(res.Plan, "\n"))
+		t.Errorf("plan:\n%s", planText(res))
 	}
 }

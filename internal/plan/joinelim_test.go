@@ -33,14 +33,14 @@ func TestJoinEliminationEquivalence(t *testing.T) {
 		}
 		// The optimized plan must scan only one table.
 		scans := 0
-		for _, line := range opt.Plan {
+		for _, line := range planLines(opt) {
 			if strings.HasPrefix(line, "Scan(") {
 				scans++
 			}
 		}
 		if scans != 1 {
 			t.Errorf("%s: optimized plan scans %d tables:\n%s", src, scans,
-				strings.Join(opt.Plan, "\n"))
+				planText(opt))
 		}
 		if opt.Stats.RowsScanned >= base.Stats.RowsScanned {
 			t.Errorf("%s: elimination should reduce scanned rows (%d vs %d)",

@@ -21,7 +21,7 @@ func runOrdered(t *testing.T, src string, hosts map[string]value.Value) *Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered, err := NewPlanner(db, Options{}).Run(q, hosts)
+	ordered, err := NewPlanner(db, Options{}).explained(q, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func runOrdered(t *testing.T, src string, hosts map[string]value.Value) *Result 
 func TestJoinOrderSelectiveTableFirst(t *testing.T) {
 	res := runOrdered(t, `SELECT S.SNAME, P.PNO FROM SUPPLIER S, PARTS P
 		WHERE S.SNO = P.SNO AND P.COLOR = 'RED'`, nil)
-	if !hasPlanLine(res, "JoinOrder(P, S)") {
-		t.Errorf("filtered P should start the join:\n%s", strings.Join(res.Plan, "\n"))
+	if !hasPlanLine(res, "join order: P, S (") {
+		t.Errorf("filtered P should start the join:\n%s", planText(res))
 	}
 }
 
@@ -52,8 +52,8 @@ func TestJoinOrderSelectiveTableFirst(t *testing.T) {
 func TestJoinOrderKeyBoundStartsFirst(t *testing.T) {
 	res := runOrdered(t, `SELECT S.SNAME, P.PNO FROM PARTS P, SUPPLIER S
 		WHERE S.SNO = P.SNO AND S.SNO = 7 AND P.COLOR = 'RED'`, nil)
-	if !hasPlanLine(res, "JoinOrder(S, P)") {
-		t.Errorf("key-bound S should start the join:\n%s", strings.Join(res.Plan, "\n"))
+	if !hasPlanLine(res, "join order: S, P (") {
+		t.Errorf("key-bound S should start the join:\n%s", planText(res))
 	}
 }
 
@@ -64,7 +64,7 @@ func TestDerivedConstEqualityPushdown(t *testing.T) {
 		WHERE S.SNO = P.SNO AND S.SNO = 7`, nil)
 	if !hasPlanLine(res, "P.SNO = 7") {
 		t.Errorf("derived equality P.SNO = 7 not pushed below the join:\n%s",
-			strings.Join(res.Plan, "\n"))
+			planText(res))
 	}
 }
 
@@ -77,12 +77,12 @@ func TestWrittenJoinOrderOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := NewPlanner(db, Options{WrittenJoinOrder: true}).Run(q, nil)
+	res, err := NewPlanner(db, Options{WrittenJoinOrder: true}).explained(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hasPlanLine(res, "JoinOrder(") {
-		t.Errorf("WrittenJoinOrder must not reorder:\n%s", strings.Join(res.Plan, "\n"))
+	if hasPlanLine(res, "join order:") {
+		t.Errorf("WrittenJoinOrder must not reorder:\n%s", planText(res))
 	}
 }
 
@@ -92,15 +92,15 @@ func TestJoinOrderCartesianLast(t *testing.T) {
 	res := runOrdered(t, `SELECT S.SNAME, P.PNO, A.ANO FROM AGENTS A, SUPPLIER S, PARTS P
 		WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND A.SNO = A.SNO`, nil)
 	line := ""
-	for _, l := range res.Plan {
-		if strings.HasPrefix(l, "JoinOrder(") {
+	for _, l := range planLines(res) {
+		if strings.HasPrefix(l, "join order: ") {
 			line = l
 		}
 	}
 	if line == "" {
-		t.Fatalf("no JoinOrder line:\n%s", strings.Join(res.Plan, "\n"))
+		t.Fatalf("no join order note:\n%s", planText(res))
 	}
-	if !strings.HasSuffix(line, "A)") {
+	if !strings.Contains(line, ", A (written: ") {
 		t.Errorf("unconnected A should be joined last, got %s", line)
 	}
 }
@@ -111,8 +111,8 @@ func TestJoinOrderCartesianLast(t *testing.T) {
 func TestJoinOrderThreeWayChain(t *testing.T) {
 	res := runOrdered(t, `SELECT A.ANO FROM AGENTS A, PARTS P, SUPPLIER S
 		WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = 3`, nil)
-	if !hasPlanLine(res, "JoinOrder(S, P, A)") {
-		t.Errorf("chain should start at key-bound S:\n%s", strings.Join(res.Plan, "\n"))
+	if !hasPlanLine(res, "join order: S, P, A (") {
+		t.Errorf("chain should start at key-bound S:\n%s", planText(res))
 	}
 }
 
@@ -162,8 +162,7 @@ func TestExplainNamesBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlanner(db, Options{})
-	res, err := p.Run(q, nil)
+	res, err := NewPlanner(db, Options{}).explained(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
 package plan
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"uniqopt/internal/core"
 	"uniqopt/internal/engine"
+	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/value"
@@ -50,12 +54,12 @@ func runThreeWays(t *testing.T, db *storage.DB, src string, hosts map[string]val
 	if err != nil {
 		t.Fatalf("reference %q: %v", src, err)
 	}
-	base, err := NewPlanner(db, Options{}).Run(q, hosts)
+	base, err := NewPlanner(db, Options{}).explained(q, hosts)
 	if err != nil {
 		t.Fatalf("baseline %q: %v", src, err)
 	}
 	opt, err := NewPlanner(db, Options{ApplyRewrites: true,
-		Core: core.Options{UseKeyFDs: true}}).Run(q, hosts)
+		Core: core.Options{UseKeyFDs: true}}).explained(q, hosts)
 	if err != nil {
 		t.Fatalf("optimized %q: %v", src, err)
 	}
@@ -179,7 +183,7 @@ func TestHashDistinctAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashRes, err := NewPlanner(db, Options{HashDistinct: true}).Run(q, nil)
+	hashRes, err := NewPlanner(db, Options{HashDistinct: true}).explained(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +194,13 @@ func TestHashDistinctAblation(t *testing.T) {
 		t.Error("ablation did not switch the distinct method")
 	}
 	found := false
-	for _, line := range hashRes.Plan {
+	for _, line := range planLines(hashRes) {
 		if line == "DistinctHash" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("plan should record DistinctHash: %v", hashRes.Plan)
+		t.Errorf("plan should record DistinctHash:\n%s", planText(hashRes))
 	}
 }
 
@@ -204,11 +208,11 @@ func TestHashDistinctAblation(t *testing.T) {
 func TestPlanDescription(t *testing.T) {
 	db := smallDB(t)
 	q, _ := parser.ParseQuery(workload.PaperQueries["example1"])
-	res, err := NewPlanner(db, Options{}).Run(q, nil)
+	res, err := NewPlanner(db, Options{}).explained(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := strings.Join(res.Plan, "\n")
+	text := planText(res)
 	for _, want := range []string{"Scan(SUPPLIER as S)", "Scan(PARTS as P)", "HashJoin", "DistinctSort"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("plan missing %q:\n%s", want, text)
@@ -387,12 +391,51 @@ func TestCartesianProductPath(t *testing.T) {
 	base, _ := runThreeWays(t, db,
 		`SELECT S.SNO, A.ANO FROM SUPPLIER S, AGENTS A WHERE S.SNO = 1`, nil)
 	found := false
-	for _, line := range base.Plan {
+	for _, line := range planLines(base) {
 		if line == "Product" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("expected a Product operator:\n%v", base.Plan)
+		t.Errorf("expected a Product operator:\n%s", planText(base))
 	}
 }
+
+// explained is Run the EXPLAIN ANALYZE way, for tests that assert on the
+// plan: the result carries its tree. On the way it holds the analyzed
+// execution to the plain one (no tree, the same rows in the same order,
+// the same counted work) and the executed tree to the plan-only
+// rendering (the same operators, details and notes).
+func (p *Planner) explained(q ast.Query, hosts map[string]value.Value) (*Result, error) {
+	c, err := p.Compile(q, &engine.Stats{})
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Execute(context.Background(), c, hosts, true)
+	if err != nil {
+		return nil, err
+	}
+	plain, err := p.Execute(context.Background(), c, hosts, false)
+	if err != nil {
+		return nil, fmt.Errorf("plain execution failed where the analyzed one did not: %w", err)
+	}
+	if plain.Root != nil || !reflect.DeepEqual(plain.Rel, res.Rel) || plain.Stats != res.Stats {
+		return nil, fmt.Errorf("plain and analyzed executions differ:\n%s\n%s", &plain.Stats, &res.Stats)
+	}
+	if planOnly := c.Render(hosts).Format(false); planOnly != res.Root.Format(false) {
+		return nil, fmt.Errorf("plan-only and executed trees differ:\n%s\n%s", planOnly, res.Root.Format(false))
+	}
+	return res, nil
+}
+
+// planLines are the lines of an explained result's plan tree, one
+// operator or note each, indentation trimmed.
+func planLines(res *Result) []string {
+	lines := strings.Split(strings.TrimSpace(res.Root.Format(false)), "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimPrefix(strings.TrimSpace(l), "-- ")
+	}
+	return lines
+}
+
+func planText(res *Result) string { return strings.Join(planLines(res), "\n") }

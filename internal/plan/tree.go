@@ -1,0 +1,371 @@
+package plan
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"uniqopt/internal/catalog"
+	"uniqopt/internal/engine"
+	"uniqopt/internal/eval"
+	"uniqopt/internal/storage"
+	"uniqopt/internal/value"
+)
+
+// The physical plan is a value: Compile turns a statement into one
+// immutable tree of the operators below — access → filter → hash join /
+// product → residual filter → project → distinct → sort-merge set
+// operation — and everything after that only reads it. Three things are
+// decided at three times:
+//
+//   - at compile, once per statement shape: the join order, every
+//     operator's output columns, key and projection ordinals, pushed and
+//     residual predicates, the pre-split text of every rendering and
+//     note, sort vs hash distinct;
+//   - at bind, once per execution: whether a symbolic access path binds
+//     against this execution's host values (index scan + what the probe
+//     does not subsume) or falls back (full scan + the whole pushed
+//     filter) — accessPlan.bind, the only decision hosts make, shared by
+//     render and build so the two cannot diverge;
+//   - at build, from what the engine observes: whether a filter or
+//     projection runs on an exchange (its input's size hint against
+//     engine.ParallelThreshold()).
+//
+// render turns the tree into the Nodes EXPLAIN shows without executing
+// anything: no iterator, no table row, no clock, no context. build turns
+// it into the one iterator pipeline engine.Drain materializes; handed
+// the rendering, it instruments every pipeline edge into its Node, which
+// is all EXPLAIN ANALYZE is.
+
+// operator is one node of the physical plan tree.
+type operator interface {
+	// render returns the subtree as plan Nodes under one execution's
+	// host bindings.
+	render(hosts map[string]value.Value) *Node
+	// build assembles the subtree's iterator. n is the subtree's
+	// rendering when the execution is being analyzed, nil otherwise.
+	build(b *builder, n *Node) (engine.Iterator, error)
+	// note appends an annotation EXPLAIN prints under the operator.
+	note(t text)
+}
+
+// notes are an operator's annotations, in print order.
+type notes []text
+
+func (ns *notes) note(t text) { *ns = append(*ns, t) }
+
+// node renders one operator.
+func (ns notes) node(hosts map[string]value.Value, op, detail string, children ...*Node) *Node {
+	n := &Node{Op: op, Detail: detail, Children: children}
+	for _, t := range ns {
+		n.Notes = append(n.Notes, t.in(hosts))
+	}
+	return n
+}
+
+// accessOp reads one base table and applies the single-table conjuncts
+// pushed down to it: the symbolic access path (nil = always a full
+// scan), every pushed conjunct (the filter when the path does not bind)
+// and the ones the path does not subsume (the filter when it does). It
+// renders as the scan with, when a filter remains, a Filter above it.
+type accessOp struct {
+	notes
+	tbl        *storage.Table
+	cols       []string // the table's columns under its correlation name
+	scan       string   // the full scan's rendering: "SUPPLIER as S"
+	path       *accessPlan
+	push, rest filter
+}
+
+// decide binds the access path for one execution and picks the filter
+// that goes with the outcome.
+func (o *accessOp) decide(hosts map[string]value.Value) (binding, *filter) {
+	bd := o.path.bind(hosts)
+	if bd.kind == unbound {
+		return bd, &o.push
+	}
+	return bd, &o.rest
+}
+
+func (o *accessOp) render(hosts map[string]value.Value) *Node {
+	bd, f := o.decide(hosts)
+	op, detail := "Scan", o.scan
+	if bd.kind != unbound {
+		op, detail = "IndexScan", bd.detail()
+	}
+	if f.pred == nil {
+		return o.node(hosts, op, detail)
+	}
+	return o.node(hosts, "Filter", f.text.in(hosts), &Node{Op: op, Detail: detail})
+}
+
+func (o *accessOp) build(b *builder, n *Node) (engine.Iterator, error) {
+	bd, f := o.decide(b.env.Hosts)
+	leaf := n
+	if n != nil && f.pred != nil {
+		leaf = n.Children[0]
+	}
+	if leaf != nil {
+		leaf.RowsIn = int64(o.tbl.Len())
+	}
+	var it engine.Iterator
+	switch bd.kind {
+	case unbound:
+		it = engine.NewTableIter(b.st, o.tbl, o.cols)
+	case neverTrue:
+		it = engine.NewRelationIter(b.st, engine.NewRelation(o.cols...))
+	default:
+		ords, err := bd.probe()
+		if err != nil {
+			return nil, err
+		}
+		it = engine.NewIndexScanIter(b.st, o.tbl, o.cols, ords)
+	}
+	it = b.add(it, leaf)
+	if f.pred != nil {
+		it = b.add(engine.NewFilterIter(b.st, it, f.pred, &b.env), n)
+	}
+	return it, nil
+}
+
+// joinOp joins two subtrees: a hash join on the probe columns at pi
+// equal to the build columns at bi, or — with no key — the Cartesian
+// product, which streams its left (probe) input and buffers the other.
+type joinOp struct {
+	notes
+	probe, inner operator
+	cols         []string // probe's columns then inner's
+	pi, bi       []int
+	detail       string // "P.SNO = S.SNO"; "" for a product
+}
+
+func (o *joinOp) render(hosts map[string]value.Value) *Node {
+	op := "HashJoin"
+	if len(o.pi) == 0 {
+		op = "Product"
+	}
+	return o.node(hosts, op, o.detail, o.probe.render(hosts), o.inner.render(hosts))
+}
+
+func (o *joinOp) build(b *builder, n *Node) (engine.Iterator, error) {
+	probe, err := o.probe.build(b, n.child(0))
+	if err != nil {
+		return nil, err
+	}
+	inner, err := o.inner.build(b, n.child(1))
+	if err != nil {
+		return nil, err
+	}
+	if len(o.pi) == 0 {
+		return b.add(engine.NewProductIter(b.st, probe, inner, o.cols), n), nil
+	}
+	it, err := engine.NewHashJoinIter(b.st, probe, inner, o.cols, o.pi, o.bi)
+	if err != nil {
+		return nil, err
+	}
+	return b.add(it, n), nil
+}
+
+// filterOp applies the predicate left over once pushdown and join keys
+// have taken theirs: cross-table non-equalities, EXISTS, IN-subqueries.
+// scope is set exactly when the predicate evaluates a subquery, which
+// resolves its correlation references through it.
+type filterOp struct {
+	notes
+	child operator
+	f     filter
+	scope *catalog.Scope
+}
+
+func (o *filterOp) render(hosts map[string]value.Value) *Node {
+	return o.node(hosts, "Filter", o.f.text.in(hosts), o.child.render(hosts))
+}
+
+func (o *filterOp) build(b *builder, n *Node) (engine.Iterator, error) {
+	child, err := o.child.build(b, n.child(0))
+	if err != nil {
+		return nil, err
+	}
+	env := &b.env
+	if o.scope != nil {
+		env = &eval.Env{Hosts: b.env.Hosts, Scope: o.scope, Exists: b.exists, In: b.in}
+	}
+	return b.add(engine.NewFilterIter(b.st, child, o.f.pred, env), n), nil
+}
+
+// projectOp projects its child onto the columns at idx.
+type projectOp struct {
+	notes
+	child  operator
+	cols   []string
+	idx    []int
+	detail string // cols, comma-separated
+}
+
+func (o *projectOp) render(hosts map[string]value.Value) *Node {
+	return o.node(hosts, "Project", o.detail, o.child.render(hosts))
+}
+
+func (o *projectOp) build(b *builder, n *Node) (engine.Iterator, error) {
+	child, err := o.child.build(b, n.child(0))
+	if err != nil {
+		return nil, err
+	}
+	it, err := engine.NewProjectIter(b.st, child, o.cols, o.idx)
+	if err != nil {
+		return nil, err
+	}
+	return b.add(it, n), nil
+}
+
+// distinctOp eliminates duplicates: by sorting, or with hash set when
+// the planner was compiled under Options.HashDistinct (ablation #3).
+type distinctOp struct {
+	notes
+	child operator
+	hash  bool
+}
+
+func (o *distinctOp) render(hosts map[string]value.Value) *Node {
+	op := "DistinctSort"
+	if o.hash {
+		op = "DistinctHash"
+	}
+	return o.node(hosts, op, "", o.child.render(hosts))
+}
+
+func (o *distinctOp) build(b *builder, n *Node) (engine.Iterator, error) {
+	child, err := o.child.build(b, n.child(0))
+	if err != nil {
+		return nil, err
+	}
+	if o.hash {
+		return b.add(engine.NewDistinctHashIter(b.st, child), n), nil
+	}
+	return b.add(engine.NewDistinctSortIter(b.st, child), n), nil
+}
+
+// setOp is INTERSECT / EXCEPT [ALL], executed the way the paper says
+// typical optimizers do (§5.3): sort each operand and merge. The
+// Theorem 3 / Corollary 2 rewrites exist to avoid these sorts.
+type setOp struct {
+	notes
+	l, r        operator
+	except, all bool
+}
+
+func (o *setOp) render(hosts map[string]value.Value) *Node {
+	op := "IntersectSortMerge"
+	if o.except {
+		op = "ExceptSortMerge"
+	}
+	return o.node(hosts, op, fmt.Sprintf("all=%v", o.all), o.l.render(hosts), o.r.render(hosts))
+}
+
+func (o *setOp) build(b *builder, n *Node) (engine.Iterator, error) {
+	l, err := o.l.build(b, n.child(0))
+	if err != nil {
+		return nil, err
+	}
+	r, err := o.r.build(b, n.child(1))
+	if err != nil {
+		return nil, err
+	}
+	return b.add(engine.NewSetOpIter(b.st, l, r, o.except, o.all), n), nil
+}
+
+// builder carries one execution through build: its bindings, where its
+// work is counted, and every iterator assembled so far.
+type builder struct {
+	st *engine.Stats
+	// env carries the execution's host bindings, and serves every
+	// subquery-free predicate as it is: eval.Compile reads nothing else
+	// from it.
+	env eval.Env
+	// exists and in evaluate subqueries with the reference executor
+	// (nested loops): the baseline strategy Kim and Pirahesh et al. set
+	// out to avoid. Set only for a tree that has a subquery left.
+	exists eval.ExistsFunc
+	in     eval.InFunc
+	built  []engine.Iterator
+}
+
+// add records an assembled iterator, first wrapping it in the
+// instrumentation of its plan Node when the execution is analyzed.
+func (b *builder) add(it engine.Iterator, n *Node) engine.Iterator {
+	if n != nil {
+		it = &nodeIter{child: it, node: n}
+	}
+	b.built = append(b.built, it)
+	return it
+}
+
+// closeAll releases a pipeline whose assembly failed part-way: every
+// iterator built so far, parents before children (Close is idempotent
+// and a parent closes its children).
+func (b *builder) closeAll() {
+	for i := len(b.built) - 1; i >= 0; i-- {
+		b.built[i].Close()
+	}
+}
+
+// nodeIter instruments one pipeline edge: every batch pulled through
+// it is attributed to its plan Node (rows out, batch count, cumulative
+// wall time of the subtree rooted here). finalize later converts
+// cumulative times to the per-operator self times EXPLAIN ANALYZE
+// reports.
+type nodeIter struct {
+	child engine.Iterator
+	node  *Node
+}
+
+func (it *nodeIter) Cols() []string { return it.child.Cols() }
+
+// SizeHint forwards the child's bound, so an analyzed pipeline picks its
+// exchanges exactly as a plain one does.
+func (it *nodeIter) SizeHint() int {
+	if h, ok := it.child.(engine.SizeHinter); ok {
+		return h.SizeHint()
+	}
+	return 0
+}
+
+func (it *nodeIter) Next(ctx context.Context) (engine.Batch, error) {
+	t0 := time.Now()
+	b, err := it.child.Next(ctx)
+	it.node.TimeNanos += time.Since(t0).Nanoseconds()
+	if b != nil {
+		it.node.RowsOut += int64(len(b))
+		it.node.Batches++
+	}
+	return b, err
+}
+
+// Close records, before closing the operator, whether it ran on an
+// exchange or partitioned its dedup, and how wide.
+func (it *nodeIter) Close() error {
+	if w := engine.ParallelWidth(it.child); w > 0 {
+		it.node.Parallel, it.node.Workers = true, int64(w)
+	}
+	return it.child.Close()
+}
+
+// finalize finishes a drained plan tree's metrics: marks every node
+// analyzed, derives RowsIn from the children's emitted rows (leaves keep
+// the table cardinality preset at build time), and converts cumulative
+// subtree times into per-operator self times. Returns the node's
+// cumulative time.
+func finalize(n *Node) int64 {
+	var childCum, childRows int64
+	for _, c := range n.Children {
+		childCum += finalize(c)
+		childRows += c.RowsOut
+	}
+	n.Analyzed = true
+	if len(n.Children) > 0 {
+		n.RowsIn = childRows
+	}
+	cum := n.TimeNanos
+	n.TimeNanos = max(cum-childCum, 0)
+	return cum
+}

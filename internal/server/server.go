@@ -112,11 +112,11 @@ func (s *Server) isDraining() bool {
 func New(db *uniqopt.DB, cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		db:      db,
-		cfg:     cfg,
-		adm:     &admission{maxConcurrent: cfg.MaxConcurrent, memBudget: cfg.GlobalMemBudget},
-		baseCtx: ctx,
-		cancel:  cancel,
+		db:       db,
+		cfg:      cfg,
+		adm:      &admission{maxConcurrent: cfg.MaxConcurrent, memBudget: cfg.GlobalMemBudget},
+		baseCtx:  ctx,
+		cancel:   cancel,
 		sessions: map[*session]struct{}{},
 		metrics:  metrics.New(),
 	}
@@ -150,6 +150,17 @@ func (s *Server) ListenAndServe(addr string) error {
 		return err
 	}
 	return s.Serve(ln)
+}
+
+// Exclusive runs f holding the write side of the snapshot lock, so
+// nothing a session runs — query, DDL or insert — overlaps it. It is how
+// the embedding process changes the database behind a serving server:
+// uniqoptd loads its demo dataset through it once recovery has let
+// sessions in.
+func (s *Server) Exclusive(f func() error) error {
+	s.ddlMu.Lock()
+	defer s.ddlMu.Unlock()
+	return f()
 }
 
 // Serve accepts connections on ln until Shutdown closes it. It

@@ -1,0 +1,164 @@
+package uniqopt_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"uniqopt"
+	"uniqopt/internal/workload"
+)
+
+// Row-order goldens: the columns and rows, in emitted order, of every
+// paper example and of the seven embedded_adhoc statement shapes (with
+// fixed literals), optimized and as written. They were generated at
+// commit 8221891 — when a materializing executor still existed to
+// generate them — and pin "byte-identical to the parent": the
+// benchmark oracle is order-insensitive and the EXPLAIN goldens pin
+// counts, not order. Regenerating them (`go test -run TestRowGoldens
+// -update .`) is only legitimate in a change that means to alter row
+// order.
+
+// fixedAdhoc are the benchmark's embedded_adhoc statements with their
+// drawn literals fixed to values that select part of the golden data.
+var fixedAdhoc = map[string]string{
+	"ex1_lit": `SELECT DISTINCT S.SNO, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
+		WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.OEM-PNO < 1500`,
+	"ex2_lit": `SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
+		WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.OEM-PNO < 1500`,
+	"ex4_lit": `SELECT DISTINCT S.SNO, SNAME, P.PNO, PNAME FROM SUPPLIER S, PARTS P
+		WHERE P.SNO = 7 AND S.SNO = P.SNO AND P.OEM-PNO > 1063`,
+	"ex7_lit": `SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S
+		WHERE S.SNAME = 'Smith' AND S.BUDGET < 800 AND
+		EXISTS (SELECT * FROM PARTS P WHERE S.SNO = P.SNO AND P.PNO = 3)`,
+	"ex9_lit": `SELECT ALL S.SNO FROM SUPPLIER S WHERE S.SCITY = 'Toronto' AND S.BUDGET > 100
+		INTERSECT
+		SELECT ALL A.SNO FROM AGENTS A WHERE A.ACITY = 'Ottawa' OR A.ACITY = 'Hull'`,
+	"disj_lit": `SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+		WHERE S.SNO = P.SNO AND (P.COLOR = 'RED' AND P.OEM-PNO < 1300 OR P.PNO = 2 AND P.OEM-PNO > 1700)`,
+	"chain3_lit": `SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME FROM AGENTS A, PARTS P, SUPPLIER S
+		WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = 7 AND P.OEM-PNO <> 1065`,
+}
+
+// benchIndexes are the three ordered indexes the benchmark deploys.
+var benchIndexes = []struct {
+	table, name string
+	cols        []string
+}{
+	{"SUPPLIER", "SUPPLIER_SNO", []string{"SNO"}},
+	{"PARTS", "PARTS_SNO_PNO", []string{"SNO", "PNO"}},
+	{"AGENTS", "AGENTS_SNO_ANO", []string{"SNO", "ANO"}},
+}
+
+// goldenIndexedDB is goldenDB with the benchmark's indexes.
+func goldenIndexedDB(t *testing.T) *uniqopt.DB {
+	t.Helper()
+	db := goldenDB(t)
+	for _, ix := range benchIndexes {
+		if err := db.CreateIndex(ix.table, ix.name, ix.cols...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// rowCase is one statement with a row golden.
+type rowCase struct {
+	name, sql string
+	indexed   bool // runs on goldenIndexedDB
+}
+
+// rowCases lists the paper examples then the adhoc shapes, each group
+// sorted by name.
+func rowCases() []rowCase {
+	var out []rowCase
+	for _, name := range paperQueryNames() {
+		out = append(out, rowCase{name: name, sql: workload.PaperQueries[name]})
+	}
+	adhoc := make([]string, 0, len(fixedAdhoc))
+	for name := range fixedAdhoc {
+		adhoc = append(adhoc, name)
+	}
+	sort.Strings(adhoc)
+	for _, name := range adhoc {
+		out = append(out, rowCase{name: name, sql: fixedAdhoc[name], indexed: true})
+	}
+	return out
+}
+
+// renderRows is the golden format: the column names, then one line per
+// row in emitted order, tab-separated, NULL spelled out.
+func renderRows(rows *uniqopt.Rows) string {
+	var sb strings.Builder
+	sb.WriteString(strings.Join(rows.Columns, "\t"))
+	sb.WriteByte('\n')
+	for _, row := range rows.Data {
+		for i, v := range row {
+			if i > 0 {
+				sb.WriteByte('\t')
+			}
+			if v == nil {
+				sb.WriteString("NULL")
+			} else {
+				fmt.Fprint(&sb, v)
+			}
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+func rowGoldenPath(name string, optimize bool) string {
+	kind := "base"
+	if optimize {
+		kind = "opt"
+	}
+	return filepath.Join("testdata", "rows", name+"."+kind+".golden")
+}
+
+// checkRowGoldens runs every row case on plain (and, for the adhoc
+// shapes, indexed) — optimized and as written — and compares columns,
+// rows and row order with the goldens.
+func checkRowGoldens(t *testing.T, plain, indexed *uniqopt.DB) {
+	t.Helper()
+	for _, c := range rowCases() {
+		db := plain
+		if c.indexed {
+			db = indexed
+		}
+		for _, optimize := range []bool{true, false} {
+			rows, err := db.QueryWith(c.sql, goldenHosts, optimize)
+			if err != nil {
+				t.Errorf("%s optimize=%v: %v", c.name, optimize, err)
+				continue
+			}
+			got, path := renderRows(rows), rowGoldenPath(c.name, optimize)
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing row golden: %v", err)
+			}
+			if string(want) != got {
+				t.Errorf("%s optimize=%v: rows or row order differ from %s (%d vs %d bytes)",
+					c.name, optimize, path, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestRowGoldens holds the default configuration to the goldens; the
+// worker × threshold × batch-size sweep is TestStreamingPaperExamples.
+func TestRowGoldens(t *testing.T) {
+	checkRowGoldens(t, goldenDB(t), goldenIndexedDB(t))
+}

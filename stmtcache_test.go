@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"uniqopt"
+	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
@@ -28,7 +29,7 @@ type outcome struct {
 	cols     []string
 	data     [][]any
 	rewrites []uniqopt.RewriteInfo
-	plan     []string
+	tree     string // the plan as plain EXPLAIN renders it
 	err      string
 }
 
@@ -44,14 +45,17 @@ func uncached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) o
 			return outcome{err: err.Error()}
 		}
 	}
-	res, err := plan.NewPlanner(db.Store(), plan.Options{
-		ApplyRewrites: optimize,
-		Streaming:     db.Opts().Streaming,
-	}).RunContext(context.Background(), q, hv)
+	p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: optimize, HashDistinct: db.Opts().HashDistinct})
+	c, err := p.Compile(q, &engine.Stats{})
 	if err != nil {
 		return outcome{err: err.Error()}
 	}
-	out := outcome{cols: res.Rel.Cols, plan: res.Plan, data: make([][]any, len(res.Rel.Rows))}
+	tree := c.Render(hv).Format(false)
+	res, err := p.Execute(context.Background(), c, hv, false)
+	if err != nil {
+		return outcome{tree: tree, err: err.Error()}
+	}
+	out := outcome{cols: res.Rel.Cols, tree: tree, data: make([][]any, len(res.Rel.Rows))}
 	for i, row := range res.Rel.Rows {
 		out.data[i] = make([]any, len(row))
 		for j, v := range row {
@@ -74,11 +78,17 @@ func uncached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) o
 
 // cached runs sql through the database's public entry point.
 func cached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) outcome {
+	var out outcome
+	if e, err := db.ExplainWith(context.Background(), sql, hosts, optimize, false); err == nil {
+		out.tree = e.Root.Format(false)
+	}
 	rows, err := db.QueryWithContext(context.Background(), sql, hosts, optimize)
 	if err != nil {
-		return outcome{err: err.Error()}
+		out.err = err.Error()
+		return out
 	}
-	return outcome{cols: rows.Columns, data: rows.Data, rewrites: rows.Rewrites, plan: rows.Plan}
+	out.cols, out.data, out.rewrites = rows.Columns, rows.Data, rows.Rewrites
+	return out
 }
 
 func requireSameOutcome(t *testing.T, label string, got, want outcome) {
@@ -171,23 +181,27 @@ func shapeDB(t *testing.T, opts uniqopt.Options) *uniqopt.DB {
 }
 
 // TestCachedEqualsUncached is the differential suite: rows, column
-// names, rewrites (rule, description, before, after), plan lines and
-// error text of the cached path equal the uncached path's, over the 11
-// paper examples and the benchmark's literal shapes × 200 seeded
-// literal vectors, under serial, parallel and streaming execution.
+// names, rewrites (rule, description, before, after), the rendered plan
+// tree and error text of the cached path equal the uncached path's,
+// over the paper examples and the benchmark's literal shapes × 200
+// seeded literal vectors, under a serial and a parallel pool, at a
+// batch size of three rows, and under hash distinct.
 func TestCachedEqualsUncached(t *testing.T) {
 	modes := []struct {
-		name               string
-		workers, threshold int
-		opts               uniqopt.Options
+		name                      string
+		workers, threshold, batch int
+		opts                      uniqopt.Options
 	}{
-		{"serial", 1, 1 << 30, uniqopt.Options{}},
-		{"parallel", 4, 1, uniqopt.Options{}},
-		{"streaming", 1, 1 << 30, uniqopt.Options{Streaming: true}},
+		{"serial", 1, 1 << 30, 0, uniqopt.Options{}},
+		{"parallel", 4, 1, 0, uniqopt.Options{}},
+		// Batches of three rows: every operator streams many of them.
+		{"streaming", 1, 1 << 30, 3, uniqopt.Options{}},
+		{"hash distinct", 1, 1 << 30, 0, uniqopt.Options{HashDistinct: true}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			setStreamPool(t, m.workers, m.threshold)
+			setStreamBatch(t, m.batch)
 			paper := goldenDBWith(t, m.opts)
 			for _, name := range paperQueryNames() {
 				sql := workload.PaperQueries[name]
@@ -209,12 +223,13 @@ func TestCachedEqualsUncached(t *testing.T) {
 						cached(db, sql, nil, true), uncached(db, sql, nil, true))
 				}
 			}
-			// Each of the 8 shapes that execute compiled once and then
-			// hit; the syntax error and the unknown column fail to compile
-			// every time (a failed compile is not cached), and the
+			// Every vector goes through the cache twice, for its plan and
+			// for its rows. Each of the 8 shapes that execute compiled once
+			// and then hit; the syntax error and the unknown column fail to
+			// compile every time (a failed compile is not cached), and the
 			// out-of-range literal never reaches the cache.
-			if hits, misses := db.PlanCacheCounters(); hits != 8*199 || misses != 8+2*200 {
-				t.Errorf("statement cache: %d hits / %d misses, want %d / %d", hits, misses, 8*199, 8+2*200)
+			if hits, misses := db.PlanCacheCounters(); hits != 8*(2*200-1) || misses != 8+2*2*200 {
+				t.Errorf("statement cache: %d hits / %d misses, want %d / %d", hits, misses, 8*(2*200-1), 8+2*2*200)
 			}
 			if n := len(db.Metrics().Shapes); n != 8 {
 				t.Errorf("metrics registry holds %d shapes, want the 8 that execute", n)
@@ -247,18 +262,23 @@ func TestStatementCacheConcurrentLiterals(t *testing.T) {
 					t.Errorf("SNO = %d returned %v", sno, rows.Data)
 					return
 				}
+				e, err := db.Explain(sql)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				want := fmt.Sprintf("S.SNO = %d", sno)
 				if len(rows.Rewrites) != 1 || !strings.HasSuffix(rows.Rewrites[0].After, want) ||
-					!strings.Contains(strings.Join(rows.Plan, "\n"), want) {
-					t.Errorf("SNO = %d: another call's literal leaked: %+v %v", sno, rows.Rewrites, rows.Plan)
+					!strings.Contains(e.Root.Format(false), want) {
+					t.Errorf("SNO = %d: another call's literal leaked: %+v\n%s", sno, rows.Rewrites, e.Root.Format(false))
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if hits, misses := db.PlanCacheCounters(); hits+misses != workers*50 || hits < workers*50-workers {
-		t.Errorf("statement cache %d hits / %d misses over %d calls of one shape", hits, misses, workers*50)
+	if hits, misses := db.PlanCacheCounters(); hits+misses != 2*workers*50 || hits < 2*workers*50-workers {
+		t.Errorf("statement cache %d hits / %d misses over %d calls of one shape", hits, misses, 2*workers*50)
 	}
 }
 
@@ -333,9 +353,32 @@ func TestStatementShapeKeys(t *testing.T) {
 		}
 		query(db.View(uniqopt.Options{UseKeyFDs: true}), distinct, nil, true)
 		query(db.View(uniqopt.Options{BindIsNull: true}), distinct, nil, true)
-		query(db.View(uniqopt.Options{MaxRows: 1000, Streaming: true}), distinct, nil, true)
+		query(db.View(uniqopt.Options{MaxRows: 1000, MemBudget: 1 << 20}), distinct, nil, true)
 	}); n != 4 {
 		t.Errorf("optimize/baseline/UseKeyFDs/BindIsNull/budget-only views compiled %d times, want 4", n)
+	}
+	// HashDistinct picks the plan's duplicate-elimination operator, so a
+	// view that differs only in it compiles its own statement and never
+	// runs (or is run by) the sort-distinct one.
+	distinctOp := func(d *uniqopt.DB) string {
+		t.Helper()
+		e, err := d.ExplainWith(context.Background(), distinct, nil, false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Root.Op
+	}
+	hashed := db.View(uniqopt.Options{HashDistinct: true})
+	if n := compiles(func() {
+		for i := 0; i < 2; i++ {
+			query(hashed, distinct, nil, false)
+			query(db, distinct, nil, false)
+			if h, s := distinctOp(hashed), distinctOp(db); h != "DistinctHash" || s != "DistinctSort" {
+				t.Errorf("HashDistinct view plans %s, the default handle %s", h, s)
+			}
+		}
+	}); n != 1 {
+		t.Errorf("the HashDistinct view compiled %d statements, want its own one", n)
 	}
 
 	// CREATE TABLE bypasses the cache, keeps its literals, and moves the

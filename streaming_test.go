@@ -12,6 +12,8 @@ import (
 	"uniqopt"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
+	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
 )
 
@@ -37,55 +39,98 @@ func setStreamPool(t *testing.T, workers, threshold int) {
 	})
 }
 
-// TestStreamingPaperExamples runs every paper example under
-// materializing and streaming execution — serial and parallel, at
-// batch sizes 1, 3, and the default — and requires byte-identical
-// results (same columns, same rows, same order). This is the
-// end-to-end equivalence guarantee: streaming is an execution
-// strategy, never a semantics change.
-func TestStreamingPaperExamples(t *testing.T) {
-	type pool struct {
-		name               string
-		workers, threshold int
+// referenceRows runs sql through the reference executor — serial,
+// materializing, straight from the AST: the semantic oracle.
+func referenceRows(t *testing.T, db *uniqopt.DB, sql string) *engine.Relation {
+	t.Helper()
+	q, err := parser.ParseQuery(sql)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pools := []pool{{"serial", 1, 1 << 30}, {"parallel", 4, 1}}
-	for _, pl := range pools {
-		for _, bs := range []int{1, 3, 0} {
-			label := fmt.Sprintf("%s/batch=%d", pl.name, bs)
-			t.Run(label, func(t *testing.T) {
-				setStreamPool(t, pl.workers, pl.threshold)
-				setStreamBatch(t, bs)
-				mat := goldenDBWith(t, uniqopt.Options{})
-				str := goldenDBWith(t, uniqopt.Options{Streaming: true})
-				for _, name := range paperQueryNames() {
-					sql := workload.PaperQueries[name]
-					want, err := mat.QueryWith(sql, goldenHosts, true)
+	hosts := map[string]value.Value{}
+	for k, v := range goldenHosts {
+		if hosts[k], err = uniqopt.Convert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rel, err := engine.NewExecutor(db.Store(), hosts).Query(q)
+	if err != nil {
+		t.Fatalf("reference executor: %v", err)
+	}
+	return rel
+}
+
+// asRelation is a query result as the engine relation it came from.
+func asRelation(t *testing.T, rows *uniqopt.Rows) *engine.Relation {
+	t.Helper()
+	rel := engine.NewRelation(rows.Columns...)
+	for _, row := range rows.Data {
+		r := make(value.Row, len(row))
+		for i, v := range row {
+			var err error
+			if r[i], err = uniqopt.Convert(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rel.Rows = append(rel.Rows, r)
+	}
+	return rel
+}
+
+// TestStreamingPaperExamples holds the one executor, at every point of
+// the workers × threshold × batch-size sweep, to two oracles neither of
+// which is itself: the row goldens generated at the parent commit
+// (columns, rows and row order, byte for byte — every paper example and
+// every embedded_adhoc shape, optimized and as written), and the
+// reference executor (multiset). Parallelism and batching are
+// execution strategy, never a semantics change.
+func TestStreamingPaperExamples(t *testing.T) {
+	// The reference executor is serial whatever the configuration, so
+	// its answers are computed once. It evaluates a FROM list as the
+	// full Cartesian product, which for chain3_lit is 20M rows: that one
+	// case has the goldens as its only oracle.
+	reference := map[string]*engine.Relation{}
+	for _, c := range rowCases() {
+		if c.name == "chain3_lit" {
+			continue
+		}
+		db := goldenDB(t)
+		if c.indexed {
+			db = goldenIndexedDB(t)
+		}
+		reference[c.name] = referenceRows(t, db, c.sql)
+	}
+	names := map[execPoint]string{{1, 1 << 30, 0}: "serial", {4, 1, 0}: "parallel"}
+	for _, pt := range execSweep() {
+		// The pools the parent's sweep already ran keep their names.
+		label := pt.String()
+		if n, ok := names[execPoint{pt.workers, pt.threshold, 0}]; ok {
+			label = fmt.Sprintf("%s/batch=%d", n, pt.batch)
+		}
+		t.Run(label, func(t *testing.T) {
+			pt.under(t)
+			plain, indexed := goldenDB(t), goldenIndexedDB(t)
+			checkRowGoldens(t, plain, indexed)
+			for _, c := range rowCases() {
+				db := plain
+				if c.indexed {
+					db = indexed
+				}
+				for _, optimize := range []bool{true, false} {
+					got, err := db.QueryWith(c.sql, goldenHosts, optimize)
 					if err != nil {
-						t.Fatalf("%s materializing: %v", name, err)
+						t.Fatalf("%s optimize=%v: %v", c.name, optimize, err)
 					}
-					got, err := str.QueryWith(sql, goldenHosts, true)
-					if err != nil {
-						t.Fatalf("%s streaming: %v", name, err)
-					}
-					if !reflect.DeepEqual(want.Columns, got.Columns) {
-						t.Errorf("%s: columns diverge: %v vs %v", name, want.Columns, got.Columns)
-					}
-					if !reflect.DeepEqual(want.Data, got.Data) {
-						t.Errorf("%s: streaming result diverges from materializing (rows %d vs %d)",
-							name, len(want.Data), len(got.Data))
-					}
-					if !reflect.DeepEqual(want.Plan, got.Plan) {
-						t.Errorf("%s: plans diverge:\n%v\nvs\n%v", name, want.Plan, got.Plan)
+					if want := reference[c.name]; want != nil && !engine.MultisetEqual(want, asRelation(t, got)) {
+						t.Errorf("%s optimize=%v: differs from the reference executor (%d vs %d rows)",
+							c.name, optimize, len(got.Data), want.Len())
 					}
 					if got.Stats.Batches == 0 {
-						t.Errorf("%s: streaming execution recorded no batches", name)
-					}
-					if want.Stats.Batches != 0 {
-						t.Errorf("%s: materializing execution recorded %d batches", name, want.Stats.Batches)
+						t.Errorf("%s optimize=%v: execution recorded no batches", c.name, optimize)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -116,61 +161,77 @@ func streamBudgetDB(t *testing.T, rows int, opts uniqopt.Options) *uniqopt.DB {
 	return db
 }
 
-// TestStreamingBudget is the satellite regression test for streaming
-// memory behavior: a join whose outer scan alone exceeds MemBudget
-// fails under materializing execution but streams to completion under
-// streaming execution, because only the (tiny) build side and the
-// in-flight batches are ever resident. A blocking operator over the
-// same oversized input still fails fast either way.
+// TestStreamingBudget pins what MemBudget bounds: the pipeline's live
+// footprint — blocking state, in-flight batches, the result — not the
+// sum of every operator's output. A join whose outer scan alone is many
+// times the budget completes, because only the (tiny) build side, the
+// in-flight batches and the one result row are ever resident. A blocking
+// operator over the same oversized input still fails fast.
 func TestStreamingBudget(t *testing.T) {
 	const rows = 40_000
 	// Enough for a few in-flight batches (~114KB each at the default
-	// batch size), far below the ~4.5MB the S scan would materialize.
+	// batch size), far below the ~4.5MB of the S table.
 	const budget = 256 * 1024
 	join := `SELECT S.SNO, S.CITY FROM S, P WHERE S.SNO = P.SNO AND P.PNO = 7`
 
-	mat := streamBudgetDB(t, rows, uniqopt.Options{MemBudget: budget})
-	if _, err := mat.Query(join); !errors.Is(err, uniqopt.ErrBudgetExceeded) {
-		t.Fatalf("materializing join: err = %v, want ErrBudgetExceeded", err)
-	}
-
-	str := streamBudgetDB(t, rows, uniqopt.Options{MemBudget: budget, Streaming: true})
-	res, err := str.Query(join)
+	db := streamBudgetDB(t, rows, uniqopt.Options{MemBudget: budget})
+	res, err := db.Query(join)
 	if err != nil {
-		t.Fatalf("streaming join under budget: %v", err)
+		t.Fatalf("join under budget: %v", err)
 	}
 	if len(res.Data) != 1 || res.Data[0][0] != int64(7) {
-		t.Fatalf("streaming join result = %v, want the single row for SNO 7", res.Data)
+		t.Fatalf("join result = %v, want the single row for SNO 7", res.Data)
 	}
 	if res.Stats.Batches == 0 {
-		t.Fatal("streaming join recorded no batches")
+		t.Fatal("join recorded no batches")
 	}
 
 	// Blocking state is still charged as it accrues: a hash-distinct
 	// over 40k unique rows cannot fit the budget and must fail fast,
-	// not stream partial results.
-	strDistinct := streamBudgetDB(t, rows, uniqopt.Options{
-		MemBudget: budget, Streaming: true, HashDistinct: true})
-	rows2, err := strDistinct.QueryBaseline(`SELECT DISTINCT S.CITY FROM S`)
-	if !errors.Is(err, uniqopt.ErrBudgetExceeded) {
-		t.Fatalf("streaming blocking distinct: err = %v, want ErrBudgetExceeded", err)
+	// not stream partial results — and so must a result that is itself
+	// larger than the budget.
+	for name, q := range map[string]func() (*uniqopt.Rows, error){
+		"blocking distinct": func() (*uniqopt.Rows, error) {
+			return db.View(uniqopt.Options{MemBudget: budget, HashDistinct: true}).
+				QueryBaseline(`SELECT DISTINCT S.CITY FROM S`)
+		},
+		"oversized result": func() (*uniqopt.Rows, error) { return db.Query(`SELECT S.SNO, S.CITY FROM S`) },
+	} {
+		rows2, err := q()
+		if !errors.Is(err, uniqopt.ErrBudgetExceeded) {
+			t.Fatalf("%s: err = %v, want ErrBudgetExceeded", name, err)
+		}
+		if rows2 != nil {
+			t.Fatalf("%s: partial Rows escaped a blown budget", name)
+		}
+		var be *uniqopt.BudgetError
+		if !errors.As(err, &be) || be.Resource != "memory" {
+			t.Fatalf("%s: err = %v, want a memory *BudgetError", name, err)
+		}
 	}
-	if rows2 != nil {
-		t.Fatal("partial Rows escaped a blown budget under streaming")
+}
+
+// planOps lists the operators of sql's plan under db's options.
+func planOps(t *testing.T, db *uniqopt.DB, sql string, optimize bool) []string {
+	t.Helper()
+	e, err := db.ExplainWith(context.Background(), sql, goldenHosts, optimize, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var be *uniqopt.BudgetError
-	if !errors.As(err, &be) || be.Resource != "memory" {
-		t.Fatalf("err = %v, want a memory *BudgetError", err)
+	var ops []string
+	for _, n := range e.Root.AllNodes() {
+		ops = append(ops, n.Op)
 	}
+	return ops
 }
 
 // TestStreamingDistinctShortCircuit checks the zero-cost DISTINCT
 // path: when the uniqueness analysis proves DISTINCT redundant, the
-// rewrite removes the node before planning, so the streaming pipeline
-// is built without any duplicate-elimination stage at all — no hash
-// table, no sort buffer, nothing to short-circuit at run time.
+// rewrite removes the node before planning, so the pipeline is built
+// without any duplicate-elimination stage at all — no hash table, no
+// sort buffer, nothing to short-circuit at run time.
 func TestStreamingDistinctShortCircuit(t *testing.T) {
-	db := goldenDBWith(t, uniqopt.Options{Streaming: true, HashDistinct: true})
+	db := goldenDBWith(t, uniqopt.Options{HashDistinct: true})
 	sql := workload.PaperQueries["example1"]
 
 	opt, err := db.QueryWith(sql, goldenHosts, true)
@@ -180,9 +241,9 @@ func TestStreamingDistinctShortCircuit(t *testing.T) {
 	if len(opt.Rewrites) == 0 {
 		t.Fatal("example1 applied no rewrites")
 	}
-	for _, line := range opt.Plan {
-		if strings.Contains(line, "Distinct") {
-			t.Errorf("optimized streaming plan still carries a distinct stage: %q", line)
+	for _, op := range planOps(t, db, sql, true) {
+		if strings.Contains(op, "Distinct") {
+			t.Errorf("optimized plan still carries a distinct stage: %q", op)
 		}
 	}
 
@@ -190,20 +251,14 @@ func TestStreamingDistinctShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hasDistinct := false
-	for _, line := range base.Plan {
-		if strings.Contains(line, "DistinctHash") {
-			hasDistinct = true
-		}
-	}
-	if !hasDistinct {
-		t.Fatal("baseline streaming plan lost its DistinctHash stage")
+	if ops := planOps(t, db, sql, false); ops[0] != "DistinctHash" {
+		t.Fatalf("baseline plan lost its DistinctHash stage: %v", ops)
 	}
 	// Same rows either way (the rewrite is semantics-preserving, and
 	// the paper data has no duplicates for DISTINCT to remove); order
 	// may differ, so compare canonicalized renderings.
 	if canonRows(base.Data) != canonRows(opt.Data) {
-		t.Fatalf("baseline and optimized streaming results diverge:\nbaseline %d rows vs optimized %d rows",
+		t.Fatalf("baseline and optimized results diverge:\nbaseline %d rows vs optimized %d rows",
 			len(base.Data), len(opt.Data))
 	}
 }
@@ -218,18 +273,20 @@ func canonRows(data [][]any) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestInPlaceScanFilterIdentity extends the byte-identity sweep to the
+// TestInPlaceScanFilterIdentity extends the identity sweep to the
 // in-place scan filter: a pushed-down predicate on a full scan is
-// evaluated over the table's own row slice under materializing
-// execution, and must return what serial, parallel and streaming
-// execution return at every batch size, render the same EXPLAIN ANALYZE
-// tree (Scan out=N, Filter in=N out=k), count the same rows scanned —
-// and charge the governor for less than the table.
+// evaluated over windows of the table's own row slice, and must return
+// the same rows in the same order at every worker pool, threshold and
+// batch size, render the same EXPLAIN ANALYZE tree (Scan out=N, Filter
+// in=N out=k), count the same rows scanned — and charge the governor
+// for less than the table. The streaming=false legs hold the result to
+// the reference executor, which is serial and materializing whatever
+// the configuration; the streaming=true legs to the first leg's rows.
 func TestInPlaceScanFilterIdentity(t *testing.T) {
 	// COLOR and PNO are not leading index columns: Scan + Filter.
 	const sql = `SELECT ALL P.SNO, P.PNO, P.PNAME FROM PARTS P WHERE P.COLOR = 'RED' AND P.PNO > :PART-NO`
 	setStreamPool(t, 1, 1<<30)
-	ref, err := goldenDBWith(t, uniqopt.Options{}).QueryWith(sql, goldenHosts, true)
+	ref, err := goldenDB(t).QueryWith(sql, goldenHosts, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +295,7 @@ func TestInPlaceScanFilterIdentity(t *testing.T) {
 		t.Fatalf("filter kept %d of %d rows; the test needs a selective predicate", len(ref.Data), tableRows)
 	}
 	if ref.Stats.RowsMaterialized >= tableRows {
-		t.Errorf("materializing run charged %d rows for a %d-row table: the scan was copied",
+		t.Errorf("the run charged %d rows for a %d-row table: the scan was copied",
 			ref.Stats.RowsMaterialized, tableRows)
 	}
 	var refTree string
@@ -246,20 +303,27 @@ func TestInPlaceScanFilterIdentity(t *testing.T) {
 		name               string
 		workers, threshold int
 	}
-	for _, pl := range []pool{{"serial", 1, 1 << 30}, {"parallel", 4, 1}} {
+	for _, pl := range []pool{{"serial", 1, 1 << 30}, {"parallel", 4, 1}, {"narrow", 1, 1}, {"wide", 4, 1 << 30}} {
 		for _, streaming := range []bool{false, true} {
 			for _, bs := range []int{1, 3, 0} {
 				label := fmt.Sprintf("%s/streaming=%v/batch=%d", pl.name, streaming, bs)
 				t.Run(label, func(t *testing.T) {
 					setStreamPool(t, pl.workers, pl.threshold)
 					setStreamBatch(t, bs)
-					db := goldenDBWith(t, uniqopt.Options{Streaming: streaming})
+					db := goldenDB(t)
+					if !streaming {
+						got := referenceRows(t, db, sql)
+						if !engine.MultisetEqual(got, asRelation(t, ref)) {
+							t.Errorf("result differs from the reference executor (%d vs %d rows)", len(ref.Data), got.Len())
+						}
+						return
+					}
 					got, err := db.QueryWith(sql, goldenHosts, true)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(ref.Columns, got.Columns) || !reflect.DeepEqual(ref.Data, got.Data) {
-						t.Errorf("result diverges from the serial materializing run (%d vs %d rows)",
+						t.Errorf("result diverges from the serial run (%d vs %d rows)",
 							len(got.Data), len(ref.Data))
 					}
 					if got.Stats.RowsScanned != tableRows {
@@ -285,6 +349,34 @@ func TestInPlaceScanFilterIdentity(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestExplainAnalyzeMarksParallelOperators pins the par= marker: with 4
+// workers and a threshold of 1, a scan + filter runs its filter on an
+// exchange and EXPLAIN ANALYZE says so on the Filter node (the node
+// whose operator started the exchange) and on the projection above it;
+// with one worker nothing is marked.
+func TestExplainAnalyzeMarksParallelOperators(t *testing.T) {
+	const sql = `SELECT ALL P.SNO, P.PNO FROM PARTS P WHERE P.COLOR = 'RED'`
+	for _, workers := range []int{4, 1} {
+		setStreamPool(t, workers, 1)
+		e, err := goldenDB(t).ExplainWith(context.Background(), sql, nil, true, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range e.Root.AllNodes() {
+			wide := workers > 1 && (n.Op == "Filter" || n.Op == "Project")
+			if n.Parallel != wide || (wide && n.Workers != int64(workers)) {
+				t.Errorf("workers=%d: %s node has parallel=%v workers=%d", workers, n.Op, n.Parallel, n.Workers)
+			}
+		}
+		if marked := strings.Count(e.String(), fmt.Sprintf(" par=%d", workers)); (workers > 1 && marked != 2) || (workers == 1 && strings.Contains(e.String(), " par=")) {
+			t.Errorf("workers=%d: par= markers in\n%s", workers, e)
+		}
+		if (e.Stats.ParallelRuns > 0) != (workers > 1) {
+			t.Errorf("workers=%d: parallel runs = %d", workers, e.Stats.ParallelRuns)
 		}
 	}
 }

@@ -87,19 +87,14 @@ type Options struct {
 	// cheaper form (§5's cost-model framing). Without it the rewritten
 	// form always runs.
 	CostBased bool
-	// MaxRows caps the rows any single query may materialize across
-	// all of its operators (0 = unlimited). Exceeding it aborts the
-	// query with an error matching ErrBudgetExceeded.
+	// MaxRows caps the rows a single query may hold live at once: its
+	// blocking state (hash tables, sort buffers), the batches in flight
+	// between its operators, and its result (0 = unlimited). Exceeding
+	// it aborts the query with an error matching ErrBudgetExceeded.
 	MaxRows int64
-	// MemBudget caps the estimated bytes a single query may hold in
-	// hash tables, sort buffers, and outputs (0 = unlimited).
+	// MemBudget caps the estimated bytes of the same live footprint
+	// (0 = unlimited).
 	MemBudget int64
-	// Streaming executes queries as pull-based batched iterator
-	// pipelines instead of materializing every operator's output.
-	// Results and row order are identical to materializing execution,
-	// but only blocking state (hash tables, sort buffers) stays
-	// resident, so MemBudget bounds the pipeline's live footprint.
-	Streaming bool
 }
 
 // ErrBudgetExceeded is the sentinel matched (via errors.Is) by every
@@ -328,8 +323,6 @@ type Rows struct {
 	// Rewrites lists the transformations the optimizer applied
 	// (empty when executed with Optimize=false).
 	Rewrites []RewriteInfo
-	// Plan is the physical plan, one operator per line.
-	Plan []string
 }
 
 // RewriteInfo describes one applied transformation.
@@ -376,7 +369,7 @@ func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.planner(optimize, false).Execute(ctx, c.query, c.hosts)
+	res, err := d.planner(optimize).Execute(ctx, c.query, c.hosts, false)
 	if err == nil {
 		res.Stats.Add(c.stats)
 	}
@@ -385,7 +378,7 @@ func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]
 		return nil, err
 	}
 	d.stats.Add(res.Stats)
-	out := &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Plan: res.Plan, Rewrites: rewriteInfos(res.Rewrites)}
+	out := &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Rewrites: rewriteInfos(res.Rewrites)}
 	out.Data = make([][]any, len(res.Rel.Rows))
 	for i, row := range res.Rel.Rows {
 		out.Data[i] = make([]any, len(row))
@@ -476,7 +469,7 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 		c.hosts[lexer.LiftedName(i+1)] = v
 	}
 
-	opts := d.planOptions(optimize, false)
+	opts := d.planOptions(optimize)
 	// The version is read once, before compiling, and keys both the
 	// probe and the store: a DDL committing mid-compile can never file
 	// a statement derived under the older catalog beneath the newer
@@ -540,12 +533,12 @@ func rewriteInfos(aps []core.Applied) []RewriteInfo {
 }
 
 // planner builds a planner over this DB's store with its configured
-// options; explainOnly plans without reading base-table data.
-func (d *DB) planner(optimize, explainOnly bool) *plan.Planner {
-	return plan.NewPlanner(d.store.Heap(), d.planOptions(optimize, explainOnly))
+// options.
+func (d *DB) planner(optimize bool) *plan.Planner {
+	return plan.NewPlanner(d.store.Heap(), d.planOptions(optimize))
 }
 
-func (d *DB) planOptions(optimize, explainOnly bool) plan.Options {
+func (d *DB) planOptions(optimize bool) plan.Options {
 	return plan.Options{
 		ApplyRewrites: optimize,
 		CostBased:     d.opts.CostBased,
@@ -555,11 +548,9 @@ func (d *DB) planOptions(optimize, explainOnly bool) plan.Options {
 			BindIsNull:          d.opts.BindIsNull,
 			UseCheckConstraints: d.opts.UseCheckConstraints,
 		},
-		Cache:       d.cache,
-		MaxRows:     d.opts.MaxRows,
-		MemBudget:   d.opts.MemBudget,
-		ExplainOnly: explainOnly,
-		Streaming:   d.opts.Streaming,
+		Cache:     d.cache,
+		MaxRows:   d.opts.MaxRows,
+		MemBudget: d.opts.MemBudget,
 	}
 }
 
@@ -592,18 +583,18 @@ func toGo(v value.Value) any {
 	}
 }
 
-// Explanation is the result of EXPLAIN / EXPLAIN ANALYZE: the typed
+// Explanation is the result of EXPLAIN / EXPLAIN ANALYZE: the
 // physical plan tree, the optimizer's rewrite decisions, and the
 // uniqueness analyzer's provenance trace (how Algorithm 1 reached its
 // verdict — which equalities bound which columns, and per FROM table
 // the candidate key that satisfied the coverage test or the table
 // that blocked it).
 type Explanation struct {
-	// Root is the typed plan tree; for ANALYZE its nodes carry rows
-	// in/out, per-operator wall time, and parallel-path usage.
+	// Root is the plan tree; for ANALYZE its nodes carry rows in/out,
+	// batches, per-operator wall time, and parallel-path usage.
 	Root *plan.Node
 	// Analyzed reports whether the plan was really executed (EXPLAIN
-	// ANALYZE) or only planned against empty inputs (EXPLAIN).
+	// ANALYZE) or only rendered (EXPLAIN).
 	Analyzed bool
 	// Rewrites lists the transformations the optimizer applied.
 	Rewrites []RewriteInfo
@@ -614,13 +605,11 @@ type Explanation struct {
 	KeysUsed []string
 	// Stats are the engine work counters (zero unless Analyzed).
 	Stats engine.Stats
-	// Plan is the legacy one-line-per-operator rendering.
-	Plan []string
 }
 
-// Explain plans the query — applying the uniqueness rewrites — without
-// reading any table data, and reports the plan tree plus the
-// analyzer's provenance trace.
+// Explain plans the query — applying the uniqueness rewrites — and
+// reports the plan tree plus the analyzer's provenance trace, without
+// executing anything or reading any table data.
 func (d *DB) Explain(sql string) (*Explanation, error) {
 	return d.ExplainWith(context.Background(), sql, nil, true, false)
 }
@@ -633,8 +622,9 @@ func (d *DB) ExplainAnalyze(sql string) (*Explanation, error) {
 }
 
 // ExplainWith is the general form: host-variable bindings, optional
-// rewriting, and a choice between plan-only (analyze=false) and real
-// execution (analyze=true). Explain runs are not recorded in the
+// rewriting, and a choice between plan-only (analyze=false: the
+// compiled statement's plan tree is rendered, ctx is not consulted) and
+// real execution (analyze=true). Explain runs are not recorded in the
 // metrics registry, so profiling a workload is not skewed by
 // inspecting it.
 func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, optimize, analyze bool) (*Explanation, error) {
@@ -642,18 +632,15 @@ func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, 
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.planner(optimize, !analyze).Execute(ctx, c.query, c.hosts)
-	if err != nil {
-		return nil, err
-	}
-	out := &Explanation{
-		Root:     res.Root,
-		Analyzed: analyze,
-		Plan:     res.Plan,
-		Rewrites: rewriteInfos(res.Rewrites),
-	}
+	out := &Explanation{Analyzed: analyze}
 	if analyze {
-		out.Stats = res.Stats.Snapshot()
+		res, err := d.planner(optimize).Execute(ctx, c.query, c.hosts, true)
+		if err != nil {
+			return nil, err
+		}
+		out.Root, out.Rewrites, out.Stats = res.Root, rewriteInfos(res.Rewrites), res.Stats.Snapshot()
+	} else {
+		out.Root, out.Rewrites = c.query.Render(c.hosts), rewriteInfos(c.query.Rewrites(c.hosts))
 	}
 	// The provenance trace explains the verdict on the query as
 	// written — the decision that licensed (or blocked) the rewrites.
