@@ -21,12 +21,25 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the EXPLAIN golden files")
 
-// goldenHosts binds every host variable any paper query mentions.
+// goldenHosts binds every host variable any paper query or benchmark
+// statement mentions.
 var goldenHosts = map[string]any{
 	"SUPPLIER-NO":   1,
 	"SUPPLIER-NAME": "Smith",
 	"PART-NO":       1,
 	"PARTNO":        1,
+	"K":             3,
+	"M":             1600,
+	"C":             "Toronto",
+	"B":             100,
+	"C1":            "Ottawa",
+	"C2":            "Hull",
+	"L":             10,
+	"H":             30,
+	"N":             7,
+	"S":             7,
+	"A":             1,
+	"P":             3,
 }
 
 // goldenDB builds a fresh paper workload DB with a fixed config, so
@@ -98,8 +111,35 @@ func (p execPoint) under(t *testing.T) {
 	setStreamBatch(t, p.batch)
 }
 
-// explainUnder runs EXPLAIN ANALYZE for one paper query on a fresh DB
-// under the given pool configuration and returns the explanation.
+// indexedSuffix marks an EXPLAIN case that runs on goldenIndexedDB.
+const indexedSuffix = ".indexed"
+
+// explainCaseNames lists every paper example — planned over the golden
+// DB, which has no ordered index, so no rule that needs one reaches
+// them — and then Examples 8, 9 and 11 again over the DB with the
+// benchmark's three indexes, where the first two probe for the first
+// match and the third joins through the index.
+func explainCaseNames() []string {
+	names := paperQueryNames()
+	for _, name := range []string{"example11", "example8", "example9"} {
+		names = append(names, name+indexedSuffix)
+	}
+	return names
+}
+
+// explainCase returns a fresh DB and the statement for one case of
+// explainCaseNames.
+func explainCase(t *testing.T, name string) (*uniqopt.DB, string) {
+	t.Helper()
+	if query, ok := strings.CutSuffix(name, indexedSuffix); ok {
+		return goldenIndexedDB(t), workload.PaperQueries[query]
+	}
+	return goldenDB(t), workload.PaperQueries[name]
+}
+
+// explainUnder runs EXPLAIN ANALYZE for one case of explainCaseNames on
+// a fresh DB under the given pool configuration and returns the
+// explanation.
 func explainUnder(t *testing.T, name string, workers, threshold int) *uniqopt.Explanation {
 	t.Helper()
 	prevW := engine.SetWorkers(workers)
@@ -108,7 +148,8 @@ func explainUnder(t *testing.T, name string, workers, threshold int) *uniqopt.Ex
 		engine.SetWorkers(prevW)
 		engine.SetParallelThreshold(prevT)
 	}()
-	e, err := goldenDB(t).ExplainWith(context.Background(), workload.PaperQueries[name], goldenHosts, true, true)
+	db, sql := explainCase(t, name)
+	e, err := db.ExplainWith(context.Background(), sql, goldenHosts, true, true)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -122,7 +163,7 @@ func explainUnder(t *testing.T, name string, workers, threshold int) *uniqopt.Ex
 // times canonicalized, parallel-width markers and batch counts
 // dropped).
 func TestExplainGolden(t *testing.T) {
-	for _, name := range paperQueryNames() {
+	for _, name := range explainCaseNames() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("testdata", "explain", name+".golden")
 			serial := plan.ScrubVolatile(explainUnder(t, name, 1, 1<<30).String())
@@ -158,7 +199,7 @@ func TestExplainGolden(t *testing.T) {
 // subqueries or index access the Scan nodes must account for exactly
 // Stats.RowsScanned.
 func TestExplainAnalyzeCountsMatchStats(t *testing.T) {
-	for _, name := range paperQueryNames() {
+	for _, name := range explainCaseNames() {
 		t.Run(name, func(t *testing.T) {
 			e := explainUnder(t, name, 1, 1<<30)
 			if e.Root == nil {
@@ -176,7 +217,7 @@ func TestExplainAnalyzeCountsMatchStats(t *testing.T) {
 				switch n.Op {
 				case "Scan":
 					scanned += n.RowsOut
-				case "IndexScan":
+				case "IndexScan", "IndexJoin":
 					indexed = true
 				}
 			}
@@ -199,7 +240,7 @@ func TestExplainAnalyzeCountsMatchStats(t *testing.T) {
 // Stats.RowsOutput. A plain query of the same statement reports its
 // batches too.
 func TestExplainAnalyzeStreamBatches(t *testing.T) {
-	for _, name := range paperQueryNames() {
+	for _, name := range explainCaseNames() {
 		t.Run(name, func(t *testing.T) {
 			e := explainUnder(t, name, 1, 1<<30)
 			if e.Root == nil {
@@ -225,7 +266,8 @@ func TestExplainAnalyzeStreamBatches(t *testing.T) {
 				t.Errorf("plan nodes account for %d batches but Stats.Batches=%d", total, e.Stats.Batches)
 			}
 			setStreamPool(t, 1, 1<<30)
-			rows, err := goldenDB(t).QueryWith(workload.PaperQueries[name], goldenHosts, true)
+			db, sql := explainCase(t, name)
+			rows, err := db.QueryWith(sql, goldenHosts, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,10 +296,9 @@ func TestExplainPlanOnlyShape(t *testing.T) {
 		}
 		return sb.String()
 	}
-	for _, name := range paperQueryNames() {
+	for _, name := range explainCaseNames() {
 		t.Run(name, func(t *testing.T) {
-			db := goldenDB(t)
-			sql := workload.PaperQueries[name]
+			db, sql := explainCase(t, name)
 			planOnly, err := db.ExplainWith(context.Background(), sql, goldenHosts, true, false)
 			if err != nil {
 				t.Fatal(err)

@@ -54,6 +54,7 @@ const (
 	FaultFilter     = "engine.filter"
 	FaultHashBuild  = "engine.hashjoin.build"
 	FaultHashProbe  = "engine.hashjoin.probe"
+	FaultIndexProbe = "engine.indexjoin.probe"
 	FaultDistinct   = "engine.distinct"
 	FaultSort       = "engine.sort"
 	FaultSetOp      = "engine.setop"
@@ -65,7 +66,7 @@ const (
 )
 
 func init() {
-	fault.Register(FaultScan, FaultFilter, FaultHashBuild, FaultHashProbe,
+	fault.Register(FaultScan, FaultFilter, FaultHashBuild, FaultHashProbe, FaultIndexProbe,
 		FaultDistinct, FaultSort, FaultSetOp, FaultPoolWorker, FaultStreamNext)
 }
 

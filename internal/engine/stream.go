@@ -9,6 +9,7 @@ import (
 	"uniqopt/internal/fault"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/storage"
+	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
 )
 
@@ -16,7 +17,7 @@ import (
 // these iterators, drained at the root. Batches are pulled through the
 // Iterator interface so only blocking state (hash tables, sort buffers)
 // is ever resident. Pipelined operators (scan, filter, project,
-// hash-join probe, hash distinct) emit as they consume; blocking
+// hash-join probe, index join, hash distinct) emit as they consume; blocking
 // operators (hash-join build, sort distinct, the product's collected
 // inner, the sort-merge set operations) charge their state as held and
 // release it at Close. Constructors take column ordinals and output
@@ -774,6 +775,189 @@ func (j *hashJoinIter) Close() error {
 	j.sg.close()
 	j.table = nil
 	return errors.Join(j.probe.Close(), j.build.Close())
+}
+
+// IndexKeyPart binds one leading column of the index an index join
+// probes: to the outer row's column at Ord, or, when Ord is negative, to
+// the constant Const.
+type IndexKeyPart struct {
+	Ord   int
+	Const value.Value
+}
+
+// IndexProbe is the inner side of an index join: a base table reached
+// through one of its ordered indexes. Key binds a leading prefix of the
+// index's columns; Pred, named over Cols (the table's columns under its
+// correlation name), is what a fetched row must still satisfy.
+type IndexProbe struct {
+	Tbl  *storage.Table
+	Ix   *storage.OrderedIndex
+	Cols []string
+	Key  []IndexKeyPart
+	Pred ast.Expr
+}
+
+// indexJoinIter streams outer ⋈ table by seeking the table's ordered
+// index once per outer row instead of reading the table: nothing is
+// built and nothing is held, so the rows it touches are proportional to
+// its outer input and its matches. The join form emits one arena row
+// per qualifying entry, outer columns then the table's, in outer order
+// with index order inside a key. The semi form stops at the first
+// qualifying entry and passes the outer row itself through, untouched
+// and at most once — the existence probe of the paper's Section 6.
+type indexJoinIter struct {
+	outer   Iterator
+	in      IndexProbe
+	cols    []string
+	keep    eval.Pred // nil = every fetched row qualifies
+	semi    bool
+	st      *Stats
+	sg      streamGuard
+	keyBuf  value.Row
+	arena   rowArena
+	ob      Batch     // the outer batch being probed
+	oidx    int       // the next row of ob
+	orow    value.Row // the outer row whose entries are being fetched
+	pos     int       // the next entry of the index to fetch for it
+	probing bool      // orow's entries are not exhausted
+	started bool
+	closed  bool
+}
+
+// NewIndexJoinIter streams outer joined to in.Tbl on in.Key, the table's
+// rows fetched through in.Ix. WHERE-clause equality semantics: a key
+// with a NULL component matches nothing, although the index files NULLs
+// together. cols names the output: outer's columns, then — unless semi —
+// the table's. A semi join emits each outer row that has a qualifying
+// entry once, and no column of the table.
+func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, semi bool, cols []string) (Iterator, error) {
+	if len(in.Key) == 0 || len(in.Key) > len(in.Ix.Columns) {
+		return nil, fmt.Errorf("engine: index join binds %d of index %s's %d columns",
+			len(in.Key), in.Ix.Name, len(in.Ix.Columns))
+	}
+	for _, k := range in.Key {
+		if k.Ord >= len(outer.Cols()) {
+			return nil, fmt.Errorf("engine: relation has no column #%d (cols: %v)", k.Ord, outer.Cols())
+		}
+	}
+	j := &indexJoinIter{
+		outer: outer, in: in, cols: cols, semi: semi, st: st,
+		keyBuf: make(value.Row, len(in.Key)),
+		arena:  rowArena{width: len(cols)},
+	}
+	if in.Pred != nil {
+		j.keep = eval.Compile(in.Pred, in.Cols, env)
+	}
+	return j, nil
+}
+
+func (j *indexJoinIter) Cols() []string { return j.cols }
+
+// seek positions the iterator on the entries of the next outer row, and
+// reports false once the outer input is exhausted.
+func (j *indexJoinIter) seek(ctx context.Context) (bool, error) {
+	for {
+		if j.oidx >= len(j.ob) {
+			b, err := j.outer.Next(ctx)
+			if err != nil || b == nil {
+				return false, err
+			}
+			j.ob, j.oidx = b, 0
+			continue
+		}
+		j.orow = j.ob[j.oidx]
+		j.oidx++
+		if err := j.sg.step(); err != nil {
+			return false, err
+		}
+		null := false
+		for i, k := range j.in.Key {
+			v := k.Const
+			if k.Ord >= 0 {
+				v = j.orow[k.Ord]
+			}
+			null = null || v.IsNull()
+			j.keyBuf[i] = v
+		}
+		if null {
+			continue
+		}
+		// The position the last probe stopped at is the hint: outer rows
+		// in key order cost the distance between their entries.
+		j.st.IndexSeeks++
+		j.pos, j.probing = j.in.Ix.Seek(j.keyBuf, j.pos), true
+		return true, nil
+	}
+}
+
+func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
+	if err := j.sg.begin(ctx, j.st); err != nil {
+		return nil, err
+	}
+	if !j.started {
+		j.started = true
+		if err := fault.Point(FaultIndexProbe); err != nil {
+			return nil, err
+		}
+	}
+	bs := BatchSize()
+	var out Batch
+	for {
+		for j.probing {
+			ord, ok := j.in.Ix.At(j.pos, j.keyBuf)
+			if !ok {
+				j.probing = false
+				break
+			}
+			j.pos++
+			irow := j.in.Tbl.Row(ord)
+			if err := j.sg.step(); err != nil {
+				return nil, err
+			}
+			j.st.RowsScanned++
+			j.st.JoinPairs++
+			if j.keep != nil {
+				t, err := j.keep(irow)
+				if err != nil {
+					return nil, err
+				}
+				if !tvl.FalseInterpreted(t) {
+					continue
+				}
+			}
+			if j.semi {
+				out = append(out, j.orow)
+				j.probing = false
+			} else {
+				nr := j.arena.next()
+				copy(nr, j.orow)
+				copy(nr[len(j.orow):], irow)
+				out = append(out, nr)
+			}
+			if len(out) >= bs {
+				return j.sg.emit(out)
+			}
+		}
+		more, err := j.seek(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !more {
+			if len(out) > 0 {
+				return j.sg.emit(out)
+			}
+			return nil, nil
+		}
+	}
+}
+
+func (j *indexJoinIter) Close() error {
+	if j.closed {
+		return nil
+	}
+	j.closed = true
+	j.sg.close()
+	return j.outer.Close()
 }
 
 // productIter streams the extended Cartesian product: the right input

@@ -31,9 +31,12 @@ const (
 	qDistinct  = `SELECT DISTINCT S.CITY FROM S WHERE S.CITY = 'city-1'`
 	qJoin      = `SELECT S.SNO, P.PNO FROM S, P WHERE S.SNO = P.SNO`
 	qIntersect = `SELECT S.SNO FROM S INTERSECT SELECT P.SNO FROM P`
+	// P contributes no column and is the many side: a first-match probe
+	// of P_SNO per supplier.
+	qExists = `SELECT DISTINCT S.SNO FROM S, P WHERE S.SNO = P.SNO`
 )
 
-var matrixQueries = []string{qDistinct, qJoin, qIntersect}
+var matrixQueries = []string{qDistinct, qJoin, qIntersect, qExists}
 
 func matrixDB(t testing.TB) *uniqopt.DB {
 	t.Helper()
@@ -59,6 +62,9 @@ func matrixDBWith(t testing.TB, opts uniqopt.Options) *uniqopt.DB {
 			t.Fatal(err)
 		}
 	}
+	if err := db.CreateIndex("P", "P_SNO", "SNO"); err != nil {
+		t.Fatal(err)
+	}
 	return db
 }
 
@@ -74,7 +80,8 @@ func synth(prefix string, rows int) *engine.Relation {
 
 // runAll drives every fault point: the planner queries, optimized and
 // as written — Planner.Execute over plan trees with scan, filter, hash
-// join, distinct, and the sort-merge set operation — plus the
+// join, first-match index probe, distinct, and the sort-merge set
+// operation — plus the
 // reference executor's set operation and every iterator operator
 // directly. It returns the first error, after verifying no failing step
 // leaked a partial result.
@@ -124,6 +131,17 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 			it, err := engine.NewHashJoinIter(st,
 				engine.NewRelationIter(st, l), engine.NewRelationIter(st, r),
 				[]string{"L.K", "L.V", "R.K", "R.V"}, []int{0}, []int{0})
+			if err != nil {
+				return nil, err
+			}
+			return engine.Drain(ctx, st, it)
+		}},
+		{"IndexJoinIter", func() (*engine.Relation, error) {
+			p := db.Store().MustTable("P")
+			it, err := engine.NewIndexJoinIter(st, engine.NewRelationIter(st, l),
+				engine.IndexProbe{Tbl: p, Ix: p.OrderedIndexOn("SNO"), Cols: []string{"P.PNO", "P.SNO"},
+					Key: []engine.IndexKeyPart{{Ord: 0}}},
+				&eval.Env{}, false, []string{"L.K", "L.V", "P.PNO", "P.SNO"})
 			if err != nil {
 				return nil, err
 			}

@@ -23,8 +23,8 @@ func TestTvlBoolExemptInsideTvl(t *testing.T) {
 
 func TestRowAliasFixture(t *testing.T) {
 	fs := checkFixture(t, "fix/rowalias", RowAlias)
-	if len(fs) != 4 {
-		t.Errorf("rowalias findings = %d, want 4", len(fs))
+	if len(fs) != 5 {
+		t.Errorf("rowalias findings = %d, want 5", len(fs))
 	}
 }
 
@@ -119,8 +119,8 @@ func TestIterLifeFixture(t *testing.T) {
 			alias++
 		}
 	}
-	if life != 3 || ctx != 2 || alias != 1 {
-		t.Errorf("iterator fixture findings: iterlife=%d ctxflow=%d rowalias=%d, want 3, 2, 1", life, ctx, alias)
+	if life != 4 || ctx != 2 || alias != 2 {
+		t.Errorf("iterator fixture findings: iterlife=%d ctxflow=%d rowalias=%d, want 4, 2, 2", life, ctx, alias)
 	}
 }
 
@@ -140,15 +140,15 @@ func TestGovPairFixture(t *testing.T) {
 
 func TestIterStateFixture(t *testing.T) {
 	fs := checkFixture(t, "statefix/internal/engine", IterState)
-	if len(fs) != 5 {
-		t.Errorf("iterstate findings = %d, want 5", len(fs))
+	if len(fs) != 6 {
+		t.Errorf("iterstate findings = %d, want 6", len(fs))
 	}
 }
 
 func TestBatchLifeFixture(t *testing.T) {
 	fs := checkFixture(t, "batchfix/internal/engine", BatchLife)
-	if len(fs) != 3 {
-		t.Errorf("batchlife findings = %d, want 3", len(fs))
+	if len(fs) != 4 {
+		t.Errorf("batchlife findings = %d, want 4", len(fs))
 	}
 }
 

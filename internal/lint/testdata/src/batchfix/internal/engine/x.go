@@ -85,3 +85,38 @@ func GoodOwnBatch(n int) Batch {
 	}
 	return b
 }
+
+// BadSemiKeyInPlace is a first-match probe that builds its probe key in
+// the outer row it pulled — a row it then passes through to its own
+// consumer, and which may be a stored table row.
+func BadSemiKeyInPlace(ctx context.Context, s *src, k value.Value) (Batch, error) {
+	b, err := s.Next(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out Batch
+	for _, outer := range b {
+		outer[0] = k // want "element write of a row/batch obtained from Next"
+		out = append(out, outer)
+	}
+	return out, nil
+}
+
+// GoodJoinArena is the join form: the pulled outer row is copied into a
+// row the operator allocated, and only that row is written.
+func GoodJoinArena(ctx context.Context, s *src, inner value.Row) (Batch, error) {
+	b, err := s.Next(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out Batch
+	keyBuf := make(value.Row, 1)
+	for _, outer := range b {
+		keyBuf[0] = outer[0]
+		nr := make(value.Row, len(outer)+len(inner))
+		copy(nr, outer)
+		copy(nr[len(outer):], inner)
+		out = append(out, nr)
+	}
+	return out, nil
+}

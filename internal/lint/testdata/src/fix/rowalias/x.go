@@ -54,3 +54,22 @@ func GoodEarlyReturn(r value.Row) value.Row {
 	r[0] = value.Value{I: 2}
 	return r
 }
+
+// BadSemiEmit passes an outer row through to the output batch — the
+// first-match probe emits the row it was given, which may be a stored
+// table row — and then reuses it as the next probe's key buffer.
+func BadSemiEmit(out []value.Row, outer value.Row, key value.Value) []value.Row {
+	out = append(out, outer)
+	outer[0] = key // want "after it was appended to another slice at line 62"
+	return out
+}
+
+// GoodJoinEmit writes only the arena row it carved, before emitting it,
+// and keeps its probe key in a buffer it never emits.
+func GoodJoinEmit(out []value.Row, arena, keyBuf, outer, inner value.Row) []value.Row {
+	keyBuf[0] = outer[0]
+	nr := arena[: len(outer)+len(inner) : len(outer)+len(inner)]
+	copy(nr, outer)
+	copy(nr[len(outer):], inner)
+	return append(out, nr)
+}

@@ -125,3 +125,67 @@ func drainIter(ctx context.Context, it *goodIter) error {
 	_, err := it.Next(ctx)
 	return err
 }
+
+// probeIter is the shape of the index-join iterator: it owns an outer
+// child, threads its context to it, and closes it. The first-match
+// form passes the outer rows themselves through in a fresh batch per
+// call.
+type probeIter struct {
+	outer  *goodIter
+	closed bool
+}
+
+func newProbe(outer *goodIter) *probeIter { return &probeIter{outer: outer} }
+
+func (it *probeIter) Next(ctx context.Context) (Batch, error) {
+	b, err := it.outer.Next(ctx)
+	if err != nil || b == nil {
+		return nil, err
+	}
+	var out Batch
+	for _, row := range b {
+		out = append(out, row)
+	}
+	return out, nil
+}
+
+func (it *probeIter) Close() error {
+	if it.closed {
+		return nil
+	}
+	it.closed = true
+	return it.outer.Close()
+}
+
+// stickyProbeIter keeps the batch of matched outer rows on the receiver
+// and overwrites it on the next call: the rows the consumer holds from
+// the previous batch change under it.
+type stickyProbeIter struct {
+	outer *goodIter
+	out   Batch
+}
+
+func (it *stickyProbeIter) Next(ctx context.Context) (Batch, error) {
+	b, err := it.outer.Next(ctx)
+	if err != nil || len(b) == 0 {
+		return nil, err
+	}
+	it.out[0] = b[0] // want "reuses the receiver batch buffer"
+	return it.out, nil
+}
+
+func (it *stickyProbeIter) Close() error { return it.outer.Close() }
+
+// BadProbeLeak assembles a probe over an outer iterator and walks away
+// from both when the first batch fails.
+func BadProbeLeak(ctx context.Context) (Batch, error) {
+	it := newProbe(newIter()) // want "never closed, returned, or handed off"
+	return it.Next(ctx)
+}
+
+// GoodProbeClose closes the probe, which closes its outer child.
+func GoodProbeClose(ctx context.Context) (Batch, error) {
+	it := newProbe(newIter())
+	defer it.Close()
+	return it.Next(ctx)
+}

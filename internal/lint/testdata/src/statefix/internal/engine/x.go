@@ -130,3 +130,43 @@ func GoodSiblingField(ctx context.Context, p *pair) error {
 	_, err := p.right.Next(ctx)
 	return err
 }
+
+// probe is the shape of the index-join iterator: it owns its outer
+// child and closes it exactly once.
+type probe struct {
+	outer  *src
+	closed bool
+}
+
+func (j *probe) Next(ctx context.Context) (Batch, error) { return j.outer.Next(ctx) }
+
+func (j *probe) Close() error {
+	if j.closed {
+		return nil
+	}
+	j.closed = true
+	return j.outer.Close()
+}
+
+// BadProbeEarlyRelease closes the outer child once the probe key turns
+// out to match nothing — and the next call still pulls from it.
+func BadProbeEarlyRelease(ctx context.Context, j *probe, never bool) (Batch, error) {
+	if never {
+		if err := j.outer.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return j.outer.Next(ctx) // want "Next called on j.outer after it was closed"
+}
+
+// GoodProbeDrain pulls until the end of stream and closes the probe
+// once; the probe's own Close is what reaches the outer child.
+func GoodProbeDrain(ctx context.Context, j *probe) error {
+	defer j.Close()
+	for {
+		b, err := j.Next(ctx)
+		if err != nil || b == nil {
+			return err
+		}
+	}
+}

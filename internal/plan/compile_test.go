@@ -46,12 +46,27 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 			fmt.Fprintf(&sb, "access %s cols=%v push=%q/%s rest=%q/%s", o.scan, o.cols,
 				o.push.text.in(hosts), sql(o.push.pred), o.rest.text.in(hosts), sql(o.rest.pred))
 			if ap := o.path; ap != nil {
-				fmt.Fprintf(&sb, " path=%s.%s eq=%s lo=%s%v hi=%s%v consumed=%v", ap.corr, ap.ix.Name,
-					sql(ap.eq), sql(ap.lo), ap.loStrict, sql(ap.hi), ap.hiStrict, ap.consumed)
+				eq := make([]string, len(ap.eq))
+				for i, e := range ap.eq {
+					eq[i] = sql(e)
+				}
+				fmt.Fprintf(&sb, " path=%s.%s eq=%v lo=%s%v hi=%s%v consumed=%v", ap.corr, ap.ix.Name,
+					eq, sql(ap.lo), ap.loStrict, sql(ap.hi), ap.hiStrict, ap.consumed)
 			}
 		case *joinOp:
 			ns, children = o.notes, []operator{o.probe, o.inner}
 			fmt.Fprintf(&sb, "join %q pi=%v bi=%v cols=%v", o.detail, o.pi, o.bi, o.cols)
+		case *indexJoinOp:
+			ns, children = o.notes, []operator{o.outer}
+			if o.fallback != nil {
+				children = append(children, o.fallback)
+			}
+			key := make([]string, len(o.key))
+			for i, kp := range o.key {
+				key[i] = fmt.Sprintf("%d/%s", kp.ord, sql(kp.k))
+			}
+			fmt.Fprintf(&sb, "indexjoin %q %s.%s key=%v rest=%q/%s semi=%v cols=%v", o.detail.in(hosts),
+				o.tbl.Schema.Name, o.ix.Name, key, o.rest.text.in(hosts), sql(o.rest.pred), o.semi, o.cols)
 		case *filterOp:
 			ns, children = o.notes, []operator{o.child}
 			fmt.Fprintf(&sb, "filter %q/%s scoped=%v", o.f.text.in(hosts), sql(o.f.pred), o.scope != nil)

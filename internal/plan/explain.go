@@ -13,7 +13,7 @@ import (
 // usage recorded during a real execution.
 type Node struct {
 	// Op is the operator name (Scan, IndexScan, Filter, HashJoin,
-	// Product, Project, DistinctSort, DistinctHash,
+	// IndexJoin, Product, Project, DistinctSort, DistinctHash,
 	// IntersectSortMerge, ExceptSortMerge).
 	Op string `json:"op"`
 	// Detail is the operator's argument rendering, e.g. the scanned

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -210,5 +211,207 @@ func TestIndexNullBoundIsEmpty(t *testing.T) {
 	}
 	if !hasPlanLine(res, "never-true NULL bound") {
 		t.Errorf("plan:\n%s", planText(res))
+	}
+}
+
+// runBoth executes src under opts with and without indexes and asserts
+// the same multiset; it returns the indexed run.
+func runBoth(t *testing.T, opts Options, src string, hosts map[string]value.Value) *Result {
+	t.Helper()
+	q, err := parser.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewPlanner(smallishDB(t), opts).Run(q, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewPlanner(indexedDB(t), opts).explained(q, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !engine.MultisetEqual(plain.Rel, ix.Rel) {
+		t.Fatalf("index path changed the result for %q:\n%d vs %d rows", src, plain.Rel.Len(), ix.Rel.Len())
+	}
+	return ix
+}
+
+// Rule A: over an index-bounded prefix a join step whose join columns
+// and constants bind a leading index prefix of the new table seeks that
+// index per prefix row instead of reading the table.
+func TestIndexJoinRuleA(t *testing.T) {
+	ex11 := `SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S, PARTS P
+		WHERE S.SNO BETWEEN :L AND :H AND S.SNO = P.SNO AND P.PNO = :PARTNO`
+	hosts := map[string]value.Value{"L": value.Int(10), "H": value.Int(20), "PARTNO": value.Int(2)}
+	res := runIndexed(t, ex11, hosts)
+	for _, want := range []string{
+		"join order: S, P (as written)",
+		"start S: range-bound, read through SUPPLIER_SNO",
+		"IndexJoin(P via PARTS_SNO = (S.SNO, :PARTNO))",
+		"unique probe of P: key (SNO, PNO) bound by S.SNO = P.SNO, P.PNO = :PARTNO ⇒ at most 1 row per outer row",
+		"IndexScan(S via SUPPLIER_SNO BETWEEN 10 AND 20)",
+	} {
+		if !hasPlanLine(res, want) {
+			t.Errorf("plan missing %q:\n%s", want, planText(res))
+		}
+	}
+	if res.Rel.Len() != 11 || res.Stats.RowsScanned != 22 || res.Stats.IndexSeeks != 12 || res.Stats.HashInserts != 0 {
+		t.Errorf("rows=%d, %s; want 11 rows from 22 scanned in 12 seeks, nothing hashed", res.Rel.Len(), res.Stats.String())
+	}
+
+	// A NULL key constant binds: the comparison it stands for is never
+	// true, and the probe matches nothing.
+	hosts["PARTNO"] = value.Null
+	res = runIndexed(t, ex11, hosts)
+	if !hasPlanLine(res, "IndexJoin(P via PARTS_SNO") || res.Rel.Len() != 0 || res.Stats.RowsScanned != 11 {
+		t.Errorf("NULL key constant: %d rows, %s\n%s", res.Rel.Len(), res.Stats.String(), planText(res))
+	}
+
+	// An unbound one does not: the statement runs, and renders, as the
+	// hash join it replaced, and fails where that fails.
+	delete(hosts, "PARTNO")
+	q, err := parser.ParseQuery(ex11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlanner(indexedDB(t), Options{})
+	c, err := p.Compile(q, &engine.Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := c.Render(hosts).Format(false); strings.Contains(text, "IndexJoin") ||
+		!strings.Contains(text, "HashJoin(S.SNO = P.SNO)") || !strings.Contains(text, "Scan(PARTS as P)") {
+		t.Errorf("unbound key constant renders:\n%s", text)
+	}
+	_, err = p.Execute(context.Background(), c, hosts, false)
+	_, plainErr := NewPlanner(smallishDB(t), Options{}).Run(q, hosts)
+	if err == nil || plainErr == nil || err.Error() != plainErr.Error() ||
+		!strings.Contains(err.Error(), "unbound host variable :PARTNO") {
+		t.Errorf("unbound key constant: %v; without indexes: %v", err, plainErr)
+	}
+
+	// A key prefix short of a key is still a bounded probe: every part
+	// of three suppliers, by three seeks.
+	res = runIndexed(t, `SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+		WHERE S.SNO BETWEEN 10 AND 12 AND S.SNO = P.SNO AND P.PNAME <> 'x'`, nil)
+	if !hasPlanLine(res, "IndexJoin(P via PARTS_SNO = (S.SNO) where P.PNAME <> 'x')") ||
+		res.Rel.Len() != 15 || res.Stats.RowsScanned != 3+15 || res.Stats.IndexSeeks != 1+3 {
+		t.Errorf("prefix probe: %d rows, %s\n%s", res.Rel.Len(), res.Stats.String(), planText(res))
+	}
+
+	for what, src := range map[string]string{
+		"the prefix starts with a full scan": `SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+			WHERE S.BUDGET > 10 AND S.SNO = P.SNO AND P.PNO = 2`,
+		"the new table has an access path of its own": `SELECT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+			WHERE S.SNO BETWEEN 10 AND 12 AND S.SNO = P.SNO AND P.COLOR = 'RED'`,
+		"no index leads with the join column": `SELECT S.SNO, A.ANO FROM SUPPLIER S, AGENTS A
+			WHERE S.SNO BETWEEN 10 AND 12 AND S.SNO = A.SNO`,
+	} {
+		if res := runIndexed(t, src, nil); hasPlanLine(res, "IndexJoin") || !hasPlanLine(res, "HashJoin") {
+			t.Errorf("%s, yet:\n%s", what, planText(res))
+		}
+	}
+	q, err = parser.ParseQuery(ex11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts["PARTNO"] = value.Int(2)
+	written, err := NewPlanner(indexedDB(t), Options{WrittenJoinOrder: true}).explained(q, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hasPlanLine(written, "IndexJoin") {
+		t.Errorf("WrittenJoinOrder is the plan as written, yet:\n%s", planText(written))
+	}
+}
+
+// Rule B: a table of a DISTINCT block that contributes no output column
+// and is the many side of its join is probed for a first match after the
+// join order, and the block's DISTINCT goes when Algorithm 1 proves the
+// block without it duplicate-free.
+func TestExistenceOnlyRuleB(t *testing.T) {
+	opts := Options{ApplyRewrites: true}
+	ex8 := `SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S
+		WHERE EXISTS (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND P.PNO >= :K AND P.PNAME <> 'x')`
+	hosts := map[string]value.Value{"K": value.Int(3)}
+	res := runBoth(t, opts, ex8, hosts)
+	for _, want := range []string{
+		"join order: S, P (as written)",
+		"IndexJoin(P via PARTS_SNO = (S.SNO), first match where P.PNO >= :K AND P.PNAME <> 'x')",
+		"existence-only P: first match; without it DISTINCT is redundant: key of S (S.SNO) is bound",
+	} {
+		if !hasPlanLine(res, want) {
+			t.Errorf("plan missing %q:\n%s", want, planText(res))
+		}
+	}
+	if hasPlanLine(res, "Distinct") || res.Stats.RowsSorted != 0 || res.Stats.IndexSeeks != 60 ||
+		res.Stats.RowsScanned != 60+60*3 || len(res.Rewrites) != 1 {
+		t.Errorf("first-match probe: %s, rewrites %v\n%s", res.Stats.String(), res.Rewrites, planText(res))
+	}
+
+	// The written join is the same plan; without the rewrites' analyzer
+	// the DISTINCT stays, above the probe.
+	joined := `SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S, PARTS P
+		WHERE P.SNO = S.SNO AND P.PNO >= :K AND P.PNAME <> 'x'`
+	res = runBoth(t, opts, joined, hosts)
+	if !hasPlanLine(res, "first match") || hasPlanLine(res, "Distinct") {
+		t.Errorf("written DISTINCT join:\n%s", planText(res))
+	}
+	res = runBoth(t, Options{}, joined, hosts)
+	if !hasPlanLine(res, "existence-only P: first match; DISTINCT still removes the other duplicates") ||
+		!hasPlanLine(res, "DistinctSort") {
+		t.Errorf("written DISTINCT join, no rewrites:\n%s", planText(res))
+	}
+	// So it does when the rest of the block has duplicates of its own.
+	res = runBoth(t, opts, `SELECT DISTINCT S.SNAME FROM SUPPLIER S, PARTS P
+		WHERE P.SNO = S.SNO AND P.PNO >= :K AND P.PNAME <> 'x'`, hosts)
+	if !hasPlanLine(res, "first match; DISTINCT still removes") || !hasPlanLine(res, "DistinctSort") {
+		t.Errorf("duplicate names:\n%s", planText(res))
+	}
+
+	for what, src := range map[string]string{
+		"the block is not DISTINCT": `SELECT ALL S.SNO FROM SUPPLIER S, PARTS P
+			WHERE P.SNO = S.SNO AND P.PNO >= 3`,
+		"P contributes a column": `SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+			WHERE P.SNO = S.SNO AND P.PNO >= 3`,
+		"P is a unique probe": `SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P
+			WHERE P.SNO = S.SNO AND P.PNO = 3`,
+		"P has an access path of its own": `SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P
+			WHERE P.SNO = S.SNO AND P.COLOR = 'RED'`,
+		"a predicate on P beside the key is no equality": `SELECT DISTINCT S.SNO FROM SUPPLIER S, PARTS P
+			WHERE P.SNO = S.SNO AND P.PNO < S.BUDGET`,
+		"P equals columns of two tables": `SELECT DISTINCT S.SNO, A.ANO FROM SUPPLIER S, PARTS P, AGENTS A
+			WHERE P.SNO = S.SNO AND P.PNO = A.ANO`,
+		"no index leads with the correlation column": `SELECT DISTINCT S.SNO FROM SUPPLIER S, AGENTS A
+			WHERE A.SNO = S.SNO AND A.ANAME <> 'x'`,
+	} {
+		if res := runBoth(t, opts, src, nil); hasPlanLine(res, "first match") {
+			t.Errorf("%s, yet:\n%s", what, planText(res))
+		}
+	}
+
+	// Two existence-only tables on one outer table: both probe, in
+	// written order, after the join order.
+	q, err := parser.ParseQuery(`SELECT DISTINCT S.SNO FROM PARTS P, SUPPLIER S, AGENTS A
+		WHERE P.SNO = S.SNO AND A.SNO = S.SNO AND P.PNO >= 3 AND A.ANAME <> 'x'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := indexedDB(t)
+	if _, err := db.MustTable("AGENTS").CreateOrderedIndex("AGENTS_SNO", "SNO"); err != nil {
+		t.Fatal(err)
+	}
+	two, err := NewPlanner(db, opts).explained(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewPlanner(smallishDB(t), opts).Run(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !engine.MultisetEqual(plain.Rel, two.Rel) || !hasPlanLine(two, "join order: S, P, A (written: P, S, A)") ||
+		!hasPlanLine(two, "IndexJoin(A via AGENTS_SNO = (S.SNO), first match where A.ANAME <> 'x')") ||
+		!hasPlanLine(two, "IndexJoin(P via PARTS_SNO = (S.SNO), first match where P.PNO >= 3)") || hasPlanLine(two, "Distinct") {
+		t.Errorf("two existence-only tables: %d rows against %d\n%s", two.Rel.Len(), plain.Rel.Len(), planText(two))
 	}
 }

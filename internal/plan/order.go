@@ -20,12 +20,16 @@ import (
 
 // tableTerm is one FROM-list entry during planning: its pushed
 // single-table conjuncts plus the constant equalities derived for it
-// by deriveConstEqualities.
+// by deriveConstEqualities; all is the two together, and path the
+// ordered-index access path they give the table (nil = a full scan).
 type tableTerm struct {
+	ref     ast.TableRef
 	corr    string
 	tbl     *storage.Table
 	push    []ast.Expr
 	derived []ast.Expr
+	all     []ast.Expr
+	path    *accessPlan
 }
 
 // orderedStep is one position in the chosen join order: the index into
@@ -38,6 +42,18 @@ type orderedStep struct {
 	idx    int
 	bound  string
 	unique bool
+}
+
+// columnEquality returns the two column references of a conjunct of the
+// form column = column.
+func columnEquality(c ast.Expr) (l, r *ast.ColumnRef, ok bool) {
+	cmp, isCmp := c.(*ast.Compare)
+	if !isCmp || cmp.Op != ast.EqOp {
+		return nil, nil, false
+	}
+	l, lok := cmp.L.(*ast.ColumnRef)
+	r, rok := cmp.R.(*ast.ColumnRef)
+	return l, r, lok && rok
 }
 
 // deriveConstEqualities propagates constant and host-variable bindings
@@ -71,13 +87,8 @@ func deriveConstEqualities(conjuncts []ast.Expr, terms []*tableTerm) {
 		return parent[k]
 	}
 	for _, c := range conjuncts {
-		cmp, ok := c.(*ast.Compare)
-		if !ok || cmp.Op != ast.EqOp {
-			continue
-		}
-		l, lok := cmp.L.(*ast.ColumnRef)
-		r, rok := cmp.R.(*ast.ColumnRef)
-		if !lok || !rok {
+		l, r, ok := columnEquality(c)
+		if !ok {
 			continue
 		}
 		lk := l.Qualifier + "." + l.Column
@@ -131,20 +142,9 @@ func deriveConstEqualities(conjuncts []ast.Expr, terms []*tableTerm) {
 // conjunct order, with the binding conjunct's rendering per column.
 func constBindings(t *tableTerm) (cols []string, srcByCol map[string]string) {
 	srcByCol = map[string]string{}
-	for _, c := range append(append([]ast.Expr{}, t.push...), t.derived...) {
-		cmp, ok := c.(*ast.Compare)
-		if !ok || cmp.Op != ast.EqOp {
-			continue
-		}
-		ref, _, op := normalizeComparison(cmp)
-		if ref == nil || op != ast.EqOp || ref.Qualifier != t.corr {
-			continue
-		}
-		if _, seen := srcByCol[ref.Column]; seen {
-			continue
-		}
-		srcByCol[ref.Column] = c.SQL()
-		cols = append(cols, ref.Column)
+	for _, e := range constEqualities(t.corr, t.all) {
+		srcByCol[e.col] = t.all[e.at].SQL()
+		cols = append(cols, e.col)
 	}
 	return cols, srcByCol
 }
@@ -199,23 +199,32 @@ func coveringKey(t *tableTerm, boundSrc map[string]string) (keyCols, srcs []stri
 // startClass ranks a table as the start of the join order by its
 // visible selectivity: 0 = a whole candidate key is constant-bound
 // (at most one row survives the pushed filter), 1 = some column is
-// constant-bound, 2 = range-bound, 3 = filtered at all, 4 = bare.
+// constant-bound, 2 = range-bound, 3 = filtered at all — and each of
+// 1–3 again, as 4–6, when no ordered index serves the bound and the
+// table must be read whole to apply it — then 7 = bare. A constant on a
+// column no index leads is a promise about what survives the filter,
+// not about what is read: a range an index serves reads fewer rows.
 func startClass(t *tableTerm) (int, string) {
 	cols, src := constBindings(t)
 	if kc, srcs, ok := coveringKey(t, src); ok {
 		return 0, fmt.Sprintf("key (%s) bound by %s — at most one row",
 			strings.Join(kc, ", "), strings.Join(srcs, ", "))
 	}
-	if len(cols) > 0 {
-		return 1, "constant-bound " + strings.Join(cols, ", ")
+	cl, why := 0, ""
+	switch {
+	case len(cols) > 0:
+		cl, why = 1, "constant-bound "+strings.Join(cols, ", ")
+	case hasRangeBound(t):
+		cl, why = 2, "range-bound"
+	case len(t.push) > 0:
+		cl, why = 3, "filtered"
+	default:
+		return 7, "first in FROM"
 	}
-	if hasRangeBound(t) {
-		return 2, "range-bound"
+	if t.path == nil {
+		return cl + 3, why
 	}
-	if len(t.push) > 0 {
-		return 3, "filtered"
-	}
-	return 4, "first in FROM"
+	return cl, why + ", read through " + t.path.ix.Name
 }
 
 // chooseJoinOrder picks the left-deep join order greedily. The start
@@ -253,13 +262,8 @@ func (p *Planner) chooseJoinOrder(terms []*tableTerm, conjuncts []ast.Expr, used
 		if used[i] {
 			continue
 		}
-		cmp, ok := c.(*ast.Compare)
-		if !ok || cmp.Op != ast.EqOp {
-			continue
-		}
-		l, lok := cmp.L.(*ast.ColumnRef)
-		r, rok := cmp.R.(*ast.ColumnRef)
-		if !lok || !rok {
+		l, r, ok := columnEquality(c)
+		if !ok {
 			continue
 		}
 		ai, aok := pos[l.Qualifier]
@@ -344,4 +348,199 @@ func (p *Planner) chooseJoinOrder(terms []*tableTerm, conjuncts []ast.Expr, used
 		steps = append(steps, orderedStep{idx: nextIdx, bound: nextWhy, unique: nextClass == 0})
 	}
 	return steps, startNote, startTiny
+}
+
+// The two statistics-free rules that turn a join step into an index
+// probe (indexJoinOp). Both read the query shape and the schema only, so
+// the choice is part of the cached plan; what licenses each is a bound
+// on rows touched that holds for any data:
+//
+//   - rule A (indexJoin): the accumulated prefix is index-bounded and
+//     the step's join columns, with the new table's own constant
+//     equalities, bind a leading prefix of one of its ordered indexes —
+//     one seek per prefix row reads O(prefix) rows, where the hash join
+//     reads the table;
+//   - rule B (existenceOnly): a table of a DISTINCT block that
+//     contributes no output column and is not a unique probe is, by the
+//     uniqueness argument itself, the many side of its join — its rows
+//     can only multiply the block's, and DISTINCT removes what they
+//     multiply. It probes last and stops at the first match (Theorem 2
+//     reversed, core.JoinToSubquery's extraction test).
+
+// probeKey is what binds one leading index column of an index probe: the
+// outer column named outer, or, when that is empty, a constant equality
+// of the probed table.
+type probeKey struct {
+	outer string
+	k     constEquality
+}
+
+// existenceProbe is one FROM table planSelect runs as a first-match
+// probe: the index, per leading index column the outer column it is
+// equated with, and the positions of the conjuncts that equate them.
+type existenceProbe struct {
+	t   *tableTerm
+	ix  *storage.OrderedIndex
+	key []probeKey
+	eqs []int
+}
+
+// coveringIndex returns the first ordered index of t whose leading
+// columns are bound — by bind, one probeKey per column, until it
+// refuses — far enough to take in every one of the n join columns.
+func coveringIndex(t *tableTerm, n int, bind func(col string) (probeKey, bool)) (*storage.OrderedIndex, []probeKey) {
+	for _, ix := range t.tbl.OrderedIndexes() {
+		var key []probeKey
+		joins := 0
+		boundPrefix(t.tbl, ix, func(col string) bool {
+			pk, ok := bind(col)
+			if ok {
+				key = append(key, pk)
+				if pk.outer != "" {
+					joins++
+				}
+			}
+			return ok
+		})
+		if joins == n {
+			return ix, key
+		}
+	}
+	return nil, nil
+}
+
+// indexJoin applies rule A to the step joining t, on its qualified
+// columns rk equal to the prefix's columns lk, to the prefix outer
+// emitting cols: the index join, or nil when no ordered index of t takes
+// in every join column (a column joined twice among them).
+func indexJoin(outer operator, cols []string, t *tableTerm, lk, rk []string) (*indexJoinOp, error) {
+	joinCol := make(map[string]string, len(rk))
+	for i, col := range rk {
+		joinCol[strings.TrimPrefix(col, t.corr+".")] = lk[i]
+	}
+	if len(joinCol) < len(rk) {
+		return nil, nil
+	}
+	consts := constEqualities(t.corr, t.all)
+	ix, key := coveringIndex(t, len(rk), func(col string) (probeKey, bool) {
+		if o, ok := joinCol[col]; ok {
+			return probeKey{outer: o}, true
+		}
+		e, ok := constOn(consts, col)
+		return probeKey{k: e}, ok
+	})
+	if ix == nil {
+		return nil, nil
+	}
+	return newIndexJoin(outer, cols, t, ix, key, false)
+}
+
+// existenceOnly applies rule B to a DISTINCT block: it splits terms into
+// the tables that stay in the join order and the existence-only ones,
+// in written order. A table qualifies when it contributes none of the
+// output columns refs, would otherwise be read whole, and every
+// conjunct that mentions it either mentions nothing else (and is
+// already pushed to it) or equates one of its columns with a column of
+// one and the same joined table — a leaf of the join graph, so taking
+// it out disconnects nothing — such that the equated columns are
+// exactly a leading prefix of one of its ordered indexes and, with its
+// constant equalities, cover none of its keys.
+func existenceOnly(terms []*tableTerm, conjuncts []ast.Expr, refs []*ast.ColumnRef) (joined []*tableTerm, probes []existenceProbe) {
+	projected := map[string]bool{}
+	for _, r := range refs {
+		projected[r.Qualifier] = true
+	}
+	deferred := map[string]bool{}
+	for _, t := range terms {
+		if !projected[t.corr] && t.path == nil {
+			if pr, ok := existenceProbeOf(t, conjuncts, deferred); ok {
+				deferred[t.corr] = true
+				probes = append(probes, pr)
+				continue
+			}
+		}
+		joined = append(joined, t)
+	}
+	return joined, probes
+}
+
+// existenceProbeOf tests t's conjuncts against rule B. deferred names
+// the tables already taken out of the join order: a table correlated
+// with one of them stays in.
+func existenceProbeOf(t *tableTerm, conjuncts []ast.Expr, deferred map[string]bool) (existenceProbe, bool) {
+	pr := existenceProbe{t: t}
+	joinCol := map[string]string{} // t's column → the outer column it equals
+	outer := ""
+	for i, c := range conjuncts {
+		qs := qualifiersOf(c)
+		if !qs[t.corr] {
+			continue
+		}
+		if ast.HasExists(c) {
+			return pr, false
+		}
+		if len(qs) == 1 {
+			continue
+		}
+		mine, theirs, ok := columnEquality(c)
+		if !ok {
+			return pr, false
+		}
+		if mine.Qualifier != t.corr {
+			mine, theirs = theirs, mine
+		}
+		if _, twice := joinCol[mine.Column]; twice || deferred[theirs.Qualifier] ||
+			(outer != "" && theirs.Qualifier != outer) {
+			return pr, false
+		}
+		outer = theirs.Qualifier
+		joinCol[mine.Column] = outer + "." + theirs.Column
+		pr.eqs = append(pr.eqs, i)
+	}
+	if len(joinCol) == 0 {
+		return pr, false
+	}
+	pr.ix, pr.key = coveringIndex(t, len(joinCol), func(col string) (probeKey, bool) {
+		o, ok := joinCol[col]
+		return probeKey{outer: o}, ok
+	})
+	if pr.ix == nil {
+		return pr, false
+	}
+	// A unique probe is not the many side: it stays a join (rule A's, if
+	// its prefix is bounded), which emits each outer row at most once
+	// anyway.
+	_, boundSrc := constBindings(t)
+	for col, o := range joinCol {
+		boundSrc[col] = o
+	}
+	_, _, unique := coveringKey(t, boundSrc)
+	return pr, !unique
+}
+
+// withoutProbes is the block s — qualified output columns refs, FROM
+// list joined — less its existence-only tables and every conjunct that
+// mentions one: the block whose duplicates decide whether DISTINCT is
+// still needed once those tables only test existence.
+func withoutProbes(s *ast.Select, joined []*tableTerm, probes []existenceProbe, conjuncts []ast.Expr, refs []*ast.ColumnRef) *ast.Select {
+	out := &ast.Select{Quant: s.Quant}
+	for _, r := range refs {
+		out.Items = append(out.Items, ast.SelectItem{Expr: r})
+	}
+	for _, t := range joined {
+		out.From = append(out.From, t.ref)
+	}
+	var keep []ast.Expr
+conjunct:
+	for _, c := range conjuncts {
+		qs := qualifiersOf(c)
+		for _, pr := range probes {
+			if qs[pr.t.corr] {
+				continue conjunct
+			}
+		}
+		keep = append(keep, c)
+	}
+	out.Where = ast.AndAll(keep...)
+	return out
 }

@@ -253,7 +253,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		if !ok {
 			return nil, nil, fmt.Errorf("plan: unknown table %s", tr.Table)
 		}
-		terms = append(terms, &tableTerm{corr: corr, tbl: tbl})
+		terms = append(terms, &tableTerm{ref: tr, corr: corr, tbl: tbl})
 	}
 	used := make([]bool, len(conjuncts))
 	for i, c := range conjuncts {
@@ -272,19 +272,50 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 			}
 		}
 	}
-	// Sink key-derived constant equalities below the joins, then pick
-	// the join order from the resulting per-table bounds.
+	// Sink key-derived constant equalities below the joins, give each
+	// table the ordered-index access path its bounds allow, then pick the
+	// join order from the resulting per-table bounds.
 	if !p.Opts.WrittenJoinOrder {
 		deriveConstEqualities(conjuncts, terms)
 	}
-	order, startNote, startTiny := p.chooseJoinOrder(terms, conjuncts, used)
+	for _, t := range terms {
+		t.all = append(append([]ast.Expr{}, t.push...), t.derived...)
+		t.path = p.chooseAccessPath(t.tbl, t.corr, t.all)
+	}
+	refs, err := scope.ExpandItems(s.Items)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Rule B: the existence-only tables leave the join order and probe
+	// last, and Algorithm 1 says whether the block still needs its
+	// DISTINCT once they no longer multiply rows.
+	joined, probes := terms, []existenceProbe(nil)
+	distinct, probeNote := s.Quant.IsDistinct(), "DISTINCT still removes the other duplicates"
+	if distinct && !p.Opts.WrittenJoinOrder {
+		joined, probes = existenceOnly(terms, conjuncts, refs)
+	}
+	if len(probes) > 0 && p.Opts.ApplyRewrites {
+		ap, err := p.An.EliminateDistinct(withoutProbes(s, joined, probes, conjuncts, refs))
+		if err != nil {
+			return nil, nil, err
+		}
+		if ap != nil {
+			distinct, probeNote = false, "without it "+ap.Description
+		}
+	}
+	order, startNote, startTiny := p.chooseJoinOrder(joined, conjuncts, used)
 	orderNote := ""
-	if len(order) > 1 && !p.Opts.WrittenJoinOrder {
-		chosen := make([]string, len(order))
+	if len(terms) > 1 && !p.Opts.WrittenJoinOrder {
+		chosen := make([]string, 0, len(terms))
 		written := make([]string, len(terms))
-		for i, st := range order {
-			chosen[i] = terms[st.idx].corr
-			written[i] = terms[i].corr
+		for _, st := range order {
+			chosen = append(chosen, joined[st.idx].corr)
+		}
+		for _, pr := range probes {
+			chosen = append(chosen, pr.t.corr)
+		}
+		for i, t := range terms {
+			written[i] = t.corr
 		}
 		if strings.Join(chosen, ",") == strings.Join(written, ",") {
 			orderNote = fmt.Sprintf("join order: %s (as written)", strings.Join(chosen, ", "))
@@ -294,29 +325,15 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		}
 	}
 	tables := make([]*accessOp, len(order))
-	corrs := make([]string, len(order))
 	for i, st := range order {
-		t := terms[st.idx]
-		corrs[i] = t.corr
-		all := append(append([]ast.Expr{}, t.push...), t.derived...)
-		// Prefer an ordered-index access path for a pushed point or
-		// range predicate on an indexed leading column.
-		ap := p.chooseAccessPath(t.tbl, t.corr, all)
-		residual := all
-		if ap != nil && len(ap.consumed) > 0 {
-			residual = nil
-			ci := 0
-			for i, c := range all {
-				if ci < len(ap.consumed) && ap.consumed[ci] == i {
-					ci++
-					continue
-				}
-				residual = append(residual, c)
-			}
+		t := joined[st.idx]
+		residual := t.all
+		if t.path != nil {
+			residual = without(t.all, t.path.consumed)
 		}
 		tables[i] = &accessOp{tbl: t.tbl, cols: engine.QualifiedCols(t.tbl, t.corr),
-			scan: t.tbl.Schema.Name + " as " + t.corr, path: ap,
-			push: newFilter(all), rest: newFilter(residual)}
+			scan: t.tbl.Schema.Name + " as " + t.corr, path: t.path,
+			push: newFilter(t.all), rest: newFilter(residual)}
 	}
 
 	// Left-deep join tree: bind each further table with whatever
@@ -326,25 +343,27 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	// while it is, each hash join builds the prefix, not the new table:
 	// the incoming table streams through as the probe, so a large
 	// unfiltered table is never materialized into a hash table just
-	// because it joins a tiny prefix.
+	// because it joins a tiny prefix. prefixBounded is the weaker bound
+	// rule A goes by: the prefix is as large as an index probe made it —
+	// its start table reads through a point or range access path and
+	// every later step was a unique probe or an index join — so seeking
+	// once per prefix row touches O(prefix) rows where a hash join would
+	// read the whole new table.
 	var cur operator = tables[0]
 	cols := tables[0].cols
-	bound := map[string]bool{corrs[0]: true}
+	bound := map[string]bool{joined[order[0].idx].corr: true}
 	prefixTiny := startTiny
+	prefixBounded := !p.Opts.WrittenJoinOrder && tables[0].path != nil
 	for k, t := range tables[1:] {
-		corr := corrs[k+1]
+		term := joined[order[k+1].idx]
+		corr := term.corr
 		var lk, rk []string
 		for i, c := range conjuncts {
 			if used[i] {
 				continue
 			}
-			cmp, ok := c.(*ast.Compare)
-			if !ok || cmp.Op != ast.EqOp {
-				continue
-			}
-			lref, lok := cmp.L.(*ast.ColumnRef)
-			rref, rok := cmp.R.(*ast.ColumnRef)
-			if !lok || !rok {
+			lref, rref, ok := columnEquality(c)
+			if !ok {
 				continue
 			}
 			switch {
@@ -358,11 +377,18 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 				used[i] = true
 			}
 		}
+		// Rule A: probe the new table's index instead of reading it.
+		var ij *indexJoinOp
+		if prefixBounded && t.path == nil && len(lk) > 0 {
+			if ij, err = indexJoin(cur, cols, term, lk, rk); err != nil {
+				return nil, nil, err
+			}
+		}
 		// The join's inputs are (probe, inner): the prefix probes the new
 		// table's hash table, unless the roles flip.
 		j := &joinOp{probe: cur, inner: t}
 		pcols, icols, pk, ik := cols, t.cols, lk, rk
-		if prefixTiny && len(lk) > 0 {
+		if prefixTiny && len(lk) > 0 && ij == nil {
 			j.probe, j.inner = t, cur
 			pcols, icols, pk, ik = t.cols, cols, rk, lk
 			j.note(newText(buildPrefixNote))
@@ -376,13 +402,34 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 				return nil, nil, err
 			}
 		}
-		if order[k+1].bound != "" {
-			j.note(newText(order[k+1].bound))
-		}
 		j.cols = append(append([]string{}, pcols...), icols...)
 		cur, cols = j, j.cols
+		if ij != nil {
+			// The hash join stands by for an execution whose key constants
+			// do not bind; it emits the index join's column layout.
+			ij.fallback = j
+			cur = ij
+		}
+		if order[k+1].bound != "" {
+			j.note(newText(order[k+1].bound))
+			if ij != nil {
+				ij.note(newText(order[k+1].bound))
+			}
+		}
 		prefixTiny = prefixTiny && order[k+1].unique
+		prefixBounded = prefixBounded && (order[k+1].unique || ij != nil)
 		bound[corr] = true
+	}
+	for _, pr := range probes {
+		ij, err := newIndexJoin(cur, cols, pr.t, pr.ix, pr.key, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, i := range pr.eqs {
+			used[i] = true
+		}
+		ij.note(newText(fmt.Sprintf("existence-only %s: first match; %s", pr.t.corr, probeNote)))
+		cur = ij
 	}
 
 	// Residual predicates (cross-table non-equalities, EXISTS, ...).
@@ -401,10 +448,6 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	}
 
 	// Projection and duplicate elimination.
-	refs, err := scope.ExpandItems(s.Items)
-	if err != nil {
-		return nil, nil, err
-	}
 	po := &projectOp{child: cur, cols: make([]string, len(refs))}
 	for i, r := range refs {
 		po.cols[i] = r.Qualifier + "." + r.Column
@@ -414,7 +457,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		return nil, nil, err
 	}
 	cur = po
-	if s.Quant.IsDistinct() {
+	if distinct {
 		cur = &distinctOp{child: cur, hash: p.Opts.HashDistinct}
 	}
 	// The chosen join order and the start-table justification go on the
@@ -429,6 +472,23 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	return cur, po.cols, nil
 }
 
+// without returns conj less the conjuncts at the ascending positions
+// drop.
+func without(conj []ast.Expr, drop []int) []ast.Expr {
+	if len(drop) == 0 {
+		return conj
+	}
+	var out []ast.Expr
+	for i, c := range conj {
+		if len(drop) > 0 && drop[0] == i {
+			drop = drop[1:]
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 // qualifiersOf collects the qualifier names referenced by a fully
 // qualified expression, descending into EXISTS subquery predicates
 // (correlation references count as uses of the outer table).
@@ -441,7 +501,8 @@ func qualifiersOf(e ast.Expr) map[string]bool {
 }
 
 // accessPlan is a symbolic index access path: the table, the ordered
-// index and, as unevaluated expressions, the point key or range bounds
+// index and, as unevaluated expressions, the point key (one expression
+// per leading index column that carries an equality) or range bounds
 // the index probe will use. It carries no host-variable values — those
 // are resolved per execution by bind — so the plan is cacheable across
 // executions of the same statement shape. consumed lists the positions
@@ -450,9 +511,9 @@ func qualifiersOf(e ast.Expr) map[string]bool {
 type accessPlan struct {
 	corr               string
 	ix                 *storage.OrderedIndex
-	eq                 ast.Expr // point key; when set, lo/hi are unused
-	lo, hi             ast.Expr // range bounds (nil = unbounded side)
-	loStrict, hiStrict bool     // bound came from > / < : re-filter boundary
+	eq                 []ast.Expr // point key; when set, lo/hi are unused
+	lo, hi             ast.Expr   // range bounds (nil = unbounded side)
+	loStrict, hiStrict bool       // bound came from > / < : re-filter boundary
 	consumed           []int
 }
 
@@ -472,7 +533,7 @@ const (
 type binding struct {
 	ap     *accessPlan
 	kind   bindKind
-	eq     value.Value
+	eq     value.Row
 	lo, hi *value.Value
 }
 
@@ -487,30 +548,46 @@ func (ap *accessPlan) bind(hosts map[string]value.Value) binding {
 	}
 	env := eval.Env{Hosts: hosts}
 	bd := binding{ap: ap, kind: span}
-	if ap.eq != nil {
-		bd.kind = point
+	if len(ap.eq) > 0 {
+		bd.kind, bd.eq = point, make(value.Row, len(ap.eq))
 	}
-	for i, e := range [...]ast.Expr{ap.eq, ap.lo, ap.hi} {
+	for i, e := range [...]ast.Expr{ap.lo, ap.hi} {
 		if e == nil {
 			continue
 		}
-		v, err := eval.Value(e, &env)
-		if err != nil {
-			return binding{}
+		v, kind := bindConst(e, &env)
+		if kind != point {
+			return binding{ap: ap, kind: kind}
 		}
-		if v.IsNull() {
-			return binding{ap: ap, kind: neverTrue}
-		}
-		switch i {
-		case 0:
-			bd.eq = v
-		case 1:
+		if i == 0 {
 			bd.lo = &v
-		default:
+		} else {
 			bd.hi = &v
 		}
 	}
+	for i, e := range ap.eq {
+		v, kind := bindConst(e, &env)
+		if kind != point {
+			return binding{ap: ap, kind: kind}
+		}
+		bd.eq[i] = v
+	}
 	return bd
+}
+
+// bindConst evaluates one constant of an index key or bound under an
+// execution's host variables. The kind is point when it yields a usable
+// value, neverTrue for a NULL (no comparison with it is ever true) and
+// unbound when it cannot be evaluated (an unbound host variable).
+func bindConst(e ast.Expr, env *eval.Env) (value.Value, bindKind) {
+	v, err := eval.Value(e, env)
+	switch {
+	case err != nil:
+		return v, unbound
+	case v.IsNull():
+		return v, neverTrue
+	}
+	return v, point
 }
 
 // detail renders the bound access path the way EXPLAIN shows it.
@@ -520,6 +597,8 @@ func (bd binding) detail() string {
 	switch {
 	case bd.kind == neverTrue:
 		return fmt.Sprintf("%s.%s, never-true NULL bound", ap.corr, ap.ix.Name)
+	case bd.kind == point && len(bd.eq) == 1:
+		return fmt.Sprintf("%s via %s = %s", ap.corr, ap.ix.Name, bd.eq[0])
 	case bd.kind == point:
 		return fmt.Sprintf("%s via %s = %s", ap.corr, ap.ix.Name, bd.eq)
 	case bd.lo != nil && bd.hi != nil:
@@ -543,7 +622,7 @@ func (bd binding) detail() string {
 // returns the ordinals of the matching rows.
 func (bd binding) probe() ([]int, error) {
 	if bd.kind == point {
-		return bd.ap.ix.Lookup(value.Row{bd.eq})
+		return bd.ap.ix.Lookup(bd.eq)
 	}
 	return bd.ap.ix.Range(bd.lo, bd.hi), nil
 }
@@ -596,17 +675,20 @@ func (p *Planner) chooseAccessPath(tbl *storage.Table, corr string, push []ast.E
 		return nil
 	}
 	ap := &accessPlan{corr: corr, ix: tbl.OrderedIndexOn(col)}
-	for i, c := range push {
-		cmp, ok := c.(*ast.Compare)
-		if !ok {
-			continue
+	// A point key binds every leading index column that carries an
+	// equality: (SNO, PNO) both bound is one row, not the supplier's
+	// parts and a filter.
+	eqs := constEqualities(corr, push)
+	boundPrefix(tbl, ap.ix, func(col string) bool {
+		e, ok := constOn(eqs, col)
+		if ok {
+			ap.eq = append(ap.eq, e.k)
+			ap.consumed = append(ap.consumed, e.at)
 		}
-		ref, k, op := normalizeComparison(cmp)
-		if ref == nil || op != ast.EqOp || ref.Qualifier != corr || ref.Column != col {
-			continue
-		}
-		ap.eq = k
-		ap.consumed = []int{i}
+		return ok
+	})
+	if len(ap.eq) > 0 {
+		sort.Ints(ap.consumed)
 		return ap
 	}
 	for i, c := range push {
@@ -655,6 +737,58 @@ func (p *Planner) chooseAccessPath(tbl *storage.Table, corr string, push []ast.E
 	}
 	sort.Ints(ap.consumed)
 	return ap
+}
+
+// constEquality is a conjunct binding a column to a constant or host
+// variable: the column, the constant, and the conjunct's position in the
+// list it was found in.
+type constEquality struct {
+	col string
+	k   ast.Expr
+	at  int
+}
+
+// constEqualities returns, in conjunct order, the first conjunct of
+// conj per column of corr that equates it with a constant.
+func constEqualities(corr string, conj []ast.Expr) []constEquality {
+	var out []constEquality
+	seen := map[string]bool{}
+	for i, c := range conj {
+		cmp, ok := c.(*ast.Compare)
+		if !ok {
+			continue
+		}
+		ref, k, op := normalizeComparison(cmp)
+		if ref == nil || op != ast.EqOp || ref.Qualifier != corr || seen[ref.Column] {
+			continue
+		}
+		seen[ref.Column] = true
+		out = append(out, constEquality{col: ref.Column, k: k, at: i})
+	}
+	return out
+}
+
+// constOn returns the equality of eqs that binds col.
+func constOn(eqs []constEquality, col string) (constEquality, bool) {
+	for _, e := range eqs {
+		if e.col == col {
+			return e, true
+		}
+	}
+	return constEquality{}, false
+}
+
+// boundPrefix walks ix's columns from the first, asking bound about each
+// by name, and returns how many it accepted before the first refusal:
+// the length of the leading prefix an index probe can use. It is the
+// one key-assembly walk, shared by point access paths and index joins.
+func boundPrefix(tbl *storage.Table, ix *storage.OrderedIndex, bound func(col string) bool) int {
+	for n, ci := range ix.Columns {
+		if !bound(tbl.Schema.Columns[ci].Name) {
+			return n
+		}
+	}
+	return len(ix.Columns)
 }
 
 // normalizeComparison orients a comparison as (column op constant),

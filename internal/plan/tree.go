@@ -3,18 +3,21 @@ package plan
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"uniqopt/internal/catalog"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/eval"
+	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/value"
 )
 
 // The physical plan is a value: Compile turns a statement into one
 // immutable tree of the operators below — access → filter → hash join /
-// product → residual filter → project → distinct → sort-merge set
+// index join / product → residual filter → project → distinct → sort-merge set
 // operation — and everything after that only reads it. Three things are
 // decided at three times:
 //
@@ -160,6 +163,123 @@ func (o *joinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 		return b.add(engine.NewProductIter(b.st, probe, inner, o.cols), n), nil
 	}
 	it, err := engine.NewHashJoinIter(b.st, probe, inner, o.cols, o.pi, o.bi)
+	if err != nil {
+		return nil, err
+	}
+	return b.add(it, n), nil
+}
+
+// keyPart binds one leading column of the index an index join probes: to
+// the outer column at ord, or, when ord is negative, to the constant k.
+type keyPart struct {
+	ord int
+	k   ast.Expr
+}
+
+// indexJoinOp joins its outer subtree to one base table by seeking one
+// of the table's ordered indexes once per outer row, so the rows it
+// reads are proportional to its outer input, not to the table. key
+// binds a leading prefix of the index's columns and rest is what a
+// fetched row must still satisfy (the table's pushed conjuncts the key
+// does not subsume). The semi form is the existence probe: it stops at
+// the first qualifying entry and emits the outer row alone, at most
+// once. planSelect's rules A and B choose it, from the query shape and
+// the schema only. A key constant that does not bind for an execution
+// (an unbound host variable) turns the operator, for render and build
+// alike, into fallback — the hash join it replaced; a semi key has no
+// constants and no fallback.
+type indexJoinOp struct {
+	notes
+	outer    operator
+	tbl      *storage.Table
+	ix       *storage.OrderedIndex
+	inner    []string // the table's columns under its correlation name
+	cols     []string // outer's columns, then — unless semi — inner
+	key      []keyPart
+	rest     filter
+	semi     bool
+	detail   text // "P via PARTS_SNO_PNO = (S.SNO, :PARTNO)"
+	fallback *joinOp
+}
+
+// newIndexJoin assembles the index join of outer, emitting cols, to t
+// through ix on key. The constant equalities the key takes in are
+// subsumed by the probe; the rest of t's pushed conjuncts are checked on
+// every fetched row.
+func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.OrderedIndex, key []probeKey, semi bool) (*indexJoinOp, error) {
+	o := &indexJoinOp{outer: outer, tbl: t.tbl, ix: ix, semi: semi,
+		inner: engine.QualifiedCols(t.tbl, t.corr), cols: cols}
+	if !semi {
+		o.cols = append(append([]string{}, cols...), o.inner...)
+	}
+	var subsumed []int
+	shown := make([]string, len(key))
+	for i, pk := range key {
+		if pk.outer == "" {
+			o.key = append(o.key, keyPart{ord: -1, k: pk.k.k})
+			subsumed = append(subsumed, pk.k.at)
+			shown[i] = pk.k.k.SQL()
+			continue
+		}
+		ords, err := engine.ColIndexes(cols, []string{pk.outer})
+		if err != nil {
+			return nil, err
+		}
+		o.key = append(o.key, keyPart{ord: ords[0]})
+		shown[i] = pk.outer
+	}
+	sort.Ints(subsumed)
+	o.rest = newFilter(without(t.all, subsumed))
+	detail := fmt.Sprintf("%s via %s = (%s)", t.corr, ix.Name, strings.Join(shown, ", "))
+	if semi {
+		detail += ", first match"
+	}
+	if o.rest.pred != nil {
+		detail += " where " + o.rest.pred.SQL()
+	}
+	o.detail = newText(detail)
+	return o, nil
+}
+
+// decide binds the probe key's constants for one execution; ok is false
+// when one of them cannot be evaluated. A NULL constant binds: the probe
+// then matches nothing, as the comparison it stands for is never true.
+func (o *indexJoinOp) decide(hosts map[string]value.Value) (key []engine.IndexKeyPart, ok bool) {
+	env := eval.Env{Hosts: hosts}
+	key = make([]engine.IndexKeyPart, len(o.key))
+	for i, kp := range o.key {
+		key[i].Ord = kp.ord
+		if kp.ord >= 0 {
+			continue
+		}
+		v, kind := bindConst(kp.k, &env)
+		if kind == unbound {
+			return nil, false
+		}
+		key[i].Const = v
+	}
+	return key, true
+}
+
+func (o *indexJoinOp) render(hosts map[string]value.Value) *Node {
+	if _, ok := o.decide(hosts); !ok {
+		return o.fallback.render(hosts)
+	}
+	return o.node(hosts, "IndexJoin", o.detail.in(hosts), o.outer.render(hosts))
+}
+
+func (o *indexJoinOp) build(b *builder, n *Node) (engine.Iterator, error) {
+	key, ok := o.decide(b.env.Hosts)
+	if !ok {
+		return o.fallback.build(b, n)
+	}
+	outer, err := o.outer.build(b, n.child(0))
+	if err != nil {
+		return nil, err
+	}
+	it, err := engine.NewIndexJoinIter(b.st, outer,
+		engine.IndexProbe{Tbl: o.tbl, Ix: o.ix, Cols: o.inner, Key: key, Pred: o.rest.pred},
+		&b.env, o.semi, o.cols)
 	if err != nil {
 		return nil, err
 	}

@@ -40,31 +40,72 @@ func (ix *OrderedIndex) insert(key value.Row, row int) {
 	ix.rows[i] = row
 }
 
-// prefixBounds returns the half-open entry span whose keys start with
-// prefix (compared with OrderCompareRows on the prefix length).
-func (ix *OrderedIndex) prefixBounds(prefix value.Row) (int, int) {
+// gallop returns the first position at or after from whose entry is not
+// below, given that below holds for a (possibly empty) run of entries
+// from from on and for none after it: doubling steps, then a binary
+// search inside the last one, so the cost grows with the logarithm of
+// the distance covered, not of the index.
+func (ix *OrderedIndex) gallop(from int, below func(i int) bool) int {
+	step := 1
+	for from+step <= len(ix.keys) && below(from+step-1) {
+		from += step
+		step *= 2
+	}
+	end := min(from+step, len(ix.keys))
+	return from + sort.Search(end-from, func(i int) bool { return !below(from + i) })
+}
+
+// Seek returns the position of the first entry whose leading columns are
+// not below prefix (compared with OrderCompareRows on the prefix
+// length): where the entries that start with prefix begin, if there are
+// any. hint is where the caller expects that to be — the position it
+// stopped reading at after its previous Seek, for a caller probing in
+// ascending key order, which then pays for the distance between two
+// probes instead of a search of the whole index. Any hint is safe; 0 is
+// none. Positions are only meaningful under the read lock the statement
+// runs under: an insert shifts the entries.
+func (ix *OrderedIndex) Seek(prefix value.Row, hint int) int {
 	n := len(prefix)
-	lo := sort.Search(len(ix.keys), func(i int) bool {
-		return value.OrderCompareRows(ix.keys[i][:n], prefix) >= 0
-	})
-	hi := sort.Search(len(ix.keys), func(i int) bool {
-		return value.OrderCompareRows(ix.keys[i][:n], prefix) > 0
-	})
-	return lo, hi
+	before := func(i int) bool { return value.OrderCompareRows(ix.keys[i][:n], prefix) < 0 }
+	switch {
+	case hint <= 0 || hint > len(ix.keys):
+		return sort.Search(len(ix.keys), func(i int) bool { return !before(i) })
+	case before(hint - 1):
+		return ix.gallop(hint, before)
+	default:
+		return sort.Search(hint, func(i int) bool { return !before(i) })
+	}
+}
+
+// At returns the row ordinal of the entry at pos when its leading
+// columns equal prefix under ≐ ordering (NULL ≐ NULL: a caller with
+// WHERE-equality semantics must not probe with a NULL); ok is false
+// there and past the last entry. Reading on from a Seek while ok holds
+// visits exactly the entries Lookup returns, in their order.
+func (ix *OrderedIndex) At(pos int, prefix value.Row) (ord int, ok bool) {
+	if pos >= len(ix.keys) || value.OrderCompareRows(ix.keys[pos][:len(prefix)], prefix) != 0 {
+		return 0, false
+	}
+	return ix.rows[pos], true
 }
 
 // Lookup returns the row ordinals whose leading index columns equal
-// prefix under ≐ ordering. An over-long prefix is an error.
+// prefix under ≐ ordering. An over-long prefix is an error. The result
+// is a view into the index, not a copy: it must not be modified, and
+// must not be retained past the read lock the statement runs under.
 func (ix *OrderedIndex) Lookup(prefix value.Row) ([]int, error) {
-	if len(prefix) == 0 || len(prefix) > len(ix.Columns) {
-		return nil, fmt.Errorf("storage: index %s: prefix length %d out of range", ix.Name, len(prefix))
+	n := len(prefix)
+	if n == 0 || n > len(ix.Columns) {
+		return nil, fmt.Errorf("storage: index %s: prefix length %d out of range", ix.Name, n)
 	}
-	lo, hi := ix.prefixBounds(prefix)
-	return append([]int(nil), ix.rows[lo:hi]...), nil
+	lo := ix.Seek(prefix, 0)
+	hi := ix.gallop(lo, func(i int) bool { return value.OrderCompareRows(ix.keys[i][:n], prefix) <= 0 })
+	return ix.rows[lo:hi:hi], nil
 }
 
 // Range returns the row ordinals whose first index column lies in
-// [lo, hi] (NULLs excluded; a nil bound is open).
+// [lo, hi] (NULLs excluded; a nil bound is open) — a view into the
+// index under the same terms as Lookup's.
 func (ix *OrderedIndex) Range(lo, hi *value.Value) []int {
 	a := 0
 	if lo != nil {
@@ -92,7 +133,7 @@ func (ix *OrderedIndex) Range(lo, hi *value.Value) []int {
 	if a > b {
 		return nil
 	}
-	return append([]int(nil), ix.rows[a:b]...)
+	return ix.rows[a:b:b]
 }
 
 // CreateOrderedIndex builds a sorted index over the named columns and

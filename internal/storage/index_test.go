@@ -203,3 +203,98 @@ func TestOrderedIndexOn(t *testing.T) {
 		t.Errorf("indexes = %d", got)
 	}
 }
+
+// Lookup finds the end of a run by galloping from its start, and Seek
+// finds its start by galloping from the caller's hint: every run length
+// around the powers of two, at the front, in the middle and at the end
+// of the index, must come back exactly as a linear walk finds it —
+// whatever the hint, from Seek + At as from Lookup — as a view (no
+// allocation) an append cannot grow into the index.
+func TestLookupMatchesLinearWalk(t *testing.T) {
+	c := mustCatalog(t, []string{
+		`CREATE TABLE T (ID INTEGER, A INTEGER, B INTEGER, PRIMARY KEY (ID))`,
+	})
+	tbl := NewDB(c).MustTable("T")
+	ix, err := tbl.CreateOrderedIndex("A_B", "A", "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A = n has n rows for n in 0..17 except 5 (an absent key between
+	// present ones); B cycles 0..2, NULL once.
+	id := int64(0)
+	for a := int64(0); a <= 17; a++ {
+		for k := int64(0); a != 5 && k < a; k++ {
+			b := value.Value(value.Int(k % 3))
+			if a == 7 && k == 0 {
+				b = value.Null
+			}
+			if err := tbl.Insert(value.Row{value.Int(id), value.Int(a), b}); err != nil {
+				t.Fatal(err)
+			}
+			id++
+		}
+	}
+	walk := func(prefix value.Row) []int {
+		var out []int
+		for i, key := range ix.keys {
+			if value.OrderCompareRows(key[:len(prefix)], prefix) == 0 {
+				out = append(out, ix.rows[i])
+			}
+		}
+		return out
+	}
+	var prefixes []value.Row
+	for a := int64(-1); a <= 18; a++ {
+		prefixes = append(prefixes, value.Row{value.Int(a)})
+		for b := int64(-1); b <= 3; b++ {
+			prefixes = append(prefixes, value.Row{value.Int(a), value.Int(b)})
+		}
+	}
+	prefixes = append(prefixes, value.Row{value.Int(7), value.Null}, value.Row{value.Null})
+	for _, prefix := range prefixes {
+		got, err := ix.Lookup(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := walk(prefix)
+		if len(got) != len(want) {
+			t.Fatalf("Lookup%s = %v, a linear walk finds %v", prefix, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Lookup%s = %v, a linear walk finds %v", prefix, got, want)
+			}
+		}
+		if cap(got) != len(got) {
+			t.Errorf("Lookup%s: the view has room to append into the index (len %d, cap %d)", prefix, len(got), cap(got))
+		}
+		start := 0
+		for start < len(ix.keys) && value.OrderCompareRows(ix.keys[start][:len(prefix)], prefix) < 0 {
+			start++
+		}
+		for hint := -1; hint <= len(ix.keys)+1; hint++ {
+			pos := ix.Seek(prefix, hint)
+			if pos != start {
+				t.Fatalf("Seek(%s, hint %d) = %d, a linear walk finds %d", prefix, hint, pos, start)
+			}
+		}
+		for i, pos := 0, start; ; i, pos = i+1, pos+1 {
+			ord, ok := ix.At(pos, prefix)
+			if ok != (i < len(want)) || (ok && ord != want[i]) {
+				t.Fatalf("At(%d, %s) = %d, %v; entry %d of %v", pos, prefix, ord, ok, i, want)
+			}
+			if !ok {
+				break
+			}
+		}
+	}
+	lo, hi := value.Int(3), value.Int(9)
+	probe := value.Row{value.Int(12)}
+	if n := testing.AllocsPerRun(100, func() {
+		_, _ = ix.Lookup(probe)
+		_ = ix.Range(&lo, &hi)
+		_, _ = ix.At(ix.Seek(probe, 40), probe)
+	}); n != 0 {
+		t.Errorf("Lookup + Range + Seek + At allocate %.0f times per call, want 0", n)
+	}
+}

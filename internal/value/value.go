@@ -206,6 +206,17 @@ func NullEq(a, b Value) bool {
 // before every non-NULL value, and values of different kinds order by
 // kind (which only matters for heterogeneous test data).
 func OrderCompare(a, b Value) int {
+	if a.kind == KindInt && b.kind == KindInt {
+		// The common case of every sort and index probe, ahead of the
+		// NULL and kind dispatch.
+		switch {
+		case a.i < b.i:
+			return -1
+		case a.i > b.i:
+			return 1
+		}
+		return 0
+	}
 	switch {
 	case a.IsNull() && b.IsNull():
 		return 0
