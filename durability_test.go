@@ -2,10 +2,12 @@ package uniqopt
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
 )
 
@@ -203,6 +205,53 @@ func TestExecInsertBothBackends(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInsertRowCopiesCallerSlice: the engine's own INSERT path hands its
+// freshly built row to storage without a copy, but a caller of
+// InsertRow keeps its slice — a loader that fills one buffer per row
+// must not rewrite rows it already inserted, on either backend, in the
+// heap or (after a reopen) in the log.
+func TestInsertRowCopiesCallerSlice(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := OpenPersistent(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { wal.Close() }()
+	mem := Open()
+	check := func(name string, db *DB) {
+		t.Helper()
+		rows, err := db.Query(`SELECT ALL A, B FROM T`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := [][]any{{int64(1), "one"}, {int64(2), "two"}, {int64(3), "three"}}
+		if !reflect.DeepEqual(rows.Data, want) {
+			t.Errorf("%s: rows %v, want %v: InsertRow kept the caller's slice", name, rows.Data, want)
+		}
+	}
+	for name, db := range map[string]*DB{"memory": mem, "wal": wal} {
+		if err := db.Exec(`CREATE TABLE T (A INTEGER, B VARCHAR, PRIMARY KEY (A))`); err != nil {
+			t.Fatal(err)
+		}
+		buf := make(value.Row, 2)
+		for i, b := range []string{"one", "two", "three"} {
+			buf[0], buf[1] = value.Int(int64(i+1)), value.String_(b)
+			if err := db.InsertRow("T", buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buf[0], buf[1] = value.Int(99), value.String_("scribble")
+		check(name, db)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if wal, err = OpenPersistent(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	check("wal, reopened", wal)
 }
 
 // firstDiff renders the first diverging line of two transcripts.

@@ -47,8 +47,9 @@ func loadRows(db *uniqopt.DB, rows, groupEvery int) (time.Duration, int64) {
 // disciplines the server supports: group commit (sync every 1024
 // rows, the bulk-load shape) and fsync-per-insert (the per-statement
 // ack the wire protocol gives every INSERT). The WAL directory is
-// then reopened cold and the recovery time — snapshot load plus log
-// replay through the same insert path — is measured.
+// then reopened cold and the recovery time — the sealed generations
+// and then the live log replayed through the same insert path — is
+// measured.
 func EStorage(sc Scale) *Table {
 	t := &Table{
 		ID:      "EST",
@@ -115,8 +116,9 @@ func EStorage(sc Scale) *Table {
 	t.AddRow("wal fsync/insert", n(int64(ackRows)), msCell(ackWall), rate(ackRows, ackWall),
 		n(ackSyncs), "per-statement ack")
 
-	// Leg 4: cold start on the group-commit directory — snapshot load
-	// plus log replay through the constraint-enforcing insert path.
+	// Leg 4: cold start on the group-commit directory — sealed
+	// generations, then the live log, replayed through the
+	// constraint-enforcing insert path.
 	start := time.Now()
 	reDB, err := uniqopt.OpenPersistent(dir, uniqopt.Options{})
 	if err != nil {
@@ -128,7 +130,7 @@ func EStorage(sc Scale) *Table {
 	if ws, ok := reDB.Backend().(*wal.Store); ok {
 		st := ws.Stats()
 		recovered = st.SnapshotRows + st.ReplayedRows
-		detail = fmt.Sprintf("gen %d: snapshot %d rows + replayed %d", st.Generation, st.SnapshotRows, st.ReplayedRows)
+		detail = fmt.Sprintf("gen %d: sealed %d rows + replayed %d", st.Generation, st.SnapshotRows, st.ReplayedRows)
 	}
 	if err := reDB.Close(); err != nil {
 		panic(fmt.Sprintf("bench: EStorage close reopen: %v", err))
@@ -139,7 +141,7 @@ func EStorage(sc Scale) *Table {
 	t.Notes = append(t.Notes,
 		"all legs run the same constraint-enforcing insert path (primary-key hash index maintained row by row); the WAL legs additionally frame, checksum, and buffer every record.",
 		fmt.Sprintf("group commit syncs every 1024 rows — the bulk-load discipline; fsync/insert is the wire protocol's per-INSERT ack, shown at %d rows because each row pays a flush+fsync.", ackRows),
-		fmt.Sprintf("cold start reopens the group-commit directory: checkpoints every %d appends mean most rows return via the snapshot, the tail via log replay.", wal.DefaultOptions.CheckpointEvery),
+		fmt.Sprintf("cold start reopens the group-commit directory: checkpoints every %d appends mean most rows return from sealed generations, the tail from the live log; both replay through the insert path.", wal.DefaultOptions.CheckpointEvery),
 		"fsyncs counts Sync barriers issued (the final close-time sync included).")
 	return t
 }

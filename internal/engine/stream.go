@@ -815,11 +815,11 @@ type indexJoinIter struct {
 	sg      streamGuard
 	keyBuf  value.Row
 	arena   rowArena
-	ob      Batch     // the outer batch being probed
-	oidx    int       // the next row of ob
-	orow    value.Row // the outer row whose entries are being fetched
-	pos     int       // the next entry of the index to fetch for it
-	probing bool      // orow's entries are not exhausted
+	ob      Batch          // the outer batch being probed
+	oidx    int            // the next row of ob
+	orow    value.Row      // the outer row whose entries are being fetched
+	pos     storage.Cursor // the next entry of the index to fetch for it
+	probing bool           // orow's entries are not exhausted
 	started bool
 	closed  bool
 }
@@ -904,12 +904,12 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 	var out Batch
 	for {
 		for j.probing {
-			ord, ok := j.in.Ix.At(j.pos, j.keyBuf)
+			ord, next, ok := j.in.Ix.At(j.pos, j.keyBuf)
 			if !ok {
 				j.probing = false
 				break
 			}
-			j.pos++
+			j.pos = next
 			irow := j.in.Tbl.Row(ord)
 			if err := j.sg.step(); err != nil {
 				return nil, err

@@ -101,13 +101,14 @@ func goodStored(path string) (*holder, error) {
 	return &holder{f: f}, nil
 }
 
-// goodClosureCleanup mirrors writeSnapshot's fail-closure pattern:
+// goodClosureCleanup mirrors writeManifest's fail-closure pattern:
 // every error path funnels through a literal that closes the temp
-// file.
-func goodClosureCleanup(dir string) error {
+// file, and the function reports beside its error whether it got as
+// far as committing.
+func goodClosureCleanup(dir string) (committed bool, err error) {
 	tmp, err := os.CreateTemp(dir, "x-*.tmp")
 	if err != nil {
-		return err
+		return false, err
 	}
 	fail := func(err error) error {
 		tmp.Close()
@@ -115,12 +116,12 @@ func goodClosureCleanup(dir string) error {
 		return err
 	}
 	if _, err := tmp.WriteString("hdr"); err != nil {
-		return fail(err)
+		return false, fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
-		return fail(err)
+		return false, fail(err)
 	}
-	return tmp.Close()
+	return true, tmp.Close()
 }
 
 // closeQuietly closes its argument; callers passing a file here have

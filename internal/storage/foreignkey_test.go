@@ -72,7 +72,7 @@ func TestFKStandaloneTableUnenforced(t *testing.T) {
 }
 
 // mustCatalog builds a catalog from DDL for fixtures.
-func mustCatalog(t *testing.T, ddl []string) *catalog.Catalog {
+func mustCatalog(t testing.TB, ddl []string) *catalog.Catalog {
 	t.Helper()
 	c := catalog.New()
 	for _, src := range ddl {

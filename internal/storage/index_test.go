@@ -1,6 +1,10 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"uniqopt/internal/value"
@@ -204,12 +208,265 @@ func TestOrderedIndexOn(t *testing.T) {
 	}
 }
 
-// Lookup finds the end of a run by galloping from its start, and Seek
-// finds its start by galloping from the caller's hint: every run length
-// around the powers of two, at the front, in the middle and at the end
-// of the index, must come back exactly as a linear walk finds it —
-// whatever the hint, from Seek + At as from Lookup — as a view (no
-// allocation) an append cannot grow into the index.
+// sliceIndex is the sorted-slice index the tree replaced, kept here as
+// the model the tree is checked against: (key projection, row ordinal)
+// pairs ordered by value.OrderCompareRows then ordinal, every answer a
+// binary search or a linear walk over them.
+type sliceIndex struct {
+	keys []value.Row
+	rows []int
+}
+
+func (m *sliceIndex) insert(key value.Row, row int) {
+	i := sort.Search(len(m.keys), func(i int) bool {
+		if c := value.OrderCompareRows(m.keys[i], key); c != 0 {
+			return c >= 0
+		}
+		return m.rows[i] >= row
+	})
+	m.keys = append(m.keys, nil)
+	m.rows = append(m.rows, 0)
+	copy(m.keys[i+1:], m.keys[i:])
+	copy(m.rows[i+1:], m.rows[i:])
+	m.keys[i], m.rows[i] = key, row
+}
+
+// lowerBound is the position of the first entry whose leading columns
+// are not below prefix.
+func (m *sliceIndex) lowerBound(prefix value.Row) int {
+	return sort.Search(len(m.keys), func(i int) bool {
+		return value.OrderCompareRows(m.keys[i][:len(prefix)], prefix) >= 0
+	})
+}
+
+func (m *sliceIndex) lookup(prefix value.Row) []int {
+	var out []int
+	for i, key := range m.keys {
+		if value.OrderCompareRows(key[:len(prefix)], prefix) == 0 {
+			out = append(out, m.rows[i])
+		}
+	}
+	return out
+}
+
+func (m *sliceIndex) rangeOf(lo, hi *value.Value) []int {
+	var out []int
+	for i, key := range m.keys {
+		v := key[0]
+		if v.IsNull() || (lo != nil && value.OrderCompare(v, *lo) < 0) || (hi != nil && value.OrderCompare(v, *hi) > 0) {
+			continue
+		}
+		out = append(out, m.rows[i])
+	}
+	return out
+}
+
+// chain reads the tree's entries off its leaf chain, and tells where
+// each leaf starts, so a cursor can be turned into the position a sorted
+// slice would give it.
+func chain(ix *OrderedIndex) (entries []int, start map[*node]int) {
+	start = map[*node]int{}
+	for l := firstLeaf(ix); l != nil; l = l.next {
+		start[l] = len(entries)
+		entries = append(entries, l.ords...)
+	}
+	return entries, start
+}
+
+func firstLeaf(ix *OrderedIndex) *node {
+	l := ix.root
+	for l.kids != nil {
+		l = l.kids[0]
+	}
+	return l
+}
+
+// checkAgainstModel holds one index to its model: same entries in the
+// same order; for every prefix, Seek from no hint and from every cursor
+// in hints (kept from earlier calls, whatever the tree looked like
+// then) is the model's lower bound, reading on with At visits what
+// Lookup returns and what the model finds; Range agrees on open, NULL
+// and inverted bounds. The cursors it gets back are added to hints.
+func checkAgainstModel(t *testing.T, ix *OrderedIndex, m *sliceIndex, prefixes []value.Row, bounds []*value.Value, hints *[]Cursor) {
+	t.Helper()
+	entries, start := chain(ix)
+	if !slices.Equal(entries, m.rows) || ix.Len() != len(m.rows) {
+		t.Fatalf("%s: the leaf chain holds %d entries (Len %d), the model %d; or their order differs",
+			ix.Name, len(entries), ix.Len(), len(m.rows))
+	}
+	pos := func(c Cursor) int {
+		at, ok := start[c.leaf]
+		if !ok {
+			t.Fatalf("%s: cursor on a leaf that is not in the chain", ix.Name)
+		}
+		return at + c.slot
+	}
+	var fresh []Cursor
+	for _, prefix := range prefixes {
+		want := m.lowerBound(prefix)
+		c := ix.Seek(prefix, Cursor{})
+		if pos(c) != want {
+			t.Fatalf("%s: Seek(%s) = %d, the model's lower bound is %d", ix.Name, prefix, pos(c), want)
+		}
+		for hi, h := range *hints {
+			if got := pos(ix.Seek(prefix, h)); got != want {
+				t.Fatalf("%s: Seek(%s, hint #%d) = %d, the model's lower bound is %d", ix.Name, prefix, hi, got, want)
+			}
+		}
+		fresh = append(fresh, c)
+		found := m.lookup(prefix)
+		var walked []int
+		for {
+			ord, next, ok := ix.At(c, prefix)
+			if !ok {
+				if next != c {
+					t.Fatalf("%s: At(%s) past the run moved the cursor", ix.Name, prefix)
+				}
+				break
+			}
+			walked, c = append(walked, ord), next
+		}
+		fresh = append(fresh, c)
+		got, err := ix.Lookup(prefix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(walked, found) || !slices.Equal(got, found) {
+			t.Fatalf("%s: prefix %s: At walk %v, Lookup %v, model %v", ix.Name, prefix, walked, got, found)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: Lookup(%s) has room to append into (len %d, cap %d)", ix.Name, prefix, len(got), cap(got))
+		}
+	}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			if got, want := ix.Range(lo, hi), m.rangeOf(lo, hi); !slices.Equal(got, want) {
+				t.Fatalf("%s: Range(%v, %v) = %v, the model finds %v", ix.Name, lo, hi, got, want)
+			}
+		}
+	}
+	// Keep each distinct cursor once, and thin the collection (old and
+	// new alike) when it outgrows what a check can afford to replay.
+	seen := map[Cursor]bool{}
+	for _, h := range *hints {
+		seen[h] = true
+	}
+	for _, c := range fresh {
+		if !seen[c] {
+			seen[c] = true
+			*hints = append(*hints, c)
+		}
+	}
+	if len(*hints) > 600 {
+		kept := (*hints)[:0]
+		for i, h := range *hints {
+			if i%2 == 0 {
+				kept = append(kept, h)
+			}
+		}
+		*hints = kept
+	}
+}
+
+// The tree against the sorted slice it replaced, seeded: random,
+// ascending and descending loads over small domains (so most keys are
+// duplicates told apart by ordinal) with NULLs in every column, a
+// three-column and a one-column index, checked every few hundred
+// inserts — across leaf splits, inner splits and a new root — with
+// every cursor handed out so far offered back as a hint; then Truncate
+// and the same again with the cursors of the emptied tree as hints; and
+// an index created over the populated table (sort + bulk load) must
+// hold the incrementally built one's entries, entry for entry.
+func TestIndexTreeMatchesSortedSliceModel(t *testing.T) {
+	const rows, every = 6000, 750
+	cell := func(rng *rand.Rand, domain int64) value.Value {
+		if rng.Intn(12) == 0 {
+			return value.Null
+		}
+		return value.Int(rng.Int63n(domain))
+	}
+	for _, load := range []string{"random", "ascending", "descending"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", load, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				c := mustCatalog(t, []string{
+					`CREATE TABLE T (ID INTEGER, A INTEGER, B INTEGER, C INTEGER, PRIMARY KEY (ID))`,
+				})
+				tbl := NewDB(c).MustTable("T")
+				abc, err := tbl.CreateOrderedIndex("ABC", "A", "B", "C")
+				if err != nil {
+					t.Fatal(err)
+				}
+				cOnly, err := tbl.CreateOrderedIndex("C", "C")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var prefixes []value.Row
+				for a := int64(-1); a <= 9; a++ {
+					av := value.Value(value.Int(a))
+					if a == 9 {
+						av = value.Null
+					}
+					prefixes = append(prefixes, value.Row{av})
+					for _, bv := range []value.Value{value.Null, value.Int(-1), value.Int(0), value.Int(3), value.Int(5)} {
+						prefixes = append(prefixes, value.Row{av, bv},
+							value.Row{av, bv, value.Null}, value.Row{av, bv, value.Int(rng.Int63n(40))})
+					}
+				}
+				var cPrefixes []value.Row
+				for _, v := range []value.Value{value.Null, value.Int(-1), value.Int(0), value.Int(17), value.Int(39), value.Int(40)} {
+					cPrefixes = append(cPrefixes, value.Row{v})
+				}
+				null, lo, mid, hi := value.Null, value.Int(2), value.Int(4), value.Int(7)
+				bounds := []*value.Value{nil, &null, &lo, &mid, &hi}
+
+				var abcModel, cModel sliceIndex
+				var abcHints, cHints []Cursor
+				id := 0
+				fill := func() {
+					for n := 1; n <= rows; n++ {
+						row := value.Row{value.Int(int64(id)), cell(rng, 8), cell(rng, 5), cell(rng, 40)}
+						switch load {
+						case "ascending":
+							row[1], row[2], row[3] = value.Int(int64(n/700)), value.Int(int64(n/100%7)), value.Int(int64(n%100/3))
+						case "descending":
+							row[1], row[3] = value.Int(int64((rows-n)/700)), value.Int(int64((rows-n)%40))
+						}
+						if err := tbl.Insert(row); err != nil {
+							t.Fatal(err)
+						}
+						abcModel.insert(value.Row{row[1], row[2], row[3]}, tbl.Len()-1)
+						cModel.insert(value.Row{row[3]}, tbl.Len()-1)
+						id++
+						if n%every == 0 || n == 1 || n == fanout+1 {
+							checkAgainstModel(t, abc, &abcModel, prefixes, bounds, &abcHints)
+							checkAgainstModel(t, cOnly, &cModel, cPrefixes, bounds, &cHints)
+						}
+					}
+				}
+				checkAgainstModel(t, abc, &abcModel, prefixes, bounds, &abcHints) // empty
+				fill()
+				bulk, err := tbl.CreateOrderedIndex("BULK", "A", "B", "C")
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstModel(t, bulk, &abcModel, prefixes, bounds, &[]Cursor{})
+
+				tbl.Truncate()
+				abcModel, cModel = sliceIndex{}, sliceIndex{}
+				checkAgainstModel(t, abc, &abcModel, prefixes, bounds, &abcHints)
+				fill()
+			})
+		}
+	}
+}
+
+// Every run length around the powers of two, at the front, in the
+// middle and at the end of the index, with an absent key between
+// present ones and a NULL inside a run, must come back exactly as a
+// linear walk finds it — whatever the hint, from Seek + At as from
+// Lookup — and Seek and At, the per-row path of an index join, must not
+// allocate.
 func TestLookupMatchesLinearWalk(t *testing.T) {
 	c := mustCatalog(t, []string{
 		`CREATE TABLE T (ID INTEGER, A INTEGER, B INTEGER, PRIMARY KEY (ID))`,
@@ -221,6 +478,7 @@ func TestLookupMatchesLinearWalk(t *testing.T) {
 	}
 	// A = n has n rows for n in 0..17 except 5 (an absent key between
 	// present ones); B cycles 0..2, NULL once.
+	var model sliceIndex
 	id := int64(0)
 	for a := int64(0); a <= 17; a++ {
 		for k := int64(0); a != 5 && k < a; k++ {
@@ -231,17 +489,9 @@ func TestLookupMatchesLinearWalk(t *testing.T) {
 			if err := tbl.Insert(value.Row{value.Int(id), value.Int(a), b}); err != nil {
 				t.Fatal(err)
 			}
+			model.insert(value.Row{value.Int(a), b}, int(id))
 			id++
 		}
-	}
-	walk := func(prefix value.Row) []int {
-		var out []int
-		for i, key := range ix.keys {
-			if value.OrderCompareRows(key[:len(prefix)], prefix) == 0 {
-				out = append(out, ix.rows[i])
-			}
-		}
-		return out
 	}
 	var prefixes []value.Row
 	for a := int64(-1); a <= 18; a++ {
@@ -251,50 +501,62 @@ func TestLookupMatchesLinearWalk(t *testing.T) {
 		}
 	}
 	prefixes = append(prefixes, value.Row{value.Int(7), value.Null}, value.Row{value.Null})
-	for _, prefix := range prefixes {
-		got, err := ix.Lookup(prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := walk(prefix)
-		if len(got) != len(want) {
-			t.Fatalf("Lookup%s = %v, a linear walk finds %v", prefix, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Lookup%s = %v, a linear walk finds %v", prefix, got, want)
-			}
-		}
-		if cap(got) != len(got) {
-			t.Errorf("Lookup%s: the view has room to append into the index (len %d, cap %d)", prefix, len(got), cap(got))
-		}
-		start := 0
-		for start < len(ix.keys) && value.OrderCompareRows(ix.keys[start][:len(prefix)], prefix) < 0 {
-			start++
-		}
-		for hint := -1; hint <= len(ix.keys)+1; hint++ {
-			pos := ix.Seek(prefix, hint)
-			if pos != start {
-				t.Fatalf("Seek(%s, hint %d) = %d, a linear walk finds %d", prefix, hint, pos, start)
-			}
-		}
-		for i, pos := 0, start; ; i, pos = i+1, pos+1 {
-			ord, ok := ix.At(pos, prefix)
-			if ok != (i < len(want)) || (ok && ord != want[i]) {
-				t.Fatalf("At(%d, %s) = %d, %v; entry %d of %v", pos, prefix, ord, ok, i, want)
-			}
-			if !ok {
-				break
-			}
+	// Every position of the index is a hint: each entry, and the end.
+	var hints []Cursor
+	for l := firstLeaf(ix); l != nil; l = l.next {
+		for s := 0; s <= len(l.ords); s++ {
+			hints = append(hints, Cursor{l, s})
 		}
 	}
 	lo, hi := value.Int(3), value.Int(9)
+	checkAgainstModel(t, ix, &model, prefixes, []*value.Value{nil, &lo, &hi}, &hints)
+
 	probe := value.Row{value.Int(12)}
+	far := ix.Seek(value.Row{value.Int(2)}, Cursor{})
 	if n := testing.AllocsPerRun(100, func() {
-		_, _ = ix.Lookup(probe)
-		_ = ix.Range(&lo, &hi)
-		_, _ = ix.At(ix.Seek(probe, 40), probe)
+		c := ix.Seek(probe, far)
+		for ok := true; ok; {
+			_, c, ok = ix.At(c, probe)
+		}
+		_ = ix.Seek(probe, c)
 	}); n != 0 {
-		t.Errorf("Lookup + Range + Seek + At allocate %.0f times per call, want 0", n)
+		t.Errorf("Seek + At allocate %.0f times per probe, want 0", n)
+	}
+}
+
+// BenchmarkOrderedIndexInsert loads n rows into a table with one
+// two-column ordered index, in key order and in random order: ns/row
+// should not depend on n, and random should stay within a small factor
+// of ascending.
+func BenchmarkOrderedIndexInsert(b *testing.B) {
+	for _, order := range []string{"ascending", "random"} {
+		for _, n := range []int{10_000, 100_000} {
+			b.Run(fmt.Sprintf("%s/%dk", order, n/1000), func(b *testing.B) {
+				keys := make([]int64, n)
+				for i := range keys {
+					keys[i] = int64(i)
+				}
+				if order == "random" {
+					rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+				}
+				c := mustCatalog(b, []string{
+					`CREATE TABLE T (ID INTEGER, A INTEGER, B INTEGER, PRIMARY KEY (ID))`,
+				})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tbl := NewDB(c).MustTable("T")
+					if _, err := tbl.CreateOrderedIndex("A_B", "A", "B"); err != nil {
+						b.Fatal(err)
+					}
+					for id, k := range keys {
+						if err := tbl.InsertOwned(value.Row{value.Int(int64(id)), value.Int(k / 4), value.Int(k % 4)}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
 	}
 }

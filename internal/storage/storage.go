@@ -62,15 +62,6 @@ func (t *Table) Rows() []value.Row { return t.rows }
 // Row returns the i-th row.
 func (t *Table) Row(i int) value.Row { return t.rows[i] }
 
-// keyProjection extracts the key columns of row for key k.
-func keyProjection(row value.Row, k catalog.Key) value.Row {
-	out := make(value.Row, len(k.Columns))
-	for i, c := range k.Columns {
-		out[i] = row[c]
-	}
-	return out
-}
-
 // compiledChecks returns the table's CHECK constraints compiled once
 // against the schema's column ordinals, compiling any added since the
 // last call (Schema.Checks only grows). The layout names the bare
@@ -120,16 +111,13 @@ func (t *Table) Validate(row value.Row) error {
 		}
 	}
 	for ki, k := range s.Keys {
-		kv := keyProjection(row, k)
-		for _, ri := range t.keyIdx[ki][value.HashRow(kv)] {
-			if value.NullEqRows(kv, keyProjection(t.rows[ri], k)) {
-				kind := "UNIQUE"
-				if k.Primary {
-					kind = "PRIMARY KEY"
-				}
-				return fmt.Errorf("storage: %s: row %s violates %s (%v)",
-					s.Name, row, kind, s.KeyColumnNames(k))
+		if t.findKey(ki, row, k.Columns) >= 0 {
+			kind := "UNIQUE"
+			if k.Primary {
+				kind = "PRIMARY KEY"
 			}
+			return fmt.Errorf("storage: %s: row %s violates %s (%v)",
+				s.Name, row, kind, s.KeyColumnNames(k))
 		}
 	}
 	if t.db != nil {
@@ -147,23 +135,30 @@ func (t *Table) Validate(row value.Row) error {
 // exist. Any NULL component makes the dependency vacuous (SQL's MATCH
 // SIMPLE rule).
 func (db *DB) checkForeignKey(owner *catalog.Table, fk catalog.ForeignKey, row value.Row) error {
-	kv := make(value.Row, len(fk.Columns))
-	for i, ci := range fk.Columns {
+	for _, ci := range fk.Columns {
 		if row[ci].IsNull() {
 			return nil
 		}
-		kv[i] = row[ci]
 	}
 	ref, ok := db.Table(fk.RefTable)
 	if !ok {
 		return fmt.Errorf("storage: %s: FOREIGN KEY references unattached table %s",
 			owner.Name, fk.RefTable)
 	}
-	if ref.LookupKey(fk.RefKey, kv) < 0 {
+	if ref.findKey(fk.RefKey, row, fk.Columns) < 0 {
 		return fmt.Errorf("storage: %s: row %s violates FOREIGN KEY into %s (no row with key %s)",
-			owner.Name, row, fk.RefTable, kv)
+			owner.Name, row, fk.RefTable, project(row, fk.Columns))
 	}
 	return nil
+}
+
+// project copies out the columns cols of row, for an error message.
+func project(row value.Row, cols []int) value.Row {
+	out := make(value.Row, len(cols))
+	for i, c := range cols {
+		out[i] = row[c]
+	}
+	return out
 }
 
 // Insert validates and stores a row. The row is cloned; the caller
@@ -172,27 +167,62 @@ func (t *Table) Insert(row value.Row) error {
 	if err := t.Validate(row); err != nil {
 		return err
 	}
-	r := row.Clone()
+	t.store(row.Clone())
+	return nil
+}
+
+// InsertOwned is Insert for a caller that built row for this call and
+// will not touch it again: the table keeps the slice itself.
+func (t *Table) InsertOwned(row value.Row) error {
+	if err := t.Validate(row); err != nil {
+		return err
+	}
+	t.store(row)
+	return nil
+}
+
+// store appends a validated row the table owns and files it under every
+// key and ordered index, which read the key columns from the row itself.
+func (t *Table) store(r value.Row) {
 	idx := len(t.rows)
 	t.rows = append(t.rows, r)
 	for ki, k := range t.Schema.Keys {
-		h := value.HashRow(keyProjection(r, k))
+		h := value.HashCols(r, k.Columns)
 		t.keyIdx[ki][h] = append(t.keyIdx[ki][h], idx)
 	}
 	for _, ix := range t.ordered {
-		ix.insert(indexKey(r, ix.Columns), idx)
+		ix.insert(idx)
 	}
-	return nil
+}
+
+// findKey returns the ordinal of the row whose key ki equals, under ≐,
+// the columns cols of row, or -1: the key columns are hashed and
+// compared where they lie.
+func (t *Table) findKey(ki int, row value.Row, cols []int) int {
+	kc := t.Schema.Keys[ki].Columns
+	for _, ri := range t.keyIdx[ki][value.HashCols(row, cols)] {
+		if value.NullEqCols(row, cols, t.rows[ri], kc) {
+			return ri
+		}
+	}
+	return -1
 }
 
 // LookupKey returns the ordinal of the row whose key ki equals keyVals
 // under ≐, or -1. Key uniqueness guarantees at most one match.
 func (t *Table) LookupKey(ki int, keyVals value.Row) int {
-	k := t.Schema.Keys[ki]
+	kc := t.Schema.Keys[ki].Columns
+	if len(keyVals) != len(kc) {
+		return -1
+	}
+next:
 	for _, ri := range t.keyIdx[ki][value.HashRow(keyVals)] {
-		if value.NullEqRows(keyVals, keyProjection(t.rows[ri], k)) {
-			return ri
+		for i, c := range kc {
+			if !value.NullEq(keyVals[i], t.rows[ri][c]) {
+				continue next
+			}
 		}
+		return ri
 	}
 	return -1
 }
@@ -204,8 +234,7 @@ func (t *Table) Truncate() {
 		t.keyIdx[i] = make(map[uint64][]int)
 	}
 	for _, ix := range t.ordered {
-		ix.keys = nil
-		ix.rows = nil
+		ix.reset()
 	}
 }
 
@@ -251,6 +280,9 @@ func (db *DB) AttachTable(schema *catalog.Table) error {
 
 // Table returns the stored table with the given name.
 func (db *DB) Table(name string) (*Table, bool) {
+	if t, ok := db.tables[name]; ok {
+		return t, true // already in the catalog's spelling: no copy to fold
+	}
 	t, ok := db.tables[normalize(name)]
 	return t, ok
 }
@@ -265,13 +297,22 @@ func (db *DB) MustTable(name string) *Table {
 	return t
 }
 
-// Insert inserts a row into the named table.
+// Insert inserts a row into the named table. The row is cloned.
 func (db *DB) Insert(table string, row value.Row) error {
 	t, ok := db.Table(table)
 	if !ok {
 		return fmt.Errorf("storage: unknown table %s", table)
 	}
 	return t.Insert(row)
+}
+
+// InsertOwned inserts a row the caller hands over (Table.InsertOwned).
+func (db *DB) InsertOwned(table string, row value.Row) error {
+	t, ok := db.Table(table)
+	if !ok {
+		return fmt.Errorf("storage: unknown table %s", table)
+	}
+	return t.InsertOwned(row)
 }
 
 func normalize(name string) string {

@@ -41,15 +41,23 @@ type Store interface {
 	ApplyDDL(sql string, ct *ast.CreateTable) (*catalog.Table, error)
 
 	// Insert validates a row against the table's constraints and
-	// stores it. Durable stores log the row after the heap accepts it;
-	// the row is committed once a later Sync (or Close) returns.
+	// stores a copy of it. Durable stores log the row after the heap
+	// accepts it; the row is committed once a later Sync (or Close)
+	// returns.
 	Insert(table string, row value.Row) error
+
+	// InsertOwned is Insert for a row the caller built for this call
+	// and will not touch again: the heap keeps the slice itself.
+	InsertOwned(table string, row value.Row) error
 
 	// Sync makes every acknowledged mutation durable (flush + fsync).
 	Sync() error
 
-	// Checkpoint compacts the log into a snapshot so recovery replays
-	// only mutations since the checkpoint.
+	// Checkpoint seals the live log — complete, fsynced, never written
+	// again — and starts a new one, so that the only file that is open
+	// for write, and the only one a crash may leave torn, holds just
+	// the mutations since the checkpoint. No row is rewritten, and a
+	// restart still re-inserts every row.
 	Checkpoint() error
 
 	// Recover replays any persisted state. It must be called once
@@ -88,7 +96,7 @@ func (db *DB) ApplyDDL(sql string, ct *ast.CreateTable) (*catalog.Table, error) 
 // Sync is a no-op: the in-memory store has no durability.
 func (db *DB) Sync() error { return nil }
 
-// Checkpoint is a no-op: there is no log to compact.
+// Checkpoint is a no-op: there is no log to seal.
 func (db *DB) Checkpoint() error { return nil }
 
 // Recover is a no-op: there is nothing to replay.

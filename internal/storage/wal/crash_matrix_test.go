@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -38,7 +40,7 @@ func crashWorkload(t *testing.T, dir string) (acked []int64, inserted []int64) {
 	defer s.Close()
 	if err := s.Recover(); err != nil {
 		// The armed fault hit the initial-open path (log creation or
-		// the empty first snapshot); nothing was promised.
+		// the first manifest); nothing was promised.
 		return nil, nil
 	}
 	ct, err := parseCreate(testDDL)
@@ -64,9 +66,11 @@ func crashWorkload(t *testing.T, dir string) (acked []int64, inserted []int64) {
 			acked = append(acked, pending...)
 			pending = nil
 		}
-		if i == 14 {
-			// Mid-workload compaction; failures here must leave the
-			// current generation intact and writable (unless wedged).
+		if i%5 == 4 && i >= 9 && i <= 24 {
+			// Four checkpoints in a row, so every Skip the matrix arms
+			// lands a checkpoint fault on a different one of them;
+			// failures here must leave the current generation live and
+			// writable (unless wedged).
 			_ = s.Checkpoint()
 		}
 	}
@@ -145,7 +149,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					if err := re.Sync(); err != nil {
 						t.Fatalf("sync after recovery: %v", err)
 					}
-				case errors.Is(err, ErrCorrupt) || errors.Is(err, ErrSnapshotCorrupt):
+				case errors.Is(err, ErrCorrupt):
 					// Typed refusal: only acceptable for the silent
 					// bit-flip fault, whose corruption may land in the
 					// durable interior.
@@ -168,6 +172,150 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	if baseFDs >= 0 {
 		if got := countFDs(); got > baseFDs {
 			t.Errorf("file descriptors leaked across the matrix: %d before, %d after", baseFDs, got)
+		}
+	}
+}
+
+// TestCheckpointCrashWindows kills the store inside each window of the
+// checkpoint protocol — the fault point panics, so nothing after it
+// runs, no cleanup included — at the 1st, 2nd and 3rd of consecutive
+// checkpoints, and checks what DESIGN §12 says each window leaves:
+// the exact file set at the moment of death, then after recovery the
+// generation that is live, acked ⊆ recovered ⊆ inserted, the residue
+// gone and the sealed logs byte for byte what they were. "committed" is
+// the window after the rename: no fault, the process just stops.
+func TestCheckpointCrashWindows(t *testing.T) {
+	defer fault.Reset()
+	windows := []struct {
+		point     string
+		firstOpen int      // times the point is passed before the first checkpoint
+		residue   []string // what the window leaves beside MANIFEST and the named logs
+	}{
+		{FaultCheckpointNewLog, 0, nil},
+		{FaultCheckpointSnapshot, 1, []string{"stray log"}},
+		{FaultCheckpointRename, 1, []string{"stray log", "manifest temp"}},
+		{"committed", 0, nil},
+	}
+	for _, w := range windows {
+		for nth := 1; nth <= 3; nth++ {
+			t.Run(fmt.Sprintf("%s/checkpoint%d", w.point, nth), func(t *testing.T) {
+				fault.Reset()
+				if w.point != "committed" {
+					if err := fault.Arm(w.point, fault.Spec{Mode: fault.ModePanic, Skip: w.firstOpen + nth - 1, Limit: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dir := t.TempDir()
+				s := openReady(t, dir)
+				ct, err := parseCreate(testDDL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.ApplyDDL(testDDL, ct); err != nil {
+					t.Fatal(err)
+				}
+				var acked, inserted int64
+				insert := func(s *Store, n int64) {
+					for ; n > 0; n-- {
+						if err := s.Insert("SUPPLIER", value.Row{value.Int(inserted), value.String_("S"), value.Int(0)}); err != nil {
+							t.Fatal(err)
+						}
+						inserted++
+					}
+				}
+				for c := 1; c <= nth; c++ {
+					insert(s, 5)
+					if err := s.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					acked = inserted
+					insert(s, 2) // written, never acknowledged
+					died := func() (died bool) {
+						defer func() { died = recover() != nil }()
+						if err := s.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
+						return false
+					}()
+					if died != (c == nth && w.point != "committed") {
+						t.Fatalf("checkpoint %d: died = %v", c, died)
+					}
+				}
+				// The process is gone: no flush, no close, no cleanup.
+				s.mu.Lock()
+				s.log.f.Close()
+				s.state = stateClosed
+				s.mu.Unlock()
+				fault.Reset()
+
+				live := uint64(nth)
+				if w.point == "committed" {
+					live++
+				}
+				want := []string{manifestName}
+				for g := uint64(1); g <= live; g++ {
+					want = append(want, walName(g))
+				}
+				left := dirFiles(t, dir)
+				var residue []string
+				for name := range left {
+					switch {
+					case name == walName(live+1):
+						residue = append(residue, "stray log")
+					case strings.HasPrefix(name, "manifest-") && strings.HasSuffix(name, ".tmp"):
+						residue = append(residue, "manifest temp")
+					case !slices.Contains(want, name):
+						t.Errorf("unexpected file %s", name)
+					}
+				}
+				sort.Strings(residue)
+				sort.Strings(w.residue)
+				if len(left) != len(want)+len(residue) || !slices.Equal(residue, w.residue) {
+					t.Fatalf("the window left %v; want %v and residue %v", fileNames(t, dir), want, w.residue)
+				}
+
+				re := openReady(t, dir)
+				defer re.Close()
+				if got := re.Generation(); got != live {
+					t.Fatalf("generation %d live after recovery, want %d", got, live)
+				}
+				rows := supplierRows(re)
+				if int64(len(rows)) < acked || int64(len(rows)) > inserted {
+					t.Fatalf("recovered %d rows; %d acknowledged, %d inserted", len(rows), acked, inserted)
+				}
+				for i, row := range rows {
+					if row[0].AsInt() != int64(i) {
+						t.Fatalf("row %d holds id %d: not a prefix of what was inserted", i, row[0].AsInt())
+					}
+				}
+				if st := re.Stats(); st.SnapshotRows+st.ReplayedRows != len(rows) || st.SnapshotTables+st.ReplayedDDL != 1 {
+					t.Errorf("stats do not add up to %d rows and 1 table: %+v", len(rows), st)
+				}
+				sort.Strings(want)
+				if got := fileNames(t, dir); !slices.Equal(got, want) {
+					t.Fatalf("after recovery the directory holds %v, want %v", got, want)
+				}
+				after := dirFiles(t, dir)
+				for g := uint64(1); g < live; g++ {
+					if after[walName(g)] != left[walName(g)] {
+						t.Errorf("recovery rewrote sealed %s", walName(g))
+					}
+				}
+				// The next checkpoint goes through and loses nothing.
+				inserted = int64(len(rows))
+				insert(re, 3)
+				if err := re.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+				again := openReady(t, dir)
+				defer again.Close()
+				if got := int64(len(supplierRows(again))); got != inserted || again.Generation() != live+1 {
+					t.Fatalf("after one more checkpoint: %d rows at generation %d, want %d at %d", got, again.Generation(), inserted, live+1)
+				}
+			})
 		}
 	}
 }

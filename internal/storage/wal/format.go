@@ -1,25 +1,34 @@
 // Package wal implements the disk-backed storage.Store: an
 // append-only write-ahead log of typed records (DDL, insert,
-// checkpoint) in length-prefixed CRC32-checksummed frames, compacted
-// periodically into a snapshot, and replayed on restart through the
-// same constraint-enforcing insert path the live system uses — so a
+// checkpoint) in length-prefixed CRC32-checksummed frames, cut into
+// generations, and replayed on restart through the same
+// constraint-enforcing insert path the live system uses — so a
 // recovered database is provably a valid instance in the sense of
 // the paper's Theorem 1, and every uniqueness rewrite that was sound
 // before the crash is sound after it.
 //
 // On-disk layout of a data directory:
 //
-//	snapshot.dat   materialized state as of generation G
-//	wal-G.log      every mutation since that snapshot
+//	MANIFEST       live generation G, the sealed generations in replay
+//	               order, catalog version; checksummed
+//	wal-g.log      one per sealed generation g: complete, fsynced,
+//	               never written again, never deleted
+//	wal-G.log      the live log: every mutation since the last
+//	               checkpoint; the only file open for write and the
+//	               only one that may end in a torn frame
 //
-// The checkpoint protocol keeps exactly one (snapshot, log)
-// generation pair live and never overwrites in place: a new log
-// wal-(G+1).log is created and fsynced first, then the new snapshot
-// is written to a temp file, fsynced, and atomically renamed over
-// snapshot.dat (directory fsynced), and only then is wal-G.log
-// deleted. A crash at any point leaves either the old pair or the
-// new pair complete; recovery replays only the log whose generation
-// matches the snapshot and deletes the rest.
+// The only mutation is INSERT, so the rows a checkpoint would have to
+// save are exactly the live log's records, which are already on disk.
+// A checkpoint therefore rewrites no row: it seals the live log. It
+// fsyncs wal-G.log, creates and fsyncs wal-(G+1).log with its marker
+// record, and commits by writing a new MANIFEST to a temp file,
+// fsyncing it and atomically renaming it over the old one (directory
+// fsynced). A crash before the rename leaves generation G live and a
+// stray wal-(G+1).log, which recovery deletes because the manifest
+// does not name it; after the rename G is sealed and G+1 live.
+// Recovery replays the sealed generations in order, strictly — a torn
+// or corrupt sealed file is a typed error, since it was fsynced before
+// it was sealed — and then the live one, truncating a torn tail.
 package wal
 
 import (
@@ -39,16 +48,21 @@ var (
 	// in the *middle* of a log — data that was once durable and has
 	// since rotted. Recovery refuses to guess past it.
 	ErrCorrupt = errors.New("wal: corrupt frame")
-	// ErrSnapshotCorrupt marks a snapshot whose checksum or structure
+	// ErrManifestCorrupt marks a MANIFEST whose checksum or structure
 	// is wrong.
-	ErrSnapshotCorrupt = errors.New("wal: corrupt snapshot")
+	ErrManifestCorrupt = errors.New("wal: corrupt manifest")
 	// ErrReplay marks a log record the constraint-enforcing insert
 	// path rejected during recovery — the log disagrees with the
 	// schema it was written under.
 	ErrReplay = errors.New("wal: replay rejected record")
-	// ErrMissingSnapshot marks a data directory whose log generation
-	// implies a snapshot that is not there.
-	ErrMissingSnapshot = errors.New("wal: snapshot missing for log generation")
+	// ErrMissingGeneration marks a data directory whose manifest names
+	// a log that is not there, or whose logs no manifest accounts for.
+	ErrMissingGeneration = errors.New("wal: log generation or its manifest missing")
+	// ErrOldFormat marks a data directory written by the full-heap
+	// snapshot format (snapshot.dat, magic UQSNAP01). It is refused by
+	// name: its logs were deleted at every checkpoint, so replaying
+	// what is left would silently drop the snapshot's rows.
+	ErrOldFormat = errors.New("wal: data directory is in the old snapshot.dat format")
 	// ErrWedged is returned by writes after an earlier I/O failure:
 	// the in-memory heap and the log may disagree by the failed
 	// operation, so the store refuses further writes until it is
@@ -68,9 +82,9 @@ const (
 const MaxRecord = 64 << 20
 
 const (
-	logMagic  = "UQWALOG1" // 8 bytes, followed by 8B BE generation
-	snapMagic = "UQSNAP01"
-	headerLen = 16
+	logMagic      = "UQWALOG1" // 8 bytes, followed by 8B BE generation
+	manifestMagic = "UQMANIF1"
+	headerLen     = 16
 	// frameHdrLen is the per-frame prefix: 4B BE payload length +
 	// 4B BE CRC32 (IEEE) of the payload.
 	frameHdrLen = 8
@@ -86,39 +100,36 @@ type record struct {
 	row     value.Row
 }
 
-// appendFrame wraps payload in a frame: length, checksum, payload.
-func appendFrame(dst, payload []byte) []byte {
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+// finishFrame fills in the header of a frame built in place — the
+// frameHdrLen bytes the payload was appended after: payload length,
+// then the payload's checksum.
+func finishFrame(frame []byte) []byte {
+	payload := frame[frameHdrLen:]
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return frame
 }
 
-// encodeDDL builds a recDDL payload.
-func encodeDDL(version uint64, sql string) []byte {
-	out := make([]byte, 0, 1+8+len(sql))
-	out = append(out, recDDL)
-	out = binary.BigEndian.AppendUint64(out, version)
-	return append(out, sql...)
+// appendDDL appends a recDDL payload to dst.
+func appendDDL(dst []byte, version uint64, sql string) []byte {
+	dst = append(dst, recDDL)
+	dst = binary.BigEndian.AppendUint64(dst, version)
+	return append(dst, sql...)
 }
 
-// encodeInsert builds a recInsert payload.
-func encodeInsert(table string, row value.Row) []byte {
-	out := make([]byte, 0, 1+len(table)+16*len(row))
-	out = append(out, recInsert)
-	out = binary.AppendUvarint(out, uint64(len(table)))
-	out = append(out, table...)
-	out = appendRow(out, row)
-	return out
+// appendInsert appends a recInsert payload to dst.
+func appendInsert(dst []byte, table string, row value.Row) []byte {
+	dst = append(dst, recInsert)
+	dst = binary.AppendUvarint(dst, uint64(len(table)))
+	dst = append(dst, table...)
+	return appendRow(dst, row)
 }
 
-// encodeCheckpoint builds a recCheckpoint payload.
-func encodeCheckpoint(gen, version uint64) []byte {
-	out := make([]byte, 0, 1+16)
-	out = append(out, recCheckpoint)
-	out = binary.BigEndian.AppendUint64(out, gen)
-	return binary.BigEndian.AppendUint64(out, version)
+// appendCheckpoint appends a recCheckpoint payload to dst.
+func appendCheckpoint(dst []byte, gen, version uint64) []byte {
+	dst = append(dst, recCheckpoint)
+	dst = binary.BigEndian.AppendUint64(dst, gen)
+	return binary.BigEndian.AppendUint64(dst, version)
 }
 
 // decodeRecord parses one frame payload.
@@ -169,7 +180,8 @@ const (
 	vBool = 3
 )
 
-// appendRow encodes a row: a count followed by self-describing cells.
+// appendRow encodes a row: a count followed by self-describing cells;
+// integers are zigzag varints, so a small key costs two bytes, not nine.
 func appendRow(dst []byte, row value.Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	for _, v := range row {
@@ -178,7 +190,7 @@ func appendRow(dst []byte, row value.Row) []byte {
 			dst = append(dst, vNull)
 		case v.Kind() == value.KindInt:
 			dst = append(dst, vInt)
-			dst = binary.BigEndian.AppendUint64(dst, uint64(v.AsInt()))
+			dst = binary.AppendVarint(dst, v.AsInt())
 		case v.Kind() == value.KindString:
 			s := v.AsString()
 			dst = append(dst, vStr)
@@ -213,11 +225,12 @@ func decodeRow(b []byte) (value.Row, []byte, error) {
 		case vNull:
 			row = append(row, value.Value{})
 		case vInt:
-			if len(b) < 8 {
+			i, isz := binary.Varint(b)
+			if isz <= 0 {
 				return nil, nil, fmt.Errorf("%w: int cell truncated", ErrCorrupt)
 			}
-			row = append(row, value.Int(int64(binary.BigEndian.Uint64(b[:8]))))
-			b = b[8:]
+			row = append(row, value.Int(i))
+			b = b[isz:]
 		case vStr:
 			l, lsz := binary.Uvarint(b)
 			if lsz <= 0 || uint64(len(b)-lsz) < l {

@@ -25,7 +25,7 @@ func TestKill9Child(t *testing.T) {
 	if os.Getenv("WAL_CRASH_CHILD") != "1" || dir == "" {
 		t.Skip("subprocess body; driven by TestKill9Recovery")
 	}
-	s, err := Open(dir, Options{CheckpointEvery: 64})
+	s, err := Open(dir, Options{CheckpointEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,9 @@ func TestKill9Recovery(t *testing.T) {
 		t.Skip("cannot find test binary:", err)
 	}
 	// Kill after different ack counts so the death lands in different
-	// phases: early log, around the CheckpointEvery=64 compaction,
-	// and deep into a later generation.
+	// phases: in the first log, a few seals in (CheckpointEvery=16, so
+	// the 60th ack is in the fourth generation), and with nine sealed
+	// generations to replay in order before the live one.
 	for _, killAfter := range []int{3, 60, 150} {
 		t.Run(fmt.Sprintf("killAfter%d", killAfter), func(t *testing.T) {
 			dir := t.TempDir()
@@ -151,6 +152,10 @@ func TestKill9Recovery(t *testing.T) {
 			}
 			if err := re.Sync(); err != nil {
 				t.Fatalf("sync after recovery: %v", err)
+			}
+			// One DDL record and one per ack, sixteen to a generation.
+			if got, want := re.Generation(), uint64((1+acks)/16+1); got < want {
+				t.Errorf("generation %d live after %d acks, want at least %d: the run crossed no seal", got, acks, want)
 			}
 			t.Logf("killed after %d acks; recovered %d rows (stats: %s)", acks, len(rows), re.Stats())
 		})

@@ -31,7 +31,9 @@ const (
 	FaultSync = "wal.sync"
 	// FaultCheckpointNewLog / FaultCheckpointSnapshot /
 	// FaultCheckpointRename fail the three stages of the checkpoint
-	// protocol; all leave the previous generation intact.
+	// protocol — creating the next log, writing the manifest's temp
+	// file, renaming it into place; all leave the previous generation
+	// live.
 	FaultCheckpointNewLog   = "wal.checkpoint.newlog"
 	FaultCheckpointSnapshot = "wal.checkpoint.snapshot"
 	FaultCheckpointRename   = "wal.checkpoint.rename"
@@ -51,7 +53,8 @@ type logFile struct {
 	bw    *bufio.Writer
 	path  string
 	gen   uint64
-	dirty bool // bytes appended since the last sync
+	dirty bool   // bytes appended since the last sync
+	buf   []byte // the frame being built; one writer, under Store.mu
 }
 
 // newLogWriter sizes the append buffer: large enough to group-commit
@@ -101,16 +104,25 @@ func createLog(dir string, gen uint64) (*logFile, error) {
 	return l, nil
 }
 
-// append frames payload into the buffer. The record is durable only
-// after a later sync. Fault points model the three ways a disk lies:
-// clean failure, torn write, silent corruption.
-func (l *logFile) append(payload []byte) error {
+// frame returns the log's scratch buffer holding an empty frame header
+// for the caller to append one record's payload to and hand to append:
+// header and payload are built in one buffer the log reuses.
+func (l *logFile) frame() []byte { return append(l.buf[:0], make([]byte, frameHdrLen)...) }
+
+// append completes the frame built on l.frame() and moves it into the
+// write buffer. The record is durable only after a later sync. Fault
+// points model the three ways a disk lies: clean failure, torn write,
+// silent corruption.
+func (l *logFile) append(frame []byte) error {
+	if cap(frame) <= 1<<16 {
+		l.buf = frame // keep what it grew to, unless one huge row grew it
+	}
 	if err := fault.Point(FaultAppend); err != nil {
 		return fmt.Errorf("wal: append %s: %w", l.path, err)
 	}
-	frame := appendFrame(nil, payload)
-	if len(payload) > 0 && fault.Fires(FaultAppendCorrupt) {
-		frame[frameHdrLen+len(payload)/2] ^= 0x40
+	finishFrame(frame)
+	if fault.Fires(FaultAppendCorrupt) {
+		frame[frameHdrLen+(len(frame)-frameHdrLen)/2] ^= 0x40
 	}
 	if fault.Fires(FaultAppendShort) {
 		// Tear the frame: bypass the buffer so exactly half the bytes

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -19,8 +20,9 @@ import (
 
 // Options tune a WAL store.
 type Options struct {
-	// CheckpointEvery compacts the log into a snapshot after this
-	// many appended records (0 = only on explicit Checkpoint calls).
+	// CheckpointEvery seals the live log and starts the next
+	// generation after this many appended records (0 = only on
+	// explicit Checkpoint calls).
 	CheckpointEvery int
 }
 
@@ -28,6 +30,9 @@ type Options struct {
 var DefaultOptions = Options{CheckpointEvery: 1 << 16}
 
 // RecoveryStats reports what Recover did, for operators and tests.
+// SnapshotTables and SnapshotRows count what the sealed generations
+// supplied — the state as of the last checkpoint — and ReplayedDDL and
+// ReplayedRows what the live log added since.
 type RecoveryStats struct {
 	Generation     uint64
 	SnapshotTables int
@@ -41,7 +46,7 @@ type RecoveryStats struct {
 
 // String renders the stats the way uniqoptd logs them.
 func (st RecoveryStats) String() string {
-	return fmt.Sprintf("gen %d: snapshot %d tables/%d rows, replayed %d DDL/%d rows, torn tail %v (%d bytes), %s",
+	return fmt.Sprintf("gen %d: sealed %d tables/%d rows, replayed %d DDL/%d rows, torn tail %v (%d bytes), %s",
 		st.Generation, st.SnapshotTables, st.SnapshotRows, st.ReplayedDDL, st.ReplayedRows,
 		st.TornTail, st.TornBytes, st.Duration.Round(time.Microsecond))
 }
@@ -69,8 +74,9 @@ type Store struct {
 	state   int
 	wedged  error
 	log     *logFile
-	gen     uint64
-	appends int // records since the last checkpoint
+	gen     uint64   // the live generation
+	sealed  []uint64 // the generations before it, in replay order
+	appends int      // records since the last checkpoint
 	stats   RecoveryStats
 }
 
@@ -115,20 +121,24 @@ func (s *Store) Stats() RecoveryStats {
 	return s.stats
 }
 
-// Generation reports the live (snapshot, log) generation.
+// Generation reports the live generation: wal-<Generation()>.log is the
+// log appends go to.
 func (s *Store) Generation() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.gen
 }
 
-// Recover replays persisted state into the heap: snapshot first,
-// then the matching log, every row through the same
+// Recover replays persisted state into the heap: the sealed
+// generations in order, then the live log, every row through the same
 // constraint-enforcing insert path live writes use — so recovery
 // re-proves the valid-instance invariant instead of assuming it. A
-// torn tail (crash residue past the last complete frame) is
-// truncated; interior corruption aborts with a typed error and the
-// store stays in the recovering state, readable but write-refusing.
+// torn tail of the live log (crash residue past the last complete
+// frame) is truncated; a sealed log that ends torn, interior
+// corruption anywhere, a log the manifest names and the directory
+// lacks, and a directory in the old snapshot format abort with a typed
+// error and the store stays in the recovering state, readable but
+// write-refusing.
 func (s *Store) Recover() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -140,7 +150,11 @@ func (s *Store) Recover() error {
 	}
 	start := time.Now()
 
-	snap, err := loadSnapshot(s.dir)
+	old := filepath.Join(s.dir, oldSnapshotName)
+	if _, err := os.Stat(old); err == nil {
+		return fmt.Errorf("%w: %s", ErrOldFormat, old)
+	}
+	m, err := loadManifest(s.dir)
 	if err != nil {
 		return err
 	}
@@ -148,88 +162,68 @@ func (s *Store) Recover() error {
 	if err != nil {
 		return err
 	}
-	// Leftover snapshot temp files are failed checkpoint attempts;
-	// the live snapshot is authoritative.
+	// Leftover manifest temp files are failed checkpoint attempts; the
+	// live manifest is authoritative.
 	for _, tmp := range tmps {
 		os.Remove(filepath.Join(s.dir, tmp))
 	}
-
-	var stats RecoveryStats
-	switch {
-	case snap == nil && len(gens) == 0:
-		// Fresh directory: establish generation 1 (empty snapshot
-		// first, then its log — the order every crash window of the
-		// checkpoint protocol assumes).
-		s.gen = 1
-		if err := writeSnapshot(s.dir, 1, s.heap); err != nil {
+	if m == nil {
+		// No manifest: a fresh directory, or a first open that crashed
+		// between creating wal-1.log and naming it. Anything else means
+		// the manifest was lost.
+		if len(gens) > 1 || (len(gens) == 1 && gens[0] != 1) {
+			return fmt.Errorf("%w: no %s, have logs %v", ErrMissingGeneration, manifestName, gens)
+		}
+		if len(gens) == 0 {
+			if s.log, err = createLog(s.dir, 1); err != nil {
+				return err
+			}
+			gens = []uint64{1}
+		}
+		m = &manifest{live: 1, version: s.heap.Catalog().Version()}
+		if _, err := writeManifest(s.dir, *m); err != nil {
 			return err
 		}
-	case snap == nil:
-		// A log without its snapshot: only tolerable at generation 1,
-		// where the base state is empty by construction.
-		if len(gens) != 1 || gens[0] != 1 {
-			return fmt.Errorf("%w: have logs %v", ErrMissingSnapshot, gens)
-		}
-		s.gen = 1
-	default:
-		if err := s.applySnapshot(snap, &stats); err != nil {
-			return err
-		}
-		s.gen = snap.gen
 	}
+	s.gen, s.sealed = m.live, m.sealed
 
-	// Stale generations are crash residue of the checkpoint
-	// protocol: a new log whose snapshot never landed, or an old log
-	// whose deletion never happened.
+	// A log the manifest names must be there. One it does not name is
+	// crash residue of a checkpoint that never committed: the next
+	// generation's log, whose manifest never landed.
+	named := append(slices.Clone(m.sealed), m.live)
+	for _, g := range named {
+		if _, ok := slices.BinarySearch(gens, g); !ok {
+			return fmt.Errorf("%w: %s names %s", ErrMissingGeneration, manifestName, walName(g))
+		}
+	}
 	for _, g := range gens {
-		if g != s.gen {
+		if _, ok := slices.BinarySearch(named, g); !ok {
 			if err := os.Remove(walPath(s.dir, g)); err != nil {
 				return err
 			}
 		}
 	}
 
-	path := walPath(s.dir, s.gen)
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		// Crash between snapshot creation and log creation; nothing
-		// was appendable yet, so an empty log completes the pair.
-		l, err := createLog(s.dir, s.gen)
-		if err != nil {
-			return err
-		}
-		s.log = l
-	} else {
-		outcome, err := scanLog(path, s.gen, func(rec record) error {
-			return s.replayRecord(rec, &stats)
+	var stats RecoveryStats
+	for _, g := range m.sealed {
+		// Sealed means fsynced in full before the manifest named it so:
+		// nothing about it may be torn.
+		path := walPath(s.dir, g)
+		outcome, err := scanLog(path, g, func(rec record) error {
+			return s.replayRecord(rec, g, &stats.SnapshotTables, &stats.SnapshotRows)
 		})
 		if err != nil {
 			return err
 		}
 		if outcome.torn {
-			// Crash residue past the last complete frame: records
-			// there were never sync-acknowledged, so truncation loses
-			// nothing that was promised. (If the creation itself was
-			// torn, rewrite the header too.)
-			if err := truncateLog(path, max64(outcome.goodSize, 0)); err != nil {
-				return err
-			}
-			if outcome.goodSize < headerLen {
-				os.Remove(path)
-				l, err := createLog(s.dir, s.gen)
-				if err != nil {
-					return err
-				}
-				s.log = l
-			}
-			stats.TornTail = true
-			stats.TornBytes = outcome.tornBytes
+			return fmt.Errorf("%w: sealed %s ends in a torn frame at offset %d", ErrCorrupt, path, outcome.goodSize)
 		}
-		if s.log == nil {
-			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return err
-			}
-			s.log = &logFile{f: f, bw: newLogWriter(f), path: path, gen: s.gen}
+	}
+	s.heap.Catalog().RestoreVersion(m.version)
+
+	if s.log == nil { // else created above, empty
+		if err := s.openLive(&stats); err != nil {
+			return err
 		}
 	}
 
@@ -240,39 +234,44 @@ func (s *Store) Recover() error {
 	return nil
 }
 
-// applySnapshot replays a snapshot's DDL and rows into the heap and
-// restores the catalog version it recorded, so verdict-cache keys
-// minted before the crash stay distinct from post-restart schemas.
-func (s *Store) applySnapshot(snap *snapshot, stats *RecoveryStats) error {
-	for i, ddl := range snap.ddl {
-		ct, err := parseCreate(ddl)
-		if err != nil {
-			return fmt.Errorf("%w: snapshot DDL %d: %v", ErrSnapshotCorrupt, i, err)
-		}
-		if _, err := s.heap.ApplyDDL(ddl, ct); err != nil {
-			return fmt.Errorf("%w: snapshot DDL %d: %v", ErrSnapshotCorrupt, i, err)
-		}
-		stats.SnapshotTables++
+// openLive replays the live log, cuts off a torn tail and opens the
+// file for appending.
+func (s *Store) openLive(stats *RecoveryStats) error {
+	path := walPath(s.dir, s.gen)
+	outcome, err := scanLog(path, s.gen, func(rec record) error {
+		return s.replayRecord(rec, s.gen, &stats.ReplayedDDL, &stats.ReplayedRows)
+	})
+	if err != nil {
+		return err
 	}
-	for i, rows := range snap.rows {
-		table := ""
-		if i < len(snap.ddl) {
-			ct, _ := parseCreate(snap.ddl[i])
-			table = ct.Name
-		}
-		for _, row := range rows {
-			if err := s.heap.Insert(table, row); err != nil {
-				return fmt.Errorf("%w: snapshot table %s: %v", ErrReplay, table, err)
+	if outcome.torn {
+		// Crash residue past the last complete frame: records there
+		// were never sync-acknowledged, so truncation loses nothing
+		// that was promised.
+		stats.TornTail, stats.TornBytes = true, outcome.tornBytes
+		if outcome.goodSize < headerLen {
+			// The creation itself was torn: write the header again.
+			if err := os.Remove(path); err != nil {
+				return err
 			}
-			stats.SnapshotRows++
+			s.log, err = createLog(s.dir, s.gen)
+			return err
+		}
+		if err := truncateLog(path, outcome.goodSize); err != nil {
+			return err
 		}
 	}
-	s.heap.Catalog().RestoreVersion(snap.version)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	s.log = &logFile{f: f, bw: newLogWriter(f), path: path, gen: s.gen}
 	return nil
 }
 
-// replayRecord applies one log record through the live write paths.
-func (s *Store) replayRecord(rec record, stats *RecoveryStats) error {
+// replayRecord applies one record of log generation gen through the
+// live write paths, counting it in *ddl or *rows.
+func (s *Store) replayRecord(rec record, gen uint64, ddl, rows *int) error {
 	switch rec.kind {
 	case recDDL:
 		ct, err := parseCreate(rec.sql)
@@ -283,15 +282,16 @@ func (s *Store) replayRecord(rec record, stats *RecoveryStats) error {
 			return fmt.Errorf("%w: DDL %q: %v", ErrReplay, rec.sql, err)
 		}
 		s.heap.Catalog().RestoreVersion(rec.version)
-		stats.ReplayedDDL++
+		*ddl++
 	case recInsert:
-		if err := s.heap.Insert(rec.table, rec.row); err != nil {
+		// The decoder built the row for this record: the heap keeps it.
+		if err := s.heap.InsertOwned(rec.table, rec.row); err != nil {
 			return fmt.Errorf("%w: %v", ErrReplay, err)
 		}
-		stats.ReplayedRows++
+		*rows++
 	case recCheckpoint:
-		if rec.gen != s.gen {
-			return fmt.Errorf("%w: checkpoint record names generation %d in log %d", ErrCorrupt, rec.gen, s.gen)
+		if rec.gen != gen {
+			return fmt.Errorf("%w: checkpoint record names generation %d in log %d", ErrCorrupt, rec.gen, gen)
 		}
 	}
 	return nil
@@ -332,7 +332,7 @@ func (s *Store) ApplyDDL(sql string, ct *ast.CreateTable) (*catalog.Table, error
 	if err != nil {
 		return nil, err
 	}
-	if err := s.log.append(encodeDDL(s.heap.Catalog().Version(), sql)); err != nil {
+	if err := s.log.append(appendDDL(s.log.frame(), s.heap.Catalog().Version(), sql)); err != nil {
 		s.wedge(err)
 		return nil, err
 	}
@@ -347,28 +347,43 @@ func (s *Store) ApplyDDL(sql string, ct *ast.CreateTable) (*catalog.Table, error
 // Insert validates the row against every constraint (the heap path),
 // then logs it. The row is durable — and may be acknowledged —
 // after the next Sync; batching appends between syncs is the group
-// commit that keeps bulk loads off the fsync floor.
+// commit that keeps bulk loads off the fsync floor. The heap stores a
+// copy: the caller may reuse its slice.
 func (s *Store) Insert(table string, row value.Row) error {
+	return s.insert(table, row, (*storage.Table).Insert)
+}
+
+// InsertOwned is Insert for a row the caller built for this call and
+// hands over: the heap keeps the slice itself.
+func (s *Store) InsertOwned(table string, row value.Row) error {
+	return s.insert(table, row, (*storage.Table).InsertOwned)
+}
+
+func (s *Store) insert(table string, row value.Row, heapInsert func(*storage.Table, value.Row) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writable(); err != nil {
 		return err
 	}
+	t, ok := s.heap.Table(table)
+	if !ok {
+		return fmt.Errorf("storage: unknown table %s", table)
+	}
 	// Heap first: it enforces the constraints, and a row the heap
 	// refuses must never reach the log (replay would refuse it too).
 	// The crash window between heap and log loses only rows that
 	// were never acknowledged.
-	if err := s.heap.Insert(table, row); err != nil {
+	if err := heapInsert(t, row); err != nil {
 		return err
 	}
-	if err := s.log.append(encodeInsert(s.heap.MustTable(table).Schema.Name, row)); err != nil {
+	if err := s.log.append(appendInsert(s.log.frame(), t.Schema.Name, row)); err != nil {
 		s.wedge(err)
 		return err
 	}
 	s.appends++
 	if s.opts.CheckpointEvery > 0 && s.appends >= s.opts.CheckpointEvery {
-		// Opportunistic compaction; a failed attempt leaves the
-		// current generation intact and is retried on a later write.
+		// Opportunistic checkpoint; a failed attempt leaves the
+		// current generation live and is retried on a later write.
 		if err := s.checkpointLocked(); err != nil && s.wedged != nil {
 			return err
 		}
@@ -394,7 +409,11 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Checkpoint compacts the log into a fresh snapshot generation.
+// Checkpoint seals the live log and starts the next generation. It
+// rewrites no row: what it bounds is the one file that is open for
+// write and may end torn after a crash — everything sealed is complete,
+// fsynced and never touched again. It does not shorten a restart, which
+// re-inserts every row either way.
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,16 +425,15 @@ func (s *Store) Checkpoint() error {
 
 // checkpointLocked runs the generation handoff under s.mu:
 //
-//  1. fsync the current log (the snapshot must cover everything the
-//     log does, and more);
+//  1. fsync the live log wal-G.log: from here on it is complete;
 //  2. create and fsync wal-(G+1).log with its checkpoint marker;
-//  3. write snapshot generation G+1 (temp + fsync + atomic rename +
-//     dir fsync) — the commit point of the checkpoint;
-//  4. retire wal-G.log.
+//  3. write the manifest naming G sealed and G+1 live (temp + fsync +
+//     atomic rename + dir fsync) — the commit point of the checkpoint.
 //
-// A crash or failure before step 3's rename leaves generation G
-// authoritative (the stray new log is deleted at recovery); after
-// it, generation G+1. No window loses acknowledged records.
+// A crash or failure before step 3's rename leaves generation G live
+// (the stray new log is deleted at recovery); after it, G is sealed
+// and G+1 live. No window loses acknowledged records, and no step
+// writes a row again.
 func (s *Store) checkpointLocked() error {
 	if s.log.dirty {
 		if err := s.log.sync(); err != nil {
@@ -435,23 +453,31 @@ func (s *Store) checkpointLocked() error {
 		os.Remove(newLog.path)
 		return err
 	}
-	if err := newLog.append(encodeCheckpoint(s.gen+1, s.heap.Catalog().Version())); err != nil {
+	version := s.heap.Catalog().Version()
+	if err := newLog.append(appendCheckpoint(newLog.frame(), s.gen+1, version)); err != nil {
 		return abort(err)
 	}
 	if err := newLog.sync(); err != nil {
 		return abort(err)
 	}
-	if err := writeSnapshot(s.dir, s.gen+1, s.heap); err != nil {
+	sealed := append(s.sealed, s.gen)
+	renamed, err := writeManifest(s.dir, manifest{live: s.gen + 1, sealed: sealed, version: version})
+	if !renamed {
 		return abort(err)
 	}
-	// Commit point passed: snapshot.dat names generation G+1.
+	// Commit point passed: MANIFEST names generation G+1 live.
 	old := s.log
-	s.log = newLog
+	s.log, s.sealed = newLog, sealed
 	s.gen++
 	s.appends = 0
-	old.f.Close()       // already synced in step 1; nothing buffered
-	os.Remove(old.path) // best-effort; recovery deletes stale logs too
-	return nil
+	old.f.Close() // synced in step 1, nothing buffered; sealed from here on
+	if err != nil {
+		// The rename happened but the directory fsync did not: which
+		// manifest a crash would leave is unknown, so nothing more may
+		// be acknowledged until a reopen has read the answer.
+		s.wedge(err)
+	}
+	return err
 }
 
 // Close makes everything acknowledged durable and releases the log
@@ -476,8 +502,8 @@ func (s *Store) Close() error {
 	return s.log.close()
 }
 
-// scanDir lists the wal generations and leftover snapshot temp files
-// in dir.
+// scanDir lists the wal generations, ascending, and leftover manifest
+// temp files in dir.
 func scanDir(dir string) (gens []uint64, tmps []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -487,10 +513,11 @@ func scanDir(dir string) (gens []uint64, tmps []string, err error) {
 		if g, ok := parseWalName(e.Name()); ok {
 			gens = append(gens, g)
 		}
-		if strings.HasPrefix(e.Name(), "snapshot-") && strings.HasSuffix(e.Name(), ".tmp") {
+		if strings.HasPrefix(e.Name(), "manifest-") && strings.HasSuffix(e.Name(), ".tmp") {
 			tmps = append(tmps, e.Name())
 		}
 	}
+	slices.Sort(gens)
 	return gens, tmps, nil
 }
 
@@ -523,11 +550,4 @@ func parseCreate(sql string) (*ast.CreateTable, error) {
 		return nil, fmt.Errorf("statement is %T, not CREATE TABLE", st)
 	}
 	return ct, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

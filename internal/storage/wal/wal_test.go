@@ -2,9 +2,11 @@ package wal
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"uniqopt/internal/storage"
@@ -51,6 +53,41 @@ func seedSuppliers(t *testing.T, s *Store, n int) {
 	if err := s.Sync(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
+}
+
+// insertFrame is the complete log frame of one SUPPLIER insert, for
+// tests that forge or tear log bytes.
+func insertFrame(row value.Row) []byte {
+	return finishFrame(appendInsert(make([]byte, frameHdrLen), "SUPPLIER", row))
+}
+
+// dirFiles maps every file name in dir to its content.
+func dirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(raw)
+	}
+	return files
+}
+
+// fileNames lists dir, sorted.
+func fileNames(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	for name := range dirFiles(t, dir) {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 func supplierRows(s *Store) []value.Row {
@@ -125,7 +162,7 @@ func TestTornTailTruncated(t *testing.T) {
 
 	// Crash residue: a frame whose payload never finished landing.
 	path := walPath(dir, 1)
-	full := appendFrame(nil, encodeInsert("SUPPLIER", value.Row{value.Int(50), value.String_("S"), value.Int(0)}))
+	full := insertFrame(value.Row{value.Int(50), value.String_("S"), value.Int(0)})
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +231,7 @@ func TestInteriorCorruptionRejected(t *testing.T) {
 	re.Close()
 }
 
-func TestSnapshotCorruptionRejected(t *testing.T) {
+func TestManifestCorruptionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := openReady(t, dir)
 	seedSuppliers(t, s, 3)
@@ -205,23 +242,39 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, snapName)
+	path := filepath.Join(dir, manifestName)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x80
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	for _, flip := range []int{len(manifestMagic) + 7, len(raw) / 2, len(raw) - 1} {
+		bad := append([]byte(nil), raw...)
+		bad[flip] ^= 0x80
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Recover(); !errors.Is(err, ErrManifestCorrupt) {
+			t.Errorf("byte %d flipped: recover: got %v, want ErrManifestCorrupt", flip, err)
+		}
+		re.Close()
 	}
-
-	re, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if err := re.Recover(); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("recover: got %v, want ErrSnapshotCorrupt", err)
+	// Truncated below its fixed part, and cut mid-list.
+	for _, cut := range []int{len(manifestMagic) + 3, len(raw) - 8} {
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := re.Recover(); !errors.Is(err, ErrManifestCorrupt) {
+			t.Errorf("cut to %d bytes: recover: got %v, want ErrManifestCorrupt", cut, err)
+		}
+		re.Close()
 	}
 }
 
@@ -235,8 +288,9 @@ func TestCheckpointRotatesGeneration(t *testing.T) {
 	if got := s.Generation(); got != 2 {
 		t.Fatalf("generation: got %d want 2", got)
 	}
-	if _, err := os.Stat(walPath(dir, 1)); !os.IsNotExist(err) {
-		t.Error("wal-1.log should be deleted after checkpoint")
+	sealed, err := os.ReadFile(walPath(dir, 1))
+	if err != nil {
+		t.Fatalf("wal-1.log should stay, sealed, after the checkpoint: %v", err)
 	}
 	// Writes continue into the new generation.
 	if err := s.Insert("SUPPLIER", value.Row{value.Int(100), value.String_("S"), value.Int(1)}); err != nil {
@@ -252,11 +306,19 @@ func TestCheckpointRotatesGeneration(t *testing.T) {
 		t.Fatalf("recovered %d rows, want 9", got)
 	}
 	st := re.Stats()
-	if st.SnapshotRows != 8 || st.ReplayedRows != 1 || st.SnapshotTables != 1 {
-		t.Errorf("stats: %+v (want 8 snapshot rows, 1 replayed)", st)
+	if st.SnapshotRows != 8 || st.ReplayedRows != 1 || st.SnapshotTables != 1 || st.ReplayedDDL != 0 {
+		t.Errorf("stats: %+v (want 1 table and 8 rows from the sealed generation, 1 row replayed)", st)
 	}
 	if st.Generation != 2 {
 		t.Errorf("generation: got %d want 2", st.Generation)
+	}
+	// A sealed log is never written again: not by the appends after the
+	// checkpoint, not by Close, not by recovery.
+	if after, err := os.ReadFile(walPath(dir, 1)); err != nil || string(after) != string(sealed) {
+		t.Errorf("wal-1.log changed after it was sealed (err %v)", err)
+	}
+	if got, want := fileNames(t, dir), []string{manifestName, walName(1), walName(2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("directory holds %v, want %v", got, want)
 	}
 }
 
@@ -293,10 +355,10 @@ func TestReplayRejectsConstraintViolations(t *testing.T) {
 
 	// Forge a duplicate-key insert as a perfectly well-formed frame:
 	// only the constraint replay can catch it.
-	dup := appendFrame(nil, encodeInsert("SUPPLIER", value.Row{value.Int(1), value.String_("S"), value.Int(1)}))
+	dup := insertFrame(value.Row{value.Int(1), value.String_("S"), value.Int(1)})
 	// Follow it with another valid frame so it is not mistaken for a
 	// torn tail.
-	more := appendFrame(nil, encodeInsert("SUPPLIER", value.Row{value.Int(9), value.String_("S"), value.Int(1)}))
+	more := insertFrame(value.Row{value.Int(9), value.String_("S"), value.Int(1)})
 	f, err := os.OpenFile(walPath(dir, 1), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -324,11 +386,13 @@ func TestStaleGenerationsDeleted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Crash residue of a checkpoint that never committed: a stray
-	// next-generation log and a snapshot temp file.
-	if _, err := createLog(dir, 2); err != nil {
+	// next-generation log and a manifest temp file.
+	stray, err := createLog(dir, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot-123.tmp"), []byte("junk"), 0o644); err != nil {
+	stray.f.Close()
+	if err := os.WriteFile(filepath.Join(dir, "manifest-123.tmp"), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -340,14 +404,17 @@ func TestStaleGenerationsDeleted(t *testing.T) {
 	if _, err := os.Stat(walPath(dir, 2)); !os.IsNotExist(err) {
 		t.Error("stale wal-2.log survived recovery")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot-123.tmp")); !os.IsNotExist(err) {
-		t.Error("snapshot temp file survived recovery")
+	if _, err := os.Stat(filepath.Join(dir, "manifest-123.tmp")); !os.IsNotExist(err) {
+		t.Error("manifest temp file survived recovery")
+	}
+	if got := re.Generation(); got != 1 {
+		t.Errorf("generation %d after an uncommitted checkpoint, want 1", got)
 	}
 }
 
 func TestValueCodecRoundTrip(t *testing.T) {
 	rows := []value.Row{
-		{value.Int(0), value.Int(-1), value.Int(1<<62 + 7)},
+		{value.Int(0), value.Int(-1), value.Int(1<<62 + 7), value.Int(math.MinInt64), value.Int(math.MaxInt64), value.Int(63), value.Int(64)},
 		{value.String_(""), value.String_("héllo, wörld"), value.String_("with\x00nul")},
 		{value.Bool(true), value.Bool(false), value.Value{}},
 		{},
@@ -379,11 +446,11 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 	encode := func(r record) []byte {
 		switch r.kind {
 		case recDDL:
-			return encodeDDL(r.version, r.sql)
+			return appendDDL(nil, r.version, r.sql)
 		case recInsert:
-			return encodeInsert(r.table, r.row)
+			return appendInsert(nil, r.table, r.row)
 		default:
-			return encodeCheckpoint(r.gen, r.version)
+			return appendCheckpoint(nil, r.gen, r.version)
 		}
 	}
 	for i, want := range recs {

@@ -288,6 +288,21 @@ func NullEqRows(a, b Row) bool {
 	return true
 }
 
+// NullEqCols is NullEqRows over the projections of a on acols and b on
+// bcols, without building either: constraint checks compare key columns
+// where they lie in the rows.
+func NullEqCols(a Row, acols []int, b Row, bcols []int) bool {
+	if len(acols) != len(bcols) {
+		return false
+	}
+	for i, c := range acols {
+		if !NullEq(a[c], b[bcols[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
 // OrderCompareRows compares rows lexicographically with OrderCompare.
 func OrderCompareRows(a, b Row) int {
 	n := len(a)
@@ -314,6 +329,18 @@ func HashRow(r Row) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range r {
 		h = (h ^ v.Hash()) * prime64
+	}
+	return h
+}
+
+// HashCols is HashRow of the projection of r on cols, without building
+// it. The two must agree: a key hashed in place is looked up by its
+// projection and the other way round.
+func HashCols(r Row, cols []int) uint64 {
+	const prime64 = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, c := range cols {
+		h = (h ^ r[c].Hash()) * prime64
 	}
 	return h
 }

@@ -270,3 +270,39 @@ func TestHashRowProperty(t *testing.T) {
 		}
 	}
 }
+
+// Constraint checks hash and compare key columns where they lie in the
+// row; lookups by a projected key hash the projection. The two
+// spellings must agree for every column list, or a key filed one way is
+// not found the other way.
+func TestColumnListVariantsAgreeWithProjection(t *testing.T) {
+	rows := []Row{
+		{Int(1), String_("a"), Null, Bool(true), Int(-7)},
+		{Int(1), String_("a"), Null, Bool(false), Int(-7)},
+		{Null, Null, Null, Null, Null},
+		{String_(""), Int(0), Bool(false), Null, String_("a")},
+	}
+	lists := [][]int{{}, {0}, {4}, {0, 1}, {1, 0}, {2, 3}, {4, 2, 0}, {0, 1, 2, 3, 4}, {3, 3}}
+	project := func(r Row, cols []int) Row {
+		out := make(Row, len(cols))
+		for i, c := range cols {
+			out[i] = r[c]
+		}
+		return out
+	}
+	for _, a := range rows {
+		for _, cols := range lists {
+			if got, want := HashCols(a, cols), HashRow(project(a, cols)); got != want {
+				t.Errorf("HashCols(%s, %v) = %#x, HashRow of the projection = %#x", a, cols, got, want)
+			}
+			for _, b := range rows {
+				for _, bcols := range lists {
+					got := NullEqCols(a, cols, b, bcols)
+					if want := NullEqRows(project(a, cols), project(b, bcols)); got != want {
+						t.Errorf("NullEqCols(%s, %v, %s, %v) = %v, NullEqRows of the projections = %v", a, cols, b, bcols, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -121,8 +121,8 @@ func OpenWith(opts Options) *DB {
 
 // OpenPersistent opens (or creates) a crash-safe database in the data
 // directory dir: every DDL statement and inserted row goes through a
-// write-ahead log, compacted periodically into a snapshot, and a
-// restart replays the durable prefix through the same
+// write-ahead log, sealed periodically into a finished generation, and
+// a restart replays the durable prefix through the same
 // constraint-enforcing paths the live system uses. Recovery runs
 // before OpenPersistent returns; see OpenPersistentDeferred for the
 // server's listen-first variant. Call Sync to make recent inserts
@@ -175,8 +175,11 @@ func (d *DB) Recovering() bool { return d.store.Recovering() }
 // barrier. A no-op on the in-memory backend.
 func (d *DB) Sync() error { return d.store.Sync() }
 
-// Checkpoint compacts the write-ahead log into a snapshot, bounding
-// restart time. A no-op on the in-memory backend.
+// Checkpoint seals the live write-ahead log and starts the next
+// generation, which bounds the one file that is open for write and may
+// end torn after a crash. It rewrites no row and does not shorten a
+// restart (recovery re-inserts every row either way). A no-op on the
+// in-memory backend.
 func (d *DB) Checkpoint() error { return d.store.Checkpoint() }
 
 // Close flushes and fsyncs the backend and releases its files. The
@@ -241,7 +244,7 @@ func (d *DB) execInsert(ins *ast.Insert, hv map[string]value.Value) (int64, erro
 			}
 			row[i] = v
 		}
-		if err := d.store.Insert(ins.Table, row); err != nil {
+		if err := d.store.InsertOwned(ins.Table, row); err != nil {
 			return n, err
 		}
 		n++
@@ -283,13 +286,14 @@ func (d *DB) Insert(table string, values ...any) error {
 		}
 		row[i] = cv
 	}
-	return d.store.Insert(table, row)
+	return d.store.InsertOwned(table, row)
 }
 
 // InsertRow adds an already-typed row through the backend's
 // constraint-enforcing (and, when persistent, WAL-logged) insert
 // path. Loaders that copy rows between databases use this instead of
-// writing to Store() directly, so bulk loads survive a restart.
+// writing to Store() directly, so bulk loads survive a restart. The
+// database stores a copy: the caller may reuse row.
 func (d *DB) InsertRow(table string, row value.Row) error {
 	return d.store.Insert(table, row)
 }
