@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: all vet lint build test test-fault race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check bench-compare bench-tables ci clean
+.PHONY: all vet lint build test test-fault race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke fuzz-smoke benchmark-check bench-compare bench-tables ci clean
 
 all: ci
 
+# go vet, and gofmt: any tracked Go file outside testdata/ that gofmt
+# would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/'))"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt would rewrite:"; echo "$$unformatted"; exit 1; fi
 
 # uniqlint enforces the repo's semantic invariants (3VL comparisons,
 # Stats atomics, row aliasing, catalog version bumps, deterministic
@@ -40,15 +44,13 @@ explain-smoke:
 	$(GO) test -run 'TestExplain' .
 	$(GO) run ./cmd/benchrunner -exp explain -scale 0.3 -json BENCH_explain.json
 
-# Server smoke: the wire-protocol suite under the race detector —
-# sessions, prepared statements, admission control, DDL vs query
-# snapshots, shutdown drain, and the goroutine-leak checks for client
-# disconnect and daemon shutdown — then the load generator against an
-# in-process uniqoptd at 1 and 8 sessions, emitting the
-# machine-readable artifact BENCH_server.json alongside the table.
+# Server smoke: the wire-protocol suite under the race detector — the
+# frame codec against encoding/json, sessions, prepared statements,
+# admission control, DDL vs query snapshots, shutdown drain, and the
+# goroutine-leak checks for client disconnect and daemon shutdown. How
+# fast the wire path is, is the repository benchmark's wire_oltp.
 server-smoke:
 	$(GO) test -race ./internal/server/... ./cmd/uniqoptd ./cmd/sqlsh
-	$(GO) run ./cmd/benchrunner -exp server -scale 0.3 -sessions 1,8 -json BENCH_server.json
 
 # Planner smoke: the join-ordering, plan-cache, and access-path suite
 # under the race detector (including the concurrent DDL×EXEC stale-plan
@@ -76,6 +78,14 @@ crash-matrix:
 storage-smoke:
 	$(GO) test -run 'BothBackends' .
 	$(GO) run ./cmd/benchrunner -exp storage -scale 0.05 -json BENCH_storage.json
+
+# Fuzz smoke: ten seconds each of the two fuzz targets — the frame codec
+# against encoding/json and the SQL parser — beyond the seed corpora
+# tier-1 already runs. A fixed budget and no timing assertion; not part
+# of ci (a finding is a new input to look at, not a flaky build).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/parser/
 
 # Repository benchmark check: benchmark/ is a module of its own, outside
 # the root ./..., so nothing above builds it and an engine API change
@@ -108,4 +118,4 @@ bench-tables:
 ci: vet lint build test test-fault race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check
 
 clean:
-	rm -f BENCH_explain.json BENCH_server.json BENCH_storage.json BENCH_planner.json
+	rm -f BENCH_explain.json BENCH_storage.json BENCH_planner.json

@@ -4,20 +4,17 @@
 //
 // Usage:
 //
-//	benchrunner [-exp e1|e2|...|e9|planner|explain|server|storage|all] [-scale 1.0]
-//	            [-hash] [-trials N] [-sessions 1,8,64] [-json FILE]
+//	benchrunner [-exp e1|e2|...|e9|planner|explain|storage|all] [-scale 1.0]
+//	            [-hash] [-trials N] [-json FILE]
 //
 // -scale shrinks or grows the workload sizes; -hash runs E1's
 // hash-DISTINCT ablation; -trials overrides E8's corpus size; -json
 // additionally writes the tables as a JSON array to FILE. -exp explain
 // runs the observability experiment: EXPLAIN ANALYZE over the paper's
-// examples plus a metrics-registry summary. -exp server boots an
-// in-process uniqoptd and drives it with concurrent wire-protocol
-// clients at each -sessions level, reporting client-side p50/p99
-// latency and closed-loop throughput (not part of -exp all). -exp
-// storage compares the in-memory and write-ahead-log backends on the
-// same bulk load (group commit and fsync-per-insert ack disciplines)
-// and measures cold-start recovery (not part of -exp all).
+// examples plus a metrics-registry summary. -exp storage compares the
+// in-memory and write-ahead-log backends on the same bulk load (group
+// commit and fsync-per-insert ack disciplines) and measures cold-start
+// recovery (not part of -exp all).
 package main
 
 import (
@@ -25,26 +22,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"uniqopt/internal/bench"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: e1..e9, planner, explain, server, storage, or all")
+	exp := flag.String("exp", "all", "experiment to run: e1..e9, planner, explain, storage, or all")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	hash := flag.Bool("hash", false, "E1 ablation: hash-based DISTINCT instead of sort")
 	trials := flag.Int("trials", 0, "E8 corpus size (0 = default)")
-	sessionsFlag := flag.String("sessions", "1,8,64", "comma-separated session counts for -exp server")
 	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
 	flag.Parse()
-
-	sessions, err := parseSessions(*sessionsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchrunner: -sessions: %v\n", err)
-		os.Exit(2)
-	}
 
 	sc := bench.Scale{Factor: *scale}
 	var tables []*bench.Table
@@ -71,8 +60,6 @@ func main() {
 		tables = []*bench.Table{bench.EPlanner(sc)}
 	case "explain":
 		tables = []*bench.Table{bench.EExplain(sc)}
-	case "server":
-		tables = []*bench.Table{bench.EServer(sc, sessions)}
 	case "storage":
 		tables = []*bench.Table{bench.EStorage(sc)}
 	case "all":
@@ -102,24 +89,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// parseSessions turns "1,8,64" into session counts for -exp server.
-func parseSessions(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad session count %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no session counts in %q", s)
-	}
-	return out, nil
 }

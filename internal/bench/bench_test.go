@@ -302,29 +302,3 @@ func BenchmarkAnalyzerWarm(b *testing.B) {
 		}
 	}
 }
-
-func TestEServerShape(t *testing.T) {
-	tab := EServer(small, []int{1, 2})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d:\n%s", len(tab.Rows), tab.Format())
-	}
-	for i, want := range []int64{1, 2} {
-		if got := cellInt(t, tab, i, 0); got != want {
-			t.Errorf("row %d: sessions = %d, want %d", i, got, want)
-		}
-		ops := cellInt(t, tab, i, 1)
-		if ops != want*int64(small.size(200)) {
-			t.Errorf("row %d: ops = %d", i, ops)
-		}
-		if cellFloat(t, tab, i, 3) <= 0 {
-			t.Errorf("row %d: qps should be positive", i)
-		}
-		p50, p99 := cellFloat(t, tab, i, 4), cellFloat(t, tab, i, 5)
-		if p50 <= 0 || p99 < p50 {
-			t.Errorf("row %d: p50=%v p99=%v", i, p50, p99)
-		}
-		if cellInt(t, tab, i, 7) != 0 {
-			t.Errorf("row %d: errors = %d, want 0", i, cellInt(t, tab, i, 7))
-		}
-	}
-}

@@ -368,4 +368,3 @@ func RelativizeTo(dir string, findings []Finding) {
 		}
 	}
 }
-

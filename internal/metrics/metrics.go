@@ -119,8 +119,8 @@ type ShapeSnapshot struct {
 
 // CacheSnapshot reports analyzer-cache effectiveness.
 type CacheSnapshot struct {
-	Hits    int64 `json:"hits"`
-	Misses  int64 `json:"misses"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 	// HitRate is hits/(hits+misses) in [0,1]; 0 when no lookups ran.
 	HitRate float64 `json:"hit_rate"`
 }

@@ -31,7 +31,7 @@ func (e *AdmissionError) Error() string {
 // server's peak query memory is bounded by GlobalMemBudget.
 type admission struct {
 	mu            sync.Mutex
-	maxConcurrent int   // 0 = unlimited
+	maxConcurrent int // 0 = unlimited
 	inFlight      int
 	memBudget     int64 // 0 = unlimited
 	memInUse      int64

@@ -13,7 +13,7 @@
 package client
 
 import (
-	"encoding/json"
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -97,6 +97,7 @@ func (e *RemoteError) Is(target error) bool {
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
+	br     *bufio.Reader // responses: one read syscall per frame, not two
 	nextID uint64
 	info   ServerInfo
 	closed bool
@@ -114,7 +115,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn}
+	c := &Client{conn: conn, br: bufio.NewReader(conn)}
 	info, err := c.hello(opts)
 	if err != nil {
 		conn.Close()
@@ -211,11 +212,11 @@ func (c *Client) Prepare(name, sql string) error {
 // Exec runs a prepared statement with host-variable bindings (Go
 // values: int/int64, string, bool, nil).
 func (c *Client) Exec(name string, args map[string]any) (*Result, error) {
-	resp, err := c.roundTrip(&server.Request{Cmd: server.CmdExec, Name: name, Args: wireArgs(args)})
+	resp, err := c.roundTrip(&server.Request{Cmd: server.CmdExec, Name: name, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	return toResult(resp)
+	return toResult(resp), nil
 }
 
 // Query runs a one-shot statement: CREATE TABLE or a query. For DDL
@@ -226,11 +227,11 @@ func (c *Client) Query(sql string) (*Result, error) {
 
 // QueryArgs is Query with host-variable bindings.
 func (c *Client) QueryArgs(sql string, args map[string]any) (*Result, error) {
-	resp, err := c.roundTrip(&server.Request{Cmd: server.CmdQuery, SQL: sql, Args: wireArgs(args)})
+	resp, err := c.roundTrip(&server.Request{Cmd: server.CmdQuery, SQL: sql, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	return toResult(resp)
+	return toResult(resp), nil
 }
 
 // Explain returns the server's rendered plan tree, rewrites, and
@@ -257,7 +258,7 @@ func (c *Client) Close() error {
 	c.nextID++
 	_ = server.WriteFrame(c.conn, &server.Request{ID: c.nextID, Cmd: server.CmdClose})
 	var resp server.Response
-	_ = server.ReadFrame(c.conn, &resp)
+	_ = server.ReadFrame(c.br, &resp)
 	return c.conn.Close()
 }
 
@@ -288,7 +289,7 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 		return nil, fmt.Errorf("client: send: %w", err)
 	}
 	var resp server.Response
-	if err := server.ReadFrame(c.conn, &resp); err != nil {
+	if err := server.ReadFrame(c.br, &resp); err != nil {
 		return nil, fmt.Errorf("client: receive: %w", err)
 	}
 	if resp.ID != req.ID {
@@ -309,56 +310,16 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 	return &resp, nil
 }
 
-// toResult converts a response into a Result, normalizing JSON
-// numbers back to int64 cells.
-func toResult(resp *server.Response) (*Result, error) {
-	out := &Result{
+// toResult presents a response as a Result. The rows are the ones the
+// frame decoder built: it delivers int64, string, bool and nil cells and
+// refuses a frame carrying anything else.
+func toResult(resp *server.Response) *Result {
+	return &Result{
 		Columns:        resp.Columns,
+		Rows:           resp.Rows,
 		Rewrites:       resp.Rewrite,
 		CatalogVersion: resp.CatalogVersion,
 		Reprepared:     resp.Reprepared,
 		RowsAffected:   resp.RowsAffected,
 	}
-	out.Rows = make([][]any, len(resp.Rows))
-	for i, row := range resp.Rows {
-		cells := make([]any, len(row))
-		for j, v := range row {
-			cv, err := fromWire(v)
-			if err != nil {
-				return nil, fmt.Errorf("client: row %d col %d: %w", i, j, err)
-			}
-			cells[j] = cv
-		}
-		out.Rows[i] = cells
-	}
-	return out, nil
-}
-
-// fromWire normalizes one decoded JSON cell.
-func fromWire(v any) (any, error) {
-	switch x := v.(type) {
-	case json.Number:
-		return x.Int64()
-	case string, bool, nil:
-		return x, nil
-	default:
-		return nil, fmt.Errorf("unsupported wire value %T", v)
-	}
-}
-
-// wireArgs passes int variants through as int64 so the server's
-// json.Number decode round-trips exactly.
-func wireArgs(args map[string]any) map[string]any {
-	if len(args) == 0 {
-		return nil
-	}
-	out := make(map[string]any, len(args))
-	for k, v := range args {
-		if n, ok := v.(int); ok {
-			out[k] = int64(n)
-		} else {
-			out[k] = v
-		}
-	}
-	return out
 }

@@ -23,14 +23,34 @@
 // resource/limit/used) from an admission rejection (CodeAdmission)
 // from a server draining for shutdown (CodeShutdown) without parsing
 // message text.
+//
+// The JSON is written and read by this package's own codec (encode.go,
+// decode.go), for *Request and *Response only. Its specification is
+// encoding/json: the encoder's bytes are json.Marshal's, and the
+// decoder reads a payload as json.Decoder with UseNumber read it into
+// the same struct, integers arriving as int64. FuzzFrameCodec checks
+// both against encoding/json. The decoder departs from it in two
+// places, each a refusal of something encoding/json let through:
+//
+//  1. A payload is exactly one JSON value. Anything but whitespace
+//     after it is refused; Decoder.Decode stopped reading at the
+//     value's end and never saw it.
+//  2. A cell of Response.Rows is null, a boolean, a string or an
+//     integer that fits int64. Any other number, or a nested array or
+//     object, fails the frame's decode; encoding/json delivered a
+//     json.Number or a nested value that the client then refused.
+//
+// The same defect in a Request.Args value is not a decode error: the
+// frame is well-formed, so the request is refused (CodeProtocol) and
+// the session goes on.
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // ProtocolVersion is bumped on any incompatible wire change; HELLO
@@ -65,8 +85,9 @@ type Request struct {
 	// Name is the prepared-statement name for PREPARE/EXEC.
 	Name string `json:"name,omitempty"`
 	// Args bind host variables (:NAME) for EXEC/QUERY/EXPLAIN. Values
-	// are JSON scalars: numbers arrive as json.Number (frames are
-	// decoded with UseNumber) and are converted to INTEGER.
+	// are JSON scalars: null, true/false, a string, or an integer, which
+	// the frame decoder delivers as int64 (the SQL subset has no other
+	// number type; a client may bind int or int64).
 	Args map[string]any `json:"args,omitempty"`
 	// Baseline executes without the uniqueness rewrites.
 	Baseline bool `json:"baseline,omitempty"`
@@ -167,41 +188,103 @@ type Response struct {
 	Explain string `json:"explain,omitempty"`
 }
 
-// WriteFrame writes one length-prefixed JSON frame.
+// commands pairs each command with the shape name its latency is
+// observed under.
+var commands = [...]struct {
+	cmd   Command
+	shape string
+}{
+	{CmdHello, "cmd.HELLO"}, {CmdPrepare, "cmd.PREPARE"}, {CmdExec, "cmd.EXEC"},
+	{CmdQuery, "cmd.QUERY"}, {CmdExplain, "cmd.EXPLAIN"}, {CmdClose, "cmd.CLOSE"},
+}
+
+// shape is the metrics shape a request of this command is observed
+// under.
+func (c Command) shape() string {
+	for _, known := range commands {
+		if known.cmd == c {
+			return known.shape
+		}
+	}
+	return "cmd." + string(c)
+}
+
+// frameChunk is how much of a payload ReadFrame asks for at a time, and
+// the largest buffer the pool keeps: a length prefix reserves nothing,
+// and one large frame does not pin its buffer to a session for good.
+const frameChunk = 64 << 10
+
+// frameBuf is one frame's bytes, header and payload, while it is being
+// encoded or decoded. Nothing decoded points into it, so it goes back
+// to the pool as soon as the frame is written or decoded.
+type frameBuf struct{ b []byte }
+
+var frameBufs = sync.Pool{New: func() any { return &frameBuf{b: make([]byte, 0, 1024)} }}
+
+func (fb *frameBuf) release() {
+	if cap(fb.b) <= frameChunk {
+		frameBufs.Put(fb)
+	}
+}
+
+// WriteFrame encodes v, a *Request or a *Response, and writes the frame
+// — length prefix and payload — with a single call to w.Write.
 func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	b := append(fb.b[:0], 0, 0, 0, 0) // the length prefix, known once the payload is
+	var err error
+	switch v := v.(type) {
+	case *Request:
+		b, err = appendRequest(b, v)
+	case *Response:
+		b, err = appendResponse(b, v)
+	default:
+		err = fmt.Errorf("%T is neither *Request nor *Response", v)
+	}
+	fb.b = b
 	if err != nil {
 		return fmt.Errorf("server: encode frame: %w", err)
 	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds MaxFrame", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame and decodes it into v.
-// Numbers are decoded as json.Number so INTEGER values survive the
-// trip without a float64 detour.
-func ReadFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := len(b) - 4
 	if n > MaxFrame {
 		return fmt.Errorf("server: frame of %d bytes exceeds MaxFrame", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	binary.BigEndian.PutUint32(b, uint32(n))
+	_, err = w.Write(b)
+	return err
+}
+
+// ReadFrame reads one length-prefixed frame and decodes it into v, a
+// *Request or a *Response. The payload is read at most frameChunk bytes
+// at a time into a buffer that grows as they arrive, so what a frame
+// makes the reader allocate is bounded by what its sender has actually
+// sent, not by what its header claims. A frame that ends early is
+// io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader, v any) error {
+	fb := frameBufs.Get().(*frameBuf)
+	defer fb.release()
+	hdr := fb.b[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.UseNumber()
-	return dec.Decode(v)
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > MaxFrame {
+		return fmt.Errorf("server: frame of %d bytes exceeds MaxFrame", n)
+	}
+	b := fb.b[:0]
+	for len(b) < n {
+		chunk := min(n-len(b), frameChunk)
+		b = slices.Grow(b, chunk)
+		m, err := io.ReadFull(r, b[len(b):len(b)+chunk])
+		b = b[:len(b)+m]
+		fb.b = b
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return decodeFrame(b, v)
 }

@@ -25,10 +25,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if out.ID != 42 || out.Cmd != CmdExec || out.Name != "q" {
 		t.Fatalf("round trip lost fields: %+v", out)
 	}
-	// Large integers survive: frames decode numbers as json.Number,
-	// and decodeArgs converts to int64 without a float64 detour.
-	hosts, err := decodeArgs(out.Args)
-	if err != nil {
+	// Large integers survive: the frame decoder delivers numbers as
+	// int64, with no float64 detour and nothing for checkArgs to refuse.
+	hosts := out.Args
+	if err := checkArgs(hosts); err != nil {
 		t.Fatal(err)
 	}
 	if hosts["N"] != int64(1<<40) || hosts["S"] != "x" || hosts["B"] != true || hosts["NIL"] != nil {
@@ -98,10 +98,10 @@ func TestWireErrorMapping(t *testing.T) {
 
 func TestClampBudget(t *testing.T) {
 	cases := []struct{ req, ceil, want int64 }{
-		{0, 0, 0},     // both unlimited
-		{50, 0, 50},   // no ceiling: as requested
-		{0, 100, 100}, // default: the ceiling
-		{50, 100, 50}, // under: as requested
+		{0, 0, 0},       // both unlimited
+		{50, 0, 50},     // no ceiling: as requested
+		{0, 100, 100},   // default: the ceiling
+		{50, 100, 50},   // under: as requested
 		{500, 100, 100}, // over: clamped
 	}
 	for _, c := range cases {

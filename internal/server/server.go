@@ -198,7 +198,6 @@ func (s *Server) startSession(conn net.Conn) {
 		id:       s.nextSID.Add(1),
 		srv:      s,
 		conn:     conn,
-		bw:       bufio.NewWriter(conn),
 		br:       bufio.NewReader(conn),
 		prepared: map[string]*preparedStmt{},
 	}
@@ -322,14 +321,6 @@ func (s *Server) sessionView(maxRows, memBudget int64) *uniqopt.DB {
 	opts.MaxRows = clampBudget(maxRows, s.cfg.SessionMaxRows)
 	opts.MemBudget = clampBudget(memBudget, s.cfg.SessionMemBudget)
 	return s.db.View(opts)
-}
-
-// queryCtx derives the context one statement executes under.
-func (s *Server) queryCtx() (context.Context, context.CancelFunc) {
-	if s.cfg.QueryTimeout > 0 {
-		return context.WithTimeout(s.baseCtx, s.cfg.QueryTimeout)
-	}
-	return context.WithCancel(s.baseCtx)
 }
 
 // wireError maps an execution error onto the typed wire form.

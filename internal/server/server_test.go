@@ -8,6 +8,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -739,5 +740,59 @@ func TestServerExplainOverWire(t *testing.T) {
 	}
 	if !strings.Contains(text, "out=") {
 		t.Fatalf("EXPLAIN ANALYZE text lacks per-operator metrics:\n%s", text)
+	}
+}
+
+// TestServerBadArgRefusedPerRequest: a binding the protocol has no SQL
+// type for — a fraction, an exponent, an integer outside int64, a nested
+// array or object — sits in a well-formed frame, so the refusal is that
+// request's (CodeProtocol, naming the host variable) and the session
+// carries on. No client encodes such a frame; these are written by hand.
+func TestServerBadArgRefusedPerRequest(t *testing.T) {
+	testleak.Check(t)
+	db := testDB(t, 10, uniqopt.Options{})
+	_, addr := startServer(t, db, server.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	roundTrip := func(payload string) *server.Response {
+		t.Helper()
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		if _, err := conn.Write(append(frame, payload...)); err != nil {
+			t.Fatal(err)
+		}
+		var resp server.Response
+		if err := server.ReadFrame(conn, &resp); err != nil {
+			t.Fatalf("after %s: %v", payload, err)
+		}
+		return &resp
+	}
+	const query = `"sql":"SELECT S.CITY FROM S WHERE S.SNO = :N"`
+	if resp := roundTrip(`{"id":1,"cmd":"PREPARE","name":"put","sql":"INSERT INTO S VALUES (:N, 'x')"}`); !resp.OK {
+		t.Fatalf("PREPARE: %+v", resp.Err)
+	}
+	for i, c := range []struct{ cmd, arg, want string }{
+		{`"cmd":"QUERY",` + query, `1.5`, `host :N: non-integer number "1.5"`},
+		{`"cmd":"QUERY",` + query, `1e3`, `host :N: non-integer number "1e3"`},
+		{`"cmd":"QUERY",` + query, `9223372036854775808`, `host :N: non-integer number "9223372036854775808"`},
+		{`"cmd":"QUERY",` + query, `[1,[2]]`, `host :N: unsupported value type []interface {}`},
+		{`"cmd":"EXPLAIN",` + query, `{"a":1}`, `host :N: unsupported value type map[string]interface {}`},
+		{`"cmd":"EXEC","name":"put"`, `2.0`, `host :N: non-integer number "2.0"`},
+	} {
+		id := uint64(10 + i)
+		resp := roundTrip(fmt.Sprintf(`{"id":%d,%s,"args":{"N":%s}}`, id, c.cmd, c.arg))
+		if resp.ID != id || resp.OK || resp.Err == nil || resp.Err.Code != server.CodeProtocol || resp.Err.Msg != c.want {
+			t.Fatalf("arg %s: response %+v err %+v, want protocol error %q", c.arg, resp, resp.Err, c.want)
+		}
+		// The same session still answers, with the extremes intact.
+		ok := roundTrip(fmt.Sprintf(`{"id":%d,"cmd":"QUERY",%s,"args":{"N":7}}`, id+100, query))
+		if !ok.OK || len(ok.Rows) != 1 || ok.Rows[0][0] != "city-0" {
+			t.Fatalf("after bad arg %s: %+v err %+v", c.arg, ok, ok.Err)
+		}
+	}
+	if resp := roundTrip(`{"id":99,"cmd":"CLOSE"}`); !resp.OK {
+		t.Fatalf("CLOSE: %+v", resp.Err)
 	}
 }

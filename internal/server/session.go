@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -41,10 +41,11 @@ type session struct {
 	srv  *Server
 	conn io.ReadWriteCloser
 	br   io.Reader
-	bw   interface {
-		io.Writer
-		Flush() error
-	}
+	// ctx is what this session's statements run under when no
+	// QueryTimeout is configured: a child of the server's base context,
+	// so the drain deadline's cancellation reaches them, made once per
+	// session rather than once per statement.
+	ctx      context.Context
 	view     *uniqopt.DB // budget-scoped handle; set by HELLO or lazily
 	prepared map[string]*preparedStmt
 	// reject, when non-nil, makes the session answer its first
@@ -60,6 +61,9 @@ type session struct {
 func (sess *session) run() {
 	defer sess.srv.dropSession(sess)
 	defer sess.conn.Close()
+	ctx, cancel := context.WithCancel(sess.srv.baseCtx)
+	defer cancel()
+	sess.ctx = ctx
 	for {
 		var req Request
 		if err := ReadFrame(sess.br, &req); err != nil {
@@ -83,7 +87,7 @@ func (sess *session) run() {
 		}
 		t0 := time.Now()
 		resp, closing := sess.handle(&req)
-		sess.srv.metrics.ObserveQuery("cmd."+string(req.Cmd), time.Since(t0).Nanoseconds())
+		sess.srv.metrics.ObserveQuery(req.Cmd.shape(), time.Since(t0).Nanoseconds())
 		ok := sess.write(resp)
 		sess.srv.endRequest()
 		if closing || !ok {
@@ -95,10 +99,15 @@ func (sess *session) run() {
 // write sends one response frame, reporting whether the connection
 // is still usable.
 func (sess *session) write(resp *Response) bool {
-	if err := WriteFrame(sess.bw, resp); err != nil {
-		return false
+	return WriteFrame(sess.conn, resp) == nil
+}
+
+// queryCtx is the context one statement executes under.
+func (sess *session) queryCtx() (context.Context, context.CancelFunc) {
+	if t := sess.srv.cfg.QueryTimeout; t > 0 {
+		return context.WithTimeout(sess.ctx, t)
 	}
-	return sess.bw.Flush() == nil
+	return sess.ctx, func() {}
 }
 
 // handle dispatches one request; closing is true when the session
@@ -262,13 +271,12 @@ func (sess *session) runDDL(req *Request) *Response {
 // OK, the rows survive kill -9.
 func (sess *session) runInsert(req *Request, sql string) *Response {
 	srv := sess.srv
-	hosts, err := decodeArgs(req.Args)
-	if err != nil {
+	if err := checkArgs(req.Args); err != nil {
 		return errorResponse(req.ID, protocolError("%v", err))
 	}
 	srv.ddlMu.Lock()
 	defer srv.ddlMu.Unlock()
-	n, err := srv.db.ExecWith(sql, hosts)
+	n, err := srv.db.ExecWith(sql, req.Args)
 	if err != nil {
 		return errorResponse(req.ID, wireError(err))
 	}
@@ -299,8 +307,7 @@ func (sess *session) runQuery(req *Request, sql string) *Response {
 	}
 	defer srv.adm.release(sess.grantedMem)
 
-	hosts, err := decodeArgs(req.Args)
-	if err != nil {
+	if err := checkArgs(req.Args); err != nil {
 		return errorResponse(req.ID, protocolError("%v", err))
 	}
 
@@ -318,9 +325,9 @@ func (sess *session) runQuery(req *Request, sql string) *Response {
 	defer srv.ddlMu.RUnlock()
 	catVersion := srv.db.Store().Catalog().Version()
 
-	ctx, cancel := srv.queryCtx()
+	ctx, cancel := sess.queryCtx()
 	defer cancel()
-	rows, err := view.QueryWithContext(ctx, sql, hosts, !req.Baseline)
+	rows, err := view.QueryWithContext(ctx, sql, req.Args, !req.Baseline)
 	if err != nil {
 		return errorResponse(req.ID, wireError(err))
 	}
@@ -350,17 +357,16 @@ func (sess *session) explain(req *Request) *Response {
 	}
 	defer srv.adm.release(sess.grantedMem)
 
-	hosts, err := decodeArgs(req.Args)
-	if err != nil {
+	if err := checkArgs(req.Args); err != nil {
 		return errorResponse(req.ID, protocolError("%v", err))
 	}
 	srv.ddlMu.RLock()
 	defer srv.ddlMu.RUnlock()
 	catVersion := srv.db.Store().Catalog().Version()
 
-	ctx, cancel := srv.queryCtx()
+	ctx, cancel := sess.queryCtx()
 	defer cancel()
-	e, err := view.ExplainWith(ctx, req.SQL, hosts, !req.Baseline, req.Analyze)
+	e, err := view.ExplainWith(ctx, req.SQL, req.Args, !req.Baseline, req.Analyze)
 	if err != nil {
 		return errorResponse(req.ID, wireError(err))
 	}
@@ -376,27 +382,15 @@ func (sess *session) explain(req *Request) *Response {
 	return resp
 }
 
-// decodeArgs converts wire host-variable bindings to Go values the
-// engine understands: json.Number becomes int64 (the SQL subset has
-// no floats), and strings, bools, and nulls pass through.
-func decodeArgs(args map[string]any) (map[string]any, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]any, len(args))
+// checkArgs refuses, for this request alone, a binding the frame
+// decoder could not type: the SQL subset has integers, strings, booleans
+// and NULL, and the decoder has already delivered those as int64,
+// string, bool and nil.
+func checkArgs(args map[string]any) error {
 	for k, v := range args {
-		switch x := v.(type) {
-		case json.Number:
-			n, err := x.Int64()
-			if err != nil {
-				return nil, fmt.Errorf("host :%s: non-integer number %q", k, x.String())
-			}
-			out[k] = n
-		case string, bool, nil:
-			out[k] = x
-		default:
-			return nil, fmt.Errorf("host :%s: unsupported value type %T", k, v)
+		if bad, ok := v.(badArg); ok {
+			return fmt.Errorf("host :%s: %s", k, string(bad))
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -43,11 +43,11 @@ func TestParseInsert(t *testing.T) {
 
 func TestParseInsertErrors(t *testing.T) {
 	for _, src := range []string{
-		`INSERT supplier VALUES (1)`,          // missing INTO
-		`INSERT INTO supplier (1)`,            // missing VALUES
-		`INSERT INTO supplier VALUES 1`,       // missing parens
-		`INSERT INTO supplier VALUES (1 + 2)`, // expressions not allowed
-		`INSERT INTO supplier VALUES ()`,      // empty row
+		`INSERT supplier VALUES (1)`,                    // missing INTO
+		`INSERT INTO supplier (1)`,                      // missing VALUES
+		`INSERT INTO supplier VALUES 1`,                 // missing parens
+		`INSERT INTO supplier VALUES (1 + 2)`,           // expressions not allowed
+		`INSERT INTO supplier VALUES ()`,                // empty row
 		`INSERT INTO supplier VALUES (SELECT 1 FROM t)`, // no subqueries
 	} {
 		if _, err := ParseStatement(src); err == nil {
