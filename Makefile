@@ -47,10 +47,13 @@ explain-smoke:
 # Server smoke: the wire-protocol suite under the race detector — the
 # frame codec against encoding/json, sessions, prepared statements,
 # admission control, DDL vs query snapshots, shutdown drain, and the
-# goroutine-leak checks for client disconnect and daemon shutdown. How
-# fast the wire path is, is the repository benchmark's wire_oltp.
+# goroutine-leak checks for client disconnect and daemon shutdown; then
+# the session-cap and admission tests fifty times over, so a
+# slot-accounting race fails here rather than one tier-1 run in fifteen.
+# How fast the wire path is, is the repository benchmark's wire_oltp.
 server-smoke:
 	$(GO) test -race ./internal/server/... ./cmd/uniqoptd ./cmd/sqlsh
+	$(GO) test ./internal/server -run 'SessionCap|Admission' -count=50
 
 # Planner smoke: the join-ordering, plan-cache, and access-path suite
 # under the race detector (including the concurrent DDL×EXEC stale-plan

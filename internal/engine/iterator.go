@@ -24,7 +24,12 @@ import (
 //     buffers) without copying. Producers therefore allocate fresh
 //     batch slices per Next call, or hand out disjoint capacity-clipped
 //     windows of rows they never write again (the uniqlint
-//     iterlife/rowalias analyzers enforce this).
+//     iterlife/rowalias analyzers enforce this). The rule binds whoever
+//     wrote the batch, so an operator with nothing to change — the
+//     identity projection above a join that already emits the
+//     projection's layout — may hand its child's batch on as it came:
+//     nobody writes it again, and its consumer may retain it exactly as
+//     the operator itself could have.
 //   - Close releases held resources (governor charges, children). It
 //     is idempotent, and must be called exactly when the consumer is
 //     done, whether or not the stream was drained.
@@ -189,9 +194,11 @@ func (sg *streamGuard) emit(b Batch) (Batch, error) {
 
 // emitHeld hands off a batch that adds nothing to the live footprint,
 // so no in-flight charge is taken: its rows are already charged as held
-// state (streaming distinct emits rows retained by its hash table), or
-// the batch is a window onto storage the query does not own (a scan's
-// subslice of the table's rows).
+// state (streaming distinct emits rows retained by its hash table), the
+// batch is a window onto storage the query does not own (a scan's
+// subslice of the table's rows), or it is the child's own batch passed
+// through, which the child's in-flight charge still covers (the identity
+// projection).
 func (sg *streamGuard) emitHeld(b Batch) (Batch, error) {
 	sg.releaseInflight()
 	sg.st.Batches++

@@ -205,13 +205,13 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 		}
 		want := hashJoin(&st, l, build, []string{"L.K"}, []string{"R.K"})
 
-		got := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, env, false, concat(l.Cols, rCols)))))
+		got := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, env, false, IdentityEmit(len(l.Cols), len(rCols))))))
 		if !MultisetEqual(want, got) {
 			t.Fatalf("%s: index join (%d rows) is not the hash join (%d rows)", what, got.Len(), want.Len())
 		}
 
 		wantSemi := hashDistinct(&st, okRel(Project(ctx0, &st, want, l.Cols)))
-		gotSemi := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, env, true, l.Cols))))
+		gotSemi := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, env, true, nil))))
 		identicalRelations(t, wantSemi, gotSemi, what+": first-match probe vs DISTINCT over the hash join's outer columns")
 	}
 }
@@ -244,10 +244,10 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}, Pred: residual}
 	env := &eval.Env{}
 	semi := func(st *Stats) Iterator {
-		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, env, true, l.Cols))
+		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, env, true, nil))
 	}
 	join := func(st *Stats) Iterator {
-		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, env, false, concat(l.Cols, rCols)))
+		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, env, false, IdentityEmit(len(l.Cols), len(rCols))))
 	}
 
 	// Counts: half the outer keys exist; each probe of one fetches C = 0,
@@ -297,7 +297,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(ctx0)
 	st = &Stats{}
-	it := okIter(NewIndexJoinIter(st, &cancelAfter{Iterator: NewRelationIter(st, miss), cancel: cancel}, in, env, false, concat(l.Cols, rCols)))
+	it := okIter(NewIndexJoinIter(st, &cancelAfter{Iterator: NewRelationIter(st, miss), cancel: cancel}, in, env, false, IdentityEmit(len(l.Cols), len(rCols))))
 	if b, err := it.Next(ctx); !errors.Is(err, context.Canceled) || b != nil {
 		t.Errorf("cancelled mid-probe: batch of %d, err %v; want nil, context.Canceled", len(b), err)
 	}
@@ -316,7 +316,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	if bad.Pred, err = parser.ParseExpr("R.V >= :UNBOUND"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := consume(ctx0, okIter(NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, env, true, l.Cols))); err == nil ||
+	if _, err := consume(ctx0, okIter(NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, env, true, nil))); err == nil ||
 		!strings.Contains(err.Error(), "unbound host variable :UNBOUND") {
 		t.Errorf("unbound residual: %v", err)
 	}
@@ -325,7 +325,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	for _, key := range [][]IndexKeyPart{nil, {{Ord: 0}, {Ord: 1}, {Ord: 0}}, {{Ord: 2}}} {
 		bad := in
 		bad.Key = key
-		if _, err := NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, env, true, l.Cols); err == nil {
+		if _, err := NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, env, true, nil); err == nil {
 			t.Errorf("key %v assembled", key)
 		}
 	}

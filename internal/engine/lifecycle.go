@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync/atomic"
+	"unsafe"
 
 	"uniqopt/internal/fault"
 	"uniqopt/internal/value"
@@ -211,9 +212,11 @@ func GovernorFrom(ctx context.Context) *Governor {
 }
 
 // rowBytes estimates the in-memory footprint of a row: slice header
-// plus the value structs plus string payloads.
+// plus the value structs — sized from the types, so the charge cannot
+// drift from them — plus string payloads.
 func rowBytes(row value.Row) int64 {
-	n := int64(24 + 40*len(row))
+	const header, cell = int64(unsafe.Sizeof(value.Row{})), int64(unsafe.Sizeof(value.Value{}))
+	n := header + cell*int64(len(row))
 	for _, v := range row {
 		if v.Kind() == value.KindString {
 			n += int64(len(v.AsString()))

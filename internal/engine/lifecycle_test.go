@@ -458,8 +458,12 @@ func TestColIndexesErrorFlow(t *testing.T) {
 	// first row.
 	st := &Stats{}
 	if _, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, l),
-		concat(l.Cols, l.Cols), []int{2}, []int{0}); err == nil || !strings.Contains(err.Error(), "#2") {
+		IdentityEmit(2, 2), []int{2}, []int{0}); err == nil || !strings.Contains(err.Error(), "#2") {
 		t.Fatalf("NewHashJoinIter with a key ordinal out of range: err = %v", err)
+	}
+	if _, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, l),
+		Emit{{Right: true, Ord: 2}}, []int{0}, []int{0}); err == nil || !strings.Contains(err.Error(), "#2") {
+		t.Fatalf("NewHashJoinIter with an emit ordinal out of range: err = %v", err)
 	}
 	if _, err := NewProjectIter(st, NewRelationIter(st, l), []string{"L.X"}, []int{-1}); err == nil {
 		t.Fatal("NewProjectIter with a negative ordinal assembled")

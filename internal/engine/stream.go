@@ -57,6 +57,62 @@ func (a *rowArena) next() value.Row {
 	return row
 }
 
+// EmitCol names where one output column of a join comes from: column
+// Ord of its left input (the hash join's probe, the index join's outer,
+// the product's left) or, with Right set, of its right input (the build
+// side, the probed table, the product's right).
+type EmitCol struct {
+	Right bool
+	Ord   int
+}
+
+// Emit is a join's output layout, one EmitCol per output column. It is
+// the only way a join writes a row: the planner lists what is read above
+// the join — nothing else is copied, a column may repeat — and the
+// arena's slabs are as wide as the list. The full-width row of earlier
+// versions is IdentityEmit.
+type Emit []EmitCol
+
+// IdentityEmit is the layout of every left column then every right one.
+func IdentityEmit(left, right int) Emit {
+	e := make(Emit, 0, left+right)
+	for c := 0; c < left; c++ {
+		e = append(e, EmitCol{Ord: c})
+	}
+	for c := 0; c < right; c++ {
+		e = append(e, EmitCol{Right: true, Ord: c})
+	}
+	return e
+}
+
+// cols names e's output after the inputs' columns, or reports the first
+// ordinal that is not a column of its input.
+func (e Emit) cols(left, right []string) ([]string, error) {
+	out := make([]string, len(e))
+	for i, c := range e {
+		src := left
+		if c.Right {
+			src = right
+		}
+		if c.Ord < 0 || c.Ord >= len(src) {
+			return nil, fmt.Errorf("engine: relation has no column #%d (cols: %v)", c.Ord, src)
+		}
+		out[i] = src[c.Ord]
+	}
+	return out, nil
+}
+
+// fill writes the joined row of l and r into dst, which is len(e) wide.
+func (e Emit) fill(dst, l, r value.Row) {
+	for i, c := range e {
+		if c.Right {
+			dst[i] = r[c.Ord]
+		} else {
+			dst[i] = l[c.Ord]
+		}
+	}
+}
+
 // indexScanIter streams the table rows at the given ordinals (the
 // result of an index lookup or range scan, performed by the caller).
 type indexScanIter struct {
@@ -131,6 +187,10 @@ func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env)
 		return NewExchangeIter(st, child, cols, w, func() BatchFunc {
 			keep := eval.Compile(pred, cols, envProto)
 			started := false
+			// The output is sized by what this worker's previous batch
+			// kept, not by its input: a selective predicate would zero and
+			// discard a slice header per input row.
+			kept := -1
 			return func(b Batch, my *Stats) (Batch, error) {
 				if !started {
 					started = true
@@ -141,7 +201,12 @@ func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env)
 				// Workers see no context: the exchange polls
 				// cancellation between batches.
 				g := newGuard(nil, my)
-				return g.qualifying(make(Batch, 0, len(b)), b, keep)
+				if kept < 0 {
+					kept = len(b) / 4
+				}
+				out, err := g.qualifying(make(Batch, 0, min(kept, len(b))), b, keep)
+				kept = len(out)
+				return out, err
 			}
 		})
 	}
@@ -199,14 +264,20 @@ func (it *filterIter) Close() error {
 	return it.child.Close()
 }
 
-// projectIter streams its child projected onto the columns at idx.
+// projectIter streams its child projected onto the columns at idx. When
+// idx is the identity — the child already emits the projection's layout,
+// as the top join of a block does — the child's batches pass through
+// uncopied: a batch is immutable after handoff, so handing the same one
+// on shares nothing that can change; the child's in-flight charge
+// covers it, and the projection only counts the emit.
 type projectIter struct {
-	child  Iterator
-	cols   []string
-	idx    []int
-	st     *Stats
-	sg     streamGuard
-	closed bool
+	child    Iterator
+	cols     []string
+	idx      []int
+	identity bool
+	st       *Stats
+	sg       streamGuard
+	closed   bool
 }
 
 // checkOrdinals reports the first ordinal of idx that is not a column
@@ -237,12 +308,28 @@ func project(b Batch, idx []int) Batch {
 	return out
 }
 
+// isIdentity reports whether idx selects every one of n columns in place.
+func isIdentity(idx []int, n int) bool {
+	if len(idx) != n {
+		return false
+	}
+	for i, c := range idx {
+		if c != i {
+			return false
+		}
+	}
+	return true
+}
+
 // NewProjectIter streams child projected onto its columns at idx, named
-// cols — on a pipelined exchange when the input clears the parallel
-// threshold.
+// cols — passed through when idx is the identity, else copied, on a
+// pipelined exchange when the input clears the parallel threshold.
 func NewProjectIter(st *Stats, child Iterator, cols []string, idx []int) (Iterator, error) {
 	if err := checkOrdinals(child.Cols(), idx); err != nil {
 		return nil, err
+	}
+	if isIdentity(idx, len(child.Cols())) {
+		return &projectIter{child: child, cols: cols, identity: true, st: st}, nil
 	}
 	if w, ok := shouldParallel(sizeHint(child)); ok {
 		return NewExchangeIter(st, child, cols, w, func() BatchFunc {
@@ -264,6 +351,9 @@ func (it *projectIter) Next(ctx context.Context) (Batch, error) {
 	b, err := it.child.Next(ctx)
 	if err != nil || b == nil {
 		return nil, err
+	}
+	if it.identity {
+		return it.sg.emitHeld(b)
 	}
 	return it.sg.emit(project(b, it.idx))
 }
@@ -628,6 +718,7 @@ func (it *setOpIter) Close() error {
 type hashJoinIter struct {
 	probe, build Iterator
 	cols         []string
+	emit         Emit
 	pi, bi       []int
 	st           *Stats
 	sg           streamGuard
@@ -642,11 +733,15 @@ type hashJoinIter struct {
 
 // NewHashJoinIter streams probe ⋈ build on the probe columns at pi
 // equal to the build columns at bi. WHERE-clause equality semantics:
-// rows with NULL join keys never match. cols names the output: probe's
-// columns then build's.
-func NewHashJoinIter(st *Stats, probe, build Iterator, cols []string, pi, bi []int) (Iterator, error) {
+// rows with NULL join keys never match. emit lays out the output: probe
+// is its left input, build its right.
+func NewHashJoinIter(st *Stats, probe, build Iterator, emit Emit, pi, bi []int) (Iterator, error) {
 	if len(pi) != len(bi) {
 		return nil, fmt.Errorf("engine: hash join on %d probe and %d build key columns", len(pi), len(bi))
+	}
+	cols, err := emit.cols(probe.Cols(), build.Cols())
+	if err != nil {
+		return nil, err
 	}
 	if err := checkOrdinals(probe.Cols(), pi); err != nil {
 		return nil, err
@@ -655,10 +750,10 @@ func NewHashJoinIter(st *Stats, probe, build Iterator, cols []string, pi, bi []i
 		return nil, err
 	}
 	return &hashJoinIter{
-		probe: probe, build: build, cols: cols, pi: pi, bi: bi, st: st,
+		probe: probe, build: build, cols: cols, emit: emit, pi: pi, bi: bi, st: st,
 		table:  &rowTable{},
 		keyBuf: make(value.Row, len(bi)),
-		arena:  rowArena{width: len(cols)},
+		arena:  rowArena{width: len(emit)},
 	}, nil
 }
 
@@ -755,8 +850,7 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 					continue
 				}
 				nr := j.arena.next()
-				copy(nr, prow)
-				copy(nr[len(prow):], brow)
+				j.emit.fill(nr, prow, brow)
 				out = append(out, nr)
 			}
 			if len(out) >= bs {
@@ -801,14 +895,15 @@ type IndexProbe struct {
 // index once per outer row instead of reading the table: nothing is
 // built and nothing is held, so the rows it touches are proportional to
 // its outer input and its matches. The join form emits one arena row
-// per qualifying entry, outer columns then the table's, in outer order
-// with index order inside a key. The semi form stops at the first
+// per qualifying entry, laid out by its Emit, in outer order with index
+// order inside a key. The semi form stops at the first
 // qualifying entry and passes the outer row itself through, untouched
 // and at most once — the existence probe of the paper's Section 6.
 type indexJoinIter struct {
 	outer   Iterator
 	in      IndexProbe
 	cols    []string
+	emit    Emit      // the join form's layout; unused by the semi form
 	keep    eval.Pred // nil = every fetched row qualifies
 	semi    bool
 	st      *Stats
@@ -827,10 +922,11 @@ type indexJoinIter struct {
 // NewIndexJoinIter streams outer joined to in.Tbl on in.Key, the table's
 // rows fetched through in.Ix. WHERE-clause equality semantics: a key
 // with a NULL component matches nothing, although the index files NULLs
-// together. cols names the output: outer's columns, then — unless semi —
-// the table's. A semi join emits each outer row that has a qualifying
-// entry once, and no column of the table.
-func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, semi bool, cols []string) (Iterator, error) {
+// together. emit lays out the output: outer is its left input, the table
+// (in.Cols) its right. A semi join takes no emit: it emits each outer
+// row that has a qualifying entry once, as it came, and no column of the
+// table.
+func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, semi bool, emit Emit) (Iterator, error) {
 	if len(in.Key) == 0 || len(in.Key) > len(in.Ix.Columns) {
 		return nil, fmt.Errorf("engine: index join binds %d of index %s's %d columns",
 			len(in.Key), in.Ix.Name, len(in.Ix.Columns))
@@ -840,10 +936,17 @@ func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, s
 			return nil, fmt.Errorf("engine: relation has no column #%d (cols: %v)", k.Ord, outer.Cols())
 		}
 	}
+	cols := outer.Cols()
+	if !semi {
+		var err error
+		if cols, err = emit.cols(outer.Cols(), in.Cols); err != nil {
+			return nil, err
+		}
+	}
 	j := &indexJoinIter{
-		outer: outer, in: in, cols: cols, semi: semi, st: st,
+		outer: outer, in: in, cols: cols, emit: emit, semi: semi, st: st,
 		keyBuf: make(value.Row, len(in.Key)),
-		arena:  rowArena{width: len(cols)},
+		arena:  rowArena{width: len(emit)},
 	}
 	if in.Pred != nil {
 		j.keep = eval.Compile(in.Pred, in.Cols, env)
@@ -930,8 +1033,7 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 				j.probing = false
 			} else {
 				nr := j.arena.next()
-				copy(nr, j.orow)
-				copy(nr[len(j.orow):], irow)
+				j.emit.fill(nr, j.orow, irow)
 				out = append(out, nr)
 			}
 			if len(out) >= bs {
@@ -967,6 +1069,7 @@ type productIter struct {
 	left, right Iterator
 	inner       []value.Row // the right input, collected on the first Next
 	cols        []string
+	emit        Emit
 	st          *Stats
 	sg          streamGuard
 	arena       rowArena
@@ -976,10 +1079,13 @@ type productIter struct {
 	closed      bool
 }
 
-// NewProductIter streams l × r; cols names the output: l's columns
-// then r's.
-func NewProductIter(st *Stats, l, r Iterator, cols []string) Iterator {
-	return &productIter{left: l, right: r, cols: cols, st: st, arena: rowArena{width: len(cols)}}
+// NewProductIter streams l × r, every pair laid out by emit.
+func NewProductIter(st *Stats, l, r Iterator, emit Emit) (Iterator, error) {
+	cols, err := emit.cols(l.Cols(), r.Cols())
+	if err != nil {
+		return nil, err
+	}
+	return &productIter{left: l, right: r, cols: cols, emit: emit, st: st, arena: rowArena{width: len(emit)}}, nil
 }
 
 func (j *productIter) Cols() []string { return j.cols }
@@ -1021,8 +1127,7 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 			}
 			j.st.JoinPairs++
 			nr := j.arena.next()
-			copy(nr, lrow)
-			copy(nr[len(lrow):], rr)
+			j.emit.fill(nr, lrow, rr)
 			out = append(out, nr)
 			if len(out) >= bs {
 				return j.sg.emit(out)

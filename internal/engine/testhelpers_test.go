@@ -51,7 +51,7 @@ func concat(a, b []string) []string { return append(append([]string{}, a...), b.
 // joinIter is the hash-join iterator of probe and build on the named
 // key columns.
 func joinIter(st *Stats, probe, build Iterator, probeKeys, buildKeys []string) Iterator {
-	return okIter(NewHashJoinIter(st, probe, build, concat(probe.Cols(), build.Cols()),
+	return okIter(NewHashJoinIter(st, probe, build, IdentityEmit(len(probe.Cols()), len(build.Cols())),
 		colIdx(probe.Cols(), probeKeys...), colIdx(build.Cols(), buildKeys...)))
 }
 
@@ -67,7 +67,7 @@ func projIter(st *Stats, child Iterator, names ...string) Iterator {
 
 // productIter is the product iterator of two iterators.
 func prodIter(st *Stats, l, r Iterator) Iterator {
-	return NewProductIter(st, l, r, concat(l.Cols(), r.Cols()))
+	return okIter(NewProductIter(st, l, r, IdentityEmit(len(l.Cols()), len(r.Cols()))))
 }
 
 // hashDistinct drains the hash-distinct iterator over a relation.

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/tvl"
@@ -22,6 +23,18 @@ type Pred func(row value.Row) (tvl.Truth, error)
 // the same point behind AND/OR short-circuits — for Truth evaluated in
 // env with the row's values bound over env.Cols under the names cols.
 //
+// A comparison of a row column with something constant for the execution
+// — a literal, a host variable, a lifted $n, an outer binding — whose
+// constant is a non-NULL integer or string runs as a kernel: a closure
+// specialised to the constant's kind that reads the cell where it lies
+// and decides by kind (kernel, the one place the choice is made; BETWEEN
+// bounds and IN-list items go through it too). A kernel answers only the
+// case it was built for, a cell of the constant's kind; a NULL cell or a
+// cell of another kind drops into the generic comparison, so
+// compareValues stays the one owner of Unknown and of every error text.
+// Column-against-column comparisons, and constants of other kinds, run
+// the generic comparison alone.
+//
 // A compiled predicate holds the values env had at the call, so it
 // belongs to one execution; it is not part of the cached compiled
 // statement. Without subquery leaves it is immutable and may be shared by goroutines.
@@ -39,6 +52,11 @@ func Compile(pred ast.Expr, cols []string, env *Env) Pred {
 	c := compiler{cols: cols, env: env}
 	return c.truth(pred)
 }
+
+// kernelTap, when a test sets it on the compiler, sees every kernel
+// chosen — its kind, its operator as applied to the column at ord — and
+// may wrap it to watch the cells it meets.
+type kernelTap func(kind value.Kind, op ast.CompareOp, ord int, p Pred) Pred
 
 // interpreted is Compile's fallback: Truth over a private environment
 // rebound per row.
@@ -64,6 +82,7 @@ func interpreted(pred ast.Expr, cols []string, proto *Env) Pred {
 type compiler struct {
 	cols []string
 	env  *Env
+	tap  kernelTap // tests only
 }
 
 // operand is a compiled operand: the row ordinal to read (ord ≥ 0), or
@@ -240,7 +259,7 @@ func (c *compiler) truth(e ast.Expr) Pred {
 
 func (c *compiler) compare(x *ast.Compare) Pred {
 	l, r := c.operand(x.L), c.operand(x.R)
-	return func(row value.Row) (tvl.Truth, error) {
+	generic := func(row value.Row) (tvl.Truth, error) {
 		lv, err := l.get(row)
 		if err != nil {
 			return tvl.Unknown, err
@@ -250,5 +269,93 @@ func (c *compiler) compare(x *ast.Compare) Pred {
 			return tvl.Unknown, err
 		}
 		return compareValues(x, lv, rv)
+	}
+	// column op constant, or constant op column read the other way round.
+	col, k, op := &l, &r, x.Op
+	if col.ord < 0 {
+		col, k, op = &r, &l, x.Op.Flip()
+	}
+	if col.ord < 0 || k.ord >= 0 || k.err != nil {
+		return generic
+	}
+	p := kernel(op, col.ord, k.val, generic)
+	if p == nil {
+		return generic
+	}
+	if c.tap != nil {
+		p = c.tap(k.val.Kind(), op, col.ord, p)
+	}
+	return p
+}
+
+// kernel returns "the cell at ord op k" specialised to k's kind, or nil
+// when k is not a non-NULL integer or string. The closure decides cells
+// of k's kind by itself and hands every other row — a NULL cell, a cell
+// of another kind — to generic, the comparison as written.
+func kernel(op ast.CompareOp, ord int, k value.Value, generic Pred) Pred {
+	// What the comparison yields when the cell sorts before, with and
+	// after the constant.
+	var lt, eq, gt bool
+	switch op {
+	case ast.EqOp:
+		eq = true
+	case ast.NeOp:
+		lt, gt = true, true
+	case ast.LtOp:
+		lt = true
+	case ast.LeOp:
+		lt, eq = true, true
+	case ast.GtOp:
+		gt = true
+	case ast.GeOp:
+		eq, gt = true, true
+	default:
+		return nil
+	}
+	below, same, above := tvl.Of(lt), tvl.Of(eq), tvl.Of(gt)
+	if ki, ok := k.Int(); ok {
+		return func(row value.Row) (tvl.Truth, error) {
+			v, ok := row[ord].Int()
+			switch {
+			case !ok:
+				return generic(row)
+			case v < ki:
+				return below, nil
+			case v > ki:
+				return above, nil
+			}
+			return same, nil
+		}
+	}
+	ks, ok := k.Str()
+	if !ok {
+		return nil
+	}
+	if lt == gt {
+		// = and <>: equality decides, and unequal lengths decide it
+		// without reading either string.
+		return func(row value.Row) (tvl.Truth, error) {
+			v, ok := row[ord].Str()
+			switch {
+			case !ok:
+				return generic(row)
+			case v == ks:
+				return same, nil
+			}
+			return below, nil
+		}
+	}
+	return func(row value.Row) (tvl.Truth, error) {
+		v, ok := row[ord].Str()
+		if !ok {
+			return generic(row)
+		}
+		switch c := strings.Compare(v, ks); {
+		case c < 0:
+			return below, nil
+		case c > 0:
+			return above, nil
+		}
+		return same, nil
 	}
 }

@@ -145,8 +145,48 @@ func agree(t *testing.T, pred ast.Expr, cols []string, row value.Row, env *Env, 
 	return false
 }
 
+// kernelCoverage taps the compiler: it counts the kernels chosen and
+// records, per kernel kind and operator, which kinds of cell each one
+// met — one of its own kind, a NULL, one of another kind.
+type kernelCoverage struct {
+	chosen int
+	met    map[string]bool
+}
+
+func (kc *kernelCoverage) tap(kind value.Kind, op ast.CompareOp, ord int, p Pred) Pred {
+	kc.chosen++
+	return func(row value.Row) (tvl.Truth, error) {
+		cell := "mismatched"
+		switch row[ord].Kind() {
+		case value.KindNull:
+			cell = "NULL"
+		case kind:
+			cell = "matching"
+		}
+		kc.met[fmt.Sprintf("%s %s on a %s cell", kind, op, cell)] = true
+		return p(row)
+	}
+}
+
+// missing lists the (kind × operator × cell) combinations no kernel ran
+// on.
+func (kc *kernelCoverage) missing() (out []string) {
+	for _, kind := range []value.Kind{value.KindInt, value.KindString} {
+		for _, op := range []ast.CompareOp{ast.EqOp, ast.NeOp, ast.LtOp, ast.LeOp, ast.GtOp, ast.GeOp} {
+			for _, cell := range []string{"matching", "NULL", "mismatched"} {
+				if c := fmt.Sprintf("%s %s on a %s cell", kind, op, cell); !kc.met[c] {
+					out = append(out, c)
+				}
+			}
+		}
+	}
+	return out
+}
+
 func TestCompileAgreesWithTruth(t *testing.T) {
 	r := rand.New(rand.NewSource(1994))
+	cov := &kernelCoverage{met: map[string]bool{}}
+	withKernel := 0
 	env := &Env{
 		Cols: map[string]value.Value{
 			"OUTER":  value.Int(3),
@@ -160,9 +200,16 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 	for i := 0; i < 4000 && failures < 10; i++ {
 		pred := genPred(r, r.Intn(4))
 		compiled := Compile(pred, diffCols, env)
+		// The same compilation again, tapped: what Compile built, with
+		// every kernel reporting the cells it meets.
+		before := cov.chosen
+		tapped := (&compiler{cols: diffCols, env: env, tap: cov.tap}).truth(pred)
+		if cov.chosen > before {
+			withKernel++
+		}
 		for j := 0; j < 8; j++ {
 			row := genRow(r)
-			if agree(t, pred, diffCols, row, env, compiled) {
+			if agree(t, pred, diffCols, row, env, compiled) || agree(t, pred, diffCols, row, env, tapped) {
 				failures++
 				break
 			}
@@ -177,6 +224,15 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 	// than it claims.
 	if truths[tvl.True] == 0 || truths[tvl.False] == 0 || truths[tvl.Unknown] == 0 || errs == 0 {
 		t.Fatalf("generator coverage: truths %v, errors %d", truths, errs)
+	}
+	// And it must reach the kernels: in a good share of the predicates,
+	// and every kernel on a cell it decides, on a NULL and on a cell of
+	// another kind, which it hands to the generic comparison.
+	if withKernel < 1000 {
+		t.Errorf("only %d of the 4000 predicates contained a kernel, want at least 1000", withKernel)
+	}
+	if missing := cov.missing(); len(missing) > 0 {
+		t.Errorf("no kernel ran as: %q", missing)
 	}
 }
 
@@ -361,3 +417,38 @@ var (
 	sinkPred  Pred
 	sinkTruth tvl.Truth
 )
+
+// BenchmarkComparePred prices one comparison per row over a 1,024-row
+// batch: an integer and a string kernel against the generic closure a
+// column-against-column comparison still runs.
+func BenchmarkComparePred(b *testing.B) {
+	cols := []string{"SNO", "PNO", "COLOR", "OEM-PNO"}
+	colors := []string{"RED", "BLUE", "GREEN", "BLACK"}
+	rows := make([]value.Row, 1024)
+	for i := range rows {
+		rows[i] = value.Row{value.Int(int64(i / 25)), value.Int(int64(i % 25)),
+			value.String_(colors[i%len(colors)]), value.Int(int64(1000 + 7*i))}
+	}
+	env := &Env{Hosts: map[string]value.Value{"K": value.Int(12)}}
+	for _, bc := range []struct{ name, src string }{
+		{"int-kernel", "PNO >= :K"},
+		{"string-kernel", "COLOR = 'RED'"},
+		{"generic-colcol", "PNO >= SNO"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pred, err := parser.ParseExpr(bc.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := Compile(pred, cols, env)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, row := range rows {
+					sinkTruth, _ = p(row)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+		})
+	}
+}

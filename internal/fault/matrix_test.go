@@ -130,7 +130,7 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 		{"HashJoinIter", func() (*engine.Relation, error) {
 			it, err := engine.NewHashJoinIter(st,
 				engine.NewRelationIter(st, l), engine.NewRelationIter(st, r),
-				[]string{"L.K", "L.V", "R.K", "R.V"}, []int{0}, []int{0})
+				engine.IdentityEmit(2, 2), []int{0}, []int{0})
 			if err != nil {
 				return nil, err
 			}
@@ -141,7 +141,7 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 			it, err := engine.NewIndexJoinIter(st, engine.NewRelationIter(st, l),
 				engine.IndexProbe{Tbl: p, Ix: p.OrderedIndexOn("SNO"), Cols: []string{"P.PNO", "P.SNO"},
 					Key: []engine.IndexKeyPart{{Ord: 0}}},
-				&eval.Env{}, false, []string{"L.K", "L.V", "P.PNO", "P.SNO"})
+				&eval.Env{}, false, engine.IdentityEmit(2, 2))
 			if err != nil {
 				return nil, err
 			}
@@ -149,8 +149,12 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 		}},
 		{"ProductIter", func() (*engine.Relation, error) {
 			small := &engine.Relation{Cols: r.Cols, Rows: r.Rows[:20]}
-			return engine.Drain(ctx, st, engine.NewProductIter(st,
-				engine.NewRelationIter(st, l), engine.NewRelationIter(st, small), []string{"L.K", "L.V", "R.K", "R.V"}))
+			it, err := engine.NewProductIter(st,
+				engine.NewRelationIter(st, l), engine.NewRelationIter(st, small), engine.IdentityEmit(2, 2))
+			if err != nil {
+				return nil, err
+			}
+			return engine.Drain(ctx, st, it)
 		}},
 		{"SetOpIter", func() (*engine.Relation, error) {
 			return engine.Drain(ctx, st, engine.NewSetOpIter(st,

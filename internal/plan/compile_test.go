@@ -55,7 +55,7 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 			}
 		case *joinOp:
 			ns, children = o.notes, []operator{o.probe, o.inner}
-			fmt.Fprintf(&sb, "join %q pi=%v bi=%v cols=%v", o.detail, o.pi, o.bi, o.cols)
+			fmt.Fprintf(&sb, "join %q pi=%v bi=%v emit=%v", o.detail, o.pi, o.bi, o.emit)
 		case *indexJoinOp:
 			ns, children = o.notes, []operator{o.outer}
 			if o.fallback != nil {
@@ -65,8 +65,8 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 			for i, kp := range o.key {
 				key[i] = fmt.Sprintf("%d/%s", kp.ord, sql(kp.k))
 			}
-			fmt.Fprintf(&sb, "indexjoin %q %s.%s key=%v rest=%q/%s semi=%v cols=%v", o.detail.in(hosts),
-				o.tbl.Schema.Name, o.ix.Name, key, o.rest.text.in(hosts), sql(o.rest.pred), o.semi, o.cols)
+			fmt.Fprintf(&sb, "indexjoin %q %s.%s key=%v rest=%q/%s semi=%v emit=%v", o.detail.in(hosts),
+				o.tbl.Schema.Name, o.ix.Name, key, o.rest.text.in(hosts), sql(o.rest.pred), o.semi, o.emit)
 		case *filterOp:
 			ns, children = o.notes, []operator{o.child}
 			fmt.Fprintf(&sb, "filter %q/%s scoped=%v", o.f.text.in(hosts), sql(o.f.pred), o.scope != nil)

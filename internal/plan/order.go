@@ -409,11 +409,11 @@ func coveringIndex(t *tableTerm, n int, bind func(col string) (probeKey, bool)) 
 	return nil, nil
 }
 
-// indexJoin applies rule A to the step joining t, on its qualified
-// columns rk equal to the prefix's columns lk, to the prefix outer
-// emitting cols: the index join, or nil when no ordered index of t takes
-// in every join column (a column joined twice among them).
-func indexJoin(outer operator, cols []string, t *tableTerm, lk, rk []string) (*indexJoinOp, error) {
+// indexProbe applies rule A to the step joining t on its qualified
+// columns rk equal to the prefix's columns lk: the index to probe and its
+// key, or nil when no ordered index of t takes in every join column (a
+// column joined twice among them).
+func indexProbe(t *tableTerm, lk, rk []string) (*storage.OrderedIndex, []probeKey) {
 	joinCol := make(map[string]string, len(rk))
 	for i, col := range rk {
 		joinCol[strings.TrimPrefix(col, t.corr+".")] = lk[i]
@@ -422,17 +422,13 @@ func indexJoin(outer operator, cols []string, t *tableTerm, lk, rk []string) (*i
 		return nil, nil
 	}
 	consts := constEqualities(t.corr, t.all)
-	ix, key := coveringIndex(t, len(rk), func(col string) (probeKey, bool) {
+	return coveringIndex(t, len(rk), func(col string) (probeKey, bool) {
 		if o, ok := joinCol[col]; ok {
 			return probeKey{outer: o}, true
 		}
 		e, ok := constOn(consts, col)
 		return probeKey{k: e}, ok
 	})
-	if ix == nil {
-		return nil, nil
-	}
-	return newIndexJoin(outer, cols, t, ix, key, false)
 }
 
 // existenceOnly applies rule B to a DISTINCT block: it splits terms into

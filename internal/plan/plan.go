@@ -22,6 +22,7 @@ package plan
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -228,8 +229,9 @@ const buildPrefixNote = "builds the bounded join prefix (≤1 row) as the hash s
 
 // planSelect makes every planning decision for one query specification
 // — per-table pushdown, access paths, the left-deep join order with its
-// keys, the residual predicate, projection, duplicate elimination — and
-// returns them as a plan subtree with the columns it emits. It executes
+// keys, the columns each join emits, the residual predicate, projection,
+// duplicate elimination — and returns them as a plan subtree with the
+// columns it emits. It executes
 // nothing and reads no host-variable binding: the tree depends only on
 // the query shape and the schema, which is what makes it cacheable.
 func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, error) {
@@ -336,8 +338,9 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 			push: newFilter(t.all), rest: newFilter(residual)}
 	}
 
-	// Left-deep join tree: bind each further table with whatever
-	// equality conjuncts connect it to the tables already joined.
+	// Left-deep join tree, decided by name before any ordinal exists:
+	// bind each further table with whatever equality conjuncts connect it
+	// to the tables already joined.
 	// prefixTiny tracks whether the accumulated prefix is still bounded
 	// to at most one row (a key-bound start followed by unique probes);
 	// while it is, each hash join builds the prefix, not the new table:
@@ -349,15 +352,13 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	// every later step was a unique probe or an index join — so seeking
 	// once per prefix row touches O(prefix) rows where a hash join would
 	// read the whole new table.
-	var cur operator = tables[0]
-	cols := tables[0].cols
+	steps := make([]joinStep, len(tables))
 	bound := map[string]bool{joined[order[0].idx].corr: true}
 	prefixTiny := startTiny
 	prefixBounded := !p.Opts.WrittenJoinOrder && tables[0].path != nil
-	for k, t := range tables[1:] {
-		term := joined[order[k+1].idx]
-		corr := term.corr
-		var lk, rk []string
+	for k := 1; k < len(tables); k++ {
+		st := &steps[k]
+		term := joined[order[k].idx]
 		for i, c := range conjuncts {
 			if used[i] {
 				continue
@@ -367,33 +368,116 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 				continue
 			}
 			switch {
-			case bound[lref.Qualifier] && rref.Qualifier == corr:
-				lk = append(lk, lref.Qualifier+"."+lref.Column)
-				rk = append(rk, rref.Qualifier+"."+rref.Column)
-				used[i] = true
-			case bound[rref.Qualifier] && lref.Qualifier == corr:
-				lk = append(lk, rref.Qualifier+"."+rref.Column)
-				rk = append(rk, lref.Qualifier+"."+lref.Column)
-				used[i] = true
+			case bound[lref.Qualifier] && rref.Qualifier == term.corr:
+			case bound[rref.Qualifier] && lref.Qualifier == term.corr:
+				lref, rref = rref, lref
+			default:
+				continue
 			}
+			st.lk = append(st.lk, lref.Qualifier+"."+lref.Column)
+			st.rk = append(st.rk, rref.Qualifier+"."+rref.Column)
+			used[i] = true
 		}
 		// Rule A: probe the new table's index instead of reading it.
-		var ij *indexJoinOp
-		if prefixBounded && t.path == nil && len(lk) > 0 {
-			if ij, err = indexJoin(cur, cols, term, lk, rk); err != nil {
-				return nil, nil, err
+		if prefixBounded && tables[k].path == nil && len(st.lk) > 0 {
+			st.ix, st.key = indexProbe(term, st.lk, st.rk)
+		}
+		// The prefix probes the new table's hash table, unless the roles
+		// flip.
+		st.flip = prefixTiny && len(st.lk) > 0 && st.ix == nil
+		prefixTiny = prefixTiny && order[k].unique
+		prefixBounded = prefixBounded && (order[k].unique || st.ix != nil)
+		bound[term.corr] = true
+	}
+	for _, pr := range probes {
+		for _, i := range pr.eqs {
+			used[i] = true
+		}
+	}
+	var residual []ast.Expr
+	for i, c := range conjuncts {
+		if !used[i] {
+			residual = append(residual, c)
+		}
+	}
+	rf := newFilter(residual)
+	po := &projectOp{cols: make([]string, len(refs))}
+	for i, r := range refs {
+		po.cols[i] = r.Qualifier + "." + r.Column
+	}
+	po.detail = strings.Join(po.cols, ", ")
+
+	// Liveness, top-down: a join emits the columns something above it
+	// reads and no others. Above the last join that is the projection,
+	// the residual predicate and the existence probes' keys; above an
+	// earlier one, what the next join emits of the prefix plus its own
+	// keys into it. The last join emits the projection's layout first —
+	// in its order, repeats included — so that with nothing else to carry
+	// the projection above it is the identity. A residual predicate with a
+	// subquery reads columns this walk cannot list (the subquery binds
+	// the whole row by name), so such a block — a baseline path the
+	// rewrites exist to remove — keeps every column.
+	wide := rf.pred != nil && ast.HasExists(rf.pred)
+	live, extras := map[string]bool{}, map[string]bool{} // extras: read above the last join, not projected
+	for _, c := range po.cols {
+		live[c] = true
+	}
+	carry := func(c string) {
+		if !live[c] {
+			live[c], extras[c] = true, true
+		}
+	}
+	for _, ref := range ast.ColumnRefs(rf.pred) {
+		carry(ref.Qualifier + "." + ref.Column)
+	}
+	for _, pr := range probes {
+		for _, pk := range pr.key {
+			carry(pk.outer)
+		}
+	}
+	for k := len(tables) - 1; k >= 1; k-- {
+		steps[k].live = live
+		below := map[string]bool{}
+		for _, c := range steps[k].lk {
+			below[c] = true
+		}
+		mine := joined[order[k].idx].corr + "."
+		for c := range live {
+			if !strings.HasPrefix(c, mine) {
+				below[c] = true
 			}
 		}
-		// The join's inputs are (probe, inner): the prefix probes the new
-		// table's hash table, unless the roles flip.
+		live = below
+	}
+
+	// Assembly, bottom-up: every ordinal resolves against the layout the
+	// step below was just given.
+	var cur operator = tables[0]
+	cols := tables[0].cols
+	for k := 1; k < len(tables); k++ {
+		st, t, term := &steps[k], tables[k], joined[order[k].idx]
+		out := append(append([]string{}, cols...), t.cols...)
+		switch {
+		case wide:
+		case k == len(tables)-1:
+			out = append(append([]string{}, po.cols...), keep(out, extras)...)
+		default:
+			out = keep(out, st.live)
+		}
+		// The join's inputs are (probe, inner): the prefix and the new
+		// table, or the other way round; the layout is the same columns
+		// either way, found on whichever side has them.
 		j := &joinOp{probe: cur, inner: t}
-		pcols, icols, pk, ik := cols, t.cols, lk, rk
-		if prefixTiny && len(lk) > 0 && ij == nil {
+		pcols, icols, pk, ik := cols, t.cols, st.lk, st.rk
+		if st.flip {
 			j.probe, j.inner = t, cur
-			pcols, icols, pk, ik = t.cols, cols, rk, lk
+			pcols, icols, pk, ik = t.cols, cols, st.rk, st.lk
 			j.note(newText(buildPrefixNote))
 		}
-		if len(lk) > 0 {
+		if j.emit, err = emitOf(out, pcols, icols); err != nil {
+			return nil, nil, err
+		}
+		if len(st.lk) > 0 {
 			j.detail = strings.Join(pk, ",") + " = " + strings.Join(ik, ",")
 			if j.pi, err = engine.ColIndexes(pcols, pk); err != nil {
 				return nil, nil, err
@@ -402,58 +486,53 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 				return nil, nil, err
 			}
 		}
-		j.cols = append(append([]string{}, pcols...), icols...)
-		cur, cols = j, j.cols
-		if ij != nil {
+		var ij *indexJoinOp
+		if st.ix != nil {
 			// The hash join stands by for an execution whose key constants
-			// do not bind; it emits the index join's column layout.
-			ij.fallback = j
-			cur = ij
+			// do not bind; its roles are never flipped, so its layout is
+			// the index join's.
+			if ij, err = newIndexJoin(cur, cols, term, st.ix, st.key, false); err != nil {
+				return nil, nil, err
+			}
+			ij.emit, ij.fallback = j.emit, j
 		}
-		if order[k+1].bound != "" {
-			j.note(newText(order[k+1].bound))
+		if order[k].bound != "" {
+			j.note(newText(order[k].bound))
 			if ij != nil {
-				ij.note(newText(order[k+1].bound))
+				ij.note(newText(order[k].bound))
 			}
 		}
-		prefixTiny = prefixTiny && order[k+1].unique
-		prefixBounded = prefixBounded && (order[k+1].unique || ij != nil)
-		bound[corr] = true
+		cur, cols = j, out
+		if ij != nil {
+			cur = ij
+		}
 	}
 	for _, pr := range probes {
 		ij, err := newIndexJoin(cur, cols, pr.t, pr.ix, pr.key, true)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, i := range pr.eqs {
-			used[i] = true
-		}
 		ij.note(newText(fmt.Sprintf("existence-only %s: first match; %s", pr.t.corr, probeNote)))
 		cur = ij
 	}
 
 	// Residual predicates (cross-table non-equalities, EXISTS, ...).
-	var residual []ast.Expr
-	for i, c := range conjuncts {
-		if !used[i] {
-			residual = append(residual, c)
-		}
-	}
-	if f := newFilter(residual); f.pred != nil {
-		fo := &filterOp{child: cur, f: f}
-		if ast.HasExists(f.pred) {
+	if rf.pred != nil {
+		fo := &filterOp{child: cur, f: rf}
+		if wide {
 			fo.scope, c.subqueries = scope, true
 		}
 		cur = fo
 	}
 
 	// Projection and duplicate elimination.
-	po := &projectOp{child: cur, cols: make([]string, len(refs))}
-	for i, r := range refs {
-		po.cols[i] = r.Qualifier + "." + r.Column
-	}
-	po.detail = strings.Join(po.cols, ", ")
-	if po.idx, err = engine.ColIndexes(cols, po.cols); err != nil {
+	po.child = cur
+	if len(tables) > 1 && !wide {
+		po.idx = make([]int, len(po.cols))
+		for i := range po.idx {
+			po.idx[i] = i
+		}
+	} else if po.idx, err = engine.ColIndexes(cols, po.cols); err != nil {
 		return nil, nil, err
 	}
 	cur = po
@@ -470,6 +549,45 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		}
 	}
 	return cur, po.cols, nil
+}
+
+// joinStep is what planSelect decides about one step of the left-deep
+// join order before any column has an ordinal: the equality keys by
+// name, rule A's index probe, whether the hash join's roles flip, and
+// the columns read above the step.
+type joinStep struct {
+	lk, rk []string              // the prefix's key columns, the new table's
+	ix     *storage.OrderedIndex // rule A's probe; nil = hash join or product
+	key    []probeKey
+	flip   bool            // the new table probes a hash table of the prefix
+	live   map[string]bool // what is read above the join
+}
+
+// keep returns the columns of cols that are in set, in cols' order.
+func keep(cols []string, set map[string]bool) []string {
+	var out []string
+	for _, c := range cols {
+		if set[c] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// emitOf resolves the layout out, by name, over a join whose left input
+// emits left and whose right input emits right.
+func emitOf(out, left, right []string) (engine.Emit, error) {
+	emit := make(engine.Emit, len(out))
+	for i, name := range out {
+		if c := slices.Index(left, name); c >= 0 {
+			emit[i] = engine.EmitCol{Ord: c}
+		} else if c := slices.Index(right, name); c >= 0 {
+			emit[i] = engine.EmitCol{Right: true, Ord: c}
+		} else {
+			return nil, fmt.Errorf("plan: no join input emits %s (left: %v, right: %v)", name, left, right)
+		}
+	}
+	return emit, nil
 }
 
 // without returns conj less the conjuncts at the ascending positions

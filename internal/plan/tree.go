@@ -22,9 +22,13 @@ import (
 // decided at three times:
 //
 //   - at compile, once per statement shape: the join order, every
-//     operator's output columns, key and projection ordinals, pushed and
-//     residual predicates, the pre-split text of every rendering and
-//     note, sort vs hash distinct;
+//     join's output layout — which columns of its inputs it emits, in
+//     what order: the ones read above it and no others (planSelect's
+//     liveness walk), the top join of a block exactly the projection's,
+//     so that the projection above it is the identity and copies
+//     nothing — key and projection ordinals, pushed and residual
+//     predicates, the pre-split text of every rendering and note, sort
+//     vs hash distinct;
 //   - at bind, once per execution: whether a symbolic access path binds
 //     against this execution's host values (index scan + what the probe
 //     does not subsume) or falls back (full scan + the whole pushed
@@ -134,10 +138,12 @@ func (o *accessOp) build(b *builder, n *Node) (engine.Iterator, error) {
 // joinOp joins two subtrees: a hash join on the probe columns at pi
 // equal to the build columns at bi, or — with no key — the Cartesian
 // product, which streams its left (probe) input and buffers the other.
+// emit is its output layout: what is read above it (planSelect's
+// liveness walk), with probe as the left input and inner as the right.
 type joinOp struct {
 	notes
 	probe, inner operator
-	cols         []string // probe's columns then inner's
+	emit         engine.Emit
 	pi, bi       []int
 	detail       string // "P.SNO = S.SNO"; "" for a product
 }
@@ -159,10 +165,12 @@ func (o *joinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
+	var it engine.Iterator
 	if len(o.pi) == 0 {
-		return b.add(engine.NewProductIter(b.st, probe, inner, o.cols), n), nil
+		it, err = engine.NewProductIter(b.st, probe, inner, o.emit)
+	} else {
+		it, err = engine.NewHashJoinIter(b.st, probe, inner, o.emit, o.pi, o.bi)
 	}
-	it, err := engine.NewHashJoinIter(b.st, probe, inner, o.cols, o.pi, o.bi)
 	if err != nil {
 		return nil, err
 	}
@@ -186,15 +194,17 @@ type keyPart struct {
 // once. planSelect's rules A and B choose it, from the query shape and
 // the schema only. A key constant that does not bind for an execution
 // (an unbound host variable) turns the operator, for render and build
-// alike, into fallback — the hash join it replaced; a semi key has no
-// constants and no fallback.
+// alike, into fallback — the hash join it replaced, which emits the
+// same layout; a semi key has no constants and no fallback. emit is the
+// join form's output layout (outer left, the table right); the semi form
+// passes the outer row through and has none.
 type indexJoinOp struct {
 	notes
 	outer    operator
 	tbl      *storage.Table
 	ix       *storage.OrderedIndex
 	inner    []string // the table's columns under its correlation name
-	cols     []string // outer's columns, then — unless semi — inner
+	emit     engine.Emit
 	key      []keyPart
 	rest     filter
 	semi     bool
@@ -208,10 +218,7 @@ type indexJoinOp struct {
 // every fetched row.
 func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.OrderedIndex, key []probeKey, semi bool) (*indexJoinOp, error) {
 	o := &indexJoinOp{outer: outer, tbl: t.tbl, ix: ix, semi: semi,
-		inner: engine.QualifiedCols(t.tbl, t.corr), cols: cols}
-	if !semi {
-		o.cols = append(append([]string{}, cols...), o.inner...)
-	}
+		inner: engine.QualifiedCols(t.tbl, t.corr)}
 	var subsumed []int
 	shown := make([]string, len(key))
 	for i, pk := range key {
@@ -279,7 +286,7 @@ func (o *indexJoinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	}
 	it, err := engine.NewIndexJoinIter(b.st, outer,
 		engine.IndexProbe{Tbl: o.tbl, Ix: o.ix, Cols: o.inner, Key: key, Pred: o.rest.pred},
-		&b.env, o.semi, o.cols)
+		&b.env, o.semi, o.emit)
 	if err != nil {
 		return nil, err
 	}

@@ -49,8 +49,8 @@ func TestBuildFailureClosesEveryIterator(t *testing.T) {
 		spies = append(spies, s)
 		return s
 	}
-	ab := &joinOp{probe: leaf("A.K"), inner: leaf("B.K"), cols: []string{"A.K", "B.K"}, pi: []int{0}, bi: []int{0}}
-	abc := &joinOp{probe: ab, inner: leaf("C.K"), cols: []string{"A.K", "B.K", "C.K"}, pi: []int{1}, bi: []int{0}}
+	ab := &joinOp{probe: leaf("A.K"), inner: leaf("B.K"), emit: engine.IdentityEmit(1, 1), pi: []int{0}, bi: []int{0}}
+	abc := &joinOp{probe: ab, inner: leaf("C.K"), emit: engine.IdentityEmit(2, 1), pi: []int{1}, bi: []int{0}}
 	p := NewPlanner(smallDB(t), Options{})
 	gov := engine.NewGovernor(1<<30, 1<<30)
 	ctx := engine.WithGovernor(context.Background(), gov)

@@ -89,9 +89,10 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	mu       sync.Mutex // guards ln, sessions, drain, and reqWG.Add
+	mu       sync.Mutex // guards ln, sessions, admitted, drain, and reqWG.Add
 	ln       net.Listener
-	sessions map[*session]struct{}
+	sessions map[*session]struct{} // every live connection, refused ones included
+	admitted int                   // the sessions among them that hold a MaxSessions slot
 	drain    bool
 	reqWG    sync.WaitGroup // in-flight requests (handled + response written)
 	connWG   sync.WaitGroup // session loops
@@ -189,10 +190,22 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
+// Sessions reports how many sessions hold a MaxSessions slot right now:
+// the gauge admission is decided against. A refused connection is never
+// counted, and a closed one stops counting once its session goroutine
+// has unregistered.
+func (s *Server) Sessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.admitted
+}
+
 // startSession registers and launches one connection's session
 // goroutine; over the session cap the session is started in rejected
 // mode so the refusal travels as a typed protocol error rather than
-// an abrupt close.
+// an abrupt close. A rejected session is tracked — Shutdown closes its
+// connection and waits for its goroutine — but holds no slot: refusals
+// must not occupy what they were refused for.
 func (s *Server) startSession(conn net.Conn) {
 	sess := &session{
 		id:       s.nextSID.Add(1),
@@ -207,12 +220,14 @@ func (s *Server) startSession(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if s.cfg.MaxSessions > 0 && len(s.sessions) >= s.cfg.MaxSessions {
+	if s.cfg.MaxSessions > 0 && s.admitted >= s.cfg.MaxSessions {
 		sess.reject = &AdmissionError{
 			Resource: "sessions",
 			Limit:    int64(s.cfg.MaxSessions),
-			Used:     int64(len(s.sessions)),
+			Used:     int64(s.admitted),
 		}
+	} else {
+		s.admitted++
 	}
 	s.sessions[sess] = struct{}{}
 	s.connWG.Add(1)
@@ -224,6 +239,9 @@ func (s *Server) startSession(conn net.Conn) {
 func (s *Server) dropSession(sess *session) {
 	s.mu.Lock()
 	delete(s.sessions, sess)
+	if sess.reject == nil {
+		s.admitted--
+	}
 	s.mu.Unlock()
 	s.connWG.Done()
 }

@@ -250,7 +250,7 @@ func TestServerBudgetNegotiation(t *testing.T) {
 func TestServerSessionCap(t *testing.T) {
 	testleak.Check(t)
 	db := testDB(t, 10, uniqopt.Options{})
-	_, addr := startServer(t, db, server.Config{MaxSessions: 1})
+	srv, addr := startServer(t, db, server.Config{MaxSessions: 1})
 	c := dial(t, addr)
 	defer c.Close()
 
@@ -261,8 +261,17 @@ func TestServerSessionCap(t *testing.T) {
 	if !errors.As(err, &re) || re.Code != server.CodeAdmission || re.Resource != "sessions" {
 		t.Fatalf("over-cap dial: err = %v", err)
 	}
-	// Closing the first session frees the slot.
+	if n := srv.Sessions(); n != 1 {
+		t.Fatalf("after a refused dial %d sessions hold a slot, want 1: a refusal must not occupy one", n)
+	}
+	// Closing the first session frees the slot — once its goroutine has
+	// seen the close, which the server's own gauge reports.
 	c.Close()
+	for deadline := time.Now().Add(5 * time.Second); srv.Sessions() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("slot not freed 5s after Close: %d sessions still admitted", srv.Sessions())
+		}
+	}
 	c2, err := client.Dial(addr)
 	if err != nil {
 		t.Fatalf("dial after slot freed: %v", err)

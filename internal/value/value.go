@@ -101,6 +101,15 @@ func (v Value) AsBool() bool {
 	return v.b
 }
 
+// Int reads the integer payload where the value lies — a row cell, say —
+// without copying the Value; ok is false, and nothing panics, when v is
+// not an integer (NULL included). The per-row comparison kernels of
+// eval.Compile are built on it and on Str.
+func (v *Value) Int() (i int64, ok bool) { return v.i, v.kind == KindInt }
+
+// Str is Int for the string payload.
+func (v *Value) Str() (s string, ok bool) { return v.s, v.kind == KindString }
+
 // String renders v as a SQL literal.
 func (v Value) String() string {
 	switch v.kind {

@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"uniqopt"
+	"uniqopt/internal/plan"
+	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
 )
 
@@ -20,7 +23,11 @@ import (
 // benchmark oracle is order-insensitive and the EXPLAIN goldens pin
 // counts, not order. The three embedded_analytic shapes the index-probe
 // rules reach (probedAnalytic, under goldenHosts) were added with those
-// rules: their optimized rows are in outer order, since no sort runs. Regenerating them (`go test -run TestRowGoldens
+// rules: their optimized rows are in outer order, since no sort runs.
+// The layout cases (layoutCases) were generated at commit 0d7e4a2, the
+// parent of the change that made every join emit only the columns read
+// above it: they are the shapes whose rows that change could have
+// altered. Regenerating them (`go test -run TestRowGoldens
 // -update .`) is only legitimate in a change that means to alter row
 // order.
 
@@ -75,6 +82,81 @@ func goldenIndexedDB(t *testing.T) *uniqopt.DB {
 type rowCase struct {
 	name, sql string
 	indexed   bool // runs on goldenIndexedDB
+	// written plans the statement under plan.Options.WrittenJoinOrder,
+	// which no uniqopt.Options field reaches.
+	written bool
+	// unbound names a host variable of goldenHosts the run leaves out;
+	// the golden is then the error the statement fails with.
+	unbound string
+}
+
+// layoutCases are the shapes a join's emit map decides the layout of: a
+// column projected twice, a cross-table residual predicate read between
+// the join and the projection, a residual subquery (the block keeps
+// full-width rows), a three-table chain in written order (a non-top
+// join's layout, roles never flipped), and an index join whose key
+// constant does not bind, so that its hash-join fallback is what runs.
+var layoutCases = []rowCase{
+	{name: "layout_repeat", sql: `SELECT ALL S.SNO, S.SNO, P.PNO, S.SNO FROM SUPPLIER S, PARTS P
+		WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.PNO >= :K`},
+	{name: "layout_residual", sql: `SELECT ALL S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P
+		WHERE S.SNO = P.SNO AND S.BUDGET < P.PNO`},
+	{name: "layout_subquery", sql: `SELECT ALL P.PNO, S.SNAME FROM SUPPLIER S, PARTS P
+		WHERE S.SNO = P.SNO AND S.BUDGET > 500 AND
+		EXISTS (SELECT * FROM AGENTS A WHERE A.SNO = S.SNO AND A.ANO = P.PNO)`},
+	{name: "layout_written", written: true, indexed: true, sql: `SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME
+		FROM AGENTS A, PARTS P, SUPPLIER S
+		WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = 7 AND P.OEM-PNO <> 1065`},
+	{name: "layout_fallback", indexed: true, unbound: "PARTNO", sql: `SELECT ALL S.SNO, S.SNAME, P.PNAME
+		FROM SUPPLIER S, PARTS P
+		WHERE S.SNO BETWEEN :L AND :H AND S.SNO = P.SNO AND P.PNO = :PARTNO`},
+}
+
+// run executes the case on db — the plain or the indexed golden database,
+// as the case says — with or without the rewrites.
+func (c rowCase) run(db *uniqopt.DB, optimize bool) (*uniqopt.Rows, error) {
+	hosts := goldenHosts
+	if c.unbound != "" {
+		hosts = map[string]any{}
+		for k, v := range goldenHosts {
+			if k != c.unbound {
+				hosts[k] = v
+			}
+		}
+	}
+	if !c.written {
+		return db.QueryWith(c.sql, hosts, optimize)
+	}
+	q, err := parser.ParseQuery(c.sql)
+	if err != nil {
+		return nil, err
+	}
+	bound := map[string]value.Value{}
+	for k, v := range hosts {
+		if bound[k], err = uniqopt.Convert(v); err != nil {
+			return nil, err
+		}
+	}
+	res, err := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: optimize, WrittenJoinOrder: true}).Run(q, bound)
+	if err != nil {
+		return nil, err
+	}
+	out := &uniqopt.Rows{Columns: res.Rel.Cols, Stats: res.Stats}
+	for _, row := range res.Rel.Rows {
+		cells := make([]any, len(row))
+		for i, v := range row {
+			switch v.Kind() {
+			case value.KindInt:
+				cells[i] = v.AsInt()
+			case value.KindString:
+				cells[i] = v.AsString()
+			case value.KindBool:
+				cells[i] = v.AsBool()
+			}
+		}
+		out.Data = append(out.Data, cells)
+	}
+	return out, nil
 }
 
 // rowCases lists the paper examples, the adhoc shapes, then the probed
@@ -95,12 +177,16 @@ func rowCases() []rowCase {
 	for _, name := range probedAnalytic {
 		out = append(out, rowCase{name: name, sql: benchStatement(name).sql, indexed: true})
 	}
-	return out
+	return append(out, layoutCases...)
 }
 
 // renderRows is the golden format: the column names, then one line per
-// row in emitted order, tab-separated, NULL spelled out.
-func renderRows(rows *uniqopt.Rows) string {
+// row in emitted order, tab-separated, NULL spelled out; or, for a run
+// that failed, its error.
+func renderRows(rows *uniqopt.Rows, err error) string {
+	if err != nil {
+		return "error: " + err.Error() + "\n"
+	}
 	var sb strings.Builder
 	sb.WriteString(strings.Join(rows.Columns, "\t"))
 	sb.WriteByte('\n')
@@ -139,12 +225,12 @@ func checkRowGoldens(t *testing.T, plain, indexed *uniqopt.DB) {
 			db = indexed
 		}
 		for _, optimize := range []bool{true, false} {
-			rows, err := db.QueryWith(c.sql, goldenHosts, optimize)
-			if err != nil {
+			rows, err := c.run(db, optimize)
+			if err != nil && c.unbound == "" {
 				t.Errorf("%s optimize=%v: %v", c.name, optimize, err)
 				continue
 			}
-			got, path := renderRows(rows), rowGoldenPath(c.name, optimize)
+			got, path := renderRows(rows, err), rowGoldenPath(c.name, optimize)
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)

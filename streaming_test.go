@@ -91,7 +91,7 @@ func TestStreamingPaperExamples(t *testing.T) {
 	// case has the goldens as its only oracle.
 	reference := map[string]*engine.Relation{}
 	for _, c := range rowCases() {
-		if c.name == "chain3_lit" {
+		if c.name == "chain3_lit" || c.name == "layout_written" || c.unbound != "" {
 			continue
 		}
 		db := goldenDB(t)
@@ -117,7 +117,10 @@ func TestStreamingPaperExamples(t *testing.T) {
 					db = indexed
 				}
 				for _, optimize := range []bool{true, false} {
-					got, err := db.QueryWith(c.sql, goldenHosts, optimize)
+					got, err := c.run(db, optimize)
+					if c.unbound != "" {
+						continue // the golden holds its error
+					}
 					if err != nil {
 						t.Fatalf("%s optimize=%v: %v", c.name, optimize, err)
 					}

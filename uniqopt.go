@@ -383,12 +383,18 @@ func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]
 	}
 	d.stats.Add(res.Stats)
 	out := &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Rewrites: rewriteInfos(res.Rewrites)}
+	// One slab of rows × columns backs the whole result; every row is a
+	// capacity-clipped window of it, so an append by the caller cannot
+	// reach its neighbour.
+	w := len(res.Rel.Cols)
+	slab := make([]any, len(res.Rel.Rows)*w)
 	out.Data = make([][]any, len(res.Rel.Rows))
 	for i, row := range res.Rel.Rows {
-		out.Data[i] = make([]any, len(row))
+		cells := slab[i*w : (i+1)*w : (i+1)*w]
 		for j, v := range row {
-			out.Data[i][j] = toGo(v)
+			cells[j] = toGo(v)
 		}
+		out.Data[i] = cells
 	}
 	return out, nil
 }
