@@ -82,13 +82,16 @@ storage-smoke:
 	$(GO) test -run 'BothBackends' .
 	$(GO) run ./cmd/benchrunner -exp storage -scale 0.05 -json BENCH_storage.json
 
-# Fuzz smoke: ten seconds each of the two fuzz targets — the frame codec
-# against encoding/json and the SQL parser — beyond the seed corpora
-# tier-1 already runs. A fixed budget and no timing assertion; not part
-# of ci (a finding is a new input to look at, not a flaky build).
+# Fuzz smoke: ten seconds each of the three fuzz targets — the frame
+# codec against encoding/json, the SQL parser, and the statement cache
+# against a database that has never seen the text — beyond the seed
+# corpora tier-1 already runs. A fixed budget and no timing assertion;
+# not part of ci (a finding is a new input to look at, not a flaky
+# build).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileTwice$$' -fuzztime 10s .
 
 # Repository benchmark check: benchmark/ is a module of its own, outside
 # the root ./..., so nothing above builds it and an engine API change

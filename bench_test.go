@@ -243,3 +243,86 @@ func BenchmarkE9JoinElimination(b *testing.B) {
 	runBench(b, db, `SELECT P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
 		WHERE S.SNO = P.SNO AND P.COLOR = 'RED'`, nil)
 }
+
+// stmtBenchDB is the paper schema through the public API with a
+// hundred suppliers: enough for the statement-cache benchmarks below,
+// whose work is the compile path and a key probe.
+func stmtBenchDB(b *testing.B) *DB {
+	b.Helper()
+	db := Open()
+	for _, ddl := range workload.BenchDDL {
+		if err := db.Exec(ddl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for sno := 1; sno <= 100; sno++ {
+		if err := db.Insert("SUPPLIER", sno, fmt.Sprintf("name-%d", sno), "Toronto", sno*10, "Active"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return db
+}
+
+// The two spellings of one point query: by host variable (literal-free,
+// so a repeat is served by its text) and by literal (lexed every time,
+// then served by its shape).
+const (
+	benchPointHost    = `SELECT S.SNO, S.SNAME, S.BUDGET FROM SUPPLIER S WHERE S.SNO = :N AND S.STATUS = :ST`
+	benchPointLiteral = `SELECT S.SNO, S.SNAME, S.BUDGET FROM SUPPLIER S WHERE S.SNO = 7 AND S.STATUS = 'Active'`
+)
+
+var benchPointCases = []struct {
+	name, sql string
+	hosts     map[string]any
+}{
+	{"text", benchPointHost, map[string]any{"N": 7, "ST": "Active"}},
+	{"lifted", benchPointLiteral, nil},
+}
+
+// BenchmarkCompileHit is a statement-cache hit alone, text to bound
+// call: text reaches the entry by the text itself, lifted by way of the
+// lexer and the shape.
+func BenchmarkCompileHit(b *testing.B) {
+	db := stmtBenchDB(b)
+	for _, c := range benchPointCases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.compile(c.sql, c.hosts, true, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPointQuery runs the same two statements end to end: the
+// host-variable query against the same query with literals.
+func BenchmarkPointQuery(b *testing.B) {
+	db := stmtBenchDB(b)
+	for _, c := range benchPointCases {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := db.QueryWithContext(context.Background(), c.sql, c.hosts, true)
+				if err != nil || len(rows.Data) != 1 {
+					b.Fatalf("%v, %v", rows, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkExecInsertHost is durable_ingest's statement on the
+// in-memory backend: one host-variable INSERT per row, ascending keys.
+func BenchmarkExecInsertHost(b *testing.B) {
+	db := stmtBenchDB(b)
+	hosts := map[string]any{"SNO": 7, "ANAME": "agent", "ACITY": "Ottawa"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		hosts["ANO"] = i
+		if _, err := db.ExecWith(`INSERT INTO AGENTS VALUES (:SNO, :ANO, :ANAME, :ACITY)`, hosts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -35,6 +35,8 @@ import (
 
 	"uniqopt"
 	"uniqopt/internal/metrics"
+	"uniqopt/internal/sql/lexer"
+	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
 )
 
@@ -359,6 +361,13 @@ func wireError(err error) *WireError {
 	}
 	if errors.Is(err, storage.ErrRecovering) {
 		return recoveringError()
+	}
+	// A syntax error is told by its type, wherever the text was parsed:
+	// at PREPARE, or inside the database when a statement is compiled.
+	var le *lexer.Error
+	var pe *parser.Error
+	if errors.As(err, &le) || errors.As(err, &pe) {
+		return &WireError{Code: CodeParse, Msg: err.Error()}
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return &WireError{Code: CodeCancelled, Msg: err.Error()}

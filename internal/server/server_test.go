@@ -20,6 +20,7 @@ import (
 	"uniqopt"
 	"uniqopt/internal/server"
 	"uniqopt/internal/server/client"
+	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/testleak"
 )
 
@@ -802,6 +803,93 @@ func TestServerBadArgRefusedPerRequest(t *testing.T) {
 		}
 	}
 	if resp := roundTrip(`{"id":99,"cmd":"CLOSE"}`); !resp.OK {
+		t.Fatalf("CLOSE: %+v", resp.Err)
+	}
+}
+
+// TestServerSyntaxErrorsTyped: a one-shot QUERY is classified by its
+// first token and parsed only where it is compiled, so a syntax error
+// now surfaces from inside the database. It must still reach the client
+// as CodeParse, with the message the parser gives for the text as
+// written — which is what the session answered when it parsed every
+// QUERY itself. Each text is sent twice: nothing about a
+// failed statement may be remembered.
+func TestServerSyntaxErrorsTyped(t *testing.T) {
+	testleak.Check(t)
+	db := testDB(t, 10, uniqopt.Options{})
+	_, addr := startServer(t, db, server.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	id := uint64(0)
+	roundTrip := func(cmd, sql string) *server.Response {
+		t.Helper()
+		id++
+		if err := server.WriteFrame(conn, &server.Request{ID: id, Cmd: server.Command(cmd), Name: "p", SQL: sql}); err != nil {
+			t.Fatal(err)
+		}
+		var resp server.Response
+		if err := server.ReadFrame(conn, &resp); err != nil {
+			t.Fatalf("after %s %q: %v", cmd, sql, err)
+		}
+		if resp.ID != id {
+			t.Fatalf("%s %q: response id %d, want %d", cmd, sql, resp.ID, id)
+		}
+		return &resp
+	}
+	for _, sql := range []string{
+		"SELECT S.SNO FROM S WHERE S.SNO = @", // lex error
+		"@",                                   // lex error in the first token
+		"SELECT S.CITY FROM S WHERE S.CITY = 'open",              // unterminated string
+		"SELECT FROM WHERE",                                      // parse error
+		"SELECT 7 FROM S",                                        // parse error naming a literal
+		"SELECT S.SNO FROM S WHERE S.SNO = 99999999999999999999", // past int64
+		"(SELECT S.SNO FROM S)",                                  // not a statement keyword
+		"",                                                       // empty text
+		"  -- nothing but a comment\n",                           // comment-only text
+		"CREATE TABLE (",                                         // DDL
+		"CREATE TABLE T2 (A INTEGER, PRIMARY KEY (A)) @",
+		"INSERT INTO S VALUES (", // INSERT
+		"INSERT INTO S VALUES (1, 'x'",
+	} {
+		_, perr := parser.ParseStatement(sql)
+		if perr == nil {
+			t.Fatalf("%q parses", sql)
+		}
+		for _, cmd := range []string{"QUERY", "QUERY", "PREPARE"} {
+			resp := roundTrip(cmd, sql)
+			if resp.OK || resp.Err == nil || resp.Err.Code != server.CodeParse || resp.Err.Msg != perr.Error() {
+				t.Errorf("%s %q: response %+v err %+v, want CodeParse %q", cmd, sql, resp, resp.Err, perr)
+			}
+		}
+	}
+	// An error the parser does not raise keeps its code.
+	if resp := roundTrip("QUERY", "SELECT S.NOPE FROM S"); resp.OK || resp.Err.Code != server.CodeSQL {
+		t.Errorf("unknown column: %+v err %+v, want CodeSQL", resp, resp.Err)
+	}
+	if resp := roundTrip("QUERY", "CREATE TABLE S (A INTEGER, PRIMARY KEY (A))"); resp.OK || resp.Err.Code != server.CodeSQL {
+		t.Errorf("duplicate table: %+v err %+v, want CodeSQL", resp, resp.Err)
+	}
+	// DDL is refused at PREPARE, as a protocol error.
+	resp := roundTrip("PREPARE", "CREATE TABLE T3 (A INTEGER, PRIMARY KEY (A))")
+	if resp.OK || resp.Err == nil || resp.Err.Code != server.CodeProtocol ||
+		resp.Err.Msg != "PREPARE accepts queries and INSERT, not DDL" {
+		t.Errorf("PREPARE of DDL: %+v err %+v", resp, resp.Err)
+	}
+	// The session still serves all three kinds, by first token, whatever
+	// the letter case or leading comment.
+	if resp := roundTrip("QUERY", "-- ddl\ncreate table T4 (A INTEGER, PRIMARY KEY (A))"); !resp.OK {
+		t.Fatalf("CREATE: %+v", resp.Err)
+	}
+	if resp := roundTrip("QUERY", "insert into T4 values (4)"); !resp.OK || resp.RowsAffected != 1 {
+		t.Fatalf("INSERT: %+v err %+v", resp, resp.Err)
+	}
+	if resp := roundTrip("QUERY", "select A from T4"); !resp.OK || len(resp.Rows) != 1 {
+		t.Fatalf("SELECT: %+v err %+v", resp, resp.Err)
+	}
+	if resp := roundTrip("CLOSE", ""); !resp.OK {
 		t.Fatalf("CLOSE: %+v", resp.Err)
 	}
 }

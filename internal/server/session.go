@@ -10,7 +10,9 @@ import (
 
 	"uniqopt"
 	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/sql/lexer"
 	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/sql/token"
 )
 
 // preparedStmt is one session-scoped prepared statement: the SQL text
@@ -192,7 +194,7 @@ func (sess *session) prepare(req *Request) *Response {
 	}
 	st, err := parser.ParseStatement(req.SQL)
 	if err != nil {
-		return errorResponse(req.ID, &WireError{Code: CodeParse, Msg: err.Error()})
+		return errorResponse(req.ID, wireError(err))
 	}
 	_, isInsert := st.(*ast.Insert)
 	if _, isDDL := st.(*ast.CreateTable); isDDL {
@@ -236,16 +238,19 @@ func (sess *session) exec(req *Request) *Response {
 
 // query runs a one-shot statement: CREATE TABLE and INSERT take the
 // write path (exclusive against in-flight queries, fsynced before
-// the acknowledgement), anything else executes as a query.
+// the acknowledgement), anything else executes as a query. The first
+// token tells the three apart; the text is parsed where it is compiled,
+// and only when the statement cache does not already hold it, so a
+// syntax error comes back from there (wireError types it CodeParse).
 func (sess *session) query(req *Request) *Response {
-	st, err := parser.ParseStatement(req.SQL)
+	first, err := lexer.New(req.SQL).Next()
 	if err != nil {
-		return errorResponse(req.ID, &WireError{Code: CodeParse, Msg: err.Error()})
+		return errorResponse(req.ID, wireError(err))
 	}
-	switch st.(type) {
-	case *ast.CreateTable:
+	switch first.Kind {
+	case token.KwCreate:
 		return sess.runDDL(req)
-	case *ast.Insert:
+	case token.KwInsert:
 		return sess.runInsert(req, req.SQL)
 	}
 	return sess.runQuery(req, req.SQL)
@@ -260,7 +265,7 @@ func (sess *session) runDDL(req *Request) *Response {
 	srv.ddlMu.Lock()
 	defer srv.ddlMu.Unlock()
 	if err := srv.db.Exec(req.SQL); err != nil {
-		return errorResponse(req.ID, &WireError{Code: CodeSQL, Msg: err.Error()})
+		return errorResponse(req.ID, wireError(err))
 	}
 	return &Response{ID: req.ID, OK: true, CatalogVersion: srv.db.Store().Catalog().Version()}
 }

@@ -30,7 +30,7 @@ import (
 type Table struct {
 	Schema *catalog.Table
 	rows   []value.Row
-	keyIdx []map[uint64][]int // parallel to Schema.Keys
+	keyIdx []keyIndex // parallel to Schema.Keys
 	// ordered holds the secondary ordered indexes.
 	ordered []*OrderedIndex
 	// db, when non-nil, is the owning database; it enables FOREIGN KEY
@@ -45,11 +45,54 @@ type Table struct {
 // NewTable creates an empty table for the given schema.
 func NewTable(schema *catalog.Table) *Table {
 	t := &Table{Schema: schema}
-	t.keyIdx = make([]map[uint64][]int, len(schema.Keys))
+	t.keyIdx = make([]keyIndex, len(schema.Keys))
 	for i := range t.keyIdx {
-		t.keyIdx[i] = make(map[uint64][]int)
+		t.keyIdx[i].reset()
 	}
 	return t
+}
+
+// keyIndex is the hash index on one candidate key: from the hash of a
+// row's key columns to the row's ordinal. A key admits one row per
+// value, so a slot holds one ordinal, in a map without pointers — no
+// slice per row, nothing for the collector to scan. Only a 64-bit hash
+// collision between different key values files a second ordinal under
+// a hash; those go to more, which is made on first use.
+type keyIndex struct {
+	first map[uint64]int
+	more  map[uint64][]int
+}
+
+func (k *keyIndex) reset() { k.first, k.more = make(map[uint64]int), nil }
+
+// add files row ordinal ord under hash h.
+func (k *keyIndex) add(h uint64, ord int) {
+	if _, taken := k.first[h]; !taken {
+		k.first[h] = ord
+		return
+	}
+	if k.more == nil {
+		k.more = make(map[uint64][]int)
+	}
+	k.more[h] = append(k.more[h], ord)
+}
+
+// find returns the first ordinal filed under h, in filing order, that
+// eq accepts, or -1.
+func (k *keyIndex) find(h uint64, eq func(ord int) bool) int {
+	ord, ok := k.first[h]
+	if !ok {
+		return -1
+	}
+	if eq(ord) {
+		return ord
+	}
+	for _, ord := range k.more[h] {
+		if eq(ord) {
+			return ord
+		}
+	}
+	return -1
 }
 
 // Len reports the number of stored rows.
@@ -187,8 +230,7 @@ func (t *Table) store(r value.Row) {
 	idx := len(t.rows)
 	t.rows = append(t.rows, r)
 	for ki, k := range t.Schema.Keys {
-		h := value.HashCols(r, k.Columns)
-		t.keyIdx[ki][h] = append(t.keyIdx[ki][h], idx)
+		t.keyIdx[ki].add(value.HashCols(r, k.Columns), idx)
 	}
 	for _, ix := range t.ordered {
 		ix.insert(idx)
@@ -200,12 +242,9 @@ func (t *Table) store(r value.Row) {
 // compared where they lie.
 func (t *Table) findKey(ki int, row value.Row, cols []int) int {
 	kc := t.Schema.Keys[ki].Columns
-	for _, ri := range t.keyIdx[ki][value.HashCols(row, cols)] {
-		if value.NullEqCols(row, cols, t.rows[ri], kc) {
-			return ri
-		}
-	}
-	return -1
+	return t.keyIdx[ki].find(value.HashCols(row, cols), func(ri int) bool {
+		return value.NullEqCols(row, cols, t.rows[ri], kc)
+	})
 }
 
 // LookupKey returns the ordinal of the row whose key ki equals keyVals
@@ -215,23 +254,21 @@ func (t *Table) LookupKey(ki int, keyVals value.Row) int {
 	if len(keyVals) != len(kc) {
 		return -1
 	}
-next:
-	for _, ri := range t.keyIdx[ki][value.HashRow(keyVals)] {
+	return t.keyIdx[ki].find(value.HashRow(keyVals), func(ri int) bool {
 		for i, c := range kc {
 			if !value.NullEq(keyVals[i], t.rows[ri][c]) {
-				continue next
+				return false
 			}
 		}
-		return ri
-	}
-	return -1
+		return true
+	})
 }
 
 // Truncate removes all rows. Ordered indexes are emptied but kept.
 func (t *Table) Truncate() {
 	t.rows = nil
 	for i := range t.keyIdx {
-		t.keyIdx[i] = make(map[uint64][]int)
+		t.keyIdx[i].reset()
 	}
 	for _, ix := range t.ordered {
 		ix.reset()

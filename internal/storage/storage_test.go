@@ -304,3 +304,117 @@ func TestValidateDoesNotStore(t *testing.T) {
 		t.Error("Validate must not store the row")
 	}
 }
+
+// TestKeyIndexSameHashChain forces several ordinals under one hash —
+// what a 64-bit collision between different key values does — first on
+// the index alone, then through a table's validate, store and lookup.
+func TestKeyIndexSameHashChain(t *testing.T) {
+	var k keyIndex
+	k.reset()
+	for ord := 0; ord < 5; ord++ {
+		k.add(7, ord)
+		if ord == 0 && k.more != nil {
+			t.Error("overflow map made before any collision")
+		}
+	}
+	k.add(8, 5)
+	is := func(want int) func(int) bool { return func(ord int) bool { return ord == want } }
+	for ord := 0; ord < 5; ord++ {
+		if got := k.find(7, is(ord)); got != ord {
+			t.Errorf("find(7, ==%d) = %d", ord, got)
+		}
+	}
+	if got := k.find(7, func(ord int) bool { return ord >= 2 }); got != 2 {
+		t.Errorf("find returned %d, want the first accepted in filing order, 2", got)
+	}
+	if k.find(7, is(5)) != -1 || k.find(8, is(5)) != 5 || k.find(9, is(0)) != -1 {
+		t.Error("ordinals leaked between hashes")
+	}
+	if len(k.first) != 2 || len(k.more) != 1 || len(k.more[7]) != 4 {
+		t.Errorf("first = %v, more = %v: want one ordinal per slot, the rest in overflow", k.first, k.more)
+	}
+	k.reset()
+	if k.find(7, is(0)) != -1 || k.more != nil {
+		t.Error("reset kept entries")
+	}
+
+	// Through a table: row 0's ordinal is also filed under the hashes of
+	// two keys it does not carry, as if all three collided.
+	p := paperDB(t).MustTable("PARTS")
+	if err := p.Insert(partsRow(1, 1, "bolt", value.Int(101), "RED")); err != nil {
+		t.Fatal(err)
+	}
+	nut, cog := partsRow(1, 2, "nut", value.Int(102), "BLUE"), partsRow(1, 3, "cog", value.Int(103), "RED")
+	for _, r := range []value.Row{nut, cog} {
+		for ki, key := range p.Schema.Keys {
+			p.keyIdx[ki].add(value.HashCols(r, key.Columns), 0)
+		}
+	}
+	for _, r := range []value.Row{nut, cog} {
+		if err := p.Insert(r); err != nil {
+			t.Fatalf("a row whose key only shares a hash with row 0 was refused: %v", err)
+		}
+		if err := p.Insert(r); err == nil || !strings.Contains(err.Error(), "PRIMARY KEY") {
+			t.Errorf("duplicate behind a colliding slot: err = %v", err)
+		}
+	}
+	if p.Len() != 3 || len(p.keyIdx[0].more) != 2 || len(p.keyIdx[1].more) != 2 {
+		t.Fatalf("%d rows, overflow %v / %v", p.Len(), p.keyIdx[0].more, p.keyIdx[1].more)
+	}
+	for pno := int64(1); pno <= 3; pno++ {
+		if ri := p.LookupKey(0, value.Row{value.Int(1), value.Int(pno)}); ri != int(pno-1) {
+			t.Errorf("LookupKey(SNO 1, PNO %d) = %d", pno, ri)
+		}
+		if ri := p.LookupKey(1, value.Row{value.Int(100 + pno)}); ri != int(pno-1) {
+			t.Errorf("LookupKey(OEM-PNO %d) = %d", 100+pno, ri)
+		}
+	}
+	p.Truncate()
+	if p.LookupKey(1, value.Row{value.Int(102)}) != -1 || p.keyIdx[1].more != nil {
+		t.Error("Truncate kept key entries")
+	}
+}
+
+// TestNullableUniqueThousandNullKeys: a thousand rows whose UNIQUE key
+// has a NULL component. Under ≐ NULL is one value, so the keys are
+// distinct exactly when their other component is: every row is accepted
+// and found, a repeat is refused, and none of it needs the overflow map.
+func TestNullableUniqueThousandNullKeys(t *testing.T) {
+	c := catalog.New()
+	st, err := parser.ParseStatement(`CREATE TABLE T (ID INTEGER, A INTEGER, B INTEGER, PRIMARY KEY (ID), UNIQUE (A, B))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DefineFromAST(st.(*ast.CreateTable)); err != nil {
+		t.Fatal(err)
+	}
+	tbl := NewDB(c).MustTable("T")
+	const n = 1000
+	for i := int64(0); i < n; i++ {
+		if err := tbl.Insert(value.Row{value.Int(i), value.Int(i), value.Null}); err != nil {
+			t.Fatalf("(%d, NULL): %v", i, err)
+		}
+	}
+	if err := tbl.Insert(value.Row{value.Int(n), value.Null, value.Null}); err != nil {
+		t.Fatalf("(NULL, NULL): %v", err)
+	}
+	for _, dup := range []value.Row{
+		{value.Int(n + 1), value.Int(500), value.Null},
+		{value.Int(n + 1), value.Null, value.Null},
+	} {
+		if err := tbl.Insert(dup); err == nil || !strings.Contains(err.Error(), "UNIQUE") {
+			t.Errorf("repeat of key %s: err = %v", dup[1:], err)
+		}
+	}
+	for i := int64(0); i < n; i++ {
+		if ri := tbl.LookupKey(1, value.Row{value.Int(i), value.Null}); ri != int(i) {
+			t.Fatalf("LookupKey(%d, NULL) = %d", i, ri)
+		}
+	}
+	if ri := tbl.LookupKey(1, value.Row{value.Null, value.Null}); ri != n {
+		t.Errorf("LookupKey(NULL, NULL) = %d", ri)
+	}
+	if tbl.Len() != n+1 || len(tbl.keyIdx[1].first) != n+1 || tbl.keyIdx[1].more != nil {
+		t.Errorf("%d rows, %d slots, overflow %v", tbl.Len(), len(tbl.keyIdx[1].first), tbl.keyIdx[1].more)
+	}
+}

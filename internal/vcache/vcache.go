@@ -50,15 +50,27 @@ func New[V any](maxEntries int) *Cache[V] {
 
 // Get looks k up, counting a hit or a miss.
 func (c *Cache[V]) Get(k Key) (V, bool) {
+	v, ok := c.Peek(k)
+	c.Count(ok)
+	return v, ok
+}
+
+// Peek looks k up without counting. A caller that may probe under more
+// than one key per lookup peeks, then reports the outcome once to Count.
+func (c *Cache[V]) Peek(k Key) (V, bool) {
 	c.mu.RLock()
 	v, ok := c.entries[k]
 	c.mu.RUnlock()
-	if ok {
+	return v, ok
+}
+
+// Count records one lookup's outcome in the hit/miss counters.
+func (c *Cache[V]) Count(hit bool) {
+	if hit {
 		c.hits.Add(1)
 	} else {
 		c.misses.Add(1)
 	}
-	return v, ok
 }
 
 // Put files v under k, clearing the cache first when it is full.

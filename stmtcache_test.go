@@ -13,6 +13,7 @@ import (
 	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
 	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/sql/lexer"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
@@ -152,7 +153,7 @@ var adhocShapes = []func(r *rand.Rand) string{
 
 // shapeDB is a small supplier database: the sweep below runs 200
 // literal vectors per shape through six configurations.
-func shapeDB(t *testing.T, opts uniqopt.Options) *uniqopt.DB {
+func shapeDB(t testing.TB, opts uniqopt.Options) *uniqopt.DB {
 	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.Suppliers, cfg.PartsPerSupplier, cfg.AgentsPerSupplier = 45, 5, 2
@@ -342,20 +343,27 @@ func TestStatementShapeKeys(t *testing.T) {
 	}
 
 	// optimize on/off and views with different analyzer options never
-	// share an entry; views with the same options always do.
+	// share an entry; views with the same options always do. That holds
+	// for an entry reached by its shape (the literal 3) and for one
+	// reached by its own text (literal-free, not in canonical spelling).
 	const distinct = `SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = 3`
-	if n := compiles(func() {
-		if r := query(db, distinct, nil, true); len(r.Rewrites) != 1 {
-			t.Errorf("optimized run: rewrites = %+v", r.Rewrites)
+	for _, sql := range []string{distinct, "select distinct S.SNO, S.SNAME\nfrom SUPPLIER S where S.SNO = :N -- by text"} {
+		hosts := map[string]any{"N": 3}
+		for round, want := range []int64{4, 0} {
+			if n := compiles(func() {
+				if r := query(db, sql, hosts, true); len(r.Rewrites) != 1 {
+					t.Errorf("optimized run: rewrites = %+v", r.Rewrites)
+				}
+				if r := query(db, sql, hosts, false); len(r.Rewrites) != 0 {
+					t.Errorf("baseline run served the optimized statement: %+v", r.Rewrites)
+				}
+				query(db.View(uniqopt.Options{UseKeyFDs: true}), sql, hosts, true)
+				query(db.View(uniqopt.Options{BindIsNull: true}), sql, hosts, true)
+				query(db.View(uniqopt.Options{MaxRows: 1000, MemBudget: 1 << 20}), sql, hosts, true)
+			}); n != want {
+				t.Errorf("round %d of optimize/baseline/UseKeyFDs/BindIsNull/budget-only views compiled %d times, want %d: %s", round, n, want, sql)
+			}
 		}
-		if r := query(db, distinct, nil, false); len(r.Rewrites) != 0 {
-			t.Errorf("baseline run served the optimized statement: %+v", r.Rewrites)
-		}
-		query(db.View(uniqopt.Options{UseKeyFDs: true}), distinct, nil, true)
-		query(db.View(uniqopt.Options{BindIsNull: true}), distinct, nil, true)
-		query(db.View(uniqopt.Options{MaxRows: 1000, MemBudget: 1 << 20}), distinct, nil, true)
-	}); n != 4 {
-		t.Errorf("optimize/baseline/UseKeyFDs/BindIsNull/budget-only views compiled %d times, want 4", n)
 	}
 	// HashDistinct picks the plan's duplicate-elimination operator, so a
 	// view that differs only in it compiles its own statement and never
@@ -422,7 +430,12 @@ func TestStatementShapeKeys(t *testing.T) {
 // statement whose verdicts and plan predate the change.
 func TestStatementCacheInvalidatedByEachDDLKind(t *testing.T) {
 	db := shapeDB(t, uniqopt.Options{})
-	const sql = `SELECT DISTINCT S.SNAME, S.SCITY FROM SUPPLIER S WHERE S.SNO < 9`
+	// One statement reached through its shape entry, one — literal-free,
+	// not in canonical spelling — through its text entry.
+	texts := []string{
+		`SELECT DISTINCT S.SNAME, S.SCITY FROM SUPPLIER S WHERE S.SNO < 9`,
+		"select distinct S.SNAME, S.SCITY from SUPPLIER S\n\twhere S.SNO < :N",
+	}
 	supplier := db.Store().MustTable("SUPPLIER")
 	kinds := []struct {
 		name string
@@ -441,31 +454,37 @@ func TestStatementCacheInvalidatedByEachDDLKind(t *testing.T) {
 				[]string{"ID"}, "SUPPLIER", []string{"SNO"})
 		}},
 	}
-	run := func() (rewrites int, hit bool) {
+	run := func(sql string) (rewrites int, hit bool) {
 		t.Helper()
 		h0, _ := db.PlanCacheCounters()
-		rows, err := db.Query(sql)
+		rows, err := db.QueryWith(sql, map[string]any{"N": 9}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h1, _ := db.PlanCacheCounters()
 		return len(rows.Rewrites), h1 > h0
 	}
-	run()
+	for _, sql := range texts {
+		run(sql)
+	}
 	for _, k := range kinds {
-		if _, hit := run(); !hit {
-			t.Fatalf("before %s: a repeated statement missed", k.name)
+		for _, sql := range texts {
+			if _, hit := run(sql); !hit {
+				t.Fatalf("before %s: a repeated statement missed: %s", k.name, sql)
+			}
 		}
 		if err := k.ddl(); err != nil {
 			t.Fatalf("%s: %v", k.name, err)
 		}
-		rewrites, hit := run()
-		if hit {
-			t.Errorf("%s: the statement compiled under the old schema was served", k.name)
-		}
-		// (SNAME, SCITY) is a key only between AddKey and DropKey.
-		if want := map[string]int{"AddKey": 1}[k.name]; rewrites != want {
-			t.Errorf("after %s: %d rewrites, want %d", k.name, rewrites, want)
+		for _, sql := range texts {
+			rewrites, hit := run(sql)
+			if hit {
+				t.Errorf("%s: the statement compiled under the old schema was served: %s", k.name, sql)
+			}
+			// (SNAME, SCITY) is a key only between AddKey and DropKey.
+			if want := map[string]int{"AddKey": 1}[k.name]; rewrites != want {
+				t.Errorf("after %s: %d rewrites, want %d: %s", k.name, rewrites, want, sql)
+			}
 		}
 	}
 }
@@ -517,4 +536,314 @@ func TestInsertThroughStatementCache(t *testing.T) {
 		db.Query(`SELECT A FROM T WHERE A = 1`)
 		db.Exec(`INSERT INTO T VALUES (200, 'q', TRUE, 0)`)
 	}
+	// The same on literal-free texts, whose warm entries answer to the
+	// text itself.
+	const insHost, selHost = `insert into T values (:A, :B, TRUE, :D)`, `select A from T where A = :A`
+	hosts := map[string]any{"A": 300, "B": "host", "D": nil}
+	for i := 0; i < 3; i++ {
+		if _, err := db.QueryWith(insHost, hosts, true); err == nil ||
+			err.Error() != "parser: statement is *ast.Insert, not a query" {
+			t.Errorf("round %d Query(host-variable INSERT): err = %v", i, err)
+		}
+		if _, err := db.ExecWith(selHost, hosts); err == nil ||
+			err.Error() != "uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries" {
+			t.Errorf("round %d Exec(host-variable SELECT): err = %v", i, err)
+		}
+		hosts["A"] = 300 + i
+		if n, err := db.ExecWith(insHost, hosts); err != nil || n != 1 {
+			t.Errorf("round %d host-variable INSERT: n=%d err=%v", i, n, err)
+		}
+		if rows, err := db.QueryWith(selHost, hosts, true); err != nil || len(rows.Data) != 1 {
+			t.Errorf("round %d host-variable SELECT: %v err=%v", i, rows, err)
+		}
+	}
+	// Every binding is type-checked, used or not, warm as cold; a missing
+	// one is reported when the tuple needs it.
+	hosts["UNUSED"] = 1.5
+	if _, err := db.ExecWith(insHost, hosts); err == nil || err.Error() != "uniqopt: host :UNUSED: unsupported Go type float64" {
+		t.Errorf("unsupported type in an unused host: err = %v", err)
+	}
+	if _, err := db.ExecWith(insHost, map[string]any{"A": 400, "B": "b"}); err == nil || err.Error() != "uniqopt: unbound host variable :D" {
+		t.Errorf("missing host: err = %v", err)
+	}
+}
+
+// queryOutcome and execOutcome run sql through the two public entry
+// points and keep what a user can see of the result.
+func queryOutcome(db *uniqopt.DB, sql string, hosts map[string]any) outcome {
+	rows, err := db.QueryWithContext(context.Background(), sql, hosts, true)
+	if err != nil {
+		return outcome{err: err.Error()}
+	}
+	return outcome{cols: rows.Columns, data: rows.Data, rewrites: rows.Rewrites}
+}
+
+func execOutcome(db *uniqopt.DB, sql string, hosts map[string]any) outcome {
+	n, err := db.ExecWith(sql, hosts)
+	out := outcome{data: [][]any{{n}}}
+	if err != nil {
+		out.err = err.Error()
+	}
+	return out
+}
+
+// spellings returns sql with a leading comment, with its whitespace
+// collapsed, and with everything outside string literals in lower case:
+// other texts of the same shape.
+func spellings(sql string) []string {
+	lower := []byte(sql)
+	inString := false
+	for i, c := range lower {
+		if c == '\'' {
+			inString = !inString
+		}
+		if !inString && 'A' <= c && c <= 'Z' {
+			lower[i] = c + 'a' - 'A'
+		}
+	}
+	return []string{sql, "-- again\n" + sql, strings.Join(strings.Fields(sql), " "), string(lower)}
+}
+
+// TestTextEntryEqualsFreshDB: for every paper query and every spelling
+// of it, the first call (compiles, files the entry), the second (served
+// by the entry: by its text when the statement is literal-free) and a
+// call on a database that has never seen the statement agree in rows,
+// rewrites and error text. The same for statements that fail, and for
+// the INSERT forms, where a never-caching CostBased handle over an
+// identically built database is the cold reference for the sequence.
+func TestTextEntryEqualsFreshDB(t *testing.T) {
+	queries := []string{
+		`SELECT S.NOPE FROM SUPPLIER S WHERE S.SNO = :N`,        // fails to compile
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :NOT-BOUND`, // fails at execution
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = :N`,       // kinds differ: fails at evaluation
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :N AND`,     // syntax error
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = ?int`,       // spells a shape
+		`INSERT INTO AGENTS VALUES (:N, :N, 'a', 'Hull')`,       // not a query
+		`CREATE TABLE X (A INTEGER, PRIMARY KEY (A))`,           // not a query
+		``, // nothing
+	}
+	for _, name := range paperQueryNames() {
+		queries = append(queries, workload.PaperQueries[name])
+	}
+	db := shapeDB(t, uniqopt.Options{})
+	for _, q := range queries {
+		for _, sql := range spellings(q) {
+			h0, m0 := db.PlanCacheCounters()
+			first, second := queryOutcome(db, sql, goldenHosts), queryOutcome(db, sql, goldenHosts)
+			fresh := queryOutcome(shapeDB(t, uniqopt.Options{}), sql, goldenHosts)
+			if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, fresh) {
+				t.Fatalf("%q\n--- first\n%+v\n--- second\n%+v\n--- fresh database\n%+v", sql, first, second, fresh)
+			}
+			// A statement that executed was served the second time; one
+			// that failed to compile was not remembered.
+			h1, m1 := db.PlanCacheCounters()
+			if calls := h1 - h0 + m1 - m0; calls > 2 || (first.cols != nil && h1 == h0) {
+				t.Errorf("%q: %d hits, %d misses over two calls", sql, h1-h0, m1-m0)
+			}
+		}
+	}
+
+	inserts := []string{
+		`INSERT INTO AGENTS VALUES (:S, :A, :NAME, :CITY)`,
+		`INSERT INTO AGENTS VALUES (:S, 901, 'lit', :CITY)`,
+		`INSERT INTO AGENTS VALUES (:S, 902, NULL, NULL), (:S, 903, :NAME, 'Hull'), (:S, 902, 'dup', NULL)`,
+		`INSERT INTO AGENTS VALUES (:S, :A, :NAME)`,             // arity
+		`INSERT INTO AGENTS VALUES (:S, :MISSING, :NAME, NULL)`, // unbound
+		`INSERT INTO AGENTS VALUES (4000, 1, 'fk', NULL)`,       // no such supplier
+		`INSERT INTO AGENTS VALUES (:S, 99999999999999999999, 'big', NULL)`,
+		`INSERT INTO AGENTS VALUES (:S, ?int, ?str, NULL)`,
+		`SELECT A.ANO FROM AGENTS A WHERE A.SNO = :S`, // not a write
+	}
+	hosts := map[string]any{"S": 7, "A": 900, "NAME": "host", "CITY": "Ottawa"}
+	warm, cold := shapeDB(t, uniqopt.Options{}), shapeDB(t, uniqopt.Options{CostBased: true})
+	for _, ins := range inserts {
+		for _, sql := range spellings(ins) {
+			for call := 0; call < 2; call++ {
+				if w, c := execOutcome(warm, sql, hosts), execOutcome(cold, sql, hosts); !reflect.DeepEqual(w, c) {
+					t.Fatalf("call %d of %q\n--- caching handle\n%+v\n--- compiling every time\n%+v", call, sql, w, c)
+				}
+			}
+		}
+	}
+	if h, m := cold.PlanCacheCounters(); h+m != 0 {
+		t.Errorf("the CostBased handle consulted the statement cache (%d hits, %d misses)", h, m)
+	}
+	want := queryOutcome(cold, `SELECT A.SNO, A.ANO, A.ANAME, A.ACITY FROM AGENTS A WHERE A.SNO = 7`, nil)
+	if got := queryOutcome(warm, `SELECT A.SNO, A.ANO, A.ANAME, A.ACITY FROM AGENTS A WHERE A.SNO = 7`, nil); !reflect.DeepEqual(got.data, want.data) || len(got.data) < 5 {
+		t.Errorf("AGENTS of supplier 7 after the inserts:\n%v\nwant\n%v", got.data, want.data)
+	}
+}
+
+// TestTextSpellingAShape: a text that is, byte for byte, the shape of a
+// cached statement. With literals in the shape the text contains '?',
+// which the lexer refuses — before the shape was cached and after. With
+// none, the text is its own shape and shares the entry.
+func TestTextSpellingAShape(t *testing.T) {
+	db := shapeDB(t, uniqopt.Options{})
+	if err := db.Exec(`CREATE TABLE T (A INTEGER, B VARCHAR(30), PRIMARY KEY (A))`); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql   string
+		write bool
+	}{
+		{`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 7`, false},
+		{`SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = 'Smith' AND S.SNO < 9`, false},
+		{`INSERT INTO T VALUES (1, 'one')`, true},
+	} {
+		shape, lits, err := lexer.Shape(c.sql)
+		if err != nil || len(lits) == 0 || !strings.Contains(shape, "?") {
+			t.Fatalf("Shape(%q) = %q, %d literals, %v", c.sql, shape, len(lits), err)
+		}
+		run := queryOutcome
+		if c.write {
+			run = execOutcome
+		}
+		cold := run(db, shape, nil)
+		if !strings.HasPrefix(cold.err, "lex error") {
+			t.Fatalf("%q cold: %+v, want a lex error", shape, cold)
+		}
+		if out := run(db, c.sql, nil); out.err != "" {
+			t.Fatalf("%q: %s", c.sql, out.err)
+		}
+		h0, m0 := db.PlanCacheCounters()
+		if warm := run(db, shape, nil); !reflect.DeepEqual(warm, cold) {
+			t.Errorf("%q with its shape cached: %+v, want what it gave cold: %+v", shape, warm, cold)
+		}
+		if h1, m1 := db.PlanCacheCounters(); h1 != h0 || m1 != m0 {
+			t.Errorf("%q: a text the lexer refuses was counted (%d hits, %d misses)", shape, h1-h0, m1-m0)
+		}
+	}
+
+	const sql = "select S.SNO from SUPPLIER S\n where S.SNO = :N"
+	shape, _, _ := lexer.Shape(sql)
+	_, m0 := db.PlanCacheCounters()
+	for _, text := range []string{sql, shape, sql, shape} {
+		if out := queryOutcome(db, text, map[string]any{"N": 7}); out.err != "" || len(out.data) != 1 {
+			t.Fatalf("%q: %+v", text, out)
+		}
+	}
+	if _, m1 := db.PlanCacheCounters(); m1-m0 != 1 {
+		t.Errorf("a literal-free text and its shape compiled %d times, want once", m1-m0)
+	}
+}
+
+// TestMetricsKeyOnShapesNotTexts: a thousand texts of one literal-free
+// shape each file a text entry, and the registry still holds one shape.
+func TestMetricsKeyOnShapesNotTexts(t *testing.T) {
+	db := shapeDB(t, uniqopt.Options{})
+	hosts := map[string]any{"N": 7}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 1000; i++ {
+			sql := "SELECT S.SNO FROM SUPPLIER S" + strings.Repeat(" ", i) + " WHERE S.SNO = :N"
+			if out := queryOutcome(db, sql, hosts); out.err != "" || len(out.data) != 1 {
+				t.Fatalf("variant %d: %+v", i, out)
+			}
+		}
+	}
+	if hits, misses := db.PlanCacheCounters(); hits != 1999 || misses != 1 {
+		t.Errorf("statement cache: %d hits / %d misses over 2,000 calls of one shape, want 1999 / 1", hits, misses)
+	}
+	shapes := db.Metrics().Shapes
+	if len(shapes) != 1 || shapes[0].Count != 2000 || shapes[0].Shape != "SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :N" {
+		t.Errorf("metrics registry: %+v, want one shape with 2,000 observations", shapes)
+	}
+}
+
+// TestStatementCacheConcurrentTexts runs literal-free statements, in a
+// few spellings each, from many goroutines with different bindings
+// while the schema version moves underneath: a text entry is as
+// immutable and as version-keyed as a shape entry. Run under -race.
+func TestStatementCacheConcurrentTexts(t *testing.T) {
+	db := shapeDB(t, uniqopt.Options{})
+	texts := spellings(`SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = :N`)
+	const workers, rounds = 8, 60
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				sno := 1 + (w*rounds+i)%45
+				rows, err := db.QueryWith(texts[(w+i)%len(texts)], map[string]any{"N": sno}, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(rows.Data) != 1 || rows.Data[0][0] != int64(sno) || len(rows.Rewrites) != 1 {
+					t.Errorf(":N = %d returned %v, rewrites %+v", sno, rows.Data, rows.Rewrites)
+					return
+				}
+			}
+		}(w)
+	}
+	// Index DDL only bumps the catalog version: every entry filed so far
+	// becomes unreachable while the readers keep running.
+	for i := 0; i < 5; i++ {
+		if err := db.CreateIndex("AGENTS", fmt.Sprintf("A_%d", i), "ACITY"); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
+	hits, misses := db.PlanCacheCounters()
+	if hits+misses != workers*rounds {
+		t.Errorf("%d hits + %d misses over %d calls: not one count per call", hits, misses, workers*rounds)
+	}
+	if max := int64(6 * workers); misses > max {
+		t.Errorf("%d misses: more than every worker compiling once per catalog version (%d)", misses, max)
+	}
+}
+
+// TestWarmStatementAllocs bounds what a verbatim repeat of a
+// literal-free statement allocates. The INSERT bound leaves no room for
+// a lexer pass (the shape buffer and the shape string), a binding map or
+// a converted copy of the bindings: what remains is the call, the row,
+// and the table's own growth. The query bound is the executor's plus the
+// call and its binding map (27 with a lexer pass); it is the same number
+// for a statement ten times as long.
+func TestWarmStatementAllocs(t *testing.T) {
+	db := uniqopt.Open()
+	if err := db.Exec(`CREATE TABLE T (A INTEGER, B VARCHAR(30), C BOOLEAN, D INTEGER, PRIMARY KEY (A))`); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	keys := make([]any, runs+2) // boxed ahead of the measurement
+	for i := range keys {
+		keys[i] = 1000 + i
+	}
+	const ins = `INSERT INTO T VALUES (:A, :B, TRUE, :D) -- appended by the ingest loop`
+	hosts := map[string]any{"A": 0, "B": "some text", "D": nil}
+	next := 0
+	insert := func() {
+		hosts["A"] = keys[next]
+		next++
+		if n, err := db.ExecWith(ins, hosts); err != nil || n != 1 {
+			t.Fatalf("insert: n=%d err=%v", n, err)
+		}
+	}
+	insert()
+	got := testing.AllocsPerRun(runs, insert)
+	if got > 3 {
+		t.Errorf("warm host-variable INSERT: %v allocs per call, want at most 3", got)
+	}
+	t.Logf("warm host-variable INSERT: %v allocs per call", got)
+
+	const sel = `SELECT A, B FROM T WHERE A = :A`
+	long := sel + strings.Repeat(" -- padding\n", 40)
+	hosts["A"] = keys[0]
+	query := func(sql string) func() {
+		return func() {
+			rows, err := db.QueryWithContext(context.Background(), sql, hosts, true)
+			if err != nil || len(rows.Data) != 1 {
+				t.Fatalf("query: %v err=%v", rows, err)
+			}
+		}
+	}
+	query(sel)()
+	query(long)()
+	short, padded := testing.AllocsPerRun(runs, query(sel)), testing.AllocsPerRun(runs, query(long))
+	if short > 25 || short != padded {
+		t.Errorf("warm query: %v allocs per call (want at most 25), %v for the same statement behind 480 bytes of comments", short, padded)
+	}
+	t.Logf("warm query: %v allocs per call", short)
 }

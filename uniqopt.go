@@ -228,51 +228,83 @@ func (d *DB) ExecWith(sql string, hosts map[string]any) (int64, error) {
 		_, err := d.store.ApplyDDL(sql, c.ddl)
 		return 0, err
 	}
-	return d.execInsert(c.insert, c.hosts)
+	return d.execInsert(c.insert, hosts, c.lits)
 }
 
-// execInsert evaluates each VALUES tuple and routes it through the
-// backend's constraint-enforcing insert path.
-func (d *DB) execInsert(ins *ast.Insert, hv map[string]value.Value) (int64, error) {
-	var n int64
-	for _, tuple := range ins.Rows {
-		row := make(value.Row, len(tuple))
+// insertCell is one VALUES element, resolved when the statement is
+// compiled to where its value comes from at execution.
+type insertCell struct {
+	lit  int         // ≥ 0: an ordinal in the call's literal vector
+	host string      // else, when non-empty: the caller's host variable
+	v    value.Value // else: NULL, TRUE or FALSE as written
+}
+
+// insertStmt is a compiled INSERT: the target table and its tuples.
+type insertStmt struct {
+	table string
+	rows  [][]insertCell
+}
+
+// compileInsert resolves a lifted INSERT (parser.ParseLifted: the n-th
+// literal reads as the reserved host variable $n, which no source text
+// can spell) into cells; a value is a literal or a host variable, never
+// a general expression.
+func compileInsert(ins *ast.Insert) (*insertStmt, error) {
+	out := &insertStmt{table: ins.Table, rows: make([][]insertCell, len(ins.Rows))}
+	nlits := 0
+	for r, tuple := range ins.Rows {
+		cells := make([]insertCell, len(tuple))
 		for i, e := range tuple {
-			v, err := insertValue(e, hv)
-			if err != nil {
-				return n, err
+			cells[i].lit = -1
+			switch e := e.(type) {
+			case *ast.BoolLit:
+				cells[i].v = value.Bool(e.V)
+			case *ast.NullLit:
+				cells[i].v = value.Null
+			case *ast.HostVar:
+				if e.Name == lexer.LiftedName(nlits+1) {
+					cells[i].lit = nlits
+					nlits++
+				} else {
+					cells[i].host = e.Name
+				}
+			default:
+				return nil, fmt.Errorf("uniqopt: INSERT value is %T, not a literal or host variable", e)
 			}
-			row[i] = v
 		}
-		if err := d.store.InsertOwned(ins.Table, row); err != nil {
+		out.rows[r] = cells
+	}
+	return out, nil
+}
+
+// execInsert binds each VALUES tuple — from the literal vector by
+// ordinal, from the caller's bindings by name (compile has type-checked
+// every one) — and routes it through the backend's constraint-enforcing
+// insert path.
+func (d *DB) execInsert(ins *insertStmt, hosts map[string]any, lits []value.Value) (int64, error) {
+	var n int64
+	for _, cells := range ins.rows {
+		row := make(value.Row, len(cells))
+		for i, cell := range cells {
+			switch {
+			case cell.lit >= 0:
+				row[i] = lits[cell.lit]
+			case cell.host != "":
+				v, ok := hosts[cell.host]
+				if !ok {
+					return n, fmt.Errorf("uniqopt: unbound host variable :%s", cell.host)
+				}
+				row[i], _ = Convert(v)
+			default:
+				row[i] = cell.v
+			}
+		}
+		if err := d.store.InsertOwned(ins.table, row); err != nil {
 			return n, err
 		}
 		n++
 	}
 	return n, nil
-}
-
-// insertValue evaluates one INSERT value: a literal or a host
-// variable, never a general expression.
-func insertValue(e ast.Expr, hosts map[string]value.Value) (value.Value, error) {
-	switch e := e.(type) {
-	case *ast.IntLit:
-		return value.Int(e.V), nil
-	case *ast.StringLit:
-		return value.String_(e.V), nil
-	case *ast.BoolLit:
-		return value.Bool(e.V), nil
-	case *ast.NullLit:
-		return value.Null, nil
-	case *ast.HostVar:
-		v, ok := hosts[e.Name]
-		if !ok {
-			return value.Null, fmt.Errorf("uniqopt: unbound host variable :%s", e.Name)
-		}
-		return v, nil
-	default:
-		return value.Null, fmt.Errorf("uniqopt: INSERT value is %T, not a literal or host variable", e)
-	}
 }
 
 // Insert adds a row; Go values are converted (int/int64 → INTEGER,
@@ -403,92 +435,97 @@ func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]
 // holds. It is immutable: everything that varies between executions of
 // a shape (host bindings, the literal vector) lives in the call.
 type statement struct {
+	// shape is the lifted statement text (lexer.Shape): the source of the
+	// entry's first cache key, and what the metrics registry keys its
+	// histograms on, whichever key the entry was reached by.
+	shape string
+	// nlits is the length of the shape's literal vector. Only an entry
+	// with none may be reached by a statement's text itself.
+	nlits int
 	// Exactly one of these is set: a query carries its rewrites and
-	// physical plan, an INSERT its parsed tuple list.
+	// physical plan, an INSERT its resolved tuple list.
 	query  *plan.Compiled
-	insert *ast.Insert
+	insert *insertStmt
 }
 
 // call is one execution's view of a statement: the shared compiled
 // entry plus this call's bindings.
 type call struct {
 	*statement
-	// shape is the lifted statement text (lexer.Shape): the cache key's
-	// source, and what the metrics registry keys its histograms on.
-	shape string
 	// ddl is a CREATE TABLE, which bypasses lifting and the cache (the
-	// embedded statement is then empty).
+	// embedded statement is then nil).
 	ddl *ast.CreateTable
-	// hosts binds the caller's host variables and, under the reserved
-	// names $1, $2, …, the statement's own literals.
+	// hosts binds, for a query, the caller's host variables and, under
+	// the reserved names $1, $2, …, the statement's own literals.
 	hosts map[string]value.Value
+	// lits is, for a write, the statement's literal vector; an INSERT
+	// reads its host variables from the caller's map where it uses them.
+	lits []value.Value
 	// stats carries what compiling cost this call: one statement-cache
 	// hit or miss and, on a miss, the analyzer-cache lookups made.
 	stats engine.Stats
 }
 
 // compile is the single entry point from SQL text to something
-// executable. One lexer pass splits the text into its shape and its
-// literal vector; the shape, the catalog version and the option bits
-// key the statement cache. A hit goes straight to execution: no parse,
-// no normal forms, no Algorithm 1, no rewriting, no join ordering. A
-// miss parses the lifted token stream, compiles it under this handle's
-// options and files the result — unless compiling failed, or
-// Options.CostBased is on (its choice reads table sizes, so those
-// statements compile per execution). write selects the kind of
-// statement the caller executes: Exec takes CREATE TABLE and INSERT,
-// the query entry points take queries.
+// executable. The statement cache is keyed on source text, catalog
+// version and option bits, and a statement is filed under two sources:
+// its shape (lexer.Shape: the text with its literals lifted out) and,
+// when it has no literals, its own text. A verbatim repeat of such a
+// text therefore costs one hash of it: no lexer pass, no shape string.
+// Any other text takes one lexer pass, which splits it into shape and
+// literal vector, and probes again under the shape. Either hit goes
+// straight to execution: no parse, no normal forms, no Algorithm 1, no
+// rewriting, no join ordering. A miss parses the lifted token stream,
+// compiles it under this handle's options and files the result —
+// unless compiling failed, or Options.CostBased is on (its choice reads
+// table sizes, so those statements compile per execution and the cache
+// is not consulted at all). write selects the kind of statement the
+// caller executes: Exec takes CREATE TABLE and INSERT, the query entry
+// points take queries.
 func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*call, error) {
-	shape, lits, err := lexer.Shape(sql)
-	if err != nil {
-		return nil, err
+	opts := d.planOptions(optimize)
+	// The version is read once, before compiling, and keys every probe
+	// and store: a DDL committing mid-compile can never file a statement
+	// derived under the older catalog beneath the newer version.
+	key := vcache.Key{Src: sql, CatVer: d.store.Catalog().Version(), Opts: opts.CompileBits()}
+	useCache := !d.opts.CostBased
+	c := &call{}
+	var lits []token.Token
+	// A text that merely spells a shape ("… = ?int") reaches that shape's
+	// entry here; its literal count sends it on to the lexer, which
+	// refuses the '?'.
+	if useCache {
+		if st, ok := d.stmts.Peek(key); ok && st.nlits == 0 {
+			c.statement = st
+		}
 	}
-	if shape == "" {
-		st, err := parser.ParseStatement(sql)
-		if err != nil {
+	byText := c.statement != nil
+	if !byText {
+		var err error
+		if key.Src, lits, err = lexer.Shape(sql); err != nil {
 			return nil, err
 		}
-		if !write {
-			return nil, fmt.Errorf("parser: statement is %T, not a query", st)
-		}
-		return &call{ddl: st.(*ast.CreateTable)}, nil
-	}
-	c := &call{shape: shape}
-	if n := len(hosts) + len(lits); n > 0 {
-		c.hosts = make(map[string]value.Value, n)
-	}
-	for k, v := range hosts {
-		cv, err := Convert(v)
-		if err != nil {
-			return nil, fmt.Errorf("uniqopt: host :%s: %w", k, err)
-		}
-		c.hosts[k] = cv
-	}
-	for i, t := range lits {
-		v := value.String_(t.Text)
-		if t.Kind == token.Number {
-			n, err := strconv.ParseInt(t.Text, 10, 64)
+		if key.Src == "" {
+			st, err := parser.ParseStatement(sql)
 			if err != nil {
-				// Out of range: report it (or whatever syntax error
-				// precedes it) exactly as the unlifted parser does.
-				_, err = parser.ParseStatement(sql)
 				return nil, err
 			}
-			v = value.Int(n)
+			if !write {
+				return nil, fmt.Errorf("parser: statement is %T, not a query", st)
+			}
+			return &call{ddl: st.(*ast.CreateTable)}, nil
 		}
-		c.hosts[lexer.LiftedName(i+1)] = v
+		if useCache {
+			c.statement, _ = d.stmts.Peek(key)
+		}
 	}
-
-	opts := d.planOptions(optimize)
-	// The version is read once, before compiling, and keys both the
-	// probe and the store: a DDL committing mid-compile can never file
-	// a statement derived under the older catalog beneath the newer
-	// version.
-	key := vcache.Key{Src: shape, CatVer: d.store.Catalog().Version(), Opts: opts.CompileBits()}
-	useCache := !d.opts.CostBased
+	if err := c.bind(sql, hosts, lits, write); err != nil {
+		return nil, err
+	}
 	if useCache {
-		if st, ok := d.stmts.Get(key); ok {
-			c.statement = st
+		// The one hit-or-miss count of this call.
+		d.stmts.Count(c.statement != nil)
+		if c.statement != nil {
 			c.stats.AddPlanCache(1, 0)
 		} else {
 			c.stats.AddPlanCache(0, 1)
@@ -499,10 +536,12 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 		if err != nil {
 			return nil, err
 		}
-		c.statement = &statement{}
+		c.statement = &statement{shape: key.Src, nlits: len(lits)}
 		switch x := parsed.(type) {
 		case *ast.Insert:
-			c.insert = x
+			if c.insert, err = compileInsert(x); err != nil {
+				return nil, err
+			}
 		case ast.Query:
 			if !write {
 				c.query, err = plan.NewPlanner(d.store.Heap(), opts).Compile(x, &c.stats)
@@ -518,11 +557,59 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 	}
 	switch {
 	case write && c.insert == nil:
-		return nil, fmt.Errorf("uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries")
+		return nil, errors.New("uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries")
 	case !write && c.insert != nil:
-		return nil, fmt.Errorf("parser: statement is %T, not a query", c.insert)
+		return nil, errors.New("parser: statement is *ast.Insert, not a query")
+	}
+	// A literal-free text that came by way of the lexer answers for
+	// itself from now on (in canonical spelling it already does: it is
+	// its own shape).
+	if useCache && !byText && len(lits) == 0 && sql != key.Src {
+		key.Src = sql
+		d.stmts.Put(key, c.statement)
 	}
 	return c, nil
+}
+
+// bind type-checks every host binding, whether or not the statement
+// uses it, and converts the literal vector. A query reads both through
+// one map (call.hosts); a write keeps the literals as a vector and
+// builds no map.
+func (c *call) bind(sql string, hosts map[string]any, lits []token.Token, write bool) error {
+	switch {
+	case write && len(lits) > 0:
+		c.lits = make([]value.Value, len(lits))
+	case !write && len(hosts)+len(lits) > 0:
+		c.hosts = make(map[string]value.Value, len(hosts)+len(lits))
+	}
+	for k, v := range hosts {
+		cv, err := Convert(v)
+		if err != nil {
+			return fmt.Errorf("uniqopt: host :%s: %w", k, err)
+		}
+		if !write {
+			c.hosts[k] = cv
+		}
+	}
+	for i, t := range lits {
+		v := value.String_(t.Text)
+		if t.Kind == token.Number {
+			n, err := strconv.ParseInt(t.Text, 10, 64)
+			if err != nil {
+				// Out of range: report it (or whatever syntax error
+				// precedes it) exactly as the unlifted parser does.
+				_, err = parser.ParseStatement(sql)
+				return err
+			}
+			v = value.Int(n)
+		}
+		if write {
+			c.lits[i] = v
+		} else {
+			c.hosts[lexer.LiftedName(i+1)] = v
+		}
+	}
+	return nil
 }
 
 // rewriteInfos converts the optimizer's applied rewrites for the API.
