@@ -34,6 +34,11 @@ test:
 test-fault:
 	$(GO) test -tags fault ./...
 
+# -race also compiles with checkptr instrumentation (-d=checkptr), so
+# every unsafe.String the value package reads a string payload with is
+# checked against the allocation it points into. ./... covers
+# internal/value, internal/storage/... and internal/engine, the packages
+# that build, store and copy cells.
 race:
 	$(GO) test -race ./...
 
@@ -82,9 +87,10 @@ storage-smoke:
 	$(GO) test -run 'BothBackends' .
 	$(GO) run ./cmd/benchrunner -exp storage -scale 0.05 -json BENCH_storage.json
 
-# Fuzz smoke: ten seconds each of the three fuzz targets — the frame
-# codec against encoding/json, the SQL parser, and the statement cache
-# against a database that has never seen the text — beyond the seed
+# Fuzz smoke: ten seconds each of the four fuzz targets — the frame
+# codec against encoding/json, the SQL parser, the statement cache
+# against a database that has never seen the text, and the three-word
+# value cell against the four-field struct it replaced — beyond the seed
 # corpora tier-1 already runs. A fixed budget and no timing assertion;
 # not part of ci (a finding is a new input to look at, not a flaky
 # build).
@@ -92,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileTwice$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzValueModel$$' -fuzztime 10s ./internal/value/
 
 # Repository benchmark check: benchmark/ is a module of its own, outside
 # the root ./..., so nothing above builds it and an engine API change

@@ -211,6 +211,10 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
+// BenchmarkDistinct dedups PARTS projected on an integer column (SNO)
+// and on a string one (PNAME): the sort and the hash table compare and
+// hash whole rows, so the string leg is where the width of a cell and
+// the way a string is read out of it show.
 func BenchmarkDistinct(b *testing.B) {
 	db := benchDB(b, 2000, 10, 0.3)
 	ctx := context.Background()
@@ -219,22 +223,84 @@ func BenchmarkDistinct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	proj, err := engine.Project(ctx, &st, rel, []string{"P.SNO"})
+	for _, key := range []struct{ name, col string }{{"int", "P.SNO"}, {"string", "P.PNAME"}} {
+		proj, err := engine.Project(ctx, &st, rel, []string{key.col})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range []struct {
+			name     string
+			distinct func(*engine.Stats, engine.Iterator) engine.Iterator
+		}{{"sort", engine.NewDistinctSortIter}, {"hash", engine.NewDistinctHashIter}} {
+			b.Run(key.name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var s engine.Stats
+					if _, err := engine.Drain(ctx, &s, op.distinct(&s, engine.NewRelationIter(&s, proj))); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// benchRows is the PARTS table's rows: five cells each, integers and
+// strings mixed, as the sort and hash operators meet them.
+func benchRows(b *testing.B) []value.Row {
+	b.Helper()
+	var st engine.Stats
+	rel, err := engine.Scan(context.Background(), &st, benchDB(b, 200, 10, 0.3).MustTable("PARTS"), "P")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for name, distinct := range map[string]func(*engine.Stats, engine.Iterator) engine.Iterator{
-		"sort": engine.NewDistinctSortIter, "hash": engine.NewDistinctHashIter,
-	} {
-		b.Run(name, func(b *testing.B) {
+	return rel.Rows
+}
+
+var benchSink uint64
+
+// BenchmarkOrderCompareRows is one lexicographic comparison of two
+// stored rows — what a sort does n log n times: adjacent rows, which
+// part within the first two integer cells, and a row against its copy,
+// which reads all five cells, two of them strings.
+func BenchmarkOrderCompareRows(b *testing.B) {
+	rows := benchRows(b)
+	adjacent, equal := make([]value.Row, len(rows)), make([]value.Row, len(rows))
+	for i, r := range rows {
+		adjacent[i], equal[i] = rows[(i+1)%len(rows)], r.Clone()
+	}
+	for _, leg := range []struct {
+		name   string
+		others []value.Row
+	}{{"adjacent", adjacent}, {"equal", equal}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
+			sum, j := 0, 0
 			for i := 0; i < b.N; i++ {
-				var s engine.Stats
-				if _, err := engine.Drain(ctx, &s, distinct(&s, engine.NewRelationIter(&s, proj))); err != nil {
-					b.Fatal(err)
+				sum += value.OrderCompareRows(rows[j], leg.others[j])
+				if j++; j == len(rows) {
+					j = 0
 				}
 			}
+			benchSink += uint64(sum)
 		})
 	}
+}
+
+// BenchmarkHashRow is one hash of a stored row — what a hash table does
+// once per row built and once per row probed.
+func BenchmarkHashRow(b *testing.B) {
+	rows := benchRows(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum, j := uint64(0), 0
+	for i := 0; i < b.N; i++ {
+		sum += value.HashRow(rows[j])
+		if j++; j == len(rows) {
+			j = 0
+		}
+	}
+	benchSink += sum
 }
 
 // E9 — Table: join elimination via inclusion dependencies.

@@ -217,9 +217,9 @@ func GovernorFrom(ctx context.Context) *Governor {
 func rowBytes(row value.Row) int64 {
 	const header, cell = int64(unsafe.Sizeof(value.Row{})), int64(unsafe.Sizeof(value.Value{}))
 	n := header + cell*int64(len(row))
-	for _, v := range row {
-		if v.Kind() == value.KindString {
-			n += int64(len(v.AsString()))
+	for i := range row {
+		if s, ok := row[i].Str(); ok {
+			n += int64(len(s))
 		}
 	}
 	return n

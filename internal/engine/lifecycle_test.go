@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uniqopt/internal/eval"
 	"uniqopt/internal/sql/ast"
@@ -239,6 +241,24 @@ func TestNilGovernorIsUnlimited(t *testing.T) {
 	}
 	if r, b := g.Usage(); r != 0 || b != 0 {
 		t.Fatal("nil governor reported usage")
+	}
+}
+
+// TestRowBytesFollowsTheCell: a row is charged its slice header, its
+// cells and its string payloads, the first two sized from the types —
+// so the charge moved with value.Value's layout and cannot drift from
+// it. On a 64-bit build that is 24 + 24n + len(strings).
+func TestRowBytesFollowsTheCell(t *testing.T) {
+	row := value.Row{value.Int(7), value.String_("seven"), value.Null, value.Bool(true), value.String_("")}
+	want := int64(unsafe.Sizeof(value.Row{})) + 5*int64(unsafe.Sizeof(value.Value{})) + int64(len("seven"))
+	if got := rowBytes(row); got != want {
+		t.Errorf("rowBytes(%s) = %d, want %d", row, got, want)
+	}
+	if bits.UintSize == 64 && want != 24+24*5+5 {
+		t.Errorf("a five-cell row holding 5 string bytes is charged %d bytes, want %d", want, 24+24*5+5)
+	}
+	if got, want := rowBytes(nil), int64(unsafe.Sizeof(value.Row{})); got != want {
+		t.Errorf("rowBytes(nil) = %d, want the slice header's %d", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/value"
+	"uniqopt/internal/valuetest"
 	"uniqopt/internal/vcache"
 )
 
@@ -83,7 +83,7 @@ func TestPlanCacheHitMissCounters(t *testing.T) {
 	if r2.Stats.PlanHits != 1 || r2.Stats.PlanMisses != 0 {
 		t.Fatalf("warm run: hits=%d misses=%d, want 1/0", r2.Stats.PlanHits, r2.Stats.PlanMisses)
 	}
-	if !reflect.DeepEqual(r1.Rel, r2.Rel) {
+	if !valuetest.Same(r1.Rel.Cols, r1.Rel.Rows, r2.Rel.Cols, r2.Rel.Rows) {
 		t.Fatal("cached plan changed the result")
 	}
 	if hits, misses := pc.Counters(); hits != 1 || misses != 1 {

@@ -11,6 +11,7 @@ import (
 
 	"uniqopt/internal/storage"
 	"uniqopt/internal/value"
+	"uniqopt/internal/valuetest"
 )
 
 const testDDL = `CREATE TABLE SUPPLIER (SNO INTEGER NOT NULL, NAME VARCHAR, STATUS INTEGER, PRIMARY KEY (SNO), CHECK (STATUS >= 0))`
@@ -428,10 +429,7 @@ func TestValueCodecRoundTrip(t *testing.T) {
 		if len(rest) != 0 {
 			t.Errorf("row %d: %d trailing bytes", i, len(rest))
 		}
-		if len(dec) == 0 && len(row) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(dec, row) {
+		if !valuetest.Same(nil, []value.Row{dec}, nil, []value.Row{row}) {
 			t.Errorf("row %d: got %v want %v", i, dec, row)
 		}
 	}
@@ -458,8 +456,12 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("record %d: got %+v want %+v", i, got, want)
+		// The row by content (a decoded string lies elsewhere than the
+		// literal it was encoded from), the other fields structurally.
+		gotRow := got.row
+		got.row = want.row
+		if !valuetest.Same(nil, []value.Row{gotRow}, nil, []value.Row{want.row}) || !reflect.DeepEqual(got, want) {
+			t.Errorf("record %d: got %+v with row %v, want %+v", i, got, gotRow, want)
 		}
 	}
 	// Truncations and garbage must come back as ErrCorrupt, never panic.

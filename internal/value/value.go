@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"uniqopt/internal/tvl"
 )
@@ -51,25 +52,41 @@ func (k Kind) String() string {
 
 // Value is a single SQL value: an int64, a string, a bool, or NULL.
 // The zero Value is NULL.
+//
+// A cell is three words. p is the string's bytes and nil for every
+// other kind; n is the integer, the string's length, or 0/1 for a
+// boolean. p is an unsafe.Pointer rather than a *byte so that
+// reflect.DeepEqual compares it as an address and can never
+// dereference one byte and call two strings equal; compare values with
+// NullEq, rows with NullEqRows.
 type Value struct {
+	p    unsafe.Pointer
+	n    int64
 	kind Kind
-	i    int64
-	s    string
-	b    bool
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{n: v, kind: KindInt} }
 
 // String_ returns a string value. (Named with a trailing underscore to
 // avoid colliding with the fmt.Stringer method.)
-func String_(v string) Value { return Value{kind: KindString, s: v} }
+func String_(v string) Value {
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: int64(len(v)), kind: KindString}
+}
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{n: 1, kind: KindBool}
+	}
+	return Value{kind: KindBool}
+}
+
+// str reads the string payload; v must be a string.
+func (v *Value) str() string { return unsafe.String((*byte)(v.p), int(v.n)) }
 
 // Kind reports the kind of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -82,7 +99,7 @@ func (v Value) AsInt() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("value: AsInt on %s", v.kind))
 	}
-	return v.i
+	return v.n
 }
 
 // AsString returns the string payload; it panics if v is not a string.
@@ -90,7 +107,7 @@ func (v Value) AsString() string {
 	if v.kind != KindString {
 		panic(fmt.Sprintf("value: AsString on %s", v.kind))
 	}
-	return v.s
+	return v.str()
 }
 
 // AsBool returns the boolean payload; it panics if v is not a boolean.
@@ -98,17 +115,27 @@ func (v Value) AsBool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("value: AsBool on %s", v.kind))
 	}
-	return v.b
+	return v.n != 0
 }
 
 // Int reads the integer payload where the value lies — a row cell, say —
 // without copying the Value; ok is false, and nothing panics, when v is
 // not an integer (NULL included). The per-row comparison kernels of
 // eval.Compile are built on it and on Str.
-func (v *Value) Int() (i int64, ok bool) { return v.i, v.kind == KindInt }
+func (v *Value) Int() (i int64, ok bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return v.n, true
+}
 
 // Str is Int for the string payload.
-func (v *Value) Str() (s string, ok bool) { return v.s, v.kind == KindString }
+func (v *Value) Str() (s string, ok bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.str(), true
+}
 
 // String renders v as a SQL literal.
 func (v Value) String() string {
@@ -116,11 +143,11 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindString:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.str(), "'", "''") + "'"
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -138,35 +165,37 @@ func Comparable(a, b Kind) bool {
 // Compare compares two non-NULL values of the same kind and returns
 // -1, 0, or +1. It panics on NULL or mismatched kinds; callers must
 // route NULLs through the 3VL helpers or NullEq/OrderCompare.
-func Compare(a, b Value) int {
-	if a.IsNull() || b.IsNull() {
+func Compare(a, b Value) int { return compare(&a, &b) }
+
+// compare, nullEq, orderCompare and hash are Compare, NullEq,
+// OrderCompare and Hash on cells where they lie: the row helpers below
+// run on them, so that comparing or hashing a row copies no cell out
+// of it.
+func compare(a, b *Value) int {
+	if a.kind == KindNull || b.kind == KindNull {
 		panic("value: Compare on NULL; use Eq/OrderCompare")
 	}
 	if a.kind != b.kind {
 		panic(fmt.Sprintf("value: Compare kind mismatch %s vs %s", a.kind, b.kind))
 	}
 	switch a.kind {
-	case KindInt:
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		}
-		return 0
+	case KindInt, KindBool: // FALSE is 0 and TRUE is 1
+		return compareInt(a.n, b.n)
 	case KindString:
-		return strings.Compare(a.s, b.s)
-	case KindBool:
-		switch {
-		case !a.b && b.b:
-			return -1
-		case a.b && !b.b:
-			return 1
-		}
-		return 0
+		return strings.Compare(a.str(), b.str())
 	default:
 		panic(fmt.Sprintf("value: Compare on %s", a.kind))
 	}
+}
+
+func compareInt(a, b int64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 // cmp3 runs a comparison under 3VL: NULL operands yield Unknown.
@@ -174,7 +203,7 @@ func cmp3(a, b Value, ok func(int) bool) tvl.Truth {
 	if a.IsNull() || b.IsNull() {
 		return tvl.Unknown
 	}
-	return tvl.Of(ok(Compare(a, b)))
+	return tvl.Of(ok(compare(&a, &b)))
 }
 
 // Eq is WHERE-clause equality under 3VL.
@@ -201,51 +230,44 @@ func Ge(a, b Value) tvl.Truth { return cmp3(a, b, func(c int) bool { return c >=
 //
 // It is total (never Unknown) and is the equality used by DISTINCT,
 // INTERSECT/EXCEPT, GROUP BY and candidate-key enforcement.
-func NullEq(a, b Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return a.IsNull() && b.IsNull()
-	}
+func NullEq(a, b Value) bool { return nullEq(&a, &b) }
+
+func nullEq(a, b *Value) bool {
 	if a.kind != b.kind {
 		return false
 	}
-	return Compare(a, b) == 0
+	return a.kind == KindNull || compare(a, b) == 0
 }
 
 // OrderCompare is a total order used by sorting operators: NULL sorts
 // before every non-NULL value, and values of different kinds order by
 // kind (which only matters for heterogeneous test data).
-func OrderCompare(a, b Value) int {
+func OrderCompare(a, b Value) int { return orderCompare(&a, &b) }
+
+func orderCompare(a, b *Value) int {
 	if a.kind == KindInt && b.kind == KindInt {
 		// The common case of every sort and index probe, ahead of the
 		// NULL and kind dispatch.
-		switch {
-		case a.i < b.i:
-			return -1
-		case a.i > b.i:
-			return 1
-		}
-		return 0
-	}
-	switch {
-	case a.IsNull() && b.IsNull():
-		return 0
-	case a.IsNull():
-		return -1
-	case b.IsNull():
-		return 1
+		return compareInt(a.n, b.n)
 	}
 	if a.kind != b.kind {
+		// NULL is the least kind, so it sorts first.
 		if a.kind < b.kind {
 			return -1
 		}
 		return 1
 	}
-	return Compare(a, b)
+	if a.kind == KindNull {
+		return 0
+	}
+	return compare(a, b)
 }
 
 // Hash returns a 64-bit hash of v such that NullEq(a,b) implies
 // Hash(a)==Hash(b). Used by hash-based duplicate elimination and joins.
-func (v Value) Hash() uint64 {
+func (v Value) Hash() uint64 { return v.hash() }
+
+func (v *Value) hash() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -255,20 +277,17 @@ func (v Value) Hash() uint64 {
 	mix(byte(v.kind))
 	switch v.kind {
 	case KindInt:
-		u := uint64(v.i)
+		u := uint64(v.n)
 		for s := 0; s < 64; s += 8 {
 			mix(byte(u >> s))
 		}
 	case KindString:
-		for i := 0; i < len(v.s); i++ {
-			mix(v.s[i])
+		s := v.str()
+		for i := 0; i < len(s); i++ {
+			mix(s[i])
 		}
 	case KindBool:
-		if v.b {
-			mix(1)
-		} else {
-			mix(0)
-		}
+		mix(byte(v.n))
 	}
 	return h
 }
@@ -290,7 +309,7 @@ func NullEqRows(a, b Row) bool {
 		return false
 	}
 	for i := range a {
-		if !NullEq(a[i], b[i]) {
+		if !nullEq(&a[i], &b[i]) {
 			return false
 		}
 	}
@@ -305,7 +324,7 @@ func NullEqCols(a Row, acols []int, b Row, bcols []int) bool {
 		return false
 	}
 	for i, c := range acols {
-		if !NullEq(a[c], b[bcols[i]]) {
+		if !nullEq(&a[c], &b[bcols[i]]) {
 			return false
 		}
 	}
@@ -319,7 +338,7 @@ func OrderCompareRows(a, b Row) int {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		if c := OrderCompare(a[i], b[i]); c != 0 {
+		if c := orderCompare(&a[i], &b[i]); c != 0 {
 			return c
 		}
 	}
@@ -336,8 +355,8 @@ func OrderCompareRows(a, b Row) int {
 func HashRow(r Row) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
-	for _, v := range r {
-		h = (h ^ v.Hash()) * prime64
+	for i := range r {
+		h = (h ^ r[i].hash()) * prime64
 	}
 	return h
 }
@@ -349,7 +368,7 @@ func HashCols(r Row, cols []int) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
 	for _, c := range cols {
-		h = (h ^ r[c].Hash()) * prime64
+		h = (h ^ r[c].hash()) * prime64
 	}
 	return h
 }

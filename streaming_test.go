@@ -172,8 +172,9 @@ func streamBudgetDB(t *testing.T, rows int, opts uniqopt.Options) *uniqopt.DB {
 // operator over the same oversized input still fails fast.
 func TestStreamingBudget(t *testing.T) {
 	const rows = 40_000
-	// Enough for a few in-flight batches (~114KB each at the default
-	// batch size), far below the ~4.5MB of the S table.
+	// Enough for a few in-flight batches (~82KB each at the default
+	// batch size: 24 + 2×24 + ~10 bytes a row), far below the ~3.3MB of
+	// the S table.
 	const budget = 256 * 1024
 	join := `SELECT S.SNO, S.CITY FROM S, P WHERE S.SNO = P.SNO AND P.PNO = 7`
 
