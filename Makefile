@@ -22,9 +22,9 @@ build:
 	$(GO) build ./...
 
 # Tier-1. Includes the executor's identity sweep (TestStreaming*,
-# TestInPlaceScanFilterIdentity, TestExplainGolden: workers {1,4} x
-# threshold {1,2^30} x batch {1,3,default} against the row goldens, the
-# EXPLAIN goldens and the reference executor).
+# TestInPlaceScanFilterIdentity, TestExplainGolden: batch {1,3,default}
+# against the row goldens, the EXPLAIN goldens and the reference
+# executor).
 test:
 	$(GO) test ./...
 
@@ -87,16 +87,17 @@ storage-smoke:
 	$(GO) test -run 'BothBackends' .
 	$(GO) run ./cmd/benchrunner -exp storage -scale 0.05 -json BENCH_storage.json
 
-# Fuzz smoke: ten seconds each of the four fuzz targets — the frame
-# codec against encoding/json, the SQL parser, the statement cache
-# against a database that has never seen the text, and the three-word
-# value cell against the four-field struct it replaced — beyond the seed
-# corpora tier-1 already runs. A fixed budget and no timing assertion;
+# Fuzz smoke: ten seconds each of the five fuzz targets — the frame
+# codec against encoding/json, the SQL parser on statements and on
+# expressions, the statement cache against a database that has never
+# seen the text, and the three-word value cell against the four-field
+# struct it replaced — beyond the seed corpora tier-1 already runs. A fixed budget and no timing assertion;
 # not part of ci (a finding is a new input to look at, not a flaky
 # build).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/parser/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/sql/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileTwice$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzValueModel$$' -fuzztime 10s ./internal/value/
 

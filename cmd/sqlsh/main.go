@@ -53,8 +53,7 @@ const helpText = `statements (end with ';'):
   EXPLAIN <query>;           show the plan tree and the analyzer's
                              uniqueness provenance without reading data
   EXPLAIN ANALYZE <query>;   execute and show the plan tree annotated
-                             with per-operator rows, wall time, and
-                             parallel-path usage
+                             with per-operator rows and wall time
 commands:
   \d              list tables
   \baseline       toggle baseline (no-rewrite) execution

@@ -82,33 +82,27 @@ func paperQueryNames() []string {
 	return names
 }
 
-// execPoint is one configuration of the executor: the worker pool, the
-// parallel threshold and the batch size (0 = the default).
-type execPoint struct{ workers, threshold, batch int }
+// execSweep is every batch size the identity tests run at: one row,
+// three rows and the default (0). The batch size is the executor's one
+// setting.
+var execSweep = []int{1, 3, 0}
 
-func (p execPoint) String() string {
-	return fmt.Sprintf("workers=%d/threshold=%d/batch=%d", p.workers, p.threshold, p.batch)
-}
-
-// execSweep is every configuration the identity tests run under:
-// workers {1, 4} × threshold {1, 1<<30} × batch {1, 3, default}.
-func execSweep() []execPoint {
-	var out []execPoint
-	for _, w := range []int{1, 4} {
-		for _, th := range []int{1, 1 << 30} {
-			for _, bs := range []int{1, 3, 0} {
-				out = append(out, execPoint{w, th, bs})
-			}
+// sweep runs f at every batch size of execSweep, once under each of
+// labels, in subtests named label/batch=N. The labels are the worker
+// pools and parallel thresholds the sweep also ran under while the
+// executor had them. A query now runs on the one goroutine that drains
+// it, so the runs at one batch size are the same run; the labels only
+// keep every subtest's name.
+func sweep(t *testing.T, labels []string, f func(t *testing.T)) {
+	t.Helper()
+	for _, label := range labels {
+		for _, bs := range execSweep {
+			t.Run(fmt.Sprintf("%s/batch=%d", label, bs), func(t *testing.T) {
+				setStreamBatch(t, bs)
+				f(t)
+			})
 		}
 	}
-	return out
-}
-
-// under scopes the executor's configuration to one test.
-func (p execPoint) under(t *testing.T) {
-	t.Helper()
-	setStreamPool(t, p.workers, p.threshold)
-	setStreamBatch(t, p.batch)
 }
 
 // indexedSuffix marks an EXPLAIN case that runs on goldenIndexedDB.
@@ -138,16 +132,9 @@ func explainCase(t *testing.T, name string) (*uniqopt.DB, string) {
 }
 
 // explainUnder runs EXPLAIN ANALYZE for one case of explainCaseNames on
-// a fresh DB under the given pool configuration and returns the
-// explanation.
-func explainUnder(t *testing.T, name string, workers, threshold int) *uniqopt.Explanation {
+// a fresh DB and returns the explanation.
+func explainUnder(t *testing.T, name string) *uniqopt.Explanation {
 	t.Helper()
-	prevW := engine.SetWorkers(workers)
-	prevT := engine.SetParallelThreshold(threshold)
-	defer func() {
-		engine.SetWorkers(prevW)
-		engine.SetParallelThreshold(prevT)
-	}()
 	db, sql := explainCase(t, name)
 	e, err := db.ExplainWith(context.Background(), sql, goldenHosts, true, true)
 	if err != nil {
@@ -157,21 +144,19 @@ func explainUnder(t *testing.T, name string, workers, threshold int) *uniqopt.Ex
 }
 
 // TestExplainGolden compares the scrubbed EXPLAIN ANALYZE rendering of
-// every paper example against its golden file, at every point of the
-// workers × threshold × batch-size sweep: whatever the pool and the
-// batch size, the renderings are byte-identical after scrubbing (wall
-// times canonicalized, parallel-width markers and batch counts
-// dropped).
+// every paper example against its golden file at every batch size of
+// the sweep: the renderings are byte-identical after scrubbing (wall
+// times canonicalized, batch counts dropped).
 func TestExplainGolden(t *testing.T) {
 	for _, name := range explainCaseNames() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("testdata", "explain", name+".golden")
-			serial := plan.ScrubVolatile(explainUnder(t, name, 1, 1<<30).String())
+			got := plan.ScrubVolatile(explainUnder(t, name).String())
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, []byte(serial), 0o644); err != nil {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -180,15 +165,14 @@ func TestExplainGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run `go test -run TestExplainGolden -update ./`): %v", err)
 			}
-			for _, pt := range execSweep() {
-				t.Run(pt.String(), func(t *testing.T) {
-					setStreamBatch(t, pt.batch)
-					got := plan.ScrubVolatile(explainUnder(t, name, pt.workers, pt.threshold).String())
-					if string(want) != got {
-						t.Errorf("golden mismatch for %s:\n--- want\n%s\n--- got\n%s", name, want, got)
-					}
-				})
-			}
+			pools := []string{"workers=1/threshold=1", "workers=1/threshold=1073741824",
+				"workers=4/threshold=1", "workers=4/threshold=1073741824"}
+			sweep(t, pools, func(t *testing.T) {
+				got := plan.ScrubVolatile(explainUnder(t, name).String())
+				if string(want) != got {
+					t.Errorf("golden mismatch for %s:\n--- want\n%s\n--- got\n%s", name, want, got)
+				}
+			})
 		})
 	}
 }
@@ -201,7 +185,7 @@ func TestExplainGolden(t *testing.T) {
 func TestExplainAnalyzeCountsMatchStats(t *testing.T) {
 	for _, name := range explainCaseNames() {
 		t.Run(name, func(t *testing.T) {
-			e := explainUnder(t, name, 1, 1<<30)
+			e := explainUnder(t, name)
 			if e.Root == nil {
 				t.Fatal("no plan tree")
 			}
@@ -242,7 +226,7 @@ func TestExplainAnalyzeCountsMatchStats(t *testing.T) {
 func TestExplainAnalyzeStreamBatches(t *testing.T) {
 	for _, name := range explainCaseNames() {
 		t.Run(name, func(t *testing.T) {
-			e := explainUnder(t, name, 1, 1<<30)
+			e := explainUnder(t, name)
 			if e.Root == nil {
 				t.Fatal("no plan tree")
 			}
@@ -265,7 +249,6 @@ func TestExplainAnalyzeStreamBatches(t *testing.T) {
 			if total > e.Stats.Batches {
 				t.Errorf("plan nodes account for %d batches but Stats.Batches=%d", total, e.Stats.Batches)
 			}
-			setStreamPool(t, 1, 1<<30)
 			db, sql := explainCase(t, name)
 			rows, err := db.QueryWith(sql, goldenHosts, true)
 			if err != nil {
@@ -333,7 +316,6 @@ func TestExplainPlanOnlyShape(t *testing.T) {
 // 8221891, 153 and 108 under its streaming option) — in fact about a
 // third of the better of the two, which the limits below hold it to.
 func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
-	setStreamPool(t, 1, 1<<30)
 	db := goldenIndexedDB(t)
 	hosts := map[string]value.Value{"N": value.Int(7)}
 	for _, c := range []struct {

@@ -97,8 +97,7 @@ func EExplain(sc Scale) *Table {
 
 	m := db.Metrics()
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("metrics registry: %d query shapes, analyzer cache hit rate %.0f%%, governor rejections %d, pool size %d (widest fan-out %d)",
-			len(m.Shapes), 100*m.Cache.HitRate, m.Governor.Rejections,
-			m.Pool.Size, m.Pool.WorkersUsedMax))
+		fmt.Sprintf("metrics registry: %d query shapes, analyzer cache hit rate %.0f%%, governor rejections %d",
+			len(m.Shapes), 100*m.Cache.HitRate, m.Governor.Rejections))
 	return t
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // withDegenerateHash routes every hash-based operator through a
-// constant hash function, forcing all rows into a single bucket (and a
-// single partition of a partitioned dedup). Operators must survive on
+// constant hash function, forcing all rows into a single bucket.
+// Operators must survive on
 // their collision fallback alone: the row-by-row ≐ comparison on hash
 // match. Restores the real hash on cleanup.
 func withDegenerateHash(t *testing.T) {
@@ -39,7 +39,6 @@ func craftedRows() *Relation {
 
 func TestCollisionFallbackDistinct(t *testing.T) {
 	withDegenerateHash(t)
-	forceSerial(t)
 	rel := craftedRows()
 	st := &Stats{}
 	want := okRel(DistinctSort(ctx0, st, rel)) // sort-based: no hashing involved
@@ -48,19 +47,12 @@ func TestCollisionFallbackDistinct(t *testing.T) {
 	if !MultisetEqual(want, got) {
 		t.Fatalf("hash distinct under full collisions:\n got %s\n want %s", got, want)
 	}
-	// First-occurrence order must also survive collisions, and the
-	// partitioned dedup must agree with the serial one.
+	// First-occurrence order must also survive collisions.
 	identicalRelations(t, firstOccurrences(rel), got, "distinct order under collisions")
-	forceParallel(t, 3)
-	identicalRelations(t, got, hashDistinct(st, rel), "partitioned distinct under collisions")
-	if st.Snapshot().ParallelRuns == 0 {
-		t.Error("partitioned dedup did not run")
-	}
 }
 
 func TestCollisionFallbackJoins(t *testing.T) {
 	withDegenerateHash(t)
-	forceSerial(t)
 	r := rand.New(rand.NewSource(23))
 	l := randomRelation(r, "L", 300)
 	rr := randomRelation(r, "R", 120)

@@ -44,10 +44,10 @@ func parseWorkload(t *testing.T) []ast.Query {
 }
 
 // TestConcurrentExecutor runs the supplier/parts workload from N
-// goroutines against one shared Executor (with the parallel operator
-// path forced on) and requires byte-identical results to a serial
-// pre-computation. Run under -race this pins both the executor's
-// per-call Stats isolation and the parallel operators' merging.
+// goroutines against one shared Executor and requires byte-identical
+// results to a serial pre-computation. Run under -race this pins the
+// executor's per-call Stats isolation and the atomic merge into the
+// shared total.
 func TestConcurrentExecutor(t *testing.T) {
 	db, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
@@ -56,7 +56,6 @@ func TestConcurrentExecutor(t *testing.T) {
 	queries := parseWorkload(t)
 
 	// Serial reference results.
-	forceSerial(t)
 	ref := NewExecutor(db, nil)
 	want := make([]*Relation, len(queries))
 	for i, q := range queries {
@@ -68,8 +67,7 @@ func TestConcurrentExecutor(t *testing.T) {
 	}
 	wantStats := ref.Stats.Snapshot()
 
-	// Shared executor, parallel operators on, N goroutines × R rounds.
-	forceParallel(t, 4)
+	// Shared executor, N goroutines × R rounds.
 	shared := NewExecutor(db, nil)
 	const goroutines = 8
 	const rounds = 3
@@ -108,7 +106,6 @@ func TestConcurrentExecutor(t *testing.T) {
 	// The shared Stats must hold exactly goroutines×rounds times the
 	// serial work — merged atomically, nothing lost or doubled.
 	got := shared.Stats.Snapshot()
-	got.ParallelRuns, got.ParallelRows, got.WorkersUsed = 0, 0, 0
 	scale := int64(goroutines * rounds)
 	scaled := wantStats
 	scaled.RowsScanned *= scale
@@ -129,8 +126,7 @@ func TestConcurrentExecutor(t *testing.T) {
 }
 
 // TestConcurrentExecutorsSeparate exercises the more common pattern —
-// one executor per goroutine over a shared read-only database — under
-// the parallel operator path.
+// one executor per goroutine over a shared read-only database.
 func TestConcurrentExecutorsSeparate(t *testing.T) {
 	db, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
@@ -138,7 +134,6 @@ func TestConcurrentExecutorsSeparate(t *testing.T) {
 	}
 	queries := parseWorkload(t)
 
-	forceSerial(t)
 	ref := NewExecutor(db, nil)
 	want := make([]*Relation, len(queries))
 	for i, q := range queries {
@@ -147,7 +142,6 @@ func TestConcurrentExecutorsSeparate(t *testing.T) {
 		}
 	}
 
-	forceParallel(t, 3)
 	var wg sync.WaitGroup
 	errs := make(chan error, 6)
 	for g := 0; g < 6; g++ {

@@ -53,7 +53,6 @@ func projectedFullWidth(t *testing.T, st *Stats, full Iterator, emit Emit, left 
 // constant key suffix, a residual predicate) and the product, at batch
 // sizes 1, 3 and the default.
 func TestEmitMapProperty(t *testing.T) {
-	forceSerial(t)
 	r := rand.New(rand.NewSource(41))
 	rCols := []string{"R.ID", "R.K", "R.C", "R.V"}
 	for trial := 0; trial < 300; trial++ {

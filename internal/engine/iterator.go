@@ -61,24 +61,6 @@ type Iterator interface {
 	Close() error
 }
 
-// SizeHinter is an optional Iterator refinement: iterators that can
-// bound how many rows they will emit expose the bound, and a filter or
-// projection over them goes by it when deciding whether to run on an
-// exchange. The hint is an upper bound, never a promise — a filter over
-// a scan cannot emit more than the scan, and may emit nothing — and 0
-// means unknown.
-type SizeHinter interface {
-	SizeHint() int
-}
-
-// sizeHint reports the iterator's row-count upper bound, or 0 if unknown.
-func sizeHint(it Iterator) int {
-	if h, ok := it.(SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return 0
-}
-
 // DefaultBatchSize is the default target rows per batch: large enough
 // to amortize per-batch overhead, small enough to keep a pipeline's
 // live footprint a tiny fraction of its throughput.
@@ -111,17 +93,6 @@ func window(rows []value.Row, pos int) (Batch, int) {
 	}
 	end := min(pos+BatchSize(), len(rows))
 	return Batch(rows[pos:end:end]), end
-}
-
-// ParallelWidth reports how many workers it ran on: the width of the
-// exchange a filter or projection put itself on, or of a hash
-// distinct's partitioned dedup, once it has started; 0 for an operator
-// that ran on the caller's goroutine alone.
-func ParallelWidth(it Iterator) int {
-	if p, ok := it.(interface{ parallelWidth() int }); ok {
-		return p.parallelWidth()
-	}
-	return 0
 }
 
 // streamGuard is the streaming counterpart of guard: cooperative
@@ -316,7 +287,6 @@ func NewRelationIter(st *Stats, rel *Relation) Iterator {
 }
 
 func (it *rowsIter) Cols() []string { return it.cols }
-func (it *rowsIter) SizeHint() int  { return len(it.rows) }
 
 func (it *rowsIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {

@@ -223,7 +223,6 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 // partial batch, a residual predicate's error surfaces, and it counts
 // one seek per probing outer row and one scanned row per fetched entry.
 func TestIndexJoinLifecycle(t *testing.T) {
-	forceSerial(t)
 	withBatchSize(t, 64)
 	var inner []value.Row
 	for k := 0; k < 500; k++ {

@@ -18,9 +18,8 @@ import (
 // Cancellation is cooperative. Every operator creates a guard over the
 // caller's context and polls it on the first row and every cancelEvery
 // rows thereafter, so a cancelled or timed-out query stops mid-loop and
-// returns ctx.Err(). An exchange polls between batches and joins its
-// workers at Close; parallelFor always joins its workers, so no
-// goroutine outlives a failed query.
+// returns ctx.Err(). A query starts no goroutine of its own, so none
+// outlives a failed one.
 //
 // Budgets are enforced by a Governor carried in the context
 // (WithGovernor / GovernorFrom). Operators charge materialized rows and
@@ -32,10 +31,7 @@ import (
 //
 // Panics are contained at the executor and planner boundaries with
 // Contain, which converts them into *InternalError values carrying the
-// operator name and stack. Worker-pool panics are recovered on the
-// worker goroutine, carried across the barrier, and re-panicked on the
-// caller's goroutine (see parallelFor), so they reach the same
-// boundary instead of killing the process.
+// operator name and stack.
 
 // cancelEvery is the cooperative-cancellation poll interval in rows:
 // guards check ctx.Done() on their first step and every cancelEvery
@@ -59,7 +55,6 @@ const (
 	FaultDistinct   = "engine.distinct"
 	FaultSort       = "engine.sort"
 	FaultSetOp      = "engine.setop"
-	FaultPoolWorker = "engine.pool.worker"
 	// FaultStreamNext is the per-batch injection point: every streaming
 	// operator polls it at the top of Next, so faults can strike between
 	// any two batches of a pipeline, not just at operator entry.
@@ -68,7 +63,7 @@ const (
 
 func init() {
 	fault.Register(FaultScan, FaultFilter, FaultHashBuild, FaultHashProbe, FaultIndexProbe,
-		FaultDistinct, FaultSort, FaultSetOp, FaultPoolWorker, FaultStreamNext)
+		FaultDistinct, FaultSort, FaultSetOp, FaultStreamNext)
 }
 
 // ErrBudgetExceeded is the sentinel matched (via errors.Is) by every
@@ -115,7 +110,7 @@ func (e *InternalError) Unwrap() error {
 
 // Governor enforces a per-query resource budget. A zero or negative
 // limit disables that dimension. Charging is atomic: concurrent
-// queries (and a query's own workers) may share one governor.
+// queries may share one governor.
 type Governor struct {
 	maxRows   int64
 	maxBytes  int64
@@ -226,8 +221,8 @@ func rowBytes(row value.Row) int64 {
 }
 
 // guard couples cooperative cancellation polling with batched budget
-// charging for one operator invocation (or one parallel worker). It is
-// single-goroutine state over a shared atomic Governor.
+// charging for one operator invocation. It is single-goroutine state
+// over a shared atomic Governor.
 type guard struct {
 	ctx   context.Context
 	gov   *Governor
@@ -301,29 +296,17 @@ func (g *guard) finish() error {
 	return g.ctx.Err()
 }
 
-// workerPanic carries a panic recovered on a pool-worker goroutine
-// across the barrier so it can be re-panicked on the caller's
-// goroutine with its original stack intact.
-type workerPanic struct {
-	val   any
-	stack []byte
-}
-
 // Contain converts a panic into an *InternalError assigned through
 // errp. It must be installed with `defer Contain(op, &err)` at a query
-// entry boundary (executor, planner); panics repanicked by parallelFor
-// arrive as *workerPanic and keep the worker's stack.
+// entry boundary (executor, planner).
 func Contain(op string, errp *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	switch p := r.(type) {
-	case *workerPanic:
-		*errp = &InternalError{Op: op, Value: p.val, Stack: p.stack}
-	case *InternalError:
+	if p, ok := r.(*InternalError); ok {
 		*errp = p // already contained at an inner boundary
-	default:
-		*errp = &InternalError{Op: op, Value: r, Stack: debug.Stack()}
+		return
 	}
+	*errp = &InternalError{Op: op, Value: r, Stack: debug.Stack()}
 }

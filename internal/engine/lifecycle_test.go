@@ -12,8 +12,6 @@ import (
 	"time"
 	"unsafe"
 
-	"uniqopt/internal/eval"
-	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/testleak"
 	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
@@ -39,7 +37,6 @@ func bigRelation(prefix string, rows int) *Relation {
 func settleGoroutines(base int) int { return testleak.Settle(base) }
 
 func TestCancelledContextStopsOperators(t *testing.T) {
-	forceSerial(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l := bigRelation("L", 10_000)
@@ -82,7 +79,6 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 // whose join would run far longer than 10ms must return
 // context.DeadlineExceeded promptly once the deadline passes.
 func TestDeadlineLargeJoinPrompt(t *testing.T) {
-	forceSerial(t)
 	l := bigRelation("L", 60_000)
 	r := bigRelation("R", 60_000)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -101,54 +97,7 @@ func TestDeadlineLargeJoinPrompt(t *testing.T) {
 	}
 }
 
-// parallelPipeline is a filter on an exchange feeding a partitioned
-// hash distinct: every operator that can run wide, under forceParallel.
-func parallelPipeline(st *Stats, rel *Relation) Iterator {
-	pred := &ast.Compare{Op: ast.GeOp,
-		L: &ast.ColumnRef{Qualifier: "L", Column: "K"}, R: &ast.IntLit{V: 0}}
-	return NewDistinctHashIter(st, NewFilterIter(st, NewRelationIter(st, rel), pred, &eval.Env{}))
-}
-
-func TestDeadlineParallelOperators(t *testing.T) {
-	forceParallel(t, 4)
-	l := bigRelation("L", 50_000)
-	base := runtime.NumGoroutine()
-	// Started, then expired: the exchange's workers are running when the
-	// deadline passes and must all be joined at Close.
-	ctx, cancel := context.WithCancel(context.Background())
-	st := &Stats{}
-	it := parallelPipeline(st, l)
-	if _, err := it.Next(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st.Snapshot().ParallelRuns == 0 {
-		t.Fatal("pipeline did not take the parallel path")
-	}
-	cancel()
-	if _, err := it.Next(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Expired before the first pull: Drain reports it and closes.
-	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer dcancel()
-	time.Sleep(10 * time.Millisecond) // ensure the deadline has passed
-	rel, err := Drain(dctx, &Stats{}, parallelPipeline(&Stats{}, l))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if rel != nil {
-		t.Fatal("partial relation escaped")
-	}
-	if n := settleGoroutines(base); n > base {
-		t.Fatalf("goroutines leaked: %d before, %d after", base, n)
-	}
-}
-
 func TestMaxRowsBudget(t *testing.T) {
-	forceSerial(t)
 	l := bigRelation("L", 5_000)
 	gov := NewGovernor(1_000, 0)
 	ctx := WithGovernor(context.Background(), gov)
@@ -174,7 +123,6 @@ func TestMaxRowsBudget(t *testing.T) {
 }
 
 func TestMemBudget(t *testing.T) {
-	forceSerial(t)
 	l := bigRelation("L", 5_000)
 	ctx := WithGovernor(context.Background(), NewGovernor(0, 64*1024))
 	st := &Stats{}
@@ -191,38 +139,7 @@ func TestMemBudget(t *testing.T) {
 	}
 }
 
-// TestBudgetSharedAcrossParallelWorkers: the rows an exchange's workers
-// and a partitioned dedup's workers produce are all charged to the one
-// governor of the query, so a budget binds on the parallel path too —
-// typed error, no partial result, no goroutine left behind — and
-// whatever was charged is released when the pipeline closes.
-func TestBudgetSharedAcrossParallelWorkers(t *testing.T) {
-	forceParallel(t, 4)
-	l := bigRelation("L", 20_000) // all distinct: the dedup must hold every row
-	base := runtime.NumGoroutine()
-	gov := NewGovernor(10_000, 0)
-	ctx := WithGovernor(context.Background(), gov)
-	st := &Stats{}
-	rel, err := Drain(ctx, st, parallelPipeline(st, l))
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
-	}
-	if rel != nil {
-		t.Fatal("partial relation escaped")
-	}
-	if runs := st.Snapshot().ParallelRuns; runs < 2 {
-		t.Fatalf("parallel runs = %d, want the exchange and the partitioned dedup", runs)
-	}
-	if rows, bytes := gov.Usage(); rows != 0 || bytes != 0 {
-		t.Fatalf("usage after the failed pipeline closed: rows=%d bytes=%d, want 0", rows, bytes)
-	}
-	if n := settleGoroutines(base); n > base {
-		t.Fatalf("goroutines leaked: %d before, %d after", base, n)
-	}
-}
-
 func TestStatsCountMaterializationsWithoutGovernor(t *testing.T) {
-	forceSerial(t)
 	l := bigRelation("L", 2_000)
 	st := &Stats{}
 	hashDistinct(st, l)
@@ -314,50 +231,6 @@ func TestContainPassesNestedInternalError(t *testing.T) {
 	}
 }
 
-func TestParallelForContainsWorkerPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
-	run := func() (err error) {
-		defer Contain("engine.pool", &err)
-		parallelFor(1000, 4, func(chunk, lo, hi int) {
-			if chunk == 2 {
-				panic(fmt.Sprintf("worker %d exploded", chunk))
-			}
-		})
-		return nil
-	}
-	err := run()
-	var ie *InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("worker panic not contained: %v", err)
-	}
-	if ie.Value != "worker 2 exploded" {
-		t.Fatalf("contained wrong panic value: %v", ie.Value)
-	}
-	if len(ie.Stack) == 0 || !strings.Contains(string(ie.Stack), "parallelFor") {
-		t.Fatal("worker stack lost in containment")
-	}
-	if n := settleGoroutines(base); n > base {
-		t.Fatalf("goroutines leaked after worker panic: %d before, %d after", base, n)
-	}
-}
-
-func TestParallelForPanicIsDeterministic(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		run := func() (err error) {
-			defer Contain("engine.pool", &err)
-			parallelFor(1000, 4, func(chunk, lo, hi int) {
-				panic(chunk) // every worker panics; lowest chunk must win
-			})
-			return nil
-		}
-		err := run()
-		var ie *InternalError
-		if !errors.As(err, &ie) || ie.Value != 0 {
-			t.Fatalf("trial %d: contained %v, want chunk 0's panic", trial, err)
-		}
-	}
-}
-
 func TestExecutorQueryContextContainsPanicAndCancels(t *testing.T) {
 	db, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
@@ -381,8 +254,7 @@ func TestExecutorQueryContextContainsPanicAndCancels(t *testing.T) {
 // TestConcurrentHalfCancelled is the ISSUE's race test: concurrent
 // queries through one shared executor, half cancelled mid-flight; the
 // cancelled ones must fail with ctx.Err() and the survivors must stay
-// byte-identical to a serial baseline. Run under -race this also pins
-// the parallel operators' lifecycle handling.
+// byte-identical to a serial baseline.
 func TestConcurrentHalfCancelled(t *testing.T) {
 	db, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
@@ -390,7 +262,6 @@ func TestConcurrentHalfCancelled(t *testing.T) {
 	}
 	queries := parseWorkload(t)
 
-	forceSerial(t)
 	ref := NewExecutor(db, nil)
 	want := make([]*Relation, len(queries))
 	for i, q := range queries {
@@ -399,7 +270,6 @@ func TestConcurrentHalfCancelled(t *testing.T) {
 		}
 	}
 
-	forceParallel(t, 4)
 	shared := NewExecutor(db, nil)
 	base := runtime.NumGoroutine()
 	const pairs = 8

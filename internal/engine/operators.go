@@ -59,7 +59,7 @@ func Scan(ctx context.Context, st *Stats, tbl *storage.Table, corr string) (*Rel
 }
 
 // qualifying is the engine's one predicate row loop, shared by the
-// reference Filter, the filter iterator and its exchange workers: it
+// reference Filter and the filter iterator: it
 // appends to out the rows keep accepts under the false-interpreted
 // WHERE semantics (Unknown rejects), polling g for cancellation per row.
 func (g *guard) qualifying(out, rows []value.Row, keep eval.Pred) ([]value.Row, error) {

@@ -8,8 +8,8 @@ import "uniqopt/internal/value"
 // sequence per distinct hash value) and chains same-hash rows through
 // an intrusive linked list in insertion order, so iteration over a
 // hash's chain visits rows exactly as append would have — a property
-// the byte-identical serial/parallel/streaming guarantee relies on
-// when hashes collide.
+// the byte-identical streaming guarantee relies on when hashes
+// collide.
 //
 // rowTable never shrinks and has no delete; it is built once per
 // operator invocation and discarded. The zero value is an empty table:

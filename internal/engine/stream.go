@@ -24,10 +24,6 @@ import (
 // column names resolved once per statement shape (ColIndexes), not per
 // execution; they check the ordinals against their inputs, so a
 // malformed plan fails at assembly instead of panicking mid-stream.
-//
-// Parallelism is an exchange (exchange.go) a filter or projection puts
-// itself on when its input's size hint clears ParallelThreshold() and
-// the pool is wider than one — the one selection rule, shouldParallel.
 
 // arenaFirstRows is the row count of a rowArena's first slab.
 const arenaFirstRows = 4
@@ -133,7 +129,6 @@ func NewIndexScanIter(st *Stats, tbl *storage.Table, cols []string, ords []int) 
 }
 
 func (it *indexScanIter) Cols() []string { return it.cols }
-func (it *indexScanIter) SizeHint() int  { return len(it.ords) }
 
 func (it *indexScanIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {
@@ -168,48 +163,18 @@ type filterIter struct {
 	cols    []string
 	st      *Stats
 	sg      streamGuard
+	last    int // the length of the batch last emitted
 	started bool
 	closed  bool
 }
 
 // NewFilterIter streams child through pred, compiled against the
-// child's columns (eval.Compile) once per iterator, or once per worker:
-// over an input large enough to clear the parallel threshold a
-// parallel-safe predicate runs on a pipelined exchange; a
-// subquery-bearing predicate always stays on the caller's goroutine
-// (its evaluation callbacks recurse into shared executor state).
+// child's columns (eval.Compile) once per iterator.
 func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env) Iterator {
 	if pred == nil {
 		return child
 	}
 	cols := child.Cols()
-	if w, ok := shouldParallel(sizeHint(child)); ok && !ast.HasExists(pred) {
-		return NewExchangeIter(st, child, cols, w, func() BatchFunc {
-			keep := eval.Compile(pred, cols, envProto)
-			started := false
-			// The output is sized by what this worker's previous batch
-			// kept, not by its input: a selective predicate would zero and
-			// discard a slice header per input row.
-			kept := -1
-			return func(b Batch, my *Stats) (Batch, error) {
-				if !started {
-					started = true
-					if err := fault.Point(FaultFilter); err != nil {
-						return nil, err
-					}
-				}
-				// Workers see no context: the exchange polls
-				// cancellation between batches.
-				g := newGuard(nil, my)
-				if kept < 0 {
-					kept = len(b) / 4
-				}
-				out, err := g.qualifying(make(Batch, 0, min(kept, len(b))), b, keep)
-				kept = len(out)
-				return out, err
-			}
-		})
-	}
 	return &filterIter{
 		child: child, keep: eval.Compile(pred, cols, envProto),
 		cols: cols, st: st,
@@ -218,9 +183,10 @@ func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env)
 
 func (it *filterIter) Cols() []string { return it.cols }
 
-// SizeHint passes through the child's bound: a filter can only shrink
-// its input, so the child's upper bound still holds.
-func (it *filterIter) SizeHint() int { return sizeHint(it.child) }
+func (it *filterIter) emit(out Batch) (Batch, error) {
+	it.last = len(out)
+	return it.sg.emit(out)
+}
 
 func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {
@@ -242,15 +208,22 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 		}
 		if b == nil {
 			if len(out) > 0 {
-				return it.sg.emit(out)
+				return it.emit(out)
 			}
 			return nil, nil
+		}
+		if out == nil {
+			// The output is sized by what the last batch kept, not by the
+			// input: a selective predicate would zero and discard a slice
+			// header per input row, and growing from nothing pays a copy
+			// per doubling.
+			out = make(Batch, 0, min(max(it.last, len(b)/4), bs))
 		}
 		if out, err = g.qualifying(out, b, it.keep); err != nil {
 			return nil, err
 		}
 		if len(out) >= bs {
-			return it.sg.emit(out)
+			return it.emit(out)
 		}
 	}
 }
@@ -322,27 +295,16 @@ func isIdentity(idx []int, n int) bool {
 }
 
 // NewProjectIter streams child projected onto its columns at idx, named
-// cols — passed through when idx is the identity, else copied, on a
-// pipelined exchange when the input clears the parallel threshold.
+// cols — passed through when idx is the identity, else copied.
 func NewProjectIter(st *Stats, child Iterator, cols []string, idx []int) (Iterator, error) {
 	if err := checkOrdinals(child.Cols(), idx); err != nil {
 		return nil, err
 	}
-	if isIdentity(idx, len(child.Cols())) {
-		return &projectIter{child: child, cols: cols, identity: true, st: st}, nil
-	}
-	if w, ok := shouldParallel(sizeHint(child)); ok {
-		return NewExchangeIter(st, child, cols, w, func() BatchFunc {
-			return func(b Batch, _ *Stats) (Batch, error) { return project(b, idx), nil }
-		}), nil
-	}
-	return &projectIter{child: child, cols: cols, idx: idx, st: st}, nil
+	identity := isIdentity(idx, len(child.Cols()))
+	return &projectIter{child: child, cols: cols, idx: idx, identity: identity, st: st}, nil
 }
 
 func (it *projectIter) Cols() []string { return it.cols }
-
-// SizeHint passes through the child's bound: projection is row-for-row.
-func (it *projectIter) SizeHint() int { return sizeHint(it.child) }
 
 func (it *projectIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {
@@ -369,43 +331,23 @@ func (it *projectIter) Close() error {
 
 // distinctHashIter streams duplicate elimination (≐ semantics): rows
 // are emitted in first-occurrence order as they arrive, deduplicated
-// against hash tables held for the stream's lifetime. When the worker
-// pool is wider than one and batches clear the parallel threshold,
-// each batch is deduplicated by hash-disjoint partition workers
-// in-place — the pipelined replacement for partition-whole-input /
-// merge-whole-output.
+// against one hash table held for the stream's lifetime.
 type distinctHashIter struct {
 	child   Iterator
 	cols    []string
 	st      *Stats
 	sg      streamGuard
-	w       int
-	tables  []*rowTable
+	table   *rowTable
 	started bool
-	noted   bool
 	closed  bool
 }
 
 // NewDistinctHashIter streams child with duplicates removed.
 func NewDistinctHashIter(st *Stats, child Iterator) Iterator {
-	w := 1
-	if ws := Workers(); ws > 1 {
-		w = ws
-	}
-	tables := make([]*rowTable, w)
-	for i := range tables {
-		tables[i] = &rowTable{}
-	}
-	return &distinctHashIter{
-		child: child, cols: child.Cols(), st: st, w: w, tables: tables,
-	}
+	return &distinctHashIter{child: child, cols: child.Cols(), st: st, table: &rowTable{}}
 }
 
 func (it *distinctHashIter) Cols() []string { return it.cols }
-
-// SizeHint passes through the child's bound: duplicate elimination can
-// only shrink its input.
-func (it *distinctHashIter) SizeHint() int { return sizeHint(it.child) }
 
 func (it *distinctHashIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {
@@ -425,34 +367,28 @@ func (it *distinctHashIter) Next(ctx context.Context) (Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		var out Batch
-		if it.w > 1 && len(b) >= ParallelThreshold() {
-			out, err = it.dedupParallel(b)
-		} else {
-			out, err = it.dedupSerial(b)
-		}
+		out, err := it.dedup(b)
 		if err != nil {
 			return nil, err
 		}
 		if len(out) > 0 {
-			// Emitted rows are retained by the hash tables and already
+			// Emitted rows are retained by the hash table and already
 			// charged as held state: no in-flight charge.
 			return it.sg.emitHeld(out)
 		}
 	}
 }
 
-func (it *distinctHashIter) dedupSerial(b Batch) (Batch, error) {
+// dedup returns the rows of b not ≐-equal to a row seen before, and
+// adds them to the table.
+func (it *distinctHashIter) dedup(b Batch) (Batch, error) {
+	t := it.table
 	out := make(Batch, 0, len(b))
 	for _, row := range b {
 		if err := it.sg.step(); err != nil {
 			return nil, err
 		}
 		h := hashRow(row)
-		// Probe and insert the same hash-disjoint partition the parallel
-		// path uses: one stream may mix serial (small/final) and parallel
-		// (large) batches, and both must see one coherent dedup state.
-		t := it.tables[partitionOf(h, it.w)]
 		it.st.HashProbes++
 		dup := false
 		for e := t.find(h); e != rtNone; e = t.entries[e].next {
@@ -475,85 +411,13 @@ func (it *distinctHashIter) dedupSerial(b Batch) (Batch, error) {
 	return out, it.sg.flushHeld()
 }
 
-func (it *distinctHashIter) dedupParallel(b Batch) (Batch, error) {
-	w := it.w
-	if !it.noted {
-		it.noted = true
-		it.st.ParallelRuns++
-		it.st.NoteWorkers(w)
-	}
-	it.st.ParallelRows += int64(len(b))
-	hashes := make([]uint64, len(b))
-	parallelFor(len(b), w, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hashes[i] = hashRow(b[i])
-		}
-	})
-	keep := make([]bool, len(b))
-	locals := make([]Stats, w)
-	errs := make([]error, w)
-	parallelFor(w, w, func(p, _, _ int) {
-		if err := fault.Point(FaultPoolWorker); err != nil {
-			errs[p] = err
-			return
-		}
-		my := &locals[p]
-		t := it.tables[p]
-		for i, row := range b {
-			h := hashes[i]
-			if partitionOf(h, w) != p {
-				continue
-			}
-			my.HashProbes++
-			dup := false
-			for e := t.find(h); e != rtNone; e = t.entries[e].next {
-				my.Comparisons++
-				if value.NullEqRows(t.entries[e].row, row) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			t.insert(h, row)
-			my.HashInserts++
-			keep[i] = true
-		}
-	})
-	for p := 0; p < w; p++ {
-		it.st.Add(locals[p])
-	}
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	out := make(Batch, 0, len(b))
-	for i, k := range keep {
-		if !k {
-			continue
-		}
-		if err := it.sg.holdRow(b[i]); err != nil {
-			return nil, err
-		}
-		out = append(out, b[i])
-	}
-	return out, it.sg.flushHeld()
-}
-
-func (it *distinctHashIter) parallelWidth() int {
-	if it.noted {
-		return it.w
-	}
-	return 0
-}
-
 func (it *distinctHashIter) Close() error {
 	if it.closed {
 		return nil
 	}
 	it.closed = true
 	it.sg.close()
-	it.tables = nil
+	it.table = nil
 	return it.child.Close()
 }
 
@@ -579,10 +443,6 @@ func NewDistinctSortIter(st *Stats, child Iterator) Iterator {
 }
 
 func (it *distinctSortIter) Cols() []string { return it.cols }
-
-// SizeHint passes through the child's bound: duplicate elimination can
-// only shrink its input.
-func (it *distinctSortIter) SizeHint() int { return sizeHint(it.child) }
 
 func (it *distinctSortIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {
@@ -666,10 +526,6 @@ func NewSetOpIter(st *Stats, l, r Iterator, except, all bool) Iterator {
 }
 
 func (it *setOpIter) Cols() []string { return it.l.Cols() }
-
-// SizeHint passes through the left operand's bound: neither operation
-// emits a row its left operand did not.
-func (it *setOpIter) SizeHint() int { return sizeHint(it.l) }
 
 func (it *setOpIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx, it.st); err != nil {

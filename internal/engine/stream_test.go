@@ -63,7 +63,6 @@ func TestStreamScanEquivalence(t *testing.T) {
 // which the reference does not have, to the first occurrences in input
 // order and, as a multiset, to DistinctSort).
 func TestStreamOperatorEquivalence(t *testing.T) {
-	forceSerial(t)
 	r := rand.New(rand.NewSource(72))
 	l := randomRelation(r, "T", 611)
 	rr := randomRelation(r, "R", 173)
@@ -128,167 +127,10 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 	}
 }
 
-// TestStreamParallelEquivalence: the pipelined exchange (filter,
-// project) and partition-parallel streaming distinct produce output
-// byte-identical to serial streaming under a wide worker pool and a
-// threshold that forces the parallel paths.
-func TestStreamParallelEquivalence(t *testing.T) {
-	pw := SetWorkers(4)
-	t.Cleanup(func() { SetWorkers(pw) })
-	pt := SetParallelThreshold(1)
-	t.Cleanup(func() { SetParallelThreshold(pt) })
-
-	r := rand.New(rand.NewSource(73))
-	l := randomRelation(r, "T", 1201)
-	pred, env := gtPred()
-
-	ctx := context.Background()
-	st0 := &Stats{}
-	wantFilter := okRel(Filter(ctx, st0, l, pred, env))
-	wantProject := okRel(Project(ctx, st0, l, []string{"T.B", "T.K"}))
-	wantDistinct := firstOccurrences(l)
-
-	for _, bs := range []int{1, 3, 64, DefaultBatchSize} {
-		withBatchSize(t, bs)
-
-		st := &Stats{}
-		gotFilter := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, l), pred, env))
-		identicalRelations(t, wantFilter, gotFilter, "exchange filter")
-		if bs >= 64 && st.Snapshot().ParallelRuns == 0 {
-			t.Fatalf("bs=%d: exchange filter did not take the parallel path", bs)
-		}
-
-		st = &Stats{}
-		pit := projIter(st, NewRelationIter(st, l), "T.B", "T.K")
-		gotProject := mustDrain(t, st, pit)
-		identicalRelations(t, wantProject, gotProject, "exchange project")
-		if ParallelWidth(pit) != 4 {
-			t.Fatalf("bs=%d: exchange project reports width %d, want 4", bs, ParallelWidth(pit))
-		}
-
-		st = &Stats{}
-		dit := NewDistinctHashIter(st, NewRelationIter(st, l))
-		identicalRelations(t, wantDistinct, mustDrain(t, st, dit), "parallel stream distinct")
-		if ParallelWidth(dit) != 4 {
-			t.Fatalf("bs=%d: partitioned distinct reports width %d, want 4", bs, ParallelWidth(dit))
-		}
-	}
-}
-
-// TestStreamDistinctMixedSerialParallel: one distinct stream mixes the
-// serial and parallel dedup paths when batch sizes straddle the
-// parallel threshold (e.g. a final partial batch below it). Both paths
-// must share one coherent partitioned dedup state: a duplicate whose
-// first occurrence was inserted by a parallel worker into a non-zero
-// partition must still be caught by a later serial batch.
-func TestStreamDistinctMixedSerialParallel(t *testing.T) {
-	pw := SetWorkers(4)
-	t.Cleanup(func() { SetWorkers(pw) })
-	pt := SetParallelThreshold(4)
-	t.Cleanup(func() { SetParallelThreshold(pt) })
-	withBatchSize(t, 4)
-
-	// The first batch of 4 clears the threshold and dedups in parallel;
-	// the final partial batch of 2 falls below it, dedups serially, and
-	// repeats rows the parallel workers already inserted.
-	rel := NewRelation("T.K")
-	for _, k := range []int64{0, 1, 2, 3, 0, 1} {
-		rel.Rows = append(rel.Rows, value.Row{value.Int(k)})
-	}
-	st := &Stats{}
-	got := mustDrain(t, st, NewDistinctHashIter(st, NewRelationIter(st, rel)))
-	want := &Relation{Cols: rel.Cols, Rows: rel.Rows[:4]}
-	identicalRelations(t, want, got, "mixed serial/parallel distinct")
-	if st.Snapshot().ParallelRuns == 0 {
-		t.Fatal("first batch did not take the parallel path")
-	}
-
-	// Equivalence sweep against the serial answer, with batch sizes and
-	// thresholds chosen so streams cut over mid-flight both ways.
-	r := rand.New(rand.NewSource(75))
-	big := randomRelation(r, "T", 1201)
-	wantBig := firstOccurrences(big)
-	for _, bs := range []int{3, 5, 7, 64} {
-		for _, th := range []int{2, 4, 8} {
-			SetBatchSize(bs)
-			SetParallelThreshold(th)
-			st := &Stats{}
-			got := mustDrain(t, st, NewDistinctHashIter(st, NewRelationIter(st, big)))
-			identicalRelations(t, wantBig, got,
-				fmt.Sprintf("mixed distinct bs=%d threshold=%d", bs, th))
-		}
-	}
-}
-
-// TestAutoDispatch pins the one parallelism selection rule: a filter or
-// projection puts itself on an exchange exactly when the pool is wider
-// than one and its input's size hint clears the threshold — never for a
-// small input, an input of unknown size, or a subquery-bearing
-// predicate — and the results stay identical either way.
-func TestAutoDispatch(t *testing.T) {
-	r := rand.New(rand.NewSource(19))
-	rel := randomRelation(r, "T", 6000)
-	pred, env := gtPred()
-	sub := &ast.And{L: pred, R: &ast.Exists{Query: &ast.Select{}}}
-	forceSerial(t)
-	want := okRel(Project(ctx0, &Stats{}, okRel(Filter(ctx0, &Stats{}, rel, pred, env)), []string{"T.K"}))
-
-	pipeline := func(st *Stats, p ast.Expr, in Iterator) (filter, project Iterator) {
-		filter = NewFilterIter(st, in, p, env)
-		return filter, projIter(st, filter, "T.K")
-	}
-	// unsized hides its child's size hint.
-	type unsized struct{ Iterator }
-	for _, c := range []struct {
-		name               string
-		workers, threshold int
-		pred               ast.Expr
-		in                 func(*Stats) Iterator
-		wide               bool
-	}{
-		{"above threshold", 4, 4096, pred, func(st *Stats) Iterator { return NewRelationIter(st, rel) }, true},
-		{"below threshold", 4, 6001, pred, func(st *Stats) Iterator { return NewRelationIter(st, rel) }, false},
-		{"one worker", 1, 1, pred, func(st *Stats) Iterator { return NewRelationIter(st, rel) }, false},
-		{"unknown size", 4, 1, pred, func(st *Stats) Iterator { return unsized{NewRelationIter(st, rel)} }, false},
-	} {
-		SetWorkers(c.workers)
-		pt := SetParallelThreshold(c.threshold)
-		st := &Stats{}
-		filter, project := pipeline(st, c.pred, c.in(st))
-		got := mustDrain(t, st, project)
-		SetParallelThreshold(pt)
-		identicalRelations(t, want, got, c.name)
-		for what, it := range map[string]Iterator{"filter": filter, "project": project} {
-			if w := ParallelWidth(it); (w > 0) != c.wide || (c.wide && w != c.workers) {
-				t.Errorf("%s: %s ran %d wide, want wide=%v", c.name, what, w, c.wide)
-			}
-		}
-		if runs := st.Snapshot().ParallelRuns; (runs > 0) != c.wide {
-			t.Errorf("%s: parallel runs = %d, want wide=%v", c.name, runs, c.wide)
-		}
-	}
-	// A subquery-bearing predicate stays on the caller's goroutine
-	// whatever the input size.
-	SetWorkers(4)
-	pt := SetParallelThreshold(1)
-	defer SetParallelThreshold(pt)
-	st := &Stats{}
-	if w := ParallelWidth(NewFilterIter(st, NewRelationIter(st, rel), sub, env)); w != 0 {
-		t.Errorf("subquery-bearing filter assembled on a %d-wide exchange", w)
-	}
-	if _, ok := NewFilterIter(st, NewRelationIter(st, rel), sub, env).(*filterIter); !ok {
-		t.Error("subquery-bearing filter is not the serial filter iterator")
-	}
-	if _, ok := NewFilterIter(st, NewRelationIter(st, rel), pred, env).(*exchangeIter); !ok {
-		t.Error("parallel-safe filter over a sized input is not an exchange")
-	}
-}
-
 // TestStreamCollisionFallback: with every hash degenerate and batches
 // of two, hash distinct and the hash join still compare rows and
 // produce correct output across batch boundaries.
 func TestStreamCollisionFallback(t *testing.T) {
-	forceSerial(t)
 	withDegenerateHash(t)
 	withBatchSize(t, 2)
 	ctx := context.Background()
@@ -334,7 +176,6 @@ func consume(ctx context.Context, it Iterator) (n int, err error) {
 // (usage returns to zero after Close), records a true peak, and that
 // peak is far below the materialized footprint of the same pipeline.
 func TestStreamGovernorAccounting(t *testing.T) {
-	forceSerial(t)
 	withBatchSize(t, 64)
 	r := rand.New(rand.NewSource(76))
 	rel := randomRelation(r, "T", 20000)
@@ -379,7 +220,6 @@ func TestStreamGovernorAccounting(t *testing.T) {
 // budget streams to completion under it, while a blocking operator
 // (distinct over mostly-unique rows) binds the budget and fails fast.
 func TestStreamBudget(t *testing.T) {
-	forceSerial(t)
 	withBatchSize(t, 128)
 	r := rand.New(rand.NewSource(77))
 	rel := randomRelation(r, "T", 50000)
@@ -418,7 +258,6 @@ func TestStreamBudget(t *testing.T) {
 // TestStreamCancellation: an expired context stops a streaming
 // pipeline between batches.
 func TestStreamCancellation(t *testing.T) {
-	forceSerial(t)
 	withBatchSize(t, 8)
 	r := rand.New(rand.NewSource(78))
 	rel := randomRelation(r, "T", 1000)
@@ -444,7 +283,6 @@ func TestStreamCancellation(t *testing.T) {
 // TestStreamEmptyInputs: every streaming operator handles empty
 // inputs, and Close before exhaustion is safe.
 func TestStreamEmptyInputs(t *testing.T) {
-	forceSerial(t)
 	withBatchSize(t, 3)
 	empty := &Relation{Cols: []string{"T.K", "T.A", "T.B"}}
 	r := rand.New(rand.NewSource(79))

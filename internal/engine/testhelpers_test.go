@@ -104,26 +104,6 @@ next:
 	return out
 }
 
-// forceParallel pins the pool to n workers and a threshold of 1 so
-// every operator that can take a parallel path does regardless of input
-// size, and restores the previous configuration on cleanup.
-func forceParallel(t *testing.T, n int) {
-	t.Helper()
-	pw := SetWorkers(n)
-	pt := SetParallelThreshold(1)
-	t.Cleanup(func() {
-		SetWorkers(pw)
-		SetParallelThreshold(pt)
-	})
-}
-
-// forceSerial pins the pool to one worker.
-func forceSerial(t *testing.T) {
-	t.Helper()
-	pw := SetWorkers(1)
-	t.Cleanup(func() { SetWorkers(pw) })
-}
-
 // randomRelation builds a deterministic pseudo-random relation with
 // duplicate-heavy keys and a sprinkling of NULLs in every column.
 func randomRelation(r *rand.Rand, prefix string, n int) *Relation {

@@ -209,15 +209,6 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	db := matrixDB(t)
 
-	// Force the exchanges and the partitioned dedup so pool workers
-	// participate.
-	prevW := engine.SetWorkers(4)
-	prevT := engine.SetParallelThreshold(1)
-	defer func() {
-		engine.SetWorkers(prevW)
-		engine.SetParallelThreshold(prevT)
-	}()
-
 	fault.Reset()
 	// Baselines: analysis verdict and clean-run results.
 	verdict, err := db.Analyze(qDistinct)
@@ -357,7 +348,7 @@ func TestFaultMatrix(t *testing.T) {
 // filter — a pushed-down predicate on a full scan, which reads the
 // table's rows where they lie: cancellation, the budget, injected
 // errors and contained panics at engine.scan and engine.filter all
-// still reach it, on the caller's goroutine and on an exchange.
+// still reach it.
 func TestInPlaceScanFilterFaults(t *testing.T) {
 	if !fault.Enabled() {
 		t.Fatal("requires -tags fault")
@@ -365,75 +356,62 @@ func TestInPlaceScanFilterFaults(t *testing.T) {
 	// CITY is not indexed: Scan(S) + Filter(S.CITY = 'city-1') keeps 72
 	// of 500 rows, projects them and sorts them for DISTINCT.
 	const q = qDistinct
-	for _, pool := range []struct {
-		name               string
-		workers, threshold int
-	}{{"serial", 1, 1 << 30}, {"parallel", 4, 1}} {
-		t.Run(pool.name, func(t *testing.T) {
-			prevW := engine.SetWorkers(pool.workers)
-			prevT := engine.SetParallelThreshold(pool.threshold)
-			defer func() {
-				engine.SetWorkers(prevW)
-				engine.SetParallelThreshold(prevT)
-			}()
-			fault.Reset()
-			defer fault.Reset()
-			db := matrixDB(t)
-			want, err := db.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.Stats.RowsScanned != 500 {
-				t.Fatalf("rows scanned = %d, want 500", want.Stats.RowsScanned)
-			}
-			// In place: the scan's 500 rows are not among the charges.
-			if m := want.Stats.RowsMaterialized; m >= 500 {
-				t.Fatalf("rows charged = %d: the scan copied the table", m)
-			}
+	fault.Reset()
+	defer fault.Reset()
+	db := matrixDB(t)
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Stats.RowsScanned != 500 {
+		t.Fatalf("rows scanned = %d, want 500", want.Stats.RowsScanned)
+	}
+	// In place: the scan's 500 rows are not among the charges.
+	if m := want.Stats.RowsMaterialized; m >= 500 {
+		t.Fatalf("rows charged = %d: the scan copied the table", m)
+	}
 
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if rows, err := db.QueryContext(ctx, q); !errors.Is(err, context.Canceled) || rows != nil {
-				t.Errorf("cancelled: rows=%v err=%v, want nil and context.Canceled", rows, err)
-			}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rows, err := db.QueryContext(ctx, q); !errors.Is(err, context.Canceled) || rows != nil {
+		t.Errorf("cancelled: rows=%v err=%v, want nil and context.Canceled", rows, err)
+	}
 
-			// A budget below the table but above what the query keeps
-			// passes; one below what the filter keeps fails typed.
-			if _, err := matrixDBWith(t, uniqopt.Options{MaxRows: 300}).Query(q); err != nil {
-				t.Errorf("MaxRows 300 (table 500, kept 72): %v", err)
-			}
-			rows, err := matrixDBWith(t, uniqopt.Options{MaxRows: 50}).Query(q)
-			var be *uniqopt.BudgetError
-			if !errors.As(err, &be) || be.Resource != "rows" || rows != nil {
-				t.Errorf("MaxRows 50: rows=%v err=%v, want a rows *BudgetError", rows, err)
-			}
+	// A budget below the table but above what the query keeps passes;
+	// one below what the filter keeps fails typed.
+	if _, err := matrixDBWith(t, uniqopt.Options{MaxRows: 300}).Query(q); err != nil {
+		t.Errorf("MaxRows 300 (table 500, kept 72): %v", err)
+	}
+	rows, err := matrixDBWith(t, uniqopt.Options{MaxRows: 50}).Query(q)
+	var be *uniqopt.BudgetError
+	if !errors.As(err, &be) || be.Resource != "rows" || rows != nil {
+		t.Errorf("MaxRows 50: rows=%v err=%v, want a rows *BudgetError", rows, err)
+	}
 
-			for _, point := range []string{engine.FaultScan, engine.FaultFilter} {
-				if err := fault.Arm(point, fault.Spec{Mode: fault.ModeError}); err != nil {
-					t.Fatal(err)
-				}
-				if rows, err := db.Query(q); !errors.Is(err, fault.ErrInjected) || rows != nil {
-					t.Errorf("%s error: rows=%v err=%v, want ErrInjected", point, rows, err)
-				}
-				fault.Disarm(point)
-				if err := fault.Arm(point, fault.Spec{Mode: fault.ModePanic}); err != nil {
-					t.Fatal(err)
-				}
-				var ie *engine.InternalError
-				if rows, err := db.Query(q); !errors.As(err, &ie) || rows != nil {
-					t.Errorf("%s panic: rows=%v err=%v, want *engine.InternalError", point, rows, err)
-				}
-				if _, fires := fault.Hits(point); fires == 0 {
-					t.Errorf("%s never fired on the in-place path", point)
-				}
-				fault.Disarm(point)
-			}
+	for _, point := range []string{engine.FaultScan, engine.FaultFilter} {
+		if err := fault.Arm(point, fault.Spec{Mode: fault.ModeError}); err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := db.Query(q); !errors.Is(err, fault.ErrInjected) || rows != nil {
+			t.Errorf("%s error: rows=%v err=%v, want ErrInjected", point, rows, err)
+		}
+		fault.Disarm(point)
+		if err := fault.Arm(point, fault.Spec{Mode: fault.ModePanic}); err != nil {
+			t.Fatal(err)
+		}
+		var ie *engine.InternalError
+		if rows, err := db.Query(q); !errors.As(err, &ie) || rows != nil {
+			t.Errorf("%s panic: rows=%v err=%v, want *engine.InternalError", point, rows, err)
+		}
+		if _, fires := fault.Hits(point); fires == 0 {
+			t.Errorf("%s never fired on the in-place path", point)
+		}
+		fault.Disarm(point)
+	}
 
-			got, err := db.Query(q)
-			if err != nil || !reflect.DeepEqual(got.Data, want.Data) {
-				t.Errorf("after the faults cleared: err=%v, results identical=%v", err, err == nil && reflect.DeepEqual(got.Data, want.Data))
-			}
-		})
+	got, err := db.Query(q)
+	if err != nil || !reflect.DeepEqual(got.Data, want.Data) {
+		t.Errorf("after the faults cleared: err=%v, results identical=%v", err, err == nil && reflect.DeepEqual(got.Data, want.Data))
 	}
 }
 

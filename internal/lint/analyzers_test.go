@@ -152,15 +152,8 @@ func TestBatchLifeFixture(t *testing.T) {
 	}
 }
 
-func TestPartRouteFixture(t *testing.T) {
-	fs := checkFixture(t, "partfix/internal/engine", PartRoute)
-	if len(fs) != 3 {
-		t.Errorf("partroute findings = %d, want 3", len(fs))
-	}
-}
-
 func TestGovPairSkipsOtherPackages(t *testing.T) {
-	fs, _ := loadFixture(t, "fix/tvlbool", GovPair, IterState, BatchLife, PartRoute)
+	fs, _ := loadFixture(t, "fix/tvlbool", GovPair, IterState, BatchLife)
 	if len(fs) != 0 {
 		t.Errorf("dataflow analyzers ran outside engine/plan: %v", fs)
 	}

@@ -98,7 +98,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 // All returns every analyzer the suite ships, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{TvlBool, RowAlias, StatsAtomic, CatVer, DetOrder, CtxFlow, IterLife,
-		GovPair, IterState, BatchLife, PartRoute, FileLife, AllowStale}
+		GovPair, IterState, BatchLife, FileLife, AllowStale}
 }
 
 // ByName resolves a comma/space separated analyzer list; unknown names

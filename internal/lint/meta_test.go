@@ -23,7 +23,6 @@ var analyzerFixtures = map[string]string{
 	"govpair":     "govfix/internal/engine",
 	"iterstate":   "statefix/internal/engine",
 	"batchlife":   "batchfix/internal/engine",
-	"partroute":   "partfix/internal/engine",
 	"filelife":    "filefix/internal/storage/wal",
 	"allowstale":  "fix/stale",
 }

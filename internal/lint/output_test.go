@@ -11,8 +11,8 @@ func sampleFindings() []Finding {
 	return []Finding{
 		{
 			Pos:      token.Position{Filename: "internal/engine/stream.go", Line: 42, Column: 7},
-			Analyzer: "partroute",
-			Message:  "uint64 modulo outside partitionOf; 50% of routes disagree",
+			Analyzer: "govpair",
+			Message:  "governor charge not released on this path; 50% of exits leak",
 		},
 		{
 			Pos:        token.Position{Filename: "internal/engine/ops.go", Line: 7},
@@ -47,7 +47,7 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatalf("findings = %d, want 2 (suppressed included)", len(rep.Findings))
 	}
 	f := rep.Findings[0]
-	if f.File != "internal/engine/stream.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "partroute" {
+	if f.File != "internal/engine/stream.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "govpair" {
 		t.Errorf("first finding mismatched: %+v", f)
 	}
 	if !rep.Findings[1].Suppressed {
@@ -81,11 +81,11 @@ func TestWriteGHA(t *testing.T) {
 		t.Fatalf("GHA output = %d lines, want 1 (suppressed omitted):\n%s", len(lines), out)
 	}
 	line := lines[0]
-	if !strings.HasPrefix(line, "::error file=internal/engine/stream.go,line=42,title=uniqlint/partroute::") {
+	if !strings.HasPrefix(line, "::error file=internal/engine/stream.go,line=42,title=uniqlint/govpair::") {
 		t.Errorf("workflow command prefix wrong: %s", line)
 	}
 	// The % in the message must be escaped per runner rules.
-	if !strings.Contains(line, "50%25 of routes") {
+	if !strings.Contains(line, "50%25 of exits") {
 		t.Errorf("%% not escaped in message: %s", line)
 	}
 }

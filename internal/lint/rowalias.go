@@ -6,12 +6,12 @@ import (
 	"go/types"
 )
 
-// RowAlias polices the shared-slice discipline of the parallel engine:
+// RowAlias polices the shared-slice discipline of the engine:
 // a value.Row (or []Row) is aliased, not copied, when it is sent on a
-// channel, appended into another slice (a partition, an output chunk,
-// a hash bucket), or stored into a struct or map. After any
-// of those events the row may be observed concurrently by another
-// partition or retained by an output relation, so writing one of its
+// channel, appended into another slice (an output chunk, a hash
+// bucket), or stored into a struct or map. After any of those events
+// the row may be retained by a hash table or an output relation, or
+// read by another query, so writing one of its
 // elements afterwards is a data race or a silent result corruption —
 // the bug class `go test -race` only catches when the schedule
 // cooperates. The analyzer flags, within one function, element writes

@@ -10,10 +10,9 @@ import (
 
 // StatsAtomic polices access to the engine.Stats work counters. The
 // documented concurrency contract (engine/stats.go) is: inside the
-// engine's operator implementation each worker increments a private
-// Stats directly and merges it through the atomic Add after the
-// barrier; everyone else must use Add/AddCache to accumulate and
-// Snapshot to read. The analyzer enforces the statically checkable
+// engine's operator implementation an execution increments its own
+// Stats directly; everyone else must use Add/AddCache to accumulate
+// and Snapshot to read. The analyzer enforces the statically checkable
 // faces of that contract:
 //
 //  1. Outside the engine implementation (any other package, and
@@ -119,7 +118,7 @@ func runStatsAtomic(pass *Pass) {
 				return true
 			}
 			if inEngineImpl {
-				return true // per-worker direct increments are the documented design
+				return true // an execution's direct increments are the documented design
 			}
 			baseType := pass.Info.Types[sel.X].Type
 			if baseType == nil {

@@ -14,8 +14,7 @@ func BadAtomic(st *Stats) {
 }
 
 // GoodDirect shows the documented engine-internal pattern: direct
-// single-goroutine increments on a worker-private Stats, merged via
-// Add.
+// single-goroutine increments on a private Stats, merged via Add.
 func GoodDirect(st *Stats, rel *Relation) {
 	var local Stats
 	local.RowsScanned += int64(len(rel.Rows))

@@ -1,7 +1,6 @@
 // Package metrics is a dependency-free observability registry for the
 // optimizer and engine: per-query-shape latency histograms, analyzer
-// cache hit rates, resource-governor rejections, and worker-pool
-// utilization. Snapshots are deterministic (shapes sorted, fixed
+// cache hit rates and resource-governor rejections. Snapshots are deterministic (shapes sorted, fixed
 // bucket layout) and render as JSON; Publish exposes a registry
 // through the standard library's expvar endpoint.
 //
@@ -131,25 +130,12 @@ type GovernorSnapshot struct {
 	Rejections int64 `json:"rejections"`
 }
 
-// PoolSnapshot reports parallel worker-pool utilization.
-type PoolSnapshot struct {
-	// Size is the configured pool width at the last observation.
-	Size int64 `json:"size"`
-	// ParallelQueries counts executions that took a parallel path.
-	ParallelQueries int64 `json:"parallel_queries"`
-	// WorkersUsedMax is the widest fan-out any execution achieved.
-	WorkersUsedMax int64 `json:"workers_used_max"`
-	// Utilization is WorkersUsedMax/Size in [0,1]; 0 when serial.
-	Utilization float64 `json:"utilization"`
-}
-
 // Snapshot is a consistent point-in-time rendering of a Registry,
 // deterministically ordered (shapes sorted lexicographically).
 type Snapshot struct {
 	Shapes   []ShapeSnapshot  `json:"shapes,omitempty"`
 	Cache    CacheSnapshot    `json:"cache"`
 	Governor GovernorSnapshot `json:"governor"`
-	Pool     PoolSnapshot     `json:"pool"`
 }
 
 // Registry accumulates observations. The zero value is not usable;
@@ -161,10 +147,6 @@ type Registry struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 	rejections  atomic.Int64
-
-	poolSize        atomic.Int64
-	parallelQueries atomic.Int64
-	workersUsedMax  atomic.Int64
 }
 
 // New returns an empty registry.
@@ -194,22 +176,6 @@ func (r *Registry) ObserveCacheDelta(hits, misses int64) {
 
 // ObserveRejection counts one governor budget rejection.
 func (r *Registry) ObserveRejection() { r.rejections.Add(1) }
-
-// ObservePool records one execution's parallel fan-out (workersUsed=0
-// for a fully serial run) against the configured pool size.
-func (r *Registry) ObservePool(workersUsed, poolSize int64) {
-	r.poolSize.Store(poolSize)
-	if workersUsed <= 0 {
-		return
-	}
-	r.parallelQueries.Add(1)
-	for {
-		cur := r.workersUsedMax.Load()
-		if workersUsed <= cur || r.workersUsedMax.CompareAndSwap(cur, workersUsed) {
-			return
-		}
-	}
-}
 
 // Snapshot renders the registry's current state deterministically.
 func (r *Registry) Snapshot() Snapshot {
@@ -246,12 +212,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Cache.HitRate = float64(s.Cache.Hits) / float64(total)
 	}
 	s.Governor.Rejections = r.rejections.Load()
-	s.Pool.Size = r.poolSize.Load()
-	s.Pool.ParallelQueries = r.parallelQueries.Load()
-	s.Pool.WorkersUsedMax = r.workersUsedMax.Load()
-	if s.Pool.Size > 0 && s.Pool.WorkersUsedMax > 0 {
-		s.Pool.Utilization = float64(s.Pool.WorkersUsedMax) / float64(s.Pool.Size)
-	}
 	return s
 }
 

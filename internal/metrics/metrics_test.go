@@ -68,8 +68,6 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	r.ObserveQuery("alpha", 300)
 	r.ObserveCacheDelta(3, 1)
 	r.ObserveRejection()
-	r.ObservePool(4, 8)
-	r.ObservePool(0, 8)
 
 	a, err := r.JSON()
 	if err != nil {
@@ -96,10 +94,6 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	if s.Governor.Rejections != 1 {
 		t.Errorf("governor snapshot wrong: %+v", s.Governor)
 	}
-	if s.Pool.Size != 8 || s.Pool.ParallelQueries != 1 ||
-		s.Pool.WorkersUsedMax != 4 || s.Pool.Utilization != 0.5 {
-		t.Errorf("pool snapshot wrong: %+v", s.Pool)
-	}
 
 	var decoded Snapshot
 	if err := json.Unmarshal(a, &decoded); err != nil {
@@ -118,7 +112,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				r.ObserveQuery(shape, int64(i))
 				r.ObserveCacheDelta(1, 0)
-				r.ObservePool(int64(g), 8)
 			}
 		}(g)
 	}
@@ -133,8 +126,5 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if s.Cache.Hits != 8000 {
 		t.Errorf("lost cache deltas: %d", s.Cache.Hits)
-	}
-	if s.Pool.WorkersUsedMax != 7 {
-		t.Errorf("workers max = %d", s.Pool.WorkersUsedMax)
 	}
 }

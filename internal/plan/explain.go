@@ -9,8 +9,8 @@ import (
 
 // Node is one operator of a rendered physical plan tree. EXPLAIN
 // renders the bare tree; EXPLAIN ANALYZE additionally carries
-// per-operator wall time, rows in/out, batch counts and parallel-path
-// usage recorded during a real execution.
+// per-operator wall time, rows in/out and batch counts recorded during
+// a real execution.
 type Node struct {
 	// Op is the operator name (Scan, IndexScan, Filter, HashJoin,
 	// IndexJoin, Product, Project, DistinctSort, DistinctHash,
@@ -35,10 +35,9 @@ type Node struct {
 	// TimeNanos is the operator's wall time, including the time of any
 	// subquery probes it evaluated (but not its children's time).
 	TimeNanos int64 `json:"time_ns"`
-	// Parallel marks an operator that ran on an exchange or partitioned
-	// its dedup across workers; Workers is the dispatch width.
-	Parallel bool  `json:"parallel,omitempty"`
-	Workers  int64 `json:"workers,omitempty"`
+	// Parallel is always false: no operator runs on more than one
+	// goroutine. It stays only because the repository benchmark reads it.
+	Parallel bool `json:"parallel,omitempty"`
 	// Batches counts the batches the operator emitted.
 	Batches int64 `json:"batches,omitempty"`
 }
@@ -72,9 +71,6 @@ func (n *Node) format(sb *strings.Builder, depth int, analyze bool) {
 	}
 	if analyze && n.Analyzed {
 		fmt.Fprintf(sb, " [in=%d out=%d time=%s", n.RowsIn, n.RowsOut, fmtDuration(n.TimeNanos))
-		if n.Parallel {
-			fmt.Fprintf(sb, " par=%d", n.Workers)
-		}
 		if n.Batches > 0 {
 			fmt.Fprintf(sb, " batches=%d", n.Batches)
 		}
@@ -109,15 +105,14 @@ func fmtDuration(ns int64) string {
 }
 
 // volatileRe matches the fields of an ANALYZE rendering that vary
-// between otherwise-identical executions: wall times, the parallel
-// dispatch width (which depends on the machine's pool size), and batch
-// counts (which depend on the configured batch size).
-var volatileRe = regexp.MustCompile(`( time=[0-9.]+(?:ns|µs|ms|s))|( par=[0-9]+)|( batches=[0-9]+)`)
+// between otherwise-identical executions: wall times, and batch counts
+// (which depend on the configured batch size).
+var volatileRe = regexp.MustCompile(`( time=[0-9.]+(?:ns|µs|ms|s))|( batches=[0-9]+)`)
 
 // ScrubVolatile canonicalizes an ANALYZE rendering for comparison and
-// golden files: wall times become time=? and parallel-width / batch
-// markers are dropped. Executions of the same query must render
-// byte-identically after scrubbing whatever the pool and batch size.
+// golden files: wall times become time=? and batch markers are dropped.
+// Executions of the same query must render byte-identically after
+// scrubbing whatever the batch size.
 func ScrubVolatile(s string) string {
 	return volatileRe.ReplaceAllStringFunc(s, func(m string) string {
 		if strings.Contains(m, "time=") {

@@ -77,7 +77,7 @@ type Result struct {
 	Stats    engine.Stats
 	Rewrites []core.Applied
 	// Root is the plan tree with the per-operator metrics of this
-	// execution (rows, batches, wall time, parallel width) when it was
+	// execution (rows, batches, wall time) when it was
 	// analyzed; a plain execution renders nothing and leaves it nil.
 	Root *Node
 }

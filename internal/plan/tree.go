@@ -18,8 +18,8 @@ import (
 // The physical plan is a value: Compile turns a statement into one
 // immutable tree of the operators below — access → filter → hash join /
 // index join / product → residual filter → project → distinct → sort-merge set
-// operation — and everything after that only reads it. Three things are
-// decided at three times:
+// operation — and everything after that only reads it. Two things are
+// decided at two times:
 //
 //   - at compile, once per statement shape: the join order, every
 //     join's output layout — which columns of its inputs it emits, in
@@ -33,10 +33,7 @@ import (
 //     against this execution's host values (index scan + what the probe
 //     does not subsume) or falls back (full scan + the whole pushed
 //     filter) — accessPlan.bind, the only decision hosts make, shared by
-//     render and build so the two cannot diverge;
-//   - at build, from what the engine observes: whether a filter or
-//     projection runs on an exchange (its input's size hint against
-//     engine.ParallelThreshold()).
+//     render and build so the two cannot diverge.
 //
 // render turns the tree into the Nodes EXPLAIN shows without executing
 // anything: no iterator, no table row, no clock, no context. build turns
@@ -448,15 +445,6 @@ type nodeIter struct {
 
 func (it *nodeIter) Cols() []string { return it.child.Cols() }
 
-// SizeHint forwards the child's bound, so an analyzed pipeline picks its
-// exchanges exactly as a plain one does.
-func (it *nodeIter) SizeHint() int {
-	if h, ok := it.child.(engine.SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return 0
-}
-
 func (it *nodeIter) Next(ctx context.Context) (engine.Batch, error) {
 	t0 := time.Now()
 	b, err := it.child.Next(ctx)
@@ -468,14 +456,7 @@ func (it *nodeIter) Next(ctx context.Context) (engine.Batch, error) {
 	return b, err
 }
 
-// Close records, before closing the operator, whether it ran on an
-// exchange or partitioned its dedup, and how wide.
-func (it *nodeIter) Close() error {
-	if w := engine.ParallelWidth(it.child); w > 0 {
-		it.node.Parallel, it.node.Workers = true, int64(w)
-	}
-	return it.child.Close()
-}
+func (it *nodeIter) Close() error { return it.child.Close() }
 
 // finalize finishes a drained plan tree's metrics: marks every node
 // analyzed, derives RowsIn from the children's emitted rows (leaves keep

@@ -342,7 +342,6 @@ func TestBenchmarkPlanShapes(t *testing.T) {
 // seek, a first-match probe sorts nothing and fetches no more rows than
 // it scans, and each seeks once per probing row.
 func TestIndexProbeCounts(t *testing.T) {
-	setStreamPool(t, 1, 1<<30)
 	db := goldenIndexedDB(t)
 	for _, c := range []struct {
 		name string

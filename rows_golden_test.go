@@ -252,8 +252,8 @@ func checkRowGoldens(t *testing.T, plain, indexed *uniqopt.DB) {
 	}
 }
 
-// TestRowGoldens holds the default configuration to the goldens; the
-// worker × threshold × batch-size sweep is TestStreamingPaperExamples.
+// TestRowGoldens holds the default batch size to the goldens; the
+// batch-size sweep is TestStreamingPaperExamples.
 func TestRowGoldens(t *testing.T) {
 	checkRowGoldens(t, goldenDB(t), goldenIndexedDB(t))
 }

@@ -28,17 +28,6 @@ func setStreamBatch(t *testing.T, n int) {
 	t.Cleanup(func() { engine.SetBatchSize(prev) })
 }
 
-// setStreamPool scopes the worker-pool configuration to one test.
-func setStreamPool(t *testing.T, workers, threshold int) {
-	t.Helper()
-	prevW := engine.SetWorkers(workers)
-	prevT := engine.SetParallelThreshold(threshold)
-	t.Cleanup(func() {
-		engine.SetWorkers(prevW)
-		engine.SetParallelThreshold(prevT)
-	})
-}
-
 // referenceRows runs sql through the reference executor — serial,
 // materializing, straight from the AST: the semantic oracle.
 func referenceRows(t *testing.T, db *uniqopt.DB, sql string) *engine.Relation {
@@ -77,16 +66,15 @@ func asRelation(t *testing.T, rows *uniqopt.Rows) *engine.Relation {
 	return rel
 }
 
-// TestStreamingPaperExamples holds the one executor, at every point of
-// the workers × threshold × batch-size sweep, to two oracles neither of
-// which is itself: the row goldens generated at the parent commit
-// (columns, rows and row order, byte for byte — every paper example and
-// every embedded_adhoc shape, optimized and as written), and the
-// reference executor (multiset). Parallelism and batching are
-// execution strategy, never a semantics change.
+// TestStreamingPaperExamples holds the one executor, at every batch size
+// of the sweep, to two oracles neither of which is itself: the row
+// goldens (columns, rows and row order, byte for byte — every paper
+// example and every embedded_adhoc shape, optimized and as written),
+// and the reference executor (multiset). Batching is execution
+// strategy, never a semantics change.
 func TestStreamingPaperExamples(t *testing.T) {
-	// The reference executor is serial whatever the configuration, so
-	// its answers are computed once. It evaluates a FROM list as the
+	// The reference executor does not batch, so its answers are
+	// computed once. It evaluates a FROM list as the
 	// full Cartesian product, which for chain3_lit is 20M rows: that one
 	// case has the goldens as its only oracle.
 	reference := map[string]*engine.Relation{}
@@ -100,41 +88,32 @@ func TestStreamingPaperExamples(t *testing.T) {
 		}
 		reference[c.name] = referenceRows(t, db, c.sql)
 	}
-	names := map[execPoint]string{{1, 1 << 30, 0}: "serial", {4, 1, 0}: "parallel"}
-	for _, pt := range execSweep() {
-		// The pools the parent's sweep already ran keep their names.
-		label := pt.String()
-		if n, ok := names[execPoint{pt.workers, pt.threshold, 0}]; ok {
-			label = fmt.Sprintf("%s/batch=%d", n, pt.batch)
-		}
-		t.Run(label, func(t *testing.T) {
-			pt.under(t)
-			plain, indexed := goldenDB(t), goldenIndexedDB(t)
-			checkRowGoldens(t, plain, indexed)
-			for _, c := range rowCases() {
-				db := plain
-				if c.indexed {
-					db = indexed
+	sweep(t, []string{"serial", "parallel", "workers=1/threshold=1", "workers=4/threshold=1073741824"}, func(t *testing.T) {
+		plain, indexed := goldenDB(t), goldenIndexedDB(t)
+		checkRowGoldens(t, plain, indexed)
+		for _, c := range rowCases() {
+			db := plain
+			if c.indexed {
+				db = indexed
+			}
+			for _, optimize := range []bool{true, false} {
+				got, err := c.run(db, optimize)
+				if c.unbound != "" {
+					continue // the golden holds its error
 				}
-				for _, optimize := range []bool{true, false} {
-					got, err := c.run(db, optimize)
-					if c.unbound != "" {
-						continue // the golden holds its error
-					}
-					if err != nil {
-						t.Fatalf("%s optimize=%v: %v", c.name, optimize, err)
-					}
-					if want := reference[c.name]; want != nil && !engine.MultisetEqual(want, asRelation(t, got)) {
-						t.Errorf("%s optimize=%v: differs from the reference executor (%d vs %d rows)",
-							c.name, optimize, len(got.Data), want.Len())
-					}
-					if got.Stats.Batches == 0 {
-						t.Errorf("%s optimize=%v: execution recorded no batches", c.name, optimize)
-					}
+				if err != nil {
+					t.Fatalf("%s optimize=%v: %v", c.name, optimize, err)
+				}
+				if want := reference[c.name]; want != nil && !engine.MultisetEqual(want, asRelation(t, got)) {
+					t.Errorf("%s optimize=%v: differs from the reference executor (%d vs %d rows)",
+						c.name, optimize, len(got.Data), want.Len())
+				}
+				if got.Stats.Batches == 0 {
+					t.Errorf("%s optimize=%v: execution recorded no batches", c.name, optimize)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // streamBudgetDB builds a DB where the outer table is far larger than
@@ -280,16 +259,15 @@ func canonRows(data [][]any) string {
 // TestInPlaceScanFilterIdentity extends the identity sweep to the
 // in-place scan filter: a pushed-down predicate on a full scan is
 // evaluated over windows of the table's own row slice, and must return
-// the same rows in the same order at every worker pool, threshold and
-// batch size, render the same EXPLAIN ANALYZE tree (Scan out=N, Filter
-// in=N out=k), count the same rows scanned — and charge the governor
-// for less than the table. The streaming=false legs hold the result to
-// the reference executor, which is serial and materializing whatever
-// the configuration; the streaming=true legs to the first leg's rows.
+// the same rows in the same order at every batch size, render the same
+// EXPLAIN ANALYZE tree (Scan out=N, Filter in=N out=k), count the same
+// rows scanned — and charge the governor for less than the table. The
+// streaming=false legs hold the result to the reference executor, which
+// materializes whatever the batch size; the streaming=true legs to the
+// first leg's rows.
 func TestInPlaceScanFilterIdentity(t *testing.T) {
 	// COLOR and PNO are not leading index columns: Scan + Filter.
 	const sql = `SELECT ALL P.SNO, P.PNO, P.PNAME FROM PARTS P WHERE P.COLOR = 'RED' AND P.PNO > :PART-NO`
-	setStreamPool(t, 1, 1<<30)
 	ref, err := goldenDB(t).QueryWith(sql, goldenHosts, true)
 	if err != nil {
 		t.Fatal(err)
@@ -303,84 +281,49 @@ func TestInPlaceScanFilterIdentity(t *testing.T) {
 			ref.Stats.RowsMaterialized, tableRows)
 	}
 	var refTree string
-	type pool struct {
-		name               string
-		workers, threshold int
-	}
-	for _, pl := range []pool{{"serial", 1, 1 << 30}, {"parallel", 4, 1}, {"narrow", 1, 1}, {"wide", 4, 1 << 30}} {
-		for _, streaming := range []bool{false, true} {
-			for _, bs := range []int{1, 3, 0} {
-				label := fmt.Sprintf("%s/streaming=%v/batch=%d", pl.name, streaming, bs)
-				t.Run(label, func(t *testing.T) {
-					setStreamPool(t, pl.workers, pl.threshold)
-					setStreamBatch(t, bs)
-					db := goldenDB(t)
-					if !streaming {
-						got := referenceRows(t, db, sql)
-						if !engine.MultisetEqual(got, asRelation(t, ref)) {
-							t.Errorf("result differs from the reference executor (%d vs %d rows)", len(ref.Data), got.Len())
-						}
-						return
-					}
-					got, err := db.QueryWith(sql, goldenHosts, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(ref.Columns, got.Columns) || !reflect.DeepEqual(ref.Data, got.Data) {
-						t.Errorf("result diverges from the serial run (%d vs %d rows)",
-							len(got.Data), len(ref.Data))
-					}
-					if got.Stats.RowsScanned != tableRows {
-						t.Errorf("rows scanned = %d, want %d", got.Stats.RowsScanned, tableRows)
-					}
-					e, err := db.ExplainWith(context.Background(), sql, goldenHosts, true, true)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tree := plan.ScrubVolatile(e.String())
-					if refTree == "" {
-						refTree = tree
-						for _, want := range []string{
-							fmt.Sprintf("Scan(PARTS as P) [in=%d out=%d time=?]", tableRows, tableRows),
-							fmt.Sprintf("[in=%d out=%d time=?]\n    Scan(", tableRows, len(ref.Data)),
-						} {
-							if !strings.Contains(tree, want) {
-								t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, tree)
-							}
-						}
-					} else if tree != refTree {
-						t.Errorf("EXPLAIN ANALYZE diverges:\n--- first leg\n%s\n--- this leg\n%s", refTree, tree)
-					}
-				})
+	for _, streaming := range []bool{false, true} {
+		var labels []string
+		for _, pool := range []string{"serial", "parallel", "narrow", "wide"} {
+			labels = append(labels, fmt.Sprintf("%s/streaming=%v", pool, streaming))
+		}
+		sweep(t, labels, func(t *testing.T) {
+			db := goldenDB(t)
+			if !streaming {
+				got := referenceRows(t, db, sql)
+				if !engine.MultisetEqual(got, asRelation(t, ref)) {
+					t.Errorf("result differs from the reference executor (%d vs %d rows)", len(ref.Data), got.Len())
+				}
+				return
 			}
-		}
-	}
-}
-
-// TestExplainAnalyzeMarksParallelOperators pins the par= marker: with 4
-// workers and a threshold of 1, a scan + filter runs its filter on an
-// exchange and EXPLAIN ANALYZE says so on the Filter node (the node
-// whose operator started the exchange) and on the projection above it;
-// with one worker nothing is marked.
-func TestExplainAnalyzeMarksParallelOperators(t *testing.T) {
-	const sql = `SELECT ALL P.SNO, P.PNO FROM PARTS P WHERE P.COLOR = 'RED'`
-	for _, workers := range []int{4, 1} {
-		setStreamPool(t, workers, 1)
-		e, err := goldenDB(t).ExplainWith(context.Background(), sql, nil, true, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range e.Root.AllNodes() {
-			wide := workers > 1 && (n.Op == "Filter" || n.Op == "Project")
-			if n.Parallel != wide || (wide && n.Workers != int64(workers)) {
-				t.Errorf("workers=%d: %s node has parallel=%v workers=%d", workers, n.Op, n.Parallel, n.Workers)
+			got, err := db.QueryWith(sql, goldenHosts, true)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if marked := strings.Count(e.String(), fmt.Sprintf(" par=%d", workers)); (workers > 1 && marked != 2) || (workers == 1 && strings.Contains(e.String(), " par=")) {
-			t.Errorf("workers=%d: par= markers in\n%s", workers, e)
-		}
-		if (e.Stats.ParallelRuns > 0) != (workers > 1) {
-			t.Errorf("workers=%d: parallel runs = %d", workers, e.Stats.ParallelRuns)
-		}
+			if !reflect.DeepEqual(ref.Columns, got.Columns) || !reflect.DeepEqual(ref.Data, got.Data) {
+				t.Errorf("result diverges from the first run (%d vs %d rows)",
+					len(got.Data), len(ref.Data))
+			}
+			if got.Stats.RowsScanned != tableRows {
+				t.Errorf("rows scanned = %d, want %d", got.Stats.RowsScanned, tableRows)
+			}
+			e, err := db.ExplainWith(context.Background(), sql, goldenHosts, true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree := plan.ScrubVolatile(e.String())
+			if refTree == "" {
+				refTree = tree
+				for _, want := range []string{
+					fmt.Sprintf("Scan(PARTS as P) [in=%d out=%d time=?]", tableRows, tableRows),
+					fmt.Sprintf("[in=%d out=%d time=?]\n    Scan(", tableRows, len(ref.Data)),
+				} {
+					if !strings.Contains(tree, want) {
+						t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", want, tree)
+					}
+				}
+			} else if tree != refTree {
+				t.Errorf("EXPLAIN ANALYZE diverges:\n--- first leg\n%s\n--- this leg\n%s", refTree, tree)
+			}
+		})
 	}
 }

@@ -66,7 +66,7 @@ type DB struct {
 	// pointer so View handles share one accumulator with their parent.
 	stats *engine.Stats
 	// metrics accumulates per-shape latency histograms, cache hit
-	// rates, governor rejections, and pool utilization (see Metrics).
+	// rates and governor rejections (see Metrics).
 	metrics *metrics.Registry
 }
 
@@ -106,9 +106,9 @@ var ErrBudgetExceeded = engine.ErrBudgetExceeded
 // and observed usage.
 type BudgetError = engine.BudgetError
 
-// InternalError wraps a panic contained at an executor, planner, or
-// worker boundary, carrying the operator name and the goroutine stack
-// at the point of panic.
+// InternalError wraps a panic contained at an executor or planner
+// boundary, carrying the operator name and the goroutine stack at the
+// point of panic.
 type InternalError = engine.InternalError
 
 // Open creates an empty database.
@@ -376,8 +376,8 @@ func (d *DB) Query(sql string) (*Rows, error) {
 }
 
 // QueryContext is Query under a context: cancellation and deadlines
-// are observed cooperatively inside every engine operator (including
-// the parallel paths), the configured MaxRows/MemBudget are enforced,
+// are observed cooperatively inside every engine operator, the
+// configured MaxRows/MemBudget are enforced,
 // and a panic anywhere in planning or execution is contained into an
 // *InternalError rather than crashing the caller. On error the
 // returned Rows is nil — partial results never escape.
@@ -652,8 +652,8 @@ func (d *DB) planOptions(optimize bool) plan.Options {
 }
 
 // observeQuery records one execution into the metrics registry: shape
-// latency, analyzer-cache deltas, pool fan-out, and (on a budget
-// error) a governor rejection.
+// latency, analyzer-cache deltas, and (on a budget error) a governor
+// rejection.
 func (d *DB) observeQuery(shape string, elapsed time.Duration, res *plan.Result, err error) {
 	d.metrics.ObserveQuery(shape, elapsed.Nanoseconds())
 	if err != nil {
@@ -664,7 +664,6 @@ func (d *DB) observeQuery(shape string, elapsed time.Duration, res *plan.Result,
 	}
 	st := res.Stats.Snapshot()
 	d.metrics.ObserveCacheDelta(st.CacheHits, st.CacheMisses)
-	d.metrics.ObservePool(st.WorkersUsed, int64(engine.Workers()))
 }
 
 func toGo(v value.Value) any {
@@ -688,7 +687,7 @@ func toGo(v value.Value) any {
 // that blocked it).
 type Explanation struct {
 	// Root is the plan tree; for ANALYZE its nodes carry rows in/out,
-	// batches, per-operator wall time, and parallel-path usage.
+	// batches and per-operator wall time.
 	Root *plan.Node
 	// Analyzed reports whether the plan was really executed (EXPLAIN
 	// ANALYZE) or only rendered (EXPLAIN).
@@ -712,8 +711,8 @@ func (d *DB) Explain(sql string) (*Explanation, error) {
 }
 
 // ExplainAnalyze executes the query for real and reports the plan
-// tree annotated with per-operator row counts, wall times, and
-// parallel-path usage, plus the analyzer's provenance trace.
+// tree annotated with per-operator row counts and wall times, plus the
+// analyzer's provenance trace.
 func (d *DB) ExplainAnalyze(sql string) (*Explanation, error) {
 	return d.ExplainWith(context.Background(), sql, nil, true, true)
 }
@@ -894,7 +893,7 @@ func (d *DB) GovernorCounters() (rows, bytes int64) {
 
 // Metrics reports a deterministic snapshot of this DB's observability
 // registry: per-query-shape latency histograms, analyzer-cache hit
-// rate, governor rejections, and worker-pool utilization.
+// rate and governor rejections.
 func (d *DB) Metrics() metrics.Snapshot { return d.metrics.Snapshot() }
 
 // MetricsJSON renders the metrics snapshot as indented JSON.
