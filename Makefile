@@ -87,11 +87,12 @@ storage-smoke:
 	$(GO) test -run 'BothBackends' .
 	$(GO) run ./cmd/benchrunner -exp storage -scale 0.05 -json BENCH_storage.json
 
-# Fuzz smoke: ten seconds each of the five fuzz targets — the frame
+# Fuzz smoke: ten seconds each of the six fuzz targets — the frame
 # codec against encoding/json, the SQL parser on statements and on
 # expressions, the statement cache against a database that has never
-# seen the text, and the three-word value cell against the four-field
-# struct it replaced — beyond the seed corpora tier-1 already runs. A fixed budget and no timing assertion;
+# seen the text, the three-word value cell against the four-field
+# struct it replaced, and the batch filter against the row loop — beyond
+# the seed corpora tier-1 already runs. A fixed budget and no timing assertion;
 # not part of ci (a finding is a new input to look at, not a flaky
 # build).
 fuzz-smoke:
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/sql/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileTwice$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzValueModel$$' -fuzztime 10s ./internal/value/
+	$(GO) test -run '^$$' -fuzz '^FuzzFilterBatch$$' -fuzztime 10s ./internal/eval/
 
 # Repository benchmark check: benchmark/ is a module of its own, outside
 # the root ./..., so nothing above builds it and an engine API change

@@ -46,17 +46,12 @@ var goldenHosts = map[string]any{
 // every run sees identical data (and therefore identical ANALYZE row
 // counts).
 func goldenDB(t *testing.T) *uniqopt.DB {
-	return goldenDBWith(t, uniqopt.Options{})
-}
-
-// goldenDBWith is goldenDB under explicit optimizer options.
-func goldenDBWith(t *testing.T, opts uniqopt.Options) *uniqopt.DB {
 	t.Helper()
 	fresh, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := uniqopt.OpenWith(opts)
+	db := uniqopt.Open()
 	for _, ddl := range workload.BenchDDL {
 		if err := db.Exec(ddl); err != nil {
 			t.Fatal(err)

@@ -82,17 +82,18 @@ func verifyEqual(a, b *plan.Result, what string) {
 }
 
 // E1 — redundant DISTINCT elimination (Examples 1/4/6, §5.1).
-// Baseline keeps the DISTINCT (sort of the full result); the rewrite
-// drops it. Sweep the supplier cardinality.
-func E1(sc Scale, hashDistinct bool) *Table {
+// Baseline keeps the DISTINCT (a hash table over the full result, or,
+// with sortDistinct, the sort the paper prices); the rewrite drops it.
+// Sweep the supplier cardinality.
+func E1(sc Scale, sortDistinct bool) *Table {
 	t := &Table{
 		ID:    "E1",
-		Title: "Redundant DISTINCT elimination (Example 1): baseline sorts, rewrite avoids it",
+		Title: "Redundant DISTINCT elimination (Example 1): baseline deduplicates, rewrite avoids it",
 		Columns: []string{"|SUPPLIER|", "|result|", "base µs", "opt µs", "speedup",
 			"base work", "opt work", "base sorts", "opt sorts"},
 	}
-	if hashDistinct {
-		t.Title += " [ablation: hash-based DISTINCT]"
+	if sortDistinct {
+		t.Title += " [paper baseline: sort-based DISTINCT]"
 	}
 	src := workload.PaperQueries["example1"]
 	for _, base := range []int{500, 2000, 8000} {
@@ -102,8 +103,8 @@ func E1(sc Scale, hashDistinct bool) *Table {
 		cfg.PartsPerSupplier = 10
 		cfg.RedFraction = 0.3
 		db := mustDB(cfg)
-		baseRun := runPlanner(db, plan.Options{HashDistinct: hashDistinct}, src, nil)
-		optRun := runPlanner(db, plan.Options{ApplyRewrites: true, HashDistinct: hashDistinct}, src, nil)
+		baseRun := runPlanner(db, plan.Options{SortDistinct: sortDistinct}, src, nil)
+		optRun := runPlanner(db, plan.Options{ApplyRewrites: true, SortDistinct: sortDistinct}, src, nil)
 		verifyEqual(baseRun.res, optRun.res, "E1")
 		t.AddRow(n(int64(size)), n(int64(baseRun.res.Rel.Len())),
 			us(baseRun.elapsed.Nanoseconds()), us(optRun.elapsed.Nanoseconds()),
@@ -113,7 +114,7 @@ func E1(sc Scale, hashDistinct bool) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"work = comparisons + hash probes + hash inserts",
-		"expected shape: optimized plan performs 0 result sorts; gap grows with result size")
+		"expected shape: optimized plan does no duplicate elimination (0 result sorts, less work); gap grows with result size")
 	return t
 }
 

@@ -316,7 +316,10 @@ func (it *rowsIter) Close() error {
 // Drain materializes an iterator into a Relation and closes it. The
 // result's rows are held state of the drain itself: charged as they
 // arrive, left charged while the result lives (a query's governor dies
-// with the query), and given back if the drain fails.
+// with the query), and given back if the drain fails. The batches are
+// kept as they arrive — they are immutable after handoff — and copied
+// once, at the end, into a row slice of exactly the result's size:
+// growing it by appends would allocate and copy about twice the result.
 func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
 	defer it.Close()
 	var sg streamGuard
@@ -327,6 +330,8 @@ func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
 		}
 	}()
 	out := NewRelation(it.Cols()...)
+	var first [4]Batch // most results arrive in a batch or two
+	batches, n := first[:0], 0
 	for {
 		if err := sg.begin(ctx, st); err != nil {
 			return nil, err
@@ -336,12 +341,19 @@ func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
 			return nil, err
 		}
 		if b == nil {
-			drained = true
-			return out, nil
+			break
 		}
 		if err := sg.holdBatch(b); err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, b...)
+		batches, n = append(batches, b), n+len(b)
 	}
+	drained = true
+	if n > 0 {
+		out.Rows = make([]value.Row, 0, n)
+		for _, b := range batches {
+			out.Rows = append(out.Rows, b...)
+		}
+	}
+	return out, nil
 }

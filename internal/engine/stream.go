@@ -156,10 +156,14 @@ func (it *indexScanIter) Close() error {
 }
 
 // filterIter streams the rows of its child that satisfy its compiled
-// predicate under false-interpreted WHERE semantics.
+// predicate under false-interpreted WHERE semantics. A predicate that is
+// a conjunction of column-vs-constant kernels is decided a batch at a
+// time (eval.Filter.Select), one conjunct over the whole batch and then
+// the next over what it kept; any other predicate, and any batch with a
+// cell a kernel does not own, runs the row loop.
 type filterIter struct {
 	child   Iterator
-	keep    eval.Pred
+	keep    eval.Filter
 	cols    []string
 	st      *Stats
 	sg      streamGuard
@@ -169,14 +173,14 @@ type filterIter struct {
 }
 
 // NewFilterIter streams child through pred, compiled against the
-// child's columns (eval.Compile) once per iterator.
+// child's columns (eval.CompileFilter) once per iterator.
 func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env) Iterator {
 	if pred == nil {
 		return child
 	}
 	cols := child.Cols()
 	return &filterIter{
-		child: child, keep: eval.Compile(pred, cols, envProto),
+		child: child, keep: eval.CompileFilter(pred, cols, envProto),
 		cols: cols, st: st,
 	}
 }
@@ -212,15 +216,35 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 			}
 			return nil, nil
 		}
-		if out == nil {
-			// The output is sized by what the last batch kept, not by the
-			// input: a selective predicate would zero and discard a slice
-			// header per input row, and growing from nothing pays a copy
-			// per doubling.
-			out = make(Batch, 0, min(max(it.last, len(b)/4), bs))
+		if out == nil && (it.last > 0 || len(b) >= bs) {
+			// The output is sized by the batch emitted last — before the
+			// first emission, by BatchSize() when a full input batch says
+			// the stream is long — not by the input: a selective predicate
+			// would zero and discard a slice header per input row, and
+			// growing from nothing pays a copy per doubling. A batch
+			// closes at the input batch that takes it to BatchSize() or
+			// past it, so it holds a little more or less than the one
+			// before: an eighth to spare saves copying about every other
+			// batch once more.
+			n := it.last
+			if n == 0 {
+				n = bs
+			}
+			out = make(Batch, 0, n+n/8)
 		}
-		if out, err = g.qualifying(out, b, it.keep); err != nil {
-			return nil, err
+		// The batch path polls no cancellation of its own: the child's
+		// Next has just polled it, once for the batch. It grows out by
+		// exactly the rows it keeps; the row loop appends a row at a
+		// time, so it starts a short stream at a quarter of its input.
+		if kept, ok := it.keep.Select(out, b); ok {
+			out = kept
+		} else {
+			if out == nil {
+				out = make(Batch, 0, len(b)/4)
+			}
+			if out, err = g.qualifying(out, b, it.keep.Pred); err != nil {
+				return nil, err
+			}
 		}
 		if len(out) >= bs {
 			return it.emit(out)
@@ -331,20 +355,21 @@ func (it *projectIter) Close() error {
 
 // distinctHashIter streams duplicate elimination (≐ semantics): rows
 // are emitted in first-occurrence order as they arrive, deduplicated
-// against one hash table held for the stream's lifetime.
+// against one hash table held for the stream's lifetime. It is the
+// planner's one DISTINCT operator; DistinctSort is the paper's baseline.
 type distinctHashIter struct {
 	child   Iterator
 	cols    []string
 	st      *Stats
 	sg      streamGuard
-	table   *rowTable
+	table   rowTable
 	started bool
 	closed  bool
 }
 
 // NewDistinctHashIter streams child with duplicates removed.
 func NewDistinctHashIter(st *Stats, child Iterator) Iterator {
-	return &distinctHashIter{child: child, cols: child.Cols(), st: st, table: &rowTable{}}
+	return &distinctHashIter{child: child, cols: child.Cols(), st: st}
 }
 
 func (it *distinctHashIter) Cols() []string { return it.cols }
@@ -382,7 +407,12 @@ func (it *distinctHashIter) Next(ctx context.Context) (Batch, error) {
 // dedup returns the rows of b not ≐-equal to a row seen before, and
 // adds them to the table.
 func (it *distinctHashIter) dedup(b Batch) (Batch, error) {
-	t := it.table
+	t := &it.table
+	if t.len() == 0 {
+		// Room for the first batch in one step, not by quadrupling from
+		// nothing: at most every row of it is new.
+		t.reserve(len(b))
+	}
 	out := make(Batch, 0, len(b))
 	for _, row := range b {
 		if err := it.sg.step(); err != nil {
@@ -417,14 +447,15 @@ func (it *distinctHashIter) Close() error {
 	}
 	it.closed = true
 	it.sg.close()
-	it.table = nil
+	it.table = rowTable{}
 	return it.child.Close()
 }
 
 // distinctSortIter is the blocking iterator form of DistinctSort: it
 // buffers its whole input (charged as held state), sorts it and
 // collapses runs exactly like the reference operator, then emits the
-// result — in DistinctSort's sorted order — in batches.
+// result — in DistinctSort's sorted order — in batches. It runs only as
+// the paper's baseline for experiment E1 (plan.Options.SortDistinct).
 type distinctSortIter struct {
 	child  Iterator
 	cols   []string
@@ -584,6 +615,7 @@ type hashJoinIter struct {
 	built        bool
 	pb           Batch
 	pidx         int
+	last         int // the length of the batch last emitted
 	closed       bool
 }
 
@@ -679,7 +711,7 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 			}
 			if b == nil {
 				if len(out) > 0 {
-					return j.sg.emit(out)
+					return j.emitOut(out)
 				}
 				return nil, nil
 			}
@@ -707,14 +739,25 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 				}
 				nr := j.arena.next()
 				j.emit.fill(nr, prow, brow)
+				if out == nil {
+					// Sized by the batch emitted last, as the filter sizes
+					// its output: one allocation a batch once the stream is
+					// steady, not one per doubling.
+					out = make(Batch, 0, j.last)
+				}
 				out = append(out, nr)
 			}
 			if len(out) >= bs {
-				return j.sg.emit(out)
+				return j.emitOut(out)
 			}
 		}
 		j.pb = nil
 	}
+}
+
+func (j *hashJoinIter) emitOut(out Batch) (Batch, error) {
+	j.last = len(out)
+	return j.sg.emit(out)
 }
 
 func (j *hashJoinIter) Close() error {

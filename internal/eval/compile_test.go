@@ -183,11 +183,11 @@ func (kc *kernelCoverage) missing() (out []string) {
 	return out
 }
 
-func TestCompileAgreesWithTruth(t *testing.T) {
-	r := rand.New(rand.NewSource(1994))
-	cov := &kernelCoverage{met: map[string]bool{}}
-	withKernel := 0
-	env := &Env{
+// diffEnv is the environment the generated predicates run in: outer
+// bindings (one the row shadows) and host variables of every kind, one
+// of them NULL; :MISSING is unbound.
+func diffEnv() *Env {
+	return &Env{
 		Cols: map[string]value.Value{
 			"OUTER":  value.Int(3),
 			"SHADOW": value.String_("outer value the row must hide"),
@@ -196,6 +196,13 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 			"H": value.Int(2), "HS": value.String_("b"), "HNULL": value.Null,
 		},
 	}
+}
+
+func TestCompileAgreesWithTruth(t *testing.T) {
+	r := rand.New(rand.NewSource(1994))
+	cov := &kernelCoverage{met: map[string]bool{}}
+	withKernel := 0
+	env := diffEnv()
 	truths, errs, failures := map[tvl.Truth]int{}, 0, 0
 	for i := 0; i < 4000 && failures < 10; i++ {
 		pred := genPred(r, r.Intn(4))
@@ -234,6 +241,237 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 	if missing := cov.missing(); len(missing) > 0 {
 		t.Errorf("no kernel ran as: %q", missing)
 	}
+}
+
+// genConjunction draws a WHERE clause of the shape Filter.Select takes:
+// an AND, nested either way, of one to four comparisons of a row column
+// with something constant — an integer, a string or NULL, a literal or a
+// host variable, bound or not, on either side — and now and then a leaf
+// of any other shape, which keeps the clause on the row path.
+func genConjunction(r *rand.Rand) ast.Expr {
+	leaf := func() ast.Expr {
+		if r.Intn(10) == 0 {
+			return genPred(r, 1)
+		}
+		intK := func() ast.Expr {
+			if r.Intn(3) == 0 {
+				return &ast.HostVar{Name: "H"}
+			}
+			return &ast.IntLit{V: int64(r.Intn(5))}
+		}
+		strK := func() ast.Expr {
+			if r.Intn(3) == 0 {
+				return &ast.HostVar{Name: "HS"}
+			}
+			return &ast.StringLit{V: string(rune('a' + r.Intn(3)))}
+		}
+		// Mostly a constant of the column's own kind; now and then one of
+		// the other kind, NULL or unbound, or a column that is always NULL
+		// or a boolean.
+		var col *ast.ColumnRef
+		var k ast.Expr
+		switch r.Intn(10) {
+		case 0, 1, 2:
+			col, k = &ast.ColumnRef{Column: "I"}, intK()
+		case 3:
+			col, k = &ast.ColumnRef{Qualifier: "T", Column: "Q"}, intK()
+		case 4, 5, 6:
+			col, k = &ast.ColumnRef{Column: "S"}, strK()
+		case 7:
+			col, k = &ast.ColumnRef{Column: []string{"I", "S"}[r.Intn(2)]}, []func() ast.Expr{intK, strK}[r.Intn(2)]()
+		case 8:
+			col, k = &ast.ColumnRef{Column: "I"}, []ast.Expr{&ast.NullLit{}, &ast.HostVar{Name: "HNULL"},
+				&ast.HostVar{Name: "MISSING"}}[r.Intn(3)]
+		default:
+			col, k = &ast.ColumnRef{Column: []string{"N", "B"}[r.Intn(2)]}, intK()
+		}
+		ops := []ast.CompareOp{ast.EqOp, ast.NeOp, ast.LtOp, ast.LeOp, ast.GtOp, ast.GeOp}
+		c := &ast.Compare{Op: ops[r.Intn(len(ops))], L: col, R: k}
+		if r.Intn(3) == 0 {
+			c.L, c.R = c.R, c.L
+		}
+		return c
+	}
+	e := leaf()
+	for n := r.Intn(4); n > 0; n-- {
+		if r.Intn(2) == 0 {
+			e = &ast.And{L: e, R: leaf()}
+		} else {
+			e = &ast.And{L: leaf(), R: e}
+		}
+	}
+	return e
+}
+
+// genBatch draws up to a dozen rows for diffCols. A clean batch holds
+// only cells of each column's own kind, so a kernel owns every cell it
+// meets; in a dirty one any cell of I, S and T.Q may be NULL or of
+// another kind, which a kernel must hand back.
+func genBatch(r *rand.Rand) []value.Row {
+	dirty := r.Intn(3) == 0
+	batch := make([]value.Row, r.Intn(13))
+	for i := range batch {
+		row := value.Row{
+			value.Int(int64(r.Intn(5))),
+			value.String_(string(rune('a' + r.Intn(3)))),
+			value.Bool(r.Intn(2) == 0),
+			value.Null,
+			value.Int(int64(r.Intn(5))),
+			value.Int(int64(r.Intn(5))),
+		}
+		for _, c := range []int{0, 1, 4} {
+			if !dirty || r.Intn(4) != 0 {
+				continue
+			}
+			if r.Intn(2) == 0 {
+				row[c] = value.Null
+			} else if row[c].Kind() == value.KindInt {
+				row[c] = value.String_("a")
+			} else {
+				row[c] = value.Int(1)
+			}
+		}
+		batch[i] = row
+	}
+	return batch
+}
+
+// qualifyingRows is the engine's row loop over p: the rows p accepts
+// under the false-interpreted WHERE semantics, in order, appended to
+// out, or the first error and the index of the row that raised it.
+func qualifyingRows(out, batch []value.Row, p Pred) ([]value.Row, error, int) {
+	for i, row := range batch {
+		t, err := p(row)
+		if err != nil {
+			return nil, err, i
+		}
+		if tvl.FalseInterpreted(t) {
+			out = append(out, row)
+		}
+	}
+	return out, nil, -1
+}
+
+// batchOutcome is what checkBatch saw.
+type batchOutcome int
+
+const (
+	batchDecided     batchOutcome = iota // Select decided the batch
+	batchRowPath                         // Select handed it back; the row loop kept rows
+	batchRowPathErrs                     // Select handed it back; the row loop failed
+)
+
+// checkBatch holds Pred to Truth on every row of batch, then runs Select
+// over batch behind a prefix of rows already in the output, and holds
+// it to the row loop over Pred: when Select
+// decides the batch, the row loop must raise no error and keep exactly
+// the rows Select appended, the same rows in the same order, with the
+// prefix untouched; when Select hands the batch back it must leave the
+// output as it came, and the caller's row loop is then the answer — the
+// same rows, or the same error from the same row — by construction.
+func checkBatch(t *testing.T, pred ast.Expr, env *Env, batch []value.Row) (batchOutcome, bool) {
+	t.Helper()
+	f := CompileFilter(pred, diffCols, env)
+	for _, row := range batch {
+		if agree(t, pred, diffCols, row, env, f.Pred) {
+			return 0, false
+		}
+	}
+	prefix := []value.Row{{value.Int(-1)}, {value.Int(-2)}}
+	want, wantErr, at := qualifyingRows(nil, batch, f.Pred)
+	got, ok := f.Select(append(make([]value.Row, 0, 4), prefix...), batch)
+	if len(got) < len(prefix) || &got[0][0] != &prefix[0][0] || &got[1][0] != &prefix[1][0] {
+		t.Errorf("%s: Select disturbed the rows already in the output", pred.SQL())
+		return 0, false
+	}
+	if !ok {
+		if len(got) != len(prefix) {
+			t.Errorf("%s: Select handed the batch back with %d rows appended", pred.SQL(), len(got)-len(prefix))
+			return 0, false
+		}
+		if wantErr != nil {
+			return batchRowPathErrs, true
+		}
+		return batchRowPath, true
+	}
+	if wantErr != nil {
+		t.Errorf("%s on %v: Select decided the batch, the row loop fails at row %d: %v", pred.SQL(), batch, at, wantErr)
+		return 0, false
+	}
+	got = got[len(prefix):]
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = &got[i][0] == &want[i][0]
+	}
+	if !same {
+		t.Errorf("%s on %v: Select kept %v, the row loop %v", pred.SQL(), batch, got, want)
+		return 0, false
+	}
+	return batchDecided, true
+}
+
+// TestFilterBatchAgreesWithRows is the batch filter's differential test:
+// every generated clause over every generated batch, Select against the
+// row loop over the clause's own Pred, and Pred against Truth.
+func TestFilterBatchAgreesWithRows(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	env := diffEnv()
+	seen := map[batchOutcome]int{}
+	multi := 0 // batches decided by two or more kernels
+	for i := 0; i < 3000; i++ {
+		pred := genConjunction(r)
+		kernels := len(CompileFilter(pred, diffCols, env).conj)
+		for j := 0; j < 6; j++ {
+			out, ok := checkBatch(t, pred, env, genBatch(r))
+			if !ok {
+				return
+			}
+			seen[out]++
+			if out == batchDecided && kernels > 1 {
+				multi++
+			}
+		}
+	}
+	t.Logf("%d batches decided (%d by several kernels), %d handed back, %d handed back to fail",
+		seen[batchDecided], multi, seen[batchRowPath], seen[batchRowPathErrs])
+	// The sweep must reach every outcome, or it proves less than it claims.
+	if seen[batchDecided] < 4000 || seen[batchRowPath] < 3000 || seen[batchRowPathErrs] < 5000 || multi < 2500 {
+		t.Errorf("coverage: %d decided (%d by several kernels), %d handed back, %d handed back to fail",
+			seen[batchDecided], multi, seen[batchRowPath], seen[batchRowPathErrs])
+	}
+}
+
+// A batch longer than Select's selection vector is decided a chunk at a
+// time: rows kept by an early chunk are in the output when a later one
+// meets a cell it does not own, and handing the batch back must take
+// them out again.
+func TestFilterBatchSpansChunks(t *testing.T) {
+	env := diffEnv()
+	pred := expr(t, "I >= 1 AND S <> 'c'")
+	batch := make([]value.Row, 2*selChunk+100)
+	for i := range batch {
+		batch[i] = value.Row{value.Int(int64(i % 5)), value.String_(string(rune('a' + i%3))),
+			value.Bool(true), value.Null, value.Int(0), value.Int(0)}
+	}
+	if out, ok := checkBatch(t, pred, env, batch); !ok || out != batchDecided {
+		t.Fatalf("a clean %d-row batch: outcome %v, want decided", len(batch), out)
+	}
+	batch[2*selChunk+50] = value.Row{value.Null, value.String_("a"), value.Bool(true), value.Null, value.Int(0), value.Int(0)}
+	if out, ok := checkBatch(t, pred, env, batch); !ok || out != batchRowPath {
+		t.Fatalf("a NULL in the last chunk: outcome %v, want handed back", out)
+	}
+}
+
+// FuzzFilterBatch is TestFilterBatchAgreesWithRows from a fuzzed seed.
+func FuzzFilterBatch(f *testing.F) {
+	for _, seed := range []int64{0, 1, 27, 1994} {
+		f.Add(seed)
+	}
+	env := diffEnv()
+	f.Fuzz(func(t *testing.T, seed int64) {
+		r := rand.New(rand.NewSource(seed))
+		checkBatch(t, genConjunction(r), env, genBatch(r))
+	})
 }
 
 // Errors sit behind short-circuits exactly where Truth leaves them: an

@@ -134,9 +134,9 @@ func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
 }
 
 // CompileBits folds every option that changes what Compile produces
-// into cache-key bits — HashDistinct among them: it picks the tree's
-// duplicate-elimination operator, so two handles that differ only in it
-// must never run each other's plan. The budgets only bound an
+// into cache-key bits — SortDistinct among them: it picks the tree's
+// duplicate-elimination operator, so two planners that differ only in
+// it must never run each other's plan. The budgets only bound an
 // execution and are excluded: the same Compiled serves them all.
 // CostBased has no bit because its results are not cacheable at all.
 func (o Options) CompileBits() uint64 {
@@ -147,7 +147,7 @@ func (o Options) CompileBits() uint64 {
 	if o.WrittenJoinOrder {
 		b |= 2
 	}
-	if o.HashDistinct {
+	if o.SortDistinct {
 		b |= 4
 	}
 	return b

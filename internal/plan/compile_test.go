@@ -75,7 +75,7 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 			fmt.Fprintf(&sb, "project %q cols=%v idx=%v", o.detail, o.cols, o.idx)
 		case *distinctOp:
 			ns, children = o.notes, []operator{o.child}
-			fmt.Fprintf(&sb, "distinct hash=%v", o.hash)
+			fmt.Fprintf(&sb, "distinct sort=%v", o.sort)
 		case *setOp:
 			ns, children = o.notes, []operator{o.l, o.r}
 			fmt.Fprintf(&sb, "setop except=%v all=%v", o.except, o.all)

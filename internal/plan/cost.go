@@ -28,7 +28,7 @@ const (
 // the database's current cardinalities. It mirrors the physical
 // planner's strategy choices: pushdown with index assists, left-deep
 // hash joins for equi-predicates, Cartesian products otherwise,
-// nested-loop subquery probes for residual EXISTS/IN, sort-based
+// nested-loop subquery probes for residual EXISTS/IN, hash-based
 // DISTINCT, and sort-merge set operations.
 func EstimateCost(db *storage.DB, q ast.Query) (float64, error) {
 	switch x := q.(type) {
@@ -187,7 +187,7 @@ func estimateSelect(db *storage.DB, s *ast.Select, outer *catalog.Scope) (float6
 		out *= selOther
 	}
 	if s.Quant.IsDistinct() {
-		cost += sortCost(out)
+		cost += out // one hash-table insert or probe a row
 		out *= 0.5
 	}
 	return cost, out, nil

@@ -359,13 +359,13 @@ func TestExistenceOnlyRuleB(t *testing.T) {
 	}
 	res = runBoth(t, Options{}, joined, hosts)
 	if !hasPlanLine(res, "existence-only P: first match; DISTINCT still removes the other duplicates") ||
-		!hasPlanLine(res, "DistinctSort") {
+		!hasPlanLine(res, "DistinctHash") {
 		t.Errorf("written DISTINCT join, no rewrites:\n%s", planText(res))
 	}
 	// So it does when the rest of the block has duplicates of its own.
 	res = runBoth(t, opts, `SELECT DISTINCT S.SNAME FROM SUPPLIER S, PARTS P
 		WHERE P.SNO = S.SNO AND P.PNO >= :K AND P.PNAME <> 'x'`, hosts)
-	if !hasPlanLine(res, "first match; DISTINCT still removes") || !hasPlanLine(res, "DistinctSort") {
+	if !hasPlanLine(res, "first match; DISTINCT still removes") || !hasPlanLine(res, "DistinctHash") {
 		t.Errorf("duplicate names:\n%s", planText(res))
 	}
 

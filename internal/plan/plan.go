@@ -5,7 +5,7 @@
 // Two planner configurations matter for the experiments:
 //
 //   - the baseline planner executes the query as written: DISTINCT is
-//     honored with a full result sort, EXISTS subqueries run as
+//     honored with duplicate elimination, EXISTS subqueries run as
 //     nested-loop probes, and set operations materialize both operands;
 //   - the uniqueness-aware planner first applies the core package's
 //     rewrites (Theorem 1 DISTINCT elimination, Theorem 2 / Corollary 1
@@ -45,9 +45,12 @@ type Options struct {
 	// its cost model" (Section 5). Without it the rewritten form is
 	// always executed.
 	CostBased bool
-	// HashDistinct performs duplicate elimination with a hash table
-	// instead of a sort (ablation #3 in DESIGN.md).
-	HashDistinct bool
+	// SortDistinct eliminates duplicates the way the paper says a
+	// DISTINCT costs (§5.1): sort the whole result and collapse runs,
+	// instead of the streaming hash table every other plan uses. It is
+	// experiment E1's baseline and nothing else; the database never sets
+	// it.
+	SortDistinct bool
 	// Analyzer options forwarded to the core analyzer.
 	Core core.Options
 	// MaxRewritePasses bounds the rewrite fixpoint loop (0 = 8).
@@ -537,7 +540,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	}
 	cur = po
 	if distinct {
-		cur = &distinctOp{child: cur, hash: p.Opts.HashDistinct}
+		cur = &distinctOp{child: cur, sort: p.Opts.SortDistinct}
 	}
 	// The chosen join order and the start-table justification go on the
 	// block's root, where EXPLAIN renders them above the per-join bound

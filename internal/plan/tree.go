@@ -27,8 +27,7 @@ import (
 //     liveness walk), the top join of a block exactly the projection's,
 //     so that the projection above it is the identity and copies
 //     nothing — key and projection ordinals, pushed and residual
-//     predicates, the pre-split text of every rendering and note, sort
-//     vs hash distinct;
+//     predicates, the pre-split text of every rendering and note;
 //   - at bind, once per execution: whether a symbolic access path binds
 //     against this execution's host values (index scan + what the probe
 //     does not subsume) or falls back (full scan + the whole pushed
@@ -342,18 +341,20 @@ func (o *projectOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	return b.add(it, n), nil
 }
 
-// distinctOp eliminates duplicates: by sorting, or with hash set when
-// the planner was compiled under Options.HashDistinct (ablation #3).
+// distinctOp eliminates duplicates with a hash table, streaming: no
+// consumer needs its input in order (the set operators sort their own
+// operands), so nothing is gained by a sort. sort is the paper's
+// baseline, set only under Options.SortDistinct.
 type distinctOp struct {
 	notes
 	child operator
-	hash  bool
+	sort  bool
 }
 
 func (o *distinctOp) render(hosts map[string]value.Value) *Node {
-	op := "DistinctSort"
-	if o.hash {
-		op = "DistinctHash"
+	op := "DistinctHash"
+	if o.sort {
+		op = "DistinctSort"
 	}
 	return o.node(hosts, op, "", o.child.render(hosts))
 }
@@ -363,10 +364,10 @@ func (o *distinctOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.hash {
-		return b.add(engine.NewDistinctHashIter(b.st, child), n), nil
+	if o.sort {
+		return b.add(engine.NewDistinctSortIter(b.st, child), n), nil
 	}
-	return b.add(engine.NewDistinctSortIter(b.st, child), n), nil
+	return b.add(engine.NewDistinctHashIter(b.st, child), n), nil
 }
 
 // setOp is INTERSECT / EXCEPT [ALL], executed the way the paper says

@@ -124,39 +124,48 @@ func modelOrderCompare(a, b model) int {
 	return modelCompare(a, b)
 }
 
+// hash spells out the cell hash from the model's fields: the payload
+// as a number, and a string's bytes assembled little-endian one at a
+// time, with no unsafe read and no encoding/binary.
 func (m model) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	mix(byte(m.kind))
+	seed := uint64(m.kind) * kindSeed
 	switch m.kind {
 	case KindInt:
-		u := uint64(m.i)
-		for s := 0; s < 64; s += 8 {
-			mix(byte(u >> s))
-		}
-	case KindString:
-		for i := 0; i < len(m.s); i++ {
-			mix(m.s[i])
-		}
+		return fmix64(uint64(m.i) ^ seed)
 	case KindBool:
 		if m.b {
-			mix(1)
-		} else {
-			mix(0)
+			return fmix64(1 ^ seed)
 		}
+		return fmix64(seed)
+	case KindString:
+	default:
+		return fmix64(seed)
 	}
-	return h
+	le := func(s string) (u uint64) {
+		for i := len(s) - 1; i >= 0; i-- {
+			u = u<<8 | uint64(s[i])
+		}
+		return u
+	}
+	s := m.s
+	h := seed ^ uint64(len(s))*hashPrime
+	for ; len(s) >= 8; s = s[8:] {
+		h = bits.RotateLeft64(h^le(s[:8])*hashPrime, 29) * kindSeed
+	}
+	var tail uint64
+	switch n := len(s); {
+	case n >= 4:
+		tail = le(s[:4]) | le(s[n-4:])<<32
+	case n > 0:
+		tail = le(s[:1]) | le(s[n/2:n/2+1])<<8 | le(s[n-1:])<<16
+	}
+	return fmix64(h ^ tail*hashPrime)
 }
 
 func modelHashRow(ms ...model) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(kindSeed)
 	for _, m := range ms {
-		h = (h ^ m.hash()) * prime64
+		h = (h ^ m.hash()) * hashPrime
 	}
 	return h
 }

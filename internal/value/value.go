@@ -14,7 +14,9 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -265,31 +267,58 @@ func orderCompare(a, b *Value) int {
 
 // Hash returns a 64-bit hash of v such that NullEq(a,b) implies
 // Hash(a)==Hash(b). Used by hash-based duplicate elimination and joins.
+//
+// No hash is ever persisted: the key indexes are rebuilt from the rows
+// when a database opens, and the write-ahead log has no hash field. The
+// function may therefore change between versions without a format
+// change.
 func (v Value) Hash() uint64 { return v.hash() }
 
+// The hash of a cell is one finalizer over its payload, seeded by its
+// kind so that equal payloads of different kinds spread apart: an
+// integer or a boolean is one fmix64, a string is read eight bytes a
+// step. kindSeed is odd and has no structure the finalizer could
+// cancel.
+const (
+	kindSeed  = 0x9e3779b97f4a7c15
+	hashPrime = 0xff51afd7ed558ccd
+)
+
+// fmix64 is MurmurHash3's 64-bit finalizer: every input bit reaches
+// every output bit, so a hash table may index by the low bits alone.
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
+}
+
 func (v *Value) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	mix(byte(v.kind))
-	switch v.kind {
-	case KindInt:
-		u := uint64(v.n)
-		for s := 0; s < 64; s += 8 {
-			mix(byte(u >> s))
-		}
-	case KindString:
-		s := v.str()
-		for i := 0; i < len(s); i++ {
-			mix(s[i])
-		}
-	case KindBool:
-		mix(byte(v.n))
+	if v.kind == KindString {
+		return hashBytes(unsafe.Slice((*byte)(v.p), int(v.n)))
 	}
-	return h
+	// NULL's payload is always 0, a boolean's 0 or 1.
+	return fmix64(uint64(v.n) ^ uint64(v.kind)*kindSeed)
+}
+
+// hashBytes is the hash of a string cell whose bytes are b.
+func hashBytes(b []byte) uint64 {
+	const stringSeed = 0x3c6ef372fe94f82a // KindString * kindSeed, mod 2⁶⁴
+	h := stringSeed ^ uint64(len(b))*hashPrime
+	for len(b) >= 8 {
+		h = bits.RotateLeft64(h^binary.LittleEndian.Uint64(b)*hashPrime, 29) * kindSeed
+		b = b[8:]
+	}
+	var tail uint64
+	switch n := len(b); {
+	case n >= 4:
+		tail = uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint32(b[n-4:]))<<32
+	case n > 0:
+		tail = uint64(b[0]) | uint64(b[n/2])<<8 | uint64(b[n-1])<<16
+	}
+	return fmix64(h ^ tail*hashPrime)
 }
 
 // Row is a tuple of values.
@@ -351,12 +380,13 @@ func OrderCompareRows(a, b Row) int {
 	return 0
 }
 
-// HashRow hashes a row consistently with NullEqRows.
+// HashRow hashes a row consistently with NullEqRows: the cells' hashes
+// folded in column order, each already finalized, so one multiply a
+// cell carries them.
 func HashRow(r Row) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(kindSeed)
 	for i := range r {
-		h = (h ^ r[i].hash()) * prime64
+		h = (h ^ r[i].hash()) * hashPrime
 	}
 	return h
 }
@@ -365,10 +395,9 @@ func HashRow(r Row) uint64 {
 // it. The two must agree: a key hashed in place is looked up by its
 // projection and the other way round.
 func HashCols(r Row, cols []int) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(kindSeed)
 	for _, c := range cols {
-		h = (h ^ r[c].hash()) * prime64
+		h = (h ^ r[c].hash()) * hashPrime
 	}
 	return h
 }

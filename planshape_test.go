@@ -50,7 +50,7 @@ var benchStatements = []benchStmt{
 		name: "ex2_keep", workload: "embedded_analytic", sameAsParent: true,
 		sql: `SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
 			WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.PNO >= :K`,
-		plan: `DistinctSort
+		plan: `DistinctHash
 -- join order: P, S (written: S, P)
 -- start P: constant-bound COLOR
   Project(S.SNAME, P.PNO, P.PNAME)
@@ -202,7 +202,7 @@ var benchStatements = []benchStmt{
 		name: "ex2_lit", workload: "embedded_adhoc", sameAsParent: true,
 		sql: `SELECT DISTINCT S.SNAME, P.PNO, P.PNAME FROM SUPPLIER S, PARTS P
 			WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.OEM-PNO < 1500`,
-		plan: `DistinctSort
+		plan: `DistinctHash
 -- join order: P, S (written: S, P)
 -- start P: constant-bound COLOR
   Project(S.SNAME, P.PNO, P.PNAME)

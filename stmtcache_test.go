@@ -46,7 +46,7 @@ func uncached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) o
 			return outcome{err: err.Error()}
 		}
 	}
-	p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: optimize, HashDistinct: db.Opts().HashDistinct})
+	p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: optimize})
 	c, err := p.Compile(q, &engine.Stats{})
 	if err != nil {
 		return outcome{err: err.Error()}
@@ -185,27 +185,24 @@ func shapeDB(t testing.TB, opts uniqopt.Options) *uniqopt.DB {
 // names, rewrites (rule, description, before, after), the rendered plan
 // tree and error text of the cached path equal the uncached path's,
 // over the paper examples and the benchmark's literal shapes × 200
-// seeded literal vectors, at the default batch size and at three rows,
-// and under hash distinct.
+// seeded literal vectors, at the default batch size and at three rows.
 func TestCachedEqualsUncached(t *testing.T) {
 	modes := []struct {
 		name  string
 		batch int
-		opts  uniqopt.Options
 	}{
 		// "serial" and "parallel" once named two worker pools; with no
 		// pool they are the same mode, under the names they have always
 		// reported.
-		{"serial", 0, uniqopt.Options{}},
-		{"parallel", 0, uniqopt.Options{}},
+		{"serial", 0},
+		{"parallel", 0},
 		// Batches of three rows: every operator streams many of them.
-		{"streaming", 3, uniqopt.Options{}},
-		{"hash distinct", 0, uniqopt.Options{HashDistinct: true}},
+		{"streaming", 3},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
 			setStreamBatch(t, m.batch)
-			paper := goldenDBWith(t, m.opts)
+			paper := goldenDB(t)
 			for _, name := range paperQueryNames() {
 				sql := workload.PaperQueries[name]
 				for _, optimize := range []bool{true, false} {
@@ -217,7 +214,7 @@ func TestCachedEqualsUncached(t *testing.T) {
 				}
 			}
 
-			db := shapeDB(t, m.opts)
+			db := shapeDB(t, uniqopt.Options{})
 			r := rand.New(rand.NewSource(16))
 			for i, shape := range adhocShapes {
 				for v := 0; v < 200; v++ {
@@ -367,30 +364,6 @@ func TestStatementShapeKeys(t *testing.T) {
 			}
 		}
 	}
-	// HashDistinct picks the plan's duplicate-elimination operator, so a
-	// view that differs only in it compiles its own statement and never
-	// runs (or is run by) the sort-distinct one.
-	distinctOp := func(d *uniqopt.DB) string {
-		t.Helper()
-		e, err := d.ExplainWith(context.Background(), distinct, nil, false, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.Root.Op
-	}
-	hashed := db.View(uniqopt.Options{HashDistinct: true})
-	if n := compiles(func() {
-		for i := 0; i < 2; i++ {
-			query(hashed, distinct, nil, false)
-			query(db, distinct, nil, false)
-			if h, s := distinctOp(hashed), distinctOp(db); h != "DistinctHash" || s != "DistinctSort" {
-				t.Errorf("HashDistinct view plans %s, the default handle %s", h, s)
-			}
-		}
-	}); n != 1 {
-		t.Errorf("the HashDistinct view compiled %d statements, want its own one", n)
-	}
-
 	// CREATE TABLE bypasses the cache, keeps its literals, and moves the
 	// catalog version, which invalidates every statement.
 	if n := compiles(func() {

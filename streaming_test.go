@@ -175,8 +175,7 @@ func TestStreamingBudget(t *testing.T) {
 	// larger than the budget.
 	for name, q := range map[string]func() (*uniqopt.Rows, error){
 		"blocking distinct": func() (*uniqopt.Rows, error) {
-			return db.View(uniqopt.Options{MemBudget: budget, HashDistinct: true}).
-				QueryBaseline(`SELECT DISTINCT S.CITY FROM S`)
+			return db.QueryBaseline(`SELECT DISTINCT S.CITY FROM S`)
 		},
 		"oversized result": func() (*uniqopt.Rows, error) { return db.Query(`SELECT S.SNO, S.CITY FROM S`) },
 	} {
@@ -214,7 +213,7 @@ func planOps(t *testing.T, db *uniqopt.DB, sql string, optimize bool) []string {
 // without any duplicate-elimination stage at all — no hash table, no
 // sort buffer, nothing to short-circuit at run time.
 func TestStreamingDistinctShortCircuit(t *testing.T) {
-	db := goldenDBWith(t, uniqopt.Options{HashDistinct: true})
+	db := goldenDB(t)
 	sql := workload.PaperQueries["example1"]
 
 	opt, err := db.QueryWith(sql, goldenHosts, true)

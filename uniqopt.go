@@ -80,9 +80,6 @@ type Options struct {
 	// UseCheckConstraints imports column=constant CHECKs on NOT NULL
 	// columns as bindings (sound extension, §2.1's observation).
 	UseCheckConstraints bool
-	// HashDistinct uses hash-based instead of sort-based duplicate
-	// elimination during execution.
-	HashDistinct bool
 	// CostBased estimates original-vs-rewritten cost and executes the
 	// cheaper form (§5's cost-model framing). Without it the rewritten
 	// form always runs.
@@ -639,7 +636,6 @@ func (d *DB) planOptions(optimize bool) plan.Options {
 	return plan.Options{
 		ApplyRewrites: optimize,
 		CostBased:     d.opts.CostBased,
-		HashDistinct:  d.opts.HashDistinct,
 		Core: core.Options{
 			UseKeyFDs:           d.opts.UseKeyFDs,
 			BindIsNull:          d.opts.BindIsNull,
