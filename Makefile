@@ -42,12 +42,9 @@ test-fault:
 race:
 	$(GO) test -race ./...
 
-# Observability smoke: golden EXPLAIN tests plus the explain
-# experiment, emitting the machine-readable artifact
-# BENCH_explain.json alongside the table.
+# Observability smoke: the golden EXPLAIN / EXPLAIN ANALYZE tests.
 explain-smoke:
 	$(GO) test -run 'TestExplain' .
-	$(GO) run ./cmd/benchrunner -exp explain -scale 0.3 -json BENCH_explain.json
 
 # Server smoke: the wire-protocol suite under the race detector — the
 # frame codec against encoding/json, sessions, prepared statements,
@@ -61,15 +58,11 @@ server-smoke:
 	$(GO) test ./internal/server -run 'SessionCap|Admission' -count=50
 
 # Planner smoke: the join-ordering, plan-cache, and access-path suite
-# under the race detector (including the concurrent DDL×EXEC stale-plan
-# regression in the server suite), then the planner experiment —
-# written-order vs uniqueness-bounded ordering on ≥3-way joins plus
-# cold/warm plan-cache timing — emitting the machine-readable artifact
-# BENCH_planner.json alongside the table.
+# under the race detector, including the concurrent DDL×EXEC stale-plan
+# regression in the server suite.
 planner-smoke:
-	$(GO) test -race -run 'TestJoinOrder|TestDerived|TestWrittenJoinOrder|TestExplainNamesBounds|TestPlanCache|TestIndex|TestCost' ./internal/plan/
+	$(GO) test -race -run 'TestJoinOrder|TestDerived|TestWrittenJoinOrder|TestExplainNamesBounds|TestPlanCache|TestIndex' ./internal/plan/
 	$(GO) test -race -run 'TestServerPlanCacheDDLRace' ./internal/server/
-	$(GO) run ./cmd/benchrunner -exp planner -scale 0.3 -json BENCH_planner.json
 
 # Crash matrix: the storage suite under the race detector with the
 # fault registry armed — WAL append/sync/checkpoint fault points, torn
@@ -80,12 +73,9 @@ crash-matrix:
 	$(GO) test -race -tags fault ./internal/storage/... ./cmd/uniqoptd
 
 # Storage smoke: golden paper examples byte-identical on the memory
-# and WAL backends, then the storage experiment — insert throughput
-# under both ack disciplines plus cold-start recovery — emitting the
-# machine-readable artifact BENCH_storage.json alongside the table.
+# and WAL backends.
 storage-smoke:
 	$(GO) test -run 'BothBackends' .
-	$(GO) run ./cmd/benchrunner -exp storage -scale 0.05 -json BENCH_storage.json
 
 # Fuzz smoke: ten seconds each of the six fuzz targets — the frame
 # codec against encoding/json, the SQL parser on statements and on

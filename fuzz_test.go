@@ -14,8 +14,8 @@ import (
 // or shape entry may serve it — and on a database that has never seen
 // it. As a write, where a repeat legitimately differs (the rows are
 // there now), two executions give the same pair of outcomes on a caching
-// handle and on a CostBased one, which compiles every time, over an
-// identically built database.
+// database and on an identically built one that compiles every call
+// (execWarmCold).
 func FuzzCompileTwice(f *testing.F) {
 	for _, name := range paperQueryNames() {
 		for _, sql := range spellings(workload.PaperQueries[name]) {
@@ -55,9 +55,9 @@ func FuzzCompileTwice(f *testing.F) {
 		if third := queryOutcome(fresh, sql, hosts); !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, third) {
 			t.Fatalf("Query(%q)\n--- first\n%+v\n--- second\n%+v\n--- fresh database\n%+v", sql, first, second, third)
 		}
-		cold := shapeDB(t, uniqopt.Options{CostBased: true})
+		cold := shapeDB(t, uniqopt.Options{})
 		for call := 1; call <= 2; call++ {
-			if w, c := execOutcome(warm, sql, hosts), execOutcome(cold, sql, hosts); !reflect.DeepEqual(w, c) {
+			if w, c := execWarmCold(t, warm, cold, sql, hosts); !reflect.DeepEqual(w, c) {
 				t.Fatalf("Exec(%q), call %d\n--- caching handle\n%+v\n--- compiling every time\n%+v", sql, call, w, c)
 			}
 		}

@@ -11,8 +11,11 @@ import (
 	"uniqopt/internal/value"
 )
 
-// smallCatalog: R(K, X, Y) with key K; S(K, Z) with key K. Small
-// enough for exhaustive domain enumeration.
+// smallCatalog: R(K, X, Y) with key K; S(K, Z) with key K; NK with no
+// key; and a table for each case an analyzer extension reasons about —
+// U's UNIQUE key is nullable, CK's key is composite, CN's CHECK pins a
+// NOT NULL column of its key, CV's CHECK is on a nullable column (its
+// UNIQUE key). Small enough for exhaustive domain enumeration.
 func smallCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	c := catalog.New()
@@ -20,6 +23,10 @@ func smallCatalog(t testing.TB) *catalog.Catalog {
 		`CREATE TABLE R (K INTEGER, X INTEGER, Y INTEGER, PRIMARY KEY (K))`,
 		`CREATE TABLE S (K INTEGER, Z INTEGER, PRIMARY KEY (K))`,
 		`CREATE TABLE NK (A INTEGER, B INTEGER)`, // no key
+		`CREATE TABLE U (K INTEGER, X INTEGER, UNIQUE (K))`,
+		`CREATE TABLE CK (A INTEGER, B INTEGER, Z INTEGER, PRIMARY KEY (A, B))`,
+		`CREATE TABLE CN (K INTEGER, C INTEGER NOT NULL, W INTEGER, PRIMARY KEY (K, C), CHECK (C = 1))`,
+		`CREATE TABLE CV (C INTEGER, W INTEGER, UNIQUE (C), CHECK (C = 1))`,
 	} {
 		st, err := parser.ParseStatement(ddl)
 		if err != nil {
@@ -155,17 +162,42 @@ func TestExactErrorsAndCaps(t *testing.T) {
 	}
 }
 
-// randomQuery builds a random single- or two-table query over the
-// small schema with random equality/comparison conjuncts and a random
-// projection.
+// queryTables are the keyed tables of smallCatalog and their columns:
+// what randomQuery draws from.
+var queryTables = []struct {
+	name string
+	cols []string
+}{
+	{"R", []string{"K", "X", "Y"}},
+	{"S", []string{"K", "Z"}},
+	{"U", []string{"K", "X"}},
+	{"CK", []string{"A", "B", "Z"}},
+	{"CN", []string{"K", "C", "W"}},
+	{"CV", []string{"C", "W"}},
+}
+
+// randomQuery builds a random query over one or two different tables of
+// queryTables: a projection of 1-3 of their columns and 0-3 conjuncts,
+// each an equality with a constant, a host variable or a column, a
+// range, IS NULL or IS NOT NULL.
 func randomQuery(r *rand.Rand) string {
-	cols := []string{"R.K", "R.X", "R.Y"}
-	twoTables := r.Intn(2) == 0
-	if twoTables {
-		cols = append(cols, "S.K", "S.Z")
+	picks := []int{r.Intn(len(queryTables))}
+	if r.Intn(2) == 0 {
+		j := r.Intn(len(queryTables) - 1)
+		if j >= picks[0] {
+			j++
+		}
+		picks = append(picks, j)
 	}
-	// Projection: 1-3 random columns.
-	n := 1 + r.Intn(3)
+	var cols, from []string
+	for _, i := range picks {
+		t := queryTables[i]
+		from = append(from, t.name+" "+t.name)
+		for _, c := range t.cols {
+			cols = append(cols, t.name+"."+c)
+		}
+	}
+	n := min(1+r.Intn(3), len(cols))
 	proj := make([]string, 0, n)
 	seen := map[string]bool{}
 	for len(proj) < n {
@@ -175,27 +207,25 @@ func randomQuery(r *rand.Rand) string {
 			proj = append(proj, c)
 		}
 	}
-	from := "R R"
-	if twoTables {
-		from = "R R, S S"
-	}
-	// Conjuncts: 0-3 random atoms.
 	var conj []string
 	for i := 0; i < r.Intn(4); i++ {
 		a := cols[r.Intn(len(cols))]
-		switch r.Intn(4) {
+		switch r.Intn(6) {
 		case 0:
 			conj = append(conj, a+" = 1")
 		case 1:
-			b := cols[r.Intn(len(cols))]
-			conj = append(conj, a+" = "+b)
+			conj = append(conj, a+" = "+cols[r.Intn(len(cols))])
 		case 2:
 			conj = append(conj, a+" < 2")
-		default:
+		case 3:
 			conj = append(conj, a+" = :H")
+		case 4:
+			conj = append(conj, a+" IS NULL")
+		default:
+			conj = append(conj, a+" IS NOT NULL")
 		}
 	}
-	q := "SELECT " + strings.Join(proj, ", ") + " FROM " + from
+	q := "SELECT " + strings.Join(proj, ", ") + " FROM " + strings.Join(from, ", ")
 	if len(conj) > 0 {
 		q += " WHERE " + strings.Join(conj, " AND ")
 	}
@@ -203,52 +233,80 @@ func randomQuery(r *rand.Rand) string {
 }
 
 // Property (E8's soundness core): whenever Algorithm 1 answers YES,
-// the exact bounded-domain check agrees. The converse may fail
-// (Algorithm 1 is only sufficient) — incompleteness cases are counted
-// but not failed.
+// the exact bounded-domain check agrees — for the paper's algorithm,
+// for the analyzer every DB runs (all three extensions), and for that
+// analyzer less each one extension. The converse may fail (Algorithm 1
+// is only sufficient): incompleteness is counted, not failed. An
+// extension fires on a query when the full analyzer proves it and the
+// analyzer without that extension does not; each must fire, or the
+// property says nothing about it.
 func TestAlg1SoundAgainstExhaustive(t *testing.T) {
 	cat := smallCatalog(t)
-	for _, opts := range []Options{
-		{},
-		{UseKeyFDs: true},
-		{BindIsNull: true, UseKeyFDs: true},
-		{BindIsNull: true, UseKeyFDs: true, UseCheckConstraints: true},
-	} {
-		a := &Analyzer{Cat: cat, Opts: opts}
-		r := rand.New(rand.NewSource(99))
-		var yes, incomplete int
-		for trial := 0; trial < 300; trial++ {
-			src := randomQuery(r)
-			s, err := parser.ParseSelect(src)
-			if err != nil {
-				t.Fatalf("parse %q: %v", src, err)
-			}
-			v, err := a.AnalyzeSelect(s, nil)
+	configs := []struct {
+		name string
+		opts Options
+	}{
+		{"paper-literal", Options{}},
+		{"all but key FDs", Options{BindIsNull: true, UseCheckConstraints: true}},
+		{"all but IS NULL", Options{UseKeyFDs: true, UseCheckConstraints: true}},
+		{"all but CHECK", Options{UseKeyFDs: true, BindIsNull: true}},
+		{"all extensions", Options{UseKeyFDs: true, BindIsNull: true, UseCheckConstraints: true}},
+	}
+	full := len(configs) - 1 // the analyzer every DB runs
+	yes := make([]int, len(configs))
+	incomplete := make([]int, len(configs))
+	fired := make([]int, len(configs)) // by the "all but" config that lacks it
+	r := rand.New(rand.NewSource(99))
+	const trials = 1000
+	for trial := 0; trial < trials; trial++ {
+		src := randomQuery(r)
+		s, err := parser.ParseSelect(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		d, err := DefaultDomains(cat, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, w, err := NewAnalyzer(cat).ExactUniqueness(s, d, 5_000_000)
+		if err != nil {
+			t.Fatalf("exact %q: %v", src, err)
+		}
+		unique := make([]bool, len(configs))
+		for i, c := range configs {
+			v, err := (&Analyzer{Cat: cat, Opts: c.opts}).AnalyzeSelect(s, nil)
 			if err != nil {
 				t.Fatalf("analyze %q: %v", src, err)
 			}
-			d, err := DefaultDomains(cat, s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact, w, err := a.ExactUniqueness(s, d, 5_000_000)
-			if err != nil {
-				t.Fatalf("exact %q: %v", src, err)
-			}
-			if v.Unique {
-				yes++
-				if !exact {
-					t.Fatalf("UNSOUND (opts %+v): Algorithm 1 says YES but duplicates exist\nquery: %s\nwitness: %v",
-						opts, src, w)
-				}
-			} else if exact {
-				incomplete++
+			unique[i] = v.Unique
+			switch {
+			case v.Unique && !exact:
+				t.Fatalf("UNSOUND (%s): Algorithm 1 says YES but duplicates exist\nquery: %s\nwitness: %v",
+					c.name, src, w)
+			case v.Unique:
+				yes[i]++
+			case exact:
+				incomplete[i]++
 			}
 		}
-		if yes == 0 {
-			t.Errorf("opts %+v: generator produced no YES cases; test is vacuous", opts)
+		for i := 1; i < full; i++ {
+			if unique[full] && !unique[i] {
+				fired[i]++
+			}
 		}
-		t.Logf("opts %+v: %d YES verdicts, %d incomplete (exact-unique but unproven)", opts, yes, incomplete)
+	}
+	for i, c := range configs {
+		t.Logf("%-16s %d of %d YES, %d incomplete (exact-unique but unproven)", c.name, yes[i], trials, incomplete[i])
+	}
+	if yes[0] == 0 {
+		t.Error("the generator produced no YES case; the property is vacuous")
+	}
+	for i := 1; i < full; i++ {
+		extension := strings.TrimPrefix(configs[i].name, "all but ")
+		t.Logf("%s decided %d verdicts", extension, fired[i])
+		if fired[i] == 0 {
+			t.Errorf("%s never decided a verdict; the property does not cover it", extension)
+		}
 	}
 }
 
@@ -290,16 +348,11 @@ func TestKeyFDExtensionDominates(t *testing.T) {
 
 // BindIsNull extension: an IS NULL conjunct binds its column.
 func TestBindIsNullExtension(t *testing.T) {
-	cat := smallCatalog(t)
 	// S.K IS NULL cannot qualify rows (K is primary key NOT NULL), so
-	// use a nullable-key table instead.
-	c2 := catalog.New()
-	st, _ := parser.ParseStatement(`CREATE TABLE U (K INTEGER, X INTEGER, UNIQUE (K))`)
-	if _, err := c2.DefineFromAST(st.(*ast.CreateTable)); err != nil {
-		t.Fatal(err)
-	}
-	plain := &Analyzer{Cat: c2}
-	ext := &Analyzer{Cat: c2, Opts: Options{BindIsNull: true}}
+	// use the nullable-key table U instead.
+	cat := smallCatalog(t)
+	plain := &Analyzer{Cat: cat}
+	ext := &Analyzer{Cat: cat, Opts: Options{BindIsNull: true}}
 	src := "SELECT U.X FROM U U WHERE U.K IS NULL"
 	s := mustSelect(t, src)
 	pv, _ := plain.AnalyzeSelect(s, nil)
@@ -314,7 +367,7 @@ func TestBindIsNullExtension(t *testing.T) {
 		t.Error("BindIsNull should prove uniqueness: at most one row has K NULL (≐ key semantics)")
 	}
 	// Exact validation.
-	d, _ := DefaultDomains(c2, s)
+	d, _ := DefaultDomains(cat, s)
 	exact, w, err := ext.ExactUniqueness(s, d, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +375,6 @@ func TestBindIsNullExtension(t *testing.T) {
 	if !exact {
 		t.Fatalf("BindIsNull contradicted by exact check: %v", w)
 	}
-	_ = cat
 }
 
 // CHECK constraints participate in the exact condition: a constraint

@@ -22,7 +22,7 @@ type Compiled struct {
 	// provenance trace analyzes it.
 	Query ast.Query
 
-	root     operator       // the plan of the fixpoint (or of the cost model's choice)
+	root     operator       // the plan of the query the fixpoint left
 	rewrites []appliedTexts // in firing order
 	// subqueries reports that some filter of the tree still evaluates a
 	// subquery, so an execution needs the reference executor.
@@ -37,12 +37,9 @@ type appliedTexts struct {
 }
 
 // Compile runs the compile-time half of Run on q: the rewrite fixpoint
-// (when Options.ApplyRewrites), the cost-based choice (when
-// Options.CostBased — the one step that reads table sizes, so a
-// CostBased result must not outlive the data it was costed on), and
-// planSelect on every block, joined under the set operation if q is
-// one. The analyzer-cache lookups it makes are
-// counted into st.
+// (when Options.ApplyRewrites) and planSelect on every block, joined
+// under the set operation if q is one. No step reads a table row or a
+// row count. The analyzer-cache lookups it makes are counted into st.
 func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error) {
 	defer engine.Contain("plan.Run", &err)
 	if vc := p.An.Cache; vc != nil {
@@ -53,34 +50,13 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 		}()
 	}
 	c = &Compiled{Query: q}
-	run, costNote := q, ""
+	run := q
 	if p.Opts.ApplyRewrites {
 		aps, rewritten, err := p.rewriteFixpoint(q)
 		if err != nil {
 			return nil, err
 		}
 		run = rewritten
-		if p.Opts.CostBased && len(aps) > 0 {
-			origCost, err := EstimateCost(p.DB, q)
-			if err != nil {
-				return nil, err
-			}
-			newCost, err := EstimateCost(p.DB, rewritten)
-			if err != nil {
-				return nil, err
-			}
-			if origCost < newCost {
-				// The cost model prefers the query as written: discard
-				// the rewrites and execute the original.
-				costNote = fmt.Sprintf(
-					"CostChoice(original %.0f < rewritten %.0f: rewrites discarded)",
-					origCost, newCost)
-				aps, run = nil, q
-			} else {
-				costNote = fmt.Sprintf(
-					"CostChoice(rewritten %.0f <= original %.0f)", newCost, origCost)
-			}
-		}
 		for _, ap := range aps {
 			c.rewrites = append(c.rewrites, appliedTexts{ap: ap,
 				desc: newText(ap.Description), before: newText(ap.Before), after: newText(ap.After)})
@@ -106,9 +82,6 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 		c.root = &setOp{l: l, r: r, except: x.Op != ast.Intersect, all: x.All}
 	default:
 		return nil, fmt.Errorf("plan: unknown query node %T", run)
-	}
-	if costNote != "" {
-		c.root.note(newText(costNote))
 	}
 	return c, nil
 }
@@ -138,7 +111,6 @@ func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
 // duplicate-elimination operator, so two planners that differ only in
 // it must never run each other's plan. The budgets only bound an
 // execution and are excluded: the same Compiled serves them all.
-// CostBased has no bit because its results are not cacheable at all.
 func (o Options) CompileBits() uint64 {
 	b := o.Core.Bits() << 3
 	if o.ApplyRewrites {

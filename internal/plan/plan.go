@@ -39,12 +39,6 @@ import (
 type Options struct {
 	// ApplyRewrites enables the uniqueness-aware rewrite pass.
 	ApplyRewrites bool
-	// CostBased, with ApplyRewrites, estimates the cost of the original
-	// and the fully rewritten query and executes the cheaper one — the
-	// paper's "choose the most appropriate strategy on the basis of
-	// its cost model" (Section 5). Without it the rewritten form is
-	// always executed.
-	CostBased bool
 	// SortDistinct eliminates duplicates the way the paper says a
 	// DISTINCT costs (§5.1): sort the whole result and collapse runs,
 	// instead of the streaming hash table every other plan uses. It is

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"uniqopt"
+	"uniqopt/internal/core"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
 	"uniqopt/internal/sql/ast"
@@ -34,7 +35,8 @@ type outcome struct {
 	err      string
 }
 
-// uncached runs sql through the pre-cache path under db's options.
+// uncached runs sql through the pre-cache path under the analyzer every
+// DB runs.
 func uncached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) outcome {
 	q, err := parser.ParseQuery(sql)
 	if err != nil {
@@ -46,7 +48,8 @@ func uncached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) o
 			return outcome{err: err.Error()}
 		}
 	}
-	p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: optimize})
+	p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: optimize,
+		Core: core.Options{UseKeyFDs: true, BindIsNull: true, UseCheckConstraints: true}})
 	c, err := p.Compile(q, &engine.Stats{})
 	if err != nil {
 		return outcome{err: err.Error()}
@@ -341,14 +344,14 @@ func TestStatementShapeKeys(t *testing.T) {
 		t.Errorf(":$1 in SQL text: err = %v, want a lex error", err)
 	}
 
-	// optimize on/off and views with different analyzer options never
-	// share an entry; views with the same options always do. That holds
-	// for an entry reached by its shape (the literal 3) and for one
-	// reached by its own text (literal-free, not in canonical spelling).
+	// optimize on and off never share an entry; a view, which differs
+	// only in budgets, always shares its parent's. That holds for an entry
+	// reached by its shape (the literal 3) and for one reached by its own
+	// text (literal-free, not in canonical spelling).
 	const distinct = `SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = 3`
 	for _, sql := range []string{distinct, "select distinct S.SNO, S.SNAME\nfrom SUPPLIER S where S.SNO = :N -- by text"} {
 		hosts := map[string]any{"N": 3}
-		for round, want := range []int64{4, 0} {
+		for round, want := range []int64{2, 0} {
 			if n := compiles(func() {
 				if r := query(db, sql, hosts, true); len(r.Rewrites) != 1 {
 					t.Errorf("optimized run: rewrites = %+v", r.Rewrites)
@@ -356,11 +359,9 @@ func TestStatementShapeKeys(t *testing.T) {
 				if r := query(db, sql, hosts, false); len(r.Rewrites) != 0 {
 					t.Errorf("baseline run served the optimized statement: %+v", r.Rewrites)
 				}
-				query(db.View(uniqopt.Options{UseKeyFDs: true}), sql, hosts, true)
-				query(db.View(uniqopt.Options{BindIsNull: true}), sql, hosts, true)
 				query(db.View(uniqopt.Options{MaxRows: 1000, MemBudget: 1 << 20}), sql, hosts, true)
 			}); n != want {
-				t.Errorf("round %d of optimize/baseline/UseKeyFDs/BindIsNull/budget-only views compiled %d times, want %d: %s", round, n, want, sql)
+				t.Errorf("round %d of optimize/baseline/budget-only view compiled %d times, want %d: %s", round, n, want, sql)
 			}
 		}
 	}
@@ -378,14 +379,6 @@ func TestStatementShapeKeys(t *testing.T) {
 	}
 	if n := compiles(func() { query(db, distinct, nil, true) }); n != 1 {
 		t.Errorf("statement compiled before the DDL was served after it (%d compiles)", n)
-	}
-	// A CostBased handle compiles per execution and files nothing.
-	if n := compiles(func() {
-		v := db.View(uniqopt.Options{CostBased: true})
-		query(v, distinct, nil, true)
-		query(v, distinct, nil, true)
-	}); n != 0 {
-		t.Errorf("CostBased statements touched the statement cache (%d misses)", n)
 	}
 	// A failed compile is not cached: it fails the same way again.
 	for i := 0; i < 2; i++ {
@@ -562,6 +555,26 @@ func execOutcome(db *uniqopt.DB, sql string, hosts map[string]any) outcome {
 	return out
 }
 
+// execWarmCold runs sql as a write on warm, a caching database, and on
+// cold, an identically built one whose catalog version it moves first:
+// no entry cold filed before can serve the call, so cold compiles every
+// time. Bumping the version changes no table a statement could name.
+// Every call warm's statement cache counts must be a miss on cold's.
+func execWarmCold(t testing.TB, warm, cold *uniqopt.DB, sql string, hosts map[string]any) (w, c outcome) {
+	t.Helper()
+	cold.Store().Catalog().Bump()
+	wh0, wm0 := warm.PlanCacheCounters()
+	ch0, cm0 := cold.PlanCacheCounters()
+	w, c = execOutcome(warm, sql, hosts), execOutcome(cold, sql, hosts)
+	wh1, wm1 := warm.PlanCacheCounters()
+	ch1, cm1 := cold.PlanCacheCounters()
+	if ch1 != ch0 || cm1-cm0 != wh1-wh0+wm1-wm0 {
+		t.Fatalf("Exec(%q): the reference counted %d hits, %d misses; want 0 hits, %d misses",
+			sql, ch1-ch0, cm1-cm0, wh1-wh0+wm1-wm0)
+	}
+	return w, c
+}
+
 // spellings returns sql with a leading comment, with its whitespace
 // collapsed, and with everything outside string literals in lower case:
 // other texts of the same shape.
@@ -584,8 +597,8 @@ func spellings(sql string) []string {
 // by the entry: by its text when the statement is literal-free) and a
 // call on a database that has never seen the statement agree in rows,
 // rewrites and error text. The same for statements that fail, and for
-// the INSERT forms, where a never-caching CostBased handle over an
-// identically built database is the cold reference for the sequence.
+// the INSERT forms, where an identically built database that compiles
+// every call (execWarmCold) is the cold reference for the sequence.
 func TestTextEntryEqualsFreshDB(t *testing.T) {
 	queries := []string{
 		`SELECT S.NOPE FROM SUPPLIER S WHERE S.SNO = :N`,        // fails to compile
@@ -630,18 +643,18 @@ func TestTextEntryEqualsFreshDB(t *testing.T) {
 		`SELECT A.ANO FROM AGENTS A WHERE A.SNO = :S`, // not a write
 	}
 	hosts := map[string]any{"S": 7, "A": 900, "NAME": "host", "CITY": "Ottawa"}
-	warm, cold := shapeDB(t, uniqopt.Options{}), shapeDB(t, uniqopt.Options{CostBased: true})
+	warm, cold := shapeDB(t, uniqopt.Options{}), shapeDB(t, uniqopt.Options{})
 	for _, ins := range inserts {
 		for _, sql := range spellings(ins) {
 			for call := 0; call < 2; call++ {
-				if w, c := execOutcome(warm, sql, hosts), execOutcome(cold, sql, hosts); !reflect.DeepEqual(w, c) {
+				if w, c := execWarmCold(t, warm, cold, sql, hosts); !reflect.DeepEqual(w, c) {
 					t.Fatalf("call %d of %q\n--- caching handle\n%+v\n--- compiling every time\n%+v", call, sql, w, c)
 				}
 			}
 		}
 	}
-	if h, m := cold.PlanCacheCounters(); h+m != 0 {
-		t.Errorf("the CostBased handle consulted the statement cache (%d hits, %d misses)", h, m)
+	if h, _ := warm.PlanCacheCounters(); h == 0 {
+		t.Error("the caching handle was never served from its statement cache")
 	}
 	want := queryOutcome(cold, `SELECT A.SNO, A.ANO, A.ANAME, A.ACITY FROM AGENTS A WHERE A.SNO = 7`, nil)
 	if got := queryOutcome(warm, `SELECT A.SNO, A.ANO, A.ANAME, A.ACITY FROM AGENTS A WHERE A.SNO = 7`, nil); !reflect.DeepEqual(got.data, want.data) || len(got.data) < 5 {

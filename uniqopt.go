@@ -70,20 +70,9 @@ type DB struct {
 	metrics *metrics.Registry
 }
 
-// Options tune the optimizer.
+// Options bound what one query may hold. The optimizer itself has no
+// switches: every DB runs the one analyzer (analyzerOptions).
 type Options struct {
-	// UseKeyFDs lets the analyzer close over key dependencies (sound
-	// extension; answers YES more often than the paper's Algorithm 1).
-	UseKeyFDs bool
-	// BindIsNull treats IS NULL conjuncts as binding (sound extension).
-	BindIsNull bool
-	// UseCheckConstraints imports column=constant CHECKs on NOT NULL
-	// columns as bindings (sound extension, §2.1's observation).
-	UseCheckConstraints bool
-	// CostBased estimates original-vs-rewritten cost and executes the
-	// cheaper form (§5's cost-model framing). Without it the rewritten
-	// form always runs.
-	CostBased bool
 	// MaxRows caps the rows a single query may hold live at once: its
 	// blocking state (hash tables, sort buffers), the batches in flight
 	// between its operators, and its result (0 = unlimited). Exceeding
@@ -93,6 +82,13 @@ type Options struct {
 	// (0 = unlimited).
 	MemBudget int64
 }
+
+// analyzerOptions is the analyzer every DB runs: Algorithm 1 with its
+// three sound extensions — key-FD closure, IS NULL binding and the
+// import of column = constant CHECKs on NOT NULL columns. The paper's
+// Algorithm 1 as written stays reachable through core.Options, for the
+// experiments that reproduce its tables.
+var analyzerOptions = core.Options{UseKeyFDs: true, BindIsNull: true, UseCheckConstraints: true}
 
 // ErrBudgetExceeded is the sentinel matched (via errors.Is) by every
 // budget failure, regardless of which resource ran out.
@@ -111,7 +107,7 @@ type InternalError = engine.InternalError
 // Open creates an empty database.
 func Open() *DB { return OpenWith(Options{}) }
 
-// OpenWith creates an empty database with the given optimizer options.
+// OpenWith creates an empty database with the given query budgets.
 func OpenWith(opts Options) *DB {
 	return newDB(storage.NewDB(catalog.New()), opts)
 }
@@ -473,28 +469,22 @@ type call struct {
 // literal vector, and probes again under the shape. Either hit goes
 // straight to execution: no parse, no normal forms, no Algorithm 1, no
 // rewriting, no join ordering. A miss parses the lifted token stream,
-// compiles it under this handle's options and files the result —
-// unless compiling failed, or Options.CostBased is on (its choice reads
-// table sizes, so those statements compile per execution and the cache
-// is not consulted at all). write selects the kind of statement the
-// caller executes: Exec takes CREATE TABLE and INSERT, the query entry
-// points take queries.
+// compiles it and files the result, unless compiling failed. write
+// selects the kind of statement the caller executes: Exec takes CREATE
+// TABLE and INSERT, the query entry points take queries.
 func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*call, error) {
 	opts := d.planOptions(optimize)
 	// The version is read once, before compiling, and keys every probe
 	// and store: a DDL committing mid-compile can never file a statement
 	// derived under the older catalog beneath the newer version.
 	key := vcache.Key{Src: sql, CatVer: d.store.Catalog().Version(), Opts: opts.CompileBits()}
-	useCache := !d.opts.CostBased
 	c := &call{}
 	var lits []token.Token
 	// A text that merely spells a shape ("… = ?int") reaches that shape's
 	// entry here; its literal count sends it on to the lexer, which
 	// refuses the '?'.
-	if useCache {
-		if st, ok := d.stmts.Peek(key); ok && st.nlits == 0 {
-			c.statement = st
-		}
+	if st, ok := d.stmts.Peek(key); ok && st.nlits == 0 {
+		c.statement = st
 	}
 	byText := c.statement != nil
 	if !byText {
@@ -512,21 +502,17 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 			}
 			return &call{ddl: st.(*ast.CreateTable)}, nil
 		}
-		if useCache {
-			c.statement, _ = d.stmts.Peek(key)
-		}
+		c.statement, _ = d.stmts.Peek(key)
 	}
 	if err := c.bind(sql, hosts, lits, write); err != nil {
 		return nil, err
 	}
-	if useCache {
-		// The one hit-or-miss count of this call.
-		d.stmts.Count(c.statement != nil)
-		if c.statement != nil {
-			c.stats.AddPlanCache(1, 0)
-		} else {
-			c.stats.AddPlanCache(0, 1)
-		}
+	// The one hit-or-miss count of this call.
+	d.stmts.Count(c.statement != nil)
+	if c.statement != nil {
+		c.stats.AddPlanCache(1, 0)
+	} else {
+		c.stats.AddPlanCache(0, 1)
 	}
 	if c.statement == nil {
 		parsed, err := parser.ParseLifted(sql)
@@ -548,7 +534,7 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 			}
 		}
 		// A statement of the wrong kind is refused below, not filed.
-		if useCache && (c.insert != nil) == write {
+		if (c.insert != nil) == write {
 			d.stmts.Put(key, c.statement)
 		}
 	}
@@ -561,7 +547,7 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 	// A literal-free text that came by way of the lexer answers for
 	// itself from now on (in canonical spelling it already does: it is
 	// its own shape).
-	if useCache && !byText && len(lits) == 0 && sql != key.Src {
+	if !byText && len(lits) == 0 && sql != key.Src {
 		key.Src = sql
 		d.stmts.Put(key, c.statement)
 	}
@@ -635,15 +621,10 @@ func (d *DB) planner(optimize bool) *plan.Planner {
 func (d *DB) planOptions(optimize bool) plan.Options {
 	return plan.Options{
 		ApplyRewrites: optimize,
-		CostBased:     d.opts.CostBased,
-		Core: core.Options{
-			UseKeyFDs:           d.opts.UseKeyFDs,
-			BindIsNull:          d.opts.BindIsNull,
-			UseCheckConstraints: d.opts.UseCheckConstraints,
-		},
-		Cache:     d.cache,
-		MaxRows:   d.opts.MaxRows,
-		MemBudget: d.opts.MemBudget,
+		Core:          analyzerOptions,
+		Cache:         d.cache,
+		MaxRows:       d.opts.MaxRows,
+		MemBudget:     d.opts.MemBudget,
 	}
 }
 
@@ -797,8 +778,7 @@ type Analysis struct {
 	MissingTable string
 }
 
-// Analyze runs Algorithm 1 (with the configured extensions) on a
-// query and reports the verdict.
+// Analyze runs Algorithm 1 on a query and reports the verdict.
 func (d *DB) Analyze(sql string) (*Analysis, error) {
 	return d.AnalyzeContext(context.Background(), sql)
 }
@@ -855,11 +835,7 @@ func (d *DB) Suggest(sql string) ([]RewriteInfo, error) {
 }
 
 func (d *DB) analyzer() *core.Analyzer {
-	return &core.Analyzer{Cat: d.store.Catalog(), Opts: core.Options{
-		UseKeyFDs:           d.opts.UseKeyFDs,
-		BindIsNull:          d.opts.BindIsNull,
-		UseCheckConstraints: d.opts.UseCheckConstraints,
-	}, Cache: d.cache}
+	return &core.Analyzer{Cat: d.store.Catalog(), Opts: analyzerOptions, Cache: d.cache}
 }
 
 // CacheCounters reports the cumulative analyzer-cache hits and misses

@@ -3,6 +3,9 @@ package uniqopt
 import (
 	"strings"
 	"testing"
+
+	"uniqopt/internal/core"
+	"uniqopt/internal/sql/parser"
 )
 
 // paperDB opens a database with Figure 1's schema and a small instance.
@@ -184,33 +187,42 @@ func TestSuggest(t *testing.T) {
 	}
 }
 
+// TestOptionsFlowThrough pins both halves of the analyzer decision: a
+// DB runs every sound extension, and the paper's Algorithm 1 as written
+// (core.NewAnalyzer) is still there and proves none of these cases.
 func TestOptionsFlowThrough(t *testing.T) {
-	// UseKeyFDs changes a verdict (pinned case from core tests).
-	ddl := []string{
+	db := Open()
+	for _, ddl := range []string{
 		`CREATE TABLE R (K INTEGER, X INTEGER, Y INTEGER, PRIMARY KEY (K))`,
 		`CREATE TABLE S (K INTEGER, Z INTEGER, PRIMARY KEY (K))`,
-	}
-	plain := Open()
-	ext := OpenWith(Options{UseKeyFDs: true})
-	for _, d := range ddl {
-		if err := plain.Exec(d); err != nil {
-			t.Fatal(err)
-		}
-		if err := ext.Exec(d); err != nil {
+		`CREATE TABLE U (K INTEGER, X INTEGER, UNIQUE (K))`,
+		`CREATE TABLE C (K INTEGER, T INTEGER NOT NULL, X INTEGER, PRIMARY KEY (K, T), CHECK (T = 1))`,
+	} {
+		if err := db.Exec(ddl); err != nil {
 			t.Fatal(err)
 		}
 	}
-	src := "SELECT R.K FROM R R, S S WHERE R.X = S.K"
-	pa, err := plain.Analyze(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ea, err := ext.Analyze(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pa.Unique || !ea.Unique {
-		t.Errorf("options did not flow through: plain=%v ext=%v", pa.Unique, ea.Unique)
+	paper := core.NewAnalyzer(db.Store().Catalog())
+	for _, c := range []struct{ extension, src string }{
+		{"key FDs", "SELECT R.K FROM R R, S S WHERE R.X = S.K"},
+		{"IS NULL", "SELECT U.X FROM U U WHERE U.K IS NULL"},
+		{"CHECK", "SELECT C.K, C.X FROM C C"},
+	} {
+		a, err := db.Analyze(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := parser.ParseQuery(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := paper.AnalyzeQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Unique || v.Unique {
+			t.Errorf("%s: Open() proves %v, the paper's Algorithm 1 %v; want true, false: %s", c.extension, a.Unique, v.Unique, c.src)
+		}
 	}
 }
 
