@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test test-fault race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke fuzz-smoke benchmark-check bench-compare bench-tables ci clean
+.PHONY: all vet lint build test test-fault test-poison race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke fuzz-smoke benchmark-check bench-compare bench-tables ci clean
 
 all: ci
 
@@ -33,6 +33,13 @@ test:
 # point in every failure mode.
 test-fault:
 	$(GO) test -tags fault ./...
+
+# Use-after-reset check: the poison build tag makes Scratch.Reset never
+# reuse a chunk — it fills every cell it handed out with a sentinel and
+# every row header with a one-cell sentinel row, then abandons the
+# chunk — so a row read after its execution's Reset changes a golden.
+test-poison:
+	$(GO) test -tags poison ./...
 
 # -race also compiles with checkptr instrumentation (-d=checkptr), so
 # every unsafe.String the value package reads a string payload with is
@@ -121,7 +128,7 @@ bench-compare:
 bench-tables:
 	$(GO) run ./cmd/benchrunner -exp all -scale 0.25 > bench_output_tables.txt
 
-ci: vet lint build test test-fault race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check
+ci: vet lint build test test-fault test-poison race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check
 
 clean:
 	rm -f BENCH_explain.json BENCH_storage.json BENCH_planner.json

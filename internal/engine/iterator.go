@@ -18,18 +18,24 @@ import (
 //   - Next returns the next batch, or (nil, nil) at end of stream.
 //     After end of stream or an error, further Next calls return
 //     (nil, nil) or the same class of error; they must not panic.
-//   - An emitted batch and its rows are immutable after handoff. The
-//     producer must not reuse the batch slice or the row storage for a
-//     later batch, so consumers may retain rows (hash tables, output
-//     buffers) without copying. Producers therefore allocate fresh
-//     batch slices per Next call, or hand out disjoint capacity-clipped
-//     windows of rows they never write again (the uniqlint
-//     iterlife/rowalias analyzers enforce this). The rule binds whoever
-//     wrote the batch, so an operator with nothing to change — the
-//     identity projection above a join that already emits the
-//     projection's layout — may hand its child's batch on as it came:
-//     nobody writes it again, and its consumer may retain it exactly as
-//     the operator itself could have.
+//   - An emitted batch and its rows are immutable after handoff, for the
+//     rest of the execution. The producer must not reuse the batch
+//     slice or the row storage for a later batch, so consumers may
+//     retain rows (hash tables, output buffers, the drained result)
+//     without copying. Producers therefore take fresh batch slices and
+//     row cells per Next call from the execution's Scratch, or hand out
+//     disjoint capacity-clipped windows of rows they never write again
+//     (the uniqlint iterlife/rowalias analyzers enforce this). The rule
+//     binds whoever wrote the batch, so an operator with nothing to
+//     change — the identity projection above a join that already emits
+//     the projection's layout — may hand its child's batch on as it
+//     came: nobody writes it again, and its consumer may retain it
+//     exactly as the operator itself could have.
+//   - That memory returns all at once, when the execution's Scratch is
+//     Reset. Only the caller that has copied the answer out of the
+//     drained rows may call Reset (DB.QueryWithContext does, after
+//     value.BoxRows): a row read after it reads the next execution's
+//     cells, or under -tags poison a sentinel.
 //   - Close releases held resources (governor charges, children). It
 //     is idempotent, and must be called exactly when the consumer is
 //     done, whether or not the stream was drained.
@@ -102,6 +108,7 @@ func window(rows []value.Row, pos int) (Batch, int) {
 type streamGuard struct {
 	ctx   context.Context
 	gov   *Governor
+	sc    *Scratch // what the iterator allocates from
 	st    *Stats
 	bound bool
 	iter  int
@@ -113,16 +120,21 @@ type streamGuard struct {
 	pendRows, pendBytes int64
 }
 
-// begin starts one Next call: it binds the governor on first use,
-// fires the per-batch fault-injection point, and polls cancellation.
-// The fault point fires before the poll so an injected delay is
-// observed by the poll as an expired deadline.
+// begin starts one Next call: it binds the governor and the scratch on
+// first use, fires the per-batch fault-injection point, and polls
+// cancellation. An iterator driven under a context with no scratch (a
+// test's, say) allocates from one of its own that is never reset. The
+// fault point fires before the poll so an injected delay is observed by
+// the poll as an expired deadline.
 func (sg *streamGuard) begin(ctx context.Context, st *Stats) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if !sg.bound {
 		sg.gov = GovernorFrom(ctx)
+		if sg.sc = ScratchFrom(ctx); sg.sc == nil {
+			sg.sc = NewScratch()
+		}
 		sg.st = st
 		sg.bound = true
 	}
@@ -318,8 +330,9 @@ func (it *rowsIter) Close() error {
 // arrive, left charged while the result lives (a query's governor dies
 // with the query), and given back if the drain fails. The batches are
 // kept as they arrive — they are immutable after handoff — and copied
-// once, at the end, into a row slice of exactly the result's size:
-// growing it by appends would allocate and copy about twice the result.
+// once, at the end, into a row slice of exactly the result's size, taken
+// from the execution's scratch like the rows themselves: the Relation is
+// valid until that scratch is reset.
 func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
 	defer it.Close()
 	var sg streamGuard
@@ -350,7 +363,7 @@ func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
 	}
 	drained = true
 	if n > 0 {
-		out.Rows = make([]value.Row, 0, n)
+		out.Rows = sg.sc.batch(n)
 		for _, b := range batches {
 			out.Rows = append(out.Rows, b...)
 		}

@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -15,29 +15,30 @@ import (
 )
 
 // Tests that what an operator allocates and charges follows the rows
-// it touches: arena slab growth, hash-table sizing, the in-place scan
-// filter, and the allocation-free Stats merge.
+// it touches: scratch rows and chunk reuse, hash-table sizing, the
+// in-place scan filter, and the allocation-free Stats merge.
 
-// TestRowArenaRowsNeverAlias: every row an arena hands out is a
-// full-capacity subslice of storage no other row shares, across slab
-// boundaries and at every batch size — so a consumer that appends to a
-// row reallocates instead of writing into its neighbour.
-func TestRowArenaRowsNeverAlias(t *testing.T) {
-	for _, bs := range []int{1, 3, DefaultBatchSize} {
-		for _, width := range []int{1, 2, 5} {
-			withBatchSize(t, bs)
-			a := rowArena{width: width}
-			// Enough rows to cross the 4, 8, 16, … slab boundaries and,
-			// at small batch sizes, many capped slabs.
+// TestScratchRowsNeverAlias: every row a scratch hands out is a
+// full-capacity subslice of storage no other row shares, across chunk
+// boundaries and across a Reset — so a consumer that appends to a row
+// reallocates instead of writing into its neighbour.
+func TestScratchRowsNeverAlias(t *testing.T) {
+	for _, width := range []int{1, 2, 5} {
+		sc := NewScratch()
+		for round := 0; round < 2; round++ {
+			// Enough rows to cross several chunk boundaries.
 			const n = 100
 			rows := make([]value.Row, n)
 			for i := range rows {
-				rows[i] = a.next()
+				rows[i] = sc.cells(width)
 				if len(rows[i]) != width || cap(rows[i]) != width {
-					t.Fatalf("bs=%d width=%d row %d: len=%d cap=%d, want both %d",
-						bs, width, i, len(rows[i]), cap(rows[i]), width)
+					t.Fatalf("width=%d row %d: len=%d cap=%d, want both %d",
+						width, i, len(rows[i]), cap(rows[i]), width)
 				}
 				for c := range rows[i] {
+					if !rows[i][c].IsNull() {
+						t.Fatalf("round %d width=%d row %d: a fresh cell reads %s", round, width, i, rows[i][c])
+					}
 					rows[i][c] = value.Int(int64(i*10 + c))
 				}
 			}
@@ -48,40 +49,71 @@ func TestRowArenaRowsNeverAlias(t *testing.T) {
 			for i, row := range rows {
 				for c, v := range row {
 					if v.AsInt() != int64(i*10+c) {
-						t.Fatalf("bs=%d width=%d: row %d col %d = %s: rows alias", bs, width, i, c, v)
+						t.Fatalf("width=%d: row %d col %d = %s: rows alias", width, i, c, v)
 					}
 				}
 			}
+			if poisoned {
+				return // a poisoned Reset reuses nothing
+			}
+			sc.Reset()
 		}
 	}
 }
 
-// TestRowArenaSlabsGrowWithOutput pins the growth rule: the first slab
-// holds a few rows, each later slab doubles, and none exceeds
-// BatchSize() rows.
-func TestRowArenaSlabsGrowWithOutput(t *testing.T) {
-	withBatchSize(t, 16)
-	a := rowArena{width: 3}
-	var slabs []int
-	for i := 0; i < 60; i++ {
-		before := a.rows
-		fresh := len(a.buf) < a.width
-		a.next()
-		if fresh {
-			slabs = append(slabs, a.rows)
-		} else if a.rows != before {
-			t.Fatalf("row %d: slab size changed mid-slab", i)
+// TestScratchReuseAndRetention pins the chunk policy: a first chunk of
+// scratchFirst elements (or the request), doubling on overflow; after a
+// Reset one home chunk holds what the execution took, so repeating it
+// allocates nothing; and no home is larger than scratchRetain bytes, but
+// an execution that spills past it keeps the home it has.
+func TestScratchReuseAndRetention(t *testing.T) {
+	if poisoned {
+		t.Skip("a poisoned Reset recycles nothing")
+	}
+	sc := NewScratch()
+	sc.cells(3)
+	if got := len(sc.values.home); got != scratchFirst {
+		t.Fatalf("first chunk holds %d cells, want %d", got, scratchFirst)
+	}
+	exec := func() {
+		for i := 0; i < 100; i++ {
+			sc.cells(3)
 		}
+		sc.push(sc.batch(0), nil)
 	}
-	if got, want := fmt.Sprint(slabs), "[4 8 16 16 16]"; got != want {
-		t.Fatalf("slab sizes %s, want %s", got, want)
+	exec()
+	if n := len(sc.values.chunk) / scratchFirst; !sc.values.spilled || n*scratchFirst != len(sc.values.chunk) || n&(n-1) != 0 {
+		t.Fatalf("300 more cells: spilled=%v, current chunk %d cells; want doubling from %d",
+			sc.values.spilled, len(sc.values.chunk), scratchFirst)
 	}
-	withBatchSize(t, 1)
-	b := rowArena{width: 3}
-	b.next()
-	b.next()
-	if b.rows != 1 {
-		t.Fatalf("batch size 1: slab of %d rows", b.rows)
+	sc.Reset()
+	exec()
+	if sc.values.spilled || len(sc.values.home) != 303 {
+		t.Fatalf("after Reset: spilled=%v, home %d cells; want one home of the 303 taken", sc.values.spilled, len(sc.values.home))
+	}
+	sc.Reset()
+	if allocs := testing.AllocsPerRun(20, func() { exec(); sc.Reset() }); allocs != 0 {
+		t.Errorf("a repeated execution allocates %.0f times, want 0", allocs)
+	}
+
+	big := NewScratch()
+	keep := scratchRetain / int(reflect.TypeFor[value.Value]().Size())
+	heavy := func() {
+		for i := 0; i < 3; i++ {
+			big.cells(keep / 2)
+		}
+		big.cells(2 * keep)
+	}
+	heavy()
+	big.Reset()
+	if big.values.home != nil || big.values.size != keep {
+		t.Fatalf("after %d cells the next home is %d cells, want the cap, %d", 3*(keep/2)+2*keep, big.values.size, keep)
+	}
+	heavy()
+	home := &big.values.home[0]
+	big.Reset()
+	if len(big.values.home) != keep || &big.values.home[0] != home {
+		t.Errorf("an execution past the cap dropped its %d-cell home (now %d cells)", keep, len(big.values.home))
 	}
 }
 
@@ -129,6 +161,9 @@ func TestSmallHashJoinAllocatesForItsRows(t *testing.T) {
 // Every tenth of 16 × 1,024 rows qualifies: the first batch is full
 // after ten input batches, and the other 615 rows come at the end.
 func TestFilterSizesOutputFromLastEmission(t *testing.T) {
+	if poisoned {
+		t.Skip("a poisoned scratch also records each chunk it retires, one allocation more")
+	}
 	withBatchSize(t, DefaultBatchSize)
 	const n = 16 * DefaultBatchSize
 	rel := &Relation{Cols: []string{"T.K", "T.M"}}
@@ -166,19 +201,20 @@ func TestFilterSizesOutputFromLastEmission(t *testing.T) {
 // way.
 func TestRowTableSizing(t *testing.T) {
 	for rows, slots := range map[int]int{1: 8, 10: 16, 3000: 4096} {
+		sc := NewScratch()
 		tbl := &rowTable{}
-		tbl.reserve(rows)
+		tbl.reserve(sc, rows)
 		if len(tbl.slots) != slots || cap(tbl.entries) != rows {
 			t.Errorf("reserve(%d): %d slots and room for %d entries, want %d and %d",
 				rows, len(tbl.slots), cap(tbl.entries), slots, rows)
 		}
 		for i := 0; i < rows; i++ {
-			tbl.insert(uint64(i), value.Row{value.Int(int64(i))})
+			tbl.insert(sc, uint64(i), value.Row{value.Int(int64(i))})
 		}
 		if len(tbl.slots) != slots || cap(tbl.entries) != rows {
 			t.Errorf("%d reserved rows regrew the table to %d slots, %d entries", rows, len(tbl.slots), cap(tbl.entries))
 		}
-		tbl.reserve(rows) // the next batch: room for both, no more
+		tbl.reserve(sc, rows) // the next batch: room for both, no more
 		if cap(tbl.entries) < 2*rows || cap(tbl.entries) > 4*rows || len(tbl.slots)*3 < 2*rows*4 {
 			t.Errorf("second reserve(%d): %d slots, room for %d entries", rows, len(tbl.slots), cap(tbl.entries))
 		}
@@ -187,15 +223,15 @@ func TestRowTableSizing(t *testing.T) {
 	if u.find(42) != rtNone {
 		t.Error("find on an empty table found something")
 	}
-	u.insert(42, value.Row{value.Int(1)})
+	u.insert(NewScratch(), 42, value.Row{value.Int(1)})
 	if len(u.slots) != rtFloorSlots {
 		t.Errorf("empty table starts from %d slots, want %d", len(u.slots), rtFloorSlots)
 	}
 	// Room that was too little only costs regrowth.
-	low := &rowTable{}
-	low.reserve(1)
+	low, sc := &rowTable{}, NewScratch()
+	low.reserve(sc, 1)
 	for i := 0; i < 500; i++ {
-		low.insert(uint64(i%50), value.Row{value.Int(int64(i))})
+		low.insert(sc, uint64(i%50), value.Row{value.Int(int64(i))})
 	}
 	for h := 0; h < 50; h++ {
 		want := int64(h)

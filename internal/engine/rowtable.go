@@ -13,9 +13,10 @@ import "uniqopt/internal/value"
 //
 // rowTable never shrinks and has no delete; it is built once per
 // operator invocation and discarded. The zero value is an empty table:
-// nothing is allocated until the first insert or reserve. Callers own all Stats counting
-// (HashProbes, HashInserts, Comparisons) and all equality checking:
-// the table only partitions rows by hash.
+// nothing is taken until the first insert or reserve, and then from the
+// execution's scratch, which every call that may grow it is passed.
+// Callers own all Stats counting (HashProbes, HashInserts, Comparisons)
+// and all equality checking: the table only partitions rows by hash.
 type rowTable struct {
 	// slots[s] holds the first and last entry of the chain whose hash
 	// landed in slot s, each offset by +1 so the zero value means
@@ -48,17 +49,17 @@ const rtFloorSlots = 8
 // slot array each grow to hold them, or fourfold if that is more — so a
 // caller that learns its input a batch at a time pays for the rows it
 // was handed, not for a guess.
-func (t *rowTable) reserve(n int) {
+func (t *rowTable) reserve(sc *Scratch, n int) {
 	need := len(t.entries) + n
 	if need > cap(t.entries) {
 		// Entries carry row pointers, so each relocation pays GC write
 		// barriers: fewer, larger moves beat append's default doubling.
-		ne := make([]rtEntry, len(t.entries), max(need, 4*cap(t.entries)))
+		ne := sc.entries.take(max(need, 4*cap(t.entries)))[:len(t.entries)]
 		copy(ne, t.entries)
 		t.entries = ne
 	}
 	if need*4 > len(t.slots)*3 {
-		t.grow(need)
+		t.grow(sc, need)
 	}
 }
 
@@ -83,9 +84,9 @@ func (t *rowTable) find(h uint64) int32 {
 
 // insert appends row to hash h's chain (creating the chain if h is
 // new) and returns the new entry's index.
-func (t *rowTable) insert(h uint64, row value.Row) int32 {
+func (t *rowTable) insert(sc *Scratch, h uint64, row value.Row) int32 {
 	if len(t.entries) == cap(t.entries) || (len(t.entries)+1)*4 > len(t.slots)*3 {
-		t.reserve(4)
+		t.reserve(sc, 4)
 	}
 	idx := int32(len(t.entries))
 	t.entries = append(t.entries, rtEntry{hash: h, next: rtNone, row: row})
@@ -111,13 +112,13 @@ func (t *rowTable) insert(h uint64, row value.Row) int32 {
 // order, which preserves each chain's insertion order; the 4x factor
 // keeps total rehash work near one pass over the final table even when
 // the table started from nothing.
-func (t *rowTable) grow(rows int) {
+func (t *rowTable) grow(sc *Scratch, rows int) {
 	n := max(len(t.slots)*4, rtFloorSlots)
 	for n*3 < rows*4 && n < 1<<30 {
 		n <<= 1
 	}
 	t.mask = uint64(n - 1)
-	t.slots = make([]rtSlot, n)
+	t.slots = sc.slots.take(n)
 	for idx := range t.entries {
 		e := &t.entries[idx]
 		e.next = rtNone

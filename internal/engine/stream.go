@@ -25,34 +25,6 @@ import (
 // execution; they check the ordinals against their inputs, so a
 // malformed plan fails at assembly instead of panicking mid-stream.
 
-// arenaFirstRows is the row count of a rowArena's first slab.
-const arenaFirstRows = 4
-
-// rowArena hands out fixed-width output rows carved from shared
-// backing slabs, so an operator pays one allocation per slab instead
-// of one per row. Slabs are sized by what the operator has emitted so
-// far, not by what it might emit: the first holds arenaFirstRows rows
-// and each later one twice the one before, up to BatchSize() — a join
-// proven to emit one row allocates room for a few, and a large result
-// still settles at one allocation per batch. Every returned row is a
-// full-capacity subslice, never reused, so emitted rows satisfy the
-// immutability contract.
-type rowArena struct {
-	buf   value.Row
-	width int
-	rows  int // rows in the current slab; 0 before the first
-}
-
-func (a *rowArena) next() value.Row {
-	if len(a.buf) < a.width || a.width == 0 {
-		a.rows = min(max(2*a.rows, arenaFirstRows), BatchSize())
-		a.buf = make(value.Row, a.width*a.rows)
-	}
-	row := a.buf[:a.width:a.width]
-	a.buf = a.buf[a.width:]
-	return row
-}
-
 // EmitCol names where one output column of a join comes from: column
 // Ord of its left input (the hash join's probe, the index join's outer,
 // the product's left) or, with Right set, of its right input (the build
@@ -64,9 +36,9 @@ type EmitCol struct {
 
 // Emit is a join's output layout, one EmitCol per output column. It is
 // the only way a join writes a row: the planner lists what is read above
-// the join — nothing else is copied, a column may repeat — and the
-// arena's slabs are as wide as the list. The full-width row of earlier
-// versions is IdentityEmit.
+// the join — nothing else is copied, a column may repeat — and each row
+// it carves from the scratch is as wide as the list. The full-width row
+// of earlier versions is IdentityEmit.
 type Emit []EmitCol
 
 // IdentityEmit is the layout of every left column then every right one.
@@ -141,7 +113,7 @@ func (it *indexScanIter) Next(ctx context.Context) (Batch, error) {
 	if end > len(it.ords) {
 		end = len(it.ords)
 	}
-	b := make(Batch, 0, end-it.pos)
+	b := it.sg.sc.batch(end - it.pos)
 	for _, ri := range it.ords[it.pos:end] {
 		b = append(b, it.tbl.Row(ri))
 	}
@@ -230,17 +202,18 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 			if n == 0 {
 				n = bs
 			}
-			out = make(Batch, 0, n+n/8)
+			out = it.sg.sc.batch(n + n/8)
 		}
 		// The batch path polls no cancellation of its own: the child's
 		// Next has just polled it, once for the batch. It grows out by
-		// exactly the rows it keeps; the row loop appends a row at a
-		// time, so it starts a short stream at a quarter of its input.
-		if kept, ok := it.keep.Select(out, b); ok {
+		// exactly the rows it keeps, from the scratch; the row loop
+		// appends a row at a time, so it starts a short stream at a
+		// quarter of its input.
+		if kept, ok := it.keep.Select(out, b, it.sg.sc.grow); ok {
 			out = kept
 		} else {
 			if out == nil {
-				out = make(Batch, 0, len(b)/4)
+				out = it.sg.sc.batch(len(b) / 4)
 			}
 			if out, err = g.qualifying(out, b, it.keep.Pred); err != nil {
 				return nil, err
@@ -289,12 +262,12 @@ func checkOrdinals(cols []string, idx []int) error {
 }
 
 // project copies the columns at idx of every row of b into fresh rows
-// carved from one slab: the batch's size is known, so it pays one
-// allocation for exactly the rows it emits.
-func project(b Batch, idx []int) Batch {
+// carved from one slab of the scratch: the batch's size is known, so it
+// takes exactly the rows it emits.
+func project(sc *Scratch, b Batch, idx []int) Batch {
 	w := len(idx)
-	slab := make(value.Row, len(b)*w)
-	out := make(Batch, len(b))
+	slab := sc.cells(len(b) * w)
+	out := sc.batch(len(b))[:len(b)]
 	for r, row := range b {
 		nr := slab[r*w : (r+1)*w : (r+1)*w]
 		for i, c := range idx {
@@ -341,7 +314,7 @@ func (it *projectIter) Next(ctx context.Context) (Batch, error) {
 	if it.identity {
 		return it.sg.emitHeld(b)
 	}
-	return it.sg.emit(project(b, it.idx))
+	return it.sg.emit(project(it.sg.sc, b, it.idx))
 }
 
 func (it *projectIter) Close() error {
@@ -407,13 +380,13 @@ func (it *distinctHashIter) Next(ctx context.Context) (Batch, error) {
 // dedup returns the rows of b not ≐-equal to a row seen before, and
 // adds them to the table.
 func (it *distinctHashIter) dedup(b Batch) (Batch, error) {
-	t := &it.table
+	t, sc := &it.table, it.sg.sc
 	if t.len() == 0 {
 		// Room for the first batch in one step, not by quadrupling from
 		// nothing: at most every row of it is new.
-		t.reserve(len(b))
+		t.reserve(sc, len(b))
 	}
-	out := make(Batch, 0, len(b))
+	out := sc.batch(len(b))
 	for _, row := range b {
 		if err := it.sg.step(); err != nil {
 			return nil, err
@@ -431,7 +404,7 @@ func (it *distinctHashIter) dedup(b Batch) (Batch, error) {
 		if dup {
 			continue
 		}
-		t.insert(h, row)
+		t.insert(sc, h, row)
 		it.st.HashInserts++
 		if err := it.sg.holdRow(row); err != nil {
 			return nil, err
@@ -611,7 +584,6 @@ type hashJoinIter struct {
 	sg           streamGuard
 	table        *rowTable
 	keyBuf       value.Row
-	arena        rowArena
 	built        bool
 	pb           Batch
 	pidx         int
@@ -641,7 +613,6 @@ func NewHashJoinIter(st *Stats, probe, build Iterator, emit Emit, pi, bi []int) 
 		probe: probe, build: build, cols: cols, emit: emit, pi: pi, bi: bi, st: st,
 		table:  &rowTable{},
 		keyBuf: make(value.Row, len(bi)),
-		arena:  rowArena{width: len(emit)},
 	}, nil
 }
 
@@ -659,7 +630,7 @@ func (j *hashJoinIter) buildTable(ctx context.Context) error {
 		// The table is sized by the batches that arrive, not by a bound
 		// on them — a selective filter keeps a fraction of what it might
 		// — and most build sides arrive in one.
-		j.table.reserve(len(b))
+		j.table.reserve(j.sg.sc, len(b))
 		for _, row := range b {
 			if err := j.sg.step(); err != nil {
 				return err
@@ -670,7 +641,7 @@ func (j *hashJoinIter) buildTable(ctx context.Context) error {
 			for i, c := range j.bi {
 				j.keyBuf[i] = row[c]
 			}
-			j.table.insert(hashRow(j.keyBuf), row)
+			j.table.insert(j.sg.sc, hashRow(j.keyBuf), row)
 			j.st.HashInserts++
 			if err := j.sg.holdRow(row); err != nil {
 				return err
@@ -701,7 +672,7 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 			return nil, err
 		}
 	}
-	bs := BatchSize()
+	bs, sc := BatchSize(), j.sg.sc
 	var out Batch
 	for {
 		if j.pb == nil {
@@ -737,15 +708,15 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 				if !equalAt(prow, j.pi, brow, j.bi, j.st) {
 					continue
 				}
-				nr := j.arena.next()
+				nr := sc.cells(len(j.emit))
 				j.emit.fill(nr, prow, brow)
 				if out == nil {
 					// Sized by the batch emitted last, as the filter sizes
-					// its output: one allocation a batch once the stream is
+					// its output: one slice a batch once the stream is
 					// steady, not one per doubling.
-					out = make(Batch, 0, j.last)
+					out = sc.batch(j.last)
 				}
-				out = append(out, nr)
+				out = sc.push(out, nr)
 			}
 			if len(out) >= bs {
 				return j.emitOut(out)
@@ -793,7 +764,7 @@ type IndexProbe struct {
 // indexJoinIter streams outer ⋈ table by seeking the table's ordered
 // index once per outer row instead of reading the table: nothing is
 // built and nothing is held, so the rows it touches are proportional to
-// its outer input and its matches. The join form emits one arena row
+// its outer input and its matches. The join form emits one scratch row
 // per qualifying entry, laid out by its Emit, in outer order with index
 // order inside a key. The semi form stops at the first
 // qualifying entry and passes the outer row itself through, untouched
@@ -808,7 +779,6 @@ type indexJoinIter struct {
 	st      *Stats
 	sg      streamGuard
 	keyBuf  value.Row
-	arena   rowArena
 	ob      Batch          // the outer batch being probed
 	oidx    int            // the next row of ob
 	orow    value.Row      // the outer row whose entries are being fetched
@@ -845,7 +815,6 @@ func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, s
 	j := &indexJoinIter{
 		outer: outer, in: in, cols: cols, emit: emit, semi: semi, st: st,
 		keyBuf: make(value.Row, len(in.Key)),
-		arena:  rowArena{width: len(emit)},
 	}
 	if in.Pred != nil {
 		j.keep = eval.Compile(in.Pred, in.Cols, env)
@@ -902,7 +871,7 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 			return nil, err
 		}
 	}
-	bs := BatchSize()
+	bs, sc := BatchSize(), j.sg.sc
 	var out Batch
 	for {
 		for j.probing {
@@ -928,12 +897,12 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 				}
 			}
 			if j.semi {
-				out = append(out, j.orow)
+				out = sc.push(out, j.orow)
 				j.probing = false
 			} else {
-				nr := j.arena.next()
+				nr := sc.cells(len(j.emit))
 				j.emit.fill(nr, j.orow, irow)
-				out = append(out, nr)
+				out = sc.push(out, nr)
 			}
 			if len(out) >= bs {
 				return j.sg.emit(out)
@@ -971,7 +940,6 @@ type productIter struct {
 	emit        Emit
 	st          *Stats
 	sg          streamGuard
-	arena       rowArena
 	lb          Batch // the left batch being paired
 	li, ri      int   // the next pair: lb[li] with inner[ri]
 	built       bool
@@ -984,7 +952,7 @@ func NewProductIter(st *Stats, l, r Iterator, emit Emit) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &productIter{left: l, right: r, cols: cols, emit: emit, st: st, arena: rowArena{width: len(emit)}}, nil
+	return &productIter{left: l, right: r, cols: cols, emit: emit, st: st}, nil
 }
 
 func (j *productIter) Cols() []string { return j.cols }
@@ -1000,7 +968,7 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 		}
 		j.built = true
 	}
-	bs := BatchSize()
+	bs, sc := BatchSize(), j.sg.sc
 	var out Batch
 	for {
 		if j.li >= len(j.lb) {
@@ -1025,9 +993,9 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 				return nil, err
 			}
 			j.st.JoinPairs++
-			nr := j.arena.next()
+			nr := sc.cells(len(j.emit))
 			j.emit.fill(nr, lrow, rr)
-			out = append(out, nr)
+			out = sc.push(out, nr)
 			if len(out) >= bs {
 				return j.sg.emit(out)
 			}

@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"uniqopt/internal/sql/ast"
@@ -82,14 +81,15 @@ const selChunk = 1024
 // a time over the whole batch: the first narrows a selection vector of
 // the batch's row indexes to the rows it accepts, each later one
 // compacts that vector in place, and the rows left are appended to out,
-// the only pointers written. ok is false, with out as it came, when the
-// clause is not a conjunction of kernels or a kernel meets a cell it
-// does not own. The caller then runs Pred over the batch, so the two
-// paths agree on every row, truth value and error: a kernel decides an
-// owned cell TRUE or FALSE, never Unknown and never an error, and each
-// conjunct here reads exactly the rows Pred's loop would have reached it
-// with.
-func (f *Filter) Select(out, batch []value.Row) ([]value.Row, bool) {
+// the only pointers written; grow (slices.Grow, or an allocator of the
+// caller's) returns out with room for n more rows. ok is false, with out
+// as it came, when the clause is not a conjunction of kernels or a
+// kernel meets a cell it does not own. The caller then runs Pred over
+// the batch, so the two paths agree on every row, truth value and error:
+// a kernel decides an owned cell TRUE or FALSE, never Unknown and never
+// an error, and each conjunct here reads exactly the rows Pred's loop
+// would have reached it with.
+func (f *Filter) Select(out, batch []value.Row, grow func(out []value.Row, n int) []value.Row) ([]value.Row, bool) {
 	if len(f.conj) == 0 {
 		return out, false
 	}
@@ -108,7 +108,7 @@ func (f *Filter) Select(out, batch []value.Row) ([]value.Row, bool) {
 				return out[:start], false
 			}
 		}
-		out = slices.Grow(out, len(sel))
+		out = grow(out, len(sel))
 		for _, i := range sel {
 			out = append(out, chunk[i])
 		}

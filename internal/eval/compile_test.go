@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uniqopt/internal/catalog"
@@ -379,7 +380,7 @@ func checkBatch(t *testing.T, pred ast.Expr, env *Env, batch []value.Row) (batch
 	}
 	prefix := []value.Row{{value.Int(-1)}, {value.Int(-2)}}
 	want, wantErr, at := qualifyingRows(nil, batch, f.Pred)
-	got, ok := f.Select(append(make([]value.Row, 0, 4), prefix...), batch)
+	got, ok := f.Select(append(make([]value.Row, 0, 4), prefix...), batch, slices.Grow[[]value.Row])
 	if len(got) < len(prefix) || &got[0][0] != &prefix[0][0] || &got[1][0] != &prefix[1][0] {
 		t.Errorf("%s: Select disturbed the rows already in the output", pred.SQL())
 		return 0, false

@@ -106,11 +106,12 @@ func TestDelayMode(t *testing.T) {
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Fatalf("delay fired in %v, want >= 30ms", d)
 	}
-	// Limit reached: second hit is instant.
-	start = time.Now()
+	// Limit reached: the second hit is counted but does not fire. The
+	// registry's counters say so without a clock, which a loaded machine
+	// could stall past any bound.
 	_ = Point("t.delay")
-	if d := time.Since(start); d > 10*time.Millisecond {
-		t.Fatalf("over-limit hit still delayed (%v)", d)
+	if hits, fires := Hits("t.delay"); hits != 2 || fires != 1 {
+		t.Fatalf("Hits = (%d, %d) after an over-limit hit, want (2, 1)", hits, fires)
 	}
 }
 

@@ -125,8 +125,11 @@ func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]
 // engine operator; Options.MaxRows / Options.MemBudget (or a governor
 // already attached to ctx) bound the query's live footprint; and any
 // panic below this boundary is contained into an *engine.InternalError.
-// On error the result is nil — partial rows are never exposed. c is
-// only read.
+// The pipeline allocates from the engine.Scratch attached to ctx, and
+// Result.Rel lives there until the caller resets it; with none attached
+// it gets a fresh one that nothing resets, so the result is the
+// caller's for good. On error the result is nil — partial rows are
+// never exposed. c is only read.
 func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]value.Value, analyze bool) (res *Result, err error) {
 	defer func() {
 		if err != nil {
@@ -138,6 +141,9 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 		if g := engine.NewGovernor(p.Opts.MaxRows, p.Opts.MemBudget); g != nil {
 			ctx = engine.WithGovernor(ctx, g)
 		}
+	}
+	if engine.ScratchFrom(ctx) == nil {
+		ctx = engine.WithScratch(ctx, engine.NewScratch())
 	}
 	res = &Result{Rewrites: c.Rewrites(hosts)}
 	b := &builder{st: &res.Stats, env: eval.Env{Hosts: hosts}, built: make([]engine.Iterator, 0, 8)}

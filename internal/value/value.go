@@ -402,6 +402,71 @@ func HashCols(r Row, cols []int) uint64 {
 	return h
 }
 
+// BoxRows copies rows out as Go values, width cells a row: int64,
+// string, bool, or nil for NULL. The copy shares nothing with rows, but
+// it is not one allocation per cell: one slab holds every row's cells,
+// and each boxed integer or string points into one array of each kind
+// that the whole result shares. An integer below 256 and a boolean box
+// without allocating anyway. A string's bytes are not copied: they are
+// the stored string's, which is never written again.
+func BoxRows(rows []Row, width int) [][]any {
+	nints, nstrs := 0, 0
+	for _, r := range rows {
+		for i := range r {
+			switch c := &r[i]; {
+			case c.kind == KindInt && uint64(c.n) >= 256:
+				nints++
+			case c.kind == KindString:
+				nstrs++
+			}
+		}
+	}
+	// Exact capacities: an append never moves what a boxed cell points at.
+	ints, strs := make([]int64, 0, nints), make([]string, 0, nstrs)
+	slab := make([]any, len(rows)*width)
+	out := make([][]any, len(rows))
+	for i, r := range rows {
+		cells := slab[i*width : (i+1)*width : (i+1)*width]
+		for j := range r {
+			switch c := &r[j]; c.kind {
+			case KindInt:
+				if uint64(c.n) < 256 {
+					cells[j] = c.n
+					break
+				}
+				ints = append(ints, c.n)
+				cells[j] = boxAt(intType, unsafe.Pointer(&ints[len(ints)-1]))
+			case KindString:
+				strs = append(strs, c.str())
+				cells[j] = boxAt(stringType, unsafe.Pointer(&strs[len(strs)-1]))
+			case KindBool:
+				cells[j] = c.n != 0
+			}
+		}
+		out[i] = cells
+	}
+	return out
+}
+
+// eface is the layout of an interface value with no methods: its
+// dynamic type and a pointer to the value.
+type eface struct {
+	typ, data unsafe.Pointer
+}
+
+var intType, stringType = typeWord(int64(0)), typeWord("")
+
+func typeWord(v any) unsafe.Pointer { return (*eface)(unsafe.Pointer(&v)).typ }
+
+// boxAt returns an interface of the dynamic type typ whose value is the
+// one at p. Nothing writes a value through an interface, so one array
+// may back any number of them, as long as nothing else writes it
+// either.
+func boxAt(typ, p unsafe.Pointer) (v any) {
+	*(*eface)(unsafe.Pointer(&v)) = eface{typ: typ, data: p}
+	return v
+}
+
 // String renders the row as a parenthesized tuple of SQL literals.
 func (r Row) String() string {
 	var sb strings.Builder

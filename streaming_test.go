@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"uniqopt"
@@ -324,5 +325,51 @@ func TestInPlaceScanFilterIdentity(t *testing.T) {
 				t.Errorf("EXPLAIN ANALYZE diverges:\n--- first leg\n%s\n--- this leg\n%s", refTree, tree)
 			}
 		})
+	}
+}
+
+// TestConcurrentQueriesEachOwnAScratch: queries running at once on one
+// DB and on a View of it each execute on a scratch of their own — two
+// sharing one would write each other's cells — and an answer kept by the
+// caller is still what it was after every later query has reset and
+// reused the scratch it came from.
+func TestConcurrentQueriesEachOwnAScratch(t *testing.T) {
+	db := goldenDB(t)
+	handles := []*uniqopt.DB{db, db.View(uniqopt.Options{})}
+	names := paperQueryNames()
+	want := map[string]string{}
+	kept := map[string][][]any{}
+	for _, name := range names {
+		rows, err := db.QueryWith(workload.PaperQueries[name], goldenHosts, true)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want[name], kept[name] = fmt.Sprint(rows.Data), rows.Data
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := handles[w%len(handles)]
+			for round := 0; round < 25; round++ {
+				name := names[(w+round)%len(names)]
+				rows, err := h.QueryWith(workload.PaperQueries[name], goldenHosts, true)
+				if err != nil {
+					t.Errorf("worker %d, %s: %v", w, name, err)
+					return
+				}
+				if got := fmt.Sprint(rows.Data); got != want[name] {
+					t.Errorf("worker %d, %s: the answer differs from the serial one", w, name)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, name := range names {
+		if fmt.Sprint(kept[name]) != want[name] {
+			t.Errorf("%s: the answer changed after later queries reused its scratch", name)
+		}
 	}
 }

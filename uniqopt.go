@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"uniqopt/internal/catalog"
@@ -68,6 +70,9 @@ type DB struct {
 	// metrics accumulates per-shape latency histograms, cache hit
 	// rates and governor rejections (see Metrics).
 	metrics *metrics.Registry
+	// scratch recycles the memory executions allocate from, shared with
+	// View handles like the counters.
+	scratch *scratchPool
 }
 
 // Options bound what one query may hold. The optimizer itself has no
@@ -153,6 +158,7 @@ func newDB(st storage.Store, opts Options) *DB {
 		stmts:   vcache.New[*statement](0),
 		stats:   &engine.Stats{},
 		metrics: metrics.New(),
+		scratch: &scratchPool{},
 	}
 }
 
@@ -195,6 +201,7 @@ func (d *DB) View(opts Options) *DB {
 		stmts:   d.stmts,
 		stats:   d.stats,
 		metrics: d.metrics,
+		scratch: d.scratch,
 	}
 }
 
@@ -346,7 +353,11 @@ func Convert(v any) (value.Value, error) {
 // Rows is a materialized query result.
 type Rows struct {
 	Columns []string
-	Data    [][]any
+	// Data holds each row's cells as int64, string, bool or nil (NULL).
+	// It holds no engine memory: the execution's rows were copied out
+	// before their memory went back to the DB for the next query, so Data
+	// is the caller's to keep and to modify.
+	Data [][]any
 	// Stats are the engine work counters for the execution.
 	Stats engine.Stats
 	// Rewrites lists the transformations the optimizer applied
@@ -398,30 +409,64 @@ func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]
 	if err != nil {
 		return nil, err
 	}
-	res, err := d.planner(optimize).Execute(ctx, c.query, c.hosts, false)
+	sc := d.scratch.get()
+	res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.hosts, false)
 	if err == nil {
 		res.Stats.Add(c.stats)
 	}
 	d.observeQuery(c.shape, time.Since(t0), res, err)
 	if err != nil {
+		d.recycle(sc, err)
 		return nil, err
 	}
 	d.stats.Add(res.Stats)
 	out := &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Rewrites: rewriteInfos(res.Rewrites)}
-	// One slab of rows × columns backs the whole result; every row is a
-	// capacity-clipped window of it, so an append by the caller cannot
-	// reach its neighbour.
-	w := len(res.Rel.Cols)
-	slab := make([]any, len(res.Rel.Rows)*w)
-	out.Data = make([][]any, len(res.Rel.Rows))
-	for i, row := range res.Rel.Rows {
-		cells := slab[i*w : (i+1)*w : (i+1)*w]
-		for j, v := range row {
-			cells[j] = toGo(v)
-		}
-		out.Data[i] = cells
-	}
+	// The answer is copied out of the scratch before it is reset: every
+	// row a capacity-clipped window of one slab, so an append by the
+	// caller cannot reach its neighbour.
+	out.Data = value.BoxRows(res.Rel.Rows, len(res.Rel.Cols))
+	d.recycle(sc, nil)
 	return out, nil
+}
+
+// recycle resets an execution's scratch and returns it to the pool,
+// once nothing reads the rows it backs. A contained panic may have left
+// it mid-write, so such a scratch is dropped instead.
+func (d *DB) recycle(sc *engine.Scratch, err error) {
+	var ie *InternalError
+	if err != nil && errors.As(err, &ie) {
+		return
+	}
+	sc.Reset()
+	d.scratch.put(sc)
+}
+
+// scratchPool holds the scratches no execution is using. One sits in a
+// slot of its own, so that a caller running one query at a time gets
+// the same scratch back whichever processor it runs on — a sync.Pool
+// alone keeps a returned scratch where only that processor's next Get
+// finds it, and every miss grows a fresh one. Concurrent executions
+// take the others from the sync.Pool, which lets the collector drop
+// them once they go unused.
+type scratchPool struct {
+	last atomic.Pointer[engine.Scratch]
+	pool sync.Pool
+}
+
+func (p *scratchPool) get() *engine.Scratch {
+	if sc := p.last.Swap(nil); sc != nil {
+		return sc
+	}
+	if sc, ok := p.pool.Get().(*engine.Scratch); ok {
+		return sc
+	}
+	return engine.NewScratch()
+}
+
+func (p *scratchPool) put(sc *engine.Scratch) {
+	if !p.last.CompareAndSwap(nil, sc) {
+		p.pool.Put(sc)
+	}
 }
 
 // statement is one compiled statement shape — what the statement cache
@@ -643,19 +688,6 @@ func (d *DB) observeQuery(shape string, elapsed time.Duration, res *plan.Result,
 	d.metrics.ObserveCacheDelta(st.CacheHits, st.CacheMisses)
 }
 
-func toGo(v value.Value) any {
-	switch v.Kind() {
-	case value.KindInt:
-		return v.AsInt()
-	case value.KindString:
-		return v.AsString()
-	case value.KindBool:
-		return v.AsBool()
-	default:
-		return nil
-	}
-}
-
 // Explanation is the result of EXPLAIN / EXPLAIN ANALYZE: the
 // physical plan tree, the optimizer's rewrite decisions, and the
 // uniqueness analyzer's provenance trace (how Algorithm 1 reached its
@@ -707,7 +739,9 @@ func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, 
 	}
 	out := &Explanation{Analyzed: analyze}
 	if analyze {
-		res, err := d.planner(optimize).Execute(ctx, c.query, c.hosts, true)
+		sc := d.scratch.get()
+		res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.hosts, true)
+		d.recycle(sc, err)
 		if err != nil {
 			return nil, err
 		}
