@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test test-fault test-poison race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke fuzz-smoke benchmark-check bench-compare bench-tables ci clean
+.PHONY: all vet lint build test test-fault test-poison race server-smoke crash-matrix fuzz-smoke benchmark-check bench-compare bench-tables ci
 
 all: ci
 
@@ -49,27 +49,11 @@ test-poison:
 race:
 	$(GO) test -race ./...
 
-# Observability smoke: the golden EXPLAIN / EXPLAIN ANALYZE tests.
-explain-smoke:
-	$(GO) test -run 'TestExplain' .
-
-# Server smoke: the wire-protocol suite under the race detector — the
-# frame codec against encoding/json, sessions, prepared statements,
-# admission control, DDL vs query snapshots, shutdown drain, and the
-# goroutine-leak checks for client disconnect and daemon shutdown; then
-# the session-cap and admission tests fifty times over, so a
-# slot-accounting race fails here rather than one tier-1 run in fifteen.
-# How fast the wire path is, is the repository benchmark's wire_oltp.
+# Server smoke: the session-cap and admission tests fifty times over,
+# so a slot-accounting race fails here rather than one tier-1 run in
+# fifteen. The rest of the server suite runs in test and race.
 server-smoke:
-	$(GO) test -race ./internal/server/... ./cmd/uniqoptd ./cmd/sqlsh
 	$(GO) test ./internal/server -run 'SessionCap|Admission' -count=50
-
-# Planner smoke: the join-ordering, plan-cache, and access-path suite
-# under the race detector, including the concurrent DDL×EXEC stale-plan
-# regression in the server suite.
-planner-smoke:
-	$(GO) test -race -run 'TestJoinOrder|TestDerived|TestWrittenJoinOrder|TestExplainNamesBounds|TestPlanCache|TestIndex' ./internal/plan/
-	$(GO) test -race -run 'TestServerPlanCacheDDLRace' ./internal/server/
 
 # Crash matrix: the storage suite under the race detector with the
 # fault registry armed — WAL append/sync/checkpoint fault points, torn
@@ -78,11 +62,6 @@ planner-smoke:
 # demo-load suppression after recovery).
 crash-matrix:
 	$(GO) test -race -tags fault ./internal/storage/... ./cmd/uniqoptd
-
-# Storage smoke: golden paper examples byte-identical on the memory
-# and WAL backends.
-storage-smoke:
-	$(GO) test -run 'BothBackends' .
 
 # Fuzz smoke: ten seconds each of the six fuzz targets — the frame
 # codec against encoding/json, the SQL parser on statements and on
@@ -128,7 +107,4 @@ bench-compare:
 bench-tables:
 	$(GO) run ./cmd/benchrunner -exp all -scale 0.25 > bench_output_tables.txt
 
-ci: vet lint build test test-fault test-poison race explain-smoke server-smoke planner-smoke crash-matrix storage-smoke benchmark-check
-
-clean:
-	rm -f BENCH_explain.json BENCH_storage.json BENCH_planner.json
+ci: vet lint build test test-fault test-poison race server-smoke crash-matrix benchmark-check

@@ -4,23 +4,15 @@
 //
 // Usage:
 //
-//	benchrunner [-exp e1|e2|...|e9|planner|explain|storage|all] [-scale 1.0]
-//	            [-sort] [-trials N] [-json FILE]
+//	benchrunner [-exp e1|e2|...|e9|all] [-scale 1.0] [-sort] [-trials N]
 //
 // -scale shrinks or grows the workload sizes; -sort runs E1 against the
 // paper's baseline, a sort-based DISTINCT, instead of the hash table the
 // database uses (with -exp all, as one more table); -trials overrides
-// E8's corpus size; -json
-// additionally writes the tables as a JSON array to FILE. -exp explain
-// runs the observability experiment: EXPLAIN ANALYZE over the paper's
-// examples plus a metrics-registry summary. -exp storage compares the
-// in-memory and write-ahead-log backends on the same bulk load (group
-// commit and fsync-per-insert ack disciplines) and measures cold-start
-// recovery (not part of -exp all).
+// E8's corpus size.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,11 +22,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: e1..e9, planner, explain, storage, or all")
+	exp := flag.String("exp", "all", "experiment to run: e1..e9 or all")
 	scale := flag.Float64("scale", 1.0, "workload scale factor")
 	sortDistinct := flag.Bool("sort", false, "E1 against the paper's baseline: sort-based DISTINCT instead of hash")
 	trials := flag.Int("trials", 0, "E8 corpus size (0 = default)")
-	jsonOut := flag.String("json", "", "also write the tables as JSON to this file")
 	flag.Parse()
 
 	sc := bench.Scale{Factor: *scale}
@@ -58,12 +49,6 @@ func main() {
 		tables = []*bench.Table{bench.E8(sc, *trials)}
 	case "e9":
 		tables = []*bench.Table{bench.E9(sc)}
-	case "planner":
-		tables = []*bench.Table{bench.EPlanner(sc)}
-	case "explain":
-		tables = []*bench.Table{bench.EExplain(sc)}
-	case "storage":
-		tables = []*bench.Table{bench.EStorage(sc)}
 	case "all":
 		tables = bench.All(sc)
 		if *sortDistinct {
@@ -78,17 +63,5 @@ func main() {
 			fmt.Println()
 		}
 		fmt.Print(t.Format())
-	}
-	if *jsonOut != "" {
-		data, err := json.MarshalIndent(tables, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: marshal: %v\n", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }

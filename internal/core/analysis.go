@@ -57,8 +57,6 @@ type Options struct {
 	// interpretation ⌈P⌉, so CHECK (X = 5) on a nullable X admits
 	// NULLs and does not bind the column under ≐.
 	UseCheckConstraints bool
-	// MaxClauses caps CNF conversion (0 = norm.DefaultMaxClauses).
-	MaxClauses int
 }
 
 // Verdict is the outcome of a uniqueness analysis.
@@ -358,10 +356,7 @@ func (a *Analyzer) DistinctRedundant(s *ast.Select) (bool, *Verdict, error) {
 // scope chain (resolution depends on it), the option set, and the
 // catalog version.
 func (a *Analyzer) extractEqualities(where ast.Expr, scope *catalog.Scope) norm.Equalities {
-	opts := norm.ExtractOptions{
-		BindIsNull: a.Opts.BindIsNull,
-		MaxClauses: a.Opts.MaxClauses,
-	}
+	opts := norm.ExtractOptions{BindIsNull: a.Opts.BindIsNull}
 	if a.Cache == nil {
 		return norm.Extract(where, scope, opts)
 	}

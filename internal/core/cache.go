@@ -118,7 +118,7 @@ func (o Options) Bits() uint64 {
 	if o.UseCheckConstraints {
 		b |= 4
 	}
-	return b | uint64(o.MaxClauses)<<3
+	return b
 }
 
 // scopeSignature renders a scope chain as a canonical string:

@@ -188,9 +188,9 @@ func (sg *streamGuard) emitHeld(b Batch) (Batch, error) {
 	return b, nil
 }
 
-// holdRow charges one row of blocking state, flushing every
-// chargeBatch rows.
-func (sg *streamGuard) holdRow(row value.Row) error {
+// keep charges one row of blocking state, flushing every chargeBatch
+// rows.
+func (sg *streamGuard) keep(row value.Row) error {
 	sg.pendRows++
 	sg.pendBytes += rowBytes(row)
 	if sg.pendRows >= chargeBatch {
@@ -225,16 +225,6 @@ func (sg *streamGuard) collect(ctx context.Context, child Iterator) ([]value.Row
 		}
 		rows = append(rows, b...)
 	}
-}
-
-// adopt takes over charges a relation-at-a-time operator made on this
-// iterator's behalf (a blocking body run under its own guard, which
-// never releases), so that close returns them: rows and bytes are the
-// growth of Stats.RowsMaterialized and Stats.BytesReserved across the
-// call, which mirror every guard charge one for one.
-func (sg *streamGuard) adopt(rows, bytes int64) {
-	sg.heldRows += rows
-	sg.heldBytes += bytes
 }
 
 // flushHeld pushes pending held charges to the Stats counters and the

@@ -185,12 +185,7 @@ func DistinctSort(ctx context.Context, st *Stats, rel *Relation) (*Relation, err
 	if err := g.keepN(rows); err != nil {
 		return nil, err
 	}
-	st.SortRuns++
-	st.RowsSorted += int64(len(rows))
-	sortRowsBy(rows, func(a, b value.Row) int {
-		st.Comparisons++
-		return value.OrderCompareRows(a, b)
-	})
+	sortCounted(st, rows)
 	out := &Relation{Cols: rel.Cols}
 	for i, row := range rows {
 		if err := g.step(); err != nil {

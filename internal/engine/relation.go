@@ -130,6 +130,18 @@ func (r *Relation) SortRows() {
 	sortRowsBy(r.Rows, func(a, b value.Row) int { return value.OrderCompareRows(a, b) })
 }
 
+// sortCounted sorts rows in place by OrderCompareRows, counting one sort
+// run, its rows and every comparison in st: the sort of every operator
+// that sorts.
+func sortCounted(st *Stats, rows []value.Row) {
+	st.SortRuns++
+	st.RowsSorted += int64(len(rows))
+	sortRowsBy(rows, func(a, b value.Row) int {
+		st.Comparisons++
+		return value.OrderCompareRows(a, b)
+	})
+}
+
 // sortRowsBy is a simple merge sort counting nothing; operator-level
 // sorts count inside the comparison function they pass.
 func sortRowsBy(rows []value.Row, cmp func(a, b value.Row) int) {

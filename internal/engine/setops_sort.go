@@ -12,19 +12,53 @@ import (
 // result, and merge. Tuple equivalence is ≐ (NULL ≐ NULL). This is
 // the baseline strategy whose two sorts the Theorem 3 rewrite avoids.
 func IntersectSort(ctx context.Context, st *Stats, l, r *Relation, all bool) (*Relation, error) {
+	return sortMerge(ctx, st, l, r, all, intersectSorted)
+}
+
+// ExceptSort implements EXCEPT [ALL] by sorting and merging, with the
+// same ≐ semantics: EXCEPT emits each left-distinct row absent from
+// the right once; EXCEPT ALL emits max(j−k, 0) occurrences.
+func ExceptSort(ctx context.Context, st *Stats, l, r *Relation, all bool) (*Relation, error) {
+	return sortMerge(ctx, st, l, r, all, exceptSorted)
+}
+
+// sortMerge sorts a copy of each relation's rows, charging the copies
+// to a lifecycle guard, and merges them.
+func sortMerge(ctx context.Context, st *Stats, l, r *Relation, all bool, merge mergeFunc) (*Relation, error) {
 	if err := fault.Point(FaultSort); err != nil {
 		return nil, err
 	}
 	g := newGuard(ctx, st)
-	ls, err := sortedCopy(&g, st, l)
+	var sorted [2][]value.Row
+	for k, rel := range [...]*Relation{l, r} {
+		sorted[k] = append([]value.Row(nil), rel.Rows...)
+		if err := g.keepN(sorted[k]); err != nil {
+			return nil, err
+		}
+		sortCounted(st, sorted[k])
+	}
+	rows, err := merge(st, &g, sorted[0], sorted[1], all)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := sortedCopy(&g, st, r)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: l.Cols}
+	return &Relation{Cols: l.Cols, Rows: rows}, g.finish()
+}
+
+// keeper is what a merge polls cancellation through and charges its
+// output rows to: a relation operator's guard, or the set-operation
+// iterator's own streamGuard.
+type keeper interface {
+	step() error
+	keep(row value.Row) error
+}
+
+// mergeFunc merges two operands sorted by OrderCompareRows, charging
+// every output row to g.
+type mergeFunc func(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value.Row, error)
+
+// intersectSorted merges ls INTERSECT [ALL] rs.
+func intersectSorted(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value.Row, error) {
+	var out []value.Row
 	i, j := 0, 0
 	for i < len(ls) && j < len(rs) {
 		if err := g.step(); err != nil {
@@ -41,42 +75,23 @@ func IntersectSort(ctx context.Context, st *Stats, l, r *Relation, all bool) (*R
 			// Runs of equal rows on both sides.
 			i2 := runEnd(st, ls, i)
 			j2 := runEnd(st, rs, j)
-			n := i2 - i
-			if m := j2 - j; m < n {
-				n = m
+			n := 1
+			if all {
+				n = min(i2-i, j2-j)
 			}
-			if !all {
-				n = 1
-			}
-			for k := 0; k < n; k++ {
-				out.Rows = append(out.Rows, ls[i])
-				if err := g.keep(ls[i]); err != nil {
-					return nil, err
-				}
+			var err error
+			if out, err = appendKept(g, out, ls[i], n); err != nil {
+				return nil, err
 			}
 			i, j = i2, j2
 		}
 	}
-	return out, g.finish()
+	return out, nil
 }
 
-// ExceptSort implements EXCEPT [ALL] by sorting and merging, with the
-// same ≐ semantics: EXCEPT emits each left-distinct row absent from
-// the right once; EXCEPT ALL emits max(j−k, 0) occurrences.
-func ExceptSort(ctx context.Context, st *Stats, l, r *Relation, all bool) (*Relation, error) {
-	if err := fault.Point(FaultSort); err != nil {
-		return nil, err
-	}
-	g := newGuard(ctx, st)
-	ls, err := sortedCopy(&g, st, l)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := sortedCopy(&g, st, r)
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: l.Cols}
+// exceptSorted merges ls EXCEPT [ALL] rs.
+func exceptSorted(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value.Row, error) {
+	var out []value.Row
 	i, j := 0, 0
 	for i < len(ls) {
 		if err := g.step(); err != nil {
@@ -100,38 +115,31 @@ func ExceptSort(ctx context.Context, st *Stats, l, r *Relation, all bool) (*Rela
 				j = j2
 			}
 		}
-		if all {
-			for k := 0; k < (i2-i)-matched; k++ {
-				out.Rows = append(out.Rows, ls[i])
-				if err := g.keep(ls[i]); err != nil {
-					return nil, err
-				}
+		n := (i2 - i) - matched
+		if !all {
+			n = 0
+			if matched == 0 {
+				n = 1
 			}
-		} else if matched == 0 {
-			out.Rows = append(out.Rows, ls[i])
-			if err := g.keep(ls[i]); err != nil {
-				return nil, err
-			}
+		}
+		var err error
+		if out, err = appendKept(g, out, ls[i], n); err != nil {
+			return nil, err
 		}
 		i = i2
 	}
-	return out, g.finish()
+	return out, nil
 }
 
-// sortedCopy sorts a copy of the relation's rows, fully instrumented,
-// charging the sort buffer to the lifecycle guard.
-func sortedCopy(g *guard, st *Stats, rel *Relation) ([]value.Row, error) {
-	rows := append([]value.Row(nil), rel.Rows...)
-	if err := g.keepN(rows); err != nil {
-		return nil, err
+// appendKept appends n copies of row to out, charging each to g.
+func appendKept(g keeper, out []value.Row, row value.Row, n int) ([]value.Row, error) {
+	for k := 0; k < n; k++ {
+		out = append(out, row)
+		if err := g.keep(row); err != nil {
+			return nil, err
+		}
 	}
-	st.SortRuns++
-	st.RowsSorted += int64(len(rows))
-	sortRowsBy(rows, func(a, b value.Row) int {
-		st.Comparisons++
-		return value.OrderCompareRows(a, b)
-	})
-	return rows, nil
+	return out, nil
 }
 
 // runEnd returns the end index of the run of ≐-equal rows starting at i.

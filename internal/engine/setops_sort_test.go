@@ -86,3 +86,37 @@ func TestSortSetOpsSemantics(t *testing.T) {
 		t.Errorf("sort runs = %d", st.SortRuns)
 	}
 }
+
+// The set-operation iterator charges each operand row once, when it
+// collects it, and sorts the buffers it collected into: an INTERSECT ALL
+// of n and m rows materializes the operands, the merged result and the
+// drained result — n+m rows fewer than when the merge charged sorted
+// copies of both operands again. Everything else it counts, and every
+// row, is what the relation-level IntersectSort gives.
+func TestSetOpIterChargesOperandsOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	l, rr := randRelation(r, 300), randRelation(r, 200)
+	var want Stats
+	wantRel := okRel(IntersectSort(ctx0, &want, l, rr, true))
+	var st Stats
+	got := mustDrain(t, &st, NewSetOpIter(&st, NewRelationIter(&st, l), NewRelationIter(&st, rr), false, true))
+	identicalRelations(t, wantRel, got, "INTERSECT ALL")
+	n, m, out := int64(l.Len()), int64(rr.Len()), int64(got.Len())
+	if st.RowsMaterialized != n+m+2*out {
+		t.Errorf("RowsMaterialized = %d, want %d operand rows + 2×%d result rows", st.RowsMaterialized, n+m, out)
+	}
+	var bytes int64
+	for _, rel := range []*Relation{l, rr, got, got} {
+		for _, row := range rel.Rows {
+			bytes += rowBytes(row)
+		}
+	}
+	if st.BytesReserved != bytes {
+		t.Errorf("BytesReserved = %d, want %d", st.BytesReserved, bytes)
+	}
+	if st.SortRuns != want.SortRuns || st.RowsSorted != n+m || st.RowsSorted != want.RowsSorted ||
+		st.Comparisons != want.Comparisons {
+		t.Errorf("sorts %d, rows sorted %d, comparisons %d; IntersectSort: %d, %d, %d",
+			st.SortRuns, st.RowsSorted, st.Comparisons, want.SortRuns, want.RowsSorted, want.Comparisons)
+	}
+}

@@ -406,7 +406,7 @@ func (it *distinctHashIter) dedup(b Batch) (Batch, error) {
 		}
 		t.insert(sc, h, row)
 		it.st.HashInserts++
-		if err := it.sg.holdRow(row); err != nil {
+		if err := it.sg.keep(row); err != nil {
 			return nil, err
 		}
 		out = append(out, row)
@@ -460,12 +460,7 @@ func (it *distinctSortIter) Next(ctx context.Context) (Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		it.st.SortRuns++
-		it.st.RowsSorted += int64(len(rows))
-		sortRowsBy(rows, func(a, b value.Row) int {
-			it.st.Comparisons++
-			return value.OrderCompareRows(a, b)
-		})
+		sortCounted(it.st, rows)
 		// Collapse each run of ≐-equal rows onto its first row, in
 		// place: the buffer is this iterator's own.
 		kept := rows[:0]
@@ -504,12 +499,12 @@ func (it *distinctSortIter) Close() error {
 // setOpIter is the blocking sort-merge form of INTERSECT / EXCEPT [ALL]
 // — the way the paper says typical optimizers run them (§5.3), and what
 // the Theorem 3 / Corollary 2 rewrites exist to avoid: it collects both
-// operands, hands them to IntersectSort or ExceptSort, and emits the
-// merged result in batches. The operands, the two sort buffers and the
-// result are all held state.
+// operands, sorts the buffers it collected them into, merges them and
+// emits the result in batches. The operands and the result are held
+// state, each row charged once.
 type setOpIter struct {
 	l, r   Iterator
-	merge  func(context.Context, *Stats, *Relation, *Relation, bool) (*Relation, error)
+	merge  mergeFunc
 	all    bool
 	st     *Stats
 	sg     streamGuard
@@ -522,9 +517,9 @@ type setOpIter struct {
 // NewSetOpIter streams l INTERSECT [ALL] r, or with except set
 // l EXCEPT [ALL] r, under ≐ row equivalence. Output columns are l's.
 func NewSetOpIter(st *Stats, l, r Iterator, except, all bool) Iterator {
-	merge := IntersectSort
+	merge := intersectSorted
 	if except {
-		merge = ExceptSort
+		merge = exceptSorted
 	}
 	return &setOpIter{l: l, r: r, merge: merge, all: all, st: st}
 }
@@ -544,14 +539,21 @@ func (it *setOpIter) Next(ctx context.Context) (Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows0, bytes0 := it.st.RowsMaterialized, it.st.BytesReserved
-		rel, err := it.merge(ctx, it.st,
-			&Relation{Cols: it.l.Cols(), Rows: lrows}, &Relation{Cols: it.r.Cols(), Rows: rrows}, it.all)
-		it.sg.adopt(it.st.RowsMaterialized-rows0, it.st.BytesReserved-bytes0)
-		if err != nil {
+		if err := fault.Point(FaultSort); err != nil {
 			return nil, err
 		}
-		it.out, it.built = rel.Rows, true
+		sortCounted(it.st, lrows)
+		sortCounted(it.st, rrows)
+		if it.out, err = it.merge(it.st, &it.sg, lrows, rrows, it.all); err != nil {
+			return nil, err
+		}
+		if err := it.sg.flushHeld(); err != nil {
+			return nil, err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		it.built = true
 	}
 	var b Batch
 	if b, it.pos = window(it.out, it.pos); b == nil {
@@ -643,7 +645,7 @@ func (j *hashJoinIter) buildTable(ctx context.Context) error {
 			}
 			j.table.insert(j.sg.sc, hashRow(j.keyBuf), row)
 			j.st.HashInserts++
-			if err := j.sg.holdRow(row); err != nil {
+			if err := j.sg.keep(row); err != nil {
 				return err
 			}
 		}

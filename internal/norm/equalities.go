@@ -141,12 +141,10 @@ type ExtractOptions struct {
 	// (Listed as future work — "transformations based on
 	// true-interpreted predicates" — in the paper's Section 8.)
 	BindIsNull bool
-	// MaxClauses caps the CNF conversion; beyond it the predicate is
-	// treated as contributing no equalities at all.
-	MaxClauses int
 }
 
-// DefaultMaxClauses is the CNF size cap used when MaxClauses is zero.
+// DefaultMaxClauses caps the CNF conversion; beyond it the predicate is
+// treated as contributing no equalities at all.
 const DefaultMaxClauses = 256
 
 // Extract computes the Type 1 / Type 2 equality information of
@@ -163,11 +161,7 @@ func Extract(e ast.Expr, scope *catalog.Scope, opts ExtractOptions) Equalities {
 	if e == nil {
 		return eq
 	}
-	max := opts.MaxClauses
-	if max <= 0 {
-		max = DefaultMaxClauses
-	}
-	clauses, err := CNF(e, max)
+	clauses, err := CNF(e, DefaultMaxClauses)
 	if err != nil {
 		// Predicate too complex: contribute nothing (conservative).
 		eq.Dropped = -1

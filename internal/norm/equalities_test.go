@@ -1,6 +1,8 @@
 package norm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"uniqopt/internal/catalog"
@@ -246,9 +248,20 @@ func TestExtractNilAndTooLarge(t *testing.T) {
 	if len(eq.ConstCols) != 0 || len(eq.Pairs) != 0 {
 		t.Error("nil predicate should extract nothing")
 	}
-	// Build a predicate whose CNF exceeds a tiny cap.
-	src := "(S.SNO = 1 AND S.SNAME = 'a') OR (S.SNO = 2 AND S.SNAME = 'b')"
-	eq = Extract(expr(t, src), s, ExtractOptions{MaxClauses: 2})
+	// An OR of n two-atom conjunctions distributes into 2^n clauses:
+	// eight reach the cap exactly, nine exceed it.
+	disjunction := func(n int) string {
+		terms := make([]string, n)
+		for i := range terms {
+			terms[i] = fmt.Sprintf("(S.SNO = %d AND S.SNAME = 'n%d')", i, i)
+		}
+		return strings.Join(terms, " OR ")
+	}
+	if eq = Extract(expr(t, disjunction(8)), s, ExtractOptions{}); eq.Dropped <= 0 {
+		t.Errorf("a CNF of %d clauses is within the cap: %+v", DefaultMaxClauses, eq)
+	}
+	// Over the cap even the conjunct that would bind S.SNO is lost.
+	eq = Extract(expr(t, "S.SNO = 1 AND ("+disjunction(9)+")"), s, ExtractOptions{})
 	if len(eq.ConstCols) != 0 || eq.Dropped != -1 {
 		t.Errorf("over-cap extraction should contribute nothing: %+v", eq)
 	}

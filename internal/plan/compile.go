@@ -112,15 +112,12 @@ func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
 // it must never run each other's plan. The budgets only bound an
 // execution and are excluded: the same Compiled serves them all.
 func (o Options) CompileBits() uint64 {
-	b := o.Core.Bits() << 3
+	b := o.Core.Bits() << 2
 	if o.ApplyRewrites {
 		b |= 1
 	}
-	if o.WrittenJoinOrder {
-		b |= 2
-	}
 	if o.SortDistinct {
-		b |= 4
+		b |= 2
 	}
 	return b
 }

@@ -21,8 +21,10 @@ type Node struct {
 	Detail string `json:"detail,omitempty"`
 	// Children are the operator's inputs (left input first).
 	Children []*Node `json:"children,omitempty"`
-	// Notes carry plan-level annotations attached to the root (e.g.
-	// the cost-based rewrite decision).
+	// Notes carry the planner's justifications: on a block's root the
+	// join order and why its start table starts, on a join the
+	// uniqueness bound of its step, a flipped build side or an
+	// existence-only probe.
 	Notes []string `json:"notes,omitempty"`
 
 	// Analyzed reports that the metrics below were recorded from a

@@ -311,18 +311,6 @@ func TestIndexJoinRuleA(t *testing.T) {
 			t.Errorf("%s, yet:\n%s", what, planText(res))
 		}
 	}
-	q, err = parser.ParseQuery(ex11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts["PARTNO"] = value.Int(2)
-	written, err := NewPlanner(indexedDB(t), Options{WrittenJoinOrder: true}).explained(q, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hasPlanLine(written, "IndexJoin") {
-		t.Errorf("WrittenJoinOrder is the plan as written, yet:\n%s", planText(written))
-	}
 }
 
 // Rule B: a table of a DISTINCT block that contributes no output column

@@ -239,10 +239,10 @@ func startClass(t *tableTerm) (int, string) {
 // EXPLAIN renders; startTiny reports that the start table is bounded
 // to at most one row by a constant-bound key, which lets the join
 // construction build the (tiny) accumulated prefix as the hash side.
-func (p *Planner) chooseJoinOrder(terms []*tableTerm, conjuncts []ast.Expr, used []bool) (steps []orderedStep, startNote string, startTiny bool) {
+func chooseJoinOrder(terms []*tableTerm, conjuncts []ast.Expr, used []bool) (steps []orderedStep, startNote string, startTiny bool) {
 	n := len(terms)
 	steps = make([]orderedStep, 0, n)
-	if n < 2 || p.Opts.WrittenJoinOrder {
+	if n < 2 {
 		for i := 0; i < n; i++ {
 			steps = append(steps, orderedStep{idx: i})
 		}

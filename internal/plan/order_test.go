@@ -11,9 +11,8 @@ import (
 	"uniqopt/internal/workload"
 )
 
-// runOrdered executes src with the default (uniqueness-ordered)
-// planner and with WrittenJoinOrder, asserts identical results, and
-// returns the ordered run.
+// runOrdered executes src with the planner and with the reference
+// executor, asserts identical results, and returns the planned run.
 func runOrdered(t *testing.T, src string, hosts map[string]value.Value) *Result {
 	t.Helper()
 	db := smallDB(t)
@@ -25,13 +24,13 @@ func runOrdered(t *testing.T, src string, hosts map[string]value.Value) *Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	written, err := NewPlanner(db, Options{WrittenJoinOrder: true}).Run(q, hosts)
+	ref, err := engine.NewExecutor(db, hosts).Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !engine.MultisetEqual(ordered.Rel, written.Rel) {
-		t.Fatalf("join ordering changed the result for %q:\nordered %d rows, written %d rows",
-			src, ordered.Rel.Len(), written.Rel.Len())
+	if !engine.MultisetEqual(ordered.Rel, ref) {
+		t.Fatalf("join ordering changed the result for %q:\nordered %d rows, reference %d rows",
+			src, ordered.Rel.Len(), ref.Len())
 	}
 	return ordered
 }
@@ -68,24 +67,6 @@ func TestDerivedConstEqualityPushdown(t *testing.T) {
 	}
 }
 
-// WrittenJoinOrder disables both reordering and derived pushdown — the
-// pre-planner behavior the benchmarks use as their baseline.
-func TestWrittenJoinOrderOption(t *testing.T) {
-	db := smallDB(t)
-	q, err := parser.ParseQuery(`SELECT S.SNAME, P.PNO FROM SUPPLIER S, PARTS P
-		WHERE S.SNO = P.SNO AND P.COLOR = 'RED'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewPlanner(db, Options{WrittenJoinOrder: true}).explained(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hasPlanLine(res, "join order:") {
-		t.Errorf("WrittenJoinOrder must not reorder:\n%s", planText(res))
-	}
-}
-
 // A table with no predicate connecting it to the rest goes last — the
 // Cartesian product runs over the smallest possible prefix.
 func TestJoinOrderCartesianLast(t *testing.T) {
@@ -116,8 +97,8 @@ func TestJoinOrderThreeWayChain(t *testing.T) {
 	}
 }
 
-// The ordered planner and the written-order baseline agree on every
-// paper example, with and without rewrites — ordering is a pure
+// The ordered planner and the reference executor agree on every paper
+// example, with and without rewrites — ordering is a pure
 // execution-strategy change, never a semantic one.
 func TestJoinOrderEquivalenceOnPaperExamples(t *testing.T) {
 	db := smallDB(t)
@@ -132,6 +113,10 @@ func TestJoinOrderEquivalenceOnPaperExamples(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		hosts := hostsFor(name)
+		ref, err := engine.NewExecutor(db, hosts).Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		for _, opts := range []Options{
 			{},
 			{ApplyRewrites: true, Core: core.Options{UseKeyFDs: true}},
@@ -140,13 +125,7 @@ func TestJoinOrderEquivalenceOnPaperExamples(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			wopts := opts
-			wopts.WrittenJoinOrder = true
-			written, err := NewPlanner(db, wopts).Run(q, hosts)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !engine.MultisetEqual(ordered.Rel, written.Rel) {
+			if !engine.MultisetEqual(ordered.Rel, ref) {
 				t.Errorf("%s: ordering changed the result (rewrites=%v)", name, opts.ApplyRewrites)
 			}
 		}

@@ -47,17 +47,10 @@ type Options struct {
 	SortDistinct bool
 	// Analyzer options forwarded to the core analyzer.
 	Core core.Options
-	// MaxRewritePasses bounds the rewrite fixpoint loop (0 = 8).
-	MaxRewritePasses int
 	// Cache, when non-nil, memoizes analyzer verdicts and predicate
 	// normalizations across Run calls (and across planners sharing the
 	// cache). Hit/miss deltas are reported in Result.Stats.
 	Cache *core.VerdictCache
-	// WrittenJoinOrder disables the greedy uniqueness-bounded join
-	// ordering and the derived-equality pushdown, executing joins
-	// exactly in FROM-list order (the pre-planner behavior; the
-	// benchmark baseline).
-	WrittenJoinOrder bool
 	// MaxRows bounds the rows a query may hold live at once — blocking
 	// state (hash tables, sort buffers), in-flight batches and the
 	// result (0 = unlimited); exceeding it fails the query with an
@@ -171,15 +164,14 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 	return res, nil
 }
 
+// maxRewritePasses bounds the rewrite fixpoint loop.
+const maxRewritePasses = 8
+
 // rewriteFixpoint applies the core rewrites until none fires or the
 // pass bound is reached. DISTINCT elimination is attempted after every
 // structural rewrite because merges can expose new key bindings.
 func (p *Planner) rewriteFixpoint(q ast.Query) (aps []core.Applied, out ast.Query, err error) {
-	maxPasses := p.Opts.MaxRewritePasses
-	if maxPasses <= 0 {
-		maxPasses = 8
-	}
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < maxRewritePasses; pass++ {
 		switch x := q.(type) {
 		case *ast.SetOp:
 			ap, err := p.An.SetOpToExists(x)
@@ -280,9 +272,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	// Sink key-derived constant equalities below the joins, give each
 	// table the ordered-index access path its bounds allow, then pick the
 	// join order from the resulting per-table bounds.
-	if !p.Opts.WrittenJoinOrder {
-		deriveConstEqualities(conjuncts, terms)
-	}
+	deriveConstEqualities(conjuncts, terms)
 	for _, t := range terms {
 		t.all = append(append([]ast.Expr{}, t.push...), t.derived...)
 		t.path = p.chooseAccessPath(t.tbl, t.corr, t.all)
@@ -296,7 +286,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	// DISTINCT once they no longer multiply rows.
 	joined, probes := terms, []existenceProbe(nil)
 	distinct, probeNote := s.Quant.IsDistinct(), "DISTINCT still removes the other duplicates"
-	if distinct && !p.Opts.WrittenJoinOrder {
+	if distinct {
 		joined, probes = existenceOnly(terms, conjuncts, refs)
 	}
 	if len(probes) > 0 && p.Opts.ApplyRewrites {
@@ -308,9 +298,9 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 			distinct, probeNote = false, "without it "+ap.Description
 		}
 	}
-	order, startNote, startTiny := p.chooseJoinOrder(joined, conjuncts, used)
+	order, startNote, startTiny := chooseJoinOrder(joined, conjuncts, used)
 	orderNote := ""
-	if len(terms) > 1 && !p.Opts.WrittenJoinOrder {
+	if len(terms) > 1 {
 		chosen := make([]string, 0, len(terms))
 		written := make([]string, len(terms))
 		for _, st := range order {
@@ -358,7 +348,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	steps := make([]joinStep, len(tables))
 	bound := map[string]bool{joined[order[0].idx].corr: true}
 	prefixTiny := startTiny
-	prefixBounded := !p.Opts.WrittenJoinOrder && tables[0].path != nil
+	prefixBounded := tables[0].path != nil
 	for k := 1; k < len(tables); k++ {
 		st := &steps[k]
 		term := joined[order[k].idx]

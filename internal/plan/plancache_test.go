@@ -236,20 +236,21 @@ func TestPlanCacheReset(t *testing.T) {
 	}
 }
 
-// Planner-option bits that change plan shape partition the cache:
-// written-order and ordered plans of the same SQL never collide.
+// Planner-option bits that change plan shape partition the cache: the
+// sort-based and the hash DISTINCT plans of the same SQL never collide.
 func TestPlanCacheOptionBitsPartition(t *testing.T) {
+	const distinctSQL = `SELECT DISTINCT S.SCITY FROM SUPPLIER S`
 	db := smallDB(t)
 	pc := vcache.New[*Compiled](0)
-	if _, err := cachedRun(db, pc, Options{}, cacheProbeSQL, nil); err != nil {
+	if _, err := cachedRun(db, pc, Options{}, distinctSQL, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cachedRun(db, pc, Options{WrittenJoinOrder: true}, cacheProbeSQL, nil)
+	res, err := cachedRun(db, pc, Options{SortDistinct: true}, distinctSQL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PlanHits != 0 || res.Stats.PlanMisses != 1 {
-		t.Fatalf("written-order run must not reuse the ordered plan: %s", res.Stats.String())
+	if res.Stats.PlanHits != 0 || res.Stats.PlanMisses != 1 || res.Stats.SortRuns != 1 {
+		t.Fatalf("sort-DISTINCT run must not reuse the hash plan: %s", res.Stats.String())
 	}
 	if pc.Len() != 2 {
 		t.Fatalf("len = %d, want 2 distinct entries", pc.Len())
@@ -257,8 +258,7 @@ func TestPlanCacheOptionBitsPartition(t *testing.T) {
 }
 
 // Concurrent planners sharing one cache on one database: every run
-// must return the correct rows, and -race must stay silent (the CI
-// planner-smoke target runs this suite with the race detector).
+// must return the correct rows, and -race must stay silent.
 func TestPlanCacheConcurrentSharing(t *testing.T) {
 	db := smallDB(t)
 	pc := vcache.New[*Compiled](0)

@@ -27,7 +27,8 @@ import (
 // The layout cases (layoutCases) were generated at commit 0d7e4a2, the
 // parent of the change that made every join emit only the columns read
 // above it: they are the shapes whose rows that change could have
-// altered. Regenerating them (`go test -run TestRowGoldens
+// altered. layout_chain was generated at commit 78e3440, the parent of
+// the change that left the planner one join order. Regenerating them (`go test -run TestRowGoldens
 // -update .`) is only legitimate in a change that means to alter row
 // order.
 
@@ -82,9 +83,6 @@ func goldenIndexedDB(t *testing.T) *uniqopt.DB {
 type rowCase struct {
 	name, sql string
 	indexed   bool // runs on goldenIndexedDB
-	// written plans the statement under plan.Options.WrittenJoinOrder,
-	// which no uniqopt.Options field reaches.
-	written bool
 	// unbound names a host variable of goldenHosts the run leaves out;
 	// the golden is then the error the statement fails with.
 	unbound string
@@ -93,9 +91,10 @@ type rowCase struct {
 // layoutCases are the shapes a join's emit map decides the layout of: a
 // column projected twice, a cross-table residual predicate read between
 // the join and the projection, a residual subquery (the block keeps
-// full-width rows), a three-table chain in written order (a non-top
-// join's layout, roles never flipped), and an index join whose key
-// constant does not bind, so that its hash-join fallback is what runs.
+// full-width rows), a reordered three-table chain with no constant-bound
+// key (a non-top join's layout, roles never flipped), and an index join
+// whose key constant does not bind, so that its hash-join fallback is
+// what runs.
 var layoutCases = []rowCase{
 	{name: "layout_repeat", sql: `SELECT ALL S.SNO, S.SNO, P.PNO, S.SNO FROM SUPPLIER S, PARTS P
 		WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.PNO >= :K`},
@@ -104,9 +103,9 @@ var layoutCases = []rowCase{
 	{name: "layout_subquery", sql: `SELECT ALL P.PNO, S.SNAME FROM SUPPLIER S, PARTS P
 		WHERE S.SNO = P.SNO AND S.BUDGET > 500 AND
 		EXISTS (SELECT * FROM AGENTS A WHERE A.SNO = S.SNO AND A.ANO = P.PNO)`},
-	{name: "layout_written", written: true, indexed: true, sql: `SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME
+	{name: "layout_chain", indexed: true, sql: `SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME
 		FROM AGENTS A, PARTS P, SUPPLIER S
-		WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = 7 AND P.OEM-PNO <> 1065`},
+		WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND P.OEM-PNO <> 1065 AND S.SCITY = 'Toronto'`},
 	{name: "layout_fallback", indexed: true, unbound: "PARTNO", sql: `SELECT ALL S.SNO, S.SNAME, P.PNAME
 		FROM SUPPLIER S, PARTS P
 		WHERE S.SNO BETWEEN :L AND :H AND S.SNO = P.SNO AND P.PNO = :PARTNO`},
@@ -124,10 +123,7 @@ func (c rowCase) run(db *uniqopt.DB, optimize bool) (*uniqopt.Rows, error) {
 			}
 		}
 	}
-	if !c.written {
-		return db.QueryWith(c.sql, hosts, optimize)
-	}
-	return runPlanner(db, c.sql, hosts, plan.Options{ApplyRewrites: optimize, WrittenJoinOrder: true})
+	return db.QueryWith(c.sql, hosts, optimize)
 }
 
 // runPlanner runs sql on db's store under planner options no
@@ -288,7 +284,7 @@ func TestRowGoldensMatchSortBaseline(t *testing.T) {
 		}
 		for _, optimize := range []bool{true, false} {
 			rows, err := runPlanner(db, c.sql, goldenHosts,
-				plan.Options{ApplyRewrites: optimize, WrittenJoinOrder: c.written, SortDistinct: true})
+				plan.Options{ApplyRewrites: optimize, SortDistinct: true})
 			if err != nil {
 				t.Fatalf("%s optimize=%v: %v", c.name, optimize, err)
 			}
