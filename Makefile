@@ -63,8 +63,9 @@ server-smoke:
 crash-matrix:
 	$(GO) test -race -tags fault ./internal/storage/... ./cmd/uniqoptd
 
-# Fuzz smoke: ten seconds each of the six fuzz targets — the frame
-# codec against encoding/json, the SQL parser on statements and on
+# Fuzz smoke: ten seconds each of the seven fuzz targets — the frame
+# codec against encoding/json, the lexer's tokens and shapes against the
+# byte-at-a-time lexer it replaced, the SQL parser on statements and on
 # expressions, the statement cache against a database that has never
 # seen the text, the three-word value cell against the four-field
 # struct it replaced, and the batch filter against the row loop — beyond
@@ -73,6 +74,7 @@ crash-matrix:
 # build).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameCodec$$' -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzShape$$' -fuzztime 10s ./internal/sql/lexer/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseStatement$$' -fuzztime 10s ./internal/sql/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseExpr$$' -fuzztime 10s ./internal/sql/parser/
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileTwice$$' -fuzztime 10s .

@@ -35,6 +35,14 @@ func FuzzCompileTwice(f *testing.F) {
 		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :N`,
 		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 7`,
 		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = 7`,
+		// Literals the splice must quote byte for byte, in rewrite texts
+		// and in an error text: a doubled quote, a lifted name's spelling,
+		// the empty string.
+		`SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNAME = 'O''Neil' AND
+			EXISTS (SELECT * FROM PARTS P WHERE S.SNO = P.SNO AND P.PNO = 3)`,
+		`SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNAME = ':$2' OR S.SCITY = ''`,
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = ':$2' AND S.SNAME = 'O''Neil'`,
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = '' AND S.BUDGET > 1`,
 		`SELECT S.NOPE FROM SUPPLIER S`,
 		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :UNBOUND`,
 		`CREATE TABLE X (A INTEGER, B VARCHAR(9), PRIMARY KEY (A), CHECK (A > 5))`,

@@ -93,7 +93,7 @@ func TestEmitMapProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Pred = pred
+			in.Pred = eval.Prepare(pred, rCols, nil)
 		}
 		emit = randEmit(r, 2, 4)
 		index := func(e Emit) Iterator {

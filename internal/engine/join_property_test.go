@@ -185,7 +185,7 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Pred = pred
+			in.Pred = eval.Prepare(pred, rCols, nil)
 			if filter != "" {
 				filter += " AND "
 			}
@@ -240,7 +240,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}, Pred: residual}
+	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}, Pred: eval.Prepare(residual, rCols, nil)}
 	env := &eval.Env{}
 	semi := func(st *Stats) Iterator {
 		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, env, true, nil))
@@ -312,9 +312,11 @@ func TestIndexJoinLifecycle(t *testing.T) {
 
 	// A residual that cannot be evaluated fails the probe, not the build.
 	bad := in
-	if bad.Pred, err = parser.ParseExpr("R.V >= :UNBOUND"); err != nil {
+	unbound, err := parser.ParseExpr("R.V >= :UNBOUND")
+	if err != nil {
 		t.Fatal(err)
 	}
+	bad.Pred = eval.Prepare(unbound, rCols, nil)
 	if _, err := consume(ctx0, okIter(NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, env, true, nil))); err == nil ||
 		!strings.Contains(err.Error(), "unbound host variable :UNBOUND") {
 		t.Errorf("unbound residual: %v", err)

@@ -176,7 +176,7 @@ func TestFilterSizesOutputFromLastEmission(t *testing.T) {
 	its := make([]Iterator, runs+1) // AllocsPerRun warms up with one extra call
 	for i := range its {
 		st := &Stats{}
-		its[i] = NewFilterIter(st, NewRelationIter(st, rel), pred, &eval.Env{})
+		its[i] = NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil), &eval.Env{})
 		if b, err := its[i].Next(ctx0); err != nil || len(b) != DefaultBatchSize {
 			t.Fatalf("first batch: %d rows, err = %v", len(b), err)
 		}
@@ -276,7 +276,7 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 		L: &ast.ColumnRef{Qualifier: "X", Column: "B"}, R: &ast.HostVar{Name: "K"}}
 	env := &eval.Env{Hosts: map[string]value.Value{"K": value.Int(7)}}
 	scanFilter := func(st *Stats) Iterator {
-		return NewFilterIter(st, NewTableIter(st, tbl, cols), pred, env)
+		return NewFilterIter(st, NewTableIter(st, tbl, cols), eval.Prepare(pred, cols, nil), env)
 	}
 
 	// The two subtests once ran under different worker pools. There is no

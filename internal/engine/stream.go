@@ -7,7 +7,6 @@ import (
 
 	"uniqopt/internal/eval"
 	"uniqopt/internal/fault"
-	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
@@ -144,17 +143,14 @@ type filterIter struct {
 	closed  bool
 }
 
-// NewFilterIter streams child through pred, compiled against the
-// child's columns (eval.CompileFilter) once per iterator.
-func NewFilterIter(st *Stats, child Iterator, pred ast.Expr, envProto *eval.Env) Iterator {
+// NewFilterIter streams child through pred, prepared against the
+// child's columns and armed here with env, once per iterator. A nil pred
+// filters nothing.
+func NewFilterIter(st *Stats, child Iterator, pred *eval.Program, env *eval.Env) Iterator {
 	if pred == nil {
 		return child
 	}
-	cols := child.Cols()
-	return &filterIter{
-		child: child, keep: eval.CompileFilter(pred, cols, envProto),
-		cols: cols, st: st,
-	}
+	return &filterIter{child: child, keep: pred.Arm(env), cols: child.Cols(), st: st}
 }
 
 func (it *filterIter) Cols() []string { return it.cols }
@@ -753,14 +749,15 @@ type IndexKeyPart struct {
 
 // IndexProbe is the inner side of an index join: a base table reached
 // through one of its ordered indexes. Key binds a leading prefix of the
-// index's columns; Pred, named over Cols (the table's columns under its
-// correlation name), is what a fetched row must still satisfy.
+// index's columns; Pred, prepared over Cols (the table's columns under
+// its correlation name), is what a fetched row must still satisfy (nil =
+// nothing more).
 type IndexProbe struct {
 	Tbl  *storage.Table
 	Ix   *storage.OrderedIndex
 	Cols []string
 	Key  []IndexKeyPart
-	Pred ast.Expr
+	Pred *eval.Program
 }
 
 // indexJoinIter streams outer ⋈ table by seeking the table's ordered
@@ -796,7 +793,7 @@ type indexJoinIter struct {
 // together. emit lays out the output: outer is its left input, the table
 // (in.Cols) its right. A semi join takes no emit: it emits each outer
 // row that has a qualifying entry once, as it came, and no column of the
-// table.
+// table. in.Pred is armed with env, once per iterator.
 func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, semi bool, emit Emit) (Iterator, error) {
 	if len(in.Key) == 0 || len(in.Key) > len(in.Ix.Columns) {
 		return nil, fmt.Errorf("engine: index join binds %d of index %s's %d columns",
@@ -819,7 +816,7 @@ func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, s
 		keyBuf: make(value.Row, len(in.Key)),
 	}
 	if in.Pred != nil {
-		j.keep = eval.Compile(in.Pred, in.Cols, env)
+		j.keep = in.Pred.Arm(env).Pred
 	}
 	return j, nil
 }

@@ -86,7 +86,7 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 		withBatchSize(t, bs)
 
 		st := &Stats{}
-		gotFilter := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, l), pred, env))
+		gotFilter := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil), env))
 		identicalRelations(t, wantFilter, gotFilter, "stream filter")
 
 		st = &Stats{}
@@ -184,7 +184,7 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	pred, env := gtPred()
 
 	st := &Stats{}
-	n, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), pred, env))
+	n, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil), env))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestStreamBudget(t *testing.T) {
 	gov := NewGovernor(0, budget)
 	ctx := WithGovernor(context.Background(), gov)
 	st := &Stats{}
-	if _, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), pred, env)); err != nil {
+	if _, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil), env)); err != nil {
 		t.Fatalf("streaming pipeline should fit in budget: %v", err)
 	}
 	if _, peak := gov.Peak(); peak > budget {
@@ -290,7 +290,7 @@ func TestStreamEmptyInputs(t *testing.T) {
 	pred, env := gtPred()
 
 	st := &Stats{}
-	if got := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, empty), pred, env)); got.Len() != 0 {
+	if got := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, empty), eval.Prepare(pred, empty.Cols, nil), env)); got.Len() != 0 {
 		t.Fatal("filter of empty not empty")
 	}
 	st = &Stats{}

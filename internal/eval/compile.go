@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"uniqopt/internal/catalog"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
@@ -14,62 +15,103 @@ import (
 // a row of that layout to the predicate's 3VL truth value.
 type Pred func(row value.Row) (tvl.Truth, error)
 
-// Compile binds pred to the column layout cols once, so that
-// evaluating it per row is a walk over closures reading row ordinals
-// instead of a walk over the AST reading a name→value map. Everything
-// that does not depend on the row is settled here: column references
-// become ordinals into cols, and literals, host variables and the
-// outer bindings in env.Cols become constants. The result agrees with
-// Truth on every row — same truth value, same error text, raised at
-// the same point behind AND/OR short-circuits — for Truth evaluated in
-// env with the row's values bound over env.Cols under the names cols.
+// A WHERE clause is compiled in two steps, at two times.
+//
+// Prepare runs once per clause and layout — for the plan, once per
+// compiled statement: column references become ordinals into the layout,
+// and every leaf's shape is fixed — which ordinal it reads, its operator,
+// whether the constant stands on the left, and the constant's expression
+// (a literal, a host variable, a lifted $n, an outer binding's name). It
+// reads no value, so one Program serves every execution of the clause.
+//
+// Arm runs once per execution: it evaluates those constants under the
+// execution's Env and picks each comparison's kernel by its constant's
+// kind (conjunct.kernel, the one place the choice is made; BETWEEN
+// bounds and IN-list items go through it too), so that evaluating the
+// clause per row is a walk over closures reading row ordinals instead of
+// a walk over the AST reading a name→value map. The result agrees with Truth on every row
+// — same truth value, same error text, raised at the same point behind
+// AND/OR short-circuits — for Truth evaluated in env with the row's
+// values bound over env.Cols under the names of the layout.
 //
 // A comparison of a row column with something constant for the execution
-// — a literal, a host variable, a lifted $n, an outer binding — whose
-// constant is a non-NULL integer or string runs as a kernel: a comparison
-// specialised to the constant's kind that reads the cell where it lies
-// and decides by kind (newKernel, the one place the choice is made;
-// BETWEEN bounds and IN-list items go through it too). A kernel answers
-// only the case it was built for, a cell of the constant's kind; a NULL
-// cell or a cell of another kind drops into the generic comparison, so
-// compareValues stays the one owner of Unknown and of every error text.
-// Column-against-column comparisons, and constants of other kinds, run
-// the generic comparison alone. An AND whose every leaf is a kernel runs
-// as one loop over its kernels, left to right, stopping at the first
-// FALSE — what any tree of AND closures over the same leaves computes.
+// whose constant is a non-NULL integer or string runs as a kernel: a
+// comparison specialised to the constant's kind that reads the cell where
+// it lies and decides by kind. A kernel answers only the case it was
+// built for, a cell of the constant's kind; a NULL cell or a cell of
+// another kind drops into the generic comparison, so compareValues stays
+// the one owner of Unknown and of every error text. Column-against-column
+// comparisons, and constants of other kinds, run the generic comparison
+// alone. An AND whose every leaf is a kernel runs as one loop over its
+// kernels, left to right, stopping at the first FALSE — what any tree of
+// AND closures over the same leaves computes.
 //
-// A compiled predicate holds the values env had at the call, so it
-// belongs to one execution; it is not part of the cached compiled
-// statement. Without subquery leaves it is immutable and may be shared by goroutines.
-// Predicates with EXISTS or IN-subquery leaves (ast.HasExists) are not
+// Clauses with EXISTS or IN-subquery leaves (ast.HasExists) are not
 // compiled: the subquery callbacks need the whole environment, so the
-// returned Pred binds each row into a private copy of env and runs
-// Truth, and must stay on one goroutine.
+// armed Pred binds each row into a private copy of env and runs Truth,
+// and must stay on one goroutine. Any other armed Filter holds only
+// values and may be shared by goroutines.
+
+// Program is a WHERE clause prepared against a column layout: its leaves
+// with their ordinals and constant expressions, not yet their values. It
+// is immutable. A nil *Program is the absent clause, TRUE on every row.
+type Program struct {
+	pred   ast.Expr
+	cols   []string
+	interp bool   // the clause evaluates a subquery: Arm interprets it
+	leaves []node // the clause's AND leaves, left to right
+}
+
+// Prepare compiles pred against the column layout cols, resolving column
+// references through scope when it is non-nil (to CORRELATION.COLUMN
+// names, as Env.Scope does). A nil pred yields a nil Program.
+func Prepare(pred ast.Expr, cols []string, scope *catalog.Scope) *Program {
+	if pred == nil {
+		return nil
+	}
+	p := &Program{pred: pred, cols: cols}
+	if ast.HasExists(pred) {
+		p.interp = true
+		return p
+	}
+	c := compiler{cols: cols, scope: scope}
+	p.leaves = c.leaves(nil, pred)
+	return p
+}
+
+// Arm binds p's constants to one execution's environment and returns the
+// clause ready to run: env supplies host variables, outer bindings
+// (Env.Cols) and, for a clause with subqueries, the scope and the
+// subquery evaluators. The Filter belongs to that execution.
+func (p *Program) Arm(env *Env) Filter {
+	switch {
+	case p == nil:
+		return Filter{Pred: func(value.Row) (tvl.Truth, error) { return tvl.True, nil }}
+	case p.interp:
+		return Filter{Pred: interpreted(p.pred, p.cols, env)}
+	}
+	a := armer{env: env}
+	pred, conj := a.conjunction(p.leaves)
+	return Filter{Pred: pred, conj: conj}
+}
+
+// Compile is Prepare and Arm back to back, for a clause evaluated under
+// one environment only (storage CHECKs, the reference operators).
 func Compile(pred ast.Expr, cols []string, env *Env) Pred {
 	return CompileFilter(pred, cols, env).Pred
 }
 
-// Filter is a WHERE clause compiled for an operator that sees its rows a
-// batch at a time: Pred decides one row, and Select, when the clause is
-// a conjunction of kernels, a whole batch.
+// CompileFilter is Compile, keeping the armed Filter.
+func CompileFilter(pred ast.Expr, cols []string, env *Env) Filter {
+	return Prepare(pred, cols, env.Scope).Arm(env)
+}
+
+// Filter is a WHERE clause armed for one execution, for an operator that
+// sees its rows a batch at a time: Pred decides one row, and Select, when
+// the clause is a conjunction of kernels, a whole batch.
 type Filter struct {
 	Pred Pred
 	conj []conjunct // the clause's conjuncts, left to right; nil = Pred only
-}
-
-// CompileFilter is Compile, keeping the conjuncts of a clause that is a
-// kernel or an AND of kernels for Select. Both come out of one pass: the
-// conjunct list is the one Pred loops over.
-func CompileFilter(pred ast.Expr, cols []string, env *Env) Filter {
-	switch {
-	case pred == nil:
-		return Filter{Pred: func(value.Row) (tvl.Truth, error) { return tvl.True, nil }}
-	case ast.HasExists(pred):
-		return Filter{Pred: interpreted(pred, cols, env)}
-	}
-	c := compiler{cols: cols, env: env}
-	p, conj := c.conjunction(pred)
-	return Filter{Pred: p, conj: conj}
 }
 
 // selChunk is how many rows Select decides at once: its selection
@@ -116,13 +158,13 @@ func (f *Filter) Select(out, batch []value.Row, grow func(out []value.Row, n int
 	return out, true
 }
 
-// kernelTap, when a test sets it on the compiler, sees every kernel
-// chosen — its kind, its operator as applied to the column at ord — and
-// may wrap it to watch the cells it meets.
+// kernelTap, when a test sets it on the armer, sees every kernel chosen
+// — its kind, its operator as applied to the column at ord — and may wrap
+// it to watch the cells it meets.
 type kernelTap func(kind value.Kind, op ast.CompareOp, ord int, p Pred) Pred
 
-// interpreted is Compile's fallback: Truth over a private environment
-// rebound per row.
+// interpreted is the fallback for clauses with subqueries: Truth over a
+// private environment rebound per row.
 func interpreted(pred ast.Expr, cols []string, proto *Env) Pred {
 	env := &Env{
 		Cols:   make(map[string]value.Value, len(proto.Cols)+len(cols)),
@@ -142,13 +184,159 @@ func interpreted(pred ast.Expr, cols []string, proto *Env) Pred {
 	}
 }
 
-type compiler struct {
-	cols []string
-	env  *Env
-	tap  kernelTap // tests only
+// ---- Prepare: the shape of every leaf ----
+
+// nodeOp is what a prepared node computes.
+type nodeOp uint8
+
+const (
+	opConst   nodeOp = iota // TRUE or FALSE as written
+	opCompare               // x, over the operands l and r
+	opBetween               // kids: the >= and <= comparisons, both always evaluated
+	opIn                    // kids: one = comparison per list item, until one is TRUE
+	opIsNull                // l IS [NOT] NULL
+	opNot                   // kids[0]
+	opAnd                   // kids: the AND tree's leaves
+	opOr                    // kids: the two sides
+	opError                 // not a boolean expression: err on every row
+)
+
+// node is one prepared boolean expression.
+type node struct {
+	op      nodeOp
+	x       *ast.Compare // opCompare: the comparison, for its operator and error text
+	l, r    slot         // opCompare's operands; opIsNull's is l
+	kids    []node
+	negated bool
+	t       tvl.Truth
+	err     error
 }
 
-// operand is a compiled operand: the row ordinal to read (ord ≥ 0), or
+// slot is an operand as Prepare leaves it: the operand itself — the
+// row's column, a literal's value, or the error evaluating it raises —
+// unless it is a host variable, bound when armed. A column the layout
+// lacks is asked of the execution's outer bindings first, under each
+// name in outer in turn, as Env.lookupColumn does.
+type slot struct {
+	operand
+	outer []string
+	host  *ast.HostVar
+}
+
+type compiler struct {
+	cols  []string
+	scope *catalog.Scope
+}
+
+// leaves appends the prepared leaves of e's AND tree to ns.
+func (c *compiler) leaves(ns []node, e ast.Expr) []node {
+	if x, ok := e.(*ast.And); ok {
+		return c.leaves(c.leaves(ns, x.L), x.R)
+	}
+	return append(ns, c.node(e))
+}
+
+func (c *compiler) node(e ast.Expr) node {
+	switch x := e.(type) {
+	case *ast.BoolLit:
+		return node{op: opConst, t: tvl.Of(x.V)}
+	case *ast.Compare:
+		return c.compare(x)
+	case *ast.Between:
+		return node{op: opBetween, negated: x.Negated, kids: []node{
+			c.compare(&ast.Compare{Op: ast.GeOp, L: x.X, R: x.Lo}),
+			c.compare(&ast.Compare{Op: ast.LeOp, L: x.X, R: x.Hi}),
+		}}
+	case *ast.InList:
+		items := make([]node, len(x.List))
+		for i, item := range x.List {
+			items[i] = c.compare(&ast.Compare{Op: ast.EqOp, L: x.X, R: item})
+		}
+		return node{op: opIn, negated: x.Negated, kids: items}
+	case *ast.IsNull:
+		return node{op: opIsNull, negated: x.Negated, l: c.slot(x.X)}
+	case *ast.Not:
+		return node{op: opNot, kids: []node{c.node(x.X)}}
+	case *ast.And:
+		return node{op: opAnd, kids: c.leaves(nil, x)}
+	case *ast.Or:
+		return node{op: opOr, kids: []node{c.node(x.L), c.node(x.R)}}
+	default:
+		return node{op: opError, err: fmt.Errorf("eval: %s is not a boolean expression", e.SQL())}
+	}
+}
+
+func (c *compiler) compare(x *ast.Compare) node {
+	return node{op: opCompare, x: x, l: c.slot(x.L), r: c.slot(x.R)}
+}
+
+func (c *compiler) slot(e ast.Expr) slot {
+	switch x := e.(type) {
+	case *ast.ColumnRef:
+		return c.column(x)
+	case *ast.HostVar:
+		return slot{operand: operand{ord: -1}, host: x}
+	}
+	// A literal, or the not-an-operand error: Value reads no environment
+	// for either.
+	v, err := Value(e, nil)
+	return slot{operand: operand{ord: -1, val: v, err: err}}
+}
+
+// column mirrors Env.lookupColumn with the row bound over env.Cols: each
+// name a reference may be bound under is tried in turn, in the layout —
+// the last occurrence, the one binding the row into a map would leave —
+// and then in the outer bindings, which Arm asks.
+func (c *compiler) column(ref *ast.ColumnRef) slot {
+	if c.scope != nil {
+		r, err := c.scope.Resolve(ref)
+		if err != nil {
+			return slot{operand: operand{ord: -1, err: err}}
+		}
+		key := r.Qualified(c.scope)
+		if ord := c.find(key); ord >= 0 {
+			return slot{operand: operand{ord: ord}}
+		}
+		return slot{operand: operand{ord: -1, err: fmt.Errorf("eval: column %s resolved but not bound", key)},
+			outer: []string{key}}
+	}
+	if ref.Qualifier != "" {
+		if ord := c.find(ref.Qualifier + "." + ref.Column); ord >= 0 {
+			return slot{operand: operand{ord: ord}}
+		}
+	}
+	// Not found qualified (the rare case, spelled out only now): the outer
+	// bindings are asked for the qualified name before the bare one is
+	// looked for.
+	var outer []string
+	if ref.Qualifier != "" {
+		outer = []string{ref.Qualifier + "." + ref.Column}
+	}
+	if ord := c.find(ref.Column); ord >= 0 {
+		return slot{operand: operand{ord: ord}, outer: outer}
+	}
+	return slot{operand: operand{ord: -1, err: fmt.Errorf("eval: unbound column %s", ref.SQL())},
+		outer: append(outer, ref.Column)}
+}
+
+// find is the last ordinal of the layout named name, or -1.
+func (c *compiler) find(name string) int {
+	for ord := len(c.cols) - 1; ord >= 0; ord-- {
+		if c.cols[ord] == name {
+			return ord
+		}
+	}
+	return -1
+}
+
+// ---- Arm: one execution's constants and kernels ----
+
+type armer struct {
+	env *Env
+	tap kernelTap // tests only
+}
+
+// operand is an armed operand: the row ordinal to read (ord ≥ 0), or
 // what evaluating it yields on every row — a constant, or the error
 // Value raises for it.
 type operand struct {
@@ -164,67 +352,29 @@ func (o operand) get(row value.Row) (value.Value, error) {
 	return o.val, o.err
 }
 
-func (c *compiler) operand(e ast.Expr) operand {
-	if ref, ok := e.(*ast.ColumnRef); ok {
-		return c.column(ref)
+func (a *armer) operand(s *slot) operand {
+	for _, name := range s.outer {
+		if v, ok := a.env.Cols[name]; ok {
+			return operand{ord: -1, val: v}
+		}
 	}
-	// Literals, host variables and the not-an-operand error do not
-	// depend on the row.
-	v, err := Value(e, c.env)
-	return operand{ord: -1, val: v, err: err}
+	if s.host != nil {
+		v, err := Value(s.host, a.env)
+		return operand{ord: -1, val: v, err: err}
+	}
+	return s.operand
 }
 
-// column mirrors Env.lookupColumn with the row bound over env.Cols.
-func (c *compiler) column(ref *ast.ColumnRef) operand {
-	if sc := c.env.Scope; sc != nil {
-		r, err := sc.Resolve(ref)
-		if err != nil {
-			return operand{ord: -1, err: err}
-		}
-		key := r.Qualified(sc)
-		if o, ok := c.bound(key); ok {
-			return o
-		}
-		return operand{ord: -1, err: fmt.Errorf("eval: column %s resolved but not bound", key)}
-	}
-	if ref.Qualifier != "" {
-		if o, ok := c.bound(ref.Qualifier + "." + ref.Column); ok {
-			return o
-		}
-	}
-	if o, ok := c.bound(ref.Column); ok {
-		return o
-	}
-	return operand{ord: -1, err: fmt.Errorf("eval: unbound column %s", ref.SQL())}
-}
-
-// bound finds name among the row's columns — the last occurrence, the
-// one binding the row into a map would leave — and then among the
-// outer bindings.
-func (c *compiler) bound(name string) (operand, bool) {
-	for i := len(c.cols) - 1; i >= 0; i-- {
-		if c.cols[i] == name {
-			return operand{ord: i}, true
-		}
-	}
-	if v, ok := c.env.Cols[name]; ok {
-		return operand{ord: -1, val: v}, true
-	}
-	return operand{}, false
-}
-
-func (c *compiler) truth(e ast.Expr) Pred {
-	switch x := e.(type) {
-	case *ast.BoolLit:
-		t := tvl.Of(x.V)
+func (a *armer) truth(n *node) Pred {
+	switch n.op {
+	case opConst:
+		t := n.t
 		return func(value.Row) (tvl.Truth, error) { return t, nil }
-	case *ast.Compare:
-		return c.compare(x)
-	case *ast.Between:
-		// Both bounds are always evaluated, as Truth does.
-		lo := c.compare(&ast.Compare{Op: ast.GeOp, L: x.X, R: x.Lo})
-		hi := c.compare(&ast.Compare{Op: ast.LeOp, L: x.X, R: x.Hi})
-		negated := x.Negated
+	case opCompare:
+		return a.compare(n)
+	case opBetween:
+		lo, hi := a.compare(&n.kids[0]), a.compare(&n.kids[1])
+		negated := n.negated
 		return func(row value.Row) (tvl.Truth, error) {
 			a, err := lo(row)
 			if err != nil {
@@ -240,12 +390,12 @@ func (c *compiler) truth(e ast.Expr) Pred {
 			}
 			return t, nil
 		}
-	case *ast.InList:
-		items := make([]Pred, len(x.List))
-		for i, item := range x.List {
-			items[i] = c.compare(&ast.Compare{Op: ast.EqOp, L: x.X, R: item})
+	case opIn:
+		items := make([]Pred, len(n.kids))
+		for i := range n.kids {
+			items[i] = a.compare(&n.kids[i])
 		}
-		negated := x.Negated
+		negated := n.negated
 		return func(row value.Row) (tvl.Truth, error) {
 			out := tvl.False
 			for _, item := range items {
@@ -263,9 +413,9 @@ func (c *compiler) truth(e ast.Expr) Pred {
 			}
 			return out, nil
 		}
-	case *ast.IsNull:
-		o := c.operand(x.X)
-		negated := x.Negated
+	case opIsNull:
+		o := a.operand(&n.l)
+		negated := n.negated
 		return func(row value.Row) (tvl.Truth, error) {
 			v, err := o.get(row)
 			if err != nil {
@@ -273,8 +423,8 @@ func (c *compiler) truth(e ast.Expr) Pred {
 			}
 			return tvl.Of(v.IsNull() != negated), nil
 		}
-	case *ast.Not:
-		p := c.truth(x.X)
+	case opNot:
+		p := a.truth(&n.kids[0])
 		return func(row value.Row) (tvl.Truth, error) {
 			t, err := p(row)
 			if err != nil {
@@ -282,11 +432,11 @@ func (c *compiler) truth(e ast.Expr) Pred {
 			}
 			return tvl.Not(t), nil
 		}
-	case *ast.And:
-		p, _ := c.conjunction(x)
+	case opAnd:
+		p, _ := a.conjunction(n.kids)
 		return p
-	case *ast.Or:
-		l, r := c.truth(x.L), c.truth(x.R)
+	case opOr:
+		l, r := a.truth(&n.kids[0]), a.truth(&n.kids[1])
 		return func(row value.Row) (tvl.Truth, error) {
 			a, err := l(row)
 			if err != nil {
@@ -302,29 +452,32 @@ func (c *compiler) truth(e ast.Expr) Pred {
 			return tvl.Or(a, b), nil
 		}
 	default:
-		err := fmt.Errorf("eval: %s is not a boolean expression", e.SQL())
+		err := n.err
 		return func(value.Row) (tvl.Truth, error) { return tvl.Unknown, err }
 	}
 }
 
-func (c *compiler) compare(x *ast.Compare) Pred {
-	return c.compareOperands(x, c.operand(x.L), c.operand(x.R))
+// compare arms a comparison: a kernel when it is one, the generic
+// comparison otherwise.
+func (a *armer) compare(n *node) Pred {
+	l, r := a.operand(&n.l), a.operand(&n.r)
+	kn := new(conjunct)
+	if !kn.kernel(n.x, l, r) {
+		return generic(n.x, l, r)
+	}
+	p := kn.pred()
+	if a.tap != nil {
+		op := n.x.Op
+		if kn.flip {
+			op = op.Flip()
+		}
+		p = a.tap(kn.k.Kind(), op, kn.ord, p)
+	}
+	return p
 }
 
-// compareOperands compiles x from its compiled operands: a kernel when it
-// is one, the generic comparison otherwise.
-func (c *compiler) compareOperands(x *ast.Compare, l, r operand) Pred {
-	if k, ok := newKernel(x, l, r); ok {
-		p := (&k).pred()
-		if c.tap != nil {
-			kind, op := k.k.Kind(), x.Op
-			if k.flip {
-				op = op.Flip()
-			}
-			p = c.tap(kind, op, k.ord, p)
-		}
-		return p
-	}
+// generic is the comparison x of two armed operands as written.
+func generic(x *ast.Compare, l, r operand) Pred {
 	return func(row value.Row) (tvl.Truth, error) {
 		lv, err := l.get(row)
 		if err != nil {
@@ -338,42 +491,102 @@ func (c *compiler) compareOperands(x *ast.Compare, l, r operand) Pred {
 	}
 }
 
-// conjunct is one leaf of a compiled AND: p decides a row. When x is set
-// the leaf is a kernel, "the cell at ord op k" for a constant k that is
-// a non-NULL integer or string: it decides a cell of k's kind — a cell
-// it owns — by itself, TRUE or FALSE, and hands every other cell, NULL
-// or of another kind, to the comparison as written.
-type conjunct struct {
-	p Pred
+// conjunction arms the AND of leaves. The row predicate runs the leaves
+// in turn and stops at the first FALSE, which is what every tree of AND
+// closures over the same leaves computes. When every leaf is a kernel
+// the leaves are returned as well, for Select; a tapped armer arms every
+// leaf as a closure, so that the tap sees each kernel, and returns none.
+func (a *armer) conjunction(leaves []node) (Pred, []conjunct) {
+	if len(leaves) == 1 && leaves[0].op != opCompare {
+		return a.truth(&leaves[0]), nil
+	}
+	ks := make([]conjunct, len(leaves))
+	all := true
+	for i := range leaves {
+		n := &leaves[i]
+		if n.op == opCompare && a.tap == nil {
+			l, r := a.operand(&n.l), a.operand(&n.r)
+			if ks[i].kernel(n.x, l, r) {
+				ks[i].p = ks[i].pred()
+				continue
+			}
+			ks[i].p = generic(n.x, l, r)
+		} else {
+			ks[i].p = a.truth(n)
+		}
+		all = false
+	}
+	p := ks[0].p
+	if len(ks) > 1 {
+		p = func(row value.Row) (tvl.Truth, error) {
+			t := tvl.True
+			for i := range ks {
+				switch u, err := ks[i].p(row); {
+				case err != nil:
+					return tvl.Unknown, err
+				case tvl.IsFalse(u):
+					return tvl.False, nil
+				case tvl.IsUnknown(u):
+					t = tvl.Unknown
+				}
+			}
+			return t, nil
+		}
+	}
+	if !all {
+		return p, nil
+	}
+	return p, ks
+}
 
-	x    *ast.Compare // nil: not a kernel, p is all there is
+// kernelKind says how a conjunct decides a cell.
+type kernelKind uint8
+
+const (
+	notKernel   kernelKind = iota // p decides the row
+	intKernel                     // an integer cell in [lo, lo+span], or outside it with out
+	strEqKernel                   // a string cell equal to s (= when acc[1], <> otherwise)
+	strKernel                     // a string cell c when acc[strings.Compare(c, s)+1]
+)
+
+// conjunct is one leaf of an armed AND: p decides a row. A kernel is
+// "the cell at ord op k" for a constant k that is a non-NULL integer or
+// string: it decides a cell of k's kind — a cell it owns — by itself,
+// TRUE or FALSE, and hands every other cell, NULL or of another kind, to
+// the comparison as written.
+type conjunct struct {
+	p    Pred
+	kind kernelKind
+
+	x    *ast.Compare
 	k    value.Value
 	ord  int
 	flip bool // k is x's left operand: x reads "k op' cell"
 
-	// An integer kernel accepts the integers in [lo, hi] or, with out
+	// An integer kernel accepts the integers in [lo, lo+span] or, with out
 	// set, the ones outside it: one subtraction and one unsigned
 	// comparison a cell, whatever the operator.
-	lo, hi int64
-	out    bool
-	// A string kernel accepts a cell c when acc[strings.Compare(c, s)+1].
+	lo   int64
+	span uint64
+	out  bool
+	// A string kernel compares with s; acc says what it yields when the
+	// cell sorts before, with and after s.
 	s   string
-	str bool
 	acc [3]bool
 }
 
-// newKernel builds x as a kernel from its compiled operands, or
-// reports that x is not one: not a column of the row against a constant
-// of the execution, or a constant that is NULL, of another kind, or an
-// error.
-func newKernel(x *ast.Compare, l, r operand) (conjunct, bool) {
+// kernel makes kn, a zero conjunct, x as a kernel built from its armed
+// operands, or reports, leaving kn zero, that x is not one: not a column
+// of the row against a constant of the execution, or a constant that is
+// NULL, of another kind, or an error.
+func (kn *conjunct) kernel(x *ast.Compare, l, r operand) bool {
 	// column op constant, or constant op column read the other way round.
 	col, k, op, flip := l, r, x.Op, false
 	if col.ord < 0 {
 		col, k, op, flip = r, l, x.Op.Flip(), true
 	}
 	if col.ord < 0 || k.ord >= 0 || k.err != nil {
-		return conjunct{}, false
+		return false
 	}
 	// What the comparison yields when the cell sorts before, with and
 	// after the constant.
@@ -392,18 +605,23 @@ func newKernel(x *ast.Compare, l, r operand) (conjunct, bool) {
 	case ast.GeOp:
 		eq, gt = true, true
 	default:
-		return conjunct{}, false
+		return false
 	}
-	kn := conjunct{x: x, k: k.val, ord: col.ord, flip: flip, acc: [3]bool{lt, eq, gt}}
 	if ki, ok := k.val.Int(); ok {
-		kn.lo, kn.hi, kn.out = interval(lt, eq, gt, ki)
-		return kn, true
+		lo, hi, out := interval(lt, eq, gt, ki)
+		kn.kind, kn.lo, kn.span, kn.out = intKernel, lo, uint64(hi-lo), out
+	} else if ks, ok := k.val.Str(); ok {
+		kn.kind, kn.s = strKernel, ks
+		if lt == gt {
+			// = and <>: equality decides, and unequal lengths decide it
+			// without reading either string.
+			kn.kind = strEqKernel
+		}
+	} else {
+		return false
 	}
-	if ks, ok := k.val.Str(); ok {
-		kn.s, kn.str = ks, true
-		return kn, true
-	}
-	return conjunct{}, false
+	kn.x, kn.k, kn.ord, kn.flip, kn.acc = x, k.val, col.ord, flip, [3]bool{lt, eq, gt}
+	return true
 }
 
 // interval is the set of integers an integer kernel accepts, given what
@@ -431,13 +649,14 @@ func interval(lt, eq, gt bool, k int64) (lo, hi int64, out bool) {
 	return k, k, false // =
 }
 
-// pred is kn's row predicate: a closure specialised to the constant's
-// kind, which reads the cell where it lies and drops into generic for a
-// cell it does not own. kn must be at its final address.
+// pred is kernel kn's row predicate: a closure specialised to the
+// constant's kind, which reads the cell where it lies and drops into
+// generic for a cell it does not own. kn must be at its final address.
 func (kn *conjunct) pred() Pred {
 	ord := kn.ord
-	if !kn.str {
-		lo, span, out := kn.lo, uint64(kn.hi-kn.lo), kn.out
+	switch kn.kind {
+	case intKernel:
+		lo, span, out := kn.lo, kn.span, kn.out
 		return func(row value.Row) (tvl.Truth, error) {
 			v, ok := row[ord].Int()
 			if !ok {
@@ -445,12 +664,8 @@ func (kn *conjunct) pred() Pred {
 			}
 			return tvl.Of((uint64(v-lo) <= span) != out), nil
 		}
-	}
-	s, acc := kn.s, kn.acc
-	if acc[0] == acc[2] {
-		// = and <>: equality decides, and unequal lengths decide it
-		// without reading either string.
-		same := acc[1]
+	case strEqKernel:
+		s, same := kn.s, kn.acc[1]
 		return func(row value.Row) (tvl.Truth, error) {
 			v, ok := row[ord].Str()
 			if !ok {
@@ -459,6 +674,7 @@ func (kn *conjunct) pred() Pred {
 			return tvl.Of((v == s) == same), nil
 		}
 	}
+	s, acc := kn.s, kn.acc
 	return func(row value.Row) (tvl.Truth, error) {
 		v, ok := row[ord].Str()
 		if !ok {
@@ -483,8 +699,9 @@ func (kn *conjunct) generic(row value.Row) (tvl.Truth, error) {
 // nothing called per row.
 func (kn *conjunct) keep(sel []uint16, rows []value.Row) (_ []uint16, owned bool) {
 	ord, n := kn.ord, 0
-	if !kn.str {
-		lo, span, out := kn.lo, uint64(kn.hi-kn.lo), kn.out
+	switch kn.kind {
+	case intKernel:
+		lo, span, out := kn.lo, kn.span, kn.out
 		for _, i := range sel {
 			v, ok := rows[i][ord].Int()
 			if !ok {
@@ -495,100 +712,30 @@ func (kn *conjunct) keep(sel []uint16, rows []value.Row) (_ []uint16, owned bool
 				n++
 			}
 		}
-		return sel[:n], true
-	}
-	s, acc := kn.s, kn.acc
-	if acc[0] == acc[2] {
+	case strEqKernel:
+		s, same := kn.s, kn.acc[1]
 		for _, i := range sel {
 			v, ok := rows[i][ord].Str()
 			if !ok {
 				return nil, false
 			}
-			if (v == s) == acc[1] {
+			if (v == s) == same {
 				sel[n] = i
 				n++
 			}
 		}
-		return sel[:n], true
-	}
-	for _, i := range sel {
-		v, ok := rows[i][ord].Str()
-		if !ok {
-			return nil, false
-		}
-		if acc[strings.Compare(v, s)+1] {
-			sel[n] = i
-			n++
+	default:
+		s, acc := kn.s, kn.acc
+		for _, i := range sel {
+			v, ok := rows[i][ord].Str()
+			if !ok {
+				return nil, false
+			}
+			if acc[strings.Compare(v, s)+1] {
+				sel[n] = i
+				n++
+			}
 		}
 	}
 	return sel[:n], true
-}
-
-// conjunction compiles e as the AND of its leaves: e's AND nodes, nested
-// any way, flattened left to right, each leaf compiled once. The row
-// predicate runs the leaves in turn and stops at the first FALSE, which
-// is what every tree of AND closures over the same leaves computes. When
-// every leaf is a kernel the leaves are returned as well, for Select; a
-// tapped compiler compiles every leaf as a closure, so that the tap sees
-// each kernel, and returns none.
-func (c *compiler) conjunction(e ast.Expr) (Pred, []conjunct) {
-	n := countLeaves(e)
-	if _, ok := e.(*ast.Compare); n == 1 && !ok {
-		return c.truth(e), nil
-	}
-	ks := c.leaves(make([]conjunct, 0, n), e) // filled in place: the kernels' final addresses
-	all := true
-	for i := range ks {
-		if ks[i].x != nil {
-			ks[i].p = ks[i].pred()
-		} else {
-			all = false
-		}
-	}
-	p := ks[0].p
-	if n > 1 {
-		p = func(row value.Row) (tvl.Truth, error) {
-			t := tvl.True
-			for i := range ks {
-				switch u, err := ks[i].p(row); {
-				case err != nil:
-					return tvl.Unknown, err
-				case tvl.IsFalse(u):
-					return tvl.False, nil
-				case tvl.IsUnknown(u):
-					t = tvl.Unknown
-				}
-			}
-			return t, nil
-		}
-	}
-	if !all {
-		return p, nil
-	}
-	return p, ks
-}
-
-// countLeaves is the number of leaves of e's AND tree.
-func countLeaves(e ast.Expr) int {
-	if x, ok := e.(*ast.And); ok {
-		return countLeaves(x.L) + countLeaves(x.R)
-	}
-	return 1
-}
-
-// leaves appends the leaves of e's AND tree to ks: a kernel as its
-// unbuilt kernel, to be given its closure at its final place, anything
-// else as its compiled predicate.
-func (c *compiler) leaves(ks []conjunct, e ast.Expr) []conjunct {
-	switch x := e.(type) {
-	case *ast.And:
-		return c.leaves(c.leaves(ks, x.L), x.R)
-	case *ast.Compare:
-		l, r := c.operand(x.L), c.operand(x.R)
-		if k, ok := newKernel(x, l, r); ok && c.tap == nil {
-			return append(ks, k)
-		}
-		return append(ks, conjunct{p: c.compareOperands(x, l, r)})
-	}
-	return append(ks, conjunct{p: c.truth(e)})
 }

@@ -211,7 +211,7 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 		// The same compilation again, tapped: what Compile built, with
 		// every kernel reporting the cells it meets.
 		before := cov.chosen
-		tapped := (&compiler{cols: diffCols, env: env, tap: cov.tap}).truth(pred)
+		tapped, _ := (&armer{env: env, tap: cov.tap}).conjunction(Prepare(pred, diffCols, nil).leaves)
 		if cov.chosen > before {
 			withKernel++
 		}
@@ -244,15 +244,33 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 	}
 }
 
+// diffEnv2 binds the same host variables as diffEnv to values of other
+// kinds — an integer where diffEnv has a string, a string where it has an
+// integer, an integer where it has NULL — and binds :MISSING, so that one
+// prepared clause armed under both picks other kernels, or none.
+func diffEnv2() *Env {
+	env := diffEnv()
+	env.Hosts = map[string]value.Value{
+		"H": value.String_("b"), "HS": value.Int(2), "HNULL": value.Int(3), "MISSING": value.Int(1),
+	}
+	return env
+}
+
 // genConjunction draws a WHERE clause of the shape Filter.Select takes:
 // an AND, nested either way, of one to four comparisons of a row column
 // with something constant — an integer, a string or NULL, a literal or a
-// host variable, bound or not, on either side — and now and then a leaf
-// of any other shape, which keeps the clause on the row path.
+// host variable, bound or not, on either side — and now and then a
+// BETWEEN, an IN-list or a leaf of any other shape, which keep the
+// clause on the row path.
 func genConjunction(r *rand.Rand) ast.Expr {
 	leaf := func() ast.Expr {
-		if r.Intn(10) == 0 {
+		switch r.Intn(20) {
+		case 0, 1:
 			return genPred(r, 1)
+		case 2:
+			return &ast.Between{X: genOperand(r), Lo: genOperand(r), Hi: genOperand(r), Negated: r.Intn(2) == 0}
+		case 3:
+			return &ast.InList{X: genOperand(r), List: []ast.Expr{genOperand(r), genOperand(r)}, Negated: r.Intn(2) == 0}
 		}
 		intK := func() ast.Expr {
 			if r.Intn(3) == 0 {
@@ -411,9 +429,53 @@ func checkBatch(t *testing.T, pred ast.Expr, env *Env, batch []value.Row) (batch
 	return batchDecided, true
 }
 
+// checkArmed prepares pred once and arms it under diffEnv and diffEnv2,
+// both before either runs, and holds each armed clause to CompileFilter
+// under the same bindings — Prepare and Arm back to back — row by row in
+// truth value and error text, and in what Select does with the batch.
+func checkArmed(t *testing.T, pred ast.Expr, batch []value.Row) bool {
+	t.Helper()
+	prog := Prepare(pred, diffCols, nil)
+	envs := []*Env{diffEnv(), diffEnv2()}
+	armed := []Filter{prog.Arm(envs[0]), prog.Arm(envs[1])}
+	for i, env := range envs {
+		f, want := armed[i], CompileFilter(pred, diffCols, env)
+		for _, row := range batch {
+			got, gotErr := f.Pred(row)
+			w, wantErr := want.Pred(row)
+			if got != w || errText(gotErr) != errText(wantErr) {
+				t.Errorf("%s on %s under bindings %d: armed = %v, %v; compiled = %v, %v",
+					pred.SQL(), row, i+1, got, gotErr, w, wantErr)
+				return false
+			}
+		}
+		gotRows, gotOK := f.Select(nil, batch, slices.Grow[[]value.Row])
+		wantRows, wantOK := want.Select(nil, batch, slices.Grow[[]value.Row])
+		same := gotOK == wantOK && len(gotRows) == len(wantRows)
+		for j := 0; same && j < len(gotRows); j++ {
+			same = &gotRows[j][0] == &wantRows[j][0]
+		}
+		if !same {
+			t.Errorf("%s on %v under bindings %d: armed Select kept %v (%v), compiled %v (%v)",
+				pred.SQL(), batch, i+1, gotRows, gotOK, wantRows, wantOK)
+			return false
+		}
+	}
+	return true
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // TestFilterBatchAgreesWithRows is the batch filter's differential test:
 // every generated clause over every generated batch, Select against the
-// row loop over the clause's own Pred, and Pred against Truth.
+// row loop over the clause's own Pred, and Pred against Truth; and the
+// clause prepared once and armed under two binding sets against the
+// clause compiled afresh under each.
 func TestFilterBatchAgreesWithRows(t *testing.T) {
 	r := rand.New(rand.NewSource(27))
 	env := diffEnv()
@@ -423,8 +485,9 @@ func TestFilterBatchAgreesWithRows(t *testing.T) {
 		pred := genConjunction(r)
 		kernels := len(CompileFilter(pred, diffCols, env).conj)
 		for j := 0; j < 6; j++ {
-			out, ok := checkBatch(t, pred, env, genBatch(r))
-			if !ok {
+			batch := genBatch(r)
+			out, ok := checkBatch(t, pred, env, batch)
+			if !ok || !checkArmed(t, pred, batch) {
 				return
 			}
 			seen[out]++
@@ -471,7 +534,10 @@ func FuzzFilterBatch(f *testing.F) {
 	env := diffEnv()
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
-		checkBatch(t, genConjunction(r), env, genBatch(r))
+		pred, batch := genConjunction(r), genBatch(r)
+		if _, ok := checkBatch(t, pred, env, batch); ok {
+			checkArmed(t, pred, batch)
+		}
 	})
 }
 
@@ -612,19 +678,29 @@ func TestCompileFallsBackForSubqueries(t *testing.T) {
 	}
 }
 
-// BenchmarkCompile prices building a predicate for one operator; the
-// design rests on it being far cheaper than caching would save.
+// BenchmarkCompile prices a predicate for one operator: prepared and
+// armed back to back, as the reference operators do, and armed alone,
+// as an execution of a cached statement does.
 func BenchmarkCompile(b *testing.B) {
-	pred, err := parser.ParseExpr("COLOR <> 'RED' AND PNO > :K AND OEM-PNO < :M")
+	pred, err := parser.ParseExpr("P.COLOR <> 'RED' AND P.PNO > :K AND P.OEM-PNO < :M")
 	if err != nil {
 		b.Fatal(err)
 	}
 	cols := []string{"P.SNO", "P.PNO", "P.PNAME", "P.OEM-PNO", "P.COLOR"}
 	env := &Env{Hosts: map[string]value.Value{"K": value.Int(3), "M": value.Int(900)}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkPred = Compile(pred, cols, env)
-	}
+	b.Run("prepare+arm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkPred = Compile(pred, cols, env)
+		}
+	})
+	b.Run("arm", func(b *testing.B) {
+		prog := Prepare(pred, cols, nil)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkPred = prog.Arm(env).Pred
+		}
+	})
 }
 
 // BenchmarkCompiledVsInterpreted prices one row through each evaluator.

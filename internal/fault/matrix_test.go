@@ -112,7 +112,7 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 		// mid-stream fault must not leak charges or goroutines.
 		{"FilterIter", func() (*engine.Relation, error) {
 			pred := &ast.Compare{Op: ast.GeOp, L: &ast.ColumnRef{Qualifier: "L", Column: "K"}, R: &ast.IntLit{V: 10}}
-			return engine.Drain(ctx, st, engine.NewFilterIter(st, engine.NewRelationIter(st, l), pred, &eval.Env{}))
+			return engine.Drain(ctx, st, engine.NewFilterIter(st, engine.NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil), &eval.Env{}))
 		}},
 		{"ProjectIter", func() (*engine.Relation, error) {
 			it, err := engine.NewProjectIter(st, engine.NewRelationIter(st, l), []string{"L.V"}, []int{1})

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 
+	"uniqopt/internal/catalog"
 	"uniqopt/internal/core"
 	"uniqopt/internal/engine"
+	"uniqopt/internal/eval"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/value"
 )
@@ -29,11 +31,17 @@ type Compiled struct {
 	subqueries bool
 }
 
-// appliedTexts is one fired rewrite with its user-visible strings
-// pre-split for splicing.
+// appliedTexts is one fired rewrite with its user-visible strings —
+// Description, Before and After — pre-split for splicing.
 type appliedTexts struct {
-	ap                  core.Applied
-	desc, before, after text
+	ap    core.Applied
+	texts [3]text
+}
+
+// appliedFields are the strings of ap that appliedTexts.texts render, in
+// the same order.
+func appliedFields(ap *core.Applied) [3]*string {
+	return [3]*string{&ap.Description, &ap.Before, &ap.After}
 }
 
 // Compile runs the compile-time half of Run on q: the rewrite fixpoint
@@ -58,8 +66,11 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 		}
 		run = rewritten
 		for _, ap := range aps {
-			c.rewrites = append(c.rewrites, appliedTexts{ap: ap,
-				desc: newText(ap.Description), before: newText(ap.Before), after: newText(ap.After)})
+			r := appliedTexts{ap: ap}
+			for i, f := range appliedFields(&ap) {
+				r.texts[i] = newText(*f)
+			}
+			c.rewrites = append(c.rewrites, r)
 		}
 	}
 	switch x := run.(type) {
@@ -93,15 +104,44 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 func (c *Compiled) Render(hosts map[string]value.Value) *Node { return c.root.render(hosts) }
 
 // Rewrites returns the rewrites that fired, in firing order, quoting
-// this execution's literals.
+// this execution's literals. The texts with a slot are spliced into one
+// buffer, grown once, and handed out as substrings of it; a text without
+// one is returned as stored.
 func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
 	if len(c.rewrites) == 0 {
 		return nil
 	}
 	out := make([]core.Applied, len(c.rewrites))
-	for i, r := range c.rewrites {
-		out[i] = r.ap
-		out[i].Description, out[i].Before, out[i].After = r.desc.in(hosts), r.before.in(hosts), r.after.in(hosts)
+	room := 0
+	for i := range c.rewrites {
+		out[i] = c.rewrites[i].ap
+		for _, t := range c.rewrites[i].texts {
+			room += t.room(hosts)
+		}
+	}
+	if room == 0 {
+		return out
+	}
+	// Each spliced text is cut out of the buffer once it is complete.
+	type cut struct {
+		dst *string
+		end int
+	}
+	var cutBuf [3 * maxRewritePasses]cut
+	cuts := cutBuf[:0]
+	var sb strings.Builder
+	sb.Grow(room)
+	for i := range c.rewrites {
+		for j, f := range appliedFields(&out[i]) {
+			if t := c.rewrites[i].texts[j]; len(t.names) > 0 {
+				t.write(&sb, hosts)
+				cuts = append(cuts, cut{f, sb.Len()})
+			}
+		}
+	}
+	s, start := sb.String(), 0
+	for _, k := range cuts {
+		*k.dst, start = s[start:k.end], k.end
 	}
 	return out
 }
@@ -165,22 +205,57 @@ func (t text) in(hosts map[string]value.Value) string {
 		return strings.Join(t.parts, "") // one part, or none for the zero text
 	}
 	var sb strings.Builder
-	for i, name := range t.names {
-		sb.WriteString(t.parts[i])
-		if v, ok := hosts[name]; ok {
-			sb.WriteString(v.String())
-		} else {
-			sb.WriteString(":" + name)
-		}
-	}
-	sb.WriteString(t.parts[len(t.names)])
+	sb.Grow(t.room(hosts))
+	t.write(&sb, hosts)
 	return sb.String()
 }
 
-// filter is a predicate with its rendering (nil pred = no filter).
+// room is the length t renders to under hosts, or a little more: the
+// space a buffer needs so that writing t grows it no further (a string
+// whose quotes double may still overrun it). A text without a slot
+// renders as stored and needs none.
+func (t text) room(hosts map[string]value.Value) int {
+	if len(t.names) == 0 {
+		return 0
+	}
+	n := 0
+	for _, p := range t.parts {
+		n += len(p)
+	}
+	for _, name := range t.names {
+		switch v, ok := hosts[name]; {
+		case !ok:
+			n += 1 + len(name)
+		case v.Kind() == value.KindString:
+			n += len(v.AsString()) + 2
+		default:
+			n += 20 // the longest integer; NULL, TRUE and FALSE are shorter
+		}
+	}
+	return n
+}
+
+// write appends t, its slots filled as in renders them, to sb.
+func (t text) write(sb *strings.Builder, hosts map[string]value.Value) {
+	for i, name := range t.names {
+		sb.WriteString(t.parts[i])
+		if v, ok := hosts[name]; ok {
+			var buf [32]byte
+			sb.Write(v.AppendSQL(buf[:0]))
+		} else {
+			sb.WriteByte(':')
+			sb.WriteString(name)
+		}
+	}
+	sb.WriteString(t.parts[len(t.names)])
+}
+
+// filter is a predicate with its rendering and, once the layout it
+// reads is known, its prepared form (nil pred = no filter).
 type filter struct {
 	pred ast.Expr
 	text text
+	prog *eval.Program
 }
 
 // newFilter conjoins conj into one filter.
@@ -190,6 +265,13 @@ func newFilter(conj []ast.Expr) filter {
 	}
 	pred := ast.AndAll(conj...)
 	return filter{pred: pred, text: newText(pred.SQL())}
+}
+
+// over returns f prepared against the rows it reads, laid out as cols;
+// scope resolves a subquery's references, for a filter that has one.
+func (f filter) over(cols []string, scope *catalog.Scope) filter {
+	f.prog = eval.Prepare(f.pred, cols, scope)
+	return f
 }
 
 // unliftedError is an execution error whose text mentioned lifted

@@ -32,7 +32,7 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 		return newText(e.SQL()).in(hosts)
 	}
 	for _, r := range c.rewrites {
-		fmt.Fprintf(&sb, "rewrite %s | %s | %s | %s\n", r.ap.Rule, r.desc.in(hosts), r.before.in(hosts), r.after.in(hosts))
+		fmt.Fprintf(&sb, "rewrite %s | %s | %s | %s\n", r.ap.Rule, r.texts[0].in(hosts), r.texts[1].in(hosts), r.texts[2].in(hosts))
 	}
 	fmt.Fprintf(&sb, "subqueries=%v\n", c.subqueries)
 	var dump func(op operator, depth int)

@@ -326,9 +326,10 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		if t.path != nil {
 			residual = without(t.all, t.path.consumed)
 		}
-		tables[i] = &accessOp{tbl: t.tbl, cols: engine.QualifiedCols(t.tbl, t.corr),
+		cols := engine.QualifiedCols(t.tbl, t.corr)
+		tables[i] = &accessOp{tbl: t.tbl, cols: cols,
 			scan: t.tbl.Schema.Name + " as " + t.corr, path: t.path,
-			push: newFilter(t.all), rest: newFilter(residual)}
+			push: newFilter(t.all).over(cols, nil), rest: newFilter(residual).over(cols, nil)}
 	}
 
 	// Left-deep join tree, decided by name before any ordinal exists:
@@ -511,10 +512,11 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 
 	// Residual predicates (cross-table non-equalities, EXISTS, ...).
 	if rf.pred != nil {
-		fo := &filterOp{child: cur, f: rf}
+		fo := &filterOp{child: cur}
 		if wide {
 			fo.scope, c.subqueries = scope, true
 		}
+		fo.f = rf.over(cols, fo.scope)
 		cur = fo
 	}
 

@@ -126,7 +126,7 @@ func (o *accessOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	}
 	it = b.add(it, leaf)
 	if f.pred != nil {
-		it = b.add(engine.NewFilterIter(b.st, it, f.pred, &b.env), n)
+		it = b.add(engine.NewFilterIter(b.st, it, f.prog, &b.env), n)
 	}
 	return it, nil
 }
@@ -232,7 +232,7 @@ func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.Order
 		shown[i] = pk.outer
 	}
 	sort.Ints(subsumed)
-	o.rest = newFilter(without(t.all, subsumed))
+	o.rest = newFilter(without(t.all, subsumed)).over(o.inner, nil)
 	detail := fmt.Sprintf("%s via %s = (%s)", t.corr, ix.Name, strings.Join(shown, ", "))
 	if semi {
 		detail += ", first match"
@@ -281,7 +281,7 @@ func (o *indexJoinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 		return nil, err
 	}
 	it, err := engine.NewIndexJoinIter(b.st, outer,
-		engine.IndexProbe{Tbl: o.tbl, Ix: o.ix, Cols: o.inner, Key: key, Pred: o.rest.pred},
+		engine.IndexProbe{Tbl: o.tbl, Ix: o.ix, Cols: o.inner, Key: key, Pred: o.rest.prog},
 		&b.env, o.semi, o.emit)
 	if err != nil {
 		return nil, err
@@ -313,7 +313,7 @@ func (o *filterOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if o.scope != nil {
 		env = &eval.Env{Hosts: b.env.Hosts, Scope: o.scope, Exists: b.exists, In: b.in}
 	}
-	return b.add(engine.NewFilterIter(b.st, child, o.f.pred, env), n), nil
+	return b.add(engine.NewFilterIter(b.st, child, o.f.prog, env), n), nil
 }
 
 // projectOp projects its child onto the columns at idx.
@@ -403,9 +403,9 @@ func (o *setOp) build(b *builder, n *Node) (engine.Iterator, error) {
 // work is counted, and every iterator assembled so far.
 type builder struct {
 	st *engine.Stats
-	// env carries the execution's host bindings, and serves every
-	// subquery-free predicate as it is: eval.Compile reads nothing else
-	// from it.
+	// env carries the execution's host bindings, and arms every
+	// subquery-free predicate as it is: eval.Program.Arm reads nothing
+	// else from it.
 	env eval.Env
 	// exists and in evaluate subqueries with the reference executor
 	// (nested loops): the baseline strategy Kim and Pirahesh et al. set

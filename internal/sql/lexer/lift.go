@@ -2,6 +2,7 @@ package lexer
 
 import (
 	"strconv"
+	"strings"
 
 	"uniqopt/internal/sql/token"
 )
@@ -42,43 +43,74 @@ func LiftedName(n int) string {
 // as ?int / ?str — together with the literal tokens in source order.
 // A statement that begins with CREATE yields the empty shape and no
 // literals: schema definitions keep their constants.
+//
+// It reads the scanner's spans, not tokens: a word is written into the
+// shape upper-cased as it stands, and only a literal is made a token.
+// The shape is built in one buffer and the literal vector is allocated
+// at its exact length.
 func Shape(src string) (shape string, lits []token.Token, err error) {
 	lx := New(src)
-	buf := make([]byte, 0, len(src)+16)
+	var sb strings.Builder
+	sb.Grow(len(src) + 16)
+	var first [8]token.Token
+	found := first[:0]
 	prev := token.EOF
 	for {
-		t, err := lx.Next()
+		k, start, end, err := lx.scan()
 		if err != nil {
 			return "", nil, err
 		}
-		if t.Kind == token.EOF {
-			return string(buf), lits, nil
+		span := src[start:end]
+		switch k {
+		case token.EOF:
+			if len(found) > 0 {
+				lits = make([]token.Token, len(found))
+				copy(lits, found)
+			}
+			return sb.String(), lits, nil
+		case token.Ident:
+			if prev == token.EOF && strings.EqualFold(span, token.KwCreate.String()) {
+				return "", nil, nil
+			}
 		}
-		if prev == token.EOF && t.Kind == token.KwCreate {
-			return "", nil, nil
-		}
-		switch t.Kind {
+		switch k {
 		case token.RParen, token.Comma, token.Dot, token.Semicolon:
 		default:
 			if prev != token.EOF && prev != token.LParen && prev != token.Dot {
-				buf = append(buf, ' ')
+				sb.WriteByte(' ')
 			}
 		}
-		switch t.Kind {
+		switch k {
 		case token.Number:
-			buf = append(buf, "?int"...)
-			lits = append(lits, t)
+			sb.WriteString("?int")
+			found = append(found, token.Token{Kind: k, Text: span, Pos: lx.pos(start)})
 		case token.String:
-			buf = append(buf, "?str"...)
-			lits = append(lits, t)
-		case token.HostVar:
-			buf = append(append(buf, ':'), t.Text...)
+			sb.WriteString("?str")
+			found = append(found, token.Token{Kind: k, Text: unquote(span), Pos: lx.pos(start)})
+		case token.Ident, token.HostVar:
+			writeUpper(&sb, span, lx.lower)
 		case token.NotEq: // <> and != are one operator
-			buf = append(buf, "<>"...)
+			sb.WriteString("<>")
 		default:
-			buf = append(buf, t.Text...)
+			sb.WriteString(span)
 		}
-		prev = t.Kind
+		prev = k
+	}
+}
+
+// writeUpper writes a word's span upper-cased; lower says whether it has
+// a lower-case letter at all.
+func writeUpper(sb *strings.Builder, span string, lower bool) {
+	if !lower {
+		sb.WriteString(span)
+		return
+	}
+	for i := 0; i < len(span); i++ {
+		c := span[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		sb.WriteByte(c)
 	}
 }
 

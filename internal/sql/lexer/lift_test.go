@@ -7,33 +7,36 @@ import (
 	"uniqopt/internal/sql/token"
 )
 
+// shapeCases are TestShape's statements with their shapes and literal
+// texts; FuzzShape starts from them too.
+var shapeCases = []struct {
+	src, shape string
+	lits       []string
+}{
+	{`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = 7 AND S.SNAME <> 'O''Neil'`,
+		`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = ?int AND S.SNAME <> ?str`,
+		[]string{"7", "O'Neil"}},
+	{"select  distinct s . sno\n from supplier s -- comment 12 'x'\n where s.sno=8 and s.sname!='y';",
+		`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = ?int AND S.SNAME <> ?str;`,
+		[]string{"8", "y"}},
+	{`SELECT * FROM T WHERE A IN (1, 'b', :H, NULL) AND B BETWEEN 2 AND 3 OR NOT (C = TRUE)`,
+		`SELECT * FROM T WHERE A IN (?int, ?str, :H, NULL) AND B BETWEEN ?int AND ?int OR NOT (C = TRUE)`,
+		[]string{"1", "b", "2", "3"}},
+	{`INSERT INTO T VALUES (1, 'a', NULL, FALSE, :V), (2, '', NULL, TRUE, :W)`,
+		`INSERT INTO T VALUES (?int, ?str, NULL, FALSE, :V), (?int, ?str, NULL, TRUE, :W)`,
+		[]string{"1", "a", "2", ""}},
+	// A string that looks like a number, a placeholder or a lifted
+	// name is still one ?str.
+	{`SELECT A FROM T WHERE B = '7' AND C = '?int' AND D = ':$1'`,
+		`SELECT A FROM T WHERE B = ?str AND C = ?str AND D = ?str`,
+		[]string{"7", "?int", ":$1"}},
+	// DDL is never lifted.
+	{`CREATE TABLE T (A INTEGER, B VARCHAR(30), CHECK (A > 5))`, ``, nil},
+	{`  create table T (A INT)`, ``, nil},
+}
+
 func TestShape(t *testing.T) {
-	cases := []struct {
-		src, shape string
-		lits       []string
-	}{
-		{`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = 7 AND S.SNAME <> 'O''Neil'`,
-			`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = ?int AND S.SNAME <> ?str`,
-			[]string{"7", "O'Neil"}},
-		{"select  distinct s . sno\n from supplier s -- comment 12 'x'\n where s.sno=8 and s.sname!='y';",
-			`SELECT DISTINCT S.SNO FROM SUPPLIER S WHERE S.SNO = ?int AND S.SNAME <> ?str;`,
-			[]string{"8", "y"}},
-		{`SELECT * FROM T WHERE A IN (1, 'b', :H, NULL) AND B BETWEEN 2 AND 3 OR NOT (C = TRUE)`,
-			`SELECT * FROM T WHERE A IN (?int, ?str, :H, NULL) AND B BETWEEN ?int AND ?int OR NOT (C = TRUE)`,
-			[]string{"1", "b", "2", "3"}},
-		{`INSERT INTO T VALUES (1, 'a', NULL, FALSE, :V), (2, '', NULL, TRUE, :W)`,
-			`INSERT INTO T VALUES (?int, ?str, NULL, FALSE, :V), (?int, ?str, NULL, TRUE, :W)`,
-			[]string{"1", "a", "2", ""}},
-		// A string that looks like a number, a placeholder or a lifted
-		// name is still one ?str.
-		{`SELECT A FROM T WHERE B = '7' AND C = '?int' AND D = ':$1'`,
-			`SELECT A FROM T WHERE B = ?str AND C = ?str AND D = ?str`,
-			[]string{"7", "?int", ":$1"}},
-		// DDL is never lifted.
-		{`CREATE TABLE T (A INTEGER, B VARCHAR(30), CHECK (A > 5))`, ``, nil},
-		{`  create table T (A INT)`, ``, nil},
-	}
-	for _, c := range cases {
+	for _, c := range shapeCases {
 		shape, lits, err := Shape(c.src)
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
@@ -88,5 +91,19 @@ func TestTokenizeLiftedMatchesShape(t *testing.T) {
 	}
 	if LiftedName(1) != "$1" || LiftedName(32) != "$32" || LiftedName(33) != "$33" || LiftedName(1000) != "$1000" {
 		t.Error("LiftedName is not $n")
+	}
+}
+
+// BenchmarkShape prices the lexer pass a statement-cache hit makes: one
+// disj_lit text, about 180 bytes with three literals, into its shape and
+// literal vector.
+func BenchmarkShape(b *testing.B) {
+	const src = `SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
+				WHERE S.SNO = P.SNO AND (P.COLOR = 'RED' AND P.OEM-PNO < 1200 OR P.PNO = 2 AND P.OEM-PNO > 1900)`
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Shape(src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

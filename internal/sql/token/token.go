@@ -93,20 +93,78 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Keywords maps upper-cased keyword spellings to their kinds.
-var Keywords = map[string]Kind{
-	"SELECT": KwSelect, "DISTINCT": KwDistinct, "ALL": KwAll,
-	"FROM": KwFrom, "WHERE": KwWhere, "AND": KwAnd, "OR": KwOr,
-	"NOT": KwNot, "EXISTS": KwExists, "BETWEEN": KwBetween, "IN": KwIn,
-	"IS": KwIs, "NULL": KwNull, "TRUE": KwTrue, "FALSE": KwFalse,
-	"INTERSECT": KwIntersect, "EXCEPT": KwExcept,
-	"CREATE": KwCreate, "TABLE": KwTable, "PRIMARY": KwPrimary,
-	"KEY": KwKey, "UNIQUE": KwUnique, "CHECK": KwCheck,
-	"CONSTRAINT": KwConstraint,
-	"FOREIGN":    KwForeign, "REFERENCES": KwReferences,
-	"INTEGER": KwInteger, "INT": KwInteger, "VARCHAR": KwVarchar,
-	"CHAR": KwVarchar, "BOOLEAN": KwBoolean, "AS": KwAs,
-	"INSERT": KwInsert, "INTO": KwInto, "VALUES": KwValues,
+// Lookup returns the keyword kind an upper-cased word spells, or Ident
+// and false when it spells none. It is the one keyword table.
+func Lookup(word string) (Kind, bool) {
+	switch word {
+	case "SELECT":
+		return KwSelect, true
+	case "DISTINCT":
+		return KwDistinct, true
+	case "ALL":
+		return KwAll, true
+	case "FROM":
+		return KwFrom, true
+	case "WHERE":
+		return KwWhere, true
+	case "AND":
+		return KwAnd, true
+	case "OR":
+		return KwOr, true
+	case "NOT":
+		return KwNot, true
+	case "EXISTS":
+		return KwExists, true
+	case "BETWEEN":
+		return KwBetween, true
+	case "IN":
+		return KwIn, true
+	case "IS":
+		return KwIs, true
+	case "NULL":
+		return KwNull, true
+	case "TRUE":
+		return KwTrue, true
+	case "FALSE":
+		return KwFalse, true
+	case "INTERSECT":
+		return KwIntersect, true
+	case "EXCEPT":
+		return KwExcept, true
+	case "CREATE":
+		return KwCreate, true
+	case "TABLE":
+		return KwTable, true
+	case "PRIMARY":
+		return KwPrimary, true
+	case "KEY":
+		return KwKey, true
+	case "UNIQUE":
+		return KwUnique, true
+	case "CHECK":
+		return KwCheck, true
+	case "CONSTRAINT":
+		return KwConstraint, true
+	case "FOREIGN":
+		return KwForeign, true
+	case "REFERENCES":
+		return KwReferences, true
+	case "INTEGER", "INT":
+		return KwInteger, true
+	case "VARCHAR", "CHAR":
+		return KwVarchar, true
+	case "BOOLEAN":
+		return KwBoolean, true
+	case "AS":
+		return KwAs, true
+	case "INSERT":
+		return KwInsert, true
+	case "INTO":
+		return KwInto, true
+	case "VALUES":
+		return KwValues, true
+	}
+	return Ident, false
 }
 
 // Pos is a 1-based source position.

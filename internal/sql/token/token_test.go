@@ -29,16 +29,21 @@ func TestKindStrings(t *testing.T) {
 }
 
 func TestKeywordsTable(t *testing.T) {
-	// Spot-check aliases and coverage.
-	if Keywords["INT"] != KwInteger || Keywords["INTEGER"] != KwInteger {
+	// Aliases, and every keyword kind spelled by its own name.
+	if k, ok := Lookup("INT"); !ok || k != KwInteger {
 		t.Error("INT alias missing")
 	}
-	if Keywords["CHAR"] != KwVarchar {
+	if k, ok := Lookup("CHAR"); !ok || k != KwVarchar {
 		t.Error("CHAR alias missing")
 	}
-	for kw, kind := range Keywords {
-		if kind == EOF || kind == Ident {
-			t.Errorf("keyword %q maps to non-keyword kind %v", kw, kind)
+	for k := KwSelect; k <= KwValues; k++ {
+		if got, ok := Lookup(k.String()); !ok || got != k {
+			t.Errorf("Lookup(%q) = %v, %v; want %v", k.String(), got, ok, k)
+		}
+	}
+	for _, word := range []string{"", "SNO", "select", "SELECTS", "INTO2"} {
+		if k, ok := Lookup(word); ok || k != Ident {
+			t.Errorf("Lookup(%q) = %v, %v; want an identifier", word, k, ok)
 		}
 	}
 }

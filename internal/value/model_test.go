@@ -237,6 +237,11 @@ func checkAgainstModel(t *testing.T, a Value, ma model, b Value, mb model) {
 		same("Int", func() any { i, ok := v.Int(); return fmt.Sprint(i, ok) }, func() any { i, ok := m.int(); return fmt.Sprint(i, ok) })
 		same("Str", func() any { s, ok := v.Str(); return fmt.Sprintf("%q %v", s, ok) }, func() any { s, ok := m.str(); return fmt.Sprintf("%q %v", s, ok) })
 		same("String", func() any { return v.String() }, func() any { return m.String() })
+		// The append spelling, after bytes already in the buffer and into
+		// one too small to hold it: String's bytes, the prefix untouched.
+		same("AppendSQL", func() any { return string(v.AppendSQL(append(make([]byte, 0, 9), "prefix: "...))) },
+			func() any { return "prefix: " + m.String() })
+		same("AppendSQL = String", func() any { return string(v.AppendSQL(nil)) }, func() any { return v.String() })
 		same("Hash", func() any { return v.Hash() }, func() any { return m.hash() })
 	}
 	same("Compare", func() any { return Compare(a, b) }, func() any { return modelCompare(ma, mb) })

@@ -139,22 +139,37 @@ func (v *Value) Str() (s string, ok bool) {
 	return v.str(), true
 }
 
-// String renders v as a SQL literal.
+// String renders v as a SQL literal: AppendSQL's bytes.
 func (v Value) String() string {
+	var buf [32]byte
+	return string(v.AppendSQL(buf[:0]))
+}
+
+// AppendSQL appends v rendered as a SQL literal to dst and returns the
+// extended slice: NULL, an integer in decimal, a string in single quotes
+// with each quote doubled, TRUE or FALSE. It is the one spelling of a
+// value in SQL text.
+func (v Value) AppendSQL(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.n, 10)
+		return strconv.AppendInt(dst, v.n, 10)
 	case KindString:
-		return "'" + strings.ReplaceAll(v.str(), "'", "''") + "'"
+		s := v.str()
+		dst = append(dst, '\'')
+		for i := strings.IndexByte(s, '\''); i >= 0; i = strings.IndexByte(s, '\'') {
+			dst = append(append(dst, s[:i+1]...), '\'')
+			s = s[i+1:]
+		}
+		return append(append(dst, s...), '\'')
 	case KindBool:
 		if v.n != 0 {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	default:
-		return fmt.Sprintf("Value(kind=%d)", uint8(v.kind))
+		return fmt.Appendf(dst, "Value(kind=%d)", uint8(v.kind))
 	}
 }
 

@@ -122,7 +122,10 @@ var adhocShapes = []func(r *rand.Rand) string{
 		return fmt.Sprintf(`SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S
 			WHERE S.SNAME = '%s' AND S.BUDGET < %d AND
 			EXISTS (SELECT * FROM PARTS P WHERE S.SNO = P.SNO AND P.PNO = %d)`,
-			[]string{"Smith", "Jones", "O''Neil", "supplier-7"}[r.Intn(4)], r.Intn(1200), 1+r.Intn(5))
+			// A doubled quote, a string that spells a lifted name, and the
+			// empty string: each must come back byte for byte in the
+			// rewrite texts.
+			[]string{"Smith", "Jones", "O''Neil", "supplier-7", ":$2", ""}[r.Intn(6)], r.Intn(1200), 1+r.Intn(5))
 	},
 	func(r *rand.Rand) string {
 		cities := []string{"Chicago", "New York", "Toronto", "Ottawa", "Hull", "Paris", "Waterloo"}
@@ -140,9 +143,11 @@ var adhocShapes = []func(r *rand.Rand) string{
 		return fmt.Sprintf(`SELECT ALL A.SNO, A.ANO, P.PNO, S.SNAME FROM AGENTS A, PARTS P, SUPPLIER S
 			WHERE A.SNO = P.SNO AND P.SNO = S.SNO AND S.SNO = %d AND P.OEM-PNO <> %d`, 1+r.Intn(45), r.Intn(6000))
 	},
-	// A comparison between kinds fails at evaluation, quoting itself.
+	// A comparison between kinds fails at evaluation, quoting itself —
+	// and the string it quotes, however it is spelled.
 	func(r *rand.Rand) string {
-		return fmt.Sprintf(`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 'no-%d' AND S.BUDGET > %d`, r.Intn(9), r.Intn(9))
+		return fmt.Sprintf(`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = '%s' AND S.BUDGET > %d`,
+			[]string{fmt.Sprint("no-", r.Intn(9)), "O''Neil", ":$2", ""}[r.Intn(4)], r.Intn(9))
 	},
 	// Syntax errors that name a literal token, and one past int64.
 	func(r *rand.Rand) string { return fmt.Sprintf(`SELECT %d FROM SUPPLIER`, r.Intn(9)) },
@@ -834,4 +839,31 @@ func TestWarmStatementAllocs(t *testing.T) {
 		t.Errorf("warm query: %v allocs per call (want at most 25), %v for the same statement behind 480 bytes of comments", short, padded)
 	}
 	t.Logf("warm query: %v allocs per call", short)
+
+	// A shape hit that carries literals, in the style of ex1_lit: two
+	// literals, drawn afresh each call, and a fired rewrite (A is the key,
+	// so the DISTINCT goes) whose texts quote them. What it pays for is
+	// the lexer pass, the literal vector, the bindings and the spliced
+	// rewrite texts.
+	lits := make([]string, runs+1)
+	for i := range lits {
+		lits[i] = fmt.Sprintf(`SELECT DISTINCT A, B FROM T WHERE D < %d AND A > %d`, 5+i, 1000+i%7)
+	}
+	next = 0
+	lifted := func() {
+		rows, err := db.QueryWithContext(context.Background(), lits[next%len(lits)], nil, true)
+		next++
+		if err != nil || len(rows.Rewrites) != 1 {
+			t.Fatalf("lifted query: %v err=%v", rows, err)
+		}
+	}
+	lifted()
+	got = testing.AllocsPerRun(runs, lifted)
+	if got > 22 && !poisonBuild {
+		t.Errorf("warm literal-bearing query: %v allocs per call, want at most 22", got)
+	}
+	t.Logf("warm literal-bearing query: %v allocs per call", got)
 }
+
+// poisonBuild is set under the poison build tag (poison_test.go).
+var poisonBuild bool

@@ -73,6 +73,10 @@ type DB struct {
 	// scratch recycles the memory executions allocate from, shared with
 	// View handles like the counters.
 	scratch *scratchPool
+	// planners are the baseline and the optimizing planner under this
+	// handle's options, built with the handle: planners[1] applies the
+	// rewrites.
+	planners [2]*plan.Planner
 }
 
 // Options bound what one query may hold. The optimizer itself has no
@@ -151,7 +155,7 @@ func OpenPersistentDeferred(dir string, opts Options) (*DB, error) {
 }
 
 func newDB(st storage.Store, opts Options) *DB {
-	return &DB{
+	return (&DB{
 		store:   st,
 		opts:    opts,
 		cache:   core.NewVerdictCache(0),
@@ -159,7 +163,22 @@ func newDB(st storage.Store, opts Options) *DB {
 		stats:   &engine.Stats{},
 		metrics: metrics.New(),
 		scratch: &scratchPool{},
+	}).withPlanners()
+}
+
+// withPlanners builds d's two planners, over its store, analyzer cache
+// and options, and returns d.
+func (d *DB) withPlanners() *DB {
+	for i, optimize := range []bool{false, true} {
+		d.planners[i] = plan.NewPlanner(d.store.Heap(), plan.Options{
+			ApplyRewrites: optimize,
+			Core:          analyzerOptions,
+			Cache:         d.cache,
+			MaxRows:       d.opts.MaxRows,
+			MemBudget:     d.opts.MemBudget,
+		})
 	}
+	return d
 }
 
 // Recover replays persisted state (no-op completion for the in-memory
@@ -194,7 +213,7 @@ func (d *DB) Close() error { return d.store.Close() }
 // else's, while every verdict-cache hit and latency observation still
 // lands in the shared registries.
 func (d *DB) View(opts Options) *DB {
-	return &DB{
+	return (&DB{
 		store:   d.store,
 		opts:    opts,
 		cache:   d.cache,
@@ -202,7 +221,7 @@ func (d *DB) View(opts Options) *DB {
 		stats:   d.stats,
 		metrics: d.metrics,
 		scratch: d.scratch,
-	}
+	}).withPlanners()
 }
 
 // Opts reports the options this handle executes under.
@@ -518,11 +537,11 @@ type call struct {
 // selects the kind of statement the caller executes: Exec takes CREATE
 // TABLE and INSERT, the query entry points take queries.
 func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*call, error) {
-	opts := d.planOptions(optimize)
+	p := d.planner(optimize)
 	// The version is read once, before compiling, and keys every probe
 	// and store: a DDL committing mid-compile can never file a statement
 	// derived under the older catalog beneath the newer version.
-	key := vcache.Key{Src: sql, CatVer: d.store.Catalog().Version(), Opts: opts.CompileBits()}
+	key := vcache.Key{Src: sql, CatVer: d.store.Catalog().Version(), Opts: p.Opts.CompileBits()}
 	c := &call{}
 	var lits []token.Token
 	// A text that merely spells a shape ("… = ?int") reaches that shape's
@@ -572,7 +591,7 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 			}
 		case ast.Query:
 			if !write {
-				c.query, err = plan.NewPlanner(d.store.Heap(), opts).Compile(x, &c.stats)
+				c.query, err = p.Compile(x, &c.stats)
 				if err != nil {
 					return nil, err
 				}
@@ -657,20 +676,12 @@ func rewriteInfos(aps []core.Applied) []RewriteInfo {
 	return out
 }
 
-// planner builds a planner over this DB's store with its configured
-// options.
+// planner is this handle's optimizing planner, or its baseline one.
 func (d *DB) planner(optimize bool) *plan.Planner {
-	return plan.NewPlanner(d.store.Heap(), d.planOptions(optimize))
-}
-
-func (d *DB) planOptions(optimize bool) plan.Options {
-	return plan.Options{
-		ApplyRewrites: optimize,
-		Core:          analyzerOptions,
-		Cache:         d.cache,
-		MaxRows:       d.opts.MaxRows,
-		MemBudget:     d.opts.MemBudget,
+	if optimize {
+		return d.planners[1]
 	}
+	return d.planners[0]
 }
 
 // observeQuery records one execution into the metrics registry: shape
@@ -868,9 +879,8 @@ func (d *DB) Suggest(sql string) ([]RewriteInfo, error) {
 	return rewriteInfos(aps), nil
 }
 
-func (d *DB) analyzer() *core.Analyzer {
-	return &core.Analyzer{Cat: d.store.Catalog(), Opts: analyzerOptions, Cache: d.cache}
-}
+// analyzer is the analyzer every planner of d runs.
+func (d *DB) analyzer() *core.Analyzer { return d.planners[1].An }
 
 // CacheCounters reports the cumulative analyzer-cache hits and misses
 // for this DB. Only compiling consults the analyzer cache — a
