@@ -11,10 +11,11 @@ vet:
 	@unformatted="$$(gofmt -l $$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/'))"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt would rewrite:"; echo "$$unformatted"; exit 1; fi
 
-# uniqlint enforces the repo's semantic invariants (3VL comparisons,
-# Stats atomics, row aliasing, catalog version bumps, deterministic
-# map iteration, context threading in engine/plan). Exits nonzero on
-# any unsuppressed finding.
+# uniqlint enforces the repo's syntactic invariants (3VL comparisons,
+# Stats atomics, catalog version bumps, deterministic map iteration,
+# context threading in engine/plan, stale suppressions). Exits nonzero
+# on any unsuppressed finding. The engine's iterator, governor and
+# batch contracts are test-poison's, not lint's.
 lint:
 	$(GO) run ./cmd/uniqlint ./...
 
@@ -34,12 +35,19 @@ test:
 test-fault:
 	$(GO) test -tags fault ./...
 
-# Use-after-reset check: the poison build tag makes Scratch.Reset never
+# Run-time contracts. The poison build tag makes Scratch.Reset never
 # reuse a chunk — it fills every cell it handed out with a sentinel and
 # every row header with a one-cell sentinel row, then abandons the
 # chunk — so a row read after its execution's Reset changes a golden.
+# It also runs every planned pipeline under engine.Checker: no Next
+# after Close, every iterator closed, the execution's governor back to
+# its result's charge, no batch written after handoff. A violation
+# panics and fails the test. The fault matrix runs under it too: its
+# error, budget and panic paths are where an iterator leaks and a
+# charge stays on the books.
 test-poison:
 	$(GO) test -tags poison ./...
+	$(GO) test -tags 'fault poison' ./internal/fault/...
 
 # -race also compiles with checkptr instrumentation (-d=checkptr), so
 # every unsafe.String the value package reads a string payload with is

@@ -1,5 +1,7 @@
 // Command uniqlint runs the repository's static-analysis suite
-// (internal/lint) over package patterns, reporting findings as
+// (internal/lint: syntactic rules for 3VL comparisons, Stats atomics,
+// catalog version bumps, deterministic output, context threading and
+// stale suppressions) over package patterns, reporting findings as
 //
 //	file:line: [analyzer] message
 //
@@ -9,7 +11,11 @@
 //
 // Usage:
 //
-//	uniqlint [-analyzers tvlbool,rowalias,...] [-json|-gha] [packages]
+//	uniqlint [-analyzers tvlbool,ctxflow,...] [-json|-gha] [packages]
+//
+// The engine's iterator, governor and batch contracts are not lint
+// rules: `go test -tags poison ./...` checks them at run time
+// (engine.Checker).
 //
 // Patterns follow the go tool: "./..." (default), "./internal/engine",
 // "./internal/...". Directories under testdata are skipped by "..."

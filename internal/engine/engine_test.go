@@ -378,7 +378,6 @@ func TestStatsAddAndString(t *testing.T) {
 func TestRelationClone(t *testing.T) {
 	rel := &Relation{Cols: []string{"X"}, Rows: []value.Row{{value.Int(1)}}}
 	cp := rel.Clone()
-	//lint:allow rowalias -- reviewed: the test mutates the clone on purpose to prove Clone copies rows deeply
 	cp.Rows[0][0] = value.Int(99)
 	cp.Cols[0] = "Y"
 	if rel.Rows[0][0].AsInt() != 1 || rel.Cols[0] != "X" {

@@ -25,7 +25,8 @@ import (
 //     without copying. Producers therefore take fresh batch slices and
 //     row cells per Next call from the execution's Scratch, or hand out
 //     disjoint capacity-clipped windows of rows they never write again
-//     (the uniqlint iterlife/rowalias analyzers enforce this). The rule
+//     (under -tags poison, a Checker fingerprints every emitted batch
+//     and fails the execution that changes one; contracts.go). The rule
 //     binds whoever wrote the batch, so an operator with nothing to
 //     change — the identity projection above a join that already emits
 //     the projection's layout — may hand its child's batch on as it
@@ -38,7 +39,10 @@ import (
 //     cells, or under -tags poison a sentinel.
 //   - Close releases held resources (governor charges, children). It
 //     is idempotent, and must be called exactly when the consumer is
-//     done, whether or not the stream was drained.
+//     done, whether or not the stream was drained. Next is never
+//     called after Close. Under -tags poison the Checker fails an
+//     execution that calls Next after Close, leaves an iterator open,
+//     or leaves a charge unreleased.
 //   - Next takes the caller's context and must poll it: cancellation
 //     is cooperative, batch by batch (and every cancelEvery rows
 //     inside blocking phases).

@@ -298,11 +298,15 @@ func (g *guard) finish() error {
 
 // Contain converts a panic into an *InternalError assigned through
 // errp. It must be installed with `defer Contain(op, &err)` at a query
-// entry boundary (executor, planner).
+// entry boundary (executor, planner). A *ContractViolation is the
+// engine's own defect, not the query's, and goes on panicking.
 func Contain(op string, errp *error) {
 	r := recover()
 	if r == nil {
 		return
+	}
+	if v, ok := r.(*ContractViolation); ok {
+		panic(v)
 	}
 	if p, ok := r.(*InternalError); ok {
 		*errp = p // already contained at an inner boundary

@@ -53,7 +53,7 @@ func TestScratchRowsNeverAlias(t *testing.T) {
 					}
 				}
 			}
-			if poisoned {
+			if Poisoned {
 				return // a poisoned Reset reuses nothing
 			}
 			sc.Reset()
@@ -67,7 +67,7 @@ func TestScratchRowsNeverAlias(t *testing.T) {
 // allocates nothing; and no home is larger than scratchRetain bytes, but
 // an execution that spills past it keeps the home it has.
 func TestScratchReuseAndRetention(t *testing.T) {
-	if poisoned {
+	if Poisoned {
 		t.Skip("a poisoned Reset recycles nothing")
 	}
 	sc := NewScratch()
@@ -161,7 +161,7 @@ func TestSmallHashJoinAllocatesForItsRows(t *testing.T) {
 // Every tenth of 16 × 1,024 rows qualifies: the first batch is full
 // after ten input batches, and the other 615 rows come at the end.
 func TestFilterSizesOutputFromLastEmission(t *testing.T) {
-	if poisoned {
+	if Poisoned {
 		t.Skip("a poisoned scratch also records each chunk it retires, one allocation more")
 	}
 	withBatchSize(t, DefaultBatchSize)

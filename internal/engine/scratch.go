@@ -54,7 +54,7 @@ const scratchFirst = 16
 // Scratch backs must not be read after Reset: under the poison build
 // tag they read as a sentinel.
 func (s *Scratch) Reset() {
-	if poisoned {
+	if Poisoned {
 		s.poison()
 		return
 	}
@@ -108,7 +108,7 @@ func (b *bump[T]) take(n int) []T {
 
 // refill starts a fresh chunk with room for at least n elements.
 func (b *bump[T]) refill(n int) {
-	if poisoned && b.chunk != nil {
+	if Poisoned && b.chunk != nil {
 		b.spent = append(b.spent, b.chunk[:b.off])
 	}
 	if b.home == nil {

@@ -2,6 +2,7 @@
 
 package engine
 
-// poisoned makes Scratch.Reset abandon its chunks and fill what they
-// handed out with a sentinel (go test -tags poison ./...).
-const poisoned = true
+// Poisoned makes Scratch.Reset abandon its chunks and fill what they
+// handed out with a sentinel, and makes the planner run every pipeline
+// under a Checker (go test -tags poison ./...).
+const Poisoned = true

@@ -2,6 +2,6 @@
 
 package engine
 
-// poisoned is false in every build but -tags poison: Scratch.Reset
-// recycles its chunks.
-const poisoned = false
+// Poisoned is false in every build but -tags poison: Scratch.Reset
+// recycles its chunks and no pipeline runs under a Checker.
+const Poisoned = false

@@ -16,7 +16,9 @@ import (
 // cancellation but a branch of its execution can no longer observe it.
 // The analyzer inspects non-test files of internal/engine and
 // internal/plan, where every context must descend from the query
-// boundary.
+// boundary. Its rules are syntactic: a function that only forwards its
+// context to a callee that ignores it is reported at that callee,
+// which never uses its own.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "flag engine/plan functions that drop, ignore, shadow, or bypass their incoming context.Context",
@@ -144,21 +146,6 @@ func checkCtxFlow(pass *Pass, fd *ast.FuncDecl) {
 		pass.Report(ctxIdent.Pos(),
 			"function %s never uses its context parameter %s; every engine/plan entry point must poll or forward it so cancellation reaches all operators",
 			fd.Name.Name, ctxIdent.Name)
-		return
-	}
-	// Interprocedural refinement: the parameter is mentioned, but if
-	// every mention only forwards it to in-package callees that
-	// provably ignore their own context parameter, cancellation still
-	// dead-ends. The function summary's UsesParam is exactly this
-	// transitive judgment (unknown callees count as using).
-	if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok && fn != nil {
-		if sum := pass.Dataflow().SummaryOf(fn); sum != nil {
-			if i := sum.paramIndex(ctxParam); i >= 0 && !sum.UsesParam[i] {
-				pass.Report(ctxIdent.Pos(),
-					"function %s forwards its context parameter %s only to callees that ignore it; cancellation never reaches any operator below — thread it to a consumer or poll it here",
-					fd.Name.Name, ctxIdent.Name)
-			}
-		}
 	}
 }
 

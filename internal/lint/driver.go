@@ -261,7 +261,6 @@ func (r *Runner) checkStaleAllows(allows []AllowDirective, used []bool) []Findin
 // analyze runs every analyzer over one typed unit.
 func (r *Runner) analyze(fset *token.FileSet, pkg *types.Package, info *types.Info, files []*ast.File) []Finding {
 	var out []Finding
-	shared := &unitState{}
 	for _, a := range r.Analyzers {
 		pass := &Pass{
 			Analyzer: a,
@@ -270,7 +269,6 @@ func (r *Runner) analyze(fset *token.FileSet, pkg *types.Package, info *types.In
 			Pkg:      pkg,
 			Info:     info,
 			report:   func(f Finding) { out = append(out, f) },
-			shared:   shared,
 		}
 		a.Run(pass)
 	}

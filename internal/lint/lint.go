@@ -2,11 +2,14 @@
 // repository. It exists because the invariants the reproduction leans
 // on are invisible to the Go compiler: predicates must flow through
 // internal/tvl's three-valued logic instead of collapsing to bool,
-// rows must not be mutated after they are shared across a partition or
-// channel boundary, engine.Stats counters must cross goroutines only
-// through the atomic API in stats.go, catalog mutations must bump the
-// schema version that keys core.VerdictCache, and map iteration must
-// not leak nondeterministic order into plans or output.
+// engine.Stats counters must cross goroutines only through the atomic
+// API in stats.go, catalog mutations must bump the schema version that
+// keys core.VerdictCache, map iteration must not leak nondeterministic
+// order into plans or output, and engine and plan functions must
+// thread the context they receive. Every rule is syntactic over one
+// typed package. The engine's iterator, governor and batch contracts
+// are not checked here: the engine checks them itself, at run time,
+// under the poison build tag (engine.Checker).
 //
 // The framework deliberately mirrors a slimmed-down
 // golang.org/x/tools/go/analysis: an Analyzer inspects one typed
@@ -45,29 +48,6 @@ type Pass struct {
 
 	// report receives findings; installed by the driver or test harness.
 	report func(Finding)
-	// shared holds per-unit state (the dataflow Analysis) reused by
-	// every analyzer over the same typed unit; installed by the driver.
-	shared *unitState
-}
-
-// unitState is the lazily built state shared by all analyzers of one
-// typed unit.
-type unitState struct {
-	df *Analysis
-}
-
-// Dataflow returns the unit's shared dataflow analysis — function
-// summaries at fixed point plus cached CFGs — building it on first
-// use. Every analyzer of the same unit receives the same instance, so
-// the summary fixpoint runs once per unit, not once per analyzer.
-func (p *Pass) Dataflow() *Analysis {
-	if p.shared == nil {
-		p.shared = &unitState{}
-	}
-	if p.shared.df == nil {
-		p.shared.df = NewAnalysis(p.Fset, p.Pkg, p.Info, p.Files)
-	}
-	return p.shared.df
 }
 
 // Finding is one reported diagnostic.
@@ -97,8 +77,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // All returns every analyzer the suite ships, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{TvlBool, RowAlias, StatsAtomic, CatVer, DetOrder, CtxFlow, IterLife,
-		GovPair, IterState, BatchLife, FileLife, AllowStale}
+	return []*Analyzer{TvlBool, StatsAtomic, CatVer, DetOrder, CtxFlow, FileLife, AllowStale}
 }
 
 // ByName resolves a comma/space separated analyzer list; unknown names
@@ -166,22 +145,6 @@ func namedFrom(t types.Type, pkgSuffix, name string) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == name && pkgIs(obj.Pkg(), pkgSuffix)
-}
-
-// isRowType reports whether t is value.Row or a slice of it ([]Row),
-// the shared row representation whose aliasing the rowalias analyzer
-// polices.
-func isRowType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if namedFrom(t, "internal/value", "Row") {
-		return true
-	}
-	if sl, ok := t.Underlying().(*types.Slice); ok {
-		return namedFrom(sl.Elem(), "internal/value", "Row")
-	}
-	return false
 }
 
 // receiverObj resolves the receiver variable of a method declaration,

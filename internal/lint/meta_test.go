@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -14,15 +15,10 @@ import (
 // this map — and the fixture — exist.
 var analyzerFixtures = map[string]string{
 	"tvlbool":     "fix/tvlbool",
-	"rowalias":    "fix/rowalias",
 	"statsatomic": "fix/statsatomic",
 	"catver":      "catfix/internal/catalog",
 	"detorder":    "fix/detorder",
 	"ctxflow":     "ctxfix/internal/engine",
-	"iterlife":    "iterfix/internal/engine",
-	"govpair":     "govfix/internal/engine",
-	"iterstate":   "statefix/internal/engine",
-	"batchlife":   "batchfix/internal/engine",
 	"filelife":    "filefix/internal/storage/wal",
 	"allowstale":  "fix/stale",
 }
@@ -143,35 +139,39 @@ func TestEveryAnalyzerHasDoc(t *testing.T) {
 	}
 }
 
-// TestLintRuntimeBudget keeps the full-repo run (all analyzers, every
-// package, dataflow summaries included) fast enough that `make lint`
-// stays a pre-commit habit rather than a CI-only chore. The bound is
-// generous — the run takes a few seconds on a cold cache — but a
-// superlinear regression in the CFG solver or the summary fixpoint
-// will blow straight through it.
-func TestLintRuntimeBudget(t *testing.T) {
+// fullRepo is the one full-repo lint run in tier-1: TestFullRepoClean
+// and TestLintRuntimeBudget both read it, so `go test` lints the whole
+// tree once, not once per test.
+var fullRepo struct {
+	once     sync.Once
+	findings []Finding
+	sum      Summary
+	elapsed  time.Duration
+	err      error
+}
+
+func runFullRepo(t *testing.T) ([]Finding, Summary, time.Duration) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("runtime budget check skipped in -short mode")
+		t.Skip("full-repo lint skipped in -short mode")
 	}
-	r, err := NewRunner(".", nil)
-	if err != nil {
-		t.Fatal(err)
+	fullRepo.once.Do(func() {
+		r, err := NewRunner(".", nil)
+		if err != nil {
+			fullRepo.err = err
+			return
+		}
+		start := time.Now()
+		fullRepo.findings, fullRepo.sum, fullRepo.err = r.Run([]string{"./..."})
+		fullRepo.elapsed = time.Since(start)
+	})
+	if fullRepo.err != nil {
+		t.Fatal(fullRepo.err)
 	}
-	start := time.Now()
-	_, sum, err := r.Run([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	if sum.Packages == 0 {
+	if fullRepo.sum.Packages == 0 {
 		t.Fatal("full-repo lint analyzed zero packages")
 	}
-	const budget = 60 * time.Second
-	if elapsed > budget {
-		t.Errorf("full-repo lint took %v, budget %v", elapsed, budget)
-	}
-	t.Logf("full-repo lint: %d units, %d findings, %d suppressed in %v",
-		sum.Packages, sum.Findings, sum.Suppressed, elapsed)
+	return fullRepo.findings, fullRepo.sum, fullRepo.elapsed
 }
 
 // TestFullRepoClean is the acceptance gate: the tree itself must be
@@ -179,17 +179,7 @@ func TestLintRuntimeBudget(t *testing.T) {
 // reviewed reasons are the only exceptions, and allowstale polices
 // those).
 func TestFullRepoClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-repo lint skipped in -short mode")
-	}
-	r, err := NewRunner(".", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, sum, err := r.Run([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings, sum, _ := runFullRepo(t)
 	if sum.Findings != 0 {
 		for _, f := range findings {
 			if !f.Suppressed {
@@ -197,4 +187,19 @@ func TestFullRepoClean(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLintRuntimeBudget keeps the full-repo run fast enough that
+// `make lint` remains a pre-commit habit rather than a CI-only chore.
+// The budget is generous — the run takes a few seconds on a cold
+// cache — but a superlinear regression in an analyzer blows straight
+// through it.
+func TestLintRuntimeBudget(t *testing.T) {
+	_, sum, elapsed := runFullRepo(t)
+	const budget = 60 * time.Second
+	if elapsed > budget {
+		t.Errorf("full-repo lint took %v, budget %v", elapsed, budget)
+	}
+	t.Logf("full-repo lint: %d units, %d findings, %d suppressed in %v",
+		sum.Packages, sum.Findings, sum.Suppressed, elapsed)
 }

@@ -11,12 +11,12 @@ func sampleFindings() []Finding {
 	return []Finding{
 		{
 			Pos:      token.Position{Filename: "internal/engine/stream.go", Line: 42, Column: 7},
-			Analyzer: "govpair",
+			Analyzer: "ctxflow",
 			Message:  "governor charge not released on this path; 50% of exits leak",
 		},
 		{
 			Pos:        token.Position{Filename: "internal/engine/ops.go", Line: 7},
-			Analyzer:   "rowalias",
+			Analyzer:   "tvlbool",
 			Message:    "suppressed one",
 			Suppressed: true,
 		},
@@ -47,7 +47,7 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatalf("findings = %d, want 2 (suppressed included)", len(rep.Findings))
 	}
 	f := rep.Findings[0]
-	if f.File != "internal/engine/stream.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "govpair" {
+	if f.File != "internal/engine/stream.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "ctxflow" {
 		t.Errorf("first finding mismatched: %+v", f)
 	}
 	if !rep.Findings[1].Suppressed {
@@ -81,7 +81,7 @@ func TestWriteGHA(t *testing.T) {
 		t.Fatalf("GHA output = %d lines, want 1 (suppressed omitted):\n%s", len(lines), out)
 	}
 	line := lines[0]
-	if !strings.HasPrefix(line, "::error file=internal/engine/stream.go,line=42,title=uniqlint/govpair::") {
+	if !strings.HasPrefix(line, "::error file=internal/engine/stream.go,line=42,title=uniqlint/ctxflow::") {
 		t.Errorf("workflow command prefix wrong: %s", line)
 	}
 	// The % in the message must be escaped per runner rules.

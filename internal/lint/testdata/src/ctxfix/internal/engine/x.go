@@ -76,6 +76,22 @@ func BadDetachedCall(ctx context.Context, rel *Relation) error {
 	return helper(context.TODO(), rel) // want "calls context.TODO"
 }
 
+// dropIter discards the context its Next receives, so cancellation and
+// budget checks can never reach this stage.
+type dropIter struct{}
+
+func (it *dropIter) Next(_ context.Context) ([]int, error) { // want "discards its context.Context parameter"
+	return nil, nil
+}
+
+// idleIter names its context but never polls or forwards it — the
+// stage runs detached just the same.
+type idleIter struct{}
+
+func (it *idleIter) Next(ctx context.Context) ([]int, error) { // want "never uses its context parameter"
+	return nil, nil
+}
+
 type ctxKey struct{}
 
 func helper(ctx context.Context, rel *Relation) error {

@@ -1,6 +1,6 @@
 // Package engine is the golden fixture standing in the engine
 // implementation's shoes: its import path ends internal/engine, so the
-// statsatomic and rowalias analyzers apply their engine-side rules.
+// statsatomic analyzer applies its engine-side rule.
 // This file is named stats.go and therefore owns the atomic API.
 package engine
 

@@ -1,9 +1,10 @@
 // Package wal is the golden fixture for the filelife analyzer: it
 // mirrors the write-ahead log's file handling so both rules — every
-// opened *os.File closed on all paths, every raw file write fsynced
-// before a success return — have positive and negative cases,
-// including the interprocedural shapes (helpers that close, sync, or
-// merely borrow).
+// opened *os.File closed before a success return, every raw file write
+// fsynced before a success return — have positive and negative cases.
+// The rules are syntactic: a helper that closes or syncs is not looked
+// into, so a function owning the obligation spells the Close or Sync
+// itself, and a helper that merely borrows the file discharges nothing.
 package wal
 
 import (
@@ -16,7 +17,7 @@ import (
 // leakNoClose opens a file and returns success without ever closing
 // it: the canonical descriptor leak.
 func leakNoClose(path string) error {
-	f, err := os.Open(path) // want "opened here can reach function exit without being closed"
+	f, err := os.Open(path) // want "opened here can reach a success return without being closed"
 	if err != nil {
 		return err
 	}
@@ -25,9 +26,9 @@ func leakNoClose(path string) error {
 }
 
 // leakOnEarlyReturn closes on the long path but not on the shortcut:
-// exactly one path leaks, which is all the CFG needs.
+// exactly one path leaks, which is all it takes.
 func leakOnEarlyReturn(path string, fast bool) error {
-	f, err := os.Open(path) // want "opened here can reach function exit without being closed"
+	f, err := os.Open(path) // want "opened here can reach a success return without being closed"
 	if err != nil {
 		return err
 	}
@@ -37,10 +38,10 @@ func leakOnEarlyReturn(path string, fast bool) error {
 	return f.Close()
 }
 
-// leakPastBorrow hands the file to a helper the summaries prove only
-// borrows it — the close obligation stays here, undischarged.
+// leakPastBorrow hands the file to a helper that only borrows it — the
+// close obligation stays here, undischarged.
 func leakPastBorrow(path string) error {
-	f, err := os.Open(path) // want "opened here can reach function exit without being closed"
+	f, err := os.Open(path) // want "opened here can reach a success return without being closed"
 	if err != nil {
 		return err
 	}
@@ -124,23 +125,6 @@ func goodClosureCleanup(dir string) (committed bool, err error) {
 	return true, tmp.Close()
 }
 
-// closeQuietly closes its argument; callers passing a file here have
-// discharged the obligation interprocedurally.
-func closeQuietly(f *os.File) {
-	f.Close()
-}
-
-// goodViaHelper discharges through closeQuietly's summary.
-func goodViaHelper(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	_ = f.Name()
-	closeQuietly(f)
-	return nil
-}
-
 // --- rule 2: raw writes reach an fsync before success ---------------
 
 // badRawWrite acknowledges bytes that only ever reached the page
@@ -163,22 +147,9 @@ func goodSyncAfter(f *os.File, b []byte) error {
 	return nil
 }
 
-// flushSync is the in-package durability helper.
-func flushSync(f *os.File) error {
-	return f.Sync()
-}
-
-// goodViaSyncHelper discharges the fsync through flushSync's summary.
-func goodViaSyncHelper(f *os.File, b []byte) error {
-	if _, err := f.WriteString(string(b)); err != nil {
-		return err
-	}
-	return flushSync(f)
-}
-
-// goodDeferredSync covers every exit with a deferred transitive sync.
+// goodDeferredSync covers every exit with a deferred sync.
 func goodDeferredSync(f *os.File, b []byte) error {
-	defer flushSync(f)
+	defer f.Sync()
 	if _, err := f.Write(b); err != nil {
 		return err
 	}

@@ -1,6 +1,6 @@
 // Package engine is a golden-fixture stand-in for the real
 // uniqopt/internal/engine: the Stats counter struct and Relation, with
-// the same shapes the statsatomic and rowalias analyzers key on. This
+// the same shapes the statsatomic analyzer keys on. This
 // file plays the role of the real stats.go — it is the one file where
 // ad-hoc sync/atomic access to the counters is permitted.
 package engine

@@ -1,6 +1,6 @@
 // Package value is a golden-fixture stand-in for the real
-// uniqopt/internal/value, providing just the Row type the rowalias
-// analyzer keys on.
+// uniqopt/internal/value, providing just the Row type the stand-in
+// engine's Relation holds.
 package value
 
 // Value is one SQL value.

@@ -130,9 +130,14 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 		}
 	}()
 	defer engine.Contain("plan.Run", &err)
+	var own *engine.Governor // the governor this execution created
 	if engine.GovernorFrom(ctx) == nil {
-		if g := engine.NewGovernor(p.Opts.MaxRows, p.Opts.MemBudget); g != nil {
-			ctx = engine.WithGovernor(ctx, g)
+		own = engine.NewGovernor(p.Opts.MaxRows, p.Opts.MemBudget)
+		if own == nil && engine.Poisoned {
+			own = &engine.Governor{} // unlimited, but it keeps the books
+		}
+		if own != nil {
+			ctx = engine.WithGovernor(ctx, own)
 		}
 	}
 	if engine.ScratchFrom(ctx) == nil {
@@ -140,6 +145,19 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 	}
 	res = &Result{Rewrites: c.Rewrites(hosts)}
 	b := &builder{st: &res.Stats, env: eval.Env{Hosts: hosts}, built: make([]engine.Iterator, 0, 8)}
+	if engine.Poisoned {
+		if c.subqueries {
+			own = nil // the reference executor's charges are never released
+		}
+		b.check = engine.NewChecker(own)
+		defer func() {
+			var rel *engine.Relation // a failed execution leaves nothing charged
+			if res != nil {
+				rel = res.Rel
+			}
+			b.check.Verify(rel)
+		}()
+	}
 	if c.subqueries {
 		ex := engine.NewExecutor(p.DB, hosts)
 		ex.Stats = &res.Stats

@@ -413,11 +413,18 @@ type builder struct {
 	exists eval.ExistsFunc
 	in     eval.InFunc
 	built  []engine.Iterator
+	// check enforces the iterator contract under the poison build tag
+	// (engine.Checker); nil in every other build.
+	check *engine.Checker
 }
 
-// add records an assembled iterator, first wrapping it in the
-// instrumentation of its plan Node when the execution is analyzed.
+// add records an assembled iterator, first wrapping it in the contract
+// checker under the poison build tag, and in the instrumentation of its
+// plan Node when the execution is analyzed.
 func (b *builder) add(it engine.Iterator, n *Node) engine.Iterator {
+	if engine.Poisoned {
+		it = b.check.Wrap(it)
+	}
 	if n != nil {
 		it = &nodeIter{child: it, node: n}
 	}
