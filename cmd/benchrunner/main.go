@@ -9,7 +9,8 @@
 // -scale shrinks or grows the workload sizes; -sort runs E1 against the
 // paper's baseline, a sort-based DISTINCT, instead of the hash table the
 // database uses (with -exp all, as one more table); -trials overrides
-// E8's corpus size.
+// E8's corpus size (-trials 1000 is core's soundness property exactly:
+// same generator, schema and seed).
 package main
 
 import (

@@ -239,6 +239,31 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
+// E8 is core's TestAlg1SoundAgainstExhaustive run as an experiment: at
+// that test's seed (99) and size (1,000 queries) it must report the
+// YES and incomplete counts the test logs for the paper-literal
+// analyzer and for the one every DB runs. A change to either side that
+// moves the counts shows up here.
+func TestE8MatchesTheSoundnessProperty(t *testing.T) {
+	tab := E8(small, 1000)
+	for _, want := range []struct {
+		row             int
+		name            string
+		yes, incomplete int64
+	}{
+		{0, "paper-literal", 421, 130},
+		{3, "all extensions", 488, 63},
+	} {
+		if got := cell(t, tab, want.row, 0); got != want.name {
+			t.Fatalf("row %d is %q, want %q", want.row, got, want.name)
+		}
+		if yes, inc := cellInt(t, tab, want.row, 2), cellInt(t, tab, want.row, 5); yes != want.yes || inc != want.incomplete {
+			t.Errorf("%s: %d YES, %d incomplete; TestAlg1SoundAgainstExhaustive logs %d, %d\n%s",
+				want.name, yes, inc, want.yes, want.incomplete, tab.Format())
+		}
+	}
+}
+
 func TestE8ExtensionsReduceIncompleteness(t *testing.T) {
 	tab := E8(Scale{Factor: 1}, 150)
 	plain := cellInt(t, tab, 0, 5)

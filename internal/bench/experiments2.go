@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"uniqopt/internal/catalog"
-	"uniqopt/internal/core"
 	"uniqopt/internal/ims"
 	"uniqopt/internal/oodb"
 	"uniqopt/internal/sql/ast"
@@ -178,113 +176,6 @@ func buildWideCatalog(cols int) (*catalog.Catalog, string) {
 		panic(err)
 	}
 	return c, "SELECT W.C1 FROM W W"
-}
-
-// soundnessTrials runs the E8 corpus under the given analyzer options.
-func soundnessTrials(opts core.Options, trials int) (yes, exactUnique, unsound, incomplete int64) {
-	cat := e8Catalog()
-	a := &core.Analyzer{Cat: cat, Opts: opts}
-	r := rand.New(rand.NewSource(20240704))
-	for i := 0; i < trials; i++ {
-		src := e8RandomQuery(r)
-		s, err := parser.ParseSelect(src)
-		if err != nil {
-			panic(fmt.Sprintf("bench: e8 parse %q: %v", src, err))
-		}
-		v, err := a.AnalyzeSelect(s, nil)
-		if err != nil {
-			panic(err)
-		}
-		d, err := core.DefaultDomains(cat, s)
-		if err != nil {
-			panic(err)
-		}
-		exact, _, err := a.ExactUniqueness(s, d, 5_000_000)
-		if err != nil {
-			panic(err)
-		}
-		if exact {
-			exactUnique++
-		}
-		if v.Unique {
-			yes++
-			if !exact {
-				unsound++
-			}
-		} else if exact {
-			incomplete++
-		}
-	}
-	return
-}
-
-// e8Catalog is the small R/S schema used by the soundness corpus.
-func e8Catalog() *catalog.Catalog {
-	c := catalog.New()
-	for _, ddl := range []string{
-		`CREATE TABLE R (K INTEGER, X INTEGER, Y INTEGER, PRIMARY KEY (K))`,
-		`CREATE TABLE S (K INTEGER, Z INTEGER, PRIMARY KEY (K))`,
-	} {
-		st, err := parser.ParseStatement(ddl)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := c.DefineFromAST(st.(*ast.CreateTable)); err != nil {
-			panic(err)
-		}
-	}
-	return c
-}
-
-// e8RandomQuery mirrors the generator in core's property test.
-func e8RandomQuery(r *rand.Rand) string {
-	cols := []string{"R.K", "R.X", "R.Y"}
-	two := r.Intn(2) == 0
-	if two {
-		cols = append(cols, "S.K", "S.Z")
-	}
-	nProj := 1 + r.Intn(3)
-	var proj []string
-	seen := map[string]bool{}
-	for len(proj) < nProj {
-		c := cols[r.Intn(len(cols))]
-		if !seen[c] {
-			seen[c] = true
-			proj = append(proj, c)
-		}
-	}
-	from := "R R"
-	if two {
-		from = "R R, S S"
-	}
-	var conj []string
-	for i := 0; i < r.Intn(4); i++ {
-		a := cols[r.Intn(len(cols))]
-		switch r.Intn(5) {
-		case 0:
-			conj = append(conj, a+" = 1")
-		case 1:
-			conj = append(conj, a+" = "+cols[r.Intn(len(cols))])
-		case 2:
-			conj = append(conj, a+" < 2")
-		case 3:
-			conj = append(conj, a+" = :H")
-		default:
-			// The shape where the key-FD extension outperforms the
-			// paper-literal algorithm: a non-key column of one table
-			// equated to the other's key.
-			if two {
-				conj = append(conj, "R.X = S.K")
-			} else {
-				conj = append(conj, "R.K = 1")
-			}
-		}
-	}
-	q := "SELECT " + strings.Join(proj, ", ") + " FROM " + from
-	if len(conj) > 0 {
-		q += " WHERE " + strings.Join(conj, " AND ")
-	}
-	return q
 }
 
 // All runs every experiment at the given scale and returns the tables

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -183,8 +184,8 @@ func (a *Analyzer) analyze(s *ast.Select, scope *catalog.Scope, proj []string) (
 		Projection:     append([]string(nil), proj...),
 		KeyFDs:         a.Opts.UseKeyFDs,
 		DroppedClauses: eq.Dropped,
-		ConstCols:      sortedExprKeys(eq.ConstCols),
-		NullCols:       sortedBoolKeys(eq.NullCols),
+		ConstCols:      sortedKeys(eq.ConstCols),
+		NullCols:       sortedKeys(eq.NullCols),
 	}
 	v.Trace = tr
 	if a.Opts.UseCheckConstraints {
@@ -197,7 +198,7 @@ func (a *Analyzer) analyze(s *ast.Select, scope *catalog.Scope, proj []string) (
 			for _, c := range tr.ConstCols {
 				whereConsts[c] = true
 			}
-			for _, c := range sortedExprKeys(eq.ConstCols) {
+			for _, c := range sortedKeys(eq.ConstCols) {
 				if !whereConsts[c] {
 					tr.CheckCols = append(tr.CheckCols, c)
 				}
@@ -442,35 +443,8 @@ func allBound(cols []string, set map[string]bool) bool {
 	return true
 }
 
-// sortedExprKeys returns the keys of a column→expression map, sorted.
-func sortedExprKeys(m map[string]ast.Expr) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sortedBoolKeys returns the keys of a column set, sorted.
-func sortedBoolKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func dedupe(in []string) []string {
-	seen := make(map[string]bool, len(in))
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
+	out := slices.Clone(in)
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"uniqopt/internal/catalog"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 )
@@ -176,7 +177,7 @@ func TestQualifyExprForms(t *testing.T) {
 		(STATUS = 'Active' OR STATUS = 'Inactive') AND
 		TRUE AND
 		SNO IN (SELECT P.SNO FROM PARTS P WHERE P.SNO = SNO)`)
-	scope, err := catalogScope(t, a.Cat, s.From)
+	scope, err := catalog.NewScope(a.Cat, s.From, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

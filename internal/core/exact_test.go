@@ -9,35 +9,8 @@ import (
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/value"
+	"uniqopt/internal/workload"
 )
-
-// smallCatalog: R(K, X, Y) with key K; S(K, Z) with key K; NK with no
-// key; and a table for each case an analyzer extension reasons about —
-// U's UNIQUE key is nullable, CK's key is composite, CN's CHECK pins a
-// NOT NULL column of its key, CV's CHECK is on a nullable column (its
-// UNIQUE key). Small enough for exhaustive domain enumeration.
-func smallCatalog(t testing.TB) *catalog.Catalog {
-	t.Helper()
-	c := catalog.New()
-	for _, ddl := range []string{
-		`CREATE TABLE R (K INTEGER, X INTEGER, Y INTEGER, PRIMARY KEY (K))`,
-		`CREATE TABLE S (K INTEGER, Z INTEGER, PRIMARY KEY (K))`,
-		`CREATE TABLE NK (A INTEGER, B INTEGER)`, // no key
-		`CREATE TABLE U (K INTEGER, X INTEGER, UNIQUE (K))`,
-		`CREATE TABLE CK (A INTEGER, B INTEGER, Z INTEGER, PRIMARY KEY (A, B))`,
-		`CREATE TABLE CN (K INTEGER, C INTEGER NOT NULL, W INTEGER, PRIMARY KEY (K, C), CHECK (C = 1))`,
-		`CREATE TABLE CV (C INTEGER, W INTEGER, UNIQUE (C), CHECK (C = 1))`,
-	} {
-		st, err := parser.ParseStatement(ddl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.DefineFromAST(st.(*ast.CreateTable)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return c
-}
 
 func exactCheck(t *testing.T, cat *catalog.Catalog, src string) (bool, *Witness) {
 	t.Helper()
@@ -55,7 +28,7 @@ func exactCheck(t *testing.T, cat *catalog.Catalog, src string) (bool, *Witness)
 }
 
 func TestExactUniqueProjectingKey(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	u, _ := exactCheck(t, cat, "SELECT R.K, R.X FROM R R")
 	if !u {
 		t.Error("projecting the key must be unique")
@@ -63,7 +36,7 @@ func TestExactUniqueProjectingKey(t *testing.T) {
 }
 
 func TestExactDuplicatesWithoutKey(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	u, w := exactCheck(t, cat, "SELECT R.X FROM R R")
 	if u {
 		t.Fatal("projecting a non-key must admit duplicates")
@@ -81,7 +54,7 @@ func TestExactDuplicatesWithoutKey(t *testing.T) {
 }
 
 func TestExactConstantBindsKey(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	u, _ := exactCheck(t, cat, "SELECT R.X FROM R R WHERE R.K = 1")
 	if !u {
 		t.Error("K bound to a constant forces at most one row")
@@ -96,7 +69,7 @@ func TestExactConstantBindsKey(t *testing.T) {
 // every DNF term binds K, yet duplicates are possible. The exact
 // checker must find the witness, and Algorithm 1 must answer NO.
 func TestExactDisjunctionCounterexample(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	src := "SELECT R.X FROM R R WHERE (R.X = 1 AND R.K = 1) OR (R.X = 1 AND R.K = 2)"
 	u, w := exactCheck(t, cat, src)
 	if u {
@@ -117,7 +90,7 @@ func TestExactDisjunctionCounterexample(t *testing.T) {
 }
 
 func TestExactJoinQuery(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	// Keys of both sides projected: unique.
 	u, _ := exactCheck(t, cat, "SELECT R.K, S.K FROM R R, S S WHERE R.X = S.Z")
 	if !u {
@@ -136,7 +109,7 @@ func TestExactJoinQuery(t *testing.T) {
 }
 
 func TestExactErrorsAndCaps(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	a := NewAnalyzer(cat)
 	s := mustSelect(t, "SELECT R.X FROM R R")
 	d, _ := DefaultDomains(cat, s)
@@ -162,76 +135,6 @@ func TestExactErrorsAndCaps(t *testing.T) {
 	}
 }
 
-// queryTables are the keyed tables of smallCatalog and their columns:
-// what randomQuery draws from.
-var queryTables = []struct {
-	name string
-	cols []string
-}{
-	{"R", []string{"K", "X", "Y"}},
-	{"S", []string{"K", "Z"}},
-	{"U", []string{"K", "X"}},
-	{"CK", []string{"A", "B", "Z"}},
-	{"CN", []string{"K", "C", "W"}},
-	{"CV", []string{"C", "W"}},
-}
-
-// randomQuery builds a random query over one or two different tables of
-// queryTables: a projection of 1-3 of their columns and 0-3 conjuncts,
-// each an equality with a constant, a host variable or a column, a
-// range, IS NULL or IS NOT NULL.
-func randomQuery(r *rand.Rand) string {
-	picks := []int{r.Intn(len(queryTables))}
-	if r.Intn(2) == 0 {
-		j := r.Intn(len(queryTables) - 1)
-		if j >= picks[0] {
-			j++
-		}
-		picks = append(picks, j)
-	}
-	var cols, from []string
-	for _, i := range picks {
-		t := queryTables[i]
-		from = append(from, t.name+" "+t.name)
-		for _, c := range t.cols {
-			cols = append(cols, t.name+"."+c)
-		}
-	}
-	n := min(1+r.Intn(3), len(cols))
-	proj := make([]string, 0, n)
-	seen := map[string]bool{}
-	for len(proj) < n {
-		c := cols[r.Intn(len(cols))]
-		if !seen[c] {
-			seen[c] = true
-			proj = append(proj, c)
-		}
-	}
-	var conj []string
-	for i := 0; i < r.Intn(4); i++ {
-		a := cols[r.Intn(len(cols))]
-		switch r.Intn(6) {
-		case 0:
-			conj = append(conj, a+" = 1")
-		case 1:
-			conj = append(conj, a+" = "+cols[r.Intn(len(cols))])
-		case 2:
-			conj = append(conj, a+" < 2")
-		case 3:
-			conj = append(conj, a+" = :H")
-		case 4:
-			conj = append(conj, a+" IS NULL")
-		default:
-			conj = append(conj, a+" IS NOT NULL")
-		}
-	}
-	q := "SELECT " + strings.Join(proj, ", ") + " FROM " + strings.Join(from, ", ")
-	if len(conj) > 0 {
-		q += " WHERE " + strings.Join(conj, " AND ")
-	}
-	return q
-}
-
 // Property (E8's soundness core): whenever Algorithm 1 answers YES,
 // the exact bounded-domain check agrees — for the paper's algorithm,
 // for the analyzer every DB runs (all three extensions), and for that
@@ -241,7 +144,7 @@ func randomQuery(r *rand.Rand) string {
 // analyzer without that extension does not; each must fire, or the
 // property says nothing about it.
 func TestAlg1SoundAgainstExhaustive(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	configs := []struct {
 		name string
 		opts Options
@@ -259,7 +162,7 @@ func TestAlg1SoundAgainstExhaustive(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	const trials = 1000
 	for trial := 0; trial < trials; trial++ {
-		src := randomQuery(r)
+		src := workload.RandomBlock(r)
 		s, err := parser.ParseSelect(src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
@@ -313,7 +216,7 @@ func TestAlg1SoundAgainstExhaustive(t *testing.T) {
 // The UseKeyFDs extension must answer YES at least as often as the
 // paper-literal algorithm, and strictly more often on a pinned case.
 func TestKeyFDExtensionDominates(t *testing.T) {
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	plain := &Analyzer{Cat: cat}
 	ext := &Analyzer{Cat: cat, Opts: Options{UseKeyFDs: true}}
 	// R.K → R.X is a key FD; with R.K projected and R.X = S.K, the
@@ -350,7 +253,7 @@ func TestKeyFDExtensionDominates(t *testing.T) {
 func TestBindIsNullExtension(t *testing.T) {
 	// S.K IS NULL cannot qualify rows (K is primary key NOT NULL), so
 	// use the nullable-key table U instead.
-	cat := smallCatalog(t)
+	cat := workload.SmallCatalog()
 	plain := &Analyzer{Cat: cat}
 	ext := &Analyzer{Cat: cat, Opts: Options{BindIsNull: true}}
 	src := "SELECT U.X FROM U U WHERE U.K IS NULL"
@@ -405,4 +308,142 @@ func TestExactUsesCheckConstraints(t *testing.T) {
 	if !exact {
 		t.Errorf("CHECK (K = 1) forces a single row; exact must say unique, witness %v", w)
 	}
+}
+
+// exactT2 runs the exact Theorem-2 check on the EXISTS conjunct of a
+// correlated query, over the query's default domains.
+func exactT2(t *testing.T, src string, maxCombos int) (bool, *Witness, error) {
+	t.Helper()
+	cat := workload.SmallCatalog()
+	s := mustSelect(t, src)
+	d, err := DefaultDomains(cat, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exactAtMostOne(t, NewAnalyzer(cat), s.From, existsOf(t, s).Query, d, maxCombos)
+}
+
+// exactAtMostOne decides Theorem 2's condition over d: the exact check
+// with the outer tables fixed and nothing projected.
+func exactAtMostOne(t *testing.T, a *Analyzer, outerFrom []ast.TableRef, sub *ast.Select, d Domains, maxCombos int) (bool, *Witness, error) {
+	t.Helper()
+	outer, err := catalog.NewScope(a.Cat, outerFrom, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.exact(outer, sub, nil, d, maxCombos)
+}
+
+// existsOf is the last EXISTS conjunct of s.
+func existsOf(t *testing.T, s *ast.Select) *ast.Exists {
+	t.Helper()
+	var ex *ast.Exists
+	for _, c := range ast.Conjuncts(s.Where) {
+		if e, ok := c.(*ast.Exists); ok {
+			ex = e
+		}
+	}
+	if ex == nil {
+		t.Fatalf("query %s has no EXISTS", s.SQL())
+	}
+	return ex
+}
+
+func TestExactAtMostOneKeyBound(t *testing.T) {
+	// Subquery binds S's full key via correlation: at most one match.
+	for _, src := range []string{
+		`SELECT R.K FROM R R WHERE EXISTS (SELECT * FROM S S WHERE S.K = R.K)`,
+		`SELECT R.K FROM R R WHERE EXISTS (SELECT * FROM S S WHERE S.K = 1)`,
+	} {
+		u, w, err := exactT2(t, src, 50_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !u {
+			t.Errorf("%s: a bound key must be at-most-one, witness %v", src, w)
+		}
+	}
+}
+
+func TestExactAtMostOneManyMatch(t *testing.T) {
+	// Non-key correlation: many S rows can share Z.
+	u, w, err := exactT2(t, `SELECT R.K FROM R R
+		WHERE EXISTS (SELECT * FROM S S WHERE S.Z = R.X)`, 50_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u || w == nil {
+		t.Fatalf("non-key correlation must admit multiple matches: unique=%v witness=%v", u, w)
+	}
+	// The two witness rows are different S rows under one R row.
+	if value.NullEq(w.R1["S.K"], w.R2["S.K"]) || !value.NullEqRows(
+		value.Row{w.R1["R.K"], w.R1["R.X"]}, value.Row{w.R2["R.K"], w.R2["R.X"]}) {
+		t.Errorf("witness rows should be two S rows under one R row: %v", w)
+	}
+}
+
+func TestExactAtMostOneErrors(t *testing.T) {
+	if _, _, err := exactT2(t, `SELECT R.K FROM R R
+		WHERE EXISTS (SELECT * FROM S S WHERE S.K = 1)`, 5); err != ErrTooManyCombinations {
+		t.Errorf("cap should trip: %v", err)
+	}
+	// Missing domains.
+	cat := workload.SmallCatalog()
+	sub := mustSelect(t, "SELECT * FROM S S WHERE S.K = 1")
+	if _, _, err := exactAtMostOne(t, NewAnalyzer(cat), []ast.TableRef{{Table: "R", Alias: "R"}}, sub, Domains{}, 1000); err == nil {
+		t.Error("missing domains should fail")
+	}
+	// Keyless subquery table.
+	if _, _, err := exactT2(t, `SELECT R.K FROM R R
+		WHERE EXISTS (SELECT * FROM NK NK WHERE NK.A = 1)`, 1_000_000); err == nil ||
+		!strings.Contains(err.Error(), "candidate key") {
+		t.Errorf("keyless table should fail: %v", err)
+	}
+}
+
+// Property: whenever AtMostOneMatch answers YES, the exact Theorem-2
+// check agrees — the analyzer's Theorem-2 condition is sound — on
+// correlated EXISTS queries composed from two generated blocks.
+func TestAtMostOneSoundAgainstExhaustive(t *testing.T) {
+	cat := workload.SmallCatalog()
+	a := NewAnalyzer(cat)
+	r := rand.New(rand.NewSource(451))
+	var yes, incomplete int
+	const trials = 1000
+	for trial := 0; trial < trials; trial++ {
+		src := workload.RandomCorrelated(r)
+		s, err := parser.ParseSelect(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		ex := existsOf(t, s)
+		outer, err := catalog.NewScope(cat, s.From, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := a.AtMostOneMatch(ex.Query, outer)
+		if err != nil {
+			t.Fatalf("analyze %q: %v", src, err)
+		}
+		d, err := DefaultDomains(cat, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact, w, err := exactAtMostOne(t, a, s.From, ex.Query, d, 5_000_000)
+		if err != nil {
+			t.Fatalf("exact %q: %v", src, err)
+		}
+		switch {
+		case v.Unique && !exact:
+			t.Fatalf("UNSOUND: AtMostOneMatch says YES but two matches exist\nquery: %s\nwitness: %v", src, w)
+		case v.Unique:
+			yes++
+		case exact:
+			incomplete++
+		}
+	}
+	if yes == 0 {
+		t.Error("the generator produced no YES case; the property is vacuous")
+	}
+	t.Logf("%d of %d YES, %d incomplete", yes, trials, incomplete)
 }

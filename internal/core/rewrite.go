@@ -218,11 +218,7 @@ func (a *Analyzer) EliminateDistinct(s *ast.Select) (*Applied, error) {
 }
 
 func describeKeys(keys map[string][]string) []string {
-	var names []string
-	for corr := range keys {
-		names = append(names, corr)
-	}
-	sortStrings(names)
+	names := sortedKeys(keys)
 	out := make([]string, len(names))
 	for i, corr := range names {
 		out[i] = fmt.Sprintf("key of %s (%s) is bound", corr, strings.Join(keys[corr], ", "))

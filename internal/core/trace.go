@@ -167,7 +167,7 @@ func (t *Trace) clone() *Trace {
 
 // sortedKeys returns the map's keys in sorted order — the only way
 // KeysUsed may be iterated for rendering (detorder invariant).
-func sortedKeys(m map[string][]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

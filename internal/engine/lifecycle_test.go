@@ -60,8 +60,6 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 		}},
 		{"Intersect", func() (*Relation, error) { return Intersect(ctx, st, l, r, false) }},
 		{"Except", func() (*Relation, error) { return Except(ctx, st, l, r, false) }},
-		{"IntersectSort", func() (*Relation, error) { return IntersectSort(ctx, st, l, r, false) }},
-		{"ExceptSort", func() (*Relation, error) { return ExceptSort(ctx, st, l, r, false) }},
 		{"Project", func() (*Relation, error) { return Project(ctx, st, l, []string{"L.K"}) }},
 	}
 	for _, c := range cases {

@@ -1,63 +1,13 @@
 package engine
 
-import (
-	"context"
-
-	"uniqopt/internal/fault"
-	"uniqopt/internal/value"
-)
-
-// IntersectSort implements INTERSECT [ALL] the way the paper says
-// typical optimizers do (§5.3): evaluate each operand, sort each
-// result, and merge. Tuple equivalence is ≐ (NULL ≐ NULL). This is
-// the baseline strategy whose two sorts the Theorem 3 rewrite avoids.
-func IntersectSort(ctx context.Context, st *Stats, l, r *Relation, all bool) (*Relation, error) {
-	return sortMerge(ctx, st, l, r, all, intersectSorted)
-}
-
-// ExceptSort implements EXCEPT [ALL] by sorting and merging, with the
-// same ≐ semantics: EXCEPT emits each left-distinct row absent from
-// the right once; EXCEPT ALL emits max(j−k, 0) occurrences.
-func ExceptSort(ctx context.Context, st *Stats, l, r *Relation, all bool) (*Relation, error) {
-	return sortMerge(ctx, st, l, r, all, exceptSorted)
-}
-
-// sortMerge sorts a copy of each relation's rows, charging the copies
-// to a lifecycle guard, and merges them.
-func sortMerge(ctx context.Context, st *Stats, l, r *Relation, all bool, merge mergeFunc) (*Relation, error) {
-	if err := fault.Point(FaultSort); err != nil {
-		return nil, err
-	}
-	g := newGuard(ctx, st)
-	var sorted [2][]value.Row
-	for k, rel := range [...]*Relation{l, r} {
-		sorted[k] = append([]value.Row(nil), rel.Rows...)
-		if err := g.keepN(sorted[k]); err != nil {
-			return nil, err
-		}
-		sortCounted(st, sorted[k])
-	}
-	rows, err := merge(st, &g, sorted[0], sorted[1], all)
-	if err != nil {
-		return nil, err
-	}
-	return &Relation{Cols: l.Cols, Rows: rows}, g.finish()
-}
-
-// keeper is what a merge polls cancellation through and charges its
-// output rows to: a relation operator's guard, or the set-operation
-// iterator's own streamGuard.
-type keeper interface {
-	step() error
-	keep(row value.Row) error
-}
+import "uniqopt/internal/value"
 
 // mergeFunc merges two operands sorted by OrderCompareRows, charging
-// every output row to g.
-type mergeFunc func(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value.Row, error)
+// every output row to the set-operation iterator's guard.
+type mergeFunc func(st *Stats, g *streamGuard, ls, rs []value.Row, all bool) ([]value.Row, error)
 
 // intersectSorted merges ls INTERSECT [ALL] rs.
-func intersectSorted(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value.Row, error) {
+func intersectSorted(st *Stats, g *streamGuard, ls, rs []value.Row, all bool) ([]value.Row, error) {
 	var out []value.Row
 	i, j := 0, 0
 	for i < len(ls) && j < len(rs) {
@@ -90,7 +40,7 @@ func intersectSorted(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value
 }
 
 // exceptSorted merges ls EXCEPT [ALL] rs.
-func exceptSorted(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value.Row, error) {
+func exceptSorted(st *Stats, g *streamGuard, ls, rs []value.Row, all bool) ([]value.Row, error) {
 	var out []value.Row
 	i, j := 0, 0
 	for i < len(ls) {
@@ -132,7 +82,7 @@ func exceptSorted(st *Stats, g keeper, ls, rs []value.Row, all bool) ([]value.Ro
 }
 
 // appendKept appends n copies of row to out, charging each to g.
-func appendKept(g keeper, out []value.Row, row value.Row, n int) ([]value.Row, error) {
+func appendKept(g *streamGuard, out []value.Row, row value.Row, n int) ([]value.Row, error) {
 	for k := 0; k < n; k++ {
 		out = append(out, row)
 		if err := g.keep(row); err != nil {

@@ -111,16 +111,20 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 			for _, all := range []bool{false, true} {
 				a := okRel(Project(ctx, st0, l, []string{"T.A", "T.B"}))
 				b := okRel(Project(ctx, st0, rr, []string{"R.A", "R.B"}))
-				merge, hashed := IntersectSort, Intersect
+				hashed := Intersect
 				if except {
-					merge, hashed = ExceptSort, Except
+					hashed = Except
 				}
 				st = &Stats{}
 				got := mustDrain(t, st, NewSetOpIter(st, NewRelationIter(st, a), NewRelationIter(st, b), except, all))
 				what := fmt.Sprintf("stream set operation except=%v all=%v", except, all)
-				identicalRelations(t, okRel(merge(ctx, st0, a, b, all)), got, what)
 				if !MultisetEqual(okRel(hashed(ctx, st0, a, b, all)), got) {
 					t.Fatalf("%s: differs from the reference executor's operator", what)
+				}
+				for i := 1; i < got.Len(); i++ {
+					if value.OrderCompareRows(got.Rows[i-1], got.Rows[i]) > 0 {
+						t.Fatalf("%s: row %d is out of the merge's sorted order", what, i)
+					}
 				}
 			}
 		}

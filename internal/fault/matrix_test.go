@@ -105,7 +105,6 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 	st := &engine.Stats{}
 	steps := []step{
 		{"Intersect", func() (*engine.Relation, error) { return engine.Intersect(ctx, st, l, r, false) }},
-		{"IntersectSort", func() (*engine.Relation, error) { return engine.IntersectSort(ctx, st, l, r, false) }},
 		// Iterator legs: pull-based pipelines hit the per-batch
 		// engine.stream.next point and the operators' own points from
 		// inside a pipeline. Drain closes the pipeline on error, so a

@@ -941,12 +941,15 @@ func (d *DB) CreateIndex(table, name string, columns ...string) error {
 }
 
 // CheckExact runs the exact (exponential) Theorem-1 test for a query
-// specification over small default domains: two values per column plus
-// NULL where allowed. It returns whether the query is duplicate-free
-// over those domains and, when it is not, a human-readable witness —
-// two qualifying tuples that agree on the projection. maxCombos caps
-// the enumeration (0 = 5,000,000); exceeding it returns an error, which
-// is the practical face of the NP-completeness the paper notes.
+// specification over small domains (core.DefaultDomains): each column
+// takes two values of its type, every literal its table's CHECKs and
+// the query's WHERE compare it with, and NULL where allowed; each host
+// variable takes the values of the columns it is compared with. It
+// returns whether the query is duplicate-free over those domains and,
+// when it is not, a human-readable witness — two qualifying rows that
+// agree on the projection. maxCombos caps the enumeration (0 =
+// 5,000,000); exceeding it returns an error, which is the practical
+// face of the NP-completeness the paper notes.
 func (d *DB) CheckExact(sql string, maxCombos int) (unique bool, witness string, err error) {
 	s, err := parser.ParseSelect(sql)
 	if err != nil {
