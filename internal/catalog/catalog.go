@@ -259,18 +259,13 @@ type Catalog struct {
 	// replaying DDL in this order is always FK-safe — the property
 	// snapshot encoding and WAL recovery depend on.
 	order []string
-	// hostDomains optionally declares the domain of a host variable as
-	// "TABLE.COLUMN" — the paper defines a host variable's domain as
-	// the intersection of the column domains it is compared with; an
-	// explicit declaration lets applications pin it.
-	hostDomains map[string]string
 	// version counts schema mutations. Analysis caches key on it, so
 	// any DDL change invalidates every memoized verdict.
 	version atomic.Uint64
 }
 
 // Version reports the schema version: it increases on every mutation
-// (table definition, foreign key, host-domain declaration). Cached
+// (table definition, key, CHECK, foreign key). Cached
 // analysis results keyed on the version are invalidated by any change.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
 
@@ -283,7 +278,7 @@ func (c *Catalog) Bump() { c.version.Add(1) }
 // RestoreVersion raises the schema version to at least v. Recovery
 // uses it to restore version continuity across restarts: replaying a
 // snapshot's DDL from scratch produces fewer bumps than the original
-// history (dropped keys, host domains), so without restoration a
+// history (dropped keys), so without restoration a
 // recovered catalog could report a version an old cached verdict was
 // keyed under while describing a different schema. The version only
 // moves forward — a stale v is ignored, never a rollback.
@@ -298,10 +293,7 @@ func (c *Catalog) RestoreVersion(v uint64) {
 
 // New returns an empty catalog.
 func New() *Catalog {
-	return &Catalog{
-		tables:      make(map[string]*Table),
-		hostDomains: make(map[string]string),
-	}
+	return &Catalog{tables: make(map[string]*Table)}
 }
 
 // Define adds a table to the catalog.
@@ -438,25 +430,4 @@ func (c *Catalog) DefinedTables() []*Table {
 		}
 	}
 	return out
-}
-
-// DeclareHostDomain pins the domain of host variable name to the
-// domain of table.column.
-func (c *Catalog) DeclareHostDomain(hostVar, table, column string) error {
-	t, ok := c.Table(table)
-	if !ok {
-		return fmt.Errorf("catalog: host domain: unknown table %s", table)
-	}
-	if t.ColumnIndex(column) < 0 {
-		return fmt.Errorf("catalog: host domain: unknown column %s.%s", table, column)
-	}
-	c.hostDomains[strings.ToUpper(hostVar)] = t.Name + "." + strings.ToUpper(column)
-	c.Bump()
-	return nil
-}
-
-// HostDomain reports the declared domain of a host variable, if any.
-func (c *Catalog) HostDomain(hostVar string) (string, bool) {
-	d, ok := c.hostDomains[strings.ToUpper(hostVar)]
-	return d, ok
 }

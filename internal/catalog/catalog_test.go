@@ -173,26 +173,6 @@ func TestCatalogDuplicateAndNames(t *testing.T) {
 	}
 }
 
-func TestHostDomains(t *testing.T) {
-	c := paperCatalog(t)
-	if err := c.DeclareHostDomain("SUPPLIER-NO", "PARTS", "SNO"); err != nil {
-		t.Fatal(err)
-	}
-	d, ok := c.HostDomain("supplier-no")
-	if !ok || d != "PARTS.SNO" {
-		t.Errorf("host domain = %q, %v", d, ok)
-	}
-	if err := c.DeclareHostDomain("X", "NOPE", "A"); err == nil {
-		t.Error("unknown table should fail")
-	}
-	if err := c.DeclareHostDomain("X", "PARTS", "NOPE"); err == nil {
-		t.Error("unknown column should fail")
-	}
-	if _, ok := c.HostDomain("UNDECLARED"); ok {
-		t.Error("undeclared host var should not resolve")
-	}
-}
-
 func mustScope(t *testing.T, c *Catalog, from ...ast.TableRef) *Scope {
 	t.Helper()
 	s, err := NewScope(c, from, nil)

@@ -208,19 +208,3 @@ func (ex *Executor) inFunc(ctx context.Context, st *Stats) eval.InFunc {
 		return out, nil
 	}
 }
-
-// ExistsProbeCtx is the exported form of the executor's EXISTS callback
-// bound to a query context, for planners that fall back to nested-loops
-// subquery evaluation: the subquery observes the outer query's
-// cancellation, deadline, and budget. Unlike Query it accumulates into
-// ex.Stats directly and is therefore single-goroutine, like the planner
-// that owns it.
-func (ex *Executor) ExistsProbeCtx(ctx context.Context) eval.ExistsFunc {
-	return ex.existsFunc(ctx, ex.Stats)
-}
-
-// InProbeCtx is the exported form of the executor's IN callback, bound
-// to a query context like ExistsProbeCtx.
-func (ex *Executor) InProbeCtx(ctx context.Context) eval.InFunc {
-	return ex.inFunc(ctx, ex.Stats)
-}

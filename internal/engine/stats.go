@@ -3,8 +3,9 @@
 // extended Cartesian product, hash join, sort- and hash-based duplicate
 // elimination, and INTERSECT/EXCEPT [ALL]. It has two halves: one
 // family of batch iterators (stream.go) that every planned query runs
-// on, and the relation-at-a-time reference Executor (executor.go) those
-// pipelines are validated against. Every operator is instrumented with
+// on, the subqueries it keeps among them, and the relation-at-a-time
+// reference Executor (executor.go) those pipelines are validated
+// against, which only tests call. Every operator is instrumented with
 // counters, because the experiments compare strategies by the work
 // they perform (comparisons, sort runs, probes) as well as wall time.
 // A query runs on the goroutine that drains it: concurrency is between

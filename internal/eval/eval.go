@@ -267,24 +267,3 @@ func compareValues(x *ast.Compare, l, r value.Value) (tvl.Truth, error) {
 		return tvl.Unknown, fmt.Errorf("eval: unknown comparison operator")
 	}
 }
-
-// Qualifies reports whether the WHERE-clause predicate e accepts the
-// environment: the false-interpreted reading ⌊e⌋ (Unknown rejects).
-func Qualifies(e ast.Expr, env *Env) (bool, error) {
-	t, err := Truth(e, env)
-	if err != nil {
-		return false, err
-	}
-	return tvl.FalseInterpreted(t), nil
-}
-
-// Satisfied reports whether a CHECK constraint accepts the
-// environment: the true-interpreted reading ⌈e⌉ (Unknown passes), as
-// the SQL standard prescribes for constraint checking.
-func Satisfied(e ast.Expr, env *Env) (bool, error) {
-	t, err := Truth(e, env)
-	if err != nil {
-		return false, err
-	}
-	return tvl.TrueInterpreted(t), nil
-}

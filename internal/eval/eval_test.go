@@ -200,64 +200,3 @@ func mustTruth(t *testing.T, src string, e *Env) tvl.Truth {
 	}
 	return tr
 }
-
-func TestQualifiesAndSatisfied(t *testing.T) {
-	e := env(map[string]value.Value{"N": value.Null})
-	// N = 1 is Unknown: WHERE rejects, CHECK accepts.
-	q, err := Qualifies(expr(t, "N = 1"), e)
-	if err != nil || q {
-		t.Errorf("Qualifies(unknown) = %v, %v; want false", q, err)
-	}
-	s, err := Satisfied(expr(t, "N = 1"), e)
-	if err != nil || !s {
-		t.Errorf("Satisfied(unknown) = %v, %v; want true", s, err)
-	}
-	if _, err := Qualifies(expr(t, "Z = 1"), e); err == nil {
-		t.Error("Qualifies should propagate errors")
-	}
-	if _, err := Satisfied(expr(t, "Z = 1"), e); err == nil {
-		t.Error("Satisfied should propagate errors")
-	}
-}
-
-// The paper's CHECK example: every SUPPLIER row must satisfy the
-// table constraints under the true interpretation.
-func TestPaperCheckConstraints(t *testing.T) {
-	checks := []string{
-		"SNO BETWEEN 1 AND 499",
-		"SCITY IN ('Chicago', 'New York', 'Toronto')",
-		"BUDGET <> 0 OR STATUS = 'Inactive'",
-	}
-	rows := []struct {
-		cols map[string]value.Value
-		ok   bool
-	}{
-		{map[string]value.Value{"SNO": value.Int(10), "SCITY": value.String_("Toronto"),
-			"BUDGET": value.Int(100), "STATUS": value.String_("Active")}, true},
-		{map[string]value.Value{"SNO": value.Int(500), "SCITY": value.String_("Toronto"),
-			"BUDGET": value.Int(100), "STATUS": value.String_("Active")}, false},
-		{map[string]value.Value{"SNO": value.Int(10), "SCITY": value.String_("Ottawa"),
-			"BUDGET": value.Int(100), "STATUS": value.String_("Active")}, false},
-		{map[string]value.Value{"SNO": value.Int(10), "SCITY": value.String_("Toronto"),
-			"BUDGET": value.Int(0), "STATUS": value.String_("Inactive")}, true},
-		{map[string]value.Value{"SNO": value.Int(10), "SCITY": value.String_("Toronto"),
-			"BUDGET": value.Int(0), "STATUS": value.String_("Active")}, false},
-		// NULL SCITY: IN is Unknown, CHECK passes (true-interpreted).
-		{map[string]value.Value{"SNO": value.Int(10), "SCITY": value.Null,
-			"BUDGET": value.Int(1), "STATUS": value.String_("Active")}, true},
-	}
-	for i, r := range rows {
-		e := env(r.cols)
-		all := true
-		for _, c := range checks {
-			ok, err := Satisfied(expr(t, c), e)
-			if err != nil {
-				t.Fatalf("row %d check %q: %v", i, c, err)
-			}
-			all = all && ok
-		}
-		if all != r.ok {
-			t.Errorf("row %d: satisfied = %v, want %v", i, all, r.ok)
-		}
-	}
-}

@@ -76,11 +76,6 @@ func (s *Set) AddEquiv(a, b string) {
 	s.Add([]string{b}, []string{a})
 }
 
-// Union merges another set into s.
-func (s *Set) Union(o *Set) {
-	s.fds = append(s.fds, o.fds...)
-}
-
 // Clone returns a deep copy of the set.
 func (s *Set) Clone() *Set {
 	out := &Set{fds: make([]FD, len(s.fds))}

@@ -16,22 +16,48 @@ import (
 // scratchResetters are the non-test files of the module that may call
 // (*engine.Scratch).Reset. Reset hands an execution's rows back for the
 // next execution to overwrite, so only the code that copied the answer
-// out of them may call it: DB.QueryWithContext after value.BoxRows, and
-// ExplainWith, which keeps no row. A new entry is a decision to review,
-// not a formality.
+// out of them may call it: DB.QueryWithContext after value.BoxRows,
+// ExplainWith, which keeps no row, and a filter's subquery runs
+// (internal/plan/tree.go), each answering a truth value or values copied
+// out before its own scratch is reset. A new entry is a decision to
+// review, not a formality.
 var scratchResetters = map[string]bool{
-	"uniqopt.go": true,
+	"uniqopt.go":            true,
+	"internal/plan/tree.go": true,
 }
 
 func TestScratchResetOnlyByTheAnswersOwner(t *testing.T) {
+	seen := map[string]bool{}
+	engineUses(t, func(mod, file string, pos token.Position, obj types.Object) {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.FullName() != "(*"+mod+"/internal/engine.Scratch).Reset" {
+			return
+		}
+		seen[file] = true
+		if !scratchResetters[file] {
+			t.Errorf("%s: %s resets a Scratch; only %v may — the rows it backs are the answer until copied out",
+				pos, file, keys(scratchResetters))
+		}
+	})
+	for file := range scratchResetters {
+		if !seen[file] {
+			t.Errorf("scratchResetters lists %s, which no longer resets a Scratch: drop the entry", file)
+		}
+	}
+}
+
+// engineUses type-checks the non-test files of the engine package and of
+// every package of the module that imports it, and calls use for each
+// identifier that names an object: with the module path, the file the
+// identifier is in (relative to the module root) and its position.
+func engineUses(t *testing.T, use func(mod, file string, pos token.Position, obj types.Object)) {
+	t.Helper()
 	root, mod, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const enginePath = "internal/engine"
-	reset := "(*" + mod + "/" + enginePath + ".Scratch).Reset"
 	loader := NewLoader(token.NewFileSet(), mod, root, "")
-	seen := map[string]bool{}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -52,7 +78,7 @@ func TestScratchResetOnlyByTheAnswersOwner(t *testing.T) {
 		if err != nil || len(files) == 0 {
 			return err
 		}
-		// Only the engine and the packages importing it can name a Scratch.
+		// Only the engine and the packages importing it can name its objects.
 		if rel != enginePath && !importsPath(files, mod+"/"+enginePath) {
 			return nil
 		}
@@ -65,30 +91,17 @@ func TestScratchResetOnlyByTheAnswersOwner(t *testing.T) {
 			return err
 		}
 		for id, obj := range info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.FullName() != reset {
-				continue
-			}
-			file, err := filepath.Rel(root, loader.Fset.Position(id.Pos()).Filename)
+			pos := loader.Fset.Position(id.Pos())
+			file, err := filepath.Rel(root, pos.Filename)
 			if err != nil {
 				return err
 			}
-			file = filepath.ToSlash(file)
-			seen[file] = true
-			if !scratchResetters[file] {
-				t.Errorf("%s: %s resets a Scratch; only %v may — the rows it backs are the answer until copied out",
-					loader.Fset.Position(id.Pos()), file, keys(scratchResetters))
-			}
+			use(mod, filepath.ToSlash(file), pos, obj)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for file := range scratchResetters {
-		if !seen[file] {
-			t.Errorf("scratchResetters lists %s, which no longer resets a Scratch: drop the entry", file)
-		}
 	}
 }
 

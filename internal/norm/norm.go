@@ -8,9 +8,9 @@
 //	Type 2:  v1 = v2    (column = column)
 //
 // This package provides negation normal form (NNF) with BETWEEN/IN
-// expansion, CNF and DNF conversion with an explicit size cap (the
-// conversions are exponential in the worst case; the cap makes the
-// analyzer fail conservatively instead of blowing up), atomic-condition
+// expansion, CNF conversion with an explicit size cap (the conversion
+// is exponential in the worst case; the cap makes the analyzer fail
+// conservatively instead of blowing up), atomic-condition
 // classification, and the transitive-closure computation over Type 2
 // equalities (Algorithm 1, lines 13–16).
 package norm
@@ -188,58 +188,6 @@ func cnf(e ast.Expr, maxClauses int) ([]Clause, error) {
 		return out, nil
 	default:
 		return []Clause{{e}}, nil
-	}
-}
-
-// DNF converts e (after NNF) into a disjunction of conjunctions, with
-// the same size cap convention as CNF. A nil input yields a single
-// empty conjunct (TRUE).
-func DNF(e ast.Expr, maxTerms int) ([][]ast.Expr, error) {
-	if e == nil {
-		return [][]ast.Expr{{}}, nil
-	}
-	return dnf(NNF(e), maxTerms)
-}
-
-func dnf(e ast.Expr, maxTerms int) ([][]ast.Expr, error) {
-	switch x := e.(type) {
-	case *ast.Or:
-		l, err := dnf(x.L, maxTerms)
-		if err != nil {
-			return nil, err
-		}
-		r, err := dnf(x.R, maxTerms)
-		if err != nil {
-			return nil, err
-		}
-		if len(l)+len(r) > maxTerms {
-			return nil, ErrTooLarge
-		}
-		return append(l, r...), nil
-	case *ast.And:
-		l, err := dnf(x.L, maxTerms)
-		if err != nil {
-			return nil, err
-		}
-		r, err := dnf(x.R, maxTerms)
-		if err != nil {
-			return nil, err
-		}
-		if len(l)*len(r) > maxTerms {
-			return nil, ErrTooLarge
-		}
-		out := make([][]ast.Expr, 0, len(l)*len(r))
-		for _, la := range l {
-			for _, lb := range r {
-				term := make([]ast.Expr, 0, len(la)+len(lb))
-				term = append(term, la...)
-				term = append(term, lb...)
-				out = append(out, term)
-			}
-		}
-		return out, nil
-	default:
-		return [][]ast.Expr{{e}}, nil
 	}
 }
 

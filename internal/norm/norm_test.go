@@ -150,30 +150,6 @@ func TestCNFSizeCap(t *testing.T) {
 	}
 }
 
-func TestDNF(t *testing.T) {
-	ts, err := DNF(expr(t, "(A = 1 OR B = 2) AND C = 3"), 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (A=1 AND C=3) OR (B=2 AND C=3).
-	if len(ts) != 2 || len(ts[0]) != 2 || len(ts[1]) != 2 {
-		t.Fatalf("terms = %v", ts)
-	}
-	ts, err = DNF(nil, 10)
-	if err != nil || len(ts) != 1 || len(ts[0]) != 0 {
-		t.Errorf("DNF(nil) = %v, %v", ts, err)
-	}
-	// Cap.
-	src := "(A = 1 OR B = 1) AND (C = 1 OR D = 1) AND (E = 1 OR F = 1)"
-	if _, err := DNF(expr(t, src), 4); err != ErrTooLarge {
-		t.Errorf("expected ErrTooLarge, got %v", err)
-	}
-}
-
-// CNF/DNF must preserve 3VL semantics; cross-validated exhaustively in
-// the engine package where an evaluator exists. Here we pin structure
-// only.
-
 func TestSQLClauses(t *testing.T) {
 	cs, _ := CNF(expr(t, "A = 1 AND (B = 2 OR C = 3)"), 10)
 	got := SQLClauses(cs)

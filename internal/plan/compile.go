@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"uniqopt/internal/catalog"
 	"uniqopt/internal/core"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/eval"
@@ -26,9 +25,6 @@ type Compiled struct {
 
 	root     operator       // the plan of the query the fixpoint left
 	rewrites []appliedTexts // in firing order
-	// subqueries reports that some filter of the tree still evaluates a
-	// subquery, so an execution needs the reference executor.
-	subqueries bool
 }
 
 // appliedTexts is one fired rewrite with its user-visible strings —
@@ -75,15 +71,15 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 	}
 	switch x := run.(type) {
 	case *ast.Select:
-		if c.root, _, err = p.planSelect(x, c); err != nil {
+		if c.root, _, err = p.planSelect(x, nil); err != nil {
 			return nil, err
 		}
 	case *ast.SetOp:
-		l, lcols, err := p.planSelect(x.Left, c)
+		l, lcols, err := p.planSelect(x.Left, nil)
 		if err != nil {
 			return nil, err
 		}
-		r, rcols, err := p.planSelect(x.Right, c)
+		r, rcols, err := p.planSelect(x.Right, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -267,10 +263,11 @@ func newFilter(conj []ast.Expr) filter {
 	return filter{pred: pred, text: newText(pred.SQL())}
 }
 
-// over returns f prepared against the rows it reads, laid out as cols;
-// scope resolves a subquery's references, for a filter that has one.
-func (f filter) over(cols []string, scope *catalog.Scope) filter {
-	f.prog = eval.Prepare(f.pred, cols, scope)
+// over returns f prepared against the rows it reads, laid out as cols.
+// A column it reads that the layout lacks — a correlation reference of
+// a subquery block — is read from the outer row the execution binds.
+func (f filter) over(cols []string) filter {
+	f.prog = eval.Prepare(f.pred, cols, nil)
 	return f
 }
 

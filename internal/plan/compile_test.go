@@ -21,7 +21,8 @@ import (
 // operator by operator, the whole plan tree: the join order and build
 // sides (its shape), access paths, pushed and residual filters, key and
 // projection ordinals, output columns and notes — with every expression
-// spliced for hosts. Two Compiled values that describe identically
+// spliced for hosts; a filter's subquery blocks follow its child, in
+// the order the predicate names them. Two Compiled values that describe identically
 // execute identically.
 func describe(c *Compiled, hosts map[string]value.Value) string {
 	var sb strings.Builder
@@ -34,7 +35,6 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 	for _, r := range c.rewrites {
 		fmt.Fprintf(&sb, "rewrite %s | %s | %s | %s\n", r.ap.Rule, r.texts[0].in(hosts), r.texts[1].in(hosts), r.texts[2].in(hosts))
 	}
-	fmt.Fprintf(&sb, "subqueries=%v\n", c.subqueries)
 	var dump func(op operator, depth int)
 	dump = func(op operator, depth int) {
 		sb.WriteString(strings.Repeat("  ", depth))
@@ -69,7 +69,10 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 				o.tbl.Schema.Name, o.ix.Name, key, o.rest.text.in(hosts), sql(o.rest.pred), o.semi, o.emit)
 		case *filterOp:
 			ns, children = o.notes, []operator{o.child}
-			fmt.Fprintf(&sb, "filter %q/%s scoped=%v", o.f.text.in(hosts), sql(o.f.pred), o.scope != nil)
+			for _, sub := range ast.Subqueries(o.f.pred) {
+				children = append(children, o.subs[sub])
+			}
+			fmt.Fprintf(&sb, "filter %q/%s subqueries=%d", o.f.text.in(hosts), sql(o.f.pred), len(o.subs))
 		case *projectOp:
 			ns, children = o.notes, []operator{o.child}
 			fmt.Fprintf(&sb, "project %q cols=%v idx=%v", o.detail, o.cols, o.idx)

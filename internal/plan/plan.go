@@ -5,8 +5,9 @@
 // Two planner configurations matter for the experiments:
 //
 //   - the baseline planner executes the query as written: DISTINCT is
-//     honored with duplicate elimination, EXISTS subqueries run as
-//     nested-loop probes, and set operations materialize both operands;
+//     honored with duplicate elimination, each EXISTS or IN subquery is
+//     planned as a block of its own and run once per outer row, and set
+//     operations sort both operands;
 //   - the uniqueness-aware planner first applies the core package's
 //     rewrites (Theorem 1 DISTINCT elimination, Theorem 2 / Corollary 1
 //     subquery merging, Theorem 3 / Corollary 2 set-operation
@@ -16,7 +17,9 @@
 // for equality predicates, predicate pushdown), so measured deltas are
 // attributable to the semantic rewrites rather than to different
 // execution machinery: Compile produces one immutable physical plan
-// tree (tree.go) and one batch-iterator executor runs it.
+// tree (tree.go), a surviving subquery's block among its nodes, and one
+// batch-iterator executor runs it. The engine's reference executor is
+// the tests' oracle and no path of this package calls it.
 package plan
 
 import (
@@ -144,11 +147,8 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 		ctx = engine.WithScratch(ctx, engine.NewScratch())
 	}
 	res = &Result{Rewrites: c.Rewrites(hosts)}
-	b := &builder{st: &res.Stats, env: eval.Env{Hosts: hosts}, built: make([]engine.Iterator, 0, 8)}
+	b := &builder{ctx: ctx, st: &res.Stats, env: eval.Env{Hosts: hosts}, built: make([]engine.Iterator, 0, 8)}
 	if engine.Poisoned {
-		if c.subqueries {
-			own = nil // the reference executor's charges are never released
-		}
 		b.check = engine.NewChecker(own)
 		defer func() {
 			var rel *engine.Relation // a failed execution leaves nothing charged
@@ -157,11 +157,6 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 			}
 			b.check.Verify(rel)
 		}()
-	}
-	if c.subqueries {
-		ex := engine.NewExecutor(p.DB, hosts)
-		ex.Stats = &res.Stats
-		b.exists, b.in = ex.ExistsProbeCtx(ctx), ex.InProbeCtx(ctx)
 	}
 	if analyze {
 		res.Root = c.Render(hosts)
@@ -244,11 +239,12 @@ const buildPrefixNote = "builds the bounded join prefix (≤1 row) as the hash s
 // — per-table pushdown, access paths, the left-deep join order with its
 // keys, the columns each join emits, the residual predicate, projection,
 // duplicate elimination — and returns them as a plan subtree with the
-// columns it emits. It executes
+// columns it emits; outer is the enclosing block's scope for a
+// subquery, whose outer columns are constants per outer row. It executes
 // nothing and reads no host-variable binding: the tree depends only on
 // the query shape and the schema, which is what makes it cacheable.
-func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, error) {
-	scope, err := catalog.NewScope(p.DB.Catalog(), s.From, nil)
+func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope) (operator, []string, error) {
+	scope, err := catalog.NewScope(p.DB.Catalog(), s.From, outer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -304,7 +300,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	// DISTINCT once they no longer multiply rows.
 	joined, probes := terms, []existenceProbe(nil)
 	distinct, probeNote := s.Quant.IsDistinct(), "DISTINCT still removes the other duplicates"
-	if distinct {
+	if distinct && outer == nil { // rule B resolves only this block's own columns
 		joined, probes = existenceOnly(terms, conjuncts, refs)
 	}
 	if len(probes) > 0 && p.Opts.ApplyRewrites {
@@ -347,7 +343,7 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		cols := engine.QualifiedCols(t.tbl, t.corr)
 		tables[i] = &accessOp{tbl: t.tbl, cols: cols,
 			scan: t.tbl.Schema.Name + " as " + t.corr, path: t.path,
-			push: newFilter(t.all).over(cols, nil), rest: newFilter(residual).over(cols, nil)}
+			push: newFilter(t.all).over(cols), rest: newFilter(residual).over(cols)}
 	}
 
 	// Left-deep join tree, decided by name before any ordinal exists:
@@ -425,11 +421,8 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 	// earlier one, what the next join emits of the prefix plus its own
 	// keys into it. The last join emits the projection's layout first —
 	// in its order, repeats included — so that with nothing else to carry
-	// the projection above it is the identity. A residual predicate with a
-	// subquery reads columns this walk cannot list (the subquery binds
-	// the whole row by name), so such a block — a baseline path the
-	// rewrites exist to remove — keeps every column.
-	wide := rf.pred != nil && ast.HasExists(rf.pred)
+	// the projection above it is the identity. A subquery's correlation
+	// references are among the residual predicate's columns.
 	live, extras := map[string]bool{}, map[string]bool{} // extras: read above the last join, not projected
 	for _, c := range po.cols {
 		live[c] = true
@@ -470,7 +463,6 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		st, t, term := &steps[k], tables[k], joined[order[k].idx]
 		out := append(append([]string{}, cols...), t.cols...)
 		switch {
-		case wide:
 		case k == len(tables)-1:
 			out = append(append([]string{}, po.cols...), keep(out, extras)...)
 		default:
@@ -528,19 +520,21 @@ func (p *Planner) planSelect(s *ast.Select, c *Compiled) (operator, []string, er
 		cur = ij
 	}
 
-	// Residual predicates (cross-table non-equalities, EXISTS, ...).
+	// Residual predicates (cross-table non-equalities, EXISTS, ...). Each
+	// subquery is planned once, as a block of its own in this one's scope.
 	if rf.pred != nil {
-		fo := &filterOp{child: cur}
-		if wide {
-			fo.scope, c.subqueries = scope, true
+		fo := &filterOp{child: cur, f: rf.over(cols), subs: map[*ast.Select]operator{}}
+		for _, sub := range ast.Subqueries(rf.pred) {
+			if fo.subs[sub], _, err = p.planSelect(sub, scope); err != nil {
+				return nil, nil, err
+			}
 		}
-		fo.f = rf.over(cols, fo.scope)
 		cur = fo
 	}
 
 	// Projection and duplicate elimination.
 	po.child = cur
-	if len(tables) > 1 && !wide {
+	if len(tables) > 1 {
 		po.idx = make([]int, len(po.cols))
 		for i := range po.idx {
 			po.idx[i] = i

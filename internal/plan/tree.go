@@ -7,11 +7,11 @@ import (
 	"strings"
 	"time"
 
-	"uniqopt/internal/catalog"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/eval"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/storage"
+	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
 )
 
@@ -232,7 +232,7 @@ func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.Order
 		shown[i] = pk.outer
 	}
 	sort.Ints(subsumed)
-	o.rest = newFilter(without(t.all, subsumed)).over(o.inner, nil)
+	o.rest = newFilter(without(t.all, subsumed)).over(o.inner)
 	detail := fmt.Sprintf("%s via %s = (%s)", t.corr, ix.Name, strings.Join(shown, ", "))
 	if semi {
 		detail += ", first match"
@@ -291,13 +291,13 @@ func (o *indexJoinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 
 // filterOp applies the predicate left over once pushdown and join keys
 // have taken theirs: cross-table non-equalities, EXISTS, IN-subqueries.
-// scope is set exactly when the predicate evaluates a subquery, which
-// resolves its correlation references through it.
+// subs holds the plan of each subquery the predicate evaluates, planned
+// once as a block of its own; the filter runs it for every row it tests.
 type filterOp struct {
 	notes
 	child operator
 	f     filter
-	scope *catalog.Scope
+	subs  map[*ast.Select]operator
 }
 
 func (o *filterOp) render(hosts map[string]value.Value) *Node {
@@ -310,10 +310,62 @@ func (o *filterOp) build(b *builder, n *Node) (engine.Iterator, error) {
 		return nil, err
 	}
 	env := &b.env
-	if o.scope != nil {
-		env = &eval.Env{Hosts: b.env.Hosts, Scope: o.scope, Exists: b.exists, In: b.in}
+	if len(o.subs) > 0 {
+		r := &subRuns{subs: o.subs, st: b.st, ctx: engine.WithScratch(b.ctx, engine.NewScratch())}
+		env = &eval.Env{Hosts: b.env.Hosts, Cols: b.env.Cols, Exists: r.exists, In: r.in}
 	}
 	return b.add(engine.NewFilterIter(b.st, child, o.f.prog, env), n), nil
+}
+
+// subRuns runs a filter's subqueries on one scratch of the filter's own,
+// reset after every run: a run answers a truth value or values copied
+// out, so nothing reads its rows after the reset.
+type subRuns struct {
+	subs map[*ast.Select]operator
+	st   *engine.Stats
+	ctx  context.Context // the execution's, allocating from the filter's scratch
+	vals []value.Value   // the last run's answer
+}
+
+// run builds sub's block bound to the outer row env holds, pulls its
+// first row (EXISTS) or every row (IN), copying out the first column,
+// and closes it, which releases every governor charge the run took.
+func (r *subRuns) run(sub *ast.Select, env *eval.Env, first bool) ([]value.Value, error) {
+	r.st.Add(engine.Stats{SubqueryRuns: 1})
+	b := &builder{ctx: r.ctx, st: r.st, env: eval.Env{Hosts: env.Hosts, Cols: env.Cols}}
+	if engine.Poisoned {
+		b.check = engine.NewChecker(nil)
+	}
+	defer func() {
+		b.closeAll()
+		if engine.Poisoned {
+			b.check.Verify(nil)
+		}
+		engine.ScratchFrom(r.ctx).Reset()
+	}()
+	it, err := r.subs[sub].build(b, nil)
+	if err == nil && !first && len(it.Cols()) != 1 {
+		err = fmt.Errorf("plan: IN subquery must produce one column, got %d", len(it.Cols()))
+	}
+	for r.vals = r.vals[:0]; err == nil && !(first && len(r.vals) > 0); {
+		var batch engine.Batch
+		if batch, err = it.Next(r.ctx); batch == nil {
+			break
+		}
+		for _, row := range batch {
+			r.vals = append(r.vals, row[0])
+		}
+	}
+	return r.vals, err
+}
+
+func (r *subRuns) exists(sub *ast.Select, env *eval.Env) (tvl.Truth, error) {
+	vals, err := r.run(sub, env, true)
+	return tvl.Of(len(vals) > 0), err
+}
+
+func (r *subRuns) in(sub *ast.Select, env *eval.Env) ([]value.Value, error) {
+	return r.run(sub, env, false)
 }
 
 // projectOp projects its child onto the columns at idx.
@@ -402,17 +454,13 @@ func (o *setOp) build(b *builder, n *Node) (engine.Iterator, error) {
 // builder carries one execution through build: its bindings, where its
 // work is counted, and every iterator assembled so far.
 type builder struct {
-	st *engine.Stats
-	// env carries the execution's host bindings, and arms every
-	// subquery-free predicate as it is: eval.Program.Arm reads nothing
-	// else from it.
-	env eval.Env
-	// exists and in evaluate subqueries with the reference executor
-	// (nested loops): the baseline strategy Kim and Pirahesh et al. set
-	// out to avoid. Set only for a tree that has a subquery left.
-	exists eval.ExistsFunc
-	in     eval.InFunc
-	built  []engine.Iterator
+	ctx context.Context // what the pipeline is drained under
+	st  *engine.Stats
+	// env carries the execution's host bindings and, for a subquery's
+	// block, the outer row by column name; it arms every subquery-free
+	// predicate as it is: eval.Program.Arm reads nothing else from it.
+	env   eval.Env
+	built []engine.Iterator
 	// check enforces the iterator contract under the poison build tag
 	// (engine.Checker); nil in every other build.
 	check *engine.Checker

@@ -204,6 +204,24 @@ func HostVars(e Expr) []*HostVar {
 	return out
 }
 
+// Subqueries returns the EXISTS and IN subquery blocks e evaluates, in
+// order: not those nested inside them, which their own blocks evaluate.
+func Subqueries(e Expr) []*Select {
+	var out []*Select
+	WalkExpr(e, func(x Expr) bool {
+		switch x := x.(type) {
+		case *Exists:
+			out = append(out, x.Query)
+		case *InSubquery:
+			out = append(out, x.Query)
+		default:
+			return true
+		}
+		return false
+	})
+	return out
+}
+
 // HasExists reports whether e contains an EXISTS or IN-subquery
 // predicate (anything requiring subquery evaluation).
 func HasExists(e Expr) bool {

@@ -90,6 +90,32 @@ func TestDBMaxRowsBudget(t *testing.T) {
 	}
 }
 
+// TestSubqueryRunsReleaseTheirBudget: a subquery left in a residual
+// filter runs once per outer row, and each run gives back what it
+// charged when it closes, so the live footprint stays near outer + inner
+// rows (about 200 here) however many runs there are (100 × 100 rows
+// read). Planned as written or rewritten, NOT EXISTS and NOT IN survive,
+// and every outer row qualifies.
+func TestSubqueryRunsReleaseTheirBudget(t *testing.T) {
+	db := lifecycleDBWith(t, 100, Options{MaxRows: 5000})
+	for _, sql := range []string{
+		`SELECT S.SNO FROM S WHERE NOT EXISTS (SELECT * FROM P WHERE P.SNO = S.SNO AND P.COLOR = 'GREEN')`,
+		`SELECT S.SNO FROM S WHERE S.SNO NOT IN (SELECT P.PNO FROM P WHERE P.SNO <> S.SNO)`,
+	} {
+		for _, optimize := range []bool{false, true} {
+			rows, err := db.QueryWith(sql, nil, optimize)
+			if err != nil {
+				t.Errorf("optimize=%v: %s: %v", optimize, sql, err)
+				continue
+			}
+			if len(rows.Data) != 100 || rows.Stats.SubqueryRuns != 100 {
+				t.Errorf("optimize=%v: %s: %d rows in %d subquery runs, want 100 in 100",
+					optimize, sql, len(rows.Data), rows.Stats.SubqueryRuns)
+			}
+		}
+	}
+}
+
 func TestDBMemBudget(t *testing.T) {
 	db := lifecycleDBWith(t, 2000, Options{MemBudget: 16 * 1024})
 	_, err := db.Query(`SELECT S.SNO, P.PNO FROM S, P WHERE S.SNO < P.PNO`)

@@ -90,8 +90,8 @@ type rowCase struct {
 
 // layoutCases are the shapes a join's emit map decides the layout of: a
 // column projected twice, a cross-table residual predicate read between
-// the join and the projection, a residual subquery (the block keeps
-// full-width rows), a reordered three-table chain with no constant-bound
+// the join and the projection, a residual subquery (its block emits its
+// live columns, the correlation references among them), a reordered three-table chain with no constant-bound
 // key (a non-top join's layout, roles never flipped), and an index join
 // whose key constant does not bind, so that its hash-join fallback is
 // what runs.

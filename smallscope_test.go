@@ -66,6 +66,19 @@ var smallScopeCases = []string{
 	`SELECT R.K FROM R R EXCEPT ALL SELECT S.Z FROM S S`,
 	`SELECT R.X FROM R R EXCEPT ALL SELECT S.K FROM S S`,
 	`SELECT U.K FROM U U EXCEPT ALL SELECT S.Z FROM S S`,
+	// Subqueries that run once per outer row, as written at least: a
+	// two-level correlation whose innermost block reads the outermost
+	// table, a join inside EXISTS, DISTINCT inside EXISTS, a
+	// non-equality correlation, EXISTS under OR, and IN with a
+	// correlated inner filter.
+	`SELECT R.K FROM R R WHERE EXISTS (SELECT * FROM S S WHERE S.Z = R.X AND
+		NOT EXISTS (SELECT * FROM S S2 WHERE S2.K = S.Z AND S2.Z = R.Y))`,
+	`SELECT R.K FROM R R WHERE NOT EXISTS (SELECT * FROM S S, U U WHERE S.K = U.X AND U.K = R.X)`,
+	`SELECT R.K FROM R R WHERE NOT EXISTS (SELECT DISTINCT S.Z FROM S S WHERE S.Z = R.X)`,
+	`SELECT R.K, R.X FROM R R WHERE EXISTS (SELECT * FROM S S WHERE S.Z > R.X)`,
+	`SELECT R.K FROM R R WHERE R.Y = 1 OR EXISTS (SELECT * FROM S S WHERE S.K = R.X)`,
+	`SELECT R.K FROM R R WHERE R.X IN (SELECT S.Z FROM S S WHERE S.K <> R.K)`,
+	`SELECT R.K FROM R R WHERE R.X NOT IN (SELECT S.Z FROM S S WHERE S.K <> R.Y)`,
 }
 
 // smallScopeCap bounds the instances × host assignments one case runs,
@@ -76,7 +89,9 @@ const smallScopeCap = 5_000
 // Property (small-scope equivalence): for every rewrite the optimizer
 // suggests for a case, the query and its rewrite return the same bag
 // under the reference executor on every instance of at most two rows
-// per table, and so does the product DB. The rows of each table are the
+// per table, and so does the product DB, planned rewritten and as
+// written — as written, every subquery survives, so each EXISTS and IN
+// case runs its block on the product's iterators once per outer row. The rows of each table are the
 // exact checks' candidate rows (core.Domains.TableRows over the query's
 // default domains) with the columns no query reads fixed; each instance
 // is inserted through storage, which refuses those that break a key, a
@@ -162,13 +177,15 @@ func TestRewritesAgreeOnSmallInstances(t *testing.T) {
 				for h, v := range hosts {
 					args[h] = v
 				}
-				got, err := db.QueryWith(src, args, true)
-				if err != nil {
-					t.Fatalf("%s: product: %v", src, err)
-				}
-				if !engine.MultisetEqual(want, asRelation(t, got)) {
-					t.Fatalf("%s: the product DB differs from the reference executor\n%s\nwant %v\ngot  %v",
-						src, describe(rows, hosts), want, got.Data)
+				for _, optimize := range []bool{true, false} {
+					got, err := db.QueryWith(src, args, optimize)
+					if err != nil {
+						t.Fatalf("%s: product (optimize=%v): %v", src, optimize, err)
+					}
+					if !engine.MultisetEqual(want, asRelation(t, got)) {
+						t.Fatalf("%s: the product DB (optimize=%v) differs from the reference executor\n%s\nwant %v\ngot  %v",
+							src, optimize, describe(rows, hosts), want, got.Data)
+					}
 				}
 			}
 		})
