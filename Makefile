@@ -24,8 +24,7 @@ build:
 
 # Tier-1. Includes the executor's identity sweep (TestStreaming*,
 # TestInPlaceScanFilterIdentity, TestExplainGolden: batch {1,3,default}
-# against the row goldens, the EXPLAIN goldens and the reference
-# executor).
+# against the row goldens, the EXPLAIN goldens and internal/oracle).
 test:
 	$(GO) test ./...
 

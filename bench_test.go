@@ -235,15 +235,20 @@ func BenchmarkParser(b *testing.B) {
 // hash whole rows, so the string leg is where the width of a cell and
 // the way a string is read out of it show.
 func BenchmarkDistinct(b *testing.B) {
-	db := benchDB(b, 2000, 10, 0.3)
+	tbl := benchDB(b, 2000, 10, 0.3).MustTable("PARTS")
 	ctx := context.Background()
-	var st engine.Stats
-	rel, err := engine.Scan(ctx, &st, db.MustTable("PARTS"), "P")
-	if err != nil {
-		b.Fatal(err)
-	}
+	cols := engine.QualifiedCols(tbl, "P")
 	for _, key := range []struct{ name, col string }{{"int", "P.SNO"}, {"string", "P.PNAME"}} {
-		proj, err := engine.Project(ctx, &st, rel, []string{key.col})
+		var st engine.Stats
+		idx, err := engine.ColIndexes(cols, []string{key.col})
+		if err != nil {
+			b.Fatal(err)
+		}
+		it, err := engine.NewProjectIter(&st, engine.NewTableIter(&st, tbl, cols), []string{key.col}, idx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		proj, err := engine.Drain(ctx, &st, it)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -268,12 +273,7 @@ func BenchmarkDistinct(b *testing.B) {
 // strings mixed, as the sort and hash operators meet them.
 func benchRows(b *testing.B) []value.Row {
 	b.Helper()
-	var st engine.Stats
-	rel, err := engine.Scan(context.Background(), &st, benchDB(b, 200, 10, 0.3).MustTable("PARTS"), "P")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return rel.Rows
+	return benchDB(b, 200, 10, 0.3).MustTable("PARTS").Rows()
 }
 
 var benchSink uint64

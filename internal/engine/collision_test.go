@@ -40,10 +40,9 @@ func craftedRows() *Relation {
 func TestCollisionFallbackDistinct(t *testing.T) {
 	withDegenerateHash(t)
 	rel := craftedRows()
-	st := &Stats{}
-	want := okRel(DistinctSort(ctx0, st, rel)) // sort-based: no hashing involved
+	want := distinctOracle(rel) // counted by the rows' spelling: no hashing involved
 
-	got := hashDistinct(st, rel)
+	got := hashDistinct(&Stats{}, rel)
 	if !MultisetEqual(want, got) {
 		t.Fatalf("hash distinct under full collisions:\n got %s\n want %s", got, want)
 	}
@@ -57,9 +56,9 @@ func TestCollisionFallbackJoins(t *testing.T) {
 	l := randomRelation(r, "L", 300)
 	rr := randomRelation(r, "R", 120)
 
-	// Reference: the selection over the product (hash-free).
+	// Reference: nested loops (hash-free).
 	st := &Stats{}
-	want := joinOracle(st, l, rr, "L.K", "R.K")
+	want := joinOracle(l, rr, "L.K", "R.K")
 	if len(want.Rows) == 0 {
 		t.Fatal("collision workload produced no join rows; weak test")
 	}
@@ -67,6 +66,9 @@ func TestCollisionFallbackJoins(t *testing.T) {
 		"hash join under full collisions")
 }
 
+// TestCollisionFallbackSetOps: the set operations merge sorted
+// operands and hash nothing, so a degenerate hash leaves them exactly
+// the oracle's ≐-counted answers.
 func TestCollisionFallbackSetOps(t *testing.T) {
 	withDegenerateHash(t)
 	a := craftedRows()
@@ -79,16 +81,12 @@ func TestCollisionFallbackSetOps(t *testing.T) {
 		},
 	}
 	st := &Stats{}
-	for _, all := range []bool{false, true} {
-		gotI := okRel(Intersect(ctx0, st, a, b, all))
-		gotE := okRel(Except(ctx0, st, a, b, all))
-		wantI := sortSetOp(t, st, a, b, false, all)
-		wantE := sortSetOp(t, st, a, b, true, all)
-		if !MultisetEqual(gotI, wantI) {
-			t.Errorf("okRel(Intersect(ctx0, all=%v)) under collisions:\n got %s\n want %s", all, gotI, wantI)
-		}
-		if !MultisetEqual(gotE, wantE) {
-			t.Errorf("okRel(Except(ctx0, all=%v)) under collisions:\n got %s\n want %s", all, gotE, wantE)
+	for _, except := range []bool{false, true} {
+		for _, all := range []bool{false, true} {
+			got, want := sortSetOp(t, st, a, b, except, all), setOpOracle(a, b, except, all)
+			if !MultisetEqual(got, want) {
+				t.Errorf("set operation except=%v all=%v under collisions:\n got %s\n want %s", except, all, got, want)
+			}
 		}
 	}
 }
@@ -109,26 +107,21 @@ func TestCollisionMultisetEqual(t *testing.T) {
 }
 
 // TestCollisionBuckets verifies the degenerate hash really exercises
-// the fallback: every row of a sizable input lands in one bucket.
+// the fallback: every row of a sizable input lands in one chain of the
+// hash operators' table.
 func TestCollisionBuckets(t *testing.T) {
 	withDegenerateHash(t)
-	st := &Stats{}
 	rel := craftedRows()
-	g := newGuard(ctx0, st)
-	counts, err := setOpCounts(&g, st, rel)
-	if err != nil {
-		t.Fatalf("setOpCounts: %v", err)
+	var tab rowTable
+	sc := NewScratch()
+	for _, row := range rel.Rows {
+		tab.insert(sc, hashRow(row), row)
 	}
-	if len(counts) != 1 {
-		t.Fatalf("degenerate hash produced %d buckets, want 1", len(counts))
+	n := 0
+	for e := tab.find(hashRow(rel.Rows[0])); e != rtNone; e = tab.entries[e].next {
+		n++
 	}
-	total := 0
-	for _, bucket := range counts {
-		for _, cr := range bucket {
-			total += cr.n
-		}
-	}
-	if total != len(rel.Rows) {
-		t.Fatalf("bucket multiset holds %d rows, want %d", total, len(rel.Rows))
+	if n != len(rel.Rows) || tab.len() != len(rel.Rows) {
+		t.Fatalf("one chain holds %d of %d rows (%d in the table)", n, len(rel.Rows), tab.len())
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"sync"
 	"testing"
 
+	"uniqopt/internal/oracle"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/storage"
 	"uniqopt/internal/workload"
 )
 
@@ -30,6 +32,32 @@ var supplierWorkload = []string{
 	 SELECT P.SNO FROM PARTS P WHERE P.COLOR = 'BLUE'`,
 }
 
+// serialAnswers runs every query once on its pipeline, on this
+// goroutine, requires each answer to be the oracle's, and returns the
+// answers and the work they counted together.
+func serialAnswers(t *testing.T, db *storage.DB, queries []ast.Query) ([]*Relation, Stats) {
+	t.Helper()
+	var total Stats
+	want := make([]*Relation, len(queries))
+	for i, q := range queries {
+		st := &Stats{}
+		rel, err := runQuery(ctx0, db, q, nil, st)
+		if err != nil {
+			t.Fatalf("serial query %d: %v", i, err)
+		}
+		cols, rows, err := oracle.Query(db, q, nil)
+		if err != nil {
+			t.Fatalf("oracle on query %d: %v", i, err)
+		}
+		if !MultisetEqual(&Relation{Cols: cols, Rows: rows}, rel) {
+			t.Fatalf("query %d: the pipeline's answer is not the oracle's", i)
+		}
+		want[i] = rel
+		total.Add(*st)
+	}
+	return want, total
+}
+
 func parseWorkload(t *testing.T) []ast.Query {
 	t.Helper()
 	qs := make([]ast.Query, len(supplierWorkload))
@@ -43,11 +71,12 @@ func parseWorkload(t *testing.T) []ast.Query {
 	return qs
 }
 
-// TestConcurrentExecutor runs the supplier/parts workload from N
-// goroutines against one shared Executor and requires byte-identical
-// results to a serial pre-computation. Run under -race this pins the
-// executor's per-call Stats isolation and the atomic merge into the
-// shared total.
+// TestConcurrentExecutor runs the supplier/parts workload's pipelines
+// from N goroutines over one database, merging each run's Stats into
+// one shared total, and requires the results of a serial
+// pre-computation. Run under -race this pins that concurrent pipelines
+// share no mutable state and that the merge into the shared total is
+// atomic.
 func TestConcurrentExecutor(t *testing.T) {
 	db, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
@@ -55,20 +84,10 @@ func TestConcurrentExecutor(t *testing.T) {
 	}
 	queries := parseWorkload(t)
 
-	// Serial reference results.
-	ref := NewExecutor(db, nil)
-	want := make([]*Relation, len(queries))
-	for i, q := range queries {
-		rel, err := ref.Query(q)
-		if err != nil {
-			t.Fatalf("serial query %d: %v", i, err)
-		}
-		want[i] = rel
-	}
-	wantStats := ref.Stats.Snapshot()
+	want, wantStats := serialAnswers(t, db, queries)
 
-	// Shared executor, N goroutines × R rounds.
-	shared := NewExecutor(db, nil)
+	// One shared total, N goroutines × R rounds.
+	shared := &Stats{}
 	const goroutines = 8
 	const rounds = 3
 	var wg sync.WaitGroup
@@ -79,7 +98,9 @@ func TestConcurrentExecutor(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				for i, q := range queries {
-					rel, err := shared.Query(q)
+					st := &Stats{}
+					rel, err := runQuery(ctx0, db, q, nil, st)
+					shared.Add(*st)
 					if err != nil {
 						errs <- fmt.Errorf("goroutine %d query %d: %w", g, i, err)
 						return
@@ -105,7 +126,7 @@ func TestConcurrentExecutor(t *testing.T) {
 
 	// The shared Stats must hold exactly goroutines×rounds times the
 	// serial work — merged atomically, nothing lost or doubled.
-	got := shared.Stats.Snapshot()
+	got := shared.Snapshot()
 	scale := int64(goroutines * rounds)
 	scaled := wantStats
 	scaled.RowsScanned *= scale
@@ -120,13 +141,15 @@ func TestConcurrentExecutor(t *testing.T) {
 	scaled.IndexSeeks *= scale
 	scaled.RowsMaterialized *= scale
 	scaled.BytesReserved *= scale
+	scaled.Batches *= scale
 	if got != scaled {
 		t.Errorf("merged stats drifted:\n got  %s\n want %s", got.String(), scaled.String())
 	}
 }
 
 // TestConcurrentExecutorsSeparate exercises the more common pattern —
-// one executor per goroutine over a shared read-only database.
+// each goroutine counting into Stats of its own over a shared read-only
+// database.
 func TestConcurrentExecutorsSeparate(t *testing.T) {
 	db, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
@@ -134,13 +157,7 @@ func TestConcurrentExecutorsSeparate(t *testing.T) {
 	}
 	queries := parseWorkload(t)
 
-	ref := NewExecutor(db, nil)
-	want := make([]*Relation, len(queries))
-	for i, q := range queries {
-		if want[i], err = ref.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want, _ := serialAnswers(t, db, queries)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 6)
@@ -148,9 +165,9 @@ func TestConcurrentExecutorsSeparate(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ex := NewExecutor(db, nil)
+			st := &Stats{}
 			for i, q := range queries {
-				rel, err := ex.Query(q)
+				rel, err := runQuery(ctx0, db, q, nil, st)
 				if err != nil {
 					errs <- err
 					return

@@ -1,12 +1,19 @@
 package engine
 
 import (
+	"context"
+	"fmt"
+	"maps"
+	"strings"
 	"testing"
 
 	"uniqopt/internal/catalog"
+	"uniqopt/internal/eval"
+	"uniqopt/internal/oracle"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
+	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
 )
 
@@ -77,16 +84,142 @@ func testDB(t testing.TB) *storage.DB {
 	return db
 }
 
+// sqlPipeline runs a query on the iterators the way a planner with no
+// choices would: every FROM table scanned, the scans crossed left to
+// right by the product iterator, the WHERE clause over the product,
+// then the projection and, for DISTINCT, the hash distinct. A subquery
+// is planned the same way and drained once per outer row, through the
+// filter's callbacks; a set operation runs on the sort-merge iterator.
+// It is how the tests below state a pipeline in SQL.
+type sqlPipeline struct {
+	ctx   context.Context
+	db    *storage.DB
+	hosts map[string]value.Value
+	st    *Stats
+}
+
+// runQuery drains q's pipeline under ctx, counting its work into st.
+// Like a planner's entry point, it contains panics and returns no
+// partial result with an error.
+func runQuery(ctx context.Context, db *storage.DB, q ast.Query, hosts map[string]value.Value, st *Stats) (rel *Relation, err error) {
+	defer func() {
+		if err != nil {
+			rel = nil
+		}
+	}()
+	defer Contain("engine test query", &err)
+	p := &sqlPipeline{ctx: ctx, db: db, hosts: hosts, st: st}
+	switch x := q.(type) {
+	case *ast.Select:
+		it, err := p.block(x, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		return Drain(ctx, st, it)
+	case *ast.SetOp:
+		l, err := p.block(x.Left, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		r, err := p.block(x.Right, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		if len(l.Cols()) != len(r.Cols()) {
+			return nil, fmt.Errorf("set operands of %d and %d columns", len(l.Cols()), len(r.Cols()))
+		}
+		return Drain(ctx, st, NewSetOpIter(st, l, r, x.Op == ast.Except, x.All))
+	}
+	return nil, fmt.Errorf("unknown query node %T", q)
+}
+
+func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[string]value.Value) (Iterator, error) {
+	scope, err := catalog.NewScope(p.db.Catalog(), s.From, outer)
+	if err != nil {
+		return nil, err
+	}
+	var it Iterator
+	for _, tr := range s.From {
+		tbl := p.db.MustTable(tr.Table)
+		scan := NewTableIter(p.st, tbl, QualifiedCols(tbl, strings.ToUpper(tr.Name())))
+		if it == nil {
+			it = scan
+		} else if it, err = NewProductIter(p.st, it, scan, IdentityEmit(len(it.Cols()), len(scan.Cols()))); err != nil {
+			return nil, err
+		}
+	}
+	env := &eval.Env{Cols: outerCols, Hosts: p.hosts, Scope: scope, Exists: p.exists, In: p.in}
+	it = NewFilterIter(p.st, it, eval.Prepare(s.Where, it.Cols(), scope), env)
+	items, err := scope.ExpandItems(s.Items)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(items))
+	for i, ref := range items {
+		names[i] = ref.Qualifier + "." + ref.Column
+	}
+	idx, err := ColIndexes(it.Cols(), names)
+	if err != nil {
+		return nil, err
+	}
+	if it, err = NewProjectIter(p.st, it, names, idx); err != nil {
+		return nil, err
+	}
+	if s.Quant.IsDistinct() {
+		it = NewDistinctHashIter(p.st, it)
+	}
+	return it, nil
+}
+
+// sub drains a subquery's pipeline with the current row's bindings as
+// its outer scope.
+func (p *sqlPipeline) sub(s *ast.Select, env *eval.Env) (*Relation, error) {
+	it, err := p.block(s, env.Scope, maps.Clone(env.Cols))
+	if err != nil {
+		return nil, err
+	}
+	p.st.Add(Stats{SubqueryRuns: 1})
+	return Drain(p.ctx, p.st, it)
+}
+
+func (p *sqlPipeline) exists(s *ast.Select, env *eval.Env) (tvl.Truth, error) {
+	rel, err := p.sub(s, env)
+	if err != nil {
+		return tvl.Unknown, err
+	}
+	return tvl.Of(rel.Len() > 0), nil
+}
+
+func (p *sqlPipeline) in(s *ast.Select, env *eval.Env) ([]value.Value, error) {
+	rel, err := p.sub(s, env)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]value.Value, rel.Len())
+	for i, row := range rel.Rows {
+		out[i] = row[0]
+	}
+	return out, nil
+}
+
+// run drains src's pipeline and requires it to agree, as a multiset,
+// with the oracle's answer.
 func run(t *testing.T, db *storage.DB, src string, hosts map[string]value.Value) *Relation {
 	t.Helper()
 	q, err := parser.ParseQuery(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExecutor(db, hosts)
-	rel, err := ex.Query(q)
+	rel, err := runQuery(ctx0, db, q, hosts, &Stats{})
 	if err != nil {
 		t.Fatalf("Query(%q): %v", src, err)
+	}
+	cols, rows, err := oracle.Query(db, q, hosts)
+	if err != nil {
+		t.Fatalf("oracle on %q: %v", src, err)
+	}
+	if want := (&Relation{Cols: cols, Rows: rows}); !MultisetEqual(want, rel) {
+		t.Fatalf("%s: the iterators return\n%s\nthe oracle\n%s", src, rel, want)
 	}
 	return rel
 }
@@ -94,18 +227,21 @@ func run(t *testing.T, db *storage.DB, src string, hosts map[string]value.Value)
 func TestScanAndProduct(t *testing.T) {
 	db := testDB(t)
 	var st Stats
-	s := okRel(Scan(ctx0, &st, db.MustTable("SUPPLIER"), "S"))
-	p := okRel(Scan(ctx0, &st, db.MustTable("PARTS"), "P"))
+	sup, parts := db.MustTable("SUPPLIER"), db.MustTable("PARTS")
+	s := tableRel(&st, sup, "S")
+	p := tableRel(&st, parts, "P")
 	if s.Len() != 3 || p.Len() != 4 {
 		t.Fatalf("scan sizes: %d, %d", s.Len(), p.Len())
 	}
 	if st.RowsScanned != 7 {
 		t.Errorf("RowsScanned = %d", st.RowsScanned)
 	}
-	prod := okRel(Product(ctx0, &st, s, p))
+	st = Stats{}
+	prod := okRel(Drain(ctx0, &st, prodIter(&st, NewTableIter(&st, sup, s.Cols), NewTableIter(&st, parts, p.Cols))))
 	if prod.Len() != 12 || len(prod.Cols) != 10 {
 		t.Errorf("product = %d rows × %d cols", prod.Len(), len(prod.Cols))
 	}
+	identicalRelations(t, productOracle(s, p), prod, "product")
 	if st.JoinPairs != 12 {
 		t.Errorf("JoinPairs = %d", st.JoinPairs)
 	}
@@ -256,11 +392,11 @@ func TestSetOpNullEquivalence(t *testing.T) {
 func TestJoinOperatorsAgree(t *testing.T) {
 	db := testDB(t)
 	var st Stats
-	s := okRel(Scan(ctx0, &st, db.MustTable("SUPPLIER"), "S"))
-	p := okRel(Scan(ctx0, &st, db.MustTable("PARTS"), "P"))
-	want := joinOracle(&st, s, p, "S.SNO", "P.SNO")
+	s := tableRel(&st, db.MustTable("SUPPLIER"), "S")
+	p := tableRel(&st, db.MustTable("PARTS"), "P")
+	want := joinOracle(s, p, "S.SNO", "P.SNO")
 	identicalRelations(t, want, hashJoin(&st, s, p, []string{"S.SNO"}, []string{"P.SNO"}),
-		"hash join vs selection over product")
+		"hash join vs nested loops")
 	if want.Len() != 4 {
 		t.Errorf("join produced %d rows, want 4", want.Len())
 	}
@@ -286,13 +422,13 @@ func TestDistinctOperatorsAgree(t *testing.T) {
 		{value.Int(1), value.Int(2)}, // dup
 	}
 	rel.Rows = rows
-	ds := okRel(DistinctSort(ctx0, &st, rel))
+	ds := okRel(Drain(ctx0, &st, NewDistinctSortIter(&st, NewRelationIter(&st, rel))))
 	dh := hashDistinct(&st, rel)
 	if ds.Len() != 3 || dh.Len() != 3 {
 		t.Errorf("distinct sizes: sort=%d hash=%d, want 3", ds.Len(), dh.Len())
 	}
-	if !MultisetEqual(ds, dh) {
-		t.Error("sort and hash distinct disagree")
+	if want := distinctOracle(rel); !MultisetEqual(want, ds) || !MultisetEqual(want, dh) {
+		t.Errorf("sort distinct %s and hash distinct %s, want %s", ds, dh, want)
 	}
 	if st.SortRuns != 1 {
 		t.Errorf("SortRuns = %d", st.SortRuns)
@@ -302,8 +438,8 @@ func TestDistinctOperatorsAgree(t *testing.T) {
 func TestProjectPreservesMultiplicity(t *testing.T) {
 	db := testDB(t)
 	var st Stats
-	p := okRel(Scan(ctx0, &st, db.MustTable("PARTS"), "P"))
-	proj := okRel(Project(ctx0, &st, p, []string{"P.SNO"}))
+	p := tableRel(&st, db.MustTable("PARTS"), "P")
+	proj := okRel(Drain(ctx0, &st, projIter(&st, NewRelationIter(&st, p), "P.SNO")))
 	if proj.Len() != 4 {
 		t.Errorf("projection lost rows: %d", proj.Len())
 	}
@@ -357,8 +493,11 @@ func TestExecutorErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		if _, err := NewExecutor(db, nil).Query(q); err == nil {
+		if _, err := runQuery(ctx0, db, q, nil, &Stats{}); err == nil {
 			t.Errorf("Query(%q): expected error", src)
+		}
+		if _, _, err := oracle.Query(db, q, nil); err == nil {
+			t.Errorf("oracle on %q: expected error", src)
 		}
 	}
 }

@@ -105,8 +105,8 @@ func window(rows []value.Row, pos int) (Batch, int) {
 	return Batch(rows[pos:end:end]), end
 }
 
-// streamGuard is the streaming counterpart of guard: cooperative
-// cancellation plus per-batch governor accounting for one iterator.
+// streamGuard is an iterator's lifecycle state: cooperative
+// cancellation plus per-batch governor accounting.
 // In-flight charges (the last emitted batch) are released on the next
 // emit; held charges (blocking state) are released at close.
 type streamGuard struct {
@@ -233,7 +233,7 @@ func (sg *streamGuard) collect(ctx context.Context, child Iterator) ([]value.Row
 
 // flushHeld pushes pending held charges to the Stats counters and the
 // governor. Held rows are materialized state, so they are mirrored
-// into RowsMaterialized/BytesReserved exactly like guard charges.
+// into RowsMaterialized/BytesReserved.
 func (sg *streamGuard) flushHeld() error {
 	if sg.pendRows == 0 && sg.pendBytes == 0 {
 		return nil
@@ -279,6 +279,16 @@ type rowsIter struct {
 	pos     int
 	scan    bool // a base-table scan: counts RowsScanned, fires FaultScan
 	started bool
+}
+
+// QualifiedCols names tbl's columns as a scan under the correlation
+// name corr emits them ("CORR.COLUMN").
+func QualifiedCols(tbl *storage.Table, corr string) []string {
+	cols := make([]string, len(tbl.Schema.Columns))
+	for i, c := range tbl.Schema.Columns {
+		cols[i] = corr + "." + c.Name
+	}
+	return cols
 }
 
 // NewTableIter returns a streaming scan of tbl; cols names its columns

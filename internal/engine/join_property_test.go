@@ -33,17 +33,16 @@ func randKeyedRelation(r *rand.Rand, prefix string, n int) *Relation {
 }
 
 // Property: the hash-join iterator agrees, row for row and in order,
-// with the selection over the Cartesian product on arbitrary NULL-rich
-// multisets, for every trial.
+// with nested loops on arbitrary NULL-rich multisets, for every trial.
 func TestJoinImplementationsAgreeProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
 		l := randKeyedRelation(r, "L", r.Intn(25))
 		rr := randKeyedRelation(r, "R", r.Intn(25))
 		var st Stats
-		want := joinOracle(&st, l, rr, "L.K", "R.K")
+		want := joinOracle(l, rr, "L.K", "R.K")
 		identicalRelations(t, want, hashJoin(&st, l, rr, []string{"L.K"}, []string{"R.K"}),
-			fmt.Sprintf("trial %d: hash join vs selection over product\nL=%v\nR=%v", trial, l, rr))
+			fmt.Sprintf("trial %d: hash join vs nested loops\nL=%v\nR=%v", trial, l, rr))
 	}
 }
 
@@ -79,7 +78,7 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	full := okRel(Scan(ctx0, &st, tbl, "P"))
+	full := tableRel(&st, tbl, "P")
 	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
 	indexScan := func(ords []int) *Relation {
 		return okRel(Drain(ctx0, &st, NewIndexScanIter(&st, tbl, full.Cols, ords)))
@@ -87,10 +86,7 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 
 	for pno := int64(0); pno <= 10; pno++ {
 		pred, _ := parser.ParseExpr(fmt.Sprintf("P.PNO = %d", pno))
-		want, err := Filter(ctx0, &st, full, pred, env)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := filterOracle(full, pred, env)
 		ords, err := ix.Lookup(value.Row{value.Int(pno)})
 		if err != nil {
 			t.Fatal(err)
@@ -102,11 +98,7 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 	// Range.
 	lo, hi := value.Int(1), value.Int(2)
 	pred, _ := parser.ParseExpr("P.PNO BETWEEN 1 AND 2")
-	want, err := Filter(ctx0, &st, full, pred, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !MultisetEqual(want, indexScan(ix.Range(&lo, &hi))) {
+	if want := filterOracle(full, pred, env); !MultisetEqual(want, indexScan(ix.Range(&lo, &hi))) {
 		t.Fatal("index range scan diverges from filter")
 	}
 	if st.IndexSeeks == 0 {
@@ -195,13 +187,13 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 
 		var st Stats
 		env := &eval.Env{}
-		build := okRel(Scan(ctx0, &st, tbl, "R"))
+		build := tableRel(&st, tbl, "R")
 		if filter != "" {
 			pred, err := parser.ParseExpr(filter)
 			if err != nil {
 				t.Fatal(err)
 			}
-			build = okRel(Filter(ctx0, &st, build, pred, env))
+			build = filterOracle(build, pred, env)
 		}
 		want := hashJoin(&st, l, build, []string{"L.K"}, []string{"R.K"})
 
@@ -210,7 +202,7 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 			t.Fatalf("%s: index join (%d rows) is not the hash join (%d rows)", what, got.Len(), want.Len())
 		}
 
-		wantSemi := hashDistinct(&st, okRel(Project(ctx0, &st, want, l.Cols)))
+		wantSemi := hashDistinct(&st, projectOracle(want, l.Cols...))
 		gotSemi := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, env, true, nil))))
 		identicalRelations(t, wantSemi, gotSemi, what+": first-match probe vs DISTINCT over the hash join's outer columns")
 	}
@@ -280,7 +272,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 		t.Errorf("index join left %d rows / %d bytes charged after Close", rows, bytes)
 	}
 	st = &Stats{}
-	hj := joinIter(st, NewRelationIter(st, okRel(Scan(ctx0, st, tbl, "R"))), NewRelationIter(st, l), []string{"R.K"}, []string{"L.K"})
+	hj := joinIter(st, NewTableIter(st, tbl, QualifiedCols(tbl, "R")), NewRelationIter(st, l), []string{"R.K"}, []string{"L.K"})
 	if _, err := consume(WithGovernor(ctx0, NewGovernor(0, budget)), hj); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("hash join building the same outer under the budget: %v, want budget exceeded", err)
 	}

@@ -15,11 +15,11 @@ import (
 // This file is the engine's query-lifecycle layer: cooperative
 // cancellation, per-query resource budgets, and panic containment.
 //
-// Cancellation is cooperative. Every operator creates a guard over the
-// caller's context and polls it on the first row and every cancelEvery
-// rows thereafter, so a cancelled or timed-out query stops mid-loop and
-// returns ctx.Err(). A query starts no goroutine of its own, so none
-// outlives a failed one.
+// Cancellation is cooperative. Every iterator polls the caller's
+// context at the top of each Next and every cancelEvery rows of a row
+// loop inside it (streamGuard, iterator.go), so a cancelled or
+// timed-out query stops mid-loop and returns ctx.Err(). A query starts
+// no goroutine of its own, so none outlives a failed one.
 //
 // Budgets are enforced by a Governor carried in the context
 // (WithGovernor / GovernorFrom). Operators charge materialized rows and
@@ -29,16 +29,16 @@ import (
 // without bound. Charges are also mirrored into Stats.RowsMaterialized
 // and Stats.BytesReserved whether or not a governor is present.
 //
-// Panics are contained at the executor and planner boundaries with
+// Panics are contained at the query and planner boundaries with
 // Contain, which converts them into *InternalError values carrying the
 // operator name and stack.
 
 // cancelEvery is the cooperative-cancellation poll interval in rows:
-// guards check ctx.Done() on their first step and every cancelEvery
+// a row loop checks ctx.Err() on its first step and every cancelEvery
 // steps after that.
 const cancelEvery = 1024
 
-// chargeBatch bounds how many rows a guard accumulates before flushing
+// chargeBatch bounds how many rows an iterator accumulates before flushing
 // a charge to the (atomic) governor, keeping hot loops off the shared
 // counters.
 const chargeBatch = 256
@@ -54,7 +54,6 @@ const (
 	FaultIndexProbe = "engine.indexjoin.probe"
 	FaultDistinct   = "engine.distinct"
 	FaultSort       = "engine.sort"
-	FaultSetOp      = "engine.setop"
 	// FaultStreamNext is the per-batch injection point: every streaming
 	// operator polls it at the top of Next, so faults can strike between
 	// any two batches of a pipeline, not just at operator entry.
@@ -63,7 +62,7 @@ const (
 
 func init() {
 	fault.Register(FaultScan, FaultFilter, FaultHashBuild, FaultHashProbe, FaultIndexProbe,
-		FaultDistinct, FaultSort, FaultSetOp, FaultStreamNext)
+		FaultDistinct, FaultSort, FaultStreamNext)
 }
 
 // ErrBudgetExceeded is the sentinel matched (via errors.Is) by every
@@ -220,85 +219,9 @@ func rowBytes(row value.Row) int64 {
 	return n
 }
 
-// guard couples cooperative cancellation polling with batched budget
-// charging for one operator invocation. It is single-goroutine state
-// over a shared atomic Governor.
-type guard struct {
-	ctx   context.Context
-	gov   *Governor
-	st    *Stats
-	iter  int
-	rows  int64
-	bytes int64
-}
-
-func newGuard(ctx context.Context, st *Stats) guard {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return guard{ctx: ctx, gov: GovernorFrom(ctx), st: st}
-}
-
-// step is called once per processed row. It polls cancellation on the
-// first call and every cancelEvery calls thereafter, so even
-// sub-interval relations observe an expired context at least once.
-func (g *guard) step() error {
-	if g.iter%cancelEvery == 0 {
-		if err := g.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	g.iter++
-	return nil
-}
-
-// keep charges one materialized row, flushing to the governor every
-// chargeBatch rows.
-func (g *guard) keep(row value.Row) error {
-	g.rows++
-	g.bytes += rowBytes(row)
-	if g.rows >= chargeBatch {
-		return g.flush()
-	}
-	return nil
-}
-
-// keepN charges n materialized rows with an aggregate byte estimate,
-// for operators that account a whole buffer at once (sorts, scans).
-func (g *guard) keepN(rows []value.Row) error {
-	for _, r := range rows {
-		g.bytes += rowBytes(r)
-	}
-	g.rows += int64(len(rows))
-	return g.flush()
-}
-
-// flush pushes pending charges into the Stats counters and the
-// governor; the final flush doubles as the operator's last budget
-// check.
-func (g *guard) flush() error {
-	if g.rows == 0 && g.bytes == 0 {
-		return nil
-	}
-	g.st.RowsMaterialized += g.rows
-	g.st.BytesReserved += g.bytes
-	err := g.gov.Charge(g.rows, g.bytes)
-	g.rows, g.bytes = 0, 0
-	return err
-}
-
-// finish flushes pending charges and makes a final cancellation poll;
-// operators call it right before returning their output relation.
-func (g *guard) finish() error {
-	if err := g.flush(); err != nil {
-		return err
-	}
-	return g.ctx.Err()
-}
-
 // Contain converts a panic into an *InternalError assigned through
 // errp. It must be installed with `defer Contain(op, &err)` at a query
-// entry boundary (executor, planner). A *ContractViolation is the
+// entry boundary (plan.Run, uniqopt.Analyze). A *ContractViolation is the
 // engine's own defect, not the query's, and goes on panicking.
 func Contain(op string, errp *error) {
 	r := recover()

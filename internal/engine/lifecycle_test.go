@@ -12,6 +12,8 @@ import (
 	"time"
 	"unsafe"
 
+	"uniqopt/internal/eval"
+	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/testleak"
 	"uniqopt/internal/value"
 	"uniqopt/internal/workload"
@@ -36,59 +38,79 @@ func bigRelation(prefix string, rows int) *Relation {
 // expires, returning the final count.
 func settleGoroutines(base int) int { return testleak.Settle(base) }
 
+// TestCancelledContextStopsOperators: every iterator polls the context
+// at the top of its own Next, so a cancelled one stops it before its
+// first batch, whichever operator it is.
 func TestCancelledContextStopsOperators(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l := bigRelation("L", 10_000)
 	r := bigRelation("R", 10_000)
 	st := &Stats{}
-
-	type opCase struct {
-		name string
-		run  func() (*Relation, error)
+	pred, err := parser.ParseExpr("L.K > 3")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cases := []opCase{
-		{"Product", func() (*Relation, error) { return Product(ctx, st, l, r) }},
-		{"HashJoinIter", func() (*Relation, error) {
-			return Drain(ctx, st, joinIter(st, NewRelationIter(st, l), NewRelationIter(st, r), []string{"L.K"}, []string{"R.K"}))
-		}},
-		{"DistinctSort", func() (*Relation, error) { return DistinctSort(ctx, st, l) }},
-		{"DistinctSortIter", func() (*Relation, error) { return Drain(ctx, st, NewDistinctSortIter(st, NewRelationIter(st, l))) }},
-		{"DistinctHashIter", func() (*Relation, error) { return Drain(ctx, st, NewDistinctHashIter(st, NewRelationIter(st, l))) }},
-		{"SetOpIter", func() (*Relation, error) {
-			return Drain(ctx, st, NewSetOpIter(st, NewRelationIter(st, l), NewRelationIter(st, r), false, false))
-		}},
-		{"Intersect", func() (*Relation, error) { return Intersect(ctx, st, l, r, false) }},
-		{"Except", func() (*Relation, error) { return Except(ctx, st, l, r, false) }},
-		{"Project", func() (*Relation, error) { return Project(ctx, st, l, []string{"L.K"}) }},
+	in := func(rel *Relation) Iterator { return NewRelationIter(st, rel) }
+	cases := []struct {
+		name string
+		it   Iterator
+	}{
+		{"ProductIter", prodIter(st, in(l), in(r))},
+		{"HashJoinIter", joinIter(st, in(l), in(r), []string{"L.K"}, []string{"R.K"})},
+		{"FilterIter", NewFilterIter(st, in(l), eval.Prepare(pred, l.Cols, nil), &eval.Env{})},
+		{"ProjectIter", projIter(st, in(l), "L.K")},
+		{"DistinctSortIter", NewDistinctSortIter(st, in(l))},
+		{"DistinctHashIter", NewDistinctHashIter(st, in(l))},
+		{"SetOpIter/intersect", NewSetOpIter(st, in(l), in(r), false, false)},
+		{"SetOpIter/except", NewSetOpIter(st, in(l), in(r), true, false)},
 	}
 	for _, c := range cases {
-		rel, err := c.run()
+		b, err := c.it.Next(ctx)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s under cancelled ctx: err = %v, want context.Canceled", c.name, err)
 		}
-		if rel != nil {
-			t.Errorf("%s under cancelled ctx returned a partial relation", c.name)
+		if b != nil {
+			t.Errorf("%s under cancelled ctx returned a partial batch", c.name)
 		}
+		if err := c.it.Close(); err != nil {
+			t.Errorf("%s: Close: %v", c.name, err)
+		}
+	}
+
+	// The filter's row loop polls too: its child cancels the context
+	// after handing over one batch of 3·cancelEvery rows, and the
+	// predicate (IS NOT NULL) is no kernel, so the batch goes row by row.
+	withBatchSize(t, 3*cancelEvery)
+	pred, err = parser.ParseExpr("L.K IS NOT NULL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rctx, rcancel := context.WithCancel(context.Background())
+	f := NewFilterIter(st, &cancelAfter{Iterator: in(l), cancel: rcancel}, eval.Prepare(pred, l.Cols, nil), &eval.Env{})
+	if b, err := f.Next(rctx); !errors.Is(err, context.Canceled) || b != nil {
+		t.Errorf("filter cancelled mid-batch: batch of %d, err %v; want nil, context.Canceled", len(b), err)
+	}
+	if err := f.Close(); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestDeadlineLargeJoinPrompt is the ISSUE's acceptance check: a query
-// whose join would run far longer than 10ms must return
-// context.DeadlineExceeded promptly once the deadline passes.
+// TestDeadlineLargeJoinPrompt: a product that would run far longer
+// than 10ms must return context.DeadlineExceeded promptly once the
+// deadline passes.
 func TestDeadlineLargeJoinPrompt(t *testing.T) {
 	l := bigRelation("L", 60_000)
 	r := bigRelation("R", 60_000)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	rel, err := Product(ctx, &Stats{}, l, r) // 3.6e9 pairs: never finishes in 10ms
+	st := &Stats{}
+	// 3.6e9 pairs: never finishes in 10ms.
+	_, err := consume(ctx, prodIter(st, NewRelationIter(st, l), NewRelationIter(st, r)))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if rel != nil {
-		t.Fatal("partial relation escaped an expired deadline")
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("deadline observed after %v; cooperative polling is too coarse", elapsed)
@@ -100,7 +122,7 @@ func TestMaxRowsBudget(t *testing.T) {
 	gov := NewGovernor(1_000, 0)
 	ctx := WithGovernor(context.Background(), gov)
 	st := &Stats{}
-	rel, err := Product(ctx, st, l, l)
+	rel, err := Drain(ctx, st, prodIter(st, NewRelationIter(st, l), NewRelationIter(st, l)))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -114,9 +136,11 @@ func TestMaxRowsBudget(t *testing.T) {
 	if be.Resource != "rows" || be.Limit != 1_000 {
 		t.Fatalf("BudgetError = %+v, want rows budget of 1000", be)
 	}
-	rows, bytes := gov.Usage()
-	if rows <= 1_000 || bytes <= 0 {
-		t.Fatalf("governor usage (%d rows, %d bytes) did not record the overrun", rows, bytes)
+	if rows, bytes := gov.Peak(); rows <= 1_000 || bytes <= 0 {
+		t.Fatalf("governor peak (%d rows, %d bytes) did not record the overrun", rows, bytes)
+	}
+	if rows, bytes := gov.Usage(); rows != 0 || bytes != 0 {
+		t.Fatalf("the failed query left %d rows / %d bytes charged", rows, bytes)
 	}
 }
 
@@ -235,11 +259,10 @@ func TestExecutorQueryContextContainsPanicAndCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := parseWorkload(t)
-	ex := NewExecutor(db, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i, q := range queries {
-		rel, err := ex.QueryContext(ctx, q)
+		rel, err := runQuery(ctx, db, q, nil, &Stats{})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("query %d under cancelled ctx: %v", i, err)
 		}
@@ -247,12 +270,18 @@ func TestExecutorQueryContextContainsPanicAndCancels(t *testing.T) {
 			t.Errorf("query %d leaked a partial result", i)
 		}
 	}
+	// A panic below the query boundary (here: no database to plan over)
+	// comes back as an *InternalError naming the boundary.
+	rel, err := runQuery(ctx0, nil, queries[0], nil, &Stats{})
+	var ie *InternalError
+	if !errors.As(err, &ie) || ie.Op != "engine test query" || rel != nil {
+		t.Errorf("a panicking query: rel = %v, err = %v, want an *InternalError", rel, err)
+	}
 }
 
-// TestConcurrentHalfCancelled is the ISSUE's race test: concurrent
-// queries through one shared executor, half cancelled mid-flight; the
-// cancelled ones must fail with ctx.Err() and the survivors must stay
-// byte-identical to a serial baseline.
+// TestConcurrentHalfCancelled: concurrent pipelines over one database,
+// half cancelled mid-flight; the cancelled ones must fail with ctx.Err()
+// and the survivors must stay equal to a serial baseline.
 func TestConcurrentHalfCancelled(t *testing.T) {
 	db, err := workload.NewDB(workload.DefaultConfig())
 	if err != nil {
@@ -260,15 +289,8 @@ func TestConcurrentHalfCancelled(t *testing.T) {
 	}
 	queries := parseWorkload(t)
 
-	ref := NewExecutor(db, nil)
-	want := make([]*Relation, len(queries))
-	for i, q := range queries {
-		if want[i], err = ref.Query(q); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want, _ := serialAnswers(t, db, queries)
 
-	shared := NewExecutor(db, nil)
 	base := runtime.NumGoroutine()
 	const pairs = 8
 	var wg sync.WaitGroup
@@ -279,7 +301,7 @@ func TestConcurrentHalfCancelled(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i, q := range queries {
-				rel, err := shared.QueryContext(context.Background(), q)
+				rel, err := runQuery(context.Background(), db, q, nil, &Stats{})
 				if err != nil {
 					errs <- fmt.Errorf("survivor %d query %d: %w", p, i, err)
 					return
@@ -299,7 +321,7 @@ func TestConcurrentHalfCancelled(t *testing.T) {
 				done := make(chan struct{})
 				go func() {
 					defer close(done)
-					rel, err := shared.QueryContext(ctx, q)
+					rel, err := runQuery(ctx, db, q, nil, &Stats{})
 					if err == nil {
 						// The query may legitimately win the race
 						// with cancel; then it must be correct.
@@ -334,11 +356,7 @@ func TestConcurrentHalfCancelled(t *testing.T) {
 // an operator boundary is an error naming the column, not a panic.
 func TestColIndexesErrorFlow(t *testing.T) {
 	l := bigRelation("L", 10)
-	if _, err := Project(ctx0, &Stats{}, l, []string{"L.K", "L.NOPE"}); err == nil ||
-		!strings.Contains(err.Error(), "L.NOPE") {
-		t.Fatalf("Project with unknown column: err = %v, want error naming L.NOPE", err)
-	}
-	if _, err := ColIndexes(l.Cols, []string{"L.MISSING"}); err == nil ||
+	if _, err := ColIndexes(l.Cols, []string{"L.K", "L.MISSING"}); err == nil ||
 		!strings.Contains(err.Error(), "L.MISSING") {
 		t.Fatalf("ColIndexes with unknown key: err = %v, want error naming L.MISSING", err)
 	}

@@ -123,13 +123,6 @@ type countedRow struct {
 	n   int
 }
 
-// SortRows sorts the relation's rows in place by the total order
-// OrderCompareRows (NULL first). Used to canonicalize results for
-// comparison in tests.
-func (r *Relation) SortRows() {
-	sortRowsBy(r.Rows, func(a, b value.Row) int { return value.OrderCompareRows(a, b) })
-}
-
 // sortCounted sorts rows in place by OrderCompareRows, counting one sort
 // run, its rows and every comparison in st: the sort of every operator
 // that sorts.
@@ -181,13 +174,6 @@ func sortRowsBy(rows []value.Row, cmp func(a, b value.Row) int) {
 		copy(rows[lo:hi], tmp[lo:hi])
 	}
 	ms(0, len(rows))
-}
-
-// colIndexes resolves every name to its ordinal, or reports the first
-// unresolved column as an error. Operators propagate this through the
-// lifecycle containment path instead of panicking.
-func (r *Relation) colIndexes(names []string) ([]int, error) {
-	return ColIndexes(r.Cols, names)
 }
 
 // ColIndexes resolves names against a column list — what a planner does

@@ -2,6 +2,12 @@ package engine
 
 import "uniqopt/internal/value"
 
+// hashRow is the row-hash function used by every hash-based operator.
+// It is a variable so tests can substitute a degenerate hash and force
+// every row into one bucket, proving the collision fallback (row-by-row
+// ≐ comparison on hash match) in all operators.
+var hashRow = value.HashRow
+
 // rowTable is an insertion-ordered hash multimap from row hashes to
 // rows, used by the hash operators in place of
 // map[uint64][]value.Row. It is open-addressed on the hash (one probe

@@ -3,7 +3,7 @@ package engine
 import "uniqopt/internal/value"
 
 // mergeFunc merges two operands sorted by OrderCompareRows, charging
-// every output row to the set-operation iterator's guard.
+// every output row to the set-operation iterator's streamGuard.
 type mergeFunc func(st *Stats, g *streamGuard, ls, rs []value.Row, all bool) ([]value.Row, error)
 
 // intersectSorted merges ls INTERSECT [ALL] rs.

@@ -34,26 +34,21 @@ func sortSetOp(t *testing.T, st *Stats, l, r *Relation, except, all bool) *Relat
 }
 
 // Property: the sort-merge set-operation iterator agrees with the
-// hash-counted reference operators on random NULL-rich multisets, for
+// oracle's ≐-counted set operations on random NULL-rich multisets, for
 // all four variants.
 func TestSortSetOpsAgreeWithHash(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		l := randRelation(r, r.Intn(20))
 		rr := randRelation(r, r.Intn(20))
-		for _, all := range []bool{false, true} {
-			var s1, s2 Stats
-			hi := okRel(Intersect(ctx0, &s1, l, rr, all))
-			si := sortSetOp(t, &s2, l, rr, false, all)
-			if !MultisetEqual(hi, si) {
-				t.Fatalf("intersect(all=%v) mismatch:\nhash: %v\nsort: %v\nl=%v\nr=%v",
-					all, hi, si, l, rr)
-			}
-			he := okRel(Except(ctx0, &s1, l, rr, all))
-			se := sortSetOp(t, &s2, l, rr, true, all)
-			if !MultisetEqual(he, se) {
-				t.Fatalf("except(all=%v) mismatch:\nhash: %v\nsort: %v\nl=%v\nr=%v",
-					all, he, se, l, rr)
+		for _, except := range []bool{false, true} {
+			for _, all := range []bool{false, true} {
+				var st Stats
+				want, got := setOpOracle(l, rr, except, all), sortSetOp(t, &st, l, rr, except, all)
+				if !MultisetEqual(want, got) {
+					t.Fatalf("except=%v all=%v mismatch:\noracle: %v\nsort: %v\nl=%v\nr=%v",
+						except, all, want, got, l, rr)
+				}
 			}
 		}
 	}
@@ -104,8 +99,8 @@ func TestSetOpIterChargesOperandsOnce(t *testing.T) {
 	l, rr := randRelation(r, 300), randRelation(r, 200)
 	var st Stats
 	got := sortSetOp(t, &st, l, rr, false, true)
-	if !MultisetEqual(okRel(Intersect(ctx0, &Stats{}, l, rr, true)), got) {
-		t.Fatal("INTERSECT ALL differs from the hash-counted reference")
+	if !MultisetEqual(setOpOracle(l, rr, false, true), got) {
+		t.Fatal("INTERSECT ALL differs from the oracle")
 	}
 	n, m, out := int64(l.Len()), int64(rr.Len()), int64(got.Len())
 	if st.RowsMaterialized != n+m+2*out {

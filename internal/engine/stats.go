@@ -1,13 +1,13 @@
 // Package engine implements a multiset execution engine for the SQL
 // subset of the paper: scan, selection, projection with ALL/DISTINCT,
 // extended Cartesian product, hash join, sort- and hash-based duplicate
-// elimination, and INTERSECT/EXCEPT [ALL]. It has two halves: one
-// family of batch iterators (stream.go) that every planned query runs
-// on, the subqueries it keeps among them, and the relation-at-a-time
-// reference Executor (executor.go) those pipelines are validated
-// against, which only tests call. Every operator is instrumented with
-// counters, because the experiments compare strategies by the work
-// they perform (comparisons, sort runs, probes) as well as wall time.
+// elimination, and INTERSECT/EXCEPT [ALL]. It is one family of batch
+// iterators (stream.go): every planned query, and every subquery the
+// plan keeps, runs on them. Its tests take their expected answers from
+// internal/oracle, a definitional evaluator that shares none of its
+// code. Every operator is instrumented with counters, because the
+// experiments compare strategies by the work they perform
+// (comparisons, sort runs, probes) as well as wall time.
 // A query runs on the goroutine that drains it: concurrency is between
 // queries, never inside one.
 package engine
@@ -49,8 +49,7 @@ type Stats struct {
 	RowsMaterialized int64 // rows charged at materialization points
 	BytesReserved    int64 // estimated bytes charged at materialization points
 
-	// Batches counts the batches the iterators emitted (iterator.go);
-	// the reference Executor emits none.
+	// Batches counts the batches the iterators emitted (iterator.go).
 	Batches int64
 }
 

@@ -171,7 +171,6 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 		}
 	}
 	bs := BatchSize()
-	g := newGuard(ctx, it.st)
 	var out Batch
 	for {
 		b, err := it.child.Next(ctx)
@@ -211,7 +210,7 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 			if out == nil {
 				out = it.sg.sc.batch(len(b) / 4)
 			}
-			if out, err = g.qualifying(out, b, it.keep.Pred); err != nil {
+			if out, err = it.qualifying(out, b); err != nil {
 				return nil, err
 			}
 		}
@@ -219,6 +218,25 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 			return it.emit(out)
 		}
 	}
+}
+
+// qualifying is the row loop: it appends to out the rows of b the
+// clause accepts under the false-interpreted WHERE semantics (Unknown
+// rejects), polling cancellation as it goes.
+func (it *filterIter) qualifying(out, b Batch) (Batch, error) {
+	for _, row := range b {
+		if err := it.sg.step(); err != nil {
+			return nil, err
+		}
+		t, err := it.keep.Pred(row)
+		if err != nil {
+			return nil, err
+		}
+		if tvl.FalseInterpreted(t) {
+			out = append(out, row)
+		}
+	}
+	return out, nil
 }
 
 func (it *filterIter) Close() error {
@@ -420,11 +438,12 @@ func (it *distinctHashIter) Close() error {
 	return it.child.Close()
 }
 
-// distinctSortIter is the blocking iterator form of DistinctSort: it
-// buffers its whole input (charged as held state), sorts it and
-// collapses runs exactly like the reference operator, then emits the
-// result — in DistinctSort's sorted order — in batches. It runs only as
-// the paper's baseline for experiment E1 (plan.Options.SortDistinct).
+// distinctSortIter is sort-based duplicate elimination, the expensive
+// operation the paper's optimization avoids: it buffers its whole input
+// (charged as held state), sorts it and collapses each run of ≐-equal
+// rows onto its first, then emits the result, in sorted order, in
+// batches. It runs only as the paper's baseline for experiment E1
+// (plan.Options.SortDistinct).
 type distinctSortIter struct {
 	child  Iterator
 	cols   []string
@@ -615,6 +634,25 @@ func NewHashJoinIter(st *Stats, probe, build Iterator, emit Emit, pi, bi []int) 
 }
 
 func (j *hashJoinIter) Cols() []string { return j.cols }
+
+func hasNullAt(row value.Row, idx []int) bool {
+	for _, i := range idx {
+		if row[i].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+func equalAt(a value.Row, ai []int, b value.Row, bi []int, st *Stats) bool {
+	for k := range ai {
+		st.Comparisons++
+		if value.Compare(a[ai[k]], b[bi[k]]) != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 func (j *hashJoinIter) buildTable(ctx context.Context) error {
 	for {

@@ -3,11 +3,15 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
 	"uniqopt/internal/eval"
-	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/oracle"
+	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/storage"
+	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
 )
 
@@ -18,7 +22,7 @@ var ctx0 = context.Background()
 // okRel unwraps an operator's (rel, err) pair, panicking on error
 // (which the testing framework reports as a test failure with a
 // stack). It takes the pair as its only arguments so call sites can
-// wrap an operator call directly: okRel(Filter(ctx0, ...)).
+// wrap an operator call directly: okRel(Drain(ctx0, ...)).
 // Lifecycle-focused tests that expect errors call operators directly.
 func okRel(rel *Relation, err error) *Relation {
 	if err != nil {
@@ -75,17 +79,91 @@ func hashDistinct(st *Stats, rel *Relation) *Relation {
 	return okRel(Drain(ctx0, st, NewDistinctHashIter(st, NewRelationIter(st, rel))))
 }
 
-// joinOracle is the reference executor's equi-join: the selection
-// lKey = rKey over the Cartesian product, hash-free, in probe order
-// with the right input's order inside a key — the order the hash-join
-// iterator promises.
-func joinOracle(st *Stats, l, r *Relation, lKey, rKey string) *Relation {
-	pred, err := parser.ParseExpr(lKey + " = " + rKey)
-	if err != nil {
-		panic(err)
+// The expected answers of the operator tests below come from
+// definitions, not from the engine: nested loops for joins and products,
+// eval.Truth per row for a filter, the oracle's ≐-counting for DISTINCT
+// and the set operations.
+
+// joinOracle is the equi-join lKey = rKey by its definition: nested
+// loops over both inputs, keeping a pair whose keys are non-NULL and
+// equal, in left order with the right input's order inside a key — the
+// order the hash-join iterator promises.
+func joinOracle(l, r *Relation, lKey, rKey string) *Relation {
+	li, ri := l.ColumnIndex(lKey), r.ColumnIndex(rKey)
+	out := &Relation{Cols: concat(l.Cols, r.Cols)}
+	for _, lr := range l.Rows {
+		for _, rr := range r.Rows {
+			if !lr[li].IsNull() && !rr[ri].IsNull() && value.Compare(lr[li], rr[ri]) == 0 {
+				out.Rows = append(out.Rows, append(append(value.Row{}, lr...), rr...))
+			}
+		}
 	}
-	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
-	return okRel(Filter(ctx0, st, okRel(Product(ctx0, st, l, r)), pred, env))
+	return out
+}
+
+// productOracle is l × r: every left row followed by every right one,
+// in left order with the right input's order inside a left row.
+func productOracle(l, r *Relation) *Relation {
+	out := &Relation{Cols: concat(l.Cols, r.Cols)}
+	for _, lr := range l.Rows {
+		for _, rr := range r.Rows {
+			out.Rows = append(out.Rows, append(append(value.Row{}, lr...), rr...))
+		}
+	}
+	return out
+}
+
+// filterOracle is the WHERE clause by its definition: the rows of rel on
+// which eval.Truth is TRUE, with the row bound over env.Cols under rel's
+// column names.
+func filterOracle(rel *Relation, pred ast.Expr, env *eval.Env) *Relation {
+	e := *env
+	e.Cols = map[string]value.Value{}
+	maps.Copy(e.Cols, env.Cols)
+	out := &Relation{Cols: rel.Cols}
+	for _, row := range rel.Rows {
+		for i, c := range rel.Cols {
+			e.Cols[c] = row[i]
+		}
+		t, err := eval.Truth(pred, &e)
+		if err != nil {
+			panic(fmt.Sprintf("engine test: %s on %s: %v", pred.SQL(), row, err))
+		}
+		if tvl.IsTrue(t) {
+			out.Rows = append(out.Rows, row)
+		}
+	}
+	return out
+}
+
+// projectOracle is rel projected onto the named columns, duplicates
+// kept.
+func projectOracle(rel *Relation, names ...string) *Relation {
+	idx := colIdx(rel.Cols, names...)
+	out := &Relation{Cols: names}
+	for _, row := range rel.Rows {
+		nr := make(value.Row, len(idx))
+		for i, c := range idx {
+			nr[i] = row[c]
+		}
+		out.Rows = append(out.Rows, nr)
+	}
+	return out
+}
+
+// distinctOracle and setOpOracle are the oracle's ≐-counting DISTINCT
+// and INTERSECT / EXCEPT [ALL] over relations.
+func distinctOracle(rel *Relation) *Relation {
+	return &Relation{Cols: rel.Cols, Rows: oracle.Distinct(rel.Rows)}
+}
+
+func setOpOracle(l, r *Relation, except, all bool) *Relation {
+	return &Relation{Cols: l.Cols, Rows: oracle.SetOp(l.Rows, r.Rows, except, all)}
+}
+
+// tableRel drains a scan of tbl under the correlation name corr.
+func tableRel(st *Stats, tbl *storage.Table, corr string) *Relation {
+	return okRel(Drain(ctx0, st, NewTableIter(st, tbl, QualifiedCols(tbl, corr))))
 }
 
 // firstOccurrences is the plain-Go oracle for hash distinct's order:

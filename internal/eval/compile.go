@@ -96,7 +96,7 @@ func (p *Program) Arm(env *Env) Filter {
 }
 
 // Compile is Prepare and Arm back to back, for a clause evaluated under
-// one environment only (storage CHECKs, the reference operators).
+// one environment only (storage CHECKs, the exact checker).
 func Compile(pred ast.Expr, cols []string, env *Env) Pred {
 	return CompileFilter(pred, cols, env).Pred
 }

@@ -679,7 +679,7 @@ func TestCompileFallsBackForSubqueries(t *testing.T) {
 }
 
 // BenchmarkCompile prices a predicate for one operator: prepared and
-// armed back to back, as the reference operators do, and armed alone,
+// armed back to back, as a storage CHECK is, and armed alone,
 // as an execution of a cached statement does.
 func BenchmarkCompile(b *testing.B) {
 	pred, err := parser.ParseExpr("P.COLOR <> 'RED' AND P.PNO > :K AND P.OEM-PNO < :M")

@@ -1,8 +1,9 @@
 // Package eval evaluates SQL expressions under three-valued logic
 // against a row environment. It is shared by the storage layer (CHECK
 // constraint enforcement), the execution engine (WHERE clauses and
-// join predicates), and the exact Theorem-1 checker in internal/core
-// (bounded-instance enumeration).
+// join predicates), the exact Theorem-1 checker in internal/core
+// (bounded-instance enumeration), and the tests' oracle, which uses
+// Truth alone and none of compile.go's kernels.
 package eval
 
 import (

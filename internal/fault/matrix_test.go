@@ -81,10 +81,8 @@ func synth(prefix string, rows int) *engine.Relation {
 // runAll drives every fault point: the planner queries, optimized and
 // as written — Planner.Execute over plan trees with scan, filter, hash
 // join, first-match index probe, distinct, and the sort-merge set
-// operation — plus the
-// reference executor's set operation and every iterator operator
-// directly. It returns the first error, after verifying no failing step
-// leaked a partial result.
+// operation — plus every iterator operator directly. It returns the
+// first error, after verifying no failing step leaked a partial result.
 func runAll(ctx context.Context, db *uniqopt.DB) error {
 	for _, optimize := range []bool{true, false} {
 		for _, q := range matrixQueries {
@@ -104,7 +102,6 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 	}
 	st := &engine.Stats{}
 	steps := []step{
-		{"Intersect", func() (*engine.Relation, error) { return engine.Intersect(ctx, st, l, r, false) }},
 		// Iterator legs: pull-based pipelines hit the per-batch
 		// engine.stream.next point and the operators' own points from
 		// inside a pipeline. Drain closes the pipeline on error, so a

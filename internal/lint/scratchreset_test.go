@@ -52,11 +52,24 @@ func TestScratchResetOnlyByTheAnswersOwner(t *testing.T) {
 // identifier is in (relative to the module root) and its position.
 func engineUses(t *testing.T, use func(mod, file string, pos token.Position, obj types.Object)) {
 	t.Helper()
+	const enginePath = "internal/engine"
+	moduleUses(t, func(mod, dir string, _ *token.FileSet, files []*ast.File) bool {
+		// Only the engine and the packages importing it can name its objects.
+		return dir == enginePath || importsPath(files, mod+"/"+enginePath)
+	}, use)
+}
+
+// moduleUses parses the non-test files of every package of the module
+// and hands them to check, with the package's directory relative to the
+// module root; it type-checks each package check accepts and calls use
+// for each identifier there that names an object.
+func moduleUses(t *testing.T, check func(mod, dir string, fset *token.FileSet, files []*ast.File) bool,
+	use func(mod, file string, pos token.Position, obj types.Object)) {
+	t.Helper()
 	root, mod, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const enginePath = "internal/engine"
 	loader := NewLoader(token.NewFileSet(), mod, root, "")
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -78,8 +91,7 @@ func engineUses(t *testing.T, use func(mod, file string, pos token.Position, obj
 		if err != nil || len(files) == 0 {
 			return err
 		}
-		// Only the engine and the packages importing it can name its objects.
-		if rel != enginePath && !importsPath(files, mod+"/"+enginePath) {
+		if !check(mod, rel, loader.Fset, files) {
 			return nil
 		}
 		importPath := mod

@@ -13,8 +13,8 @@ import (
 	"uniqopt/internal/workload"
 )
 
-// IN-subquery queries run identically through the reference executor,
-// baseline planner, and rewriting planner.
+// IN-subquery queries run identically through the oracle, the
+// baseline planner, and the rewriting planner.
 func TestInSubqueryEquivalence(t *testing.T) {
 	db := smallDB(t)
 	srcs := []string{
@@ -60,7 +60,7 @@ func TestInToExistsChain(t *testing.T) {
 	if opt.Stats.SubqueryRuns != 0 {
 		t.Errorf("fully unnested plan should not probe subqueries: %s", opt.Stats.String())
 	}
-	ref, err := engine.NewExecutor(db, nil).Query(q)
+	ref, err := reference(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestNotInNullTrap(t *testing.T) {
 	// equal to 2 — NULL never equals anything in WHERE).
 	contrast := `SELECT S.SNO FROM SUPPLIER S
 		WHERE NOT EXISTS (SELECT * FROM PARTS P WHERE P.OEM-PNO = S.SNO)`
-	ref, err := engine.NewExecutor(db, nil).Query(mustParse(t, contrast))
+	ref, err := reference(db, mustParse(t, contrast), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestJoinEliminationChainsWithDistinct(t *testing.T) {
 		!strings.Contains(joined, string(core.RuleEliminateDistinct)) {
 		t.Errorf("rules = %v", rules)
 	}
-	ref, err := engine.NewExecutor(db, nil).Query(q)
+	ref, err := reference(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestJoinEliminationKeepsNeededJoins(t *testing.T) {
 			t.Fatalf("join with a live filter must not be eliminated: %s", ap.After)
 		}
 	}
-	ref, _ := engine.NewExecutor(db, nil).Query(q)
+	ref, _ := reference(db, q, nil)
 	if !engine.MultisetEqual(ref, opt.Rel) {
 		t.Error("semantics changed")
 	}

@@ -205,8 +205,7 @@ func TestJoinLayouts(t *testing.T) {
 // TestJoinLayoutsRunAsTheReference executes the layout shapes with and
 // without the rewrites — an index join's fallback among them, reached by
 // leaving its key's host variable unbound — and holds each to the
-// reference executor, which knows
-// nothing of layouts. (Row order against the parent commit is pinned by
+// oracle, which knows nothing of layouts. (Row order against the parent commit is pinned by
 // the layout_* row goldens of the root package.)
 func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 	db := benchDB(t)
@@ -228,7 +227,7 @@ func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := engine.NewExecutor(db, hosts).Query(q)
+		want, err := reference(db, q, hosts)
 		if err != nil {
 			t.Fatalf("reference %q: %v", sql, err)
 		}
@@ -238,7 +237,7 @@ func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 				t.Fatalf("%+v %q: %v", opts, sql, err)
 			}
 			if !engine.MultisetEqual(want, got.Rel) {
-				t.Errorf("%+v %q: %d rows, the reference executor has %d", opts, sql, got.Rel.Len(), want.Len())
+				t.Errorf("%+v %q: %d rows, the oracle has %d", opts, sql, got.Rel.Len(), want.Len())
 			}
 		}
 	}

@@ -24,7 +24,7 @@ func runOrdered(t *testing.T, src string, hosts map[string]value.Value) *Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.NewExecutor(db, hosts).Query(q)
+	ref, err := reference(db, q, hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestJoinOrderThreeWayChain(t *testing.T) {
 	}
 }
 
-// The ordered planner and the reference executor agree on every paper
+// The ordered planner and the oracle agree on every paper
 // example, with and without rewrites — ordering is a pure
 // execution-strategy change, never a semantic one.
 func TestJoinOrderEquivalenceOnPaperExamples(t *testing.T) {
@@ -113,7 +113,7 @@ func TestJoinOrderEquivalenceOnPaperExamples(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		hosts := hostsFor(name)
-		ref, err := engine.NewExecutor(db, hosts).Query(q)
+		ref, err := reference(db, q, hosts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -18,8 +18,9 @@
 // attributable to the semantic rewrites rather than to different
 // execution machinery: Compile produces one immutable physical plan
 // tree (tree.go), a surviving subquery's block among its nodes, and one
-// batch-iterator executor runs it. The engine's reference executor is
-// the tests' oracle and no path of this package calls it.
+// batch-iterator executor runs it. The tests hold every plan to
+// internal/oracle, which shares no code with this package or the
+// engine.
 package plan
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"uniqopt/internal/core"
 	"uniqopt/internal/engine"
+	"uniqopt/internal/oracle"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
@@ -16,6 +17,16 @@ import (
 	"uniqopt/internal/valuetest"
 	"uniqopt/internal/workload"
 )
+
+// reference evaluates q with the oracle, the definitional evaluator
+// every plan is held to.
+func reference(db *storage.DB, q ast.Query, hosts map[string]value.Value) (*engine.Relation, error) {
+	cols, rows, err := oracle.Query(db, q, hosts)
+	if err != nil {
+		return nil, err
+	}
+	return &engine.Relation{Cols: cols, Rows: rows}, nil
+}
 
 func smallDB(t testing.TB) *storage.DB {
 	t.Helper()
@@ -42,7 +53,7 @@ func hostsFor(name string) map[string]value.Value {
 	return hosts
 }
 
-// runThreeWays executes src with the reference executor, the baseline
+// runThreeWays executes src with the oracle, the baseline
 // planner, and the rewriting planner, and checks multiset equality.
 func runThreeWays(t *testing.T, db *storage.DB, src string, hosts map[string]value.Value) (*Result, *Result) {
 	t.Helper()
@@ -50,7 +61,7 @@ func runThreeWays(t *testing.T, db *storage.DB, src string, hosts map[string]val
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	ref, err := engine.NewExecutor(db, hosts).Query(q)
+	ref, err := reference(db, q, hosts)
 	if err != nil {
 		t.Fatalf("reference %q: %v", src, err)
 	}
@@ -181,7 +192,7 @@ func TestRewriteChaining(t *testing.T) {
 	if opt.Stats.SortRuns != 0 {
 		t.Error("after chaining no sort should remain")
 	}
-	ref, _ := engine.NewExecutor(db, nil).Query(q)
+	ref, _ := reference(db, q, nil)
 	if !engine.MultisetEqual(ref, opt.Rel) {
 		t.Error("chained rewrite changed semantics")
 	}
@@ -231,7 +242,7 @@ func TestPlanDescription(t *testing.T) {
 }
 
 // Property: for a corpus of random queries, baseline and rewriting
-// planners agree with the reference executor on several database
+// planners agree with the oracle on several database
 // instances. This is the end-to-end semantic-preservation suite (E8).
 func TestRandomQueryEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
@@ -285,7 +296,7 @@ func TestSetOpRewriteWithNullKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := engine.NewExecutor(db, nil).Query(q)
+	ref, err := reference(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +346,7 @@ func TestNaiveCorrelationLosesNullRow(t *testing.T) {
 	naive := `SELECT ALL P.OEM-PNO FROM PARTS P WHERE P.COLOR = 'RED'
 		AND EXISTS (SELECT * FROM PARTS Q WHERE Q.OEM-PNO = P.OEM-PNO)`
 	q, _ := parser.ParseQuery(naive)
-	res, err := engine.NewExecutor(db, nil).Query(q)
+	res, err := reference(db, q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +377,10 @@ func TestPlannerErrors(t *testing.T) {
 }
 
 // Three-table queries plan as a left-deep hash-join tree and agree
-// with the reference executor.
+// with the oracle.
 func TestThreeWayJoinEquivalence(t *testing.T) {
-	// A compact instance: the reference executor materializes the full
-	// three-way product.
+	// A compact instance: the oracle loops over the full three-way
+	// product.
 	cfg := workload.DefaultConfig()
 	cfg.Suppliers = 12
 	cfg.PartsPerSupplier = 3

@@ -29,8 +29,8 @@ func setStreamBatch(t *testing.T, n int) {
 	t.Cleanup(func() { engine.SetBatchSize(prev) })
 }
 
-// referenceRows runs sql through the reference executor — serial,
-// materializing, straight from the AST: the semantic oracle.
+// referenceRows evaluates sql with the oracle, under the golden host
+// bindings.
 func referenceRows(t *testing.T, db *uniqopt.DB, sql string) *engine.Relation {
 	t.Helper()
 	q, err := parser.ParseQuery(sql)
@@ -43,11 +43,7 @@ func referenceRows(t *testing.T, db *uniqopt.DB, sql string) *engine.Relation {
 			t.Fatal(err)
 		}
 	}
-	rel, err := engine.NewExecutor(db.Store(), hosts).Query(q)
-	if err != nil {
-		t.Fatalf("reference executor: %v", err)
-	}
-	return rel
+	return reference(t, db, q, hosts)
 }
 
 // asRelation is a query result as the engine relation it came from.
@@ -71,12 +67,12 @@ func asRelation(t *testing.T, rows *uniqopt.Rows) *engine.Relation {
 // of the sweep, to two oracles neither of which is itself: the row
 // goldens (columns, rows and row order, byte for byte — every paper
 // example and every embedded_adhoc shape, optimized and as written),
-// and the reference executor (multiset). Batching is execution
-// strategy, never a semantics change.
+// and the oracle (multiset). Batching is execution strategy, never a
+// semantics change.
 func TestStreamingPaperExamples(t *testing.T) {
-	// The reference executor does not batch, so its answers are
-	// computed once. It evaluates a FROM list as the
-	// full Cartesian product, which for the three-table chains chain3_lit
+	// The oracle does not batch, so its answers are computed once. It
+	// evaluates a FROM list as nested loops over the full Cartesian
+	// product, which for the three-table chains chain3_lit
 	// and layout_chain is 20M rows: those cases have the goldens as their
 	// only oracle.
 	reference := map[string]*engine.Relation{}
@@ -107,7 +103,7 @@ func TestStreamingPaperExamples(t *testing.T) {
 					t.Fatalf("%s optimize=%v: %v", c.name, optimize, err)
 				}
 				if want := reference[c.name]; want != nil && !engine.MultisetEqual(want, asRelation(t, got)) {
-					t.Errorf("%s optimize=%v: differs from the reference executor (%d vs %d rows)",
+					t.Errorf("%s optimize=%v: differs from the oracle (%d vs %d rows)",
 						c.name, optimize, len(got.Data), want.Len())
 				}
 				if got.Stats.Batches == 0 {
@@ -263,9 +259,8 @@ func canonRows(data [][]any) string {
 // the same rows in the same order at every batch size, render the same
 // EXPLAIN ANALYZE tree (Scan out=N, Filter in=N out=k), count the same
 // rows scanned — and charge the governor for less than the table. The
-// streaming=false legs hold the result to the reference executor, which
-// materializes whatever the batch size; the streaming=true legs to the
-// first leg's rows.
+// streaming=false legs hold the result to the oracle, which does not
+// batch; the streaming=true legs to the first leg's rows.
 func TestInPlaceScanFilterIdentity(t *testing.T) {
 	// COLOR and PNO are not leading index columns: Scan + Filter.
 	const sql = `SELECT ALL P.SNO, P.PNO, P.PNAME FROM PARTS P WHERE P.COLOR = 'RED' AND P.PNO > :PART-NO`
@@ -292,7 +287,7 @@ func TestInPlaceScanFilterIdentity(t *testing.T) {
 			if !streaming {
 				got := referenceRows(t, db, sql)
 				if !engine.MultisetEqual(got, asRelation(t, ref)) {
-					t.Errorf("result differs from the reference executor (%d vs %d rows)", len(ref.Data), got.Len())
+					t.Errorf("result differs from the oracle (%d vs %d rows)", len(ref.Data), got.Len())
 				}
 				return
 			}
