@@ -33,10 +33,12 @@ import (
 //     came: nobody writes it again, and its consumer may retain it
 //     exactly as the operator itself could have.
 //   - That memory returns all at once, when the execution's Scratch is
-//     Reset. Only the caller that has copied the answer out of the
-//     drained rows may call Reset (DB.QueryWithContext does, after
-//     value.BoxRows): a row read after it reads the next execution's
-//     cells, or under -tags poison a sentinel.
+//     Reset. Only the caller that owns the answer may call Reset, once
+//     the drained rows have been consumed (DB.execute does, after
+//     value.BoxRows has copied them out for QueryWithContext or the
+//     daemon's session has encoded them into its response frame): a row
+//     read after it reads the next execution's cells, or under -tags
+//     poison a sentinel.
 //   - Close releases held resources (governor charges, children). It
 //     is idempotent, and must be called exactly when the consumer is
 //     done, whether or not the stream was drained. Next is never

@@ -15,12 +15,14 @@ import (
 
 // scratchResetters are the non-test files of the module that may call
 // (*engine.Scratch).Reset. Reset hands an execution's rows back for the
-// next execution to overwrite, so only the code that copied the answer
-// out of them may call it: DB.QueryWithContext after value.BoxRows,
-// ExplainWith, which keeps no row, and a filter's subquery runs
-// (internal/plan/tree.go), each answering a truth value or values copied
-// out before its own scratch is reset. A new entry is a decision to
-// review, not a formality.
+// next execution to overwrite, so only the code that owns the answer may
+// call it, once the answer has been consumed: DB.execute after its
+// consumer returns (value.BoxRows copying the rows out for
+// QueryWithContext, or the daemon's session encoding them into its
+// frame through QueryFunc), ExplainWith, which keeps no row, and a
+// filter's subquery runs (internal/plan/tree.go), each answering a truth
+// value or values copied out before its own scratch is reset. A new
+// entry is a decision to review, not a formality.
 var scratchResetters = map[string]bool{
 	"uniqopt.go":            true,
 	"internal/plan/tree.go": true,

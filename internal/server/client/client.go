@@ -101,6 +101,10 @@ type Client struct {
 	nextID uint64
 	info   ServerInfo
 	closed bool
+	// req and resp are the frames of the round trip in flight, reused
+	// from one to the next under mu.
+	req  server.Request
+	resp server.Response
 }
 
 // Dial connects, says HELLO with default budgets, and returns a
@@ -166,7 +170,7 @@ func (c *Client) Info() ServerInfo { return c.info }
 
 // hello negotiates the session.
 func (c *Client) hello(opts Options) (*ServerInfo, error) {
-	resp, err := c.roundTrip(&server.Request{
+	resp, err := c.roundTrip(server.Request{
 		Cmd:       server.CmdHello,
 		MaxRows:   opts.MaxRows,
 		MemBudget: opts.MemBudget,
@@ -205,18 +209,18 @@ func (c *Client) Refresh() (*ServerInfo, error) {
 // Prepare validates sql on the server and binds it to name in this
 // session; re-preparing a name replaces it.
 func (c *Client) Prepare(name, sql string) error {
-	_, err := c.roundTrip(&server.Request{Cmd: server.CmdPrepare, Name: name, SQL: sql})
+	_, err := c.roundTrip(server.Request{Cmd: server.CmdPrepare, Name: name, SQL: sql})
 	return err
 }
 
 // Exec runs a prepared statement with host-variable bindings (Go
 // values: int/int64, string, bool, nil).
 func (c *Client) Exec(name string, args map[string]any) (*Result, error) {
-	resp, err := c.roundTrip(&server.Request{Cmd: server.CmdExec, Name: name, Args: args})
+	resp, err := c.roundTrip(server.Request{Cmd: server.CmdExec, Name: name, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	return toResult(resp), nil
+	return toResult(&resp), nil
 }
 
 // Query runs a one-shot statement: CREATE TABLE or a query. For DDL
@@ -227,18 +231,18 @@ func (c *Client) Query(sql string) (*Result, error) {
 
 // QueryArgs is Query with host-variable bindings.
 func (c *Client) QueryArgs(sql string, args map[string]any) (*Result, error) {
-	resp, err := c.roundTrip(&server.Request{Cmd: server.CmdQuery, SQL: sql, Args: args})
+	resp, err := c.roundTrip(server.Request{Cmd: server.CmdQuery, SQL: sql, Args: args})
 	if err != nil {
 		return nil, err
 	}
-	return toResult(resp), nil
+	return toResult(&resp), nil
 }
 
 // Explain returns the server's rendered plan tree, rewrites, and
 // uniqueness provenance trace; analyze executes the query for real
 // and annotates the tree with per-operator metrics.
 func (c *Client) Explain(sql string, analyze bool) (string, []server.WireRewrite, error) {
-	resp, err := c.roundTrip(&server.Request{Cmd: server.CmdExplain, SQL: sql, Analyze: analyze})
+	resp, err := c.roundTrip(server.Request{Cmd: server.CmdExplain, SQL: sql, Analyze: analyze})
 	if err != nil {
 		return "", nil, err
 	}
@@ -276,30 +280,36 @@ func (c *Client) Abandon() error {
 }
 
 // roundTrip sends one request and reads its response, enforcing id
-// matching and unwrapping wire errors.
-func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
+// matching and unwrapping wire errors. The frames go through the
+// client's own request and response; the response is reset before each
+// decode, so the one returned shares no storage with the next call's.
+func (c *Client) roundTrip(req server.Request) (server.Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, errors.New("client: session closed")
+		return server.Response{}, errors.New("client: session closed")
 	}
 	c.nextID++
-	req.ID = c.nextID
-	if err := server.WriteFrame(c.conn, req); err != nil {
-		return nil, fmt.Errorf("client: send: %w", err)
+	c.req = req
+	c.req.ID = c.nextID
+	err := server.WriteFrame(c.conn, &c.req)
+	c.req = server.Request{} // keeps no caller's bindings
+	if err != nil {
+		return server.Response{}, fmt.Errorf("client: send: %w", err)
 	}
-	var resp server.Response
-	if err := server.ReadFrame(c.br, &resp); err != nil {
-		return nil, fmt.Errorf("client: receive: %w", err)
+	c.resp = server.Response{}
+	if err := server.ReadFrame(c.br, &c.resp); err != nil {
+		return server.Response{}, fmt.Errorf("client: receive: %w", err)
 	}
-	if resp.ID != req.ID {
-		return nil, fmt.Errorf("client: response id %d for request %d; session desynchronized", resp.ID, req.ID)
+	resp := c.resp
+	if resp.ID != c.nextID {
+		return server.Response{}, fmt.Errorf("client: response id %d for request %d; session desynchronized", resp.ID, c.nextID)
 	}
 	if !resp.OK {
 		if resp.Err == nil {
-			return nil, errors.New("client: server reported failure without an error")
+			return server.Response{}, errors.New("client: server reported failure without an error")
 		}
-		return nil, &RemoteError{
+		return server.Response{}, &RemoteError{
 			Code:     resp.Err.Code,
 			Msg:      resp.Err.Msg,
 			Resource: resp.Err.Resource,
@@ -307,7 +317,7 @@ func (c *Client) roundTrip(req *server.Request) (*server.Response, error) {
 			Used:     resp.Err.Used,
 		}
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // toResult presents a response as a Result. The rows are the ones the

@@ -3,9 +3,11 @@ package client_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -196,5 +198,64 @@ func TestExecAfterClose(t *testing.T) {
 	}
 	if err := c.Abandon(); err != nil {
 		t.Fatalf("Abandon after Close = %v", err)
+	}
+}
+
+// wideDB holds W: 31 rows keyed from 1000, one in group 1 and thirty in
+// group 2, each with a string that needs escaping or is not ASCII, a
+// boolean and a NULL-able integer.
+func wideDB(t *testing.T) *uniqopt.DB {
+	t.Helper()
+	db := uniqopt.Open()
+	if err := db.Exec(`CREATE TABLE W (K INTEGER NOT NULL, G INTEGER, S VARCHAR, B BOOLEAN, N INTEGER, PRIMARY KEY (K))`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 31; i++ {
+		var n any
+		if i%3 != 0 {
+			n = i - 15
+		}
+		if err := db.Insert("W", 1000+i, min(i, 1)+1, fmt.Sprintf("<w-%d> é", i), i%2 == 0, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestResultOutlivesTheNextCall: the client decodes every answer into
+// its own response and hands the fields on, so a Result must not share
+// storage with what a later call decodes — its columns, rows and
+// strings are what they were — and each of its rows is its own: an
+// append to one cannot reach the next.
+func TestResultOutlivesTheNextCall(t *testing.T) {
+	testleak.Check(t)
+	c := serve(t, wideDB(t), server.Config{})
+	if err := c.Prepare("q", `SELECT W.K, W.S, W.B, W.N FROM W WHERE W.G = :G`); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Exec("q", map[string]any{"G": 2})
+	if err != nil || len(first.Rows) != 30 {
+		t.Fatalf("group 2: %+v, %v", first, err)
+	}
+	want := &client.Result{Columns: slices.Clone(first.Columns), CatalogVersion: first.CatalogVersion}
+	for _, row := range first.Rows {
+		row = slices.Clone(row)
+		row[1] = strings.Clone(row[1].(string))
+		want.Rows = append(want.Rows, row)
+	}
+	if second, err := c.Exec("q", map[string]any{"G": 1}); err != nil || len(second.Rows) != 1 {
+		t.Fatalf("group 1: %+v, %v", second, err)
+	}
+	if _, err := c.Query(`SELECT W.S, W.K FROM W WHERE W.K = 1000`); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("a later call changed an earlier Result:\n got %v\nwant %v", first, want)
+	}
+
+	row1 := slices.Clone(first.Rows[1])
+	first.Rows[0] = append(first.Rows[0], "appended")
+	if !reflect.DeepEqual(first.Rows[1], row1) {
+		t.Fatalf("appending to row 0 changed row 1: %v, was %v", first.Rows[1], row1)
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"uniqopt/internal/value"
 )
 
 // refDecode is the decoder this package used before it had its own:
@@ -150,7 +152,9 @@ func diffResponse(t *testing.T, payload []byte) {
 
 // diffStrings puts s, arbitrary bytes, wherever the frames carry a
 // string and requires both encoders to agree on it and both decoders to
-// agree on what was encoded.
+// agree on what was encoded. The row encoder the session writes answers
+// with gets s as a string cell, and must write json.Marshal's bytes for
+// the boxed cell.
 func diffStrings(t *testing.T, s string) {
 	req := &Request{ID: 1, Cmd: Command(s), SQL: s, Name: s, Args: map[string]any{s: s, "k": s}}
 	diffRequest(t, diffEncode(t, req))
@@ -158,6 +162,14 @@ func diffStrings(t *testing.T, s string) {
 		Tables: []string{s, ""}, Columns: []string{s}, Rows: [][]any{{s, nil}, nil, {}},
 		Rewrite: []WireRewrite{{Rule: s, Description: s}}, Explain: s}
 	diffResponse(t, diffEncode(t, resp))
+	rows := []value.Row{{value.String_(s)}}
+	want, err := json.Marshal(value.BoxRows(rows, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendValueRows(nil, rows); !bytes.Equal(got, want) {
+		t.Fatalf("row encoders disagree on a string cell\njson.Marshal:    %s\nappendValueRows: %s", want, got)
+	}
 }
 
 var fuzzSeeds = []string{
@@ -256,6 +268,40 @@ func FuzzFrameCodec(f *testing.F) {
 		diffResponse(t, payload)
 		diffStrings(t, string(payload))
 	})
+}
+
+// TestValueRowsEncodeAsBoxed: the session's row encoder writes, from
+// the engine's cells, the bytes appendRows writes for the same rows
+// boxed — and those are json.Marshal's — at the edges of every kind.
+func TestValueRowsEncodeAsBoxed(t *testing.T) {
+	var cells []value.Value
+	for _, n := range []int64{math.MinInt64, -1, 0, 255, 256, math.MaxInt64} {
+		cells = append(cells, value.Int(n))
+	}
+	cells = append(cells, value.Bool(true), value.Bool(false), value.Null)
+	for _, s := range []string{"", "\x00", "\xff\xfe invalid", "<>&", "line\u2028separator\u2029"} {
+		cells = append(cells, value.String_(s))
+	}
+	for _, width := range []int{1, 3, len(cells)} {
+		var rows []value.Row
+		for i := 0; i+width <= len(cells); i += width {
+			rows = append(rows, value.Row(cells[i:i+width]))
+		}
+		for _, rows := range [][]value.Row{nil, rows[:1], rows} {
+			boxed := value.BoxRows(rows, width)
+			want, err := appendRows(nil, boxed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendValueRows(nil, rows); !bytes.Equal(got, want) {
+				t.Fatalf("width %d, %d rows\nappendRows:      %s\nappendValueRows: %s", width, len(rows), want, got)
+			}
+			// No rows is no "rows" field: neither encoder is asked for one.
+			if marshaled, _ := json.Marshal(boxed); len(rows) > 0 && !bytes.Equal(want, marshaled) {
+				t.Fatalf("width %d: appendRows wrote %s, json.Marshal %s", width, want, marshaled)
+			}
+		}
+	}
 }
 
 // TestFrameDepthLimit: nesting is refused exactly where encoding/json

@@ -6,10 +6,13 @@ import (
 	"strings"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"uniqopt/internal/value"
 )
 
 // The decoding half of the frame codec: one pass over a frame's payload
-// that fills a *Request or *Response directly. It accepts what
+// (two over a result's rows, see rows) that fills a *Request or
+// *Response directly. It accepts what
 // encoding/json (with UseNumber) accepted into the same struct, to the
 // same result — whitespace, escapes and surrogate pairs, keys matched
 // ignoring case, unknown fields skipped, a repeated key decoded over
@@ -183,53 +186,66 @@ func hex4(b []byte) rune {
 	return r
 }
 
+// unescape decodes the character that starts at raw[i] of a string
+// literal rawString has validated, and returns it with the index after
+// it: an escape resolved, a surrogate pair joined, a lone surrogate or
+// an invalid UTF-8 byte read as U+FFFD.
+func unescape(raw []byte, i int) (r rune, next int) {
+	c := raw[i]
+	switch {
+	case c < utf8.RuneSelf && c != '\\':
+		return rune(c), i + 1
+	case c >= utf8.RuneSelf:
+		r, size := utf8.DecodeRune(raw[i:])
+		return r, i + size
+	}
+	switch c = raw[i+1]; c {
+	case 'b':
+		return '\b', i + 2
+	case 'f':
+		return '\f', i + 2
+	case 'n':
+		return '\n', i + 2
+	case 'r':
+		return '\r', i + 2
+	case 't':
+		return '\t', i + 2
+	case 'u':
+		r, next = hex4(raw[i+2:]), i+6
+		if utf16.IsSurrogate(r) {
+			low := rune(-1)
+			if len(raw)-next >= 6 && raw[next] == '\\' && raw[next+1] == 'u' {
+				low = hex4(raw[next+2:])
+			}
+			if r = utf16.DecodeRune(r, low); r != utf8.RuneError {
+				next += 6
+			}
+		}
+		return r, next
+	}
+	return rune(c), i + 2 // " \ /
+}
+
 // unquote appends the value of a string literal rawString has
-// validated: escapes resolved, a surrogate pair joined, a lone
-// surrogate or an invalid UTF-8 byte replaced by U+FFFD.
+// validated.
 func unquote(dst, raw []byte) []byte {
 	for i := 0; i < len(raw); {
-		c := raw[i]
-		switch {
-		case c == '\\':
-			i++
-			switch c = raw[i]; c {
-			case 'b':
-				dst = append(dst, '\b')
-			case 'f':
-				dst = append(dst, '\f')
-			case 'n':
-				dst = append(dst, '\n')
-			case 'r':
-				dst = append(dst, '\r')
-			case 't':
-				dst = append(dst, '\t')
-			case 'u':
-				r := hex4(raw[i+1:])
-				i += 4
-				if utf16.IsSurrogate(r) {
-					low := rune(-1)
-					if len(raw)-i > 6 && raw[i+1] == '\\' && raw[i+2] == 'u' {
-						low = hex4(raw[i+3:])
-					}
-					if r = utf16.DecodeRune(r, low); r != utf8.RuneError {
-						i += 6
-					}
-				}
-				dst = utf8.AppendRune(dst, r)
-			default: // " \ /
-				dst = append(dst, c)
-			}
-			i++
-		case c < utf8.RuneSelf:
-			dst = append(dst, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(raw[i:])
-			dst = utf8.AppendRune(dst, r)
-			i += size
-		}
+		var r rune
+		r, i = unescape(raw, i)
+		dst = utf8.AppendRune(dst, r)
 	}
 	return dst
+}
+
+// unquotedLen is len(unquote(nil, raw)).
+func unquotedLen(raw []byte) int {
+	n := 0
+	for i := 0; i < len(raw); {
+		var r rune
+		r, i = unescape(raw, i)
+		n += utf8.RuneLen(r)
+	}
+	return n
 }
 
 // str decodes a string value into a string of its own: nothing decoded
@@ -523,40 +539,116 @@ func (d *decoder) args(p *map[string]any) {
 	}
 }
 
-// rows decodes the result matrix; width, the number of columns the
-// frame announced before it, sizes each new row.
-func (d *decoder) rows(p *[][]any, width int) {
+// rowSlabs are the arrays one answer decodes into, and the counts that
+// size them exactly: the rows, every row's cells, and through a boxer
+// the integers that take a slot and the strings, whose bytes lie in
+// text.
+type rowSlabs struct {
+	nrows, ncells, nints, nstrs, nbytes int
+
+	rows  [][]any
+	cells []any
+	text  []byte
+	box   value.Boxer
+}
+
+// rows decodes the result matrix in two passes over its bytes: the
+// first validates it and counts what its slabs need, the second decodes
+// into slabs of exactly that size, so an answer costs the same few
+// allocations however many rows it has. Each row is a capacity-clipped
+// window of one array of cells: an append to one cannot reach the next.
+// A repeated "rows" key decodes afresh, to the value encoding/json gets
+// by decoding it over what the first occurrence left.
+func (d *decoder) rows(p *[][]any) {
 	if d.null() {
 		*p = nil
 		return
 	}
+	var s rowSlabs
+	start := d.i
+	if d.walkRows(&s, false); d.err != nil {
+		return
+	}
+	s.rows = make([][]any, 0, s.nrows)
+	s.cells = make([]any, 0, s.ncells)
+	s.text = make([]byte, 0, s.nbytes)
+	s.box = value.NewBoxer(s.nints, s.nstrs)
+	d.i = start
+	d.walkRows(&s, true)
+	*p = s.rows
+}
+
+// walkRows walks the rows array at the cursor: counting into s, or with
+// fill appending to its slabs.
+func (d *decoder) walkRows(s *rowSlabs, fill bool) {
 	if !d.open('[') {
 		return
 	}
-	rows, n := *p, 0
-	for ; d.more(']', n == 0); n++ {
-		rows = element(rows, n)
-		if d.null() {
-			rows[n] = nil
-			continue
-		}
-		if !d.open('[') {
-			return
-		}
-		row, m := rows[n], 0
-		if row == nil {
-			row = make([]any, 0, width)
-		}
-		for ; d.more(']', m == 0); m++ {
-			row = element(row, m)
-			row[m] = d.scalar()
-			if bad, ok := row[m].(badArg); ok {
-				d.fail("row %d col %d: %s", n, m, string(bad))
+	for n := 0; d.more(']', n == 0); n++ {
+		s.nrows++
+		var row []any // a null row stays nil
+		if !d.null() {
+			if !d.open('[') {
+				return
 			}
+			first := len(s.cells)
+			for m := 0; d.more(']', m == 0); m++ {
+				s.ncells++
+				cell := d.cell(s, fill)
+				if bad, ok := cell.(badArg); ok {
+					d.fail("row %d col %d: %s", n, m, string(bad))
+				}
+				if fill {
+					s.cells = append(s.cells, cell)
+				}
+			}
+			row = s.cells[first:len(s.cells):len(s.cells)]
 		}
-		rows[n] = closeArray(row, m)
+		if fill {
+			s.rows = append(s.rows, row)
+		}
 	}
-	*p = closeArray(rows, n)
+}
+
+// cell decodes one cell: scalar's value, with an integer that takes a
+// slot or a string boxed through s — only counted when not filling.
+func (d *decoder) cell(s *rowSlabs, fill bool) any {
+	switch d.peek() {
+	case '"':
+		raw, plain := d.rawString()
+		if !fill {
+			s.nstrs++
+			if plain {
+				s.nbytes += len(raw)
+			} else {
+				s.nbytes += unquotedLen(raw)
+			}
+			return nil
+		}
+		start := len(s.text)
+		if plain {
+			s.text = append(s.text, raw...)
+		} else {
+			s.text = unquote(s.text, raw)
+		}
+		return s.box.Bytes(s.text[start:])
+	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
+		tok, integer := d.number()
+		n, ok := int64(0), false
+		if integer {
+			n, ok = parseInt(tok)
+		}
+		switch {
+		case !ok:
+			return badArg(fmt.Sprintf("non-integer number %q", tok))
+		case fill:
+			return s.box.Int(n)
+		case value.BoxTakesSlot(n):
+			s.nints++
+		}
+		return nil
+	}
+	return d.scalar()
 }
 
 var wireErrorFields = []string{"code", "msg", "resource", "limit", "used"}
@@ -721,7 +813,7 @@ func (d *decoder) response(r *Response) {
 		case 10:
 			d.strings(&r.Columns)
 		case 11:
-			d.rows(&r.Rows, len(r.Columns))
+			d.rows(&r.Rows)
 		case 12:
 			d.rewrites(&r.Rewrite)
 		case 13:

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"uniqopt/internal/value"
 )
 
 // The encoding half of the frame codec: appendRequest and
@@ -177,6 +179,35 @@ func appendRows(b []byte, rows [][]any) ([]byte, error) {
 	return append(b, ']'), nil
 }
 
+// appendValueRows is appendRows over value.BoxRows(rows): the same
+// bytes, written from the engine's cells without boxing them, so that
+// the session can encode an answer while the execution's memory still
+// holds it.
+func appendValueRows(b []byte, rows []value.Row) []byte {
+	for i, row := range rows {
+		b = append(appendSep(b, '[', i), '[')
+		for j := range row {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			switch c := &row[j]; c.Kind() {
+			case value.KindInt:
+				n, _ := c.Int()
+				b = strconv.AppendInt(b, n, 10)
+			case value.KindString:
+				s, _ := c.Str()
+				b = appendString(b, s)
+			case value.KindBool:
+				b = strconv.AppendBool(b, c.AsBool())
+			default:
+				b = append(b, "null"...)
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']')
+}
+
 func appendRequest(b []byte, r *Request) ([]byte, error) {
 	b = strconv.AppendUint(append(b, `{"id":`...), r.ID, 10)
 	b = appendString(append(b, `,"cmd":`...), string(r.Cmd))
@@ -219,6 +250,8 @@ func appendResponse(b []byte, r *Response) ([]byte, error) {
 		if b, err = appendRows(append(b, `,"rows":`...), r.Rows); err != nil {
 			return b, err
 		}
+	} else if len(r.encodedRows) > 0 {
+		b = append(append(b, `,"rows":`...), r.encodedRows...)
 	}
 	if len(r.Rewrite) > 0 {
 		b = append(b, `,"rewrites":`...)

@@ -171,6 +171,11 @@ type Response struct {
 	Columns []string      `json:"columns,omitempty"`
 	Rows    [][]any       `json:"rows,omitempty"`
 	Rewrite []WireRewrite `json:"rewrites,omitempty"`
+	// encodedRows stands for Rows when Rows is empty: the rows array
+	// already encoded (appendValueRows). The session encodes a query's
+	// answer from the engine's rows while their memory still holds them,
+	// and appendResponse splices the bytes in where Rows would go.
+	encodedRows []byte
 	// RowsAffected counts tuples written by an INSERT. The response is
 	// sent only after the rows are fsynced to the write-ahead log.
 	RowsAffected int64 `json:"rows_affected,omitempty"`

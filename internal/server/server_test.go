@@ -807,6 +807,42 @@ func TestServerBadArgRefusedPerRequest(t *testing.T) {
 	}
 }
 
+// TestServerArgsEndWithTheirRequest: a session decodes every request
+// into one Request and clears its bindings in between, so a binding
+// the next request leaves out is unbound there — refused, not run with
+// the value the request before it carried. Queries and INSERTs alike.
+func TestServerArgsEndWithTheirRequest(t *testing.T) {
+	testleak.Check(t)
+	db := testDB(t, 10, uniqopt.Options{})
+	_, addr := startServer(t, db, server.Config{})
+	c := dial(t, addr)
+	defer c.Close()
+	if err := c.Prepare("q", `SELECT S.CITY FROM S WHERE S.SNO = :N AND S.SNO < :K`); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Prepare("put", `INSERT INTO S VALUES (:N, :CITY)`); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Exec("q", map[string]any{"N": 1, "K": 2})
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "city-1" {
+		t.Fatalf("EXEC q {N:1, K:2}: %+v, %v", res, err)
+	}
+	_, err = c.Exec("q", map[string]any{"N": 1})
+	if re := (*client.RemoteError)(nil); !errors.As(err, &re) || re.Code != server.CodeSQL || !strings.Contains(re.Msg, ":K") {
+		t.Fatalf("EXEC q {N:1} after {N:1, K:2}: %v, want the unbound :K refused", err)
+	}
+	if res, err := c.Exec("put", map[string]any{"N": 100, "CITY": "here"}); err != nil || res.RowsAffected != 1 {
+		t.Fatalf("EXEC put {N:100, CITY}: %+v, %v", res, err)
+	}
+	_, err = c.Exec("put", map[string]any{"N": 101})
+	if re := (*client.RemoteError)(nil); !errors.As(err, &re) || re.Code != server.CodeSQL || !strings.Contains(re.Msg, ":CITY") {
+		t.Fatalf("EXEC put {N:101} after {N:100, CITY}: %v, want the unbound :CITY refused", err)
+	}
+	if res, err := c.Query(`SELECT S.SNO FROM S WHERE S.SNO = 101`); err != nil || len(res.Rows) != 0 {
+		t.Fatalf("row 101: %+v, %v", res, err)
+	}
+}
+
 // TestServerSyntaxErrorsTyped: a one-shot QUERY is classified by its
 // first token and parsed only where it is compiled, so a syntax error
 // now surfaces from inside the database. It must still reach the client

@@ -13,6 +13,7 @@ import (
 	"uniqopt/internal/sql/lexer"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/sql/token"
+	"uniqopt/internal/value"
 )
 
 // preparedStmt is one session-scoped prepared statement: the SQL text
@@ -55,7 +56,21 @@ type session struct {
 	reject *AdmissionError
 	// granted budgets, for the HELLO response.
 	grantedMaxRows, grantedMem int64
+
+	// The session decodes every request into req, whose Args map is
+	// cleared rather than remade: nothing keeps it past its request
+	// (a query's compile converts the bindings into a map of its own,
+	// an INSERT reads them while it executes).
+	req Request
+	// resp is a query's response, reset for each query and written
+	// before the next request is read; rows holds its encoded rows.
+	resp Response
+	rows []byte
 }
+
+// maxKeptArgs is the most bindings a session's request map may have
+// held and still be cleared for the next request rather than remade.
+const maxKeptArgs = 64
 
 // run is the session goroutine: read one request, handle it, write
 // the response, until the client closes, CLOSE arrives, or Shutdown
@@ -66,9 +81,17 @@ func (sess *session) run() {
 	ctx, cancel := context.WithCancel(sess.srv.baseCtx)
 	defer cancel()
 	sess.ctx = ctx
+	args := map[string]any{}
 	for {
-		var req Request
-		if err := ReadFrame(sess.br, &req); err != nil {
+		// A map one large request grew is not kept: clearing it would
+		// cost its size on every request after.
+		if len(args) > maxKeptArgs {
+			args = map[string]any{}
+		}
+		clear(args)
+		sess.req = Request{Args: args}
+		req := &sess.req
+		if err := ReadFrame(sess.br, req); err != nil {
 			// EOF (client gone or Shutdown closed us) ends the
 			// session silently; a malformed frame gets a best-effort
 			// protocol error before the connection is abandoned —
@@ -88,7 +111,7 @@ func (sess *session) run() {
 			return
 		}
 		t0 := time.Now()
-		resp, closing := sess.handle(&req)
+		resp, closing := sess.handle(req)
 		sess.srv.metrics.ObserveQuery(req.Cmd.shape(), time.Since(t0).Nanoseconds())
 		ok := sess.write(resp)
 		sess.srv.endRequest()
@@ -332,19 +355,26 @@ func (sess *session) runQuery(req *Request, sql string) *Response {
 
 	ctx, cancel := sess.queryCtx()
 	defer cancel()
-	rows, err := view.QueryWithContext(ctx, sql, req.Args, !req.Baseline)
+	// The answer goes straight from the engine's rows into the session's
+	// bytes, inside the callback: after it, their memory belongs to the
+	// next execution. A buffer one large answer grew is not kept.
+	resp := &sess.resp
+	*resp = Response{ID: req.ID, OK: true, Rewrite: resp.Rewrite[:0], CatalogVersion: catVersion}
+	if cap(sess.rows) > frameChunk {
+		sess.rows = nil
+	}
+	err := view.QueryFunc(ctx, sql, req.Args, !req.Baseline, func(cols []string, rows []value.Row, rewrites []uniqopt.RewriteInfo) {
+		resp.Columns = cols
+		if len(rows) > 0 {
+			sess.rows = appendValueRows(sess.rows[:0], rows)
+			resp.encodedRows = sess.rows
+		}
+		for _, rw := range rewrites {
+			resp.Rewrite = append(resp.Rewrite, WireRewrite{Rule: rw.Rule, Description: rw.Description})
+		}
+	})
 	if err != nil {
 		return errorResponse(req.ID, wireError(err))
-	}
-	resp := &Response{
-		ID:             req.ID,
-		OK:             true,
-		Columns:        rows.Columns,
-		Rows:           rows.Data,
-		CatalogVersion: catVersion,
-	}
-	for _, rw := range rows.Rewrites {
-		resp.Rewrite = append(resp.Rewrite, WireRewrite{Rule: rw.Rule, Description: rw.Description})
 	}
 	return resp
 }

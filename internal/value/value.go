@@ -420,24 +420,22 @@ func HashCols(r Row, cols []int) uint64 {
 // BoxRows copies rows out as Go values, width cells a row: int64,
 // string, bool, or nil for NULL. The copy shares nothing with rows, but
 // it is not one allocation per cell: one slab holds every row's cells,
-// and each boxed integer or string points into one array of each kind
-// that the whole result shares. An integer below 256 and a boolean box
-// without allocating anyway. A string's bytes are not copied: they are
-// the stored string's, which is never written again.
+// and each boxed integer or string goes through one Boxer. A string's
+// bytes are not copied: they are the stored string's, which is never
+// written again.
 func BoxRows(rows []Row, width int) [][]any {
 	nints, nstrs := 0, 0
 	for _, r := range rows {
 		for i := range r {
 			switch c := &r[i]; {
-			case c.kind == KindInt && uint64(c.n) >= 256:
+			case c.kind == KindInt && BoxTakesSlot(c.n):
 				nints++
 			case c.kind == KindString:
 				nstrs++
 			}
 		}
 	}
-	// Exact capacities: an append never moves what a boxed cell points at.
-	ints, strs := make([]int64, 0, nints), make([]string, 0, nstrs)
+	box := NewBoxer(nints, nstrs)
 	slab := make([]any, len(rows)*width)
 	out := make([][]any, len(rows))
 	for i, r := range rows {
@@ -445,15 +443,9 @@ func BoxRows(rows []Row, width int) [][]any {
 		for j := range r {
 			switch c := &r[j]; c.kind {
 			case KindInt:
-				if uint64(c.n) < 256 {
-					cells[j] = c.n
-					break
-				}
-				ints = append(ints, c.n)
-				cells[j] = boxAt(intType, unsafe.Pointer(&ints[len(ints)-1]))
+				cells[j] = box.Int(c.n)
 			case KindString:
-				strs = append(strs, c.str())
-				cells[j] = boxAt(stringType, unsafe.Pointer(&strs[len(strs)-1]))
+				cells[j] = box.String(c.str())
 			case KindBool:
 				cells[j] = c.n != 0
 			}
@@ -461,6 +453,53 @@ func BoxRows(rows []Row, width int) [][]any {
 		out[i] = cells
 	}
 	return out
+}
+
+// Boxer boxes integer and string cells as Go values without an
+// allocation per cell: each boxed integer or string points into one
+// array of its kind, made once with the capacity its user counted.
+// There are two users: BoxRows, over an execution's rows, and the
+// server's frame decoder, over an answer's cells. A boxer is one
+// answer's: its arrays are shared by every cell it boxed.
+type Boxer struct {
+	ints []int64
+	strs []string
+}
+
+// NewBoxer makes a boxer for ints integers that take a slot (see
+// BoxTakesSlot) and strs strings. With exact counts an append never
+// moves what a boxed cell points at; were a count short, the array
+// would grow into a new one and the cells boxed before would keep the
+// old, which nothing writes again either.
+func NewBoxer(ints, strs int) Boxer {
+	return Boxer{ints: make([]int64, 0, ints), strs: make([]string, 0, strs)}
+}
+
+// BoxTakesSlot reports whether Boxer.Int stores n in the boxer's
+// integer array: every integer but 0 to 255, which Go boxes without
+// allocating anyway.
+func BoxTakesSlot(n int64) bool { return uint64(n) >= 256 }
+
+// Int boxes n as an int64.
+func (b *Boxer) Int(n int64) any {
+	if !BoxTakesSlot(n) {
+		return n
+	}
+	b.ints = append(b.ints, n)
+	return boxAt(intType, unsafe.Pointer(&b.ints[len(b.ints)-1]))
+}
+
+// String boxes s without copying its bytes.
+func (b *Boxer) String(s string) any {
+	b.strs = append(b.strs, s)
+	return boxAt(stringType, unsafe.Pointer(&b.strs[len(b.strs)-1]))
+}
+
+// Bytes boxes p as a string without copying it: p's bytes must never
+// be written again. The frame decoder unquotes an answer's strings into
+// one byte array and boxes each from there.
+func (b *Boxer) Bytes(p []byte) any {
+	return b.String(unsafe.String(unsafe.SliceData(p), len(p)))
 }
 
 // eface is the layout of an interface value with no methods: its

@@ -423,10 +423,42 @@ func (d *DB) QueryWith(sql string, hosts map[string]any, optimize bool) (*Rows, 
 // QueryWithContext is QueryWith under a context; see QueryContext for
 // the lifecycle guarantees.
 func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]any, optimize bool) (*Rows, error) {
+	var out *Rows
+	err := d.execute(ctx, sql, hosts, optimize, func(res *plan.Result) {
+		out = &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Rewrites: rewriteInfos(res.Rewrites)}
+		// The answer is copied out of the scratch before it is reset:
+		// every row a capacity-clipped window of one slab, so an append
+		// by the caller cannot reach its neighbour.
+		out.Data = value.BoxRows(res.Rel.Rows, len(res.Rel.Cols))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// QueryFunc is QueryWithContext for a caller that only reads the
+// answer: instead of copying the rows out, it hands consume the
+// engine's own, before their memory goes back to the DB. The rows and
+// their cells are valid only while consume runs; a row or a string
+// read after it returns may hold the next execution's cells. consume
+// is not called when the query fails.
+func (d *DB) QueryFunc(ctx context.Context, sql string, hosts map[string]any, optimize bool,
+	consume func(cols []string, rows []value.Row, rewrites []RewriteInfo)) error {
+	return d.execute(ctx, sql, hosts, optimize, func(res *plan.Result) {
+		consume(res.Rel.Cols, res.Rel.Rows, rewriteInfos(res.Rewrites))
+	})
+}
+
+// execute is the one path of a query: compile, execute on a scratch
+// from the pool, observe, hand a successful result to consume, and
+// recycle the scratch — after consume returns, so consume may read the
+// rows the scratch backs, and nothing after it can.
+func (d *DB) execute(ctx context.Context, sql string, hosts map[string]any, optimize bool, consume func(*plan.Result)) error {
 	t0 := time.Now()
 	c, err := d.compile(sql, hosts, optimize, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sc := d.scratch.get()
 	res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.hosts, false)
@@ -434,18 +466,12 @@ func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]
 		res.Stats.Add(c.stats)
 	}
 	d.observeQuery(c.shape, time.Since(t0), res, err)
-	if err != nil {
-		d.recycle(sc, err)
-		return nil, err
+	if err == nil {
+		d.stats.Add(res.Stats)
+		consume(res)
 	}
-	d.stats.Add(res.Stats)
-	out := &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Rewrites: rewriteInfos(res.Rewrites)}
-	// The answer is copied out of the scratch before it is reset: every
-	// row a capacity-clipped window of one slab, so an append by the
-	// caller cannot reach its neighbour.
-	out.Data = value.BoxRows(res.Rel.Rows, len(res.Rel.Cols))
-	d.recycle(sc, nil)
-	return out, nil
+	d.recycle(sc, err)
+	return err
 }
 
 // recycle resets an execution's scratch and returns it to the pool,
