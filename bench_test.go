@@ -50,9 +50,13 @@ func runBench(b *testing.B, db *storage.DB, src string, hosts map[string]value.V
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			p := plan.NewPlanner(db, mode.opts)
+			lookup := func(name string) (value.Value, bool) {
+				v, ok := hosts[name]
+				return v, ok
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(q, hosts); err != nil {
+				if _, err := p.Run(q, lookup); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -330,7 +331,14 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Execute(context.Background(), compiled, hosts, false)
+		vals, err := compiled.Bind(func(name string) (value.Value, bool) {
+			v, ok := hosts[name]
+			return v, ok
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Execute(context.Background(), compiled, vals, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +348,7 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 		if res.Rel.Len() == 0 || res.Stats.Batches == 0 {
 			t.Errorf("%s: %d rows in %d batches", c.name, res.Rel.Len(), res.Stats.Batches)
 		}
-		analyzed, err := p.Execute(context.Background(), compiled, hosts, true)
+		analyzed, err := p.Execute(context.Background(), compiled, vals, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +356,7 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 			t.Errorf("%s: the analyzed execution has no tree, or other rows", c.name)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := p.Execute(context.Background(), compiled, hosts, false); err != nil {
+			if _, err := p.Execute(context.Background(), compiled, vals, false); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -356,5 +364,46 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per plain Execute, want at most %.0f", c.name, allocs, c.limit)
 		}
 		t.Logf("%s: %.0f allocations per plain Execute", c.name, allocs)
+	}
+}
+
+// TestExplainWithoutValues: a plan-only EXPLAIN of a parameterized
+// statement needs no values. It renders the plan any non-NULL binding
+// executes — the index join and the range scan, not a plan of their
+// own — with each missing parameter spelled as written, and that plan
+// is, operator for operator, the one a binding renders. EXPLAIN ANALYZE
+// executes, so it refuses the omission as a query does.
+func TestExplainWithoutValues(t *testing.T) {
+	db := goldenIndexedDB(t)
+	const sql = `SELECT ALL S.SNO, S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P
+		WHERE S.SNO BETWEEN :L AND :H AND S.SNO = P.SNO AND P.PNO = :PARTNO`
+	unbound, err := db.Explain(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := unbound.Root.Format(false)
+	for _, want := range []string{
+		"IndexJoin(P via PARTS_SNO_PNO = (S.SNO, :PARTNO))",
+		"IndexScan(S via SUPPLIER_SNO BETWEEN :L AND :H)",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("plan without values lacks %q:\n%s", want, text)
+		}
+	}
+	bound, err := db.ExplainWith(context.Background(), sql, goldenHosts, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := func(root *plan.Node) (out []string) {
+		for _, n := range root.AllNodes() {
+			out = append(out, n.Op)
+		}
+		return out
+	}
+	if got, want := ops(unbound.Root), ops(bound.Root); !reflect.DeepEqual(got, want) {
+		t.Errorf("plan without values runs %v, with them %v", got, want)
+	}
+	if _, err := db.ExplainAnalyze(sql); err == nil || err.Error() != "uniqopt: unbound host variable :L" {
+		t.Errorf("EXPLAIN ANALYZE without values: err = %v", err)
 	}
 }

@@ -2,28 +2,39 @@ package uniqopt
 
 import (
 	"context"
-	"strings"
 	"testing"
 )
 
 // TestHostVarMissingBinding: executing a statement without a value
 // for one of its host variables fails with a named, typed error —
-// the statement is not silently run with NULL.
+// the statement is not silently run with NULL, nor run until it reaches
+// the variable. Whatever the rest of the predicate decides on the data,
+// and with or without the rewrites, a query is refused before it runs,
+// with the message an INSERT refuses the same omission with.
 func TestHostVarMissingBinding(t *testing.T) {
 	db := paperDB(t)
-	_, err := db.QueryWithContext(context.Background(),
+	const want = "uniqopt: unbound host variable :CITY"
+	for _, sql := range []string{
 		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :SNO AND S.SCITY = :CITY`,
-		map[string]any{"SNO": 1}, true)
-	if err == nil {
-		t.Fatal("missing binding should fail")
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 999 AND S.SCITY = :CITY`,
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO > 0 OR S.SCITY = :CITY`,
+		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = 1 AND S.SCITY = :CITY`,
+	} {
+		for _, optimize := range []bool{true, false} {
+			_, err := db.QueryWithContext(context.Background(), sql, map[string]any{"SNO": 1}, optimize)
+			if err == nil || err.Error() != want {
+				t.Errorf("optimize=%v %s: err = %v, want %q", optimize, sql, err, want)
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "unbound host variable :CITY") {
-		t.Errorf("error should name the unbound variable, got: %v", err)
+	n, err := db.ExecWith(`INSERT INTO SUPPLIER VALUES (7, 'Adams', 'Hull', 1, 'Active'), (8, 'Blake', :CITY, 1, 'Active')`, nil)
+	if n != 0 || err == nil || err.Error() != want {
+		t.Errorf("INSERT: n=%d err = %v, want nothing inserted and %q", n, err, want)
 	}
 	// No bindings at all fails the same way.
 	_, err = db.QueryWithContext(context.Background(),
 		`SELECT S.SNO FROM SUPPLIER S WHERE S.SNO = :SNO`, nil, true)
-	if err == nil || !strings.Contains(err.Error(), "unbound host variable :SNO") {
+	if err == nil || err.Error() != "uniqopt: unbound host variable :SNO" {
 		t.Errorf("nil bindings: %v", err)
 	}
 }

@@ -56,7 +56,10 @@ func runPlanner(db *storage.DB, opts plan.Options, src string, hosts map[string]
 	var best runOutcome
 	for rep := 0; rep < 3; rep++ {
 		start := time.Now()
-		res, err := p.Run(q, hosts)
+		res, err := p.Run(q, func(name string) (value.Value, bool) {
+			v, ok := hosts[name]
+			return v, ok
+		})
 		if err != nil {
 			panic(fmt.Sprintf("bench: run %q: %v", src, err))
 		}

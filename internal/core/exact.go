@@ -157,16 +157,16 @@ func (a *Analyzer) exact(fixed *catalog.Scope, s *ast.Select, items []ast.Select
 	// table's key, they can coexist only as the same rows — so a row is
 	// compared only with its group's other buckets.
 	type bucket []value.Row
-	where := eval.Prepare(s.Where, layout, scope)
+	qualified, err := a.QualifyExpr(s.Where, scope)
+	if err != nil {
+		return false, nil, err
+	}
+	where := eval.Prepare(qualified, layout, &eval.Vars{Hosts: hostNames})
 	row := make(value.Row, len(layout))
-	hosts := make(map[string]value.Value, len(hostNames))
 	var w *Witness
 	errFound := fmt.Errorf("witness found")
 	err = each(hostDoms, func(hv []value.Value) error {
-		for i, n := range hostNames {
-			hosts[n] = hv[i]
-		}
-		pred := where.Arm(&eval.Env{Hosts: hosts}).Pred
+		pred := where.Arm(hv, nil, nil).Pred
 		groups := map[uint64][]bucket{}
 		return each(rows, func(pick []value.Row) error {
 			at := row
@@ -225,7 +225,7 @@ func (d Domains) TableRows(corr string, t *catalog.Table, maxCombos int) ([]valu
 	}
 	checks := make([]eval.Pred, len(t.Checks))
 	for i, chk := range t.Checks {
-		checks[i] = eval.Compile(chk, t.ColumnNames(), &eval.Env{})
+		checks[i] = eval.Prepare(chk, t.ColumnNames(), nil).Arm(nil, nil, nil).Pred
 	}
 	var out []value.Row
 	err := each(doms, func(vals []value.Value) error {

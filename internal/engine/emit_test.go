@@ -58,7 +58,6 @@ func TestEmitMapProperty(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		withBatchSize(t, []int{1, 3, DefaultBatchSize}[trial%3])
 		var st Stats
-		env := &eval.Env{}
 
 		l, rr := randomRelation(r, "L", r.Intn(30)), randomRelation(r, "R", r.Intn(30))
 		emit := randEmit(r, 3, 3)
@@ -93,11 +92,11 @@ func TestEmitMapProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Pred = eval.Prepare(pred, rCols, nil)
+			in.Pred = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil).Pred
 		}
 		emit = randEmit(r, 2, 4)
 		index := func(e Emit) Iterator {
-			return okIter(NewIndexJoinIter(&st, NewRelationIter(&st, outer), in, env, false, e))
+			return okIter(NewIndexJoinIter(&st, NewRelationIter(&st, outer), in, false, e))
 		}
 		identicalRelations(t, projectedFullWidth(t, &st, index(IdentityEmit(2, 4)), emit, 2), mustDrain(t, &st, index(emit)),
 			fmt.Sprintf("trial %d: index join (key %v, residual %v) emitting %v\nL=%v\nR=%v", trial, in.Key, in.Pred, emit, outer, inner))
@@ -181,7 +180,7 @@ func BenchmarkIndexJoinEmit(b *testing.B) {
 			rows := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows += drainRows(b, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, outer), in, &eval.Env{}, false, bc.emit)))
+				rows += drainRows(b, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, outer), in, false, bc.emit)))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 		})

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"sort"
 	"strings"
 	"testing"
 
 	"uniqopt/internal/catalog"
+	"uniqopt/internal/core"
 	"uniqopt/internal/eval"
 	"uniqopt/internal/oracle"
 	"uniqopt/internal/sql/ast"
@@ -90,12 +92,15 @@ func testDB(t testing.TB) *storage.DB {
 // then the projection and, for DISTINCT, the hash distinct. A subquery
 // is planned the same way and drained once per outer row, through the
 // filter's callbacks; a set operation runs on the sort-merge iterator.
-// It is how the tests below state a pipeline in SQL.
+// It is how the tests below state a pipeline in SQL. Each WHERE clause
+// is qualified through its block's scope, as a planner does; scopes
+// keeps, for each subquery, the scope it is correlated with.
 type sqlPipeline struct {
-	ctx   context.Context
-	db    *storage.DB
-	hosts map[string]value.Value
-	st    *Stats
+	ctx    context.Context
+	db     *storage.DB
+	hosts  map[string]value.Value
+	st     *Stats
+	scopes map[*ast.Select]*catalog.Scope
 }
 
 // runQuery drains q's pipeline under ctx, counting its work into st.
@@ -108,7 +113,7 @@ func runQuery(ctx context.Context, db *storage.DB, q ast.Query, hosts map[string
 		}
 	}()
 	defer Contain("engine test query", &err)
-	p := &sqlPipeline{ctx: ctx, db: db, hosts: hosts, st: st}
+	p := &sqlPipeline{ctx: ctx, db: db, hosts: hosts, st: st, scopes: map[*ast.Select]*catalog.Scope{}}
 	switch x := q.(type) {
 	case *ast.Select:
 		it, err := p.block(x, nil, nil)
@@ -148,8 +153,24 @@ func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[s
 			return nil, err
 		}
 	}
-	env := &eval.Env{Cols: outerCols, Hosts: p.hosts, Scope: scope, Exists: p.exists, In: p.in}
-	it = NewFilterIter(p.st, it, eval.Prepare(s.Where, it.Cols(), scope), env)
+	where, err := (&core.Analyzer{Cat: p.db.Catalog()}).QualifyExpr(s.Where, scope)
+	if err != nil {
+		return nil, err
+	}
+	for _, sub := range ast.Subqueries(where) {
+		p.scopes[sub] = scope
+	}
+	// The binding vector: the host variables, then the outer row.
+	vars := &eval.Vars{Hosts: sortedNames(p.hosts)}
+	var vals []value.Value
+	for _, name := range vars.Hosts {
+		vals = append(vals, p.hosts[name])
+	}
+	vars.Base, vars.Outer = len(vals), sortedNames(outerCols)
+	for _, name := range vars.Outer {
+		vals = append(vals, outerCols[name])
+	}
+	it = NewFilterIter(p.st, it, eval.Prepare(where, it.Cols(), vars).Arm(vals, p.exists, p.in))
 	items, err := scope.ExpandItems(s.Items)
 	if err != nil {
 		return nil, err
@@ -171,10 +192,20 @@ func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[s
 	return it, nil
 }
 
+// sortedNames are m's names, sorted.
+func sortedNames(m map[string]value.Value) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // sub drains a subquery's pipeline with the current row's bindings as
 // its outer scope.
 func (p *sqlPipeline) sub(s *ast.Select, env *eval.Env) (*Relation, error) {
-	it, err := p.block(s, env.Scope, maps.Clone(env.Cols))
+	it, err := p.block(s, p.scopes[s], maps.Clone(env.Cols))
 	if err != nil {
 		return nil, err
 	}

@@ -177,7 +177,7 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Pred = eval.Prepare(pred, rCols, nil)
+			in.Pred = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil).Pred
 			if filter != "" {
 				filter += " AND "
 			}
@@ -197,13 +197,13 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 		}
 		want := hashJoin(&st, l, build, []string{"L.K"}, []string{"R.K"})
 
-		got := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, env, false, IdentityEmit(len(l.Cols), len(rCols))))))
+		got := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, false, IdentityEmit(len(l.Cols), len(rCols))))))
 		if !MultisetEqual(want, got) {
 			t.Fatalf("%s: index join (%d rows) is not the hash join (%d rows)", what, got.Len(), want.Len())
 		}
 
 		wantSemi := hashDistinct(&st, projectOracle(want, l.Cols...))
-		gotSemi := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, env, true, nil))))
+		gotSemi := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, true, nil))))
 		identicalRelations(t, wantSemi, gotSemi, what+": first-match probe vs DISTINCT over the hash join's outer columns")
 	}
 }
@@ -232,13 +232,12 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}, Pred: eval.Prepare(residual, rCols, nil)}
-	env := &eval.Env{}
+	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}, Pred: eval.Prepare(residual, rCols, nil).Arm(nil, nil, nil).Pred}
 	semi := func(st *Stats) Iterator {
-		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, env, true, nil))
+		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, true, nil))
 	}
 	join := func(st *Stats) Iterator {
-		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, env, false, IdentityEmit(len(l.Cols), len(rCols))))
+		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, false, IdentityEmit(len(l.Cols), len(rCols))))
 	}
 
 	// Counts: half the outer keys exist; each probe of one fetches C = 0,
@@ -288,7 +287,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(ctx0)
 	st = &Stats{}
-	it := okIter(NewIndexJoinIter(st, &cancelAfter{Iterator: NewRelationIter(st, miss), cancel: cancel}, in, env, false, IdentityEmit(len(l.Cols), len(rCols))))
+	it := okIter(NewIndexJoinIter(st, &cancelAfter{Iterator: NewRelationIter(st, miss), cancel: cancel}, in, false, IdentityEmit(len(l.Cols), len(rCols))))
 	if b, err := it.Next(ctx); !errors.Is(err, context.Canceled) || b != nil {
 		t.Errorf("cancelled mid-probe: batch of %d, err %v; want nil, context.Canceled", len(b), err)
 	}
@@ -308,8 +307,8 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Pred = eval.Prepare(unbound, rCols, nil)
-	if _, err := consume(ctx0, okIter(NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, env, true, nil))); err == nil ||
+	bad.Pred = eval.Prepare(unbound, rCols, nil).Arm(nil, nil, nil).Pred
+	if _, err := consume(ctx0, okIter(NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, true, nil))); err == nil ||
 		!strings.Contains(err.Error(), "unbound host variable :UNBOUND") {
 		t.Errorf("unbound residual: %v", err)
 	}
@@ -318,7 +317,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	for _, key := range [][]IndexKeyPart{nil, {{Ord: 0}, {Ord: 1}, {Ord: 0}}, {{Ord: 2}}} {
 		bad := in
 		bad.Key = key
-		if _, err := NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, env, true, nil); err == nil {
+		if _, err := NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, true, nil); err == nil {
 			t.Errorf("key %v assembled", key)
 		}
 	}

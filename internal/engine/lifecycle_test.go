@@ -58,7 +58,7 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 	}{
 		{"ProductIter", prodIter(st, in(l), in(r))},
 		{"HashJoinIter", joinIter(st, in(l), in(r), []string{"L.K"}, []string{"R.K"})},
-		{"FilterIter", NewFilterIter(st, in(l), eval.Prepare(pred, l.Cols, nil), &eval.Env{})},
+		{"FilterIter", NewFilterIter(st, in(l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))},
 		{"ProjectIter", projIter(st, in(l), "L.K")},
 		{"DistinctSortIter", NewDistinctSortIter(st, in(l))},
 		{"DistinctHashIter", NewDistinctHashIter(st, in(l))},
@@ -87,7 +87,7 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	rctx, rcancel := context.WithCancel(context.Background())
-	f := NewFilterIter(st, &cancelAfter{Iterator: in(l), cancel: rcancel}, eval.Prepare(pred, l.Cols, nil), &eval.Env{})
+	f := NewFilterIter(st, &cancelAfter{Iterator: in(l), cancel: rcancel}, eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))
 	if b, err := f.Next(rctx); !errors.Is(err, context.Canceled) || b != nil {
 		t.Errorf("filter cancelled mid-batch: batch of %d, err %v; want nil, context.Canceled", len(b), err)
 	}

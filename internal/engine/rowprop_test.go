@@ -176,7 +176,7 @@ func TestFilterSizesOutputFromLastEmission(t *testing.T) {
 	its := make([]Iterator, runs+1) // AllocsPerRun warms up with one extra call
 	for i := range its {
 		st := &Stats{}
-		its[i] = NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil), &eval.Env{})
+		its[i] = NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))
 		if b, err := its[i].Next(ctx0); err != nil || len(b) != DefaultBatchSize {
 			t.Fatalf("first batch: %d rows, err = %v", len(b), err)
 		}
@@ -276,7 +276,8 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 		L: &ast.ColumnRef{Qualifier: "X", Column: "B"}, R: &ast.HostVar{Name: "K"}}
 	env := &eval.Env{Hosts: map[string]value.Value{"K": value.Int(7)}}
 	scanFilter := func(st *Stats) Iterator {
-		return NewFilterIter(st, NewTableIter(st, tbl, cols), eval.Prepare(pred, cols, nil), env)
+		keep := eval.Prepare(pred, cols, &eval.Vars{Hosts: []string{"K"}}).Arm([]value.Value{value.Int(7)}, nil, nil)
+		return NewFilterIter(st, NewTableIter(st, tbl, cols), keep)
 	}
 
 	want := filterOracle(&Relation{Cols: cols, Rows: tbl.Rows()}, pred, env)

@@ -143,14 +143,14 @@ type filterIter struct {
 	closed  bool
 }
 
-// NewFilterIter streams child through pred, prepared against the
-// child's columns and armed here with env, once per iterator. A nil pred
-// filters nothing.
-func NewFilterIter(st *Stats, child Iterator, pred *eval.Program, env *eval.Env) Iterator {
-	if pred == nil {
+// NewFilterIter streams child through keep, a clause prepared against
+// the child's columns and armed for this execution. A zero keep filters
+// nothing.
+func NewFilterIter(st *Stats, child Iterator, keep eval.Filter) Iterator {
+	if keep.Pred == nil {
 		return child
 	}
-	return &filterIter{child: child, keep: pred.Arm(env), cols: child.Cols(), st: st}
+	return &filterIter{child: child, keep: keep, cols: child.Cols(), st: st}
 }
 
 func (it *filterIter) Cols() []string { return it.cols }
@@ -787,15 +787,15 @@ type IndexKeyPart struct {
 
 // IndexProbe is the inner side of an index join: a base table reached
 // through one of its ordered indexes. Key binds a leading prefix of the
-// index's columns; Pred, prepared over Cols (the table's columns under
-// its correlation name), is what a fetched row must still satisfy (nil =
+// index's columns; Pred, armed over Cols (the table's columns under its
+// correlation name), is what a fetched row must still satisfy (nil =
 // nothing more).
 type IndexProbe struct {
 	Tbl  *storage.Table
 	Ix   *storage.OrderedIndex
 	Cols []string
 	Key  []IndexKeyPart
-	Pred *eval.Program
+	Pred eval.Pred
 }
 
 // indexJoinIter streams outer ⋈ table by seeking the table's ordered
@@ -810,8 +810,7 @@ type indexJoinIter struct {
 	outer   Iterator
 	in      IndexProbe
 	cols    []string
-	emit    Emit      // the join form's layout; unused by the semi form
-	keep    eval.Pred // nil = every fetched row qualifies
+	emit    Emit // the join form's layout; unused by the semi form
 	semi    bool
 	st      *Stats
 	sg      streamGuard
@@ -831,8 +830,8 @@ type indexJoinIter struct {
 // together. emit lays out the output: outer is its left input, the table
 // (in.Cols) its right. A semi join takes no emit: it emits each outer
 // row that has a qualifying entry once, as it came, and no column of the
-// table. in.Pred is armed with env, once per iterator.
-func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, semi bool, emit Emit) (Iterator, error) {
+// table.
+func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, semi bool, emit Emit) (Iterator, error) {
 	if len(in.Key) == 0 || len(in.Key) > len(in.Ix.Columns) {
 		return nil, fmt.Errorf("engine: index join binds %d of index %s's %d columns",
 			len(in.Key), in.Ix.Name, len(in.Ix.Columns))
@@ -849,14 +848,10 @@ func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, env *eval.Env, s
 			return nil, err
 		}
 	}
-	j := &indexJoinIter{
+	return &indexJoinIter{
 		outer: outer, in: in, cols: cols, emit: emit, semi: semi, st: st,
 		keyBuf: make(value.Row, len(in.Key)),
-	}
-	if in.Pred != nil {
-		j.keep = in.Pred.Arm(env).Pred
-	}
-	return j, nil
+	}, nil
 }
 
 func (j *indexJoinIter) Cols() []string { return j.cols }
@@ -924,8 +919,8 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 			}
 			j.st.RowsScanned++
 			j.st.JoinPairs++
-			if j.keep != nil {
-				t, err := j.keep(irow)
+			if j.in.Pred != nil {
+				t, err := j.in.Pred(irow)
 				if err != nil {
 					return nil, err
 				}

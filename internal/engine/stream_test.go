@@ -86,7 +86,7 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 		withBatchSize(t, bs)
 
 		st := &Stats{}
-		gotFilter := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil), env))
+		gotFilter := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
 		identicalRelations(t, wantFilter, gotFilter, "stream filter")
 
 		st = &Stats{}
@@ -176,10 +176,10 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	rel := randomRelation(r, "T", 20000)
 	gov := NewGovernor(0, 1<<40)
 	ctx := WithGovernor(context.Background(), gov)
-	pred, env := gtPred()
+	pred, _ := gtPred()
 
 	st := &Stats{}
-	n, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil), env))
+	n, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	govM := NewGovernor(0, 1<<40)
 	ctxM := WithGovernor(context.Background(), govM)
 	stM := &Stats{}
-	outM, err := Drain(ctxM, stM, NewFilterIter(stM, NewRelationIter(stM, rel), eval.Prepare(pred, rel.Cols, nil), env))
+	outM, err := Drain(ctxM, stM, NewFilterIter(stM, NewRelationIter(stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,14 +218,14 @@ func TestStreamBudget(t *testing.T) {
 	withBatchSize(t, 128)
 	r := rand.New(rand.NewSource(77))
 	rel := randomRelation(r, "T", 50000)
-	pred, env := gtPred()
+	pred, _ := gtPred()
 
 	// Budget far below the relation's footprint but far above one batch.
 	budget := int64(1 << 20) // 1 MiB
 	gov := NewGovernor(0, budget)
 	ctx := WithGovernor(context.Background(), gov)
 	st := &Stats{}
-	if _, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil), env)); err != nil {
+	if _, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); err != nil {
 		t.Fatalf("streaming pipeline should fit in budget: %v", err)
 	}
 	if _, peak := gov.Peak(); peak > budget {
@@ -236,7 +236,7 @@ func TestStreamBudget(t *testing.T) {
 	govM := NewGovernor(0, budget)
 	ctxM := WithGovernor(context.Background(), govM)
 	stM := &Stats{}
-	if _, err := Drain(ctxM, stM, NewFilterIter(stM, NewRelationIter(stM, rel), eval.Prepare(pred, rel.Cols, nil), env)); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := Drain(ctxM, stM, NewFilterIter(stM, NewRelationIter(stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("materializing filter: err=%v, want budget exceeded", err)
 	}
 
@@ -282,10 +282,10 @@ func TestStreamEmptyInputs(t *testing.T) {
 	empty := &Relation{Cols: []string{"T.K", "T.A", "T.B"}}
 	r := rand.New(rand.NewSource(79))
 	rel := randomRelation(r, "R", 10)
-	pred, env := gtPred()
+	pred, _ := gtPred()
 
 	st := &Stats{}
-	if got := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, empty), eval.Prepare(pred, empty.Cols, nil), env)); got.Len() != 0 {
+	if got := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, empty), eval.Prepare(pred, empty.Cols, nil).Arm(nil, nil, nil))); got.Len() != 0 {
 		t.Fatal("filter of empty not empty")
 	}
 	st = &Stats{}

@@ -3,9 +3,9 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
-	"uniqopt/internal/catalog"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
@@ -20,19 +20,18 @@ type Pred func(row value.Row) (tvl.Truth, error)
 // Prepare runs once per clause and layout — for the plan, once per
 // compiled statement: column references become ordinals into the layout,
 // and every leaf's shape is fixed — which ordinal it reads, its operator,
-// whether the constant stands on the left, and the constant's expression
-// (a literal, a host variable, a lifted $n, an outer binding's name). It
-// reads no value, so one Program serves every execution of the clause.
+// whether the constant stands on the left, and where the constant comes
+// from: a literal, or a slot of the execution's binding vector (Vars).
+// It reads no value, so one Program serves every execution of the clause.
 //
-// Arm runs once per execution: it evaluates those constants under the
-// execution's Env and picks each comparison's kernel by its constant's
-// kind (conjunct.kernel, the one place the choice is made; BETWEEN
-// bounds and IN-list items go through it too), so that evaluating the
-// clause per row is a walk over closures reading row ordinals instead of
-// a walk over the AST reading a name→value map. The result agrees with Truth on every row
-// — same truth value, same error text, raised at the same point behind
-// AND/OR short-circuits — for Truth evaluated in env with the row's
-// values bound over env.Cols under the names of the layout.
+// Arm runs once per execution: it reads those slots and picks each
+// comparison's kernel by its constant's kind (conjunct.kernel, the one
+// place the choice is made; BETWEEN bounds and IN-list items go through
+// it too), so that evaluating the clause per row is a walk over closures
+// reading row ordinals instead of a walk over the AST reading a
+// name→value map. The result agrees with Truth on every row — same truth
+// value, same error text, raised at the same point behind AND/OR
+// short-circuits — for Truth with the slots and then the row bound.
 //
 // A comparison of a row column with something constant for the execution
 // whose constant is a non-NULL integer or string runs as a kernel: a
@@ -47,10 +46,19 @@ type Pred func(row value.Row) (tvl.Truth, error)
 // AND closures over the same leaves computes.
 //
 // Clauses with EXISTS or IN-subquery leaves (ast.HasExists) are not
-// compiled: the subquery callbacks need the whole environment, so the
-// armed Pred binds each row into a private copy of env and runs Truth,
-// and must stay on one goroutine. Any other armed Filter holds only
-// values and may be shared by goroutines.
+// compiled: the subquery callbacks need the whole environment, so Arm
+// builds one from the vector, and the armed Pred binds each row into it
+// and runs Truth, and must stay on one goroutine. Any other armed Filter
+// holds only values and may be shared by goroutines.
+
+// Vars names the slots of a clause's binding vector: what it reads that
+// is not a cell of its row. Hosts are the first slots, the statement's
+// host variables, the n-th lifted literal as $n; Outer, from Base on, a
+// subquery block's outer columns.
+type Vars struct {
+	Hosts, Outer []string
+	Base         int
+}
 
 // Program is a WHERE clause prepared against a column layout: its leaves
 // with their ordinals and constant expressions, not yet their values. It
@@ -58,52 +66,43 @@ type Pred func(row value.Row) (tvl.Truth, error)
 type Program struct {
 	pred   ast.Expr
 	cols   []string
+	vars   Vars
 	interp bool   // the clause evaluates a subquery: Arm interprets it
 	leaves []node // the clause's AND leaves, left to right
 }
 
-// Prepare compiles pred against the column layout cols, resolving column
-// references through scope when it is non-nil (to CORRELATION.COLUMN
-// names, as Env.Scope does). A nil pred yields a nil Program.
-func Prepare(pred ast.Expr, cols []string, scope *catalog.Scope) *Program {
+// Prepare compiles pred against the column layout cols and the vector
+// vars names (nil: none). A nil pred yields a nil Program.
+func Prepare(pred ast.Expr, cols []string, vars *Vars) *Program {
 	if pred == nil {
 		return nil
 	}
 	p := &Program{pred: pred, cols: cols}
+	if vars != nil {
+		p.vars = *vars
+	}
 	if ast.HasExists(pred) {
 		p.interp = true
 		return p
 	}
-	c := compiler{cols: cols, scope: scope}
+	c := compiler{cols: cols, vars: &p.vars}
 	p.leaves = c.leaves(nil, pred)
 	return p
 }
 
-// Arm binds p's constants to one execution's environment and returns the
-// clause ready to run: env supplies host variables, outer bindings
-// (Env.Cols) and, for a clause with subqueries, the scope and the
-// subquery evaluators. The Filter belongs to that execution.
-func (p *Program) Arm(env *Env) Filter {
+// Arm binds p's constants to one execution's binding vector and returns
+// the clause ready to run; exists and in evaluate its subqueries, if it
+// has any. The Filter belongs to that execution.
+func (p *Program) Arm(vals []value.Value, exists ExistsFunc, in InFunc) Filter {
 	switch {
 	case p == nil:
 		return Filter{Pred: func(value.Row) (tvl.Truth, error) { return tvl.True, nil }}
 	case p.interp:
-		return Filter{Pred: interpreted(p.pred, p.cols, env)}
+		return Filter{Pred: p.interpreted(vals, exists, in)}
 	}
-	a := armer{env: env}
+	a := armer{vals: vals}
 	pred, conj := a.conjunction(p.leaves)
 	return Filter{Pred: pred, conj: conj}
-}
-
-// Compile is Prepare and Arm back to back, for a clause evaluated under
-// one environment only (storage CHECKs, the exact checker).
-func Compile(pred ast.Expr, cols []string, env *Env) Pred {
-	return CompileFilter(pred, cols, env).Pred
-}
-
-// CompileFilter is Compile, keeping the armed Filter.
-func CompileFilter(pred ast.Expr, cols []string, env *Env) Filter {
-	return Prepare(pred, cols, env.Scope).Arm(env)
 }
 
 // Filter is a WHERE clause armed for one execution, for an operator that
@@ -164,23 +163,25 @@ func (f *Filter) Select(out, batch []value.Row, grow func(out []value.Row, n int
 type kernelTap func(kind value.Kind, op ast.CompareOp, ord int, p Pred) Pred
 
 // interpreted is the fallback for clauses with subqueries: Truth over a
-// private environment rebound per row.
-func interpreted(pred ast.Expr, cols []string, proto *Env) Pred {
+// private environment built from the vector and rebound to each row.
+func (p *Program) interpreted(vals []value.Value, exists ExistsFunc, in InFunc) Pred {
 	env := &Env{
-		Cols:   make(map[string]value.Value, len(proto.Cols)+len(cols)),
-		Hosts:  proto.Hosts,
-		Scope:  proto.Scope,
-		Exists: proto.Exists,
-		In:     proto.In,
+		Cols:   make(map[string]value.Value, len(p.vars.Outer)+len(p.cols)),
+		Hosts:  make(map[string]value.Value, len(p.vars.Hosts)),
+		Exists: exists,
+		In:     in,
 	}
-	for k, v := range proto.Cols {
-		env.Cols[k] = v
+	for i, name := range p.vars.Hosts {
+		env.Hosts[name] = vals[i]
+	}
+	for i, name := range p.vars.Outer {
+		env.Cols[name] = vals[p.vars.Base+i]
 	}
 	return func(row value.Row) (tvl.Truth, error) {
-		for i, c := range cols {
+		for i, c := range p.cols {
 			env.Cols[c] = row[i]
 		}
-		return Truth(pred, env)
+		return Truth(p.pred, env)
 	}
 }
 
@@ -214,18 +215,15 @@ type node struct {
 
 // slot is an operand as Prepare leaves it: the operand itself — the
 // row's column, a literal's value, or the error evaluating it raises —
-// unless it is a host variable, bound when armed. A column the layout
-// lacks is asked of the execution's outer bindings first, under each
-// name in outer in turn, as Env.lookupColumn does.
+// unless at is a slot of the binding vector, read when armed.
 type slot struct {
 	operand
-	outer []string
-	host  *ast.HostVar
+	at int
 }
 
 type compiler struct {
-	cols  []string
-	scope *catalog.Scope
+	cols []string
+	vars *Vars
 }
 
 // leaves appends the prepared leaves of e's AND tree to ns.
@@ -275,48 +273,34 @@ func (c *compiler) slot(e ast.Expr) slot {
 	case *ast.ColumnRef:
 		return c.column(x)
 	case *ast.HostVar:
-		return slot{operand: operand{ord: -1}, host: x}
+		if i := slices.Index(c.vars.Hosts, x.Name); i >= 0 {
+			return slot{operand: operand{ord: -1}, at: i}
+		}
 	}
-	// A literal, or the not-an-operand error: Value reads no environment
-	// for either.
-	v, err := Value(e, nil)
-	return slot{operand: operand{ord: -1, val: v, err: err}}
+	// A literal, or the error a host variable with no slot or a
+	// non-operand raises.
+	v, err := Value(e, &Env{})
+	return slot{operand: operand{ord: -1, val: v, err: err}, at: -1}
 }
 
-// column mirrors Env.lookupColumn with the row bound over env.Cols: each
-// name a reference may be bound under is tried in turn, in the layout —
-// the last occurrence, the one binding the row into a map would leave —
-// and then in the outer bindings, which Arm asks.
+// column mirrors Env.lookupColumn with the row bound over the outer
+// columns: each name a reference may be bound under is tried in turn, in
+// the layout — the last occurrence, the one binding the row into a map
+// would leave — and then among the outer columns.
 func (c *compiler) column(ref *ast.ColumnRef) slot {
-	if c.scope != nil {
-		r, err := c.scope.Resolve(ref)
-		if err != nil {
-			return slot{operand: operand{ord: -1, err: err}}
-		}
-		key := r.Qualified(c.scope)
-		if ord := c.find(key); ord >= 0 {
-			return slot{operand: operand{ord: ord}}
-		}
-		return slot{operand: operand{ord: -1, err: fmt.Errorf("eval: column %s resolved but not bound", key)},
-			outer: []string{key}}
-	}
+	names := []string{ref.Column}
 	if ref.Qualifier != "" {
-		if ord := c.find(ref.Qualifier + "." + ref.Column); ord >= 0 {
-			return slot{operand: operand{ord: ord}}
+		names = []string{ref.Qualifier + "." + ref.Column, ref.Column}
+	}
+	for _, name := range names {
+		if ord := c.find(name); ord >= 0 {
+			return slot{operand: operand{ord: ord}, at: -1}
+		}
+		if i := slices.Index(c.vars.Outer, name); i >= 0 {
+			return slot{operand: operand{ord: -1}, at: c.vars.Base + i}
 		}
 	}
-	// Not found qualified (the rare case, spelled out only now): the outer
-	// bindings are asked for the qualified name before the bare one is
-	// looked for.
-	var outer []string
-	if ref.Qualifier != "" {
-		outer = []string{ref.Qualifier + "." + ref.Column}
-	}
-	if ord := c.find(ref.Column); ord >= 0 {
-		return slot{operand: operand{ord: ord}, outer: outer}
-	}
-	return slot{operand: operand{ord: -1, err: fmt.Errorf("eval: unbound column %s", ref.SQL())},
-		outer: append(outer, ref.Column)}
+	return slot{operand: operand{ord: -1, err: fmt.Errorf("eval: unbound column %s", ref.SQL())}, at: -1}
 }
 
 // find is the last ordinal of the layout named name, or -1.
@@ -332,8 +316,8 @@ func (c *compiler) find(name string) int {
 // ---- Arm: one execution's constants and kernels ----
 
 type armer struct {
-	env *Env
-	tap kernelTap // tests only
+	vals []value.Value
+	tap  kernelTap // tests only
 }
 
 // operand is an armed operand: the row ordinal to read (ord ≥ 0), or
@@ -353,14 +337,8 @@ func (o operand) get(row value.Row) (value.Value, error) {
 }
 
 func (a *armer) operand(s *slot) operand {
-	for _, name := range s.outer {
-		if v, ok := a.env.Cols[name]; ok {
-			return operand{ord: -1, val: v}
-		}
-	}
-	if s.host != nil {
-		v, err := Value(s.host, a.env)
-		return operand{ord: -1, val: v, err: err}
+	if s.at >= 0 {
+		return operand{ord: -1, val: a.vals[s.at]}
 	}
 	return s.operand
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"uniqopt/internal/catalog"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/tvl"
@@ -146,6 +145,43 @@ func agree(t *testing.T, pred ast.Expr, cols []string, row value.Row, env *Env, 
 	return false
 }
 
+// bindEnv lays env out as a binding vector: its host variables, then its
+// column bindings as the outer columns of the clause's block, each in
+// name order. It returns the Vars Prepare takes and the values Arm does.
+func bindEnv(env *Env) (*Vars, []value.Value) {
+	vars := &Vars{}
+	var vals []value.Value
+	for _, k := range sortedNames(env.Hosts) {
+		vars.Hosts, vals = append(vars.Hosts, k), append(vals, env.Hosts[k])
+	}
+	vars.Base = len(vals)
+	for _, k := range sortedNames(env.Cols) {
+		vars.Outer, vals = append(vars.Outer, k), append(vals, env.Cols[k])
+	}
+	return vars, vals
+}
+
+func sortedNames(m map[string]value.Value) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// compileFilterIn prepares pred over cols and arms it under env, laid out
+// by bindEnv, with env's subquery callbacks.
+func compileFilterIn(pred ast.Expr, cols []string, env *Env) Filter {
+	vars, vals := bindEnv(env)
+	return Prepare(pred, cols, vars).Arm(vals, env.Exists, env.In)
+}
+
+// compileIn is compileFilterIn's row predicate.
+func compileIn(pred ast.Expr, cols []string, env *Env) Pred {
+	return compileFilterIn(pred, cols, env).Pred
+}
+
 // kernelCoverage taps the compiler: it counts the kernels chosen and
 // records, per kernel kind and operator, which kinds of cell each one
 // met — one of its own kind, a NULL, one of another kind.
@@ -207,11 +243,12 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 	truths, errs, failures := map[tvl.Truth]int{}, 0, 0
 	for i := 0; i < 4000 && failures < 10; i++ {
 		pred := genPred(r, r.Intn(4))
-		compiled := Compile(pred, diffCols, env)
+		compiled := compileIn(pred, diffCols, env)
 		// The same compilation again, tapped: what Compile built, with
 		// every kernel reporting the cells it meets.
 		before := cov.chosen
-		tapped, _ := (&armer{env: env, tap: cov.tap}).conjunction(Prepare(pred, diffCols, nil).leaves)
+		vars, vals := bindEnv(env)
+		tapped, _ := (&armer{vals: vals, tap: cov.tap}).conjunction(Prepare(pred, diffCols, vars).leaves)
 		if cov.chosen > before {
 			withKernel++
 		}
@@ -246,12 +283,13 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 
 // diffEnv2 binds the same host variables as diffEnv to values of other
 // kinds — an integer where diffEnv has a string, a string where it has an
-// integer, an integer where it has NULL — and binds :MISSING, so that one
-// prepared clause armed under both picks other kernels, or none.
+// integer, an integer where it has NULL — so that one prepared clause
+// armed under both picks other kernels, or none. :MISSING stays unbound:
+// the vector has no slot for it, whatever the values.
 func diffEnv2() *Env {
 	env := diffEnv()
 	env.Hosts = map[string]value.Value{
-		"H": value.String_("b"), "HS": value.Int(2), "HNULL": value.Int(3), "MISSING": value.Int(1),
+		"H": value.String_("b"), "HS": value.Int(2), "HNULL": value.Int(3),
 	}
 	return env
 }
@@ -390,7 +428,7 @@ const (
 // same rows, or the same error from the same row — by construction.
 func checkBatch(t *testing.T, pred ast.Expr, env *Env, batch []value.Row) (batchOutcome, bool) {
 	t.Helper()
-	f := CompileFilter(pred, diffCols, env)
+	f := compileFilterIn(pred, diffCols, env)
 	for _, row := range batch {
 		if agree(t, pred, diffCols, row, env, f.Pred) {
 			return 0, false
@@ -435,11 +473,13 @@ func checkBatch(t *testing.T, pred ast.Expr, env *Env, batch []value.Row) (batch
 // truth value and error text, and in what Select does with the batch.
 func checkArmed(t *testing.T, pred ast.Expr, batch []value.Row) bool {
 	t.Helper()
-	prog := Prepare(pred, diffCols, nil)
 	envs := []*Env{diffEnv(), diffEnv2()}
-	armed := []Filter{prog.Arm(envs[0]), prog.Arm(envs[1])}
+	vars, vals1 := bindEnv(envs[0])
+	_, vals2 := bindEnv(envs[1])
+	prog := Prepare(pred, diffCols, vars)
+	armed := []Filter{prog.Arm(vals1, nil, nil), prog.Arm(vals2, nil, nil)}
 	for i, env := range envs {
-		f, want := armed[i], CompileFilter(pred, diffCols, env)
+		f, want := armed[i], compileFilterIn(pred, diffCols, env)
 		for _, row := range batch {
 			got, gotErr := f.Pred(row)
 			w, wantErr := want.Pred(row)
@@ -483,7 +523,7 @@ func TestFilterBatchAgreesWithRows(t *testing.T) {
 	multi := 0 // batches decided by two or more kernels
 	for i := 0; i < 3000; i++ {
 		pred := genConjunction(r)
-		kernels := len(CompileFilter(pred, diffCols, env).conj)
+		kernels := len(compileFilterIn(pred, diffCols, env).conj)
 		for j := 0; j < 6; j++ {
 			batch := genBatch(r)
 			out, ok := checkBatch(t, pred, env, batch)
@@ -568,75 +608,12 @@ func TestCompileShortCircuitKeepsErrorsLazy(t *testing.T) {
 	}
 	for _, c := range cases {
 		pred := expr(t, c.src)
-		compiled := Compile(pred, cols, env)
+		compiled := compileIn(pred, cols, env)
 		_, err := compiled(row)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: error = %v, want error %v", c.src, err, c.wantErr)
 		}
 		agree(t, pred, cols, row, env, compiled)
-	}
-}
-
-// With a scope, references canonicalize to CORRELATION.COLUMN before
-// they are looked up, in the row's layout first and the outer bindings
-// second; resolution failures are raised when the leaf is evaluated.
-func TestCompileAgreesWithTruthUnderScope(t *testing.T) {
-	cat := catalog.New()
-	for _, def := range []struct {
-		name string
-		cols []catalog.Column
-	}{
-		{"S", []catalog.Column{{Name: "SNO", Type: value.KindInt}, {Name: "CITY", Type: value.KindString}}},
-		{"P", []catalog.Column{{Name: "PNO", Type: value.KindInt}, {Name: "SNO", Type: value.KindInt}}},
-	} {
-		tb, err := catalog.NewTable(def.name, def.cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.Define(tb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	outer, err := catalog.NewScope(cat, []ast.TableRef{{Table: "S", Alias: "X"}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := catalog.NewScope(cat, []ast.TableRef{{Table: "P"}}, outer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := &Env{
-		Scope: inner,
-		Cols:  map[string]value.Value{"X.SNO": value.Int(2)}, // X.CITY resolves but is not bound
-		Hosts: map[string]value.Value{"H": value.Int(2)},
-	}
-	cols := []string{"P.PNO", "P.SNO"}
-	rows := []value.Row{
-		{value.Int(1), value.Int(2)},
-		{value.Int(2), value.Null},
-		{value.Int(3), value.Int(3)},
-	}
-	for _, src := range []string{
-		"PNO = 1",
-		"P.SNO = X.SNO",
-		"SNO = :H",     // the local block's SNO, not the outer one
-		"X.SNO = 2",    // an outer binding, folded to a constant
-		"X.CITY = 'a'", // resolved but not bound
-		"CITY = 'a'",   // resolves in the outer block, not bound
-		"Q.SNO = 1",    // unknown qualifier
-		"NOSUCH = 1",   // unknown column
-		"P.NOSUCH = 1", // known table, unknown column
-		"PNO = 9 AND NOSUCH = 1",
-		"PNO = 1 AND NOSUCH = 1",
-		"P.SNO IS NULL OR X.CITY IS NULL",
-		"PNO BETWEEN X.SNO AND 3",
-		"PNO NOT IN (X.SNO, :H, 7)",
-	} {
-		pred := expr(t, src)
-		compiled := Compile(pred, cols, env)
-		for _, row := range rows {
-			agree(t, pred, cols, row, env, compiled)
-		}
 	}
 }
 
@@ -655,7 +632,7 @@ func TestCompileFallsBackForSubqueries(t *testing.T) {
 		L: &ast.Compare{Op: ast.GeOp, L: &ast.ColumnRef{Column: "A"}, R: &ast.IntLit{V: 1}},
 		R: &ast.Exists{Query: &ast.Select{}},
 	}
-	compiled := Compile(pred, []string{"A"}, env)
+	compiled := compileIn(pred, []string{"A"}, env)
 	for a, want := range map[int64]tvl.Truth{0: tvl.False, 1: tvl.False, 2: tvl.True} {
 		got, err := compiled(value.Row{value.Int(a)})
 		if err != nil || got != want {
@@ -673,7 +650,7 @@ func TestCompileFallsBackForSubqueries(t *testing.T) {
 	if _, ok := env.Cols["A"]; ok {
 		t.Error("Compile bound rows into the caller's environment instead of a private copy")
 	}
-	if got, err := Compile(nil, nil, env)(nil); err != nil || !tvl.IsTrue(got) {
+	if got, err := compileIn(nil, nil, env)(nil); err != nil || !tvl.IsTrue(got) {
 		t.Errorf("nil predicate = %v, %v; want TRUE", got, err)
 	}
 }
@@ -691,14 +668,15 @@ func BenchmarkCompile(b *testing.B) {
 	b.Run("prepare+arm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkPred = Compile(pred, cols, env)
+			sinkPred = compileIn(pred, cols, env)
 		}
 	})
 	b.Run("arm", func(b *testing.B) {
-		prog := Prepare(pred, cols, nil)
+		vars, vals := bindEnv(env)
+		prog := Prepare(pred, cols, vars)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkPred = prog.Arm(env).Pred
+			sinkPred = prog.Arm(vals, nil, nil).Pred
 		}
 	})
 }
@@ -713,7 +691,7 @@ func BenchmarkCompiledVsInterpreted(b *testing.B) {
 	env := &Env{Hosts: map[string]value.Value{"K": value.Int(3), "M": value.Int(900)}}
 	row := value.Row{value.Int(1), value.Int(7), value.String_("bolt"), value.Int(800), value.String_("BLUE")}
 	b.Run("compiled", func(b *testing.B) {
-		p := Compile(pred, cols, env)
+		p := compileIn(pred, cols, env)
 		for i := 0; i < b.N; i++ {
 			sinkTruth, _ = p(row)
 		}
@@ -721,7 +699,8 @@ func BenchmarkCompiledVsInterpreted(b *testing.B) {
 	b.Run("interpreted", func(b *testing.B) {
 		// Bind the row into a reused map, then walk the AST: the
 		// per-row loop Compile replaced, and still its fallback.
-		p := interpreted(pred, cols, env)
+		vars, vals := bindEnv(env)
+		p := (&Program{pred: pred, cols: cols, vars: *vars}).interpreted(vals, nil, nil)
 		for i := 0; i < b.N; i++ {
 			sinkTruth, _ = p(row)
 		}
@@ -755,7 +734,7 @@ func BenchmarkComparePred(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			p := Compile(pred, cols, env)
+			p := compileIn(pred, cols, env)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

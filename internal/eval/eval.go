@@ -1,9 +1,9 @@
-// Package eval evaluates SQL expressions under three-valued logic
-// against a row environment. It is shared by the storage layer (CHECK
-// constraint enforcement), the execution engine (WHERE clauses and
-// join predicates), the exact Theorem-1 checker in internal/core
-// (bounded-instance enumeration), and the tests' oracle, which uses
-// Truth alone and none of compile.go's kernels.
+// Package eval evaluates SQL expressions under three-valued logic, for
+// storage CHECKs, the planner's WHERE clauses and join predicates, the
+// exact Theorem-1 checker in internal/core and the tests' oracle. Truth
+// walks an expression against Env, a name-keyed environment; the oracle
+// uses it alone. The product prepares a clause once and arms it per
+// execution from a binding vector, by slot (compile.go).
 package eval
 
 import (

@@ -108,7 +108,7 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 		// mid-stream fault must not leak charges or goroutines.
 		{"FilterIter", func() (*engine.Relation, error) {
 			pred := &ast.Compare{Op: ast.GeOp, L: &ast.ColumnRef{Qualifier: "L", Column: "K"}, R: &ast.IntLit{V: 10}}
-			return engine.Drain(ctx, st, engine.NewFilterIter(st, engine.NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil), &eval.Env{}))
+			return engine.Drain(ctx, st, engine.NewFilterIter(st, engine.NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
 		}},
 		{"ProjectIter", func() (*engine.Relation, error) {
 			it, err := engine.NewProjectIter(st, engine.NewRelationIter(st, l), []string{"L.V"}, []int{1})
@@ -137,7 +137,7 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 			it, err := engine.NewIndexJoinIter(st, engine.NewRelationIter(st, l),
 				engine.IndexProbe{Tbl: p, Ix: p.OrderedIndexOn("SNO"), Cols: []string{"P.PNO", "P.SNO"},
 					Key: []engine.IndexKeyPart{{Ord: 0}}},
-				&eval.Env{}, false, engine.IdentityEmit(2, 2))
+				false, engine.IdentityEmit(2, 2))
 			if err != nil {
 				return nil, err
 			}

@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -52,4 +54,87 @@ func TestOracleIsIndependentAndTestOnly(t *testing.T) {
 	if !found {
 		t.Errorf("no package at %s", oraclePath)
 	}
+}
+
+// bindingPaths are the packages whose non-test code runs an execution:
+// they bind every parameter by its slot of the binding vector, so none
+// keys a value by name — map[string]value.Value — or builds an eval.Env.
+// The one name-keyed environment left on the product path is the one
+// eval's interpreted walk over a surviving EXISTS or IN builds for
+// itself; plan reads it, through a *eval.Env, when a subquery runs.
+var bindingPaths = []string{".", "internal/plan", "internal/engine"}
+
+// TestProductBindsParametersBySlot fails when non-test code of a
+// bindingPaths package spells map[string]value.Value or uses eval.Env
+// other than through a pointer — a composite literal, new(eval.Env), or
+// a variable, field or parameter of the struct type itself — and when
+// the engine names eval.Env at all.
+func TestProductBindsParametersBySlot(t *testing.T) {
+	found := map[string]bool{}
+	moduleUses(t, func(mod, dir string, fset *token.FileSet, files []*ast.File) bool {
+		if !slices.Contains(bindingPaths, dir) {
+			return false
+		}
+		found[dir] = true
+		for _, f := range files {
+			evalName, valueName := importName(f, mod+"/internal/eval"), importName(f, mod+"/internal/value")
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return false
+				}
+				switch x := n.(type) {
+				case *ast.MapType:
+					if k, ok := x.Key.(*ast.Ident); ok && k.Name == "string" && isSelector(x.Value, valueName, "Value") {
+						t.Errorf("%s: map[string]value.Value keys a value by name; bind it by its slot of the binding vector",
+							fset.Position(x.Pos()))
+					}
+				case *ast.SelectorExpr:
+					if !isSelector(x, evalName, "Env") {
+						break
+					}
+					if _, ptr := stack[len(stack)-1].(*ast.StarExpr); !ptr {
+						t.Errorf("%s: builds an eval.Env; arm a clause from the binding vector instead",
+							fset.Position(x.Pos()))
+					} else if dir == "internal/engine" {
+						t.Errorf("%s: an engine iterator takes an armed clause or the binding vector, not an *eval.Env",
+							fset.Position(x.Pos()))
+					}
+				}
+				stack = append(stack, n)
+				return true
+			})
+		}
+		return false
+	}, nil)
+	for _, dir := range bindingPaths {
+		if !found[dir] {
+			t.Errorf("no package at %s", dir)
+		}
+	}
+}
+
+// importName is the name f refers to the package at path by, or "" when
+// f does not import it.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == path {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return path[strings.LastIndexByte(path, '/')+1:]
+		}
+	}
+	return ""
+}
+
+// isSelector reports whether e is pkg.name, pkg being an import's name.
+func isSelector(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || pkg == "" || sel.Sel.Name != name {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg
 }

@@ -2,12 +2,15 @@ package plan
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"uniqopt/internal/core"
 	"uniqopt/internal/engine"
 	"uniqopt/internal/eval"
 	"uniqopt/internal/sql/ast"
+	"uniqopt/internal/sql/lexer"
 	"uniqopt/internal/value"
 )
 
@@ -16,12 +19,16 @@ import (
 // physical plan tree of what they left (tree.go). It is immutable, so
 // one Compiled serves every execution of the statement's shape —
 // concurrently, and (because no analysis or planning step reads a
-// constant's value) under any literal vector bound to the lifted names
-// $1, $2, ….
+// constant's value) under any binding vector. Params names its slots:
+// the Lits lifted literals ($n at n-1), then the host variables as first
+// named; subquery blocks' outer columns follow, Width slots in all.
 type Compiled struct {
 	// Query is the statement as parsed, before any rewrite; EXPLAIN's
 	// provenance trace analyzes it.
-	Query ast.Query
+	Query  ast.Query
+	Lits   int
+	Params []string
+	Width  int
 
 	root     operator       // the plan of the query the fixpoint left
 	rewrites []appliedTexts // in firing order
@@ -54,6 +61,9 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 		}()
 	}
 	c = &Compiled{Query: q}
+	c.Lits, c.Params = params(q)
+	c.Width = len(c.Params)
+	vars := &eval.Vars{Hosts: c.Params}
 	run := q
 	if p.Opts.ApplyRewrites {
 		aps, rewritten, err := p.rewriteFixpoint(q)
@@ -71,15 +81,15 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 	}
 	switch x := run.(type) {
 	case *ast.Select:
-		if c.root, _, err = p.planSelect(x, nil); err != nil {
+		if c.root, _, err = p.planSelect(x, nil, vars, &c.Width); err != nil {
 			return nil, err
 		}
 	case *ast.SetOp:
-		l, lcols, err := p.planSelect(x.Left, nil)
+		l, lcols, err := p.planSelect(x.Left, nil, vars, &c.Width)
 		if err != nil {
 			return nil, err
 		}
-		r, rcols, err := p.planSelect(x.Right, nil)
+		r, rcols, err := p.planSelect(x.Right, nil, vars, &c.Width)
 		if err != nil {
 			return nil, err
 		}
@@ -93,17 +103,57 @@ func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error
 	return c, nil
 }
 
+// params names q's parameters in slot order: $1 … $n for its n lifted
+// literals, then its host variables as q first names them.
+func params(q ast.Query) (lits int, names []string) {
+	var hvs []*ast.HostVar
+	switch x := q.(type) {
+	case *ast.Select:
+		hvs = ast.HostVars(x.Where)
+	case *ast.SetOp:
+		hvs = append(ast.HostVars(x.Left.Where), ast.HostVars(x.Right.Where)...)
+	}
+	var hosts []string
+	for _, h := range hvs {
+		if n, ok := lexer.LiftedOrdinal(h.Name); ok {
+			lits = max(lits, n)
+		} else if !slices.Contains(hosts, h.Name) {
+			hosts = append(hosts, h.Name)
+		}
+	}
+	for n := 1; n <= lits; n++ {
+		names = append(names, lexer.LiftedName(n))
+	}
+	return lits, append(names, hosts...)
+}
+
+// Bind lays out an execution's binding vector from hosts, which looks each
+// parameter up by name, and refuses one it lacks.
+func (c *Compiled) Bind(hosts func(name string) (value.Value, bool)) ([]value.Value, error) {
+	vals := make([]value.Value, c.Width)
+	for i, name := range c.Params {
+		ok := false
+		if hosts != nil {
+			vals[i], ok = hosts(name)
+		}
+		if !ok {
+			return nil, fmt.Errorf("plan: unbound host variable :%s", name)
+		}
+	}
+	return vals, nil
+}
+
 // Render returns the plan tree as EXPLAIN shows it for one execution's
-// host bindings — which decide nothing but how each access path binds —
-// without executing anything: no iterator is built and no table row is
-// read.
-func (c *Compiled) Render(hosts map[string]value.Value) *Node { return c.root.render(hosts) }
+// binding vector, without executing anything. A plan-only EXPLAIN
+// missing a value passes the literals alone: every host variable then
+// renders as written, in the plan any non-NULL value executes.
+func (c *Compiled) Render(vals []value.Value) *Node { return c.root.render(vals) }
 
 // Rewrites returns the rewrites that fired, in firing order, quoting
 // this execution's literals. The texts with a slot are spliced into one
 // buffer, grown once, and handed out as substrings of it; a text without
 // one is returned as stored.
-func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
+func (c *Compiled) Rewrites(vals []value.Value) []core.Applied {
 	if len(c.rewrites) == 0 {
 		return nil
 	}
@@ -112,7 +162,7 @@ func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
 	for i := range c.rewrites {
 		out[i] = c.rewrites[i].ap
 		for _, t := range c.rewrites[i].texts {
-			room += t.room(hosts)
+			room += t.room(vals)
 		}
 	}
 	if room == 0 {
@@ -129,8 +179,8 @@ func (c *Compiled) Rewrites(hosts map[string]value.Value) []core.Applied {
 	sb.Grow(room)
 	for i := range c.rewrites {
 		for j, f := range appliedFields(&out[i]) {
-			if t := c.rewrites[i].texts[j]; len(t.names) > 0 {
-				t.write(&sb, hosts)
+			if t := c.rewrites[i].texts[j]; len(t.slots) > 0 {
+				t.write(&sb, vals)
 				cuts = append(cuts, cut{f, sb.Len()})
 			}
 		}
@@ -159,13 +209,13 @@ func (o Options) CompileBits() uint64 {
 }
 
 // text is a user-visible rendering with slots for lifted literals: the
-// string parts[0] + $names[0] + parts[1] + … . Every string EXPLAIN or
-// Result.Rewrites shows that derives from the AST is rendered once per
-// shape as a text and spliced per execution, so the hot path never
-// calls SQL() and the output still shows the statement's own literals.
+// string parts[0] + the value at slots[0] + parts[1] + … . Every string
+// EXPLAIN or Result.Rewrites shows that derives from the AST is rendered
+// once per shape as a text and spliced per execution, so the hot path
+// never calls SQL() and the output shows the statement's own literals.
 type text struct {
-	parts []string // len(names)+1
-	names []string
+	parts []string // len(slots)+1
+	slots []int
 }
 
 // newText splits s at every lifted host variable (:$ followed by
@@ -183,9 +233,9 @@ func newText(s string) text {
 		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
 			j++
 		}
-		if j > i+2 {
+		if n, ok := lexer.LiftedOrdinal(s[i+1 : j]); ok {
 			t.parts = append(t.parts, s[start:i])
-			t.names = append(t.names, s[i+1:j])
+			t.slots = append(t.slots, n-1)
 			start = j
 		}
 		i = j
@@ -194,36 +244,36 @@ func newText(s string) text {
 	return t
 }
 
-// in renders t with each slot filled by the SQL spelling of the value
-// hosts binds to its name; an unbound slot keeps its :$n spelling.
-func (t text) in(hosts map[string]value.Value) string {
-	if len(t.names) == 0 {
+// in renders t with each slot filled by the SQL spelling of its value in
+// vals; a slot past the vector keeps its :$n spelling.
+func (t text) in(vals []value.Value) string {
+	if len(t.slots) == 0 {
 		return strings.Join(t.parts, "") // one part, or none for the zero text
 	}
 	var sb strings.Builder
-	sb.Grow(t.room(hosts))
-	t.write(&sb, hosts)
+	sb.Grow(t.room(vals))
+	t.write(&sb, vals)
 	return sb.String()
 }
 
-// room is the length t renders to under hosts, or a little more: the
+// room is the length t renders to under vals, or a little more: the
 // space a buffer needs so that writing t grows it no further (a string
 // whose quotes double may still overrun it). A text without a slot
 // renders as stored and needs none.
-func (t text) room(hosts map[string]value.Value) int {
-	if len(t.names) == 0 {
+func (t text) room(vals []value.Value) int {
+	if len(t.slots) == 0 {
 		return 0
 	}
 	n := 0
 	for _, p := range t.parts {
 		n += len(p)
 	}
-	for _, name := range t.names {
-		switch v, ok := hosts[name]; {
-		case !ok:
-			n += 1 + len(name)
-		case v.Kind() == value.KindString:
-			n += len(v.AsString()) + 2
+	for _, at := range t.slots {
+		switch {
+		case at >= len(vals):
+			n += 22 // :$ and the longest slot number
+		case vals[at].Kind() == value.KindString:
+			n += len(vals[at].AsString()) + 2
 		default:
 			n += 20 // the longest integer; NULL, TRUE and FALSE are shorter
 		}
@@ -232,18 +282,17 @@ func (t text) room(hosts map[string]value.Value) int {
 }
 
 // write appends t, its slots filled as in renders them, to sb.
-func (t text) write(sb *strings.Builder, hosts map[string]value.Value) {
-	for i, name := range t.names {
+func (t text) write(sb *strings.Builder, vals []value.Value) {
+	for i, at := range t.slots {
 		sb.WriteString(t.parts[i])
-		if v, ok := hosts[name]; ok {
+		if at < len(vals) {
 			var buf [32]byte
-			sb.Write(v.AppendSQL(buf[:0]))
+			sb.Write(vals[at].AppendSQL(buf[:0]))
 		} else {
-			sb.WriteByte(':')
-			sb.WriteString(name)
+			sb.WriteString(":$" + strconv.Itoa(at+1))
 		}
 	}
-	sb.WriteString(t.parts[len(t.names)])
+	sb.WriteString(t.parts[len(t.slots)])
 }
 
 // filter is a predicate with its rendering and, once the layout it
@@ -263,11 +312,11 @@ func newFilter(conj []ast.Expr) filter {
 	return filter{pred: pred, text: newText(pred.SQL())}
 }
 
-// over returns f prepared against the rows it reads, laid out as cols.
-// A column it reads that the layout lacks — a correlation reference of
-// a subquery block — is read from the outer row the execution binds.
-func (f filter) over(cols []string) filter {
-	f.prog = eval.Prepare(f.pred, cols, nil)
+// over returns f prepared against the rows it reads, laid out as cols,
+// and its block's slots, named by vars: a column the layout lacks — a
+// correlation reference of a subquery block — is read from its slot.
+func (f filter) over(cols []string, vars *eval.Vars) filter {
+	f.prog = eval.Prepare(f.pred, cols, vars)
 	return f
 }
 
@@ -283,11 +332,11 @@ func (e *unliftedError) Error() string { return e.msg }
 func (e *unliftedError) Unwrap() error { return e.err }
 
 // unlift rewrites an error raised under lifted names (an eval error
-// quoting the offending comparison, say) to show the literals hosts
-// binds them to. Errors that mention no lifted name pass through.
-func unlift(err error, hosts map[string]value.Value) error {
+// quoting the offending comparison, say) to show the literals vals binds
+// them to. Errors that mention no lifted name pass through.
+func unlift(err error, vals []value.Value) error {
 	if err == nil || !strings.Contains(err.Error(), ":$") {
 		return err
 	}
-	return &unliftedError{msg: newText(err.Error()).in(hosts), err: err}
+	return &unliftedError{msg: newText(err.Error()).in(vals), err: err}
 }

@@ -21,19 +21,25 @@ import (
 // operator by operator, the whole plan tree: the join order and build
 // sides (its shape), access paths, pushed and residual filters, key and
 // projection ordinals, output columns and notes — with every expression
-// spliced for hosts; a filter's subquery blocks follow its child, in
-// the order the predicate names them. Two Compiled values that describe identically
-// execute identically.
-func describe(c *Compiled, hosts map[string]value.Value) string {
+// spliced for the literal vector vals; a filter's subquery blocks follow
+// its child, in the order the predicate names them. Two Compiled values
+// that describe identically execute identically.
+func describe(c *Compiled, vals []value.Value) string {
 	var sb strings.Builder
 	sql := func(e ast.Expr) string {
 		if e == nil {
 			return "-"
 		}
-		return newText(e.SQL()).in(hosts)
+		return newText(e.SQL()).in(vals)
+	}
+	konst := func(k *constant) string {
+		if k == nil {
+			return "-"
+		}
+		return sql(k.expr)
 	}
 	for _, r := range c.rewrites {
-		fmt.Fprintf(&sb, "rewrite %s | %s | %s | %s\n", r.ap.Rule, r.texts[0].in(hosts), r.texts[1].in(hosts), r.texts[2].in(hosts))
+		fmt.Fprintf(&sb, "rewrite %s | %s | %s | %s\n", r.ap.Rule, r.texts[0].in(vals), r.texts[1].in(vals), r.texts[2].in(vals))
 	}
 	var dump func(op operator, depth int)
 	dump = func(op operator, depth int) {
@@ -43,36 +49,32 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 		switch o := op.(type) {
 		case *accessOp:
 			ns = o.notes
-			fmt.Fprintf(&sb, "access %s cols=%v push=%q/%s rest=%q/%s", o.scan, o.cols,
-				o.push.text.in(hosts), sql(o.push.pred), o.rest.text.in(hosts), sql(o.rest.pred))
+			fmt.Fprintf(&sb, "access %s cols=%v rest=%q/%s", o.scan, o.cols, o.rest.text.in(vals), sql(o.rest.pred))
 			if ap := o.path; ap != nil {
 				eq := make([]string, len(ap.eq))
-				for i, e := range ap.eq {
-					eq[i] = sql(e)
+				for i, k := range ap.eq {
+					eq[i] = konst(k)
 				}
 				fmt.Fprintf(&sb, " path=%s.%s eq=%v lo=%s%v hi=%s%v consumed=%v", ap.corr, ap.ix.Name,
-					eq, sql(ap.lo), ap.loStrict, sql(ap.hi), ap.hiStrict, ap.consumed)
+					eq, konst(ap.lo), ap.loStrict, konst(ap.hi), ap.hiStrict, ap.consumed)
 			}
 		case *joinOp:
 			ns, children = o.notes, []operator{o.probe, o.inner}
 			fmt.Fprintf(&sb, "join %q pi=%v bi=%v emit=%v", o.detail, o.pi, o.bi, o.emit)
 		case *indexJoinOp:
 			ns, children = o.notes, []operator{o.outer}
-			if o.fallback != nil {
-				children = append(children, o.fallback)
-			}
 			key := make([]string, len(o.key))
 			for i, kp := range o.key {
-				key[i] = fmt.Sprintf("%d/%s", kp.ord, sql(kp.k))
+				key[i] = fmt.Sprintf("%d/%s", kp.ord, konst(kp.k))
 			}
-			fmt.Fprintf(&sb, "indexjoin %q %s.%s key=%v rest=%q/%s semi=%v emit=%v", o.detail.in(hosts),
-				o.tbl.Schema.Name, o.ix.Name, key, o.rest.text.in(hosts), sql(o.rest.pred), o.semi, o.emit)
+			fmt.Fprintf(&sb, "indexjoin %q %s.%s key=%v rest=%q/%s semi=%v emit=%v", o.detail.in(vals),
+				o.tbl.Schema.Name, o.ix.Name, key, o.rest.text.in(vals), sql(o.rest.pred), o.semi, o.emit)
 		case *filterOp:
 			ns, children = o.notes, []operator{o.child}
 			for _, sub := range ast.Subqueries(o.f.pred) {
-				children = append(children, o.subs[sub])
+				children = append(children, o.subs[sub].op)
 			}
-			fmt.Fprintf(&sb, "filter %q/%s subqueries=%d", o.f.text.in(hosts), sql(o.f.pred), len(o.subs))
+			fmt.Fprintf(&sb, "filter %q/%s subqueries=%d", o.f.text.in(vals), sql(o.f.pred), len(o.subs))
 		case *projectOp:
 			ns, children = o.notes, []operator{o.child}
 			fmt.Fprintf(&sb, "project %q cols=%v idx=%v", o.detail, o.cols, o.idx)
@@ -86,7 +88,7 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 			fmt.Fprintf(&sb, "unknown operator %T", op)
 		}
 		for _, n := range ns {
-			fmt.Fprintf(&sb, " note=%q", n.in(hosts))
+			fmt.Fprintf(&sb, " note=%q", n.in(vals))
 		}
 		sb.WriteByte('\n')
 		for _, c := range children {
@@ -97,14 +99,15 @@ func describe(c *Compiled, hosts map[string]value.Value) string {
 	return sb.String()
 }
 
-// liftedHosts binds sql's literal vector the way the database does.
-func liftedHosts(t *testing.T, sql string) map[string]value.Value {
+// liftedVals is sql's literal vector, converted the way the database
+// does.
+func liftedVals(t *testing.T, sql string) []value.Value {
 	t.Helper()
 	_, lits, err := lexer.Shape(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts := map[string]value.Value{}
+	vals := make([]value.Value, len(lits))
 	for i, l := range lits {
 		v := value.String_(l.Text)
 		if l.Kind == token.Number {
@@ -114,9 +117,9 @@ func liftedHosts(t *testing.T, sql string) map[string]value.Value {
 			}
 			v = value.Int(n)
 		}
-		hosts[lexer.LiftedName(i+1)] = v
+		vals[i] = v
 	}
-	return hosts
+	return vals
 }
 
 // TestCompileReadsNoLiteralValue pins the property literal lifting
@@ -189,7 +192,7 @@ func TestCompileReadsNoLiteralValue(t *testing.T) {
 		wantVerdict := verdict(lifted.Query)
 		for _, sql := range []string{sql1, sql2} {
 			literal := compile(parser.ParseStatement(sql))
-			if got, want := describe(lifted, liftedHosts(t, sql)), describe(literal, nil); got != want {
+			if got, want := describe(lifted, liftedVals(t, sql)), describe(literal, nil); got != want {
 				t.Errorf("shape %d: lifted statement spliced with its literals differs from the literal statement\n%s\n--- lifted, spliced\n%s--- literal\n%s", i, sql, got, want)
 			}
 			if got := verdict(literal.Query); got != wantVerdict {
@@ -199,33 +202,33 @@ func TestCompileReadsNoLiteralValue(t *testing.T) {
 	}
 }
 
-// TestTextSplicing: only :$digits is a slot; every slot is filled in
-// one pass, so a literal that itself spells a lifted name is inert.
+// TestTextSplicing: only :$digits is a slot, $n the vector's n-th; every
+// slot is filled in one pass, so a literal that itself spells a lifted
+// name is inert, and a slot past the vector keeps its spelling.
 func TestTextSplicing(t *testing.T) {
-	hosts := map[string]value.Value{
-		"$1": value.Int(7), "$2": value.String_("it's :$1"), "$12": value.String_("twelve"), "N": value.Int(99),
-	}
+	vals := make([]value.Value, 12)
+	vals[0], vals[1], vals[11] = value.Int(7), value.String_("it's :$1"), value.String_("twelve")
 	for in, want := range map[string]string{
 		"":                                "",
 		"S.SNO = P.SNO":                   "S.SNO = P.SNO",
 		"S.SNO = :$1":                     "S.SNO = 7",
 		":$1:$2":                          "7'it''s :$1'",
 		"A = :$12 AND B = :$1 AND C = :N": "A = 'twelve' AND B = 7 AND C = :N",
-		"odd :$ and :$x stay, :$3 too":    "odd :$ and :$x stay, :$3 too",
+		"odd :$ and :$x stay, :$13 too":   "odd :$ and :$x stay, :$13 too",
 	} {
-		if got := newText(in).in(hosts); got != want {
+		if got := newText(in).in(vals); got != want {
 			t.Errorf("newText(%q).in = %q, want %q", in, got, want)
 		}
 	}
-	if got := (text{}).in(hosts); got != "" {
+	if got := (text{}).in(vals); got != "" {
 		t.Errorf("zero text renders %q", got)
 	}
-	err := unlift(fmt.Errorf("wrapped: %w", engine.ErrBudgetExceeded), hosts)
+	err := unlift(fmt.Errorf("wrapped: %w", engine.ErrBudgetExceeded), vals)
 	if err.Error() != "wrapped: "+engine.ErrBudgetExceeded.Error() {
 		t.Errorf("an error without lifted names was rewritten: %v", err)
 	}
 	inner := fmt.Errorf("eval: cannot compare in S.SNO = :$2: %w", engine.ErrBudgetExceeded)
-	err = unlift(inner, hosts)
+	err = unlift(inner, vals)
 	if err.Error() != "eval: cannot compare in S.SNO = 'it''s :$1': "+engine.ErrBudgetExceeded.Error() {
 		t.Errorf("unlifted error text = %q", err)
 	}

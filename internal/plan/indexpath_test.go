@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +36,7 @@ func runIndexed(t *testing.T, src string, hosts map[string]value.Value) *Result 
 	}
 	plainDB := smallishDB(t)
 	ixDB := indexedDB(t)
-	plain, err := NewPlanner(plainDB, Options{}).Run(q, hosts)
+	plain, err := NewPlanner(plainDB, Options{}).Run(q, byName(hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func runBoth(t *testing.T, opts Options, src string, hosts map[string]value.Valu
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := NewPlanner(smallishDB(t), opts).Run(q, hosts)
+	plain, err := NewPlanner(smallishDB(t), opts).Run(q, byName(hosts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,26 +266,26 @@ func TestIndexJoinRuleA(t *testing.T) {
 		t.Errorf("NULL key constant: %d rows, %s\n%s", res.Rel.Len(), res.Stats.String(), planText(res))
 	}
 
-	// An unbound one does not: the statement runs, and renders, as the
-	// hash join it replaced, and fails where that fails.
+	// An unbound one is refused before anything runs, with or without
+	// the index. Rendered plan-only without values, the statement is the
+	// plan a non-NULL binding executes, each variable spelled as written.
 	delete(hosts, "PARTNO")
 	q, err := parser.ParseQuery(ex11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPlanner(indexedDB(t), Options{})
-	c, err := p.Compile(q, &engine.Stats{})
+	c, err := NewPlanner(indexedDB(t), Options{}).Compile(q, &engine.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text := c.Render(hosts).Format(false); strings.Contains(text, "IndexJoin") ||
-		!strings.Contains(text, "HashJoin(S.SNO = P.SNO)") || !strings.Contains(text, "Scan(PARTS as P)") {
+	if text := c.Render(nil).Format(false); !strings.Contains(text, "IndexJoin(P via PARTS_SNO = (S.SNO, :PARTNO))") ||
+		!strings.Contains(text, "IndexScan(S via SUPPLIER_SNO BETWEEN :L AND :H)") {
 		t.Errorf("unbound key constant renders:\n%s", text)
 	}
-	_, err = p.Execute(context.Background(), c, hosts, false)
-	_, plainErr := NewPlanner(smallishDB(t), Options{}).Run(q, hosts)
+	_, err = c.Bind(byName(hosts))
+	_, plainErr := NewPlanner(smallishDB(t), Options{}).Run(q, byName(hosts))
 	if err == nil || plainErr == nil || err.Error() != plainErr.Error() ||
-		!strings.Contains(err.Error(), "unbound host variable :PARTNO") {
+		err.Error() != "plan: unbound host variable :PARTNO" {
 		t.Errorf("unbound key constant: %v; without indexes: %v", err, plainErr)
 	}
 

@@ -34,9 +34,8 @@ func benchDB(t testing.TB) *storage.DB {
 
 // layouts walks a plan tree and reports, bottom-up and left to right,
 // the columns every join emits (an existence probe emits nothing of its
-// own and is skipped), whether each projection is the identity over its
-// child and sits directly on a join, and — through t — any index join
-// whose stand-by hash join would emit another layout.
+// own and is skipped), and whether each projection is the identity over
+// its child and sits directly on a join.
 func layouts(t *testing.T, op operator) (cols []string, joins [][]string, projections []string) {
 	t.Helper()
 	emitted := func(e engine.Emit, left, right []string) []string {
@@ -60,9 +59,6 @@ func layouts(t *testing.T, op operator) (cols []string, joins [][]string, projec
 		outer, joins, projections := layouts(t, o.outer)
 		if o.semi {
 			return outer, joins, projections
-		}
-		if o.fallback == nil || o.fallback.probe != o.outer || !reflect.DeepEqual(o.emit, o.fallback.emit) {
-			t.Errorf("index join %s: its fallback does not share its outer input and layout", o.detail.in(nil))
 		}
 		cols = emitted(o.emit, outer, o.inner)
 		return cols, append(joins, cols), projections
@@ -203,9 +199,9 @@ func TestJoinLayouts(t *testing.T) {
 }
 
 // TestJoinLayoutsRunAsTheReference executes the layout shapes with and
-// without the rewrites — an index join's fallback among them, reached by
-// leaving its key's host variable unbound — and holds each to the
-// oracle, which knows nothing of layouts. (Row order against the parent commit is pinned by
+// without the rewrites and holds each to the oracle, which knows nothing
+// of layouts; an index join whose key's host variable is left unbound
+// renders, plan-only, as itself, and refuses to run. (Row order against the parent commit is pinned by
 // the layout_* row goldens of the root package.)
 func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 	db := benchDB(t)
@@ -232,7 +228,7 @@ func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 			t.Fatalf("reference %q: %v", sql, err)
 		}
 		for _, opts := range []Options{{}, {ApplyRewrites: true}} {
-			got, err := NewPlanner(db, opts).Run(q, hosts)
+			got, err := NewPlanner(db, opts).Run(q, byName(hosts))
 			if err != nil {
 				t.Fatalf("%+v %q: %v", opts, sql, err)
 			}
@@ -241,9 +237,8 @@ func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 			}
 		}
 	}
-	// An unbound key constant sends the index join to its fallback, whose
-	// pushed filter then reports the variable the paper-facing way — not
-	// an ordinal of a layout the fallback does not have.
+	// An unbound key constant is refused before anything runs; rendered
+	// plan-only, the index join shows the variable as written.
 	q, err := parser.ParseQuery(`SELECT ALL S.SNO, S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P
 		WHERE S.SNO BETWEEN :L AND :H AND S.SNO = P.SNO AND P.PNO = :PARTNO`)
 	if err != nil {
@@ -251,18 +246,15 @@ func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 	}
 	delete(hosts, "PARTNO")
 	res, err := NewPlanner(db, Options{ApplyRewrites: true}).explained(q, hosts)
-	if err == nil || err.Error() != "eval: unbound host variable :PARTNO" {
+	if err == nil || err.Error() != "plan: unbound host variable :PARTNO" {
 		t.Fatalf("unbound key constant: %v, %v", res, err)
 	}
 	compiled, err := NewPlanner(db, Options{ApplyRewrites: true}).Compile(q, &engine.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if join := compiled.Render(hosts).Children[0]; join.Op != "HashJoin" {
-		t.Errorf("unbound key constant renders %s, want the HashJoin fallback", join.Op)
-	}
-	hosts["PARTNO"] = value.Int(2)
-	if join := compiled.Render(hosts).Children[0]; join.Op != "IndexJoin" {
-		t.Errorf("bound key constant renders %s, want the IndexJoin", join.Op)
+	join := compiled.Render(nil).Children[0]
+	if join.Op != "IndexJoin" || join.Detail != "P via PARTS_SNO_PNO = (S.SNO, :PARTNO)" {
+		t.Errorf("unbound key constant renders %s(%s), want the IndexJoin spelling :PARTNO", join.Op, join.Detail)
 	}
 }

@@ -121,7 +121,7 @@ func TestJoinOrderEquivalenceOnPaperExamples(t *testing.T) {
 			{},
 			{ApplyRewrites: true, Core: core.Options{UseKeyFDs: true}},
 		} {
-			ordered, err := NewPlanner(db, opts).Run(q, hosts)
+			ordered, err := NewPlanner(db, opts).Run(q, byName(hosts))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -92,19 +92,19 @@ func NewPlanner(db *storage.DB, opts Options) *Planner {
 	}
 }
 
-// Run plans and executes q with the given host-variable bindings.
-func (p *Planner) Run(q ast.Query, hosts map[string]value.Value) (*Result, error) {
-	return p.RunContext(context.Background(), q, hosts)
-}
-
-// RunContext plans and executes q under ctx: Compile, then Execute.
-func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]value.Value) (*Result, error) {
+// Run plans and executes q — Compile, Bind, then Execute — its host
+// variables looked up by name through hosts (nil when q names none).
+func (p *Planner) Run(q ast.Query, hosts func(name string) (value.Value, bool)) (*Result, error) {
 	var compileStats engine.Stats
 	c, err := p.Compile(q, &compileStats)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Execute(ctx, c, hosts, false)
+	vals, err := c.Bind(hosts)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Execute(context.Background(), c, vals, false)
 	if err != nil {
 		return nil, err
 	}
@@ -113,11 +113,11 @@ func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]
 }
 
 // Execute runs a compiled statement under ctx with this execution's
-// host-variable bindings (lifted literals among them): it builds the
-// plan tree's iterator pipeline and drains it. With analyze set — the
-// EXPLAIN ANALYZE form — the pipeline is instrumented and Result.Root
-// is the rendered tree carrying what each operator did; a plain
-// execution allocates no Node, renders no string and reads no clock.
+// binding vector, of c.Width slots: it builds the plan tree's iterator
+// pipeline and drains it. With analyze set — EXPLAIN ANALYZE — the
+// pipeline is instrumented and Result.Root is the rendered tree carrying
+// what each operator did; a plain execution allocates no Node, renders
+// no string and reads no clock.
 // Cancellation and deadlines are honored cooperatively inside every
 // engine operator; Options.MaxRows / Options.MemBudget (or a governor
 // already attached to ctx) bound the query's live footprint; and any
@@ -126,11 +126,11 @@ func (p *Planner) RunContext(ctx context.Context, q ast.Query, hosts map[string]
 // Result.Rel lives there until the caller resets it; with none attached
 // it gets a fresh one that nothing resets, so the result is the
 // caller's for good. On error the result is nil — partial rows are
-// never exposed. c is only read.
-func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]value.Value, analyze bool) (res *Result, err error) {
+// never exposed. c is only read; subquery runs fill vals' outer slots.
+func (p *Planner) Execute(ctx context.Context, c *Compiled, vals []value.Value, analyze bool) (res *Result, err error) {
 	defer func() {
 		if err != nil {
-			res, err = nil, unlift(err, hosts)
+			res, err = nil, unlift(err, vals)
 		}
 	}()
 	defer engine.Contain("plan.Run", &err)
@@ -147,8 +147,8 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 	if engine.ScratchFrom(ctx) == nil {
 		ctx = engine.WithScratch(ctx, engine.NewScratch())
 	}
-	res = &Result{Rewrites: c.Rewrites(hosts)}
-	b := &builder{ctx: ctx, st: &res.Stats, env: eval.Env{Hosts: hosts}, built: make([]engine.Iterator, 0, 8)}
+	res = &Result{Rewrites: c.Rewrites(vals)}
+	b := &builder{ctx: ctx, st: &res.Stats, vals: vals, built: make([]engine.Iterator, 0, 8)}
 	if engine.Poisoned {
 		b.check = engine.NewChecker(own)
 		defer func() {
@@ -160,7 +160,7 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, hosts map[string]val
 		}()
 	}
 	if analyze {
-		res.Root = c.Render(hosts)
+		res.Root = c.Render(vals)
 	}
 	it, err := c.root.build(b, res.Root)
 	if err != nil {
@@ -241,10 +241,11 @@ const buildPrefixNote = "builds the bounded join prefix (≤1 row) as the hash s
 // keys, the columns each join emits, the residual predicate, projection,
 // duplicate elimination — and returns them as a plan subtree with the
 // columns it emits; outer is the enclosing block's scope for a
-// subquery, whose outer columns are constants per outer row. It executes
-// nothing and reads no host-variable binding: the tree depends only on
-// the query shape and the schema, which is what makes it cacheable.
-func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope) (operator, []string, error) {
+// subquery, whose outer columns are constants per outer row; vars and
+// width lay out the binding vector. It executes nothing and reads no
+// host-variable binding: the tree depends only on the query shape and
+// the schema, which is what makes it cacheable.
+func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Vars, width *int) (operator, []string, error) {
 	scope, err := catalog.NewScope(p.DB.Catalog(), s.From, outer)
 	if err != nil {
 		return nil, nil, err
@@ -290,7 +291,7 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope) (operator, []s
 	deriveConstEqualities(conjuncts, terms)
 	for _, t := range terms {
 		t.all = append(append([]ast.Expr{}, t.push...), t.derived...)
-		t.path = p.chooseAccessPath(t.tbl, t.corr, t.all)
+		t.path = p.chooseAccessPath(t.tbl, t.corr, t.all, vars.Hosts)
 	}
 	refs, err := scope.ExpandItems(s.Items)
 	if err != nil {
@@ -344,7 +345,7 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope) (operator, []s
 		cols := engine.QualifiedCols(t.tbl, t.corr)
 		tables[i] = &accessOp{tbl: t.tbl, cols: cols,
 			scan: t.tbl.Schema.Name + " as " + t.corr, path: t.path,
-			push: newFilter(t.all).over(cols), rest: newFilter(residual).over(cols)}
+			rest: newFilter(residual).over(cols, vars)}
 	}
 
 	// Left-deep join tree, decided by name before any ordinal exists:
@@ -469,51 +470,47 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope) (operator, []s
 		default:
 			out = keep(out, st.live)
 		}
-		// The join's inputs are (probe, inner): the prefix and the new
-		// table, or the other way round; the layout is the same columns
-		// either way, found on whichever side has them.
-		j := &joinOp{probe: cur, inner: t}
-		pcols, icols, pk, ik := cols, t.cols, st.lk, st.rk
-		if st.flip {
-			j.probe, j.inner = t, cur
-			pcols, icols, pk, ik = t.cols, cols, st.rk, st.lk
-			j.note(newText(buildPrefixNote))
-		}
-		if j.emit, err = emitOf(out, pcols, icols); err != nil {
-			return nil, nil, err
-		}
-		if len(st.lk) > 0 {
-			j.detail = strings.Join(pk, ",") + " = " + strings.Join(ik, ",")
-			if j.pi, err = engine.ColIndexes(pcols, pk); err != nil {
-				return nil, nil, err
-			}
-			if j.bi, err = engine.ColIndexes(icols, ik); err != nil {
-				return nil, nil, err
-			}
-		}
-		var ij *indexJoinOp
 		if st.ix != nil {
-			// The hash join stands by for an execution whose key constants
-			// do not bind; its roles are never flipped, so its layout is
-			// the index join's.
-			if ij, err = newIndexJoin(cur, cols, term, st.ix, st.key, false); err != nil {
+			ij, err := newIndexJoin(cur, cols, term, st.ix, st.key, false, vars)
+			if err != nil {
 				return nil, nil, err
 			}
-			ij.emit, ij.fallback = j.emit, j
+			if ij.emit, err = emitOf(out, cols, t.cols); err != nil {
+				return nil, nil, err
+			}
+			cur = ij
+		} else {
+			// The join's inputs are (probe, inner): the prefix and the new
+			// table, or the other way round; the layout is the same columns
+			// either way, found on whichever side has them.
+			j := &joinOp{probe: cur, inner: t}
+			pcols, icols, pk, ik := cols, t.cols, st.lk, st.rk
+			if st.flip {
+				j.probe, j.inner = t, cur
+				pcols, icols, pk, ik = t.cols, cols, st.rk, st.lk
+				j.note(newText(buildPrefixNote))
+			}
+			if j.emit, err = emitOf(out, pcols, icols); err != nil {
+				return nil, nil, err
+			}
+			if len(st.lk) > 0 {
+				j.detail = strings.Join(pk, ",") + " = " + strings.Join(ik, ",")
+				if j.pi, err = engine.ColIndexes(pcols, pk); err != nil {
+					return nil, nil, err
+				}
+				if j.bi, err = engine.ColIndexes(icols, ik); err != nil {
+					return nil, nil, err
+				}
+			}
+			cur = j
 		}
 		if order[k].bound != "" {
-			j.note(newText(order[k].bound))
-			if ij != nil {
-				ij.note(newText(order[k].bound))
-			}
+			cur.note(newText(order[k].bound))
 		}
-		cur, cols = j, out
-		if ij != nil {
-			cur = ij
-		}
+		cols = out
 	}
 	for _, pr := range probes {
-		ij, err := newIndexJoin(cur, cols, pr.t, pr.ix, pr.key, true)
+		ij, err := newIndexJoin(cur, cols, pr.t, pr.ix, pr.key, true, vars)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -522,13 +519,18 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope) (operator, []s
 	}
 
 	// Residual predicates (cross-table non-equalities, EXISTS, ...). Each
-	// subquery is planned once, as a block of its own in this one's scope.
+	// subquery is planned once, as a block of its own in this one's scope,
+	// whose outer columns are what the filter binds: the row, then this
+	// block's own.
 	if rf.pred != nil {
-		fo := &filterOp{child: cur, f: rf.over(cols), subs: map[*ast.Select]operator{}}
+		fo := &filterOp{child: cur, f: rf.over(cols, vars), subs: map[*ast.Select]subBlock{}}
 		for _, sub := range ast.Subqueries(rf.pred) {
-			if fo.subs[sub], _, err = p.planSelect(sub, scope); err != nil {
+			blk := subBlock{vars: &eval.Vars{Hosts: vars.Hosts, Outer: append(slices.Clip(cols), vars.Outer...), Base: *width}}
+			*width += len(blk.vars.Outer)
+			if blk.op, _, err = p.planSelect(sub, scope, blk.vars, width); err != nil {
 				return nil, nil, err
 			}
+			fo.subs[sub] = blk
 		}
 		cur = fo
 	}
@@ -627,112 +629,106 @@ func qualifiersOf(e ast.Expr) map[string]bool {
 }
 
 // accessPlan is a symbolic index access path: the table, the ordered
-// index and, as unevaluated expressions, the point key (one expression
-// per leading index column that carries an equality) or range bounds
-// the index probe will use. It carries no host-variable values — those
-// are resolved per execution by bind — so the plan is cacheable across
+// index and, as constants not yet evaluated, the point key (one per
+// leading index column that carries an equality) or range bounds the
+// index probe will use. It carries no host-variable values — those are
+// read per execution by bind — so the plan is cacheable across
 // executions of the same statement shape. consumed lists the positions
 // (ascending) of the pushed conjuncts the probe fully subsumes; strict
 // bounds stay residual because the index range is inclusive.
 type accessPlan struct {
 	corr               string
 	ix                 *storage.OrderedIndex
-	eq                 []ast.Expr // point key; when set, lo/hi are unused
-	lo, hi             ast.Expr   // range bounds (nil = unbounded side)
-	loStrict, hiStrict bool       // bound came from > / < : re-filter boundary
+	eq                 []*constant // point key; when set, lo/hi are unused
+	lo, hi             *constant   // range bounds (nil = unbounded side)
+	loStrict, hiStrict bool        // bound came from > / < : re-filter boundary
 	consumed           []int
 }
 
-// bindKind says how an access path bound for one execution.
+// constant is a key part or bound of an access path or an index join,
+// as written (isConstExpr): a host variable, read from its slot, or a
+// value written into the statement.
+type constant struct {
+	expr ast.Expr
+	slot int         // the host variable's; -1 for a written value
+	v    value.Value // the written value
+}
+
+// newConstant compiles e against the names of the vector's host slots.
+func newConstant(e ast.Expr, hosts []string) *constant {
+	if h, ok := e.(*ast.HostVar); ok {
+		return &constant{expr: e, slot: slices.Index(hosts, h.Name)}
+	}
+	v, _ := eval.Value(e, nil)
+	return &constant{expr: e, slot: -1, v: v}
+}
+
+// in points at k's value in the binding vector vals; it is nil for no
+// constant, and for a host variable past the end of vals, which a
+// plan-only EXPLAIN was given no value for.
+func (k *constant) in(vals []value.Value) *value.Value {
+	switch {
+	case k == nil || k.slot >= len(vals):
+		return nil
+	case k.slot >= 0:
+		return &vals[k.slot]
+	}
+	return &k.v
+}
+
+// bindKind says how an access path binds for one execution.
 type bindKind uint8
 
 const (
-	unbound   bindKind = iota // no path, or an unevaluable bound: full scan + full filter
+	scan      bindKind = iota // no path: a full scan
 	neverTrue                 // a NULL bound: the comparison is never true, no row qualifies
 	point                     // equality probe on eq
 	span                      // range scan between lo and hi (nil = open end)
 )
 
-// binding is an access path bound to one execution's host values. render
-// reads its detail, build runs its probe; neither is reached unless the
-// other would be, so plan-only and executed shapes cannot diverge.
-type binding struct {
-	ap     *accessPlan
-	kind   bindKind
-	eq     value.Row
-	lo, hi *value.Value
-}
-
-// bind evaluates the access plan's bounds against one execution's host
-// variables. A nil receiver or an unevaluable bound (unbound host
-// variable) leaves the path unbound: fall back to scan + full filter,
-// where the predicate reports the error the paper-facing way. A NULL
-// bound makes the comparison never true.
-func (ap *accessPlan) bind(hosts map[string]value.Value) binding {
-	if ap == nil {
-		return binding{}
-	}
-	env := eval.Env{Hosts: hosts}
-	bd := binding{ap: ap, kind: span}
-	if len(ap.eq) > 0 {
-		bd.kind, bd.eq = point, make(value.Row, len(ap.eq))
-	}
-	for i, e := range [...]ast.Expr{ap.lo, ap.hi} {
-		if e == nil {
-			continue
-		}
-		v, kind := bindConst(e, &env)
-		if kind != point {
-			return binding{ap: ap, kind: kind}
-		}
-		if i == 0 {
-			bd.lo = &v
-		} else {
-			bd.hi = &v
-		}
-	}
-	for i, e := range ap.eq {
-		v, kind := bindConst(e, &env)
-		if kind != point {
-			return binding{ap: ap, kind: kind}
-		}
-		bd.eq[i] = v
-	}
-	return bd
-}
-
-// bindConst evaluates one constant of an index key or bound under an
-// execution's host variables. The kind is point when it yields a usable
-// value, neverTrue for a NULL (no comparison with it is ever true) and
-// unbound when it cannot be evaluated (an unbound host variable).
-func bindConst(e ast.Expr, env *eval.Env) (value.Value, bindKind) {
-	v, err := eval.Value(e, env)
+// bind says how the access path binds in one execution's vector, for
+// render and build alike. A nil receiver is no path. A NULL bound makes
+// the comparison never true; an unset one is taken to be another value.
+func (ap *accessPlan) bind(vals []value.Value) bindKind {
+	null := func(k *constant) bool { v := k.in(vals); return v != nil && v.IsNull() }
 	switch {
-	case err != nil:
-		return v, unbound
-	case v.IsNull():
-		return v, neverTrue
+	case ap == nil:
+		return scan
+	case null(ap.lo) || null(ap.hi) || slices.ContainsFunc(ap.eq, null):
+		return neverTrue
+	case len(ap.eq) > 0:
+		return point
 	}
-	return v, point
+	return span
 }
 
-// detail renders the bound access path the way EXPLAIN shows it.
-func (bd binding) detail() string {
-	ap := bd.ap
+// detail renders the access path, bound as kind, as EXPLAIN shows it.
+func (ap *accessPlan) detail(vals []value.Value, kind bindKind) string {
+	spell := func(k *constant) string {
+		if v := k.in(vals); v != nil {
+			return v.String()
+		}
+		return k.expr.SQL()
+	}
 	var detail string
 	switch {
-	case bd.kind == neverTrue:
+	case kind == neverTrue:
 		return fmt.Sprintf("%s.%s, never-true NULL bound", ap.corr, ap.ix.Name)
-	case bd.kind == point && len(bd.eq) == 1:
-		return fmt.Sprintf("%s via %s = %s", ap.corr, ap.ix.Name, bd.eq[0])
-	case bd.kind == point:
-		return fmt.Sprintf("%s via %s = %s", ap.corr, ap.ix.Name, bd.eq)
-	case bd.lo != nil && bd.hi != nil:
-		detail = fmt.Sprintf("%s via %s BETWEEN %s AND %s", ap.corr, ap.ix.Name, *bd.lo, *bd.hi)
-	case bd.lo != nil:
-		detail = fmt.Sprintf("%s via %s >= %s", ap.corr, ap.ix.Name, *bd.lo)
+	case kind == point:
+		key := make([]string, len(ap.eq))
+		for i, k := range ap.eq {
+			key[i] = spell(k)
+		}
+		if detail = strings.Join(key, ", "); len(key) > 1 {
+			detail = "(" + detail + ")"
+		}
+		return fmt.Sprintf("%s via %s = %s", ap.corr, ap.ix.Name, detail)
+	case ap.lo != nil && ap.hi != nil:
+		detail = fmt.Sprintf("%s via %s BETWEEN %s AND %s", ap.corr, ap.ix.Name, spell(ap.lo), spell(ap.hi))
+	case ap.lo != nil:
+		detail = fmt.Sprintf("%s via %s >= %s", ap.corr, ap.ix.Name, spell(ap.lo))
 	default:
-		detail = fmt.Sprintf("%s via %s <= %s", ap.corr, ap.ix.Name, *bd.hi)
+		detail = fmt.Sprintf("%s via %s <= %s", ap.corr, ap.ix.Name, spell(ap.hi))
 	}
 	if ap.loStrict {
 		// Half-open: re-filter the boundary rows.
@@ -744,13 +740,17 @@ func (bd binding) detail() string {
 	return detail
 }
 
-// probe performs the index lookup of a point or span binding and
+// probe performs the index lookup of a point or span binding in vals and
 // returns the ordinals of the matching rows.
-func (bd binding) probe() ([]int, error) {
-	if bd.kind == point {
-		return bd.ap.ix.Lookup(bd.eq)
+func (ap *accessPlan) probe(kind bindKind, vals []value.Value) ([]int, error) {
+	if kind == point {
+		key := make(value.Row, len(ap.eq))
+		for i, k := range ap.eq {
+			key[i] = *k.in(vals)
+		}
+		return ap.ix.Lookup(key)
 	}
-	return bd.ap.ix.Range(bd.lo, bd.hi), nil
+	return ap.ix.Range(ap.lo.in(vals), ap.hi.in(vals)), nil
 }
 
 // chooseAccessPath inspects the pushed-down conjuncts for tbl and
@@ -761,8 +761,8 @@ func (bd binding) probe() ([]int, error) {
 // conjunction bounding it from both sides (SNO >= 10 AND SNO <= 20)
 // becomes one closed range scan instead of a half-open scan plus a
 // filter. Strict bounds (>, <) widen to the inclusive index range and
-// stay in the residual filter.
-func (p *Planner) chooseAccessPath(tbl *storage.Table, corr string, push []ast.Expr) *accessPlan {
+// stay in the residual filter. hosts names the vector's host slots.
+func (p *Planner) chooseAccessPath(tbl *storage.Table, corr string, push []ast.Expr, hosts []string) *accessPlan {
 	// Pick the target column: the first pushed conjunct that is a point
 	// or range predicate on an indexed leading column.
 	col := ""
@@ -808,7 +808,7 @@ func (p *Planner) chooseAccessPath(tbl *storage.Table, corr string, push []ast.E
 	boundPrefix(tbl, ap.ix, func(col string) bool {
 		e, ok := constOn(eqs, col)
 		if ok {
-			ap.eq = append(ap.eq, e.k)
+			ap.eq = append(ap.eq, newConstant(e.k, hosts))
 			ap.consumed = append(ap.consumed, e.at)
 		}
 		return ok
@@ -827,21 +827,21 @@ func (p *Planner) chooseAccessPath(tbl *storage.Table, corr string, push []ast.E
 			switch op {
 			case ast.GeOp:
 				if ap.lo == nil {
-					ap.lo = k
+					ap.lo = newConstant(k, hosts)
 					ap.consumed = append(ap.consumed, i)
 				}
 			case ast.GtOp:
 				if ap.lo == nil {
-					ap.lo, ap.loStrict = k, true
+					ap.lo, ap.loStrict = newConstant(k, hosts), true
 				}
 			case ast.LeOp:
 				if ap.hi == nil {
-					ap.hi = k
+					ap.hi = newConstant(k, hosts)
 					ap.consumed = append(ap.consumed, i)
 				}
 			case ast.LtOp:
 				if ap.hi == nil {
-					ap.hi, ap.hiStrict = k, true
+					ap.hi, ap.hiStrict = newConstant(k, hosts), true
 				}
 			}
 		case *ast.Between:
@@ -853,7 +853,7 @@ func (p *Planner) chooseAccessPath(tbl *storage.Table, corr string, push []ast.E
 				continue
 			}
 			if ap.lo == nil && ap.hi == nil {
-				ap.lo, ap.hi = x.Lo, x.Hi
+				ap.lo, ap.hi = newConstant(x.Lo, hosts), newConstant(x.Hi, hosts)
 				ap.consumed = append(ap.consumed, i)
 			}
 		}

@@ -28,6 +28,15 @@ func reference(db *storage.DB, q ast.Query, hosts map[string]value.Value) (*engi
 	return &engine.Relation{Cols: cols, Rows: rows}, nil
 }
 
+// byName looks host variables up in hosts, the way Run and Bind ask for
+// them.
+func byName(hosts map[string]value.Value) func(string) (value.Value, bool) {
+	return func(name string) (value.Value, bool) {
+		v, ok := hosts[name]
+		return v, ok
+	}
+}
+
 func smallDB(t testing.TB) *storage.DB {
 	t.Helper()
 	cfg := workload.DefaultConfig()
@@ -432,18 +441,22 @@ func (p *Planner) explained(q ast.Query, hosts map[string]value.Value) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Execute(context.Background(), c, hosts, true)
+	vals, err := c.Bind(byName(hosts))
 	if err != nil {
 		return nil, err
 	}
-	plain, err := p.Execute(context.Background(), c, hosts, false)
+	res, err := p.Execute(context.Background(), c, vals, true)
+	if err != nil {
+		return nil, err
+	}
+	plain, err := p.Execute(context.Background(), c, vals, false)
 	if err != nil {
 		return nil, fmt.Errorf("plain execution failed where the analyzed one did not: %w", err)
 	}
 	if plain.Root != nil || !valuetest.Same(plain.Rel.Cols, plain.Rel.Rows, res.Rel.Cols, res.Rel.Rows) || plain.Stats != res.Stats {
 		return nil, fmt.Errorf("plain and analyzed executions differ:\n%s\n%s", &plain.Stats, &res.Stats)
 	}
-	if planOnly := c.Render(hosts).Format(false); planOnly != res.Root.Format(false) {
+	if planOnly := c.Render(vals).Format(false); planOnly != res.Root.Format(false) {
 		return nil, fmt.Errorf("plan-only and executed trees differ:\n%s\n%s", planOnly, res.Root.Format(false))
 	}
 	return res, nil

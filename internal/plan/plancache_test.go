@@ -42,7 +42,11 @@ func cachedRun(db *storage.DB, sc *stmtCache, opts Options, src string, hosts ma
 		}
 		sc.Put(key, c)
 	}
-	res, err := p.Execute(context.Background(), c, hosts, false)
+	vals, err := c.Bind(byName(hosts))
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.Execute(context.Background(), c, vals, false)
 	if err != nil {
 		return nil, err
 	}

@@ -28,11 +28,10 @@ import (
 //     so that the projection above it is the identity and copies
 //     nothing — key and projection ordinals, pushed and residual
 //     predicates, the pre-split text of every rendering and note;
-//   - at bind, once per execution: whether a symbolic access path binds
-//     against this execution's host values (index scan + what the probe
-//     does not subsume) or falls back (full scan + the whole pushed
-//     filter) — accessPlan.bind, the only decision hosts make, shared by
-//     render and build so the two cannot diverge.
+//   - at bind, once per execution: every constant's value in the binding
+//     vector, and whether a NULL among an access path's makes it match
+//     nothing — accessPlan.bind, the only decision the vector makes,
+//     shared by render and build so the two cannot diverge.
 //
 // render turns the tree into the Nodes EXPLAIN shows without executing
 // anything: no iterator, no table row, no clock, no context. build turns
@@ -43,8 +42,8 @@ import (
 // operator is one node of the physical plan tree.
 type operator interface {
 	// render returns the subtree as plan Nodes under one execution's
-	// host bindings.
-	render(hosts map[string]value.Value) *Node
+	// binding vector.
+	render(vals []value.Value) *Node
 	// build assembles the subtree's iterator. n is the subtree's
 	// rendering when the execution is being analyzed, nil otherwise.
 	build(b *builder, n *Node) (engine.Iterator, error)
@@ -58,75 +57,64 @@ type notes []text
 func (ns *notes) note(t text) { *ns = append(*ns, t) }
 
 // node renders one operator.
-func (ns notes) node(hosts map[string]value.Value, op, detail string, children ...*Node) *Node {
+func (ns notes) node(vals []value.Value, op, detail string, children ...*Node) *Node {
 	n := &Node{Op: op, Detail: detail, Children: children}
 	for _, t := range ns {
-		n.Notes = append(n.Notes, t.in(hosts))
+		n.Notes = append(n.Notes, t.in(vals))
 	}
 	return n
 }
 
 // accessOp reads one base table and applies the single-table conjuncts
 // pushed down to it: the symbolic access path (nil = always a full
-// scan), every pushed conjunct (the filter when the path does not bind)
-// and the ones the path does not subsume (the filter when it does). It
-// renders as the scan with, when a filter remains, a Filter above it.
+// scan) and rest, the conjuncts the path does not subsume (all of them
+// without a path). It renders as the scan with, when a filter remains,
+// a Filter above it.
 type accessOp struct {
 	notes
-	tbl        *storage.Table
-	cols       []string // the table's columns under its correlation name
-	scan       string   // the full scan's rendering: "SUPPLIER as S"
-	path       *accessPlan
-	push, rest filter
+	tbl  *storage.Table
+	cols []string // the table's columns under its correlation name
+	scan string   // the full scan's rendering: "SUPPLIER as S"
+	path *accessPlan
+	rest filter
 }
 
-// decide binds the access path for one execution and picks the filter
-// that goes with the outcome.
-func (o *accessOp) decide(hosts map[string]value.Value) (binding, *filter) {
-	bd := o.path.bind(hosts)
-	if bd.kind == unbound {
-		return bd, &o.push
-	}
-	return bd, &o.rest
-}
-
-func (o *accessOp) render(hosts map[string]value.Value) *Node {
-	bd, f := o.decide(hosts)
+func (o *accessOp) render(vals []value.Value) *Node {
 	op, detail := "Scan", o.scan
-	if bd.kind != unbound {
-		op, detail = "IndexScan", bd.detail()
+	if kind := o.path.bind(vals); kind != scan {
+		op, detail = "IndexScan", o.path.detail(vals, kind)
 	}
-	if f.pred == nil {
-		return o.node(hosts, op, detail)
+	if o.rest.pred == nil {
+		return o.node(vals, op, detail)
 	}
-	return o.node(hosts, "Filter", f.text.in(hosts), &Node{Op: op, Detail: detail})
+	return o.node(vals, "Filter", o.rest.text.in(vals), &Node{Op: op, Detail: detail})
 }
 
 func (o *accessOp) build(b *builder, n *Node) (engine.Iterator, error) {
-	bd, f := o.decide(b.env.Hosts)
+	kind := o.path.bind(b.vals)
 	leaf := n
-	if n != nil && f.pred != nil {
+	if n != nil && o.rest.pred != nil {
 		leaf = n.Children[0]
 	}
 	if leaf != nil {
 		leaf.RowsIn = int64(o.tbl.Len())
 	}
 	var it engine.Iterator
-	switch bd.kind {
-	case unbound:
+	switch kind {
+	case scan:
 		it = engine.NewTableIter(b.st, o.tbl, o.cols)
 	case neverTrue:
 		it = engine.NewRelationIter(b.st, engine.NewRelation(o.cols...))
 	default:
-		ords, err := bd.probe()
+		ords, err := o.path.probe(kind, b.vals)
 		if err != nil {
 			return nil, err
 		}
 		it = engine.NewIndexScanIter(b.st, o.tbl, o.cols, ords)
 	}
 	it = b.add(it, leaf)
-	if f.pred != nil {
-		it = b.add(engine.NewFilterIter(b.st, it, f.prog, &b.env), n)
+	if o.rest.pred != nil {
+		it = b.add(engine.NewFilterIter(b.st, it, o.rest.prog.Arm(b.vals, nil, nil)), n)
 	}
 	return it, nil
 }
@@ -144,12 +132,12 @@ type joinOp struct {
 	detail       string // "P.SNO = S.SNO"; "" for a product
 }
 
-func (o *joinOp) render(hosts map[string]value.Value) *Node {
+func (o *joinOp) render(vals []value.Value) *Node {
 	op := "HashJoin"
 	if len(o.pi) == 0 {
 		op = "Product"
 	}
-	return o.node(hosts, op, o.detail, o.probe.render(hosts), o.inner.render(hosts))
+	return o.node(vals, op, o.detail, o.probe.render(vals), o.inner.render(vals))
 }
 
 func (o *joinOp) build(b *builder, n *Node) (engine.Iterator, error) {
@@ -177,7 +165,7 @@ func (o *joinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 // the outer column at ord, or, when ord is negative, to the constant k.
 type keyPart struct {
 	ord int
-	k   ast.Expr
+	k   *constant
 }
 
 // indexJoinOp joins its outer subtree to one base table by seeking one
@@ -188,38 +176,34 @@ type keyPart struct {
 // does not subsume). The semi form is the existence probe: it stops at
 // the first qualifying entry and emits the outer row alone, at most
 // once. planSelect's rules A and B choose it, from the query shape and
-// the schema only. A key constant that does not bind for an execution
-// (an unbound host variable) turns the operator, for render and build
-// alike, into fallback — the hash join it replaced, which emits the
-// same layout; a semi key has no constants and no fallback. emit is the
-// join form's output layout (outer left, the table right); the semi form
+// the schema only. A NULL key constant matches nothing. emit is the join
+// form's output layout (outer left, the table right); the semi form
 // passes the outer row through and has none.
 type indexJoinOp struct {
 	notes
-	outer    operator
-	tbl      *storage.Table
-	ix       *storage.OrderedIndex
-	inner    []string // the table's columns under its correlation name
-	emit     engine.Emit
-	key      []keyPart
-	rest     filter
-	semi     bool
-	detail   text // "P via PARTS_SNO_PNO = (S.SNO, :PARTNO)"
-	fallback *joinOp
+	outer  operator
+	tbl    *storage.Table
+	ix     *storage.OrderedIndex
+	inner  []string // the table's columns under its correlation name
+	emit   engine.Emit
+	key    []keyPart
+	rest   filter
+	semi   bool
+	detail text // "P via PARTS_SNO_PNO = (S.SNO, :PARTNO)"
 }
 
 // newIndexJoin assembles the index join of outer, emitting cols, to t
-// through ix on key. The constant equalities the key takes in are
-// subsumed by the probe; the rest of t's pushed conjuncts are checked on
-// every fetched row.
-func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.OrderedIndex, key []probeKey, semi bool) (*indexJoinOp, error) {
+// through ix on key, in a block whose slots vars names. The constant
+// equalities the key takes in are subsumed by the probe; the rest of t's
+// pushed conjuncts are checked on every fetched row.
+func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.OrderedIndex, key []probeKey, semi bool, vars *eval.Vars) (*indexJoinOp, error) {
 	o := &indexJoinOp{outer: outer, tbl: t.tbl, ix: ix, semi: semi,
 		inner: engine.QualifiedCols(t.tbl, t.corr)}
 	var subsumed []int
 	shown := make([]string, len(key))
 	for i, pk := range key {
 		if pk.outer == "" {
-			o.key = append(o.key, keyPart{ord: -1, k: pk.k.k})
+			o.key = append(o.key, keyPart{ord: -1, k: newConstant(pk.k.k, vars.Hosts)})
 			subsumed = append(subsumed, pk.k.at)
 			shown[i] = pk.k.k.SQL()
 			continue
@@ -232,7 +216,7 @@ func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.Order
 		shown[i] = pk.outer
 	}
 	sort.Ints(subsumed)
-	o.rest = newFilter(without(t.all, subsumed)).over(o.inner)
+	o.rest = newFilter(without(t.all, subsumed)).over(o.inner, vars)
 	detail := fmt.Sprintf("%s via %s = (%s)", t.corr, ix.Name, strings.Join(shown, ", "))
 	if semi {
 		detail += ", first match"
@@ -244,45 +228,27 @@ func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.Order
 	return o, nil
 }
 
-// decide binds the probe key's constants for one execution; ok is false
-// when one of them cannot be evaluated. A NULL constant binds: the probe
-// then matches nothing, as the comparison it stands for is never true.
-func (o *indexJoinOp) decide(hosts map[string]value.Value) (key []engine.IndexKeyPart, ok bool) {
-	env := eval.Env{Hosts: hosts}
-	key = make([]engine.IndexKeyPart, len(o.key))
-	for i, kp := range o.key {
-		key[i].Ord = kp.ord
-		if kp.ord >= 0 {
-			continue
-		}
-		v, kind := bindConst(kp.k, &env)
-		if kind == unbound {
-			return nil, false
-		}
-		key[i].Const = v
-	}
-	return key, true
-}
-
-func (o *indexJoinOp) render(hosts map[string]value.Value) *Node {
-	if _, ok := o.decide(hosts); !ok {
-		return o.fallback.render(hosts)
-	}
-	return o.node(hosts, "IndexJoin", o.detail.in(hosts), o.outer.render(hosts))
+func (o *indexJoinOp) render(vals []value.Value) *Node {
+	return o.node(vals, "IndexJoin", o.detail.in(vals), o.outer.render(vals))
 }
 
 func (o *indexJoinOp) build(b *builder, n *Node) (engine.Iterator, error) {
-	key, ok := o.decide(b.env.Hosts)
-	if !ok {
-		return o.fallback.build(b, n)
+	key := make([]engine.IndexKeyPart, len(o.key))
+	for i, kp := range o.key {
+		key[i].Ord = kp.ord
+		if kp.ord < 0 {
+			key[i].Const = *kp.k.in(b.vals)
+		}
 	}
 	outer, err := o.outer.build(b, n.child(0))
 	if err != nil {
 		return nil, err
 	}
-	it, err := engine.NewIndexJoinIter(b.st, outer,
-		engine.IndexProbe{Tbl: o.tbl, Ix: o.ix, Cols: o.inner, Key: key, Pred: o.rest.prog},
-		&b.env, o.semi, o.emit)
+	probe := engine.IndexProbe{Tbl: o.tbl, Ix: o.ix, Cols: o.inner, Key: key}
+	if o.rest.prog != nil {
+		probe.Pred = o.rest.prog.Arm(b.vals, nil, nil).Pred
+	}
+	it, err := engine.NewIndexJoinIter(b.st, outer, probe, o.semi, o.emit)
 	if err != nil {
 		return nil, err
 	}
@@ -297,11 +263,17 @@ type filterOp struct {
 	notes
 	child operator
 	f     filter
-	subs  map[*ast.Select]operator
+	subs  map[*ast.Select]subBlock
 }
 
-func (o *filterOp) render(hosts map[string]value.Value) *Node {
-	return o.node(hosts, "Filter", o.f.text.in(hosts), o.child.render(hosts))
+// subBlock is a subquery's plan and the names of its slots.
+type subBlock struct {
+	op   operator
+	vars *eval.Vars
+}
+
+func (o *filterOp) render(vals []value.Value) *Node {
+	return o.node(vals, "Filter", o.f.text.in(vals), o.child.render(vals))
 }
 
 func (o *filterOp) build(b *builder, n *Node) (engine.Iterator, error) {
@@ -309,30 +281,36 @@ func (o *filterOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := &b.env
+	var exists eval.ExistsFunc
+	var in eval.InFunc
 	if len(o.subs) > 0 {
-		r := &subRuns{subs: o.subs, st: b.st, ctx: engine.WithScratch(b.ctx, engine.NewScratch())}
-		env = &eval.Env{Hosts: b.env.Hosts, Cols: b.env.Cols, Exists: r.exists, In: r.in}
+		r := &subRuns{subs: o.subs, st: b.st, vals: b.vals, ctx: engine.WithScratch(b.ctx, engine.NewScratch())}
+		exists, in = r.exists, r.in
 	}
-	return b.add(engine.NewFilterIter(b.st, child, o.f.prog, env), n), nil
+	return b.add(engine.NewFilterIter(b.st, child, o.f.prog.Arm(b.vals, exists, in)), n), nil
 }
 
 // subRuns runs a filter's subqueries on one scratch of the filter's own,
 // reset after every run: a run answers a truth value or values copied
 // out, so nothing reads its rows after the reset.
 type subRuns struct {
-	subs map[*ast.Select]operator
+	subs map[*ast.Select]subBlock
 	st   *engine.Stats
 	ctx  context.Context // the execution's, allocating from the filter's scratch
-	vals []value.Value   // the last run's answer
+	vals []value.Value   // the execution's binding vector
+	out  []value.Value   // the last run's answer
 }
 
-// run builds sub's block bound to the outer row env holds, pulls its
-// first row (EXISTS) or every row (IN), copying out the first column,
-// and closes it, which releases every governor charge the run took.
+// run binds sub's outer slots to the outer row env holds, builds its
+// block, pulls its first row (EXISTS) or every row (IN), copying out the
+// first column, and closes it, releasing every governor charge it took.
 func (r *subRuns) run(sub *ast.Select, env *eval.Env, first bool) ([]value.Value, error) {
 	r.st.Add(engine.Stats{SubqueryRuns: 1})
-	b := &builder{ctx: r.ctx, st: r.st, env: eval.Env{Hosts: env.Hosts, Cols: env.Cols}}
+	blk := r.subs[sub]
+	for i, name := range blk.vars.Outer {
+		r.vals[blk.vars.Base+i] = env.Cols[name]
+	}
+	b := &builder{ctx: r.ctx, st: r.st, vals: r.vals}
 	if engine.Poisoned {
 		b.check = engine.NewChecker(nil)
 	}
@@ -343,25 +321,25 @@ func (r *subRuns) run(sub *ast.Select, env *eval.Env, first bool) ([]value.Value
 		}
 		engine.ScratchFrom(r.ctx).Reset()
 	}()
-	it, err := r.subs[sub].build(b, nil)
+	it, err := blk.op.build(b, nil)
 	if err == nil && !first && len(it.Cols()) != 1 {
 		err = fmt.Errorf("plan: IN subquery must produce one column, got %d", len(it.Cols()))
 	}
-	for r.vals = r.vals[:0]; err == nil && !(first && len(r.vals) > 0); {
+	for r.out = r.out[:0]; err == nil && !(first && len(r.out) > 0); {
 		var batch engine.Batch
 		if batch, err = it.Next(r.ctx); batch == nil {
 			break
 		}
 		for _, row := range batch {
-			r.vals = append(r.vals, row[0])
+			r.out = append(r.out, row[0])
 		}
 	}
-	return r.vals, err
+	return r.out, err
 }
 
 func (r *subRuns) exists(sub *ast.Select, env *eval.Env) (tvl.Truth, error) {
-	vals, err := r.run(sub, env, true)
-	return tvl.Of(len(vals) > 0), err
+	out, err := r.run(sub, env, true)
+	return tvl.Of(len(out) > 0), err
 }
 
 func (r *subRuns) in(sub *ast.Select, env *eval.Env) ([]value.Value, error) {
@@ -377,8 +355,8 @@ type projectOp struct {
 	detail string // cols, comma-separated
 }
 
-func (o *projectOp) render(hosts map[string]value.Value) *Node {
-	return o.node(hosts, "Project", o.detail, o.child.render(hosts))
+func (o *projectOp) render(vals []value.Value) *Node {
+	return o.node(vals, "Project", o.detail, o.child.render(vals))
 }
 
 func (o *projectOp) build(b *builder, n *Node) (engine.Iterator, error) {
@@ -403,12 +381,12 @@ type distinctOp struct {
 	sort  bool
 }
 
-func (o *distinctOp) render(hosts map[string]value.Value) *Node {
+func (o *distinctOp) render(vals []value.Value) *Node {
 	op := "DistinctHash"
 	if o.sort {
 		op = "DistinctSort"
 	}
-	return o.node(hosts, op, "", o.child.render(hosts))
+	return o.node(vals, op, "", o.child.render(vals))
 }
 
 func (o *distinctOp) build(b *builder, n *Node) (engine.Iterator, error) {
@@ -431,12 +409,12 @@ type setOp struct {
 	except, all bool
 }
 
-func (o *setOp) render(hosts map[string]value.Value) *Node {
+func (o *setOp) render(vals []value.Value) *Node {
 	op := "IntersectSortMerge"
 	if o.except {
 		op = "ExceptSortMerge"
 	}
-	return o.node(hosts, op, fmt.Sprintf("all=%v", o.all), o.l.render(hosts), o.r.render(hosts))
+	return o.node(vals, op, fmt.Sprintf("all=%v", o.all), o.l.render(vals), o.r.render(vals))
 }
 
 func (o *setOp) build(b *builder, n *Node) (engine.Iterator, error) {
@@ -451,15 +429,14 @@ func (o *setOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	return b.add(engine.NewSetOpIter(b.st, l, r, o.except, o.all), n), nil
 }
 
-// builder carries one execution through build: its bindings, where its
-// work is counted, and every iterator assembled so far.
+// builder carries one execution through build: its binding vector,
+// where its work is counted, and every iterator assembled so far.
 type builder struct {
 	ctx context.Context // what the pipeline is drained under
 	st  *engine.Stats
-	// env carries the execution's host bindings and, for a subquery's
-	// block, the outer row by column name; it arms every subquery-free
-	// predicate as it is: eval.Program.Arm reads nothing else from it.
-	env   eval.Env
+	// vals is the binding vector every constant is armed from; a
+	// subquery's run binds its outer columns in it first.
+	vals  []value.Value
 	built []engine.Iterator
 	// check enforces the iterator contract under the poison build tag
 	// (engine.Checker); nil in every other build.

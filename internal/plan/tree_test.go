@@ -27,7 +27,7 @@ func (it *spyIter) Close() error {
 	return it.Iterator.Close()
 }
 
-func (o *spyOp) render(hosts map[string]value.Value) *Node { return o.node(hosts, "Spy", o.cols[0]) }
+func (o *spyOp) render(vals []value.Value) *Node { return o.node(vals, "Spy", o.cols[0]) }
 
 func (o *spyOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	rel := engine.NewRelation(o.cols...)

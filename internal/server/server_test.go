@@ -751,6 +751,19 @@ func TestServerExplainOverWire(t *testing.T) {
 	if !strings.Contains(text, "out=") {
 		t.Fatalf("EXPLAIN ANALYZE text lacks per-operator metrics:\n%s", text)
 	}
+	// The client sends EXPLAIN no values: plan-only, a parameterized
+	// statement renders with its parameter as written; ANALYZE, which
+	// executes, refuses it as a query does.
+	if err := db.CreateIndex("S", "S_SNO", "SNO"); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT S.CITY FROM S WHERE S.SNO = :N`
+	if text, _, err = c.Explain(sql, false); err != nil || !strings.Contains(text, "IndexScan(S via S_SNO = :N)") {
+		t.Fatalf("EXPLAIN without values: %v\n%s", err, text)
+	}
+	if _, _, err = c.Explain(sql, true); err == nil || !strings.Contains(err.Error(), "uniqopt: unbound host variable :N") {
+		t.Fatalf("EXPLAIN ANALYZE without values: err = %v", err)
+	}
 }
 
 // TestServerBadArgRefusedPerRequest: a binding the protocol has no SQL

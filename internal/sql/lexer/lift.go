@@ -19,8 +19,8 @@ import (
 // NULL, TRUE and FALSE are keywords, not literal tokens, and stay in
 // the shape. DDL is never lifted: Shape reports it with an empty shape.
 
-// liftedNames holds the reserved names of the first literals, so the
-// per-call binding allocates no name strings for ordinary statements.
+// liftedNames holds the reserved names of the first literals, so naming
+// them allocates no strings for ordinary statements.
 var liftedNames = func() (names [32]string) {
 	for i := range names {
 		names[i] = "$" + strconv.Itoa(i+1)
@@ -36,6 +36,12 @@ func LiftedName(n int) string {
 		return liftedNames[n-1]
 	}
 	return "$" + strconv.Itoa(n)
+}
+
+// LiftedOrdinal is LiftedName's inverse: n for the name $n.
+func LiftedOrdinal(name string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(name, "$"))
+	return n, err == nil && n > 0 && strings.HasPrefix(name, "$")
 }
 
 // Shape scans src once and returns its shape text — tokens in

@@ -123,7 +123,7 @@ func (v Value) AsBool() bool {
 // Int reads the integer payload where the value lies — a row cell, say —
 // without copying the Value; ok is false, and nothing panics, when v is
 // not an integer (NULL included). The per-row comparison kernels of
-// eval.Compile are built on it and on Str.
+// eval.Program.Arm are built on it and on Str.
 func (v *Value) Int() (i int64, ok bool) {
 	if v.kind != KindInt {
 		return 0, false

@@ -93,8 +93,7 @@ type rowCase struct {
 // the join and the projection, a residual subquery (its block emits its
 // live columns, the correlation references among them), a reordered three-table chain with no constant-bound
 // key (a non-top join's layout, roles never flipped), and an index join
-// whose key constant does not bind, so that its hash-join fallback is
-// what runs.
+// whose key constant is left unbound, which is refused before it runs.
 var layoutCases = []rowCase{
 	{name: "layout_repeat", sql: `SELECT ALL S.SNO, S.SNO, P.PNO, S.SNO FROM SUPPLIER S, PARTS P
 		WHERE S.SNO = P.SNO AND P.COLOR = 'RED' AND P.PNO >= :K`},
@@ -139,7 +138,10 @@ func runPlanner(db *uniqopt.DB, sql string, hosts map[string]any, opts plan.Opti
 			return nil, err
 		}
 	}
-	res, err := plan.NewPlanner(db.Store(), opts).Run(q, bound)
+	res, err := plan.NewPlanner(db.Store(), opts).Run(q, func(name string) (value.Value, bool) {
+		v, ok := bound[name]
+		return v, ok
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,46 +248,48 @@ func (d *DB) ExecWith(sql string, hosts map[string]any) (int64, error) {
 		_, err := d.store.ApplyDDL(sql, c.ddl)
 		return 0, err
 	}
-	return d.execInsert(c.insert, hosts, c.lits)
+	return d.execInsert(c.insert, c.vals)
 }
 
 // insertCell is one VALUES element, resolved when the statement is
 // compiled to where its value comes from at execution.
 type insertCell struct {
-	lit  int         // ≥ 0: an ordinal in the call's literal vector
-	host string      // else, when non-empty: the caller's host variable
+	slot int         // ≥ 0: a slot of the call's binding vector
 	v    value.Value // else: NULL, TRUE or FALSE as written
 }
 
-// insertStmt is a compiled INSERT: the target table and its tuples.
+// insertStmt is a compiled INSERT: its table, tuples and host variables.
 type insertStmt struct {
 	table string
 	rows  [][]insertCell
+	hosts []string
 }
 
 // compileInsert resolves a lifted INSERT (parser.ParseLifted: the n-th
 // literal reads as the reserved host variable $n, which no source text
-// can spell) into cells; a value is a literal or a host variable, never
-// a general expression.
-func compileInsert(ins *ast.Insert) (*insertStmt, error) {
+// can spell) of nlits literals into cells; a value is a literal or a
+// host variable, never a general expression.
+func compileInsert(ins *ast.Insert, nlits int) (*insertStmt, error) {
 	out := &insertStmt{table: ins.Table, rows: make([][]insertCell, len(ins.Rows))}
-	nlits := 0
 	for r, tuple := range ins.Rows {
 		cells := make([]insertCell, len(tuple))
 		for i, e := range tuple {
-			cells[i].lit = -1
+			cells[i].slot = -1
 			switch e := e.(type) {
 			case *ast.BoolLit:
 				cells[i].v = value.Bool(e.V)
 			case *ast.NullLit:
 				cells[i].v = value.Null
 			case *ast.HostVar:
-				if e.Name == lexer.LiftedName(nlits+1) {
-					cells[i].lit = nlits
-					nlits++
-				} else {
-					cells[i].host = e.Name
+				if n, ok := lexer.LiftedOrdinal(e.Name); ok {
+					cells[i].slot = n - 1
+					break
 				}
+				h := slices.Index(out.hosts, e.Name)
+				if h < 0 {
+					h, out.hosts = len(out.hosts), append(out.hosts, e.Name)
+				}
+				cells[i].slot = nlits + h
 			default:
 				return nil, fmt.Errorf("uniqopt: INSERT value is %T, not a literal or host variable", e)
 			}
@@ -296,26 +299,15 @@ func compileInsert(ins *ast.Insert) (*insertStmt, error) {
 	return out, nil
 }
 
-// execInsert binds each VALUES tuple — from the literal vector by
-// ordinal, from the caller's bindings by name (compile has type-checked
-// every one) — and routes it through the backend's constraint-enforcing
-// insert path.
-func (d *DB) execInsert(ins *insertStmt, hosts map[string]any, lits []value.Value) (int64, error) {
+// execInsert binds each VALUES tuple from the call's binding vector and
+// routes it through the backend's constraint-enforcing insert path.
+func (d *DB) execInsert(ins *insertStmt, vals []value.Value) (int64, error) {
 	var n int64
 	for _, cells := range ins.rows {
 		row := make(value.Row, len(cells))
 		for i, cell := range cells {
-			switch {
-			case cell.lit >= 0:
-				row[i] = lits[cell.lit]
-			case cell.host != "":
-				v, ok := hosts[cell.host]
-				if !ok {
-					return n, fmt.Errorf("uniqopt: unbound host variable :%s", cell.host)
-				}
-				row[i], _ = Convert(v)
-			default:
-				row[i] = cell.v
+			if row[i] = cell.v; cell.slot >= 0 {
+				row[i] = vals[cell.slot]
 			}
 		}
 		if err := d.store.InsertOwned(ins.table, row); err != nil {
@@ -461,7 +453,7 @@ func (d *DB) execute(ctx context.Context, sql string, hosts map[string]any, opti
 		return err
 	}
 	sc := d.scratch.get()
-	res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.hosts, false)
+	res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.vals, false)
 	if err == nil {
 		res.Stats.Add(c.stats)
 	}
@@ -516,7 +508,7 @@ func (p *scratchPool) put(sc *engine.Scratch) {
 
 // statement is one compiled statement shape — what the statement cache
 // holds. It is immutable: everything that varies between executions of
-// a shape (host bindings, the literal vector) lives in the call.
+// a shape (its binding vector) lives in the call.
 type statement struct {
 	// shape is the lifted statement text (lexer.Shape): the source of the
 	// entry's first cache key, and what the metrics registry keys its
@@ -538,12 +530,9 @@ type call struct {
 	// ddl is a CREATE TABLE, which bypasses lifting and the cache (the
 	// embedded statement is then nil).
 	ddl *ast.CreateTable
-	// hosts binds, for a query, the caller's host variables and, under
-	// the reserved names $1, $2, …, the statement's own literals.
-	hosts map[string]value.Value
-	// lits is, for a write, the statement's literal vector; an INSERT
-	// reads its host variables from the caller's map where it uses them.
-	lits []value.Value
+	// vals is the call's binding vector: the statement's literals, then
+	// the caller's host variables.
+	vals []value.Value
 	// stats carries what compiling cost this call: one statement-cache
 	// hit or miss and, on a miss, the analyzer-cache lookups made.
 	stats engine.Stats
@@ -561,14 +550,17 @@ type call struct {
 // rewriting, no join ordering. A miss parses the lifted token stream,
 // compiles it and files the result, unless compiling failed. write
 // selects the kind of statement the caller executes: Exec takes CREATE
-// TABLE and INSERT, the query entry points take queries.
-func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*call, error) {
+// TABLE and INSERT, the query entry points take queries. The call is
+// a value, so binding allocates nothing but its vector. A host variable
+// left out is refused with the call still returned, for a plan-only
+// EXPLAIN to render (bindHosts).
+func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (call, error) {
 	p := d.planner(optimize)
 	// The version is read once, before compiling, and keys every probe
 	// and store: a DDL committing mid-compile can never file a statement
 	// derived under the older catalog beneath the newer version.
 	key := vcache.Key{Src: sql, CatVer: d.store.Catalog().Version(), Opts: p.Opts.CompileBits()}
-	c := &call{}
+	var c call
 	var lits []token.Token
 	// A text that merely spells a shape ("… = ?int") reaches that shape's
 	// entry here; its literal count sends it on to the lexer, which
@@ -580,22 +572,22 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 	if !byText {
 		var err error
 		if key.Src, lits, err = lexer.Shape(sql); err != nil {
-			return nil, err
+			return call{}, err
 		}
 		if key.Src == "" {
 			st, err := parser.ParseStatement(sql)
 			if err != nil {
-				return nil, err
+				return call{}, err
 			}
 			if !write {
-				return nil, fmt.Errorf("parser: statement is %T, not a query", st)
+				return call{}, fmt.Errorf("parser: statement is %T, not a query", st)
 			}
-			return &call{ddl: st.(*ast.CreateTable)}, nil
+			return call{ddl: st.(*ast.CreateTable)}, nil
 		}
 		c.statement, _ = d.stmts.Peek(key)
 	}
-	if err := c.bind(sql, hosts, lits, write); err != nil {
-		return nil, err
+	if err := c.bind(sql, hosts, lits); err != nil {
+		return call{}, err
 	}
 	// The one hit-or-miss count of this call.
 	d.stmts.Count(c.statement != nil)
@@ -607,19 +599,19 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 	if c.statement == nil {
 		parsed, err := parser.ParseLifted(sql)
 		if err != nil {
-			return nil, err
+			return call{}, err
 		}
 		c.statement = &statement{shape: key.Src, nlits: len(lits)}
 		switch x := parsed.(type) {
 		case *ast.Insert:
-			if c.insert, err = compileInsert(x); err != nil {
-				return nil, err
+			if c.insert, err = compileInsert(x, len(lits)); err != nil {
+				return call{}, err
 			}
 		case ast.Query:
 			if !write {
 				c.query, err = p.Compile(x, &c.stats)
 				if err != nil {
-					return nil, err
+					return call{}, err
 				}
 			}
 		}
@@ -630,9 +622,9 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 	}
 	switch {
 	case write && c.insert == nil:
-		return nil, errors.New("uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries")
+		return call{}, errors.New("uniqopt: Exec accepts CREATE TABLE and INSERT; use Query for queries")
 	case !write && c.insert != nil:
-		return nil, errors.New("parser: statement is *ast.Insert, not a query")
+		return call{}, errors.New("parser: statement is *ast.Insert, not a query")
 	}
 	// A literal-free text that came by way of the lexer answers for
 	// itself from now on (in canonical spelling it already does: it is
@@ -641,30 +633,20 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (*c
 		key.Src = sql
 		d.stmts.Put(key, c.statement)
 	}
-	return c, nil
+	err := c.bindHosts(hosts)
+	return c, err
 }
 
-// bind type-checks every host binding, whether or not the statement
-// uses it, and converts the literal vector. A query reads both through
-// one map (call.hosts); a write keeps the literals as a vector and
-// builds no map.
-func (c *call) bind(sql string, hosts map[string]any, lits []token.Token, write bool) error {
-	switch {
-	case write && len(lits) > 0:
-		c.lits = make([]value.Value, len(lits))
-	case !write && len(hosts)+len(lits) > 0:
-		c.hosts = make(map[string]value.Value, len(hosts)+len(lits))
-	}
+// bind type-checks every host binding, used or not, and converts the
+// literal vector into the head of the call's binding vector.
+func (c *call) bind(sql string, hosts map[string]any, lits []token.Token) error {
+	c.vals = make([]value.Value, 0, len(lits)+len(hosts))
 	for k, v := range hosts {
-		cv, err := Convert(v)
-		if err != nil {
+		if _, err := Convert(v); err != nil {
 			return fmt.Errorf("uniqopt: host :%s: %w", k, err)
 		}
-		if !write {
-			c.hosts[k] = cv
-		}
 	}
-	for i, t := range lits {
+	for _, t := range lits {
 		v := value.String_(t.Text)
 		if t.Kind == token.Number {
 			n, err := strconv.ParseInt(t.Text, 10, 64)
@@ -676,11 +658,28 @@ func (c *call) bind(sql string, hosts map[string]any, lits []token.Token, write 
 			}
 			v = value.Int(n)
 		}
-		if write {
-			c.lits[i] = v
-		} else {
-			c.hosts[lexer.LiftedName(i+1)] = v
+		c.vals = append(c.vals, v)
+	}
+	return nil
+}
+
+// bindHosts fills the host slots from the caller's bindings, by name,
+// refusing one left out; the vector is then the literals alone.
+func (c *call) bindHosts(hosts map[string]any) error {
+	base, names, width := c.nlits, []string(nil), 0
+	if c.query != nil {
+		base, names, width = c.query.Lits, c.query.Params[c.query.Lits:], c.query.Width
+	} else {
+		names, width = c.insert.hosts, base+len(c.insert.hosts)
+	}
+	c.vals = append(c.vals, make([]value.Value, max(width-len(c.vals), 0))...)[:width]
+	for i, name := range names {
+		v, ok := hosts[name]
+		if !ok {
+			c.vals = c.vals[:base]
+			return fmt.Errorf("uniqopt: unbound host variable :%s", name)
 		}
+		c.vals[base+i], _ = Convert(v) // bind has type-checked it
 	}
 	return nil
 }
@@ -766,25 +765,26 @@ func (d *DB) ExplainAnalyze(sql string) (*Explanation, error) {
 // ExplainWith is the general form: host-variable bindings, optional
 // rewriting, and a choice between plan-only (analyze=false: the
 // compiled statement's plan tree is rendered, ctx is not consulted) and
-// real execution (analyze=true). Explain runs are not recorded in the
-// metrics registry, so profiling a workload is not skewed by
-// inspecting it.
+// real execution (analyze=true). Plan-only, host variables may be left
+// out: each then renders as written, in the plan non-NULL values
+// execute. Explain runs are not recorded in the metrics registry, so
+// profiling a workload is not skewed by inspecting it.
 func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, optimize, analyze bool) (*Explanation, error) {
 	c, err := d.compile(sql, hosts, optimize, false)
-	if err != nil {
+	if c.statement == nil || err != nil && analyze {
 		return nil, err
 	}
 	out := &Explanation{Analyzed: analyze}
 	if analyze {
 		sc := d.scratch.get()
-		res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.hosts, true)
+		res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.vals, true)
 		d.recycle(sc, err)
 		if err != nil {
 			return nil, err
 		}
 		out.Root, out.Rewrites, out.Stats = res.Root, rewriteInfos(res.Rewrites), res.Stats.Snapshot()
 	} else {
-		out.Root, out.Rewrites = c.query.Render(c.hosts), rewriteInfos(c.query.Rewrites(c.hosts))
+		out.Root, out.Rewrites = c.query.Render(c.vals), rewriteInfos(c.query.Rewrites(c.vals))
 	}
 	// The provenance trace explains the verdict on the query as
 	// written — the decision that licensed (or blocked) the rewrites.
