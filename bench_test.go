@@ -248,25 +248,28 @@ func BenchmarkDistinct(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		it, err := engine.NewProjectIter(&st, engine.NewTableIter(&st, tbl, cols), []string{key.col}, idx)
-		if err != nil {
+		plan := &engine.Projection{Cols: []string{key.col}, Idx: idx}
+		if err := plan.Resolve(cols); err != nil {
 			b.Fatal(err)
 		}
-		proj, err := engine.Drain(ctx, &st, it)
+		sc := engine.NewScratch()
+		proj, err := engine.Drain(ctx, sc, &st, engine.NewProjectIter(sc, &st, engine.NewTableIter(sc, &st, tbl, cols), plan))
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, op := range []struct {
 			name     string
-			distinct func(*engine.Stats, engine.Iterator) engine.Iterator
+			distinct func(*engine.Scratch, *engine.Stats, engine.Iterator) engine.Iterator
 		}{{"sort", engine.NewDistinctSortIter}, {"hash", engine.NewDistinctHashIter}} {
 			b.Run(key.name+"/"+op.name, func(b *testing.B) {
 				b.ReportAllocs()
+				run := engine.NewScratch()
 				for i := 0; i < b.N; i++ {
 					var s engine.Stats
-					if _, err := engine.Drain(ctx, &s, op.distinct(&s, engine.NewRelationIter(&s, proj))); err != nil {
+					if _, err := engine.Drain(ctx, run, &s, op.distinct(run, &s, engine.NewRelationIter(run, &s, proj))); err != nil {
 						b.Fatal(err)
 					}
+					run.Reset()
 				}
 			})
 		}

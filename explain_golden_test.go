@@ -338,7 +338,7 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Execute(context.Background(), compiled, vals, false)
+		res, err := p.Execute(context.Background(), plan.NewFrame(), compiled, vals, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 		if res.Rel.Len() == 0 || res.Stats.Batches == 0 {
 			t.Errorf("%s: %d rows in %d batches", c.name, res.Rel.Len(), res.Stats.Batches)
 		}
-		analyzed, err := p.Execute(context.Background(), compiled, vals, true)
+		analyzed, err := p.Execute(context.Background(), plan.NewFrame(), compiled, vals, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 			t.Errorf("%s: the analyzed execution has no tree, or other rows", c.name)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := p.Execute(context.Background(), compiled, vals, false); err != nil {
+			if _, err := p.Execute(context.Background(), plan.NewFrame(), compiled, vals, false); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -38,11 +38,12 @@ func craftedRows() *Relation {
 }
 
 func TestCollisionFallbackDistinct(t *testing.T) {
+	sc := NewScratch()
 	withDegenerateHash(t)
 	rel := craftedRows()
 	want := distinctOracle(rel) // counted by the rows' spelling: no hashing involved
 
-	got := hashDistinct(&Stats{}, rel)
+	got := hashDistinct(sc, &Stats{}, rel)
 	if !MultisetEqual(want, got) {
 		t.Fatalf("hash distinct under full collisions:\n got %s\n want %s", got, want)
 	}
@@ -51,6 +52,7 @@ func TestCollisionFallbackDistinct(t *testing.T) {
 }
 
 func TestCollisionFallbackJoins(t *testing.T) {
+	sc := NewScratch()
 	withDegenerateHash(t)
 	r := rand.New(rand.NewSource(23))
 	l := randomRelation(r, "L", 300)
@@ -62,7 +64,7 @@ func TestCollisionFallbackJoins(t *testing.T) {
 	if len(want.Rows) == 0 {
 		t.Fatal("collision workload produced no join rows; weak test")
 	}
-	identicalRelations(t, want, hashJoin(st, l, rr, []string{"L.K"}, []string{"R.K"}),
+	identicalRelations(t, want, hashJoin(sc, st, l, rr, []string{"L.K"}, []string{"R.K"}),
 		"hash join under full collisions")
 }
 

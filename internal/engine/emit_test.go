@@ -34,6 +34,7 @@ func randEmit(r *rand.Rand, left, right int) Emit {
 // projectedFullWidth is the reference for a join emitting emit: the same
 // join at full width, then the projection onto the columns emit lists.
 func projectedFullWidth(t *testing.T, st *Stats, full Iterator, emit Emit, left int) *Relation {
+	sc := NewScratch()
 	t.Helper()
 	idx, names := make([]int, len(emit)), make([]string, len(emit))
 	for i, c := range emit {
@@ -42,7 +43,7 @@ func projectedFullWidth(t *testing.T, st *Stats, full Iterator, emit Emit, left 
 		}
 		names[i] = full.Cols()[idx[i]]
 	}
-	return mustDrain(t, st, okIter(NewProjectIter(st, full, names, idx)))
+	return mustDrain(t, sc, st, NewProjectIter(sc, st, full, projPlan(full.Cols(), names, idx)))
 }
 
 // Property: a join handed an emit map — a random subset, permutation and
@@ -53,6 +54,7 @@ func projectedFullWidth(t *testing.T, st *Stats, full Iterator, emit Emit, left 
 // constant key suffix, a residual predicate) and the product, at batch
 // sizes 1, 3 and the default.
 func TestEmitMapProperty(t *testing.T) {
+	sc := NewScratch()
 	r := rand.New(rand.NewSource(41))
 	rCols := []string{"R.ID", "R.K", "R.C", "R.V"}
 	for trial := 0; trial < 300; trial++ {
@@ -62,16 +64,16 @@ func TestEmitMapProperty(t *testing.T) {
 		l, rr := randomRelation(r, "L", r.Intn(30)), randomRelation(r, "R", r.Intn(30))
 		emit := randEmit(r, 3, 3)
 		hash := func(e Emit) Iterator {
-			return okIter(NewHashJoinIter(&st, NewRelationIter(&st, l), NewRelationIter(&st, rr), e, []int{0}, []int{0}))
+			return NewHashJoinIter(sc, &st, NewRelationIter(sc, &st, l), NewRelationIter(sc, &st, rr), joinPlan(l.Cols, rr.Cols, e, []int{0}, []int{0}))
 		}
-		identicalRelations(t, projectedFullWidth(t, &st, hash(IdentityEmit(3, 3)), emit, 3), mustDrain(t, &st, hash(emit)),
+		identicalRelations(t, projectedFullWidth(t, &st, hash(IdentityEmit(3, 3)), emit, 3), mustDrain(t, sc, &st, hash(emit)),
 			fmt.Sprintf("trial %d: hash join emitting %v\nL=%v\nR=%v", trial, emit, l, rr))
 
 		small := &Relation{Cols: rr.Cols, Rows: rr.Rows[:min(len(rr.Rows), 6)]}
 		product := func(e Emit) Iterator {
-			return okIter(NewProductIter(&st, NewRelationIter(&st, l), NewRelationIter(&st, small), e))
+			return NewProductIter(sc, &st, NewRelationIter(sc, &st, l), NewRelationIter(sc, &st, small), joinPlan(l.Cols, small.Cols, e, nil, nil))
 		}
-		identicalRelations(t, projectedFullWidth(t, &st, product(IdentityEmit(3, 3)), emit, 3), mustDrain(t, &st, product(emit)),
+		identicalRelations(t, projectedFullWidth(t, &st, product(IdentityEmit(3, 3)), emit, 3), mustDrain(t, sc, &st, product(emit)),
 			fmt.Sprintf("trial %d: product emitting %v\nL=%v\nR=%v", trial, emit, l, small))
 
 		outer := &Relation{Cols: []string{"L.K", "L.V"}}
@@ -83,23 +85,26 @@ func TestEmitMapProperty(t *testing.T) {
 			inner = append(inner, value.Row{maybeNull(r, 5), maybeNull(r, 3), value.Int(int64(r.Intn(10)))})
 		}
 		tbl, ix := probedTable(t, inner)
-		in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}}
+		in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []int{0}}
+		konst := value.Null
 		if r.Intn(2) == 0 {
-			in.Key = append(in.Key, IndexKeyPart{Ord: -1, Const: maybeNull(r, 3)})
+			in.Key, konst = append(in.Key, -1), maybeNull(r, 3)
 		}
+		var residual eval.Pred
 		if r.Intn(2) == 0 {
 			pred, err := parser.ParseExpr(fmt.Sprintf("R.V >= %d", r.Intn(10)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Pred = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil).Pred
+			residual = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil).Pred
 		}
 		emit = randEmit(r, 2, 4)
 		index := func(e Emit) Iterator {
-			return okIter(NewIndexJoinIter(&st, NewRelationIter(&st, outer), in, false, e))
+			in.Emit = e
+			return ixJoinIter(sc, &st, NewRelationIter(sc, &st, outer), in, konst, residual)
 		}
-		identicalRelations(t, projectedFullWidth(t, &st, index(IdentityEmit(2, 4)), emit, 2), mustDrain(t, &st, index(emit)),
-			fmt.Sprintf("trial %d: index join (key %v, residual %v) emitting %v\nL=%v\nR=%v", trial, in.Key, in.Pred, emit, outer, inner))
+		identicalRelations(t, projectedFullWidth(t, &st, index(IdentityEmit(2, 4)), emit, 2), mustDrain(t, sc, &st, index(emit)),
+			fmt.Sprintf("trial %d: index join (key %v %v, residual %v) emitting %v\nL=%v\nR=%v", trial, in.Key, konst, residual != nil, emit, outer, inner))
 	}
 }
 
@@ -141,6 +146,7 @@ func drainRows(b *testing.B, it Iterator) (rows int) {
 // BenchmarkHashJoinEmit prices one hash join — build, probe, emit — at
 // the full ten-column width and at the three columns Example 1 reads.
 func BenchmarkHashJoinEmit(b *testing.B) {
+	sc := NewScratch()
 	probe, build := benchJoinInputs()
 	for _, bc := range []struct {
 		name string
@@ -149,10 +155,11 @@ func BenchmarkHashJoinEmit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var st Stats
 			rows := 0
+			plan := joinPlan(probe.Cols, build.Cols, bc.emit, []int{0}, []int{0})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows += drainRows(b, okIter(NewHashJoinIter(&st, NewRelationIter(&st, probe), NewRelationIter(&st, build),
-					bc.emit, []int{0}, []int{0})))
+				rows += drainRows(b, NewHashJoinIter(sc, &st, NewRelationIter(sc, &st, probe), NewRelationIter(sc, &st, build), plan))
+				sc.Reset()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 		})
@@ -162,6 +169,7 @@ func BenchmarkHashJoinEmit(b *testing.B) {
 // BenchmarkIndexJoinEmit prices one index join of 256 outer rows to the
 // sixteen entries each finds, at full width and at three columns.
 func BenchmarkIndexJoinEmit(b *testing.B) {
+	sc := NewScratch()
 	var inner []value.Row
 	for k := 0; k < 256; k++ {
 		for c := 0; c < 16; c++ {
@@ -170,7 +178,7 @@ func BenchmarkIndexJoinEmit(b *testing.B) {
 	}
 	tbl, ix := probedTable(b, inner)
 	_, outer := benchJoinInputs()
-	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: []string{"R.ID", "R.K", "R.C", "R.V"}, Key: []IndexKeyPart{{Ord: 0}}}
+	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: []string{"R.ID", "R.K", "R.C", "R.V"}, Key: []int{0}}
 	for _, bc := range []struct {
 		name string
 		emit Emit
@@ -178,9 +186,12 @@ func BenchmarkIndexJoinEmit(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			var st Stats
 			rows := 0
+			in.Emit = bc.emit
+			plan := probePlan(in, outer.Cols)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows += drainRows(b, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, outer), in, false, bc.emit)))
+				rows += drainRows(b, NewIndexJoinIter(sc, &st, NewRelationIter(sc, &st, outer), plan, sc.Cells(1), nil))
+				sc.Reset()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 		})

@@ -97,6 +97,7 @@ func testDB(t testing.TB) *storage.DB {
 // keeps, for each subquery, the scope it is correlated with.
 type sqlPipeline struct {
 	ctx    context.Context
+	sc     *Scratch
 	db     *storage.DB
 	hosts  map[string]value.Value
 	st     *Stats
@@ -113,14 +114,15 @@ func runQuery(ctx context.Context, db *storage.DB, q ast.Query, hosts map[string
 		}
 	}()
 	defer Contain("engine test query", &err)
-	p := &sqlPipeline{ctx: ctx, db: db, hosts: hosts, st: st, scopes: map[*ast.Select]*catalog.Scope{}}
+	sc := NewScratch()
+	p := &sqlPipeline{ctx: ctx, sc: sc, db: db, hosts: hosts, st: st, scopes: map[*ast.Select]*catalog.Scope{}}
 	switch x := q.(type) {
 	case *ast.Select:
 		it, err := p.block(x, nil, nil)
 		if err != nil {
 			return nil, err
 		}
-		return Drain(ctx, st, it)
+		return Drain(ctx, sc, st, it)
 	case *ast.SetOp:
 		l, err := p.block(x.Left, nil, nil)
 		if err != nil {
@@ -133,12 +135,13 @@ func runQuery(ctx context.Context, db *storage.DB, q ast.Query, hosts map[string
 		if len(l.Cols()) != len(r.Cols()) {
 			return nil, fmt.Errorf("set operands of %d and %d columns", len(l.Cols()), len(r.Cols()))
 		}
-		return Drain(ctx, st, NewSetOpIter(st, l, r, x.Op == ast.Except, x.All))
+		return Drain(ctx, sc, st, NewSetOpIter(sc, st, l, r, x.Op == ast.Except, x.All))
 	}
 	return nil, fmt.Errorf("unknown query node %T", q)
 }
 
 func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[string]value.Value) (Iterator, error) {
+	sc := p.sc
 	scope, err := catalog.NewScope(p.db.Catalog(), s.From, outer)
 	if err != nil {
 		return nil, err
@@ -146,11 +149,15 @@ func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[s
 	var it Iterator
 	for _, tr := range s.From {
 		tbl := p.db.MustTable(tr.Table)
-		scan := NewTableIter(p.st, tbl, QualifiedCols(tbl, strings.ToUpper(tr.Name())))
+		scan := NewTableIter(sc, p.st, tbl, QualifiedCols(tbl, strings.ToUpper(tr.Name())))
 		if it == nil {
 			it = scan
-		} else if it, err = NewProductIter(p.st, it, scan, IdentityEmit(len(it.Cols()), len(scan.Cols()))); err != nil {
-			return nil, err
+		} else {
+			plan := &Join{Emit: IdentityEmit(len(it.Cols()), len(scan.Cols()))}
+			if err := plan.Resolve(it.Cols(), scan.Cols()); err != nil {
+				return nil, err
+			}
+			it = NewProductIter(sc, p.st, it, scan, plan)
 		}
 	}
 	where, err := (&core.Analyzer{Cat: p.db.Catalog()}).QualifyExpr(s.Where, scope)
@@ -170,7 +177,7 @@ func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[s
 	for _, name := range vars.Outer {
 		vals = append(vals, outerCols[name])
 	}
-	it = NewFilterIter(p.st, it, eval.Prepare(where, it.Cols(), vars).Arm(vals, p.exists, p.in))
+	it = NewFilterIter(sc, p.st, it, eval.Prepare(where, it.Cols(), vars).Arm(vals, p.exists, p.in))
 	items, err := scope.ExpandItems(s.Items)
 	if err != nil {
 		return nil, err
@@ -183,11 +190,13 @@ func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[s
 	if err != nil {
 		return nil, err
 	}
-	if it, err = NewProjectIter(p.st, it, names, idx); err != nil {
+	proj := &Projection{Cols: names, Idx: idx}
+	if err := proj.Resolve(it.Cols()); err != nil {
 		return nil, err
 	}
+	it = NewProjectIter(sc, p.st, it, proj)
 	if s.Quant.IsDistinct() {
-		it = NewDistinctHashIter(p.st, it)
+		it = NewDistinctHashIter(sc, p.st, it)
 	}
 	return it, nil
 }
@@ -210,7 +219,7 @@ func (p *sqlPipeline) sub(s *ast.Select, env *eval.Env) (*Relation, error) {
 		return nil, err
 	}
 	p.st.Add(Stats{SubqueryRuns: 1})
-	return Drain(p.ctx, p.st, it)
+	return Drain(p.ctx, p.sc, p.st, it)
 }
 
 func (p *sqlPipeline) exists(s *ast.Select, env *eval.Env) (tvl.Truth, error) {
@@ -256,11 +265,12 @@ func run(t *testing.T, db *storage.DB, src string, hosts map[string]value.Value)
 }
 
 func TestScanAndProduct(t *testing.T) {
+	sc := NewScratch()
 	db := testDB(t)
 	var st Stats
 	sup, parts := db.MustTable("SUPPLIER"), db.MustTable("PARTS")
-	s := tableRel(&st, sup, "S")
-	p := tableRel(&st, parts, "P")
+	s := tableRel(sc, &st, sup, "S")
+	p := tableRel(sc, &st, parts, "P")
 	if s.Len() != 3 || p.Len() != 4 {
 		t.Fatalf("scan sizes: %d, %d", s.Len(), p.Len())
 	}
@@ -268,7 +278,7 @@ func TestScanAndProduct(t *testing.T) {
 		t.Errorf("RowsScanned = %d", st.RowsScanned)
 	}
 	st = Stats{}
-	prod := okRel(Drain(ctx0, &st, prodIter(&st, NewTableIter(&st, sup, s.Cols), NewTableIter(&st, parts, p.Cols))))
+	prod := okRel(Drain(ctx0, sc, &st, prodIter(sc, &st, NewTableIter(sc, &st, sup, s.Cols), NewTableIter(sc, &st, parts, p.Cols))))
 	if prod.Len() != 12 || len(prod.Cols) != 10 {
 		t.Errorf("product = %d rows × %d cols", prod.Len(), len(prod.Cols))
 	}
@@ -421,12 +431,13 @@ func TestSetOpNullEquivalence(t *testing.T) {
 }
 
 func TestJoinOperatorsAgree(t *testing.T) {
+	sc := NewScratch()
 	db := testDB(t)
 	var st Stats
-	s := tableRel(&st, db.MustTable("SUPPLIER"), "S")
-	p := tableRel(&st, db.MustTable("PARTS"), "P")
+	s := tableRel(sc, &st, db.MustTable("SUPPLIER"), "S")
+	p := tableRel(sc, &st, db.MustTable("PARTS"), "P")
 	want := joinOracle(s, p, "S.SNO", "P.SNO")
-	identicalRelations(t, want, hashJoin(&st, s, p, []string{"S.SNO"}, []string{"P.SNO"}),
+	identicalRelations(t, want, hashJoin(sc, &st, s, p, []string{"S.SNO"}, []string{"P.SNO"}),
 		"hash join vs nested loops")
 	if want.Len() != 4 {
 		t.Errorf("join produced %d rows, want 4", want.Len())
@@ -434,15 +445,17 @@ func TestJoinOperatorsAgree(t *testing.T) {
 }
 
 func TestJoinNullKeysNeverMatch(t *testing.T) {
+	sc := NewScratch()
 	var st Stats
 	l := &Relation{Cols: []string{"L.K"}, Rows: []value.Row{{value.Null}, {value.Int(1)}}}
 	r := &Relation{Cols: []string{"R.K"}, Rows: []value.Row{{value.Null}, {value.Int(1)}}}
-	if hj := hashJoin(&st, l, r, []string{"L.K"}, []string{"R.K"}); hj.Len() != 1 {
+	if hj := hashJoin(sc, &st, l, r, []string{"L.K"}, []string{"R.K"}); hj.Len() != 1 {
 		t.Errorf("hash join with NULLs = %d rows, want 1", hj.Len())
 	}
 }
 
 func TestDistinctOperatorsAgree(t *testing.T) {
+	sc := NewScratch()
 	var st Stats
 	rel := &Relation{Cols: []string{"A", "B"}}
 	rows := []value.Row{
@@ -453,8 +466,8 @@ func TestDistinctOperatorsAgree(t *testing.T) {
 		{value.Int(1), value.Int(2)}, // dup
 	}
 	rel.Rows = rows
-	ds := okRel(Drain(ctx0, &st, NewDistinctSortIter(&st, NewRelationIter(&st, rel))))
-	dh := hashDistinct(&st, rel)
+	ds := okRel(Drain(ctx0, sc, &st, NewDistinctSortIter(sc, &st, NewRelationIter(sc, &st, rel))))
+	dh := hashDistinct(sc, &st, rel)
 	if ds.Len() != 3 || dh.Len() != 3 {
 		t.Errorf("distinct sizes: sort=%d hash=%d, want 3", ds.Len(), dh.Len())
 	}
@@ -467,10 +480,11 @@ func TestDistinctOperatorsAgree(t *testing.T) {
 }
 
 func TestProjectPreservesMultiplicity(t *testing.T) {
+	sc := NewScratch()
 	db := testDB(t)
 	var st Stats
-	p := tableRel(&st, db.MustTable("PARTS"), "P")
-	proj := okRel(Drain(ctx0, &st, projIter(&st, NewRelationIter(&st, p), "P.SNO")))
+	p := tableRel(sc, &st, db.MustTable("PARTS"), "P")
+	proj := okRel(Drain(ctx0, sc, &st, projIter(sc, &st, NewRelationIter(sc, &st, p), "P.SNO")))
 	if proj.Len() != 4 {
 		t.Errorf("projection lost rows: %d", proj.Len())
 	}

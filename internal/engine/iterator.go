@@ -108,16 +108,16 @@ func window(rows []value.Row, pos int) (Batch, int) {
 }
 
 // streamGuard is an iterator's lifecycle state: cooperative
-// cancellation plus per-batch governor accounting.
+// cancellation plus per-batch governor accounting, against the governor
+// of the scratch the iterator was carved from.
 // In-flight charges (the last emitted batch) are released on the next
 // emit; held charges (blocking state) are released at close.
 type streamGuard struct {
-	ctx   context.Context
-	gov   *Governor
-	sc    *Scratch // what the iterator allocates from
-	st    *Stats
-	bound bool
-	iter  int
+	ctx  context.Context
+	gov  *Governor
+	sc   *Scratch // what the iterator allocates from
+	st   *Stats
+	iter int
 	// in-flight: charge for the last emitted batch.
 	inRows, inBytes int64
 	// held: charges for blocking state, released at close.
@@ -126,23 +126,18 @@ type streamGuard struct {
 	pendRows, pendBytes int64
 }
 
-// begin starts one Next call: it binds the governor and the scratch on
-// first use, fires the per-batch fault-injection point, and polls
-// cancellation. An iterator driven under a context with no scratch (a
-// test's, say) allocates from one of its own that is never reset. The
-// fault point fires before the poll so an injected delay is observed by
-// the poll as an expired deadline.
-func (sg *streamGuard) begin(ctx context.Context, st *Stats) error {
+// guard returns the lifecycle state of an iterator carved from sc that
+// counts its work in st.
+func (sc *Scratch) guard(st *Stats) streamGuard {
+	return streamGuard{gov: sc.gov, sc: sc, st: st}
+}
+
+// begin starts one Next call: it fires the per-batch fault-injection
+// point and polls cancellation. The fault point fires before the poll
+// so an injected delay is observed by the poll as an expired deadline.
+func (sg *streamGuard) begin(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if !sg.bound {
-		sg.gov = GovernorFrom(ctx)
-		if sg.sc = ScratchFrom(ctx); sg.sc == nil {
-			sg.sc = NewScratch()
-		}
-		sg.st = st
-		sg.bound = true
 	}
 	sg.ctx = ctx
 	if err := fault.Point(FaultStreamNext); err != nil {
@@ -293,21 +288,21 @@ func QualifiedCols(tbl *storage.Table, corr string) []string {
 	return cols
 }
 
-// NewTableIter returns a streaming scan of tbl; cols names its columns
-// as the scan emits them (QualifiedCols).
-func NewTableIter(st *Stats, tbl *storage.Table, cols []string) Iterator {
-	return &rowsIter{rows: tbl.Rows(), cols: cols, st: st, scan: true}
+// NewTableIter returns a streaming scan of tbl, carved from sc; cols
+// names its columns as the scan emits them (QualifiedCols).
+func NewTableIter(sc *Scratch, st *Stats, tbl *storage.Table, cols []string) Iterator {
+	return carve(&sc.frames.rows, rowsIter{rows: tbl.Rows(), cols: cols, st: st, sg: sc.guard(st), scan: true})
 }
 
-// NewRelationIter returns an iterator over rel's rows.
-func NewRelationIter(st *Stats, rel *Relation) Iterator {
-	return &rowsIter{rows: rel.Rows, cols: rel.Cols, st: st}
+// NewRelationIter returns an iterator over rel's rows, carved from sc.
+func NewRelationIter(sc *Scratch, st *Stats, rel *Relation) Iterator {
+	return carve(&sc.frames.rows, rowsIter{rows: rel.Rows, cols: rel.Cols, st: st, sg: sc.guard(st)})
 }
 
 func (it *rowsIter) Cols() []string { return it.cols }
 
 func (it *rowsIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
+	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if it.scan && !it.started {
@@ -331,28 +326,29 @@ func (it *rowsIter) Close() error {
 	return nil
 }
 
-// Drain materializes an iterator into a Relation and closes it. The
-// result's rows are held state of the drain itself: charged as they
-// arrive, left charged while the result lives (a query's governor dies
-// with the query), and given back if the drain fails. The batches are
-// kept as they arrive — they are immutable after handoff — and copied
-// once, at the end, into a row slice of exactly the result's size, taken
-// from the execution's scratch like the rows themselves: the Relation is
-// valid until that scratch is reset.
-func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
+// Drain materializes an iterator into a Relation carved from sc — the
+// scratch the pipeline was carved from — and closes it. The result's
+// rows are held state of the drain itself: charged as they arrive, left
+// charged while the result lives (a query's governor dies with the
+// query), and given back if the drain fails. The batches are kept as
+// they arrive — they are immutable after handoff — and copied once, at
+// the end, into a row slice of exactly the result's size, taken from
+// the scratch like the rows themselves. The Relation, its rows and its
+// column list (the pipeline's, which may be the plan's own) are valid
+// until that scratch is reset, and are not the caller's to change.
+func Drain(ctx context.Context, sc *Scratch, st *Stats, it Iterator) (*Relation, error) {
 	defer it.Close()
-	var sg streamGuard
+	sg := sc.guard(st)
 	drained := false
 	defer func() {
 		if !drained { // an error, or a panic on its way to Contain
 			sg.close()
 		}
 	}()
-	out := NewRelation(it.Cols()...)
 	var first [4]Batch // most results arrive in a batch or two
 	batches, n := first[:0], 0
 	for {
-		if err := sg.begin(ctx, st); err != nil {
+		if err := sg.begin(ctx); err != nil {
 			return nil, err
 		}
 		b, err := it.Next(ctx)
@@ -368,8 +364,9 @@ func Drain(ctx context.Context, st *Stats, it Iterator) (*Relation, error) {
 		batches, n = append(batches, b), n+len(b)
 	}
 	drained = true
+	out := carve(&sc.frames.relations, Relation{Cols: it.Cols()})
 	if n > 0 {
-		out.Rows = sg.sc.batch(n)
+		out.Rows = sc.batch(n)
 		for _, b := range batches {
 			out.Rows = append(out.Rows, b...)
 		}

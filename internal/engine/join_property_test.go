@@ -35,13 +35,14 @@ func randKeyedRelation(r *rand.Rand, prefix string, n int) *Relation {
 // Property: the hash-join iterator agrees, row for row and in order,
 // with nested loops on arbitrary NULL-rich multisets, for every trial.
 func TestJoinImplementationsAgreeProperty(t *testing.T) {
+	sc := NewScratch()
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
 		l := randKeyedRelation(r, "L", r.Intn(25))
 		rr := randKeyedRelation(r, "R", r.Intn(25))
 		var st Stats
 		want := joinOracle(l, rr, "L.K", "R.K")
-		identicalRelations(t, want, hashJoin(&st, l, rr, []string{"L.K"}, []string{"R.K"}),
+		identicalRelations(t, want, hashJoin(sc, &st, l, rr, []string{"L.K"}, []string{"R.K"}),
 			fmt.Sprintf("trial %d: hash join vs nested loops\nL=%v\nR=%v", trial, l, rr))
 	}
 }
@@ -49,6 +50,7 @@ func TestJoinImplementationsAgreeProperty(t *testing.T) {
 // Property: an equality join preserves exactly the pairs whose keys
 // are both non-NULL and equal (an independent oracle over counts).
 func TestJoinCardinalityOracle(t *testing.T) {
+	sc := NewScratch()
 	r := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 100; trial++ {
 		l := randKeyedRelation(r, "L", r.Intn(20))
@@ -62,7 +64,7 @@ func TestJoinCardinalityOracle(t *testing.T) {
 			}
 		}
 		var st Stats
-		hj := hashJoin(&st, l, rr, []string{"L.K"}, []string{"R.K"})
+		hj := hashJoin(sc, &st, l, rr, []string{"L.K"}, []string{"R.K"})
 		if hj.Len() != want {
 			t.Fatalf("trial %d: join rows = %d, oracle = %d", trial, hj.Len(), want)
 		}
@@ -71,6 +73,7 @@ func TestJoinCardinalityOracle(t *testing.T) {
 
 // The index-scan iterator must agree with scan+filter.
 func TestIndexScanAgainstFilter(t *testing.T) {
+	sc := NewScratch()
 	db := testDB(t)
 	tbl := db.MustTable("PARTS")
 	ix, err := tbl.CreateOrderedIndex("PNO_IX", "PNO")
@@ -78,16 +81,16 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st Stats
-	full := tableRel(&st, tbl, "P")
+	full := tableRel(sc, &st, tbl, "P")
 	env := &eval.Env{Cols: map[string]value.Value{}, Hosts: map[string]value.Value{}}
 	indexScan := func(ords []int) *Relation {
-		return okRel(Drain(ctx0, &st, NewIndexScanIter(&st, tbl, full.Cols, ords)))
+		return okRel(Drain(ctx0, sc, &st, NewIndexScanIter(sc, &st, tbl, full.Cols, ords)))
 	}
 
 	for pno := int64(0); pno <= 10; pno++ {
 		pred, _ := parser.ParseExpr(fmt.Sprintf("P.PNO = %d", pno))
 		want := filterOracle(full, pred, env)
-		ords, err := ix.Lookup(value.Row{value.Int(pno)})
+		ords, err := ix.Lookup(value.Row{value.Int(pno)}, sc.Ints)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +101,7 @@ func TestIndexScanAgainstFilter(t *testing.T) {
 	// Range.
 	lo, hi := value.Int(1), value.Int(2)
 	pred, _ := parser.ParseExpr("P.PNO BETWEEN 1 AND 2")
-	if want := filterOracle(full, pred, env); !MultisetEqual(want, indexScan(ix.Range(&lo, &hi))) {
+	if want := filterOracle(full, pred, env); !MultisetEqual(want, indexScan(ix.Range(&lo, &hi, sc.Ints))) {
 		t.Fatal("index range scan diverges from filter")
 	}
 	if st.IndexSeeks == 0 {
@@ -150,6 +153,7 @@ func maybeNull(r *rand.Rand, n int) value.Value {
 // decides which entry is the first qualifying one, and the key's
 // constant suffix is sometimes NULL.
 func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
+	sc := NewScratch()
 	r := rand.New(rand.NewSource(37))
 	rCols := []string{"R.ID", "R.K", "R.C", "R.V"}
 	for trial := 0; trial < 300; trial++ {
@@ -163,21 +167,23 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 			inner = append(inner, value.Row{maybeNull(r, 5), maybeNull(r, 3), value.Int(int64(r.Intn(10)))})
 		}
 		tbl, ix := probedTable(t, inner)
-		in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}}
+		in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []int{0}}
 		filter := ""
+		c := value.Null
 		if r.Intn(2) == 0 {
 			// The key's suffix: R.C = c, c sometimes NULL (never true).
-			c := maybeNull(r, 3)
-			in.Key = append(in.Key, IndexKeyPart{Ord: -1, Const: c})
+			c = maybeNull(r, 3)
+			in.Key = append(in.Key, -1)
 			filter = "R.C = " + c.String()
 		}
+		var residualPred eval.Pred
 		if r.Intn(2) == 0 {
 			residual := fmt.Sprintf("R.V >= %d", r.Intn(10))
 			pred, err := parser.ParseExpr(residual)
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Pred = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil).Pred
+			residualPred = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil).Pred
 			if filter != "" {
 				filter += " AND "
 			}
@@ -187,7 +193,7 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 
 		var st Stats
 		env := &eval.Env{}
-		build := tableRel(&st, tbl, "R")
+		build := tableRel(sc, &st, tbl, "R")
 		if filter != "" {
 			pred, err := parser.ParseExpr(filter)
 			if err != nil {
@@ -195,15 +201,17 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 			}
 			build = filterOracle(build, pred, env)
 		}
-		want := hashJoin(&st, l, build, []string{"L.K"}, []string{"R.K"})
+		want := hashJoin(sc, &st, l, build, []string{"L.K"}, []string{"R.K"})
 
-		got := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, false, IdentityEmit(len(l.Cols), len(rCols))))))
+		in.Emit = IdentityEmit(len(l.Cols), len(rCols))
+		got := okRel(Drain(ctx0, sc, &st, ixJoinIter(sc, &st, NewRelationIter(sc, &st, l), in, c, residualPred)))
 		if !MultisetEqual(want, got) {
 			t.Fatalf("%s: index join (%d rows) is not the hash join (%d rows)", what, got.Len(), want.Len())
 		}
 
-		wantSemi := hashDistinct(&st, projectOracle(want, l.Cols...))
-		gotSemi := okRel(Drain(ctx0, &st, okIter(NewIndexJoinIter(&st, NewRelationIter(&st, l), in, true, nil))))
+		wantSemi := hashDistinct(sc, &st, projectOracle(want, l.Cols...))
+		in.Semi, in.Emit = true, nil
+		gotSemi := okRel(Drain(ctx0, sc, &st, ixJoinIter(sc, &st, NewRelationIter(sc, &st, l), in, c, residualPred)))
 		identicalRelations(t, wantSemi, gotSemi, what+": first-match probe vs DISTINCT over the hash join's outer columns")
 	}
 }
@@ -215,6 +223,7 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 // partial batch, a residual predicate's error surfaces, and it counts
 // one seek per probing outer row and one scanned row per fetched entry.
 func TestIndexJoinLifecycle(t *testing.T) {
+	sc := NewScratch()
 	withBatchSize(t, 64)
 	var inner []value.Row
 	for k := 0; k < 500; k++ {
@@ -232,18 +241,21 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []IndexKeyPart{{Ord: 0}}, Pred: eval.Prepare(residual, rCols, nil).Arm(nil, nil, nil).Pred}
-	semi := func(st *Stats) Iterator {
-		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, true, nil))
+	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []int{0}, Emit: IdentityEmit(len(l.Cols), len(rCols))}
+	pred := eval.Prepare(residual, rCols, nil).Arm(nil, nil, nil).Pred
+	semiIn := in
+	semiIn.Semi, semiIn.Emit = true, nil
+	semi := func(sc *Scratch, st *Stats) Iterator {
+		return ixJoinIter(sc, st, NewRelationIter(sc, st, l), semiIn, value.Null, pred)
 	}
-	join := func(st *Stats) Iterator {
-		return okIter(NewIndexJoinIter(st, NewRelationIter(st, l), in, false, IdentityEmit(len(l.Cols), len(rCols))))
+	join := func(sc *Scratch, st *Stats) Iterator {
+		return ixJoinIter(sc, st, NewRelationIter(sc, st, l), in, value.Null, pred)
 	}
 
 	// Counts: half the outer keys exist; each probe of one fetches C = 0,
 	// 1 (rejected) and 2 (the first qualifying entry), or all four.
 	st := &Stats{}
-	if n, err := consume(ctx0, semi(st)); err != nil || n != 10000 {
+	if n, err := consume(ctx0, semi(sc, st)); err != nil || n != 10000 {
 		t.Fatalf("first-match probe: %d rows, %v; want 10000", n, err)
 	}
 	if snap := st.Snapshot(); snap.IndexSeeks != 20000 || snap.RowsScanned != 3*10000 || snap.JoinPairs != snap.RowsScanned {
@@ -251,7 +263,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 			snap.IndexSeeks, snap.RowsScanned, snap.JoinPairs)
 	}
 	st = &Stats{}
-	if n, err := consume(ctx0, join(st)); err != nil || n != 20000 {
+	if n, err := consume(ctx0, join(sc, st)); err != nil || n != 20000 {
 		t.Fatalf("index join: %d rows, %v; want 20000", n, err)
 	}
 	if snap := st.Snapshot(); snap.IndexSeeks != 20000 || snap.RowsScanned != 4*10000 {
@@ -260,8 +272,9 @@ func TestIndexJoinLifecycle(t *testing.T) {
 
 	// Budget: in-flight batches only.
 	budget := int64(64 << 10)
-	gov := NewGovernor(0, budget)
-	if _, err := consume(WithGovernor(ctx0, gov), join(&Stats{})); err != nil {
+	bsc := NewScratch()
+	gov := bsc.Budget(0, budget)
+	if _, err := consume(ctx0, join(bsc, &Stats{})); err != nil {
 		t.Fatalf("index join under a %d-byte budget: %v", budget, err)
 	}
 	if _, peak := gov.Peak(); peak > budget || peak == 0 {
@@ -270,12 +283,15 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	if rows, bytes := gov.Usage(); rows != 0 || bytes != 0 {
 		t.Errorf("index join left %d rows / %d bytes charged after Close", rows, bytes)
 	}
-	st = &Stats{}
-	hj := joinIter(st, NewTableIter(st, tbl, QualifiedCols(tbl, "R")), NewRelationIter(st, l), []string{"R.K"}, []string{"L.K"})
-	if _, err := consume(WithGovernor(ctx0, NewGovernor(0, budget)), hj); !errors.Is(err, ErrBudgetExceeded) {
+	st, bsc = &Stats{}, NewScratch()
+	bsc.Budget(0, budget)
+	hj := joinIter(bsc, st, NewTableIter(bsc, st, tbl, QualifiedCols(tbl, "R")), NewRelationIter(bsc, st, l), []string{"R.K"}, []string{"L.K"})
+	if _, err := consume(ctx0, hj); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("hash join building the same outer under the budget: %v, want budget exceeded", err)
 	}
-	if _, err := consume(WithGovernor(ctx0, NewGovernor(10, 0)), semi(&Stats{})); !errors.Is(err, ErrBudgetExceeded) {
+	bsc = NewScratch()
+	bsc.Budget(10, 0)
+	if _, err := consume(ctx0, semi(bsc, &Stats{})); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("first-match probe under MaxRows=10: %v, want budget exceeded", err)
 	}
 
@@ -287,7 +303,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(ctx0)
 	st = &Stats{}
-	it := okIter(NewIndexJoinIter(st, &cancelAfter{Iterator: NewRelationIter(st, miss), cancel: cancel}, in, false, IdentityEmit(len(l.Cols), len(rCols))))
+	it := ixJoinIter(sc, st, &cancelAfter{Iterator: NewRelationIter(sc, st, miss), cancel: cancel}, in, value.Null, pred)
 	if b, err := it.Next(ctx); !errors.Is(err, context.Canceled) || b != nil {
 		t.Errorf("cancelled mid-probe: batch of %d, err %v; want nil, context.Canceled", len(b), err)
 	}
@@ -302,24 +318,29 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	}
 
 	// A residual that cannot be evaluated fails the probe, not the build.
-	bad := in
 	unbound, err := parser.ParseExpr("R.V >= :UNBOUND")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Pred = eval.Prepare(unbound, rCols, nil).Arm(nil, nil, nil).Pred
-	if _, err := consume(ctx0, okIter(NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, true, nil))); err == nil ||
+	bad := eval.Prepare(unbound, rCols, nil).Arm(nil, nil, nil).Pred
+	if _, err := consume(ctx0, ixJoinIter(sc, &Stats{}, NewRelationIter(sc, &Stats{}, l), semiIn, value.Null, bad)); err == nil ||
 		!strings.Contains(err.Error(), "unbound host variable :UNBOUND") {
 		t.Errorf("unbound residual: %v", err)
 	}
 
-	// Assembly checks the key against the index and the outer columns.
-	for _, key := range [][]IndexKeyPart{nil, {{Ord: 0}, {Ord: 1}, {Ord: 0}}, {{Ord: 2}}} {
-		bad := in
+	// Resolving checks the key against the index and the outer columns,
+	// and the join form's layout against both inputs.
+	for _, key := range [][]int{nil, {0, 1, 0}, {2}} {
+		bad := semiIn
 		bad.Key = key
-		if _, err := NewIndexJoinIter(&Stats{}, NewRelationIter(&Stats{}, l), bad, true, nil); err == nil {
-			t.Errorf("key %v assembled", key)
+		if err := bad.Resolve(l.Cols); err == nil {
+			t.Errorf("key %v resolved", key)
 		}
+	}
+	badEmit := in
+	badEmit.Emit = Emit{{Right: true, Ord: 4}}
+	if err := badEmit.Resolve(l.Cols); err == nil || !strings.Contains(err.Error(), "#4") {
+		t.Errorf("an emit ordinal out of range resolved: %v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -21,8 +20,9 @@ import (
 // timed-out query stops mid-loop and returns ctx.Err(). A query starts
 // no goroutine of its own, so none outlives a failed one.
 //
-// Budgets are enforced by a Governor carried in the context
-// (WithGovernor / GovernorFrom). Operators charge materialized rows and
+// Budgets are enforced by the Governor of the execution's Scratch
+// (Scratch.Budget), which every iterator carved from it charges; the
+// context carries only cancellation. Operators charge materialized rows and
 // an estimate of their bytes at every materialization point — hash
 // table builds, sort buffers, output appends — and receive a typed
 // *BudgetError (errors.Is ErrBudgetExceeded) instead of growing
@@ -108,8 +108,9 @@ func (e *InternalError) Unwrap() error {
 }
 
 // Governor enforces a per-query resource budget. A zero or negative
-// limit disables that dimension. Charging is atomic: concurrent
-// queries may share one governor.
+// limit disables that dimension, and a nil *Governor is a valid "no
+// budget" governor. Charging is atomic: an execution and its subquery
+// runs share one governor (Scratch.Sub).
 type Governor struct {
 	maxRows   int64
 	maxBytes  int64
@@ -119,13 +120,13 @@ type Governor struct {
 	peakBytes atomic.Int64
 }
 
-// NewGovernor creates a governor for the given limits, or nil when
-// both are unlimited (a nil *Governor is a valid "no budget" governor).
-func NewGovernor(maxRows, maxBytes int64) *Governor {
-	if maxRows <= 0 && maxBytes <= 0 {
-		return nil
-	}
-	return &Governor{maxRows: maxRows, maxBytes: maxBytes}
+// reset empties g and sets its limits, for the next execution.
+func (g *Governor) reset(maxRows, maxBytes int64) {
+	g.maxRows, g.maxBytes = maxRows, maxBytes
+	g.rows.Store(0)
+	g.bytes.Store(0)
+	g.peakRows.Store(0)
+	g.peakBytes.Store(0)
 }
 
 // Charge accounts rows materialized rows and bytes estimated bytes
@@ -188,21 +189,6 @@ func (g *Governor) Peak() (rows, bytes int64) {
 		return 0, 0
 	}
 	return g.peakRows.Load(), g.peakBytes.Load()
-}
-
-type governorKey struct{}
-
-// WithGovernor attaches a resource governor to ctx; every operator
-// executing under the returned context charges its materializations to
-// g.
-func WithGovernor(ctx context.Context, g *Governor) context.Context {
-	return context.WithValue(ctx, governorKey{}, g)
-}
-
-// GovernorFrom extracts the governor attached by WithGovernor, or nil.
-func GovernorFrom(ctx context.Context) *Governor {
-	g, _ := ctx.Value(governorKey{}).(*Governor)
-	return g
 }
 
 // rowBytes estimates the in-memory footprint of a row: slice header

@@ -42,6 +42,7 @@ func settleGoroutines(base int) int { return testleak.Settle(base) }
 // at the top of its own Next, so a cancelled one stops it before its
 // first batch, whichever operator it is.
 func TestCancelledContextStopsOperators(t *testing.T) {
+	sc := NewScratch()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l := bigRelation("L", 10_000)
@@ -51,19 +52,19 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := func(rel *Relation) Iterator { return NewRelationIter(st, rel) }
+	in := func(rel *Relation) Iterator { return NewRelationIter(sc, st, rel) }
 	cases := []struct {
 		name string
 		it   Iterator
 	}{
-		{"ProductIter", prodIter(st, in(l), in(r))},
-		{"HashJoinIter", joinIter(st, in(l), in(r), []string{"L.K"}, []string{"R.K"})},
-		{"FilterIter", NewFilterIter(st, in(l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))},
-		{"ProjectIter", projIter(st, in(l), "L.K")},
-		{"DistinctSortIter", NewDistinctSortIter(st, in(l))},
-		{"DistinctHashIter", NewDistinctHashIter(st, in(l))},
-		{"SetOpIter/intersect", NewSetOpIter(st, in(l), in(r), false, false)},
-		{"SetOpIter/except", NewSetOpIter(st, in(l), in(r), true, false)},
+		{"ProductIter", prodIter(sc, st, in(l), in(r))},
+		{"HashJoinIter", joinIter(sc, st, in(l), in(r), []string{"L.K"}, []string{"R.K"})},
+		{"FilterIter", NewFilterIter(sc, st, in(l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))},
+		{"ProjectIter", projIter(sc, st, in(l), "L.K")},
+		{"DistinctSortIter", NewDistinctSortIter(sc, st, in(l))},
+		{"DistinctHashIter", NewDistinctHashIter(sc, st, in(l))},
+		{"SetOpIter/intersect", NewSetOpIter(sc, st, in(l), in(r), false, false)},
+		{"SetOpIter/except", NewSetOpIter(sc, st, in(l), in(r), true, false)},
 	}
 	for _, c := range cases {
 		b, err := c.it.Next(ctx)
@@ -87,7 +88,7 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	rctx, rcancel := context.WithCancel(context.Background())
-	f := NewFilterIter(st, &cancelAfter{Iterator: in(l), cancel: rcancel}, eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))
+	f := NewFilterIter(sc, st, &cancelAfter{Iterator: in(l), cancel: rcancel}, eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))
 	if b, err := f.Next(rctx); !errors.Is(err, context.Canceled) || b != nil {
 		t.Errorf("filter cancelled mid-batch: batch of %d, err %v; want nil, context.Canceled", len(b), err)
 	}
@@ -100,6 +101,7 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 // than 10ms must return context.DeadlineExceeded promptly once the
 // deadline passes.
 func TestDeadlineLargeJoinPrompt(t *testing.T) {
+	sc := NewScratch()
 	l := bigRelation("L", 60_000)
 	r := bigRelation("R", 60_000)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
@@ -107,7 +109,7 @@ func TestDeadlineLargeJoinPrompt(t *testing.T) {
 	start := time.Now()
 	st := &Stats{}
 	// 3.6e9 pairs: never finishes in 10ms.
-	_, err := consume(ctx, prodIter(st, NewRelationIter(st, l), NewRelationIter(st, r)))
+	_, err := consume(ctx, prodIter(sc, st, NewRelationIter(sc, st, l), NewRelationIter(sc, st, r)))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -118,11 +120,12 @@ func TestDeadlineLargeJoinPrompt(t *testing.T) {
 }
 
 func TestMaxRowsBudget(t *testing.T) {
+	sc := NewScratch()
 	l := bigRelation("L", 5_000)
-	gov := NewGovernor(1_000, 0)
-	ctx := WithGovernor(context.Background(), gov)
+	gov := sc.Budget(1_000, 0)
+	ctx := context.Background()
 	st := &Stats{}
-	rel, err := Drain(ctx, st, prodIter(st, NewRelationIter(st, l), NewRelationIter(st, l)))
+	rel, err := Drain(ctx, sc, st, prodIter(sc, st, NewRelationIter(sc, st, l), NewRelationIter(sc, st, l)))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -145,10 +148,12 @@ func TestMaxRowsBudget(t *testing.T) {
 }
 
 func TestMemBudget(t *testing.T) {
+	sc := NewScratch()
 	l := bigRelation("L", 5_000)
-	ctx := WithGovernor(context.Background(), NewGovernor(0, 64*1024))
+	sc.Budget(0, 64*1024)
+	ctx := context.Background()
 	st := &Stats{}
-	rel, err := Drain(ctx, st, NewDistinctHashIter(st, NewRelationIter(st, l)))
+	rel, err := Drain(ctx, sc, st, NewDistinctHashIter(sc, st, NewRelationIter(sc, st, l)))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -162,17 +167,18 @@ func TestMemBudget(t *testing.T) {
 }
 
 func TestStatsCountMaterializationsWithoutGovernor(t *testing.T) {
+	sc := NewScratch()
 	l := bigRelation("L", 2_000)
 	st := &Stats{}
-	hashDistinct(st, l)
+	hashDistinct(sc, st, l)
 	if snap := st.Snapshot(); snap.RowsMaterialized == 0 || snap.BytesReserved == 0 {
 		t.Fatalf("materialization counters idle without a governor: %s", &snap)
 	}
 }
 
 func TestNilGovernorIsUnlimited(t *testing.T) {
-	if g := NewGovernor(0, 0); g != nil {
-		t.Fatal("NewGovernor(0,0) should be nil (unlimited)")
+	if g := NewScratch().Budget(0, 0); g != nil && !Poisoned {
+		t.Fatal("Budget(0, 0) should be nil (unlimited)")
 	}
 	var g *Governor
 	if err := g.Charge(1<<40, 1<<40); err != nil {
@@ -202,7 +208,7 @@ func TestRowBytesFollowsTheCell(t *testing.T) {
 }
 
 func TestGovernorUsageTracksCharges(t *testing.T) {
-	g := NewGovernor(100, 10_000)
+	g := NewScratch().Budget(100, 10_000)
 	if err := g.Charge(40, 4_000); err != nil {
 		t.Fatal(err)
 	}
@@ -360,18 +366,20 @@ func TestColIndexesErrorFlow(t *testing.T) {
 		!strings.Contains(err.Error(), "L.MISSING") {
 		t.Fatalf("ColIndexes with unknown key: err = %v, want error naming L.MISSING", err)
 	}
-	// An ordinal no input column answers to fails the assembly, not the
-	// first row.
-	st := &Stats{}
-	if _, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, l),
-		IdentityEmit(2, 2), []int{2}, []int{0}); err == nil || !strings.Contains(err.Error(), "#2") {
-		t.Fatalf("NewHashJoinIter with a key ordinal out of range: err = %v", err)
+	// An ordinal no input column answers to fails the plan's resolution,
+	// once per statement shape, not the first row.
+	if err := (&Join{Emit: IdentityEmit(2, 2), Pi: []int{2}, Bi: []int{0}}).Resolve(l.Cols, l.Cols); err == nil ||
+		!strings.Contains(err.Error(), "#2") {
+		t.Fatalf("a hash join with a key ordinal out of range resolved: err = %v", err)
 	}
-	if _, err := NewHashJoinIter(st, NewRelationIter(st, l), NewRelationIter(st, l),
-		Emit{{Right: true, Ord: 2}}, []int{0}, []int{0}); err == nil || !strings.Contains(err.Error(), "#2") {
-		t.Fatalf("NewHashJoinIter with an emit ordinal out of range: err = %v", err)
+	if err := (&Join{Emit: Emit{{Right: true, Ord: 2}}, Pi: []int{0}, Bi: []int{0}}).Resolve(l.Cols, l.Cols); err == nil ||
+		!strings.Contains(err.Error(), "#2") {
+		t.Fatalf("a hash join with an emit ordinal out of range resolved: err = %v", err)
 	}
-	if _, err := NewProjectIter(st, NewRelationIter(st, l), []string{"L.X"}, []int{-1}); err == nil {
-		t.Fatal("NewProjectIter with a negative ordinal assembled")
+	if err := (&Join{Emit: IdentityEmit(2, 2), Pi: []int{0}}).Resolve(l.Cols, l.Cols); err == nil {
+		t.Fatal("a hash join with one probe and no build key column resolved")
+	}
+	if err := (&Projection{Cols: []string{"L.X"}, Idx: []int{-1}}).Resolve(l.Cols); err == nil {
+		t.Fatal("a projection with a negative ordinal resolved")
 	}
 }

@@ -14,11 +14,6 @@ type Relation struct {
 	Rows []value.Row
 }
 
-// NewRelation creates an empty relation with the given columns.
-func NewRelation(cols ...string) *Relation {
-	return &Relation{Cols: cols}
-}
-
 // ColumnIndex returns the position of the named column, or -1. Both
 // exact canonical matches and bare-name suffix matches are accepted so
 // callers can address columns the way queries do.

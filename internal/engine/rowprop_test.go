@@ -30,7 +30,7 @@ func TestScratchRowsNeverAlias(t *testing.T) {
 			const n = 100
 			rows := make([]value.Row, n)
 			for i := range rows {
-				rows[i] = sc.cells(width)
+				rows[i] = sc.Cells(width)
 				if len(rows[i]) != width || cap(rows[i]) != width {
 					t.Fatalf("width=%d row %d: len=%d cap=%d, want both %d",
 						width, i, len(rows[i]), cap(rows[i]), width)
@@ -71,13 +71,13 @@ func TestScratchReuseAndRetention(t *testing.T) {
 		t.Skip("a poisoned Reset recycles nothing")
 	}
 	sc := NewScratch()
-	sc.cells(3)
+	sc.Cells(3)
 	if got := len(sc.values.home); got != scratchFirst {
 		t.Fatalf("first chunk holds %d cells, want %d", got, scratchFirst)
 	}
 	exec := func() {
 		for i := 0; i < 100; i++ {
-			sc.cells(3)
+			sc.Cells(3)
 		}
 		sc.push(sc.batch(0), nil)
 	}
@@ -100,9 +100,9 @@ func TestScratchReuseAndRetention(t *testing.T) {
 	keep := scratchRetain / int(reflect.TypeFor[value.Value]().Size())
 	heavy := func() {
 		for i := 0; i < 3; i++ {
-			big.cells(keep / 2)
+			big.Cells(keep / 2)
 		}
-		big.cells(2 * keep)
+		big.Cells(2 * keep)
 	}
 	heavy()
 	big.Reset()
@@ -135,6 +135,7 @@ func bytesPerRun(runs int, f func()) uint64 {
 // join emits one 4-column row and must not pay for a batch of them.
 // (The slab alone was 4 columns × 1,024 rows × 40 B = 160 KB.)
 func TestSmallHashJoinAllocatesForItsRows(t *testing.T) {
+	sc := NewScratch()
 	l := &Relation{Cols: []string{"L.K", "L.V"}, Rows: []value.Row{{value.Int(3), value.Int(30)}}}
 	r := &Relation{Cols: []string{"R.K", "R.V"}}
 	for i := 0; i < 10; i++ {
@@ -144,7 +145,7 @@ func TestSmallHashJoinAllocatesForItsRows(t *testing.T) {
 	want := joinOracle(l, r, "L.K", "R.K")
 	str := bytesPerRun(200, func() {
 		st := &Stats{}
-		out := hashJoin(st, l, r, []string{"L.K"}, []string{"R.K"})
+		out := hashJoin(sc, st, l, r, []string{"L.K"}, []string{"R.K"})
 		if out.Len() != 1 {
 			t.Fatalf("join rows = %d, want 1", out.Len())
 		}
@@ -175,8 +176,8 @@ func TestFilterSizesOutputFromLastEmission(t *testing.T) {
 	const runs = 20
 	its := make([]Iterator, runs+1) // AllocsPerRun warms up with one extra call
 	for i := range its {
-		st := &Stats{}
-		its[i] = NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))
+		st, sc := &Stats{}, NewScratch() // what an execution's pipeline carves
+		its[i] = NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))
 		if b, err := its[i].Next(ctx0); err != nil || len(b) != DefaultBatchSize {
 			t.Fatalf("first batch: %d rows, err = %v", len(b), err)
 		}
@@ -269,15 +270,16 @@ func inPlaceTable(t *testing.T, rows int) *storage.Table {
 // scanned, and charges the governor for the rows kept, not for the
 // table.
 func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
+	sc := NewScratch()
 	const n, kept = 5000, 500
 	tbl := inPlaceTable(t, n)
 	cols := QualifiedCols(tbl, "X")
 	pred := &ast.Compare{Op: ast.EqOp,
 		L: &ast.ColumnRef{Qualifier: "X", Column: "B"}, R: &ast.HostVar{Name: "K"}}
 	env := &eval.Env{Hosts: map[string]value.Value{"K": value.Int(7)}}
-	scanFilter := func(st *Stats) Iterator {
+	scanFilter := func(sc *Scratch, st *Stats) Iterator {
 		keep := eval.Prepare(pred, cols, &eval.Vars{Hosts: []string{"K"}}).Arm([]value.Value{value.Int(7)}, nil, nil)
-		return NewFilterIter(st, NewTableIter(st, tbl, cols), keep)
+		return NewFilterIter(sc, st, NewTableIter(sc, st, tbl, cols), keep)
 	}
 
 	want := filterOracle(&Relation{Cols: cols, Rows: tbl.Rows()}, pred, env)
@@ -287,9 +289,9 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 	// the test reports under the IDs it always has.
 	for _, name := range []string{"serial", "parallel"} {
 		t.Run(name, func(t *testing.T) {
-			st := &Stats{}
-			gov := NewGovernor(2*kept, 0) // room for the kept rows, in flight and drained
-			got, err := Drain(WithGovernor(context.Background(), gov), st, scanFilter(st))
+			st, sc := &Stats{}, NewScratch()
+			gov := sc.Budget(2*kept, 0) // room for the kept rows, in flight and drained
+			got, err := Drain(context.Background(), sc, st, scanFilter(sc, st))
 			if err != nil {
 				t.Fatalf("in-place filter under a %d-row budget: %v", 2*kept, err)
 			}
@@ -302,9 +304,9 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 			}
 
 			// A budget below what the filter keeps trips on the kept rows.
-			tight := WithGovernor(context.Background(), NewGovernor(kept-1, 0))
-			stT := &Stats{}
-			if _, err := Drain(tight, stT, scanFilter(stT)); !errors.Is(err, ErrBudgetExceeded) {
+			stT, tight := &Stats{}, NewScratch()
+			tight.Budget(kept-1, 0)
+			if _, err := Drain(context.Background(), tight, stT, scanFilter(tight, stT)); !errors.Is(err, ErrBudgetExceeded) {
 				t.Errorf("in-place filter over budget: err = %v, want ErrBudgetExceeded", err)
 			}
 		})
@@ -314,7 +316,7 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	st := &Stats{}
-	scan := NewTableIter(st, tbl, cols)
+	scan := NewTableIter(sc, st, tbl, cols)
 	if _, err := scan.Next(cctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled table scan: err = %v", err)
 	}

@@ -1,38 +1,132 @@
 package engine
 
 import (
-	"context"
 	"reflect"
 
 	"uniqopt/internal/value"
 )
 
-// Scratch is the memory one execution's pipeline allocates from: the
-// cells of the rows its joins and projections build, the row headers of
-// its batches and of the drained result, and its hash tables' entries
-// and slots. None of it outlives the execution, so one Scratch serves
-// execution after execution: Reset hands everything back at once and
-// the next execution carves the same chunks again, where a fresh
-// allocation per batch would have left the collector a pipeline's worth
-// of garbage per query.
+// Scratch is one execution's frame: everything its pipeline allocates
+// and nothing that outlives it. It holds the cells of the rows the
+// joins and projections build, the row headers of the batches and of
+// the drained result, the hash tables' entries and slots, an index
+// probe's row ordinals, every iterator of the pipeline and the drained
+// Relation — each kind from an allocator of its own — and the
+// execution's Governor. None of it outlives the execution, so one
+// Scratch serves execution after execution: Reset hands everything back
+// at once and the next execution carves the same chunks again, where a
+// fresh allocation per iterator and per batch would have left the
+// collector a pipeline's worth of garbage per query.
 //
-// Every operator takes from the Scratch attached to its context
-// (WithScratch), bound at its first Next. A Scratch is single-goroutine
-// state, like the pipeline it serves. The rows it backs stay valid, and
-// immutable, until Reset — which only the caller that has copied the
-// answer out may call.
+// Every iterator constructor takes the Scratch it carves itself and its
+// batches from; the context an iterator is driven under carries only
+// cancellation. A Scratch is single-goroutine state, like the pipeline
+// it serves. The rows it backs stay valid, and immutable, until Reset —
+// which only the caller that has copied the answer out may call.
 type Scratch struct {
 	values  bump[value.Value]
 	headers bump[value.Row]
 	entries bump[rtEntry]
 	slots   bump[rtSlot]
+	ords    bump[int]
+	frames  frames
+	// own is the execution's governor; gov is the one its pipeline
+	// charges — own, the parent execution's for a subquery's scratch, or
+	// nil for no budget (Budget, Sub).
+	own Governor
+	gov *Governor
+	sub *Scratch // the scratch of this execution's subquery runs (Sub)
+}
+
+// frames are the pipeline's iterators and its drained result, one
+// allocator per kind.
+type frames struct {
+	rows          bump[rowsIter]
+	indexScans    bump[indexScanIter]
+	filters       bump[filterIter]
+	projects      bump[projectIter]
+	hashDistincts bump[distinctHashIter]
+	sortDistincts bump[distinctSortIter]
+	setOps        bump[setOpIter]
+	hashJoins     bump[hashJoinIter]
+	indexJoins    bump[indexJoinIter]
+	products      bump[productIter]
+	relations     bump[Relation]
+}
+
+func (f *frames) reset() {
+	f.rows.reset()
+	f.indexScans.reset()
+	f.filters.reset()
+	f.projects.reset()
+	f.hashDistincts.reset()
+	f.sortDistincts.reset()
+	f.setOps.reset()
+	f.hashJoins.reset()
+	f.indexJoins.reset()
+	f.products.reset()
+	f.relations.reset()
+}
+
+// abandon is reset under the poison build tag: an abandoned frame reads
+// as its zero value, a closed iterator with nothing to emit.
+func (f *frames) abandon() {
+	f.rows.abandon(rowsIter{})
+	f.indexScans.abandon(indexScanIter{})
+	f.filters.abandon(filterIter{})
+	f.projects.abandon(projectIter{})
+	f.hashDistincts.abandon(distinctHashIter{})
+	f.sortDistincts.abandon(distinctSortIter{})
+	f.setOps.abandon(setOpIter{})
+	f.hashJoins.abandon(hashJoinIter{})
+	f.indexJoins.abandon(indexJoinIter{})
+	f.products.abandon(productIter{})
+	f.relations.abandon(Relation{})
+}
+
+// carve returns one element of b, set to v.
+func carve[T any](b *bump[T], v T) *T {
+	p := &b.take(1)[0]
+	*p = v
+	return p
 }
 
 // NewScratch returns an empty scratch; nothing is allocated until an
 // operator takes from it.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// scratchRetain caps, in bytes, the chunk each of a Scratch's four
+// Budget starts an execution's budget: the scratch's own governor,
+// emptied and set to the limits (zero or negative: unlimited), is the
+// one its pipeline charges, and Budget returns it. When both limits are
+// unlimited the pipeline charges none and Budget returns nil — except
+// under the poison build tag, where the governor keeps the books
+// anyway, for the Checker. Call it before building the pipeline.
+func (s *Scratch) Budget(maxRows, maxBytes int64) *Governor {
+	s.own.reset(maxRows, maxBytes)
+	s.gov = nil
+	if maxRows > 0 || maxBytes > 0 || Poisoned {
+		s.gov = &s.own
+	}
+	return s.gov
+}
+
+// Governor returns the governor the scratch's pipeline charges, or nil.
+func (s *Scratch) Governor() *Governor { return s.gov }
+
+// Sub returns the scratch a subquery's runs allocate from: one per
+// scratch, kept with it across executions, charging this scratch's
+// governor. Runs of the subqueries of one execution never overlap, so
+// they share it; a subquery's own subqueries run on its Sub. A run
+// resets it once its answer is copied out.
+func (s *Scratch) Sub() *Scratch {
+	if s.sub == nil {
+		s.sub = &Scratch{}
+	}
+	s.sub.gov = s.gov
+	return s.sub
+}
+
+// scratchRetain caps, in bytes, the chunk each of a Scratch's
 // allocators keeps across Reset (DESIGN §10 item 9). A kept chunk is
 // live heap, which the collector's heap goal carries about twice in
 // resident memory, and every scratch in use at once keeps its own. The
@@ -42,10 +136,13 @@ func NewScratch() *Scratch { return &Scratch{} }
 // Reset, and a cap of 1 MiB saved them too little allocation to show.
 const scratchRetain = 512 << 10
 
-// scratchFirst is the element count of an allocator's first chunk: a
-// point query's scratch stays a few KiB, and a chunk only grows to what
-// executions have needed.
-const scratchFirst = 16
+// scratchFirst is the element count of an allocator's first chunk, and
+// scratchFirstBytes the most it may take: a point query's scratch stays
+// a few KiB, and a chunk only grows to what executions have needed.
+const (
+	scratchFirst      = 16
+	scratchFirstBytes = 1 << 10
+)
 
 // Reset hands back everything the execution took, for the next one. It
 // clears only the part of each chunk that was handed out. An allocator
@@ -62,6 +159,8 @@ func (s *Scratch) Reset() {
 	s.headers.reset()
 	s.entries.reset()
 	s.slots.reset()
+	s.ords.reset()
+	s.frames.reset()
 }
 
 // poison is Reset under the poison build tag: nothing is ever carved
@@ -76,6 +175,8 @@ func (s *Scratch) poison() {
 	s.headers.abandon(row)
 	s.entries.abandon(rtEntry{next: rtNone, row: row})
 	s.slots.abandon(rtSlot{head: -1, tail: -1})
+	s.ords.abandon(-1)
+	s.frames.abandon()
 }
 
 // bump is a chunked bump allocator. It carves slices off the front of
@@ -112,7 +213,7 @@ func (b *bump[T]) refill(n int) {
 		b.spent = append(b.spent, b.chunk[:b.off])
 	}
 	if b.home == nil {
-		b.home = make([]T, max(n, b.size, scratchFirst))
+		b.home = make([]T, max(n, b.size, min(scratchFirst, max(1, scratchFirstBytes/b.elem()))))
 		b.chunk = b.home
 	} else {
 		b.chunk = make([]T, max(n, min(2*len(b.chunk), b.keep()/4)))
@@ -122,9 +223,15 @@ func (b *bump[T]) refill(n int) {
 }
 
 // keep is scratchRetain in elements.
-func (b *bump[T]) keep() int { return scratchRetain / int(reflect.TypeFor[T]().Size()) }
+func (b *bump[T]) keep() int { return scratchRetain / b.elem() }
+
+// elem is the size of one element in bytes.
+func (b *bump[T]) elem() int { return int(reflect.TypeFor[T]().Size()) }
 
 func (b *bump[T]) reset() {
+	if b.chunk == nil {
+		return // nothing carved since the last reset
+	}
 	used := b.off
 	if b.spilled {
 		used += b.over
@@ -158,8 +265,11 @@ func (b *bump[T]) abandon(sentinel T) {
 	*b = bump[T]{size: b.size}
 }
 
-// cells returns n zeroed cells: a row's storage, or a slab of rows'.
-func (s *Scratch) cells(n int) value.Row { return s.values.take(n) }
+// Cells returns n zeroed cells: a row's storage, or a slab of rows'.
+func (s *Scratch) Cells(n int) value.Row { return s.values.take(n) }
+
+// Ints returns n zeroed ints: the row ordinals of an index probe.
+func (s *Scratch) Ints(n int) []int { return s.ords.take(n) }
 
 // batch returns an empty batch with room for n rows.
 func (s *Scratch) batch(n int) Batch { return s.headers.take(n)[:0] }
@@ -182,18 +292,4 @@ func (s *Scratch) grow(rows []value.Row, n int) []value.Row {
 	}
 	nb := s.headers.take(len(rows) + n)
 	return nb[:copy(nb, rows)]
-}
-
-type scratchKey struct{}
-
-// WithScratch attaches sc to ctx: every operator executing under the
-// returned context allocates from sc.
-func WithScratch(ctx context.Context, sc *Scratch) context.Context {
-	return context.WithValue(ctx, scratchKey{}, sc)
-}
-
-// ScratchFrom extracts the scratch attached by WithScratch, or nil.
-func ScratchFrom(ctx context.Context) *Scratch {
-	sc, _ := ctx.Value(scratchKey{}).(*Scratch)
-	return sc
 }

@@ -30,7 +30,8 @@ func randRelation(r *rand.Rand, n int) *Relation {
 // INTERSECT / EXCEPT [ALL], over two relations.
 func sortSetOp(t *testing.T, st *Stats, l, r *Relation, except, all bool) *Relation {
 	t.Helper()
-	return mustDrain(t, st, NewSetOpIter(st, NewRelationIter(st, l), NewRelationIter(st, r), except, all))
+	sc := NewScratch()
+	return mustDrain(t, sc, st, NewSetOpIter(sc, st, NewRelationIter(sc, st, l), NewRelationIter(sc, st, r), except, all))
 }
 
 // Property: the sort-merge set-operation iterator agrees with the

@@ -3,7 +3,11 @@
 // extended Cartesian product, hash join, sort- and hash-based duplicate
 // elimination, and INTERSECT/EXCEPT [ALL]. It is one family of batch
 // iterators (stream.go): every planned query, and every subquery the
-// plan keeps, runs on them. Its tests take their expected answers from
+// plan keeps, runs on them. An execution's iterators, batches, rows,
+// hash tables, governor and drained result are all carved from its
+// Scratch (scratch.go), which every constructor takes explicitly and
+// the caller that owns the answer resets; the context an iterator is
+// driven under carries only cancellation. Its tests take their expected answers from
 // internal/oracle, a definitional evaluator that shares none of its
 // code. Every operator is instrumented with counters, because the
 // experiments compare strategies by the work they perform

@@ -19,10 +19,14 @@ import (
 // hash-join probe, index join, hash distinct) emit as they consume; blocking
 // operators (hash-join build, sort distinct, the product's collected
 // inner, the sort-merge set operations) charge their state as held and
-// release it at Close. Constructors take column ordinals and output
-// column names resolved once per statement shape (ColIndexes), not per
-// execution; they check the ordinals against their inputs, so a
-// malformed plan fails at assembly instead of panicking mid-stream.
+// release it at Close. Every constructor carves its iterator from the
+// execution's Scratch, handed to it explicitly. What an operator derives
+// from the plan alone — column ordinals (ColIndexes), a join's output
+// columns (Join.Resolve, IndexProbe.Resolve), whether a projection is the
+// identity (Projection.Resolve) — is resolved and checked once per
+// statement shape, not per execution, so a malformed plan fails at
+// compile instead of panicking mid-stream, and an execution's
+// constructors only copy what they are handed.
 
 // EmitCol names where one output column of a join comes from: column
 // Ord of its left input (the hash join's probe, the index join's outer,
@@ -80,6 +84,36 @@ func (e Emit) fill(dst, l, r value.Row) {
 	}
 }
 
+// Join is a hash join's or a product's plan: its output layout and, for
+// a hash join, the left (probe) columns at Pi equal to the right (build)
+// columns at Bi — a product has no key. A planner fills it and calls
+// Resolve once per statement shape; every execution's iterator reads it.
+type Join struct {
+	Emit   Emit
+	Pi, Bi []int
+	cols   []string // the output's names, set by Resolve
+}
+
+// Resolve checks j against the columns of its left and right inputs and
+// names its output.
+func (j *Join) Resolve(left, right []string) error {
+	if len(j.Pi) != len(j.Bi) {
+		return fmt.Errorf("engine: hash join on %d probe and %d build key columns", len(j.Pi), len(j.Bi))
+	}
+	if err := CheckOrdinals(left, j.Pi); err != nil {
+		return err
+	}
+	if err := CheckOrdinals(right, j.Bi); err != nil {
+		return err
+	}
+	cols, err := j.Emit.cols(left, right)
+	j.cols = cols
+	return err
+}
+
+// Cols names the join's output, once resolved.
+func (j *Join) Cols() []string { return j.cols }
+
 // indexScanIter streams the table rows at the given ordinals (the
 // result of an index lookup or range scan, performed by the caller).
 type indexScanIter struct {
@@ -92,17 +126,18 @@ type indexScanIter struct {
 }
 
 // NewIndexScanIter returns a streaming scan over tbl's rows at ords,
-// columns named cols. The caller performs the index probe; the seek is
-// counted here so the counter stays inside the engine.
-func NewIndexScanIter(st *Stats, tbl *storage.Table, cols []string, ords []int) Iterator {
+// columns named cols, carved from sc. The caller performs the index
+// probe, into sc (Scratch.Ints); the seek is counted here so the counter
+// stays inside the engine.
+func NewIndexScanIter(sc *Scratch, st *Stats, tbl *storage.Table, cols []string, ords []int) Iterator {
 	st.IndexSeeks++
-	return &indexScanIter{tbl: tbl, cols: cols, ords: ords, st: st}
+	return carve(&sc.frames.indexScans, indexScanIter{tbl: tbl, cols: cols, ords: ords, st: st, sg: sc.guard(st)})
 }
 
 func (it *indexScanIter) Cols() []string { return it.cols }
 
 func (it *indexScanIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
+	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if it.pos >= len(it.ords) {
@@ -144,13 +179,13 @@ type filterIter struct {
 }
 
 // NewFilterIter streams child through keep, a clause prepared against
-// the child's columns and armed for this execution. A zero keep filters
-// nothing.
-func NewFilterIter(st *Stats, child Iterator, keep eval.Filter) Iterator {
+// the child's columns and armed for this execution, carved from sc. A
+// zero keep filters nothing.
+func NewFilterIter(sc *Scratch, st *Stats, child Iterator, keep eval.Filter) Iterator {
 	if keep.Pred == nil {
 		return child
 	}
-	return &filterIter{child: child, keep: keep, cols: child.Cols(), st: st}
+	return carve(&sc.frames.filters, filterIter{child: child, keep: keep, cols: child.Cols(), st: st, sg: sc.guard(st)})
 }
 
 func (it *filterIter) Cols() []string { return it.cols }
@@ -161,7 +196,7 @@ func (it *filterIter) emit(out Batch) (Batch, error) {
 }
 
 func (it *filterIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
+	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if !it.started {
@@ -202,7 +237,7 @@ func (it *filterIter) Next(ctx context.Context) (Batch, error) {
 		// The batch path polls no cancellation of its own: the child's
 		// Next has just polled it, once for the batch. It grows out by
 		// exactly the rows it keeps, from the scratch; the row loop
-		// appends a row at a time, so it starts a short stream at a
+		// pushes a row at a time, so it starts a short stream at a
 		// quarter of its input.
 		if kept, ok := it.keep.Select(out, b, it.sg.sc.grow); ok {
 			out = kept
@@ -233,7 +268,7 @@ func (it *filterIter) qualifying(out, b Batch) (Batch, error) {
 			return nil, err
 		}
 		if tvl.FalseInterpreted(t) {
-			out = append(out, row)
+			out = it.sg.sc.push(out, row)
 		}
 	}
 	return out, nil
@@ -255,18 +290,38 @@ func (it *filterIter) Close() error {
 // on shares nothing that can change; the child's in-flight charge
 // covers it, and the projection only counts the emit.
 type projectIter struct {
-	child    Iterator
-	cols     []string
-	idx      []int
-	identity bool
-	st       *Stats
-	sg       streamGuard
-	closed   bool
+	child  Iterator
+	p      *Projection
+	st     *Stats
+	sg     streamGuard
+	closed bool
 }
 
-// checkOrdinals reports the first ordinal of idx that is not a column
+// Projection is a projection's plan: its input's columns at Idx, named
+// Cols. A planner fills it and calls Resolve once per statement shape;
+// every execution's iterator reads it.
+type Projection struct {
+	Cols     []string
+	Idx      []int
+	identity bool // Idx selects every input column in place, set by Resolve
+}
+
+// Resolve checks p against its input's columns and notes whether it is
+// the identity.
+func (p *Projection) Resolve(in []string) error {
+	if err := CheckOrdinals(in, p.Idx); err != nil {
+		return err
+	}
+	p.identity = len(p.Idx) == len(in)
+	for i, c := range p.Idx {
+		p.identity = p.identity && c == i
+	}
+	return nil
+}
+
+// CheckOrdinals reports the first ordinal of idx that is not a column
 // of cols.
-func checkOrdinals(cols []string, idx []int) error {
+func CheckOrdinals(cols []string, idx []int) error {
 	for _, c := range idx {
 		if c < 0 || c >= len(cols) {
 			return fmt.Errorf("engine: relation has no column #%d (cols: %v)", c, cols)
@@ -280,7 +335,7 @@ func checkOrdinals(cols []string, idx []int) error {
 // takes exactly the rows it emits.
 func project(sc *Scratch, b Batch, idx []int) Batch {
 	w := len(idx)
-	slab := sc.cells(len(b) * w)
+	slab := sc.Cells(len(b) * w)
 	out := sc.batch(len(b))[:len(b)]
 	for r, row := range b {
 		nr := slab[r*w : (r+1)*w : (r+1)*w]
@@ -292,43 +347,27 @@ func project(sc *Scratch, b Batch, idx []int) Batch {
 	return out
 }
 
-// isIdentity reports whether idx selects every one of n columns in place.
-func isIdentity(idx []int, n int) bool {
-	if len(idx) != n {
-		return false
-	}
-	for i, c := range idx {
-		if c != i {
-			return false
-		}
-	}
-	return true
+// NewProjectIter streams child projected by p, resolved against the
+// child's columns — passed through when p is the identity, else copied —
+// carved from sc.
+func NewProjectIter(sc *Scratch, st *Stats, child Iterator, p *Projection) Iterator {
+	return carve(&sc.frames.projects, projectIter{child: child, p: p, st: st, sg: sc.guard(st)})
 }
 
-// NewProjectIter streams child projected onto its columns at idx, named
-// cols — passed through when idx is the identity, else copied.
-func NewProjectIter(st *Stats, child Iterator, cols []string, idx []int) (Iterator, error) {
-	if err := checkOrdinals(child.Cols(), idx); err != nil {
-		return nil, err
-	}
-	identity := isIdentity(idx, len(child.Cols()))
-	return &projectIter{child: child, cols: cols, idx: idx, identity: identity, st: st}, nil
-}
-
-func (it *projectIter) Cols() []string { return it.cols }
+func (it *projectIter) Cols() []string { return it.p.Cols }
 
 func (it *projectIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
+	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	b, err := it.child.Next(ctx)
 	if err != nil || b == nil {
 		return nil, err
 	}
-	if it.identity {
+	if it.p.identity {
 		return it.sg.emitHeld(b)
 	}
-	return it.sg.emit(project(it.sg.sc, b, it.idx))
+	return it.sg.emit(project(it.sg.sc, b, it.p.Idx))
 }
 
 func (it *projectIter) Close() error {
@@ -354,15 +393,16 @@ type distinctHashIter struct {
 	closed  bool
 }
 
-// NewDistinctHashIter streams child with duplicates removed.
-func NewDistinctHashIter(st *Stats, child Iterator) Iterator {
-	return &distinctHashIter{child: child, cols: child.Cols(), st: st}
+// NewDistinctHashIter streams child with duplicates removed, carved
+// from sc.
+func NewDistinctHashIter(sc *Scratch, st *Stats, child Iterator) Iterator {
+	return carve(&sc.frames.hashDistincts, distinctHashIter{child: child, cols: child.Cols(), st: st, sg: sc.guard(st)})
 }
 
 func (it *distinctHashIter) Cols() []string { return it.cols }
 
 func (it *distinctHashIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
+	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if !it.started {
@@ -456,15 +496,15 @@ type distinctSortIter struct {
 }
 
 // NewDistinctSortIter streams child with duplicates removed by the
-// sort-and-collapse strategy (blocking).
-func NewDistinctSortIter(st *Stats, child Iterator) Iterator {
-	return &distinctSortIter{child: child, cols: child.Cols(), st: st}
+// sort-and-collapse strategy (blocking), carved from sc.
+func NewDistinctSortIter(sc *Scratch, st *Stats, child Iterator) Iterator {
+	return carve(&sc.frames.sortDistincts, distinctSortIter{child: child, cols: child.Cols(), st: st, sg: sc.guard(st)})
 }
 
 func (it *distinctSortIter) Cols() []string { return it.cols }
 
 func (it *distinctSortIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
+	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if !it.built {
@@ -530,19 +570,20 @@ type setOpIter struct {
 }
 
 // NewSetOpIter streams l INTERSECT [ALL] r, or with except set
-// l EXCEPT [ALL] r, under ≐ row equivalence. Output columns are l's.
-func NewSetOpIter(st *Stats, l, r Iterator, except, all bool) Iterator {
+// l EXCEPT [ALL] r, under ≐ row equivalence, carved from sc. Output
+// columns are l's.
+func NewSetOpIter(sc *Scratch, st *Stats, l, r Iterator, except, all bool) Iterator {
 	merge := intersectSorted
 	if except {
 		merge = exceptSorted
 	}
-	return &setOpIter{l: l, r: r, merge: merge, all: all, st: st}
+	return carve(&sc.frames.setOps, setOpIter{l: l, r: r, merge: merge, all: all, st: st, sg: sc.guard(st)})
 }
 
 func (it *setOpIter) Cols() []string { return it.l.Cols() }
 
 func (it *setOpIter) Next(ctx context.Context) (Batch, error) {
-	if err := it.sg.begin(ctx, it.st); err != nil {
+	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if !it.built {
@@ -594,12 +635,10 @@ func (it *setOpIter) Close() error {
 // inside a key.
 type hashJoinIter struct {
 	probe, build Iterator
-	cols         []string
-	emit         Emit
-	pi, bi       []int
+	j            *Join
 	st           *Stats
 	sg           streamGuard
-	table        *rowTable
+	table        rowTable
 	keyBuf       value.Row
 	built        bool
 	pb           Batch
@@ -608,32 +647,17 @@ type hashJoinIter struct {
 	closed       bool
 }
 
-// NewHashJoinIter streams probe ⋈ build on the probe columns at pi
-// equal to the build columns at bi. WHERE-clause equality semantics:
-// rows with NULL join keys never match. emit lays out the output: probe
-// is its left input, build its right.
-func NewHashJoinIter(st *Stats, probe, build Iterator, emit Emit, pi, bi []int) (Iterator, error) {
-	if len(pi) != len(bi) {
-		return nil, fmt.Errorf("engine: hash join on %d probe and %d build key columns", len(pi), len(bi))
-	}
-	cols, err := emit.cols(probe.Cols(), build.Cols())
-	if err != nil {
-		return nil, err
-	}
-	if err := checkOrdinals(probe.Cols(), pi); err != nil {
-		return nil, err
-	}
-	if err := checkOrdinals(build.Cols(), bi); err != nil {
-		return nil, err
-	}
-	return &hashJoinIter{
-		probe: probe, build: build, cols: cols, emit: emit, pi: pi, bi: bi, st: st,
-		table:  &rowTable{},
-		keyBuf: make(value.Row, len(bi)),
-	}, nil
+// NewHashJoinIter streams probe ⋈ build by plan, resolved against the
+// probe's columns (left) and the build's (right), carved from sc.
+// WHERE-clause equality semantics: rows with NULL join keys never match.
+func NewHashJoinIter(sc *Scratch, st *Stats, probe, build Iterator, plan *Join) Iterator {
+	return carve(&sc.frames.hashJoins, hashJoinIter{
+		probe: probe, build: build, j: plan, st: st, sg: sc.guard(st),
+		keyBuf: sc.Cells(len(plan.Bi)),
+	})
 }
 
-func (j *hashJoinIter) Cols() []string { return j.cols }
+func (j *hashJoinIter) Cols() []string { return j.j.cols }
 
 func hasNullAt(row value.Row, idx []int) bool {
 	for _, i := range idx {
@@ -671,10 +695,10 @@ func (j *hashJoinIter) buildTable(ctx context.Context) error {
 			if err := j.sg.step(); err != nil {
 				return err
 			}
-			if hasNullAt(row, j.bi) {
+			if hasNullAt(row, j.j.Bi) {
 				continue
 			}
-			for i, c := range j.bi {
+			for i, c := range j.j.Bi {
 				j.keyBuf[i] = row[c]
 			}
 			j.table.insert(j.sg.sc, hashRow(j.keyBuf), row)
@@ -693,7 +717,7 @@ func (j *hashJoinIter) buildTable(ctx context.Context) error {
 }
 
 func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
-	if err := j.sg.begin(ctx, j.st); err != nil {
+	if err := j.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if !j.built {
@@ -730,10 +754,10 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 			if err := j.sg.step(); err != nil {
 				return nil, err
 			}
-			if hasNullAt(prow, j.pi) {
+			if hasNullAt(prow, j.j.Pi) {
 				continue
 			}
-			for i, c := range j.pi {
+			for i, c := range j.j.Pi {
 				j.keyBuf[i] = prow[c]
 			}
 			j.st.HashProbes++
@@ -741,11 +765,11 @@ func (j *hashJoinIter) Next(ctx context.Context) (Batch, error) {
 			for e := j.table.find(h); e != rtNone; e = j.table.entries[e].next {
 				brow := j.table.entries[e].row
 				j.st.JoinPairs++
-				if !equalAt(prow, j.pi, brow, j.bi, j.st) {
+				if !equalAt(prow, j.j.Pi, brow, j.j.Bi, j.st) {
 					continue
 				}
-				nr := sc.cells(len(j.emit))
-				j.emit.fill(nr, prow, brow)
+				nr := sc.Cells(len(j.j.Emit))
+				j.j.Emit.fill(nr, prow, brow)
 				if out == nil {
 					// Sized by the batch emitted last, as the filter sizes
 					// its output: one slice a batch once the stream is
@@ -773,29 +797,51 @@ func (j *hashJoinIter) Close() error {
 	}
 	j.closed = true
 	j.sg.close()
-	j.table = nil
+	j.table = rowTable{}
 	return errors.Join(j.probe.Close(), j.build.Close())
 }
 
-// IndexKeyPart binds one leading column of the index an index join
-// probes: to the outer row's column at Ord, or, when Ord is negative, to
-// the constant Const.
-type IndexKeyPart struct {
-	Ord   int
-	Const value.Value
-}
-
-// IndexProbe is the inner side of an index join: a base table reached
-// through one of its ordered indexes. Key binds a leading prefix of the
-// index's columns; Pred, armed over Cols (the table's columns under its
-// correlation name), is what a fetched row must still satisfy (nil =
-// nothing more).
+// IndexProbe is the inner side of an index join and its output: a base
+// table reached through one of its ordered indexes. Key binds a leading
+// prefix of the index's columns, Key[i] the i-th: to the outer row's
+// column at that ordinal or, where it is negative, to a constant of the
+// execution, which the key row handed to NewIndexJoinIter holds at i.
+// Cols names the table's columns (under its correlation name). The semi
+// form emits each outer row that has a qualifying entry once, as it
+// came; the join form lays its output out by Emit, the outer row its
+// left input and the table its right. A planner fills it and calls
+// Resolve once per statement shape; every execution's iterator reads it.
 type IndexProbe struct {
 	Tbl  *storage.Table
 	Ix   *storage.OrderedIndex
 	Cols []string
-	Key  []IndexKeyPart
-	Pred eval.Pred
+	Key  []int
+	Semi bool
+	Emit Emit
+	out  []string // the output's names, set by Resolve
+}
+
+// Resolve checks p against the outer input's columns — the key binds a
+// leading prefix of the index from columns the outer input has, the
+// join form's layout reads columns its inputs have — and names its
+// output.
+func (p *IndexProbe) Resolve(outer []string) error {
+	if len(p.Key) == 0 || len(p.Key) > len(p.Ix.Columns) {
+		return fmt.Errorf("engine: index join binds %d of index %s's %d columns",
+			len(p.Key), p.Ix.Name, len(p.Ix.Columns))
+	}
+	for _, k := range p.Key {
+		if k >= len(outer) {
+			return fmt.Errorf("engine: relation has no column #%d (cols: %v)", k, outer)
+		}
+	}
+	if p.Semi {
+		p.out = outer
+		return nil
+	}
+	var err error
+	p.out, err = p.Emit.cols(outer, p.Cols)
+	return err
 }
 
 // indexJoinIter streams outer ⋈ table by seeking the table's ordered
@@ -808,13 +854,11 @@ type IndexProbe struct {
 // and at most once — the existence probe of the paper's Section 6.
 type indexJoinIter struct {
 	outer   Iterator
-	in      IndexProbe
-	cols    []string
-	emit    Emit // the join form's layout; unused by the semi form
-	semi    bool
+	in      *IndexProbe
+	pred    eval.Pred // what a fetched row must still satisfy; nil = nothing more
 	st      *Stats
 	sg      streamGuard
-	keyBuf  value.Row
+	keyBuf  value.Row      // the probe key: the execution's constants and, per outer row, its columns
 	ob      Batch          // the outer batch being probed
 	oidx    int            // the next row of ob
 	orow    value.Row      // the outer row whose entries are being fetched
@@ -824,37 +868,21 @@ type indexJoinIter struct {
 	closed  bool
 }
 
-// NewIndexJoinIter streams outer joined to in.Tbl on in.Key, the table's
-// rows fetched through in.Ix. WHERE-clause equality semantics: a key
-// with a NULL component matches nothing, although the index files NULLs
-// together. emit lays out the output: outer is its left input, the table
-// (in.Cols) its right. A semi join takes no emit: it emits each outer
-// row that has a qualifying entry once, as it came, and no column of the
-// table.
-func NewIndexJoinIter(st *Stats, outer Iterator, in IndexProbe, semi bool, emit Emit) (Iterator, error) {
-	if len(in.Key) == 0 || len(in.Key) > len(in.Ix.Columns) {
-		return nil, fmt.Errorf("engine: index join binds %d of index %s's %d columns",
-			len(in.Key), in.Ix.Name, len(in.Ix.Columns))
-	}
-	for _, k := range in.Key {
-		if k.Ord >= len(outer.Cols()) {
-			return nil, fmt.Errorf("engine: relation has no column #%d (cols: %v)", k.Ord, outer.Cols())
-		}
-	}
-	cols := outer.Cols()
-	if !semi {
-		var err error
-		if cols, err = emit.cols(outer.Cols(), in.Cols); err != nil {
-			return nil, err
-		}
-	}
-	return &indexJoinIter{
-		outer: outer, in: in, cols: cols, emit: emit, semi: semi, st: st,
-		keyBuf: make(value.Row, len(in.Key)),
-	}, nil
+// NewIndexJoinIter streams outer joined to in.Tbl on in.Key by in,
+// resolved against the outer input's columns, the table's rows fetched
+// through in.Ix; carved from sc. key is a row of len(in.Key) cells,
+// carved from sc, holding the execution's constant at every negative
+// Key; the iterator fills in the rest for each outer row. pred, armed
+// over in.Cols, is what a fetched row must still satisfy (nil = nothing
+// more). WHERE-clause equality semantics: a key with a NULL component
+// matches nothing, although the index files NULLs together.
+func NewIndexJoinIter(sc *Scratch, st *Stats, outer Iterator, in *IndexProbe, key value.Row, pred eval.Pred) Iterator {
+	return carve(&sc.frames.indexJoins, indexJoinIter{
+		outer: outer, in: in, pred: pred, st: st, sg: sc.guard(st), keyBuf: key,
+	})
 }
 
-func (j *indexJoinIter) Cols() []string { return j.cols }
+func (j *indexJoinIter) Cols() []string { return j.in.out }
 
 // seek positions the iterator on the entries of the next outer row, and
 // reports false once the outer input is exhausted.
@@ -875,12 +903,10 @@ func (j *indexJoinIter) seek(ctx context.Context) (bool, error) {
 		}
 		null := false
 		for i, k := range j.in.Key {
-			v := k.Const
-			if k.Ord >= 0 {
-				v = j.orow[k.Ord]
+			if k >= 0 {
+				j.keyBuf[i] = j.orow[k]
 			}
-			null = null || v.IsNull()
-			j.keyBuf[i] = v
+			null = null || j.keyBuf[i].IsNull()
 		}
 		if null {
 			continue
@@ -894,7 +920,7 @@ func (j *indexJoinIter) seek(ctx context.Context) (bool, error) {
 }
 
 func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
-	if err := j.sg.begin(ctx, j.st); err != nil {
+	if err := j.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if !j.started {
@@ -919,8 +945,8 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 			}
 			j.st.RowsScanned++
 			j.st.JoinPairs++
-			if j.in.Pred != nil {
-				t, err := j.in.Pred(irow)
+			if j.pred != nil {
+				t, err := j.pred(irow)
 				if err != nil {
 					return nil, err
 				}
@@ -928,12 +954,12 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 					continue
 				}
 			}
-			if j.semi {
+			if j.in.Semi {
 				out = sc.push(out, j.orow)
 				j.probing = false
 			} else {
-				nr := sc.cells(len(j.emit))
-				j.emit.fill(nr, j.orow, irow)
+				nr := sc.Cells(len(j.in.Emit))
+				j.in.Emit.fill(nr, j.orow, irow)
 				out = sc.push(out, nr)
 			}
 			if len(out) >= bs {
@@ -968,8 +994,7 @@ func (j *indexJoinIter) Close() error {
 type productIter struct {
 	left, right Iterator
 	inner       []value.Row // the right input, collected on the first Next
-	cols        []string
-	emit        Emit
+	j           *Join
 	st          *Stats
 	sg          streamGuard
 	lb          Batch // the left batch being paired
@@ -978,19 +1003,16 @@ type productIter struct {
 	closed      bool
 }
 
-// NewProductIter streams l × r, every pair laid out by emit.
-func NewProductIter(st *Stats, l, r Iterator, emit Emit) (Iterator, error) {
-	cols, err := emit.cols(l.Cols(), r.Cols())
-	if err != nil {
-		return nil, err
-	}
-	return &productIter{left: l, right: r, cols: cols, emit: emit, st: st}, nil
+// NewProductIter streams l × r, every pair laid out by plan (which has
+// no key), resolved against l's columns and r's; carved from sc.
+func NewProductIter(sc *Scratch, st *Stats, l, r Iterator, plan *Join) Iterator {
+	return carve(&sc.frames.products, productIter{left: l, right: r, j: plan, st: st, sg: sc.guard(st)})
 }
 
-func (j *productIter) Cols() []string { return j.cols }
+func (j *productIter) Cols() []string { return j.j.cols }
 
 func (j *productIter) Next(ctx context.Context) (Batch, error) {
-	if err := j.sg.begin(ctx, j.st); err != nil {
+	if err := j.sg.begin(ctx); err != nil {
 		return nil, err
 	}
 	if !j.built {
@@ -1025,8 +1047,8 @@ func (j *productIter) Next(ctx context.Context) (Batch, error) {
 				return nil, err
 			}
 			j.st.JoinPairs++
-			nr := sc.cells(len(j.emit))
-			j.emit.fill(nr, lrow, rr)
+			nr := sc.Cells(len(j.j.Emit))
+			j.j.Emit.fill(nr, lrow, rr)
 			out = sc.push(out, nr)
 			if len(out) >= bs {
 				return j.sg.emit(out)

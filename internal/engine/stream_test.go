@@ -26,9 +26,9 @@ func withBatchSize(t *testing.T, n int) {
 // default.
 var streamBatchSizes = []int{1, 3, 5, DefaultBatchSize}
 
-func mustDrain(t *testing.T, st *Stats, it Iterator) *Relation {
+func mustDrain(t *testing.T, sc *Scratch, st *Stats, it Iterator) *Relation {
 	t.Helper()
-	rel, err := Drain(context.Background(), st, it)
+	rel, err := Drain(context.Background(), sc, st, it)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -44,12 +44,13 @@ func gtPred() (ast.Expr, *eval.Env) {
 // TestStreamScanEquivalence: relation streaming reproduces the
 // materialized rows at every batch size, and batch sizing is honored.
 func TestStreamScanEquivalence(t *testing.T) {
+	sc := NewScratch()
 	r := rand.New(rand.NewSource(71))
 	rel := randomRelation(r, "T", 997)
 	for _, bs := range streamBatchSizes {
 		withBatchSize(t, bs)
 		st := &Stats{}
-		got := mustDrain(t, st, NewRelationIter(st, rel))
+		got := mustDrain(t, sc, st, NewRelationIter(sc, st, rel))
 		identicalRelations(t, rel, got, "relation stream")
 		wantBatches := (len(rel.Rows) + bs - 1) / bs
 		if snap := st.Snapshot(); snap.Batches != int64(wantBatches) {
@@ -64,6 +65,7 @@ func TestStreamScanEquivalence(t *testing.T) {
 // order, sort distinct to them sorted), and the set-operation iterator
 // is, as a multiset, the oracle's ≐-counted answer, in sorted order.
 func TestStreamOperatorEquivalence(t *testing.T) {
+	sc := NewScratch()
 	r := rand.New(rand.NewSource(72))
 	l := randomRelation(r, "T", 611)
 	rr := randomRelation(r, "R", 173)
@@ -86,25 +88,25 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 		withBatchSize(t, bs)
 
 		st := &Stats{}
-		gotFilter := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
+		gotFilter := mustDrain(t, sc, st, NewFilterIter(sc, st, NewRelationIter(sc, st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
 		identicalRelations(t, wantFilter, gotFilter, "stream filter")
 
 		st = &Stats{}
-		gotProject := mustDrain(t, st, projIter(st, NewRelationIter(st, l), "T.B", "T.K"))
+		gotProject := mustDrain(t, sc, st, projIter(sc, st, NewRelationIter(sc, st, l), "T.B", "T.K"))
 		identicalRelations(t, wantProject, gotProject, "stream project")
 
 		st = &Stats{}
-		identicalRelations(t, wantDistinct, hashDistinct(st, l), "stream distinct")
+		identicalRelations(t, wantDistinct, hashDistinct(sc, st, l), "stream distinct")
 
 		st = &Stats{}
-		identicalRelations(t, wantJoin, hashJoin(st, l, rr, []string{"T.K"}, []string{"R.K"}), "stream hash join")
+		identicalRelations(t, wantJoin, hashJoin(sc, st, l, rr, []string{"T.K"}, []string{"R.K"}), "stream hash join")
 
 		st = &Stats{}
-		gotProduct := mustDrain(t, st, prodIter(st, NewRelationIter(st, smallL), NewRelationIter(st, smallR)))
+		gotProduct := mustDrain(t, sc, st, prodIter(sc, st, NewRelationIter(sc, st, smallL), NewRelationIter(sc, st, smallR)))
 		identicalRelations(t, wantProduct, gotProduct, "stream product")
 
 		st = &Stats{}
-		gotSorted := mustDrain(t, st, NewDistinctSortIter(st, NewRelationIter(st, l)))
+		gotSorted := mustDrain(t, sc, st, NewDistinctSortIter(sc, st, NewRelationIter(sc, st, l)))
 		identicalRelations(t, wantSorted, gotSorted, "stream distinct sort")
 
 		for _, except := range []bool{false, true} {
@@ -112,7 +114,7 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 				a := projectOracle(l, "T.A", "T.B")
 				b := projectOracle(rr, "R.A", "R.B")
 				st = &Stats{}
-				got := mustDrain(t, st, NewSetOpIter(st, NewRelationIter(st, a), NewRelationIter(st, b), except, all))
+				got := mustDrain(t, sc, st, NewSetOpIter(sc, st, NewRelationIter(sc, st, a), NewRelationIter(sc, st, b), except, all))
 				what := fmt.Sprintf("stream set operation except=%v all=%v", except, all)
 				if !MultisetEqual(setOpOracle(a, b, except, all), got) {
 					t.Fatalf("%s: differs from the oracle", what)
@@ -131,13 +133,14 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 // of two, hash distinct and the hash join still compare rows and
 // produce correct output across batch boundaries.
 func TestStreamCollisionFallback(t *testing.T) {
+	sc := NewScratch()
 	withDegenerateHash(t)
 	withBatchSize(t, 2)
 	rel := craftedRows()
 
 	wantD := distinctOracle(rel)
 	st := &Stats{}
-	gotD := mustDrain(t, st, NewDistinctHashIter(st, NewRelationIter(st, rel)))
+	gotD := mustDrain(t, sc, st, NewDistinctHashIter(sc, st, NewRelationIter(sc, st, rel)))
 	if !MultisetEqual(wantD, gotD) {
 		t.Fatalf("collision distinct: %d rows, want %d", gotD.Len(), wantD.Len())
 	}
@@ -151,7 +154,7 @@ func TestStreamCollisionFallback(t *testing.T) {
 	}}
 	want := joinOracle(l, rr, "T.K", "R.K")
 	st = &Stats{}
-	identicalRelations(t, want, hashJoin(st, l, rr, []string{"T.K"}, []string{"R.K"}), "collision stream join")
+	identicalRelations(t, want, hashJoin(sc, st, l, rr, []string{"T.K"}, []string{"R.K"}), "collision stream join")
 }
 
 // consume pulls it to its end the way a client that streams results out
@@ -171,15 +174,16 @@ func consume(ctx context.Context, it Iterator) (n int, err error) {
 // (usage returns to zero after Close), records a true peak, and that
 // peak is far below the materialized footprint of the same pipeline.
 func TestStreamGovernorAccounting(t *testing.T) {
+	sc := NewScratch()
 	withBatchSize(t, 64)
 	r := rand.New(rand.NewSource(76))
 	rel := randomRelation(r, "T", 20000)
-	gov := NewGovernor(0, 1<<40)
-	ctx := WithGovernor(context.Background(), gov)
+	gov := sc.Budget(0, 1<<40)
+	ctx := context.Background()
 	pred, _ := gtPred()
 
 	st := &Stats{}
-	n, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
+	n, err := consume(ctx, NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +199,11 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	}
 
 	// The same pipeline materialized: its peak must dwarf streaming's.
-	govM := NewGovernor(0, 1<<40)
-	ctxM := WithGovernor(context.Background(), govM)
+	scM := NewScratch()
+	govM := scM.Budget(0, 1<<40)
+	ctxM := context.Background()
 	stM := &Stats{}
-	outM, err := Drain(ctxM, stM, NewFilterIter(stM, NewRelationIter(stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
+	outM, err := Drain(ctxM, scM, stM, NewFilterIter(scM, stM, NewRelationIter(scM, stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +220,7 @@ func TestStreamGovernorAccounting(t *testing.T) {
 // budget streams to completion under it, while a blocking operator
 // (distinct over mostly-unique rows) binds the budget and fails fast.
 func TestStreamBudget(t *testing.T) {
+	sc := NewScratch()
 	withBatchSize(t, 128)
 	r := rand.New(rand.NewSource(77))
 	rel := randomRelation(r, "T", 50000)
@@ -222,10 +228,10 @@ func TestStreamBudget(t *testing.T) {
 
 	// Budget far below the relation's footprint but far above one batch.
 	budget := int64(1 << 20) // 1 MiB
-	gov := NewGovernor(0, budget)
-	ctx := WithGovernor(context.Background(), gov)
+	gov := sc.Budget(0, budget)
+	ctx := context.Background()
 	st := &Stats{}
-	if _, err := consume(ctx, NewFilterIter(st, NewRelationIter(st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); err != nil {
+	if _, err := consume(ctx, NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); err != nil {
 		t.Fatalf("streaming pipeline should fit in budget: %v", err)
 	}
 	if _, peak := gov.Peak(); peak > budget {
@@ -233,19 +239,21 @@ func TestStreamBudget(t *testing.T) {
 	}
 
 	// The materializing counterpart fails on the same budget.
-	govM := NewGovernor(0, budget)
-	ctxM := WithGovernor(context.Background(), govM)
+	scM := NewScratch()
+	scM.Budget(0, budget)
+	ctxM := context.Background()
 	stM := &Stats{}
-	if _, err := Drain(ctxM, stM, NewFilterIter(stM, NewRelationIter(stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := Drain(ctxM, scM, stM, NewFilterIter(scM, stM, NewRelationIter(scM, stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("materializing filter: err=%v, want budget exceeded", err)
 	}
 
 	// A blocking streaming operator still binds: distinct must hold
 	// every distinct row, which overflows the budget mid-stream.
-	govB := NewGovernor(0, budget)
-	ctxB := WithGovernor(context.Background(), govB)
+	scB := NewScratch()
+	scB.Budget(0, budget)
+	ctxB := context.Background()
 	stB := &Stats{}
-	if _, err := consume(ctxB, NewDistinctHashIter(stB, NewRelationIter(stB, rel))); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := consume(ctxB, NewDistinctHashIter(scB, stB, NewRelationIter(scB, stB, rel))); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("blocking distinct: err=%v, want budget exceeded", err)
 	}
 }
@@ -253,12 +261,13 @@ func TestStreamBudget(t *testing.T) {
 // TestStreamCancellation: an expired context stops a streaming
 // pipeline between batches.
 func TestStreamCancellation(t *testing.T) {
+	sc := NewScratch()
 	withBatchSize(t, 8)
 	r := rand.New(rand.NewSource(78))
 	rel := randomRelation(r, "T", 1000)
 	ctx, cancel := context.WithCancel(context.Background())
 	st := &Stats{}
-	it := NewDistinctHashIter(st, NewRelationIter(st, rel))
+	it := NewDistinctHashIter(sc, st, NewRelationIter(sc, st, rel))
 	if _, err := it.Next(ctx); err != nil {
 		t.Fatalf("first batch: %v", err)
 	}
@@ -278,6 +287,7 @@ func TestStreamCancellation(t *testing.T) {
 // TestStreamEmptyInputs: every streaming operator handles empty
 // inputs, and Close before exhaustion is safe.
 func TestStreamEmptyInputs(t *testing.T) {
+	sc := NewScratch()
 	withBatchSize(t, 3)
 	empty := &Relation{Cols: []string{"T.K", "T.A", "T.B"}}
 	r := rand.New(rand.NewSource(79))
@@ -285,28 +295,28 @@ func TestStreamEmptyInputs(t *testing.T) {
 	pred, _ := gtPred()
 
 	st := &Stats{}
-	if got := mustDrain(t, st, NewFilterIter(st, NewRelationIter(st, empty), eval.Prepare(pred, empty.Cols, nil).Arm(nil, nil, nil))); got.Len() != 0 {
+	if got := mustDrain(t, sc, st, NewFilterIter(sc, st, NewRelationIter(sc, st, empty), eval.Prepare(pred, empty.Cols, nil).Arm(nil, nil, nil))); got.Len() != 0 {
 		t.Fatal("filter of empty not empty")
 	}
 	st = &Stats{}
-	if got := mustDrain(t, st, NewDistinctHashIter(st, NewRelationIter(st, empty))); got.Len() != 0 {
+	if got := mustDrain(t, sc, st, NewDistinctHashIter(sc, st, NewRelationIter(sc, st, empty))); got.Len() != 0 {
 		t.Fatal("distinct of empty not empty")
 	}
 	st = &Stats{}
-	if got := hashJoin(st, empty, rel, []string{"T.K"}, []string{"R.K"}); got.Len() != 0 {
+	if got := hashJoin(sc, st, empty, rel, []string{"T.K"}, []string{"R.K"}); got.Len() != 0 {
 		t.Fatal("join with empty probe not empty")
 	}
 	st = &Stats{}
-	if got := mustDrain(t, st, prodIter(st, NewRelationIter(st, rel), NewRelationIter(st, empty))); got.Len() != 0 {
+	if got := mustDrain(t, sc, st, prodIter(sc, st, NewRelationIter(sc, st, rel), NewRelationIter(sc, st, empty))); got.Len() != 0 {
 		t.Fatal("product with empty right not empty")
 	}
 	st = &Stats{}
-	if got := mustDrain(t, st, NewSetOpIter(st, NewRelationIter(st, empty), NewRelationIter(st, rel), true, true)); got.Len() != 0 {
+	if got := mustDrain(t, sc, st, NewSetOpIter(sc, st, NewRelationIter(sc, st, empty), NewRelationIter(sc, st, rel), true, true)); got.Len() != 0 {
 		t.Fatal("empty EXCEPT ALL something not empty")
 	}
 	// Close before exhaustion releases cleanly.
 	st = &Stats{}
-	it := NewDistinctHashIter(st, NewRelationIter(st, rel))
+	it := NewDistinctHashIter(sc, st, NewRelationIter(sc, st, rel))
 	if _, err := it.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}

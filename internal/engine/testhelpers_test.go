@@ -31,13 +31,48 @@ func okRel(rel *Relation, err error) *Relation {
 	return rel
 }
 
-// okIter is okRel for the iterator constructors that check their
-// ordinals.
-func okIter(it Iterator, err error) Iterator {
+// ok panics on the error of a plan's Resolve, the way a planner fails
+// a statement whose plan names a column its input lacks.
+func ok(err error) {
 	if err != nil {
-		panic(fmt.Sprintf("engine test: iterator assembly failed: %v", err))
+		panic(fmt.Sprintf("engine test: plan resolution failed: %v", err))
 	}
-	return it
+}
+
+// joinPlan is the resolved plan of a join of inputs emitting left and
+// right: a hash join on the left columns at pi equal to the right ones
+// at bi, or with no key a product.
+func joinPlan(left, right []string, emit Emit, pi, bi []int) *Join {
+	j := &Join{Emit: emit, Pi: pi, Bi: bi}
+	ok(j.Resolve(left, right))
+	return j
+}
+
+// probePlan is in resolved against an outer input emitting outer.
+func probePlan(in IndexProbe, outer []string) *IndexProbe {
+	ok(in.Resolve(outer))
+	return &in
+}
+
+// ixJoinIter is the index join of outer to in's table, in resolved
+// against outer's columns: every constant of its key is konst, and pred
+// the residual a fetched row must satisfy (nil = none).
+func ixJoinIter(sc *Scratch, st *Stats, outer Iterator, in IndexProbe, konst value.Value, pred eval.Pred) Iterator {
+	key := sc.Cells(len(in.Key))
+	for i, k := range in.Key {
+		if k < 0 {
+			key[i] = konst
+		}
+	}
+	return NewIndexJoinIter(sc, st, outer, probePlan(in, outer.Cols()), key, pred)
+}
+
+// projPlan is the resolved plan of a projection of an input emitting in
+// onto its columns at idx, named cols.
+func projPlan(in, cols []string, idx []int) *Projection {
+	p := &Projection{Cols: cols, Idx: idx}
+	ok(p.Resolve(in))
+	return p
 }
 
 // colIdx resolves names against cols the way a planner does once per
@@ -54,29 +89,30 @@ func concat(a, b []string) []string { return append(append([]string{}, a...), b.
 
 // joinIter is the hash-join iterator of probe and build on the named
 // key columns.
-func joinIter(st *Stats, probe, build Iterator, probeKeys, buildKeys []string) Iterator {
-	return okIter(NewHashJoinIter(st, probe, build, IdentityEmit(len(probe.Cols()), len(build.Cols())),
+func joinIter(sc *Scratch, st *Stats, probe, build Iterator, probeKeys, buildKeys []string) Iterator {
+	return NewHashJoinIter(sc, st, probe, build, joinPlan(probe.Cols(), build.Cols(),
+		IdentityEmit(len(probe.Cols()), len(build.Cols())),
 		colIdx(probe.Cols(), probeKeys...), colIdx(build.Cols(), buildKeys...)))
 }
 
 // hashJoin drains the hash-join iterator over two relations.
-func hashJoin(st *Stats, l, r *Relation, lKeys, rKeys []string) *Relation {
-	return okRel(Drain(ctx0, st, joinIter(st, NewRelationIter(st, l), NewRelationIter(st, r), lKeys, rKeys)))
+func hashJoin(sc *Scratch, st *Stats, l, r *Relation, lKeys, rKeys []string) *Relation {
+	return okRel(Drain(ctx0, sc, st, joinIter(sc, st, NewRelationIter(sc, st, l), NewRelationIter(sc, st, r), lKeys, rKeys)))
 }
 
 // projIter is the projection iterator of child onto the named columns.
-func projIter(st *Stats, child Iterator, names ...string) Iterator {
-	return okIter(NewProjectIter(st, child, names, colIdx(child.Cols(), names...)))
+func projIter(sc *Scratch, st *Stats, child Iterator, names ...string) Iterator {
+	return NewProjectIter(sc, st, child, projPlan(child.Cols(), names, colIdx(child.Cols(), names...)))
 }
 
 // productIter is the product iterator of two iterators.
-func prodIter(st *Stats, l, r Iterator) Iterator {
-	return okIter(NewProductIter(st, l, r, IdentityEmit(len(l.Cols()), len(r.Cols()))))
+func prodIter(sc *Scratch, st *Stats, l, r Iterator) Iterator {
+	return NewProductIter(sc, st, l, r, joinPlan(l.Cols(), r.Cols(), IdentityEmit(len(l.Cols()), len(r.Cols())), nil, nil))
 }
 
 // hashDistinct drains the hash-distinct iterator over a relation.
-func hashDistinct(st *Stats, rel *Relation) *Relation {
-	return okRel(Drain(ctx0, st, NewDistinctHashIter(st, NewRelationIter(st, rel))))
+func hashDistinct(sc *Scratch, st *Stats, rel *Relation) *Relation {
+	return okRel(Drain(ctx0, sc, st, NewDistinctHashIter(sc, st, NewRelationIter(sc, st, rel))))
 }
 
 // The expected answers of the operator tests below come from
@@ -162,8 +198,8 @@ func setOpOracle(l, r *Relation, except, all bool) *Relation {
 }
 
 // tableRel drains a scan of tbl under the correlation name corr.
-func tableRel(st *Stats, tbl *storage.Table, corr string) *Relation {
-	return okRel(Drain(ctx0, st, NewTableIter(st, tbl, QualifiedCols(tbl, corr))))
+func tableRel(sc *Scratch, st *Stats, tbl *storage.Table, corr string) *Relation {
+	return okRel(Drain(ctx0, sc, st, NewTableIter(sc, st, tbl, QualifiedCols(tbl, corr))))
 }
 
 // firstOccurrences is the plain-Go oracle for hash distinct's order:

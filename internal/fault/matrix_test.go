@@ -101,6 +101,21 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 		run  func() (*engine.Relation, error)
 	}
 	st := &engine.Stats{}
+	// Every direct leg runs on one scratch, under one governor generous
+	// enough never to bind: whatever a leg charges it must have given
+	// back by the time its pipeline is closed — all of it when the leg
+	// failed, all but its drained result when it did not.
+	sc := engine.NewScratch()
+	gov := sc.Budget(1<<40, 1<<40)
+	// join is the resolved plan of l joined to r on their first columns,
+	// or with no key their product.
+	join := func(r *engine.Relation, key []int) *engine.Join {
+		j := &engine.Join{Emit: engine.IdentityEmit(len(l.Cols), len(r.Cols)), Pi: key, Bi: key}
+		if err := j.Resolve(l.Cols, r.Cols); err != nil {
+			panic(err)
+		}
+		return j
+	}
 	steps := []step{
 		// Iterator legs: pull-based pipelines hit the per-batch
 		// engine.stream.next point and the operators' own points from
@@ -108,61 +123,44 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 		// mid-stream fault must not leak charges or goroutines.
 		{"FilterIter", func() (*engine.Relation, error) {
 			pred := &ast.Compare{Op: ast.GeOp, L: &ast.ColumnRef{Qualifier: "L", Column: "K"}, R: &ast.IntLit{V: 10}}
-			return engine.Drain(ctx, st, engine.NewFilterIter(st, engine.NewRelationIter(st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
+			return engine.Drain(ctx, sc, st, engine.NewFilterIter(sc, st, engine.NewRelationIter(sc, st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
 		}},
 		{"ProjectIter", func() (*engine.Relation, error) {
-			it, err := engine.NewProjectIter(st, engine.NewRelationIter(st, l), []string{"L.V"}, []int{1})
-			if err != nil {
+			proj := &engine.Projection{Cols: []string{"L.V"}, Idx: []int{1}}
+			if err := proj.Resolve(l.Cols); err != nil {
 				return nil, err
 			}
-			return engine.Drain(ctx, st, it)
+			return engine.Drain(ctx, sc, st, engine.NewProjectIter(sc, st, engine.NewRelationIter(sc, st, l), proj))
 		}},
 		{"DistinctHashIter", func() (*engine.Relation, error) {
-			return engine.Drain(ctx, st, engine.NewDistinctHashIter(st, engine.NewRelationIter(st, l)))
+			return engine.Drain(ctx, sc, st, engine.NewDistinctHashIter(sc, st, engine.NewRelationIter(sc, st, l)))
 		}},
 		{"DistinctSortIter", func() (*engine.Relation, error) {
-			return engine.Drain(ctx, st, engine.NewDistinctSortIter(st, engine.NewRelationIter(st, l)))
+			return engine.Drain(ctx, sc, st, engine.NewDistinctSortIter(sc, st, engine.NewRelationIter(sc, st, l)))
 		}},
 		{"HashJoinIter", func() (*engine.Relation, error) {
-			it, err := engine.NewHashJoinIter(st,
-				engine.NewRelationIter(st, l), engine.NewRelationIter(st, r),
-				engine.IdentityEmit(2, 2), []int{0}, []int{0})
-			if err != nil {
-				return nil, err
-			}
-			return engine.Drain(ctx, st, it)
+			return engine.Drain(ctx, sc, st, engine.NewHashJoinIter(sc, st,
+				engine.NewRelationIter(sc, st, l), engine.NewRelationIter(sc, st, r), join(r, []int{0})))
 		}},
 		{"IndexJoinIter", func() (*engine.Relation, error) {
 			p := db.Store().MustTable("P")
-			it, err := engine.NewIndexJoinIter(st, engine.NewRelationIter(st, l),
-				engine.IndexProbe{Tbl: p, Ix: p.OrderedIndexOn("SNO"), Cols: []string{"P.PNO", "P.SNO"},
-					Key: []engine.IndexKeyPart{{Ord: 0}}},
-				false, engine.IdentityEmit(2, 2))
-			if err != nil {
+			in := &engine.IndexProbe{Tbl: p, Ix: p.OrderedIndexOn("SNO"), Cols: []string{"P.PNO", "P.SNO"},
+				Key: []int{0}, Emit: engine.IdentityEmit(2, 2)}
+			if err := in.Resolve(l.Cols); err != nil {
 				return nil, err
 			}
-			return engine.Drain(ctx, st, it)
+			return engine.Drain(ctx, sc, st, engine.NewIndexJoinIter(sc, st, engine.NewRelationIter(sc, st, l), in, sc.Cells(1), nil))
 		}},
 		{"ProductIter", func() (*engine.Relation, error) {
 			small := &engine.Relation{Cols: r.Cols, Rows: r.Rows[:20]}
-			it, err := engine.NewProductIter(st,
-				engine.NewRelationIter(st, l), engine.NewRelationIter(st, small), engine.IdentityEmit(2, 2))
-			if err != nil {
-				return nil, err
-			}
-			return engine.Drain(ctx, st, it)
+			return engine.Drain(ctx, sc, st, engine.NewProductIter(sc, st,
+				engine.NewRelationIter(sc, st, l), engine.NewRelationIter(sc, st, small), join(small, nil)))
 		}},
 		{"SetOpIter", func() (*engine.Relation, error) {
-			return engine.Drain(ctx, st, engine.NewSetOpIter(st,
-				engine.NewRelationIter(st, l), engine.NewRelationIter(st, r), true, true))
+			return engine.Drain(ctx, sc, st, engine.NewSetOpIter(sc, st,
+				engine.NewRelationIter(sc, st, l), engine.NewRelationIter(sc, st, r), true, true))
 		}},
 	}
-	// Every direct leg runs under one governor, generous enough never to
-	// bind: whatever a leg charges it must have given back by the time
-	// its pipeline is closed — all of it when the leg failed, all but
-	// its drained result when it did not.
-	gov := engine.NewGovernor(1<<40, 1<<40)
-	ctx = engine.WithGovernor(ctx, gov)
 	for _, s := range steps {
 		rows0, bytes0 := gov.Usage()
 		rel, err := runContained(s.name, s.run)

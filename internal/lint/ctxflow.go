@@ -7,8 +7,8 @@ import (
 )
 
 // CtxFlow guards the engine's cancellation contract. Query lifecycle
-// control — deadlines, cancellation, and the resource governor riding
-// in the context — only works if every operator entry point actually
+// control — deadlines and cancellation, which the context carries —
+// only works if every operator entry point actually
 // threads its incoming context.Context downward. A parameter that is
 // dropped (named _), never used, shadowed by a fresh context, or
 // bypassed with context.Background()/TODO() silently detaches that

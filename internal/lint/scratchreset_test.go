@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -61,19 +62,77 @@ func engineUses(t *testing.T, use func(mod, file string, pos token.Position, obj
 	}, use)
 }
 
-// moduleUses parses the non-test files of every package of the module
-// and hands them to check, with the package's directory relative to the
-// module root; it type-checks each package check accepts and calls use
-// for each identifier there that names an object.
+// moduleUses hands the non-test files of every package of the module to
+// check, with the package's directory relative to the module root; it
+// type-checks each package check accepts and calls use for each
+// identifier there that names an object. The module is walked and
+// parsed once per test binary, and each package type-checked at most
+// once, by one Loader whose imported packages every check shares.
 func moduleUses(t *testing.T, check func(mod, dir string, fset *token.FileSet, files []*ast.File) bool,
 	use func(mod, file string, pos token.Position, obj types.Object)) {
 	t.Helper()
+	module.Lock()
+	defer module.Unlock()
+	module.once.Do(loadModule)
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	mod, loader := module.mod, module.loader
+	for _, p := range module.pkgs {
+		if !check(mod, p.dir, loader.Fset, p.files) {
+			continue
+		}
+		if p.info == nil {
+			importPath := mod
+			if p.dir != "." {
+				importPath += "/" + p.dir
+			}
+			var err error
+			if _, p.info, err = loader.Check(importPath, p.files); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id, obj := range p.info.Uses {
+			pos := loader.Fset.Position(id.Pos())
+			file, err := filepath.Rel(module.root, pos.Filename)
+			if err != nil {
+				t.Fatal(err)
+			}
+			use(mod, filepath.ToSlash(file), pos, obj)
+		}
+	}
+}
+
+// module is what moduleUses reads: the module's packages, parsed once.
+var module struct {
+	sync.Mutex
+	once      sync.Once
+	err       error
+	root, mod string
+	loader    *Loader
+	pkgs      []*modulePkg // in the order a walk of the module visits them
+}
+
+// modulePkg is one package of the module: its non-test files and, once
+// a test has asked for it, their type information.
+type modulePkg struct {
+	dir   string
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadModule walks the module from its root, skipping testdata, hidden
+// directories and nested modules (benchmark/), and parses the non-test
+// files of every package into module.
+func loadModule() {
 	root, mod, err := FindModuleRoot(".")
 	if err != nil {
-		t.Fatal(err)
+		module.err = err
+		return
 	}
-	loader := NewLoader(token.NewFileSet(), mod, root, "")
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	module.root, module.mod = root, mod
+	module.loader = NewLoader(token.NewFileSet(), mod, root, "")
+	module.err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
@@ -88,35 +147,13 @@ func moduleUses(t *testing.T, check func(mod, dir string, fset *token.FileSet, f
 		if err != nil {
 			return err
 		}
-		rel = filepath.ToSlash(rel)
-		files, _, _, err := loader.ParseDir(path)
+		files, _, _, err := module.loader.ParseDir(path)
 		if err != nil || len(files) == 0 {
 			return err
 		}
-		if !check(mod, rel, loader.Fset, files) {
-			return nil
-		}
-		importPath := mod
-		if rel != "." {
-			importPath += "/" + rel
-		}
-		_, info, err := loader.Check(importPath, files)
-		if err != nil {
-			return err
-		}
-		for id, obj := range info.Uses {
-			pos := loader.Fset.Position(id.Pos())
-			file, err := filepath.Rel(root, pos.Filename)
-			if err != nil {
-				return err
-			}
-			use(mod, filepath.ToSlash(file), pos, obj)
-		}
+		module.pkgs = append(module.pkgs, &modulePkg{dir: filepath.ToSlash(rel), files: files})
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // importsPath reports whether any of files imports path.

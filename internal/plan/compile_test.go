@@ -60,15 +60,15 @@ func describe(c *Compiled, vals []value.Value) string {
 			}
 		case *joinOp:
 			ns, children = o.notes, []operator{o.probe, o.inner}
-			fmt.Fprintf(&sb, "join %q pi=%v bi=%v emit=%v", o.detail, o.pi, o.bi, o.emit)
+			fmt.Fprintf(&sb, "join %q pi=%v bi=%v emit=%v cols=%v", o.detail, o.join.Pi, o.join.Bi, o.join.Emit, o.join.Cols())
 		case *indexJoinOp:
 			ns, children = o.notes, []operator{o.outer}
-			key := make([]string, len(o.key))
-			for i, kp := range o.key {
-				key[i] = fmt.Sprintf("%d/%s", kp.ord, konst(kp.k))
+			key := make([]string, len(o.consts))
+			for i, k := range o.consts {
+				key[i] = fmt.Sprintf("%d/%s", o.probe.Key[i], konst(k))
 			}
 			fmt.Fprintf(&sb, "indexjoin %q %s.%s key=%v rest=%q/%s semi=%v emit=%v", o.detail.in(vals),
-				o.tbl.Schema.Name, o.ix.Name, key, o.rest.text.in(vals), sql(o.rest.pred), o.semi, o.emit)
+				o.probe.Tbl.Schema.Name, o.probe.Ix.Name, key, o.rest.text.in(vals), sql(o.rest.pred), o.probe.Semi, o.probe.Emit)
 		case *filterOp:
 			ns, children = o.notes, []operator{o.child}
 			for _, sub := range ast.Subqueries(o.f.pred) {
@@ -77,7 +77,7 @@ func describe(c *Compiled, vals []value.Value) string {
 			fmt.Fprintf(&sb, "filter %q/%s subqueries=%d", o.f.text.in(vals), sql(o.f.pred), len(o.subs))
 		case *projectOp:
 			ns, children = o.notes, []operator{o.child}
-			fmt.Fprintf(&sb, "project %q cols=%v idx=%v", o.detail, o.cols, o.idx)
+			fmt.Fprintf(&sb, "project %q cols=%v idx=%v", o.detail, o.proj.Cols, o.proj.Idx)
 		case *distinctOp:
 			ns, children = o.notes, []operator{o.child}
 			fmt.Fprintf(&sb, "distinct sort=%v", o.sort)

@@ -53,14 +53,14 @@ func layouts(t *testing.T, op operator) (cols []string, joins [][]string, projec
 	case *joinOp:
 		l, lj, lp := layouts(t, o.probe)
 		r, rj, rp := layouts(t, o.inner)
-		cols = emitted(o.emit, l, r)
+		cols = emitted(o.join.Emit, l, r)
 		return cols, append(append(lj, rj...), cols), append(lp, rp...)
 	case *indexJoinOp:
 		outer, joins, projections := layouts(t, o.outer)
-		if o.semi {
+		if o.probe.Semi {
 			return outer, joins, projections
 		}
-		cols = emitted(o.emit, outer, o.inner)
+		cols = emitted(o.probe.Emit, outer, o.probe.Cols)
 		return cols, append(joins, cols), projections
 	case *filterOp:
 		return layouts(t, o.child)
@@ -69,8 +69,8 @@ func layouts(t *testing.T, op operator) (cols []string, joins [][]string, projec
 	case *projectOp:
 		child, joins, projections := layouts(t, o.child)
 		kind := "identity"
-		for i, c := range o.idx {
-			if c != i || len(o.idx) != len(child) {
+		for i, c := range o.proj.Idx {
+			if c != i || len(o.proj.Idx) != len(child) {
 				kind = "copies"
 			}
 		}
@@ -78,7 +78,7 @@ func layouts(t *testing.T, op operator) (cols []string, joins [][]string, projec
 		case *joinOp, *indexJoinOp:
 			kind += " over a join"
 		}
-		return o.cols, joins, append(projections, kind)
+		return o.proj.Cols, joins, append(projections, kind)
 	case *setOp:
 		l, lj, lp := layouts(t, o.l)
 		_, rj, rp := layouts(t, o.r)

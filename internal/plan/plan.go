@@ -65,6 +65,21 @@ type Options struct {
 	MemBudget int64
 }
 
+// Frame is one execution's memory: the engine.Scratch its pipeline —
+// iterators, batches, rows, hash tables, governor, drained Relation — is
+// carved from, and the Result and builder the planner fills. One Frame
+// serves execution after execution; what an execution returned is valid
+// until the Frame's Scratch is Reset, which only the caller that owns
+// the answer may call, once it has consumed it.
+type Frame struct {
+	engine.Scratch
+	res Result
+	b   builder
+}
+
+// NewFrame returns an empty frame.
+func NewFrame() *Frame { return &Frame{} }
+
 // Result is the outcome of planning and executing one query.
 type Result struct {
 	Rel      *engine.Relation
@@ -104,7 +119,7 @@ func (p *Planner) Run(q ast.Query, hosts func(name string) (value.Value, bool)) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Execute(context.Background(), c, vals, false)
+	res, err := p.Execute(context.Background(), NewFrame(), c, vals, false)
 	if err != nil {
 		return nil, err
 	}
@@ -119,38 +134,29 @@ func (p *Planner) Run(q ast.Query, hosts func(name string) (value.Value, bool)) 
 // what each operator did; a plain execution allocates no Node, renders
 // no string and reads no clock.
 // Cancellation and deadlines are honored cooperatively inside every
-// engine operator; Options.MaxRows / Options.MemBudget (or a governor
-// already attached to ctx) bound the query's live footprint; and any
-// panic below this boundary is contained into an *engine.InternalError.
-// The pipeline allocates from the engine.Scratch attached to ctx, and
-// Result.Rel lives there until the caller resets it; with none attached
-// it gets a fresh one that nothing resets, so the result is the
-// caller's for good. On error the result is nil — partial rows are
-// never exposed. c is only read; subquery runs fill vals' outer slots.
-func (p *Planner) Execute(ctx context.Context, c *Compiled, vals []value.Value, analyze bool) (res *Result, err error) {
+// engine operator; Options.MaxRows / Options.MemBudget bound the query's
+// live footprint, through the frame's governor; and any panic below this
+// boundary is contained into an *engine.InternalError.
+// The pipeline, the Result and Result.Rel are carved from f and live
+// there until the caller resets f's Scratch; a fresh frame that nothing
+// resets leaves the result the caller's for good. On error the result is
+// nil — partial rows are never exposed. c is only read; subquery runs
+// fill vals' outer slots.
+func (p *Planner) Execute(ctx context.Context, f *Frame, c *Compiled, vals []value.Value, analyze bool) (res *Result, err error) {
 	defer func() {
 		if err != nil {
 			res, err = nil, unlift(err, vals)
 		}
 	}()
 	defer engine.Contain("plan.Run", &err)
-	var own *engine.Governor // the governor this execution created
-	if engine.GovernorFrom(ctx) == nil {
-		own = engine.NewGovernor(p.Opts.MaxRows, p.Opts.MemBudget)
-		if own == nil && engine.Poisoned {
-			own = &engine.Governor{} // unlimited, but it keeps the books
-		}
-		if own != nil {
-			ctx = engine.WithGovernor(ctx, own)
-		}
+	gov := f.Budget(p.Opts.MaxRows, p.Opts.MemBudget)
+	res, b := &f.res, &f.b
+	if engine.Poisoned { // nothing of a frame is handed out twice
+		res, b = new(Result), new(builder)
 	}
-	if engine.ScratchFrom(ctx) == nil {
-		ctx = engine.WithScratch(ctx, engine.NewScratch())
-	}
-	res = &Result{Rewrites: c.Rewrites(vals)}
-	b := &builder{ctx: ctx, st: &res.Stats, vals: vals, built: make([]engine.Iterator, 0, 8)}
+	*res = Result{Rewrites: c.Rewrites(vals)}
+	b.start(ctx, &f.Scratch, &res.Stats, vals, gov)
 	if engine.Poisoned {
-		b.check = engine.NewChecker(own)
 		defer func() {
 			var rel *engine.Relation // a failed execution leaves nothing charged
 			if res != nil {
@@ -168,7 +174,7 @@ func (p *Planner) Execute(ctx context.Context, c *Compiled, vals []value.Value, 
 		return nil, err
 	}
 	// Drain closes the pipeline, on success and on error.
-	if res.Rel, err = engine.Drain(ctx, &res.Stats, it); err != nil {
+	if res.Rel, err = engine.Drain(ctx, &f.Scratch, &res.Stats, it); err != nil {
 		return nil, err
 	}
 	if analyze {
@@ -343,7 +349,7 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 			residual = without(t.all, t.path.consumed)
 		}
 		cols := engine.QualifiedCols(t.tbl, t.corr)
-		tables[i] = &accessOp{tbl: t.tbl, cols: cols,
+		tables[i] = &accessOp{tbl: t.tbl, cols: cols, none: engine.Relation{Cols: cols},
 			scan: t.tbl.Schema.Name + " as " + t.corr, path: t.path,
 			rest: newFilter(residual).over(cols, vars)}
 	}
@@ -411,11 +417,11 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 		}
 	}
 	rf := newFilter(residual)
-	po := &projectOp{cols: make([]string, len(refs))}
+	po := &projectOp{proj: engine.Projection{Cols: make([]string, len(refs))}}
 	for i, r := range refs {
-		po.cols[i] = r.Qualifier + "." + r.Column
+		po.proj.Cols[i] = r.Qualifier + "." + r.Column
 	}
-	po.detail = strings.Join(po.cols, ", ")
+	po.detail = strings.Join(po.proj.Cols, ", ")
 
 	// Liveness, top-down: a join emits the columns something above it
 	// reads and no others. Above the last join that is the projection,
@@ -426,7 +432,7 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 	// the projection above it is the identity. A subquery's correlation
 	// references are among the residual predicate's columns.
 	live, extras := map[string]bool{}, map[string]bool{} // extras: read above the last join, not projected
-	for _, c := range po.cols {
+	for _, c := range po.proj.Cols {
 		live[c] = true
 	}
 	carry := func(c string) {
@@ -466,7 +472,7 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 		out := append(append([]string{}, cols...), t.cols...)
 		switch {
 		case k == len(tables)-1:
-			out = append(append([]string{}, po.cols...), keep(out, extras)...)
+			out = append(append([]string{}, po.proj.Cols...), keep(out, extras)...)
 		default:
 			out = keep(out, st.live)
 		}
@@ -475,7 +481,10 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 			if err != nil {
 				return nil, nil, err
 			}
-			if ij.emit, err = emitOf(out, cols, t.cols); err != nil {
+			if ij.probe.Emit, err = emitOf(out, cols, t.cols); err != nil {
+				return nil, nil, err
+			}
+			if err := ij.probe.Resolve(cols); err != nil {
 				return nil, nil, err
 			}
 			cur = ij
@@ -490,17 +499,20 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 				pcols, icols, pk, ik = t.cols, cols, st.rk, st.lk
 				j.note(newText(buildPrefixNote))
 			}
-			if j.emit, err = emitOf(out, pcols, icols); err != nil {
+			if j.join.Emit, err = emitOf(out, pcols, icols); err != nil {
 				return nil, nil, err
 			}
 			if len(st.lk) > 0 {
 				j.detail = strings.Join(pk, ",") + " = " + strings.Join(ik, ",")
-				if j.pi, err = engine.ColIndexes(pcols, pk); err != nil {
+				if j.join.Pi, err = engine.ColIndexes(pcols, pk); err != nil {
 					return nil, nil, err
 				}
-				if j.bi, err = engine.ColIndexes(icols, ik); err != nil {
+				if j.join.Bi, err = engine.ColIndexes(icols, ik); err != nil {
 					return nil, nil, err
 				}
+			}
+			if err := j.join.Resolve(pcols, icols); err != nil {
+				return nil, nil, err
 			}
 			cur = j
 		}
@@ -512,6 +524,9 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 	for _, pr := range probes {
 		ij, err := newIndexJoin(cur, cols, pr.t, pr.ix, pr.key, true, vars)
 		if err != nil {
+			return nil, nil, err
+		}
+		if err := ij.probe.Resolve(cols); err != nil {
 			return nil, nil, err
 		}
 		ij.note(newText(fmt.Sprintf("existence-only %s: first match; %s", pr.t.corr, probeNote)))
@@ -538,11 +553,14 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 	// Projection and duplicate elimination.
 	po.child = cur
 	if len(tables) > 1 {
-		po.idx = make([]int, len(po.cols))
-		for i := range po.idx {
-			po.idx[i] = i
+		po.proj.Idx = make([]int, len(po.proj.Cols))
+		for i := range po.proj.Idx {
+			po.proj.Idx[i] = i
 		}
-	} else if po.idx, err = engine.ColIndexes(cols, po.cols); err != nil {
+	} else if po.proj.Idx, err = engine.ColIndexes(cols, po.proj.Cols); err != nil {
+		return nil, nil, err
+	}
+	if err := po.proj.Resolve(cols); err != nil {
 		return nil, nil, err
 	}
 	cur = po
@@ -558,7 +576,7 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 			cur.note(newText(startNote))
 		}
 	}
-	return cur, po.cols, nil
+	return cur, po.proj.Cols, nil
 }
 
 // joinStep is what planSelect decides about one step of the left-deep
@@ -741,16 +759,17 @@ func (ap *accessPlan) detail(vals []value.Value, kind bindKind) string {
 }
 
 // probe performs the index lookup of a point or span binding in vals and
-// returns the ordinals of the matching rows.
-func (ap *accessPlan) probe(kind bindKind, vals []value.Value) ([]int, error) {
+// returns the ordinals of the matching rows, the key and the ordinals
+// carved from sc.
+func (ap *accessPlan) probe(kind bindKind, vals []value.Value, sc *engine.Scratch) ([]int, error) {
 	if kind == point {
-		key := make(value.Row, len(ap.eq))
+		key := sc.Cells(len(ap.eq))
 		for i, k := range ap.eq {
 			key[i] = *k.in(vals)
 		}
-		return ap.ix.Lookup(key)
+		return ap.ix.Lookup(key, sc.Ints)
 	}
-	return ap.ix.Range(ap.lo.in(vals), ap.hi.in(vals)), nil
+	return ap.ix.Range(ap.lo.in(vals), ap.hi.in(vals), sc.Ints), nil
 }
 
 // chooseAccessPath inspects the pushed-down conjuncts for tbl and

@@ -445,11 +445,11 @@ func (p *Planner) explained(q ast.Query, hosts map[string]value.Value) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Execute(context.Background(), c, vals, true)
+	res, err := p.Execute(context.Background(), NewFrame(), c, vals, true)
 	if err != nil {
 		return nil, err
 	}
-	plain, err := p.Execute(context.Background(), c, vals, false)
+	plain, err := p.Execute(context.Background(), NewFrame(), c, vals, false)
 	if err != nil {
 		return nil, fmt.Errorf("plain execution failed where the analyzed one did not: %w", err)
 	}

@@ -46,7 +46,7 @@ func cachedRun(db *storage.DB, sc *stmtCache, opts Options, src string, hosts ma
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Execute(context.Background(), c, vals, false)
+	res, err := p.Execute(context.Background(), NewFrame(), c, vals, false)
 	if err != nil {
 		return nil, err
 	}

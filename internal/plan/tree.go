@@ -26,8 +26,10 @@ import (
 //     what order: the ones read above it and no others (planSelect's
 //     liveness walk), the top join of a block exactly the projection's,
 //     so that the projection above it is the identity and copies
-//     nothing — key and projection ordinals, pushed and residual
-//     predicates, the pre-split text of every rendering and note;
+//     nothing — key and projection ordinals, checked against their
+//     inputs, each join's output column names, whether a projection is
+//     the identity, pushed and residual predicates, the pre-split text
+//     of every rendering and note;
 //   - at bind, once per execution: every constant's value in the binding
 //     vector, and whether a NULL among an access path's makes it match
 //     nothing — accessPlan.bind, the only decision the vector makes,
@@ -35,9 +37,10 @@ import (
 //
 // render turns the tree into the Nodes EXPLAIN shows without executing
 // anything: no iterator, no table row, no clock, no context. build turns
-// it into the one iterator pipeline engine.Drain materializes; handed
-// the rendering, it instruments every pipeline edge into its Node, which
-// is all EXPLAIN ANALYZE is.
+// it into the one iterator pipeline engine.Drain materializes, carving
+// every iterator from the execution's Frame; handed the rendering, it
+// instruments every pipeline edge into its Node, which is all EXPLAIN
+// ANALYZE is.
 
 // operator is one node of the physical plan tree.
 type operator interface {
@@ -73,8 +76,9 @@ func (ns notes) node(vals []value.Value, op, detail string, children ...*Node) *
 type accessOp struct {
 	notes
 	tbl  *storage.Table
-	cols []string // the table's columns under its correlation name
-	scan string   // the full scan's rendering: "SUPPLIER as S"
+	cols []string        // the table's columns under its correlation name
+	none engine.Relation // what a never-true binding reads: no row of cols
+	scan string          // the full scan's rendering: "SUPPLIER as S"
 	path *accessPlan
 	rest filter
 }
@@ -102,39 +106,38 @@ func (o *accessOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	var it engine.Iterator
 	switch kind {
 	case scan:
-		it = engine.NewTableIter(b.st, o.tbl, o.cols)
+		it = engine.NewTableIter(b.sc, b.st, o.tbl, o.cols)
 	case neverTrue:
-		it = engine.NewRelationIter(b.st, engine.NewRelation(o.cols...))
+		it = engine.NewRelationIter(b.sc, b.st, &o.none)
 	default:
-		ords, err := o.path.probe(kind, b.vals)
+		ords, err := o.path.probe(kind, b.vals, b.sc)
 		if err != nil {
 			return nil, err
 		}
-		it = engine.NewIndexScanIter(b.st, o.tbl, o.cols, ords)
+		it = engine.NewIndexScanIter(b.sc, b.st, o.tbl, o.cols, ords)
 	}
 	it = b.add(it, leaf)
 	if o.rest.pred != nil {
-		it = b.add(engine.NewFilterIter(b.st, it, o.rest.prog.Arm(b.vals, nil, nil)), n)
+		it = b.add(engine.NewFilterIter(b.sc, b.st, it, o.rest.prog.Arm(b.vals, nil, nil)), n)
 	}
 	return it, nil
 }
 
-// joinOp joins two subtrees: a hash join on the probe columns at pi
-// equal to the build columns at bi, or — with no key — the Cartesian
+// joinOp joins two subtrees: a hash join on the probe columns at Pi
+// equal to the build columns at Bi, or — with no key — the Cartesian
 // product, which streams its left (probe) input and buffers the other.
-// emit is its output layout: what is read above it (planSelect's
+// Its Emit is its output layout: what is read above it (planSelect's
 // liveness walk), with probe as the left input and inner as the right.
 type joinOp struct {
 	notes
 	probe, inner operator
-	emit         engine.Emit
-	pi, bi       []int
-	detail       string // "P.SNO = S.SNO"; "" for a product
+	join         engine.Join // resolved against the inputs' layouts
+	detail       string      // "P.SNO = S.SNO"; "" for a product
 }
 
 func (o *joinOp) render(vals []value.Value) *Node {
 	op := "HashJoin"
-	if len(o.pi) == 0 {
+	if len(o.join.Pi) == 0 {
 		op = "Product"
 	}
 	return o.node(vals, op, o.detail, o.probe.render(vals), o.inner.render(vals))
@@ -149,23 +152,10 @@ func (o *joinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var it engine.Iterator
-	if len(o.pi) == 0 {
-		it, err = engine.NewProductIter(b.st, probe, inner, o.emit)
-	} else {
-		it, err = engine.NewHashJoinIter(b.st, probe, inner, o.emit, o.pi, o.bi)
+	if len(o.join.Pi) == 0 {
+		return b.add(engine.NewProductIter(b.sc, b.st, probe, inner, &o.join), n), nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	return b.add(it, n), nil
-}
-
-// keyPart binds one leading column of the index an index join probes: to
-// the outer column at ord, or, when ord is negative, to the constant k.
-type keyPart struct {
-	ord int
-	k   *constant
+	return b.add(engine.NewHashJoinIter(b.sc, b.st, probe, inner, &o.join), n), nil
 }
 
 // indexJoinOp joins its outer subtree to one base table by seeking one
@@ -176,19 +166,19 @@ type keyPart struct {
 // does not subsume). The semi form is the existence probe: it stops at
 // the first qualifying entry and emits the outer row alone, at most
 // once. planSelect's rules A and B choose it, from the query shape and
-// the schema only. A NULL key constant matches nothing. emit is the join
-// form's output layout (outer left, the table right); the semi form
-// passes the outer row through and has none.
+// the schema only. A NULL key constant matches nothing. probe is the
+// engine's view of it — the table, the index, the key's outer ordinals,
+// the semi flag and the join form's output layout (outer left, the table
+// right; the semi form passes the outer row through and has none) —
+// resolved against the outer layout once all of it is set. consts are
+// the key's constants, at the positions whose outer ordinal in
+// probe.Key is negative (nil elsewhere).
 type indexJoinOp struct {
 	notes
 	outer  operator
-	tbl    *storage.Table
-	ix     *storage.OrderedIndex
-	inner  []string // the table's columns under its correlation name
-	emit   engine.Emit
-	key    []keyPart
+	probe  engine.IndexProbe
+	consts []*constant
 	rest   filter
-	semi   bool
 	detail text // "P via PARTS_SNO_PNO = (S.SNO, :PARTNO)"
 }
 
@@ -197,13 +187,14 @@ type indexJoinOp struct {
 // equalities the key takes in are subsumed by the probe; the rest of t's
 // pushed conjuncts are checked on every fetched row.
 func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.OrderedIndex, key []probeKey, semi bool, vars *eval.Vars) (*indexJoinOp, error) {
-	o := &indexJoinOp{outer: outer, tbl: t.tbl, ix: ix, semi: semi,
-		inner: engine.QualifiedCols(t.tbl, t.corr)}
+	o := &indexJoinOp{outer: outer, probe: engine.IndexProbe{Tbl: t.tbl, Ix: ix, Semi: semi,
+		Cols: engine.QualifiedCols(t.tbl, t.corr)}}
 	var subsumed []int
 	shown := make([]string, len(key))
 	for i, pk := range key {
 		if pk.outer == "" {
-			o.key = append(o.key, keyPart{ord: -1, k: newConstant(pk.k.k, vars.Hosts)})
+			o.probe.Key = append(o.probe.Key, -1)
+			o.consts = append(o.consts, newConstant(pk.k.k, vars.Hosts))
 			subsumed = append(subsumed, pk.k.at)
 			shown[i] = pk.k.k.SQL()
 			continue
@@ -212,11 +203,12 @@ func newIndexJoin(outer operator, cols []string, t *tableTerm, ix *storage.Order
 		if err != nil {
 			return nil, err
 		}
-		o.key = append(o.key, keyPart{ord: ords[0]})
+		o.probe.Key = append(o.probe.Key, ords[0])
+		o.consts = append(o.consts, nil)
 		shown[i] = pk.outer
 	}
 	sort.Ints(subsumed)
-	o.rest = newFilter(without(t.all, subsumed)).over(o.inner, vars)
+	o.rest = newFilter(without(t.all, subsumed)).over(o.probe.Cols, vars)
 	detail := fmt.Sprintf("%s via %s = (%s)", t.corr, ix.Name, strings.Join(shown, ", "))
 	if semi {
 		detail += ", first match"
@@ -233,26 +225,21 @@ func (o *indexJoinOp) render(vals []value.Value) *Node {
 }
 
 func (o *indexJoinOp) build(b *builder, n *Node) (engine.Iterator, error) {
-	key := make([]engine.IndexKeyPart, len(o.key))
-	for i, kp := range o.key {
-		key[i].Ord = kp.ord
-		if kp.ord < 0 {
-			key[i].Const = *kp.k.in(b.vals)
-		}
-	}
 	outer, err := o.outer.build(b, n.child(0))
 	if err != nil {
 		return nil, err
 	}
-	probe := engine.IndexProbe{Tbl: o.tbl, Ix: o.ix, Cols: o.inner, Key: key}
+	key := b.sc.Cells(len(o.consts))
+	for i, k := range o.consts {
+		if k != nil {
+			key[i] = *k.in(b.vals)
+		}
+	}
+	var pred eval.Pred
 	if o.rest.prog != nil {
-		probe.Pred = o.rest.prog.Arm(b.vals, nil, nil).Pred
+		pred = o.rest.prog.Arm(b.vals, nil, nil).Pred
 	}
-	it, err := engine.NewIndexJoinIter(b.st, outer, probe, o.semi, o.emit)
-	if err != nil {
-		return nil, err
-	}
-	return b.add(it, n), nil
+	return b.add(engine.NewIndexJoinIter(b.sc, b.st, outer, &o.probe, key, pred), n), nil
 }
 
 // filterOp applies the predicate left over once pushdown and join keys
@@ -284,21 +271,23 @@ func (o *filterOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	var exists eval.ExistsFunc
 	var in eval.InFunc
 	if len(o.subs) > 0 {
-		r := &subRuns{subs: o.subs, st: b.st, vals: b.vals, ctx: engine.WithScratch(b.ctx, engine.NewScratch())}
+		r := &subRuns{subs: o.subs, st: b.st, vals: b.vals, ctx: b.ctx, sc: b.sc.Sub()}
 		exists, in = r.exists, r.in
 	}
-	return b.add(engine.NewFilterIter(b.st, child, o.f.prog.Arm(b.vals, exists, in)), n), nil
+	return b.add(engine.NewFilterIter(b.sc, b.st, child, o.f.prog.Arm(b.vals, exists, in)), n), nil
 }
 
-// subRuns runs a filter's subqueries on one scratch of the filter's own,
-// reset after every run: a run answers a truth value or values copied
-// out, so nothing reads its rows after the reset.
+// subRuns runs a filter's subqueries on the execution's subquery scratch
+// (engine.Scratch.Sub), reset after every run: a run answers a truth
+// value or values copied out, so nothing reads its rows after the reset.
 type subRuns struct {
 	subs map[*ast.Select]subBlock
 	st   *engine.Stats
-	ctx  context.Context // the execution's, allocating from the filter's scratch
+	ctx  context.Context // the execution's
+	sc   *engine.Scratch // what a run allocates from
 	vals []value.Value   // the execution's binding vector
 	out  []value.Value   // the last run's answer
+	b    builder         // the last run's
 }
 
 // run binds sub's outer slots to the outer row env holds, builds its
@@ -310,16 +299,14 @@ func (r *subRuns) run(sub *ast.Select, env *eval.Env, first bool) ([]value.Value
 	for i, name := range blk.vars.Outer {
 		r.vals[blk.vars.Base+i] = env.Cols[name]
 	}
-	b := &builder{ctx: r.ctx, st: r.st, vals: r.vals}
-	if engine.Poisoned {
-		b.check = engine.NewChecker(nil)
-	}
+	b := &r.b
+	b.start(r.ctx, r.sc, r.st, r.vals, nil)
 	defer func() {
 		b.closeAll()
 		if engine.Poisoned {
 			b.check.Verify(nil)
 		}
-		engine.ScratchFrom(r.ctx).Reset()
+		r.sc.Reset()
 	}()
 	it, err := blk.op.build(b, nil)
 	if err == nil && !first && len(it.Cols()) != 1 {
@@ -346,13 +333,13 @@ func (r *subRuns) in(sub *ast.Select, env *eval.Env) ([]value.Value, error) {
 	return r.run(sub, env, false)
 }
 
-// projectOp projects its child onto the columns at idx.
+// projectOp projects its child by proj: onto the child's columns at
+// proj.Idx, named proj.Cols.
 type projectOp struct {
 	notes
 	child  operator
-	cols   []string
-	idx    []int
-	detail string // cols, comma-separated
+	proj   engine.Projection // resolved against the child's layout
+	detail string            // proj.Cols, comma-separated
 }
 
 func (o *projectOp) render(vals []value.Value) *Node {
@@ -364,11 +351,7 @@ func (o *projectOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	it, err := engine.NewProjectIter(b.st, child, o.cols, o.idx)
-	if err != nil {
-		return nil, err
-	}
-	return b.add(it, n), nil
+	return b.add(engine.NewProjectIter(b.sc, b.st, child, &o.proj), n), nil
 }
 
 // distinctOp eliminates duplicates with a hash table, streaming: no
@@ -395,9 +378,9 @@ func (o *distinctOp) build(b *builder, n *Node) (engine.Iterator, error) {
 		return nil, err
 	}
 	if o.sort {
-		return b.add(engine.NewDistinctSortIter(b.st, child), n), nil
+		return b.add(engine.NewDistinctSortIter(b.sc, b.st, child), n), nil
 	}
-	return b.add(engine.NewDistinctHashIter(b.st, child), n), nil
+	return b.add(engine.NewDistinctHashIter(b.sc, b.st, child), n), nil
 }
 
 // setOp is INTERSECT / EXCEPT [ALL], executed the way the paper says
@@ -426,21 +409,35 @@ func (o *setOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return b.add(engine.NewSetOpIter(b.st, l, r, o.except, o.all), n), nil
+	return b.add(engine.NewSetOpIter(b.sc, b.st, l, r, o.except, o.all), n), nil
 }
 
 // builder carries one execution through build: its binding vector,
-// where its work is counted, and every iterator assembled so far.
+// the scratch its iterators are carved from, where its work is counted,
+// and every iterator assembled so far.
 type builder struct {
 	ctx context.Context // what the pipeline is drained under
+	sc  *engine.Scratch
 	st  *engine.Stats
 	// vals is the binding vector every constant is armed from; a
 	// subquery's run binds its outer columns in it first.
 	vals  []value.Value
 	built []engine.Iterator
+	own   [16]engine.Iterator // built's storage, for all but the largest pipelines
 	// check enforces the iterator contract under the poison build tag
 	// (engine.Checker); nil in every other build.
 	check *engine.Checker
+}
+
+// start readies b for one execution's build, forgetting the last. gov
+// is the governor the execution created for itself, whose balance the
+// contract checker verifies under the poison build tag.
+func (b *builder) start(ctx context.Context, sc *engine.Scratch, st *engine.Stats, vals []value.Value, gov *engine.Governor) {
+	*b = builder{ctx: ctx, sc: sc, st: st, vals: vals}
+	b.built = b.own[:0]
+	if engine.Poisoned {
+		b.check = engine.NewChecker(gov)
+	}
 }
 
 // add records an assembled iterator, first wrapping it in the contract

@@ -19,8 +19,11 @@ import (
 // for a thirty-row one. The server encodes the engine's rows straight
 // into its own bytes, and the client decodes an answer into a few slabs
 // sized by a counting pass — the one row already needs every kind of
-// slab (large integers, strings). Counts, not clocks: the collector is
-// held off so that nothing but the round trip allocates.
+// slab (large integers, strings). The server's execution carves its
+// pipeline and result from a recycled frame, so the count is also
+// bounded: it is pinned at what a round trip costs. Counts, not clocks:
+// the collector is held off so that nothing but the round trip
+// allocates.
 func TestExecAllocsDoNotGrowWithRows(t *testing.T) {
 	c := serve(t, wideDB(t), server.Config{})
 	if err := c.Prepare("q", `SELECT W.K, W.S, W.B, W.N FROM W WHERE W.G = :G`); err != nil {
@@ -44,5 +47,8 @@ func TestExecAllocsDoNotGrowWithRows(t *testing.T) {
 	t.Logf("%v allocations per round trip for 1 row, %v for 30", allocs[1], allocs[30])
 	if allocs[30] != allocs[1] {
 		t.Errorf("%v allocations per round trip for 30 rows, %v for 1: the wire path allocates per row", allocs[30], allocs[1])
+	}
+	if allocs[1] > 16 {
+		t.Errorf("%v allocations per round trip, want at most 16", allocs[1])
 	}
 }

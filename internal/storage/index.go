@@ -306,8 +306,9 @@ func (ix *OrderedIndex) At(c Cursor, prefix value.Row) (ord int, next Cursor, ok
 }
 
 // collect copies out the ordinals of the entries in [from, to), two
-// positions bound returned with from not after to.
-func collect(from, to Cursor) []int {
+// positions bound returned with from not after to, into take's slice of
+// exactly their count.
+func collect(from, to Cursor, take func(n int) []int) []int {
 	n := -from.slot
 	for l := from.leaf; l != to.leaf; l = l.next {
 		if l == nil {
@@ -318,7 +319,7 @@ func collect(from, to Cursor) []int {
 	if n += to.slot; n <= 0 {
 		return nil
 	}
-	out := make([]int, 0, n)
+	out := take(n)[:0]
 	for l, s := from.leaf, from.slot; ; l, s = l.next, 0 {
 		if l == to.leaf {
 			return append(out, l.ords[s:to.slot]...)
@@ -328,20 +329,20 @@ func collect(from, to Cursor) []int {
 }
 
 // Lookup returns the row ordinals whose leading index columns equal
-// prefix under ≐ ordering, in entry order, as a slice of the caller's.
-// An over-long prefix is an error.
-func (ix *OrderedIndex) Lookup(prefix value.Row) ([]int, error) {
+// prefix under ≐ ordering, in entry order, in a slice of take(n) — n
+// zeroed ints of the caller's. An over-long prefix is an error.
+func (ix *OrderedIndex) Lookup(prefix value.Row, take func(n int) []int) ([]int, error) {
 	n := len(prefix)
 	if n == 0 || n > len(ix.Columns) {
 		return nil, fmt.Errorf("storage: index %s: prefix length %d out of range", ix.Name, n)
 	}
-	return collect(ix.bound(prefix, false), ix.bound(prefix, true)), nil
+	return collect(ix.bound(prefix, false), ix.bound(prefix, true), take), nil
 }
 
 // Range returns the row ordinals whose first index column lies in
-// [lo, hi] (NULLs excluded; a nil bound is open), in entry order, as a
-// slice of the caller's.
-func (ix *OrderedIndex) Range(lo, hi *value.Value) []int {
+// [lo, hi] (NULLs excluded; a nil bound is open), in entry order, in a
+// slice of take(n) — n zeroed ints of the caller's.
+func (ix *OrderedIndex) Range(lo, hi *value.Value, take func(n int) []int) []int {
 	if hi != nil && (hi.IsNull() || (lo != nil && value.OrderCompare(*lo, *hi) > 0)) {
 		return nil
 	}
@@ -352,9 +353,9 @@ func (ix *OrderedIndex) Range(lo, hi *value.Value) []int {
 		from = ix.bound(value.Row{*lo}, false)
 	}
 	if hi == nil {
-		return collect(from, Cursor{ix.tail, len(ix.tail.ords)})
+		return collect(from, Cursor{ix.tail, len(ix.tail.ords)}, take)
 	}
-	return collect(from, ix.bound(value.Row{*hi}, true))
+	return collect(from, ix.bound(value.Row{*hi}, true), take)
 }
 
 // CreateOrderedIndex builds a sorted index over the named columns and

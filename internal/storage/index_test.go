@@ -71,7 +71,7 @@ func TestIndexBuildsOverExistingRows(t *testing.T) {
 	if ix.Len() != tbl.Len() {
 		t.Errorf("index entries = %d, want %d", ix.Len(), tbl.Len())
 	}
-	rows, err := ix.Lookup(value.Row{value.String_("RED")})
+	rows, err := ix.Lookup(value.Row{value.String_("RED")}, ints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,20 +99,20 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 	if ix.Len() != before+1 {
 		t.Error("insert did not maintain the index")
 	}
-	rows, err := ix.Lookup(value.Row{value.Int(9), value.Int(1)})
+	rows, err := ix.Lookup(value.Row{value.Int(9), value.Int(1)}, ints)
 	if err != nil || len(rows) != 1 {
 		t.Errorf("composite lookup = %v, %v", rows, err)
 	}
 	// Prefix lookup.
-	rows, err = ix.Lookup(value.Row{value.Int(2)})
+	rows, err = ix.Lookup(value.Row{value.Int(2)}, ints)
 	if err != nil || len(rows) != 4 {
 		t.Errorf("prefix lookup = %d rows, %v", len(rows), err)
 	}
 	// Over-long prefix is an error.
-	if _, err := ix.Lookup(value.Row{value.Int(1), value.Int(1), value.Int(1)}); err == nil {
+	if _, err := ix.Lookup(value.Row{value.Int(1), value.Int(1), value.Int(1)}, ints); err == nil {
 		t.Error("over-long prefix should fail")
 	}
-	if _, err := ix.Lookup(value.Row{}); err == nil {
+	if _, err := ix.Lookup(value.Row{}, ints); err == nil {
 		t.Error("empty prefix should fail")
 	}
 }
@@ -124,22 +124,22 @@ func TestIndexRangeScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := value.Int(2), value.Int(4)
-	rows := ix.Range(&lo, &hi)
+	rows := ix.Range(&lo, &hi, ints)
 	if len(rows) != 12 { // suppliers 2,3,4 × 4 parts
 		t.Errorf("range rows = %d, want 12", len(rows))
 	}
 	// Open-ended ranges.
-	if got := len(ix.Range(nil, &lo)); got != 8 { // suppliers 1,2
+	if got := len(ix.Range(nil, &lo, ints)); got != 8 { // suppliers 1,2
 		t.Errorf("open-low range = %d, want 8", got)
 	}
-	if got := len(ix.Range(&hi, nil)); got != 8 { // suppliers 4,5
+	if got := len(ix.Range(&hi, nil, ints)); got != 8 { // suppliers 4,5
 		t.Errorf("open-high range = %d, want 8", got)
 	}
-	if got := len(ix.Range(nil, nil)); got != 20 {
+	if got := len(ix.Range(nil, nil, ints)); got != 20 {
 		t.Errorf("full range = %d, want 20", got)
 	}
 	// Inverted range is empty.
-	if got := len(ix.Range(&hi, &lo)); got != 0 {
+	if got := len(ix.Range(&hi, &lo, ints)); got != 0 {
 		t.Errorf("inverted range = %d, want 0", got)
 	}
 }
@@ -163,11 +163,11 @@ func TestIndexRangeExcludesNulls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(ix.Range(nil, nil)); got != 3 {
+	if got := len(ix.Range(nil, nil, ints)); got != 3 {
 		t.Errorf("NULLs must be excluded from ranges: %d, want 3", got)
 	}
 	lo := value.Int(1)
-	if got := len(ix.Range(&lo, nil)); got != 3 {
+	if got := len(ix.Range(&lo, nil, ints)); got != 3 {
 		t.Errorf("range = %d, want 3", got)
 	}
 }
@@ -327,7 +327,7 @@ func checkAgainstModel(t *testing.T, ix *OrderedIndex, m *sliceIndex, prefixes [
 			walked, c = append(walked, ord), next
 		}
 		fresh = append(fresh, c)
-		got, err := ix.Lookup(prefix)
+		got, err := ix.Lookup(prefix, ints)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +340,7 @@ func checkAgainstModel(t *testing.T, ix *OrderedIndex, m *sliceIndex, prefixes [
 	}
 	for _, lo := range bounds {
 		for _, hi := range bounds {
-			if got, want := ix.Range(lo, hi), m.rangeOf(lo, hi); !slices.Equal(got, want) {
+			if got, want := ix.Range(lo, hi, ints), m.rangeOf(lo, hi); !slices.Equal(got, want) {
 				t.Fatalf("%s: Range(%v, %v) = %v, the model finds %v", ix.Name, lo, hi, got, want)
 			}
 		}
@@ -560,3 +560,7 @@ func BenchmarkOrderedIndexInsert(b *testing.B) {
 		}
 	}
 }
+
+// ints is an index probe's allocator for the tests: a fresh slice each
+// time.
+func ints(n int) []int { return make([]int, n) }

@@ -49,7 +49,7 @@ func referenceRows(t *testing.T, db *uniqopt.DB, sql string) *engine.Relation {
 // asRelation is a query result as the engine relation it came from.
 func asRelation(t *testing.T, rows *uniqopt.Rows) *engine.Relation {
 	t.Helper()
-	rel := engine.NewRelation(rows.Columns...)
+	rel := &engine.Relation{Cols: rows.Columns}
 	for _, row := range rows.Data {
 		r := make(value.Row, len(row))
 		for i, v := range row {
@@ -368,4 +368,76 @@ func TestConcurrentQueriesEachOwnAScratch(t *testing.T) {
 			t.Errorf("%s: the answer changed after later queries reused its scratch", name)
 		}
 	}
+}
+
+// TestInterleavedPipelinesShareNothing: two goroutines alternate
+// statements of different pipelines on one DB — a hash join into a
+// DISTINCT, an index join, a sort-merge INTERSECT, a surviving NOT
+// EXISTS run per outer row, an OR filter's row loop — so that each
+// execution carves its iterators, governor and result from a frame the
+// previous one, of another pipeline, handed back. Every answer, column
+// list and Stats must be what a fresh DB answers for the same warm
+// statement.
+func TestInterleavedPipelinesShareNothing(t *testing.T) {
+	hosts := map[string]any{"L": 10, "H": 30, "PARTNO": 1}
+	stmts := []struct {
+		sql      string
+		optimize bool
+	}{
+		{fixedAdhoc["ex2_lit"], true},
+		{`SELECT ALL S.SNO, S.SNAME, S.SCITY, S.BUDGET, S.STATUS FROM SUPPLIER S, PARTS P
+			WHERE S.SNO BETWEEN :L AND :H AND S.SNO = P.SNO AND P.PNO = :PARTNO`, true},
+		{fixedAdhoc["ex9_lit"], false},
+		{`SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S
+			WHERE NOT EXISTS (SELECT * FROM PARTS P WHERE P.SNO = S.SNO AND P.COLOR = 'RED')`, true},
+		{fixedAdhoc["disj_lit"], true},
+	}
+	type answer struct {
+		cols, data string
+		stats      engine.Stats
+	}
+	run := func(db *uniqopt.DB, i int) (answer, error) {
+		rows, err := db.QueryWith(stmts[i].sql, hosts, stmts[i].optimize)
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{fmt.Sprint(rows.Columns), fmt.Sprint(rows.Data), rows.Stats}, nil
+	}
+	want := make([]answer, len(stmts))
+	for i := range stmts {
+		fresh := goldenIndexedDB(t)
+		for k := 0; k < 2; k++ { // the second run is a warm one, like every run below
+			a, err := run(fresh, i)
+			if err != nil {
+				t.Fatalf("statement %d: %v", i, err)
+			}
+			want[i] = a
+		}
+	}
+	db := goldenIndexedDB(t)
+	for i := range stmts {
+		if _, err := run(db, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (w + round) % len(stmts)
+				got, err := run(db, i)
+				if err != nil {
+					t.Errorf("worker %d, statement %d: %v", w, i, err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("worker %d, statement %d: got %+v, a fresh DB answers %+v", w, i, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -71,9 +71,9 @@ type DB struct {
 	// metrics accumulates per-shape latency histograms, cache hit
 	// rates and governor rejections (see Metrics).
 	metrics *metrics.Registry
-	// scratch recycles the memory executions allocate from, shared with
+	// frames recycles the memory executions allocate from, shared with
 	// View handles like the counters.
-	scratch *scratchPool
+	frames *framePool
 	// planners are the baseline and the optimizing planner under this
 	// handle's options, built with the handle: planners[1] applies the
 	// rewrites.
@@ -163,7 +163,7 @@ func newDB(st storage.Store, opts Options) *DB {
 		stmts:   vcache.New[*statement](0),
 		stats:   &engine.Stats{},
 		metrics: metrics.New(),
-		scratch: &scratchPool{},
+		frames:  &framePool{},
 	}).withPlanners()
 }
 
@@ -221,7 +221,7 @@ func (d *DB) View(opts Options) *DB {
 		stmts:   d.stmts,
 		stats:   d.stats,
 		metrics: d.metrics,
-		scratch: d.scratch,
+		frames:  d.frames,
 	}).withPlanners()
 }
 
@@ -417,7 +417,8 @@ func (d *DB) QueryWith(sql string, hosts map[string]any, optimize bool) (*Rows, 
 func (d *DB) QueryWithContext(ctx context.Context, sql string, hosts map[string]any, optimize bool) (*Rows, error) {
 	var out *Rows
 	err := d.execute(ctx, sql, hosts, optimize, func(res *plan.Result) {
-		out = &Rows{Columns: res.Rel.Cols, Stats: res.Stats, Rewrites: rewriteInfos(res.Rewrites)}
+		// The column list is the compiled plan's: the caller gets a copy.
+		out = &Rows{Columns: slices.Clone(res.Rel.Cols), Stats: res.Stats, Rewrites: rewriteInfos(res.Rewrites)}
 		// The answer is copied out of the scratch before it is reset:
 		// every row a capacity-clipped window of one slab, so an append
 		// by the caller cannot reach its neighbour.
@@ -442,18 +443,18 @@ func (d *DB) QueryFunc(ctx context.Context, sql string, hosts map[string]any, op
 	})
 }
 
-// execute is the one path of a query: compile, execute on a scratch
-// from the pool, observe, hand a successful result to consume, and
-// recycle the scratch — after consume returns, so consume may read the
-// rows the scratch backs, and nothing after it can.
+// execute is the one path of a query: compile, execute on a frame from
+// the pool, observe, hand a successful result to consume, and recycle
+// the frame — after consume returns, so consume may read the result and
+// the rows the frame backs, and nothing after it can.
 func (d *DB) execute(ctx context.Context, sql string, hosts map[string]any, optimize bool, consume func(*plan.Result)) error {
 	t0 := time.Now()
 	c, err := d.compile(sql, hosts, optimize, false)
 	if err != nil {
 		return err
 	}
-	sc := d.scratch.get()
-	res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.vals, false)
+	f := d.frames.get()
+	res, err := d.planner(optimize).Execute(ctx, f, c.query, c.vals, false)
 	if err == nil {
 		res.Stats.Add(c.stats)
 	}
@@ -462,47 +463,49 @@ func (d *DB) execute(ctx context.Context, sql string, hosts map[string]any, opti
 		d.stats.Add(res.Stats)
 		consume(res)
 	}
-	d.recycle(sc, err)
+	d.recycle(f, err)
 	return err
 }
 
-// recycle resets an execution's scratch and returns it to the pool,
-// once nothing reads the rows it backs. A contained panic may have left
-// it mid-write, so such a scratch is dropped instead.
-func (d *DB) recycle(sc *engine.Scratch, err error) {
-	var ie *InternalError
-	if err != nil && errors.As(err, &ie) {
-		return
+// recycle resets an execution's frame and returns it to the pool, once
+// nothing reads the result or the rows it backs. A contained panic may
+// have left it mid-write, so such a frame is dropped instead.
+func (d *DB) recycle(f *plan.Frame, err error) {
+	if err != nil {
+		var ie *InternalError
+		if errors.As(err, &ie) {
+			return
+		}
 	}
-	sc.Reset()
-	d.scratch.put(sc)
+	f.Scratch.Reset()
+	d.frames.put(f)
 }
 
-// scratchPool holds the scratches no execution is using. One sits in a
-// slot of its own, so that a caller running one query at a time gets
-// the same scratch back whichever processor it runs on — a sync.Pool
-// alone keeps a returned scratch where only that processor's next Get
-// finds it, and every miss grows a fresh one. Concurrent executions
-// take the others from the sync.Pool, which lets the collector drop
-// them once they go unused.
-type scratchPool struct {
-	last atomic.Pointer[engine.Scratch]
+// framePool holds the frames no execution is using. One sits in a slot
+// of its own, so that a caller running one query at a time gets the
+// same frame back whichever processor it runs on — a sync.Pool alone
+// keeps a returned frame where only that processor's next Get finds
+// it, and every miss grows a fresh one. Concurrent executions take the
+// others from the sync.Pool, which lets the collector drop them once
+// they go unused.
+type framePool struct {
+	last atomic.Pointer[plan.Frame]
 	pool sync.Pool
 }
 
-func (p *scratchPool) get() *engine.Scratch {
-	if sc := p.last.Swap(nil); sc != nil {
-		return sc
+func (p *framePool) get() *plan.Frame {
+	if f := p.last.Swap(nil); f != nil {
+		return f
 	}
-	if sc, ok := p.pool.Get().(*engine.Scratch); ok {
-		return sc
+	if f, ok := p.pool.Get().(*plan.Frame); ok {
+		return f
 	}
-	return engine.NewScratch()
+	return plan.NewFrame()
 }
 
-func (p *scratchPool) put(sc *engine.Scratch) {
-	if !p.last.CompareAndSwap(nil, sc) {
-		p.pool.Put(sc)
+func (p *framePool) put(f *plan.Frame) {
+	if !p.last.CompareAndSwap(nil, f) {
+		p.pool.Put(f)
 	}
 }
 
@@ -776,13 +779,15 @@ func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, 
 	}
 	out := &Explanation{Analyzed: analyze}
 	if analyze {
-		sc := d.scratch.get()
-		res, err := d.planner(optimize).Execute(engine.WithScratch(ctx, sc), c.query, c.vals, true)
-		d.recycle(sc, err)
+		f := d.frames.get()
+		res, err := d.planner(optimize).Execute(ctx, f, c.query, c.vals, true)
+		if err == nil {
+			out.Root, out.Rewrites, out.Stats = res.Root, rewriteInfos(res.Rewrites), res.Stats.Snapshot()
+		}
+		d.recycle(f, err)
 		if err != nil {
 			return nil, err
 		}
-		out.Root, out.Rewrites, out.Stats = res.Root, rewriteInfos(res.Rewrites), res.Stats.Snapshot()
 	} else {
 		out.Root, out.Rewrites = c.query.Render(c.vals), rewriteInfos(c.query.Rewrites(c.vals))
 	}

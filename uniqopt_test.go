@@ -336,3 +336,27 @@ func TestCheckExactPaperExamples(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnsAreTheCallersOwn: the column list a query returns is the
+// caller's to change. The engine's is the compiled plan's, shared by
+// every execution of the statement; a caller renaming a column of one
+// answer must not rename it in the next one.
+func TestColumnsAreTheCallersOwn(t *testing.T) {
+	db := Open()
+	if err := db.Exec(`CREATE TABLE T (A INTEGER, B INTEGER, PRIMARY KEY (A))`); err != nil {
+		t.Fatal(err)
+	}
+	first, err := db.Query(`SELECT A, B FROM T`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join(first.Columns, ",")
+	first.Columns[0] = "CLOBBERED"
+	second, err := db.Query(`SELECT A, B FROM T`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(second.Columns, ","); got != want {
+		t.Errorf("columns after the first answer's were renamed: %s, want %s", got, want)
+	}
+}
