@@ -7,6 +7,8 @@ package uniqopt
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"uniqopt/internal/core"
@@ -417,4 +419,71 @@ func BenchmarkExecInsertHost(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCompileCold is the compile path with every cache empty: a
+// fresh database per iteration, built outside the timer. corpus
+// compiles the first 1,200 distinct texts of the exact checks'
+// generator over SmallDDL (:H bound, so every text reaches the
+// compiler); paper compiles the eleven paper examples and then renders
+// each as a plan-only EXPLAIN.
+func BenchmarkCompileCold(b *testing.B) {
+	b.Run("corpus", func(b *testing.B) {
+		r := rand.New(rand.NewSource(1))
+		seen := map[string]bool{}
+		var texts []string
+		for len(texts) < 1200 {
+			var src string
+			if r.Intn(2) == 0 {
+				src = workload.RandomBlock(r)
+			} else {
+				src = workload.RandomCorrelated(r)
+			}
+			if !seen[src] {
+				seen[src] = true
+				texts = append(texts, src)
+			}
+		}
+		hosts := map[string]any{"H": 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := Open()
+			for _, ddl := range workload.SmallDDL {
+				if err := db.Exec(ddl); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			for _, src := range texts {
+				if _, err := db.compile(src, hosts, true, false); err != nil {
+					b.Fatalf("%s: %v", src, err)
+				}
+			}
+		}
+	})
+	b.Run("paper", func(b *testing.B) {
+		names := make([]string, 0, len(workload.PaperQueries))
+		for name := range workload.PaperQueries {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		hosts := map[string]any{"SUPPLIER-NO": 1, "SUPPLIER-NAME": "Smith", "PART-NO": 1, "PARTNO": 1}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			db := paperDB(b)
+			b.StartTimer()
+			for _, name := range names {
+				if _, err := db.compile(workload.PaperQueries[name], hosts, true, false); err != nil {
+					b.Fatalf("%s: %v", name, err)
+				}
+			}
+			for _, name := range names {
+				if _, err := db.ExplainWith(context.Background(), workload.PaperQueries[name], hosts, true, false); err != nil {
+					b.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+	})
 }
