@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet lint build test test-fault test-poison race server-smoke crash-matrix fuzz-smoke benchmark-check bench-compare bench-tables ci
+.PHONY: all vet lint build test test-fault test-poison race bench-smoke server-smoke crash-matrix fuzz-smoke benchmark-check bench-compare bench-tables ci
 
 all: ci
 
@@ -55,6 +55,13 @@ test-poison:
 # that build, store and copy cells.
 race:
 	$(GO) test -race ./...
+
+# Bench smoke: every Go benchmark in the module runs once (-benchtime
+# 1x), so one that fails at run time — a fixture that no longer builds,
+# a b.Fatal on a changed API — fails here. The numbers are not
+# measurements.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Server smoke: the session-cap and admission tests fifty times over,
 # so a slot-accounting race fails here rather than one tier-1 run in
@@ -116,4 +123,4 @@ bench-compare:
 bench-tables:
 	$(GO) run ./cmd/benchrunner -exp all -scale 0.25 > bench_output_tables.txt
 
-ci: vet lint build test test-fault test-poison race server-smoke crash-matrix benchmark-check
+ci: vet lint build test test-fault test-poison race bench-smoke server-smoke crash-matrix benchmark-check

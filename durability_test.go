@@ -91,7 +91,7 @@ func goldenTranscript(t *testing.T, db *DB) string {
 // WAL backend, and on the WAL backend after a close/reopen recovery
 // cycle. If recovery replays into a state the optimizer treats even
 // slightly differently — a lost constraint, a changed key, a stale
-// verdict cache — the transcripts diverge.
+// compiled statement — the transcripts diverge.
 func TestGoldenExamplesBothBackends(t *testing.T) {
 	mem := Open()
 	loadPaperInstance(t, mem)
@@ -126,7 +126,7 @@ func TestGoldenExamplesBothBackends(t *testing.T) {
 	}
 }
 
-// TestCatalogVersionSurvivesReopen pins the verdict-cache soundness
+// TestCatalogVersionSurvivesReopen pins the statement-cache soundness
 // invariant: the catalog version after recovery is at least the
 // version the schema reached before the crash, so cache keys minted
 // pre-crash can never collide with a post-restart schema state.

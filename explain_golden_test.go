@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"uniqopt"
-	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/value"
@@ -327,7 +326,7 @@ func TestPlainQueryBuildsNoPlanTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: true})
-		compiled, err := p.Compile(q, &engine.Stats{})
+		compiled, err := p.Compile(q)
 		if err != nil {
 			t.Fatal(err)
 		}

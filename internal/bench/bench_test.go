@@ -277,31 +277,9 @@ func TestE8ExtensionsReduceIncompleteness(t *testing.T) {
 }
 
 func BenchmarkAnalyzerCold(b *testing.B) {
-	cat := workload.PaperCatalog()
-	cache := core.NewVerdictCache(0)
-	an := core.NewCachedAnalyzer(cat, cache)
+	an := core.NewAnalyzer(workload.PaperCatalog())
 	s, err := parser.ParseSelect(workload.PaperQueries["example1"])
 	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache.Reset()
-		if _, err := an.AnalyzeSelect(s, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAnalyzerWarm(b *testing.B) {
-	cat := workload.PaperCatalog()
-	cache := core.NewVerdictCache(0)
-	an := core.NewCachedAnalyzer(cat, cache)
-	s, err := parser.ParseSelect(workload.PaperQueries["example1"])
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := an.AnalyzeSelect(s, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -61,7 +61,7 @@ type Table struct {
 	byName      map[string]int
 	// cat points back to the catalog the table was Defined in, so that
 	// post-Define mutations (AddKey, AddCheck) invalidate version-keyed
-	// analysis caches automatically.
+	// compiled statements automatically.
 	cat *Catalog
 }
 
@@ -259,14 +259,14 @@ type Catalog struct {
 	// replaying DDL in this order is always FK-safe — the property
 	// snapshot encoding and WAL recovery depend on.
 	order []string
-	// version counts schema mutations. Analysis caches key on it, so
-	// any DDL change invalidates every memoized verdict.
+	// version counts schema mutations. The statement cache keys on it,
+	// so any DDL change invalidates every compiled statement.
 	version atomic.Uint64
 }
 
 // Version reports the schema version: it increases on every mutation
-// (table definition, key, CHECK, foreign key). Cached
-// analysis results keyed on the version are invalidated by any change.
+// (table definition, key, CHECK, foreign key). Compiled statements
+// keyed on the version are invalidated by any change.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // Bump invalidates version-keyed caches explicitly. Schema mutations

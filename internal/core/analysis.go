@@ -36,7 +36,6 @@ import (
 	"uniqopt/internal/fd"
 	"uniqopt/internal/norm"
 	"uniqopt/internal/sql/ast"
-	"uniqopt/internal/vcache"
 )
 
 // Options tune the analyzer.
@@ -58,6 +57,22 @@ type Options struct {
 	// interpretation ⌈P⌉, so CHECK (X = 5) on a nullable X admits
 	// NULLs and does not bind the column under ≐.
 	UseCheckConstraints bool
+}
+
+// Bits encodes the options into a word, so a cache keyed by compile
+// options (plan.Options.CompileBits) can tell option sets apart.
+func (o Options) Bits() uint64 {
+	var b uint64
+	if o.BindIsNull {
+		b |= 1
+	}
+	if o.UseKeyFDs {
+		b |= 2
+	}
+	if o.UseCheckConstraints {
+		b |= 4
+	}
+	return b
 }
 
 // Verdict is the outcome of a uniqueness analysis.
@@ -95,14 +110,12 @@ func (v *Verdict) String() string {
 	return fmt.Sprintf("NOT PROVEN UNIQUE (V=%v, missing %s)", v.Bound, v.MissingTable)
 }
 
-// Analyzer runs uniqueness analyses against a catalog.
+// Analyzer runs uniqueness analyses against a catalog. A verdict is a
+// function of the catalog, the options and the query alone, so one
+// analyzer may serve concurrent callers.
 type Analyzer struct {
 	Cat  *catalog.Catalog
 	Opts Options
-	// Cache, when non-nil, memoizes verdicts and predicate
-	// normalizations across queries. It may be shared by concurrent
-	// analyzers over the same catalog.
-	Cache *VerdictCache
 }
 
 // NewAnalyzer returns an analyzer with paper-literal options.
@@ -110,24 +123,10 @@ func NewAnalyzer(cat *catalog.Catalog) *Analyzer {
 	return &Analyzer{Cat: cat}
 }
 
-// NewCachedAnalyzer returns an analyzer with paper-literal options
-// that memoizes its work in cache.
-func NewCachedAnalyzer(cat *catalog.Catalog, cache *VerdictCache) *Analyzer {
-	return &Analyzer{Cat: cat, Cache: cache}
-}
-
 // AnalyzeSelect applies Algorithm 1 to a query specification: it
 // answers whether the block's result is duplicate-free. outer is the
 // enclosing scope for correlated subquery blocks (nil for top level).
 func (a *Analyzer) AnalyzeSelect(s *ast.Select, outer *catalog.Scope) (*Verdict, error) {
-	var key vcache.Key
-	cacheable := a.Cache != nil && outer == nil
-	if cacheable {
-		key = a.keyFor('S', s.SQL())
-		if v, ok := a.Cache.getVerdict(key); ok {
-			return v, nil
-		}
-	}
 	scope, err := catalog.NewScope(a.Cat, s.From, outer)
 	if err != nil {
 		return nil, err
@@ -140,11 +139,7 @@ func (a *Analyzer) AnalyzeSelect(s *ast.Select, outer *catalog.Scope) (*Verdict,
 	for i, r := range refs {
 		proj[i] = r.Qualifier + "." + r.Column
 	}
-	v, err := a.analyze(s, scope, proj)
-	if err == nil && cacheable {
-		a.Cache.putVerdict(key, v)
-	}
-	return v, err
+	return a.analyze(s, scope, proj)
 }
 
 // AtMostOneMatch applies Theorem 2's subquery-side condition: given
@@ -153,22 +148,11 @@ func (a *Analyzer) AnalyzeSelect(s *ast.Select, outer *catalog.Scope) (*Verdict,
 // Cartesian product qualify? It is exactly Algorithm 1 with an empty
 // projection list: V starts from the constants alone.
 func (a *Analyzer) AtMostOneMatch(sub *ast.Select, outer *catalog.Scope) (*Verdict, error) {
-	var key vcache.Key
-	if a.Cache != nil {
-		key = a.keyFor('M', sub.SQL()+"\x00"+scopeSignature(outer))
-		if v, ok := a.Cache.getVerdict(key); ok {
-			return v, nil
-		}
-	}
 	scope, err := catalog.NewScope(a.Cat, sub.From, outer)
 	if err != nil {
 		return nil, err
 	}
-	v, err := a.analyze(sub, scope, nil)
-	if err == nil && a.Cache != nil {
-		a.Cache.putVerdict(key, v)
-	}
-	return v, err
+	return a.analyze(sub, scope, nil)
 }
 
 // analyze is the shared Algorithm-1 core: compute V from the
@@ -352,26 +336,9 @@ func (a *Analyzer) DistinctRedundant(s *ast.Select) (bool, *Verdict, error) {
 }
 
 // extractEqualities runs the CNF conversion and Type 1 / Type 2
-// classification of norm.Extract, memoized in the analysis cache when
-// one is attached. The key covers the predicate's NNF rendering, the
-// scope chain (resolution depends on it), the option set, and the
-// catalog version.
+// classification of norm.Extract under the analyzer's options.
 func (a *Analyzer) extractEqualities(where ast.Expr, scope *catalog.Scope) norm.Equalities {
-	opts := norm.ExtractOptions{BindIsNull: a.Opts.BindIsNull}
-	if a.Cache == nil {
-		return norm.Extract(where, scope, opts)
-	}
-	var wsrc string
-	if where != nil {
-		wsrc = norm.NNF(where).SQL()
-	}
-	key := a.keyFor('N', wsrc+"\x00"+scopeSignature(scope))
-	if eq, ok := a.Cache.getNorm(key); ok {
-		return eq
-	}
-	eq := norm.Extract(where, scope, opts)
-	a.Cache.putNorm(key, eq)
-	return eq
+	return norm.Extract(where, scope, norm.ExtractOptions{BindIsNull: a.Opts.BindIsNull})
 }
 
 // importCheckEqualities adds ∅ → column bindings for CHECK

@@ -16,9 +16,6 @@ import (
 // order is itself meaningful), so the trace can feed golden EXPLAIN
 // output byte-for-byte.
 type Trace struct {
-	// CacheHit marks a verdict served from the VerdictCache rather
-	// than recomputed; the trace content is the cached computation's.
-	CacheHit bool `json:"cache_hit"`
 	// Projection is the seed of V: the projected columns (empty for
 	// the AtMostOneMatch form, where V starts from constants alone).
 	Projection []string `json:"projection,omitempty"`
@@ -80,13 +77,6 @@ func (t *Trace) Lines() []string {
 	}
 	if t.Note != "" {
 		add("note: %s", t.Note)
-	}
-	if t.CacheHit {
-		add("provenance: verdict cache hit (trace reflects the cached computation)")
-	} else {
-		add("provenance: computed")
-	}
-	if t.Note != "" {
 		return out
 	}
 	add("seed V0 (projection): %s", colList(t.Projection))
@@ -129,40 +119,6 @@ func colList(cols []string) string {
 		return "∅"
 	}
 	return strings.Join(cols, ", ")
-}
-
-// clone deep-copies a trace so cache consumers can mutate it.
-func (t *Trace) clone() *Trace {
-	if t == nil {
-		return nil
-	}
-	out := &Trace{
-		CacheHit:       t.CacheHit,
-		Projection:     append([]string(nil), t.Projection...),
-		ConstCols:      append([]string(nil), t.ConstCols...),
-		NullCols:       append([]string(nil), t.NullCols...),
-		CheckCols:      append([]string(nil), t.CheckCols...),
-		EquivPairs:     append([][2]string(nil), t.EquivPairs...),
-		KeyFDs:         t.KeyFDs,
-		DroppedClauses: t.DroppedClauses,
-		Closure:        append([]string(nil), t.Closure...),
-		Note:           t.Note,
-	}
-	if t.Tables != nil {
-		out.Tables = make([]TableTrace, len(t.Tables))
-		for i, tt := range t.Tables {
-			cp := tt
-			cp.SatisfiedBy = append([]string(nil), tt.SatisfiedBy...)
-			if tt.CandidateKeys != nil {
-				cp.CandidateKeys = make([][]string, len(tt.CandidateKeys))
-				for j, k := range tt.CandidateKeys {
-					cp.CandidateKeys[j] = append([]string(nil), k...)
-				}
-			}
-			out.Tables[i] = cp
-		}
-	}
-	return out
 }
 
 // sortedKeys returns the map's keys in sorted order — the only way

@@ -42,8 +42,6 @@ type Stats struct {
 	// ParallelRuns is always zero: no operator runs on more than one
 	// goroutine. It stays only because the repository benchmark reads it.
 	ParallelRuns int64
-	CacheHits    int64 // analyzer verdict/normalization cache hits
-	CacheMisses  int64 // analyzer verdict/normalization cache misses
 	PlanHits     int64 // compiled-statement (plan) cache hits
 	PlanMisses   int64 // compiled-statement (plan) cache misses
 
@@ -61,7 +59,7 @@ type Stats struct {
 type statField struct{ dst, src *int64 }
 
 // statFieldCount is the number of Stats fields.
-const statFieldCount = 18
+const statFieldCount = 16
 
 // fields returns an entry for every struct field, pairing s with o, so
 // accumulation code cannot silently miss a newly added field (a
@@ -81,8 +79,6 @@ func (s *Stats) fields(o *Stats) [statFieldCount]statField {
 		{dst: &s.SubqueryRuns, src: &o.SubqueryRuns},
 		{dst: &s.IndexSeeks, src: &o.IndexSeeks},
 		{dst: &s.ParallelRuns, src: &o.ParallelRuns},
-		{dst: &s.CacheHits, src: &o.CacheHits},
-		{dst: &s.CacheMisses, src: &o.CacheMisses},
 		{dst: &s.PlanHits, src: &o.PlanHits},
 		{dst: &s.PlanMisses, src: &o.PlanMisses},
 		{dst: &s.RowsMaterialized, src: &o.RowsMaterialized},
@@ -99,16 +95,6 @@ func (s *Stats) Add(o Stats) {
 		if v := *f.src; v != 0 {
 			atomic.AddInt64(f.dst, v)
 		}
-	}
-}
-
-// AddCache atomically bumps the analyzer-cache counters.
-func (s *Stats) AddCache(hits, misses int64) {
-	if hits != 0 {
-		atomic.AddInt64(&s.CacheHits, hits)
-	}
-	if misses != 0 {
-		atomic.AddInt64(&s.CacheMisses, misses)
 	}
 }
 
@@ -133,7 +119,7 @@ func (s *Stats) Snapshot() Stats {
 }
 
 // String renders the counters compactly. Materialization, batch and
-// cache counters are appended only when non-zero.
+// statement-cache counters are appended only when non-zero.
 func (s *Stats) String() string {
 	c := s.Snapshot()
 	out := fmt.Sprintf(
@@ -145,11 +131,6 @@ func (s *Stats) String() string {
 	}
 	if c.Batches > 0 {
 		out += fmt.Sprintf(" batches=%d", c.Batches)
-	}
-	if c.CacheHits+c.CacheMisses > 0 {
-		out += fmt.Sprintf(" cachehits=%d cachemisses=%d hitrate=%.0f%%",
-			c.CacheHits, c.CacheMisses,
-			100*float64(c.CacheHits)/float64(c.CacheHits+c.CacheMisses))
 	}
 	if c.PlanHits+c.PlanMisses > 0 {
 		out += fmt.Sprintf(" planhits=%d planmisses=%d", c.PlanHits, c.PlanMisses)

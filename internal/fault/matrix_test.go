@@ -4,8 +4,8 @@
 // exercised in every failure mode — injected error, injected budget
 // exhaustion, injected panic, and injected delay under a deadline —
 // and each must produce a clean shutdown: a typed error, no partial
-// results, no leaked goroutines, no verdict-cache poisoning, and
-// correct byte-identical results once the fault is cleared.
+// results, no leaked goroutines, the same verdicts, and correct
+// byte-identical results once the fault is cleared.
 package fault_test
 
 import (
@@ -313,14 +313,14 @@ func TestFaultMatrix(t *testing.T) {
 				fault.Disarm(point)
 			}
 
-			// Fault cleared: verdict cache unpoisoned, results intact.
+			// Fault cleared: verdicts and results intact.
 			fault.Reset()
 			after, err := db.Analyze(qDistinct)
 			if err != nil {
 				t.Fatalf("post-fault Analyze: %v", err)
 			}
 			if after.Unique != verdict.Unique || after.DistinctRedundant != verdict.DistinctRedundant {
-				t.Fatalf("verdict cache poisoned: %+v, want %+v", after, verdict)
+				t.Fatalf("verdict changed after the fault: %+v, want %+v", after, verdict)
 			}
 			for _, q := range matrixQueries {
 				rows, err := db.Query(q)

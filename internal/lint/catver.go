@@ -6,13 +6,12 @@ import (
 )
 
 // CatVer guards the versioned cache's invalidation contract. Every
-// vcache.Cache entry — the analyzer's verdicts and the database's
-// compiled statements alike — is keyed by the catalog schema version,
-// so a schema mutation that does not bump the version leaves stale
-// entries live — and a stale entry does not just waste time: a stale
-// verdict licenses semantic rewrites (DISTINCT elimination, subquery
-// flattening) that are only valid under the old dependency set, and a
-// stale compiled statement runs them, joining in an order whose
+// vcache.Cache entry — a compiled statement, with the verdicts behind
+// its rewrites — is keyed by the catalog schema version, so a schema
+// mutation that does not bump the version leaves stale entries live —
+// and a stale entry does not just waste time: it runs semantic
+// rewrites (DISTINCT elimination, subquery flattening) that are only
+// valid under the old dependency set, joining in an order whose
 // cardinality bounds no longer hold. The analyzer requires every
 // exported method in internal/catalog that mutates its receiver to
 // bump the version in its body: a call to Bump/bump/bumped, or a
@@ -34,8 +33,7 @@ var CatVer = &Analyzer{
 var VersionKeyedCaches = map[string][]string{
 	"vcache.Cache": {
 		"internal/vcache/vcache.go",
-		"internal/core/cache.go", // verdicts and norm extractions
-		"uniqopt.go",             // compiled statements
+		"uniqopt.go", // compiled statements
 	},
 }
 
@@ -61,7 +59,7 @@ func runCatVer(pass *Pass) {
 				continue
 			}
 			pass.Report(fd.Name.Pos(),
-				"exported method %s mutates the catalog schema (e.g. line %d) without bumping the schema version; stale vcache.Cache entries (verdicts, compiled statements) would keep licensing rewrites for the old constraint set — call Bump (or the table's bump helper)",
+				"exported method %s mutates the catalog schema (e.g. line %d) without bumping the schema version; stale vcache.Cache entries (compiled statements) would keep running rewrites for the old constraint set — call Bump (or the table's bump helper)",
 				fd.Name.Name, pass.Fset.Position(mutPos.Pos()).Line)
 		}
 	}

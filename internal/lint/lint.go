@@ -4,9 +4,9 @@
 // internal/tvl's three-valued logic instead of collapsing to bool,
 // engine.Stats counters must cross goroutines only through the atomic
 // API in stats.go, catalog mutations must bump the schema version that
-// keys core.VerdictCache, map iteration must not leak nondeterministic
-// order into plans or output, and engine and plan functions must
-// thread the context they receive. Every rule is syntactic over one
+// keys the statement cache (vcache), map iteration must not leak
+// nondeterministic order into plans or output, and engine and plan
+// functions must thread the context they receive. Every rule is syntactic over one
 // typed package. The engine's iterator, governor and batch contracts
 // are not checked here: the engine checks them itself, at run time,
 // under the poison build tag (engine.Checker).

@@ -11,7 +11,7 @@ import (
 // StatsAtomic polices access to the engine.Stats work counters. The
 // documented concurrency contract (engine/stats.go) is: inside the
 // engine's operator implementation an execution increments its own
-// Stats directly; everyone else must use Add/AddCache to accumulate
+// Stats directly; everyone else must use Add/AddPlanCache to accumulate
 // and Snapshot to read. The analyzer enforces the statically checkable
 // faces of that contract:
 //
@@ -28,7 +28,7 @@ import (
 //     guarantee no counter is missed during merges.
 var StatsAtomic = &Analyzer{
 	Name: "statsatomic",
-	Doc:  "flag direct engine.Stats counter access that bypasses the atomic Add/AddCache/Snapshot API",
+	Doc:  "flag direct engine.Stats counter access that bypasses the atomic Add/AddPlanCache/Snapshot API",
 	Run:  runStatsAtomic,
 }
 
@@ -102,7 +102,7 @@ func runStatsAtomic(pass *Pass) {
 					if sel, ok := e.(*ast.SelectorExpr); ok {
 						if name, ok := statsCounter(pass.Info, sel); ok {
 							pass.Report(call.Pos(),
-								"ad-hoc atomic access to Stats.%s outside stats.go; the atomic counter API (Add/AddCache/Snapshot) is centralized there so fields() cannot miss a counter", name)
+								"ad-hoc atomic access to Stats.%s outside stats.go; the atomic counter API (Add/AddPlanCache/Snapshot) is centralized there so fields() cannot miss a counter", name)
 							break
 						}
 					}
@@ -129,7 +129,7 @@ func runStatsAtomic(pass *Pass) {
 			}
 			if writes[sel] {
 				pass.Report(sel.Sel.Pos(),
-					"direct write to engine.Stats counter %s through a *Stats; accumulate via Stats.Add/AddCache (atomic on the destination)", name)
+					"direct write to engine.Stats counter %s through a *Stats; accumulate via Stats.Add/AddPlanCache (atomic on the destination)", name)
 			} else {
 				pass.Report(sel.Sel.Pos(),
 					"direct read of engine.Stats counter %s through a *Stats may race with concurrent Add; read a Snapshot() copy", name)

@@ -1,6 +1,6 @@
 // Package catalog is the golden fixture for the catver analyzer: its
 // import path ends internal/catalog, so every exported mutating method
-// here must bump the schema version that keys the verdict cache.
+// here must bump the schema version that keys the statement cache.
 package catalog
 
 import "sync/atomic"

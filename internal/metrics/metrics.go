@@ -1,8 +1,8 @@
 // Package metrics is a dependency-free observability registry for the
-// optimizer and engine: per-query-shape latency histograms, analyzer
-// cache hit rates and resource-governor rejections. Snapshots are deterministic (shapes sorted, fixed
-// bucket layout) and render as JSON; Publish exposes a registry
-// through the standard library's expvar endpoint.
+// optimizer and engine: per-query-shape latency histograms and
+// resource-governor rejections. Snapshots are deterministic (shapes
+// sorted, fixed bucket layout) and render as JSON; Publish exposes a
+// registry through the standard library's expvar endpoint.
 //
 // The registry is safe for concurrent use: histogram observation is a
 // short critical section per shape, the scalar counters are atomics.
@@ -19,7 +19,7 @@ import (
 
 // bucketBounds are the histogram's inclusive nanosecond upper bounds:
 // a 1-2-5 log series from 10µs to 10s, plus an implicit overflow
-// bucket. The series covers everything from a cached analyzer verdict
+// bucket. The series covers everything from a compiled-statement hit
 // to a pathological product join, and is fine enough that
 // interpolated quantiles (p50/p99) are meaningful.
 var bucketBounds = [...]int64{
@@ -116,14 +116,6 @@ type ShapeSnapshot struct {
 	Buckets  []BucketCount `json:"buckets,omitempty"`
 }
 
-// CacheSnapshot reports analyzer-cache effectiveness.
-type CacheSnapshot struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// HitRate is hits/(hits+misses) in [0,1]; 0 when no lookups ran.
-	HitRate float64 `json:"hit_rate"`
-}
-
 // GovernorSnapshot reports resource-governor activity.
 type GovernorSnapshot struct {
 	// Rejections counts queries aborted for exceeding MaxRows/MemBudget.
@@ -134,7 +126,6 @@ type GovernorSnapshot struct {
 // deterministically ordered (shapes sorted lexicographically).
 type Snapshot struct {
 	Shapes   []ShapeSnapshot  `json:"shapes,omitempty"`
-	Cache    CacheSnapshot    `json:"cache"`
 	Governor GovernorSnapshot `json:"governor"`
 }
 
@@ -144,9 +135,7 @@ type Registry struct {
 	mu     sync.Mutex
 	shapes map[string]*Histogram
 
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	rejections  atomic.Int64
+	rejections atomic.Int64
 }
 
 // New returns an empty registry.
@@ -166,12 +155,6 @@ func (r *Registry) ObserveQuery(shape string, nanos int64) {
 	}
 	h.Observe(nanos)
 	r.mu.Unlock()
-}
-
-// ObserveCacheDelta accumulates analyzer-cache hit/miss deltas.
-func (r *Registry) ObserveCacheDelta(hits, misses int64) {
-	r.cacheHits.Add(hits)
-	r.cacheMisses.Add(misses)
 }
 
 // ObserveRejection counts one governor budget rejection.
@@ -206,11 +189,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 
-	s.Cache.Hits = r.cacheHits.Load()
-	s.Cache.Misses = r.cacheMisses.Load()
-	if total := s.Cache.Hits + s.Cache.Misses; total > 0 {
-		s.Cache.HitRate = float64(s.Cache.Hits) / float64(total)
-	}
 	s.Governor.Rejections = r.rejections.Load()
 	return s
 }

@@ -66,7 +66,6 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	r.ObserveQuery("zeta", 100)
 	r.ObserveQuery("alpha", 200)
 	r.ObserveQuery("alpha", 300)
-	r.ObserveCacheDelta(3, 1)
 	r.ObserveRejection()
 
 	a, err := r.JSON()
@@ -88,9 +87,6 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	if s.Shapes[0].Count != 2 || s.Shapes[0].SumNanos != 500 {
 		t.Errorf("alpha histogram wrong: %+v", s.Shapes[0])
 	}
-	if s.Cache.Hits != 3 || s.Cache.Misses != 1 || s.Cache.HitRate != 0.75 {
-		t.Errorf("cache snapshot wrong: %+v", s.Cache)
-	}
 	if s.Governor.Rejections != 1 {
 		t.Errorf("governor snapshot wrong: %+v", s.Governor)
 	}
@@ -111,7 +107,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			shape := []string{"a", "b"}[g%2]
 			for i := 0; i < 1000; i++ {
 				r.ObserveQuery(shape, int64(i))
-				r.ObserveCacheDelta(1, 0)
+				r.ObserveRejection()
 			}
 		}(g)
 	}
@@ -124,7 +120,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if total != 8000 {
 		t.Errorf("lost observations: %d", total)
 	}
-	if s.Cache.Hits != 8000 {
-		t.Errorf("lost cache deltas: %d", s.Cache.Hits)
+	if s.Governor.Rejections != 8000 {
+		t.Errorf("lost rejections: %d", s.Governor.Rejections)
 	}
 }

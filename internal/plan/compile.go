@@ -50,16 +50,9 @@ func appliedFields(ap *core.Applied) [3]*string {
 // Compile runs the compile-time half of Run on q: the rewrite fixpoint
 // (when Options.ApplyRewrites) and planSelect on every block, joined
 // under the set operation if q is one. No step reads a table row or a
-// row count. The analyzer-cache lookups it makes are counted into st.
-func (p *Planner) Compile(q ast.Query, st *engine.Stats) (c *Compiled, err error) {
+// row count.
+func (p *Planner) Compile(q ast.Query) (c *Compiled, err error) {
 	defer engine.Contain("plan.Run", &err)
-	if vc := p.An.Cache; vc != nil {
-		h0, m0 := vc.Counters()
-		defer func() {
-			h1, m1 := vc.Counters()
-			st.AddCache(h1-h0, m1-m0)
-		}()
-	}
 	c = &Compiled{Query: q}
 	c.Lits, c.Params = params(q)
 	c.Width = len(c.Params)

@@ -162,7 +162,7 @@ func TestCompileReadsNoLiteralValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := p.Compile(st.(ast.Query), &engine.Stats{})
+		c, err := p.Compile(st.(ast.Query))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,7 +274,7 @@ func TestIndexJoinRuleA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewPlanner(indexedDB(t), Options{}).Compile(q, &engine.Stats{})
+	c, err := NewPlanner(indexedDB(t), Options{}).Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}

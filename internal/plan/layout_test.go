@@ -180,7 +180,7 @@ func TestJoinLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		compiled, err := NewPlanner(db, c.opts).Compile(q, &engine.Stats{})
+		compiled, err := NewPlanner(db, c.opts).Compile(q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -249,7 +249,7 @@ func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 	if err == nil || err.Error() != "plan: unbound host variable :PARTNO" {
 		t.Fatalf("unbound key constant: %v, %v", res, err)
 	}
-	compiled, err := NewPlanner(db, Options{ApplyRewrites: true}).Compile(q, &engine.Stats{})
+	compiled, err := NewPlanner(db, Options{ApplyRewrites: true}).Compile(q)
 	if err != nil {
 		t.Fatal(err)
 	}

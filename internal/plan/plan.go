@@ -51,10 +51,6 @@ type Options struct {
 	SortDistinct bool
 	// Analyzer options forwarded to the core analyzer.
 	Core core.Options
-	// Cache, when non-nil, memoizes analyzer verdicts and predicate
-	// normalizations across Run calls (and across planners sharing the
-	// cache). Hit/miss deltas are reported in Result.Stats.
-	Cache *core.VerdictCache
 	// MaxRows bounds the rows a query may hold live at once — blocking
 	// state (hash tables, sort buffers), in-flight batches and the
 	// result (0 = unlimited); exceeding it fails the query with an
@@ -102,7 +98,7 @@ type Planner struct {
 func NewPlanner(db *storage.DB, opts Options) *Planner {
 	return &Planner{
 		DB:   db,
-		An:   &core.Analyzer{Cat: db.Catalog(), Opts: opts.Core, Cache: opts.Cache},
+		An:   &core.Analyzer{Cat: db.Catalog(), Opts: opts.Core},
 		Opts: opts,
 	}
 }
@@ -110,8 +106,7 @@ func NewPlanner(db *storage.DB, opts Options) *Planner {
 // Run plans and executes q — Compile, Bind, then Execute — its host
 // variables looked up by name through hosts (nil when q names none).
 func (p *Planner) Run(q ast.Query, hosts func(name string) (value.Value, bool)) (*Result, error) {
-	var compileStats engine.Stats
-	c, err := p.Compile(q, &compileStats)
+	c, err := p.Compile(q)
 	if err != nil {
 		return nil, err
 	}
@@ -119,12 +114,7 @@ func (p *Planner) Run(q ast.Query, hosts func(name string) (value.Value, bool)) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.Execute(context.Background(), NewFrame(), c, vals, false)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.Add(compileStats)
-	return res, nil
+	return p.Execute(context.Background(), NewFrame(), c, vals, false)
 }
 
 // Execute runs a compiled statement under ctx with this execution's

@@ -437,7 +437,7 @@ func TestCartesianProductPath(t *testing.T) {
 // the same counted work) and the executed tree to the plan-only
 // rendering (the same operators, details and notes).
 func (p *Planner) explained(q ast.Query, hosts map[string]value.Value) (*Result, error) {
-	c, err := p.Compile(q, &engine.Stats{})
+	c, err := p.Compile(q)
 	if err != nil {
 		return nil, err
 	}

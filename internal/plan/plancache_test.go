@@ -37,7 +37,7 @@ func cachedRun(db *storage.DB, sc *stmtCache, opts Options, src string, hosts ma
 		if err != nil {
 			return nil, err
 		}
-		if c, err = p.Compile(q, &st); err != nil {
+		if c, err = p.Compile(q); err != nil {
 			return nil, err
 		}
 		sc.Put(key, c)

@@ -13,14 +13,14 @@
 // the only concurrency, which keeps the per-session state (prepared
 // statements, negotiated budgets) lock-free. Queries from different
 // sessions run truly in parallel against the shared DB: the storage
-// layer is read-only during queries, the verdict cache and metrics
+// layer is read-only during queries, the statement cache and metrics
 // registry are concurrency-safe, and a server-wide RWMutex
 // serializes DDL against in-flight queries — a query holds the read
 // side for its whole execution, so it sees exactly one catalog
 // version from planning through execution (snapshot consistency),
 // and a CREATE TABLE waits for in-flight queries, applies, bumps the
-// catalog version, and thereby invalidates every cached uniqueness
-// verdict derived under the old schema.
+// catalog version, and thereby invalidates every compiled statement,
+// and the uniqueness verdicts in it, derived under the old schema.
 package server
 
 import (

@@ -1,7 +1,8 @@
 // Package vcache is the repo's one versioned cache: a bounded,
 // concurrency-safe map from (source text, catalog schema version,
-// option bits) to an immutable value. The analyzer's verdict cache and
-// the database's compiled-statement cache are both instances of it.
+// option bits) to an immutable value. It has one instance: the
+// database's compiled-statement cache, which is where every verdict,
+// rewrite and plan of a statement shape is kept.
 //
 // The catalog version in the key is the whole invalidation story: every
 // DDL — CREATE TABLE, ADD KEY/CHECK/FOREIGN KEY, DROP KEY, CREATE
@@ -28,8 +29,7 @@ type Key struct {
 const DefaultEntries = 4096
 
 // Cache memoizes values of type V. Values are shared between every
-// caller that hits the same key, so they must be immutable (or the
-// caller must copy on the way in and out, as the verdict cache does).
+// caller that hits the same key, so they must be immutable.
 type Cache[V any] struct {
 	mu      sync.RWMutex
 	entries map[Key]V

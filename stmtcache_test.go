@@ -11,7 +11,6 @@ import (
 
 	"uniqopt"
 	"uniqopt/internal/core"
-	"uniqopt/internal/engine"
 	"uniqopt/internal/plan"
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/lexer"
@@ -50,7 +49,7 @@ func uncached(db *uniqopt.DB, sql string, hosts map[string]any, optimize bool) o
 	}
 	p := plan.NewPlanner(db.Store(), plan.Options{ApplyRewrites: optimize,
 		Core: core.Options{UseKeyFDs: true, BindIsNull: true, UseCheckConstraints: true}})
-	c, err := p.Compile(q, &engine.Stats{})
+	c, err := p.Compile(q)
 	if err != nil {
 		return outcome{err: err.Error()}
 	}

@@ -57,19 +57,18 @@ import (
 // literals lifted out — into a per-DB cache keyed on shape and schema
 // version, so a repeated statement, whatever its literals, skips
 // parsing, Algorithm 1, the rewrites and planning entirely; DDL
-// invalidates the cache (and the analyzer's verdict cache behind it)
-// automatically.
+// invalidates the cache automatically. The compiled statement is the
+// only place a verdict is kept: the analyzer itself remembers nothing.
 type DB struct {
 	store storage.Store
 	opts  Options
-	cache *core.VerdictCache
 	stmts *vcache.Cache[*statement]
 	// stats accumulates engine work counters across every query this
 	// DB has executed (merged atomically; see EngineCounters). It is a
 	// pointer so View handles share one accumulator with their parent.
 	stats *engine.Stats
-	// metrics accumulates per-shape latency histograms, cache hit
-	// rates and governor rejections (see Metrics).
+	// metrics accumulates per-shape latency histograms and governor
+	// rejections (see Metrics).
 	metrics *metrics.Registry
 	// frames recycles the memory executions allocate from, shared with
 	// View handles like the counters.
@@ -159,7 +158,6 @@ func newDB(st storage.Store, opts Options) *DB {
 	return (&DB{
 		store:   st,
 		opts:    opts,
-		cache:   core.NewVerdictCache(0),
 		stmts:   vcache.New[*statement](0),
 		stats:   &engine.Stats{},
 		metrics: metrics.New(),
@@ -167,14 +165,13 @@ func newDB(st storage.Store, opts Options) *DB {
 	}).withPlanners()
 }
 
-// withPlanners builds d's two planners, over its store, analyzer cache
-// and options, and returns d.
+// withPlanners builds d's two planners, over its store and options,
+// and returns d.
 func (d *DB) withPlanners() *DB {
 	for i, optimize := range []bool{false, true} {
 		d.planners[i] = plan.NewPlanner(d.store.Heap(), plan.Options{
 			ApplyRewrites: optimize,
 			Core:          analyzerOptions,
-			Cache:         d.cache,
 			MaxRows:       d.opts.MaxRows,
 			MemBudget:     d.opts.MemBudget,
 		})
@@ -206,18 +203,17 @@ func (d *DB) Checkpoint() error { return d.store.Checkpoint() }
 func (d *DB) Close() error { return d.store.Close() }
 
 // View returns a handle onto the same database with different
-// Options: it shares this DB's storage, statement and verdict caches,
-// metrics registry, and cumulative counters, but queries issued through the
+// Options: it shares this DB's storage, statement cache, metrics
+// registry, and cumulative counters, but queries issued through the
 // view run under the view's options. This is the per-session budget
 // mechanism of the network server — each session gets a view whose
 // MaxRows/MemBudget cap its queries without constraining anyone
-// else's, while every verdict-cache hit and latency observation still
-// lands in the shared registries.
+// else's, while every statement-cache hit and latency observation
+// still lands in the shared registries.
 func (d *DB) View(opts Options) *DB {
 	return (&DB{
 		store:   d.store,
 		opts:    opts,
-		cache:   d.cache,
 		stmts:   d.stmts,
 		stats:   d.stats,
 		metrics: d.metrics,
@@ -455,11 +451,9 @@ func (d *DB) execute(ctx context.Context, sql string, hosts map[string]any, opti
 	}
 	f := d.frames.get()
 	res, err := d.planner(optimize).Execute(ctx, f, c.query, c.vals, false)
+	d.observeQuery(c.shape, time.Since(t0), err)
 	if err == nil {
 		res.Stats.Add(c.stats)
-	}
-	d.observeQuery(c.shape, time.Since(t0), res, err)
-	if err == nil {
 		d.stats.Add(res.Stats)
 		consume(res)
 	}
@@ -536,8 +530,7 @@ type call struct {
 	// vals is the call's binding vector: the statement's literals, then
 	// the caller's host variables.
 	vals []value.Value
-	// stats carries what compiling cost this call: one statement-cache
-	// hit or miss and, on a miss, the analyzer-cache lookups made.
+	// stats carries this call's one statement-cache hit or miss.
 	stats engine.Stats
 }
 
@@ -612,7 +605,7 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (ca
 			}
 		case ast.Query:
 			if !write {
-				c.query, err = p.Compile(x, &c.stats)
+				c.query, err = p.Compile(x)
 				if err != nil {
 					return call{}, err
 				}
@@ -713,18 +706,12 @@ func (d *DB) planner(optimize bool) *plan.Planner {
 }
 
 // observeQuery records one execution into the metrics registry: shape
-// latency, analyzer-cache deltas, and (on a budget error) a governor
-// rejection.
-func (d *DB) observeQuery(shape string, elapsed time.Duration, res *plan.Result, err error) {
+// latency and, on a budget error, a governor rejection.
+func (d *DB) observeQuery(shape string, elapsed time.Duration, err error) {
 	d.metrics.ObserveQuery(shape, elapsed.Nanoseconds())
-	if err != nil {
-		if errors.Is(err, ErrBudgetExceeded) {
-			d.metrics.ObserveRejection()
-		}
-		return
+	if errors.Is(err, ErrBudgetExceeded) {
+		d.metrics.ObserveRejection()
 	}
-	st := res.Stats.Snapshot()
-	d.metrics.ObserveCacheDelta(st.CacheHits, st.CacheMisses)
 }
 
 // Explanation is the result of EXPLAIN / EXPLAIN ANALYZE: the
@@ -913,11 +900,11 @@ func (d *DB) Suggest(sql string) ([]RewriteInfo, error) {
 // analyzer is the analyzer every planner of d runs.
 func (d *DB) analyzer() *core.Analyzer { return d.planners[1].An }
 
-// CacheCounters reports the cumulative analyzer-cache hits and misses
-// for this DB. Only compiling consults the analyzer cache — a
-// statement-cache hit never does — so these describe the compile
-// misses, not the statement traffic.
-func (d *DB) CacheCounters() (hits, misses int64) { return d.cache.Counters() }
+// CacheCounters reports (0, 0): the analyzer keeps no cache of its own.
+//
+// Deprecated: compiled statements are the only cache; see
+// PlanCacheCounters.
+func (d *DB) CacheCounters() (hits, misses int64) { return 0, 0 }
 
 // PlanCacheCounters reports the cumulative hits and misses of the
 // compiled-statement cache, which is where physical plans live: a hit
@@ -939,8 +926,8 @@ func (d *DB) GovernorCounters() (rows, bytes int64) {
 }
 
 // Metrics reports a deterministic snapshot of this DB's observability
-// registry: per-query-shape latency histograms, analyzer-cache hit
-// rate and governor rejections.
+// registry: per-query-shape latency histograms and governor
+// rejections.
 func (d *DB) Metrics() metrics.Snapshot { return d.metrics.Snapshot() }
 
 // MetricsJSON renders the metrics snapshot as indented JSON.
