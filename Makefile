@@ -77,12 +77,13 @@ server-smoke:
 crash-matrix:
 	$(GO) test -race -tags fault ./internal/storage/... ./cmd/uniqoptd
 
-# Fuzz smoke: ten seconds each of the seven fuzz targets — the frame
+# Fuzz smoke: ten seconds each of the eight fuzz targets — the frame
 # codec against encoding/json, the lexer's tokens and shapes against the
 # byte-at-a-time lexer it replaced, the SQL parser on statements and on
 # expressions, the statement cache against a database that has never
 # seen the text, the three-word value cell against the four-field
-# struct it replaced, and the batch filter against the row loop — beyond
+# struct it replaced, the batch filter against the row loop, and the
+# compiled clause, subquery leaves included, against eval.Truth — beyond
 # the seed corpora tier-1 already runs. A fixed budget and no timing assertion;
 # not part of ci (a finding is a new input to look at, not a flaky
 # build).
@@ -94,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompileTwice$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzValueModel$$' -fuzztime 10s ./internal/value/
 	$(GO) test -run '^$$' -fuzz '^FuzzFilterBatch$$' -fuzztime 10s ./internal/eval/
+	$(GO) test -run '^$$' -fuzz '^FuzzCompileAgreesWithTruth$$' -fuzztime 10s ./internal/eval/
 
 # Repository benchmark check: benchmark/ is a module of its own, outside
 # the root ./..., so nothing above builds it and an engine API change

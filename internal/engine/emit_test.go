@@ -96,7 +96,7 @@ func TestEmitMapProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			residual = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil).Pred
+			residual = eval.Prepare(pred, rCols, nil).Arm(nil, nil).Pred
 		}
 		emit = randEmit(r, 2, 4)
 		index := func(e Emit) Iterator {

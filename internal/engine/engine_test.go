@@ -15,7 +15,6 @@ import (
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/parser"
 	"uniqopt/internal/storage"
-	"uniqopt/internal/tvl"
 	"uniqopt/internal/value"
 )
 
@@ -177,7 +176,7 @@ func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[s
 	for _, name := range vars.Outer {
 		vals = append(vals, outerCols[name])
 	}
-	it = NewFilterIter(sc, p.st, it, eval.Prepare(where, it.Cols(), vars).Arm(vals, p.exists, p.in))
+	it = NewFilterIter(sc, p.st, it, eval.Prepare(where, it.Cols(), vars).Arm(vals, p.subquery(it.Cols(), outerCols)))
 	items, err := scope.ExpandItems(s.Items)
 	if err != nil {
 		return nil, err
@@ -211,35 +210,31 @@ func sortedNames(m map[string]value.Value) []string {
 	return out
 }
 
-// sub drains a subquery's pipeline with the current row's bindings as
-// its outer scope.
-func (p *sqlPipeline) sub(s *ast.Select, env *eval.Env) (*Relation, error) {
-	it, err := p.block(s, p.scopes[s], maps.Clone(env.Cols))
-	if err != nil {
-		return nil, err
+// subquery is the subquery callback of a filter over rows laid out as
+// cols: it drains the subquery's pipeline with the row, bound over
+// outerCols, as its outer scope, and answers its first column.
+func (p *sqlPipeline) subquery(cols []string, outerCols map[string]value.Value) eval.Subquery {
+	return func(s *ast.Select, row value.Row, _ bool) ([]value.Value, error) {
+		env := map[string]value.Value{}
+		maps.Copy(env, outerCols)
+		for i, c := range cols {
+			env[c] = row[i]
+		}
+		it, err := p.block(s, p.scopes[s], env)
+		if err != nil {
+			return nil, err
+		}
+		p.st.Add(Stats{SubqueryRuns: 1})
+		rel, err := Drain(p.ctx, p.sc, p.st, it)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]value.Value, rel.Len())
+		for i, row := range rel.Rows {
+			out[i] = row[0]
+		}
+		return out, nil
 	}
-	p.st.Add(Stats{SubqueryRuns: 1})
-	return Drain(p.ctx, p.sc, p.st, it)
-}
-
-func (p *sqlPipeline) exists(s *ast.Select, env *eval.Env) (tvl.Truth, error) {
-	rel, err := p.sub(s, env)
-	if err != nil {
-		return tvl.Unknown, err
-	}
-	return tvl.Of(rel.Len() > 0), nil
-}
-
-func (p *sqlPipeline) in(s *ast.Select, env *eval.Env) ([]value.Value, error) {
-	rel, err := p.sub(s, env)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]value.Value, rel.Len())
-	for i, row := range rel.Rows {
-		out[i] = row[0]
-	}
-	return out, nil
 }
 
 // run drains src's pipeline and requires it to agree, as a multiset,

@@ -39,17 +39,18 @@ type Pred func(row value.Row) (tvl.Truth, error)
 // it lies and decides by kind. A kernel answers only the case it was
 // built for, a cell of the constant's kind; a NULL cell or a cell of
 // another kind drops into the generic comparison, so compareValues stays
-// the one owner of Unknown and of every error text. Column-against-column
+// the one owner of a comparison's Unknown and error text. Column-against-column
 // comparisons, and constants of other kinds, run the generic comparison
 // alone. An AND whose every leaf is a kernel runs as one loop over its
 // kernels, left to right, stopping at the first FALSE — what any tree of
 // AND closures over the same leaves computes.
 //
-// Clauses with EXISTS or IN-subquery leaves (ast.HasExists) are not
-// compiled: the subquery callbacks need the whole environment, so Arm
-// builds one from the vector, and the armed Pred binds each row into it
-// and runs Truth, and must stay on one goroutine. Any other armed Filter
-// holds only values and may be shared by goroutines.
+// An EXISTS or IN-subquery leaf is prepared like any other, and runs its
+// subquery for the row being decided through the Subquery the clause is
+// armed with; the IN leaf owns the 3VL of NULLs on either side. A Filter
+// with such a leaf shares its callback's state and must stay on one
+// goroutine; any other armed Filter holds only values and may be shared
+// by goroutines.
 
 // Vars names the slots of a clause's binding vector: what it reads that
 // is not a cell of its row. Hosts are the first slots, the statement's
@@ -60,14 +61,16 @@ type Vars struct {
 	Base         int
 }
 
+// Subquery runs the subquery sub of a clause for one row of the
+// clause's layout and answers the values of its first column,
+// duplicates included. With exists set, the caller asks only whether a
+// row exists, and any values that show one will do.
+type Subquery func(sub *ast.Select, row value.Row, exists bool) ([]value.Value, error)
+
 // Program is a WHERE clause prepared against a column layout: its leaves
 // with their ordinals and constant expressions, not yet their values. It
 // is immutable. A nil *Program is the absent clause, TRUE on every row.
 type Program struct {
-	pred   ast.Expr
-	cols   []string
-	vars   Vars
-	interp bool   // the clause evaluates a subquery: Arm interprets it
 	leaves []node // the clause's AND leaves, left to right
 }
 
@@ -77,30 +80,21 @@ func Prepare(pred ast.Expr, cols []string, vars *Vars) *Program {
 	if pred == nil {
 		return nil
 	}
-	p := &Program{pred: pred, cols: cols}
-	if vars != nil {
-		p.vars = *vars
+	c := compiler{cols: cols, vars: vars}
+	if vars == nil {
+		c.vars = &Vars{}
 	}
-	if ast.HasExists(pred) {
-		p.interp = true
-		return p
-	}
-	c := compiler{cols: cols, vars: &p.vars}
-	p.leaves = c.leaves(nil, pred)
-	return p
+	return &Program{leaves: c.leaves(nil, pred)}
 }
 
 // Arm binds p's constants to one execution's binding vector and returns
-// the clause ready to run; exists and in evaluate its subqueries, if it
-// has any. The Filter belongs to that execution.
-func (p *Program) Arm(vals []value.Value, exists ExistsFunc, in InFunc) Filter {
-	switch {
-	case p == nil:
+// the clause ready to run; sub runs its subqueries, if it has any. The
+// Filter belongs to that execution.
+func (p *Program) Arm(vals []value.Value, sub Subquery) Filter {
+	if p == nil {
 		return Filter{Pred: func(value.Row) (tvl.Truth, error) { return tvl.True, nil }}
-	case p.interp:
-		return Filter{Pred: p.interpreted(vals, exists, in)}
 	}
-	a := armer{vals: vals}
+	a := armer{vals: vals, sub: sub}
 	pred, conj := a.conjunction(p.leaves)
 	return Filter{Pred: pred, conj: conj}
 }
@@ -162,29 +156,6 @@ func (f *Filter) Select(out, batch []value.Row, grow func(out []value.Row, n int
 // it to watch the cells it meets.
 type kernelTap func(kind value.Kind, op ast.CompareOp, ord int, p Pred) Pred
 
-// interpreted is the fallback for clauses with subqueries: Truth over a
-// private environment built from the vector and rebound to each row.
-func (p *Program) interpreted(vals []value.Value, exists ExistsFunc, in InFunc) Pred {
-	env := &Env{
-		Cols:   make(map[string]value.Value, len(p.vars.Outer)+len(p.cols)),
-		Hosts:  make(map[string]value.Value, len(p.vars.Hosts)),
-		Exists: exists,
-		In:     in,
-	}
-	for i, name := range p.vars.Hosts {
-		env.Hosts[name] = vals[i]
-	}
-	for i, name := range p.vars.Outer {
-		env.Cols[name] = vals[p.vars.Base+i]
-	}
-	return func(row value.Row) (tvl.Truth, error) {
-		for i, c := range p.cols {
-			env.Cols[c] = row[i]
-		}
-		return Truth(p.pred, env)
-	}
-}
-
 // ---- Prepare: the shape of every leaf ----
 
 // nodeOp is what a prepared node computes.
@@ -199,6 +170,8 @@ const (
 	opNot                   // kids[0]
 	opAnd                   // kids: the AND tree's leaves
 	opOr                    // kids: the two sides
+	opExists                // [NOT] EXISTS q
+	opInSub                 // l [NOT] IN q
 	opError                 // not a boolean expression: err on every row
 )
 
@@ -206,6 +179,7 @@ const (
 type node struct {
 	op      nodeOp
 	x       *ast.Compare // opCompare: the comparison, for its operator and error text
+	q       *ast.Select  // opExists, opInSub: the subquery
 	l, r    slot         // opCompare's operands; opIsNull's is l
 	kids    []node
 	negated bool
@@ -259,6 +233,10 @@ func (c *compiler) node(e ast.Expr) node {
 		return node{op: opAnd, kids: c.leaves(nil, x)}
 	case *ast.Or:
 		return node{op: opOr, kids: []node{c.node(x.L), c.node(x.R)}}
+	case *ast.Exists:
+		return node{op: opExists, negated: x.Negated, q: x.Query}
+	case *ast.InSubquery:
+		return node{op: opInSub, negated: x.Negated, l: c.slot(x.X), q: x.Query}
 	default:
 		return node{op: opError, err: fmt.Errorf("eval: %s is not a boolean expression", e.SQL())}
 	}
@@ -317,6 +295,7 @@ func (c *compiler) find(name string) int {
 
 type armer struct {
 	vals []value.Value
+	sub  Subquery
 	tap  kernelTap // tests only
 }
 
@@ -428,6 +407,48 @@ func (a *armer) truth(n *node) Pred {
 				return tvl.Unknown, err
 			}
 			return tvl.Or(a, b), nil
+		}
+	case opExists:
+		sub, q, negated := a.sub, n.q, n.negated
+		return func(row value.Row) (tvl.Truth, error) {
+			if sub == nil {
+				return tvl.Unknown, fmt.Errorf("eval: no subquery evaluator for EXISTS")
+			}
+			vs, err := sub(q, row, true)
+			if err != nil {
+				return tvl.Unknown, err
+			}
+			return tvl.Of((len(vs) > 0) != negated), nil
+		}
+	case opInSub:
+		o, sub, q, negated := a.operand(&n.l), a.sub, n.q, n.negated
+		return func(row value.Row) (tvl.Truth, error) {
+			if sub == nil {
+				return tvl.Unknown, fmt.Errorf("eval: no subquery evaluator for IN")
+			}
+			x, err := o.get(row)
+			if err != nil {
+				return tvl.Unknown, err
+			}
+			vs, err := sub(q, row, false)
+			if err != nil {
+				return tvl.Unknown, err
+			}
+			out := tvl.False
+			for _, v := range vs {
+				switch {
+				case x.IsNull() || v.IsNull():
+					out = tvl.Unknown
+				case !value.Comparable(x.Kind(), v.Kind()):
+					return tvl.Unknown, fmt.Errorf("eval: IN compares %s with %s", x.Kind(), v.Kind())
+				case tvl.IsTrue(value.Eq(x, v)):
+					return tvl.Of(!negated), nil
+				}
+			}
+			if negated {
+				out = tvl.Not(out)
+			}
+			return out, nil
 		}
 	default:
 		err := n.err

@@ -2,8 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"uniqopt/internal/sql/ast"
@@ -81,6 +83,49 @@ func genOperand(r *rand.Rand) ast.Expr {
 	}
 }
 
+// genSubquery draws the subquery of an EXISTS or IN leaf, for fakeIn to
+// answer: its select list is the answer, one value an item, read for the
+// row being decided — none, integers and strings (the wrong kind for some
+// operands), NULLs, the row's own cells (a correlated answer) or an outer
+// binding; a FROM clause makes the run fail.
+func genSubquery(r *rand.Rand) *ast.Select {
+	sub := &ast.Select{Items: make([]ast.SelectItem, r.Intn(4))}
+	for i := range sub.Items {
+		sub.Items[i].Expr = []ast.Expr{
+			&ast.IntLit{V: int64(r.Intn(5))}, &ast.IntLit{V: int64(r.Intn(5))},
+			&ast.StringLit{V: string(rune('a' + r.Intn(3)))}, &ast.NullLit{},
+			&ast.ColumnRef{Column: "I"}, &ast.ColumnRef{Column: "S"}, &ast.ColumnRef{Column: "OUTER"},
+		}[r.Intn(7)]
+	}
+	if r.Intn(12) == 0 {
+		sub.From = []ast.TableRef{{Table: "FAILS"}}
+	}
+	return sub
+}
+
+// fakeIn is the IN callback genSubquery's subqueries run under: the
+// values of the select list in env, the row bound over its columns.
+func fakeIn(sub *ast.Select, env *Env) ([]value.Value, error) {
+	if len(sub.From) > 0 {
+		return nil, fmt.Errorf("fake: %s failed", sub.From[0].Table)
+	}
+	out := make([]value.Value, len(sub.Items))
+	for i, item := range sub.Items {
+		v, err := Value(item.Expr, env)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// fakeExists is fakeIn's EXISTS callback: TRUE when it answers a value.
+func fakeExists(sub *ast.Select, env *Env) (tvl.Truth, error) {
+	vals, err := fakeIn(sub, env)
+	return tvl.Of(len(vals) > 0), err
+}
+
 // genPred draws a predicate of every boolean node Compile accepts.
 func genPred(r *rand.Rand, depth int) ast.Expr {
 	if depth > 0 {
@@ -93,7 +138,7 @@ func genPred(r *rand.Rand, depth int) ast.Expr {
 			return &ast.Not{X: genPred(r, depth-1)}
 		}
 	}
-	switch r.Intn(12) {
+	switch r.Intn(14) {
 	case 0, 1, 2, 3, 4:
 		ops := []ast.CompareOp{ast.EqOp, ast.NeOp, ast.LtOp, ast.LeOp, ast.GtOp, ast.GeOp}
 		return &ast.Compare{Op: ops[r.Intn(len(ops))], L: genOperand(r), R: genOperand(r)}
@@ -107,6 +152,10 @@ func genPred(r *rand.Rand, depth int) ast.Expr {
 		return &ast.InList{X: genOperand(r), List: list, Negated: r.Intn(2) == 0}
 	case 9, 10:
 		return &ast.IsNull{X: genOperand(r), Negated: r.Intn(2) == 0}
+	case 12:
+		return &ast.Exists{Query: genSubquery(r), Negated: r.Intn(2) == 0}
+	case 13:
+		return &ast.InSubquery{X: genOperand(r), Query: genSubquery(r), Negated: r.Intn(2) == 0}
 	default:
 		if r.Intn(3) == 0 {
 			// Not a boolean expression: the error must stay lazy.
@@ -116,17 +165,20 @@ func genPred(r *rand.Rand, depth int) ast.Expr {
 	}
 }
 
-// interpret is the reference: Truth with row bound over env.Cols.
-func interpret(pred ast.Expr, cols []string, row value.Row, proto *Env) (tvl.Truth, error) {
+// bindRow is proto with row, laid out as cols, bound over its columns.
+func bindRow(proto *Env, cols []string, row value.Row) *Env {
 	env := *proto
 	env.Cols = make(map[string]value.Value, len(proto.Cols)+len(cols))
-	for k, v := range proto.Cols {
-		env.Cols[k] = v
-	}
+	maps.Copy(env.Cols, proto.Cols)
 	for i, c := range cols {
 		env.Cols[c] = row[i]
 	}
-	return Truth(pred, &env)
+	return &env
+}
+
+// interpret is the reference: Truth with row bound over env.Cols.
+func interpret(pred ast.Expr, cols []string, row value.Row, proto *Env) (tvl.Truth, error) {
+	return Truth(pred, bindRow(proto, cols, row))
 }
 
 func agree(t *testing.T, pred ast.Expr, cols []string, row value.Row, env *Env, compiled Pred) (failed bool) {
@@ -174,7 +226,29 @@ func sortedNames(m map[string]value.Value) []string {
 // by bindEnv, with env's subquery callbacks.
 func compileFilterIn(pred ast.Expr, cols []string, env *Env) Filter {
 	vars, vals := bindEnv(env)
-	return Prepare(pred, cols, vars).Arm(vals, env.Exists, env.In)
+	return Prepare(pred, cols, vars).Arm(vals, subqueryOf(env, cols))
+}
+
+// subqueryOf adapts env's subquery callbacks to the Subquery a clause
+// over rows laid out as cols is armed with: a run sees the row bound
+// over env's columns, as Truth's callbacks do. An EXISTS callback
+// answers TRUE or FALSE. nil when env has no callbacks, so that the
+// clause fails as Truth does.
+func subqueryOf(env *Env, cols []string) Subquery {
+	if env.Exists == nil && env.In == nil {
+		return nil
+	}
+	return func(sub *ast.Select, row value.Row, exists bool) ([]value.Value, error) {
+		e := bindRow(env, cols, row)
+		if !exists {
+			return env.In(sub, e)
+		}
+		t, err := env.Exists(sub, e)
+		if err != nil || !tvl.IsTrue(t) {
+			return nil, err
+		}
+		return []value.Value{value.Null}, nil
+	}
 }
 
 // compileIn is compileFilterIn's row predicate.
@@ -221,10 +295,12 @@ func (kc *kernelCoverage) missing() (out []string) {
 }
 
 // diffEnv is the environment the generated predicates run in: outer
-// bindings (one the row shadows) and host variables of every kind, one
-// of them NULL; :MISSING is unbound.
+// bindings (one the row shadows), host variables of every kind, one of
+// them NULL, and the fake subqueries; :MISSING is unbound.
 func diffEnv() *Env {
 	return &Env{
+		Exists: fakeExists,
+		In:     fakeIn,
 		Cols: map[string]value.Value{
 			"OUTER":  value.Int(3),
 			"SHADOW": value.String_("outer value the row must hide"),
@@ -241,6 +317,9 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 	withKernel := 0
 	env := diffEnv()
 	truths, errs, failures := map[tvl.Truth]int{}, 0, 0
+	// What the predicates with a subquery leaf came to, by outcome or
+	// error text.
+	subOutcomes := map[string]int{}
 	for i := 0; i < 4000 && failures < 10; i++ {
 		pred := genPred(r, r.Intn(4))
 		compiled := compileIn(pred, diffCols, env)
@@ -248,7 +327,7 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 		// every kernel reporting the cells it meets.
 		before := cov.chosen
 		vars, vals := bindEnv(env)
-		tapped, _ := (&armer{vals: vals, tap: cov.tap}).conjunction(Prepare(pred, diffCols, vars).leaves)
+		tapped, _ := (&armer{vals: vals, sub: subqueryOf(env, diffCols), tap: cov.tap}).conjunction(Prepare(pred, diffCols, vars).leaves)
 		if cov.chosen > before {
 			withKernel++
 		}
@@ -258,17 +337,27 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 				failures++
 				break
 			}
-			if v, err := compiled(row); err != nil {
+			v, err := compiled(row)
+			if err != nil {
 				errs++
 			} else {
 				truths[v]++
 			}
+			if ast.HasExists(pred) {
+				subOutcomes[subOutcome(v, err)]++
+			}
 		}
 	}
 	// The generator must reach every outcome, or the sweep proves less
-	// than it claims.
+	// than it claims — with a subquery leaf in the predicate too.
 	if truths[tvl.True] == 0 || truths[tvl.False] == 0 || truths[tvl.Unknown] == 0 || errs == 0 {
 		t.Fatalf("generator coverage: truths %v, errors %d", truths, errs)
+	}
+	t.Logf("predicates with a subquery leaf came to %v", subOutcomes)
+	for _, o := range []string{"TRUE", "FALSE", "UNKNOWN", "eval: IN compares", "fake: FAILS failed"} {
+		if subOutcomes[o] == 0 {
+			t.Errorf("no predicate with a subquery leaf came to %q: %v", o, subOutcomes)
+		}
 	}
 	// And it must reach the kernels: in a good share of the predicates,
 	// and every kernel on a cell it decides, on a NULL and on a cell of
@@ -279,6 +368,21 @@ func TestCompileAgreesWithTruth(t *testing.T) {
 	if missing := cov.missing(); len(missing) > 0 {
 		t.Errorf("no kernel ran as: %q", missing)
 	}
+}
+
+// subOutcome names what a predicate came to: its truth value, or which
+// error it raised — the IN leaf's kind mismatch, the subquery's own
+// failure, or another.
+func subOutcome(v tvl.Truth, err error) string {
+	switch {
+	case err == nil:
+		return strings.ToUpper(v.String())
+	case strings.HasPrefix(err.Error(), "eval: IN compares"):
+		return "eval: IN compares"
+	case err.Error() == "fake: FAILS failed":
+		return err.Error()
+	}
+	return "another error"
 }
 
 // diffEnv2 binds the same host variables as diffEnv to values of other
@@ -477,7 +581,7 @@ func checkArmed(t *testing.T, pred ast.Expr, batch []value.Row) bool {
 	vars, vals1 := bindEnv(envs[0])
 	_, vals2 := bindEnv(envs[1])
 	prog := Prepare(pred, diffCols, vars)
-	armed := []Filter{prog.Arm(vals1, nil, nil), prog.Arm(vals2, nil, nil)}
+	armed := []Filter{prog.Arm(vals1, subqueryOf(envs[0], diffCols)), prog.Arm(vals2, subqueryOf(envs[1], diffCols))}
 	for i, env := range envs {
 		f, want := armed[i], compileFilterIn(pred, diffCols, env)
 		for _, row := range batch {
@@ -581,6 +685,41 @@ func FuzzFilterBatch(f *testing.F) {
 	})
 }
 
+// FuzzCompileAgreesWithTruth is TestCompileAgreesWithTruth steered by
+// the fuzzer: its bytes make genPred's choices, subquery leaves and their
+// answers included, and genRow's.
+func FuzzCompileAgreesWithTruth(f *testing.F) {
+	f.Add([]byte{})
+	r := rand.New(rand.NewSource(45))
+	for i := 0; i < 32; i++ {
+		seed := make([]byte, 48)
+		r.Read(seed)
+		f.Add(seed)
+	}
+	env := diffEnv()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := rand.New(&byteSource{data: data})
+		pred := genPred(r, r.Intn(4))
+		agree(t, pred, diffCols, genRow(r), env, compileIn(pred, diffCols, env))
+	})
+}
+
+// byteSource is a rand.Source that reads one byte of data a number,
+// spread over all its bits, and 0 once data runs out, so that each of a
+// generator's choices is one byte a fuzzer can mutate.
+type byteSource struct{ data []byte }
+
+func (s *byteSource) Int63() int64 {
+	if len(s.data) == 0 {
+		return 0
+	}
+	b := s.data[0]
+	s.data = s.data[1:]
+	return int64(uint64(b) * 0x0101010101010101 >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
 // Errors sit behind short-circuits exactly where Truth leaves them: an
 // unbound host variable or column, or a kind mismatch, on the far side
 // of a decided AND/OR is never evaluated; on the near side it is raised
@@ -617,40 +756,69 @@ func TestCompileShortCircuitKeepsErrorsLazy(t *testing.T) {
 	}
 }
 
-// Subquery leaves are not compiled: the returned Pred interprets, and
-// the callback sees the row bound into the environment it is handed.
-func TestCompileFallsBackForSubqueries(t *testing.T) {
-	var seen []value.Value
-	env := &Env{
-		Cols: map[string]value.Value{"OUTER": value.Int(9)},
-		Exists: func(sub *ast.Select, env *Env) (tvl.Truth, error) {
-			seen = append(seen, env.Cols["A"], env.Cols["OUTER"])
-			return tvl.Of(env.Cols["A"].AsInt() > 1), nil
-		},
+// A subquery leaf hands its subquery the row it decides, whose cells
+// the subquery reads by ordinal; its operand may be an outer slot; a
+// decided AND runs no subquery; and a clause without one never calls
+// the callback.
+func TestCompileSubqueryLeaves(t *testing.T) {
+	sub := &ast.Select{}
+	vars := &Vars{Outer: []string{"OUTER"}}
+	cols := []string{"A", "B"}
+	var ran []value.Row
+	answer := func(q *ast.Select, row value.Row, exists bool) ([]value.Value, error) {
+		if q != sub {
+			t.Fatalf("ran %v, want the leaf's own subquery", q)
+		}
+		ran = append(ran, row)
+		return []value.Value{row[1], value.Int(9)}, nil
 	}
-	pred := &ast.And{
-		L: &ast.Compare{Op: ast.GeOp, L: &ast.ColumnRef{Column: "A"}, R: &ast.IntLit{V: 1}},
-		R: &ast.Exists{Query: &ast.Select{}},
+	run := func(src string, vals []value.Value, row value.Row) tvl.Truth {
+		t.Helper()
+		pred := expr(t, src)
+		ast.WalkExpr(pred, func(x ast.Expr) bool {
+			switch x := x.(type) {
+			case *ast.Exists:
+				x.Query = sub
+			case *ast.InSubquery:
+				x.Query = sub
+			}
+			return true
+		})
+		got, err := Prepare(pred, cols, vars).Arm(vals, answer).Pred(row)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", src, row, err)
+		}
+		return got
 	}
-	compiled := compileIn(pred, []string{"A"}, env)
-	for a, want := range map[int64]tvl.Truth{0: tvl.False, 1: tvl.False, 2: tvl.True} {
-		got, err := compiled(value.Row{value.Int(a)})
-		if err != nil || got != want {
-			t.Errorf("A=%d: got %v, %v; want %v", a, got, err, want)
+	row := value.Row{value.Int(1), value.Int(5)}
+	// The row by ordinal: B's cell is in the answer.
+	ran = nil
+	if got := run("5 IN (SELECT * FROM T) AND A IN (SELECT * FROM T)", []value.Value{value.Int(0)}, row); !tvl.IsFalse(got) ||
+		len(ran) != 2 || &ran[0][0] != &row[0] || &ran[1][0] != &row[0] {
+		t.Errorf("5 IN … AND A IN …: %v after runs on %v, want FALSE after two runs on the row itself", got, ran)
+	}
+	// An outer slot as the operand, read from the binding vector.
+	for outer, want := range map[int64]tvl.Truth{9: tvl.True, 8: tvl.False} {
+		if got := run("OUTER IN (SELECT * FROM T)", []value.Value{value.Int(outer)}, row); got != want {
+			t.Errorf("OUTER = %d: OUTER IN … = %v, want %v", outer, got, want)
 		}
 	}
-	if len(seen) != 4 { // A=0 short-circuits before the subquery
-		t.Fatalf("EXISTS callback saw %v, want two calls", seen)
-	}
-	for i := 1; i < len(seen); i += 2 {
-		if fmt.Sprint(seen[i]) != "9" {
-			t.Errorf("callback lost the outer binding: %v", seen)
+	// A decided AND runs no subquery.
+	ran = nil
+	for a, want := range map[int64]tvl.Truth{0: tvl.False, 1: tvl.True} {
+		if got := run("A >= 1 AND EXISTS (SELECT * FROM T)", []value.Value{value.Null}, value.Row{value.Int(a), value.Null}); got != want {
+			t.Errorf("A = %d: %v, want %v", a, got, want)
 		}
 	}
-	if _, ok := env.Cols["A"]; ok {
-		t.Error("Compile bound rows into the caller's environment instead of a private copy")
+	if len(ran) != 1 {
+		t.Errorf("EXISTS ran %d times, want once: A = 0 decides the AND", len(ran))
 	}
-	if got, err := compileIn(nil, nil, env)(nil); err != nil || !tvl.IsTrue(got) {
+	// No subquery leaf, no call.
+	ran = nil
+	if got := run("A = 1 OR B = 2", []value.Value{value.Null}, row); !tvl.IsTrue(got) || len(ran) != 0 {
+		t.Errorf("A = 1 OR B = 2: %v after %d subquery runs, want TRUE after none", got, len(ran))
+	}
+	if got, err := Prepare(nil, nil, nil).Arm(nil, answer).Pred(nil); err != nil || !tvl.IsTrue(got) || len(ran) != 0 {
 		t.Errorf("nil predicate = %v, %v; want TRUE", got, err)
 	}
 }
@@ -676,7 +844,7 @@ func BenchmarkCompile(b *testing.B) {
 		prog := Prepare(pred, cols, vars)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkPred = prog.Arm(vals, nil, nil).Pred
+			sinkPred = prog.Arm(vals, nil).Pred
 		}
 	})
 }
@@ -698,11 +866,14 @@ func BenchmarkCompiledVsInterpreted(b *testing.B) {
 	})
 	b.Run("interpreted", func(b *testing.B) {
 		// Bind the row into a reused map, then walk the AST: the
-		// per-row loop Compile replaced, and still its fallback.
-		vars, vals := bindEnv(env)
-		p := (&Program{pred: pred, cols: cols, vars: *vars}).interpreted(vals, nil, nil)
+		// per-row loop Compile replaced, and what the oracle runs.
+		e := *env
+		e.Cols = make(map[string]value.Value, len(cols))
 		for i := 0; i < b.N; i++ {
-			sinkTruth, _ = p(row)
+			for j, c := range cols {
+				e.Cols[c] = row[j]
+			}
+			sinkTruth, _ = Truth(pred, &e)
 		}
 	})
 }

@@ -1,9 +1,10 @@
 // Package eval evaluates SQL expressions under three-valued logic, for
 // storage CHECKs, the planner's WHERE clauses and join predicates, the
-// exact Theorem-1 checker in internal/core and the tests' oracle. Truth
-// walks an expression against Env, a name-keyed environment; the oracle
-// uses it alone. The product prepares a clause once and arms it per
-// execution from a binding vector, by slot (compile.go).
+// exact Theorem-1 checker in internal/core and the tests' oracle. The
+// product prepares every clause once, subquery leaves included, and arms
+// it per execution from a binding vector, by slot (compile.go). Truth
+// walks an expression against Env, a name-keyed environment; only the
+// oracle runs it.
 package eval
 
 import (

@@ -25,7 +25,9 @@ func inExpr(negated bool) *ast.InSubquery {
 }
 
 // The 3VL truth table for IN-subqueries, the part the optimizer's
-// NOT-IN refusal depends on.
+// NOT-IN refusal depends on: Truth's, and the compiled leaf's, each held
+// to the table on its own, since a differential test between the two
+// cannot see a mistake they share.
 func TestInSubqueryTruthTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -56,6 +58,11 @@ func TestInSubqueryTruthTable(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+		leaf := Prepare(inExpr(c.neg), []string{"X"}, nil).Arm(nil,
+			func(*ast.Select, value.Row, bool) ([]value.Value, error) { return c.vals, nil })
+		if got, err := leaf.Pred(value.Row{c.x}); err != nil || got != c.want {
+			t.Errorf("%s: compiled leaf got %v, %v, want %v", c.name, got, err, c.want)
 		}
 	}
 }

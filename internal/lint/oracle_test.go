@@ -58,17 +58,12 @@ func TestOracleIsIndependentAndTestOnly(t *testing.T) {
 
 // bindingPaths are the packages whose non-test code runs an execution:
 // they bind every parameter by its slot of the binding vector, so none
-// keys a value by name — map[string]value.Value — or builds an eval.Env.
-// The one name-keyed environment left on the product path is the one
-// eval's interpreted walk over a surviving EXISTS or IN builds for
-// itself; plan reads it, through a *eval.Env, when a subquery runs.
+// keys a value by name — map[string]value.Value — or names eval.Env.
 var bindingPaths = []string{".", "internal/plan", "internal/engine"}
 
 // TestProductBindsParametersBySlot fails when non-test code of a
-// bindingPaths package spells map[string]value.Value or uses eval.Env
-// other than through a pointer — a composite literal, new(eval.Env), or
-// a variable, field or parameter of the struct type itself — and when
-// the engine names eval.Env at all.
+// bindingPaths package spells map[string]value.Value or names eval.Env,
+// through a pointer or not.
 func TestProductBindsParametersBySlot(t *testing.T) {
 	found := map[string]bool{}
 	moduleUses(t, func(mod, dir string, fset *token.FileSet, files []*ast.File) bool {
@@ -78,12 +73,7 @@ func TestProductBindsParametersBySlot(t *testing.T) {
 		found[dir] = true
 		for _, f := range files {
 			evalName, valueName := importName(f, mod+"/internal/eval"), importName(f, mod+"/internal/value")
-			var stack []ast.Node
 			ast.Inspect(f, func(n ast.Node) bool {
-				if n == nil {
-					stack = stack[:len(stack)-1]
-					return false
-				}
 				switch x := n.(type) {
 				case *ast.MapType:
 					if k, ok := x.Key.(*ast.Ident); ok && k.Name == "string" && isSelector(x.Value, valueName, "Value") {
@@ -91,18 +81,11 @@ func TestProductBindsParametersBySlot(t *testing.T) {
 							fset.Position(x.Pos()))
 					}
 				case *ast.SelectorExpr:
-					if !isSelector(x, evalName, "Env") {
-						break
-					}
-					if _, ptr := stack[len(stack)-1].(*ast.StarExpr); !ptr {
-						t.Errorf("%s: builds an eval.Env; arm a clause from the binding vector instead",
-							fset.Position(x.Pos()))
-					} else if dir == "internal/engine" {
-						t.Errorf("%s: an engine iterator takes an armed clause or the binding vector, not an *eval.Env",
+					if isSelector(x, evalName, "Env") {
+						t.Errorf("%s: names eval.Env, the oracle's name-keyed environment; arm a clause from the binding vector instead",
 							fset.Position(x.Pos()))
 					}
 				}
-				stack = append(stack, n)
 				return true
 			})
 		}
@@ -112,6 +95,29 @@ func TestProductBindsParametersBySlot(t *testing.T) {
 		if !found[dir] {
 			t.Errorf("no package at %s", dir)
 		}
+	}
+}
+
+// TestOnlyTheOracleRunsTruth fails when non-test code outside the
+// oracle names eval.Truth, except eval.go, which defines it. The product
+// runs every clause as one prepared program (eval.Prepare, then Arm); a
+// second evaluator on its path would share its 3VL logic with the
+// oracle, and the differential tests could not see a mistake in it.
+func TestOnlyTheOracleRunsTruth(t *testing.T) {
+	named := false
+	moduleUses(t, func(mod, dir string, _ *token.FileSet, files []*ast.File) bool {
+		return dir == "internal/eval" || importsPath(files, mod+"/internal/eval")
+	}, func(mod, file string, pos token.Position, obj types.Object) {
+		if fn, ok := obj.(*types.Func); !ok || fn.FullName() != mod+"/internal/eval.Truth" {
+			return
+		}
+		named = true
+		if !strings.HasPrefix(file, oraclePath+"/") && file != "internal/eval/eval.go" {
+			t.Errorf("%s: names eval.Truth; only the oracle walks a clause — prepare and arm it (eval.Prepare) instead", pos)
+		}
+	})
+	if !named {
+		t.Error("nothing names eval.Truth: the check has lost its target")
 	}
 }
 

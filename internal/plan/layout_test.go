@@ -213,6 +213,13 @@ func TestJoinLayoutsRunAsTheReference(t *testing.T) {
 		`SELECT DISTINCT S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P, AGENTS A WHERE S.SNO = P.SNO AND A.SNO = S.SNO`,
 		`SELECT ALL P.PNO, S.SNAME FROM SUPPLIER S, PARTS P
 			WHERE S.SNO = P.SNO AND EXISTS (SELECT * FROM AGENTS A WHERE A.SNO = S.SNO AND A.ANO < P.PNO)`,
+		// The filter's layout repeats S.SNO, which its subquery reads.
+		`SELECT ALL S.SNO, P.PNO, S.SNO FROM SUPPLIER S, PARTS P
+			WHERE S.SNO = P.SNO AND NOT EXISTS (SELECT * FROM AGENTS A WHERE A.SNO = S.SNO AND A.ANO > P.PNO)`,
+		// The innermost block reads the outermost row (S.SCITY) through
+		// the middle block's own outer slots.
+		`SELECT ALL S.SNO, S.SNAME FROM SUPPLIER S WHERE EXISTS (SELECT * FROM PARTS P
+			WHERE P.SNO = S.SNO AND NOT EXISTS (SELECT * FROM AGENTS A WHERE A.SNO = P.SNO AND A.ACITY = S.SCITY))`,
 		`SELECT ALL S.SNO, S.SNAME, P.PNAME FROM SUPPLIER S, PARTS P
 			WHERE S.SNO BETWEEN :L AND :H AND S.SNO = P.SNO AND P.PNO = :PARTNO`,
 		`SELECT ALL P.PNAME, A.ANAME FROM SUPPLIER S, PARTS P, AGENTS A WHERE S.SNO = :N AND S.SNO < 99`,

@@ -530,7 +530,7 @@ func (p *Planner) planSelect(s *ast.Select, outer *catalog.Scope, vars *eval.Var
 	if rf.pred != nil {
 		fo := &filterOp{child: cur, f: rf.over(cols, vars), subs: map[*ast.Select]subBlock{}}
 		for _, sub := range ast.Subqueries(rf.pred) {
-			blk := subBlock{vars: &eval.Vars{Hosts: vars.Hosts, Outer: append(slices.Clip(cols), vars.Outer...), Base: *width}}
+			blk := subBlock{vars: &eval.Vars{Hosts: vars.Hosts, Outer: append(slices.Clip(cols), vars.Outer...), Base: *width}, outer: vars.Base}
 			*width += len(blk.vars.Outer)
 			if blk.op, _, err = p.planSelect(sub, scope, blk.vars, width); err != nil {
 				return nil, nil, err

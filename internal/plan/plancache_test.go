@@ -28,7 +28,8 @@ func cachedRun(db *storage.DB, sc *stmtCache, opts Options, src string, hosts ma
 	p := NewPlanner(db, opts)
 	key := vcache.Key{Src: src, CatVer: db.Catalog().Version(), Opts: opts.CompileBits()}
 	var st engine.Stats
-	c, hit := sc.Get(key)
+	c, hit := sc.Peek(key)
+	sc.Count(hit)
 	if hit {
 		st.AddPlanCache(1, 0)
 	} else {
@@ -79,8 +80,8 @@ func TestPlanCacheHitMissCounters(t *testing.T) {
 	if r1.Stats.PlanMisses != 1 || r1.Stats.PlanHits != 0 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/1", r1.Stats.PlanHits, r1.Stats.PlanMisses)
 	}
-	if pc.Len() != 1 {
-		t.Fatalf("cache holds %d plans, want 1", pc.Len())
+	if c, ok := pc.Peek(vcache.Key{Src: cacheProbeSQL, CatVer: db.Catalog().Version(), Opts: Options{}.CompileBits()}); !ok || c == nil {
+		t.Fatal("the cold run filed no plan under its key")
 	}
 
 	r2 := planRun(t, db, pc, cacheProbeSQL, nil)
@@ -200,11 +201,8 @@ func TestPlanCacheInvalidationPerDDLKind(t *testing.T) {
 func TestPlanCacheSourceCollisionIsMiss(t *testing.T) {
 	pc := vcache.New[*Compiled](0)
 	pc.Put(vcache.Key{Src: "SELECT A.X FROM A", CatVer: 1}, &Compiled{})
-	if c, ok := pc.Get(vcache.Key{Src: "SELECT B.Y FROM B", CatVer: 1}); ok || c != nil {
+	if c, ok := pc.Peek(vcache.Key{Src: "SELECT B.Y FROM B", CatVer: 1}); ok || c != nil {
 		t.Fatal("a different source under the same version and options must miss")
-	}
-	if hits, misses := pc.Counters(); hits != 0 || misses != 1 {
-		t.Fatalf("counters = %d/%d, want 0/1", hits, misses)
 	}
 }
 
@@ -214,29 +212,19 @@ func TestPlanCacheCapacityClearsWholesale(t *testing.T) {
 	pc := vcache.New[*Compiled](2)
 	pc.Put(vcache.Key{Src: "q1"}, &Compiled{})
 	pc.Put(vcache.Key{Src: "q2"}, &Compiled{})
-	if pc.Len() != 2 {
-		t.Fatalf("len = %d, want 2", pc.Len())
+	held := func(src string) bool {
+		_, ok := pc.Peek(vcache.Key{Src: src})
+		return ok
+	}
+	if !held("q1") || !held("q2") {
+		t.Fatal("a cache of two must hold two entries")
 	}
 	pc.Put(vcache.Key{Src: "q3"}, &Compiled{})
-	if pc.Len() != 1 {
-		t.Fatalf("len after overflow = %d, want 1 (wholesale clear then insert)", pc.Len())
+	if held("q1") || held("q2") {
+		t.Fatal("overflow must clear the cache wholesale before the insert")
 	}
-	if c, ok := pc.Get(vcache.Key{Src: "q3"}); !ok || c == nil {
+	if !held("q3") {
 		t.Fatal("newest entry must survive the clear")
-	}
-}
-
-// Reset returns the cache to cold: no entries, zero counters.
-func TestPlanCacheReset(t *testing.T) {
-	pc := vcache.New[*Compiled](0)
-	pc.Put(vcache.Key{Src: "q"}, &Compiled{})
-	pc.Get(vcache.Key{Src: "q"})
-	pc.Reset()
-	if pc.Len() != 0 {
-		t.Fatalf("len after reset = %d", pc.Len())
-	}
-	if hits, misses := pc.Counters(); hits != 0 || misses != 0 {
-		t.Fatalf("counters after reset = %d/%d", hits, misses)
 	}
 }
 
@@ -256,8 +244,10 @@ func TestPlanCacheOptionBitsPartition(t *testing.T) {
 	if res.Stats.PlanHits != 0 || res.Stats.PlanMisses != 1 || res.Stats.SortRuns != 1 {
 		t.Fatalf("sort-DISTINCT run must not reuse the hash plan: %s", res.Stats.String())
 	}
-	if pc.Len() != 2 {
-		t.Fatalf("len = %d, want 2 distinct entries", pc.Len())
+	for _, opts := range []Options{{}, {SortDistinct: true}} {
+		if _, ok := pc.Peek(vcache.Key{Src: distinctSQL, CatVer: db.Catalog().Version(), Opts: opts.CompileBits()}); !ok {
+			t.Fatalf("no entry under %+v's bits", opts)
+		}
 	}
 }
 

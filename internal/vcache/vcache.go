@@ -48,15 +48,8 @@ func New[V any](maxEntries int) *Cache[V] {
 	return &Cache[V]{entries: make(map[Key]V), max: maxEntries}
 }
 
-// Get looks k up, counting a hit or a miss.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	v, ok := c.Peek(k)
-	c.Count(ok)
-	return v, ok
-}
-
-// Peek looks k up without counting. A caller that may probe under more
-// than one key per lookup peeks, then reports the outcome once to Count.
+// Peek looks k up without counting. A caller may probe under more than
+// one key per lookup; it reports the outcome once to Count.
 func (c *Cache[V]) Peek(k Key) (V, bool) {
 	c.mu.RLock()
 	v, ok := c.entries[k]
@@ -86,21 +79,4 @@ func (c *Cache[V]) Put(k Key, v V) {
 // Counters reports cumulative hit/miss counts.
 func (c *Cache[V]) Counters() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
-}
-
-// Len reports the number of cached values.
-func (c *Cache[V]) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.entries)
-}
-
-// Reset drops every entry and zeroes the hit/miss counters, returning
-// the cache to its cold state.
-func (c *Cache[V]) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[Key]V)
-	c.hits.Store(0)
-	c.misses.Store(0)
 }
