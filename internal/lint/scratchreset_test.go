@@ -21,8 +21,8 @@ import (
 // consumer returns (value.BoxRows copying the rows out for
 // QueryWithContext, or the daemon's session encoding them into its
 // frame through QueryFunc), ExplainWith, which keeps no row, and a
-// filter's subquery runs (internal/plan/tree.go), each answering a truth
-// value or values copied out before its own scratch is reset. A new
+// filter's subquery runs (internal/plan/tree.go), each answering values
+// copied out before its own scratch is reset. A new
 // entry is a decision to review, not a formality.
 var scratchResetters = map[string]bool{
 	"uniqopt.go":            true,
