@@ -4,8 +4,11 @@ package uniqopt_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"uniqopt"
@@ -90,23 +93,32 @@ func TestQueryAllocsDoNotGrowWithRows(t *testing.T) {
 // TestQueryFuncAllocs is the allocation budget of a warm QueryFunc, the
 // daemon's path: the answer is read in place, so an execution allocates
 // neither its pipeline — iterators, governor, result, batches, rows,
-// hash tables, all carved from the DB's recycled frame — nor a copy of
-// its answer, and what it pays is a constant for the call, pinned here,
-// the same in count and bytes over four times the data. Example 2 runs a
-// hash join into a hash table, the filter scan the batch filter, and
-// the OR filter the row loop, which grows its output a row at a time.
+// hash tables, armed kernels, all carved from the DB's recycled frame —
+// nor its binding vector or shape, which the frame holds too, nor a copy
+// of its answer. What it pays is pinned here, the same in count and bytes
+// over four times the data: nothing for a statement whose predicates are
+// kernels, and for an OR, which runs the row loop, the closures of the OR
+// and of its two leaves. Example 2 runs a hash join into a hash table,
+// the filter scan the batch filter, and Example 9 unrewritten the sort-
+// merge INTERSECT, whose collected operands, sort buffers and merged
+// output grow in the scratch too.
 func TestQueryFuncAllocs(t *testing.T) {
 	cases := []struct {
 		name, sql string
 		hosts     map[string]any
+		optimize  bool
 		allocs    float64
 	}{
-		{"example2", workload.PaperQueries["example2"], nil, 5},
+		{"example2", workload.PaperQueries["example2"], nil, true, 0},
 		{"filter_scan", `SELECT ALL P.SNO, P.PNO, P.OEM-PNO FROM PARTS P
 			WHERE P.COLOR <> 'RED' AND P.PNO > :K AND P.OEM-PNO < :M`,
-			map[string]any{"K": 3, "M": 1_000_000}, 8},
+			map[string]any{"K": 3, "M": 1_000_000}, true, 0},
 		{"or_filter", `SELECT ALL P.SNO, P.PNO FROM PARTS P WHERE P.COLOR = 'RED' OR P.PNO > :K`,
-			map[string]any{"K": 3}, 8},
+			map[string]any{"K": 3}, true, 3},
+		// The paper's baseline for Theorem 3: a sort-merge INTERSECT,
+		// whose operands are collected, sorted and merged in the scratch;
+		// its OR is three closures, as above.
+		{"example9_baseline", workload.PaperQueries["example9"], nil, false, 3},
 	}
 	dbs := map[int]*uniqopt.DB{1: scaledGoldenDB(t, 1), 4: scaledGoldenDB(t, 4)}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -115,7 +127,7 @@ func TestQueryFuncAllocs(t *testing.T) {
 			allocs, bytes, rows := map[int]float64{}, map[int]float64{}, map[int]int{}
 			for scale, db := range dbs {
 				query := func() {
-					err := db.QueryFunc(context.Background(), c.sql, c.hosts, true,
+					err := db.QueryFunc(context.Background(), c.sql, c.hosts, c.optimize,
 						func(_ []string, data []value.Row, _ []uniqopt.RewriteInfo) { rows[scale] = len(data) })
 					if err != nil {
 						t.Fatal(err)
@@ -158,4 +170,40 @@ func allocsPerRun(runs int, f func()) (allocs, bytes float64) {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWarmExplainReachesNoAnalyzer: a plan-only EXPLAIN of a cached
+// statement renders the verdict its compiled statement carries, so what
+// it allocates does not grow with the WHERE clause Algorithm 1 would
+// have to normalise — the same at one conjunct and at eight, where an
+// EXPLAIN that re-ran the analyzer paid for every conjunct (85 and 130
+// allocations).
+func TestWarmExplainReachesNoAnalyzer(t *testing.T) {
+	db := shapeDB(t, uniqopt.Options{})
+	allocs := map[int]float64{}
+	for _, n := range []int{1, 8} {
+		conj := make([]string, n)
+		hosts := map[string]any{}
+		for i := range conj {
+			conj[i] = fmt.Sprintf("S.BUDGET > :B%d", i)
+			hosts[fmt.Sprintf("B%d", i)] = i
+		}
+		sql := "SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE " + strings.Join(conj, " AND ")
+		explain := func() {
+			e, err := db.ExplainWith(context.Background(), sql, hosts, true, false)
+			if err != nil || len(e.Trace) == 0 || len(e.Rewrites) != 1 {
+				t.Fatalf("%s: %v, %v", sql, e, err)
+			}
+		}
+		explain()
+		allocs[n] = testing.AllocsPerRun(50, explain)
+	}
+	t.Logf("warm plan-only EXPLAIN: %v allocations at 1 conjunct, %v at 8", allocs[1], allocs[8])
+	slack := 0.0
+	if raceBuild { // the race detector adds one here or there
+		slack = 1
+	}
+	if math.Abs(allocs[8]-allocs[1]) > slack {
+		t.Errorf("warm plan-only EXPLAIN: %v allocations at 8 conjuncts, %v at 1: it analyzes the statement again", allocs[8], allocs[1])
+	}
 }

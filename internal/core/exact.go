@@ -166,7 +166,7 @@ func (a *Analyzer) exact(fixed *catalog.Scope, s *ast.Select, items []ast.Select
 	var w *Witness
 	errFound := fmt.Errorf("witness found")
 	err = each(hostDoms, func(hv []value.Value) error {
-		pred := where.Arm(hv, nil).Pred
+		pred := where.Arm(hv, nil, nil).Pred
 		groups := map[uint64][]bucket{}
 		return each(rows, func(pick []value.Row) error {
 			at := row
@@ -225,7 +225,7 @@ func (d Domains) TableRows(corr string, t *catalog.Table, maxCombos int) ([]valu
 	}
 	checks := make([]eval.Pred, len(t.Checks))
 	for i, chk := range t.Checks {
-		checks[i] = eval.Prepare(chk, t.ColumnNames(), nil).Arm(nil, nil).Pred
+		checks[i] = eval.Prepare(chk, t.ColumnNames(), nil).Arm(nil, nil, nil).Pred
 	}
 	var out []value.Row
 	err := each(doms, func(vals []value.Value) error {

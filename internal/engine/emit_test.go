@@ -90,13 +90,13 @@ func TestEmitMapProperty(t *testing.T) {
 		if r.Intn(2) == 0 {
 			in.Key, konst = append(in.Key, -1), maybeNull(r, 3)
 		}
-		var residual eval.Pred
+		var residual eval.Filter
 		if r.Intn(2) == 0 {
 			pred, err := parser.ParseExpr(fmt.Sprintf("R.V >= %d", r.Intn(10)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			residual = eval.Prepare(pred, rCols, nil).Arm(nil, nil).Pred
+			residual = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil)
 		}
 		emit = randEmit(r, 2, 4)
 		index := func(e Emit) Iterator {
@@ -104,7 +104,7 @@ func TestEmitMapProperty(t *testing.T) {
 			return ixJoinIter(sc, &st, NewRelationIter(sc, &st, outer), in, konst, residual)
 		}
 		identicalRelations(t, projectedFullWidth(t, &st, index(IdentityEmit(2, 4)), emit, 2), mustDrain(t, sc, &st, index(emit)),
-			fmt.Sprintf("trial %d: index join (key %v %v, residual %v) emitting %v\nL=%v\nR=%v", trial, in.Key, konst, residual != nil, emit, outer, inner))
+			fmt.Sprintf("trial %d: index join (key %v %v, residual %v) emitting %v\nL=%v\nR=%v", trial, in.Key, konst, !residual.Empty(), emit, outer, inner))
 	}
 }
 
@@ -190,7 +190,7 @@ func BenchmarkIndexJoinEmit(b *testing.B) {
 			plan := probePlan(in, outer.Cols)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rows += drainRows(b, NewIndexJoinIter(sc, &st, NewRelationIter(sc, &st, outer), plan, sc.Cells(1), nil))
+				rows += drainRows(b, NewIndexJoinIter(sc, &st, NewRelationIter(sc, &st, outer), plan, sc.Cells(1), eval.Filter{}))
 				sc.Reset()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")

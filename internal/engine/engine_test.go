@@ -176,7 +176,7 @@ func (p *sqlPipeline) block(s *ast.Select, outer *catalog.Scope, outerCols map[s
 	for _, name := range vars.Outer {
 		vals = append(vals, outerCols[name])
 	}
-	it = NewFilterIter(sc, p.st, it, eval.Prepare(where, it.Cols(), vars).Arm(vals, p.subquery(it.Cols(), outerCols)))
+	it = NewFilterIter(sc, p.st, it, eval.Prepare(where, it.Cols(), vars).Arm(vals, p.subquery(it.Cols(), outerCols), sc))
 	items, err := scope.ExpandItems(s.Items)
 	if err != nil {
 		return nil, err

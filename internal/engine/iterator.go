@@ -210,7 +210,8 @@ func (sg *streamGuard) holdBatch(b Batch) error {
 }
 
 // collect drains child into one row slice charged as held state and
-// closes it: the input phase of a blocking operator.
+// closes it: the input phase of a blocking operator. The slice grows
+// through the scratch, doubling.
 func (sg *streamGuard) collect(ctx context.Context, child Iterator) ([]value.Row, error) {
 	var rows []value.Row
 	for {
@@ -223,6 +224,9 @@ func (sg *streamGuard) collect(ctx context.Context, child Iterator) ([]value.Row
 		}
 		if err := sg.holdBatch(b); err != nil {
 			return nil, err
+		}
+		if cap(rows)-len(rows) < len(b) {
+			rows = sg.sc.grow(rows, max(len(b), len(rows)))
 		}
 		rows = append(rows, b...)
 	}

@@ -176,14 +176,14 @@ func TestIndexJoinAgreesWithHashJoinProperty(t *testing.T) {
 			in.Key = append(in.Key, -1)
 			filter = "R.C = " + c.String()
 		}
-		var residualPred eval.Pred
+		var residualPred eval.Filter
 		if r.Intn(2) == 0 {
 			residual := fmt.Sprintf("R.V >= %d", r.Intn(10))
 			pred, err := parser.ParseExpr(residual)
 			if err != nil {
 				t.Fatal(err)
 			}
-			residualPred = eval.Prepare(pred, rCols, nil).Arm(nil, nil).Pred
+			residualPred = eval.Prepare(pred, rCols, nil).Arm(nil, nil, nil)
 			if filter != "" {
 				filter += " AND "
 			}
@@ -242,7 +242,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := IndexProbe{Tbl: tbl, Ix: ix, Cols: rCols, Key: []int{0}, Emit: IdentityEmit(len(l.Cols), len(rCols))}
-	pred := eval.Prepare(residual, rCols, nil).Arm(nil, nil).Pred
+	pred := eval.Prepare(residual, rCols, nil).Arm(nil, nil, nil)
 	semiIn := in
 	semiIn.Semi, semiIn.Emit = true, nil
 	semi := func(sc *Scratch, st *Stats) Iterator {
@@ -322,7 +322,7 @@ func TestIndexJoinLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := eval.Prepare(unbound, rCols, nil).Arm(nil, nil).Pred
+	bad := eval.Prepare(unbound, rCols, nil).Arm(nil, nil, nil)
 	if _, err := consume(ctx0, ixJoinIter(sc, &Stats{}, NewRelationIter(sc, &Stats{}, l), semiIn, value.Null, bad)); err == nil ||
 		!strings.Contains(err.Error(), "unbound host variable :UNBOUND") {
 		t.Errorf("unbound residual: %v", err)

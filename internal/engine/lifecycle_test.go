@@ -59,7 +59,7 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 	}{
 		{"ProductIter", prodIter(sc, st, in(l), in(r))},
 		{"HashJoinIter", joinIter(sc, st, in(l), in(r), []string{"L.K"}, []string{"R.K"})},
-		{"FilterIter", NewFilterIter(sc, st, in(l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil))},
+		{"FilterIter", NewFilterIter(sc, st, in(l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))},
 		{"ProjectIter", projIter(sc, st, in(l), "L.K")},
 		{"DistinctSortIter", NewDistinctSortIter(sc, st, in(l))},
 		{"DistinctHashIter", NewDistinctHashIter(sc, st, in(l))},
@@ -88,7 +88,7 @@ func TestCancelledContextStopsOperators(t *testing.T) {
 		t.Fatal(err)
 	}
 	rctx, rcancel := context.WithCancel(context.Background())
-	f := NewFilterIter(sc, st, &cancelAfter{Iterator: in(l), cancel: rcancel}, eval.Prepare(pred, l.Cols, nil).Arm(nil, nil))
+	f := NewFilterIter(sc, st, &cancelAfter{Iterator: in(l), cancel: rcancel}, eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil))
 	if b, err := f.Next(rctx); !errors.Is(err, context.Canceled) || b != nil {
 		t.Errorf("filter cancelled mid-batch: batch of %d, err %v; want nil, context.Canceled", len(b), err)
 	}

@@ -119,56 +119,44 @@ type countedRow struct {
 }
 
 // sortCounted sorts rows in place by OrderCompareRows, counting one sort
-// run, its rows and every comparison in st: the sort of every operator
-// that sorts.
-func sortCounted(st *Stats, rows []value.Row) {
+// run, the rows sorted and every comparison in st; the merge buffer is
+// carved from sc.
+func sortCounted(sc *Scratch, st *Stats, rows []value.Row) {
 	st.SortRuns++
 	st.RowsSorted += int64(len(rows))
-	sortRowsBy(rows, func(a, b value.Row) int {
+	if len(rows) < 2 {
+		return
+	}
+	mergeSort(rows, sc.headers.take(len(rows)), func(a, b value.Row) int {
 		st.Comparisons++
 		return value.OrderCompareRows(a, b)
 	})
 }
 
-// sortRowsBy is a simple merge sort counting nothing; operator-level
-// sorts count inside the comparison function they pass.
-func sortRowsBy(rows []value.Row, cmp func(a, b value.Row) int) {
+// mergeSort is a stable merge sort of rows by cmp, through tmp, a buffer
+// as long as rows; it counts nothing, and the operator-level sorts count
+// inside cmp.
+func mergeSort(rows, tmp []value.Row, cmp func(a, b value.Row) int) {
 	if len(rows) < 2 {
 		return
 	}
-	tmp := make([]value.Row, len(rows))
-	var ms func(lo, hi int)
-	ms = func(lo, hi int) {
-		if hi-lo < 2 {
-			return
-		}
-		mid := (lo + hi) / 2
-		ms(lo, mid)
-		ms(mid, hi)
-		i, j, k := lo, mid, lo
-		for i < mid && j < hi {
-			if cmp(rows[i], rows[j]) <= 0 {
-				tmp[k] = rows[i]
-				i++
-			} else {
-				tmp[k] = rows[j]
-				j++
-			}
-			k++
-		}
-		for i < mid {
+	mid := len(rows) / 2
+	mergeSort(rows[:mid], tmp[:mid], cmp)
+	mergeSort(rows[mid:], tmp[mid:], cmp)
+	i, j, k := 0, mid, 0
+	for i < mid && j < len(rows) {
+		if cmp(rows[i], rows[j]) <= 0 {
 			tmp[k] = rows[i]
 			i++
-			k++
-		}
-		for j < hi {
+		} else {
 			tmp[k] = rows[j]
 			j++
-			k++
 		}
-		copy(rows[lo:hi], tmp[lo:hi])
+		k++
 	}
-	ms(0, len(rows))
+	k += copy(tmp[k:], rows[i:mid])
+	copy(tmp[k:], rows[j:])
+	copy(rows, tmp)
 }
 
 // ColIndexes resolves names against a column list — what a planner does

@@ -177,7 +177,7 @@ func TestFilterSizesOutputFromLastEmission(t *testing.T) {
 	its := make([]Iterator, runs+1) // AllocsPerRun warms up with one extra call
 	for i := range its {
 		st, sc := &Stats{}, NewScratch() // what an execution's pipeline carves
-		its[i] = NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil))
+		its[i] = NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))
 		if b, err := its[i].Next(ctx0); err != nil || len(b) != DefaultBatchSize {
 			t.Fatalf("first batch: %d rows, err = %v", len(b), err)
 		}
@@ -278,7 +278,7 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 		L: &ast.ColumnRef{Qualifier: "X", Column: "B"}, R: &ast.HostVar{Name: "K"}}
 	env := &eval.Env{Hosts: map[string]value.Value{"K": value.Int(7)}}
 	scanFilter := func(sc *Scratch, st *Stats) Iterator {
-		keep := eval.Prepare(pred, cols, &eval.Vars{Hosts: []string{"K"}}).Arm([]value.Value{value.Int(7)}, nil)
+		keep := eval.Prepare(pred, cols, &eval.Vars{Hosts: []string{"K"}}).Arm([]value.Value{value.Int(7)}, nil, nil)
 		return NewFilterIter(sc, st, NewTableIter(sc, st, tbl, cols), keep)
 	}
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"reflect"
 
+	"uniqopt/internal/eval"
 	"uniqopt/internal/value"
 )
 
@@ -29,6 +30,7 @@ type Scratch struct {
 	entries bump[rtEntry]
 	slots   bump[rtSlot]
 	ords    bump[int]
+	conj    bump[eval.Conjunct]
 	frames  frames
 	// own is the execution's governor; gov is the one its pipeline
 	// charges — own, the parent execution's for a subquery's scratch, or
@@ -145,7 +147,8 @@ const (
 )
 
 // Reset hands back everything the execution took, for the next one. It
-// clears only the part of each chunk that was handed out. An allocator
+// clears only the part of each chunk that was handed out, and an
+// allocator that handed out nothing costs a comparison. An allocator
 // whose chunk overflowed starts the next execution with one chunk the
 // size of all it handed out, up to scratchRetain bytes. Rows the
 // Scratch backs must not be read after Reset: under the poison build
@@ -160,6 +163,7 @@ func (s *Scratch) Reset() {
 	s.entries.reset()
 	s.slots.reset()
 	s.ords.reset()
+	s.conj.reset()
 	s.frames.reset()
 }
 
@@ -176,6 +180,7 @@ func (s *Scratch) poison() {
 	s.entries.abandon(rtEntry{next: rtNone, row: row})
 	s.slots.abandon(rtSlot{head: -1, tail: -1})
 	s.ords.abandon(-1)
+	s.conj.abandon(eval.Conjunct{}) // decides nothing: a read panics
 	s.frames.abandon()
 }
 
@@ -229,7 +234,7 @@ func (b *bump[T]) keep() int { return scratchRetain / b.elem() }
 func (b *bump[T]) elem() int { return int(reflect.TypeFor[T]().Size()) }
 
 func (b *bump[T]) reset() {
-	if b.chunk == nil {
+	if b.off == 0 && !b.spilled {
 		return // nothing carved since the last reset
 	}
 	used := b.off
@@ -268,8 +273,22 @@ func (b *bump[T]) abandon(sentinel T) {
 // Cells returns n zeroed cells: a row's storage, or a slab of rows'.
 func (s *Scratch) Cells(n int) value.Row { return s.values.take(n) }
 
+// GrowCells returns vals with room for n more cells, moved to cells of
+// the scratch with exactly that room if it has less: the allocator of an
+// execution's binding vector (lexer.Shape's grow).
+func (s *Scratch) GrowCells(vals []value.Value, n int) []value.Value {
+	if cap(vals)-len(vals) >= n {
+		return vals
+	}
+	nv := s.values.take(len(vals) + n)
+	return nv[:copy(nv, vals)]
+}
+
 // Ints returns n zeroed ints: the row ordinals of an index probe.
 func (s *Scratch) Ints(n int) []int { return s.ords.take(n) }
+
+// Conjuncts returns n zeroed conjuncts: an armed predicate's (eval.Arena).
+func (s *Scratch) Conjuncts(n int) []eval.Conjunct { return s.conj.take(n) }
 
 // batch returns an empty batch with room for n rows.
 func (s *Scratch) batch(n int) Batch { return s.headers.take(n)[:0] }

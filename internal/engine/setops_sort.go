@@ -81,10 +81,11 @@ func exceptSorted(st *Stats, g *streamGuard, ls, rs []value.Row, all bool) ([]va
 	return out, nil
 }
 
-// appendKept appends n copies of row to out, charging each to g.
+// appendKept appends n copies of row to out, charging each to g; out
+// grows through g's scratch.
 func appendKept(g *streamGuard, out []value.Row, row value.Row, n int) ([]value.Row, error) {
 	for k := 0; k < n; k++ {
-		out = append(out, row)
+		out = g.sc.push(out, row)
 		if err := g.keep(row); err != nil {
 			return nil, err
 		}

@@ -182,7 +182,7 @@ type filterIter struct {
 // the child's columns and armed for this execution, carved from sc. A
 // zero keep filters nothing.
 func NewFilterIter(sc *Scratch, st *Stats, child Iterator, keep eval.Filter) Iterator {
-	if keep.Pred == nil {
+	if keep.Empty() {
 		return child
 	}
 	return carve(&sc.frames.filters, filterIter{child: child, keep: keep, cols: child.Cols(), st: st, sg: sc.guard(st)})
@@ -515,7 +515,7 @@ func (it *distinctSortIter) Next(ctx context.Context) (Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		sortCounted(it.st, rows)
+		sortCounted(it.sg.sc, it.st, rows)
 		// Collapse each run of ≐-equal rows onto its first row, in
 		// place: the buffer is this iterator's own.
 		kept := rows[:0]
@@ -598,8 +598,8 @@ func (it *setOpIter) Next(ctx context.Context) (Batch, error) {
 		if err := fault.Point(FaultSort); err != nil {
 			return nil, err
 		}
-		sortCounted(it.st, lrows)
-		sortCounted(it.st, rrows)
+		sortCounted(it.sg.sc, it.st, lrows)
+		sortCounted(it.sg.sc, it.st, rrows)
 		if it.out, err = it.merge(it.st, &it.sg, lrows, rrows, it.all); err != nil {
 			return nil, err
 		}
@@ -855,7 +855,7 @@ func (p *IndexProbe) Resolve(outer []string) error {
 type indexJoinIter struct {
 	outer   Iterator
 	in      *IndexProbe
-	pred    eval.Pred // what a fetched row must still satisfy; nil = nothing more
+	keep    eval.Filter // what a fetched row must still satisfy
 	st      *Stats
 	sg      streamGuard
 	keyBuf  value.Row      // the probe key: the execution's constants and, per outer row, its columns
@@ -872,13 +872,14 @@ type indexJoinIter struct {
 // resolved against the outer input's columns, the table's rows fetched
 // through in.Ix; carved from sc. key is a row of len(in.Key) cells,
 // carved from sc, holding the execution's constant at every negative
-// Key; the iterator fills in the rest for each outer row. pred, armed
-// over in.Cols, is what a fetched row must still satisfy (nil = nothing
-// more). WHERE-clause equality semantics: a key with a NULL component
-// matches nothing, although the index files NULLs together.
-func NewIndexJoinIter(sc *Scratch, st *Stats, outer Iterator, in *IndexProbe, key value.Row, pred eval.Pred) Iterator {
+// Key; the iterator fills in the rest for each outer row. keep, armed
+// over in.Cols, is what a fetched row must still satisfy (the zero
+// Filter: nothing more). WHERE-clause equality semantics: a key with a
+// NULL component matches nothing, although the index files NULLs
+// together.
+func NewIndexJoinIter(sc *Scratch, st *Stats, outer Iterator, in *IndexProbe, key value.Row, keep eval.Filter) Iterator {
 	return carve(&sc.frames.indexJoins, indexJoinIter{
-		outer: outer, in: in, pred: pred, st: st, sg: sc.guard(st), keyBuf: key,
+		outer: outer, in: in, keep: keep, st: st, sg: sc.guard(st), keyBuf: key,
 	})
 }
 
@@ -945,8 +946,8 @@ func (j *indexJoinIter) Next(ctx context.Context) (Batch, error) {
 			}
 			j.st.RowsScanned++
 			j.st.JoinPairs++
-			if j.pred != nil {
-				t, err := j.pred(irow)
+			if !j.keep.Empty() {
+				t, err := j.keep.Pred(irow)
 				if err != nil {
 					return nil, err
 				}

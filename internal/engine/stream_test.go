@@ -88,7 +88,7 @@ func TestStreamOperatorEquivalence(t *testing.T) {
 		withBatchSize(t, bs)
 
 		st := &Stats{}
-		gotFilter := mustDrain(t, sc, st, NewFilterIter(sc, st, NewRelationIter(sc, st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil)))
+		gotFilter := mustDrain(t, sc, st, NewFilterIter(sc, st, NewRelationIter(sc, st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
 		identicalRelations(t, wantFilter, gotFilter, "stream filter")
 
 		st = &Stats{}
@@ -183,7 +183,7 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	pred, _ := gtPred()
 
 	st := &Stats{}
-	n, err := consume(ctx, NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil)))
+	n, err := consume(ctx, NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestStreamGovernorAccounting(t *testing.T) {
 	govM := scM.Budget(0, 1<<40)
 	ctxM := context.Background()
 	stM := &Stats{}
-	outM, err := Drain(ctxM, scM, stM, NewFilterIter(scM, stM, NewRelationIter(scM, stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil)))
+	outM, err := Drain(ctxM, scM, stM, NewFilterIter(scM, stM, NewRelationIter(scM, stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStreamBudget(t *testing.T) {
 	gov := sc.Budget(0, budget)
 	ctx := context.Background()
 	st := &Stats{}
-	if _, err := consume(ctx, NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil))); err != nil {
+	if _, err := consume(ctx, NewFilterIter(sc, st, NewRelationIter(sc, st, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); err != nil {
 		t.Fatalf("streaming pipeline should fit in budget: %v", err)
 	}
 	if _, peak := gov.Peak(); peak > budget {
@@ -243,7 +243,7 @@ func TestStreamBudget(t *testing.T) {
 	scM.Budget(0, budget)
 	ctxM := context.Background()
 	stM := &Stats{}
-	if _, err := Drain(ctxM, scM, stM, NewFilterIter(scM, stM, NewRelationIter(scM, stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil))); !errors.Is(err, ErrBudgetExceeded) {
+	if _, err := Drain(ctxM, scM, stM, NewFilterIter(scM, stM, NewRelationIter(scM, stM, rel), eval.Prepare(pred, rel.Cols, nil).Arm(nil, nil, nil))); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("materializing filter: err=%v, want budget exceeded", err)
 	}
 
@@ -295,7 +295,7 @@ func TestStreamEmptyInputs(t *testing.T) {
 	pred, _ := gtPred()
 
 	st := &Stats{}
-	if got := mustDrain(t, sc, st, NewFilterIter(sc, st, NewRelationIter(sc, st, empty), eval.Prepare(pred, empty.Cols, nil).Arm(nil, nil))); got.Len() != 0 {
+	if got := mustDrain(t, sc, st, NewFilterIter(sc, st, NewRelationIter(sc, st, empty), eval.Prepare(pred, empty.Cols, nil).Arm(nil, nil, nil))); got.Len() != 0 {
 		t.Fatal("filter of empty not empty")
 	}
 	st = &Stats{}

@@ -55,16 +55,16 @@ func probePlan(in IndexProbe, outer []string) *IndexProbe {
 }
 
 // ixJoinIter is the index join of outer to in's table, in resolved
-// against outer's columns: every constant of its key is konst, and pred
-// the residual a fetched row must satisfy (nil = none).
-func ixJoinIter(sc *Scratch, st *Stats, outer Iterator, in IndexProbe, konst value.Value, pred eval.Pred) Iterator {
+// against outer's columns: every constant of its key is konst, and keep
+// the residual a fetched row must satisfy (the zero Filter: none).
+func ixJoinIter(sc *Scratch, st *Stats, outer Iterator, in IndexProbe, konst value.Value, keep eval.Filter) Iterator {
 	key := sc.Cells(len(in.Key))
 	for i, k := range in.Key {
 		if k < 0 {
 			key[i] = konst
 		}
 	}
-	return NewIndexJoinIter(sc, st, outer, probePlan(in, outer.Cols()), key, pred)
+	return NewIndexJoinIter(sc, st, outer, probePlan(in, outer.Cols()), key, keep)
 }
 
 // projPlan is the resolved plan of a projection of an input emitting in

@@ -25,13 +25,13 @@ type Pred func(row value.Row) (tvl.Truth, error)
 // It reads no value, so one Program serves every execution of the clause.
 //
 // Arm runs once per execution: it reads those slots and picks each
-// comparison's kernel by its constant's kind (conjunct.kernel, the one
+// comparison's kernel by its constant's kind (Conjunct.kernel, the one
 // place the choice is made; BETWEEN bounds and IN-list items go through
-// it too), so that evaluating the clause per row is a walk over closures
-// reading row ordinals instead of a walk over the AST reading a
-// name→value map. The result agrees with Truth on every row — same truth
-// value, same error text, raised at the same point behind AND/OR
-// short-circuits — for Truth with the slots and then the row bound.
+// it too), so that evaluating the clause per row reads row ordinals
+// instead of walking the AST over a name→value map. The result agrees
+// with Truth on every row — same truth value, same error text, raised at
+// the same point behind AND/OR short-circuits — for Truth with the slots
+// and then the row bound.
 //
 // A comparison of a row column with something constant for the execution
 // whose constant is a non-NULL integer or string runs as a kernel: a
@@ -41,9 +41,13 @@ type Pred func(row value.Row) (tvl.Truth, error)
 // another kind drops into the generic comparison, so compareValues stays
 // the one owner of a comparison's Unknown and error text. Column-against-column
 // comparisons, and constants of other kinds, run the generic comparison
-// alone. An AND whose every leaf is a kernel runs as one loop over its
-// kernels, left to right, stopping at the first FALSE — what any tree of
-// AND closures over the same leaves computes.
+// alone. A clause's top-level AND is a vector of conjuncts, carved from
+// the execution's Arena, that Filter.Pred runs left to right, stopping
+// at the first FALSE — what any tree of AND closures over the same
+// leaves computes. A kernel conjunct is decided by a method over its
+// fields, so a clause whose leaves are all kernels arms with no closure
+// and no allocation; any other leaf (OR, IN-list, BETWEEN, IS NULL, a
+// subquery, a generic comparison) is a closure the conjunct calls.
 //
 // An EXISTS or IN-subquery leaf is prepared like any other, and runs its
 // subquery for the row being decided through the Subquery the clause is
@@ -88,23 +92,52 @@ func Prepare(pred ast.Expr, cols []string, vars *Vars) *Program {
 }
 
 // Arm binds p's constants to one execution's binding vector and returns
-// the clause ready to run; sub runs its subqueries, if it has any. The
-// Filter belongs to that execution.
-func (p *Program) Arm(vals []value.Value, sub Subquery) Filter {
+// the clause ready to run; sub runs its subqueries, if it has any, and
+// the clause's conjuncts are carved from arena (nil: the heap). The
+// Filter belongs to that execution, and lives no longer than the arena's
+// conjuncts.
+func (p *Program) Arm(vals []value.Value, sub Subquery, arena Arena) Filter {
 	if p == nil {
-		return Filter{Pred: func(value.Row) (tvl.Truth, error) { return tvl.True, nil }}
+		return Filter{}
 	}
-	a := armer{vals: vals, sub: sub}
-	pred, conj := a.conjunction(p.leaves)
-	return Filter{Pred: pred, conj: conj}
+	a := armer{vals: vals, sub: sub, arena: arena}
+	return a.filter(p.leaves)
+}
+
+// Arena hands out the conjuncts Arm carves a clause's AND from: an
+// execution's engine.Scratch, which recycles them with the rest of the
+// execution's memory.
+type Arena interface {
+	Conjuncts(n int) []Conjunct
 }
 
 // Filter is a WHERE clause armed for one execution, for an operator that
 // sees its rows a batch at a time: Pred decides one row, and Select, when
-// the clause is a conjunction of kernels, a whole batch.
+// the clause is a conjunction of kernels, a whole batch. The zero Filter
+// is the absent clause, TRUE on every row.
 type Filter struct {
-	Pred Pred
-	conj []conjunct // the clause's conjuncts, left to right; nil = Pred only
+	conj    []Conjunct // the clause's AND leaves, left to right
+	kernels bool       // every conjunct is a kernel
+}
+
+// Empty reports whether f is the absent clause.
+func (f Filter) Empty() bool { return len(f.conj) == 0 }
+
+// Pred decides one row: the AND of f's conjuncts, run left to right and
+// stopped at the first FALSE.
+func (f Filter) Pred(row value.Row) (tvl.Truth, error) {
+	t := tvl.True
+	for i := range f.conj {
+		switch u, err := f.conj[i].decide(row); {
+		case err != nil:
+			return tvl.Unknown, err
+		case tvl.IsFalse(u):
+			return tvl.False, nil
+		case tvl.IsUnknown(u):
+			t = tvl.Unknown
+		}
+	}
+	return t, nil
 }
 
 // selChunk is how many rows Select decides at once: its selection
@@ -125,7 +158,7 @@ const selChunk = 1024
 // an error, and each conjunct here reads exactly the rows Pred's loop
 // would have reached it with.
 func (f *Filter) Select(out, batch []value.Row, grow func(out []value.Row, n int) []value.Row) ([]value.Row, bool) {
-	if len(f.conj) == 0 {
+	if !f.kernels {
 		return out, false
 	}
 	start := len(out)
@@ -294,9 +327,10 @@ func (c *compiler) find(name string) int {
 // ---- Arm: one execution's constants and kernels ----
 
 type armer struct {
-	vals []value.Value
-	sub  Subquery
-	tap  kernelTap // tests only
+	vals  []value.Value
+	sub   Subquery
+	arena Arena     // nil: the heap
+	tap   kernelTap // tests only
 }
 
 // operand is an armed operand: the row ordinal to read (ord ≥ 0), or
@@ -390,8 +424,7 @@ func (a *armer) truth(n *node) Pred {
 			return tvl.Not(t), nil
 		}
 	case opAnd:
-		p, _ := a.conjunction(n.kids)
-		return p
+		return a.filter(n.kids).Pred
 	case opOr:
 		l, r := a.truth(&n.kids[0]), a.truth(&n.kids[1])
 		return func(row value.Row) (tvl.Truth, error) {
@@ -460,11 +493,11 @@ func (a *armer) truth(n *node) Pred {
 // comparison otherwise.
 func (a *armer) compare(n *node) Pred {
 	l, r := a.operand(&n.l), a.operand(&n.r)
-	kn := new(conjunct)
+	kn := &a.conjuncts(1)[0]
 	if !kn.kernel(n.x, l, r) {
 		return generic(n.x, l, r)
 	}
-	p := kn.pred()
+	p := kn.decide
 	if a.tap != nil {
 		op := n.x.Op
 		if kn.flip {
@@ -490,23 +523,18 @@ func generic(x *ast.Compare, l, r operand) Pred {
 	}
 }
 
-// conjunction arms the AND of leaves. The row predicate runs the leaves
-// in turn and stops at the first FALSE, which is what every tree of AND
-// closures over the same leaves computes. When every leaf is a kernel
-// the leaves are returned as well, for Select; a tapped armer arms every
-// leaf as a closure, so that the tap sees each kernel, and returns none.
-func (a *armer) conjunction(leaves []node) (Pred, []conjunct) {
-	if len(leaves) == 1 && leaves[0].op != opCompare {
-		return a.truth(&leaves[0]), nil
-	}
-	ks := make([]conjunct, len(leaves))
+// filter arms the AND of leaves: one conjunct each, carved from the
+// arena. A kernel conjunct needs no closure; a tapped armer arms every
+// leaf as a closure instead, so that the tap sees each kernel, and the
+// Filter it returns never runs Select.
+func (a *armer) filter(leaves []node) Filter {
+	ks := a.conjuncts(len(leaves))
 	all := true
 	for i := range leaves {
 		n := &leaves[i]
 		if n.op == opCompare && a.tap == nil {
 			l, r := a.operand(&n.l), a.operand(&n.r)
 			if ks[i].kernel(n.x, l, r) {
-				ks[i].p = ks[i].pred()
 				continue
 			}
 			ks[i].p = generic(n.x, l, r)
@@ -515,27 +543,15 @@ func (a *armer) conjunction(leaves []node) (Pred, []conjunct) {
 		}
 		all = false
 	}
-	p := ks[0].p
-	if len(ks) > 1 {
-		p = func(row value.Row) (tvl.Truth, error) {
-			t := tvl.True
-			for i := range ks {
-				switch u, err := ks[i].p(row); {
-				case err != nil:
-					return tvl.Unknown, err
-				case tvl.IsFalse(u):
-					return tvl.False, nil
-				case tvl.IsUnknown(u):
-					t = tvl.Unknown
-				}
-			}
-			return t, nil
-		}
+	return Filter{conj: ks, kernels: all}
+}
+
+// conjuncts returns n zero conjuncts from the arena, or the heap.
+func (a *armer) conjuncts(n int) []Conjunct {
+	if a.arena == nil {
+		return make([]Conjunct, n)
 	}
-	if !all {
-		return p, nil
-	}
-	return p, ks
+	return a.arena.Conjuncts(n)
 }
 
 // kernelKind says how a conjunct decides a cell.
@@ -548,12 +564,12 @@ const (
 	strKernel                     // a string cell c when acc[strings.Compare(c, s)+1]
 )
 
-// conjunct is one leaf of an armed AND: p decides a row. A kernel is
-// "the cell at ord op k" for a constant k that is a non-NULL integer or
-// string: it decides a cell of k's kind — a cell it owns — by itself,
-// TRUE or FALSE, and hands every other cell, NULL or of another kind, to
-// the comparison as written.
-type conjunct struct {
+// Conjunct is one leaf of an armed AND: a kernel, or p, which decides a
+// row. A kernel is "the cell at ord op k" for a constant k that is a
+// non-NULL integer or string: it decides a cell of k's kind — a cell it
+// owns — by itself, TRUE or FALSE, and hands every other cell, NULL or of
+// another kind, to the comparison as written.
+type Conjunct struct {
 	p    Pred
 	kind kernelKind
 
@@ -574,11 +590,11 @@ type conjunct struct {
 	acc [3]bool
 }
 
-// kernel makes kn, a zero conjunct, x as a kernel built from its armed
+// kernel makes kn, a zero Conjunct, x as a kernel built from its armed
 // operands, or reports, leaving kn zero, that x is not one: not a column
 // of the row against a constant of the execution, or a constant that is
 // NULL, of another kind, or an error.
-func (kn *conjunct) kernel(x *ast.Compare, l, r operand) bool {
+func (kn *Conjunct) kernel(x *ast.Compare, l, r operand) bool {
 	// column op constant, or constant op column read the other way round.
 	col, k, op, flip := l, r, x.Op, false
 	if col.ord < 0 {
@@ -648,43 +664,31 @@ func interval(lt, eq, gt bool, k int64) (lo, hi int64, out bool) {
 	return k, k, false // =
 }
 
-// pred is kernel kn's row predicate: a closure specialised to the
-// constant's kind, which reads the cell where it lies and drops into
-// generic for a cell it does not own. kn must be at its final address.
-func (kn *conjunct) pred() Pred {
-	ord := kn.ord
+// decide is kn's truth value on row: p's for a leaf that is not a
+// kernel; else the kernel's, read from the cell where it lies, or
+// generic's for a cell it does not own.
+func (kn *Conjunct) decide(row value.Row) (tvl.Truth, error) {
 	switch kn.kind {
+	case notKernel:
+		return kn.p(row)
 	case intKernel:
-		lo, span, out := kn.lo, kn.span, kn.out
-		return func(row value.Row) (tvl.Truth, error) {
-			v, ok := row[ord].Int()
-			if !ok {
-				return kn.generic(row)
-			}
-			return tvl.Of((uint64(v-lo) <= span) != out), nil
+		if v, ok := row[kn.ord].Int(); ok {
+			return tvl.Of((uint64(v-kn.lo) <= kn.span) != kn.out), nil
 		}
 	case strEqKernel:
-		s, same := kn.s, kn.acc[1]
-		return func(row value.Row) (tvl.Truth, error) {
-			v, ok := row[ord].Str()
-			if !ok {
-				return kn.generic(row)
-			}
-			return tvl.Of((v == s) == same), nil
+		if v, ok := row[kn.ord].Str(); ok {
+			return tvl.Of((v == kn.s) == kn.acc[1]), nil
+		}
+	default:
+		if v, ok := row[kn.ord].Str(); ok {
+			return tvl.Of(kn.acc[strings.Compare(v, kn.s)+1]), nil
 		}
 	}
-	s, acc := kn.s, kn.acc
-	return func(row value.Row) (tvl.Truth, error) {
-		v, ok := row[ord].Str()
-		if !ok {
-			return kn.generic(row)
-		}
-		return tvl.Of(acc[strings.Compare(v, s)+1]), nil
-	}
+	return kn.generic(row)
 }
 
 // generic is the comparison as written, for a cell kn does not own.
-func (kn *conjunct) generic(row value.Row) (tvl.Truth, error) {
+func (kn *Conjunct) generic(row value.Row) (tvl.Truth, error) {
 	l, r := row[kn.ord], kn.k
 	if kn.flip {
 		l, r = r, l
@@ -694,9 +698,9 @@ func (kn *conjunct) generic(row value.Row) (tvl.Truth, error) {
 
 // keep compacts sel, indexes into rows, in place to the rows whose cell
 // kn accepts, in order. owned is false as soon as kn meets a cell it
-// does not own, and sel is then meaningless. The loops are pred's, with
+// does not own, and sel is then meaningless. The loops are decide's, with
 // nothing called per row.
-func (kn *conjunct) keep(sel []uint16, rows []value.Row) (_ []uint16, owned bool) {
+func (kn *Conjunct) keep(sel []uint16, rows []value.Row) (_ []uint16, owned bool) {
 	ord, n := kn.ord, 0
 	switch kn.kind {
 	case intKernel:

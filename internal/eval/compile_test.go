@@ -226,7 +226,7 @@ func sortedNames(m map[string]value.Value) []string {
 // by bindEnv, with env's subquery callbacks.
 func compileFilterIn(pred ast.Expr, cols []string, env *Env) Filter {
 	vars, vals := bindEnv(env)
-	return Prepare(pred, cols, vars).Arm(vals, subqueryOf(env, cols))
+	return Prepare(pred, cols, vars).Arm(vals, subqueryOf(env, cols), nil)
 }
 
 // subqueryOf adapts env's subquery callbacks to the Subquery a clause
@@ -254,6 +254,16 @@ func subqueryOf(env *Env, cols []string) Subquery {
 // compileIn is compileFilterIn's row predicate.
 func compileIn(pred ast.Expr, cols []string, env *Env) Pred {
 	return compileFilterIn(pred, cols, env).Pred
+}
+
+// conjunction is filter as a row predicate, with the conjuncts when
+// every one is a kernel: how the tests arm a clause with a tapped armer.
+func (a *armer) conjunction(leaves []node) (Pred, []Conjunct) {
+	f := a.filter(leaves)
+	if !f.kernels {
+		return f.Pred, nil
+	}
+	return f.Pred, f.conj
 }
 
 // kernelCoverage taps the compiler: it counts the kernels chosen and
@@ -581,7 +591,7 @@ func checkArmed(t *testing.T, pred ast.Expr, batch []value.Row) bool {
 	vars, vals1 := bindEnv(envs[0])
 	_, vals2 := bindEnv(envs[1])
 	prog := Prepare(pred, diffCols, vars)
-	armed := []Filter{prog.Arm(vals1, subqueryOf(envs[0], diffCols)), prog.Arm(vals2, subqueryOf(envs[1], diffCols))}
+	armed := []Filter{prog.Arm(vals1, subqueryOf(envs[0], diffCols), nil), prog.Arm(vals2, subqueryOf(envs[1], diffCols), nil)}
 	for i, env := range envs {
 		f, want := armed[i], compileFilterIn(pred, diffCols, env)
 		for _, row := range batch {
@@ -784,7 +794,7 @@ func TestCompileSubqueryLeaves(t *testing.T) {
 			}
 			return true
 		})
-		got, err := Prepare(pred, cols, vars).Arm(vals, answer).Pred(row)
+		got, err := Prepare(pred, cols, vars).Arm(vals, answer, nil).Pred(row)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", src, row, err)
 		}
@@ -818,7 +828,7 @@ func TestCompileSubqueryLeaves(t *testing.T) {
 	if got := run("A = 1 OR B = 2", []value.Value{value.Null}, row); !tvl.IsTrue(got) || len(ran) != 0 {
 		t.Errorf("A = 1 OR B = 2: %v after %d subquery runs, want TRUE after none", got, len(ran))
 	}
-	if got, err := Prepare(nil, nil, nil).Arm(nil, answer).Pred(nil); err != nil || !tvl.IsTrue(got) || len(ran) != 0 {
+	if got, err := Prepare(nil, nil, nil).Arm(nil, answer, nil).Pred(nil); err != nil || !tvl.IsTrue(got) || len(ran) != 0 {
 		t.Errorf("nil predicate = %v, %v; want TRUE", got, err)
 	}
 }
@@ -842,11 +852,84 @@ func BenchmarkCompile(b *testing.B) {
 	b.Run("arm", func(b *testing.B) {
 		vars, vals := bindEnv(env)
 		prog := Prepare(pred, cols, vars)
+		var ar testArena
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sinkPred = prog.Arm(vals, nil).Pred
+			ar.reset()
+			sinkFilter = prog.Arm(vals, nil, &ar)
 		}
 	})
+}
+
+// testArena is an Arena as an execution's scratch is one: a chunk
+// carved from the front, handed back whole by reset.
+type testArena struct {
+	ks  []Conjunct
+	off int
+}
+
+func (a *testArena) Conjuncts(n int) []Conjunct {
+	if a.off+n > len(a.ks) {
+		a.ks, a.off = make([]Conjunct, max(2*len(a.ks), n)), 0
+	}
+	a.off += n
+	return a.ks[a.off-n : a.off : a.off]
+}
+
+func (a *testArena) reset() {
+	clear(a.ks[:a.off])
+	a.off = 0
+}
+
+// TestArmKernelsFromTheArena: a conjunction of kernels arms with no
+// allocation once its arena has grown, and decides rows and batches as
+// the clause armed on the heap does. A clause with another leaf still
+// carves its conjuncts from the arena.
+func TestArmKernelsFromTheArena(t *testing.T) {
+	cols := []string{"P.SNO", "P.PNO", "P.PNAME", "P.OEM-PNO", "P.COLOR"}
+	rows := []value.Row{
+		{value.Int(1), value.Int(7), value.String_("bolt"), value.Int(800), value.String_("BLUE")},
+		{value.Int(2), value.Int(2), value.String_("nut"), value.Int(950), value.String_("RED")},
+		{value.Int(3), value.Int(9), value.String_("cam"), value.Null, value.String_("GREEN")},
+	}
+	vars := &Vars{Hosts: []string{"K", "M"}}
+	vals := []value.Value{value.Int(3), value.Int(900)}
+	for _, c := range []struct {
+		src    string
+		allocs float64
+	}{
+		{"P.COLOR <> 'RED' AND P.PNO > :K AND P.OEM-PNO < :M", 0},
+		{"P.PNO = 7", 0},
+		{"P.COLOR = 'RED' OR P.PNO > :K", 3}, // the OR and its two leaves are closures
+	} {
+		pred, err := parser.ParseExpr(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := Prepare(pred, cols, vars)
+		var ar testArena
+		got := testing.AllocsPerRun(100, func() {
+			ar.reset()
+			sinkFilter = prog.Arm(vals, nil, &ar)
+		})
+		if got > c.allocs {
+			t.Errorf("%s: arming makes %v allocations, want at most %v", c.src, got, c.allocs)
+		}
+		ar.reset()
+		armed, heap := prog.Arm(vals, nil, &ar), prog.Arm(vals, nil, nil)
+		for _, row := range rows {
+			g, gerr := armed.Pred(row)
+			w, werr := heap.Pred(row)
+			if g != w || errText(gerr) != errText(werr) {
+				t.Errorf("%s on %v: %v, %v from the arena, %v, %v from the heap", c.src, row, g, gerr, w, werr)
+			}
+		}
+		got1, ok1 := armed.Select(nil, rows, slices.Grow[[]value.Row])
+		want1, ok2 := heap.Select(nil, rows, slices.Grow[[]value.Row])
+		if ok1 != ok2 || len(got1) != len(want1) {
+			t.Errorf("%s: Select kept %d (%v) from the arena, %d (%v) from the heap", c.src, len(got1), ok1, len(want1), ok2)
+		}
+	}
 }
 
 // BenchmarkCompiledVsInterpreted prices one row through each evaluator.
@@ -879,8 +962,9 @@ func BenchmarkCompiledVsInterpreted(b *testing.B) {
 }
 
 var (
-	sinkPred  Pred
-	sinkTruth tvl.Truth
+	sinkPred   Pred
+	sinkFilter Filter
+	sinkTruth  tvl.Truth
 )
 
 // BenchmarkComparePred prices one comparison per row over a 1,024-row

@@ -60,7 +60,7 @@ func TestInSubqueryTruthTable(t *testing.T) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
 		leaf := Prepare(inExpr(c.neg), []string{"X"}, nil).Arm(nil,
-			func(*ast.Select, value.Row, bool) ([]value.Value, error) { return c.vals, nil })
+			func(*ast.Select, value.Row, bool) ([]value.Value, error) { return c.vals, nil }, nil)
 		if got, err := leaf.Pred(value.Row{c.x}); err != nil || got != c.want {
 			t.Errorf("%s: compiled leaf got %v, %v, want %v", c.name, got, err, c.want)
 		}

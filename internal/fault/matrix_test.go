@@ -123,7 +123,7 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 		// mid-stream fault must not leak charges or goroutines.
 		{"FilterIter", func() (*engine.Relation, error) {
 			pred := &ast.Compare{Op: ast.GeOp, L: &ast.ColumnRef{Qualifier: "L", Column: "K"}, R: &ast.IntLit{V: 10}}
-			return engine.Drain(ctx, sc, st, engine.NewFilterIter(sc, st, engine.NewRelationIter(sc, st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil)))
+			return engine.Drain(ctx, sc, st, engine.NewFilterIter(sc, st, engine.NewRelationIter(sc, st, l), eval.Prepare(pred, l.Cols, nil).Arm(nil, nil, nil)))
 		}},
 		{"ProjectIter", func() (*engine.Relation, error) {
 			proj := &engine.Projection{Cols: []string{"L.V"}, Idx: []int{1}}
@@ -149,7 +149,7 @@ func runAll(ctx context.Context, db *uniqopt.DB) error {
 			if err := in.Resolve(l.Cols); err != nil {
 				return nil, err
 			}
-			return engine.Drain(ctx, sc, st, engine.NewIndexJoinIter(sc, st, engine.NewRelationIter(sc, st, l), in, sc.Cells(1), nil))
+			return engine.Drain(ctx, sc, st, engine.NewIndexJoinIter(sc, st, engine.NewRelationIter(sc, st, l), in, sc.Cells(1), eval.Filter{}))
 		}},
 		{"ProductIter", func() (*engine.Relation, error) {
 			small := &engine.Relation{Cols: r.Cols, Rows: r.Rows[:20]}

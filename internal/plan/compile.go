@@ -23,12 +23,15 @@ import (
 // the Lits lifted literals ($n at n-1), then the host variables as first
 // named; subquery blocks' outer columns follow, Width slots in all.
 type Compiled struct {
-	// Query is the statement as parsed, before any rewrite; EXPLAIN's
-	// provenance trace analyzes it.
-	Query  ast.Query
-	Lits   int
-	Params []string
-	Width  int
+	// Query is the statement as parsed, before any rewrite.
+	Query ast.Query
+	// Verdict is Algorithm 1's on Query, the statement as written: the
+	// decision that licensed or blocked the rewrites, whose provenance
+	// EXPLAIN prints. Nil when the analyzer refused the statement.
+	Verdict *core.Verdict
+	Lits    int
+	Params  []string
+	Width   int
 
 	root     operator       // the plan of the query the fixpoint left
 	rewrites []appliedTexts // in firing order
@@ -54,6 +57,7 @@ func appliedFields(ap *core.Applied) [3]*string {
 func (p *Planner) Compile(q ast.Query) (c *Compiled, err error) {
 	defer engine.Contain("plan.Run", &err)
 	c = &Compiled{Query: q}
+	c.Verdict, _ = p.An.AnalyzeQuery(q)
 	c.Lits, c.Params = params(q)
 	c.Width = len(c.Params)
 	vars := &eval.Vars{Hosts: c.Params}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -13,7 +12,6 @@ import (
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/lexer"
 	"uniqopt/internal/sql/parser"
-	"uniqopt/internal/sql/token"
 	"uniqopt/internal/value"
 )
 
@@ -103,21 +101,9 @@ func describe(c *Compiled, vals []value.Value) string {
 // does.
 func liftedVals(t *testing.T, sql string) []value.Value {
 	t.Helper()
-	_, lits, err := lexer.Shape(sql)
+	_, vals, err := lexer.Shape(nil, nil, sql, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	vals := make([]value.Value, len(lits))
-	for i, l := range lits {
-		v := value.String_(l.Text)
-		if l.Kind == token.Number {
-			n, err := strconv.ParseInt(l.Text, 10, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v = value.Int(n)
-		}
-		vals[i] = v
 	}
 	return vals
 }

@@ -61,20 +61,48 @@ type Options struct {
 	MemBudget int64
 }
 
-// Frame is one execution's memory: the engine.Scratch its pipeline —
-// iterators, batches, rows, hash tables, governor, drained Relation — is
-// carved from, and the Result and builder the planner fills. One Frame
-// serves execution after execution; what an execution returned is valid
-// until the Frame's Scratch is Reset, which only the caller that owns
-// the answer may call, once it has consumed it.
+// Frame is one execution's memory: the engine.Scratch its binding
+// vector and its pipeline — iterators, batches, rows, hash tables, armed
+// predicates, governor, drained Relation — are carved from, the buffer
+// its statement's shape is written into, and the Result and builder the
+// planner fills. One Frame serves execution after execution; what an
+// execution returned is valid until the Frame's Scratch is Reset, which
+// only the caller that owns the answer may call, once it has consumed
+// it.
 type Frame struct {
 	engine.Scratch
-	res Result
-	b   builder
+	// Shape is where the statement's shape text is written while it is
+	// compiled (lexer.Shape), for the statement cache's probe. It is kept
+	// from one statement to the next, and means nothing once ReleaseShape
+	// has been called: a key filed from it is a copy.
+	Shape []byte
+	res   Result
+	b     builder
 }
 
 // NewFrame returns an empty frame.
 func NewFrame() *Frame { return &Frame{} }
+
+// shapeRetain caps, in bytes, the shape buffer a Frame keeps from one
+// statement to the next: a statement text longer than any a workload
+// repeats leaves a buffer the collector may take back.
+const shapeRetain = 16 << 10
+
+// ReleaseShape ends the shape buffer's use by one statement. A buffer
+// grown past shapeRetain is dropped. Under the poison build tag every
+// byte written is overwritten and the buffer dropped, so that a key kept
+// as a view of it instead of a copy reads as no statement's shape.
+func (f *Frame) ReleaseShape() {
+	if engine.Poisoned {
+		for i := range f.Shape {
+			f.Shape[i] = 0xff
+		}
+		f.Shape = nil
+	}
+	if cap(f.Shape) > shapeRetain {
+		f.Shape = nil
+	}
+}
 
 // Result is the outcome of planning and executing one query.
 type Result struct {

@@ -117,7 +117,7 @@ func (o *accessOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	}
 	it = b.add(it, leaf)
 	if o.rest.pred != nil {
-		it = b.add(engine.NewFilterIter(b.sc, b.st, it, o.rest.prog.Arm(b.vals, nil)), n)
+		it = b.add(engine.NewFilterIter(b.sc, b.st, it, o.rest.prog.Arm(b.vals, nil, b.sc)), n)
 	}
 	return it, nil
 }
@@ -234,11 +234,8 @@ func (o *indexJoinOp) build(b *builder, n *Node) (engine.Iterator, error) {
 			key[i] = *k.in(b.vals)
 		}
 	}
-	var pred eval.Pred
-	if o.rest.prog != nil {
-		pred = o.rest.prog.Arm(b.vals, nil).Pred
-	}
-	return b.add(engine.NewIndexJoinIter(b.sc, b.st, outer, &o.probe, key, pred), n), nil
+	keep := o.rest.prog.Arm(b.vals, nil, b.sc)
+	return b.add(engine.NewIndexJoinIter(b.sc, b.st, outer, &o.probe, key, keep), n), nil
 }
 
 // filterOp applies the predicate left over once pushdown and join keys
@@ -272,7 +269,7 @@ func (o *filterOp) build(b *builder, n *Node) (engine.Iterator, error) {
 	if len(o.subs) > 0 {
 		sub = (&subRuns{subs: o.subs, st: b.st, vals: b.vals, ctx: b.ctx, sc: b.sc.Sub()}).run
 	}
-	return b.add(engine.NewFilterIter(b.sc, b.st, child, o.f.prog.Arm(b.vals, sub)), n), nil
+	return b.add(engine.NewFilterIter(b.sc, b.st, child, o.f.prog.Arm(b.vals, sub, b.sc)), n), nil
 }
 
 // subRuns runs a filter's subqueries on the execution's subquery scratch

@@ -1,10 +1,12 @@
 package lexer
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 
 	"uniqopt/internal/sql/token"
+	"uniqopt/internal/value"
 )
 
 // Literal lifting. A statement's shape is its token stream with every
@@ -44,80 +46,89 @@ func LiftedOrdinal(name string) (int, bool) {
 	return n, err == nil && n > 0 && strings.HasPrefix(name, "$")
 }
 
-// Shape scans src once and returns its shape text — tokens in
+// ErrRange is what Shape reports, once the rest of the text has
+// scanned, for an integer literal int64 cannot hold: the parser words
+// that error against the token, so the caller re-parses the text for it.
+var ErrRange = errors.New("lexer: integer literal out of range")
+
+// Shape scans src once, appends its shape text to dst — tokens in
 // canonical spelling, single-spaced except around punctuation, literals
-// as ?int / ?str — together with the literal tokens in source order.
-// A statement that begins with CREATE yields the empty shape and no
-// literals: schema definitions keep their constants.
+// as ?int / ?str — and appends its literals to lits as values in source
+// order: a Number as its INTEGER, a String as its decoded VARCHAR. A
+// statement that begins with CREATE appends no shape and no literal:
+// schema definitions keep their constants.
 //
 // It reads the scanner's spans, not tokens: a word is written into the
-// shape upper-cased as it stands, and only a literal is made a token.
-// The shape is built in one buffer and the literal vector is allocated
-// at its exact length.
-func Shape(src string) (shape string, lits []token.Token, err error) {
-	lx := New(src)
-	var sb strings.Builder
-	sb.Grow(len(src) + 16)
-	var first [8]token.Token
-	found := first[:0]
-	prev := token.EOF
+// shape upper-cased as it stands, and no token is made. Nothing is
+// allocated but what dst and lits grow by: lits grows through grow,
+// which returns it with room for n more (nil: append's growth), so a
+// caller can carve the vector from memory of its own.
+func Shape(dst []byte, lits []value.Value, src string, grow func(lits []value.Value, n int) []value.Value) ([]byte, []value.Value, error) {
+	lx := Lexer{src: src, line: 1}
+	prev, outOfRange := token.EOF, false
 	for {
 		k, start, end, err := lx.scan()
 		if err != nil {
-			return "", nil, err
+			return dst, lits, err
 		}
 		span := src[start:end]
 		switch k {
 		case token.EOF:
-			if len(found) > 0 {
-				lits = make([]token.Token, len(found))
-				copy(lits, found)
+			if outOfRange {
+				return dst, lits, ErrRange
 			}
-			return sb.String(), lits, nil
+			return dst, lits, nil
 		case token.Ident:
 			if prev == token.EOF && strings.EqualFold(span, token.KwCreate.String()) {
-				return "", nil, nil
+				return dst, lits, nil
 			}
 		}
 		switch k {
 		case token.RParen, token.Comma, token.Dot, token.Semicolon:
 		default:
 			if prev != token.EOF && prev != token.LParen && prev != token.Dot {
-				sb.WriteByte(' ')
+				dst = append(dst, ' ')
 			}
 		}
 		switch k {
-		case token.Number:
-			sb.WriteString("?int")
-			found = append(found, token.Token{Kind: k, Text: span, Pos: lx.pos(start)})
-		case token.String:
-			sb.WriteString("?str")
-			found = append(found, token.Token{Kind: k, Text: unquote(span), Pos: lx.pos(start)})
+		case token.Number, token.String:
+			if len(lits) == cap(lits) && grow != nil {
+				lits = grow(lits, max(len(lits), 8))
+			}
+			if k == token.Number {
+				dst = append(dst, "?int"...)
+				n, err := strconv.ParseInt(span, 10, 64)
+				outOfRange = outOfRange || err != nil
+				lits = append(lits, value.Int(n))
+			} else {
+				dst = append(dst, "?str"...)
+				lits = append(lits, value.String_(unquote(span)))
+			}
 		case token.Ident, token.HostVar:
-			writeUpper(&sb, span, lx.lower)
+			dst = appendUpper(dst, span, lx.lower)
 		case token.NotEq: // <> and != are one operator
-			sb.WriteString("<>")
+			dst = append(dst, "<>"...)
 		default:
-			sb.WriteString(span)
+			dst = append(dst, span...)
 		}
 		prev = k
 	}
 }
 
-// writeUpper writes a word's span upper-cased; lower says whether it has
-// a lower-case letter at all.
-func writeUpper(sb *strings.Builder, span string, lower bool) {
+// appendUpper appends a word's span upper-cased; lower says whether it
+// has a lower-case letter at all.
+func appendUpper(dst []byte, span string, lower bool) []byte {
 	if !lower {
-		sb.WriteString(span)
-		return
+		return append(dst, span...)
 	}
 	for i := 0; i < len(span); i++ {
 		c := span[i]
 		if c >= 'a' && c <= 'z' {
 			c -= 'a' - 'A'
 		}
-		sb.WriteByte(c)
+		dst = append(dst, c)
 	}
+	return dst
 }
 
 // TokenizeLifted is Tokenize with every Number and String token

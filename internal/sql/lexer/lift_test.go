@@ -1,10 +1,12 @@
 package lexer
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"uniqopt/internal/sql/token"
+	"uniqopt/internal/value"
 )
 
 // shapeCases are TestShape's statements with their shapes and literal
@@ -35,26 +37,69 @@ var shapeCases = []struct {
 	{`  create table T (A INT)`, ``, nil},
 }
 
+// shape is Shape into fresh buffers, its shape as a string.
+func shape(src string) (string, []value.Value, error) {
+	dst, lits, err := Shape(nil, nil, src, nil)
+	return string(dst), lits, err
+}
+
 func TestShape(t *testing.T) {
 	for _, c := range shapeCases {
-		shape, lits, err := Shape(c.src)
+		got, lits, err := shape(c.src)
 		if err != nil {
 			t.Errorf("%s: %v", c.src, err)
 			continue
 		}
 		var texts []string
 		for _, l := range lits {
-			texts = append(texts, l.Text)
+			text := l.String()
+			if l.Kind() == value.KindString {
+				text = l.AsString()
+			}
+			texts = append(texts, text)
 		}
-		if shape != c.shape || !reflect.DeepEqual(texts, c.lits) {
-			t.Errorf("Shape(%q)\n got %q %q\nwant %q %q", c.src, shape, texts, c.shape, c.lits)
+		if got != c.shape || !reflect.DeepEqual(texts, c.lits) {
+			t.Errorf("Shape(%q)\n got %q %q\nwant %q %q", c.src, got, texts, c.shape, c.lits)
 		}
 	}
-	if _, _, err := Shape(`SELECT A FROM T WHERE A = :$1`); err == nil {
+	if _, _, err := shape(`SELECT A FROM T WHERE A = :$1`); err == nil {
 		t.Error("a lifted name was accepted in source text")
 	}
-	if _, _, err := Shape(`SELECT 'open`); err == nil {
+	if _, _, err := shape(`SELECT 'open`); err == nil {
 		t.Error("unterminated string was accepted")
+	}
+	// An integer int64 cannot hold is reported once the text has scanned:
+	// a lexical error after it wins.
+	if _, _, err := shape(`SELECT A FROM T WHERE A = 99999999999999999999 AND B = 1`); !errors.Is(err, ErrRange) {
+		t.Errorf("out-of-range integer: %v, want ErrRange", err)
+	}
+	if _, _, err := shape(`SELECT A FROM T WHERE A = 99999999999999999999 AND B = 'open`); err == nil || errors.Is(err, ErrRange) {
+		t.Errorf("out-of-range integer before an unterminated string: %v, want the lexical error", err)
+	}
+}
+
+// TestShapeAppends: Shape appends to the buffers it is handed, growing
+// the literal vector only through grow, and leaves what they held before.
+func TestShapeAppends(t *testing.T) {
+	const src = `SELECT A FROM T WHERE A IN (1, 2, 3, 4, 5, 6, 7, 8, 9, 10) AND B = 'x'`
+	grown := 0
+	grow := func(lits []value.Value, n int) []value.Value {
+		grown++
+		return append(make([]value.Value, 0, len(lits)+n), lits...)
+	}
+	dst, lits, err := Shape([]byte("kept|"), []value.Value{value.Int(-1)}, src, grow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantLits, _ := shape(src)
+	if string(dst) != "kept|"+want || len(lits) != 1+len(wantLits) || lits[0] != value.Int(-1) {
+		t.Errorf("Shape appended %q and %d literals after what it was handed", dst, len(lits))
+	}
+	if grown != 2 {
+		t.Errorf("the vector grew %d times through grow, want 2 (1 → 9 → 17 cells)", grown)
+	}
+	if got := testing.AllocsPerRun(50, func() { dst, lits, _ = Shape(dst[:0], lits[:0], src, nil) }); got != 0 {
+		t.Errorf("Shape into buffers with room: %v allocations, want 0", got)
 	}
 }
 
@@ -70,7 +115,7 @@ func TestTokenizeLiftedMatchesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, lits, err := Shape(src)
+	_, lits, err := shape(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +123,7 @@ func TestTokenizeLiftedMatchesShape(t *testing.T) {
 	for i, p := range plain {
 		l := lifted[i]
 		if p.Kind == token.Number || p.Kind == token.String {
-			if l.Kind != token.HostVar || l.Text != LiftedName(n+1) || l.Pos != p.Pos || lits[n] != p {
+			if l.Kind != token.HostVar || l.Text != LiftedName(n+1) || l.Pos != p.Pos || lits[n].String() != literalValue(p).String() {
 				t.Errorf("token %d %v lifted to %v (literal %d is %v)", i, p, l, n, lits[n])
 			}
 			n++
@@ -96,13 +141,17 @@ func TestTokenizeLiftedMatchesShape(t *testing.T) {
 
 // BenchmarkShape prices the lexer pass a statement-cache hit makes: one
 // disj_lit text, about 180 bytes with three literals, into its shape and
-// literal vector.
+// literal vector, both kept from one statement to the next as an
+// execution's frame keeps them.
 func BenchmarkShape(b *testing.B) {
 	const src = `SELECT DISTINCT S.SNO, P.PNO FROM SUPPLIER S, PARTS P
 				WHERE S.SNO = P.SNO AND (P.COLOR = 'RED' AND P.OEM-PNO < 1200 OR P.PNO = 2 AND P.OEM-PNO > 1900)`
+	var dst []byte
+	var lits []value.Value
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Shape(src); err != nil {
+		var err error
+		if dst, lits, err = Shape(dst[:0], lits[:0], src, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

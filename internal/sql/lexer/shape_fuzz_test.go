@@ -2,7 +2,11 @@ package lexer
 
 import (
 	"reflect"
+	"strconv"
 	"testing"
+
+	"uniqopt/internal/sql/token"
+	"uniqopt/internal/value"
 )
 
 // goldenTexts are the statements of the row goldens: the paper's
@@ -54,7 +58,7 @@ var goldenTexts = []string{
 // FuzzShape holds the span scanner to the reference lexer it replaced:
 // on every input Tokenize must return the same tokens — kinds, texts,
 // positions — or the same error, and Shape the same shape string and
-// literal vector, positions included, or the same error.
+// the reference's literal tokens as values, or the same error.
 func FuzzShape(f *testing.F) {
 	for _, c := range shapeCases {
 		f.Add(c.src)
@@ -94,12 +98,53 @@ func FuzzShape(f *testing.F) {
 		if errText(err) != errText(wantErr) || !reflect.DeepEqual(toks, want) {
 			t.Fatalf("Tokenize(%q)\n got %v, %v\nwant %v, %v", src, toks, err, want, wantErr)
 		}
-		shape, lits, err := Shape(src)
-		wantShape, wantLits, wantErr := refShape(src)
-		if errText(err) != errText(wantErr) || shape != wantShape || !reflect.DeepEqual(lits, wantLits) {
-			t.Fatalf("Shape(%q)\n got %q %v, %v\nwant %q %v, %v", src, shape, lits, err, wantShape, wantLits, wantErr)
+		got, lits, err := shape(src)
+		wantShape, wantToks, wantErr := refShape(src)
+		var wantLits []value.Value
+		for _, tok := range wantToks {
+			v := literalValue(tok)
+			if v.IsNull() && wantErr == nil {
+				wantErr = ErrRange
+			}
+			wantLits = append(wantLits, v)
+		}
+		if wantErr != nil {
+			if errText(err) != errText(wantErr) {
+				t.Fatalf("Shape(%q): error %v, want %v", src, err, wantErr)
+			}
+			return
+		}
+		if err != nil || got != wantShape || !sameValues(lits, wantLits) {
+			t.Fatalf("Shape(%q)\n got %q %v, %v\nwant %q %v", src, got, lits, err, wantShape, wantLits)
 		}
 	})
+}
+
+// literalValue is a Number or String token's value; NULL for an integer
+// int64 cannot hold.
+func literalValue(t token.Token) value.Value {
+	if t.Kind == token.String {
+		return value.String_(t.Text)
+	}
+	n, err := strconv.ParseInt(t.Text, 10, 64)
+	if err != nil {
+		return value.Null
+	}
+	return value.Int(n)
+}
+
+// sameValues compares two literal vectors cell by cell: kind and value,
+// never where a string lies.
+func sameValues(a, b []value.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind() != b[i].Kind() || a[i].String() != b[i].String() {
+			return false
+		}
+	}
+	return true
 }
 
 func errText(err error) string {

@@ -118,7 +118,7 @@ func (t *Table) compiledChecks() []eval.Pred {
 			cols[i] = c.Name
 		}
 		for _, chk := range t.Schema.Checks[len(t.checks):] {
-			t.checks = append(t.checks, eval.Prepare(chk, cols, nil).Arm(nil, nil).Pred)
+			t.checks = append(t.checks, eval.Prepare(chk, cols, nil).Arm(nil, nil, nil).Pred)
 		}
 	}
 	return t.checks

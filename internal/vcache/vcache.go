@@ -57,6 +57,18 @@ func (c *Cache[V]) Peek(k Key) (V, bool) {
 	return v, ok
 }
 
+// PeekBytes is Peek for the key {string(src), catVer, opts}. The key's
+// text is read where src lies, for the lookup alone: nothing is copied
+// or allocated, and nothing of src is kept, so src may be a buffer its
+// owner overwrites next. Put files a string, which a caller holding the
+// text in a buffer copies out only to file it.
+func (c *Cache[V]) PeekBytes(src []byte, catVer, opts uint64) (V, bool) {
+	c.mu.RLock()
+	v, ok := c.entries[Key{Src: string(src), CatVer: catVer, Opts: opts}]
+	c.mu.RUnlock()
+	return v, ok
+}
+
 // Count records one lookup's outcome in the hit/miss counters.
 func (c *Cache[V]) Count(hit bool) {
 	if hit {

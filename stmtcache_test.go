@@ -690,7 +690,8 @@ func TestTextSpellingAShape(t *testing.T) {
 		{`SELECT S.SNO FROM SUPPLIER S WHERE S.SNAME = 'Smith' AND S.SNO < 9`, false},
 		{`INSERT INTO T VALUES (1, 'one')`, true},
 	} {
-		shape, lits, err := lexer.Shape(c.sql)
+		buf, lits, err := lexer.Shape(nil, nil, c.sql, nil)
+		shape := string(buf)
 		if err != nil || len(lits) == 0 || !strings.Contains(shape, "?") {
 			t.Fatalf("Shape(%q) = %q, %d literals, %v", c.sql, shape, len(lits), err)
 		}
@@ -715,7 +716,8 @@ func TestTextSpellingAShape(t *testing.T) {
 	}
 
 	const sql = "select S.SNO from SUPPLIER S\n where S.SNO = :N"
-	shape, _, _ := lexer.Shape(sql)
+	buf, _, _ := lexer.Shape(nil, nil, sql, nil)
+	shape := string(buf)
 	_, m0 := db.PlanCacheCounters()
 	for _, text := range []string{sql, shape, sql, shape} {
 		if out := queryOutcome(db, text, map[string]any{"N": 7}); out.err != "" || len(out.data) != 1 {
@@ -793,19 +795,19 @@ func TestStatementCacheConcurrentTexts(t *testing.T) {
 	}
 }
 
-// TestWarmStatementAllocs bounds what a verbatim repeat of a
-// literal-free statement allocates. The INSERT bound leaves no room for
-// a lexer pass (the shape buffer and the shape string) or a converted
-// copy of the bindings: what remains is the binding vector, the row,
-// and the table's own growth. The query bound is the call's — the
-// pipeline, its governor and its result are carved from the DB's
-// recycled frame — plus the binding vector and the answer's copy, its
-// column list among it; it is the same number for a statement ten times
-// as long. Under the poison build tag nothing of a frame is handed out
-// twice — each allocator the query carves from takes a fresh chunk, the
-// Result and the builder are fresh — and every iterator is wrapped in
-// the contract checker, which costs the query ten more; the race
-// detector costs it one, the call.
+// TestWarmStatementAllocs bounds what a warm statement allocates: only
+// what it returns or stores. The binding vector is carved from the DB's
+// recycled frame, like the pipeline, its governor and its result, so the
+// INSERT bound leaves room for the row it stores and nothing else — no
+// lexer pass, no converted copy of the bindings. The query bound is the
+// answer's copy, its column list among it; it is the same number for a
+// statement ten times as long. Under the poison build tag nothing of a
+// frame is handed out twice — each allocator the call carves from takes
+// a fresh chunk, the Result and the builder are fresh, and Reset makes
+// a sentinel row — and every iterator is wrapped in the contract
+// checker, which costs the INSERT two more (its vector's chunk and the
+// sentinel) and the query eleven more; the race detector costs the
+// query one, the call.
 func TestWarmStatementAllocs(t *testing.T) {
 	db := uniqopt.Open()
 	if err := db.Exec(`CREATE TABLE T (A INTEGER, B VARCHAR(30), C BOOLEAN, D INTEGER, PRIMARY KEY (A))`); err != nil {
@@ -828,8 +830,12 @@ func TestWarmStatementAllocs(t *testing.T) {
 	}
 	insert()
 	got := testing.AllocsPerRun(runs, insert)
-	if got > 3 {
-		t.Errorf("warm host-variable INSERT: %v allocs per call, want at most 3", got)
+	limit := 1.0
+	if poisonBuild {
+		limit += 2
+	}
+	if got > limit {
+		t.Errorf("warm host-variable INSERT: %v allocs per call, want at most %v", got, limit)
 	}
 	t.Logf("warm host-variable INSERT: %v allocs per call", got)
 
@@ -847,9 +853,9 @@ func TestWarmStatementAllocs(t *testing.T) {
 	query(sel)()
 	query(long)()
 	short, padded := testing.AllocsPerRun(runs, query(sel)), testing.AllocsPerRun(runs, query(long))
-	limit := 9.0
+	limit = 6
 	if poisonBuild {
-		limit += 10
+		limit += 11
 	}
 	if raceBuild {
 		limit++
@@ -861,8 +867,9 @@ func TestWarmStatementAllocs(t *testing.T) {
 
 	// A shape hit that carries literals, in the style of ex1_lit: two
 	// literals, drawn afresh each call, and a fired rewrite (A is the key,
-	// so the DISTINCT goes) whose texts quote them. What it pays for is
-	// the lexer pass, its literal tokens and the spliced rewrite texts.
+	// so the DISTINCT goes) whose texts quote them. The lexer pass writes
+	// into the frame, so what it pays for beyond the answer's copy is the
+	// spliced rewrite texts.
 	lits := make([]string, runs+1)
 	for i := range lits {
 		lits[i] = fmt.Sprintf(`SELECT DISTINCT A, B FROM T WHERE D < %d AND A > %d`, 5+i, 1000+i%7)
@@ -877,8 +884,8 @@ func TestWarmStatementAllocs(t *testing.T) {
 	}
 	lifted()
 	got = testing.AllocsPerRun(runs, lifted)
-	if got > 12 && !poisonBuild {
-		t.Errorf("warm literal-bearing query: %v allocs per call, want at most 12", got)
+	if got > 5 && !poisonBuild {
+		t.Errorf("warm literal-bearing query: %v allocs per call, want at most 5", got)
 	}
 	t.Logf("warm literal-bearing query: %v allocs per call", got)
 }
@@ -886,3 +893,92 @@ func TestWarmStatementAllocs(t *testing.T) {
 // poisonBuild is set under the poison build tag (poison_test.go),
 // raceBuild under the race detector (race_test.go).
 var poisonBuild, raceBuild bool
+
+// TestMixedWidthsShareFrames interleaves statements whose binding
+// vectors differ in width on the frames of one DB, from four goroutines
+// (run it under -race): an INSERT of 40 literals, a query of one host
+// variable reading a row it inserted, and two literal-bearing shapes
+// whose literals change on every call. A write excludes the queries, as
+// the daemon's snapshot lock makes it (tables take one writer at a time),
+// and the queries run side by side. Frames pass from call to call and
+// from goroutine to goroutine, each carving the next call's vector and
+// shape where the last one's were; every answer must be what a second
+// database, built fresh and compiling every statement cold, gives for
+// the same statement.
+func TestMixedWidthsShareFrames(t *testing.T) {
+	const workers, rounds, width = 4, 12, 20
+	ddl := `CREATE TABLE W (K INTEGER, S VARCHAR(40), PRIMARY KEY (K))`
+	warm, cold := shapeDB(t, uniqopt.Options{}), shapeDB(t, uniqopt.Options{})
+	for _, db := range []*uniqopt.DB{warm, cold} {
+		if err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type step struct {
+		sql   string
+		hosts map[string]any
+		write bool
+		got   outcome
+	}
+	steps := make([][]step, workers)
+	var wg sync.WaitGroup
+	var snapshot sync.RWMutex
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				base := (w*rounds + r) * width
+				tuples := make([]string, width)
+				for j := range tuples {
+					tuples[j] = fmt.Sprintf("(%d, 'w%d r%d ''%d''')", base+j, w, r, j)
+				}
+				sno := 1 + (w*rounds+r)%45
+				for _, s := range []step{
+					{sql: "INSERT INTO W VALUES " + strings.Join(tuples, ", "), write: true},
+					{sql: `SELECT W.K, W.S FROM W WHERE W.K = :K`, hosts: map[string]any{"K": base + r%width}},
+					{sql: fmt.Sprintf(`SELECT DISTINCT S.SNO, S.SNAME FROM SUPPLIER S WHERE S.SNO = %d AND S.SNAME <> 'x%d'`, sno, r)},
+					{sql: fmt.Sprintf(`SELECT P.PNO, P.COLOR FROM PARTS P WHERE P.SNO = %d AND P.PNO > %d AND P.COLOR <> '%s'`,
+						sno, r%3, []string{"RED", "BLUE", "GREEN"}[w%3])},
+				} {
+					if s.write {
+						snapshot.Lock()
+						s.got = execOutcome(warm, s.sql, s.hosts)
+						snapshot.Unlock()
+					} else {
+						snapshot.RLock()
+						s.got = queryOutcome(warm, s.sql, s.hosts)
+						snapshot.RUnlock()
+					}
+					steps[w] = append(steps[w], s)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// The writes first: every row a query read was there, unchanged,
+	// when it ran.
+	for _, write := range []bool{true, false} {
+		for w := range steps {
+			for _, s := range steps[w] {
+				if s.write != write {
+					continue
+				}
+				cold.Store().Catalog().Bump()
+				want := queryOutcome(cold, s.sql, s.hosts)
+				if write {
+					want = execOutcome(cold, s.sql, s.hosts)
+				}
+				if !reflect.DeepEqual(s.got, want) {
+					t.Fatalf("%s %v:\n got %+v\nwant %+v", s.sql, s.hosts, s.got, want)
+				}
+				if s.hosts != nil && len(s.got.data) != 1 {
+					t.Fatalf("%s %v: %+v, want the one row inserted under the key", s.sql, s.hosts, s.got)
+				}
+			}
+		}
+	}
+	if hits, _ := warm.PlanCacheCounters(); hits == 0 {
+		t.Error("no statement was served by the cache")
+	}
+}

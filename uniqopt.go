@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,7 +42,6 @@ import (
 	"uniqopt/internal/sql/ast"
 	"uniqopt/internal/sql/lexer"
 	"uniqopt/internal/sql/parser"
-	"uniqopt/internal/sql/token"
 	"uniqopt/internal/storage"
 	"uniqopt/internal/storage/wal"
 	"uniqopt/internal/value"
@@ -235,16 +233,21 @@ func (d *DB) Exec(sql string) error {
 // all-or-nothing: the first constraint violation rejects the
 // statement's remaining tuples too). On the persistent backend DDL is
 // immediately durable; inserted rows become durable at the next Sync.
+// The call's binding vector lives in a frame from the pool, recycled
+// once execInsert has copied its values into the stored rows.
 func (d *DB) ExecWith(sql string, hosts map[string]any) (int64, error) {
-	c, err := d.compile(sql, hosts, false, true)
-	if err != nil {
-		return 0, err
+	f := d.frames.get()
+	c, err := d.compile(f, sql, hosts, false, true)
+	var n int64
+	switch {
+	case err != nil:
+	case c.ddl != nil:
+		_, err = d.store.ApplyDDL(sql, c.ddl)
+	default:
+		n, err = d.execInsert(c.insert, c.vals)
 	}
-	if c.ddl != nil {
-		_, err := d.store.ApplyDDL(sql, c.ddl)
-		return 0, err
-	}
-	return d.execInsert(c.insert, c.vals)
+	d.recycle(f, err)
+	return n, err
 }
 
 // insertCell is one VALUES element, resolved when the statement is
@@ -439,17 +442,19 @@ func (d *DB) QueryFunc(ctx context.Context, sql string, hosts map[string]any, op
 	})
 }
 
-// execute is the one path of a query: compile, execute on a frame from
-// the pool, observe, hand a successful result to consume, and recycle
-// the frame — after consume returns, so consume may read the result and
-// the rows the frame backs, and nothing after it can.
+// execute is the one path of a query: take a frame from the pool,
+// compile into it, execute on it, observe, hand a successful result to
+// consume, and recycle the frame — after consume returns, so consume may
+// read the result and the rows the frame backs, and nothing after it
+// can.
 func (d *DB) execute(ctx context.Context, sql string, hosts map[string]any, optimize bool, consume func(*plan.Result)) error {
 	t0 := time.Now()
-	c, err := d.compile(sql, hosts, optimize, false)
+	f := d.frames.get()
+	c, err := d.compile(f, sql, hosts, optimize, false)
 	if err != nil {
+		d.recycle(f, err)
 		return err
 	}
-	f := d.frames.get()
 	res, err := d.planner(optimize).Execute(ctx, f, c.query, c.vals, false)
 	d.observeQuery(c.shape, time.Since(t0), err)
 	if err == nil {
@@ -527,8 +532,8 @@ type call struct {
 	// ddl is a CREATE TABLE, which bypasses lifting and the cache (the
 	// embedded statement is then nil).
 	ddl *ast.CreateTable
-	// vals is the call's binding vector: the statement's literals, then
-	// the caller's host variables.
+	// vals is the call's binding vector, carved from the execution's
+	// frame: the statement's literals, then the caller's host variables.
 	vals []value.Value
 	// stats carries this call's one statement-cache hit or miss.
 	stats engine.Stats
@@ -539,38 +544,42 @@ type call struct {
 // version and option bits, and a statement is filed under two sources:
 // its shape (lexer.Shape: the text with its literals lifted out) and,
 // when it has no literals, its own text. A verbatim repeat of such a
-// text therefore costs one hash of it: no lexer pass, no shape string.
-// Any other text takes one lexer pass, which splits it into shape and
-// literal vector, and probes again under the shape. Either hit goes
-// straight to execution: no parse, no normal forms, no Algorithm 1, no
-// rewriting, no join ordering. A miss parses the lifted token stream,
-// compiles it and files the result, unless compiling failed. write
-// selects the kind of statement the caller executes: Exec takes CREATE
-// TABLE and INSERT, the query entry points take queries. The call is
-// a value, so binding allocates nothing but its vector. A host variable
-// left out is refused with the call still returned, for a plan-only
-// EXPLAIN to render (bindHosts).
-func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (call, error) {
+// text therefore costs one hash of it: no lexer pass, no shape. Any
+// other text takes one lexer pass, which writes its shape into the
+// frame's buffer and its literals into the call's binding vector, and
+// probes again under the shape's bytes. Either hit goes straight to
+// execution: no parse, no normal forms, no Algorithm 1, no rewriting,
+// no join ordering, and no allocation — the vector is carved from f's
+// scratch, and the shape is copied into a string only on a miss, to be
+// filed. A miss parses the lifted token stream, compiles it and files
+// the result, unless compiling failed. write selects the kind of
+// statement the caller executes: Exec takes CREATE TABLE and INSERT, the
+// query entry points take queries. The call, and the rows it binds, are
+// valid until f's scratch is reset. A host variable left out is refused
+// with the call still returned, for a plan-only EXPLAIN to render
+// (bindHosts).
+func (d *DB) compile(f *plan.Frame, sql string, hosts map[string]any, optimize, write bool) (call, error) {
 	p := d.planner(optimize)
 	// The version is read once, before compiling, and keys every probe
 	// and store: a DDL committing mid-compile can never file a statement
 	// derived under the older catalog beneath the newer version.
-	key := vcache.Key{Src: sql, CatVer: d.store.Catalog().Version(), Opts: p.Opts.CompileBits()}
+	ver, bits := d.store.Catalog().Version(), p.Opts.CompileBits()
 	var c call
-	var lits []token.Token
 	// A text that merely spells a shape ("… = ?int") reaches that shape's
 	// entry here; its literal count sends it on to the lexer, which
 	// refuses the '?'.
-	if st, ok := d.stmts.Peek(key); ok && st.nlits == 0 {
+	if st, ok := d.stmts.Peek(vcache.Key{Src: sql, CatVer: ver, Opts: bits}); ok && st.nlits == 0 {
 		c.statement = st
 	}
-	byText := c.statement != nil
+	byText, outOfRange := c.statement != nil, false
 	if !byText {
 		var err error
-		if key.Src, lits, err = lexer.Shape(sql); err != nil {
+		f.Shape, c.vals, err = lexer.Shape(f.Shape[:0], nil, sql, f.GrowCells)
+		defer f.ReleaseShape()
+		if outOfRange = errors.Is(err, lexer.ErrRange); err != nil && !outOfRange {
 			return call{}, err
 		}
-		if key.Src == "" {
+		if len(f.Shape) == 0 {
 			st, err := parser.ParseStatement(sql)
 			if err != nil {
 				return call{}, err
@@ -580,10 +589,18 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (ca
 			}
 			return call{ddl: st.(*ast.CreateTable)}, nil
 		}
-		c.statement, _ = d.stmts.Peek(key)
+		c.statement, _ = d.stmts.PeekBytes(f.Shape, ver, bits)
 	}
-	if err := c.bind(sql, hosts, lits); err != nil {
+	if err := checkHosts(hosts); err != nil {
 		return call{}, err
+	}
+	if outOfRange {
+		// Report it (or whatever syntax error precedes it) exactly as the
+		// unlifted parser does.
+		if _, err := parser.ParseStatement(sql); err != nil {
+			return call{}, err
+		}
+		return call{}, lexer.ErrRange
 	}
 	// The one hit-or-miss count of this call.
 	d.stmts.Count(c.statement != nil)
@@ -597,10 +614,10 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (ca
 		if err != nil {
 			return call{}, err
 		}
-		c.statement = &statement{shape: key.Src, nlits: len(lits)}
+		c.statement = &statement{shape: string(f.Shape), nlits: len(c.vals)}
 		switch x := parsed.(type) {
 		case *ast.Insert:
-			if c.insert, err = compileInsert(x, len(lits)); err != nil {
+			if c.insert, err = compileInsert(x, c.nlits); err != nil {
 				return call{}, err
 			}
 		case ast.Query:
@@ -613,7 +630,7 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (ca
 		}
 		// A statement of the wrong kind is refused below, not filed.
 		if (c.insert != nil) == write {
-			d.stmts.Put(key, c.statement)
+			d.stmts.Put(vcache.Key{Src: c.shape, CatVer: ver, Opts: bits}, c.statement)
 		}
 	}
 	switch {
@@ -625,57 +642,42 @@ func (d *DB) compile(sql string, hosts map[string]any, optimize, write bool) (ca
 	// A literal-free text that came by way of the lexer answers for
 	// itself from now on (in canonical spelling it already does: it is
 	// its own shape).
-	if !byText && len(lits) == 0 && sql != key.Src {
-		key.Src = sql
-		d.stmts.Put(key, c.statement)
+	if !byText && c.nlits == 0 && sql != c.shape {
+		d.stmts.Put(vcache.Key{Src: sql, CatVer: ver, Opts: bits}, c.statement)
 	}
-	err := c.bindHosts(hosts)
+	err := c.bindHosts(f, hosts)
 	return c, err
 }
 
-// bind type-checks every host binding, used or not, and converts the
-// literal vector into the head of the call's binding vector.
-func (c *call) bind(sql string, hosts map[string]any, lits []token.Token) error {
-	c.vals = make([]value.Value, 0, len(lits)+len(hosts))
+// checkHosts type-checks every host binding, used or not.
+func checkHosts(hosts map[string]any) error {
 	for k, v := range hosts {
 		if _, err := Convert(v); err != nil {
 			return fmt.Errorf("uniqopt: host :%s: %w", k, err)
 		}
 	}
-	for _, t := range lits {
-		v := value.String_(t.Text)
-		if t.Kind == token.Number {
-			n, err := strconv.ParseInt(t.Text, 10, 64)
-			if err != nil {
-				// Out of range: report it (or whatever syntax error
-				// precedes it) exactly as the unlifted parser does.
-				_, err = parser.ParseStatement(sql)
-				return err
-			}
-			v = value.Int(n)
-		}
-		c.vals = append(c.vals, v)
-	}
 	return nil
 }
 
-// bindHosts fills the host slots from the caller's bindings, by name,
-// refusing one left out; the vector is then the literals alone.
-func (c *call) bindHosts(hosts map[string]any) error {
+// bindHosts extends the binding vector, the literals so far, to the
+// statement's width, carving it from f, and fills the host slots from
+// the caller's bindings, by name, refusing one left out; the vector is
+// then the literals alone.
+func (c *call) bindHosts(f *plan.Frame, hosts map[string]any) error {
 	base, names, width := c.nlits, []string(nil), 0
 	if c.query != nil {
 		base, names, width = c.query.Lits, c.query.Params[c.query.Lits:], c.query.Width
 	} else {
 		names, width = c.insert.hosts, base+len(c.insert.hosts)
 	}
-	c.vals = append(c.vals, make([]value.Value, max(width-len(c.vals), 0))...)[:width]
+	c.vals = f.GrowCells(c.vals, width-len(c.vals))[:width]
 	for i, name := range names {
 		v, ok := hosts[name]
 		if !ok {
 			c.vals = c.vals[:base]
 			return fmt.Errorf("uniqopt: unbound host variable :%s", name)
 		}
-		c.vals[base+i], _ = Convert(v) // bind has type-checked it
+		c.vals[base+i], _ = Convert(v) // checkHosts has type-checked it
 	}
 	return nil
 }
@@ -760,13 +762,14 @@ func (d *DB) ExplainAnalyze(sql string) (*Explanation, error) {
 // execute. Explain runs are not recorded in the metrics registry, so
 // profiling a workload is not skewed by inspecting it.
 func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, optimize, analyze bool) (*Explanation, error) {
-	c, err := d.compile(sql, hosts, optimize, false)
+	f := d.frames.get()
+	c, err := d.compile(f, sql, hosts, optimize, false)
 	if c.statement == nil || err != nil && analyze {
+		d.recycle(f, err)
 		return nil, err
 	}
 	out := &Explanation{Analyzed: analyze}
 	if analyze {
-		f := d.frames.get()
 		res, err := d.planner(optimize).Execute(ctx, f, c.query, c.vals, true)
 		if err == nil {
 			out.Root, out.Rewrites, out.Stats = res.Root, rewriteInfos(res.Rewrites), res.Stats.Snapshot()
@@ -777,10 +780,11 @@ func (d *DB) ExplainWith(ctx context.Context, sql string, hosts map[string]any, 
 		}
 	} else {
 		out.Root, out.Rewrites = c.query.Render(c.vals), rewriteInfos(c.query.Rewrites(c.vals))
+		d.recycle(f, nil)
 	}
 	// The provenance trace explains the verdict on the query as
-	// written — the decision that licensed (or blocked) the rewrites.
-	if v, aerr := d.analyzer().AnalyzeQuery(c.query.Query); aerr == nil && v != nil {
+	// written, which the compiled statement carries.
+	if v := c.query.Verdict; v != nil {
 		out.Trace = v.Trace.Lines()
 		out.KeysUsed = v.KeysUsedLines()
 	}

@@ -6,6 +6,7 @@ import (
 
 	"uniqopt/internal/core"
 	"uniqopt/internal/sql/parser"
+	"uniqopt/internal/vcache"
 	"uniqopt/internal/workload"
 )
 
@@ -358,5 +359,50 @@ func TestColumnsAreTheCallersOwn(t *testing.T) {
 	}
 	if got := strings.Join(second.Columns, ","); got != want {
 		t.Errorf("columns after the first answer's were renamed: %s, want %s", got, want)
+	}
+}
+
+// TestShapeKeysAreCopies: the lexer writes a statement's shape into its
+// frame's buffer and the cache is probed with those bytes, so what is
+// filed must be a copy. Two shapes one byte apart (< and >), compiled
+// one after the other through the same frame, get two entries, and the
+// first is still found under its own shape, answering as before, after
+// the second has overwritten the buffer.
+func TestShapeKeysAreCopies(t *testing.T) {
+	db := paperDB(t)
+	const lt, gt = `SELECT S.SNO FROM SUPPLIER S WHERE S.SNO < 2`, `SELECT S.SNO FROM SUPPLIER S WHERE S.SNO > 1`
+	f := db.frames.get()
+	compile := func(sql string) *statement {
+		t.Helper()
+		c, err := db.compile(f, sql, nil, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.statement
+	}
+	first := compile(lt)
+	second := compile(gt)
+	if first == second || first.shape == second.shape || len(first.shape) != len(second.shape) {
+		t.Fatalf("shapes %q and %q share an entry", first.shape, second.shape)
+	}
+	if want := `SELECT S.SNO FROM SUPPLIER S WHERE S.SNO < ?int`; first.shape != want {
+		t.Errorf("the first statement's shape reads %q after the second was lexed, want %q", first.shape, want)
+	}
+	key := vcache.Key{Src: first.shape, CatVer: db.store.Catalog().Version(), Opts: db.planner(true).Opts.CompileBits()}
+	if st, ok := db.stmts.Peek(key); !ok || st != first {
+		t.Errorf("the first statement is not filed under its shape once the buffer is overwritten")
+	}
+	if again := compile(`select s.sno from supplier s where s.sno < 5`); again != first {
+		t.Errorf("a respelling of the first shape compiled anew (or found the second's entry)")
+	}
+	db.recycle(f, nil)
+	for sql, want := range map[string]int{lt: 1, gt: 2} {
+		rows, err := db.Query(sql)
+		if err != nil || len(rows.Data) != want {
+			t.Errorf("%s: %v rows, %v; want %d", sql, rows, err, want)
+		}
+	}
+	if hits, misses := db.PlanCacheCounters(); misses != 2 {
+		t.Errorf("%d hits, %d misses: want the two shapes compiled once each", hits, misses)
 	}
 }
