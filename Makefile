@@ -11,9 +11,9 @@ vet:
 	@unformatted="$$(gofmt -l $$(git ls-files '*.go' | grep -v '\(^\|/\)testdata/'))"; \
 	if [ -n "$$unformatted" ]; then echo "gofmt would rewrite:"; echo "$$unformatted"; exit 1; fi
 
-# uniqlint enforces the repo's syntactic invariants (3VL comparisons,
-# Stats atomics, catalog version bumps, deterministic map iteration,
-# context threading in engine/plan, stale suppressions). Exits nonzero
+# uniqlint enforces the repo's syntactic invariants that no test sees
+# fail (3VL comparisons, Stats atomics, context threading in
+# engine/plan, storage file hygiene, stale suppressions). Exits nonzero
 # on any unsuppressed finding. The engine's iterator, governor and
 # batch contracts are test-poison's, not lint's.
 lint:

@@ -1,7 +1,7 @@
 // Command uniqlint runs the repository's static-analysis suite
 // (internal/lint: syntactic rules for 3VL comparisons, Stats atomics,
-// catalog version bumps, deterministic output, context threading and
-// stale suppressions) over package patterns, reporting findings as
+// context threading, storage file hygiene and stale suppressions) over
+// package patterns, reporting findings as
 //
 //	file:line: [analyzer] message
 //
@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	uniqlint [-analyzers tvlbool,ctxflow,...] [-json|-gha] [packages]
+//	uniqlint [-analyzers tvlbool,ctxflow,...] [-gha] [-q] [packages]
 //
 // The engine's iterator, governor and batch contracts are not lint
 // rules: `go test -tags poison ./...` checks them at run time
@@ -22,11 +22,9 @@
 // expansion but may be named explicitly, which is how the golden
 // fixture packages are linted on purpose.
 //
-// -json emits a machine-readable report (findings, suppressed ones
-// marked, plus the summary); -gha emits GitHub Actions ::error
-// workflow commands so a CI lint step annotates the offending lines in
-// the pull-request diff. Both still exit nonzero on unsuppressed
-// findings.
+// -gha emits GitHub Actions ::error workflow commands so a CI lint
+// step annotates the offending lines in the pull-request diff; it
+// still exits nonzero on unsuppressed findings.
 //
 // Findings are suppressed line-by-line with
 //
@@ -49,14 +47,9 @@ func main() {
 		analyzers = flag.String("analyzers", "", "comma-separated analyzer subset (default: all)")
 		list      = flag.Bool("list", false, "list analyzers and exit")
 		quiet     = flag.Bool("q", false, "suppress the summary line")
-		jsonOut   = flag.Bool("json", false, "emit findings and summary as JSON")
 		ghaOut    = flag.Bool("gha", false, "emit findings as GitHub Actions ::error annotations")
 	)
 	flag.Parse()
-	if *jsonOut && *ghaOut {
-		fmt.Fprintln(os.Stderr, "uniqlint: -json and -gha are mutually exclusive")
-		os.Exit(2)
-	}
 
 	if *list {
 		for _, a := range lint.All() {
@@ -91,26 +84,19 @@ func main() {
 		os.Exit(2)
 	}
 	lint.RelativizeTo(cwd, findings)
-	switch {
-	case *jsonOut:
-		if err := lint.WriteJSON(os.Stdout, findings, sum); err != nil {
-			fmt.Fprintf(os.Stderr, "uniqlint: %v\n", err)
-			os.Exit(2)
-		}
-	case *ghaOut:
+	if *ghaOut {
 		if err := lint.WriteGHA(os.Stdout, findings); err != nil {
 			fmt.Fprintf(os.Stderr, "uniqlint: %v\n", err)
 			os.Exit(2)
 		}
-	default:
+	} else {
 		for _, f := range findings {
-			if f.Suppressed {
-				continue
+			if !f.Suppressed {
+				fmt.Println(f.String())
 			}
-			fmt.Println(f.String())
 		}
 	}
-	if !*quiet && !*jsonOut {
+	if !*quiet {
 		fmt.Fprintf(os.Stderr, "uniqlint: %d package unit(s), %d finding(s), %d suppressed\n",
 			sum.Packages, sum.Findings, sum.Suppressed)
 	}

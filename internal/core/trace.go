@@ -122,7 +122,7 @@ func colList(cols []string) string {
 }
 
 // sortedKeys returns the map's keys in sorted order — the only way
-// KeysUsed may be iterated for rendering (detorder invariant).
+// KeysUsed may be iterated for rendering.
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

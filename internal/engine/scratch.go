@@ -197,6 +197,7 @@ type bump[T any] struct {
 	spilled bool // chunk is an overflow chunk
 	over    int  // elements handed out by the chunks before it
 	size    int  // the length of the next home, as Reset sized it
+	elem    int  // the size of one element in bytes, set by the first refill
 	// spent holds the chunks before chunk, each cut to what it handed
 	// out, only under the poison build tag.
 	spent [][]T
@@ -217,8 +218,11 @@ func (b *bump[T]) refill(n int) {
 	if Poisoned && b.chunk != nil {
 		b.spent = append(b.spent, b.chunk[:b.off])
 	}
+	if b.elem == 0 {
+		b.elem = int(reflect.TypeFor[T]().Size())
+	}
 	if b.home == nil {
-		b.home = make([]T, max(n, b.size, min(scratchFirst, max(1, scratchFirstBytes/b.elem()))))
+		b.home = make([]T, max(n, b.size, min(scratchFirst, max(1, scratchFirstBytes/b.elem))))
 		b.chunk = b.home
 	} else {
 		b.chunk = make([]T, max(n, min(2*len(b.chunk), b.keep()/4)))
@@ -227,11 +231,9 @@ func (b *bump[T]) refill(n int) {
 	b.off = 0
 }
 
-// keep is scratchRetain in elements.
-func (b *bump[T]) keep() int { return scratchRetain / b.elem() }
-
-// elem is the size of one element in bytes.
-func (b *bump[T]) elem() int { return int(reflect.TypeFor[T]().Size()) }
+// keep is scratchRetain in elements. Only an allocator that has
+// refilled calls it.
+func (b *bump[T]) keep() int { return scratchRetain / b.elem }
 
 func (b *bump[T]) reset() {
 	if b.off == 0 && !b.spilled {
@@ -267,7 +269,7 @@ func (b *bump[T]) abandon(sentinel T) {
 		fill(c)
 	}
 	fill(b.chunk[:b.off])
-	*b = bump[T]{size: b.size}
+	*b = bump[T]{size: b.size, elem: b.elem}
 }
 
 // Cells returns n zeroed cells: a row's storage, or a slab of rows'.

@@ -15,7 +15,7 @@ func TestTvlBoolFixture(t *testing.T) {
 func TestTvlBoolExemptInsideTvl(t *testing.T) {
 	// The stand-in tvl package compares Truth values internally; the
 	// analyzer must stay silent there.
-	fs, _ := loadFixture(t, "uniqopt/internal/tvl", TvlBool)
+	fs := loadFixture(t, "uniqopt/internal/tvl", TvlBool)
 	if len(fs) != 0 {
 		t.Errorf("tvlbool flagged the tvl package itself: %v", fs)
 	}
@@ -37,29 +37,8 @@ func TestEngineImplFixture(t *testing.T) {
 	}
 }
 
-func TestCatVerFixture(t *testing.T) {
-	fs := checkFixture(t, "catfix/internal/catalog", CatVer)
-	if len(fs) != 2 {
-		t.Errorf("catver findings = %d, want 2", len(fs))
-	}
-}
-
-func TestCatVerSkipsOtherPackages(t *testing.T) {
-	fs, _ := loadFixture(t, "fix/tvlbool", CatVer)
-	if len(fs) != 0 {
-		t.Errorf("catver ran outside internal/catalog: %v", fs)
-	}
-}
-
-func TestDetOrderFixture(t *testing.T) {
-	fs := checkFixture(t, "fix/detorder", DetOrder)
-	if len(fs) != 5 {
-		t.Errorf("detorder findings = %d, want 5", len(fs))
-	}
-}
-
 func TestFindingFormat(t *testing.T) {
-	fs, _ := loadFixture(t, "fix/tvlbool", TvlBool)
+	fs := loadFixture(t, "fix/tvlbool", TvlBool)
 	if len(fs) == 0 {
 		t.Fatal("no findings")
 	}
@@ -70,7 +49,7 @@ func TestFindingFormat(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	found, unknown := ByName("tvlbool,catver")
+	found, unknown := ByName("tvlbool,ctxflow")
 	if len(found) != 2 || len(unknown) != 0 {
 		t.Fatalf("ByName: found=%v unknown=%v", found, unknown)
 	}
@@ -90,7 +69,7 @@ func TestCtxFlowFixture(t *testing.T) {
 func TestCtxFlowSkipsOtherPackages(t *testing.T) {
 	// The analyzer is scoped to internal/engine and internal/plan;
 	// other packages may hold contexts however they like.
-	fs, _ := loadFixture(t, "fix/tvlbool", CtxFlow)
+	fs := loadFixture(t, "fix/tvlbool", CtxFlow)
 	if len(fs) != 0 {
 		t.Errorf("ctxflow ran outside engine/plan: %v", fs)
 	}
@@ -106,7 +85,7 @@ func TestFileLifeFixture(t *testing.T) {
 func TestFileLifeSkipsOtherPackages(t *testing.T) {
 	// The analyzer is scoped to internal/storage/...; file handling
 	// elsewhere (test harnesses, benchmarks) is out of its remit.
-	fs, _ := loadFixture(t, "fix/tvlbool", FileLife)
+	fs := loadFixture(t, "fix/tvlbool", FileLife)
 	if len(fs) != 0 {
 		t.Errorf("filelife ran outside internal/storage: %v", fs)
 	}

@@ -7,14 +7,15 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
 // Summary is the outcome of one driver run.
 type Summary struct {
-	Packages   int `json:"packages"`   // package units typechecked and analyzed
-	Findings   int `json:"findings"`   // findings that remain after suppression
-	Suppressed int `json:"suppressed"` // findings covered by //lint:allow directives
+	Packages   int // package units typechecked and analyzed
+	Findings   int // findings that remain after suppression
+	Suppressed int // findings covered by //lint:allow directives
 }
 
 // Runner drives the analyzers over a set of package directories.
@@ -40,7 +41,7 @@ func NewRunner(dir string, analyzers []*Analyzer) (*Runner, error) {
 		Analyzers: analyzers,
 		Root:      root,
 		Module:    mod,
-		loader:    NewLoader(token.NewFileSet(), mod, root, ""),
+		loader:    NewLoader(mod, root, ""),
 	}, nil
 }
 
@@ -146,7 +147,7 @@ func (r *Runner) importPathFor(dir string) (string, *Loader) {
 		fixRoot := filepath.Join(r.Root, filepath.FromSlash(rel[:i]+"testdata/src"))
 		sub, err := filepath.Rel(fixRoot, dir)
 		if err == nil {
-			return filepath.ToSlash(sub), NewLoader(r.loader.Fset, r.Module, r.Root, fixRoot)
+			return filepath.ToSlash(sub), NewLoader(r.Module, r.Root, fixRoot)
 		}
 	}
 	if rel == "." {
@@ -155,51 +156,51 @@ func (r *Runner) importPathFor(dir string) (string, *Loader) {
 	return r.Module + "/" + rel, r.loader
 }
 
-// lintDir typechecks and analyzes the up-to-three compilation units of
-// one package directory: the package itself, the package augmented
-// with in-package test files, and the external _test package.
+// lintDir analyzes the up-to-three compilation units of one package
+// directory: the package itself, the package augmented with in-package
+// test files, and the external _test package.
 func (r *Runner) lintDir(dir string) ([]Finding, int, error) {
 	path, loader := r.importPathFor(dir)
-	files, testFiles, xtestFiles, err := loader.ParseDir(dir)
+	u, err := loader.Load(path, dir)
 	if err != nil {
 		return nil, 0, err
 	}
 	var out []Finding
 	units := 0
-	run := func(path string, unit []*ast.File, reportable []*ast.File) error {
-		if len(unit) == 0 || len(reportable) == 0 {
+	lint := func(pkg *types.Package, info *types.Info, unit, reportable []*ast.File) {
+		units++
+		want := make(map[string]bool, len(reportable))
+		for _, f := range reportable {
+			want[fset.Position(f.Package).Filename] = true
+		}
+		for _, f := range r.analyze(pkg, info, unit) {
+			if want[f.Pos.Filename] {
+				out = append(out, f)
+			}
+		}
+	}
+	check := func(path string, unit, reportable []*ast.File) error {
+		if len(reportable) == 0 {
 			return nil
 		}
 		pkg, info, err := loader.Check(path, unit)
 		if err != nil {
 			return err
 		}
-		units++
-		want := make(map[string]bool, len(reportable))
-		for _, f := range reportable {
-			want[loader.Fset.Position(f.Package).Filename] = true
-		}
-		fs := r.analyze(loader.Fset, pkg, info, unit)
-		for _, f := range fs {
-			if want[f.Pos.Filename] {
-				out = append(out, f)
-			}
-		}
+		lint(pkg, info, unit, reportable)
 		return nil
 	}
-	if err := run(path, files, files); err != nil {
+	if len(u.Files) > 0 {
+		lint(u.Pkg, u.Info, u.Files, u.Files)
+	}
+	if err := check(path, append(slices.Clip(u.Files), u.TestFiles...), u.TestFiles); err != nil {
 		return nil, 0, err
 	}
-	if len(testFiles) > 0 {
-		if err := run(path, append(append([]*ast.File{}, files...), testFiles...), testFiles); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := run(path+"_test", xtestFiles, xtestFiles); err != nil {
+	if err := check(path+"_test", u.XTestFiles, u.XTestFiles); err != nil {
 		return nil, 0, err
 	}
-	allFiles := append(append(append([]*ast.File{}, files...), testFiles...), xtestFiles...)
-	allows, used := applySuppressions(loader.Fset, allFiles, out)
+	allFiles := slices.Concat(u.Files, u.TestFiles, u.XTestFiles)
+	allows, used := applySuppressions(allFiles, out)
 	out = append(out, r.checkStaleAllows(allows, used)...)
 	return out, units, nil
 }
@@ -259,7 +260,7 @@ func (r *Runner) checkStaleAllows(allows []AllowDirective, used []bool) []Findin
 }
 
 // analyze runs every analyzer over one typed unit.
-func (r *Runner) analyze(fset *token.FileSet, pkg *types.Package, info *types.Info, files []*ast.File) []Finding {
+func (r *Runner) analyze(pkg *types.Package, info *types.Info, files []*ast.File) []Finding {
 	var out []Finding
 	for _, a := range r.Analyzers {
 		pass := &Pass{
@@ -290,7 +291,7 @@ type AllowDirective struct {
 //
 // A directive covers findings on its own line (trailing-comment style)
 // and on the immediately following line (preceding-comment style).
-func parseAllows(fset *token.FileSet, files []*ast.File) []AllowDirective {
+func parseAllows(files []*ast.File) []AllowDirective {
 	var out []AllowDirective
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -322,8 +323,8 @@ func parseAllows(fset *token.FileSet, files []*ast.File) []AllowDirective {
 // applySuppressions marks findings covered by an allow directive and
 // reports, per directive, whether it suppressed at least one finding
 // (used is indexed in parallel with the returned directives).
-func applySuppressions(fset *token.FileSet, files []*ast.File, findings []Finding) (allows []AllowDirective, used []bool) {
-	allows = parseAllows(fset, files)
+func applySuppressions(files []*ast.File, findings []Finding) (allows []AllowDirective, used []bool) {
+	allows = parseAllows(files)
 	used = make([]bool, len(allows))
 	if len(allows) == 0 {
 		return allows, used

@@ -157,14 +157,14 @@ func TestParseAllowsReason(t *testing.T) {
 	}
 	dir := filepath.Join(r.Root, "internal", "lint", "testdata", "src", "fix", "allow")
 	path, loader := r.importPathFor(dir)
-	files, _, _, err := loader.ParseDir(dir)
+	u, err := loader.Load(path, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if path != "fix/allow" {
 		t.Errorf("fixture import path = %q, want fix/allow", path)
 	}
-	allows := parseAllows(loader.Fset, files)
+	allows := parseAllows(u.Files)
 	if len(allows) != 2 {
 		t.Fatalf("allows = %+v, want 2", allows)
 	}

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -12,7 +11,7 @@ import (
 // loadFixture typechecks the fixture package at importPath (relative
 // to testdata/src) with the fixture root shadowing the repository, and
 // runs the given analyzers over it.
-func loadFixture(t *testing.T, importPath string, analyzers ...*Analyzer) ([]Finding, *token.FileSet) {
+func loadFixture(t *testing.T, importPath string, analyzers ...*Analyzer) []Finding {
 	t.Helper()
 	fixRoot, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
@@ -22,31 +21,13 @@ func loadFixture(t *testing.T, importPath string, analyzers ...*Analyzer) ([]Fin
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	loader := NewLoader(fset, mod, root, fixRoot)
-	dir := filepath.Join(fixRoot, filepath.FromSlash(importPath))
-	files, _, _, err := loader.ParseDir(dir)
+	u, err := NewLoader(mod, root, fixRoot).Load(importPath, filepath.Join(fixRoot, filepath.FromSlash(importPath)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, info, err := loader.Check(importPath, files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []Finding
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     fset,
-			Files:    files,
-			Pkg:      pkg,
-			Info:     info,
-			report:   func(f Finding) { out = append(out, f) },
-		}
-		a.Run(pass)
-	}
+	out := (&Runner{Analyzers: analyzers}).analyze(u.Pkg, u.Info, u.Files)
 	sortFindings(out)
-	return out, fset
+	return out
 }
 
 var wantRE = regexp.MustCompile(`// want (".*")\s*$`)
@@ -116,7 +97,7 @@ func splitQuoted(s string) []string {
 // one-to-one.
 func checkFixture(t *testing.T, importPath string, analyzers ...*Analyzer) []Finding {
 	t.Helper()
-	findings, _ := loadFixture(t, importPath, analyzers...)
+	findings := loadFixture(t, importPath, analyzers...)
 	wants := parseWants(t, importPath)
 	for _, f := range findings {
 		base := filepath.Base(f.Pos.Filename)

@@ -1,21 +1,23 @@
 // Package lint is a stdlib-only static-analysis framework for this
-// repository. It exists because the invariants the reproduction leans
-// on are invisible to the Go compiler: predicates must flow through
-// internal/tvl's three-valued logic instead of collapsing to bool,
-// engine.Stats counters must cross goroutines only through the atomic
-// API in stats.go, catalog mutations must bump the schema version that
-// keys the statement cache (vcache), map iteration must not leak
-// nondeterministic order into plans or output, and engine and plan
-// functions must thread the context they receive. Every rule is syntactic over one
-// typed package. The engine's iterator, governor and batch contracts
-// are not checked here: the engine checks them itself, at run time,
-// under the poison build tag (engine.Checker).
+// repository. It exists because some invariants the reproduction leans
+// on are invisible to the Go compiler and to the tests: predicates must
+// flow through internal/tvl's three-valued logic instead of collapsing
+// to bool, engine.Stats counters must cross goroutines only through the
+// atomic API in stats.go, engine and plan functions must thread the
+// context they receive, and storage files must be closed and synced.
+// Every rule is syntactic over one typed package, and each is kept only
+// while a mutant of its bug class passes the tests (its doc comment
+// names one). The engine's iterator, governor and batch contracts are
+// not checked here: the engine checks them itself, at run time, under
+// the poison build tag (engine.Checker).
 //
 // The framework deliberately mirrors a slimmed-down
 // golang.org/x/tools/go/analysis: an Analyzer inspects one typed
 // package (a Pass) and reports Findings. The driver in driver.go walks
 // ./... , typechecks every package with the source loader in
-// loader.go, and applies //lint:allow suppressions.
+// loader.go, and applies //lint:allow suppressions. The loader checks
+// the standard library once per process and each package once per
+// Loader.
 package lint
 
 import (
@@ -77,7 +79,7 @@ func (p *Pass) Report(pos token.Pos, format string, args ...any) {
 
 // All returns every analyzer the suite ships, in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{TvlBool, StatsAtomic, CatVer, DetOrder, CtxFlow, FileLife, AllowStale}
+	return []*Analyzer{TvlBool, StatsAtomic, CtxFlow, FileLife, AllowStale}
 }
 
 // ByName resolves a comma/space separated analyzer list; unknown names
@@ -145,40 +147,6 @@ func namedFrom(t types.Type, pkgSuffix, name string) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == name && pkgIs(obj.Pkg(), pkgSuffix)
-}
-
-// receiverObj resolves the receiver variable of a method declaration,
-// or nil for functions and anonymous receivers.
-func receiverObj(info *types.Info, fd *ast.FuncDecl) *types.Var {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	obj, _ := info.Defs[fd.Recv.List[0].Names[0]].(*types.Var)
-	return obj
-}
-
-// rootIdent walks selector/index/paren/star expressions down to the
-// base identifier, e.g. t.Keys[i].Columns → t. Returns nil when the
-// base is not a plain identifier.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // objOf resolves an identifier to its variable object, following uses

@@ -12,34 +12,59 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
+
+// fset positions every file any Loader in the process parses, and std
+// type-checks the standard library from source into it. Both are shared
+// because checking the standard library is most of a load's cost and
+// the source importer caches what it has checked; stdMu serializes it,
+// since it is not safe for concurrent use.
+var (
+	fset  = token.NewFileSet()
+	std   = stdImporter()
+	stdMu sync.Mutex
+)
+
+// stdImporter builds the source importer with cgo off. With cgo on it
+// runs the cgo tool over net and os/user, which takes longer than
+// checking them; their pure-Go files declare the same API.
+func stdImporter() types.Importer {
+	build.Default.CgoEnabled = false
+	return importer.ForCompiler(fset, "source", nil)
+}
 
 // Loader typechecks packages from source using only the standard
 // library. Import paths inside the module resolve to directories under
 // ModuleDir; when FixtureDir is set it is consulted first, so golden
 // fixture packages can shadow real repository packages with small
 // stand-ins that keep the same import paths. Everything else (the
-// standard library) is delegated to go/importer's source importer.
+// standard library) is delegated to the shared source importer.
 type Loader struct {
-	Fset       *token.FileSet
 	ModulePath string
 	ModuleDir  string
 	FixtureDir string
 
-	std  types.Importer
-	pkgs map[string]*types.Package
-	busy map[string]bool
+	units map[string]*Unit
+	busy  map[string]bool
+}
+
+// Unit is one package directory, parsed, with its non-test files
+// type-checked in full. The check is both what analyzers read and what
+// importers of the package see.
+type Unit struct {
+	Files, TestFiles, XTestFiles []*ast.File
+	Pkg                          *types.Package
+	Info                         *types.Info
 }
 
 // NewLoader builds a loader for the module rooted at moduleDir.
-func NewLoader(fset *token.FileSet, modulePath, moduleDir, fixtureDir string) *Loader {
+func NewLoader(modulePath, moduleDir, fixtureDir string) *Loader {
 	return &Loader{
-		Fset:       fset,
 		ModulePath: modulePath,
 		ModuleDir:  moduleDir,
 		FixtureDir: fixtureDir,
-		std:        importer.ForCompiler(fset, "source", nil),
-		pkgs:       make(map[string]*types.Package),
+		units:      make(map[string]*Unit),
 		busy:       make(map[string]bool),
 	}
 }
@@ -76,47 +101,60 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// Import implements types.Importer. Module and fixture packages are
-// typechecked from source with function bodies skipped (importers only
-// need the package API); standard-library paths fall through to the
-// source importer.
+// Import implements types.Importer: module and fixture packages are
+// served from Load, standard-library paths from the shared source
+// importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
 	dir := l.dirFor(path)
 	if dir == "" {
-		return l.std.Import(path)
+		stdMu.Lock()
+		defer stdMu.Unlock()
+		return std.Import(path)
 	}
-	if l.busy[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	l.busy[path] = true
-	defer delete(l.busy, path)
-
-	files, _, _, err := l.ParseDir(dir)
+	u, err := l.Load(path, dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
+	if len(u.Files) == 0 {
 		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
 	}
-	pkg, _, err := l.check(path, files, true)
-	if err != nil {
-		return nil, err
-	}
-	l.pkgs[path] = pkg
-	return pkg, nil
+	return u.Pkg, nil
 }
 
-// ParseDir parses the directory's buildable Go files, split like the
+// Load parses the package directory dir and type-checks its non-test
+// files as the package at importPath, once per Loader.
+func (l *Loader) Load(importPath, dir string) (*Unit, error) {
+	if u, ok := l.units[importPath]; ok {
+		return u, nil
+	}
+	if l.busy[importPath] {
+		return nil, fmt.Errorf("lint: import cycle through %s", importPath)
+	}
+	l.busy[importPath] = true
+	defer delete(l.busy, importPath)
+
+	u := &Unit{}
+	var err error
+	if u.Files, u.TestFiles, u.XTestFiles, err = parseDir(dir); err != nil {
+		return nil, err
+	}
+	if len(u.Files) > 0 {
+		if u.Pkg, u.Info, err = l.Check(importPath, u.Files); err != nil {
+			return nil, err
+		}
+	}
+	l.units[importPath] = u
+	return u, nil
+}
+
+// parseDir parses the directory's buildable Go files, split like the
 // go tool splits them: package files, in-package test files, and
 // external (_test package) test files. Build constraints are honored
 // via go/build.
-func (l *Loader) ParseDir(dir string) (files, testFiles, xtestFiles []*ast.File, err error) {
+func parseDir(dir string) (files, testFiles, xtestFiles []*ast.File, err error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		if _, noGo := err.(*build.NoGoError); !noGo {
@@ -128,7 +166,7 @@ func (l *Loader) ParseDir(dir string) (files, testFiles, xtestFiles []*ast.File,
 		sort.Strings(names)
 		var out []*ast.File
 		for _, name := range names {
-			f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}
@@ -152,20 +190,14 @@ func (l *Loader) ParseDir(dir string) (files, testFiles, xtestFiles []*ast.File,
 }
 
 // Check typechecks files as the package at importPath with full type
-// information, for analysis. The result is not cached: target units
-// may include test files and must not shadow the API-only package
-// other imports see.
+// information, for analysis. It caches nothing: Load keeps a package's
+// non-test check, and a unit with test files must not shadow it.
 func (l *Loader) Check(importPath string, files []*ast.File) (*types.Package, *types.Info, error) {
-	return l.check(importPath, files, false)
-}
-
-func (l *Loader) check(importPath string, files []*ast.File, apiOnly bool) (*types.Package, *types.Info, error) {
 	var errs []error
 	conf := types.Config{
-		Importer:         l,
-		Sizes:            types.SizesFor("gc", build.Default.GOARCH),
-		IgnoreFuncBodies: apiOnly,
-		Error:            func(err error) { errs = append(errs, err) },
+		Importer: l,
+		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
+		Error:    func(err error) { errs = append(errs, err) },
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -173,7 +205,7 @@ func (l *Loader) check(importPath string, files []*ast.File, apiOnly bool) (*typ
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	pkg, err := conf.Check(importPath, l.Fset, files, info)
+	pkg, err := conf.Check(importPath, fset, files, info)
 	if len(errs) > 0 {
 		return nil, nil, fmt.Errorf("lint: typecheck %s: %v", importPath, errs[0])
 	}

@@ -16,8 +16,6 @@ import (
 var analyzerFixtures = map[string]string{
 	"tvlbool":     "fix/tvlbool",
 	"statsatomic": "fix/statsatomic",
-	"catver":      "catfix/internal/catalog",
-	"detorder":    "fix/detorder",
 	"ctxflow":     "ctxfix/internal/engine",
 	"filelife":    "filefix/internal/storage/wal",
 	"allowstale":  "fix/stale",
@@ -82,55 +80,6 @@ func TestEveryAnalyzerIsDocumented(t *testing.T) {
 	}
 }
 
-// TestCatVerProtectsEveryVersionKeyedCache pins the catver contract to
-// its consumers: the one versioned cache type must be registered, its
-// key struct must carry the catalog schema version (a CatVer field),
-// and every package registered as instantiating it — the database's
-// statement cache — must read Catalog.Version() to fill that field. A
-// new version-keyed cache that skips registration, or a key that drops
-// the version, fails here.
-func TestCatVerProtectsEveryVersionKeyedCache(t *testing.T) {
-	files, ok := VersionKeyedCaches["vcache.Cache"]
-	if !ok || len(files) < 2 {
-		t.Fatalf("VersionKeyedCaches must register vcache.Cache with its key file and its instantiating package, got %v", VersionKeyedCaches)
-	}
-	root, _, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, files := range VersionKeyedCaches {
-		if src := repoRootFile(t, filepath.FromSlash(files[0])); !strings.Contains(src, "CatVer") {
-			t.Errorf("%s (%s) does not key on the catalog version (no CatVer field); the catver contract no longer protects it", name, files[0])
-		}
-		// The key is populated by the instantiating packages, so the
-		// Version() read is required somewhere in each of them.
-		for _, file := range files[1:] {
-			dir := filepath.Join(root, filepath.FromSlash(filepath.Dir(file)))
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			readsVersion := false
-			for _, e := range entries {
-				if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-					continue
-				}
-				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if strings.Contains(string(data), "vcache.Key{") && strings.Contains(string(data), ".Version()") {
-					readsVersion = true
-					break
-				}
-			}
-			if !readsVersion {
-				t.Errorf("%s: no file in %s builds a vcache.Key from Catalog.Version(); its cache keys cannot track DDL", name, filepath.Dir(file))
-			}
-		}
-	}
-}
-
 func TestEveryAnalyzerHasDoc(t *testing.T) {
 	for _, a := range All() {
 		if strings.TrimSpace(a.Doc) == "" {
@@ -139,22 +88,22 @@ func TestEveryAnalyzerHasDoc(t *testing.T) {
 	}
 }
 
-// fullRepo is the one full-repo lint run in tier-1: TestFullRepoClean
-// and TestLintRuntimeBudget both read it, so `go test` lints the whole
-// tree once, not once per test.
+// fullRepo is the one full-repo lint run in a test binary:
+// TestFullRepoClean and TestLintRuntimeBudget read its findings, and
+// moduleUses the packages it type-checked.
 var fullRepo struct {
 	once     sync.Once
+	runner   *Runner
 	findings []Finding
 	sum      Summary
 	elapsed  time.Duration
 	err      error
 }
 
-func runFullRepo(t *testing.T) ([]Finding, Summary, time.Duration) {
+// lintRepo lints the whole module, once per test binary, and returns
+// the runner that did it.
+func lintRepo(t *testing.T) *Runner {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("full-repo lint skipped in -short mode")
-	}
 	fullRepo.once.Do(func() {
 		r, err := NewRunner(".", nil)
 		if err != nil {
@@ -164,6 +113,7 @@ func runFullRepo(t *testing.T) ([]Finding, Summary, time.Duration) {
 		start := time.Now()
 		fullRepo.findings, fullRepo.sum, fullRepo.err = r.Run([]string{"./..."})
 		fullRepo.elapsed = time.Since(start)
+		fullRepo.runner = r
 	})
 	if fullRepo.err != nil {
 		t.Fatal(fullRepo.err)
@@ -171,6 +121,15 @@ func runFullRepo(t *testing.T) ([]Finding, Summary, time.Duration) {
 	if fullRepo.sum.Packages == 0 {
 		t.Fatal("full-repo lint analyzed zero packages")
 	}
+	return fullRepo.runner
+}
+
+func runFullRepo(t *testing.T) ([]Finding, Summary, time.Duration) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full-repo lint skipped in -short mode")
+	}
+	lintRepo(t)
 	return fullRepo.findings, fullRepo.sum, fullRepo.elapsed
 }
 

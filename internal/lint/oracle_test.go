@@ -26,7 +26,7 @@ var oracleEval = map[string]bool{"Truth": true, "Env": true, "ExistsFunc": true,
 // nothing of eval but oracleEval.
 func TestOracleIsIndependentAndTestOnly(t *testing.T) {
 	found := false
-	moduleUses(t, func(mod, dir string, fset *token.FileSet, files []*ast.File) bool {
+	moduleUses(t, func(mod, dir string, files []*ast.File) bool {
 		for _, f := range files {
 			for _, imp := range f.Imports {
 				p, _ := strconv.Unquote(imp.Path.Value)
@@ -66,7 +66,7 @@ var bindingPaths = []string{".", "internal/plan", "internal/engine"}
 // through a pointer or not.
 func TestProductBindsParametersBySlot(t *testing.T) {
 	found := map[string]bool{}
-	moduleUses(t, func(mod, dir string, fset *token.FileSet, files []*ast.File) bool {
+	moduleUses(t, func(mod, dir string, files []*ast.File) bool {
 		if !slices.Contains(bindingPaths, dir) {
 			return false
 		}
@@ -105,7 +105,7 @@ func TestProductBindsParametersBySlot(t *testing.T) {
 // oracle, and the differential tests could not see a mistake in it.
 func TestOnlyTheOracleRunsTruth(t *testing.T) {
 	named := false
-	moduleUses(t, func(mod, dir string, _ *token.FileSet, files []*ast.File) bool {
+	moduleUses(t, func(mod, dir string, files []*ast.File) bool {
 		return dir == "internal/eval" || importsPath(files, mod+"/internal/eval")
 	}, func(mod, file string, pos token.Position, obj types.Object) {
 		if fn, ok := obj.(*types.Func); !ok || fn.FullName() != mod+"/internal/eval.Truth" {

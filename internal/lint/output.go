@@ -1,51 +1,13 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 )
 
-// This file renders findings for machine consumers: a stable JSON
-// schema for tooling, and GitHub Actions workflow commands so CI
+// This file renders findings as GitHub Actions workflow commands, so CI
 // failures annotate the offending lines in pull-request diffs.
-
-// jsonFinding is the stable wire form of one finding. Field names are
-// part of the CLI contract; add, don't rename.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column,omitempty"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-}
-
-// jsonReport is the top-level -json document.
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-	Summary  Summary       `json:"summary"`
-}
-
-// WriteJSON renders all findings (suppressed ones included, marked) and
-// the run summary as one indented JSON document.
-func WriteJSON(w io.Writer, findings []Finding, sum Summary) error {
-	rep := jsonReport{Findings: []jsonFinding{}, Summary: sum}
-	for _, f := range findings {
-		rep.Findings = append(rep.Findings, jsonFinding{
-			File:       f.Pos.Filename,
-			Line:       f.Pos.Line,
-			Column:     f.Pos.Column,
-			Analyzer:   f.Analyzer,
-			Message:    f.Message,
-			Suppressed: f.Suppressed,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
 
 // ghaEscape escapes a workflow-command property or message per the
 // GitHub Actions runner rules: % first, then CR and LF.

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"encoding/json"
 	"go/token"
 	"strings"
 	"testing"
@@ -20,53 +19,6 @@ func sampleFindings() []Finding {
 			Message:    "suppressed one",
 			Suppressed: true,
 		},
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	var sb strings.Builder
-	sum := Summary{Packages: 3, Findings: 1, Suppressed: 1}
-	if err := WriteJSON(&sb, sampleFindings(), sum); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Findings []struct {
-			File       string `json:"file"`
-			Line       int    `json:"line"`
-			Column     int    `json:"column"`
-			Analyzer   string `json:"analyzer"`
-			Message    string `json:"message"`
-			Suppressed bool   `json:"suppressed"`
-		} `json:"findings"`
-		Summary Summary `json:"summary"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &rep); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if len(rep.Findings) != 2 {
-		t.Fatalf("findings = %d, want 2 (suppressed included)", len(rep.Findings))
-	}
-	f := rep.Findings[0]
-	if f.File != "internal/engine/stream.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "ctxflow" {
-		t.Errorf("first finding mismatched: %+v", f)
-	}
-	if !rep.Findings[1].Suppressed {
-		t.Error("suppressed flag lost in JSON")
-	}
-	if rep.Summary != sum {
-		t.Errorf("summary = %+v, want %+v", rep.Summary, sum)
-	}
-}
-
-func TestWriteJSONEmpty(t *testing.T) {
-	var sb strings.Builder
-	if err := WriteJSON(&sb, nil, Summary{Packages: 5}); err != nil {
-		t.Fatal(err)
-	}
-	// The findings key must be an empty array, not null, for easy
-	// consumption with jq and the like.
-	if !strings.Contains(sb.String(), `"findings": []`) {
-		t.Errorf("empty run must render findings as []:\n%s", sb.String())
 	}
 }
 

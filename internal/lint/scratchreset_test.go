@@ -4,13 +4,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -49,111 +46,52 @@ func TestScratchResetOnlyByTheAnswersOwner(t *testing.T) {
 	}
 }
 
-// engineUses type-checks the non-test files of the engine package and of
-// every package of the module that imports it, and calls use for each
-// identifier that names an object: with the module path, the file the
-// identifier is in (relative to the module root) and its position.
+// engineUses calls use for each identifier that names an object in the
+// non-test files of the engine package and of every package of the
+// module that imports it: with the module path, the file the identifier
+// is in (relative to the module root) and its position.
 func engineUses(t *testing.T, use func(mod, file string, pos token.Position, obj types.Object)) {
 	t.Helper()
 	const enginePath = "internal/engine"
-	moduleUses(t, func(mod, dir string, _ *token.FileSet, files []*ast.File) bool {
+	moduleUses(t, func(mod, dir string, files []*ast.File) bool {
 		// Only the engine and the packages importing it can name its objects.
 		return dir == enginePath || importsPath(files, mod+"/"+enginePath)
 	}, use)
 }
 
-// moduleUses hands the non-test files of every package of the module to
-// check, with the package's directory relative to the module root; it
-// type-checks each package check accepts and calls use for each
-// identifier there that names an object. The module is walked and
-// parsed once per test binary, and each package type-checked at most
-// once, by one Loader whose imported packages every check shares.
-func moduleUses(t *testing.T, check func(mod, dir string, fset *token.FileSet, files []*ast.File) bool,
+// moduleUses hands the non-test files of every package the full-repo
+// lint run loaded (the module's, and benchmark/'s, which imports it) to
+// check, with the package's directory relative to the module root, and
+// calls use for each identifier that names an object in the packages
+// check accepts. The files and their types are those that run checked,
+// so no package is type-checked twice in a test binary.
+func moduleUses(t *testing.T, check func(mod, dir string, files []*ast.File) bool,
 	use func(mod, file string, pos token.Position, obj types.Object)) {
 	t.Helper()
-	module.Lock()
-	defer module.Unlock()
-	module.once.Do(loadModule)
-	if module.err != nil {
-		t.Fatal(module.err)
+	r := lintRepo(t)
+	paths := make([]string, 0, len(r.loader.units))
+	for path := range r.loader.units {
+		paths = append(paths, path)
 	}
-	mod, loader := module.mod, module.loader
-	for _, p := range module.pkgs {
-		if !check(mod, p.dir, loader.Fset, p.files) {
+	sort.Strings(paths)
+	for _, path := range paths {
+		u := r.loader.units[path]
+		dir, ok := strings.CutPrefix(path, r.Module+"/")
+		if path == r.Module {
+			dir, ok = ".", true
+		}
+		if !ok || len(u.Files) == 0 || !check(r.Module, dir, u.Files) {
 			continue
 		}
-		if p.info == nil {
-			importPath := mod
-			if p.dir != "." {
-				importPath += "/" + p.dir
-			}
-			var err error
-			if _, p.info, err = loader.Check(importPath, p.files); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for id, obj := range p.info.Uses {
-			pos := loader.Fset.Position(id.Pos())
-			file, err := filepath.Rel(module.root, pos.Filename)
+		for id, obj := range u.Info.Uses {
+			pos := fset.Position(id.Pos())
+			file, err := filepath.Rel(r.Root, pos.Filename)
 			if err != nil {
 				t.Fatal(err)
 			}
-			use(mod, filepath.ToSlash(file), pos, obj)
+			use(r.Module, filepath.ToSlash(file), pos, obj)
 		}
 	}
-}
-
-// module is what moduleUses reads: the module's packages, parsed once.
-var module struct {
-	sync.Mutex
-	once      sync.Once
-	err       error
-	root, mod string
-	loader    *Loader
-	pkgs      []*modulePkg // in the order a walk of the module visits them
-}
-
-// modulePkg is one package of the module: its non-test files and, once
-// a test has asked for it, their type information.
-type modulePkg struct {
-	dir   string
-	files []*ast.File
-	info  *types.Info
-}
-
-// loadModule walks the module from its root, skipping testdata, hidden
-// directories and nested modules (benchmark/), and parses the non-test
-// files of every package into module.
-func loadModule() {
-	root, mod, err := FindModuleRoot(".")
-	if err != nil {
-		module.err = err
-		return
-	}
-	module.root, module.mod = root, mod
-	module.loader = NewLoader(token.NewFileSet(), mod, root, "")
-	module.err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		name := d.Name()
-		if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil && path != root {
-			return filepath.SkipDir // a module of its own (benchmark/)
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			return err
-		}
-		files, _, _, err := module.loader.ParseDir(path)
-		if err != nil || len(files) == 0 {
-			return err
-		}
-		module.pkgs = append(module.pkgs, &modulePkg{dir: filepath.ToSlash(rel), files: files})
-		return nil
-	})
 }
 
 // importsPath reports whether any of files imports path.

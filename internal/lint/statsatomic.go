@@ -26,6 +26,12 @@ import (
 //     counter fields are allowed only in stats.go, which owns the
 //     atomic API — keeping it centralized is what lets Stats.fields()
 //     guarantee no counter is missed during merges.
+//
+// The tests see only one face of the race. DB.execute merging into the
+// DB's shared counters with += instead of Stats.Add fails go test -race;
+// DB.GovernorCounters reading them as d.stats.RowsMaterialized instead
+// of through Snapshot passes tier-1, -tags poison and -race, because no
+// test reads the counters while another goroutine's query merges.
 var StatsAtomic = &Analyzer{
 	Name: "statsatomic",
 	Doc:  "flag direct engine.Stats counter access that bypasses the atomic Add/AddPlanCache/Snapshot API",

@@ -15,6 +15,13 @@ import (
 // exists to avoid: Unknown must be handled explicitly, via
 // tvl.IsTrue, tvl.IsFalse, tvl.IsUnknown, tvl.TrueInterpreted or
 // tvl.FalseInterpreted.
+//
+// The tests do not see every such collapse. Planted in the filter's row
+// loop, in a CHECK or in the OR kernel it fails tier-1 at once; planted
+// in the index join's residual check (indexJoinIter.Next in
+// internal/engine/stream.go, !tvl.FalseInterpreted(t) written as
+// t == tvl.False, so a residual that is Unknown keeps its row) it passes
+// tier-1, -tags poison and -race.
 var TvlBool = &Analyzer{
 	Name: "tvlbool",
 	Doc:  "flag ==/!= of tvl.Truth against tvl constants and Truth→scalar conversions outside package tvl",

@@ -3,6 +3,8 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -94,6 +96,18 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	var decoded Snapshot
 	if err := json.Unmarshal(a, &decoded); err != nil {
 		t.Fatalf("snapshot JSON does not round-trip: %v", err)
+	}
+
+	// With two shapes, a Snapshot that ranged over its map unsorted
+	// would still pass the checks above about one run in ten; with
+	// sixteen it fails every run.
+	many := New()
+	for i := 15; i >= 0; i-- {
+		many.ObserveQuery(fmt.Sprintf("shape%02d", i), 1)
+	}
+	shapes := many.Snapshot().Shapes
+	if !sort.SliceIsSorted(shapes, func(i, j int) bool { return shapes[i].Shape < shapes[j].Shape }) {
+		t.Fatalf("shapes not sorted: %+v", shapes)
 	}
 }
 

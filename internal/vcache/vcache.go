@@ -6,10 +6,11 @@
 //
 // The catalog version in the key is the whole invalidation story: every
 // DDL — CREATE TABLE, ADD KEY/CHECK/FOREIGN KEY, DROP KEY, CREATE
-// INDEX — bumps the version (the catver analyzer enforces that), so
-// entries derived under the old schema become unreachable rather than
-// being hunted down. The key carries the source text itself, not a
-// hash of it, so two different sources can never share an entry.
+// INDEX — bumps the version (TestStatementCacheInvalidatedByEachDDLKind
+// fails on a kind that does not), so entries derived under the old
+// schema become unreachable rather than being hunted down. The key
+// carries the source text itself, not a hash of it, so two different
+// sources can never share an entry.
 package vcache
 
 import (

@@ -57,6 +57,14 @@ import (
 // parsing, Algorithm 1, the rewrites and planning entirely; DDL
 // invalidates the cache automatically. The compiled statement is the
 // only place a verdict is kept: the analyzer itself remembers nothing.
+//
+// Queries on one DB may run side by side, from any number of
+// goroutines. A write — an INSERT or DDL, through Exec or ExecWith —
+// must exclude every other call on that DB, queries included: tables
+// and their key indexes take no lock of their own. The daemon holds a
+// read-write lock for this, queries on its read side and writes on its
+// write side; an embedded caller that writes while it queries must do
+// the same.
 type DB struct {
 	store storage.Store
 	opts  Options
@@ -234,7 +242,8 @@ func (d *DB) Exec(sql string) error {
 // statement's remaining tuples too). On the persistent backend DDL is
 // immediately durable; inserted rows become durable at the next Sync.
 // The call's binding vector lives in a frame from the pool, recycled
-// once execInsert has copied its values into the stored rows.
+// once execInsert has copied its values into the stored rows. A write
+// must not run while any other call on d does (see DB).
 func (d *DB) ExecWith(sql string, hosts map[string]any) (int64, error) {
 	f := d.frames.get()
 	c, err := d.compile(f, sql, hosts, false, true)
