@@ -282,7 +282,12 @@ func BenchmarkDistinct(b *testing.B) {
 // strings mixed, as the sort and hash operators meet them.
 func benchRows(b *testing.B) []value.Row {
 	b.Helper()
-	return benchDB(b, 200, 10, 0.3).MustTable("PARTS").Rows()
+	tbl := benchDB(b, 200, 10, 0.3).MustTable("PARTS")
+	rows := make([]value.Row, tbl.Len())
+	for i := range rows {
+		rows[i] = tbl.Row(i)
+	}
+	return rows
 }
 
 var benchSink uint64

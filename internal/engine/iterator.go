@@ -266,19 +266,23 @@ func (sg *streamGuard) close() {
 	sg.pendRows, sg.pendBytes = 0, 0
 }
 
-// rowsIter streams a row slice it does not own — a base table's rows, or
-// an already-materialized relation's — in batches. A batch is a
-// capacity-clipped window onto the slice: nothing is copied, nothing is
-// charged, and an append by a consumer cannot reach the storage. The
-// slice is taken at construction (for a table: the statement's view of
-// it); rows are never updated in place.
+// rowsIter streams rows it does not own — a base table's, or an
+// already-materialized relation's — in batches. A batch is a
+// capacity-clipped window onto the relation's row slice, or onto the
+// row windows of one of the table's chunks (storage.Table.Span), so a
+// table's batch ends at a chunk boundary: nothing is copied, nothing is
+// charged, and an append by a consumer, to the batch or to a row,
+// cannot reach the storage. What is read is fixed at construction (for
+// a table: the statement's view of it, its first n rows); rows are
+// never updated in place.
 type rowsIter struct {
 	rows    []value.Row
+	tbl     *storage.Table // a base-table scan: counts RowsScanned, fires FaultScan
+	n       int            // the table's rows the scan reads
 	cols    []string
 	st      *Stats
 	sg      streamGuard
 	pos     int
-	scan    bool // a base-table scan: counts RowsScanned, fires FaultScan
 	started bool
 }
 
@@ -295,7 +299,7 @@ func QualifiedCols(tbl *storage.Table, corr string) []string {
 // NewTableIter returns a streaming scan of tbl, carved from sc; cols
 // names its columns as the scan emits them (QualifiedCols).
 func NewTableIter(sc *Scratch, st *Stats, tbl *storage.Table, cols []string) Iterator {
-	return carve(&sc.frames.rows, rowsIter{rows: tbl.Rows(), cols: cols, st: st, sg: sc.guard(st), scan: true})
+	return carve(&sc.frames.rows, rowsIter{tbl: tbl, n: tbl.Len(), cols: cols, st: st, sg: sc.guard(st)})
 }
 
 // NewRelationIter returns an iterator over rel's rows, carved from sc.
@@ -309,19 +313,26 @@ func (it *rowsIter) Next(ctx context.Context) (Batch, error) {
 	if err := it.sg.begin(ctx); err != nil {
 		return nil, err
 	}
-	if it.scan && !it.started {
+	if it.tbl == nil {
+		var b Batch
+		if b, it.pos = window(it.rows, it.pos); b == nil {
+			return nil, nil
+		}
+		return it.sg.emitHeld(b)
+	}
+	if !it.started {
 		it.started = true
 		if err := fault.Point(FaultScan); err != nil {
 			return nil, err
 		}
 	}
-	var b Batch
-	if b, it.pos = window(it.rows, it.pos); b == nil {
+	if it.pos >= it.n {
 		return nil, nil
 	}
-	if it.scan {
-		it.st.RowsScanned += int64(len(b))
-	}
+	end := min(it.pos+BatchSize(), it.n, (it.pos/storage.ChunkRows+1)*storage.ChunkRows)
+	b := Batch(it.tbl.Span(it.pos, end))
+	it.pos = end
+	it.st.RowsScanned += int64(len(b))
 	return it.sg.emitHeld(b)
 }
 

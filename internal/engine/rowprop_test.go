@@ -282,7 +282,11 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 		return NewFilterIter(sc, st, NewTableIter(sc, st, tbl, cols), keep)
 	}
 
-	want := filterOracle(&Relation{Cols: cols, Rows: tbl.Rows()}, pred, env)
+	rows := make([]value.Row, n)
+	for i := range rows {
+		rows[i] = tbl.Row(i)
+	}
+	want := filterOracle(&Relation{Cols: cols, Rows: rows}, pred, env)
 
 	// The two subtests once ran under different worker pools. There is no
 	// pool now, so they run the same check; both keep their names, so
@@ -320,18 +324,19 @@ func TestScanInPlaceFilterMatchesScanFilter(t *testing.T) {
 	if _, err := scan.Next(cctx); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled table scan: err = %v", err)
 	}
-	// A batch is a window of the table's own rows that cannot grow into
-	// the table's storage.
+	// A batch is a window of the table's own row windows, ending at its
+	// chunk: neither it nor a row of it can grow into the table's storage.
 	b, err := scan.Next(ctx0)
 	if err != nil || len(b) == 0 {
 		t.Fatalf("first batch: %d rows, err = %v", len(b), err)
 	}
-	if &b[0] != &tbl.Rows()[0] || cap(b) != len(b) {
+	if &b[0][0] != &tbl.Row(0)[0] || cap(b) != len(b) || cap(b[0]) != len(b[0]) || len(b) > storage.ChunkRows {
 		t.Errorf("batch is not a capacity-clipped window of the table's rows (len %d cap %d)", len(b), cap(b))
 	}
 	grown := append(b, value.Row{value.Int(-1), value.Int(-1)})
-	if tbl.Len() != n || &grown[0] == &tbl.Rows()[0] || tbl.Row(len(b))[0].AsInt() != int64(len(b)) {
-		t.Error("appending to a batch reached the table's row slice")
+	_ = append(grown[0], value.Int(-1))
+	if tbl.Len() != n || tbl.Row(len(b))[0].AsInt() != int64(len(b)) || tbl.Row(1)[0].AsInt() != 1 {
+		t.Error("appending to a batch or a row reached the table's storage")
 	}
 }
 

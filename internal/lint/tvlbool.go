@@ -16,12 +16,13 @@ import (
 // tvl.IsTrue, tvl.IsFalse, tvl.IsUnknown, tvl.TrueInterpreted or
 // tvl.FalseInterpreted.
 //
-// The tests do not see every such collapse. Planted in the filter's row
-// loop, in a CHECK or in the OR kernel it fails tier-1 at once; planted
-// in the index join's residual check (indexJoinIter.Next in
+// Every such collapse tried so far is also seen by a test, so this
+// analyzer has no surviving mutant left: planted in the filter's row
+// loop, in a CHECK or in the OR kernel it fails tier-1 at once, and
+// planted in the index join's residual check (indexJoinIter.Next in
 // internal/engine/stream.go, !tvl.FalseInterpreted(t) written as
-// t == tvl.False, so a residual that is Unknown keeps its row) it passes
-// tier-1, -tags poison and -race.
+// t == tvl.False, so a residual that is Unknown keeps its row) it fails
+// TestIndexJoinResidualOnSmallInstances.
 var TvlBool = &Analyzer{
 	Name: "tvlbool",
 	Doc:  "flag ==/!= of tvl.Truth against tvl constants and Truth→scalar conversions outside package tvl",

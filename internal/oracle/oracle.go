@@ -116,7 +116,8 @@ func (e *evaluator) block(s *ast.Select, outer *catalog.Scope, outerCols map[str
 			rows = append(rows, row)
 			return first, nil
 		}
-		for _, r := range tables[i].Rows() {
+		for j := 0; j < tables[i].Len(); j++ {
+			r := tables[i].Row(j)
 			for k, name := range names[i] {
 				env.Cols[name] = r[k]
 			}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -565,6 +566,62 @@ func TestServerConcurrentQueriesAndDDL(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestServerHelloDuringDDL: HELLOs in a loop against CREATE TABLEs.
+// A HELLO reads the catalog's table list, which a CREATE TABLE writes;
+// under -race a read outside the DDL lock is reported. Every answer is
+// one the catalog really had: sorted, and never fewer tables at a later
+// version.
+func TestServerHelloDuringDDL(t *testing.T) {
+	testleak.Check(t)
+	db := testDB(t, 10, uniqopt.Options{})
+	_, addr := startServer(t, db, server.Config{})
+	const ddls = 20
+	done := make(chan error, 1)
+	go func() {
+		c, err := client.Dial(addr)
+		if err != nil {
+			done <- err
+			return
+		}
+		defer c.Close()
+		for i := 0; i < ddls; i++ {
+			if _, err := c.Query(fmt.Sprintf(`CREATE TABLE HELLO_%02d (A INTEGER)`, i)); err != nil {
+				done <- fmt.Errorf("ddl %d: %w", i, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	c := dial(t, addr)
+	defer c.Close()
+	var last client.ServerInfo
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+		}
+		info, err := c.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sort.StringsAreSorted(info.Tables) {
+			t.Fatalf("HELLO tables not sorted: %v", info.Tables)
+		}
+		if info.CatalogVersion < last.CatalogVersion || len(info.Tables) < len(last.Tables) {
+			t.Fatalf("HELLO went back: version %d with %d tables after version %d with %d",
+				info.CatalogVersion, len(info.Tables), last.CatalogVersion, len(last.Tables))
+		}
+		last = *info
+	}
+	if n := len(last.Tables); n < ddls {
+		t.Errorf("final HELLO lists %d tables, want at least %d", n, ddls)
 	}
 }
 

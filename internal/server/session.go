@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"uniqopt"
@@ -183,9 +182,13 @@ func (sess *session) grantBudgets(maxRows, memBudget int64) {
 // protocol version, catalog version, and sorted table list.
 func (sess *session) hello(req *Request) *Response {
 	sess.grantBudgets(req.MaxRows, req.MemBudget)
+	// The table list and version are read under the DDL lock's read
+	// side: a CREATE TABLE writes the catalog's table map under its
+	// write side.
 	cat := sess.srv.db.Store().Catalog()
-	tables := cat.TableNames()
-	sort.Strings(tables)
+	sess.srv.ddlMu.RLock()
+	tables, version := cat.TableNames(), cat.Version()
+	sess.srv.ddlMu.RUnlock()
 	name := sess.srv.cfg.Name
 	if name == "" {
 		name = "uniqoptd"
@@ -204,7 +207,7 @@ func (sess *session) hello(req *Request) *Response {
 		Tables:         tables,
 		MaxRows:        sess.grantedMaxRows,
 		MemBudget:      sess.grantedMem,
-		CatalogVersion: cat.Version(),
+		CatalogVersion: version,
 	}
 }
 

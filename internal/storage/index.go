@@ -82,7 +82,7 @@ func (ix *OrderedIndex) reset() {
 // cmpPrefix orders the entry for row ord against prefix on the leading
 // len(prefix) index columns.
 func (ix *OrderedIndex) cmpPrefix(ord int, prefix value.Row) int {
-	row := ix.tbl.rows[ord]
+	row := ix.tbl.Row(ord)
 	for i, v := range prefix {
 		if c := value.OrderCompare(row[ix.Columns[i]], v); c != 0 {
 			return c
@@ -93,7 +93,7 @@ func (ix *OrderedIndex) cmpPrefix(ord int, prefix value.Row) int {
 
 // cmpEntries is the entry order: index columns, then ordinal.
 func (ix *OrderedIndex) cmpEntries(a, b int) int {
-	ra, rb := ix.tbl.rows[a], ix.tbl.rows[b]
+	ra, rb := ix.tbl.Row(a), ix.tbl.Row(b)
 	for _, c := range ix.Columns {
 		if c := value.OrderCompare(ra[c], rb[c]); c != 0 {
 			return c
@@ -216,7 +216,7 @@ func (ix *OrderedIndex) insert(ord int) {
 // one descent per row.
 func (ix *OrderedIndex) load() {
 	ix.reset()
-	ords := make([]int, len(ix.tbl.rows))
+	ords := make([]int, ix.tbl.Len())
 	for i := range ords {
 		ords[i] = i
 	}

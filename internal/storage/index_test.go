@@ -550,7 +550,7 @@ func BenchmarkOrderedIndexInsert(b *testing.B) {
 						b.Fatal(err)
 					}
 					for id, k := range keys {
-						if err := tbl.InsertOwned(value.Row{value.Int(int64(id)), value.Int(k / 4), value.Int(k % 4)}); err != nil {
+						if err := tbl.Insert(value.Row{value.Int(int64(id)), value.Int(k / 4), value.Int(k % 4)}); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -24,12 +24,21 @@ import (
 	"uniqopt/internal/value"
 )
 
+// ChunkRows is the number of rows in one chunk of a table.
+const ChunkRows = 1024
+
 // Table is one stored base table: a multiset of rows plus hash indexes
 // on each candidate key used for uniqueness enforcement and key
-// lookups.
+// lookups. Rows are stored in chunks of ChunkRows, filled in insertion
+// order, each allocated once: row i is a capacity-clipped window of
+// chunk i / ChunkRows's cells, the row's only heap home. A stored cell
+// is never written again, and Truncate starts new chunks, so a window
+// stays valid, and unchanged, for as long as a reader holds it.
 type Table struct {
 	Schema *catalog.Table
-	rows   []value.Row
+	chunks []*chunk
+	n      int // rows published
+	width  int
 	keyIdx []keyIndex // parallel to Schema.Keys
 	// ordered holds the secondary ordered indexes.
 	ordered []*OrderedIndex
@@ -44,7 +53,7 @@ type Table struct {
 
 // NewTable creates an empty table for the given schema.
 func NewTable(schema *catalog.Table) *Table {
-	t := &Table{Schema: schema}
+	t := &Table{Schema: schema, width: len(schema.Columns)}
 	t.keyIdx = make([]keyIndex, len(schema.Keys))
 	for i := range t.keyIdx {
 		t.keyIdx[i].reset()
@@ -95,15 +104,30 @@ func (k *keyIndex) find(h uint64, eq func(ord int) bool) int {
 	return -1
 }
 
+// chunk holds ChunkRows rows: their cells, row o at cells[o*width:],
+// and beside them the windows of those filled, which a scan hands out
+// as they lie (Span).
+type chunk struct {
+	cells []value.Value
+	rows  []value.Row
+}
+
 // Len reports the number of stored rows.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return t.n }
 
-// Rows returns the stored rows. The slice and rows are owned by the
-// table; callers must not modify them.
-func (t *Table) Rows() []value.Row { return t.rows }
+// Row returns the i-th row: a window of the table's cells, which the
+// caller must not modify.
+func (t *Table) Row(i int) value.Row {
+	o, w := i%ChunkRows*t.width, t.width
+	return t.chunks[i/ChunkRows].cells[o : o+w : o+w]
+}
 
-// Row returns the i-th row.
-func (t *Table) Row(i int) value.Row { return t.rows[i] }
+// Span returns the windows of rows [i, j), which must lie in one chunk,
+// in a capacity-clipped slice the caller must not modify.
+func (t *Table) Span(i, j int) []value.Row {
+	o := i % ChunkRows
+	return t.chunks[i/ChunkRows].rows[o : o+j-i : o+j-i]
+}
 
 // compiledChecks returns the table's CHECK constraints compiled once
 // against the schema's column ordinals, compiling any added since the
@@ -204,19 +228,9 @@ func project(row value.Row, cols []int) value.Row {
 	return out
 }
 
-// Insert validates and stores a row. The row is cloned; the caller
-// keeps ownership of its argument.
+// Insert validates a row and stores a copy of its cells; the caller
+// keeps ownership of its argument. A refused row stores nothing.
 func (t *Table) Insert(row value.Row) error {
-	if err := t.Validate(row); err != nil {
-		return err
-	}
-	t.store(row.Clone())
-	return nil
-}
-
-// InsertOwned is Insert for a caller that built row for this call and
-// will not touch it again: the table keeps the slice itself.
-func (t *Table) InsertOwned(row value.Row) error {
 	if err := t.Validate(row); err != nil {
 		return err
 	}
@@ -224,13 +238,20 @@ func (t *Table) InsertOwned(row value.Row) error {
 	return nil
 }
 
-// store appends a validated row the table owns and files it under every
-// key and ordered index, which read the key columns from the row itself.
-func (t *Table) store(r value.Row) {
-	idx := len(t.rows)
-	t.rows = append(t.rows, r)
+// store copies a validated row's cells into the next window, publishes
+// it and files it under every key and ordered index, which read the
+// key columns from the stored cells.
+func (t *Table) store(row value.Row) {
+	idx := t.n
+	if idx%ChunkRows == 0 {
+		t.chunks = append(t.chunks, &chunk{make([]value.Value, ChunkRows*t.width), make([]value.Row, ChunkRows)})
+	}
+	w := t.Row(idx)
+	copy(w, row)
+	t.chunks[idx/ChunkRows].rows[idx%ChunkRows] = w
+	t.n++
 	for ki, k := range t.Schema.Keys {
-		t.keyIdx[ki].add(value.HashCols(r, k.Columns), idx)
+		t.keyIdx[ki].add(value.HashCols(row, k.Columns), idx)
 	}
 	for _, ix := range t.ordered {
 		ix.insert(idx)
@@ -243,7 +264,7 @@ func (t *Table) store(r value.Row) {
 func (t *Table) findKey(ki int, row value.Row, cols []int) int {
 	kc := t.Schema.Keys[ki].Columns
 	return t.keyIdx[ki].find(value.HashCols(row, cols), func(ri int) bool {
-		return value.NullEqCols(row, cols, t.rows[ri], kc)
+		return value.NullEqCols(row, cols, t.Row(ri), kc)
 	})
 }
 
@@ -255,8 +276,9 @@ func (t *Table) LookupKey(ki int, keyVals value.Row) int {
 		return -1
 	}
 	return t.keyIdx[ki].find(value.HashRow(keyVals), func(ri int) bool {
+		row := t.Row(ri)
 		for i, c := range kc {
-			if !value.NullEq(keyVals[i], t.rows[ri][c]) {
+			if !value.NullEq(keyVals[i], row[c]) {
 				return false
 			}
 		}
@@ -264,9 +286,10 @@ func (t *Table) LookupKey(ki int, keyVals value.Row) int {
 	})
 }
 
-// Truncate removes all rows. Ordered indexes are emptied but kept.
+// Truncate removes all rows. Ordered indexes are emptied but kept; the
+// chunks are dropped, not reused, so a window read before stays intact.
 func (t *Table) Truncate() {
-	t.rows = nil
+	t.chunks, t.n = nil, 0
 	for i := range t.keyIdx {
 		t.keyIdx[i].reset()
 	}
@@ -334,22 +357,13 @@ func (db *DB) MustTable(name string) *Table {
 	return t
 }
 
-// Insert inserts a row into the named table. The row is cloned.
+// Insert inserts a copy of a row into the named table (Table.Insert).
 func (db *DB) Insert(table string, row value.Row) error {
 	t, ok := db.Table(table)
 	if !ok {
 		return fmt.Errorf("storage: unknown table %s", table)
 	}
 	return t.Insert(row)
-}
-
-// InsertOwned inserts a row the caller hands over (Table.InsertOwned).
-func (db *DB) InsertOwned(table string, row value.Row) error {
-	t, ok := db.Table(table)
-	if !ok {
-		return fmt.Errorf("storage: unknown table %s", table)
-	}
-	return t.InsertOwned(row)
 }
 
 func normalize(name string) string {

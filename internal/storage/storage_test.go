@@ -59,6 +59,9 @@ func TestInsertAndRead(t *testing.T) {
 	}
 }
 
+// Insert copies the row's cells into the table: a later write to the
+// caller's row does not reach it, a duplicate key or an unknown table is
+// refused, and the stored row is filed under its key.
 func TestInsertClonesRow(t *testing.T) {
 	db := paperDB(t)
 	s := db.MustTable("SUPPLIER")
@@ -70,29 +73,14 @@ func TestInsertClonesRow(t *testing.T) {
 	if s.Row(0)[1].AsString() != "Acme" {
 		t.Error("Insert did not clone the row")
 	}
-}
-
-// InsertOwned is the same insert without the copy: same constraint
-// checks, same key and index upkeep, and the table holds the very slice
-// it was given.
-func TestInsertOwnedKeepsTheSlice(t *testing.T) {
-	db := paperDB(t)
-	s := db.MustTable("SUPPLIER")
-	row := supplierRow(1, "Acme", "Toronto", 100, "Active")
-	if err := s.InsertOwned(row); err != nil {
-		t.Fatal(err)
+	if err := s.Insert(supplierRow(1, "Dup", "Toronto", 100, "Active")); err == nil {
+		t.Error("Insert accepted a duplicate key")
 	}
-	if &s.Row(0)[0] != &row[0] {
-		t.Error("InsertOwned copied the row")
-	}
-	if err := s.InsertOwned(supplierRow(1, "Dup", "Toronto", 100, "Active")); err == nil {
-		t.Error("InsertOwned accepted a duplicate key")
-	}
-	if err := db.InsertOwned("NOPE", row); err == nil {
-		t.Error("InsertOwned into an unknown table should fail")
+	if err := db.Insert("NOPE", row); err == nil {
+		t.Error("Insert into an unknown table should fail")
 	}
 	if s.LookupKey(0, value.Row{value.Int(1)}) != 0 || s.Len() != 1 {
-		t.Error("InsertOwned did not file the row under its key")
+		t.Error("Insert did not file the row under its key")
 	}
 }
 

@@ -41,14 +41,12 @@ type Store interface {
 	ApplyDDL(sql string, ct *ast.CreateTable) (*catalog.Table, error)
 
 	// Insert validates a row against the table's constraints and
-	// stores a copy of it. Durable stores log the row after the heap
-	// accepts it; the row is committed once a later Sync (or Close)
-	// returns.
+	// copies its cells into the table's next window (Table.Insert):
+	// the caller keeps its row and may reuse it as soon as Insert
+	// returns, and a refused row stores nothing. Durable stores log the
+	// row after the heap accepts it; the row is committed once a later
+	// Sync (or Close) returns.
 	Insert(table string, row value.Row) error
-
-	// InsertOwned is Insert for a row the caller built for this call
-	// and will not touch again: the heap keeps the slice itself.
-	InsertOwned(table string, row value.Row) error
 
 	// Sync makes every acknowledged mutation durable (flush + fsync).
 	Sync() error

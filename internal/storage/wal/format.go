@@ -132,8 +132,9 @@ func appendCheckpoint(dst []byte, gen, version uint64) []byte {
 	return binary.BigEndian.AppendUint64(dst, version)
 }
 
-// decodeRecord parses one frame payload.
-func decodeRecord(payload []byte) (record, error) {
+// decodeRecord parses one frame payload. An insert record's row is
+// decoded into buf's storage, which it reuses from the first cell.
+func decodeRecord(payload []byte, buf value.Row) (record, error) {
 	if len(payload) == 0 {
 		return record{}, fmt.Errorf("%w: empty payload", ErrCorrupt)
 	}
@@ -152,7 +153,7 @@ func decodeRecord(payload []byte) (record, error) {
 			return record{}, fmt.Errorf("%w: insert record truncated", ErrCorrupt)
 		}
 		rec.table = string(body[sz : sz+int(n)])
-		row, rest, err := decodeRow(body[sz+int(n):])
+		row, rest, err := decodeRow(buf, body[sz+int(n):])
 		if err != nil {
 			return record{}, err
 		}
@@ -207,14 +208,15 @@ func appendRow(dst []byte, row value.Row) []byte {
 	return dst
 }
 
-// decodeRow decodes a row and returns the remaining bytes.
-func decodeRow(b []byte) (value.Row, []byte, error) {
+// decodeRow decodes a row into dst's storage, overwriting it from the
+// first cell, and returns the row and the remaining bytes.
+func decodeRow(dst value.Row, b []byte) (value.Row, []byte, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || n > MaxRecord {
 		return nil, nil, fmt.Errorf("%w: bad row arity", ErrCorrupt)
 	}
 	b = b[sz:]
-	row := make(value.Row, 0, n)
+	row := dst[:0]
 	for i := uint64(0); i < n; i++ {
 		if len(b) == 0 {
 			return nil, nil, fmt.Errorf("%w: row truncated at cell %d", ErrCorrupt, i)

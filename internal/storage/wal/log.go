@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"uniqopt/internal/fault"
+	"uniqopt/internal/value"
 )
 
 // Fault points the WAL write and checkpoint paths honor. The matrix
@@ -191,12 +192,13 @@ type scanOutcome struct {
 }
 
 // scanLog reads every frame of the log at path, delivering decoded
-// records to fn in order. It distinguishes the two ways a log ends
-// badly: a torn tail (an incomplete final frame — the normal residue
-// of a crash between write and fsync) is reported in the outcome so
-// the caller can truncate it, while a corrupt frame in the interior
-// (or a checksum mismatch not at EOF) aborts with ErrCorrupt, since
-// everything after it was once durable and cannot be trusted.
+// records to fn in order; every insert record's row is decoded into the
+// same buffer, so fn must not keep it. It distinguishes the two ways a
+// log ends badly: a torn tail (an incomplete final frame — the normal
+// residue of a crash between write and fsync) is reported in the
+// outcome so the caller can truncate it, while a corrupt frame in the
+// interior (or a checksum mismatch not at EOF) aborts with ErrCorrupt,
+// since everything after it was once durable and cannot be trusted.
 func scanLog(path string, wantGen uint64, fn func(record) error) (scanOutcome, error) {
 	var out scanOutcome
 	f, err := os.Open(path)
@@ -233,6 +235,7 @@ func scanLog(path string, wantGen uint64, fn func(record) error) (scanOutcome, e
 
 	var fhdr [frameHdrLen]byte
 	payload := make([]byte, 0, 4096)
+	var row value.Row
 	for {
 		n, err := io.ReadFull(br, fhdr[:])
 		if err == io.EOF {
@@ -291,9 +294,12 @@ func scanLog(path string, wantGen uint64, fn func(record) error) (scanOutcome, e
 			}
 			return out, fmt.Errorf("%w: %s: checksum mismatch at offset %d", ErrCorrupt, path, out.goodSize)
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(payload, row)
 		if err != nil {
 			return out, fmt.Errorf("%s: offset %d: %w", path, out.goodSize, err)
+		}
+		if rec.row != nil {
+			row = rec.row
 		}
 		if err := fn(rec); err != nil {
 			if errors.Is(err, ErrReplay) || errors.Is(err, ErrCorrupt) {

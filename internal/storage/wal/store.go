@@ -284,8 +284,8 @@ func (s *Store) replayRecord(rec record, gen uint64, ddl, rows *int) error {
 		s.heap.Catalog().RestoreVersion(rec.version)
 		*ddl++
 	case recInsert:
-		// The decoder built the row for this record: the heap keeps it.
-		if err := s.heap.InsertOwned(rec.table, rec.row); err != nil {
+		// The heap copies the row out of the decoder's buffer.
+		if err := s.heap.Insert(rec.table, rec.row); err != nil {
 			return fmt.Errorf("%w: %v", ErrReplay, err)
 		}
 		*rows++
@@ -350,16 +350,6 @@ func (s *Store) ApplyDDL(sql string, ct *ast.CreateTable) (*catalog.Table, error
 // commit that keeps bulk loads off the fsync floor. The heap stores a
 // copy: the caller may reuse its slice.
 func (s *Store) Insert(table string, row value.Row) error {
-	return s.insert(table, row, (*storage.Table).Insert)
-}
-
-// InsertOwned is Insert for a row the caller built for this call and
-// hands over: the heap keeps the slice itself.
-func (s *Store) InsertOwned(table string, row value.Row) error {
-	return s.insert(table, row, (*storage.Table).InsertOwned)
-}
-
-func (s *Store) insert(table string, row value.Row, heapInsert func(*storage.Table, value.Row) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.writable(); err != nil {
@@ -373,7 +363,7 @@ func (s *Store) insert(table string, row value.Row, heapInsert func(*storage.Tab
 	// refuses must never reach the log (replay would refuse it too).
 	// The crash window between heap and log loses only rows that
 	// were never acknowledged.
-	if err := heapInsert(t, row); err != nil {
+	if err := t.Insert(row); err != nil {
 		return err
 	}
 	if err := s.log.append(appendInsert(s.log.frame(), t.Schema.Name, row)); err != nil {

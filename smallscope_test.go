@@ -157,15 +157,8 @@ func TestRewritesAgreeOnSmallInstances(t *testing.T) {
 		answered := make([]bool, len(infos))
 		checked := 0
 		inst.each(func(rows map[string][]value.Row) {
-			for _, tab := range cat.DefinedTables() {
-				db.Store().MustTable(tab.Name).Truncate()
-			}
-			for _, tab := range cat.DefinedTables() {
-				for _, row := range rows[tab.Name] {
-					if db.InsertRow(tab.Name, row) != nil {
-						return // the instance breaks a constraint
-					}
-				}
+			if !loadInstance(db, cat, rows) {
+				return
 			}
 			checked++
 			for _, hosts := range inst.hosts {
@@ -215,6 +208,96 @@ func TestRewritesAgreeOnSmallInstances(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases over the cap of %d runs", over, smallScopeCap)
+}
+
+// loadInstance replaces every table's rows with the instance's, and
+// reports false when the instance breaks a key, a CHECK or a foreign
+// key, which storage refuses.
+func loadInstance(db *uniqopt.DB, cat *catalog.Catalog, rows map[string][]value.Row) bool {
+	for _, tab := range cat.DefinedTables() {
+		db.Store().MustTable(tab.Name).Truncate()
+	}
+	for _, tab := range cat.DefinedTables() {
+		for _, row := range rows[tab.Name] {
+			if db.InsertRow(tab.Name, row) != nil {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// indexJoinResidualCases are plans with an index join whose residual —
+// what a fetched row must still satisfy — reads a nullable column. On an
+// instance where it is NULL the residual is Unknown, and the fetched row
+// drops under the false-interpreted WHERE: it is no match.
+var indexJoinResidualCases = []string{
+	// Rule B: NK contributes no output column, so it is probed last,
+	// first match, through NK_A.
+	`SELECT DISTINCT R.K FROM R R, NK NK WHERE NK.A = R.X AND NK.B = 1`,
+	// Rule A: R is read through R_K, and S probed per R row through S_K.
+	`SELECT R.K, S.Z FROM R R, S S WHERE R.K = :H AND R.X = S.K AND S.Z = 1`,
+}
+
+// TestIndexJoinResidualOnSmallInstances: over SmallDDL with ordered
+// indexes, each index-join case returns the oracle's bag on every
+// instance of at most two rows per table.
+func TestIndexJoinResidualOnSmallInstances(t *testing.T) {
+	db := uniqopt.Open()
+	for _, ddl := range workload.SmallDDL {
+		if err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ix := range [][]string{{"R", "R_K", "K"}, {"S", "S_K", "K"}, {"NK", "NK_A", "A"}} {
+		if err := db.CreateIndex(ix[0], ix[1], ix[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cat := db.Store().Catalog()
+	for _, src := range indexJoinResidualCases {
+		ex, err := db.Explain(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := ex.String(); !strings.Contains(plan, "IndexJoin(") || !strings.Contains(plan, " where ") {
+			t.Fatalf("%s: no index join with a residual:\n%s", src, plan)
+		}
+		q, err := parser.ParseQuery(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := smallInstances(cat, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answered := 0
+		inst.each(func(rows map[string][]value.Row) {
+			if !loadInstance(db, cat, rows) {
+				return
+			}
+			for _, hosts := range inst.hosts {
+				want := reference(t, db, q, hosts)
+				args := map[string]any{}
+				for h, v := range hosts {
+					args[h] = v
+				}
+				got, err := db.QueryWith(src, args, true)
+				if err != nil {
+					t.Fatalf("%s: %v", src, err)
+				}
+				if !engine.MultisetEqual(want, asRelation(t, got)) {
+					t.Fatalf("%s differs from the oracle\n%s\nwant %v\ngot  %v", src, describe(rows, hosts), want, got.Data)
+				}
+				if want.Len() > 0 {
+					answered++
+				}
+			}
+		})
+		if answered == 0 {
+			t.Errorf("%s: no instance with a non-empty answer", src)
+		}
+	}
 }
 
 // reference evaluates q with the oracle, the definitional evaluator

@@ -253,7 +253,7 @@ func (d *DB) ExecWith(sql string, hosts map[string]any) (int64, error) {
 	case c.ddl != nil:
 		_, err = d.store.ApplyDDL(sql, c.ddl)
 	default:
-		n, err = d.execInsert(c.insert, c.vals)
+		n, err = d.execInsert(f, c.insert, c.vals)
 	}
 	d.recycle(f, err)
 	return n, err
@@ -307,18 +307,24 @@ func compileInsert(ins *ast.Insert, nlits int) (*insertStmt, error) {
 	return out, nil
 }
 
-// execInsert binds each VALUES tuple from the call's binding vector and
-// routes it through the backend's constraint-enforcing insert path.
-func (d *DB) execInsert(ins *insertStmt, vals []value.Value) (int64, error) {
+// execInsert binds each VALUES tuple from the call's binding vector,
+// into one row of cells carved from the execution's frame f, and routes
+// it through the backend's constraint-enforcing insert path, which
+// copies it into the table.
+func (d *DB) execInsert(f *plan.Frame, ins *insertStmt, vals []value.Value) (int64, error) {
 	var n int64
+	var row value.Row
 	for _, cells := range ins.rows {
-		row := make(value.Row, len(cells))
+		if cap(row) < len(cells) {
+			row = f.Cells(len(cells))
+		}
+		row = row[:len(cells)]
 		for i, cell := range cells {
 			if row[i] = cell.v; cell.slot >= 0 {
 				row[i] = vals[cell.slot]
 			}
 		}
-		if err := d.store.InsertOwned(ins.table, row); err != nil {
+		if err := d.store.Insert(ins.table, row); err != nil {
 			return n, err
 		}
 		n++
@@ -327,24 +333,30 @@ func (d *DB) execInsert(ins *insertStmt, vals []value.Value) (int64, error) {
 }
 
 // Insert adds a row; Go values are converted (int/int64 → INTEGER,
-// string → VARCHAR, bool → BOOLEAN, nil → NULL).
+// string → VARCHAR, bool → BOOLEAN, nil → NULL) into cells carved from
+// a recycled frame, which the table copies.
 func (d *DB) Insert(table string, values ...any) error {
-	row := make(value.Row, len(values))
+	f := d.frames.get()
+	row, err := f.Cells(len(values)), error(nil)
 	for i, v := range values {
-		cv, err := Convert(v)
-		if err != nil {
-			return fmt.Errorf("uniqopt: value %d: %w", i, err)
+		if row[i], err = Convert(v); err != nil {
+			err = fmt.Errorf("uniqopt: value %d: %w", i, err)
+			break
 		}
-		row[i] = cv
 	}
-	return d.store.InsertOwned(table, row)
+	if err == nil {
+		err = d.store.Insert(table, row)
+	}
+	d.recycle(f, err)
+	return err
 }
 
 // InsertRow adds an already-typed row through the backend's
 // constraint-enforcing (and, when persistent, WAL-logged) insert
 // path. Loaders that copy rows between databases use this instead of
 // writing to Store() directly, so bulk loads survive a restart. The
-// database stores a copy: the caller may reuse row.
+// table copies the row's cells into its own storage: the caller may
+// reuse row as soon as InsertRow returns.
 func (d *DB) InsertRow(table string, row value.Row) error {
 	return d.store.Insert(table, row)
 }
