@@ -30,8 +30,9 @@ func newLeaf(ords []int, next *node) *node {
 	return &node{ords: append(make([]int, 0, fanout), ords...), next: next}
 }
 
-// OrderedIndex is a sorted secondary index over one or more columns: a
-// leaf-linked B+tree of row ordinals ordered by the rows' index columns
+// OrderedIndex is a sorted index over one or more columns — a candidate
+// key's tree, an index CREATE INDEX named, or both: a leaf-linked
+// B+tree of row ordinals ordered by the rows' index columns
 // (value.OrderCompare, column by column) and then by ordinal. The keys
 // are read from the table's rows, not copied, so an entry costs eight
 // bytes and an insert moves at most one leaf's ordinals. It supports
@@ -305,6 +306,40 @@ func (ix *OrderedIndex) At(c Cursor, prefix value.Row) (ord int, next Cursor, ok
 	return l.ords[s], Cursor{l, s + 1}, true
 }
 
+// find returns the ordinal of an entry whose index columns equal the
+// columns cols of row under ≐, or -1: a key check, and an FK check on
+// the referenced key's tree. It reads row's key where it lies. A row
+// that sorts after the last entry, as in an ascending load, is decided
+// by one comparison with it.
+func (ix *OrderedIndex) find(row value.Row, cols []int) int {
+	cmp := func(ord int, row value.Row) int {
+		r := ix.tbl.Row(ord)
+		for i, c := range cols {
+			if c := value.OrderCompare(r[ix.Columns[i]], row[c]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	if t := ix.tail; len(t.ords) == 0 || cmp(t.ords[len(t.ords)-1], row) < 0 {
+		return -1
+	}
+	nd := ix.root
+	for nd.kids != nil {
+		// A separator is its kid's first entry, so a match lies under
+		// the last separator not above row.
+		i, eq := slices.BinarySearchFunc(nd.ords[1:], row, cmp)
+		if eq {
+			i++
+		}
+		nd = nd.kids[i]
+	}
+	if s, ok := slices.BinarySearchFunc(nd.ords, row, cmp); ok {
+		return nd.ords[s]
+	}
+	return -1
+}
+
 // collect copies out the ordinals of the entries in [from, to), two
 // positions bound returned with from not after to, into take's slice of
 // exactly their count.
@@ -360,27 +395,32 @@ func (ix *OrderedIndex) Range(lo, hi *value.Value, take func(n int) []int) []int
 
 // CreateOrderedIndex builds a sorted index over the named columns and
 // registers it on the table; existing rows are indexed immediately and
-// future inserts maintain it.
+// future inserts maintain it. On exactly a key's columns it names the
+// key's tree instead of building a second one.
 func (t *Table) CreateOrderedIndex(name string, cols ...string) (*OrderedIndex, error) {
 	if name == "" || len(cols) == 0 {
 		return nil, fmt.Errorf("storage: index needs a name and columns")
 	}
 	name = strings.ToUpper(name)
-	for _, ix := range t.ordered {
+	for _, ix := range t.OrderedIndexes() {
 		if ix.Name == name {
 			return nil, fmt.Errorf("storage: %s: duplicate index %s", t.Schema.Name, name)
 		}
 	}
-	ix := &OrderedIndex{Name: name, tbl: t}
+	var ords []int
 	for _, cn := range cols {
 		ci := t.Schema.ColumnIndex(cn)
 		if ci < 0 {
 			return nil, fmt.Errorf("storage: %s: index column %s does not exist", t.Schema.Name, cn)
 		}
-		ix.Columns = append(ix.Columns, ci)
+		ords = append(ords, ci)
 	}
-	ix.load()
-	t.ordered = append(t.ordered, ix)
+	// The named trees come first, in the order they were named.
+	ix := t.tree(ords, t.named)
+	i := slices.Index(t.trees, ix)
+	t.trees[i], t.trees[t.named] = t.trees[t.named], ix
+	ix.Name = name
+	t.named++
 	if t.db != nil {
 		// A new access path changes which plan the planner would pick:
 		// bump the schema version so version-keyed caches (verdicts,
@@ -390,8 +430,25 @@ func (t *Table) CreateOrderedIndex(name string, cols ...string) (*OrderedIndex, 
 	return ix, nil
 }
 
-// OrderedIndexes returns the table's ordered indexes.
-func (t *Table) OrderedIndexes() []*OrderedIndex { return t.ordered }
+// tree returns the first of trees[from:] over exactly the columns
+// cols, appending one built from the table's rows if there is none.
+// From 0 it is the tree of the key over cols: the first index CREATE
+// INDEX named on them, or else the key's own, built on first use.
+func (t *Table) tree(cols []int, from int) *OrderedIndex {
+	for _, ix := range t.trees[from:] {
+		if slices.Equal(ix.Columns, cols) {
+			return ix
+		}
+	}
+	ix := &OrderedIndex{Columns: cols, tbl: t}
+	ix.load()
+	t.trees = append(t.trees, ix)
+	return ix
+}
+
+// OrderedIndexes returns the table's ordered indexes: the trees that
+// CREATE INDEX named, in that order. A key's unnamed tree is not one.
+func (t *Table) OrderedIndexes() []*OrderedIndex { return t.trees[:t.named:t.named] }
 
 // OrderedIndexOn returns an index whose leading column is the named
 // column, if one exists.
@@ -400,7 +457,7 @@ func (t *Table) OrderedIndexOn(col string) *OrderedIndex {
 	if ci < 0 {
 		return nil
 	}
-	for _, ix := range t.ordered {
+	for _, ix := range t.OrderedIndexes() {
 		if ix.Columns[0] == ci {
 			return ix
 		}

@@ -3,6 +3,7 @@ package storage_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"uniqopt/internal/catalog"
@@ -11,10 +12,11 @@ import (
 	"uniqopt/internal/value"
 )
 
-// TestSlabReadersAgree: on tables that end just before, on and just
-// after a chunk boundary, and one row into a third chunk, a table scan
-// under batch sizes 1, 7 and 1,024, Row(i), LookupKey and an ordered
-// index Seek agree row for row, and no scan batch spans two chunks.
+// TestSlabReadersAgree: on tables of one row, around one of the first
+// chunk's doublings, just before, on and just after a chunk boundary,
+// and one row into a third chunk, a table scan under batch sizes 1, 7
+// and 1,024, Row(i), the key's tree and an ordered index Seek agree row
+// for row, and no scan batch spans two chunks.
 func TestSlabReadersAgree(t *testing.T) {
 	schema, err := catalog.NewTable("T", []catalog.Column{
 		{Name: "ID", Type: value.KindInt}, {Name: "NAME", Type: value.KindString}, {Name: "V", Type: value.KindInt}})
@@ -25,9 +27,13 @@ func TestSlabReadersAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer engine.SetBatchSize(engine.SetBatchSize(0))
-	for _, n := range []int{1023, 1024, 1025, 2049} {
+	for _, n := range []int{1, 63, 64, 65, 1023, 1024, 1025, 2049} {
 		tbl := storage.NewTable(schema)
 		ix, err := tbl.CreateOrderedIndex("T_V", "V")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kx, err := tbl.CreateOrderedIndex("T_ID", "ID") // the key's tree
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +52,15 @@ func TestSlabReadersAgree(t *testing.T) {
 			if row[0].AsInt() != id(i) || row[1].AsString() != fmt.Sprint("row ", i) || len(row) != 3 || cap(row) != 3 {
 				t.Fatalf("n=%d: Row(%d) = %v (cap %d)", n, i, row, cap(row))
 			}
-			if got := tbl.LookupKey(0, value.Row{row[0]}); got != i {
-				t.Fatalf("n=%d: LookupKey(%v) = %d, want %d", n, row[0], got, i)
+			if err := tbl.Validate(row); err == nil || !strings.Contains(err.Error(), "PRIMARY KEY") {
+				t.Fatalf("n=%d: row %d's key is not refused again: %v", n, i, err)
+			}
+			key := value.Row{row[0]}
+			if ord, _, ok := kx.At(kx.Seek(key, storage.Cursor{}), key); !ok || ord != i {
+				t.Fatalf("n=%d: key Seek(%v) = %d, %v; want row %d", n, key, ord, ok, i)
 			}
 			if !row[2].IsNull() { // one row per non-NULL V
-				key := value.Row{row[2]}
+				key = value.Row{row[2]}
 				if ord, _, ok := ix.At(ix.Seek(key, storage.Cursor{}), key); !ok || ord != i {
 					t.Fatalf("n=%d: Seek(%v) = %d, %v; want row %d", n, key, ord, ok, i)
 				}

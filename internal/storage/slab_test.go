@@ -73,7 +73,7 @@ func TestRefusedInsertLeavesNoRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	next[2] = value.String_("changed by the caller")
-	if c.Len() != ChunkRows+1 || c.LookupKey(0, value.Row{value.Int(9000)}) != ChunkRows ||
+	if c.Len() != ChunkRows+1 || keyRow(c, 0, value.Row{value.Int(9000)}) != ChunkRows ||
 		!value.NullEqRows(c.Row(ChunkRows), childRow(9000)) {
 		t.Errorf("the next accepted row: %d rows, row %d = %v", c.Len(), ChunkRows, c.Row(ChunkRows))
 	}
@@ -96,7 +96,7 @@ func TestTruncateThenReload(t *testing.T) {
 	}
 	kept := c.Row(ChunkRows)
 	c.Truncate()
-	if c.Len() != 0 || ix.Len() != 0 || c.LookupKey(0, value.Row{value.Int(3)}) >= 0 {
+	if c.Len() != 0 || ix.Len() != 0 || keyRow(c, 0, value.Row{value.Int(3)}) >= 0 {
 		t.Fatalf("after Truncate: %d rows, %d index entries", c.Len(), ix.Len())
 	}
 	for i := int64(0); i < ChunkRows+2; i++ {
@@ -111,8 +111,8 @@ func TestTruncateThenReload(t *testing.T) {
 	}
 	for i := 0; i < c.Len(); i++ {
 		id := c.Row(i)[0]
-		if id.AsInt() != -int64(i) || c.LookupKey(0, value.Row{id}) != i {
-			t.Fatalf("row %d: %v, LookupKey %d", i, c.Row(i), c.LookupKey(0, value.Row{id}))
+		if id.AsInt() != -int64(i) || keyRow(c, 0, value.Row{id}) != i {
+			t.Fatalf("row %d: %v, keyRow %d", i, c.Row(i), keyRow(c, 0, value.Row{id}))
 		}
 		x := value.Row{c.Row(i)[3]}
 		if ord, _, ok := ix.At(ix.Seek(x, Cursor{}), x); !ok || ord != i {
@@ -121,5 +121,47 @@ func TestTruncateThenReload(t *testing.T) {
 	}
 	if !strings.HasPrefix(c.Row(0)[2].AsString(), "n") {
 		t.Errorf("reloaded row 0 = %v", c.Row(0))
+	}
+}
+
+// TestFirstChunkGrowsUnderHeldWindows: a table's first chunk starts
+// with room for firstChunkRows and doubles up to ChunkRows. Each growth
+// copies the cells and re-points the stored windows, while a row and a
+// scan span read before it keep their cells, which are never written
+// again; every later chunk is full size from the start.
+func TestFirstChunkGrowsUnderHeldWindows(t *testing.T) {
+	c := slabDB(t).MustTable("C")
+	var row0 value.Row
+	var span []value.Row
+	room := firstChunkRows
+	for i := int64(0); i < 2*ChunkRows; i++ {
+		if i == int64(room) && room < ChunkRows {
+			row0, span = c.Row(0), c.Span(0, room)
+		}
+		if err := c.Insert(childRow(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == int64(room) && room < ChunkRows {
+			room *= 2
+			if got := len(c.chunks[0].rows); got != room || len(c.chunks[0].cells) != room*c.width {
+				t.Fatalf("after %d rows the first chunk has room for %d, want %d", i+1, got, room)
+			}
+			if &row0[0] == &c.Row(0)[0] || &span[0][0] != &row0[0] {
+				t.Fatalf("after %d rows: row 0 was not copied, or the span held does not read the old cells", i+1)
+			}
+			for o, r := range span {
+				if !value.NullEqRows(r, childRow(int64(o))) || !value.NullEqRows(c.Row(o), r) {
+					t.Fatalf("after %d rows: held row %d = %v, stored %v", i+1, o, r, c.Row(o))
+				}
+			}
+		}
+	}
+	if len(c.chunks) != 2 || len(c.chunks[1].rows) != ChunkRows {
+		t.Fatalf("%d chunks, the second with room for %d", len(c.chunks), len(c.chunks[1].rows))
+	}
+	for i := 0; i < c.Len(); i++ {
+		if !value.NullEqRows(c.Row(i), childRow(int64(i))) || keyRow(c, 0, value.Row{value.Int(int64(i))}) != i {
+			t.Fatalf("row %d = %v", i, c.Row(i))
+		}
 	}
 }

@@ -8,7 +8,9 @@
 //     most one row may carry any particular combination of key values,
 //     where NULL is treated as a single special value — the paper's
 //     reading of SQL2 candidate keys ("only one tuple in R may have
-//     K equal to Null").
+//     K equal to Null"). Each key is checked on its own B+tree over its
+//     columns, whose order puts NULL ≐ NULL together,
+//   - FOREIGN KEYs, on the referenced key's tree.
 //
 // Because every insert is validated, any populated database is a valid
 // instance in the sense of Theorem 1, which is what makes the
@@ -27,21 +29,28 @@ import (
 // ChunkRows is the number of rows in one chunk of a table.
 const ChunkRows = 1024
 
-// Table is one stored base table: a multiset of rows plus hash indexes
-// on each candidate key used for uniqueness enforcement and key
-// lookups. Rows are stored in chunks of ChunkRows, filled in insertion
-// order, each allocated once: row i is a capacity-clipped window of
-// chunk i / ChunkRows's cells, the row's only heap home. A stored cell
-// is never written again, and Truncate starts new chunks, so a window
-// stays valid, and unchanged, for as long as a reader holds it.
+// firstChunkRows is the room a table's first chunk starts with; it
+// doubles up to ChunkRows, so a small table holds a small chunk.
+const firstChunkRows = 8
+
+// Table is one stored base table: a multiset of rows plus a B+tree on
+// each candidate key, which enforces it. Rows are stored in chunks of
+// ChunkRows, filled in insertion order: row i is a capacity-clipped
+// window of chunk i / ChunkRows's cells, the row's only heap home. Only
+// the first chunk grows (firstChunkRows); every later one is allocated
+// once. A stored cell is never written again — growing copies, and
+// Truncate starts new chunks — so a window stays valid, and unchanged,
+// for as long as a reader holds it.
 type Table struct {
 	Schema *catalog.Table
 	chunks []*chunk
 	n      int // rows published
 	width  int
-	keyIdx []keyIndex // parallel to Schema.Keys
-	// ordered holds the secondary ordered indexes.
-	ordered []*OrderedIndex
+	// trees holds every B+tree over the rows: first those CREATE INDEX
+	// named, in that order (trees[:named]), then keys' unnamed ones. A
+	// key finds its tree by its columns, not by its place in Schema.Keys.
+	trees []*OrderedIndex
+	named int
 	// db, when non-nil, is the owning database; it enables FOREIGN KEY
 	// enforcement against sibling tables. Standalone tables created
 	// with NewTable do not enforce foreign keys.
@@ -53,60 +62,12 @@ type Table struct {
 
 // NewTable creates an empty table for the given schema.
 func NewTable(schema *catalog.Table) *Table {
-	t := &Table{Schema: schema, width: len(schema.Columns)}
-	t.keyIdx = make([]keyIndex, len(schema.Keys))
-	for i := range t.keyIdx {
-		t.keyIdx[i].reset()
-	}
-	return t
+	return &Table{Schema: schema, width: len(schema.Columns)}
 }
 
-// keyIndex is the hash index on one candidate key: from the hash of a
-// row's key columns to the row's ordinal. A key admits one row per
-// value, so a slot holds one ordinal, in a map without pointers — no
-// slice per row, nothing for the collector to scan. Only a 64-bit hash
-// collision between different key values files a second ordinal under
-// a hash; those go to more, which is made on first use.
-type keyIndex struct {
-	first map[uint64]int
-	more  map[uint64][]int
-}
-
-func (k *keyIndex) reset() { k.first, k.more = make(map[uint64]int), nil }
-
-// add files row ordinal ord under hash h.
-func (k *keyIndex) add(h uint64, ord int) {
-	if _, taken := k.first[h]; !taken {
-		k.first[h] = ord
-		return
-	}
-	if k.more == nil {
-		k.more = make(map[uint64][]int)
-	}
-	k.more[h] = append(k.more[h], ord)
-}
-
-// find returns the first ordinal filed under h, in filing order, that
-// eq accepts, or -1.
-func (k *keyIndex) find(h uint64, eq func(ord int) bool) int {
-	ord, ok := k.first[h]
-	if !ok {
-		return -1
-	}
-	if eq(ord) {
-		return ord
-	}
-	for _, ord := range k.more[h] {
-		if eq(ord) {
-			return ord
-		}
-	}
-	return -1
-}
-
-// chunk holds ChunkRows rows: their cells, row o at cells[o*width:],
-// and beside them the windows of those filled, which a scan hands out
-// as they lie (Span).
+// chunk holds up to ChunkRows rows: their cells, row o at
+// cells[o*width:], and beside them the windows of those filled, which a
+// scan hands out as they lie (Span).
 type chunk struct {
 	cells []value.Value
 	rows  []value.Row
@@ -177,8 +138,8 @@ func (t *Table) Validate(row value.Row) error {
 			return fmt.Errorf("storage: %s: row %s violates CHECK (%s)", s.Name, row, s.Checks[i].SQL())
 		}
 	}
-	for ki, k := range s.Keys {
-		if t.findKey(ki, row, k.Columns) >= 0 {
+	for _, k := range s.Keys {
+		if t.tree(k.Columns, 0).find(row, k.Columns) >= 0 {
 			kind := "UNIQUE"
 			if k.Primary {
 				kind = "PRIMARY KEY"
@@ -212,7 +173,7 @@ func (db *DB) checkForeignKey(owner *catalog.Table, fk catalog.ForeignKey, row v
 		return fmt.Errorf("storage: %s: FOREIGN KEY references unattached table %s",
 			owner.Name, fk.RefTable)
 	}
-	if ref.findKey(fk.RefKey, row, fk.Columns) < 0 {
+	if ref.tree(ref.Schema.Keys[fk.RefKey].Columns, 0).find(row, fk.Columns) < 0 {
 		return fmt.Errorf("storage: %s: row %s violates FOREIGN KEY into %s (no row with key %s)",
 			owner.Name, row, fk.RefTable, project(row, fk.Columns))
 	}
@@ -239,61 +200,39 @@ func (t *Table) Insert(row value.Row) error {
 }
 
 // store copies a validated row's cells into the next window, publishes
-// it and files it under every key and ordered index, which read the
-// key columns from the stored cells.
+// it and files it in every tree, which reads the key columns from the
+// stored cells.
 func (t *Table) store(row value.Row) {
-	idx := t.n
-	if idx%ChunkRows == 0 {
-		t.chunks = append(t.chunks, &chunk{make([]value.Value, ChunkRows*t.width), make([]value.Row, ChunkRows)})
+	idx, o := t.n, t.n%ChunkRows
+	if o == 0 {
+		t.chunks = append(t.chunks, &chunk{})
+	}
+	c := t.chunks[idx/ChunkRows]
+	if o == len(c.rows) {
+		// New or full: room for twice the rows so far, within
+		// [firstChunkRows, ChunkRows]; cells copied, windows re-pointed.
+		n := min(ChunkRows, max(firstChunkRows, 2*idx))
+		cells := make([]value.Value, n*t.width)
+		copy(cells, c.cells)
+		c.cells, c.rows = cells, make([]value.Row, n)
+		for r := range o {
+			c.rows[r] = t.Row(idx - o + r)
+		}
 	}
 	w := t.Row(idx)
 	copy(w, row)
-	t.chunks[idx/ChunkRows].rows[idx%ChunkRows] = w
+	c.rows[o] = w
 	t.n++
-	for ki, k := range t.Schema.Keys {
-		t.keyIdx[ki].add(value.HashCols(row, k.Columns), idx)
-	}
-	for _, ix := range t.ordered {
+	for _, ix := range t.trees {
 		ix.insert(idx)
 	}
 }
 
-// findKey returns the ordinal of the row whose key ki equals, under ≐,
-// the columns cols of row, or -1: the key columns are hashed and
-// compared where they lie.
-func (t *Table) findKey(ki int, row value.Row, cols []int) int {
-	kc := t.Schema.Keys[ki].Columns
-	return t.keyIdx[ki].find(value.HashCols(row, cols), func(ri int) bool {
-		return value.NullEqCols(row, cols, t.Row(ri), kc)
-	})
-}
-
-// LookupKey returns the ordinal of the row whose key ki equals keyVals
-// under ≐, or -1. Key uniqueness guarantees at most one match.
-func (t *Table) LookupKey(ki int, keyVals value.Row) int {
-	kc := t.Schema.Keys[ki].Columns
-	if len(keyVals) != len(kc) {
-		return -1
-	}
-	return t.keyIdx[ki].find(value.HashRow(keyVals), func(ri int) bool {
-		row := t.Row(ri)
-		for i, c := range kc {
-			if !value.NullEq(keyVals[i], row[c]) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// Truncate removes all rows. Ordered indexes are emptied but kept; the
-// chunks are dropped, not reused, so a window read before stays intact.
+// Truncate removes all rows. Every tree is emptied but kept; the chunks
+// are dropped, not reused, so a window read before stays intact.
 func (t *Table) Truncate() {
 	t.chunks, t.n = nil, 0
-	for i := range t.keyIdx {
-		t.keyIdx[i].reset()
-	}
-	for _, ix := range t.ordered {
+	for _, ix := range t.trees {
 		ix.reset()
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,6 +35,17 @@ func paperDB(t *testing.T) *DB {
 		}
 	}
 	return NewDB(c)
+}
+
+// keyRow returns the ordinal of the row of t whose key ki equals key
+// under ≐, or -1: one probe of the key's tree, as an insert's key check
+// makes it.
+func keyRow(t *Table, ki int, key value.Row) int {
+	at := make([]int, len(key))
+	for i := range at {
+		at[i] = i
+	}
+	return t.tree(t.Schema.Keys[ki].Columns, 0).find(key, at)
 }
 
 func supplierRow(sno int64, name, city string, budget int64, status string) value.Row {
@@ -79,7 +91,7 @@ func TestInsertClonesRow(t *testing.T) {
 	if err := db.Insert("NOPE", row); err == nil {
 		t.Error("Insert into an unknown table should fail")
 	}
-	if s.LookupKey(0, value.Row{value.Int(1)}) != 0 || s.Len() != 1 {
+	if keyRow(s, 0, value.Row{value.Int(1)}) != 0 || s.Len() != 1 {
 		t.Error("Insert did not file the row under its key")
 	}
 }
@@ -226,6 +238,8 @@ func TestUniqueKeyNullSemantics(t *testing.T) {
 	}
 }
 
+// TestLookupKey: each key's tree finds the row carrying a key value,
+// composite or not, and nothing for a value no row carries.
 func TestLookupKey(t *testing.T) {
 	db := paperDB(t)
 	p := db.MustTable("PARTS")
@@ -234,15 +248,15 @@ func TestLookupKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ri := p.LookupKey(0, value.Row{value.Int(1), value.Int(3)})
+	ri := keyRow(p, 0, value.Row{value.Int(1), value.Int(3)})
 	if ri < 0 || p.Row(ri)[1].AsInt() != 3 {
 		t.Errorf("primary key lookup = %d", ri)
 	}
-	ri = p.LookupKey(1, value.Row{value.Int(104)})
+	ri = keyRow(p, 1, value.Row{value.Int(104)})
 	if ri < 0 || p.Row(ri)[1].AsInt() != 4 {
 		t.Errorf("candidate key lookup = %d", ri)
 	}
-	if p.LookupKey(0, value.Row{value.Int(9), value.Int(9)}) != -1 {
+	if keyRow(p, 0, value.Row{value.Int(9), value.Int(9)}) != -1 {
 		t.Error("missing key should return -1")
 	}
 }
@@ -293,80 +307,11 @@ func TestValidateDoesNotStore(t *testing.T) {
 	}
 }
 
-// TestKeyIndexSameHashChain forces several ordinals under one hash —
-// what a 64-bit collision between different key values does — first on
-// the index alone, then through a table's validate, store and lookup.
-func TestKeyIndexSameHashChain(t *testing.T) {
-	var k keyIndex
-	k.reset()
-	for ord := 0; ord < 5; ord++ {
-		k.add(7, ord)
-		if ord == 0 && k.more != nil {
-			t.Error("overflow map made before any collision")
-		}
-	}
-	k.add(8, 5)
-	is := func(want int) func(int) bool { return func(ord int) bool { return ord == want } }
-	for ord := 0; ord < 5; ord++ {
-		if got := k.find(7, is(ord)); got != ord {
-			t.Errorf("find(7, ==%d) = %d", ord, got)
-		}
-	}
-	if got := k.find(7, func(ord int) bool { return ord >= 2 }); got != 2 {
-		t.Errorf("find returned %d, want the first accepted in filing order, 2", got)
-	}
-	if k.find(7, is(5)) != -1 || k.find(8, is(5)) != 5 || k.find(9, is(0)) != -1 {
-		t.Error("ordinals leaked between hashes")
-	}
-	if len(k.first) != 2 || len(k.more) != 1 || len(k.more[7]) != 4 {
-		t.Errorf("first = %v, more = %v: want one ordinal per slot, the rest in overflow", k.first, k.more)
-	}
-	k.reset()
-	if k.find(7, is(0)) != -1 || k.more != nil {
-		t.Error("reset kept entries")
-	}
-
-	// Through a table: row 0's ordinal is also filed under the hashes of
-	// two keys it does not carry, as if all three collided.
-	p := paperDB(t).MustTable("PARTS")
-	if err := p.Insert(partsRow(1, 1, "bolt", value.Int(101), "RED")); err != nil {
-		t.Fatal(err)
-	}
-	nut, cog := partsRow(1, 2, "nut", value.Int(102), "BLUE"), partsRow(1, 3, "cog", value.Int(103), "RED")
-	for _, r := range []value.Row{nut, cog} {
-		for ki, key := range p.Schema.Keys {
-			p.keyIdx[ki].add(value.HashCols(r, key.Columns), 0)
-		}
-	}
-	for _, r := range []value.Row{nut, cog} {
-		if err := p.Insert(r); err != nil {
-			t.Fatalf("a row whose key only shares a hash with row 0 was refused: %v", err)
-		}
-		if err := p.Insert(r); err == nil || !strings.Contains(err.Error(), "PRIMARY KEY") {
-			t.Errorf("duplicate behind a colliding slot: err = %v", err)
-		}
-	}
-	if p.Len() != 3 || len(p.keyIdx[0].more) != 2 || len(p.keyIdx[1].more) != 2 {
-		t.Fatalf("%d rows, overflow %v / %v", p.Len(), p.keyIdx[0].more, p.keyIdx[1].more)
-	}
-	for pno := int64(1); pno <= 3; pno++ {
-		if ri := p.LookupKey(0, value.Row{value.Int(1), value.Int(pno)}); ri != int(pno-1) {
-			t.Errorf("LookupKey(SNO 1, PNO %d) = %d", pno, ri)
-		}
-		if ri := p.LookupKey(1, value.Row{value.Int(100 + pno)}); ri != int(pno-1) {
-			t.Errorf("LookupKey(OEM-PNO %d) = %d", 100+pno, ri)
-		}
-	}
-	p.Truncate()
-	if p.LookupKey(1, value.Row{value.Int(102)}) != -1 || p.keyIdx[1].more != nil {
-		t.Error("Truncate kept key entries")
-	}
-}
-
 // TestNullableUniqueThousandNullKeys: a thousand rows whose UNIQUE key
 // has a NULL component. Under ≐ NULL is one value, so the keys are
 // distinct exactly when their other component is: every row is accepted
-// and found, a repeat is refused, and none of it needs the overflow map.
+// and found on the key's tree, which holds one entry a row, and a repeat
+// is refused.
 func TestNullableUniqueThousandNullKeys(t *testing.T) {
 	c := catalog.New()
 	st, err := parser.ParseStatement(`CREATE TABLE T (ID INTEGER, A INTEGER, B INTEGER, PRIMARY KEY (ID), UNIQUE (A, B))`)
@@ -395,14 +340,116 @@ func TestNullableUniqueThousandNullKeys(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < n; i++ {
-		if ri := tbl.LookupKey(1, value.Row{value.Int(i), value.Null}); ri != int(i) {
-			t.Fatalf("LookupKey(%d, NULL) = %d", i, ri)
+		if ri := keyRow(tbl, 1, value.Row{value.Int(i), value.Null}); ri != int(i) {
+			t.Fatalf("keyRow(%d, NULL) = %d", i, ri)
 		}
 	}
-	if ri := tbl.LookupKey(1, value.Row{value.Null, value.Null}); ri != n {
-		t.Errorf("LookupKey(NULL, NULL) = %d", ri)
+	if ri := keyRow(tbl, 1, value.Row{value.Null, value.Null}); ri != n {
+		t.Errorf("keyRow(NULL, NULL) = %d", ri)
 	}
-	if tbl.Len() != n+1 || len(tbl.keyIdx[1].first) != n+1 || tbl.keyIdx[1].more != nil {
-		t.Errorf("%d rows, %d slots, overflow %v", tbl.Len(), len(tbl.keyIdx[1].first), tbl.keyIdx[1].more)
+	if ri := keyRow(tbl, 1, value.Row{value.Null, value.Int(0)}); ri != -1 {
+		t.Errorf("keyRow(NULL, 0) = %d, want no row", ri)
+	}
+	if tbl.Len() != n+1 || tbl.tree(tbl.Schema.Keys[1].Columns, 0).Len() != n+1 {
+		t.Errorf("%d rows, %d tree entries", tbl.Len(), tbl.tree(tbl.Schema.Keys[1].Columns, 0).Len())
+	}
+}
+
+// TestKeysFollowSchemaChanges: a key added to an attached, populated
+// table is enforced from the next insert on, over the rows already
+// stored; after the primary key is dropped, UNIQUE (OEM-PNO) is still
+// enforced and a repeated (SNO, PNO) is not.
+func TestKeysFollowSchemaChanges(t *testing.T) {
+	t.Run("AddKey", func(t *testing.T) {
+		s := paperDB(t).MustTable("SUPPLIER")
+		for sno := int64(1); sno <= 3; sno++ {
+			if err := s.Insert(supplierRow(sno, fmt.Sprint("S", sno), "Toronto", 1, "Active")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Schema.AddKey(false, "SNAME"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Insert(supplierRow(4, "S4", "Toronto", 1, "Active")); err != nil {
+			t.Fatalf("insert under the added key: %v", err)
+		}
+		for _, name := range []string{"S2", "S4"} {
+			err := s.Insert(supplierRow(5, name, "Toronto", 1, "Active"))
+			if err == nil || !strings.Contains(err.Error(), "UNIQUE ([SNAME])") {
+				t.Errorf("repeated SNAME %s: err = %v", name, err)
+			}
+		}
+		if s.Len() != 4 {
+			t.Errorf("%d rows, want 4", s.Len())
+		}
+	})
+	t.Run("DropKey", func(t *testing.T) {
+		p := paperDB(t).MustTable("PARTS")
+		if err := p.Insert(partsRow(1, 1, "bolt", value.Int(100), "RED")); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Schema.DropKey(0); err != nil {
+			t.Fatal(err)
+		}
+		err := p.Insert(partsRow(1, 2, "nut", value.Int(100), "BLUE"))
+		if err == nil || !strings.Contains(err.Error(), "UNIQUE ([OEM-PNO])") {
+			t.Errorf("repeated OEM-PNO after DropKey(0): err = %v", err)
+		}
+		if err := p.Insert(partsRow(1, 1, "cog", value.Int(101), "BLUE")); err != nil {
+			t.Errorf("repeated (SNO, PNO) after its key was dropped: %v", err)
+		}
+		if p.Len() != 2 {
+			t.Errorf("%d rows, want 2", p.Len())
+		}
+	})
+}
+
+// TestCreateIndexOnKeySharesItsTree: CREATE INDEX on exactly a key's
+// columns names the key's tree — the same object, not loaded again —
+// and a second CREATE INDEX on those columns builds a tree of its own;
+// Truncate empties the key trees with the rest.
+func TestCreateIndexOnKeySharesItsTree(t *testing.T) {
+	p := paperDB(t).MustTable("PARTS")
+	for pno := int64(1); pno <= 3*fanout; pno++ {
+		if err := p.Insert(partsRow(1+pno%7, pno, "p", value.Int(pno), "RED")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := p.tree(p.Schema.Keys[0].Columns, 0)
+	root := key.root
+	if len(p.OrderedIndexes()) != 0 {
+		t.Fatal("a key's unnamed tree is visible to the planner")
+	}
+	ix, err := p.CreateOrderedIndex("PARTS_PK", "SNO", "PNO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix != key || ix.root != root || ix.Len() != p.Len() || ix.Name != "PARTS_PK" {
+		t.Fatalf("CREATE INDEX on the key built %p (root %p, %d entries), the key's tree is %p (root %p)",
+			ix, ix.root, ix.Len(), key, root)
+	}
+	if got := p.OrderedIndexes(); len(got) != 1 || got[0] != ix || p.OrderedIndexOn("SNO") != ix {
+		t.Errorf("named indexes = %v", got)
+	}
+	again, err := p.CreateOrderedIndex("PARTS_PK2", "SNO", "PNO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == ix || again.Len() != p.Len() || len(p.OrderedIndexes()) != 2 || p.tree(p.Schema.Keys[0].Columns, 0) != ix {
+		t.Errorf("second index on the key's columns: %p with %d entries, %d named", again, again.Len(), len(p.OrderedIndexes()))
+	}
+	if err := p.Insert(partsRow(1, 7, "dup", value.Int(-1), "RED")); err == nil || !strings.Contains(err.Error(), "PRIMARY KEY") {
+		t.Errorf("a repeated primary key after its tree was named: err = %v", err)
+	}
+	p.Truncate()
+	oem := p.tree(p.Schema.Keys[1].Columns, 0)
+	if ix.Len() != 0 || again.Len() != 0 || oem.Len() != 0 {
+		t.Fatalf("after Truncate: %d, %d and %d entries", ix.Len(), again.Len(), oem.Len())
+	}
+	if err := p.Insert(partsRow(1, 1, "bolt", value.Int(1), "RED")); err != nil {
+		t.Fatalf("insert after Truncate: %v", err)
+	}
+	if ix.Len() != 1 || again.Len() != 1 || oem.Len() != 1 {
+		t.Errorf("trees not maintained after Truncate: %d, %d and %d entries", ix.Len(), again.Len(), oem.Len())
 	}
 }

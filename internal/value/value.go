@@ -283,10 +283,10 @@ func orderCompare(a, b *Value) int {
 // Hash returns a 64-bit hash of v such that NullEq(a,b) implies
 // Hash(a)==Hash(b). Used by hash-based duplicate elimination and joins.
 //
-// No hash is ever persisted: the key indexes are rebuilt from the rows
-// when a database opens, and the write-ahead log has no hash field. The
-// function may therefore change between versions without a format
-// change.
+// No hash is ever persisted or kept beside a stored row: a table's keys
+// are B+trees in OrderCompare order, hash tables live for one execution,
+// and the write-ahead log has no hash field. The function may therefore
+// change between versions without a format change.
 func (v Value) Hash() uint64 { return v.hash() }
 
 // The hash of a cell is one finalizer over its payload, seeded by its
@@ -406,9 +406,8 @@ func HashRow(r Row) uint64 {
 	return h
 }
 
-// HashCols is HashRow of the projection of r on cols, without building
-// it. The two must agree: a key hashed in place is looked up by its
-// projection and the other way round.
+// HashCols is HashRow of the projection of r on cols, computed without
+// building the projection.
 func HashCols(r Row, cols []int) uint64 {
 	h := uint64(kindSeed)
 	for _, c := range cols {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -150,6 +151,61 @@ func TestDBGovernorCounters(t *testing.T) {
 	}
 	if r2, _ := db.GovernorCounters(); r2 <= rows {
 		t.Fatalf("counters did not accumulate: %d then %d", rows, r2)
+	}
+}
+
+// TestDBGovernorCountersWhileQueriesMerge: GovernorCounters read while
+// other goroutines' queries merge their stats into the DB's — never
+// going back, and at the end exactly the sum of every query's charge.
+// Under -race, a read of the counters without their atomic snapshot is
+// a data race here.
+func TestDBGovernorCountersWhileQueriesMerge(t *testing.T) {
+	db := lifecycleDB(t, 200)
+	const q, queriers, runs = `SELECT DISTINCT S.CITY FROM S`, 2, 20
+	if _, err := db.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	rows0, bytes0 := db.GovernorCounters()
+	done := make(chan struct{})
+	var readers, queries sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var lastRows, lastBytes int64
+			for {
+				rows, bytes := db.GovernorCounters()
+				if rows < lastRows || bytes < lastBytes {
+					t.Errorf("counters went back: (%d, %d) after (%d, %d)", rows, bytes, lastRows, lastBytes)
+					return
+				}
+				lastRows, lastBytes = rows, bytes
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for w := 0; w < queriers; w++ {
+		queries.Add(1)
+		go func() {
+			defer queries.Done()
+			for i := 0; i < runs; i++ {
+				if _, err := db.Query(q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	queries.Wait()
+	close(done)
+	readers.Wait()
+	const n = 1 + queriers*runs
+	if rows, bytes := db.GovernorCounters(); rows != n*rows0 || bytes != n*bytes0 {
+		t.Errorf("GovernorCounters() = (%d, %d) after %d queries of (%d, %d) each", rows, bytes, n, rows0, bytes0)
 	}
 }
 
